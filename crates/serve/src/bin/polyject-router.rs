@@ -18,14 +18,10 @@
 //! change membership with a warm transfer of re-homed entries.
 
 use polyject_gpusim::GpuModel;
-use polyject_serve::protocol::{
-    batch_done_response, batch_item_response, error_response, read_frame, write_frame,
-};
-use polyject_serve::{Endpoint, Json, Request, Router, RouterConfig};
-use std::io::{Read, Write};
-use std::net::TcpListener;
-#[cfg(unix)]
-use std::os::unix::net::UnixListener;
+use polyject_serve::protocol::{error_response, ok_with, write_frame, ReplyWriter, MAX_FRAME};
+use polyject_serve::transport::{self, Listener};
+use polyject_serve::{BatchItem, Endpoint, Json, Request, Router, RouterConfig};
+use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,108 +33,19 @@ const USAGE: &str = "usage: polyject-router [--socket <path> | --tcp <host:port>
      [--io-timeout-secs <n>] [--seed <n>] [--hot-threshold <n>] \
      [--gpu v100|a100|consumer]";
 
-enum Listener {
-    #[cfg(unix)]
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut endpoint = Endpoint::Unix("polyject-router.sock".into());
-    let mut config = RouterConfig::default();
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Option<String> {
-        *i += 1;
-        let v = args.get(*i).cloned();
-        if v.is_none() {
-            eprintln!("{flag} needs a value\n{USAGE}");
+    let (endpoint, config) = match parse_args(&args) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-        v
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
-    let int = |args: &[String], i: &mut usize, flag: &str| -> Option<u64> {
-        let v = value(args, i, flag).and_then(|v| v.parse().ok());
-        if v.is_none() {
-            eprintln!("{flag} needs an integer");
-        }
-        v
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => match value(&args, &mut i, "--socket") {
-                Some(p) => endpoint = Endpoint::Unix(p.into()),
-                None => return ExitCode::FAILURE,
-            },
-            "--tcp" => match value(&args, &mut i, "--tcp") {
-                Some(a) => endpoint = Endpoint::Tcp(a),
-                None => return ExitCode::FAILURE,
-            },
-            "--shard" => match value(&args, &mut i, "--shard") {
-                Some(s) => match Endpoint::parse(&s) {
-                    Ok(ep) => config.shards.push(ep),
-                    Err(e) => {
-                        eprintln!("bad --shard endpoint: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => return ExitCode::FAILURE,
-            },
-            "--replication" => match int(&args, &mut i, "--replication") {
-                Some(n) => config.replication = n as usize,
-                None => return ExitCode::FAILURE,
-            },
-            "--hedge-ms" => match int(&args, &mut i, "--hedge-ms") {
-                Some(n) => config.hedge_after = Duration::from_millis(n),
-                None => return ExitCode::FAILURE,
-            },
-            "--retries" => match int(&args, &mut i, "--retries") {
-                Some(n) => config.retries = n as u32,
-                None => return ExitCode::FAILURE,
-            },
-            "--backoff-ms" => match int(&args, &mut i, "--backoff-ms") {
-                Some(n) => config.backoff_base = Duration::from_millis(n),
-                None => return ExitCode::FAILURE,
-            },
-            "--backoff-cap-ms" => match int(&args, &mut i, "--backoff-cap-ms") {
-                Some(n) => config.backoff_cap = Duration::from_millis(n),
-                None => return ExitCode::FAILURE,
-            },
-            "--io-timeout-secs" => match int(&args, &mut i, "--io-timeout-secs") {
-                Some(n) => config.io_timeout = Duration::from_secs(n),
-                None => return ExitCode::FAILURE,
-            },
-            "--seed" => match int(&args, &mut i, "--seed") {
-                Some(n) => config.seed = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--hot-threshold" => match int(&args, &mut i, "--hot-threshold") {
-                Some(n) => config.hot_threshold = n,
-                None => return ExitCode::FAILURE,
-            },
-            "--gpu" => match value(&args, &mut i, "--gpu").as_deref() {
-                Some("v100") => config.gpu = GpuModel::v100(),
-                Some("a100") => config.gpu = GpuModel::a100(),
-                Some("consumer") => config.gpu = GpuModel::consumer(),
-                other => {
-                    eprintln!("unknown --gpu {other:?} (v100|a100|consumer)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unexpected argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-    if config.shards.is_empty() {
-        eprintln!("at least one --shard is required\n{USAGE}");
-        return ExitCode::FAILURE;
-    }
     match run(endpoint, config) {
         Ok(report) => {
             println!("{}", report.render());
@@ -151,173 +58,124 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
-    let listener = match &endpoint {
-        #[cfg(unix)]
-        Endpoint::Unix(path) => {
-            // A stale socket file from a previous run blocks the bind.
-            let _ = std::fs::remove_file(path);
-            Listener::Unix(UnixListener::bind(path).map_err(|e| format!("bind {endpoint}: {e}"))?)
+/// Parses the command line; `Ok(None)` is `--help`.
+fn parse_args(args: &[String]) -> Result<Option<(Endpoint, RouterConfig)>, String> {
+    let mut endpoint = Endpoint::Unix("polyject-router.sock".into());
+    let mut config = RouterConfig::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
+        };
+        let int = |v: &String| -> Result<u64, String> {
+            v.parse().map_err(|_| format!("{flag} needs an integer"))
+        };
+        match flag.as_str() {
+            "--socket" => endpoint = Endpoint::Unix(value()?.into()),
+            "--tcp" => endpoint = Endpoint::Tcp(value()?.clone()),
+            "--shard" => config
+                .shards
+                .push(Endpoint::parse(value()?).map_err(|e| format!("bad --shard endpoint: {e}"))?),
+            "--replication" => config.replication = int(value()?)? as usize,
+            "--hedge-ms" => config.hedge_after = Duration::from_millis(int(value()?)?),
+            "--retries" => config.retries = int(value()?)? as u32,
+            "--backoff-ms" => config.backoff_base = Duration::from_millis(int(value()?)?),
+            "--backoff-cap-ms" => config.backoff_cap = Duration::from_millis(int(value()?)?),
+            "--io-timeout-secs" => config.io_timeout = Duration::from_secs(int(value()?)?),
+            "--seed" => config.seed = int(value()?)?,
+            "--hot-threshold" => config.hot_threshold = int(value()?)?,
+            "--gpu" => {
+                config.gpu = match value()?.as_str() {
+                    "v100" => GpuModel::v100(),
+                    "a100" => GpuModel::a100(),
+                    "consumer" => GpuModel::consumer(),
+                    other => return Err(format!("unknown --gpu {other:?} (v100|a100|consumer)")),
+                }
+            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unexpected argument {other}\n{USAGE}")),
         }
-        #[cfg(not(unix))]
-        Endpoint::Unix(_) => return Err("unix sockets unavailable; use --tcp".to_string()),
-        Endpoint::Tcp(addr) => {
-            Listener::Tcp(TcpListener::bind(addr).map_err(|e| format!("bind {endpoint}: {e}"))?)
-        }
-    };
-    match &listener {
-        #[cfg(unix)]
-        Listener::Unix(l) => l.set_nonblocking(true),
-        Listener::Tcp(l) => l.set_nonblocking(true),
     }
-    .map_err(|e| format!("nonblocking accept: {e}"))?;
+    if config.shards.is_empty() {
+        return Err(format!("at least one --shard is required\n{USAGE}"));
+    }
+    Ok(Some((endpoint, config)))
+}
 
+fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
+    let listener = Listener::bind(&endpoint).map_err(|e| format!("bind {endpoint}: {e}"))?;
     eprintln!(
         "[polyject-router] listening on {endpoint}, {} shard(s)",
         config.shards.len()
     );
     let router = Arc::new(Router::new(config));
     let stop = Arc::new(AtomicBool::new(false));
-    let mut handles = Vec::new();
-    while !stop.load(Ordering::SeqCst) {
-        let accepted: Option<Box<dyn ReadWrite>> = match &listener {
-            #[cfg(unix)]
-            Listener::Unix(l) => match l.accept() {
-                Ok((s, _)) => Some(Box::new(s)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(format!("accept: {e}")),
+    let (conn_router, conn_stop) = (Arc::clone(&router), Arc::clone(&stop));
+    listener
+        .serve(
+            || stop.load(Ordering::SeqCst),
+            || {},
+            move |stream| {
+                transport::serve_conn(
+                    stream,
+                    MAX_FRAME,
+                    || conn_stop.load(Ordering::SeqCst),
+                    |frame, out| dispatch(&conn_router, frame, &conn_stop, out),
+                )
             },
-            Listener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => Some(Box::new(s)),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => None,
-                Err(e) => return Err(format!("accept: {e}")),
-            },
-        };
-        match accepted {
-            Some(stream) => {
-                let router = Arc::clone(&router);
-                let stop = Arc::clone(&stop);
-                handles.push(std::thread::spawn(move || {
-                    serve_conn(stream, &router, &stop)
-                }));
-            }
-            None => std::thread::sleep(Duration::from_millis(20)),
-        }
-        handles.retain(|h| !h.is_finished());
-    }
-    for h in handles {
-        let _ = h.join();
-    }
-    #[cfg(unix)]
-    if let Endpoint::Unix(path) = &endpoint {
-        let _ = std::fs::remove_file(path);
-    }
+        )
+        .map_err(|e| format!("accept: {e}"))?;
     Ok(router.metrics_json(false))
 }
 
-trait ReadWrite: Read + Write + Send {}
-impl<T: Read + Write + Send> ReadWrite for T {}
-
-fn serve_conn(mut stream: Box<dyn ReadWrite>, router: &Router, stop: &AtomicBool) {
-    loop {
-        let frame = match read_frame(&mut stream) {
-            Ok(f) => f,
-            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return,
-            Err(e) => {
-                // Garbage on the wire: answer structurally, then drop the
-                // poisoned connection.
-                let _ = write_frame(&mut stream, &error_response(&format!("bad frame: {e}")));
-                return;
-            }
-        };
-        // Batches answer with several frames per request frame, which
-        // the single-frame dispatch below cannot express — handle them
-        // here, where the stream is in hand. The router scatter-gathers
-        // (all shards answered before anything is written), so the
-        // per-item frames go out reassembled in request order.
-        if frame.str_field("op") == Ok("compile_batch") {
-            match Request::from_json(&frame) {
-                Ok(Request::CompileBatch { items, .. }) => {
-                    let pairs: Vec<(String, String)> =
-                        items.into_iter().map(|it| (it.src, it.config)).collect();
-                    let replies = router.compile_batch(&pairs);
-                    let total = replies.len();
-                    let (mut ok, mut errors, mut overloaded) = (0, 0, 0);
-                    let mut alive = true;
-                    for (i, reply) in replies.into_iter().enumerate() {
-                        match reply.get("status").and_then(Json::as_str) {
-                            Some("ok") => ok += 1,
-                            Some("overloaded") => overloaded += 1,
-                            _ => errors += 1,
-                        }
-                        alive = alive
-                            && write_frame(&mut stream, &batch_item_response(i, total, reply))
-                                .is_ok();
-                    }
-                    let done = batch_done_response(total, ok, errors, overloaded);
-                    if !alive || write_frame(&mut stream, &done).is_err() {
-                        return;
-                    }
-                }
-                Ok(_) => unreachable!("op compile_batch parses as CompileBatch"),
-                Err(e) => {
-                    let _ = write_frame(&mut stream, &error_response(&e));
-                }
-            }
-            continue;
-        }
-        let (resp, closing) = dispatch(router, &frame, stop);
-        if write_frame(&mut stream, &resp).is_err() || closing {
-            return;
-        }
-    }
-}
-
-fn dispatch(router: &Router, frame: &Json, stop: &AtomicBool) -> (Json, bool) {
+/// Answers one request frame on `out`; `false` closes the connection.
+/// Both compile ops are one `Router::compile_batch` call — the router
+/// scatter-gathers, so replies go out reassembled in request order —
+/// and differ only in the [`ReplyWriter`] framing.
+fn dispatch(router: &Router, frame: &Json, stop: &AtomicBool, out: &mut impl Write) -> bool {
     let req = match Request::from_json(frame) {
         Ok(r) => r,
-        Err(e) => return (error_response(&e), false),
+        Err(e) => return write_frame(out, &error_response(&e)).is_ok(),
     };
-    match req {
-        Request::Compile { src, config, .. } => (router.compile(&src, &config), false),
-        // Intercepted in `serve_conn` (batches stream multiple frames).
-        Request::CompileBatch { .. } => (
-            error_response("compile_batch needs a streaming connection"),
-            false,
-        ),
-        Request::Ping => (
-            Json::obj(vec![
-                ("status", Json::Str("ok".to_string())),
-                ("pong", Json::Bool(true)),
-            ]),
-            false,
-        ),
-        Request::Stats => (router.metrics_json(false), false),
-        Request::Metrics => (router.metrics_json(true), false),
+    let reply = match req {
+        Request::Compile { src, config, .. } => {
+            let replies = router.compile_batch(&[BatchItem { src, config }]);
+            return write_replies(ReplyWriter::bare(out), replies);
+        }
+        Request::CompileBatch { items, .. } => {
+            let replies = router.compile_batch(&items);
+            return write_replies(ReplyWriter::envelope(out, items.len()), replies);
+        }
+        Request::Ping => ok_with(vec![("pong", Json::Bool(true))]),
+        Request::Stats => router.metrics_json(false),
+        Request::Metrics => router.metrics_json(true),
         Request::Join { endpoint } => match Endpoint::parse(&endpoint) {
-            Ok(ep) => (router.join(&ep), false),
-            Err(e) => (error_response(&format!("bad join endpoint: {e}")), false),
+            Ok(ep) => router.join(&ep),
+            Err(e) => error_response(&format!("bad join endpoint: {e}")),
         },
         Request::Leave { endpoint } => match Endpoint::parse(&endpoint) {
-            Ok(ep) => (router.leave(&ep), false),
-            Err(e) => (error_response(&format!("bad leave endpoint: {e}")), false),
+            Ok(ep) => router.leave(&ep),
+            Err(e) => error_response(&format!("bad leave endpoint: {e}")),
         },
         Request::Shutdown => {
             stop.store(true, Ordering::SeqCst);
-            (
-                Json::obj(vec![
-                    ("status", Json::Str("ok".to_string())),
-                    ("stopping", Json::Bool(true)),
-                ]),
-                true,
-            )
+            let _ = write_frame(out, &ok_with(vec![("stopping", Json::Bool(true))]));
+            return false;
         }
         Request::Cancel { .. }
         | Request::Keys
         | Request::Fetch { .. }
-        | Request::Transfer { .. } => (
-            error_response("cache-entry operations address a polyjectd shard, not the router"),
-            false,
-        ),
+        | Request::Transfer { .. } => {
+            error_response("cache-entry operations address a polyjectd shard, not the router")
+        }
+    };
+    write_frame(out, &reply).is_ok()
+}
+
+fn write_replies<W: Write>(mut out: ReplyWriter<'_, W>, replies: Vec<Json>) -> bool {
+    for (i, reply) in replies.into_iter().enumerate() {
+        out.item(i, reply);
     }
+    out.finish()
 }

@@ -30,7 +30,7 @@ use polyject_core::{build_influence_tree, render_schedule_tree, schedule_tree, B
 use polyject_front::{emit_pj, parse};
 use polyject_gpusim::{estimate, profile, GpuModel, KernelTiming};
 use polyject_serve::client::ShardedClient;
-use polyject_serve::{tune_cached, BatchItem, Client, CompileService, DiskCache, Endpoint, Json};
+use polyject_serve::{tune_cached, BatchItem, CompileService, DiskCache, Endpoint, Json};
 use polyject_tune::TuneOptions;
 use std::process::ExitCode;
 
@@ -328,25 +328,8 @@ fn run_batch(endpoints: &[Endpoint], batch_file: &str, config: Config) -> ExitCo
         eprintln!("{batch_file}: no kernels found (expected `kernel <name>` blocks)");
         return ExitCode::FAILURE;
     }
-    let (replies, round_trips) = if endpoints.len() == 1 {
-        let endpoint = &endpoints[0];
-        let attempt = match Client::connect(endpoint) {
-            Ok(mut client) => client.compile_batch(&items, None),
-            Err(e) => {
-                eprintln!("cannot reach daemon at {endpoint}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match attempt {
-            Ok(r) => (r, 1),
-            Err(e) => {
-                eprintln!("daemon batch request failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        ShardedClient::new(endpoints.to_vec(), GpuModel::v100()).compile_batch(&items)
-    };
+    let (replies, round_trips) =
+        ShardedClient::new(endpoints.to_vec(), GpuModel::v100()).compile_batch(&items);
     let mut failed = 0usize;
     for (i, resp) in replies.iter().enumerate() {
         match resp.str_field("status") {
@@ -389,9 +372,9 @@ fn run_batch(endpoints: &[Endpoint], batch_file: &str, config: Config) -> ExitCo
     }
 }
 
-/// Delegates the compile to one daemon (single endpoint) or the key's
-/// replicas across a sharded fleet (comma-separated endpoints), then
-/// prints the requested artifacts from the reply.
+/// Delegates the compile to the key's replicas across the fleet the
+/// comma-separated endpoints name (one daemon or router is a fleet of
+/// one), then prints the requested artifacts from the reply.
 fn run_remote(
     endpoints: &[Endpoint],
     file: &str,
@@ -403,30 +386,12 @@ fn run_remote(
         eprintln!("--emit {emit} needs the in-process pipeline; drop --remote to use it");
         return ExitCode::FAILURE;
     }
-    let resp = if endpoints.len() == 1 {
-        let endpoint = &endpoints[0];
-        let attempt = match Client::connect(endpoint) {
-            Ok(mut client) => client.compile(src, config.name()),
-            Err(e) => {
-                eprintln!("cannot reach daemon at {endpoint}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match attempt {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("daemon request failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    } else {
-        let mut sharded = ShardedClient::new(endpoints.to_vec(), GpuModel::v100());
-        match sharded.compile(src, config.name()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("no shard answered: {e}");
-                return ExitCode::FAILURE;
-            }
+    let mut fleet = ShardedClient::new(endpoints.to_vec(), GpuModel::v100());
+    let resp = match fleet.compile(src, config.name()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("no daemon answered: {e}");
+            return ExitCode::FAILURE;
         }
     };
     match resp.str_field("status") {

@@ -36,120 +36,17 @@ const USAGE: &str = "usage: polyjectd [--socket <path> | --tcp <host:port>] \
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut config = DaemonConfig::default();
-    let mut i = 0;
-    let value = |args: &[String], i: &mut usize, flag: &str| -> Option<String> {
-        *i += 1;
-        let v = args.get(*i).cloned();
-        if v.is_none() {
-            eprintln!("{flag} needs a value\n{USAGE}");
+    let config = match parse_args(&args) {
+        Ok(Some(config)) => config,
+        Ok(None) => {
+            eprintln!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
-        v
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::FAILURE;
+        }
     };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--socket" => match value(&args, &mut i, "--socket") {
-                Some(p) => config.endpoint = Endpoint::Unix(p.into()),
-                None => return ExitCode::FAILURE,
-            },
-            "--tcp" => match value(&args, &mut i, "--tcp") {
-                Some(a) => config.endpoint = Endpoint::Tcp(a),
-                None => return ExitCode::FAILURE,
-            },
-            "--cache-dir" => match value(&args, &mut i, "--cache-dir") {
-                Some(d) => config.cache_dir = Some(d.into()),
-                None => return ExitCode::FAILURE,
-            },
-            "--cache-max-bytes" => {
-                match value(&args, &mut i, "--cache-max-bytes").and_then(|v| v.parse().ok()) {
-                    Some(n) => config.cache_max_bytes = n,
-                    None => {
-                        eprintln!("--cache-max-bytes needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--workers" => match value(&args, &mut i, "--workers").and_then(|v| v.parse().ok()) {
-                Some(n) => config.workers = n,
-                None => {
-                    eprintln!("--workers needs an integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--queue-bound" => {
-                match value(&args, &mut i, "--queue-bound").and_then(|v| v.parse().ok()) {
-                    Some(n) => config.queue_bound = n,
-                    None => {
-                        eprintln!("--queue-bound needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--timeout-secs" => {
-                match value(&args, &mut i, "--timeout-secs").and_then(|v| v.parse().ok()) {
-                    Some(n) => config.request_timeout = Duration::from_secs(n),
-                    None => {
-                        eprintln!("--timeout-secs needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--max-frame-bytes" => {
-                match value(&args, &mut i, "--max-frame-bytes").and_then(|v| v.parse().ok()) {
-                    Some(n) => config.max_frame = n,
-                    None => {
-                        eprintln!("--max-frame-bytes needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--gpu" => match value(&args, &mut i, "--gpu").as_deref() {
-                Some("v100") => config.gpu = GpuModel::v100(),
-                Some("a100") => config.gpu = GpuModel::a100(),
-                Some("consumer") => config.gpu = GpuModel::consumer(),
-                other => {
-                    eprintln!("unknown --gpu {other:?} (v100|a100|consumer)");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--background-tune" => config.background_tune = true,
-            "--hot-entries" => {
-                match value(&args, &mut i, "--hot-entries").and_then(|v| v.parse().ok()) {
-                    Some(n) => config.hot_entries = n,
-                    None => {
-                        eprintln!("--hot-entries needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--fault-io" => {
-                let parsed = value(&args, &mut i, "--fault-io").and_then(|v| {
-                    let (seed, one_in) = v.split_once('/')?;
-                    Some((seed.parse().ok()?, one_in.parse().ok()?))
-                });
-                match parsed {
-                    Some(pair) => config.cache_faults = Some(pair),
-                    None => {
-                        eprintln!("--fault-io needs <seed>/<one_in>, e.g. 7/50");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unexpected argument {other}\n{USAGE}");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-    if config.background_tune && config.cache_dir.is_none() {
-        eprintln!("--background-tune needs --cache-dir (tuned configs persist in the cache)");
-        return ExitCode::FAILURE;
-    }
     match run_daemon(config) {
         Ok(report) => {
             // The final stats dump, parseable by scripts.
@@ -161,4 +58,54 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// Parses the command line; `Ok(None)` is `--help`.
+fn parse_args(args: &[String]) -> Result<Option<DaemonConfig>, String> {
+    let mut config = DaemonConfig::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let mut value = || {
+            args.next()
+                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
+        };
+        fn int<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+            v.parse().map_err(|_| format!("{flag} needs an integer"))
+        }
+        match flag.as_str() {
+            "--socket" => config.endpoint = Endpoint::Unix(value()?.into()),
+            "--tcp" => config.endpoint = Endpoint::Tcp(value()?.clone()),
+            "--cache-dir" => config.cache_dir = Some(value()?.into()),
+            "--cache-max-bytes" => config.cache_max_bytes = int(flag, value()?)?,
+            "--workers" => config.workers = int(flag, value()?)?,
+            "--queue-bound" => config.queue_bound = int(flag, value()?)?,
+            "--timeout-secs" => config.request_timeout = Duration::from_secs(int(flag, value()?)?),
+            "--max-frame-bytes" => config.max_frame = int(flag, value()?)?,
+            "--gpu" => {
+                config.gpu = match value()?.as_str() {
+                    "v100" => GpuModel::v100(),
+                    "a100" => GpuModel::a100(),
+                    "consumer" => GpuModel::consumer(),
+                    other => return Err(format!("unknown --gpu {other:?} (v100|a100|consumer)")),
+                }
+            }
+            "--background-tune" => config.background_tune = true,
+            "--hot-entries" => config.hot_entries = int(flag, value()?)?,
+            "--fault-io" => {
+                let parsed = value()?
+                    .split_once('/')
+                    .and_then(|(seed, one_in)| Some((seed.parse().ok()?, one_in.parse().ok()?)));
+                config.cache_faults =
+                    Some(parsed.ok_or("--fault-io needs <seed>/<one_in>, e.g. 7/50")?);
+            }
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unexpected argument {other}\n{USAGE}")),
+        }
+    }
+    if config.background_tune && config.cache_dir.is_none() {
+        return Err(
+            "--background-tune needs --cache-dir (tuned configs persist in the cache)".to_string(),
+        );
+    }
+    Ok(Some(config))
 }

@@ -1,14 +1,14 @@
 //! The daemon client: used by `polyjectc --remote`, `polyject-cache`,
 //! tests, and anything else that talks to a running `polyjectd`.
 
+use crate::faults::LegChaos;
 use crate::json::Json;
 use crate::membership::{Membership, DEFAULT_VNODES};
 use crate::protocol::{error_response, read_frame, write_frame, BatchItem, Request};
+use crate::service::{cache_key, routing_key};
+use crate::transport::Stream;
 use polyject_gpusim::GpuModel;
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -62,46 +62,11 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-#[derive(Debug)]
-enum Conn {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.read(buf),
-            Conn::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.write(buf),
-            Conn::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Conn::Unix(s) => s.flush(),
-            Conn::Tcp(s) => s.flush(),
-        }
-    }
-}
-
 /// A blocking protocol client over one connection. Requests are
 /// strictly sequential (one frame out, one frame in).
 #[derive(Debug)]
 pub struct Client {
-    conn: Conn,
+    conn: Stream,
 }
 
 impl Client {
@@ -111,22 +76,9 @@ impl Client {
     ///
     /// Propagates connection failures (daemon not running, bad address).
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
-        let conn = match endpoint {
-            #[cfg(unix)]
-            Endpoint::Unix(path) => Conn::Unix(UnixStream::connect(path)?),
-            #[cfg(not(unix))]
-            Endpoint::Unix(path) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    format!(
-                        "unix sockets unavailable; use tcp instead of {}",
-                        path.display()
-                    ),
-                ))
-            }
-            Endpoint::Tcp(addr) => Conn::Tcp(TcpStream::connect(addr)?),
-        };
-        Ok(Client { conn })
+        Ok(Client {
+            conn: Stream::connect(endpoint)?,
+        })
     }
 
     /// Sets a read/write timeout on the underlying socket (`None`
@@ -136,17 +88,7 @@ impl Client {
     ///
     /// Propagates socket option failures.
     pub fn set_timeout(&mut self, timeout: Option<Duration>) -> io::Result<()> {
-        match &self.conn {
-            #[cfg(unix)]
-            Conn::Unix(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-            Conn::Tcp(s) => {
-                s.set_read_timeout(timeout)?;
-                s.set_write_timeout(timeout)
-            }
-        }
+        self.conn.set_timeouts(timeout, timeout)
     }
 
     /// Sends one request and reads one response frame.
@@ -166,11 +108,7 @@ impl Client {
     ///
     /// Propagates I/O and framing failures.
     pub fn compile(&mut self, src: &str, config: &str) -> io::Result<Json> {
-        self.request(&Request::Compile {
-            src: src.to_string(),
-            config: config.to_string(),
-            req: None,
-        })
+        self.compile_as(src, config, None)
     }
 
     /// Compiles with a caller-chosen request id, so the in-flight solve
@@ -180,11 +118,12 @@ impl Client {
     ///
     /// Propagates I/O and framing failures.
     pub fn compile_tagged(&mut self, src: &str, config: &str, req: &str) -> io::Result<Json> {
-        self.request(&Request::Compile {
-            src: src.to_string(),
-            config: config.to_string(),
-            req: Some(req.to_string()),
-        })
+        self.compile_as(src, config, Some(req.to_string()))
+    }
+
+    fn compile_as(&mut self, src: &str, config: &str, req: Option<String>) -> io::Result<Json> {
+        let (src, config) = (src.to_string(), config.to_string());
+        self.request(&Request::Compile { src, config, req })
     }
 
     /// Compiles a whole batch in one round trip: sends a single
@@ -358,10 +297,82 @@ fn invalid_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
+/// The body of one leg — one connection to one shard: apply the
+/// pre-drawn chaos verdict, connect, set the socket timeout, `send`.
+/// The router's hedged item legs, both scatters' sub-batch legs and the
+/// sharded client's replica walk all run through here.
+pub(crate) fn run_leg<T>(
+    endpoint: &Endpoint,
+    io_timeout: Option<Duration>,
+    chaos: LegChaos,
+    send: impl FnOnce(&mut Client) -> io::Result<T>,
+) -> io::Result<T> {
+    let ctx =
+        |what: &'static str| move |e: io::Error| io::Error::new(e.kind(), format!("{what}: {e}"));
+    if chaos.blocked {
+        return Err(io::Error::new(
+            io::ErrorKind::ConnectionRefused,
+            format!("partition: connect to {endpoint} blocked"),
+        ));
+    }
+    let mut client = Client::connect(endpoint).map_err(ctx("connect"))?;
+    if io_timeout.is_some() {
+        // (A fresh socket already blocks forever.)
+        client
+            .set_timeout(io_timeout)
+            .map_err(ctx("socket options"))?;
+    }
+    if let Some(bytes) = chaos.garbage {
+        // Injected line noise: feed the daemon a garbage frame and read
+        // whatever it answers (a structured error — the robustness claim
+        // under test), then treat the connection as poisoned so the
+        // request retries on a clean one.
+        let _ = client.inject_raw(&bytes);
+        let _ = client.read_response();
+        return Err(io::Error::other(
+            "garbage frame injected; connection poisoned",
+        ));
+    }
+    send(&mut client).map_err(ctx("io"))
+}
+
+/// Scatter-gather: every owner group's items go out as ONE
+/// `compile_batch` frame over one connection, all groups in flight at
+/// once (so the whole fleet's worker pools crunch concurrently), and
+/// every leg is gathered — a full barrier — before this returns the
+/// per-group replies (sub-batch order) in group order.
+pub(crate) fn scatter(
+    items: &[BatchItem],
+    groups: &[(Endpoint, Vec<usize>)],
+    chaos: Vec<LegChaos>,
+    io_timeout: Option<Duration>,
+) -> Vec<io::Result<Vec<Json>>> {
+    std::thread::scope(|scope| {
+        let legs: Vec<_> = groups
+            .iter()
+            .zip(chaos)
+            .map(|((endpoint, idxs), chaos)| {
+                let sub: Vec<BatchItem> = idxs.iter().map(|&i| items[i].clone()).collect();
+                scope.spawn(move || {
+                    run_leg(endpoint, io_timeout, chaos, |c| c.compile_batch(&sub, None))
+                })
+            })
+            .collect();
+        legs.into_iter()
+            .map(|leg| {
+                leg.join()
+                    .unwrap_or_else(|_| Err(io::Error::other("leg panicked")))
+            })
+            .collect()
+    })
+}
+
 /// Client-side shard selection: `polyjectc --remote a,b,c` routes each
-/// request over the same consistent-hash ring a `polyject-router` uses,
-/// trying the key's replicas in health order — no router process needed
-/// for the common "N daemons, one client" topology.
+/// request over the same consistent-hash ring a `polyject-router` uses
+/// (same keying, same partition, same scatter, same leg body), trying
+/// the key's replicas in health order — no router process needed for
+/// the common "N daemons, one client" topology. Unlike the router it
+/// never hedges or retries: any frame a shard answers is final.
 pub struct ShardedClient {
     membership: Membership,
     gpu: GpuModel,
@@ -384,12 +395,16 @@ impl ShardedClient {
         self
     }
 
+    /// Routing only needs a stable key; if the source does not parse,
+    /// hash it raw and let the daemon report the parse error.
+    fn key(&self, item: &BatchItem) -> String {
+        routing_key(&item.src, &item.config, &self.gpu)
+            .unwrap_or_else(|_| cache_key(&item.src, &item.config, &self.gpu))
+    }
+
     /// The replica endpoints (health-ordered) a source would route to.
     pub fn route(&self, src: &str, config: &str) -> Vec<Endpoint> {
-        // Routing only needs a stable key; if the source does not parse,
-        // hash it raw and let the daemon report the parse error.
-        let canonical = polyject_front::canonical_pj(src).unwrap_or_else(|_| src.to_string());
-        let key = crate::service::cache_key(&canonical, config, &self.gpu);
+        let key = self.key(&BatchItem::new(src, config));
         self.membership.replicas_for(&key, self.replication)
     }
 
@@ -401,18 +416,76 @@ impl ShardedClient {
     ///
     /// The last socket failure when no replica answered a frame.
     pub fn compile(&mut self, src: &str, config: &str) -> io::Result<Json> {
-        let replicas = self.route(src, config);
-        if replicas.is_empty() {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                "no shard endpoints configured",
-            ));
+        let (mut replies, _) = self.route_batch(&[BatchItem::new(src, config)]);
+        replies.pop().expect("one reply per item")
+    }
+
+    /// Compiles a whole batch through the fleet with scatter-gather:
+    /// items are partitioned by owning shard, each shard gets its
+    /// sub-batch in ONE `compile_batch` round trip, and the replies are
+    /// reassembled in request order. An item whose sub-batch connection
+    /// failed walks its replicas one by one, so a dead shard degrades
+    /// that sub-batch instead of failing the batch.
+    ///
+    /// Returns the per-item replies plus the number of client round
+    /// trips taken (sub-batches + any per-item fallbacks) — the number a
+    /// sequential client would spend one-per-item.
+    pub fn compile_batch(&mut self, items: &[BatchItem]) -> (Vec<Json>, u64) {
+        let (replies, round_trips) = self.route_batch(items);
+        let replies = replies
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|e| error_response(&format!("all replicas failed: {e}"))))
+            .collect();
+        (replies, round_trips)
+    }
+
+    /// The one request path: key, then (for more than one item) scatter
+    /// by owner, then the replica walk for whatever is still unanswered
+    /// — which for a single compile is the whole request.
+    fn route_batch(&mut self, items: &[BatchItem]) -> (Vec<io::Result<Json>>, u64) {
+        let keys: Vec<String> = items.iter().map(|it| self.key(it)).collect();
+        let mut slots: Vec<Option<Json>> = vec![None; items.len()];
+        let mut round_trips = 0;
+        if items.len() > 1 {
+            let keyed = keys.iter().map(String::as_str).enumerate();
+            let groups = self.membership.partition_by_owner(keyed, self.replication);
+            round_trips += groups.len() as u64;
+            let chaos = vec![LegChaos::default(); groups.len()];
+            let gathered = scatter(items, &groups, chaos, None);
+            // Membership updates stay on this thread, after the barrier.
+            for ((endpoint, idxs), attempt) in groups.iter().zip(gathered) {
+                match attempt {
+                    Ok(replies) => {
+                        self.membership.record_success(endpoint);
+                        for (&i, reply) in idxs.iter().zip(replies) {
+                            slots[i] = Some(reply);
+                        }
+                    }
+                    Err(_) => self.membership.record_failure(endpoint),
+                }
+            }
         }
-        let mut last = io::Error::other("unreachable");
-        for endpoint in replicas {
-            let attempt =
-                Client::connect(&endpoint).and_then(|mut client| client.compile(src, config));
-            match attempt {
+        let replies = (items.iter().zip(&keys).zip(slots))
+            .map(|((item, key), slot)| match slot {
+                Some(reply) => Ok(reply),
+                None => {
+                    round_trips += 1;
+                    self.walk_replicas(item, key)
+                }
+            })
+            .collect();
+        (replies, round_trips)
+    }
+
+    /// The item stage: tries the key's replicas in health order until
+    /// one answers a frame.
+    fn walk_replicas(&mut self, item: &BatchItem, key: &str) -> io::Result<Json> {
+        let mut last = io::Error::new(io::ErrorKind::NotFound, "no shard endpoints configured");
+        for endpoint in self.membership.replicas_for(key, self.replication) {
+            let leg = run_leg(&endpoint, None, LegChaos::default(), |c| {
+                c.compile(&item.src, &item.config)
+            });
+            match leg {
                 Ok(resp) => {
                     self.membership.record_success(&endpoint);
                     return Ok(resp);
@@ -424,84 +497,6 @@ impl ShardedClient {
             }
         }
         Err(last)
-    }
-
-    /// Compiles a whole batch through the fleet with scatter-gather:
-    /// items are partitioned by owning shard, each shard gets its
-    /// sub-batch in ONE `compile_batch` round trip over one connection,
-    /// all sub-batches are in flight concurrently (so the whole fleet's
-    /// worker pools crunch at once), and the replies are reassembled in
-    /// request order. An item whose sub-batch connection failed falls
-    /// back to the per-item [`ShardedClient::compile`] path (which walks
-    /// the replicas), so a dead shard degrades that sub-batch instead of
-    /// failing the batch.
-    ///
-    /// Returns the per-item replies plus the number of client round
-    /// trips taken (sub-batches + any per-item fallbacks) — the number a
-    /// sequential client would spend one-per-item.
-    pub fn compile_batch(&mut self, items: &[BatchItem]) -> (Vec<Json>, u64) {
-        // Group item indices by primary owner, in first-occurrence order
-        // so the scatter is deterministic for a fixed membership.
-        let mut groups: Vec<(Endpoint, Vec<usize>)> = Vec::new();
-        for (i, item) in items.iter().enumerate() {
-            let owner = self.route(&item.src, &item.config).into_iter().next();
-            let Some(owner) = owner else {
-                continue; // no shards configured; handled below
-            };
-            match groups.iter_mut().find(|(ep, _)| *ep == owner) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((owner, vec![i])),
-            }
-        }
-        let mut slots: Vec<Option<Json>> = vec![None; items.len()];
-        let mut round_trips = groups.len() as u64;
-        // Concurrent scatter: one thread per sub-batch, gathered before
-        // any fallback so membership updates stay on this thread.
-        let gathered: Vec<io::Result<Vec<Json>>> = std::thread::scope(|scope| {
-            let legs: Vec<_> = groups
-                .iter()
-                .map(|(endpoint, idxs)| {
-                    let sub: Vec<BatchItem> = idxs.iter().map(|&i| items[i].clone()).collect();
-                    scope.spawn(move || {
-                        Client::connect(endpoint)
-                            .and_then(|mut client| client.compile_batch(&sub, None))
-                    })
-                })
-                .collect();
-            legs.into_iter()
-                .map(|leg| {
-                    leg.join()
-                        .unwrap_or_else(|_| Err(io::Error::other("leg panicked")))
-                })
-                .collect()
-        });
-        for ((endpoint, idxs), attempt) in groups.iter().zip(gathered) {
-            match attempt {
-                Ok(replies) => {
-                    self.membership.record_success(endpoint);
-                    for (&i, reply) in idxs.iter().zip(replies) {
-                        slots[i] = Some(reply);
-                    }
-                }
-                Err(_) => {
-                    self.membership.record_failure(endpoint);
-                }
-            }
-        }
-        // Per-item fallback for anything the scatter did not answer.
-        let replies = items
-            .iter()
-            .zip(slots)
-            .map(|(item, slot)| match slot {
-                Some(reply) => reply,
-                None => {
-                    round_trips += 1;
-                    self.compile(&item.src, &item.config)
-                        .unwrap_or_else(|e| error_response(&format!("all replicas failed: {e}")))
-                }
-            })
-            .collect();
-        (replies, round_trips)
     }
 }
 
@@ -590,56 +585,42 @@ mod tests {
         assert_ne!(err.to_string(), "");
     }
 
-    #[test]
-    fn mid_frame_close_is_unexpected_eof() {
+    /// The error a `stats()` call surfaces when the server answers the
+    /// request with `raw_reply` bytes and hangs up.
+    fn stats_error_against(raw_reply: Vec<u8>) -> io::Error {
         use std::net::TcpListener;
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (mut s, _) = listener.accept().unwrap();
             let _ = read_frame(&mut s);
-            // Promise an 8-byte frame, deliver 3, hang up.
-            s.write_all(&8u32.to_be_bytes()).unwrap();
-            s.write_all(b"abc").unwrap();
+            s.write_all(&raw_reply).unwrap();
         });
         let mut client = Client::connect(&Endpoint::Tcp(addr.to_string())).unwrap();
         let err = client.stats().unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
         server.join().unwrap();
+        err
+    }
+
+    #[test]
+    fn mid_frame_close_is_unexpected_eof() {
+        // Promise an 8-byte frame, deliver 3, hang up.
+        let err = stats_error_against([&8u32.to_be_bytes()[..], b"abc"].concat());
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
     }
 
     #[test]
     fn invalid_utf8_frame_is_invalid_data() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut s);
-            s.write_all(&4u32.to_be_bytes()).unwrap();
-            s.write_all(&[0x80, 0xfe, 0xff, 0x81]).unwrap();
-        });
-        let mut client = Client::connect(&Endpoint::Tcp(addr.to_string())).unwrap();
-        let err = client.stats().unwrap_err();
+        let body = [0x80, 0xfe, 0xff, 0x81];
+        let err = stats_error_against([&4u32.to_be_bytes()[..], &body].concat());
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        server.join().unwrap();
     }
 
     #[test]
     fn oversized_frame_is_rejected_before_allocation() {
-        use std::net::TcpListener;
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            let (mut s, _) = listener.accept().unwrap();
-            let _ = read_frame(&mut s);
-            // A length prefix far past MAX_FRAME; no body follows.
-            s.write_all(&u32::MAX.to_be_bytes()).unwrap();
-        });
-        let mut client = Client::connect(&Endpoint::Tcp(addr.to_string())).unwrap();
-        let err = client.stats().unwrap_err();
+        // A length prefix far past MAX_FRAME; no body follows.
+        let err = stats_error_against(u32::MAX.to_be_bytes().to_vec());
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
-        server.join().unwrap();
     }
 
     #[test]

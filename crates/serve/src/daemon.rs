@@ -1,14 +1,16 @@
-//! The `polyjectd` daemon: accept loop, request dispatch, backpressure,
-//! per-request timeouts, and graceful shutdown.
+//! The `polyjectd` daemon: request dispatch, backpressure, per-request
+//! timeouts, and graceful shutdown over the shared [`transport`].
 //!
-//! One thread per connection reads length-prefixed frames; compile
-//! requests are dispatched onto a shared [`WorkerPool`] so concurrency
-//! is bounded by worker count, with a bounded pending-job queue that
-//! answers `overloaded` instead of buffering without limit. Identical
-//! concurrent requests are deduplicated by the service's single-flight
-//! layer. SIGTERM/SIGINT (or a `shutdown` request) stops the accept
-//! loop, lets in-flight work drain, flushes the cache index, and dumps
-//! final stats as JSON.
+//! One thread per connection reads length-prefixed frames. Every compile
+//! takes one path — request → admission → dedup → pool → settle →
+//! framing (`serve_items`): a `compile` is a `compile_batch` of one
+//! whose reply is written bare. Items are dispatched onto a shared
+//! [`WorkerPool`] so concurrency is bounded by worker count, with a
+//! bounded pending-job queue that answers `overloaded` instead of
+//! buffering without limit. Identical concurrent requests are
+//! deduplicated by the service's single-flight layer. SIGTERM/SIGINT (or
+//! a `shutdown` request) stops the accept loop, lets in-flight work
+//! drain, flushes the cache index, and dumps final stats as JSON.
 
 use crate::cache::DiskCache;
 use crate::client::Endpoint;
@@ -17,25 +19,22 @@ use crate::hash::hex_digest;
 use crate::hot::DEFAULT_HOT_ENTRIES;
 use crate::json::Json;
 use crate::pool::{default_workers, WorkerPool};
-use crate::protocol::CompileReply;
 use crate::protocol::{
-    batch_done_response, batch_item_response, error_response, ok_response, overloaded_response,
-    retryable_error_response, write_frame, BatchItem, Request, MAX_FRAME,
+    error_response, ok_response, ok_with, overloaded_response, retryable_error_response,
+    write_frame, BatchItem, CompileReply, ReplyWriter, Request, MAX_FRAME,
 };
 use crate::service::{CompileService, Served};
 use crate::stats::ServeStats;
+use crate::transport::{self, Listener};
 use crate::tuned::{tune_cached, tuned_key};
 use polyject_core::Budget;
 use polyject_gpusim::GpuModel;
 use polyject_tune::TuneOptions;
-use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
-#[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::collections::hash_map::{Entry, HashMap};
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// POSIX signal handling without a libc dependency: the daemon installs
@@ -174,50 +173,51 @@ impl Shared {
         self.stop.load(Ordering::SeqCst) || sig::STOP.load(Ordering::SeqCst)
     }
 
+    fn stats(&self) -> MutexGuard<'_, ServeStats> {
+        self.stats.lock().expect("stats lock poisoned")
+    }
+
     /// The stats report: daemon counters plus the cache's own view.
     fn stats_json(&self) -> Json {
+        let n = |v: u64| Json::Num(v as f64);
         let io_faults = self
             .io_faults
             .as_ref()
-            .map(|c| c.load(Ordering::SeqCst))
-            .unwrap_or(0);
+            .map_or(0, |c| c.load(Ordering::SeqCst));
         let (hot_entries, hot_hits) = self.service.hot_stats().unwrap_or((0, 0));
         let cache = self.service.with_cache(|c| {
             let s = c.stats();
             Json::obj(vec![
-                ("entries", Json::Num(c.len() as f64)),
-                ("bytes", Json::Num(c.total_bytes() as f64)),
-                ("hits", Json::Num(s.hits as f64)),
-                ("misses", Json::Num(s.misses as f64)),
-                ("puts", Json::Num(s.puts as f64)),
-                ("evictions", Json::Num(s.evictions as f64)),
-                ("errors", Json::Num(s.errors as f64)),
-                ("hot_entries", Json::Num(hot_entries as f64)),
-                ("hot_hits", Json::Num(hot_hits as f64)),
-                ("io_faults_injected", Json::Num(io_faults as f64)),
+                ("entries", n(c.len() as u64)),
+                ("bytes", n(c.total_bytes())),
+                ("hits", n(s.hits)),
+                ("misses", n(s.misses)),
+                ("puts", n(s.puts)),
+                ("evictions", n(s.evictions)),
+                ("errors", n(s.errors)),
+                ("hot_entries", n(hot_entries as u64)),
+                ("hot_hits", n(hot_hits)),
+                ("io_faults_injected", n(io_faults)),
             ])
         });
-        let mut stats = self.stats.lock().expect("stats lock poisoned");
+        let mut stats = self.stats();
         stats.evictions = self
             .service
             .with_cache(|c| c.stats().evictions)
             .unwrap_or(0);
         let gov = self.service.governance();
+        let panics = gov.panics_recovered + self.pool.panics_recovered();
         let governance = Json::obj(vec![
-            ("degraded_solves", Json::Num(gov.degraded_solves as f64)),
-            ("cancelled_solves", Json::Num(gov.cancelled_solves as f64)),
-            (
-                "panics_recovered",
-                Json::Num((gov.panics_recovered + self.pool.panics_recovered()) as f64),
-            ),
-            ("tuned_applied", Json::Num(gov.tuned_applied as f64)),
+            ("degraded_solves", n(gov.degraded_solves)),
+            ("cancelled_solves", n(gov.cancelled_solves)),
+            ("panics_recovered", n(panics)),
+            ("tuned_applied", n(gov.tuned_applied)),
             (
                 "background_tuned",
-                Json::Num(self.tuned_count.load(Ordering::SeqCst) as f64),
+                n(self.tuned_count.load(Ordering::SeqCst)),
             ),
         ]);
-        Json::obj(vec![
-            ("status", Json::Str("ok".to_string())),
+        ok_with(vec![
             ("stats", stats.to_json()),
             ("governance", governance),
             ("cache", cache.unwrap_or(Json::Null)),
@@ -238,185 +238,33 @@ impl Shared {
     }
 }
 
-enum Stream {
-    #[cfg(unix)]
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.set_read_timeout(t),
-            Stream::Tcp(s) => s.set_read_timeout(t),
-        }
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            #[cfg(unix)]
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-enum Listener {
-    #[cfg(unix)]
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn bind(endpoint: &Endpoint) -> io::Result<Listener> {
-        match endpoint {
-            #[cfg(unix)]
-            Endpoint::Unix(path) => {
-                if path.exists() {
-                    // Stale socket from a dead daemon? Probe it.
-                    if UnixStream::connect(path).is_ok() {
-                        return Err(io::Error::new(
-                            io::ErrorKind::AddrInUse,
-                            format!("a daemon is already listening on {}", path.display()),
-                        ));
-                    }
-                    std::fs::remove_file(path)?;
-                }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Unix(l))
-            }
-            #[cfg(not(unix))]
-            Endpoint::Unix(path) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                format!("unix sockets unavailable: {}", path.display()),
-            )),
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
-        }
-    }
-
-    /// Nonblocking accept; `Ok(None)` when no connection is waiting.
-    fn accept(&self) -> io::Result<Option<Stream>> {
-        let r = match self {
-            #[cfg(unix)]
-            Listener::Unix(l) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        };
-        match r {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Reads exactly `buf.len()` bytes, riding out socket read timeouts so
-/// the connection thread can poll the shutdown flag. `Ok(false)` means
-/// the peer closed (or shutdown began) cleanly before a frame started.
-fn read_full(stream: &mut Stream, buf: &mut [u8], shared: &Shared) -> io::Result<bool> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 {
-                    return Ok(false);
-                }
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "connection closed mid-frame",
-                ));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock
-                        | io::ErrorKind::TimedOut
-                        | io::ErrorKind::Interrupted
-                ) =>
-            {
-                if shared.stopping() {
-                    return Ok(false);
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Reads one frame, tolerant of read-timeout polling. `Ok(None)` = peer
-/// closed or shutdown began.
-fn read_frame_polling(stream: &mut Stream, shared: &Shared) -> io::Result<Option<Json>> {
-    let mut len_buf = [0u8; 4];
-    if !read_full(stream, &mut len_buf, shared)? {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len > shared.max_frame {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!(
-                "frame of {len} bytes exceeds the {}-byte limit",
-                shared.max_frame
-            ),
-        ));
-    }
-    let mut buf = vec![0u8; len as usize];
-    if !read_full(stream, &mut buf, shared)? {
-        return Ok(None);
-    }
-    let text = String::from_utf8(buf)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-utf8 frame"))?;
-    Json::parse(&text)
-        .map(Some)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-}
-
-fn dispatch(shared: &Arc<Shared>, frame: &Json) -> (Json, bool) {
-    shared.stats.lock().expect("stats lock poisoned").requests += 1;
+/// Answers one request frame on `out`. Every op writes through here; the
+/// two compile ops are the same [`serve_items`] call and differ only in
+/// the [`ReplyWriter`] framing their replies leave through. Returns
+/// `false` when the connection should close (peer gone, or shutdown).
+fn dispatch<W: Write>(shared: &Arc<Shared>, frame: &Json, out: &mut W) -> bool {
+    shared.stats().requests += 1;
     let req = match Request::from_json(frame) {
         Ok(r) => r,
         Err(e) => {
-            shared.stats.lock().expect("stats lock poisoned").errors += 1;
-            return (error_response(&e), false);
+            shared.stats().errors += 1;
+            return write_frame(out, &error_response(&e)).is_ok();
         }
     };
-    match req {
-        Request::Ping => (
-            Json::obj(vec![
-                ("status", Json::Str("ok".to_string())),
-                ("pong", Json::Bool(true)),
-            ]),
-            false,
-        ),
-        Request::Stats => (shared.stats_json(), false),
-        Request::Metrics => (shared.metrics_json(), false),
+    let reply = match req {
+        Request::Compile { src, config, req } => {
+            let item = Arc::from([BatchItem { src, config }]);
+            return serve_items(shared, ReplyWriter::bare(out), item, req);
+        }
+        Request::CompileBatch { items, req } => {
+            shared.stats().batch_requests += 1;
+            shared.stats().batch_items += items.len() as u64;
+            let out = ReplyWriter::envelope(out, items.len());
+            return serve_items(shared, out, items.into(), req);
+        }
+        Request::Ping => ok_with(vec![("pong", Json::Bool(true))]),
+        Request::Stats => shared.stats_json(),
+        Request::Metrics => shared.metrics_json(),
         Request::Cancel { req } => {
             let flag = shared
                 .cancel_reg
@@ -424,21 +272,11 @@ fn dispatch(shared: &Arc<Shared>, frame: &Json) -> (Json, bool) {
                 .expect("cancel registry poisoned")
                 .get(&req)
                 .cloned();
-            let cancelled = match flag {
-                Some(f) => {
-                    f.store(true, Ordering::SeqCst);
-                    shared.stats.lock().expect("stats lock poisoned").cancels += 1;
-                    true
-                }
-                None => false,
-            };
-            (
-                Json::obj(vec![
-                    ("status", Json::Str("ok".to_string())),
-                    ("cancelled", Json::Bool(cancelled)),
-                ]),
-                false,
-            )
+            if let Some(f) = &flag {
+                f.store(true, Ordering::SeqCst);
+                shared.stats().cancels += 1;
+            }
+            ok_with(vec![("cancelled", Json::Bool(flag.is_some()))])
         }
         Request::Keys => {
             let keys: Vec<Json> = shared
@@ -452,69 +290,38 @@ fn dispatch(shared: &Arc<Shared>, frame: &Json) -> (Json, bool) {
                         .collect()
                 })
                 .unwrap_or_default();
-            (
-                Json::obj(vec![
-                    ("status", Json::Str("ok".to_string())),
-                    ("keys", Json::Arr(keys)),
-                ]),
-                false,
-            )
+            ok_with(vec![("keys", Json::Arr(keys))])
         }
         Request::Fetch { key } => {
             let entry = shared.service.with_cache(|c| c.get(&key)).flatten();
-            let resp = match entry {
-                Some((kind, payload)) => {
-                    let checksum = hex_digest(&payload.render());
-                    Json::obj(vec![
-                        ("status", Json::Str("ok".to_string())),
-                        ("found", Json::Bool(true)),
-                        ("key", Json::Str(key)),
-                        ("kind", Json::Str(kind)),
-                        ("payload", payload),
-                        ("checksum", Json::Str(checksum)),
-                    ])
-                }
-                None => Json::obj(vec![
-                    ("status", Json::Str("ok".to_string())),
-                    ("found", Json::Bool(false)),
-                    ("key", Json::Str(key)),
-                ]),
-            };
-            (resp, false)
+            let mut fields = vec![
+                ("found", Json::Bool(entry.is_some())),
+                ("key", Json::Str(key)),
+            ];
+            if let Some((kind, payload)) = entry {
+                let checksum = hex_digest(&payload.render());
+                fields.push(("kind", Json::Str(kind)));
+                fields.push(("payload", payload));
+                fields.push(("checksum", Json::Str(checksum)));
+            }
+            ok_with(fields)
         }
         Request::Transfer {
             key,
             kind,
             payload,
             checksum,
-        } => (
-            serve_transfer(shared, &key, &kind, &payload, &checksum),
-            false,
-        ),
-        Request::Join { .. } | Request::Leave { .. } => (
-            error_response("membership changes are a polyject-router operation"),
-            false,
-        ),
-        Request::Compile { src, config, req } => (serve_compile(shared, src, config, req), false),
-        Request::CompileBatch { .. } => (
-            // Batches stream multiple reply frames per request frame, so
-            // they are intercepted in `handle_conn` (which owns the
-            // stream) before single-frame dispatch; reaching this arm
-            // means a non-streaming caller routed one here.
-            error_response("compile_batch needs a streaming connection"),
-            false,
-        ),
+        } => serve_transfer(shared, &key, &kind, &payload, &checksum),
+        Request::Join { .. } | Request::Leave { .. } => {
+            error_response("membership changes are a polyject-router operation")
+        }
         Request::Shutdown => {
             shared.stop.store(true, Ordering::SeqCst);
-            (
-                Json::obj(vec![
-                    ("status", Json::Str("ok".to_string())),
-                    ("stopping", Json::Bool(true)),
-                ]),
-                true,
-            )
+            let _ = write_frame(out, &ok_with(vec![("stopping", Json::Bool(true))]));
+            return false;
         }
-    }
+    };
+    write_frame(out, &reply).is_ok()
 }
 
 /// Accepts one pushed cache entry after re-verifying the sender's
@@ -530,7 +337,7 @@ fn serve_transfer(
 ) -> Json {
     let actual = hex_digest(&payload.render());
     if actual != checksum {
-        shared.stats.lock().expect("stats lock poisoned").errors += 1;
+        shared.stats().errors += 1;
         return retryable_error_response(&format!(
             "transfer of {key} torn in flight: payload digests to {actual}, sender claimed {checksum}"
         ));
@@ -538,17 +345,12 @@ fn serve_transfer(
     match shared.service.with_cache(|c| c.put(key, kind, payload)) {
         None => error_response("no cache attached; transfers need --cache-dir"),
         Some(Err(e)) => {
-            shared.stats.lock().expect("stats lock poisoned").errors += 1;
+            shared.stats().errors += 1;
             retryable_error_response(&format!("transfer of {key} failed to persist: {e}"))
         }
         Some(Ok(())) => {
-            shared
-                .stats
-                .lock()
-                .expect("stats lock poisoned")
-                .transfers_in += 1;
-            Json::obj(vec![
-                ("status", Json::Str("ok".to_string())),
+            shared.stats().transfers_in += 1;
+            ok_with(vec![
                 ("stored", Json::Bool(true)),
                 ("key", Json::Str(key.to_string())),
             ])
@@ -556,96 +358,11 @@ fn serve_transfer(
     }
 }
 
-fn serve_compile(
-    shared: &Arc<Shared>,
-    src: String,
-    config: String,
-    req_id: Option<String>,
-) -> Json {
-    // A request always outranks idle-time work: tell any background
-    // search to yield at its next budget check.
-    shared.tune_cancel.store(true, Ordering::SeqCst);
-    // Backpressure: bound queued-plus-executing compiles instead of
-    // buffering arbitrarily many requests behind a busy pool.
-    let pending = shared.pending.load(Ordering::SeqCst);
-    if pending >= shared.queue_bound {
-        shared.stats.lock().expect("stats lock poisoned").overloaded += 1;
-        return overloaded_response(pending);
-    }
-    shared.pending.fetch_add(1, Ordering::SeqCst);
-    let (tx, rx) = mpsc::channel();
-    let cancel = Arc::new(AtomicBool::new(false));
-    // A tagged request is cancellable by id from any connection (a
-    // router cancelling the losing hedge leg).
-    if let Some(id) = &req_id {
-        shared
-            .cancel_reg
-            .lock()
-            .expect("cancel registry poisoned")
-            .insert(id.clone(), Arc::clone(&cancel));
-    }
-    let worker_cancel = Arc::clone(&cancel);
-    let worker_shared = Arc::clone(shared);
-    let t0 = Instant::now();
-    shared.pool.submit(move || {
-        // The compile must run wholly on this worker thread: solver
-        // counters are thread-local. The cancel-only budget lets the
-        // connection thread abort the solve if the request times out.
-        let budget = Budget::unlimited().with_cancel(worker_cancel);
-        let result = worker_shared
-            .service
-            .serve_with_budget(&src, &config, &budget);
-        worker_shared.pending.fetch_sub(1, Ordering::SeqCst);
-        let _ = tx.send(result);
-    });
-    let resp = match rx.recv_timeout(shared.request_timeout) {
-        Ok(Ok((reply, served))) => {
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            let mut stats = shared.stats.lock().expect("stats lock poisoned");
-            stats.latency.record(ms);
-            match served {
-                Served::Hit => stats.hits += 1,
-                Served::Fresh => stats.misses += 1,
-                Served::Coalesced => stats.coalesced += 1,
-            }
-            ok_response(&reply, served == Served::Hit)
-        }
-        Ok(Err(e)) => {
-            shared.stats.lock().expect("stats lock poisoned").errors += 1;
-            if cancel.load(Ordering::SeqCst) {
-                // Aborted by a cancel-by-id: transient from the caller's
-                // viewpoint (another replica can still answer).
-                retryable_error_response(&e)
-            } else {
-                error_response(&e)
-            }
-        }
-        Err(_) => {
-            // Trip the cancel flag: the solver aborts at its next budget
-            // check, so the worker is reclaimed instead of leaking on a
-            // runaway compile.
-            cancel.store(true, Ordering::SeqCst);
-            shared.stats.lock().expect("stats lock poisoned").timeouts += 1;
-            retryable_error_response(&format!(
-                "request timed out after {:?} (compile cancelled; worker reclaimed)",
-                shared.request_timeout
-            ))
-        }
-    };
-    if let Some(id) = &req_id {
-        shared
-            .cancel_reg
-            .lock()
-            .expect("cancel registry poisoned")
-            .remove(id);
-    }
-    resp
-}
-
-/// Reserves up to `want` bounded-queue slots with a CAS loop, so a batch
-/// admission is atomic against concurrent singles and other batches: a
-/// batch of N ops consumes N slots or reports the shortfall per-item —
-/// it can never slip past the `queue_bound` a stream of singles respects.
+/// Reserves up to `want` bounded-queue slots with a CAS loop — the only
+/// place `pending` grows, so admission is atomic against every other
+/// request in flight: a request of N items consumes N slots or reports
+/// the shortfall per item, and no interleaving of concurrent requests
+/// can slip past `queue_bound`.
 fn reserve_slots(shared: &Shared, want: usize) -> usize {
     let mut granted = 0;
     while granted < want {
@@ -665,237 +382,161 @@ fn reserve_slots(shared: &Shared, want: usize) -> usize {
     granted
 }
 
-/// Serves one `compile_batch`: admits the batch as N queue slots
-/// ([`reserve_slots`]; the unadmitted tail is answered `overloaded`
-/// per-item), dedups identical `(src, config)` items in-batch, fans the
-/// unique admitted items over the worker pool, and *streams* one
-/// [`batch_item_response`] frame per item as results land — the client
-/// sees early items while later ones are still compiling — closing with
-/// a [`batch_done_response`] summary. Returns `false` when the
-/// connection died mid-batch (remaining work is cancelled).
-fn serve_compile_batch<W: Write>(
+/// The one compile path: serves a request of N items (a `compile` is
+/// N = 1). Admits the items as N queue slots ([`reserve_slots`], in
+/// index order; the unadmitted tail is answered `overloaded` at once),
+/// dedups identical `(src, config)` items, fans the unique ones over the
+/// worker pool under one cancel flag (registered by request id), and
+/// writes each reply as its compile lands — completion-ordered — until
+/// every item is settled or the request deadline cancels the rest.
+/// Returns `false` when the connection died (remaining work is
+/// cancelled, counters and slots still settle).
+fn serve_items<W: Write>(
     shared: &Arc<Shared>,
-    out: &mut W,
-    items: Vec<BatchItem>,
+    mut out: ReplyWriter<'_, W>,
+    items: Arc<[BatchItem]>,
     req_id: Option<String>,
 ) -> bool {
+    // A request always outranks idle-time work: tell any background
+    // search to yield at its next budget check.
     shared.tune_cancel.store(true, Ordering::SeqCst);
-    let total = items.len();
-    {
-        let mut stats = shared.stats.lock().expect("stats lock poisoned");
-        stats.requests += 1;
-        stats.batch_requests += 1;
-        stats.batch_items += total as u64;
-    }
-    if total == 0 {
-        return write_frame(out, &batch_done_response(0, 0, 0, 0)).is_ok();
-    }
+    let enveloped = out.enveloped();
+    let granted = reserve_slots(shared, items.len());
 
-    // In-batch dedup: the first occurrence of each (src, config) is the
-    // primary; later occurrences ride its result.
+    // Dedup over the admitted items: the first occurrence of each
+    // (src, config) is the primary, later ones ride its result. A rider
+    // holds no worker, so its slot is released as soon as it is known
+    // (it was still counted at admission, where backpressure decides).
     let mut primary_of: HashMap<(&str, &str), usize> = HashMap::new();
-    let mut dup_of: Vec<Option<usize>> = vec![None; total];
-    for (i, it) in items.iter().enumerate() {
+    let mut riders: HashMap<usize, Vec<usize>> = HashMap::new();
+    let mut open: Vec<usize> = Vec::new();
+    for (i, it) in items[..granted].iter().enumerate() {
         match primary_of.entry((it.src.as_str(), it.config.as_str())) {
-            std::collections::hash_map::Entry::Occupied(e) => dup_of[i] = Some(*e.get()),
-            std::collections::hash_map::Entry::Vacant(v) => {
+            Entry::Occupied(e) => riders.entry(*e.get()).or_default().push(i),
+            Entry::Vacant(v) => {
                 v.insert(i);
+                open.push(i);
             }
         }
     }
-    let dedup_hits = dup_of.iter().filter(|d| d.is_some()).count();
-    shared
-        .stats
-        .lock()
-        .expect("stats lock poisoned")
-        .batch_dedup_hits += dedup_hits as u64;
-
-    // Admission: every item — duplicates included — needs a slot, and the
-    // slots are taken atomically, so one giant batch cannot bypass the
-    // bound. Items are admitted in index order; a duplicate's primary has
-    // a lower index, so an admitted duplicate always has an admitted
-    // primary.
-    let granted = reserve_slots(shared, total);
-    let admitted = |i: usize| i < granted;
-    // A duplicate holds no worker: its slot is released as soon as the
-    // batch is dispatched (it was still counted at admission, which is
-    // where the backpressure decision happens).
-    let admitted_dups = (0..granted).filter(|&i| dup_of[i].is_some()).count();
-    if admitted_dups > 0 {
-        shared.pending.fetch_sub(admitted_dups, Ordering::SeqCst);
+    let riding = granted - open.len();
+    if riding > 0 {
+        shared.stats().batch_dedup_hits += riding as u64;
+        shared.pending.fetch_sub(riding, Ordering::SeqCst);
     }
 
-    let (tx, rx) = mpsc::channel::<(usize, Result<(CompileReply, Served), String>, u64, f64)>();
+    // A tagged request is cancellable by id from any connection (a
+    // router cancelling the losing hedge leg).
     let cancel = Arc::new(AtomicBool::new(false));
     if let Some(id) = &req_id {
-        shared
-            .cancel_reg
-            .lock()
-            .expect("cancel registry poisoned")
-            .insert(id.clone(), Arc::clone(&cancel));
+        let mut reg = shared.cancel_reg.lock().expect("cancel registry poisoned");
+        reg.insert(id.clone(), Arc::clone(&cancel));
     }
-    let mut outstanding = 0usize;
-    for (i, item) in items.iter().enumerate() {
-        if !admitted(i) || dup_of[i].is_some() {
-            continue;
-        }
-        let tx = tx.clone();
-        let worker_cancel = Arc::clone(&cancel);
-        let worker_shared = Arc::clone(shared);
-        let src = item.src.clone();
-        let config = item.config.clone();
+    let (tx, rx) = mpsc::channel();
+    for &i in &open {
+        let (tx, cancel, worker) = (tx.clone(), Arc::clone(&cancel), Arc::clone(shared));
+        let items = Arc::clone(&items);
         shared.pool.submit(move || {
-            // Wholly on this worker thread: solver counters are
-            // thread-local, so the session-reuse delta below attributes
-            // exactly this item's warm-prefix savings.
+            // The compile runs wholly on this worker thread: solver
+            // counters are thread-local, so the delta below is exactly
+            // this item's warm-session savings. The cancel-only budget
+            // lets the connection thread abort the solve.
             let before = polyject_sets::counters::snapshot();
             let t0 = Instant::now();
-            let budget = Budget::unlimited().with_cancel(worker_cancel);
-            let result = worker_shared
-                .service
-                .serve_with_budget(&src, &config, &budget);
+            let budget = Budget::unlimited().with_cancel(cancel);
+            let (src, config) = (&items[i].src, &items[i].config);
+            let result = worker.service.serve_with_budget(src, config, &budget);
             let reuses = polyject_sets::counters::snapshot()
                 .delta_since(&before)
                 .session_reuses;
             let ms = t0.elapsed().as_secs_f64() * 1e3;
-            worker_shared.pending.fetch_sub(1, Ordering::SeqCst);
+            worker.pending.fetch_sub(1, Ordering::SeqCst);
             let _ = tx.send((i, result, reuses, ms));
         });
-        outstanding += 1;
     }
     drop(tx);
 
-    let (mut ok_n, mut err_n, mut over_n) = (0usize, 0usize, 0usize);
-    let mut conn_ok = true;
-    let send = |out: &mut W, frame: &Json, conn_ok: &mut bool| {
-        if *conn_ok && write_frame(out, frame).is_err() {
-            // The client is gone: stop writing and abort remaining work,
-            // but keep draining so counters and slots stay consistent.
-            *conn_ok = false;
+    // Answers item `i` and its riders with one frame. A dead client
+    // stops the writes and aborts remaining work, but the loop below
+    // keeps draining so counters and slots stay consistent.
+    let mut answer = |i: usize, frame: Json| {
+        for &j in riders.get(&i).into_iter().flatten() {
+            let mut stats = shared.stats();
+            match frame.str_field("status") {
+                Ok("ok") => stats.coalesced += 1,
+                _ => stats.errors += 1,
+            }
+            drop(stats);
+            out.item(j, frame.clone());
+        }
+        if !out.item(i, frame) {
             cancel.store(true, Ordering::SeqCst);
         }
     };
 
-    // The unadmitted tail is answered immediately (pipelining: the
-    // client learns which items to retry before any compile finishes).
-    for i in granted..total {
-        let queue_len = shared.pending.load(Ordering::SeqCst);
-        shared.stats.lock().expect("stats lock poisoned").overloaded += 1;
-        over_n += 1;
-        send(
-            out,
-            &batch_item_response(i, total, overloaded_response(queue_len)),
-            &mut conn_ok,
+    // The unadmitted tail first: the client learns what to retry
+    // before any compile finishes.
+    for i in granted..items.len() {
+        shared.stats().overloaded += 1;
+        answer(
+            i,
+            overloaded_response(shared.pending.load(Ordering::SeqCst)),
         );
     }
 
-    // Duplicates are answered when their primary's result lands.
-    let mut dups_of_primary: HashMap<usize, Vec<usize>> = HashMap::new();
-    for (i, dup) in dup_of.iter().enumerate().take(granted) {
-        if let Some(p) = dup {
-            dups_of_primary.entry(*p).or_default().push(i);
-        }
-    }
-
     let deadline = Instant::now() + shared.request_timeout;
-    let mut answered: Vec<usize> = Vec::new();
-    while outstanding > 0 {
+    while !open.is_empty() {
         let left = deadline.saturating_duration_since(Instant::now());
-        match rx.recv_timeout(left) {
-            Ok((i, result, reuses, ms)) => {
-                outstanding -= 1;
-                answered.push(i);
-                let frame = match result {
-                    Ok((reply, served)) => {
-                        let mut stats = shared.stats.lock().expect("stats lock poisoned");
-                        stats.latency.record(ms);
-                        stats.batch_session_reuses += reuses;
-                        match served {
-                            Served::Hit => stats.hits += 1,
-                            Served::Fresh => stats.misses += 1,
-                            Served::Coalesced => stats.coalesced += 1,
-                        }
-                        ok_n += 1;
-                        ok_response(&reply, served == Served::Hit)
-                    }
-                    Err(e) => {
-                        shared.stats.lock().expect("stats lock poisoned").errors += 1;
-                        err_n += 1;
-                        if cancel.load(Ordering::SeqCst) {
-                            retryable_error_response(&e)
-                        } else {
-                            error_response(&e)
-                        }
-                    }
-                };
-                send(
-                    out,
-                    &batch_item_response(i, total, frame.clone()),
-                    &mut conn_ok,
-                );
-                for &j in dups_of_primary.get(&i).map_or(&[][..], |v| v.as_slice()) {
-                    let mut stats = shared.stats.lock().expect("stats lock poisoned");
-                    if frame.str_field("status") == Ok("ok") {
-                        stats.coalesced += 1;
-                        ok_n += 1;
-                    } else {
-                        stats.errors += 1;
-                        err_n += 1;
-                    }
-                    drop(stats);
-                    send(
-                        out,
-                        &batch_item_response(j, total, frame.clone()),
-                        &mut conn_ok,
-                    );
+        let Ok((i, result, reuses, ms)) = rx.recv_timeout(left) else {
+            // Deadline: trip the cancel flag (solvers abort at their next
+            // budget check, so the workers are reclaimed instead of
+            // leaking on a runaway compile) and answer what is still
+            // open retryably.
+            cancel.store(true, Ordering::SeqCst);
+            shared.stats().timeouts += open.len() as u64;
+            let msg = format!(
+                "request timed out after {:?} (compile cancelled; worker reclaimed)",
+                shared.request_timeout
+            );
+            for i in open.drain(..) {
+                answer(i, retryable_error_response(&msg));
+            }
+            break;
+        };
+        open.retain(|&p| p != i);
+        let frame = match result {
+            Ok((reply, served)) => {
+                let mut stats = shared.stats();
+                stats.latency.record(ms);
+                if enveloped {
+                    stats.batch_session_reuses += reuses;
+                }
+                match served {
+                    Served::Hit => stats.hits += 1,
+                    Served::Fresh => stats.misses += 1,
+                    Served::Coalesced => stats.coalesced += 1,
+                }
+                ok_response(&reply, served == Served::Hit)
+            }
+            Err(e) => {
+                shared.stats().errors += 1;
+                if cancel.load(Ordering::SeqCst) {
+                    // Aborted by a cancel-by-id: transient from the
+                    // caller's viewpoint (another replica can still
+                    // answer).
+                    retryable_error_response(&e)
+                } else {
+                    error_response(&e)
                 }
             }
-            Err(_) => {
-                // Batch deadline: trip the shared cancel flag (solvers
-                // abort at their next budget check; workers reclaimed)
-                // and answer every still-open item retryably.
-                cancel.store(true, Ordering::SeqCst);
-                let open: Vec<usize> = (0..granted)
-                    .filter(|i| dup_of[*i].is_none() && !answered.contains(i))
-                    .collect();
-                shared.stats.lock().expect("stats lock poisoned").timeouts += open.len() as u64;
-                let msg = format!(
-                    "batch timed out after {:?} (remaining compiles cancelled; workers reclaimed)",
-                    shared.request_timeout
-                );
-                for i in open {
-                    err_n += 1;
-                    send(
-                        out,
-                        &batch_item_response(i, total, retryable_error_response(&msg)),
-                        &mut conn_ok,
-                    );
-                    for &j in dups_of_primary.get(&i).map_or(&[][..], |v| v.as_slice()) {
-                        err_n += 1;
-                        send(
-                            out,
-                            &batch_item_response(j, total, retryable_error_response(&msg)),
-                            &mut conn_ok,
-                        );
-                    }
-                }
-                break;
-            }
-        }
+        };
+        answer(i, frame);
     }
     if let Some(id) = &req_id {
-        shared
-            .cancel_reg
-            .lock()
-            .expect("cancel registry poisoned")
-            .remove(id);
+        let mut reg = shared.cancel_reg.lock().expect("cancel registry poisoned");
+        reg.remove(id);
     }
-    send(
-        out,
-        &batch_done_response(total, ok_n, err_n, over_n),
-        &mut conn_ok,
-    );
-    conn_ok
+    out.finish()
 }
 
 /// Finds a cached compile entry without a tuned configuration — the
@@ -971,47 +612,9 @@ fn maybe_background_tune(shared: &Arc<Shared>) {
     });
 }
 
-fn handle_conn(shared: Arc<Shared>, mut stream: Stream) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    loop {
-        if shared.stopping() {
-            return;
-        }
-        let frame = match read_frame_polling(&mut stream, &shared) {
-            Ok(Some(f)) => f,
-            Ok(None) => return,
-            Err(e) => {
-                let _ = write_frame(&mut stream, &error_response(&e.to_string()));
-                return;
-            }
-        };
-        // Batches stream several reply frames per request frame, which
-        // single-frame `dispatch` cannot express — intercept them here,
-        // where the stream itself is in hand.
-        if frame.str_field("op") == Ok("compile_batch") {
-            match Request::from_json(&frame) {
-                Ok(Request::CompileBatch { items, req }) => {
-                    if !serve_compile_batch(&shared, &mut stream, items, req) {
-                        return;
-                    }
-                }
-                Ok(_) => unreachable!("op compile_batch parses as CompileBatch"),
-                Err(e) => {
-                    let _ = write_frame(&mut stream, &error_response(&e));
-                }
-            }
-            continue;
-        }
-        let (resp, closing) = dispatch(&shared, &frame);
-        if write_frame(&mut stream, &resp).is_err() || closing {
-            return;
-        }
-    }
-}
-
 /// Runs a daemon until SIGTERM/SIGINT or a `shutdown` request, then
-/// drains in-flight work, flushes the cache index, removes the Unix
-/// socket file, and returns the final stats report.
+/// drains in-flight work, flushes the cache index, and returns the final
+/// stats report (the listener removes its Unix socket file on drop).
 ///
 /// # Errors
 ///
@@ -1069,31 +672,23 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
             .unwrap_or_else(|| "disabled".to_string()),
     );
 
-    let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.stopping() {
-        match listener.accept()? {
-            Some(stream) => {
-                let shared = Arc::clone(&shared);
-                conns.push(std::thread::spawn(move || handle_conn(shared, stream)));
-            }
-            None => {
-                // The accept loop is idle: let the background tuner
-                // claim the quiet period. Throttled by probing only
-                // when genuinely nothing is pending.
-                maybe_background_tune(&shared);
-                std::thread::sleep(Duration::from_millis(20));
-            }
-        }
-        conns.retain(|h| !h.is_finished());
-    }
-
-    eprintln!(
-        "[polyjectd] shutting down: draining {} connection(s)",
-        conns.len()
-    );
-    for h in conns {
-        let _ = h.join();
-    }
+    // The accept loop's idle hook lets the background tuner claim quiet
+    // periods (it probes only when genuinely nothing is pending).
+    let (idle, conn) = (Arc::clone(&shared), Arc::clone(&shared));
+    listener.serve(
+        || shared.stopping(),
+        || maybe_background_tune(&idle),
+        move |stream| {
+            let max_frame = conn.max_frame;
+            transport::serve_conn(
+                stream,
+                max_frame,
+                || conn.stopping(),
+                |frame, out| dispatch(&conn, frame, out),
+            )
+        },
+    )?;
+    eprintln!("[polyjectd] shutting down: connections drained");
     // Wait out compiles still on the pool so their cache writes land,
     // and any background tune (cancelled above at its next budget
     // check) so the tuning thread is not torn down mid-write.
@@ -1104,11 +699,7 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
     if let Some(Err(e)) = shared.service.with_cache(DiskCache::flush) {
         eprintln!("[polyjectd] cache flush failed: {e}");
     }
-    if let Endpoint::Unix(path) = &config.endpoint {
-        let _ = std::fs::remove_file(path);
-    }
-    let report = shared.stats_json();
-    Ok(report)
+    Ok(shared.stats_json())
 }
 
 #[cfg(test)]
@@ -1123,10 +714,15 @@ tensor Y[N]: f32
 stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
 ";
 
-    fn shared_with_service(service: CompileService, queue_bound: usize) -> Arc<Shared> {
+    fn shared_with(
+        service: CompileService,
+        workers: usize,
+        queue_bound: usize,
+        background_tune: bool,
+    ) -> Arc<Shared> {
         Arc::new(Shared {
             service,
-            pool: WorkerPool::new(2),
+            pool: WorkerPool::new(workers),
             stats: Mutex::new(ServeStats::default()),
             stop: AtomicBool::new(false),
             pending: AtomicUsize::new(0),
@@ -1136,7 +732,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
             endpoint: "/tmp/test-shard.sock".to_string(),
             cancel_reg: Mutex::new(HashMap::new()),
             io_faults: None,
-            background_tune: false,
+            background_tune,
             tuning: AtomicBool::new(false),
             tune_cancel: Arc::new(AtomicBool::new(false)),
             tuned_count: AtomicU64::new(0),
@@ -1144,17 +740,58 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     fn test_shared(queue_bound: usize) -> Arc<Shared> {
-        shared_with_service(CompileService::new(None, GpuModel::v100()), queue_bound)
+        let service = CompileService::new(None, GpuModel::v100());
+        shared_with(service, 2, queue_bound, false)
+    }
+
+    /// Dispatches one request frame; returns the reply frames written
+    /// and whether the connection would stay open.
+    fn ask_all(shared: &Arc<Shared>, frame: &Json) -> (Vec<Json>, bool) {
+        let mut out = Vec::new();
+        let open = dispatch(shared, frame, &mut out);
+        let mut cur = std::io::Cursor::new(out.as_slice());
+        let mut frames = Vec::new();
+        while (cur.position() as usize) < out.len() {
+            frames.push(crate::protocol::read_frame(&mut cur).expect("well-formed frame"));
+        }
+        (frames, open)
+    }
+
+    /// Dispatches a request that is answered with exactly one frame.
+    fn ask(shared: &Arc<Shared>, req: &Request) -> Json {
+        let (mut frames, _) = ask_all(shared, &req.to_json());
+        assert_eq!(frames.len(), 1, "one bare reply frame");
+        frames.remove(0)
+    }
+
+    fn compile_one(shared: &Arc<Shared>, src: &str, config: &str) -> Json {
+        ask(
+            shared,
+            &Request::Compile {
+                src: src.to_string(),
+                config: config.to_string(),
+                req: None,
+            },
+        )
+    }
+
+    fn batch(shared: &Arc<Shared>, items: Vec<BatchItem>) -> Vec<Json> {
+        let (frames, open) = ask_all(
+            shared,
+            &Request::CompileBatch { items, req: None }.to_json(),
+        );
+        assert!(open, "an in-memory sink never dies");
+        frames
     }
 
     #[test]
     fn dispatch_ping_stats_and_errors() {
         let shared = test_shared(4);
-        let (resp, _) = dispatch(&shared, &Request::Ping.to_json());
+        let resp = ask(&shared, &Request::Ping);
         assert_eq!(resp.get("pong"), Some(&Json::Bool(true)));
-        let (resp, _) = dispatch(&shared, &Json::obj(vec![("op", Json::Str("?".into()))]));
-        assert!(resp.render().contains("\"error\""));
-        let (resp, _) = dispatch(&shared, &Request::Stats.to_json());
+        let (resp, _) = ask_all(&shared, &Json::obj(vec![("op", Json::Str("?".into()))]));
+        assert!(resp[0].render().contains("\"error\""));
+        let resp = ask(&shared, &Request::Stats);
         assert!(resp.get("stats").is_some());
         assert_eq!(resp.get("cache"), Some(&Json::Null), "no cache attached");
         assert_eq!(shared.stats.lock().unwrap().requests, 3);
@@ -1163,21 +800,15 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     #[test]
     fn dispatch_compile_and_shutdown() {
         let shared = test_shared(4);
-        let req = Request::Compile {
-            src: SRC.to_string(),
-            config: "infl".to_string(),
-            req: None,
-        };
-        let (resp, closing) = dispatch(&shared, &req.to_json());
-        assert!(!closing);
+        let resp = compile_one(&shared, SRC, "infl");
         assert_eq!(resp.str_field("status").unwrap(), "ok");
         assert_eq!(resp.get("cached"), Some(&Json::Bool(false)));
         assert!(resp.str_field("cuda").unwrap().contains("__global__"));
         assert_eq!(shared.stats.lock().unwrap().misses, 1);
 
-        let (resp, closing) = dispatch(&shared, &Request::Shutdown.to_json());
-        assert!(closing);
-        assert_eq!(resp.get("stopping"), Some(&Json::Bool(true)));
+        let (resp, open) = ask_all(&shared, &Request::Shutdown.to_json());
+        assert!(!open, "shutdown closes the connection");
+        assert_eq!(resp[0].get("stopping"), Some(&Json::Bool(true)));
         assert!(shared.stopping());
     }
 
@@ -1185,10 +816,60 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     fn overload_rejects_instead_of_queueing() {
         let shared = test_shared(1);
         shared.pending.store(1, Ordering::SeqCst);
-        let resp = serve_compile(&shared, SRC.to_string(), "infl".to_string(), None);
+        let resp = compile_one(&shared, SRC, "infl");
         assert_eq!(resp.str_field("status").unwrap(), "overloaded");
         assert_eq!(shared.stats.lock().unwrap().overloaded, 1);
         shared.pending.store(0, Ordering::SeqCst);
+    }
+
+    #[test]
+    fn concurrent_singles_cannot_exceed_queue_bound() {
+        // Regression for the load-then-add admission race of the old
+        // single path: with every worker held busy nothing admitted can
+        // finish, so exactly `bound` of the racing one-item requests may
+        // hold a slot and all the others must be shed.
+        const BOUND: usize = 3;
+        const CLIENTS: usize = 16;
+        let shared = test_shared(BOUND);
+        let (release, held) = mpsc::channel::<()>();
+        let held = Arc::new(Mutex::new(held));
+        for _ in 0..shared.pool.workers() {
+            let held = Arc::clone(&held);
+            shared.pool.submit(move || {
+                let _ = held.lock().unwrap().recv();
+            });
+        }
+        let start = Arc::new(std::sync::Barrier::new(CLIENTS));
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                let (shared, start) = (Arc::clone(&shared), Arc::clone(&start));
+                std::thread::spawn(move || {
+                    start.wait();
+                    compile_one(&shared, SRC, "infl")
+                })
+            })
+            .collect();
+        // Every request has been decided once the shed ones are counted.
+        while shared.stats().overloaded < (CLIENTS - BOUND) as u64 {
+            assert!(shared.pending.load(Ordering::SeqCst) <= BOUND);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(shared.pending.load(Ordering::SeqCst), BOUND);
+        drop(release);
+        let mut tally = HashMap::new();
+        for c in clients {
+            let resp = c.join().unwrap();
+            *tally
+                .entry(resp.str_field("status").unwrap().to_string())
+                .or_insert(0) += 1;
+        }
+        assert_eq!(tally.get("ok"), Some(&BOUND), "{tally:?}");
+        assert_eq!(
+            tally.get("overloaded"),
+            Some(&(CLIENTS - BOUND)),
+            "{tally:?}"
+        );
+        assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
     }
 
     #[test]
@@ -1196,29 +877,18 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         let dir = std::env::temp_dir().join(format!("pj-bgtune-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = DiskCache::open_default(&dir).unwrap();
-        let shared = Arc::new(Shared {
-            service: CompileService::new(Some(cache), GpuModel::v100()),
-            pool: WorkerPool::new(2),
-            stats: Mutex::new(ServeStats::default()),
-            stop: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
-            queue_bound: 4,
-            request_timeout: Duration::from_secs(30),
-            max_frame: MAX_FRAME,
-            endpoint: "/tmp/test-shard.sock".to_string(),
-            cancel_reg: Mutex::new(HashMap::new()),
-            io_faults: None,
-            background_tune: true,
-            tuning: AtomicBool::new(false),
-            tune_cancel: Arc::new(AtomicBool::new(false)),
-            tuned_count: AtomicU64::new(0),
-        });
+        let shared = shared_with(
+            CompileService::new(Some(cache), GpuModel::v100()),
+            2,
+            4,
+            true,
+        );
         // Nothing cached yet: the hook finds no candidate and stays idle.
         maybe_background_tune(&shared);
         assert!(!shared.tuning.load(Ordering::SeqCst));
 
         // Cache one compile, then let the idle hook tune it.
-        let resp = serve_compile(&shared, SRC.to_string(), "infl".to_string(), None);
+        let resp = compile_one(&shared, SRC, "infl");
         assert_eq!(resp.str_field("status").unwrap(), "ok");
         maybe_background_tune(&shared);
         for _ in 0..600 {
@@ -1244,7 +914,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert!(pick_tune_candidate(&shared).is_none());
         // A request arrival trips the cancel flag.
         shared.tune_cancel.store(false, Ordering::SeqCst);
-        let _ = serve_compile(&shared, SRC.to_string(), "infl".to_string(), None);
+        let _ = compile_one(&shared, SRC, "infl");
         assert!(shared.tune_cancel.load(Ordering::SeqCst));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1252,7 +922,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     #[test]
     fn compile_errors_counted() {
         let shared = test_shared(4);
-        let resp = serve_compile(&shared, "kernel".to_string(), "infl".to_string(), None);
+        let resp = compile_one(&shared, "kernel", "infl");
         assert_eq!(resp.str_field("status").unwrap(), "error");
         assert_eq!(shared.stats.lock().unwrap().errors, 1);
     }
@@ -1260,7 +930,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     #[test]
     fn metrics_reports_shard_identity() {
         let shared = test_shared(4);
-        let (resp, _) = dispatch(&shared, &Request::Metrics.to_json());
+        let resp = ask(&shared, &Request::Metrics);
         assert_eq!(resp.str_field("status").unwrap(), "ok");
         assert_eq!(resp.str_field("shard").unwrap(), "/tmp/test-shard.sock");
         assert!(resp.get("stats").is_some());
@@ -1271,7 +941,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     fn cancel_by_id_trips_registered_flag() {
         let shared = test_shared(4);
         // Unknown id: answered, not an error, nothing cancelled.
-        let (resp, _) = dispatch(&shared, &Request::Cancel { req: "nope".into() }.to_json());
+        let resp = ask(&shared, &Request::Cancel { req: "nope".into() });
         assert_eq!(resp.get("cancelled"), Some(&Json::Bool(false)));
 
         let flag = Arc::new(AtomicBool::new(false));
@@ -1280,7 +950,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
             .lock()
             .unwrap()
             .insert("r1".to_string(), Arc::clone(&flag));
-        let (resp, _) = dispatch(&shared, &Request::Cancel { req: "r1".into() }.to_json());
+        let resp = ask(&shared, &Request::Cancel { req: "r1".into() });
         assert_eq!(resp.get("cancelled"), Some(&Json::Bool(true)));
         assert!(flag.load(Ordering::SeqCst), "registered flag tripped");
         assert_eq!(shared.stats.lock().unwrap().cancels, 1);
@@ -1291,17 +961,22 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         let dir = std::env::temp_dir().join(format!("pj-transfer-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = DiskCache::open_default(&dir).unwrap();
-        let shared = shared_with_service(CompileService::new(Some(cache), GpuModel::v100()), 4);
+        let shared = shared_with(
+            CompileService::new(Some(cache), GpuModel::v100()),
+            2,
+            4,
+            false,
+        );
 
         // Populate one entry via a compile, list it, fetch it raw.
-        let resp = serve_compile(&shared, SRC.to_string(), "infl".to_string(), None);
+        let resp = compile_one(&shared, SRC, "infl");
         let key = resp.str_field("key").unwrap().to_string();
-        let (listing, _) = dispatch(&shared, &Request::Keys.to_json());
+        let listing = ask(&shared, &Request::Keys);
         let keys = listing.get("keys").and_then(Json::as_arr).unwrap();
         assert!(keys
             .iter()
             .any(|k| k.str_field("key").ok() == Some(key.as_str())));
-        let (fetched, _) = dispatch(&shared, &Request::Fetch { key: key.clone() }.to_json());
+        let fetched = ask(&shared, &Request::Fetch { key: key.clone() });
         assert_eq!(fetched.get("found"), Some(&Json::Bool(true)));
         let payload = fetched.get("payload").unwrap().clone();
         let checksum = fetched.str_field("checksum").unwrap().to_string();
@@ -1309,15 +984,14 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
 
         // A torn transfer (checksum over different bytes) is rejected...
         let torn = Json::obj(vec![("half", Json::Num(1.0))]);
-        let (resp, _) = dispatch(
+        let resp = ask(
             &shared,
             &Request::Transfer {
                 key: "feedfacefeedface".to_string(),
                 kind: "compile".to_string(),
                 payload: torn,
                 checksum: checksum.clone(),
-            }
-            .to_json(),
+            },
         );
         assert_eq!(resp.str_field("status").unwrap(), "error");
         assert!(resp
@@ -1327,15 +1001,14 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert_eq!(resp.get("retryable"), Some(&Json::Bool(true)));
 
         // ...while the intact payload is stored and re-servable.
-        let (resp, _) = dispatch(
+        let resp = ask(
             &shared,
             &Request::Transfer {
                 key: "feedfacefeedface".to_string(),
                 kind: "compile".to_string(),
                 payload: payload.clone(),
                 checksum,
-            }
-            .to_json(),
+            },
         );
         assert_eq!(resp.get("stored"), Some(&Json::Bool(true)));
         assert_eq!(shared.stats.lock().unwrap().transfers_in, 1);
@@ -1347,34 +1020,23 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert_eq!(stored.1, payload);
 
         // Fetch of a missing key is a structured miss, not an error.
-        let (resp, _) = dispatch(
+        let resp = ask(
             &shared,
             &Request::Fetch {
                 key: "0000000000000000".to_string(),
-            }
-            .to_json(),
+            },
         );
         assert_eq!(resp.get("found"), Some(&Json::Bool(false)));
 
         // Membership ops are router-only.
-        let (resp, _) = dispatch(
+        let resp = ask(
             &shared,
             &Request::Join {
                 endpoint: "x".into(),
-            }
-            .to_json(),
+            },
         );
         assert_eq!(resp.str_field("status").unwrap(), "error");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn parse_frames(buf: &[u8]) -> Vec<Json> {
-        let mut cur = std::io::Cursor::new(buf);
-        let mut frames = Vec::new();
-        while (cur.position() as usize) < buf.len() {
-            frames.push(crate::protocol::read_frame(&mut cur).expect("well-formed frame"));
-        }
-        frames
     }
 
     fn frame_for_index(frames: &[Json], index: usize) -> &Json {
@@ -1412,9 +1074,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
                 )
             })
             .collect();
-        let mut out = Vec::new();
-        assert!(serve_compile_batch(&shared, &mut out, items, None));
-        let frames = parse_frames(&out);
+        let frames = batch(&shared, items);
         assert_eq!(frames.len(), 6, "5 item frames + batch_done");
         // Only the first `queue_bound` items were admitted; the tail got
         // per-item overloaded answers (streamed first — the client can
@@ -1450,31 +1110,13 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     fn batch_dedups_items_and_shares_sessions_across_configs() {
         // One worker so the unique items run serially and the family
         // session built by the first is warm for the second.
-        let shared = Arc::new(Shared {
-            service: CompileService::new(None, GpuModel::v100()),
-            pool: WorkerPool::new(1),
-            stats: Mutex::new(ServeStats::default()),
-            stop: AtomicBool::new(false),
-            pending: AtomicUsize::new(0),
-            queue_bound: 8,
-            request_timeout: Duration::from_secs(30),
-            max_frame: MAX_FRAME,
-            endpoint: "/tmp/test-shard.sock".to_string(),
-            cancel_reg: Mutex::new(HashMap::new()),
-            io_faults: None,
-            background_tune: false,
-            tuning: AtomicBool::new(false),
-            tune_cancel: Arc::new(AtomicBool::new(false)),
-            tuned_count: AtomicU64::new(0),
-        });
+        let shared = shared_with(CompileService::new(None, GpuModel::v100()), 1, 8, false);
         let items = vec![
             BatchItem::new(SRC, "infl"),
             BatchItem::new(SRC, "infl"), // in-batch duplicate
             BatchItem::new(SRC, "isl"),  // same kernel family, other config
         ];
-        let mut out = Vec::new();
-        assert!(serve_compile_batch(&shared, &mut out, items, None));
-        let frames = parse_frames(&out);
+        let frames = batch(&shared, items);
         assert_eq!(frames.len(), 4);
         for i in 0..3 {
             assert_eq!(frame_for_index(&frames, i).str_field("status"), Ok("ok"));

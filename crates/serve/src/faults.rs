@@ -234,6 +234,16 @@ impl<I: Io> Io for FaultyIo<I> {
     }
 }
 
+/// The pre-drawn chaos verdicts for one leg (one connection to one
+/// shard); the default injects nothing.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct LegChaos {
+    /// Refuse the connect (the shard is inside a partition window).
+    pub blocked: bool,
+    /// Line noise to send instead of the request, poisoning the leg.
+    pub garbage: Option<Vec<u8>>,
+}
+
 /// A deterministic network fault plan for the router, mirroring
 /// [`FaultyIo`] one level up the stack: instead of torn files it injects
 /// the failure modes a fleet exhibits — partitions (connects to a shard
@@ -300,6 +310,16 @@ impl NetChaos {
             return true;
         }
         false
+    }
+
+    /// Draws both connection-level verdicts for one leg to `endpoint`,
+    /// partition first. Routers call this on the request thread, before
+    /// any leg thread exists, so replays never depend on scheduling.
+    pub(crate) fn plan_leg(&mut self, endpoint: &str) -> LegChaos {
+        LegChaos {
+            blocked: self.connect_blocked(endpoint),
+            garbage: self.garbage_frame(),
+        }
     }
 
     /// A garbage byte sequence to squirt at the daemon before the real

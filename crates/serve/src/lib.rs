@@ -17,10 +17,14 @@
 //!   trait in front of every cache file operation, with a SplitMix64-seeded
 //!   fault schedule for the chaos suite;
 //! * [`protocol`] — the length-prefixed JSON request/response wire format;
+//! * [`transport`] — the one Unix/TCP socket layer under the daemon, the
+//!   router front and the client: live-listener-safe bind, stop-polling
+//!   accept and connection loops;
 //! * [`service`] — canonical kernel hashing + compile-through-cache with
 //!   single-flight deduplication;
-//! * [`daemon`] — the `polyjectd` accept loop: bounded queue,
-//!   backpressure, per-request timeouts, graceful shutdown;
+//! * [`daemon`] — `polyjectd`: one compile path (a single compile is a
+//!   batch of one), bounded queue, backpressure, per-request timeouts,
+//!   graceful shutdown;
 //! * [`client`] — the client used by `polyjectc --remote` and tests,
 //!   including client-side shard selection ([`client::ShardedClient`]);
 //! * [`stats`] — hit/miss/eviction/error counters and latency
@@ -52,6 +56,7 @@ pub mod protocol;
 pub mod router;
 pub mod service;
 pub mod stats;
+pub mod transport;
 pub mod tuned;
 
 pub use cache::{CacheStats, DiskCache};

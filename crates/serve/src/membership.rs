@@ -160,6 +160,28 @@ impl Membership {
             .collect()
     }
 
+    /// Partitions `(item index, key)` pairs by owner — the first of each
+    /// key's [`Membership::replicas_for`] — with groups in
+    /// first-occurrence order, so a scatter is deterministic for a fixed
+    /// membership. An empty membership yields no groups.
+    pub(crate) fn partition_by_owner<'a>(
+        &self,
+        keyed: impl Iterator<Item = (usize, &'a str)>,
+        r: usize,
+    ) -> Vec<(Endpoint, Vec<usize>)> {
+        let mut groups: Vec<(Endpoint, Vec<usize>)> = Vec::new();
+        for (i, key) in keyed {
+            let Some(owner) = self.replicas_for(key, r).into_iter().next() else {
+                continue;
+            };
+            match groups.iter_mut().find(|(ep, _)| *ep == owner) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((owner, vec![i])),
+            }
+        }
+        groups
+    }
+
     /// Adds a shard (no-op when already a member). Returns whether the
     /// membership changed.
     pub fn add(&mut self, endpoint: Endpoint) -> bool {

@@ -38,21 +38,31 @@ pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
     w.flush()
 }
 
-/// Reads one frame. `Err(UnexpectedEof)` with zero bytes read means the
-/// peer closed cleanly between frames.
+/// Reads one frame of at most [`MAX_FRAME`] bytes.
 ///
 /// # Errors
 ///
-/// Propagates I/O failures; rejects oversized or non-JSON frames with
-/// `InvalidData`.
+/// As [`read_frame_within`].
 pub fn read_frame(r: &mut impl Read) -> io::Result<Json> {
+    read_frame_within(r, MAX_FRAME)
+}
+
+/// Reads one frame of at most `max_frame` bytes (servers may accept
+/// less than the protocol-wide [`MAX_FRAME`]).
+///
+/// # Errors
+///
+/// `UnexpectedEof` when the peer closed — between frames or inside one;
+/// `InvalidData` for oversized (rejected before any allocation),
+/// non-UTF-8 or non-JSON frames; other I/O failures as-is.
+pub fn read_frame_within(r: &mut impl Read, max_frame: u32) -> io::Result<Json> {
     let mut len_buf = [0u8; 4];
     r.read_exact(&mut len_buf)?;
     let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME {
+    if len > max_frame {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds limit"),
+            format!("frame of {len} bytes exceeds the {max_frame}-byte limit"),
         ));
     }
     let mut buf = vec![0u8; len as usize];
@@ -156,73 +166,52 @@ pub enum Request {
 }
 
 impl Request {
-    /// The request as a wire JSON object.
+    /// The request as a wire JSON object: `op` first, then the op's
+    /// fields, then the optional request id.
     pub fn to_json(&self) -> Json {
-        match self {
-            Request::Compile { src, config, req } => {
-                let mut pairs = vec![
-                    ("op", Json::Str("compile".to_string())),
-                    ("src", Json::Str(src.clone())),
-                    ("config", Json::Str(config.clone())),
-                ];
-                if let Some(id) = req {
-                    pairs.push(("req", Json::Str(id.clone())));
-                }
-                Json::obj(pairs)
+        let s = |v: &str| Json::Str(v.to_string());
+        let (op, mut fields) = match self {
+            Request::Compile { src, config, .. } => {
+                ("compile", vec![("src", s(src)), ("config", s(config))])
             }
-            Request::CompileBatch { items, req } => {
+            Request::CompileBatch { items, .. } => {
                 let rows = items
                     .iter()
-                    .map(|it| {
-                        Json::obj(vec![
-                            ("src", Json::Str(it.src.clone())),
-                            ("config", Json::Str(it.config.clone())),
-                        ])
-                    })
+                    .map(|it| Json::obj(vec![("src", s(&it.src)), ("config", s(&it.config))]))
                     .collect();
-                let mut pairs = vec![
-                    ("op", Json::Str("compile_batch".to_string())),
-                    ("items", Json::Arr(rows)),
-                ];
-                if let Some(id) = req {
-                    pairs.push(("req", Json::Str(id.clone())));
-                }
-                Json::obj(pairs)
+                ("compile_batch", vec![("items", Json::Arr(rows))])
             }
-            Request::Stats => Json::obj(vec![("op", Json::Str("stats".to_string()))]),
-            Request::Metrics => Json::obj(vec![("op", Json::Str("metrics".to_string()))]),
-            Request::Cancel { req } => Json::obj(vec![
-                ("op", Json::Str("cancel".to_string())),
-                ("req", Json::Str(req.clone())),
-            ]),
-            Request::Keys => Json::obj(vec![("op", Json::Str("keys".to_string()))]),
-            Request::Fetch { key } => Json::obj(vec![
-                ("op", Json::Str("fetch".to_string())),
-                ("key", Json::Str(key.clone())),
-            ]),
+            Request::Stats => ("stats", vec![]),
+            Request::Metrics => ("metrics", vec![]),
+            Request::Cancel { req } => ("cancel", vec![("req", s(req))]),
+            Request::Keys => ("keys", vec![]),
+            Request::Fetch { key } => ("fetch", vec![("key", s(key))]),
             Request::Transfer {
                 key,
                 kind,
                 payload,
                 checksum,
-            } => Json::obj(vec![
-                ("op", Json::Str("transfer".to_string())),
-                ("key", Json::Str(key.clone())),
-                ("kind", Json::Str(kind.clone())),
-                ("payload", payload.clone()),
-                ("checksum", Json::Str(checksum.clone())),
-            ]),
-            Request::Join { endpoint } => Json::obj(vec![
-                ("op", Json::Str("join".to_string())),
-                ("endpoint", Json::Str(endpoint.clone())),
-            ]),
-            Request::Leave { endpoint } => Json::obj(vec![
-                ("op", Json::Str("leave".to_string())),
-                ("endpoint", Json::Str(endpoint.clone())),
-            ]),
-            Request::Ping => Json::obj(vec![("op", Json::Str("ping".to_string()))]),
-            Request::Shutdown => Json::obj(vec![("op", Json::Str("shutdown".to_string()))]),
+            } => (
+                "transfer",
+                vec![
+                    ("key", s(key)),
+                    ("kind", s(kind)),
+                    ("payload", payload.clone()),
+                    ("checksum", s(checksum)),
+                ],
+            ),
+            Request::Join { endpoint } => ("join", vec![("endpoint", s(endpoint))]),
+            Request::Leave { endpoint } => ("leave", vec![("endpoint", s(endpoint))]),
+            Request::Ping => ("ping", vec![]),
+            Request::Shutdown => ("shutdown", vec![]),
+        };
+        if let Request::Compile { req: Some(id), .. }
+        | Request::CompileBatch { req: Some(id), .. } = self
+        {
+            fields.push(("req", s(id)));
         }
+        fields.insert(0, ("op", s(op)));
+        Json::obj(fields)
     }
 
     /// Parses a wire JSON object.
@@ -422,26 +411,13 @@ impl CompileReply {
                 lp_phase2_pivots: solver_opt("lp_phase2_pivots"),
                 bb_repair_pivots: solver_opt("bb_repair_pivots"),
                 bb_warm_nodes: solver_opt("bb_warm_nodes"),
-                preprocess_ns: 0,    // never serialized (wall-clock time)
-                dependence_ns: 0,    // never serialized (wall-clock time)
-                assemble_ns: 0,      // never serialized (wall-clock time)
-                solve_ns: 0,         // never serialized (wall-clock time)
-                codegen_ns: 0,       // never serialized (wall-clock time)
-                degraded_solves: 0,  // never serialized (per-run governance)
-                cancelled_solves: 0, // never serialized (per-run governance)
-                panics_recovered: 0, // never serialized (per-run governance)
-                // Fast-path/assembly/speculation counters depend on warm
-                // in-process state (cell-width history, assembly caches,
-                // core count), not on the artifact: never serialized so
+                // Everything else is a property of one run, not of the
+                // artifact — wall-clock phase times, governance counters
+                // (degraded/cancelled/panics), and the fast-path /
+                // assembly / speculation / session counters that depend on
+                // warm in-process state — and is never serialized, so
                 // cache payloads stay byte-identical across replays.
-                tab_i64_solves: 0,
-                tab_overflow_escalations: 0,
-                farkas_linearizations: 0,
-                redundancy_checks: 0,
-                spec_adopted: 0,
-                spec_discarded: 0,
-                dependence_analyses: 0,
-                session_reuses: 0,
+                ..SolverCounters::default()
             },
             compile_ms: v.num_field("compile_ms")?,
         })
@@ -503,8 +479,7 @@ pub fn batch_item_response(index: usize, total: usize, inner: Json) -> Json {
 }
 
 /// Builds the terminal summary frame of a batch reply, sent after every
-/// item's frame: item count, per-status tallies, and the batch's
-/// amortization counters (in-batch dedup hits and warm-session reuses).
+/// item's frame: item count and per-status tallies.
 pub fn batch_done_response(items: usize, ok: usize, errors: usize, overloaded: usize) -> Json {
     Json::obj(vec![
         ("status", Json::Str("batch_done".to_string())),
@@ -513,6 +488,86 @@ pub fn batch_done_response(items: usize, ok: usize, errors: usize, overloaded: u
         ("errors", Json::Num(errors as f64)),
         ("overloaded", Json::Num(overloaded as f64)),
     ])
+}
+
+/// The write edge of a compile request — the only place the `compile`
+/// and `compile_batch` ops differ. Every compile is served as a list of
+/// items; a `compile` is a list of one whose reply goes out *bare*,
+/// while a `compile_batch` wraps each reply in a
+/// [`batch_item_response`] and closes with the [`batch_done_response`]
+/// tally. Both the daemon and the router front write through this.
+pub struct ReplyWriter<'a, W: Write> {
+    out: &'a mut W,
+    /// `Some(total)` wraps replies in the item/`batch_done` envelope.
+    envelope: Option<usize>,
+    /// Replies seen so far, as `[ok, errors, overloaded]`.
+    tally: [usize; 3],
+    alive: bool,
+}
+
+impl<'a, W: Write> ReplyWriter<'a, W> {
+    /// The writer for a legacy one-frame `compile`: the single reply is
+    /// written as-is.
+    pub fn bare(out: &'a mut W) -> ReplyWriter<'a, W> {
+        ReplyWriter {
+            out,
+            envelope: None,
+            tally: [0; 3],
+            alive: true,
+        }
+    }
+
+    /// The writer for a `compile_batch` of `total` items.
+    pub fn envelope(out: &'a mut W, total: usize) -> ReplyWriter<'a, W> {
+        ReplyWriter {
+            envelope: Some(total),
+            ..ReplyWriter::bare(out)
+        }
+    }
+
+    /// Whether replies go out inside the batch envelope.
+    pub fn enveloped(&self) -> bool {
+        self.envelope.is_some()
+    }
+
+    /// Writes item `index`'s reply. Returns `false` once the peer is
+    /// gone; later writes are then skipped, but still tallied.
+    pub fn item(&mut self, index: usize, reply: Json) -> bool {
+        let slot = match reply.str_field("status") {
+            Ok("ok") => 0,
+            Ok("overloaded") => 2,
+            _ => 1,
+        };
+        self.tally[slot] += 1;
+        let frame = match self.envelope {
+            Some(total) => batch_item_response(index, total, reply),
+            None => reply,
+        };
+        self.alive = self.alive && write_frame(self.out, &frame).is_ok();
+        self.alive
+    }
+
+    /// Closes the reply (the `batch_done` tally, when enveloped).
+    /// Returns whether the connection is still usable.
+    pub fn finish(self) -> bool {
+        let [ok, errors, overloaded] = self.tally;
+        match self.envelope {
+            Some(total) if self.alive => write_frame(
+                self.out,
+                &batch_done_response(total, ok, errors, overloaded),
+            )
+            .is_ok(),
+            _ => self.alive,
+        }
+    }
+}
+
+/// Builds an `ok` response frame carrying `fields` (for a compile reply
+/// use [`ok_response`]).
+pub fn ok_with(fields: Vec<(&str, Json)>) -> Json {
+    let mut pairs = vec![("status", Json::Str("ok".to_string()))];
+    pairs.extend(fields);
+    Json::obj(pairs)
 }
 
 #[cfg(test)]
@@ -574,22 +629,7 @@ mod tests {
                 lp_phase2_pivots: 30,
                 bb_repair_pivots: 2,
                 bb_warm_nodes: 1,
-                preprocess_ns: 0,            // not carried over the wire
-                dependence_ns: 0,            // not carried over the wire
-                assemble_ns: 0,              // not carried over the wire
-                solve_ns: 0,                 // not carried over the wire
-                codegen_ns: 0,               // not carried over the wire
-                degraded_solves: 0,          // not carried over the wire
-                cancelled_solves: 0,         // not carried over the wire
-                panics_recovered: 0,         // not carried over the wire
-                tab_i64_solves: 0,           // not carried over the wire
-                tab_overflow_escalations: 0, // not carried over the wire
-                farkas_linearizations: 0,    // not carried over the wire
-                redundancy_checks: 0,        // not carried over the wire
-                spec_adopted: 0,             // not carried over the wire
-                spec_discarded: 0,           // not carried over the wire
-                dependence_analyses: 0,      // not carried over the wire
-                session_reuses: 0,           // not carried over the wire
+                ..SolverCounters::default() // the rest is not carried over the wire
             },
             compile_ms: 12.75,
         };

@@ -23,23 +23,31 @@
 //!   counted and retried on the next rebalance) and torn-transfer-safe
 //!   (the receiver re-verifies the checksum before storing).
 //!
+//! One request path: [`Router::compile`] is [`Router::compile_batch`] of
+//! one item. Items are keyed, a batch of several is scattered by owner,
+//! and whatever is still unanswered — all of a one-item request — walks
+//! the hedged item stage; every reply, scattered or hedged, is classified
+//! and settled by the same code.
+//!
 //! Every random decision (jitter, injected chaos) is drawn from one
 //! SplitMix64 stream seeded by `seed ^ fnv1a64(key) ^ request index`,
 //! and drawn *before* any thread is spawned, so a same-seed replay of
 //! the same request sequence makes byte-identical decisions.
 
-use crate::client::{Client, Endpoint};
-use crate::faults::NetChaos;
+use crate::client::{run_leg, scatter, Client, Endpoint};
+use crate::faults::{LegChaos, NetChaos};
 use crate::hash::{fnv1a64, hex_digest};
 use crate::json::Json;
 use crate::membership::{Membership, DEFAULT_VNODES};
-use crate::protocol::{error_response, BatchItem, CompileReply};
+use crate::protocol::{error_response, ok_with, BatchItem, CompileReply};
+use crate::service::routing_key;
 use crate::stats::ShardMetrics;
 use polyject_arith::SplitMix64;
 use polyject_gpusim::GpuModel;
 use std::collections::{HashMap, HashSet};
+use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::{mpsc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`Router`].
@@ -96,37 +104,34 @@ struct HotKey {
     replicated: bool,
 }
 
-/// Outcome of one leg (one connection attempt to one shard).
-enum Leg {
-    /// The shard answered a frame (any status).
-    Answered(Json),
-    /// The socket failed (connect, IO, or injected partition/garbage).
-    Broken(String),
+/// Outcome of one hedged attempt (up to two legs): the first frame a
+/// leg answered, if any, and every leg that failed at the socket level
+/// (or was still silent when the attempt as a whole timed out).
+struct Attempt {
+    answer: Option<(Endpoint, Json)>,
+    broken: Vec<(Endpoint, String)>,
 }
 
-/// Outcome of one hedged attempt (up to two legs).
-enum Attempt {
-    /// Some leg answered a frame; `broken` lists the legs that failed
-    /// at the socket level before the answer arrived.
-    Answered {
-        by: Endpoint,
-        resp: Json,
-        broken: Vec<(Endpoint, String)>,
-    },
-    /// Every spawned leg failed at the socket level (or the attempt as
-    /// a whole timed out).
-    Broken { failures: Vec<(Endpoint, String)> },
+/// How a shard's reply frame settles.
+enum Verdict {
+    /// `ok`: the artifact.
+    Ok,
+    /// A deterministic `error` (parse/config): the shard answered
+    /// definitively; retrying elsewhere would only repeat it.
+    Final,
+    /// `overloaded`, or an `error` tagged `"retryable":true`: another
+    /// replica (or a later attempt) may still produce the real result.
+    Retry,
 }
 
-/// Chaos verdicts for one attempt, pre-drawn on the request thread so
-/// hedge threads never touch the shared RNG (which would make replays
-/// depend on scheduling).
-struct AttemptPlan {
-    blocked_a: bool,
-    garbage_a: Option<Vec<u8>>,
-    blocked_b: bool,
-    garbage_b: Option<Vec<u8>>,
-    jitter_ms: u64,
+/// The one place reply statuses are read.
+fn verdict(resp: &Json) -> Verdict {
+    let retryable = resp.get("retryable").and_then(Json::as_bool) == Some(true);
+    match resp.get("status").and_then(Json::as_str) {
+        Some("ok") => Verdict::Ok,
+        Some("error") if !retryable => Verdict::Final,
+        _ => Verdict::Retry,
+    }
 }
 
 /// The routing front: shard selection, hedging, retry, failover,
@@ -211,109 +216,182 @@ impl Router {
         map.values().map(&pick).sum()
     }
 
-    /// Compiles `.pj` source through the fleet. Always returns a frame:
-    /// `ok` from whichever replica answered first, a deterministic
-    /// `error` verbatim from a shard, or a structured routing error when
-    /// every candidate was exhausted — never a hang, never a panic.
+    fn members(&self) -> MutexGuard<'_, Membership> {
+        self.membership.lock().expect("membership lock")
+    }
+
+    fn endpoints(&self) -> Vec<Endpoint> {
+        let m = self.members();
+        m.shards().iter().map(|s| s.endpoint.clone()).collect()
+    }
+
+    /// The `(key, kind)` of every entry a shard holds; `None` when it
+    /// is unreachable.
+    fn shard_keys(&self, endpoint: &Endpoint) -> Option<Vec<(String, String)>> {
+        let resp = self.ask(endpoint, Client::keys).ok()?;
+        let rows = resp.get("keys").and_then(Json::as_arr)?;
+        let field = |row: &Json, f: &str| row.str_field(f).map(str::to_string);
+        Some(
+            rows.iter()
+                .filter_map(|row| Some((field(row, "key").ok()?, field(row, "kind").ok()?)))
+                .collect(),
+        )
+    }
+
+    /// One chaos-free exchange with a shard under the configured socket
+    /// timeout (cancels, key listings, transfers).
+    fn ask<T>(
+        &self,
+        endpoint: &Endpoint,
+        send: impl FnOnce(&mut Client) -> io::Result<T>,
+    ) -> io::Result<T> {
+        let timeout = Some(self.config.io_timeout);
+        run_leg(endpoint, timeout, LegChaos::default(), send)
+    }
+
+    /// Pre-draws the chaos verdicts for one leg. Always called on the
+    /// request thread, in a fixed order — leg threads must never
+    /// consume shared randomness (replays would depend on scheduling).
+    fn plan_leg(&self, endpoint: &Endpoint) -> LegChaos {
+        let chaos = self.chaos.as_ref().map(|c| c.lock().expect("chaos lock"));
+        chaos.map_or_else(LegChaos::default, |mut c| c.plan_leg(&endpoint.to_string()))
+    }
+
+    /// Compiles `.pj` source through the fleet — a batch of one. Always
+    /// returns a frame: `ok` from whichever replica answered first, a
+    /// deterministic `error` verbatim from a shard, or a structured
+    /// routing error when every candidate was exhausted — never a hang,
+    /// never a panic.
     pub fn compile(&self, src: &str, config: &str) -> Json {
-        self.requests.fetch_add(1, Ordering::Relaxed);
-        let canonical = match polyject_front::canonical_pj(src) {
-            Ok(c) => c,
-            Err(e) => return error_response(&format!("parse error: {e}")),
-        };
-        let key = crate::service::cache_key(&canonical, config, &self.config.gpu);
+        let mut replies = self.compile_batch(&[BatchItem::new(src, config)]);
+        replies.pop().expect("one reply per item")
+    }
+
+    /// Compiles a batch, one reply per item in request order. Items are
+    /// keyed on the request thread (parse errors answered immediately,
+    /// no shard contact); a batch of more than one then goes through the
+    /// scatter stage (`scatter_stage`); whatever is still
+    /// unanswered — every item of a one-item request, and the items a
+    /// sub-batch could not settle (dead shard, poisoned connection,
+    /// retryable reply) — walks the hedged/retried/failed-over item
+    /// stage (`item_stage`) sequentially in item order.
+    ///
+    /// Chaos verdicts are pre-drawn on the request thread and the item
+    /// stage is sequential, so a same-seed replay of the same request
+    /// sequence makes byte-identical decisions.
+    pub fn compile_batch(&self, items: &[BatchItem]) -> Vec<Json> {
+        self.requests
+            .fetch_add(items.len() as u64, Ordering::Relaxed);
+        let keyed: Vec<Result<String, Json>> = items
+            .iter()
+            .map(|it| {
+                routing_key(&it.src, &it.config, &self.config.gpu)
+                    .map_err(|e| error_response(&format!("parse error: {e}")))
+            })
+            .collect();
+        let scattered = items.len() > 1;
+        let mut slots: Vec<Option<Json>> = vec![None; items.len()];
+        if scattered {
+            self.scatter_stage(items, &keyed, &mut slots);
+        }
+        (items.iter().zip(keyed).zip(slots))
+            .map(|((item, key), slot)| match (slot, key) {
+                (Some(resp), _) | (None, Err(resp)) => resp,
+                (None, Ok(key)) => self.item_stage(item, &key, scattered),
+            })
+            .collect()
+    }
+
+    /// The scatter stage: keyed items are partitioned by owning shard,
+    /// each shard receives its sub-batch as ONE `compile_batch` frame
+    /// over one connection, all sub-batches are gathered (full barrier,
+    /// so the item stage's RNG draws happen in item order no matter
+    /// which shard answered first), and every reply that settles fills
+    /// its slot. A broken leg or a retryable reply leaves the slot
+    /// empty for the item stage.
+    fn scatter_stage(
+        &self,
+        items: &[BatchItem],
+        keyed: &[Result<String, Json>],
+        slots: &mut [Option<Json>],
+    ) {
+        let with_key = keyed
+            .iter()
+            .enumerate()
+            .filter_map(|(i, k)| Some((i, k.as_ref().ok()?.as_str())));
+        let groups = self
+            .members()
+            .partition_by_owner(with_key, self.config.replication.max(2));
+        let chaos = groups.iter().map(|(ep, _)| self.plan_leg(ep)).collect();
+        for (endpoint, idxs) in &groups {
+            self.with_metrics(endpoint, |m| m.requests += idxs.len() as u64);
+        }
+        let gathered = scatter(items, &groups, chaos, Some(self.config.io_timeout));
+        for ((endpoint, idxs), leg) in groups.iter().zip(gathered) {
+            match leg {
+                Ok(replies) => {
+                    for (&i, resp) in idxs.iter().zip(replies) {
+                        let key = keyed[i].as_ref().expect("only keyed items scatter");
+                        slots[i] = self.settle(key, endpoint, resp, false).ok();
+                    }
+                }
+                // Dead shard mid-scatter, partition, poisoned connection:
+                // the whole sub-batch falls to the item stage.
+                Err(_) => self.strike(endpoint),
+            }
+        }
+    }
+
+    /// The item stage: up to `1 + retries` hedged attempts walking the
+    /// key's replicas, with capped exponential backoff and seeded
+    /// jitter between them. `rerouted` marks an item the scatter stage
+    /// already failed to settle (an `ok` here then counts as a
+    /// failover).
+    fn item_stage(&self, item: &BatchItem, key: &str, rerouted: bool) -> Json {
         let req_index = self.next_req.fetch_add(1, Ordering::Relaxed);
         let mut rng = SplitMix64::new(self.config.seed ^ fnv1a64(key.as_bytes()) ^ req_index);
-
-        let candidates = {
-            let m = self.membership.lock().expect("membership lock");
-            m.replicas_for(&key, self.config.replication.max(2))
-        };
+        let candidates = self
+            .members()
+            .replicas_for(key, self.config.replication.max(2));
         if candidates.is_empty() {
             return error_response("no shards configured");
         }
 
         let mut last_failure = String::new();
         for attempt in 0..=self.config.retries {
-            let primary = &candidates[attempt as usize % candidates.len()];
-            let hedge = if candidates.len() > 1 {
-                Some(&candidates[(attempt as usize + 1) % candidates.len()])
-            } else {
-                None
-            };
-            let plan = self.plan_attempt(&mut rng, primary, hedge);
+            // Leg 0 is the primary, leg 1 (when the fleet has a second
+            // candidate) the hedge. Every random verdict is drawn here,
+            // up front: jitter, then each leg's chaos.
+            let n = attempt as usize;
+            let jitter_ms = rng.next_u64() % 16;
+            let legs: Vec<(Endpoint, LegChaos)> = (0..candidates.len().min(2))
+                .map(|leg| &candidates[(n + leg) % candidates.len()])
+                .map(|ep| (ep.clone(), self.plan_leg(ep)))
+                .collect();
             if attempt > 0 {
-                self.with_metrics(primary, |m| m.retries += 1);
+                self.with_metrics(&legs[0].0, |m| m.retries += 1);
                 let shift = (attempt - 1).min(16);
                 let backoff = self
                     .config
                     .backoff_base
                     .saturating_mul(1u32 << shift)
                     .min(self.config.backoff_cap)
-                    + Duration::from_millis(plan.jitter_ms);
+                    + Duration::from_millis(jitter_ms);
                 std::thread::sleep(backoff);
             }
-            match self.hedged_attempt(src, config, req_index, attempt, primary, hedge, &plan) {
-                Attempt::Answered {
-                    by: served_by,
-                    resp,
-                    broken,
-                } => {
-                    for (ep, _) in &broken {
-                        let mut m = self.membership.lock().expect("membership lock");
-                        m.record_failure(ep);
-                        drop(m);
-                        self.with_metrics(ep, |m| m.connect_failures += 1);
-                    }
-                    let status = resp.get("status").and_then(Json::as_str).unwrap_or("");
-                    let retryable = resp.get("retryable").and_then(Json::as_bool) == Some(true);
-                    if status == "ok" {
-                        {
-                            let mut m = self.membership.lock().expect("membership lock");
-                            m.record_success(&served_by);
-                        }
-                        let cached = resp.get("cached").and_then(Json::as_bool) == Some(true);
-                        self.with_metrics(&served_by, |m| {
-                            m.ok += 1;
-                            if cached {
-                                m.cache_hits += 1;
-                            }
-                        });
-                        if attempt > 0 || !broken.is_empty() {
-                            // A later attempt *or* a sibling leg's dead
-                            // socket within this one: either way the
-                            // fleet routed around a failure.
-                            self.with_metrics(&served_by, |m| m.failovers += 1);
-                        }
-                        self.note_hot(&key, &served_by, &resp);
-                        return tag_via(resp, &served_by);
-                    }
-                    if status == "error" && !retryable {
-                        // Deterministic failure (parse/config): the shard
-                        // answered definitively; retrying elsewhere would
-                        // only repeat it.
-                        let mut m = self.membership.lock().expect("membership lock");
-                        m.record_success(&served_by);
-                        drop(m);
-                        self.with_metrics(&served_by, |m| m.errors += 1);
-                        return resp;
-                    }
-                    // Retryable error or overloaded: try the next replica.
-                    self.with_metrics(&served_by, |m| m.errors += 1);
-                    last_failure = format!(
-                        "{served_by}: {}",
-                        resp.get("message").and_then(Json::as_str).unwrap_or(status)
-                    );
-                }
-                Attempt::Broken { failures } => {
-                    for (ep, why) in &failures {
-                        {
-                            let mut m = self.membership.lock().expect("membership lock");
-                            m.record_failure(ep);
-                        }
-                        self.with_metrics(ep, |m| m.connect_failures += 1);
-                        last_failure = format!("{ep}: {why}");
-                    }
+            let tried = self.hedged_attempt(item, req_index, attempt, &legs);
+            for (ep, why) in &tried.broken {
+                self.strike(ep);
+                last_failure = format!("{ep}: {why}");
+            }
+            if let Some((by, resp)) = tried.answer {
+                // A later attempt, a sibling leg's dead socket within
+                // this one, or a failed scatter leg before it: either
+                // way the fleet routed around a failure.
+                let rerouted = rerouted || attempt > 0 || !tried.broken.is_empty();
+                match self.settle(key, &by, resp, rerouted) {
+                    Ok(frame) => return frame,
+                    Err(why) => last_failure = why,
                 }
             }
         }
@@ -324,275 +402,107 @@ impl Router {
         ))
     }
 
-    /// Compiles a whole batch with scatter-gather: items are keyed and
-    /// partitioned by owning shard on the request thread (parse errors
-    /// answered immediately, no shard contact), each shard receives its
-    /// sub-batch as ONE `compile_batch` frame over one connection, and
-    /// replies are reassembled in request order. Items a sub-batch could
-    /// not answer — dead shard, poisoned connection, retryable error —
-    /// fall back to the full per-item [`Router::compile`] machinery
-    /// (hedging, retry, failover), sequentially in item order.
-    ///
-    /// Chaos verdicts for the scatter legs are pre-drawn on the request
-    /// thread in group order, and the fallback loop is sequential, so a
-    /// same-seed replay of the same batch sequence makes byte-identical
-    /// decisions — exactly the [`Router::compile`] discipline.
-    pub fn compile_batch(&self, items: &[(String, String)]) -> Vec<Json> {
-        self.requests
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let mut slots: Vec<Option<Json>> = vec![None; items.len()];
-        let mut keys: Vec<Option<String>> = vec![None; items.len()];
-        for (i, (src, config)) in items.iter().enumerate() {
-            match polyject_front::canonical_pj(src) {
-                Ok(c) => {
-                    keys[i] = Some(crate::service::cache_key(&c, config, &self.config.gpu));
-                }
-                Err(e) => slots[i] = Some(error_response(&format!("parse error: {e}"))),
+    /// Settles the frame `by` answered for `key` — the membership and
+    /// [`ShardMetrics`] updates of every reply, scattered or hedged.
+    /// `Ok` is the caller's final frame; `Err` says why to try another
+    /// replica.
+    fn settle(&self, key: &str, by: &Endpoint, resp: Json, rerouted: bool) -> Result<Json, String> {
+        match verdict(&resp) {
+            Verdict::Ok => {
+                self.members().record_success(by);
+                let cached = resp.get("cached").and_then(Json::as_bool) == Some(true);
+                self.with_metrics(by, |m| {
+                    m.ok += 1;
+                    m.cache_hits += u64::from(cached);
+                    m.failovers += u64::from(rerouted);
+                });
+                self.note_hot(key, by, &resp);
+                Ok(tag_via(resp, by))
             }
-        }
-
-        // Partition by primary owner, groups in first-occurrence order.
-        let mut groups: Vec<(Endpoint, Vec<usize>)> = Vec::new();
-        for (i, key) in keys.iter().enumerate() {
-            let Some(key) = key else { continue };
-            let primary = {
-                let m = self.membership.lock().expect("membership lock");
-                m.replicas_for(key, self.config.replication.max(2))
-                    .into_iter()
-                    .next()
-            };
-            let Some(primary) = primary else {
-                slots[i] = Some(error_response("no shards configured"));
-                continue;
-            };
-            match groups.iter_mut().find(|(ep, _)| *ep == primary) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((primary, vec![i])),
+            Verdict::Final => {
+                self.members().record_success(by);
+                self.with_metrics(by, |m| m.errors += 1);
+                Ok(resp)
             }
-        }
-
-        // Pre-draw chaos verdicts per group on the request thread; the
-        // scatter threads below do wire I/O only.
-        let plans: Vec<(bool, Option<Vec<u8>>)> = groups
-            .iter()
-            .map(|(ep, _)| match &self.chaos {
-                None => (false, None),
-                Some(chaos) => {
-                    let mut c = chaos.lock().expect("chaos lock");
-                    (c.connect_blocked(&ep.to_string()), c.garbage_frame())
-                }
-            })
-            .collect();
-
-        let (tx, rx) = mpsc::channel::<(usize, Result<Vec<Json>, String>)>();
-        for (gi, ((endpoint, idxs), (blocked, garbage))) in groups.iter().zip(&plans).enumerate() {
-            self.with_metrics(endpoint, |m| m.requests += idxs.len() as u64);
-            let tx = tx.clone();
-            let endpoint = endpoint.clone();
-            let sub: Vec<BatchItem> = idxs
-                .iter()
-                .map(|&i| BatchItem::new(items[i].0.clone(), items[i].1.clone()))
-                .collect();
-            let io_timeout = self.config.io_timeout;
-            let blocked = *blocked;
-            let garbage = garbage.clone();
-            std::thread::spawn(move || {
-                let result = run_batch_leg(&endpoint, &sub, io_timeout, blocked, garbage);
-                let _ = tx.send((gi, result));
-            });
-        }
-        drop(tx);
-
-        // Gather ALL sub-batches before any fallback, so the fallback's
-        // RNG draws happen in deterministic item order regardless of
-        // which shard answered first.
-        let mut gathered: Vec<Option<Result<Vec<Json>, String>>> =
-            (0..groups.len()).map(|_| None).collect();
-        while let Ok((gi, result)) = rx.recv() {
-            gathered[gi] = Some(result);
-        }
-        for (gi, (endpoint, idxs)) in groups.iter().enumerate() {
-            match gathered[gi].take() {
-                Some(Ok(replies)) => {
-                    {
-                        let mut m = self.membership.lock().expect("membership lock");
-                        m.record_success(endpoint);
-                    }
-                    for (&i, resp) in idxs.iter().zip(replies) {
-                        let status = resp.get("status").and_then(Json::as_str).unwrap_or("");
-                        let retryable = resp.get("retryable").and_then(Json::as_bool) == Some(true);
-                        if status == "ok" {
-                            let cached = resp.get("cached").and_then(Json::as_bool) == Some(true);
-                            self.with_metrics(endpoint, |m| {
-                                m.ok += 1;
-                                if cached {
-                                    m.cache_hits += 1;
-                                }
-                            });
-                            if let Some(key) = &keys[i] {
-                                self.note_hot(key, endpoint, &resp);
-                            }
-                            slots[i] = Some(tag_via(resp, endpoint));
-                        } else if status == "error" && !retryable {
-                            // Deterministic failure: final, like compile().
-                            self.with_metrics(endpoint, |m| m.errors += 1);
-                            slots[i] = Some(resp);
-                        } else {
-                            // Retryable/overloaded/unanswered: fall back.
-                            self.with_metrics(endpoint, |m| m.errors += 1);
-                        }
-                    }
-                }
-                _ => {
-                    // The whole sub-batch leg broke (dead shard mid-
-                    // scatter, partition, poisoned connection): every
-                    // item falls back.
-                    {
-                        let mut m = self.membership.lock().expect("membership lock");
-                        m.record_failure(endpoint);
-                    }
-                    self.with_metrics(endpoint, |m| m.connect_failures += 1);
-                }
-            }
-        }
-
-        // Per-item fallback through the full hedging/retry machinery; a
-        // success here routed around a failed scatter leg.
-        items
-            .iter()
-            .zip(slots)
-            .map(|((src, config), slot)| match slot {
-                Some(resp) => resp,
-                None => {
-                    let resp = self.compile(src, config);
-                    if resp.get("status").and_then(Json::as_str) == Some("ok") {
-                        if let Some(via) = resp.get("via").and_then(Json::as_str) {
-                            if let Ok(ep) = Endpoint::parse(via) {
-                                self.with_metrics(&ep, |m| m.failovers += 1);
-                            }
-                        }
-                    }
-                    resp
-                }
-            })
-            .collect()
-    }
-
-    /// Draws every random verdict for one attempt up front, on the
-    /// request thread, in a fixed order — hedge threads must never
-    /// consume shared randomness.
-    fn plan_attempt(
-        &self,
-        rng: &mut SplitMix64,
-        primary: &Endpoint,
-        hedge: Option<&Endpoint>,
-    ) -> AttemptPlan {
-        let jitter_ms = rng.next_u64() % 16;
-        match &self.chaos {
-            None => AttemptPlan {
-                blocked_a: false,
-                garbage_a: None,
-                blocked_b: false,
-                garbage_b: None,
-                jitter_ms,
-            },
-            Some(chaos) => {
-                let mut c = chaos.lock().expect("chaos lock");
-                let blocked_a = c.connect_blocked(&primary.to_string());
-                let garbage_a = c.garbage_frame();
-                let (blocked_b, garbage_b) = match hedge {
-                    Some(h) => (c.connect_blocked(&h.to_string()), c.garbage_frame()),
-                    None => (false, None),
-                };
-                AttemptPlan {
-                    blocked_a,
-                    garbage_a,
-                    blocked_b,
-                    garbage_b,
-                    jitter_ms,
-                }
+            Verdict::Retry => {
+                self.with_metrics(by, |m| m.errors += 1);
+                let status = resp.get("status").and_then(Json::as_str).unwrap_or("");
+                let why = resp.get("message").and_then(Json::as_str).unwrap_or(status);
+                Err(format!("{by}: {why}"))
             }
         }
     }
 
-    /// Runs one attempt: primary leg in a worker thread, hedge leg fired
-    /// once the primary is silent past the hedge delay (or as soon as
-    /// its socket breaks). The first *answer* wins — a broken leg only
-    /// forfeits its own slot, so a fast connect failure can never
+    /// Records a leg that failed at the socket level: a health strike
+    /// (the shard is deprioritized until a success heals it) and a
+    /// `connect_failures` tick.
+    fn strike(&self, endpoint: &Endpoint) {
+        self.members().record_failure(endpoint);
+        self.with_metrics(endpoint, |m| m.connect_failures += 1);
+    }
+
+    /// Runs one attempt: the primary leg in a worker thread, the hedge
+    /// leg fired once the primary is silent past the hedge delay (or as
+    /// soon as its socket breaks). The first *answer* wins — a broken leg
+    /// only forfeits its own slot, so a fast connect failure can never
     /// outrank a healthy replica mid-solve. Only a leg that lost to a
     /// definitive answer is cancelled; the attempt fails only when
     /// every spawned leg has broken.
-    #[allow(clippy::too_many_arguments)]
     fn hedged_attempt(
         &self,
-        src: &str,
-        config: &str,
+        item: &BatchItem,
         req_index: u64,
         attempt: u32,
-        primary: &Endpoint,
-        hedge: Option<&Endpoint>,
-        plan: &AttemptPlan,
+        legs: &[(Endpoint, LegChaos)],
     ) -> Attempt {
-        let (tx, rx) = mpsc::channel::<(usize, Leg)>();
+        let (tx, rx) = mpsc::channel::<(usize, io::Result<Json>)>();
         let io_timeout = self.config.io_timeout;
-        let req_a = format!("{:016x}.{req_index:08x}.{attempt}.a", self.instance);
-        let req_b = format!("{:016x}.{req_index:08x}.{attempt}.b", self.instance);
-        self.with_metrics(primary, |m| m.requests += 1);
-        spawn_leg(
-            tx.clone(),
-            0,
-            primary.clone(),
-            src.to_string(),
-            config.to_string(),
-            req_a.clone(),
-            io_timeout,
-            plan.blocked_a,
-            plan.garbage_a.clone(),
-        );
-        let leg_endpoint = |idx: usize| -> Endpoint {
-            if idx == 1 {
-                hedge.cloned().unwrap_or_else(|| primary.clone())
-            } else {
-                primary.clone()
-            }
+        let req_of = |leg: usize| {
+            let tag = if leg == 0 { 'a' } else { 'b' };
+            format!("{:016x}.{req_index:08x}.{attempt}.{tag}", self.instance)
+        };
+        // All chaos verdicts were pre-drawn; a leg thread only does
+        // socket work and reports through the channel (best-effort — the
+        // receiver may already have a winner).
+        let spawn = |leg: usize| {
+            let (endpoint, chaos) = legs[leg].clone();
+            self.with_metrics(&endpoint, |m| {
+                m.requests += 1;
+                m.hedges_fired += u64::from(leg == 1);
+            });
+            let (tx, item, req) = (tx.clone(), item.clone(), req_of(leg));
+            std::thread::spawn(move || {
+                let outcome = run_leg(&endpoint, Some(io_timeout), chaos, |c| {
+                    c.compile_tagged(&item.src, &item.config, &req)
+                });
+                let _ = tx.send((leg, outcome));
+            });
+        };
+        let named = |broken: Vec<(usize, String)>| -> Vec<(Endpoint, String)> {
+            (broken.into_iter())
+                .map(|(leg, why)| (legs[leg].0.clone(), why))
+                .collect()
         };
 
-        let mut broken: Vec<(usize, String)> = Vec::new();
         // Phase 1: the primary gets the hedge window to itself. An
         // answer here wins outright; a broken socket falls through and
         // fires the hedge immediately — no point waiting out the window
         // on a connection that already died.
+        spawn(0);
+        let mut broken: Vec<(usize, String)> = Vec::new();
         match rx.recv_timeout(self.config.hedge_after) {
-            Ok((_, Leg::Answered(resp))) => {
-                return Attempt::Answered {
-                    by: primary.clone(),
-                    resp,
+            Ok((_, Ok(resp))) => {
+                return Attempt {
+                    answer: Some((legs[0].0.clone(), resp)),
                     broken: Vec::new(),
                 }
             }
-            Ok((idx, Leg::Broken(why))) => broken.push((idx, why)),
+            Ok((leg, Err(e))) => broken.push((leg, e.to_string())),
             Err(_) => {}
         }
-        let mut spawned = 1;
-        let mut hedged = false;
-        if let Some(h) = hedge {
-            hedged = true;
-            spawned = 2;
-            self.with_metrics(h, |m| {
-                m.requests += 1;
-                m.hedges_fired += 1;
-            });
-            spawn_leg(
-                tx.clone(),
-                1,
-                h.clone(),
-                src.to_string(),
-                config.to_string(),
-                req_b.clone(),
-                io_timeout,
-                plan.blocked_b,
-                plan.garbage_b.clone(),
-            );
+        let spawned = legs.len();
+        if spawned > 1 {
+            spawn(1);
         }
         drop(tx);
 
@@ -602,9 +512,9 @@ impl Router {
         while broken.len() < spawned {
             let left = deadline.saturating_duration_since(Instant::now());
             match rx.recv_timeout(left) {
-                Ok((idx, Leg::Answered(resp))) => {
-                    let by = leg_endpoint(idx);
-                    if hedged && idx == 1 {
+                Ok((leg, Ok(resp))) => {
+                    let by = legs[leg].0.clone();
+                    if leg == 1 {
                         self.with_metrics(&by, |m| m.hedge_wins += 1);
                     }
                     // Cancel only a leg that is still in flight and lost
@@ -612,64 +522,44 @@ impl Router {
                     // error the caller will receive). A retryable answer
                     // leaves the sibling alone — it may yet produce the
                     // real result.
-                    let status = resp.get("status").and_then(Json::as_str).unwrap_or("");
-                    let retryable = resp.get("retryable").and_then(Json::as_bool) == Some(true);
-                    let definitive = status == "ok" || (status == "error" && !retryable);
-                    let other = 1 - idx;
-                    if definitive && other < spawned && !broken.iter().any(|(i, _)| *i == other) {
-                        let loser = leg_endpoint(other);
-                        let loser_req = if other == 1 { &req_b } else { &req_a };
-                        if self.cancel_on(&loser, loser_req) {
-                            self.with_metrics(&loser, |m| m.hedge_cancels += 1);
+                    let other = 1 - leg;
+                    let in_flight = other < spawned && !broken.iter().any(|(l, _)| *l == other);
+                    if in_flight && !matches!(verdict(&resp), Verdict::Retry) {
+                        let loser = &legs[other].0;
+                        if self.cancel_on(loser, &req_of(other)) {
+                            self.with_metrics(loser, |m| m.hedge_cancels += 1);
                         }
                     }
-                    return Attempt::Answered {
-                        by,
-                        resp,
-                        broken: broken
-                            .into_iter()
-                            .map(|(i, why)| (leg_endpoint(i), why))
-                            .collect(),
+                    return Attempt {
+                        answer: Some((by, resp)),
+                        broken: named(broken),
                     };
                 }
-                Ok((idx, Leg::Broken(why))) => broken.push((idx, why)),
+                Ok((leg, Err(e))) => broken.push((leg, e.to_string())),
                 Err(_) => {
                     // Attempt-level timeout: abandon the outstanding
                     // legs without cancelling them (they lost to
                     // nothing; a late answer may still warm the cache).
-                    let failures = (0..spawned)
-                        .map(|idx| {
-                            let why = broken
-                                .iter()
-                                .find(|(i, _)| *i == idx)
-                                .map(|(_, w)| w.clone())
-                                .unwrap_or_else(|| "attempt timed out with no answer".to_string());
-                            (leg_endpoint(idx), why)
-                        })
-                        .collect();
-                    return Attempt::Broken { failures };
+                    for leg in 0..spawned {
+                        if !broken.iter().any(|(l, _)| *l == leg) {
+                            broken.push((leg, "attempt timed out with no answer".to_string()));
+                        }
+                    }
+                    broken.sort_by_key(|(leg, _)| *leg);
                 }
             }
         }
-        Attempt::Broken {
-            failures: broken
-                .into_iter()
-                .map(|(i, why)| (leg_endpoint(i), why))
-                .collect(),
+        Attempt {
+            answer: None,
+            broken: named(broken),
         }
     }
 
     /// Best-effort cancel of `req` on `endpoint`; true when the daemon
     /// found and tripped an in-flight solve.
     fn cancel_on(&self, endpoint: &Endpoint, req: &str) -> bool {
-        let Ok(mut client) = Client::connect(endpoint) else {
-            return false;
-        };
-        let _ = client.set_timeout(Some(self.config.io_timeout));
-        match client.cancel(req) {
-            Ok(resp) => resp.get("cancelled").and_then(Json::as_bool) == Some(true),
-            Err(_) => false,
-        }
+        self.ask(endpoint, |c| c.cancel(req))
+            .is_ok_and(|resp| resp.get("cancelled").and_then(Json::as_bool) == Some(true))
     }
 
     /// Bumps the key's serve count; once it crosses the hot threshold,
@@ -702,25 +592,15 @@ impl Router {
     /// Pushes one entry to every ring replica except the shard that just
     /// served it. True only if every push landed.
     fn replicate(&self, reply: &CompileReply, served_by: &Endpoint) -> bool {
-        let targets: Vec<Endpoint> = {
-            let m = self.membership.lock().expect("membership lock");
-            m.replicas_for(&reply.key, self.config.replication)
-                .into_iter()
-                .filter(|e| e != served_by)
-                .collect()
-        };
+        let mut targets = self
+            .members()
+            .replicas_for(&reply.key, self.config.replication);
+        targets.retain(|e| e != served_by);
         let payload = reply.to_json();
         let checksum = hex_digest(&payload.render());
         let mut all_ok = true;
         for target in targets {
-            // A torn transfer truncates the payload mid-flight; the
-            // receiver re-verifies the checksum and must reject it.
-            let torn = self
-                .chaos
-                .as_ref()
-                .and_then(|c| c.lock().expect("chaos lock").torn_transfer(&payload));
-            let sent = torn.unwrap_or_else(|| payload.clone());
-            match self.push_entry(&target, &reply.key, "compile", sent, &checksum) {
+            match self.push_entry(&target, &reply.key, "compile", &payload, &checksum) {
                 Ok(true) => self.with_metrics(&target, |m| m.transfers_out += 1),
                 _ => all_ok = false,
             }
@@ -728,20 +608,24 @@ impl Router {
         all_ok
     }
 
+    /// Transfers one entry to `target` under the sender's `checksum`.
+    /// Chaos may tear the payload mid-flight (truncate it); the receiver
+    /// re-verifies the checksum and must reject the torn copy.
     fn push_entry(
         &self,
         target: &Endpoint,
         key: &str,
         kind: &str,
-        payload: Json,
+        payload: &Json,
         checksum: &str,
     ) -> Result<bool, String> {
-        let mut client = Client::connect(target).map_err(|e| e.to_string())?;
-        client
-            .set_timeout(Some(self.config.io_timeout))
-            .map_err(|e| e.to_string())?;
-        let resp = client
-            .transfer(key, kind, payload, checksum)
+        let torn = self
+            .chaos
+            .as_ref()
+            .and_then(|c| c.lock().expect("chaos lock").torn_transfer(payload));
+        let sent = torn.unwrap_or_else(|| payload.clone());
+        let resp = self
+            .ask(target, |c| c.transfer(key, kind, sent, checksum))
             .map_err(|e| e.to_string())?;
         Ok(resp.get("stored").and_then(Json::as_bool) == Some(true))
     }
@@ -750,10 +634,7 @@ impl Router {
     /// rest of the fleet. Returns a progress report; transfer failures
     /// are counted, not fatal (rerunning the join resumes the transfer).
     pub fn join(&self, endpoint: &Endpoint) -> Json {
-        let added = {
-            let mut m = self.membership.lock().expect("membership lock");
-            m.add(endpoint.clone())
-        };
+        let added = self.members().add(endpoint.clone());
         let report = self.rebalance();
         membership_report("join", added, report)
     }
@@ -762,10 +643,7 @@ impl Router {
     /// re-homed first (planned decommission); a dead shard is simply
     /// dropped and its keys re-converge from replicas.
     pub fn leave(&self, endpoint: &Endpoint) -> Json {
-        let removed = {
-            let mut m = self.membership.lock().expect("membership lock");
-            m.remove(endpoint)
-        };
+        let removed = self.members().remove(endpoint);
         let report = self.rebalance();
         membership_report("leave", removed, report)
     }
@@ -774,22 +652,13 @@ impl Router {
     /// offered to the ring owners that do not hold them yet. Returns
     /// `(moved, skipped, failed)`.
     pub fn rebalance(&self) -> (u64, u64, u64) {
-        let (endpoints, replication) = {
-            let m = self.membership.lock().expect("membership lock");
-            (
-                m.shards()
-                    .iter()
-                    .map(|s| s.endpoint.clone())
-                    .collect::<Vec<_>>(),
-                self.config.replication,
-            )
-        };
+        let (endpoints, replication) = (self.endpoints(), self.config.replication);
         // Snapshot who holds what (unreachable shards contribute nothing
         // and receive nothing this pass — the next pass resumes).
         let mut held: HashMap<String, HashSet<String>> = HashMap::new();
         let mut kinds: HashMap<String, String> = HashMap::new();
         for ep in &endpoints {
-            for (key, kind) in list_keys(ep, self.config.io_timeout) {
+            for (key, kind) in self.shard_keys(ep).unwrap_or_default() {
                 held.entry(ep.to_string()).or_default().insert(key.clone());
                 kinds.insert(key, kind);
             }
@@ -801,10 +670,7 @@ impl Router {
                 .map(|s| s.iter().cloned().collect())
                 .unwrap_or_default();
             for key in src_keys {
-                let owners = {
-                    let m = self.membership.lock().expect("membership lock");
-                    m.replicas_for(&key, replication)
-                };
+                let owners = self.members().replicas_for(&key, replication);
                 for owner in owners {
                     if owner == *src_ep {
                         continue;
@@ -842,21 +708,12 @@ impl Router {
         key: &str,
         kind: &str,
     ) -> Result<bool, String> {
-        let mut from = Client::connect(src).map_err(|e| e.to_string())?;
-        from.set_timeout(Some(self.config.io_timeout))
-            .map_err(|e| e.to_string())?;
-        let fetched = from.fetch(key).map_err(|e| e.to_string())?;
+        let fetched = self.ask(src, |c| c.fetch(key)).map_err(|e| e.to_string())?;
         if fetched.get("found").and_then(Json::as_bool) != Some(true) {
             return Err(format!("{src} no longer holds {key}"));
         }
-        let payload = fetched.get("payload").cloned().ok_or("missing payload")?;
-        let checksum = fetched.str_field("checksum")?.to_string();
-        let torn = self
-            .chaos
-            .as_ref()
-            .and_then(|c| c.lock().expect("chaos lock").torn_transfer(&payload));
-        let sent = torn.unwrap_or_else(|| payload.clone());
-        self.push_entry(dst, key, kind, sent, &checksum)
+        let payload = fetched.get("payload").ok_or("missing payload")?;
+        self.push_entry(dst, key, kind, payload, fetched.str_field("checksum")?)
     }
 
     /// The router's own metrics report. With `deep`, every shard is
@@ -864,33 +721,28 @@ impl Router {
     /// should hold but it does not) is computed; unreachable shards get
     /// `-1`.
     pub fn metrics_json(&self, deep: bool) -> Json {
-        let endpoints: Vec<Endpoint> = {
-            let m = self.membership.lock().expect("membership lock");
-            m.shards().iter().map(|s| s.endpoint.clone()).collect()
-        };
-        let lags: HashMap<String, i64> = if deep {
+        let endpoints = self.endpoints();
+        let lags = if deep {
             self.replica_lags(&endpoints)
         } else {
             HashMap::new()
         };
-        let mut shard_rows = Vec::new();
-        {
-            let mut map = self.metrics.lock().expect("metrics lock");
-            for ep in &endpoints {
-                let name = ep.to_string();
-                let m = map.entry(name.clone()).or_default();
-                if let Some(lag) = lags.get(&name) {
-                    m.replica_lag = *lag;
-                }
-                let mut row = vec![("endpoint".to_string(), Json::Str(name.clone()))];
-                if let Json::Obj(fields) = m.to_json() {
-                    row.extend(fields);
-                }
-                shard_rows.push(Json::Obj(row));
-            }
-        }
-        Json::obj(vec![
-            ("status", Json::Str("ok".to_string())),
+        let shard_rows = (endpoints.iter())
+            .map(|ep| {
+                self.with_metrics(ep, |m| {
+                    let name = ep.to_string();
+                    if let Some(lag) = lags.get(&name) {
+                        m.replica_lag = *lag;
+                    }
+                    let mut row = vec![("endpoint".to_string(), Json::Str(name))];
+                    if let Json::Obj(fields) = m.to_json() {
+                        row.extend(fields);
+                    }
+                    Json::Obj(row)
+                })
+            })
+            .collect();
+        ok_with(vec![
             (
                 "requests",
                 Json::Num(self.requests.load(Ordering::Relaxed) as f64),
@@ -903,177 +755,39 @@ impl Router {
     /// For each shard: how many keys the ring assigns it that it does
     /// not hold. Unreachable shards report `-1`.
     fn replica_lags(&self, endpoints: &[Endpoint]) -> HashMap<String, i64> {
-        let mut held: HashMap<String, Option<HashSet<String>>> = HashMap::new();
-        let mut all_keys: HashSet<String> = HashSet::new();
-        for ep in endpoints {
-            let name = ep.to_string();
-            match probe_keys(ep, self.config.io_timeout) {
-                Some(keys) => {
-                    all_keys.extend(keys.iter().cloned());
-                    held.insert(name, Some(keys));
-                }
-                None => {
-                    held.insert(name, None);
-                }
-            }
-        }
+        let held: Vec<Option<HashSet<String>>> = endpoints
+            .iter()
+            .map(|ep| {
+                Some(
+                    self.shard_keys(ep)?
+                        .into_iter()
+                        .map(|(key, _)| key)
+                        .collect(),
+                )
+            })
+            .collect();
         // One membership lock and one ring walk per key — not per
         // (key x shard) — so a deep metrics probe cannot stall
         // concurrent compile routing on a large cache.
-        let owners_by_key: Vec<(String, Vec<Endpoint>)> = {
-            let m = self.membership.lock().expect("membership lock");
-            all_keys
-                .iter()
-                .map(|k| (k.clone(), m.replicas_for(k, self.config.replication)))
+        let all_keys: HashSet<&String> = held.iter().flatten().flatten().collect();
+        let owners_by_key: Vec<(&String, Vec<Endpoint>)> = {
+            let m = self.members();
+            (all_keys.into_iter())
+                .map(|k| (k, m.replicas_for(k, self.config.replication)))
                 .collect()
         };
-        let mut lags = HashMap::new();
-        for ep in endpoints {
-            let name = ep.to_string();
-            match held.get(&name) {
-                Some(Some(keys)) => {
-                    let lag = owners_by_key
+        (endpoints.iter().zip(&held))
+            .map(|(ep, keys)| {
+                let lag = keys.as_ref().map_or(-1, |keys| {
+                    owners_by_key
                         .iter()
-                        .filter(|(key, owners)| {
-                            owners.iter().any(|o| o == ep) && !keys.contains(key)
-                        })
-                        .count() as i64;
-                    lags.insert(name, lag);
-                }
-                _ => {
-                    lags.insert(name, -1);
-                }
-            }
-        }
-        lags
-    }
-}
-
-/// Spawns one leg thread. All chaos verdicts were pre-drawn; the thread
-/// only does socket work and reports through the channel (the send is
-/// best-effort — the receiver may already have a winner).
-#[allow(clippy::too_many_arguments)]
-fn spawn_leg(
-    tx: mpsc::Sender<(usize, Leg)>,
-    idx: usize,
-    endpoint: Endpoint,
-    src: String,
-    config: String,
-    req: String,
-    io_timeout: Duration,
-    blocked: bool,
-    garbage: Option<Vec<u8>>,
-) {
-    std::thread::spawn(move || {
-        let outcome = run_leg(&endpoint, &src, &config, &req, io_timeout, blocked, garbage);
-        let _ = tx.send((idx, outcome));
-    });
-}
-
-fn run_leg(
-    endpoint: &Endpoint,
-    src: &str,
-    config: &str,
-    req: &str,
-    io_timeout: Duration,
-    blocked: bool,
-    garbage: Option<Vec<u8>>,
-) -> Leg {
-    if blocked {
-        return Leg::Broken(format!("partition: connect to {endpoint} blocked"));
-    }
-    let mut client = match Client::connect(endpoint) {
-        Ok(c) => c,
-        Err(e) => return Leg::Broken(format!("connect: {e}")),
-    };
-    if let Err(e) = client.set_timeout(Some(io_timeout)) {
-        return Leg::Broken(format!("socket options: {e}"));
-    }
-    if let Some(bytes) = garbage {
-        // Injected line noise: feed the daemon a garbage frame and read
-        // whatever it answers (a structured error — the robustness claim
-        // under test), then treat the connection as poisoned so the
-        // request retries on a clean one.
-        let _ = client.inject_raw(&bytes);
-        let _ = client.read_response();
-        return Leg::Broken("garbage frame injected; connection poisoned".to_string());
-    }
-    match client.compile_tagged(src, config, req) {
-        Ok(resp) => Leg::Answered(resp),
-        Err(e) => Leg::Broken(format!("io: {e}")),
-    }
-}
-
-/// Runs one scatter leg: connects to the shard, sends the sub-batch as
-/// one `compile_batch` frame, and collects the streamed per-item
-/// replies (sub-batch order). All chaos verdicts were pre-drawn.
-fn run_batch_leg(
-    endpoint: &Endpoint,
-    items: &[BatchItem],
-    io_timeout: Duration,
-    blocked: bool,
-    garbage: Option<Vec<u8>>,
-) -> Result<Vec<Json>, String> {
-    if blocked {
-        return Err(format!("partition: connect to {endpoint} blocked"));
-    }
-    let mut client = Client::connect(endpoint).map_err(|e| format!("connect: {e}"))?;
-    client
-        .set_timeout(Some(io_timeout))
-        .map_err(|e| format!("socket options: {e}"))?;
-    if let Some(bytes) = garbage {
-        // Injected line noise, as in `run_leg`: the daemon must answer
-        // structurally; the connection is then poisoned and the whole
-        // sub-batch retries through the per-item fallback.
-        let _ = client.inject_raw(&bytes);
-        let _ = client.read_response();
-        return Err("garbage frame injected; connection poisoned".to_string());
-    }
-    client
-        .compile_batch(items, None)
-        .map_err(|e| format!("io: {e}"))
-}
-
-/// Lists `(key, kind)` held by a shard; empty when unreachable.
-fn list_keys(endpoint: &Endpoint, io_timeout: Duration) -> Vec<(String, String)> {
-    let Ok(mut client) = Client::connect(endpoint) else {
-        return Vec::new();
-    };
-    let _ = client.set_timeout(Some(io_timeout));
-    let Ok(resp) = client.keys() else {
-        return Vec::new();
-    };
-    resp.get("keys")
-        .and_then(Json::as_arr)
-        .map(|rows| {
-            rows.iter()
-                .filter_map(|row| {
-                    Some((
-                        row.str_field("key").ok()?.to_string(),
-                        row.str_field("kind").ok()?.to_string(),
-                    ))
-                })
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
-/// Like [`list_keys`] but distinguishing unreachable (`None`) from
-/// reachable-and-empty (`Some(empty)`), for replica-lag accounting.
-fn probe_keys(endpoint: &Endpoint, io_timeout: Duration) -> Option<HashSet<String>> {
-    let mut client = Client::connect(endpoint).ok()?;
-    client.set_timeout(Some(io_timeout)).ok()?;
-    let resp = client.keys().ok()?;
-    Some(
-        resp.get("keys")
-            .and_then(Json::as_arr)
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|row| row.str_field("key").ok().map(str::to_string))
-                    .collect()
+                        .filter(|(key, owners)| owners.contains(ep) && !keys.contains(*key))
+                        .count() as i64
+                });
+                (ep.to_string(), lag)
             })
-            .unwrap_or_default(),
-    )
+            .collect()
+    }
 }
 
 fn tag_via(resp: Json, served_by: &Endpoint) -> Json {
@@ -1087,8 +801,7 @@ fn tag_via(resp: Json, served_by: &Endpoint) -> Json {
 }
 
 fn membership_report(op: &str, changed: bool, (moved, skipped, failed): (u64, u64, u64)) -> Json {
-    Json::obj(vec![
-        ("status", Json::Str("ok".to_string())),
+    ok_with(vec![
         ("op", Json::Str(op.to_string())),
         ("changed", Json::Bool(changed)),
         ("moved", Json::Num(moved as f64)),

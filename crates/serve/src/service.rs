@@ -58,6 +58,17 @@ pub fn cache_key(canonical_pj: &str, config: &str, gpu: &GpuModel) -> String {
     cache_key_with_options(canonical_pj, config, gpu, &CompileOptions::default())
 }
 
+/// The key a request for `src` routes by: the [`cache_key`] of its
+/// canonical form — the key the owning daemon files the artifact under,
+/// so ring placement lines up with the daemons' caches.
+///
+/// # Errors
+///
+/// The parse error, when `src` has no canonical form.
+pub(crate) fn routing_key(src: &str, config: &str, gpu: &GpuModel) -> Result<String, String> {
+    Ok(cache_key(&polyject_front::canonical_pj(src)?, config, gpu))
+}
+
 /// [`cache_key`] generalized over the [`CompileOptions`] the request
 /// actually compiles under, so a tuned compile and the default compile
 /// of one kernel occupy distinct entries.

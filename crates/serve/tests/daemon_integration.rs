@@ -7,7 +7,7 @@
 
 use polyject_front::emit_pj;
 use polyject_gpusim::GpuModel;
-use polyject_serve::{compile_reply, Client, Endpoint, Json};
+use polyject_serve::{compile_reply, BatchItem, Client, Endpoint, Json};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -20,8 +20,11 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn() -> Daemon {
-        let dir = std::env::temp_dir().join(format!("pj-daemon-it-{}", std::process::id()));
+    /// Spawns a daemon in its own scratch directory (`tag` keeps the
+    /// tests of this file, which run in parallel, off each other's
+    /// socket and cache).
+    fn spawn(tag: &str, extra: &[&str]) -> Daemon {
+        let dir = std::env::temp_dir().join(format!("pj-daemon-it-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         let socket = dir.join("d.sock");
@@ -31,9 +34,8 @@ impl Daemon {
                 socket.to_str().unwrap(),
                 "--cache-dir",
                 dir.join("cache").to_str().unwrap(),
-                "--workers",
-                "2",
             ])
+            .args(extra)
             .stdout(Stdio::piped())
             .stderr(Stdio::null())
             .spawn()
@@ -83,7 +85,7 @@ fn artifact_blob(resp: &Json) -> String {
 
 #[test]
 fn concurrent_clients_get_byte_identical_replies() {
-    let daemon = Daemon::spawn();
+    let daemon = Daemon::spawn("concurrent", &["--workers", "2"]);
 
     // Table II operators (the LSTM network's), expressed as .pj source.
     let sources: Vec<String> = polyject_workloads::lstm()
@@ -174,7 +176,7 @@ fn concurrent_clients_get_byte_identical_replies() {
 
 #[test]
 fn daemon_survives_bad_requests() {
-    let daemon = Daemon::spawn();
+    let daemon = Daemon::spawn("bad-requests", &["--workers", "2"]);
     let mut client = Client::connect(&daemon.endpoint).unwrap();
 
     // Parse errors and unknown configs come back as error responses …
@@ -192,4 +194,167 @@ fn daemon_survives_bad_requests() {
         )
         .unwrap();
     assert_eq!(resp.str_field("status").unwrap(), "ok");
+}
+
+/// A deep elementwise chain whose influenced compile takes seconds —
+/// long enough to hold a worker (and its queue slot) while the
+/// overloaded case below is probed.
+fn slow_src() -> String {
+    let (n, depth) = (48, 48);
+    let mut src = format!("kernel chain\nparam N = {n}\ntensor A[N]: f32\n");
+    for s in 0..depth {
+        src.push_str(&format!("tensor T{s}[N]: f32\n"));
+    }
+    for s in 0..depth {
+        let prev = if s == 0 {
+            "A".to_string()
+        } else {
+            format!("T{}", s - 1)
+        };
+        src.push_str(&format!(
+            "stmt S{s} for (i in 0..N) T{s}[i] = {prev}[i] * 2.0\n"
+        ));
+    }
+    src
+}
+
+/// The counters the equivalence below compares, in a fixed order:
+/// hits, misses, coalesced, errors, overloaded, latency.count,
+/// batch_requests, batch_items.
+fn counters(client: &mut Client) -> [u64; 8] {
+    let report = client.stats().unwrap();
+    let stats = report.get("stats").expect("stats section");
+    let n = |k: &str| stats.get(k).and_then(Json::as_u64).expect(k);
+    let samples = stats.get("latency").and_then(|l| l.get("count"));
+    [
+        n("hits"),
+        n("misses"),
+        n("coalesced"),
+        n("errors"),
+        n("overloaded"),
+        samples.and_then(Json::as_u64).expect("latency.count"),
+        n("batch_requests"),
+        n("batch_items"),
+    ]
+}
+
+/// The equivalence the one request path rests on: a `compile` is a
+/// `compile_batch` of one. The same five-case script — cold miss, warm
+/// hit, parse error, unknown config, overloaded queue — runs against two
+/// fresh daemons, one asked through `Client::compile`, the other through
+/// `Client::compile_batch(&[item])[0]`. Case by case the replies must
+/// render byte-identically and move the daemon's counters by the same
+/// deltas; only `batch_requests` / `batch_items` may tell the forms
+/// apart, counting the enveloped one alone.
+#[test]
+fn single_compile_is_a_batch_of_one() {
+    const SRC: &str = "kernel axpy\nparam N = 64\ntensor X[N]: f32\ntensor Y[N]: f32\n\
+                       stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]\n";
+    type Ask = fn(&mut Client, &str, &str) -> Json;
+    let single: Ask = |c, src, config| c.compile(src, config).unwrap();
+    let enveloped: Ask = |c, src, config| {
+        let mut replies = c
+            .compile_batch(&[BatchItem::new(src, config)], None)
+            .unwrap();
+        assert_eq!(replies.len(), 1);
+        replies.remove(0)
+    };
+
+    // Runs the script through one form; returns each case's rendered
+    // reply and counter deltas.
+    let script = |tag: &str, ask: Ask| -> Vec<(String, [u64; 8])> {
+        // One worker, one queue slot: a single slow compile in flight
+        // fills the queue.
+        let daemon = Daemon::spawn(tag, &["--workers", "1", "--queue-bound", "1"]);
+        let mut client = Client::connect(&daemon.endpoint).unwrap();
+        let case = |client: &mut Client, src: &str, config: &str| {
+            let before = counters(client);
+            let reply = ask(client, src, config);
+            let after = counters(client);
+            let delta: [u64; 8] = std::array::from_fn(|i| after[i] - before[i]);
+            // `compile_ms` is the wall clock of the one fresh compile
+            // behind a key (hits replay it) — the only field that
+            // legitimately differs between two daemons.
+            let rendered = match reply {
+                Json::Obj(fields) => Json::Obj(
+                    fields
+                        .into_iter()
+                        .filter(|(k, _)| k != "compile_ms")
+                        .collect(),
+                ),
+                other => other,
+            };
+            (rendered.render(), delta)
+        };
+        let mut cases = vec![
+            case(&mut client, SRC, "infl"),               // cold miss
+            case(&mut client, SRC, "infl"),               // warm hit
+            case(&mut client, "kernel broken (", "infl"), // parse error
+            case(&mut client, SRC, "nonsense"),           // unknown config
+        ];
+        // Overloaded: a tagged slow compile on a second connection holds
+        // the only slot; it is cancelled by id once the probe is done.
+        let occupier = {
+            let endpoint = daemon.endpoint.clone();
+            std::thread::spawn(move || {
+                let mut c = Client::connect(&endpoint).unwrap();
+                loop {
+                    // Shed only if it raced a probe for the slot: retry.
+                    let resp = c.compile_tagged(&slow_src(), "infl", "occupy").unwrap();
+                    if resp.str_field("status") != Ok("overloaded") {
+                        break resp;
+                    }
+                }
+            })
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        let overloaded = loop {
+            // Until the occupier is admitted a probe is a plain warm hit
+            // (or races it for the slot): only a shed probe counts.
+            let probe = case(&mut client, SRC, "infl");
+            if probe.0.contains("\"status\":\"overloaded\"") {
+                break probe;
+            }
+            assert!(Instant::now() < deadline, "queue never filled");
+            std::thread::sleep(Duration::from_millis(5));
+        };
+        cases.push(overloaded);
+        let cancelled = client.cancel("occupy").unwrap();
+        assert_eq!(cancelled.get("cancelled"), Some(&Json::Bool(true)));
+        let aborted = occupier.join().unwrap();
+        assert_eq!(aborted.get("retryable"), Some(&Json::Bool(true)));
+        cases
+    };
+
+    let bare = script("equiv-single", single);
+    let wrapped = script("equiv-batch", enveloped);
+    //                 hits miss coal errs over lat
+    let expected = [
+        ("cold miss", "\"cached\":false", [0, 1, 0, 0, 0, 1]),
+        ("warm hit", "\"cached\":true", [1, 0, 0, 0, 0, 1]),
+        ("parse error", "\"status\":\"error\"", [0, 0, 0, 1, 0, 0]),
+        ("unknown config", "unknown config", [0, 0, 0, 1, 0, 0]),
+        (
+            "overloaded",
+            "\"status\":\"overloaded\"",
+            [0, 0, 0, 0, 1, 0],
+        ),
+    ];
+    assert_eq!(bare.len(), expected.len());
+    for (((name, marker, delta), one), many) in expected.iter().zip(&bare).zip(&wrapped) {
+        assert!(one.0.contains(marker), "{name}: {}", one.0);
+        assert_eq!(one.0, many.0, "{name}: the two forms rendered differently");
+        assert_eq!(one.1[..6], delta[..], "{name}: single-form counter deltas");
+        assert_eq!(many.1[..6], delta[..], "{name}: batch-form counter deltas");
+        assert_eq!(
+            one.1[6..],
+            [0, 0],
+            "{name}: a bare compile is no batch request"
+        );
+        assert_eq!(
+            many.1[6..],
+            [1, 1],
+            "{name}: one enveloped request, one item"
+        );
+    }
 }

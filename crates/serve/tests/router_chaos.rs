@@ -20,7 +20,7 @@
 use polyject_gpusim::GpuModel;
 use polyject_serve::hash::hex_digest;
 use polyject_serve::service::compile_reply;
-use polyject_serve::{Client, Endpoint, Json, NetChaos, Router, RouterConfig};
+use polyject_serve::{BatchItem, Client, Endpoint, Json, NetChaos, Router, RouterConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
@@ -663,10 +663,10 @@ fn batched_chaos_serves_zero_corrupt_artifacts() {
     // Every variant twice per batch: the duplicates must come back as
     // correct artifacts too (daemon-side in-batch dedup answers them
     // from their primary's result).
-    let batch: Vec<(String, String)> = variants
+    let batch: Vec<BatchItem> = variants
         .iter()
         .chain(variants.iter())
-        .map(|s| (s.clone(), "infl".to_string()))
+        .map(|s| BatchItem::new(s.as_str(), "infl"))
         .collect();
 
     let (mut ok, mut errs) = (0u64, 0u64);
@@ -754,9 +754,9 @@ fn shard_death_mid_scatter_degrades_to_failover() {
 
     let variants: Vec<String> = (1..=9).map(|k| axpy(24 * k)).collect();
     let truths: HashMap<String, String> = variants.iter().map(|s| truth(s)).collect();
-    let batch: Vec<(String, String)> = variants
+    let batch: Vec<BatchItem> = variants
         .iter()
-        .map(|s| (s.clone(), "infl".to_string()))
+        .map(|s| BatchItem::new(s.as_str(), "infl"))
         .collect();
 
     // Scatter 1, fleet healthy: establishes which shard owns what.
@@ -821,10 +821,10 @@ fn same_seed_batched_replays_are_identical() {
     let variants: Vec<String> = (1..=6).map(|k| axpy(16 * k)).collect();
     // Duplicates in-batch, so the replayed stream exercises the dedup
     // path on both fleets.
-    let batch: Vec<(String, String)> = variants
+    let batch: Vec<BatchItem> = variants
         .iter()
         .chain(variants.iter().take(3))
-        .map(|s| (s.clone(), "infl".to_string()))
+        .map(|s| BatchItem::new(s.as_str(), "infl"))
         .collect();
 
     fn replay_digest(resp: &Json) -> String {

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
 # Offline CI gate: formatting, lints, the tier-1 verify (build + tests),
+# an offline build of the standalone benchmark package,
 # a <10 s Table II smoke run (LSTM subset, serial vs parallel identity +
 # BENCH JSON emission), a seeded fault-injection chaos gate, a
 # budget-exhaustion/cancellation smoke, a cold-vs-warm schedule-cache
@@ -44,6 +45,13 @@ cargo test -q
 
 step "workspace tests (every crate, incl. serve daemon/cache suites)"
 cargo test --workspace -q
+
+step "benchmark package builds against the crates (standalone workspace, offline)"
+# benchmark/ is its own workspace, so nothing above compiles it: a
+# renamed serve/bench API would otherwise break it unseen until the
+# benchmark pipeline runs.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+echo "ok: benchmark/ builds unmodified against the current public APIs"
 
 step "solver identity gate (integer tableau / warm start / FM vs references)"
 cargo test --release -q -p polyject-sets --test differential
