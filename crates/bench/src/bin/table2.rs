@@ -57,7 +57,7 @@ fn print_stats(label: &str, run: &Table2Run) {
          | lp_solves {} ilp_solves {} ilp_nodes {} fm_eliminations {} \
          | pivots p1 {} p2 {} repair {} | warm_nodes {} preprocess {:.1}ms \
          | phases dep {:.1}ms assemble {:.1}ms solve {:.1}ms codegen {:.1}ms \
-         | i64 {} escalations {} farkas {} redundancy {} spec {}/{} \
+         | i64 {} escalations {} farkas {} redundancy {} \
          | deps {} session_reuses {} \
          | degraded {} cancelled {} panics_recovered {}",
         run.unique_ops,
@@ -81,8 +81,6 @@ fn print_stats(label: &str, run: &Table2Run) {
         c.tab_overflow_escalations,
         c.farkas_linearizations,
         c.redundancy_checks,
-        c.spec_adopted,
-        c.spec_discarded,
         c.dependence_analyses,
         c.session_reuses,
         c.degraded_solves,
@@ -339,24 +337,8 @@ fn main() {
     } else if bench {
         isolate_leg();
         let serial = run_table2_networks(&nets, &model, 1);
-        // The parallel leg additionally enables speculative intra-kernel
-        // parallelism: each compile may dispatch its predicted next
-        // ladder rung onto idle pool workers. Output must stay
-        // byte-identical to the serial leg (asserted below); only
-        // wall-clock and the spec_adopted/spec_discarded counters react.
         isolate_leg();
-        let parallel = if bench_workers >= 2 {
-            let spec = std::sync::Arc::new(polyject_serve::PoolSpecExecutor::new(bench_workers));
-            polyject_core::install_spec_executor(spec.clone());
-            let run = run_table2_networks(&nets, &model, bench_workers);
-            polyject_core::clear_spec_executor();
-            // Last reference: dropping it joins the speculation pool, so
-            // no cancelled speculative worker outlives the bench.
-            drop(spec);
-            run
-        } else {
-            run_table2_networks(&nets, &model, bench_workers)
-        };
+        let parallel = run_table2_networks(&nets, &model, bench_workers);
         let identical = measurements_identical(&serial.results, &parallel.results);
         let b = Table2Bench {
             cores,

@@ -228,14 +228,13 @@ pub fn render_bench_json(b: &Table2Bench) -> String {
         let c = &r.perf.counters;
         write!(
             out,
-            "  \"{key}\": {{\n    \"wall_s\": {:.6},\n    \"workers\": {},\n    \"unique_ops\": {},\n    \"compile_ms_total\": {:.3},\n    \"solver\": {{ \"lp_solves\": {}, \"ilp_solves\": {}, \"ilp_nodes\": {}, \"fm_eliminations\": {}, \"lp_phase1_pivots\": {}, \"lp_phase2_pivots\": {}, \"bb_repair_pivots\": {}, \"bb_warm_nodes\": {}, \"tab_i64_solves\": {}, \"tab_overflow_escalations\": {}, \"farkas_linearizations\": {}, \"redundancy_checks\": {}, \"spec_adopted\": {}, \"spec_discarded\": {}, \"dependence_analyses\": {}, \"session_reuses\": {}, \"preprocess_ms\": {:.3}, \"dependence_ms\": {:.3}, \"assemble_ms\": {:.3}, \"solve_ms\": {:.3}, \"codegen_ms\": {:.3}, \"degraded_solves\": {}, \"cancelled_solves\": {}, \"panics_recovered\": {} }}\n  }}",
+            "  \"{key}\": {{\n    \"wall_s\": {:.6},\n    \"workers\": {},\n    \"unique_ops\": {},\n    \"compile_ms_total\": {:.3},\n    \"solver\": {{ \"lp_solves\": {}, \"ilp_solves\": {}, \"ilp_nodes\": {}, \"fm_eliminations\": {}, \"lp_phase1_pivots\": {}, \"lp_phase2_pivots\": {}, \"bb_repair_pivots\": {}, \"bb_warm_nodes\": {}, \"tab_i64_solves\": {}, \"tab_overflow_escalations\": {}, \"farkas_linearizations\": {}, \"redundancy_checks\": {}, \"dependence_analyses\": {}, \"session_reuses\": {}, \"preprocess_ms\": {:.3}, \"dependence_ms\": {:.3}, \"assemble_ms\": {:.3}, \"solve_ms\": {:.3}, \"codegen_ms\": {:.3}, \"degraded_solves\": {}, \"cancelled_solves\": {}, \"panics_recovered\": {} }}\n  }}",
             r.wall_s, r.workers, r.unique_ops, r.perf.compile_ms,
             c.lp_solves, c.ilp_solves, c.ilp_nodes, c.fm_eliminations,
             c.lp_phase1_pivots, c.lp_phase2_pivots,
             c.bb_repair_pivots, c.bb_warm_nodes,
             c.tab_i64_solves, c.tab_overflow_escalations,
             c.farkas_linearizations, c.redundancy_checks,
-            c.spec_adopted, c.spec_discarded,
             c.dependence_analyses, c.session_reuses,
             c.preprocess_ns as f64 / 1e6,
             c.dependence_ns as f64 / 1e6,
@@ -411,8 +410,6 @@ mod tests {
             "\"tab_overflow_escalations\"",
             "\"farkas_linearizations\"",
             "\"redundancy_checks\"",
-            "\"spec_adopted\"",
-            "\"spec_discarded\"",
             "\"dependence_analyses\"",
             "\"session_reuses\"",
             "\"preprocess_ms\"",

@@ -42,8 +42,6 @@ pub struct TunedOp {
     pub tuned_ms: f64,
     /// Candidate configurations evaluated by the search (0 on replay).
     pub evaluated: usize,
-    /// Spearman rank correlation achieved by the cost-model stub.
-    pub rank_correlation: f64,
     /// `true` when the configuration was replayed from the cache with
     /// zero search.
     pub cached: bool,
@@ -112,7 +110,6 @@ impl TuneBench {
                     ("tuned_ms", Json::Num(o.tuned_ms)),
                     ("speedup", Json::Num(o.speedup())),
                     ("evaluated", Json::Num(o.evaluated as f64)),
-                    ("rank_correlation", Json::Num(o.rank_correlation)),
                     ("cached", Json::Bool(o.cached)),
                     ("estimate_memo_hits", Json::Num(o.estimate_memo_hits as f64)),
                     (
@@ -140,8 +137,8 @@ impl TuneBench {
 }
 
 /// Tunes every unique operator of the given networks through a
-/// persistent cache: operators with a persisted [`TunedConfig`]
-/// (`polyject_tune::TunedConfig`) replay with zero search, the rest run
+/// persistent cache: operators with a persisted
+/// [`polyject_tune::TunedConfig`] replay with zero search, the rest run
 /// the beam search and persist their winner. Whole per-kernel searches
 /// fan over `workers` threads (each search evaluates its candidates
 /// serially through one compile session). Results are identical for any
@@ -184,8 +181,7 @@ pub fn run_table2_tuned(
     let mut ops = Vec::with_capacity(unique.len());
     let (mut searched, mut replayed) = (0, 0);
     for (op, res) in unique.iter().zip(reports) {
-        let batch = res.map_err(|e| format!("{}: {e}", op_key(op)))?;
-        let report = &batch.report;
+        let report = res.map_err(|e| format!("{}: {e}", op_key(op)))?;
         if report.cached {
             replayed += 1;
         } else {
@@ -202,12 +198,11 @@ pub fn run_table2_tuned(
             } else {
                 report.tuned.evaluated
             },
-            rank_correlation: report.tuned.rank_correlation,
             cached: report.cached,
-            estimate_memo_hits: batch.estimate_memo_hits,
-            warm_dependence_analyses: batch.warm_dependence_analyses,
-            warm_farkas_linearizations: batch.warm_farkas_linearizations,
-            session_reuses: batch.session_reuses,
+            estimate_memo_hits: report.estimate_memo_hits,
+            warm_dependence_analyses: report.warm_dependence_analyses,
+            warm_farkas_linearizations: report.warm_farkas_linearizations,
+            session_reuses: report.session_reuses,
         });
     }
     if let Some(Err(e)) = svc.with_cache(|c| c.flush()) {
@@ -287,7 +282,6 @@ mod tests {
                 default_ms: 2.0,
                 tuned_ms: 1.0,
                 evaluated: 7,
-                rank_correlation: 0.5,
                 cached: false,
                 estimate_memo_hits: 2,
                 warm_dependence_analyses: 0,
@@ -312,7 +306,6 @@ mod tests {
             "\"tuned_ms\"",
             "\"speedup\"",
             "\"evaluated\"",
-            "\"rank_correlation\"",
             "\"cached\"",
             "\"estimate_memo_hits\"",
             "\"warm_dependence_analyses\"",

@@ -337,12 +337,6 @@ struct Driver<'a> {
     /// ladder retries push only the node's delta rows against it and the
     /// lexmin chain re-optimizes the same tableau per objective.
     ctx: Option<SchedCtx>,
-    /// At most one in-flight speculative solve of the predicted next
-    /// ladder rung (the current node's right sibling), dispatched to the
-    /// installed [`crate::speculate::SpecExecutor`] while the sequential
-    /// solve runs. Adopted only when the sequential decision point
-    /// confirms its premise; dropping it cancels the worker.
-    spec: Option<crate::speculate::Speculation>,
 }
 
 impl<'a> Driver<'a> {
@@ -400,7 +394,6 @@ impl<'a> Driver<'a> {
             prog_cache: None,
             base_cache: None,
             ctx: None,
-            spec: None,
         }
     }
 
@@ -456,63 +449,30 @@ impl<'a> Driver<'a> {
                 if attempts > self.opts.max_attempts {
                     return Err(ScheduleError::infeasible("attempt budget exhausted"));
                 }
-                // Adopt a pending speculative solve only when this
-                // decision point confirms the exact premise it was
-                // spawned under; otherwise cancel and discard it (the
-                // drop trips the worker's flag).
-                let mut adopted: Option<IlpOutcome> = None;
-                if let Some(spec) = self.spec.take() {
-                    if spec.matches(self.sched_version, node, use_progression, &remaining) {
-                        let t_wait = std::time::Instant::now();
-                        let got = spec.wait(self.budget);
-                        polyject_sets::counters::add_solve_ns(t_wait.elapsed().as_nanos() as u64);
-                        match got {
-                            Ok(Some(o)) => {
-                                polyject_sets::counters::note_spec_adopted();
-                                adopted = Some(o);
-                            }
-                            Ok(None) => polyject_sets::counters::note_spec_discarded(),
-                            Err(e) => return Err(ScheduleError::from_budget(e)),
-                        }
-                    } else {
-                        polyject_sets::counters::note_spec_discarded();
-                    }
+                self.assemble_base(&schedule, &remaining, use_progression)?;
+                self.stats.ilp_solves += 1;
+                let objectives = self.objectives_for(node);
+                let t_solve = std::time::Instant::now();
+                let tree = self.tree;
+                let ctx = self.ctx.as_mut().expect("assemble_base built the context");
+                // Delta rows on top of the prepared base: only the
+                // node's own constraints; popped right after the solve
+                // so ladder retries reuse the same solved prefix.
+                let mark = ctx.mark();
+                if let Some(n) = node {
+                    ctx.push_set(&tree.node(n).constraints);
                 }
-                let outcome = if let Some(o) = adopted {
-                    // The speculative worker computed the identical rung
-                    // (same base rows, delta, objectives — see the
-                    // `speculate` module on determinism).
-                    self.stats.ilp_solves += 1;
-                    o
-                } else {
-                    self.assemble_base(&schedule, &remaining, use_progression)?;
-                    self.maybe_speculate(&schedule, node, use_progression, &backup[d]);
-                    self.stats.ilp_solves += 1;
-                    let objectives = self.objectives_for(node);
-                    let t_solve = std::time::Instant::now();
-                    let tree = self.tree;
-                    let ctx = self.ctx.as_mut().expect("assemble_base built the context");
-                    // Delta rows on top of the prepared base: only the
-                    // node's own constraints; popped right after the solve
-                    // so ladder retries reuse the same solved prefix.
-                    let mark = ctx.mark();
-                    if let Some(n) = node {
-                        ctx.push_set(&tree.node(n).constraints);
-                    }
-                    let solved = ctx.try_lexmin(&objectives, self.budget);
-                    ctx.pop(mark);
-                    polyject_sets::counters::add_solve_ns(t_solve.elapsed().as_nanos() as u64);
-                    match solved {
-                        Ok(o) => o,
-                        Err(e @ BudgetError::Cancelled) => {
-                            return Err(ScheduleError::from_budget(e))
-                        }
-                        Err(BudgetError::Exhausted(_)) => {
-                            // Budget exhaustion takes the same ladder as
-                            // infeasibility: drop influence, retry relaxed.
-                            polyject_sets::counters::note_degraded_solve();
-                            IlpOutcome::Infeasible
-                        }
+                let solved = ctx.try_lexmin(&objectives, self.budget);
+                ctx.pop(mark);
+                polyject_sets::counters::add_solve_ns(t_solve.elapsed().as_nanos() as u64);
+                let outcome = match solved {
+                    Ok(o) => o,
+                    Err(e @ BudgetError::Cancelled) => return Err(ScheduleError::from_budget(e)),
+                    Err(BudgetError::Exhausted(_)) => {
+                        // Budget exhaustion takes the same ladder as
+                        // infeasibility: drop influence, retry relaxed.
+                        polyject_sets::counters::note_degraded_solve();
+                        IlpOutcome::Infeasible
                     }
                 };
                 if let IlpOutcome::Optimal { point, .. } = outcome {
@@ -723,7 +683,18 @@ impl<'a> Driver<'a> {
             polyject_sets::counters::add_solve_ns(t1.elapsed().as_nanos() as u64);
             return Ok(());
         }
-        let sys = self.build_system(schedule, remaining, use_progression);
+        // The full per-dimension base system: coefficient bounds,
+        // (optionally) progression, and the validity + bounding systems
+        // of every remaining dependence.
+        let mut sys = self.prefix.bounds_cs.clone();
+        if use_progression {
+            self.progression(schedule);
+            sys.intersect(&self.prog_cache.as_ref().expect("progression cached").1);
+        }
+        for &i in remaining {
+            sys.intersect(&self.prefix.val_cache[i]);
+            sys.intersect(&self.prefix.bound_cache[i]);
+        }
         self.base_cache = Some((self.sched_version, use_progression, remaining.clone()));
         polyject_sets::counters::add_assemble_ns(t0.elapsed().as_nanos() as u64);
         // Preparing the context (the base's phase 1) is solver work, not
@@ -734,67 +705,6 @@ impl<'a> Driver<'a> {
         polyject_sets::counters::add_solve_ns(t1.elapsed().as_nanos() as u64);
         self.ctx = Some(ctx?);
         Ok(())
-    }
-
-    /// Intersects the full per-dimension base system: coefficient bounds,
-    /// (optionally) progression, and the validity + bounding systems of
-    /// every remaining dependence.
-    fn build_system(
-        &mut self,
-        schedule: &Schedule,
-        remaining: &BTreeSet<usize>,
-        use_progression: bool,
-    ) -> ConstraintSet {
-        let mut sys = self.prefix.bounds_cs.clone();
-        if use_progression {
-            self.progression(schedule);
-            sys.intersect(&self.prog_cache.as_ref().expect("progression cached").1);
-        }
-        for &i in remaining {
-            sys.intersect(&self.prefix.val_cache[i]);
-            sys.intersect(&self.prefix.bound_cache[i]);
-        }
-        sys
-    }
-
-    /// Offers the predicted next ladder rung — the current node's right
-    /// sibling on the dimension's backup dependence set (exactly what
-    /// ladder step (2) would try if the sequential solve fails) — to the
-    /// installed speculation executor. A no-op unless an executor is
-    /// installed, a sibling exists, no speculation is already in flight,
-    /// and the budget is unmetered (offloaded work escapes thread-local
-    /// resource accounting, so metered compiles stay strictly serial).
-    fn maybe_speculate(
-        &mut self,
-        schedule: &Schedule,
-        node: Option<NodeId>,
-        use_progression: bool,
-        backup_d: &BTreeSet<usize>,
-    ) {
-        if self.spec.is_some() || self.budget.has_resource_limits() {
-            return;
-        }
-        let Some(n) = node else { return };
-        let Some(sib) = self.tree.right_sibling(n) else {
-            return;
-        };
-        if crate::speculate::executor().is_none() {
-            return;
-        }
-        let t0 = std::time::Instant::now();
-        let sys = self.build_system(schedule, backup_d, use_progression);
-        polyject_sets::counters::add_assemble_ns(t0.elapsed().as_nanos() as u64);
-        let delta = self.tree.node(sib).constraints.clone();
-        let objectives = self.objectives_for(Some(sib));
-        self.spec = crate::speculate::spawn(
-            sys,
-            delta,
-            objectives,
-            self.sched_version,
-            sib,
-            use_progression,
-            backup_d.clone(),
-        );
     }
 
     fn append_dimension(
@@ -1095,125 +1005,6 @@ mod tests {
             let b = plain_schedule(&kernel);
             assert_eq!(a.schedule.render(&kernel), b.schedule.render(&kernel));
         }
-    }
-}
-
-#[cfg(test)]
-mod speculation_tests {
-    use super::*;
-    use crate::layout::CoeffLayout;
-    use crate::speculate::SpecExecutor;
-    use polyject_deps::{compute_dependences, DepOptions};
-    use polyject_ir::ops;
-    use polyject_sets::counters;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Mutex};
-
-    /// Executor running jobs on plain threads, tracking spawn/finish so
-    /// leaked (never-terminating) speculative workers become visible.
-    struct TrackingSpawner {
-        spawned: AtomicUsize,
-        finished: Arc<AtomicUsize>,
-        handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    }
-
-    impl SpecExecutor for TrackingSpawner {
-        fn try_spawn(&self, job: Box<dyn FnOnce() + Send + 'static>) -> bool {
-            self.spawned.fetch_add(1, Ordering::SeqCst);
-            let finished = self.finished.clone();
-            let h = std::thread::spawn(move || {
-                job();
-                finished.fetch_add(1, Ordering::SeqCst);
-            });
-            self.handles.lock().unwrap().push(h);
-            true
-        }
-    }
-
-    /// A tree whose first root is unsatisfiable (an iterator coefficient
-    /// forced to both 0 and 1), with a trivially satisfiable sibling —
-    /// ladder step (2) must fire, which is exactly the rung the driver
-    /// speculates on.
-    fn sibling_tree(kernel: &Kernel) -> InfluenceTree {
-        let layout = CoeffLayout::new(kernel);
-        let n = layout.n_vars();
-        let v = layout.iter_coeff(StmtId(0), 0);
-        let mut impossible = ConstraintSet::universe(n);
-        impossible.add(polyject_sets::Constraint::eq0(polyject_sets::LinExpr::var(
-            n, v,
-        )));
-        let mut e = polyject_sets::LinExpr::var(n, v);
-        e.set_constant(-1i128);
-        impossible.add(polyject_sets::Constraint::eq0(e));
-        let mut tree = InfluenceTree::new();
-        tree.add_root(impossible, "impossible");
-        tree.add_root(ConstraintSet::universe(n), "fallback");
-        tree
-    }
-
-    #[test]
-    fn speculative_sibling_adoption_is_deterministic_and_leak_free() {
-        let kernel = ops::running_example(16);
-        let deps = compute_dependences(&kernel, DepOptions::default());
-        let tree = sibling_tree(&kernel);
-        let opts = SchedulerOptions::default();
-
-        // Sequential reference, no executor installed.
-        let serial = schedule_kernel(&kernel, &deps, &tree, opts).expect("schedulable");
-
-        let ex = Arc::new(TrackingSpawner {
-            spawned: AtomicUsize::new(0),
-            finished: Arc::new(AtomicUsize::new(0)),
-            handles: Mutex::new(Vec::new()),
-        });
-        crate::speculate::install_spec_executor(ex.clone());
-        let before = counters::snapshot();
-        let spec = schedule_kernel(&kernel, &deps, &tree, opts).expect("schedulable");
-        let delta = counters::snapshot().delta_since(&before);
-        crate::speculate::clear_spec_executor();
-
-        assert_eq!(
-            serial.schedule.render(&kernel),
-            spec.schedule.render(&kernel),
-            "speculation must not change the schedule"
-        );
-        assert_eq!(serial.influenced, spec.influenced);
-        assert_eq!(serial.stats.ilp_solves, spec.stats.ilp_solves);
-        let spawned = ex.spawned.load(Ordering::SeqCst);
-        assert!(spawned >= 1, "the sibling rung must have been offered");
-        assert!(
-            delta.spec_adopted >= 1,
-            "the confirmed sibling premise must adopt the speculative solve: {delta:?}"
-        );
-        // Every speculative worker — adopted or cancelled — terminates:
-        // a cancelled speculation trips its budget flag and the worker
-        // exits cooperatively instead of leaking.
-        for h in ex.handles.lock().unwrap().drain(..) {
-            h.join().expect("speculative worker panicked");
-        }
-        assert_eq!(ex.finished.load(Ordering::SeqCst), spawned);
-    }
-
-    #[test]
-    fn metered_budgets_never_speculate() {
-        let kernel = ops::running_example(16);
-        let deps = compute_dependences(&kernel, DepOptions::default());
-        let tree = sibling_tree(&kernel);
-        let ex = Arc::new(TrackingSpawner {
-            spawned: AtomicUsize::new(0),
-            finished: Arc::new(AtomicUsize::new(0)),
-            handles: Mutex::new(Vec::new()),
-        });
-        crate::speculate::install_spec_executor(ex.clone());
-        // A resource-metered budget accounts solver work against
-        // thread-local counters; offloading would skew it, so the driver
-        // must stay strictly sequential.
-        let budget = Budget::unlimited().with_max_pivots(u64::MAX);
-        let res =
-            schedule_kernel_budgeted(&kernel, &deps, &tree, SchedulerOptions::default(), &budget);
-        crate::speculate::clear_spec_executor();
-        assert!(res.is_ok());
-        assert_eq!(ex.spawned.load(Ordering::SeqCst), 0);
     }
 }
 

@@ -39,7 +39,6 @@ mod optimizer;
 mod schedtree;
 mod schedule;
 mod session;
-mod speculate;
 mod tree;
 mod verify;
 
@@ -62,6 +61,5 @@ pub use polyject_sets::{Budget, BudgetError, BudgetResource};
 pub use schedtree::{render_schedule_tree, schedule_tree, TreeNode};
 pub use schedule::{DimFlags, Schedule, ScheduleRow, StatementSchedule};
 pub use session::{SchedulePrefix, ScheduleSession};
-pub use speculate::{clear_spec_executor, install_spec_executor, SpecExecutor};
 pub use tree::{InfluenceNode, InfluenceTree, NodeId};
 pub use verify::{verify_schedule, ScheduleReport};

@@ -25,12 +25,10 @@
 //! move tiling or mapping knobs replay the schedule outright — and per
 //! built influence *tree*, deduplicating weight mutations that select
 //! the same scenario dimensions (the solver never reads the options,
-//! only the tree, so equal trees provably solve identically). Reuse is
-//! gated exactly
-//! like speculation: a resource-metered budget never touches shared
-//! state, because offloaded or pre-paid work would escape its
-//! thread-local accounting. Warm serves are counted in the
-//! `session_reuses` solver counter.
+//! only the tree, so equal trees provably solve identically). A
+//! resource-metered budget never touches shared state, because pre-paid
+//! work would escape its thread-local accounting. Warm serves are
+//! counted in the `session_reuses` solver counter.
 //!
 //! Everything served from a session is bitwise identical to a cold
 //! [`schedule_kernel_budgeted`](crate::schedule_kernel_budgeted) run:

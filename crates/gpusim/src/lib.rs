@@ -28,9 +28,7 @@
 mod analyze;
 mod exec;
 mod model;
-mod tune;
 
 pub use analyze::{estimate, profile, AccessMetric, AccessPattern, ProfileReport};
 pub use exec::{check_equivalence, execute_ast, global_width, seeded_buffers, ExecError};
 pub use model::{GpuModel, KernelTiming};
-pub use tune::{autotune, TuneCandidate, TuneResult, MAX_LOG};

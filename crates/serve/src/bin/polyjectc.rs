@@ -207,7 +207,7 @@ fn main() -> ExitCode {
             seed: tune_seed.unwrap_or(TuneOptions::default().seed),
             ..TuneOptions::default()
         };
-        let report = match tune_cached(&svc, &src, config.name(), &opts, &Budget::unlimited(), 1) {
+        let report = match tune_cached(&svc, &src, config.name(), &opts, &Budget::unlimited()) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("{file}: tuning failed: {e}");
@@ -215,12 +215,11 @@ fn main() -> ExitCode {
             }
         };
         println!(
-            "[tune] default_ms={:.6} tuned_ms={:.6} speedup={:.3} evaluated={} corr={:.3} cached={}",
+            "[tune] default_ms={:.6} tuned_ms={:.6} speedup={:.3} evaluated={} cached={}",
             report.tuned.default_time * 1e3,
             report.tuned.tuned_time * 1e3,
             report.tuned.speedup(),
             report.tuned.evaluated,
-            report.tuned.rank_correlation,
             report.cached,
         );
         Some(report.tuned.to_compile_options())

@@ -26,7 +26,7 @@ use crate::protocol::{
 use crate::service::{CompileService, Served};
 use crate::stats::ServeStats;
 use crate::transport::{self, Listener};
-use crate::tuned::{tune_cached, tuned_key};
+use crate::tuned::{tune_cached, tuned_key, TuneReport};
 use polyject_core::Budget;
 use polyject_gpusim::GpuModel;
 use polyject_tune::TuneOptions;
@@ -567,6 +567,40 @@ fn pick_tune_candidate(shared: &Shared) -> Option<(String, String)> {
         .flatten()
 }
 
+/// Holds the one background-tune slot ([`Shared::tuning`]) and frees it
+/// on drop, so a tune that panics cannot leave the flag set — that would
+/// stop idle tuning for good and hang [`run_daemon`]'s drain loop.
+struct TuningSlot(Arc<Shared>);
+
+impl Drop for TuningSlot {
+    fn drop(&mut self) {
+        self.0.tuning.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The background-tune thread's body: runs `tune` and counts a freshly
+/// searched, complete (hence persisted) outcome. The slot is released
+/// when this returns or unwinds.
+fn background_tune(
+    slot: TuningSlot,
+    config: &str,
+    tune: impl FnOnce(&Shared) -> Result<TuneReport, String>,
+) {
+    let s = &slot.0;
+    match tune(s) {
+        Ok(report) if !report.cached && report.complete => {
+            s.tuned_count.fetch_add(1, Ordering::SeqCst);
+            eprintln!(
+                "[polyjectd] background-tuned {} ({config}): speedup {:.3}x over {} candidates",
+                report.key,
+                report.tuned.speedup(),
+                report.tuned.evaluated,
+            );
+        }
+        _ => {}
+    }
+}
+
 /// The idle hook of the accept loop: when nothing is pending and no
 /// tune is in flight, start tuning the next untuned cached kernel on a
 /// detached thread. The search runs under a cancel-only budget that
@@ -581,34 +615,16 @@ fn maybe_background_tune(shared: &Arc<Shared>) {
     {
         return;
     }
+    let slot = TuningSlot(Arc::clone(shared));
     let Some((src, config)) = pick_tune_candidate(shared) else {
-        shared.tuning.store(false, Ordering::SeqCst);
         return;
     };
     shared.tune_cancel.store(false, Ordering::SeqCst);
-    let s = Arc::clone(shared);
     std::thread::spawn(move || {
-        let budget = Budget::unlimited().with_cancel(Arc::clone(&s.tune_cancel));
-        match tune_cached(
-            &s.service,
-            &src,
-            &config,
-            &TuneOptions::default(),
-            &budget,
-            1,
-        ) {
-            Ok(report) if !report.cached && report.complete => {
-                s.tuned_count.fetch_add(1, Ordering::SeqCst);
-                eprintln!(
-                    "[polyjectd] background-tuned {} ({config}): speedup {:.3}x over {} candidates",
-                    report.key,
-                    report.tuned.speedup(),
-                    report.tuned.evaluated,
-                );
-            }
-            _ => {}
-        }
-        s.tuning.store(false, Ordering::SeqCst);
+        background_tune(slot, &config, |s| {
+            let budget = Budget::unlimited().with_cancel(Arc::clone(&s.tune_cancel));
+            tune_cached(&s.service, &src, &config, &TuneOptions::default(), &budget)
+        })
     });
 }
 
@@ -872,17 +888,47 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
     }
 
-    #[test]
-    fn idle_hook_tunes_cached_kernels_and_respects_arrivals() {
-        let dir = std::env::temp_dir().join(format!("pj-bgtune-{}", std::process::id()));
+    /// Daemon state with background tuning on, over an empty cache
+    /// directory of its own.
+    fn tuning_shared(tag: &str) -> (Arc<Shared>, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pj-bgtune-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = DiskCache::open_default(&dir).unwrap();
-        let shared = shared_with(
-            CompileService::new(Some(cache), GpuModel::v100()),
-            2,
-            4,
-            true,
-        );
+        let service = CompileService::new(Some(cache), GpuModel::v100());
+        (shared_with(service, 2, 4, true), dir)
+    }
+
+    #[test]
+    fn panicking_background_tune_frees_the_slot() {
+        let (shared, dir) = tuning_shared("panic");
+        let resp = compile_one(&shared, SRC, "infl");
+        assert_eq!(resp.str_field("status").unwrap(), "ok");
+
+        // The thread body, holding the slot, with a tune that panics.
+        assert!(!shared.tuning.swap(true, Ordering::SeqCst));
+        let slot = TuningSlot(Arc::clone(&shared));
+        let body = std::thread::spawn(move || {
+            background_tune(slot, "infl", |_| panic!("tune blew up"));
+        });
+        assert!(body.join().is_err(), "the panic reaches the thread's end");
+        assert!(!shared.tuning.load(Ordering::SeqCst), "slot freed");
+        assert_eq!(shared.tuned_count.load(Ordering::SeqCst), 0);
+
+        // The next idle probe is admitted and tunes the cached kernel.
+        maybe_background_tune(&shared);
+        for _ in 0..600 {
+            if shared.tuned_count.load(Ordering::SeqCst) == 1 {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        assert_eq!(shared.tuned_count.load(Ordering::SeqCst), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn idle_hook_tunes_cached_kernels_and_respects_arrivals() {
+        let (shared, dir) = tuning_shared("idle");
         // Nothing cached yet: the hook finds no candidate and stays idle.
         maybe_background_tune(&shared);
         assert!(!shared.tuning.load(Ordering::SeqCst));

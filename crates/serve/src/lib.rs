@@ -30,8 +30,8 @@
 //! * [`stats`] — hit/miss/eviction/error counters and latency
 //!   aggregates, plus the router's per-shard [`stats::ShardMetrics`];
 //! * [`tuned`] — persisted tuned configurations: the autotuner's
-//!   cache-backed entry points (`tune_cached`, and `tune_cached_batch`
-//!   fanning whole per-kernel searches over the pool) and the
+//!   cache-backed entry point (`batch_reports` fanning whole per-kernel
+//!   searches over the pool; `tune_cached` is its one-job call) and the
 //!   `tuned-config` entry kind;
 //! * [`membership`] — the consistent-hash ring over the FNV-1a key
 //!   space, with per-shard health for failover ordering;
@@ -68,7 +68,7 @@ pub use hash::{fnv1a64, Fnv64};
 pub use hot::HotTier;
 pub use json::Json;
 pub use membership::{HashRing, Membership, ShardState};
-pub use pool::{default_workers, parallel_map, PoolSpecExecutor, WorkerPool};
+pub use pool::{default_workers, parallel_map, WorkerPool};
 pub use protocol::{read_frame, write_frame, BatchItem, CompileReply, Request};
 pub use router::{Router, RouterConfig};
 pub use service::{
@@ -77,6 +77,6 @@ pub use service::{
 };
 pub use stats::{LatencyAgg, ServeStats, ShardMetrics};
 pub use tuned::{
-    batch_reports, decode_tuned, encode_tuned, tune_cached, tune_cached_batch, tuned_key,
-    BatchTuneReport, ParallelRunner, TuneJob, TuneReport, TUNED_FORMAT_VERSION, TUNED_KIND,
+    batch_reports, decode_tuned, encode_tuned, tune_cached, tuned_key, TuneJob, TuneReport,
+    TUNED_FORMAT_VERSION, TUNED_KIND,
 };

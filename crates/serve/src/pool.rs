@@ -239,85 +239,6 @@ impl Drop for WorkerPool {
     }
 }
 
-/// Adapter exposing a [`WorkerPool`] as the scheduler's speculation
-/// executor ([`polyject_core::SpecExecutor`]): speculative ladder rungs
-/// are accepted only while a worker is idle, so speculation soaks up
-/// spare capacity without ever queuing behind real compile jobs.
-///
-/// Install with [`polyject_core::install_spec_executor`]; dropping the
-/// last `Arc` after [`polyject_core::clear_spec_executor`] joins the
-/// pool (pending speculations have been cancelled by their owners and
-/// finish promptly).
-///
-/// # Examples
-///
-/// ```
-/// use std::sync::Arc;
-///
-/// let ex = Arc::new(polyject_serve::PoolSpecExecutor::new(2));
-/// polyject_core::install_spec_executor(ex.clone());
-/// // ... compile kernels: single compiles now speculate onto the pool ...
-/// polyject_core::clear_spec_executor();
-/// assert_eq!(ex.in_flight(), 0);
-/// ```
-pub struct PoolSpecExecutor {
-    pool: WorkerPool,
-    in_flight: Arc<std::sync::atomic::AtomicUsize>,
-}
-
-impl PoolSpecExecutor {
-    /// Spawns a dedicated pool of `workers` threads (at least 1) for
-    /// speculative solves.
-    pub fn new(workers: usize) -> PoolSpecExecutor {
-        PoolSpecExecutor {
-            pool: WorkerPool::new(workers),
-            in_flight: Arc::new(std::sync::atomic::AtomicUsize::new(0)),
-        }
-    }
-
-    /// Speculative jobs currently running or queued. Returns to zero
-    /// once every accepted job has finished — cancelled speculations
-    /// included, which is what makes worker leaks observable in tests.
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
-    }
-}
-
-impl polyject_core::SpecExecutor for PoolSpecExecutor {
-    fn try_spawn(&self, job: Job) -> bool {
-        let cap = self.pool.workers();
-        // Reserve a slot; refuse when every worker is already busy so
-        // speculation never piles up a backlog.
-        loop {
-            let cur = self.in_flight.load(Ordering::SeqCst);
-            if cur >= cap {
-                return false;
-            }
-            if self
-                .in_flight
-                .compare_exchange(cur, cur + 1, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
-            {
-                break;
-            }
-        }
-        let slot = Arc::clone(&self.in_flight);
-        self.pool.submit(move || {
-            // Release the slot even if the job panics (the pool catches
-            // the panic and replaces the worker).
-            struct Release(Arc<std::sync::atomic::AtomicUsize>);
-            impl Drop for Release {
-                fn drop(&mut self) {
-                    self.0.fetch_sub(1, Ordering::SeqCst);
-                }
-            }
-            let _release = Release(slot);
-            job();
-        });
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,42 +323,6 @@ mod tests {
         assert_eq!(pool.panics_recovered(), 4);
         pool.shutdown();
         assert_eq!(done.load(Ordering::SeqCst), 16);
-    }
-
-    #[test]
-    fn spec_executor_caps_in_flight_jobs() {
-        use polyject_core::SpecExecutor as _;
-        let ex = PoolSpecExecutor::new(2);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let mut running = Vec::new();
-        for _ in 0..2 {
-            let gate = gate.clone();
-            let (tx, rx) = std::sync::mpsc::channel();
-            assert!(ex.try_spawn(Box::new(move || {
-                tx.send(()).unwrap();
-                let (lock, cv) = &*gate;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
-            })));
-            running.push(rx);
-        }
-        for rx in &running {
-            rx.recv().unwrap();
-        }
-        // Both workers busy: speculation must be refused, not queued.
-        assert_eq!(ex.in_flight(), 2);
-        assert!(!ex.try_spawn(Box::new(|| {})), "saturated pool must refuse");
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-        while ex.in_flight() > 0 && std::time::Instant::now() < deadline {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        assert_eq!(ex.in_flight(), 0, "slots must be released");
-        assert!(ex.try_spawn(Box::new(|| {})), "freed pool accepts again");
     }
 
     #[test]

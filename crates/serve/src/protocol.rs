@@ -414,7 +414,7 @@ impl CompileReply {
                 // Everything else is a property of one run, not of the
                 // artifact — wall-clock phase times, governance counters
                 // (degraded/cancelled/panics), and the fast-path /
-                // assembly / speculation / session counters that depend on
+                // assembly / session counters that depend on
                 // warm in-process state — and is never serialized, so
                 // cache payloads stay byte-identical across replays.
                 ..SolverCounters::default()

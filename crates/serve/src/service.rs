@@ -17,7 +17,7 @@ use crate::cache::DiskCache;
 use crate::hash::{f64_bits_hex, Fnv64};
 use crate::hot::HotTier;
 use crate::protocol::CompileReply;
-use crate::tuned::{decode_tuned, tuned_key, TUNED_KIND};
+use crate::tuned::{load_tuned, tuned_key};
 use polyject_codegen::{
     compile_with_options, render_artifacts, CompileOptions, CompileSession, Compiled, Config,
 };
@@ -500,12 +500,7 @@ impl CompileService {
         // a tuning found once applies on every later compile while the
         // default entry (if any) stays untouched.
         let tkey = tuned_key(&canonical, config.name(), &self.gpu);
-        let tuned_opts = self
-            .with_cache(|c| c.get(&tkey))
-            .flatten()
-            .filter(|(kind, _)| kind == TUNED_KIND)
-            .and_then(|(_, payload)| decode_tuned(&payload).ok())
-            .map(|t| t.to_compile_options());
+        let tuned_opts = load_tuned(self, &tkey).map(|t| t.to_compile_options());
         if tuned_opts.is_some() {
             self.tuned_applied.fetch_add(1, Ordering::SeqCst);
         }

@@ -2,10 +2,11 @@
 //! `crates/tune` autotuner.
 //!
 //! A finished search produces a [`TunedConfig`] — the winning knob point
-//! plus its provenance. This module persists it in the [`DiskCache`]
-//! under its own entry kind ([`TUNED_KIND`]) at a key derived from the
-//! same canonical-kernel material as the compile key but under a
-//! distinct domain tag ([`tuned_key`]), so a tuning found once (by
+//! plus its provenance. This module persists it in the
+//! [`DiskCache`](crate::DiskCache) under its own entry kind
+//! ([`TUNED_KIND`]) at a key derived from the same canonical-kernel
+//! material as the compile key but under a distinct domain tag
+//! ([`tuned_key`]), so a tuning found once (by
 //! `polyjectc --tune` or by the daemon's idle background tuner) applies
 //! on every later compile of that kernel, from any client sharing the
 //! cache directory.
@@ -21,9 +22,7 @@ use crate::service::{cache_key, config_by_name, CompileService};
 use polyject_codegen::{MappingOptions, TilingOptions};
 use polyject_core::{Budget, InfluenceOptions};
 use polyject_gpusim::GpuModel;
-use polyject_tune::{
-    beam_search, EvalCtx, Evaluated, JobRunner, KnobPoint, TuneOptions, TuneRequest, TunedConfig,
-};
+use polyject_tune::{beam_search, KnobPoint, SerialRunner, TuneOptions, TuneRequest, TunedConfig};
 use std::sync::Mutex;
 
 /// Cache entry kind of persisted tuned configurations.
@@ -31,7 +30,7 @@ pub const TUNED_KIND: &str = "tuned-config";
 
 /// Payload format version folded into both the key and the payload;
 /// bump when the encoding or the knob space changes meaning.
-pub const TUNED_FORMAT_VERSION: u64 = 1;
+pub const TUNED_FORMAT_VERSION: u64 = 2;
 
 /// The cache key a kernel's tuned configuration lives under: the compile
 /// key material re-hashed beneath a distinct domain tag, so compile and
@@ -53,10 +52,6 @@ fn f64_from_hex(s: &str) -> Result<f64, String> {
 
 fn u64_from_hex(s: &str) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|_| format!("bad u64 hex {s:?}"))
-}
-
-fn hex_field(j: &Json, key: &str) -> Result<String, String> {
-    Ok(j.str_field(key)?.to_string())
 }
 
 /// Encodes a tuned configuration as a cache payload. Inverse of
@@ -117,10 +112,6 @@ pub fn encode_tuned(cfg: &TunedConfig) -> Json {
         ("evaluated", Json::Num(cfg.evaluated as f64)),
         ("default_time", Json::Str(f64_bits_hex(cfg.default_time))),
         ("tuned_time", Json::Str(f64_bits_hex(cfg.tuned_time))),
-        (
-            "rank_correlation",
-            Json::Str(f64_bits_hex(cfg.rank_correlation)),
-        ),
         ("log_digest", Json::Str(format!("{:016x}", cfg.log_digest))),
     ])
 }
@@ -189,54 +180,36 @@ pub fn decode_tuned(j: &Json) -> Result<TunedConfig, String> {
         max_thread_axes: mj.num_field("max_thread_axes")? as usize,
         max_block_axes: mj.num_field("max_block_axes")? as usize,
     };
-    Ok(TunedConfig {
-        point: KnobPoint {
+    Ok(TunedConfig::new(
+        KnobPoint {
             influence,
             tiling,
             mapping,
         },
-        seed: u64_from_hex(&hex_field(j, "seed")?)?,
-        rounds: j.num_field("rounds")? as usize,
-        evaluated: j.num_field("evaluated")? as usize,
-        default_time: f64_from_hex(&hex_field(j, "default_time")?)?,
-        tuned_time: f64_from_hex(&hex_field(j, "tuned_time")?)?,
-        rank_correlation: f64_from_hex(&hex_field(j, "rank_correlation")?)?,
-        log_digest: u64_from_hex(&hex_field(j, "log_digest")?)?,
-    })
+        u64_from_hex(j.str_field("seed")?)?,
+        j.num_field("rounds")? as usize,
+        j.num_field("evaluated")? as usize,
+        f64_from_hex(j.str_field("default_time")?)?,
+        f64_from_hex(j.str_field("tuned_time")?)?,
+        u64_from_hex(j.str_field("log_digest")?)?,
+    ))
 }
 
-/// A [`JobRunner`] retained as the serving layer's named runner.
-///
-/// It evaluates a batch **serially** on the calling thread: every
-/// candidate of one search compiles through the shared
-/// [`polyject_codegen::CompileSession`] inside the [`EvalCtx`], whose
-/// option-invariant prefix and schedule memo serialize the polyhedral
-/// phase anyway — fanning a single kernel's candidates across threads
-/// would only add cloning and lock traffic (and split the solver-counter
-/// deltas the tune outcome reports across thread-local counters).
-/// Parallelism lives one level up, across *kernels*:
-/// [`tune_cached_batch`] fans whole searches over the worker pool.
-pub struct ParallelRunner;
-
-impl ParallelRunner {
-    /// A runner for one search. The historical `workers` argument is
-    /// accepted and ignored — see the type-level docs for why a single
-    /// search no longer fans out.
-    pub fn new(_workers: usize) -> ParallelRunner {
-        ParallelRunner
-    }
+/// The tuned configuration persisted at `key`, if a decodable one is
+/// there: a wrong-kind or undecodable entry (an older format version,
+/// debris) is a miss, and the next complete search overwrites it.
+pub(crate) fn load_tuned(svc: &CompileService, key: &str) -> Option<TunedConfig> {
+    svc.with_cache(|c| c.get(key))
+        .flatten()
+        .filter(|(kind, _)| kind == TUNED_KIND)
+        .and_then(|(_, payload)| decode_tuned(&payload).ok())
 }
 
-impl JobRunner for ParallelRunner {
-    fn evaluate(&self, ctx: &EvalCtx<'_>, points: &[KnobPoint]) -> Vec<Option<Evaluated>> {
-        points.iter().map(|p| ctx.evaluate(p)).collect()
-    }
-}
-
-/// The outcome of [`tune_cached`]: the tuned configuration, its cache
-/// key, and whether it was replayed from the cache (zero search) or
-/// searched now.
-#[derive(Clone, Debug)]
+/// The outcome of tuning one kernel: the tuned configuration, its cache
+/// key, whether it was replayed from the cache (zero search) or searched
+/// now, and the search-side savings counters the bench harness reports
+/// onward (all zero for a replay — no search ran).
+#[derive(Clone, Debug, PartialEq)]
 pub struct TuneReport {
     /// Cache key the configuration lives under.
     pub key: String,
@@ -250,95 +223,6 @@ pub struct TuneReport {
     /// incomplete config is still the best point seen, but it was not
     /// persisted.
     pub complete: bool,
-}
-
-/// Tunes one kernel through the service's cache: a persisted
-/// [`TunedConfig`] is returned immediately (zero search); otherwise the
-/// beam search runs through one compile session and a *complete* outcome
-/// is persisted. Incomplete outcomes — the budget stopped the search
-/// early — are returned but never persisted, since a replay with more
-/// budget would differ.
-///
-/// The `workers` argument is accepted for call-site stability and
-/// ignored: a single search serializes through its session (see
-/// [`ParallelRunner`]); to use a pool, batch kernels through
-/// [`tune_cached_batch`].
-///
-/// # Errors
-///
-/// Unknown config, parse failures, and scheduling errors from the
-/// default point's compile, as strings.
-pub fn tune_cached(
-    svc: &CompileService,
-    src: &str,
-    config_name: &str,
-    opts: &TuneOptions,
-    budget: &Budget,
-    workers: usize,
-) -> Result<TuneReport, String> {
-    let _ = workers;
-    let config = config_by_name(config_name)
-        .ok_or_else(|| format!("unknown config {config_name:?} (expected isl|novec|infl)"))?;
-    let canonical = polyject_front::canonical_pj(src)?;
-    let key = tuned_key(&canonical, config.name(), svc.gpu());
-
-    if let Some(Some((kind, payload))) = svc.with_cache(|c| c.get(&key)) {
-        if kind == TUNED_KIND {
-            if let Ok(tuned) = decode_tuned(&payload) {
-                return Ok(TuneReport {
-                    key,
-                    tuned,
-                    cached: true,
-                    complete: true,
-                });
-            }
-        }
-        // Wrong kind or undecodable payload: fall through and re-tune
-        // (the entry will be overwritten).
-    }
-
-    let kernel = polyject_front::parse(&canonical).map_err(|e| e.to_string())?;
-    let req = TuneRequest {
-        kernel,
-        config,
-        gpu: svc.gpu().clone(),
-        budget: budget.clone(),
-    };
-    let outcome =
-        beam_search(&req, opts, &polyject_tune::SerialRunner).map_err(|e| e.to_string())?;
-
-    if outcome.complete {
-        if let Some(Err(e)) =
-            svc.with_cache(|c| c.put(&key, TUNED_KIND, &encode_tuned(&outcome.tuned)))
-        {
-            eprintln!("[tune] cache write for {key} failed: {e}");
-        }
-    }
-    Ok(TuneReport {
-        key,
-        tuned: outcome.tuned,
-        cached: false,
-        complete: outcome.complete,
-    })
-}
-
-/// One kernel of a [`tune_cached_batch`] request: source text plus the
-/// pipeline configuration name (`isl`/`novec`/`infl`).
-#[derive(Clone, Debug)]
-pub struct TuneJob {
-    /// Kernel source (`.pj` text).
-    pub src: String,
-    /// Configuration name the candidates compile under.
-    pub config_name: String,
-}
-
-/// A [`TuneReport`] extended with the search-side savings counters a
-/// batch caller (the bench harness, the daemon) reports onward. All
-/// fields are zero for replayed (cached) configurations — no search ran.
-#[derive(Clone, Debug)]
-pub struct BatchTuneReport {
-    /// The per-kernel report (winner, key, cache provenance).
-    pub report: TuneReport,
     /// Oracle estimate calls served from the search's AST memo.
     pub estimate_memo_hits: u64,
     /// Dependence analyses performed by candidates 2..N (zero when the
@@ -350,45 +234,69 @@ pub struct BatchTuneReport {
     pub session_reuses: u64,
 }
 
+/// Tunes one kernel through the service's cache — the one-job call of
+/// [`batch_reports`]: a persisted [`TunedConfig`] is returned immediately
+/// (zero search); otherwise the beam search runs through one compile
+/// session on the calling thread and a *complete* outcome is persisted.
+/// Incomplete outcomes — the budget stopped the search early — are
+/// returned but never persisted, since a replay with more budget would
+/// differ.
+///
+/// # Errors
+///
+/// Unknown config, parse failures, and scheduling errors from the
+/// default point's compile, as strings.
+pub fn tune_cached(
+    svc: &CompileService,
+    src: &str,
+    config_name: &str,
+    opts: &TuneOptions,
+    budget: &Budget,
+) -> Result<TuneReport, String> {
+    let job = TuneJob {
+        src: src.to_string(),
+        config_name: config_name.to_string(),
+    };
+    batch_reports(svc, &[job], opts, budget, 1)
+        .pop()
+        .expect("one slot per job")
+}
+
+/// One kernel of a [`batch_reports`] request: source text plus the
+/// pipeline configuration name (`isl`/`novec`/`infl`).
+#[derive(Clone, Debug)]
+pub struct TuneJob {
+    /// Kernel source (`.pj` text).
+    pub src: String,
+    /// Configuration name the candidates compile under.
+    pub config_name: String,
+}
+
 /// Tunes a batch of kernels through the service's cache, fanning the
-/// *searches* (not the candidates within one) over `workers` pool
-/// threads — the shape that actually parallelizes on a multi-kernel
-/// table now that each search serializes through its compile session.
+/// *searches* (not the candidates within one — those serialize through
+/// their search's compile session) over `workers` pool threads.
 ///
 /// Phases, chosen so the cache is only touched from the calling thread
 /// and cache writes land in deterministic job order:
 ///
 /// 1. serial: resolve configs, canonicalize, probe the cache — replayed
-///    configs are done here with zero search;
+///    configs are done here with zero search, and an entry that is not
+///    a decodable tuned config of this format version is a miss;
 /// 2. parallel: run the beam searches of the remaining jobs over the
 ///    pool ([`parallel_map`]), one compile session per kernel;
 /// 3. serial: persist complete outcomes, in job order.
 ///
 /// Returns one slot per job, in job order.
-pub fn tune_cached_batch(
-    svc: &CompileService,
-    jobs: &[TuneJob],
-    opts: &TuneOptions,
-    budget: &Budget,
-    workers: usize,
-) -> Vec<Result<TuneReport, String>> {
-    batch_reports(svc, jobs, opts, budget, workers)
-        .into_iter()
-        .map(|r| r.map(|b| b.report))
-        .collect()
-}
-
-/// [`tune_cached_batch`] with the per-search savings counters attached.
 pub fn batch_reports(
     svc: &CompileService,
     jobs: &[TuneJob],
     opts: &TuneOptions,
     budget: &Budget,
     workers: usize,
-) -> Vec<Result<BatchTuneReport, String>> {
+) -> Vec<Result<TuneReport, String>> {
     // Phase 1 (serial, calling thread): key derivation + cache probe.
     enum Slot {
-        Done(Result<BatchTuneReport, String>),
+        Done(Result<TuneReport, String>),
         Search {
             key: String,
             req: Mutex<TuneRequest>,
@@ -405,23 +313,17 @@ pub fn batch_reports(
             })?;
             let canonical = polyject_front::canonical_pj(&job.src)?;
             let key = tuned_key(&canonical, config.name(), svc.gpu());
-            if let Some(Some((kind, payload))) = svc.with_cache(|c| c.get(&key)) {
-                if kind == TUNED_KIND {
-                    if let Ok(tuned) = decode_tuned(&payload) {
-                        return Ok(Slot::Done(Ok(BatchTuneReport {
-                            report: TuneReport {
-                                key,
-                                tuned,
-                                cached: true,
-                                complete: true,
-                            },
-                            estimate_memo_hits: 0,
-                            warm_dependence_analyses: 0,
-                            warm_farkas_linearizations: 0,
-                            session_reuses: 0,
-                        })));
-                    }
-                }
+            if let Some(tuned) = load_tuned(svc, &key) {
+                return Ok(Slot::Done(Ok(TuneReport {
+                    key,
+                    tuned,
+                    cached: true,
+                    complete: true,
+                    estimate_memo_hits: 0,
+                    warm_dependence_analyses: 0,
+                    warm_farkas_linearizations: 0,
+                    session_reuses: 0,
+                })));
             }
             let kernel = polyject_front::parse(&canonical).map_err(|e| e.to_string())?;
             // `Budget` is Send but not Sync (thread-local metering), so
@@ -450,7 +352,7 @@ pub fn batch_reports(
             unreachable!("pending slots are searches");
         };
         let req = req.lock().expect("request lock poisoned").clone();
-        beam_search(&req, opts, &polyject_tune::SerialRunner).map_err(|e| e.to_string())
+        beam_search(&req, opts, &SerialRunner).map_err(|e| e.to_string())
     });
 
     // Phase 3 (serial, calling thread): persist + report, in job order.
@@ -468,13 +370,11 @@ pub fn batch_reports(
                         eprintln!("[tune] cache write for {key} failed: {e}");
                     }
                 }
-                Ok(BatchTuneReport {
-                    report: TuneReport {
-                        key,
-                        tuned: outcome.tuned,
-                        cached: false,
-                        complete: outcome.complete,
-                    },
+                Ok(TuneReport {
+                    key,
+                    tuned: outcome.tuned,
+                    cached: false,
+                    complete: outcome.complete,
                     estimate_memo_hits: outcome.estimate_memo_hits,
                     warm_dependence_analyses: outcome.warm_dependence_analyses,
                     warm_farkas_linearizations: outcome.warm_farkas_linearizations,
@@ -492,8 +392,8 @@ mod tests {
     use polyject_tune::log_digest;
 
     fn sample_config() -> TunedConfig {
-        TunedConfig {
-            point: KnobPoint {
+        TunedConfig::new(
+            KnobPoint {
                 influence: InfluenceOptions {
                     weights: [0.5, 3.0, 1.0, 8.0, 1.0],
                     thread_limit: 512,
@@ -513,14 +413,25 @@ mod tests {
                     max_block_axes: 3,
                 },
             },
-            seed: 0x5eed_1e55_ca11_ab1e,
-            rounds: 3,
-            evaluated: 23,
-            default_time: 9.64951e-6,
-            tuned_time: 7.1123e-6,
-            rank_correlation: -0.25,
-            log_digest: log_digest(&[]),
+            0x5eed_1e55_ca11_ab1e,
+            3,
+            23,
+            9.64951e-6,
+            7.1123e-6,
+            log_digest(&[]),
+        )
+    }
+
+    /// Rewrites the `version` field of an encoded payload.
+    fn with_version(mut j: Json, version: f64) -> Json {
+        if let Json::Obj(pairs) = &mut j {
+            for (k, v) in pairs.iter_mut() {
+                if k == "version" {
+                    *v = Json::Num(version);
+                }
+            }
         }
+        j
     }
 
     #[test]
@@ -539,16 +450,12 @@ mod tests {
     #[test]
     fn decode_rejects_bad_payloads() {
         assert!(decode_tuned(&Json::Null).is_err());
-        let mut j = encode_tuned(&sample_config());
-        // Wrong version is a miss, not a panic.
-        if let Json::Obj(pairs) = &mut j {
-            for (k, v) in pairs.iter_mut() {
-                if k == "version" {
-                    *v = Json::Num(99.0);
-                }
-            }
+        // A wrong version — a future one, or the v1 this format replaced
+        // — is a miss, not a panic.
+        for version in [99.0, 1.0] {
+            let j = with_version(encode_tuned(&sample_config()), version);
+            assert!(decode_tuned(&j).unwrap_err().contains("version"));
         }
-        assert!(decode_tuned(&j).unwrap_err().contains("version"));
     }
 
     #[test]
@@ -573,21 +480,30 @@ tensor Y[N]: f32
 stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
 ";
 
-    #[test]
-    fn tune_cached_persists_and_replays_byte_identically() {
-        let dir = std::env::temp_dir().join(format!("pj-tuned-{}", std::process::id()));
+    /// A fresh service over an empty cache directory.
+    fn fresh_service(tag: &str) -> (CompileService, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("pj-tuned-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = DiskCache::open_default(&dir).unwrap();
-        let svc = CompileService::new(Some(cache), GpuModel::v100());
-        let opts = TuneOptions {
+        (CompileService::new(Some(cache), GpuModel::v100()), dir)
+    }
+
+    /// A search small enough for unit tests.
+    fn small() -> TuneOptions {
+        TuneOptions {
             rounds: 1,
             initial_samples: 2,
             evals_per_round: 2,
             ..TuneOptions::default()
-        };
-        let cold = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited(), 1).unwrap();
+        }
+    }
+
+    #[test]
+    fn tune_cached_persists_and_replays_byte_identically() {
+        let (svc, dir) = fresh_service("replay");
+        let cold = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
         assert!(!cold.cached);
-        let warm = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited(), 1).unwrap();
+        let warm = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
         assert!(warm.cached, "second run replays with zero search");
         assert_eq!(warm.tuned, cold.tuned);
         assert_eq!(warm.key, cold.key);
@@ -596,23 +512,14 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
 
     #[test]
     fn persisted_tuning_applies_on_later_serves() {
-        let dir = std::env::temp_dir().join(format!("pj-tuned-apply-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::open_default(&dir).unwrap();
-        let svc = CompileService::new(Some(cache), GpuModel::v100());
+        let (svc, dir) = fresh_service("apply");
         // Before tuning: serves compile under the defaults.
         let (_, how) = svc.serve(SRC, "infl").unwrap();
         assert_eq!(how, crate::service::Served::Fresh);
         assert_eq!(svc.governance().tuned_applied, 0);
         // Tune (persists a TunedConfig), then serve again: the request
         // is redirected to the tuned options and counted.
-        let opts = TuneOptions {
-            rounds: 1,
-            initial_samples: 2,
-            evals_per_round: 2,
-            ..TuneOptions::default()
-        };
-        let report = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited(), 1).unwrap();
+        let report = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
         assert!(!report.cached);
         let (reply, _) = svc.serve(SRC, "infl").unwrap();
         assert_eq!(svc.governance().tuned_applied, 1);
@@ -634,45 +541,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     #[test]
-    fn parallel_runner_matches_serial_results() {
-        let req = TuneRequest {
-            kernel: polyject_ir::ops::transpose_2d(128, 128),
-            config: polyject_codegen::Config::Influenced,
-            gpu: GpuModel::v100(),
-            budget: Budget::unlimited(),
-        };
-        let mut rng = polyject_arith::SplitMix64::new(11);
-        let points: Vec<KnobPoint> = (0..6).map(|_| KnobPoint::sample(&mut rng)).collect();
-        // Fresh contexts so neither runner inherits the other's session.
-        let serial_ctx = EvalCtx::new(&req);
-        let serial = polyject_tune::SerialRunner.evaluate(&serial_ctx, &points);
-        let parallel_ctx = EvalCtx::new(&req);
-        let parallel = ParallelRunner::new(4).evaluate(&parallel_ctx, &points);
-        assert_eq!(serial.len(), parallel.len());
-        for (s, p) in serial.iter().zip(&parallel) {
-            match (s, p) {
-                (Some(a), Some(b)) => {
-                    assert_eq!(a.point, b.point);
-                    assert_eq!(a.timing.time.to_bits(), b.timing.time.to_bits());
-                }
-                (None, None) => {}
-                _ => panic!("serial and parallel runners disagree on feasibility"),
-            }
-        }
-    }
-
-    #[test]
     fn batch_matches_single_tunes_and_replays() {
-        let dir = std::env::temp_dir().join(format!("pj-tuned-batch-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::open_default(&dir).unwrap();
-        let svc = CompileService::new(Some(cache), GpuModel::v100());
-        let opts = TuneOptions {
-            rounds: 1,
-            initial_samples: 2,
-            evals_per_round: 2,
-            ..TuneOptions::default()
-        };
         let jobs = vec![
             TuneJob {
                 src: SRC.to_string(),
@@ -687,18 +556,49 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
                 config_name: "infl".to_string(),
             },
         ];
-        let cold = tune_cached_batch(&svc, &jobs, &opts, &Budget::unlimited(), 2);
+        let unlimited = Budget::unlimited();
+        let (batch_svc, batch_dir) = fresh_service("batch");
+        let cold = batch_reports(&batch_svc, &jobs, &small(), &unlimited, 2);
         assert_eq!(cold.len(), 3);
         let cold_infl = cold[0].as_ref().unwrap();
         assert!(!cold_infl.cached);
         assert!(cold[2].is_err(), "bad source reports its error in place");
-        // The batch winner is byte-identical to a single tune_cached run.
-        let single = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited(), 1).unwrap();
-        assert!(single.cached, "batch persisted the outcome");
-        assert_eq!(single.tuned, cold_infl.tuned);
-        // Re-batching replays everything from the cache.
-        let warm = tune_cached_batch(&svc, &jobs[..2], &opts, &Budget::unlimited(), 2);
+
+        // Cold on its own empty cache, a single tune is field for field
+        // the one-job batch.
+        let (single_svc, single_dir) = fresh_service("single");
+        let single = tune_cached(&single_svc, SRC, "infl", &small(), &unlimited).unwrap();
+        assert_eq!(&single, cold_infl);
+
+        // Warm, both replay the persisted outcome with zero search.
+        let warm_single = tune_cached(&batch_svc, SRC, "infl", &small(), &unlimited).unwrap();
+        let warm = batch_reports(&batch_svc, &jobs[..2], &small(), &unlimited, 2);
         assert!(warm.iter().all(|r| r.as_ref().unwrap().cached));
+        let warm_infl = warm[0].as_ref().unwrap();
+        assert_eq!(&warm_single, warm_infl);
+        assert_eq!(warm_infl.tuned, cold_infl.tuned);
+        assert_eq!(warm_infl.session_reuses, 0, "a replay runs no search");
+        for dir in [batch_dir, single_dir] {
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn v1_payload_is_a_miss_and_is_overwritten() {
+        let (svc, dir) = fresh_service("v1");
+        let canonical = polyject_front::canonical_pj(SRC).unwrap();
+        let key = tuned_key(&canonical, "infl", svc.gpu());
+        let v1 = with_version(encode_tuned(&sample_config()), 1.0);
+        svc.with_cache(|c| c.put(&key, TUNED_KIND, &v1))
+            .unwrap()
+            .unwrap();
+
+        let report = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
+        assert!(!report.cached, "an old-format entry forces a fresh search");
+        assert_eq!(report.key, key);
+        let (kind, payload) = svc.with_cache(|c| c.get(&key)).unwrap().unwrap();
+        assert_eq!(kind, TUNED_KIND);
+        assert_eq!(decode_tuned(&payload).unwrap(), report.tuned);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -434,7 +434,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         Some(DiskCache::open(&dir, 1 << 20).unwrap()),
         GpuModel::v100(),
     );
-    let cold = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited(), 1).unwrap();
+    let cold = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited()).unwrap();
     assert!(!cold.cached && cold.complete);
     drop(svc);
 
@@ -452,7 +452,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     );
     let miss = svc.with_cache(|c| c.get(&cold.key)).unwrap();
     assert!(miss.is_none(), "torn tuned entry must not be served");
-    let retuned = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited(), 1).unwrap();
+    let retuned = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited()).unwrap();
     assert!(!retuned.cached, "torn entry forces a fresh search");
     assert_eq!(retuned.tuned, cold.tuned, "same seed, same winner");
     // The rewritten entry decodes again.

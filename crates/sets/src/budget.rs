@@ -16,7 +16,7 @@
 //! A budget therefore meters the *thread* it is first checked on; solves
 //! run start-to-finish on one thread, which the compilation pipeline
 //! guarantees. Deadline checks are amortized (one `Instant::now()` every
-//! [`DEADLINE_STRIDE`] checks) so the per-pivot cost stays a few loads and
+//! `DEADLINE_STRIDE` checks) so the per-pivot cost stays a few loads and
 //! compares.
 //!
 //! The legacy entry points ([`crate::minimize`], [`crate::lexmin_integer`],
@@ -191,9 +191,9 @@ impl Budget {
     /// Whether any *resource* limit — deadline, node/pivot cap, or FM row
     /// cap — is attached, i.e. anything beyond a cancellation flag.
     /// Resource-metered budgets account work against thread-local
-    /// counters, so callers that may offload work to other threads (the
-    /// scheduler's speculative solves) must check this and stay serial
-    /// when it holds.
+    /// counters, so callers that could serve work paid for elsewhere
+    /// (a compile session's shared prefix and memos) must check this and
+    /// compute everything under the budget when it holds.
     pub fn has_resource_limits(&self) -> bool {
         self.deadline.is_some()
             || self.max_ilp_nodes.is_some()
@@ -213,7 +213,7 @@ impl Budget {
     /// The cooperative check every solver loop performs. Cancellation is
     /// observed on every call; node/pivot caps compare the thread-local
     /// counters against the baseline captured on the first check; deadline
-    /// probes are amortized across [`DEADLINE_STRIDE`] calls.
+    /// probes are amortized across `DEADLINE_STRIDE` calls.
     pub fn check(&self) -> Result<(), BudgetError> {
         if let Some(c) = &self.cancel {
             if c.load(Ordering::Relaxed) {

@@ -60,11 +60,9 @@ pub struct SolverCounters {
     /// Redundant-constraint elimination passes actually performed
     /// (assembly-cache misses); ticked by the scheduler's driver.
     pub redundancy_checks: u64,
-    /// Speculative ladder solves whose premise was confirmed and whose
-    /// result was adopted by the sequential decision point.
+    /// Always 0: nothing ticks it; the name is kept for `benchmark/`.
     pub spec_adopted: u64,
-    /// Speculative ladder solves discarded (premise never confirmed) or
-    /// cancelled before completion.
+    /// Always 0: nothing ticks it; the name is kept for `benchmark/`.
     pub spec_discarded: u64,
     /// Nanoseconds spent in integer-feasibility preprocessing (bound
     /// tightening, infeasibility short-circuits).
@@ -169,8 +167,6 @@ thread_local! {
     static DEPENDENCE_ANALYSES: Cell<u64> = const { Cell::new(0) };
     static SESSION_REUSES: Cell<u64> = const { Cell::new(0) };
     static REDUNDANCY_CHECKS: Cell<u64> = const { Cell::new(0) };
-    static SPEC_ADOPTED: Cell<u64> = const { Cell::new(0) };
-    static SPEC_DISCARDED: Cell<u64> = const { Cell::new(0) };
     static PREPROCESS_NS: Cell<u64> = const { Cell::new(0) };
     static DEPENDENCE_NS: Cell<u64> = const { Cell::new(0) };
     static ASSEMBLE_NS: Cell<u64> = const { Cell::new(0) };
@@ -198,8 +194,8 @@ pub fn snapshot() -> SolverCounters {
         dependence_analyses: DEPENDENCE_ANALYSES.get(),
         session_reuses: SESSION_REUSES.get(),
         redundancy_checks: REDUNDANCY_CHECKS.get(),
-        spec_adopted: SPEC_ADOPTED.get(),
-        spec_discarded: SPEC_DISCARDED.get(),
+        spec_adopted: 0,
+        spec_discarded: 0,
         preprocess_ns: PREPROCESS_NS.get(),
         dependence_ns: DEPENDENCE_NS.get(),
         assemble_ns: ASSEMBLE_NS.get(),
@@ -272,18 +268,6 @@ pub fn note_session_reuse() {
 /// Public: ticked by the scheduler's driver around `try_remove_redundant`.
 pub fn note_redundancy_check() {
     REDUNDANCY_CHECKS.set(REDUNDANCY_CHECKS.get() + 1);
-}
-
-/// Records a speculative ladder solve adopted by the sequential decision
-/// point. Public: the speculation harness lives in the scheduler crate.
-pub fn note_spec_adopted() {
-    SPEC_ADOPTED.set(SPEC_ADOPTED.get() + 1);
-}
-
-/// Records a speculative ladder solve discarded or cancelled unused.
-/// Public: the speculation harness lives in the scheduler crate.
-pub fn note_spec_discarded() {
-    SPEC_DISCARDED.set(SPEC_DISCARDED.get() + 1);
 }
 
 /// A snapshot of the three pivot counters an in-flight tableau operation
@@ -386,8 +370,6 @@ mod tests {
         note_dependence_analysis();
         note_session_reuse();
         note_redundancy_check();
-        note_spec_adopted();
-        note_spec_discarded();
         add_preprocess_ns(17);
         add_dependence_ns(21);
         add_assemble_ns(22);
@@ -412,8 +394,6 @@ mod tests {
         assert_eq!(d.dependence_analyses, 1);
         assert_eq!(d.session_reuses, 1);
         assert_eq!(d.redundancy_checks, 1);
-        assert_eq!(d.spec_adopted, 1);
-        assert_eq!(d.spec_discarded, 1);
         assert_eq!(d.preprocess_ns, 17);
         assert_eq!(d.dependence_ns, 21);
         assert_eq!(d.assemble_ns, 22);

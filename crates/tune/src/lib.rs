@@ -7,7 +7,7 @@
 //!
 //! The paper fixes its cost weights (w₁=5, w₂=3, …) and defers tile-size
 //! and mapping selection to "respective tool auto-tuners"; this crate is
-//! that tuner. Three properties shape the design:
+//! that tuner. Two properties shape the design:
 //!
 //! * **Determinism** — candidate generation is SplitMix64-seeded, every
 //!   tie is key-broken, and no wall-clock value enters the outcome: the
@@ -20,14 +20,10 @@
 //!   context are paid once per kernel, not once per candidate. The
 //!   serving layer parallelizes across *kernels* (whole searches), not
 //!   within one. [`SerialRunner`] is the in-process default.
-//! * **Model-guided ranking** — a ridge-regression cost-model stub
-//!   ([`RidgeModel`]) trained on the candidate log ranks neighbors
-//!   before exact evaluation, and its achieved Spearman rank
-//!   correlation is reported in the outcome.
 //!
-//! The old fixed-grid tuner lives on as the degenerate case and is
-//! re-exported here: [`autotune`] enumerates a 5-point tiling/mapping
-//! grid with no search at all.
+//! Neighbor rounds use no cost model: survivors are mutated in beam
+//! order and the first [`TuneOptions::evals_per_round`] unseen mutations
+//! reach the oracle.
 //!
 //! # Examples
 //!
@@ -52,16 +48,11 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod model;
 mod search;
 mod space;
 
-pub use model::{features, spearman, RidgeModel};
 pub use search::{
-    beam_search, evaluate_point, grid_anchors, log_digest, EvalCtx, EvalRecord, Evaluated,
-    JobRunner, SerialRunner, TuneOptions, TuneOutcome, TuneRequest, TunedConfig,
+    beam_search, grid_anchors, log_digest, EvalCtx, EvalRecord, Evaluated, JobRunner, SerialRunner,
+    TuneOptions, TuneOutcome, TuneRequest, TunedConfig,
 };
 pub use space::{fnv1a64, KnobPoint};
-
-// The fixed-grid tuner remains the zero-search degenerate case.
-pub use polyject_gpusim::{autotune, TuneCandidate, TuneResult, MAX_LOG};

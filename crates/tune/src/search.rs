@@ -18,12 +18,9 @@
 //! determinism does not depend on evaluation order, only on the order
 //! results are *absorbed*, which the contract fixes.
 
-use crate::model::{features, spearman, RidgeModel};
 use crate::space::{fnv1a64, KnobPoint};
 use polyject_arith::SplitMix64;
-use polyject_codegen::{
-    compile_with_options, CompileSession, Compiled, Config, MappingOptions, TilingOptions,
-};
+use polyject_codegen::{CompileSession, Compiled, Config, MappingOptions, TilingOptions};
 use polyject_core::{Budget, ScheduleError};
 use polyject_gpusim::{estimate, GpuModel, KernelTiming};
 use polyject_ir::Kernel;
@@ -40,12 +37,12 @@ pub struct TuneOptions {
     /// Neighbor rounds after the uniform seed round.
     pub rounds: usize,
     /// Uniform samples in the seed round (the default point and the
-    /// legacy [`grid_anchors`] are always evaluated additionally,
-    /// first).
+    /// [`grid_anchors`] are always evaluated additionally, first).
     pub initial_samples: usize,
     /// Mutations drawn per survivor per round.
     pub neighbors_per_survivor: usize,
-    /// Oracle evaluations per round after cost-model ranking.
+    /// Oracle evaluations per neighbor round: the first this many
+    /// deduplicated mutations, in beam × draw order.
     pub evals_per_round: usize,
 }
 
@@ -96,8 +93,6 @@ pub struct EvalRecord {
     pub key: String,
     /// Simulated time in seconds.
     pub time: f64,
-    /// The cost model's prediction at selection time, when it ranked.
-    pub predicted: Option<f64>,
 }
 
 /// Shared evaluation context of one tuning search: the request, the live
@@ -245,11 +240,10 @@ impl JobRunner for SerialRunner {
     }
 }
 
-/// The legacy `gpusim::tune` grid as knob points: every `(tiling,
-/// mapping)` pair the fixed grid enumerates, expressed over the default
-/// influence options. The beam search evaluates these as deterministic
-/// anchors in its seed round, so its winner always dominates the
-/// degenerate grid tuner's.
+/// A fixed tiling × mapping grid over the default influence options
+/// (untiled, plus two tile sizes under two thread budgets). The beam
+/// search evaluates these as deterministic anchors in its seed round, so
+/// its winner is never worse than the best of this grid.
 pub fn grid_anchors() -> Vec<KnobPoint> {
     let tilings = [
         None,
@@ -293,17 +287,6 @@ pub fn grid_anchors() -> Vec<KnobPoint> {
     anchors
 }
 
-/// Compiles one candidate end to end and simulates it — the oracle call.
-/// `None` on any compile failure.
-pub fn evaluate_point(req: &TuneRequest, point: &KnobPoint) -> Option<Evaluated> {
-    let opts = point.to_compile_options();
-    let c = compile_with_options(&req.kernel, req.config, &req.budget, &opts).ok()?;
-    Some(Evaluated {
-        point: point.clone(),
-        timing: estimate(&c.ast, &req.kernel, &req.gpu),
-    })
-}
-
 /// The persisted outcome of one tuning run: the winning point plus the
 /// provenance needed to trust and replay it. This is the value the serve
 /// layer stores under its `TunedConfig` cache kind.
@@ -322,8 +305,8 @@ pub struct TunedConfig {
     /// Simulated time of the winner, seconds (≤ `default_time`; the
     /// default is always in the pool).
     pub tuned_time: f64,
-    /// Spearman rank correlation the cost-model stub achieved on the
-    /// candidates it ranked (0.0 when it never ranked enough).
+    /// Always 0.0: no cost model ranks candidates; the name is kept for
+    /// `benchmark/`.
     pub rank_correlation: f64,
     /// FNV-1a digest of the candidate log ([`log_digest`]) — two runs
     /// replayed identically have equal digests.
@@ -331,6 +314,29 @@ pub struct TunedConfig {
 }
 
 impl TunedConfig {
+    /// A tuned configuration from the values a search produces (or a
+    /// persisted payload carries).
+    pub fn new(
+        point: KnobPoint,
+        seed: u64,
+        rounds: usize,
+        evaluated: usize,
+        default_time: f64,
+        tuned_time: f64,
+        log_digest: u64,
+    ) -> TunedConfig {
+        TunedConfig {
+            point,
+            seed,
+            rounds,
+            evaluated,
+            default_time,
+            tuned_time,
+            rank_correlation: 0.0,
+            log_digest,
+        }
+    }
+
     /// Tuned-over-default simulated speedup (≥ 1.0 by construction).
     pub fn speedup(&self) -> f64 {
         if self.tuned_time > 0.0 {
@@ -378,11 +384,12 @@ pub struct TuneOutcome {
 pub fn log_digest(records: &[EvalRecord]) -> u64 {
     let mut s = String::new();
     for r in records {
-        s.push_str(&format!("{}|{}|{:016x}|", r.round, r.key, r.time.to_bits()));
-        match r.predicted {
-            None => s.push_str("-\n"),
-            Some(p) => s.push_str(&format!("{:016x}\n", p.to_bits())),
-        }
+        s.push_str(&format!(
+            "{}|{}|{:016x}\n",
+            r.round,
+            r.key,
+            r.time.to_bits()
+        ));
     }
     fnv1a64(s.as_bytes())
 }
@@ -391,49 +398,44 @@ pub fn log_digest(records: &[EvalRecord]) -> u64 {
 struct State {
     pool: Vec<Evaluated>,
     records: Vec<EvalRecord>,
-    train_x: Vec<Vec<f64>>,
-    train_y: Vec<f64>,
-    corr_pred: Vec<f64>,
-    corr_act: Vec<f64>,
 }
 
-/// Evaluates a ranked batch through the runner and folds the results
-/// into the state, preserving batch order.
+/// Evaluates a batch through the runner and folds the results into the
+/// state, preserving batch order.
 fn absorb(
     state: &mut State,
     ctx: &EvalCtx<'_>,
     runner: &dyn JobRunner,
     round: usize,
-    batch: Vec<(KnobPoint, Vec<f64>, Option<f64>)>,
+    batch: &[KnobPoint],
 ) {
-    let points: Vec<KnobPoint> = batch.iter().map(|(p, _, _)| p.clone()).collect();
-    let results = runner.evaluate(ctx, &points);
-    for ((point, feats, predicted), slot) in batch.into_iter().zip(results) {
-        let Some(ev) = slot else { continue };
+    for ev in runner.evaluate(ctx, batch).into_iter().flatten() {
         state.records.push(EvalRecord {
             round,
-            key: point.canonical_key(),
+            key: ev.point.canonical_key(),
             time: ev.timing.time,
-            predicted,
         });
-        state.train_x.push(feats);
-        state.train_y.push(ev.timing.time);
-        if let Some(p) = predicted {
-            state.corr_pred.push(p);
-            state.corr_act.push(ev.timing.time);
-        }
         state.pool.push(ev);
     }
+}
+
+/// Records `p` in `seen`; `false` when the point was already there.
+fn first_sight(seen: &mut Vec<String>, p: &KnobPoint) -> bool {
+    let key = p.canonical_key();
+    let fresh = !seen.contains(&key);
+    if fresh {
+        seen.push(key);
+    }
+    fresh
 }
 
 /// Runs the deterministic beam search.
 ///
 /// The default point is compiled first (its failure is the only error —
-/// with no valid default there is nothing to tune); the legacy
-/// [`grid_anchors`] and a uniform seed round follow, then
-/// `opts.rounds` neighbor rounds where survivors spawn
-/// mutations, the ridge cost model ranks them, and only the
-/// `evals_per_round` most promising reach the oracle. The budget is
+/// with no valid default there is nothing to tune); the
+/// [`grid_anchors`] and a uniform seed round follow, then `opts.rounds`
+/// neighbor rounds where survivors spawn mutations in beam order and the
+/// first `evals_per_round` unseen ones reach the oracle. The budget is
 /// probed between rounds; tripping it ends the search early with
 /// [`TuneOutcome::complete`] `false`.
 ///
@@ -463,51 +465,33 @@ pub fn beam_search(
     let mut state = State {
         pool: vec![Evaluated {
             point: default_point.clone(),
-            timing: default_timing.clone(),
+            timing: default_timing,
         }],
         records: vec![EvalRecord {
             round: 0,
             key: default_point.canonical_key(),
             time: default_time,
-            predicted: None,
         }],
-        train_x: vec![features(&default_timing, &default_point)],
-        train_y: vec![default_time],
-        corr_pred: Vec::new(),
-        corr_act: Vec::new(),
     };
     let mut seen: Vec<String> = vec![default_point.canonical_key()];
     let mut rng = SplitMix64::new(opts.seed);
     let mut complete = true;
 
-    // Seed round: the legacy grid anchors first (deterministic, no RNG
-    // draw — the degenerate `gpusim::tune` grid is always a subset of
-    // the search), then uniform samples, all deduped.
-    let mut batch: Vec<(KnobPoint, Vec<f64>, Option<f64>)> = Vec::new();
-    for p in grid_anchors() {
-        let key = p.canonical_key();
-        if seen.contains(&key) {
-            continue;
-        }
-        seen.push(key);
-        let f = features(&default_timing, &p);
-        batch.push((p, f, None));
-    }
+    // Seed round: the grid anchors first (deterministic, no RNG draw),
+    // then uniform samples, all deduped.
+    let mut batch = grid_anchors();
+    batch.retain(|p| first_sight(&mut seen, p));
     let mut tries = 0;
     let mut sampled = 0;
     while sampled < opts.initial_samples && tries < opts.initial_samples * 16 {
         tries += 1;
         let p = KnobPoint::sample(&mut rng);
-        let key = p.canonical_key();
-        if seen.contains(&key) {
-            continue;
+        if first_sight(&mut seen, &p) {
+            batch.push(p);
+            sampled += 1;
         }
-        seen.push(key);
-        let f = features(&default_timing, &p);
-        batch.push((p, f, None));
-        sampled += 1;
     }
-    absorb(&mut state, &ctx, runner, 0, batch);
+    absorb(&mut state, &ctx, runner, 0, &batch);
 
     for round in 1..=opts.rounds {
         // A fresh clone re-arms the amortized deadline probe, so the
@@ -531,48 +515,22 @@ pub fn beam_search(
                         .cmp(&state.pool[j].point.canonical_key())
                 })
         });
-        let beam: Vec<Evaluated> = order
-            .iter()
-            .take(opts.beam_width)
-            .map(|&i| state.pool[i].clone())
-            .collect();
+        let beam = order.iter().take(opts.beam_width);
 
-        // Neighbors: fresh mutations of each survivor, features taken
-        // relative to the survivor's exact timing.
-        let mut cands: Vec<(KnobPoint, Vec<f64>, Option<f64>)> = Vec::new();
-        for survivor in &beam {
+        // Neighbors: fresh mutations of each survivor, in beam × draw
+        // order. Candidates past the per-round evaluation cap are
+        // dropped and their keys stay in `seen`: they don't come back.
+        let mut cands: Vec<KnobPoint> = Vec::new();
+        for &survivor in beam {
             for _ in 0..opts.neighbors_per_survivor {
-                let p = survivor.point.mutate(&mut rng);
-                let key = p.canonical_key();
-                if seen.contains(&key) {
-                    continue;
+                let p = state.pool[survivor].point.mutate(&mut rng);
+                if first_sight(&mut seen, &p) {
+                    cands.push(p);
                 }
-                seen.push(key);
-                let f = features(&survivor.timing, &p);
-                cands.push((p, f, None));
-            }
-        }
-        if cands.is_empty() {
-            continue;
-        }
-
-        // Rank by the cost model when enough history exists; candidates
-        // past the per-round evaluation cap are dropped (their keys stay
-        // in `seen` — the model judged them, they don't come back).
-        if state.train_y.len() >= 4 {
-            if let Some(model) = RidgeModel::fit(&state.train_x, &state.train_y, 1.0) {
-                for c in &mut cands {
-                    c.2 = Some(model.predict(&c.1));
-                }
-                cands.sort_by(|a, b| {
-                    a.2.unwrap()
-                        .total_cmp(&b.2.unwrap())
-                        .then_with(|| a.0.canonical_key().cmp(&b.0.canonical_key()))
-                });
             }
         }
         cands.truncate(opts.evals_per_round);
-        absorb(&mut state, &ctx, runner, round, cands);
+        absorb(&mut state, &ctx, runner, round, &cands);
     }
     if req.budget.clone().check().is_err() {
         complete = false;
@@ -588,17 +546,15 @@ pub fn beam_search(
                 .then_with(|| a.point.canonical_key().cmp(&b.point.canonical_key()))
         })
         .expect("pool contains at least the default point");
-    let rank_correlation = spearman(&state.corr_pred, &state.corr_act);
-    let tuned = TunedConfig {
-        point: best.point.clone(),
-        seed: opts.seed,
-        rounds: opts.rounds,
-        evaluated: state.records.len(),
+    let tuned = TunedConfig::new(
+        best.point.clone(),
+        opts.seed,
+        opts.rounds,
+        state.records.len(),
         default_time,
-        tuned_time: best.timing.time,
-        rank_correlation,
-        log_digest: log_digest(&state.records),
-    };
+        best.timing.time,
+        log_digest(&state.records),
+    );
     let end = polyject_sets::counters::snapshot();
     let warm = end.delta_since(&after_default);
     Ok(TuneOutcome {
@@ -641,6 +597,59 @@ mod tests {
         assert!(out.tuned.speedup() >= 1.0);
         assert_eq!(out.tuned.evaluated, out.log.len());
         assert_eq!(out.tuned.log_digest, log_digest(&out.log));
+    }
+
+    #[test]
+    fn neighbor_round_keeps_the_first_unseen_mutations_in_generation_order() {
+        // Replays the search's RNG stream by hand: round 1 must log
+        // exactly the first `evals_per_round` unseen mutations, beam
+        // survivor by survivor and draw by draw — no re-ranking.
+        let req = request(ops::transpose_2d(512, 512));
+        let opts = TuneOptions {
+            rounds: 1,
+            evals_per_round: 5,
+            ..TuneOptions::default()
+        };
+        let out = beam_search(&req, &opts, &SerialRunner).unwrap();
+
+        // Seed round: the default point, the anchors, uniform samples.
+        let mut rng = SplitMix64::new(opts.seed);
+        let mut pool = vec![KnobPoint::default()];
+        pool.extend(grid_anchors());
+        pool.dedup(); // the untiled anchor is the default point
+        let seeded = pool.len() + opts.initial_samples;
+        while pool.len() < seeded {
+            let p = KnobPoint::sample(&mut rng);
+            if !pool.contains(&p) {
+                pool.push(p);
+            }
+        }
+        let mut seen: Vec<String> = pool.iter().map(KnobPoint::canonical_key).collect();
+        let round0: Vec<&EvalRecord> = out.log.iter().filter(|r| r.round == 0).collect();
+        let logged: Vec<&str> = round0.iter().map(|r| r.key.as_str()).collect();
+        assert_eq!(logged, seen, "every seed candidate compiled, in order");
+
+        // Beam: the fastest seed points, key-tie-broken.
+        let mut order: Vec<usize> = (0..pool.len()).collect();
+        order.sort_by(|&i, &j| {
+            (round0[i].time.total_cmp(&round0[j].time)).then_with(|| seen[i].cmp(&seen[j]))
+        });
+        let mut expected = Vec::new();
+        for &i in order.iter().take(opts.beam_width) {
+            for _ in 0..opts.neighbors_per_survivor {
+                let key = pool[i].mutate(&mut rng).canonical_key();
+                if !seen.contains(&key) {
+                    seen.push(key.clone());
+                    expected.push(key);
+                }
+            }
+        }
+        assert!(expected.len() > opts.evals_per_round, "the cap must bite");
+        expected.truncate(opts.evals_per_round);
+        let round1: Vec<&str> = (out.log.iter().filter(|r| r.round == 1))
+            .map(|r| r.key.as_str())
+            .collect();
+        assert_eq!(round1, expected);
     }
 
     #[test]

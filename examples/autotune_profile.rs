@@ -1,10 +1,13 @@
-//! Auto-tune a fused operator (tile sizes × thread budgets, as the
-//! paper's "respective tool auto-tuners" do) and inspect the winning
-//! variant with the nvprof-substitute profiler.
+//! Auto-tune a fused operator (influence weights × tile sizes × thread
+//! budgets, as the paper's "respective tool auto-tuners" do) and inspect
+//! the winning variant with the nvprof-substitute profiler.
 //!
 //! Run with: `cargo run --release --example autotune_profile`
 
+use polyject::codegen::compile_with_options;
+use polyject::core::Budget;
 use polyject::prelude::*;
+use polyject::tune::{beam_search, SerialRunner, TuneOptions, TuneRequest};
 
 fn main() {
     let kernel = polyject::ir::ops::transpose_2d_of(2048, 2048, ElemType::F16);
@@ -12,24 +15,38 @@ fn main() {
 
     for config in [Config::Isl, Config::Influenced] {
         println!("== {} ==", config.name());
-        let tuned = autotune(&kernel, config, &model).expect("tunable");
-        for cand in &tuned.log {
+        let req = TuneRequest {
+            kernel: kernel.clone(),
+            config,
+            gpu: model.clone(),
+            budget: Budget::unlimited(),
+        };
+        let out = beam_search(&req, &TuneOptions::default(), &SerialRunner).expect("tunable");
+        for rec in &out.log {
             println!(
-                "  tile={:<12} max_threads={:<5} -> {:.4} ms ({})",
-                cand.tiling
-                    .map(|t| t.tile_size.to_string())
-                    .unwrap_or_else(|| "untiled".into()),
-                cand.mapping.max_threads,
-                cand.timing.ms(),
-                cand.timing.bottleneck()
+                "  round {} {:<96} -> {:.4} ms",
+                rec.round,
+                rec.key,
+                rec.time * 1e3
             );
         }
+        let tuned = &out.tuned;
         println!(
-            "  winner: tile={:?} {:.4} ms",
-            tuned.best.tiling.map(|t| t.tile_size),
-            tuned.best.timing.ms()
+            "  winner: tile={:?} max_threads={} {:.4} ms ({:.2}x over the default point)",
+            tuned.point.tiling.map(|t| t.tile_size),
+            tuned.point.mapping.max_threads,
+            tuned.tuned_time * 1e3,
+            tuned.speedup()
         );
-        println!("{}", profile(&tuned.compiled.ast, &kernel, &model).render());
+        // The winner replays cold from its recorded options.
+        let best = compile_with_options(
+            &kernel,
+            config,
+            &Budget::unlimited(),
+            &tuned.to_compile_options(),
+        )
+        .expect("the winner compiled during the search");
+        println!("{}", profile(&best.ast, &kernel, &model).render());
     }
 
     // On different device models the comparison shape persists.

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Offline CI gate: formatting, lints, the tier-1 verify (build + tests),
+# Offline CI gate: formatting, lints, rustdoc with warnings denied, the
+# tier-1 verify (build + tests),
 # an offline build of the standalone benchmark package,
 # a <10 s Table II smoke run (LSTM subset, serial vs parallel identity +
 # BENCH JSON emission), a seeded fault-injection chaos gate, a
@@ -38,6 +39,9 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "clippy unavailable; skipping"
 fi
+
+step "cargo doc -D warnings (no dangling intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 step "tier-1 verify: cargo build --release && cargo test -q"
 cargo build --release

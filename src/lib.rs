@@ -21,6 +21,7 @@
 //! | [`core`] | `polyject-core` | the influenced scheduler + influence trees (the paper's contribution) |
 //! | [`codegen`] | `polyject-codegen` | AST generation, GPU mapping, vectorization, printing |
 //! | [`gpusim`] | `polyject-gpusim` | functional interpreter + analytic V100 model |
+//! | [`tune`] | `polyject-tune` | deterministic beam-search autotuner over influence, tiling and mapping knobs |
 //! | [`workloads`] | `polyject-workloads` | Table I networks, TVM baseline, Table II harness |
 //! | [`serve`] | `polyject-serve` | compilation daemon + persistent content-addressed cache |
 //!
@@ -53,6 +54,7 @@ pub use polyject_gpusim as gpusim;
 pub use polyject_ir as ir;
 pub use polyject_serve as serve;
 pub use polyject_sets as sets;
+pub use polyject_tune as tune;
 pub use polyject_workloads as workloads;
 
 /// The most common imports for working with the pipeline end to end.
@@ -66,7 +68,7 @@ pub mod prelude {
     };
     pub use polyject_deps::{compute_dependences, DepOptions};
     pub use polyject_gpusim::{
-        autotune, check_equivalence, estimate, execute_ast, profile, ExecError, GpuModel,
+        check_equivalence, estimate, execute_ast, profile, ExecError, GpuModel,
     };
     pub use polyject_ir::{
         BinOp, ElemType, Expr, Extent, Idx, Kernel, KernelBuilder, StatementBuilder, StmtId, UnOp,
