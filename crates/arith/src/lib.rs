@@ -22,11 +22,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod fnv;
 mod hnf;
 mod matrix;
 mod prng;
 mod rat;
 
+pub use fnv::{fnv1a64, Fnv64};
 pub use hnf::{
     determinant, hermite_normal_form, integer_kernel_basis, is_unimodular, primitive_integer_vector,
 };

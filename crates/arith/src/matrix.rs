@@ -58,23 +58,6 @@ impl Matrix {
         }
     }
 
-    /// Creates a matrix from rational rows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rows have inconsistent lengths.
-    pub fn from_rat_rows(rows: Vec<Vec<Rat>>) -> Matrix {
-        let r = rows.len();
-        let c = rows.first().map_or(0, Vec::len);
-        assert!(rows.iter().all(|row| row.len() == c), "ragged rows");
-        let data = rows.into_iter().flatten().collect();
-        Matrix {
-            rows: r,
-            cols: c,
-            data,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows

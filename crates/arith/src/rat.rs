@@ -233,11 +233,6 @@ impl Rat {
         self.numer.signum()
     }
 
-    /// Approximate conversion to `f64` (only used for reporting).
-    pub fn to_f64(&self) -> f64 {
-        self.numer as f64 / self.denom as f64
-    }
-
     fn checked(n: Option<i128>, d: Option<i128>) -> Rat {
         Rat::new(n.expect("rational overflow"), d.expect("rational overflow"))
     }

@@ -33,7 +33,7 @@
 
 use polyject_bench::{
     default_workers, measurements_identical, render_bench_json, render_table2, run_table2_networks,
-    run_table2_networks_cached, run_table2_tuned, CacheBench, Table2Bench, Table2Run,
+    run_table2_networks_cached, run_table2_tuned, solver_pairs, CacheBench, Table2Bench, Table2Run,
 };
 use polyject_gpusim::GpuModel;
 use polyject_serve::{DiskCache, Json};
@@ -51,41 +51,16 @@ fn isolate_leg() {
 }
 
 fn print_stats(label: &str, run: &Table2Run) {
-    let c = &run.perf.counters;
+    let solver: Vec<String> = solver_pairs(&run.perf.counters)
+        .map(|(k, v)| format!("{k} {v}"))
+        .collect();
     eprintln!(
-        "[stats] {label}: {} unique ops, {} workers, wall {:.2}s, compile {:.1}ms \
-         | lp_solves {} ilp_solves {} ilp_nodes {} fm_eliminations {} \
-         | pivots p1 {} p2 {} repair {} | warm_nodes {} preprocess {:.1}ms \
-         | phases dep {:.1}ms assemble {:.1}ms solve {:.1}ms codegen {:.1}ms \
-         | i64 {} escalations {} farkas {} redundancy {} \
-         | deps {} session_reuses {} \
-         | degraded {} cancelled {} panics_recovered {}",
+        "[stats] {label}: {} unique ops, {} workers, wall {:.2}s, compile {:.1}ms | {}",
         run.unique_ops,
         run.workers,
         run.wall_s,
         run.perf.compile_ms,
-        c.lp_solves,
-        c.ilp_solves,
-        c.ilp_nodes,
-        c.fm_eliminations,
-        c.lp_phase1_pivots,
-        c.lp_phase2_pivots,
-        c.bb_repair_pivots,
-        c.bb_warm_nodes,
-        c.preprocess_ns as f64 / 1e6,
-        c.dependence_ns as f64 / 1e6,
-        c.assemble_ns as f64 / 1e6,
-        c.solve_ns as f64 / 1e6,
-        c.codegen_ns as f64 / 1e6,
-        c.tab_i64_solves,
-        c.tab_overflow_escalations,
-        c.farkas_linearizations,
-        c.redundancy_checks,
-        c.dependence_analyses,
-        c.session_reuses,
-        c.degraded_solves,
-        c.cancelled_solves,
-        c.panics_recovered
+        solver.join(" ")
     );
 }
 
@@ -243,6 +218,27 @@ fn run_throughput(nets: &[Network], model: &GpuModel, shards: usize, json_path: 
     splice_section(json_path, "throughput", b.to_json());
 }
 
+const USAGE: &str = "usage: table2 [--per-op | --csv] [--stats] [--fast] [--serial | --workers N] \
+[--bench] [--json PATH] [--cache-dir DIR] [--cache-bench] [--tune [--tune-seed N]] \
+[--throughput [--shards N]]";
+
+/// The number after `flag`, or `None` when the flag is absent. A missing
+/// or unparsable value is a usage error: the run would otherwise be
+/// recorded under a default nobody asked for.
+fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
+    let value = args.get(args.iter().position(|a| a == flag)? + 1);
+    let parsed = value.and_then(|v| v.parse().ok());
+    if parsed.is_none() {
+        match value {
+            Some(v) => eprintln!("{flag} needs a number, got {v:?}"),
+            None => eprintln!("{flag} needs a number"),
+        }
+        eprintln!("{USAGE}");
+        std::process::exit(2);
+    }
+    parsed
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let has = |f: &str| args.iter().any(|a| a == f);
@@ -256,19 +252,19 @@ fn main() {
     let stats = has("--stats");
     let fast = has("--fast");
     let bench = has("--bench");
+    let workers_flag: Option<usize> = numeric_flag(&args, "--workers");
     let workers = if has("--serial") {
         1
     } else {
-        after("--workers")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(default_workers)
+        workers_flag.unwrap_or_else(default_workers)
     };
     let json_path = after("--json")
         .cloned()
         .unwrap_or_else(|| "BENCH_table2.json".to_string());
     let cache_bench = has("--cache-bench");
     let tune = has("--tune");
-    let tune_seed: Option<u64> = after("--tune-seed").and_then(|v| v.parse().ok());
+    let tune_seed: Option<u64> = numeric_flag(&args, "--tune-seed");
+    let shards: usize = numeric_flag(&args, "--shards").unwrap_or(3);
     let cache_dir = after("--cache-dir").cloned().unwrap_or_else(|| {
         std::env::temp_dir()
             .join("polyject-table2-cache")
@@ -280,7 +276,6 @@ fn main() {
     let model = GpuModel::v100();
     let nets: Vec<Network> = if fast { vec![lstm()] } else { all_networks() };
     if has("--throughput") {
-        let shards = after("--shards").and_then(|v| v.parse().ok()).unwrap_or(3);
         run_throughput(&nets, &model, shards, &json_path);
         return;
     }

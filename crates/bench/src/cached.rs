@@ -13,9 +13,9 @@ use polyject_gpusim::GpuModel;
 use polyject_serve::{cache_key, DiskCache, Json};
 use polyject_sets::counters::SolverCounters;
 use polyject_workloads::{
-    aggregate_network, measure_op_with_perf, op_key, Network, OpClass, OpMeasurement, OpPerf,
+    aggregate_network, measure_op_with_perf, op_key, unique_ops, Network, OpClass, OpMeasurement,
+    OpPerf,
 };
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The cache-entry kind tag for Table II per-operator measurements
@@ -98,16 +98,7 @@ pub fn run_table2_networks_cached(
     cache: &mut DiskCache,
 ) -> CachedTable2 {
     let t0 = Instant::now();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut unique: Vec<&OpClass> = Vec::new();
-    for net in nets {
-        for op in &net.ops {
-            index.entry(op_key(op)).or_insert_with(|| {
-                unique.push(op);
-                unique.len() - 1
-            });
-        }
-    }
+    let (unique, index) = unique_ops(nets);
 
     // Probe the cache serially (cheap disk reads), collecting misses.
     let keys: Vec<String> = unique.iter().map(|op| op_cache_key(op, model)).collect();
@@ -189,12 +180,13 @@ impl CacheBench {
     /// The `"cache"` JSON section.
     pub fn to_json(&self) -> Json {
         fn counters(c: &SolverCounters) -> Json {
-            Json::obj(vec![
-                ("lp_solves", Json::Num(c.lp_solves as f64)),
-                ("ilp_solves", Json::Num(c.ilp_solves as f64)),
-                ("ilp_nodes", Json::Num(c.ilp_nodes as f64)),
-                ("fm_eliminations", Json::Num(c.fm_eliminations as f64)),
-            ])
+            // The four solve-level counts: all a warm run has to show zero.
+            Json::obj(
+                c.fields()
+                    .take(4)
+                    .map(|(k, v)| (k, Json::Num(v as f64)))
+                    .collect(),
+            )
         }
         fn side(r: &CachedTable2) -> Json {
             Json::obj(vec![

@@ -25,10 +25,9 @@ pub use polyject_serve::{default_workers, parallel_map};
 
 use polyject_gpusim::GpuModel;
 use polyject_workloads::{
-    aggregate_network, all_networks, measure_network, measure_op_with_perf, op_key, Network,
-    NetworkMeasurement, OpPerf, Tool,
+    aggregate_network, all_networks, measure_network, measure_op_with_perf, op_key, unique_ops,
+    Network, NetworkMeasurement, OpPerf, Tool,
 };
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -130,16 +129,7 @@ pub struct Table2Run {
 /// serial [`run_table2`] path no matter the worker count.
 pub fn run_table2_networks(nets: &[Network], model: &GpuModel, workers: usize) -> Table2Run {
     let t0 = Instant::now();
-    let mut index: HashMap<String, usize> = HashMap::new();
-    let mut unique: Vec<&polyject_workloads::OpClass> = Vec::new();
-    for net in nets {
-        for op in &net.ops {
-            index.entry(op_key(op)).or_insert_with(|| {
-                unique.push(op);
-                unique.len() - 1
-            });
-        }
-    }
+    let (unique, index) = unique_ops(nets);
     let measured = parallel_map(&unique, workers, |op| measure_op_with_perf(op, model));
     let mut perf = OpPerf::default();
     for (_, p) in &measured {
@@ -163,11 +153,6 @@ pub fn run_table2_networks(nets: &[Network], model: &GpuModel, workers: usize) -
         unique_ops: unique.len(),
         perf,
     }
-}
-
-/// [`run_table2_networks`] over every Table I network.
-pub fn run_table2_parallel(model: &GpuModel, workers: usize) -> Table2Run {
-    run_table2_networks(&all_networks(), model, workers)
 }
 
 /// Whether two result sets are exactly identical: same networks, same
@@ -220,28 +205,31 @@ impl Table2Bench {
     }
 }
 
+/// Every live solver counter as a `(key, rendered value)` pair in
+/// declaration order — the `"solver"` object of `BENCH_table2.json` and
+/// `table2 --stats`: counts verbatim, `*_ns` clocks as `*_ms` with three
+/// decimals.
+pub fn solver_pairs(
+    c: &polyject_sets::SolverCounters,
+) -> impl Iterator<Item = (String, String)> + '_ {
+    c.fields().map(|(name, v)| match name.strip_suffix("_ns") {
+        Some(stem) => (format!("{stem}_ms"), format!("{:.3}", v as f64 / 1e6)),
+        None => (name.to_string(), v.to_string()),
+    })
+}
+
 /// Renders the `BENCH_table2.json` document (hand-rolled writer; the
 /// workspace is offline and carries no serde). Schema is documented in
 /// the repository README.
 pub fn render_bench_json(b: &Table2Bench) -> String {
     fn run_json(out: &mut String, key: &str, r: &Table2Run) {
-        let c = &r.perf.counters;
+        let solver: Vec<String> = solver_pairs(&r.perf.counters)
+            .map(|(k, v)| format!("\"{k}\": {v}"))
+            .collect();
         write!(
             out,
-            "  \"{key}\": {{\n    \"wall_s\": {:.6},\n    \"workers\": {},\n    \"unique_ops\": {},\n    \"compile_ms_total\": {:.3},\n    \"solver\": {{ \"lp_solves\": {}, \"ilp_solves\": {}, \"ilp_nodes\": {}, \"fm_eliminations\": {}, \"lp_phase1_pivots\": {}, \"lp_phase2_pivots\": {}, \"bb_repair_pivots\": {}, \"bb_warm_nodes\": {}, \"tab_i64_solves\": {}, \"tab_overflow_escalations\": {}, \"farkas_linearizations\": {}, \"redundancy_checks\": {}, \"dependence_analyses\": {}, \"session_reuses\": {}, \"preprocess_ms\": {:.3}, \"dependence_ms\": {:.3}, \"assemble_ms\": {:.3}, \"solve_ms\": {:.3}, \"codegen_ms\": {:.3}, \"degraded_solves\": {}, \"cancelled_solves\": {}, \"panics_recovered\": {} }}\n  }}",
-            r.wall_s, r.workers, r.unique_ops, r.perf.compile_ms,
-            c.lp_solves, c.ilp_solves, c.ilp_nodes, c.fm_eliminations,
-            c.lp_phase1_pivots, c.lp_phase2_pivots,
-            c.bb_repair_pivots, c.bb_warm_nodes,
-            c.tab_i64_solves, c.tab_overflow_escalations,
-            c.farkas_linearizations, c.redundancy_checks,
-            c.dependence_analyses, c.session_reuses,
-            c.preprocess_ns as f64 / 1e6,
-            c.dependence_ns as f64 / 1e6,
-            c.assemble_ns as f64 / 1e6,
-            c.solve_ns as f64 / 1e6,
-            c.codegen_ns as f64 / 1e6,
-            c.degraded_solves, c.cancelled_solves, c.panics_recovered
+            "  \"{key}\": {{\n    \"wall_s\": {:.6},\n    \"workers\": {},\n    \"unique_ops\": {},\n    \"compile_ms_total\": {:.3},\n    \"solver\": {{ {} }}\n  }}",
+            r.wall_s, r.workers, r.unique_ops, r.perf.compile_ms, solver.join(", ")
         )
         .unwrap();
     }

@@ -22,8 +22,7 @@ use polyject_core::Budget;
 use polyject_gpusim::GpuModel;
 use polyject_serve::{batch_reports, CompileService, DiskCache, Json, TuneJob};
 use polyject_tune::TuneOptions;
-use polyject_workloads::{op_key, Network, OpClass};
-use std::collections::HashSet;
+use polyject_workloads::{op_key, unique_ops, Network};
 use std::time::Instant;
 
 /// One tuned Table II operator: its default-configuration time, the
@@ -157,15 +156,7 @@ pub fn run_table2_tuned(
     workers: usize,
 ) -> Result<TuneBench, String> {
     let t0 = Instant::now();
-    let mut seen = HashSet::new();
-    let mut unique: Vec<&OpClass> = Vec::new();
-    for net in nets {
-        for op in &net.ops {
-            if seen.insert(op_key(op)) {
-                unique.push(op);
-            }
-        }
-    }
+    let (unique, _) = unique_ops(nets);
 
     let svc = CompileService::new(Some(cache), model.clone());
     let mut jobs = Vec::with_capacity(unique.len());

@@ -1,7 +1,7 @@
 //! The generated-code AST: loop nests over schedule dimensions with
 //! statement instances at the leaves.
 
-use polyject_ir::StmtId;
+use polyject_ir::{Kernel, StmtId};
 use polyject_sets::{Constraint, LinExpr};
 use std::fmt;
 
@@ -154,6 +154,31 @@ pub struct StmtNode {
 }
 
 impl StmtNode {
+    /// Composes one access index (over `[iters, params]`) into the global
+    /// `[t_0.., params...]` space by substituting the iterator-recovery
+    /// expressions.
+    pub(crate) fn compose_index(&self, idx: &LinExpr, kernel: &Kernel) -> LinExpr {
+        let n_params = kernel.n_params();
+        let gspace = self.iter_exprs.first().map_or(n_params, LinExpr::n_vars);
+        let n_iters = self.iter_exprs.len();
+        let mut e = LinExpr::constant(gspace, idx.constant_term());
+        for (it, recover) in self.iter_exprs.iter().enumerate() {
+            let c = idx.coeff(it);
+            if !c.is_zero() {
+                e = &e + &recover.scaled(c);
+            }
+        }
+        for p in 0..n_params {
+            let c = idx.coeff(n_iters + p);
+            if !c.is_zero() {
+                let mut pe = LinExpr::zero(gspace);
+                pe.set_coeff(gspace - n_params + p, c);
+                e = &e + &pe;
+            }
+        }
+        e
+    }
+
     /// Evaluates the iterator vector at concrete schedule-variable and
     /// parameter values; `None` if a guard fails or an iterator is
     /// fractional.

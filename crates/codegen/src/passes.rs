@@ -356,30 +356,9 @@ pub fn access_offset_expr(
         .map(LinExpr::n_vars)
         .unwrap_or(access.indices().first().map(LinExpr::n_vars).unwrap_or(0));
     let mut total = LinExpr::zero(gspace);
-    let stmt = kernel.statement(stmt_node.stmt);
-    let n_iters = stmt.n_iters();
-    let n_t = gspace - params.len();
-    for (dim, stride) in strides.iter().enumerate() {
-        let idx = &access.indices()[dim];
-        // idx over [iters, params]: substitute iterators.
-        let mut composed = LinExpr::zero(gspace);
-        for it in 0..n_iters {
-            let c = idx.coeff(it);
-            if !c.is_zero() {
-                composed = &composed + &stmt_node.iter_exprs[it].scaled(c);
-            }
-        }
-        for p in 0..params.len() {
-            let c = idx.coeff(n_iters + p);
-            if !c.is_zero() {
-                let mut e = LinExpr::zero(gspace);
-                e.set_coeff(n_t + p, c);
-                composed = &composed + &e;
-            }
-        }
-        let mut k = LinExpr::constant(gspace, idx.constant_term());
-        k = &k + &composed;
-        total = &total + &k.scaled(polyject_arith::Rat::int(*stride as i128));
+    for (idx, stride) in access.indices().iter().zip(&strides) {
+        let composed = stmt_node.compose_index(idx, kernel);
+        total = &total + &composed.scaled(polyject_arith::Rat::int(*stride as i128));
     }
     total
 }

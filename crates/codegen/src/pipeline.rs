@@ -6,10 +6,9 @@ use crate::gen::generate_ast;
 use crate::passes::{map_to_gpu, vectorize, MappingOptions};
 use crate::tiling::{tile_ast, TilingOptions};
 use polyject_core::{
-    build_influence_tree, schedule_kernel_budgeted, Budget, InfluenceOptions, InfluenceTree,
-    Schedule, ScheduleError, ScheduleResult, SchedulerOptions,
+    Budget, InfluenceOptions, Schedule, ScheduleError, ScheduleResult, SchedulerOptions,
 };
-use polyject_deps::{compute_dependences, DepOptions, Dependences};
+use polyject_deps::Dependences;
 use polyject_ir::Kernel;
 
 /// The four configurations of the paper's evaluation (Section VI).
@@ -136,13 +135,12 @@ pub fn compile_with_budget(
 
 /// Every knob the pipeline compiles under, in one struct. The defaults
 /// reproduce [`compile`] exactly; the autotuner searches over the
-/// non-default points and replays winners through this entry.
+/// non-default points and replays winners through this entry. The
+/// scheduler core always runs [`SchedulerOptions::default`].
 #[derive(Clone, Debug, Default)]
 pub struct CompileOptions {
     /// Influence-optimizer knobs (weights, scenario-variant toggles).
     pub influence: InfluenceOptions,
-    /// Scheduler knobs (coefficient bounds, attempt caps, fallback).
-    pub scheduler: SchedulerOptions,
     /// Block/thread mapping knobs.
     pub mapping: MappingOptions,
     /// Optional tiling applied after mapping (`None` = untiled, the
@@ -154,7 +152,7 @@ pub struct CompileOptions {
 /// the defaults: influence tree built from `opts.influence`, mapping
 /// from `opts.mapping`, and — when `opts.tiling` is set — tiling applied
 /// after mapping with the mapping re-run (tiling reverts mapped kinds on
-/// tile loops).
+/// tile loops). A cold compile is a [`CompileSession`] of one call.
 ///
 /// # Errors
 ///
@@ -165,19 +163,12 @@ pub fn compile_with_options(
     budget: &Budget,
     opts: &CompileOptions,
 ) -> Result<Compiled, ScheduleError> {
-    let deps = compute_dependences(kernel, DepOptions::default());
-    let tree = match config {
-        Config::Isl => InfluenceTree::new(),
-        Config::NoVec | Config::Influenced => build_influence_tree(kernel, &opts.influence),
-    };
-    let result = schedule_kernel_budgeted(kernel, &deps, &tree, opts.scheduler, budget)?;
-    Ok(lower(kernel, config, opts, &deps, result))
+    CompileSession::new(kernel).compile_with(config, budget, opts)
 }
 
-/// The codegen suffix shared by cold compiles and session compiles:
+/// Everything downstream of the polyhedral phase, timed as `codegen_ns`:
 /// schedule → AST → parallel-loop refinement → (optional) vectorization →
-/// GPU mapping → (optional) tiling with a re-map. Everything downstream
-/// of the polyhedral phase, timed as `codegen_ns`.
+/// GPU mapping → (optional) tiling with a re-map.
 fn lower(
     kernel: &Kernel,
     config: Config,
@@ -209,29 +200,33 @@ fn lower(
     }
 }
 
-/// A per-(kernel, configuration) compile session: dependence analysis,
-/// Farkas linearization and the base scheduling context are computed once
-/// (inside the held [`polyject_core::ScheduleSession`]) and every
+/// A per-kernel compile session — the only route from a kernel to a
+/// [`Compiled`]. Dependence analysis, Farkas linearization and the base
+/// scheduling context depend on neither [`Config`] nor
+/// [`CompileOptions`], so they are computed once (inside the held
+/// [`polyject_core::ScheduleSession`]) and every
 /// [`compile_with`](CompileSession::compile_with) call re-runs only the
-/// option-dependent suffix — influence-tree construction, constraint
-/// injection, the per-dimension ILP ladder, and codegen.
+/// configuration- and option-dependent suffix — influence-tree
+/// construction, constraint injection, the per-dimension ILP ladder, and
+/// codegen.
 ///
-/// This is the seam the autotuner and the compile service batch through:
-/// candidate 2..N of a kernel costs zero dependence analyses and zero
-/// Farkas linearizations (observable in the `dependence_analyses` /
-/// `farkas_linearizations` counters), while producing bitwise-identical
-/// artifacts to a cold [`compile_with_options`] call — pinned by the
-/// session differential suite in `crates/workloads`.
+/// [`compile_with_options`] is a session of one call; the autotuner and
+/// the compile service keep one open per kernel, so candidate 2..N (and
+/// the sibling configurations) of a kernel cost zero dependence analyses
+/// and zero Farkas linearizations (observable in the
+/// `dependence_analyses` / `farkas_linearizations` counters). A long-lived
+/// session answers bitwise what a fresh one would — pinned by the session
+/// differential suite in `crates/workloads`.
 pub struct CompileSession {
-    session: std::sync::Arc<polyject_core::ScheduleSession>,
-    config: Config,
+    session: polyject_core::ScheduleSession,
     lowered: std::sync::Mutex<LoweredMemo>,
 }
 
-/// Lowered artifacts memoized per (schedule identity, mapping, tiling).
+/// Lowered artifacts memoized per (config, schedule identity, mapping,
+/// tiling).
 ///
-/// [`lower`] is a pure function of the schedule and exactly those two
-/// option groups — `vectorize` reads the kernel and schedule only — so
+/// [`lower`] is a pure function of the schedule and exactly those three
+/// inputs — `vectorize` reads the kernel and schedule only — so
 /// beam-search candidates that differ in influence weights but converge
 /// on the same memoized schedule (the common case: a handful of distinct
 /// schedules serve dozens of knob points) replay the finished AST
@@ -244,7 +239,7 @@ struct LoweredMemo {
 }
 
 /// The exact inputs [`lower`] reads besides the schedule itself.
-type LoweredKey = (u64, MappingOptions, Option<TilingOptions>);
+type LoweredKey = (Config, u64, MappingOptions, Option<TilingOptions>);
 
 /// Cap on memoized lowered artifacts per session; sized like the
 /// schedule memo times the handful of mapping/tiling points a beam
@@ -252,35 +247,10 @@ type LoweredKey = (u64, MappingOptions, Option<TilingOptions>);
 const LOWERED_CAP: usize = 256;
 
 impl CompileSession {
-    /// Opens a session for one kernel under one configuration, analyzing
-    /// its dependences once. The shared scheduling prefix is built under
-    /// the *default* scheduler options — the ones every autotune
-    /// candidate compiles under.
-    pub fn new(kernel: &Kernel, config: Config) -> CompileSession {
-        CompileSession::with_session(
-            std::sync::Arc::new(polyject_core::ScheduleSession::new(
-                kernel,
-                SchedulerOptions::default(),
-            )),
-            config,
-        )
-    }
-
-    /// Opens a session for `config` over an already-built (shared)
-    /// [`polyject_core::ScheduleSession`]. The schedule session is
-    /// config-independent — it holds the kernel's dependence analysis,
-    /// Farkas linearizations and prepared base context, none of which
-    /// depend on [`Config`] — so one can back the `isl`, `novec` and
-    /// `infl` compiles of a kernel family at once: the first config pays
-    /// the invariant prefix, the rest reuse it (observable as
-    /// `session_reuses`) while each keeps its own lowered-artifact memo.
-    pub fn with_session(
-        session: std::sync::Arc<polyject_core::ScheduleSession>,
-        config: Config,
-    ) -> CompileSession {
+    /// Opens a session for one kernel, analyzing its dependences once.
+    pub fn new(kernel: &Kernel) -> CompileSession {
         CompileSession {
-            session,
-            config,
+            session: polyject_core::ScheduleSession::new(kernel, SchedulerOptions::default()),
             lowered: std::sync::Mutex::new(LoweredMemo {
                 entries: Vec::new(),
                 next_id: 0,
@@ -288,98 +258,65 @@ impl CompileSession {
         }
     }
 
-    /// The shared schedule session backing this compile session.
-    pub fn schedule_session(&self) -> &std::sync::Arc<polyject_core::ScheduleSession> {
-        &self.session
-    }
-
     /// The session's kernel.
     pub fn kernel(&self) -> &Kernel {
         self.session.kernel()
     }
 
-    /// The configuration the session compiles under.
-    pub fn config(&self) -> Config {
-        self.config
-    }
-
-    /// Compiles the session's kernel under explicit options — the warm
-    /// equivalent of [`compile_with_options`].
-    ///
-    /// Scheduling goes through the shared session when the requested
-    /// scheduler options match the session's (the common case: tuning
-    /// knobs move influence weights, tiling and mapping, never the
-    /// scheduler core); a request with foreign scheduler options falls
-    /// back to a cold schedule that still reuses the session's dependence
-    /// analysis. Metered budgets bypass shared state inside the session
-    /// itself (see [`polyject_core::ScheduleSession::schedule_with`]).
+    /// Compiles the session's kernel under a configuration and explicit
+    /// options. Metered budgets bypass shared state inside the schedule
+    /// session itself (see
+    /// [`polyject_core::ScheduleSession::schedule_with`]).
     ///
     /// # Errors
     ///
-    /// Propagates [`ScheduleError`] like [`compile_with_options`].
+    /// [`ScheduleError`] if even uninfluenced scheduling fails, or on
+    /// cancellation.
     pub fn compile_with(
         &self,
+        config: Config,
         budget: &Budget,
         opts: &CompileOptions,
     ) -> Result<Compiled, ScheduleError> {
-        self.compile_keyed(budget, opts).map(|(c, _)| c)
+        self.compile_keyed(config, budget, opts).map(|(c, _)| c)
     }
 
     /// Like [`compile_with`](CompileSession::compile_with), but also
     /// returns the artifact's session-unique identity: two calls return
     /// the same `Some(id)` exactly when they served the same lowered-memo
-    /// entry (hence bitwise the same `Compiled`). Metered budgets and
-    /// foreign scheduler options compile outside the memo and get `None`.
-    /// The autotuner keys its per-search timing memo on this id, skipping
-    /// AST digesting and re-simulation for colliding candidates.
+    /// entry (hence bitwise the same `Compiled`). Metered budgets compile
+    /// outside the memo and get `None`. The autotuner keys its per-search
+    /// timing memo on this id, skipping AST digesting and re-simulation
+    /// for colliding candidates.
     ///
     /// # Errors
     ///
-    /// Propagates [`ScheduleError`] like [`compile_with_options`].
+    /// Those of [`compile_with`](CompileSession::compile_with).
     pub fn compile_keyed(
         &self,
+        config: Config,
         budget: &Budget,
         opts: &CompileOptions,
     ) -> Result<(Compiled, Option<u64>), ScheduleError> {
-        let kernel = self.session.kernel();
-        if opts.scheduler != self.session.options() {
-            let tree = match self.config {
-                Config::Isl => InfluenceTree::new(),
-                Config::NoVec | Config::Influenced => build_influence_tree(kernel, &opts.influence),
-            };
-            let result = schedule_kernel_budgeted(
-                kernel,
-                self.session.deps(),
-                &tree,
-                opts.scheduler,
-                budget,
-            )?;
-            return Ok((
-                lower(kernel, self.config, opts, self.session.deps(), result),
-                None,
-            ));
-        }
-        let influence = match self.config {
+        let influence = match config {
             Config::Isl => None,
             Config::NoVec | Config::Influenced => Some(&opts.influence),
         };
         let (result, sched_id) = self.session.schedule_keyed(influence, budget)?;
-        let Some(sid) = sched_id else {
-            // Metered bypass: the schedule came from outside the shared
-            // memo, so the lowered memo must neither serve nor absorb it.
-            return Ok((
-                lower(kernel, self.config, opts, self.session.deps(), result),
-                None,
-            ));
-        };
-        let key: LoweredKey = (sid, opts.mapping, opts.tiling);
-        {
+        // No schedule id = metered bypass: the schedule came from outside
+        // the shared memo, so the lowered memo must neither serve nor
+        // absorb it.
+        let key: Option<LoweredKey> = sched_id.map(|sid| (config, sid, opts.mapping, opts.tiling));
+        if let Some(key) = &key {
             let memo = self.lowered.lock().expect("lowered memo lock poisoned");
-            if let Some((_, compiled, id)) = memo.entries.iter().find(|(k, _, _)| *k == key) {
+            if let Some((_, compiled, id)) = memo.entries.iter().find(|(k, _, _)| k == key) {
                 return Ok((compiled.clone(), Some(*id)));
             }
         }
-        let compiled = lower(kernel, self.config, opts, self.session.deps(), result);
+        let compiled = lower(self.kernel(), config, opts, self.session.deps(), result);
+        let Some(key) = key else {
+            return Ok((compiled, None));
+        };
         let mut memo = self.lowered.lock().expect("lowered memo lock poisoned");
         // Raced insert from another thread: keep its entry (and identity)
         // so equal ids always mean "same entry".
@@ -457,29 +394,16 @@ mod tests {
     }
 
     #[test]
-    fn shared_schedule_session_is_config_independent() {
-        // One ScheduleSession backing all three configs must reproduce
-        // the cold pipeline bitwise — the schedule session holds only
-        // config-invariant state (deps, Farkas, base context).
+    fn one_shot_compile_analyzes_once_and_reuses_nothing() {
+        // A cold compile is a session of one call: exactly one dependence
+        // analysis and no session reuse, so the recorded solver-counter
+        // snapshot of the cold table cannot drift.
         let kernel = ops::transpose_2d(128, 128);
-        let shared = std::sync::Arc::new(polyject_core::ScheduleSession::new(
-            &kernel,
-            SchedulerOptions::default(),
-        ));
-        for config in Config::all() {
-            let warm = CompileSession::with_session(std::sync::Arc::clone(&shared), config)
-                .compile_with(&Budget::unlimited(), &CompileOptions::default())
-                .unwrap();
-            let cold = compile(&kernel, config).unwrap();
-            assert_eq!(
-                format!("{:?}", warm.ast),
-                format!("{:?}", cold.ast),
-                "{} diverged under a shared session",
-                config.name()
-            );
-            assert_eq!(warm.vector_loops, cold.vector_loops);
-            assert_eq!(warm.influenced, cold.influenced);
-        }
+        let before = polyject_sets::counters::snapshot();
+        compile(&kernel, Config::Influenced).unwrap();
+        let d = polyject_sets::counters::snapshot().delta_since(&before);
+        assert_eq!(d.dependence_analyses, 1);
+        assert_eq!(d.session_reuses, 0);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! regenerator and golden tests).
 
 use crate::ast::{Ast, AstNode, Bound, LoopKind, StmtNode};
-use polyject_ir::{Kernel, Statement};
+use polyject_ir::Kernel;
 use polyject_sets::LinExpr;
 use std::fmt::Write as _;
 
@@ -90,18 +90,17 @@ fn render_stmt(s: &StmtNode, kernel: &Kernel, names: &[String], pad: &str, out: 
             .collect();
         guard_prefix = format!("if ({}) ", conds.join(" && "));
     }
-    let w = compose_access(stmt, stmt.write(), s, names, kernel);
+    let w = compose_access(stmt.write(), s, names, kernel);
     let reads: Vec<String> = stmt
         .reads()
         .iter()
-        .map(|a| compose_access(stmt, a, s, names, kernel))
+        .map(|a| compose_access(a, s, names, kernel))
         .collect();
     let body = stmt.expr().display_with(|i| reads[i].clone());
     writeln!(out, "{pad}{guard_prefix}{}: {w} = {body};", stmt.name()).expect("string write");
 }
 
 pub(crate) fn compose_access(
-    stmt: &Statement,
     access: &polyject_ir::Access,
     node: &StmtNode,
     names: &[String],
@@ -112,36 +111,10 @@ pub(crate) fn compose_access(
     for idx in access.indices() {
         // idx over [iters, params]: substitute the iterator-recovery
         // expressions to land in the global space, then render.
-        let composed = compose(idx, node, stmt, kernel);
+        let composed = node.compose_index(idx, kernel);
         write!(s, "[{}]", render_expr(&composed, names)).expect("string write");
     }
     s
-}
-
-fn compose(idx: &LinExpr, node: &StmtNode, stmt: &Statement, kernel: &Kernel) -> LinExpr {
-    let gspace = node
-        .iter_exprs
-        .first()
-        .map(LinExpr::n_vars)
-        .unwrap_or(kernel.n_params());
-    let n_iters = stmt.n_iters();
-    let n_t = gspace - kernel.n_params();
-    let mut e = LinExpr::constant(gspace, idx.constant_term());
-    for it in 0..n_iters {
-        let c = idx.coeff(it);
-        if !c.is_zero() {
-            e = &e + &node.iter_exprs[it].scaled(c);
-        }
-    }
-    for p in 0..kernel.n_params() {
-        let c = idx.coeff(n_iters + p);
-        if !c.is_zero() {
-            let mut pe = LinExpr::zero(gspace);
-            pe.set_coeff(n_t + p, c);
-            e = &e + &pe;
-        }
-    }
-    e
 }
 
 pub(crate) fn render_bound_list(bounds: &[Bound], names: &[String], lower: bool) -> String {

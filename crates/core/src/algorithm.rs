@@ -35,13 +35,6 @@ pub struct SchedulerOptions {
     pub max_dims: usize,
     /// Safety cap on solver attempts (ILP solves + backtracks).
     pub max_attempts: usize,
-    /// Enable the Feautrier fallback strategy: when the Pluto-style step
-    /// fails and influence alternatives are exhausted, look for a
-    /// dimension strongly satisfying as many dependences as possible
-    /// before resorting to SCC separation (paper Section IV-B notes isl
-    /// offers this; it was not needed for the paper's workloads and is
-    /// off by default).
-    pub feautrier_fallback: bool,
 }
 
 impl Default for SchedulerOptions {
@@ -50,16 +43,9 @@ impl Default for SchedulerOptions {
             bounds: CoeffBounds::default(),
             max_dims: 12,
             max_attempts: 512,
-            feautrier_fallback: false,
         }
     }
 }
-
-/// A Feautrier dimension solution: the layout-space coefficient vector
-/// plus the indices (into the remaining set's iteration order) of the
-/// dependences it strongly satisfies. `None` when the 0/1 ILP found
-/// nothing worth emitting.
-type FeautrierSolution = Option<(Vec<i128>, Vec<usize>)>;
 
 /// Why schedule construction failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -128,7 +114,7 @@ pub struct ScheduleStats {
     pub tree_backtracks: usize,
     /// Scalar dimensions inserted by SCC separation.
     pub scc_separations: usize,
-    /// Dimensions produced by the Feautrier fallback strategy.
+    /// Always 0: nothing ticks it; the name is kept for `benchmark/`.
     pub feautrier_dims: usize,
     /// Exact simplex solves performed (LP relaxations, feasibility and
     /// redundancy tests), from the solver's own counters.
@@ -163,7 +149,6 @@ impl ScheduleStats {
         self.ilp_solves += other.ilp_solves;
         self.tree_backtracks += other.tree_backtracks;
         self.scc_separations += other.scc_separations;
-        self.feautrier_dims += other.feautrier_dims;
         self.lp_solves += other.lp_solves;
         self.ilp_nodes += other.ilp_nodes;
         self.fm_eliminations += other.fm_eliminations;
@@ -220,35 +205,27 @@ pub fn schedule_kernel_budgeted(
     opts: SchedulerOptions,
     budget: &Budget,
 ) -> Result<ScheduleResult, ScheduleError> {
-    match schedule_kernel_inner(kernel, deps, tree, opts, budget, None) {
-        Err(e) if e.is_cancelled() => {
-            polyject_sets::counters::note_cancelled_solve();
-            Err(e)
-        }
-        other => other,
-    }
+    schedule_kernel_with_prefix(kernel, deps, tree, opts, budget, None)
 }
 
-/// [`schedule_kernel_budgeted`] running the option-dependent suffix only:
-/// the option-invariant prefix (layout, linearized systems, solved base
-/// context) is borrowed from a live [`crate::ScheduleSession`] instead of
-/// rebuilt. Decision-identical to the cold entry point — both paths run
-/// the same driver over the same prefix contents.
+/// [`schedule_kernel_budgeted`] over an option-invariant prefix (layout,
+/// linearized systems, solved base context): borrowed from a live
+/// [`crate::ScheduleSession`] when `prefix` is given, built privately
+/// otherwise. Decision-identical either way — the same driver runs over
+/// the same prefix contents.
 pub(crate) fn schedule_kernel_with_prefix(
     kernel: &Kernel,
     deps: &Dependences,
     tree: &InfluenceTree,
     opts: SchedulerOptions,
     budget: &Budget,
-    prefix: &SchedulePrefix,
+    prefix: Option<&SchedulePrefix>,
 ) -> Result<ScheduleResult, ScheduleError> {
-    match schedule_kernel_inner(kernel, deps, tree, opts, budget, Some(prefix)) {
-        Err(e) if e.is_cancelled() => {
-            polyject_sets::counters::note_cancelled_solve();
-            Err(e)
-        }
-        other => other,
+    let result = schedule_kernel_inner(kernel, deps, tree, opts, budget, prefix);
+    if result.as_ref().is_err_and(ScheduleError::is_cancelled) {
+        polyject_sets::counters::note_cancelled_solve(1);
     }
+    result
 }
 
 fn schedule_kernel_inner(
@@ -283,7 +260,7 @@ fn schedule_kernel_inner(
                 // prefix is tree-independent, so the plain driver borrows
                 // the failed driver's instead of rebuilding it.
                 if e.kind() == ScheduleErrorKind::Exhausted {
-                    polyject_sets::counters::note_degraded_solve();
+                    polyject_sets::counters::note_degraded_solve(1);
                 }
                 let relaxed = budget.cancel_only();
                 let empty = InfluenceTree::new();
@@ -314,10 +291,11 @@ struct Driver<'a> {
     validity: Vec<&'a DepRelation>,
     /// The option-invariant prefix: layout, linearized per-relation
     /// systems, static bounds, objectives, and the solved dimension-0
-    /// base context. Owned on a cold run, borrowed from a live
-    /// [`crate::ScheduleSession`] on a warm one — the driver reads it
-    /// identically either way, which is what keeps warm compiles
-    /// decision-identical to cold ones.
+    /// base context. Owned when called without a session
+    /// ([`schedule_kernel`], a metered bypass), borrowed from a live
+    /// [`crate::ScheduleSession`] otherwise — the driver reads it
+    /// identically either way, which is what keeps the two
+    /// decision-identical.
     prefix: Cow<'a, SchedulePrefix>,
     influenced: bool,
     stats: ScheduleStats,
@@ -471,7 +449,7 @@ impl<'a> Driver<'a> {
                     Err(BudgetError::Exhausted(_)) => {
                         // Budget exhaustion takes the same ladder as
                         // infeasibility: drop influence, retry relaxed.
-                        polyject_sets::counters::note_degraded_solve();
+                        polyject_sets::counters::note_degraded_solve(1);
                         IlpOutcome::Infeasible
                     }
                 };
@@ -549,26 +527,6 @@ impl<'a> Driver<'a> {
                         self.stats.tree_backtracks += 1;
                         prev_dim_deps = None;
                         continue 'retry;
-                    }
-                }
-                // (4b) Feautrier fallback: a dimension strongly
-                // satisfying as many remaining dependences as possible.
-                if self.opts.feautrier_fallback {
-                    if let Some((point, satisfied)) = self.try_feautrier(&schedule, &remaining)? {
-                        if !satisfied.is_empty() {
-                            self.append_dimension(&mut schedule, &point, None, &remaining, d);
-                            self.sched_version += 1;
-                            let rem_vec: Vec<usize> = remaining.iter().copied().collect();
-                            for &s_idx in &satisfied {
-                                remaining.remove(&rem_vec[s_idx]);
-                            }
-                            self.stats.feautrier_dims += 1;
-                            prev_dim_deps = None;
-                            deep_mark = None;
-                            node = node.and_then(|n| self.tree.first_child(n));
-                            d += 1;
-                            break 'retry;
-                        }
                     }
                 }
                 // (5) separate strongly connected components. If a deeper
@@ -746,50 +704,6 @@ impl<'a> Driver<'a> {
             }
         }
         schedule.flags_mut().push(flags);
-    }
-
-    /// Solves one Feautrier-style dimension: maximize the number of
-    /// strongly satisfied remaining dependences. Returns the layout-space
-    /// solution and the indices (into the remaining set's iteration
-    /// order) of the satisfied relations.
-    fn try_feautrier(
-        &mut self,
-        schedule: &Schedule,
-        remaining: &BTreeSet<usize>,
-    ) -> Result<FeautrierSolution, ScheduleError> {
-        let rels: Vec<&DepRelation> = remaining.iter().map(|&i| self.validity[i]).collect();
-        if rels.is_empty() {
-            return Ok(None);
-        }
-        let mut base = self.prefix.bounds_cs.clone();
-        self.progression(schedule);
-        base.intersect(&self.prog_cache.as_ref().expect("progression cached").1);
-        let prob = crate::feautrier::FeautrierProblem::build(
-            &rels,
-            &self.prefix.layout,
-            &base,
-            &self.prefix.objectives,
-            self.opts.bounds,
-        );
-        self.stats.ilp_solves += 1;
-        let t_solve = std::time::Instant::now();
-        // One-shot context: no prefix reuse across calls, but the lexmin
-        // chain still warm-starts each objective from the previous basis.
-        let solved = SchedCtx::build(prob.system.clone(), self.budget)
-            .and_then(|mut ctx| ctx.try_lexmin(&prob.objectives, self.budget));
-        polyject_sets::counters::add_solve_ns(t_solve.elapsed().as_nanos() as u64);
-        match solved {
-            Ok(IlpOutcome::Optimal { point, .. }) => {
-                let (coeffs, satisfied) = prob.split_solution(&point);
-                Ok(Some((coeffs.to_vec(), satisfied)))
-            }
-            Ok(_) => Ok(None),
-            Err(e @ BudgetError::Cancelled) => Err(ScheduleError::from_budget(e)),
-            Err(BudgetError::Exhausted(_)) => {
-                polyject_sets::counters::note_degraded_solve();
-                Ok(None)
-            }
-        }
     }
 
     /// Paper lines 32–35: orders two or more SCCs of the remaining

@@ -149,7 +149,7 @@ pub(crate) fn linearized_reduced(
     let cs = match hit {
         Some(cs) => cs,
         None => {
-            polyject_sets::counters::note_farkas_linearization();
+            polyject_sets::counters::note_farkas_linearization(1);
             let cs = match form {
                 Form::Validity => validity_constraints([rel], layout),
                 Form::Bounding => bounding_constraints([rel], layout),
@@ -197,12 +197,12 @@ fn reduced(cs: ConstraintSet, budget: &Budget) -> Result<ConstraintSet, BudgetEr
     if let Some(out) = hit {
         return Ok(out);
     }
-    polyject_sets::counters::note_redundancy_check();
+    polyject_sets::counters::note_redundancy_check(1);
     let out = match polyject_sets::try_remove_redundant(&cs, budget) {
         Ok(r) => r,
         Err(e @ BudgetError::Cancelled) => return Err(e),
         Err(BudgetError::Exhausted(_)) => {
-            polyject_sets::counters::note_degraded_solve();
+            polyject_sets::counters::note_degraded_solve(1);
             return Ok(cs);
         }
     };

@@ -54,14 +54,6 @@ impl AffineTemplate {
         }
     }
 
-    /// Adds a concrete constant to the template's constant term.
-    pub fn with_constant_added(&self, delta: i128) -> AffineTemplate {
-        let mut t = self.clone();
-        t.constant
-            .set_constant(t.constant.constant_term() + Rat::int(delta));
-        t
-    }
-
     /// Instantiates the template at a concrete unknown assignment,
     /// producing a plain [`LinExpr`] over the relation space.
     pub fn instantiate(&self, unknowns: &[i128]) -> LinExpr {

@@ -33,7 +33,6 @@ mod assembly;
 mod builders;
 mod checks;
 pub mod farkas;
-pub mod feautrier;
 mod layout;
 mod optimizer;
 mod schedtree;

@@ -30,11 +30,15 @@
 //! work would escape its thread-local accounting. Warm serves are
 //! counted in the `session_reuses` solver counter.
 //!
-//! Everything served from a session is bitwise identical to a cold
-//! [`schedule_kernel_budgeted`](crate::schedule_kernel_budgeted) run:
-//! the prefix holds exactly the systems a cold driver would assemble,
-//! and the solver is deterministic on equal inputs (pinned by the
-//! session differential suite in `crates/workloads`).
+//! The session is the route every compile takes: the codegen pipeline
+//! reaches this crate only through it (a one-shot compile opens a session
+//! for one call), while [`schedule_kernel`](crate::schedule_kernel) stays
+//! the paper-level Algorithm 1 entry for figures and examples. The two
+//! cannot diverge — `schedule_kernel` builds privately the very prefix a
+//! session shares and runs the same driver over it, the solver is
+//! deterministic on equal inputs, and a long-lived session is pinned
+//! bitwise against fresh ones by the differential suite in
+//! `crates/workloads`.
 
 use crate::algorithm::{
     schedule_kernel_budgeted, schedule_kernel_with_prefix, ScheduleError, ScheduleResult,
@@ -62,8 +66,8 @@ const MEMO_CAP: usize = 64;
 /// dimension-0 base system held in solved form.
 ///
 /// Built by [`ScheduleSession`] and shared read-only across candidate
-/// compiles; the scheduling driver also builds one privately for every
-/// cold run, so cold and warm compiles execute the identical code path.
+/// compiles; the scheduling driver builds one privately when called
+/// without a session, so both execute the identical code path.
 #[derive(Clone)]
 pub struct SchedulePrefix {
     pub(crate) layout: CoeffLayout,
@@ -237,11 +241,6 @@ impl ScheduleSession {
         &self.deps
     }
 
-    /// The scheduler options the session's prefix was built for.
-    pub fn options(&self) -> SchedulerOptions {
-        self.opts
-    }
-
     fn build_tree(&self, influence: Option<&InfluenceOptions>) -> InfluenceTree {
         match influence {
             Some(io) => build_influence_tree(&self.kernel, io),
@@ -301,7 +300,7 @@ impl ScheduleSession {
             if let Some(e) = state.memo.iter().find(|e| e.options.as_ref() == influence) {
                 let hit = (e.result.clone(), Some(e.id));
                 drop(state);
-                polyject_sets::counters::note_session_reuse();
+                polyject_sets::counters::note_session_reuse(1);
                 return Ok(hit);
             }
         }
@@ -324,7 +323,7 @@ impl ScheduleSession {
                     id,
                 });
                 drop(state);
-                polyject_sets::counters::note_session_reuse();
+                polyject_sets::counters::note_session_reuse(1);
                 return Ok((result, Some(id)));
             }
         }
@@ -345,7 +344,7 @@ impl ScheduleSession {
             }
         };
         if warm {
-            polyject_sets::counters::note_session_reuse();
+            polyject_sets::counters::note_session_reuse(1);
         }
         let result = schedule_kernel_with_prefix(
             &self.kernel,
@@ -353,7 +352,7 @@ impl ScheduleSession {
             &tree,
             self.opts,
             budget,
-            &prefix,
+            Some(&prefix),
         )?;
         let mut state = self.state.lock().expect("session lock poisoned");
         if state.memo.len() >= MEMO_CAP {

@@ -162,17 +162,6 @@ impl InfluenceTree {
         siblings.get(pos + 1).copied()
     }
 
-    /// The highest-priority (leftmost) sibling of `id`, including itself.
-    pub fn leftmost_sibling(&self, id: NodeId) -> NodeId {
-        let siblings = match self.nodes[id.0].parent {
-            Some(p) => &self.nodes[p.0].children,
-            None => &self.roots,
-        };
-        *siblings
-            .first()
-            .expect("node has at least itself as sibling")
-    }
-
     /// The closest right sibling of any ancestor of `id` (walking upward),
     /// for the paper's deep-backtracking step.
     pub fn ancestor_right_sibling(&self, id: NodeId) -> Option<NodeId> {

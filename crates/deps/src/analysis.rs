@@ -118,7 +118,7 @@ pub fn compute_dependences(kernel: &Kernel, opts: DepOptions) -> Dependences {
             }
         }
     }
-    polyject_sets::counters::note_dependence_analysis();
+    polyject_sets::counters::note_dependence_analysis(1);
     polyject_sets::counters::add_dependence_ns(t0.elapsed().as_nanos() as u64);
     Dependences { relations }
 }

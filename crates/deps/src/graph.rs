@@ -38,11 +38,6 @@ impl DepGraph {
         DepGraph::from_relations(n_statements, deps.validity())
     }
 
-    /// Number of nodes.
-    pub fn n_nodes(&self) -> usize {
-        self.n
-    }
-
     /// Whether the edge `s → t` exists.
     pub fn has_edge(&self, s: StmtId, t: StmtId) -> bool {
         self.edges[s.0].contains(&t.0)

@@ -1,72 +1,7 @@
-//! Stable content hashing for cache keys: FNV-1a 64-bit, implemented
-//! in-repo (the workspace is offline; no external hash crates) and
-//! guaranteed stable across runs, platforms, and compiler versions —
-//! unlike `std::collections::hash_map::DefaultHasher`, whose output is
-//! explicitly unspecified and randomly seeded.
+//! Cache-key renderings over the workspace's FNV-1a 64 hasher
+//! ([`polyject_arith::Fnv64`]).
 
-/// An incremental FNV-1a 64-bit hasher.
-///
-/// # Examples
-///
-/// ```
-/// use polyject_serve::Fnv64;
-///
-/// let mut h = Fnv64::new();
-/// h.write(b"hello");
-/// assert_eq!(h.finish(), polyject_serve::fnv1a64(b"hello"));
-/// ```
-#[derive(Clone, Debug)]
-pub struct Fnv64(u64);
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-impl Fnv64 {
-    /// A fresh hasher at the FNV offset basis.
-    pub fn new() -> Fnv64 {
-        Fnv64(FNV_OFFSET)
-    }
-
-    /// Absorbs bytes.
-    pub fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Absorbs a string plus a separator byte (so `("ab","c")` and
-    /// `("a","bc")` hash differently when fields are written in
-    /// sequence).
-    pub fn write_field(&mut self, s: &str) {
-        self.write(s.as_bytes());
-        self.write(&[0x1f]);
-    }
-
-    /// The current hash value.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-
-    /// The current hash value as a fixed-width 16-char lowercase hex
-    /// string (the cache key format).
-    pub fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
-
-impl Default for Fnv64 {
-    fn default() -> Fnv64 {
-        Fnv64::new()
-    }
-}
-
-/// One-shot FNV-1a 64 over a byte slice.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv64::new();
-    h.write(bytes);
-    h.finish()
-}
+pub use polyject_arith::{fnv1a64, Fnv64};
 
 /// One-shot FNV-1a 64 of a string, as the 16-char hex form used for
 /// cache keys and entry checksums.
@@ -87,25 +22,6 @@ pub fn f64_bits_hex(v: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn known_vectors() {
-        // Published FNV-1a 64 test vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv1a64(b"foobar"), 0x85944171f73967e8);
-    }
-
-    #[test]
-    fn field_separation_avoids_concatenation_collisions() {
-        let mut a = Fnv64::new();
-        a.write_field("ab");
-        a.write_field("c");
-        let mut b = Fnv64::new();
-        b.write_field("a");
-        b.write_field("bc");
-        assert_ne!(a.finish(), b.finish());
-    }
 
     #[test]
     fn hex_is_fixed_width() {

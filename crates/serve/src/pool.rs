@@ -108,7 +108,7 @@ fn worker_loop(shared: Arc<PoolShared>) {
         let Some(job) = job else { return };
         if catch_unwind(AssertUnwindSafe(job)).is_err() {
             shared.panics.fetch_add(1, Ordering::SeqCst);
-            polyject_sets::counters::note_panic_recovered();
+            polyject_sets::counters::note_panic_recovered(1);
             if !shared.closing.load(Ordering::SeqCst) {
                 let respawn = Arc::clone(&shared);
                 let handle = std::thread::spawn(move || worker_loop(respawn));

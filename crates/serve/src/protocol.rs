@@ -312,6 +312,10 @@ pub struct CompileReply {
     pub compile_ms: f64,
 }
 
+/// How many leading [`SolverCounters::fields`] a reply carries: the
+/// counters that are a property of the artifact, not of one run.
+const WIRE_COUNTERS: usize = 8;
+
 impl CompileReply {
     /// The reply as a JSON object (the cache payload schema, version
     /// [`crate::cache::FORMAT_VERSION`]).
@@ -322,7 +326,12 @@ impl CompileReply {
                 .map(|(k, v)| (k.clone(), Json::Num(*v)))
                 .collect(),
         );
-        let c = &self.solver;
+        // Wall-clock phase times, the governance counters
+        // (degraded/cancelled/panics — properties of one run, not of the
+        // artifact) and the counters that depend on warm in-process state
+        // are deliberately left out so cache payloads stay byte-identical
+        // across replays.
+        let solver = self.solver.fields().take(WIRE_COUNTERS);
         Json::obj(vec![
             ("key", Json::Str(self.key.clone())),
             ("kernel", Json::Str(self.kernel.clone())),
@@ -337,21 +346,7 @@ impl CompileReply {
             ("timing", timing),
             (
                 "solver",
-                Json::obj(vec![
-                    ("lp_solves", Json::Num(c.lp_solves as f64)),
-                    ("ilp_solves", Json::Num(c.ilp_solves as f64)),
-                    ("ilp_nodes", Json::Num(c.ilp_nodes as f64)),
-                    ("fm_eliminations", Json::Num(c.fm_eliminations as f64)),
-                    ("lp_phase1_pivots", Json::Num(c.lp_phase1_pivots as f64)),
-                    ("lp_phase2_pivots", Json::Num(c.lp_phase2_pivots as f64)),
-                    ("bb_repair_pivots", Json::Num(c.bb_repair_pivots as f64)),
-                    ("bb_warm_nodes", Json::Num(c.bb_warm_nodes as f64)),
-                    // preprocess_ns (wall-clock) and the governance
-                    // counters (degraded/cancelled/panics — properties of
-                    // one run, not of the artifact) are deliberately
-                    // omitted so cache payloads stay byte-identical
-                    // across replays.
-                ]),
+                Json::obj(solver.map(|(k, v)| (k, Json::Num(v as f64))).collect()),
             ),
             ("compile_ms", Json::Num(self.compile_ms)),
         ])
@@ -374,16 +369,18 @@ impl CompileReply {
                     .ok_or_else(|| format!("non-numeric timing field {k:?}"))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        let solver_of = |field: &str| -> Result<u64, String> {
-            v.get("solver")
-                .ok_or("missing solver")?
-                .get(field)
-                .and_then(Json::as_u64)
-                .ok_or_else(|| format!("missing solver.{field}"))
-        };
-        // Phase-breakdown counters were added later; cache entries written
-        // by earlier versions lack them, so default to zero.
-        let solver_opt = |field: &str| -> u64 { solver_of(field).unwrap_or(0) };
+        // Only the first four wire counters are mandatory: the phase
+        // breakdown was added later and cache entries written by earlier
+        // versions lack it, so those default to zero.
+        let mut solver = SolverCounters::default();
+        let wire = v.get("solver").ok_or("missing solver")?;
+        for (i, (field, slot)) in solver.fields_mut().take(WIRE_COUNTERS).enumerate() {
+            match wire.get(field).and_then(Json::as_u64) {
+                Some(n) => *slot = n,
+                None if i < 4 => return Err(format!("missing solver.{field}")),
+                None => {}
+            }
+        }
         Ok(CompileReply {
             key: v.str_field("key")?.to_string(),
             kernel: v.str_field("kernel")?.to_string(),
@@ -402,23 +399,7 @@ impl CompileReply {
                 .and_then(Json::as_bool)
                 .ok_or("missing influenced")?,
             timing,
-            solver: SolverCounters {
-                lp_solves: solver_of("lp_solves")?,
-                ilp_solves: solver_of("ilp_solves")?,
-                ilp_nodes: solver_of("ilp_nodes")?,
-                fm_eliminations: solver_of("fm_eliminations")?,
-                lp_phase1_pivots: solver_opt("lp_phase1_pivots"),
-                lp_phase2_pivots: solver_opt("lp_phase2_pivots"),
-                bb_repair_pivots: solver_opt("bb_repair_pivots"),
-                bb_warm_nodes: solver_opt("bb_warm_nodes"),
-                // Everything else is a property of one run, not of the
-                // artifact — wall-clock phase times, governance counters
-                // (degraded/cancelled/panics), and the fast-path /
-                // assembly / session counters that depend on
-                // warm in-process state — and is never serialized, so
-                // cache payloads stay byte-identical across replays.
-                ..SolverCounters::default()
-            },
+            solver,
             compile_ms: v.num_field("compile_ms")?,
         })
     }

@@ -18,13 +18,9 @@ use crate::hash::{f64_bits_hex, Fnv64};
 use crate::hot::HotTier;
 use crate::protocol::CompileReply;
 use crate::tuned::{load_tuned, tuned_key};
-use polyject_codegen::{
-    compile_with_options, render_artifacts, CompileOptions, CompileSession, Compiled, Config,
-};
-use polyject_core::Budget;
+use polyject_codegen::{render_artifacts, CompileOptions, CompileSession, Config};
+use polyject_core::{Budget, SchedulerOptions};
 use polyject_gpusim::{estimate, GpuModel};
-use polyject_ir::Kernel;
-use polyject_sets::counters::SolverCounters;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -35,7 +31,10 @@ use std::time::Instant;
 /// or the artifact schema changes meaning. Version 2: keys fold the
 /// *actual* [`CompileOptions`] the request compiles under (tuned
 /// requests get their own entries) instead of the option defaults.
-pub const KEY_VERSION: u64 = 2;
+/// Version 3: [`CompileOptions`] lost its scheduler group and the
+/// Feautrier switch is gone, so the scheduler material is the five
+/// [`SchedulerOptions::default`] constants; a v2 entry is never looked up.
+pub const KEY_VERSION: u64 = 3;
 
 /// Resolves a configuration name (`isl|novec|infl`) to a [`Config`].
 pub fn config_by_name(name: &str) -> Option<Config> {
@@ -96,13 +95,14 @@ pub fn cache_key_with_options(
     }
     h.write_field(&infl.fusion_variants.to_string());
     h.write_field(&infl.relaxed_variants.to_string());
-    let sched = &opts.scheduler;
+    // Every compile schedules under the scheduler defaults; folding the
+    // constants invalidates old entries when one of them changes.
+    let sched = SchedulerOptions::default();
     h.write_field(&sched.bounds.max_coeff.to_string());
     h.write_field(&sched.bounds.max_const.to_string());
     h.write_field(&sched.bounds.max_bound.to_string());
     h.write_field(&sched.max_dims.to_string());
     h.write_field(&sched.max_attempts.to_string());
-    h.write_field(&sched.feautrier_fallback.to_string());
     let map = &opts.mapping;
     h.write_field(&map.max_threads.to_string());
     h.write_field(&map.max_thread_axes.to_string());
@@ -186,35 +186,38 @@ pub fn compile_reply_with_options(
         .ok_or_else(|| format!("unknown config {config_name:?} (expected isl|novec|infl)"))?;
     let kernel = polyject_front::parse(src).map_err(|e| e.to_string())?;
     let canonical = polyject_front::emit_pj(&kernel)?;
-    let before = polyject_sets::counters::snapshot();
-    let t0 = Instant::now();
-    let compiled =
-        compile_with_options(&kernel, config, budget, opts).map_err(|e| e.to_string())?;
-    Ok(package_reply(
-        &kernel, canonical, config, gpu, opts, &compiled, &before, t0,
-    ))
+    let open = || Ok(Arc::new(CompileSession::new(&kernel)));
+    session_reply(open, canonical, config, gpu, budget, opts)
 }
 
-/// Renders every artifact of a finished compile into the [`CompileReply`]
-/// cache payload; `before`/`t0` bracket the compile so the reply's solver
-/// delta and wall time attribute only this request's work.
-#[allow(clippy::too_many_arguments)]
-fn package_reply(
-    kernel: &Kernel,
+/// Compiles through the [`CompileSession`] that `open` yields and renders
+/// every artifact into the [`CompileReply`] cache payload — the one body
+/// behind a one-shot [`compile_reply_with_options`] and a
+/// [`CompileService`] request served from its warm pool.
+fn session_reply(
+    open: impl FnOnce() -> Result<Arc<CompileSession>, String>,
     canonical: String,
     config: Config,
     gpu: &GpuModel,
+    budget: &Budget,
     opts: &CompileOptions,
-    compiled: &Compiled,
-    before: &SolverCounters,
-    t0: Instant,
-) -> CompileReply {
+) -> Result<CompileReply, String> {
+    // Bracket session opening too: the first request for a kernel pays
+    // (and reports) the dependence analysis; only genuinely warm requests
+    // report the smaller delta.
+    let before = polyject_sets::counters::snapshot();
+    let t0 = Instant::now();
+    let session = open()?;
+    let kernel = session.kernel();
+    let compiled = session
+        .compile_with(config, budget, opts)
+        .map_err(|e| e.to_string())?;
     let key = cache_key_with_options(&canonical, config.name(), gpu, opts);
-    let artifacts = render_artifacts(kernel, compiled);
+    let artifacts = render_artifacts(kernel, &compiled);
     let timing = estimate(&compiled.ast, kernel, gpu);
     let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let solver = polyject_sets::counters::snapshot().delta_since(before);
-    CompileReply {
+    let solver = polyject_sets::counters::snapshot().delta_since(&before);
+    Ok(CompileReply {
         key,
         kernel: kernel.name().to_string(),
         config: config.name().to_string(),
@@ -232,7 +235,7 @@ fn package_reply(
             .collect(),
         solver,
         compile_ms,
-    }
+    })
 }
 
 /// How a request was satisfied (feeds the daemon's counters).
@@ -279,13 +282,14 @@ const SESSION_CAP: usize = 8;
 /// daemon's worker threads (all methods take `&self`).
 ///
 /// Besides the persistent artifact cache, the service keeps a bounded
-/// pool of warm [`CompileSession`]s keyed by canonical kernel + config:
-/// repeat requests for the same kernel under *different* options (the
-/// default compile, then a tuned redirect; or `--background-tune`
-/// re-serving what it just tuned) reuse one dependence analysis and base
-/// scheduling context instead of recomputing the option-invariant prefix
-/// per request. Metered budgets bypass the pool entirely so resource
-/// accounting never observes shared warm state.
+/// LRU pool of warm [`CompileSession`]s keyed by canonical kernel:
+/// repeat requests for the same kernel under another configuration or
+/// *different* options (`isl`, then `novec` and `infl`; the default
+/// compile, then a tuned redirect; `--background-tune` re-serving what
+/// it just tuned) reuse one dependence analysis and base scheduling
+/// context instead of recomputing the option-invariant prefix per
+/// request. Metered budgets are kept off the shared memos by the session
+/// itself, so resource accounting never observes warm state.
 pub struct CompileService {
     cache: Option<Mutex<DiskCache>>,
     /// Bounded in-memory hot tier above the disk cache (opt-in via
@@ -368,53 +372,26 @@ impl CompileService {
             .map(|m| f(&mut m.lock().expect("cache lock poisoned")))
     }
 
-    /// Returns the warm [`CompileSession`] for `canonical` under
-    /// `config`, opening (and LRU-inserting) one on first use.
-    ///
-    /// Sessions of one canonical kernel form a *family*: the underlying
-    /// [`polyject_core::ScheduleSession`] is config-independent (it holds
-    /// the dependence analysis, Farkas linearizations and prepared base
-    /// context), so when `config` misses the pool but a sibling config of
-    /// the same kernel is already warm, the new session shares the
-    /// sibling's schedule session instead of re-analyzing — the `isl`,
-    /// `novec` and `infl` compiles of one op pay the invariant prefix
-    /// once between them (observable as `session_reuses`).
+    /// Returns the warm [`CompileSession`] for `canonical`, opening (and
+    /// LRU-inserting) one on first use.
     ///
     /// Opening parses the kernel and runs dependence analysis *outside*
     /// the pool lock (a compiler panic must never poison the pool), with
     /// a re-check on insert so racing workers converge on one session.
-    fn session_for(&self, canonical: &str, config: Config) -> Result<Arc<CompileSession>, String> {
-        let skey = format!("{}\u{1f}{canonical}", config.name());
+    fn session_for(&self, canonical: &str) -> Result<Arc<CompileSession>, String> {
         let lookup = |pool: &mut Vec<(String, Arc<CompileSession>)>| {
-            pool.iter().position(|(k, _)| *k == skey).map(|pos| {
+            pool.iter().position(|(k, _)| k == canonical).map(|pos| {
                 let entry = pool.remove(pos);
                 let session = Arc::clone(&entry.1);
                 pool.push(entry); // most-recently-used at the back
                 session
             })
         };
-        let family = {
-            let mut pool = self.sessions.lock().expect("session lock poisoned");
-            if let Some(session) = lookup(&mut pool) {
-                return Ok(session);
-            }
-            // Exact miss: a most-recently-used sibling config of the same
-            // kernel donates its schedule session.
-            pool.iter()
-                .rev()
-                .find(|(k, _)| {
-                    k.split_once('\u{1f}')
-                        .is_some_and(|(_, canon)| canon == canonical)
-                })
-                .map(|(_, s)| Arc::clone(s.schedule_session()))
-        };
-        let session = match family {
-            Some(shared) => Arc::new(CompileSession::with_session(shared, config)),
-            None => {
-                let kernel = polyject_front::parse(canonical).map_err(|e| e.to_string())?;
-                Arc::new(CompileSession::new(&kernel, config))
-            }
-        };
+        if let Some(session) = lookup(&mut self.sessions.lock().expect("session lock poisoned")) {
+            return Ok(session);
+        }
+        let kernel = polyject_front::parse(canonical).map_err(|e| e.to_string())?;
+        let session = Arc::new(CompileSession::new(&kernel));
         let mut pool = self.sessions.lock().expect("session lock poisoned");
         if let Some(raced) = lookup(&mut pool) {
             return Ok(raced); // another worker opened it first: share theirs
@@ -422,41 +399,8 @@ impl CompileService {
         if pool.len() >= SESSION_CAP {
             pool.remove(0);
         }
-        pool.push((skey, Arc::clone(&session)));
+        pool.push((canonical.to_string(), Arc::clone(&session)));
         Ok(session)
-    }
-
-    /// [`compile_reply_with_options`] through the service's warm session
-    /// pool: the option-invariant prefix of the kernel's compilation is
-    /// computed once and reused across requests. Byte-identical output to
-    /// the cold path; only the reply's solver delta shrinks on reuse.
-    fn compile_reply_sessioned(
-        &self,
-        canonical: &str,
-        config: Config,
-        budget: &Budget,
-        opts: &CompileOptions,
-    ) -> Result<CompileReply, String> {
-        // Bracket session opening too: the first request for a kernel
-        // pays (and reports) the dependence analysis exactly like a cold
-        // compile, so its cached payload is byte-identical to one. Only
-        // genuinely warm requests report the smaller delta.
-        let before = polyject_sets::counters::snapshot();
-        let t0 = Instant::now();
-        let session = self.session_for(canonical, config)?;
-        let compiled = session
-            .compile_with(budget, opts)
-            .map_err(|e| e.to_string())?;
-        Ok(package_reply(
-            session.kernel(),
-            canonical.to_string(),
-            config,
-            &self.gpu,
-            opts,
-            &compiled,
-            &before,
-            t0,
-        ))
     }
 
     /// Serves one compile request: canonicalize, look up the cache,
@@ -551,20 +495,9 @@ impl CompileService {
                 .map(|r| (r, Served::Coalesced));
         }
 
-        let src_owned = canonical.clone();
-        let config_name = config.name().to_string();
-        let gpu = self.gpu.clone();
-        // Unmetered budgets (unlimited or cancel-only — the daemon's
-        // request timeouts are cancel-only) compile through the warm
-        // session pool; metered budgets take the cold path so resource
-        // accounting never depends on what previous requests warmed.
-        let use_session = !budget.has_resource_limits();
-        let result = catch_unwind(AssertUnwindSafe(move || {
-            if use_session {
-                self.compile_reply_sessioned(&src_owned, config, budget, &opts)
-            } else {
-                compile_reply_with_options(&src_owned, &config_name, &gpu, budget, &opts)
-            }
+        let open = || self.session_for(&canonical);
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            session_reply(open, canonical.clone(), config, &self.gpu, budget, &opts)
         }))
         .unwrap_or_else(|p| {
             let msg = p
@@ -573,7 +506,7 @@ impl CompileService {
                 .or_else(|| p.downcast_ref::<String>().cloned())
                 .unwrap_or_else(|| "unknown panic".to_string());
             self.panics.fetch_add(1, Ordering::SeqCst);
-            polyject_sets::counters::note_panic_recovered();
+            polyject_sets::counters::note_panic_recovered(1);
             Err(format!("compiler panicked: {msg}"))
         });
 
@@ -703,11 +636,10 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     #[test]
-    fn sibling_configs_share_one_schedule_session() {
-        // The three configs of one kernel form a family: the first pays
-        // the dependence analysis, the siblings reuse it through the
-        // shared schedule session — with artifacts identical to a cold
-        // compile of each config.
+    fn configs_of_one_kernel_share_one_pool_slot() {
+        // The session is per kernel: the first config pays the dependence
+        // analysis, the other two reuse it from the same pool slot — with
+        // artifacts identical to a one-shot compile of each config.
         let svc = CompileService::new(None, GpuModel::v100());
         let start = polyject_sets::counters::snapshot();
         let (isl, _) = svc.serve(SRC, "isl").unwrap();
@@ -716,15 +648,12 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         let (infl, _) = svc.serve(SRC, "infl").unwrap();
         let end = polyject_sets::counters::snapshot();
 
-        let cold = mid.delta_since(&start);
-        assert!(cold.dependence_analyses >= 1, "first config analyzes deps");
+        assert_eq!(svc.sessions.lock().unwrap().len(), 1, "one slot per kernel");
+        assert_eq!(mid.delta_since(&start).dependence_analyses, 1);
         let warm = end.delta_since(&mid);
-        assert_eq!(
-            warm.dependence_analyses, 0,
-            "sibling configs reuse the family's analysis"
-        );
+        assert_eq!(warm.dependence_analyses, 0, "one analysis per kernel");
         assert_eq!(warm.farkas_linearizations, 0);
-        assert!(warm.session_reuses >= 2, "one reuse per sibling config");
+        assert!(warm.session_reuses >= 2, "one reuse per further config");
 
         for (reply, config) in [(&isl, "isl"), (&novec, "novec"), (&infl, "infl")] {
             let cold_reply = compile_reply(SRC, config, &GpuModel::v100()).unwrap();
@@ -734,6 +663,25 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         }
         assert_ne!(isl.key, infl.key, "configs keep distinct cache keys");
         assert_ne!(novec.key, infl.key);
+    }
+
+    #[test]
+    fn ninth_kernel_evicts_the_least_recently_used_session() {
+        let svc = CompileService::new(None, GpuModel::v100());
+        let src_of = |i: usize| SRC.replace("64", &(64 + 4 * i).to_string());
+        for i in 0..SESSION_CAP {
+            svc.serve(&src_of(i), "isl").unwrap();
+        }
+        svc.serve(&src_of(0), "isl").unwrap(); // kernel 1 is now the oldest
+        svc.serve(&src_of(SESSION_CAP), "isl").unwrap();
+        let pool = svc.sessions.lock().unwrap();
+        let held = |i: usize| {
+            let canon = polyject_front::canonical_pj(&src_of(i)).unwrap();
+            pool.iter().any(|(k, _)| *k == canon)
+        };
+        assert_eq!(pool.len(), SESSION_CAP);
+        assert!(!held(1), "the least recently used kernel was evicted");
+        assert!((0..=SESSION_CAP).filter(|&i| i != 1).all(held));
     }
 
     #[test]
@@ -761,15 +709,35 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     #[test]
-    fn metered_budgets_take_the_cold_path() {
+    fn metered_requests_neither_read_nor_write_the_session_memos() {
         let svc = CompileService::new(None, GpuModel::v100());
-        let (_, _) = svc.serve(SRC, "infl").unwrap(); // warm the session
-        let mid = polyject_sets::counters::snapshot();
-        let budget = Budget::unlimited().with_max_pivots(u64::MAX);
-        let (c, _) = svc.serve_with_budget(SRC, "infl", &budget).unwrap();
-        let warm = polyject_sets::counters::snapshot().delta_since(&mid);
-        assert_eq!(warm.session_reuses, 0, "metered requests bypass sessions");
-        assert!(warm.dependence_analyses >= 1, "metered requests recompute");
-        assert!(c.cuda.contains("__global__"));
+        let metered = Budget::unlimited().with_max_pivots(u64::MAX);
+        let serve = |budget: &Budget| {
+            let before = polyject_sets::counters::snapshot();
+            let (reply, _) = svc.serve_with_budget(SRC, "infl", budget).unwrap();
+            (
+                reply,
+                polyject_sets::counters::snapshot().delta_since(&before),
+            )
+        };
+        // The metered request opens the pooled session but leaves nothing
+        // in it: the unmetered request after it solves from scratch.
+        let (m1, d) = serve(&metered);
+        assert_eq!(d.session_reuses, 0, "metered requests never reuse");
+        let (u1, d) = serve(&Budget::unlimited());
+        assert_eq!(d.session_reuses, 0, "the metered run left no warm state");
+        assert!(d.lp_solves > 0);
+        // Nor is it served from what the unmetered request memoized.
+        let (m2, d) = serve(&metered);
+        assert_eq!(d.session_reuses, 0);
+        assert!(d.lp_solves > 0, "metered requests pay for their own solve");
+        let (u2, d) = serve(&Budget::unlimited());
+        assert!(d.session_reuses >= 1);
+        assert_eq!(d.lp_solves, 0, "the memo survived the metered request");
+        for reply in [&m1, &m2, &u2] {
+            assert_eq!(reply.cuda, u1.cuda);
+            assert_eq!(reply.schedule_tree, u1.schedule_tree);
+            assert_eq!(reply.key, u1.key);
+        }
     }
 }

@@ -309,10 +309,10 @@ mod tests {
     fn node_cap_measures_against_baseline() {
         let b = Budget::unlimited().with_max_ilp_nodes(2);
         assert_eq!(b.check(), Ok(())); // arms the baseline
-        counters::count_ilp_node();
-        counters::count_ilp_node();
+        counters::count_ilp_node(1);
+        counters::count_ilp_node(1);
         assert_eq!(b.check(), Ok(()));
-        counters::count_ilp_node();
+        counters::count_ilp_node(1);
         assert_eq!(
             b.check(),
             Err(BudgetError::Exhausted(BudgetResource::IlpNodes))
@@ -325,10 +325,11 @@ mod tests {
     fn pivot_cap_counts_all_pivot_kinds() {
         let b = Budget::unlimited().with_max_pivots(4);
         assert_eq!(b.check(), Ok(()));
-        counters::count_lp_pivots(2, 1);
+        counters::count_lp_phase1_pivots(2);
+        counters::count_lp_phase2_pivots(1);
         counters::count_bb_repair_pivots(1);
         assert_eq!(b.check(), Ok(()));
-        counters::count_lp_pivots(0, 1);
+        counters::count_lp_phase2_pivots(1);
         assert_eq!(
             b.check(),
             Err(BudgetError::Exhausted(BudgetResource::Pivots))

@@ -2,7 +2,7 @@
 //! points of interest).
 
 use crate::linexpr::LinExpr;
-use polyject_arith::Rat;
+use polyject_arith::{Fnv64, Rat};
 use std::fmt;
 
 /// The sense of a constraint on an affine expression.
@@ -179,14 +179,8 @@ pub struct ConstraintSet {
 /// function of the (normalized) constraint, so equal constraints always
 /// collide — inequality of fingerprints proves inequality of constraints.
 fn fingerprint(c: &Constraint) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    let mut mix = |v: i128| {
-        for b in v.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-        }
-    };
+    let mut h = Fnv64::new();
+    let mut mix = |v: i128| h.write(&v.to_le_bytes());
     mix(match c.kind {
         ConstraintKind::Eq => 0,
         ConstraintKind::Ge => 1,
@@ -197,7 +191,7 @@ fn fingerprint(c: &Constraint) -> u64 {
     }
     mix(c.expr.constant_term().numer());
     mix(c.expr.constant_term().denom());
-    h
+    h.finish()
 }
 
 impl PartialEq for ConstraintSet {
@@ -261,13 +255,12 @@ impl ConstraintSet {
     /// inequality of sets — use as a pre-filter in front of deep
     /// equality, never as identity.
     pub fn fingerprint64(&self) -> u64 {
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        h = (h ^ self.n_vars as u64).wrapping_mul(PRIME);
+        let mut h = Fnv64::new();
+        h.write_word(self.n_vars as u64);
         for &fp in &self.hashes {
-            h = (h ^ fp).wrapping_mul(PRIME);
+            h.write_word(fp);
         }
-        h
+        h.finish()
     }
 
     /// Adds a constraint, deduplicating syntactically identical ones and

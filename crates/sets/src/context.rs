@@ -303,9 +303,9 @@ impl SchedCtx {
         out: IlpOutcome,
         budget: &Budget,
     ) -> Result<IlpOutcome, BudgetError> {
-        counters::count_ilp_solve();
-        counters::count_ilp_node();
-        counters::count_bb_warm_node();
+        counters::count_ilp_solve(1);
+        counters::count_ilp_node(1);
+        counters::count_bb_warm_node(1);
         budget.check()?;
         Ok(out)
     }

@@ -49,7 +49,7 @@ pub fn try_eliminate_var(
     budget: &Budget,
 ) -> Result<ConstraintSet, BudgetError> {
     assert!(var < set.n_vars(), "variable out of range");
-    counters::count_fm_elimination();
+    counters::count_fm_elimination(1);
     eliminate_var_impl(set, var, true, budget)
 }
 

@@ -159,7 +159,7 @@ pub(crate) fn try_minimize_integer_rooted(
     budget: &Budget,
     root: Option<(LpOutcome, Option<LpBasis>)>,
 ) -> Result<(IlpOutcome, Option<LpBasis>), BudgetError> {
-    counters::count_ilp_solve();
+    counters::count_ilp_solve(1);
     let mut best: Option<(Rat, Vec<i128>)> = None;
     let mut nodes = 0usize;
     // One clone for the whole solve; branch() pushes/pops on it in place.
@@ -330,7 +330,7 @@ fn branch(
     budget: &Budget,
 ) -> Result<BranchResult, BudgetError> {
     *nodes += 1;
-    counters::count_ilp_node();
+    counters::count_ilp_node(1);
     if *nodes > NODE_LIMIT {
         return Err(BudgetError::Exhausted(BudgetResource::IlpNodes));
     }
@@ -344,12 +344,12 @@ fn branch(
     // decisions is bit-for-bit the cold one either way.
     let mut resolved: Option<(LpOutcome, Option<LpBasis>)> = preresolved;
     if resolved.is_some() {
-        counters::count_bb_warm_node();
+        counters::count_bb_warm_node(1);
     } else if let Some((parent, extra)) = warm_ctx {
         match warm_resolve(parent, extra, budget) {
             Ok(warm) => match warm {
                 WarmOutcome::Infeasible => {
-                    counters::count_bb_warm_node();
+                    counters::count_bb_warm_node(1);
                     resolved = Some((LpOutcome::Infeasible, None));
                 }
                 WarmOutcome::Optimal {
@@ -364,11 +364,11 @@ fn branch(
                     let prunes = upper_bound.is_some_and(|ub| value > ub)
                         || best.as_ref().is_some_and(|(bv, _)| value >= *bv);
                     if prunes {
-                        counters::count_bb_warm_node();
+                        counters::count_bb_warm_node(1);
                         return Ok(BranchResult::Done);
                     }
                     if unique {
-                        counters::count_bb_warm_node();
+                        counters::count_bb_warm_node(1);
                         resolved = Some((LpOutcome::Optimal { point, value }, Some(*basis)));
                     }
                     // Non-unique optimum that survives pruning: the cold

@@ -89,7 +89,7 @@ pub fn try_minimize(
     budget: &Budget,
 ) -> Result<LpOutcome, BudgetError> {
     assert_eq!(objective.n_vars(), set.n_vars(), "objective space mismatch");
-    crate::counters::count_lp_solve();
+    crate::counters::count_lp_solve(1);
     match tableau::solve_int(objective, set, false, budget) {
         Ok((out, _)) => Ok(out),
         Err(SolveAbort::Budget(e)) => Err(e),
@@ -106,7 +106,7 @@ pub(crate) fn minimize_with_basis(
     budget: &Budget,
 ) -> Result<(LpOutcome, Option<LpBasis>), BudgetError> {
     assert_eq!(objective.n_vars(), set.n_vars(), "objective space mismatch");
-    crate::counters::count_lp_solve();
+    crate::counters::count_lp_solve(1);
     match tableau::solve_int(objective, set, true, budget) {
         Ok((out, basis)) => Ok((out, basis)),
         Err(SolveAbort::Budget(e)) => Err(e),
@@ -121,7 +121,7 @@ pub(crate) fn minimize_with_basis(
 /// fallback when an integer solve overflows `i128`.
 pub fn minimize_reference(objective: &LinExpr, set: &ConstraintSet) -> LpOutcome {
     assert_eq!(objective.n_vars(), set.n_vars(), "objective space mismatch");
-    crate::counters::count_lp_solve();
+    crate::counters::count_lp_solve(1);
     infallible(Simplex::new(set).minimize(objective, &Budget::unlimited()))
 }
 

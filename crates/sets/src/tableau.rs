@@ -464,9 +464,9 @@ impl<C: Cell> IntTableau<C> {
             };
             ov(self.pivot(r, c))?;
             if phase1 {
-                counters::count_lp_pivots(1, 0);
+                counters::count_lp_phase1_pivots(1);
             } else {
-                counters::count_lp_pivots(0, 1);
+                counters::count_lp_phase2_pivots(1);
             }
         }
     }
@@ -720,7 +720,7 @@ fn prepare_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<PrepT<
             if tab.basis[r] >= n_struct {
                 if let Some(c) = (0..n_struct).find(|&c| tab.at(r, c) != C::ZERO) {
                     ov(tab.pivot(r, c))?;
-                    counters::count_lp_pivots(1, 0);
+                    counters::count_lp_phase1_pivots(1);
                 }
             }
         }
@@ -741,14 +741,14 @@ pub(crate) fn prepare_int(set: &ConstraintSet, budget: &Budget) -> Result<Prep, 
     match prepare_typed::<i64>(set, budget) {
         Ok(p) => {
             if !matches!(p, PrepT::Empty { .. }) {
-                counters::count_tab_i64_solve();
+                counters::count_tab_i64_solve(1);
             }
             Ok(erase_prep(p))
         }
         Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
         Err(SolveAbort::Overflow) => {
             counters::rewind_pivots(marks);
-            counters::count_tab_overflow_escalation();
+            counters::count_tab_overflow_escalation(1);
             prepare_typed::<i128>(set, budget).map(erase_prep)
         }
     }
@@ -834,13 +834,13 @@ fn finish_int(
             let backup = t.clone();
             match finish_typed(t, n, split, objective, want_basis, budget) {
                 Ok((out, basis)) => {
-                    counters::count_tab_i64_solve();
+                    counters::count_tab_i64_solve(1);
                     Ok((out, pack(basis.map(|(t, s)| (Tab::Small(t), s)))))
                 }
                 Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation();
+                    counters::count_tab_overflow_escalation(1);
                     let (out, basis) =
                         finish_typed(widen_tab(&backup), n, split, objective, want_basis, budget)?;
                     Ok((out, pack(basis.map(|(t, s)| (Tab::Big(t), s)))))
@@ -1116,13 +1116,13 @@ pub(crate) fn warm_resolve(
                 budget,
             ) {
                 Ok(r) => {
-                    counters::count_tab_i64_solve();
+                    counters::count_tab_i64_solve(1);
                     Ok(pack(r.map(|(v, p, u, t)| (v, p, u, Tab::Small(t)))))
                 }
                 Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation();
+                    counters::count_tab_overflow_escalation(1);
                     let r = warm_typed(
                         widen_tab(t),
                         n,
@@ -1225,13 +1225,13 @@ pub(crate) fn ctx_extend(
             let backup = t.clone();
             match ctx_extend_typed(t, extra, budget) {
                 Ok(r) => {
-                    counters::count_tab_i64_solve();
+                    counters::count_tab_i64_solve(1);
                     Ok(r)
                 }
                 Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation();
+                    counters::count_tab_overflow_escalation(1);
                     let mut big = widen_tab(&backup);
                     let r = ctx_extend_typed(&mut big, extra, budget)?;
                     prepared.tab = Tab::Big(big);
@@ -1319,13 +1319,13 @@ pub(crate) fn ctx_optimize(
             let backup = t.clone();
             match ctx_optimize_typed(t, n, objective, budget) {
                 Ok(r) => {
-                    counters::count_tab_i64_solve();
+                    counters::count_tab_i64_solve(1);
                     Ok(pack(r.map(|(v, p, u, t, s)| (v, p, u, Tab::Small(t), s))))
                 }
                 Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation();
+                    counters::count_tab_overflow_escalation(1);
                     let r = ctx_optimize_typed(widen_tab(&backup), n, objective, budget)?;
                     Ok(pack(r.map(|(v, p, u, t, s)| (v, p, u, Tab::Big(t), s))))
                 }

@@ -51,8 +51,9 @@
 mod search;
 mod space;
 
+pub use polyject_arith::fnv1a64;
 pub use search::{
     beam_search, grid_anchors, log_digest, EvalCtx, EvalRecord, Evaluated, JobRunner, SerialRunner,
     TuneOptions, TuneOutcome, TuneRequest, TunedConfig,
 };
-pub use space::{fnv1a64, KnobPoint};
+pub use space::KnobPoint;

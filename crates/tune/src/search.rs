@@ -18,7 +18,8 @@
 //! determinism does not depend on evaluation order, only on the order
 //! results are *absorbed*, which the contract fixes.
 
-use crate::space::{fnv1a64, KnobPoint};
+use crate::space::KnobPoint;
+use polyject_arith::fnv1a64;
 use polyject_arith::SplitMix64;
 use polyject_codegen::{CompileSession, Compiled, Config, MappingOptions, TilingOptions};
 use polyject_core::{Budget, ScheduleError};
@@ -133,7 +134,7 @@ impl<'a> EvalCtx<'a> {
     pub fn new(req: &'a TuneRequest) -> EvalCtx<'a> {
         EvalCtx {
             req,
-            session: CompileSession::new(&req.kernel, req.config),
+            session: CompileSession::new(&req.kernel),
             gpu_digest: fnv1a64(format!("{:?}", req.gpu).as_bytes()),
             memo: Mutex::new(EstimateMemo {
                 entries: Vec::new(),
@@ -155,8 +156,11 @@ impl<'a> EvalCtx<'a> {
     /// Propagates [`ScheduleError`] like
     /// [`polyject_codegen::compile_with_options`].
     pub fn compile(&self, point: &KnobPoint) -> Result<Compiled, ScheduleError> {
-        self.session
-            .compile_with(&self.req.budget, &point.to_compile_options())
+        self.session.compile_with(
+            self.req.config,
+            &self.req.budget,
+            &point.to_compile_options(),
+        )
     }
 
     /// Simulates a compiled candidate, memoized on the generated AST:
@@ -201,7 +205,11 @@ impl<'a> EvalCtx<'a> {
     pub fn evaluate(&self, point: &KnobPoint) -> Option<Evaluated> {
         let (c, artifact) = self
             .session
-            .compile_keyed(&self.req.budget, &point.to_compile_options())
+            .compile_keyed(
+                self.req.config,
+                &self.req.budget,
+                &point.to_compile_options(),
+            )
             .ok()?;
         Some(Evaluated {
             point: point.clone(),

@@ -10,7 +10,7 @@
 
 use polyject_arith::SplitMix64;
 use polyject_codegen::{CompileOptions, MappingOptions, TilingOptions};
-use polyject_core::{InfluenceOptions, SchedulerOptions};
+use polyject_core::InfluenceOptions;
 
 /// Menu for each of the five influence cost weights `w₁..w₅`.
 const WEIGHT_CHOICES: [f64; 6] = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0];
@@ -84,13 +84,12 @@ impl KnobPoint {
         s
     }
 
-    /// Lowers the point to the pipeline's [`CompileOptions`]. Scheduler
-    /// knobs stay at their defaults — the tuner searches the spaces the
-    /// paper leaves to "respective tool auto-tuners", not solver caps.
+    /// Lowers the point to the pipeline's [`CompileOptions`] — the tuner
+    /// searches the spaces the paper leaves to "respective tool
+    /// auto-tuners", not solver caps.
     pub fn to_compile_options(&self) -> CompileOptions {
         CompileOptions {
             influence: self.influence.clone(),
-            scheduler: SchedulerOptions::default(),
             mapping: self.mapping,
             tiling: self.tiling,
         }
@@ -173,17 +172,6 @@ fn sample_mapping(rng: &mut SplitMix64) -> MappingOptions {
     }
 }
 
-/// FNV-1a 64-bit over a byte string — the digest the tuner uses for
-/// candidate logs and the serve layer reuses for tuned-config keys.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,12 +225,5 @@ mod tests {
             p = p.mutate(&mut rng);
             assert!(p.influence.fusion_variants || p.influence.relaxed_variants);
         }
-    }
-
-    #[test]
-    fn fnv_matches_reference_vector() {
-        // FNV-1a 64 of the empty string and of "a" are published vectors.
-        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

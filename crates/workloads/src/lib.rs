@@ -27,7 +27,7 @@ mod tvm;
 pub use classes::OpClass;
 pub use measure::{
     aggregate_network, geomean_speedup, measure_network, measure_op, measure_op_with_perf, op_key,
-    NetworkMeasurement, OpMeasurement, OpPerf, Tool,
+    unique_ops, NetworkMeasurement, OpMeasurement, OpPerf, Tool,
 };
 pub use networks::{
     all_networks, bert, lstm, mobilenet_v2, resnet101, resnet50, resnext50, vgg16, NetKind, Network,

@@ -183,6 +183,21 @@ pub fn op_key(op: &OpClass) -> String {
     format!("{op:?}")
 }
 
+/// The distinct operator classes of `nets` in first-seen order, and each
+/// [`op_key`]'s position in that list — the global deduplication every
+/// Table II runner starts from.
+pub fn unique_ops(nets: &[Network]) -> (Vec<&OpClass>, HashMap<String, usize>) {
+    let mut index = HashMap::new();
+    let mut unique = Vec::new();
+    for op in nets.iter().flat_map(|net| &net.ops) {
+        index.entry(op_key(op)).or_insert_with(|| {
+            unique.push(op);
+            unique.len() - 1
+        });
+    }
+    (unique, index)
+}
+
 /// Measures a whole network (memoizing identical operator classes).
 pub fn measure_network(net: &Network, model: &GpuModel) -> NetworkMeasurement {
     let mut memo: HashMap<String, OpMeasurement> = HashMap::new();

@@ -1,10 +1,11 @@
-//! Compile-session differential suite: for PRNG-driven option samples
-//! across several workload kernels, compiling through a warm
-//! [`polyject_codegen::CompileSession`] must be **bitwise identical** to
-//! a cold [`polyject_codegen::compile_with_options`] call — every
-//! rendered artifact byte for byte and every simulated timing f64 bit
-//! for bit — while candidates after the first perform zero dependence
-//! analysis and zero Farkas linearization.
+//! Compile-session differential suite: one long-lived
+//! [`polyject_codegen::CompileSession`] per workload kernel, driven
+//! through all three configurations × PRNG-driven option samples, must be
+//! **bitwise identical** to a one-shot
+//! [`polyject_codegen::compile_with_options`] call (a fresh session of
+//! one) — every rendered artifact byte for byte and every simulated
+//! timing f64 bit for bit — while candidates after the first perform zero
+//! dependence analysis and zero Farkas linearization.
 
 use polyject_codegen::{
     compile_with_options, render_artifacts, CompileOptions, CompileSession, Compiled, Config,
@@ -31,10 +32,8 @@ impl SplitMix64 {
     }
 }
 
-/// A random-but-valid [`CompileOptions`] sample. The scheduler knobs stay
-/// at their defaults so the sample exercises the session's warm prefix
-/// (the tuner's knob space pins them the same way); influence, mapping,
-/// and tiling all vary.
+/// A random-but-valid [`CompileOptions`] sample: influence, mapping, and
+/// tiling all vary.
 fn sample_options(rng: &mut SplitMix64) -> CompileOptions {
     let mut opts = CompileOptions::default();
     for w in opts.influence.weights.iter_mut() {
@@ -94,14 +93,14 @@ fn workload_kernels() -> Vec<(&'static str, Kernel)> {
 }
 
 #[test]
-fn session_compiles_are_bitwise_identical_to_cold_compiles() {
+fn one_session_serves_every_config_and_option_sample_bit_identically() {
     let gpu = GpuModel::v100();
     let budget = Budget::unlimited();
     for (name, kernel) in workload_kernels() {
         let mut rng = SplitMix64(name.bytes().fold(0x005e_5510_d1ff_u64, |h, b| {
             h.wrapping_mul(31).wrapping_add(b as u64)
         }));
-        let session = CompileSession::new(&kernel, Config::Influenced);
+        let session = CompileSession::new(&kernel);
         // Default options first (the tuner's anchor point), then
         // PRNG-driven samples; repeat one sample to hit the memo too.
         let mut samples = vec![CompileOptions::default()];
@@ -110,57 +109,31 @@ fn session_compiles_are_bitwise_identical_to_cold_compiles() {
         }
         samples.push(samples[1].clone());
 
-        for (i, opts) in samples.iter().enumerate() {
-            let cold = compile_with_options(&kernel, Config::Influenced, &budget, opts)
-                .unwrap_or_else(|e| panic!("{name} sample {i}: cold compile failed: {e}"));
+        let candidates = Config::all()
+            .into_iter()
+            .flat_map(|config| samples.iter().map(move |opts| (config, opts)));
+        for (n, (config, opts)) in candidates.enumerate() {
+            let tag = format!("{name} candidate {n} ({})", config.name());
+            let cold = compile_with_options(&kernel, config, &budget, opts)
+                .unwrap_or_else(|e| panic!("{tag}: one-shot compile failed: {e}"));
             let before = polyject_sets::counters::snapshot();
             let warm = session
-                .compile_with(&budget, opts)
-                .unwrap_or_else(|e| panic!("{name} sample {i}: session compile failed: {e}"));
+                .compile_with(config, &budget, opts)
+                .unwrap_or_else(|e| panic!("{tag}: session compile failed: {e}"));
             let delta = polyject_sets::counters::snapshot().delta_since(&before);
             assert_eq!(
                 fingerprint(&kernel, &cold, &gpu),
                 fingerprint(&kernel, &warm, &gpu),
-                "{name} sample {i}: session compile diverged from cold compile"
+                "{tag}: session compile diverged from the one-shot compile"
             );
-            // The session computed dependences and Farkas systems when it
-            // opened; no candidate ever recomputes them.
-            assert_eq!(
-                delta.dependence_analyses, 0,
-                "{name} sample {i}: session compile re-analyzed dependences"
-            );
-            assert_eq!(
-                delta.farkas_linearizations, 0,
-                "{name} sample {i}: session compile re-linearized"
-            );
-            if i > 0 {
-                assert!(
-                    delta.session_reuses >= 1,
-                    "{name} sample {i}: warm compile did not reuse the session"
-                );
+            // The session analyzed dependences when it opened and
+            // linearized with its first schedule; no later candidate, under
+            // any configuration, recomputes either.
+            assert_eq!(delta.dependence_analyses, 0, "{tag}: re-analyzed");
+            if n > 0 {
+                assert_eq!(delta.farkas_linearizations, 0, "{tag}: re-linearized");
+                assert!(delta.session_reuses >= 1, "{tag}: no session reuse");
             }
         }
     }
-}
-
-#[test]
-fn non_default_scheduler_options_bypass_but_still_match() {
-    // Options outside the session's pinned scheduler knobs take the cold
-    // path inside `compile_with`; the differential must hold there too.
-    let gpu = GpuModel::v100();
-    let budget = Budget::unlimited();
-    let kernel = ops::transpose_2d(64, 96);
-    let session = CompileSession::new(&kernel, Config::Influenced);
-    let mut opts = CompileOptions::default();
-    opts.scheduler.max_attempts += 1;
-
-    let cold = compile_with_options(&kernel, Config::Influenced, &budget, &opts).unwrap();
-    let before = polyject_sets::counters::snapshot();
-    let warm = session.compile_with(&budget, &opts).unwrap();
-    let delta = polyject_sets::counters::snapshot().delta_since(&before);
-    assert_eq!(
-        fingerprint(&kernel, &cold, &gpu),
-        fingerprint(&kernel, &warm, &gpu)
-    );
-    assert_eq!(delta.session_reuses, 0, "non-default scheduler must bypass");
 }

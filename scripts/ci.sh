@@ -3,7 +3,8 @@
 # tier-1 verify (build + tests),
 # an offline build of the standalone benchmark package,
 # a <10 s Table II smoke run (LSTM subset, serial vs parallel identity +
-# BENCH JSON emission), a seeded fault-injection chaos gate, a
+# BENCH JSON emission + per-op CSV byte-identical to a checked-in
+# golden), a seeded fault-injection chaos gate, a
 # budget-exhaustion/cancellation smoke, a cold-vs-warm schedule-cache
 # round-trip, an autotune smoke (same-seed searches byte-identical, warm
 # re-runs replay persisted configs with zero search, candidates 2..N of
@@ -128,6 +129,14 @@ if esc > 0.01 * lps:
 print(f"   escalations: {esc}/{lps} lp_solves ({100*esc/max(lps,1):.2f}%) ok")
 EOF
 echo "ok: i64 fast path engaged, overflow escalations under 1%"
+# Scheduler-output gate: the per-operator CSV (vectorized / influenced
+# flags and the four simulated times to the microsecond) must match the
+# checked-in golden byte for byte. Re-record
+# scripts/table2_fast.golden.csv only when a change moves a schedule or
+# the timing model deliberately.
+cargo run --release -q -p polyject-bench --bin table2 -- \
+  --fast --serial --csv 2>/dev/null | diff scripts/table2_fast.golden.csv -
+echo "ok: table2 --fast --csv byte-identical to the checked-in golden"
 
 step "schedule-cache round-trip (table2 --fast --cache-bench)"
 cache_json="$scratch/cache_bench.json"
