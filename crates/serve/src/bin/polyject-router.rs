@@ -112,20 +112,18 @@ fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
     let router = Arc::new(Router::new(config));
     let stop = Arc::new(AtomicBool::new(false));
     let (conn_router, conn_stop) = (Arc::clone(&router), Arc::clone(&stop));
-    listener
-        .serve(
-            || stop.load(Ordering::SeqCst),
-            || {},
-            move |stream| {
-                transport::serve_conn(
-                    stream,
-                    MAX_FRAME,
-                    || conn_stop.load(Ordering::SeqCst),
-                    |frame, out| dispatch(&conn_router, frame, &conn_stop, out),
-                )
-            },
-        )
-        .map_err(|e| format!("accept: {e}"))?;
+    listener.serve(
+        || stop.load(Ordering::SeqCst),
+        || {},
+        move |stream| {
+            transport::serve_conn(
+                stream,
+                MAX_FRAME,
+                || conn_stop.load(Ordering::SeqCst),
+                |frame, out| dispatch(&conn_router, frame, &conn_stop, out),
+            )
+        },
+    );
     Ok(router.metrics_json(false))
 }
 

@@ -10,6 +10,7 @@ use crate::transport::Stream;
 use polyject_gpusim::GpuModel;
 use std::io::{self, Write};
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
 
 /// Where a daemon listens: a Unix socket path (the default) or a TCP
@@ -67,6 +68,8 @@ impl std::fmt::Display for Endpoint {
 #[derive(Debug)]
 pub struct Client {
     conn: Stream,
+    /// Complete reply frames read so far.
+    frames_in: u64,
 }
 
 impl Client {
@@ -78,6 +81,7 @@ impl Client {
     pub fn connect(endpoint: &Endpoint) -> io::Result<Client> {
         Ok(Client {
             conn: Stream::connect(endpoint)?,
+            frames_in: 0,
         })
     }
 
@@ -98,7 +102,7 @@ impl Client {
     /// Propagates I/O and framing failures.
     pub fn request(&mut self, req: &Request) -> io::Result<Json> {
         write_frame(&mut self.conn, &req.to_json())?;
-        read_frame(&mut self.conn)
+        self.read_response()
     }
 
     /// Compiles `.pj` source under a configuration name, returning the
@@ -152,7 +156,7 @@ impl Client {
         )?;
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         loop {
-            let frame = read_frame(&mut self.conn)?;
+            let frame = self.read_response()?;
             match frame.str_field("status") {
                 Ok("item") => {
                     let index = frame.num_field("index").map_err(invalid_data)? as usize;
@@ -261,7 +265,9 @@ impl Client {
     ///
     /// Propagates I/O and framing failures.
     pub fn read_response(&mut self) -> io::Result<Json> {
-        read_frame(&mut self.conn)
+        let frame = read_frame(&mut self.conn)?;
+        self.frames_in += 1;
+        Ok(frame)
     }
 
     /// Liveness probe; `Ok(true)` when the daemon answered the ping.
@@ -297,15 +303,54 @@ fn invalid_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// The body of one leg — one connection to one shard: apply the
-/// pre-drawn chaos verdict, connect, set the socket timeout, `send`.
-/// The router's hedged item legs, both scatters' sub-batch legs and the
-/// sharded client's replica walk all run through here.
+/// Idle connections a [`ConnPool`] keeps per endpoint; one checked in
+/// beyond that is closed.
+const POOL_PER_ENDPOINT: usize = 4;
+
+/// Kept-open connections to shards, so a leg dials only when it has to.
+/// A connection is checked in only after a complete request/reply
+/// exchange and handed out to one leg at a time, so whoever checks it
+/// out reads its own reply; a connection whose exchange failed in any
+/// way is dropped instead.
+#[derive(Default)]
+pub(crate) struct ConnPool {
+    idle: Mutex<Vec<(Endpoint, Client)>>,
+}
+
+impl ConnPool {
+    /// The most recently used idle connection to `endpoint`, if any.
+    fn check_out(&self, endpoint: &Endpoint) -> Option<Client> {
+        let mut idle = self.idle.lock().expect("pool lock");
+        let at = idle.iter().rposition(|(ep, _)| ep == endpoint)?;
+        Some(idle.remove(at).1)
+    }
+
+    fn check_in(&self, endpoint: &Endpoint, client: Client) {
+        let mut idle = self.idle.lock().expect("pool lock");
+        if idle.iter().filter(|(ep, _)| ep == endpoint).count() < POOL_PER_ENDPOINT {
+            idle.push((endpoint.clone(), client));
+        }
+    }
+}
+
+/// The body of one leg — one exchange with one shard: apply the
+/// pre-drawn chaos verdict, take a kept connection from `pool` or dial
+/// one (under the socket timeout), `send`, and check the connection back
+/// in once the exchange completed. The router's hedged item legs, both
+/// scatters' sub-batch legs and the sharded client's replica walk all
+/// run through here.
+///
+/// A kept connection may have been closed by its shard since (the shard
+/// restarted): when `send` fails on one before any reply frame arrived,
+/// and not by timing out, that says nothing about the shard, so the leg
+/// dials afresh and sends once more. Only the failure of a fresh dial is
+/// the leg's failure.
 pub(crate) fn run_leg<T>(
+    pool: &ConnPool,
     endpoint: &Endpoint,
     io_timeout: Option<Duration>,
     chaos: LegChaos,
-    send: impl FnOnce(&mut Client) -> io::Result<T>,
+    send: impl Fn(&mut Client) -> io::Result<T>,
 ) -> io::Result<T> {
     let ctx =
         |what: &'static str| move |e: io::Error| io::Error::new(e.kind(), format!("{what}: {e}"));
@@ -315,13 +360,22 @@ pub(crate) fn run_leg<T>(
             format!("partition: connect to {endpoint} blocked"),
         ));
     }
-    let mut client = Client::connect(endpoint).map_err(ctx("connect"))?;
-    if io_timeout.is_some() {
-        // (A fresh socket already blocks forever.)
-        client
-            .set_timeout(io_timeout)
-            .map_err(ctx("socket options"))?;
-    }
+    let dial = || -> io::Result<Client> {
+        let mut client = Client::connect(endpoint).map_err(ctx("connect"))?;
+        if io_timeout.is_some() {
+            // (A fresh socket already blocks forever.)
+            client
+                .set_timeout(io_timeout)
+                .map_err(ctx("socket options"))?;
+        }
+        Ok(client)
+    };
+    let kept = pool.check_out(endpoint);
+    let reused = kept.is_some();
+    let mut client = match kept {
+        Some(client) => client,
+        None => dial()?,
+    };
     if let Some(bytes) = chaos.garbage {
         // Injected line noise: feed the daemon a garbage frame and read
         // whatever it answers (a structured error — the robustness claim
@@ -333,7 +387,21 @@ pub(crate) fn run_leg<T>(
             "garbage frame injected; connection poisoned",
         ));
     }
-    send(&mut client).map_err(ctx("io"))
+    let answered = client.frames_in;
+    let mut outcome = send(&mut client);
+    if let Err(e) = &outcome {
+        let timed_out = matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        );
+        if reused && client.frames_in == answered && !timed_out {
+            client = dial()?;
+            outcome = send(&mut client);
+        }
+    }
+    let reply = outcome.map_err(ctx("io"))?;
+    pool.check_in(endpoint, client);
+    Ok(reply)
 }
 
 /// Scatter-gather: every owner group's items go out as ONE
@@ -342,6 +410,7 @@ pub(crate) fn run_leg<T>(
 /// every leg is gathered — a full barrier — before this returns the
 /// per-group replies (sub-batch order) in group order.
 pub(crate) fn scatter(
+    pool: &ConnPool,
     items: &[BatchItem],
     groups: &[(Endpoint, Vec<usize>)],
     chaos: Vec<LegChaos>,
@@ -354,7 +423,9 @@ pub(crate) fn scatter(
             .map(|((endpoint, idxs), chaos)| {
                 let sub: Vec<BatchItem> = idxs.iter().map(|&i| items[i].clone()).collect();
                 scope.spawn(move || {
-                    run_leg(endpoint, io_timeout, chaos, |c| c.compile_batch(&sub, None))
+                    run_leg(pool, endpoint, io_timeout, chaos, |c| {
+                        c.compile_batch(&sub, None)
+                    })
                 })
             })
             .collect();
@@ -377,6 +448,7 @@ pub struct ShardedClient {
     membership: Membership,
     gpu: GpuModel,
     replication: usize,
+    pool: ConnPool,
 }
 
 impl ShardedClient {
@@ -386,6 +458,7 @@ impl ShardedClient {
             membership: Membership::new(endpoints, DEFAULT_VNODES),
             gpu,
             replication: 2,
+            pool: ConnPool::default(),
         }
     }
 
@@ -451,7 +524,7 @@ impl ShardedClient {
             let groups = self.membership.partition_by_owner(keyed, self.replication);
             round_trips += groups.len() as u64;
             let chaos = vec![LegChaos::default(); groups.len()];
-            let gathered = scatter(items, &groups, chaos, None);
+            let gathered = scatter(&self.pool, items, &groups, chaos, None);
             // Membership updates stay on this thread, after the barrier.
             for ((endpoint, idxs), attempt) in groups.iter().zip(gathered) {
                 match attempt {
@@ -482,7 +555,7 @@ impl ShardedClient {
     fn walk_replicas(&mut self, item: &BatchItem, key: &str) -> io::Result<Json> {
         let mut last = io::Error::new(io::ErrorKind::NotFound, "no shard endpoints configured");
         for endpoint in self.membership.replicas_for(key, self.replication) {
-            let leg = run_leg(&endpoint, None, LegChaos::default(), |c| {
+            let leg = run_leg(&self.pool, &endpoint, None, LegChaos::default(), |c| {
                 c.compile(&item.src, &item.config)
             });
             match leg {
@@ -503,6 +576,8 @@ impl ShardedClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(unix)]
+    use crate::transport::testing::TestServer;
 
     #[test]
     fn endpoint_parsing_heuristic() {
@@ -621,6 +696,140 @@ mod tests {
         // A length prefix far past MAX_FRAME; no body follows.
         let err = stats_error_against(u32::MAX.to_be_bytes().to_vec());
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+    }
+
+    /// A shard for the pool tests: echoes a compile's source, and
+    /// misbehaves on request — a `fetch` of `slow` answers late, one of
+    /// `half` hangs up inside the reply frame, and a batch hangs up at an
+    /// item named `cut`, before `batch_done`.
+    #[cfg(unix)]
+    fn echo_shard(frame: &Json, out: &mut Stream) -> bool {
+        use crate::protocol::{ok_with, ReplyWriter};
+        let echo = |s: &str| ok_with(vec![("echo", Json::Str(s.to_string()))]);
+        match Request::from_json(frame).expect("well-formed request") {
+            Request::Compile { src, .. } => write_frame(out, &echo(&src)).is_ok(),
+            Request::CompileBatch { items, .. } => {
+                let mut replies = ReplyWriter::envelope(out, items.len());
+                for (i, item) in items.iter().enumerate() {
+                    if item.src == "cut" {
+                        return false;
+                    }
+                    replies.item(i, echo(&item.src));
+                }
+                replies.finish()
+            }
+            Request::Fetch { key } if key == "half" => {
+                let _ = out.write_all(&[0, 0, 0, 100, b'{', b'"']);
+                false
+            }
+            Request::Fetch { key } => {
+                if key == "slow" {
+                    std::thread::sleep(Duration::from_millis(300));
+                }
+                write_frame(out, &echo(&key)).is_ok()
+            }
+            other => panic!("unexpected request {other:?}"),
+        }
+    }
+
+    #[cfg(unix)]
+    fn echoed(reply: &Json) -> &str {
+        reply.str_field("echo").expect("an echo reply")
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn sharded_client_dials_once_for_many_requests() {
+        use std::sync::atomic::Ordering;
+        let shard = TestServer::start("pool-once", false, echo_shard);
+        let mut sc = ShardedClient::new(vec![shard.endpoint.clone()], GpuModel::v100());
+        for i in 0..20 {
+            let src = format!("kernel {i}");
+            assert_eq!(echoed(&sc.compile(&src, "infl").unwrap()), src);
+        }
+        // The scatter path goes through the same pool.
+        let batch = [BatchItem::new("a", "isl"), BatchItem::new("b", "isl")];
+        let (replies, round_trips) = sc.compile_batch(&batch);
+        assert_eq!((echoed(&replies[0]), echoed(&replies[1])), ("a", "b"));
+        assert_eq!(round_trips, 1);
+        assert_eq!(shard.accepts.load(Ordering::SeqCst), 1);
+        shard.stop();
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn restarted_shard_costs_one_redial_and_no_strike() {
+        use std::sync::atomic::Ordering;
+        let first = TestServer::start("pool-restart", false, echo_shard);
+        let mut sc = ShardedClient::new(vec![first.endpoint.clone()], GpuModel::v100());
+        let strikes = |sc: &ShardedClient| sc.membership.shards()[0].consecutive_failures;
+        assert_eq!(echoed(&sc.compile("one", "infl").unwrap()), "one");
+        // The shard stops while the client still holds its kept
+        // connection (as `Fleet::shutdown` finds it): that must not wait
+        // on the client.
+        let took = first.stop();
+        assert!(took < Duration::from_secs(1), "{took:?}");
+        // A new shard on the same socket: the kept connection is dead, the
+        // request re-dials once and the caller never hears of it.
+        let second = TestServer::start("pool-restart", false, echo_shard);
+        assert_eq!(echoed(&sc.compile("two", "infl").unwrap()), "two");
+        assert_eq!(echoed(&sc.compile("three", "infl").unwrap()), "three");
+        assert_eq!(second.accepts.load(Ordering::SeqCst), 1);
+        assert_eq!(strikes(&sc), 0);
+        // Nobody listening at all: the fresh dial fails, and that is the
+        // shard's failure — structured, and counted.
+        second.stop();
+        let err = sc.compile("four", "infl").unwrap_err();
+        assert!(err.to_string().contains("unreachable"), "{err}");
+        assert_eq!(strikes(&sc), 1);
+    }
+
+    #[test]
+    #[cfg(unix)]
+    fn broken_exchange_is_never_handed_out_again() {
+        use std::sync::atomic::Ordering;
+        let shard = TestServer::start("pool-poison", false, echo_shard);
+        let pool = ConnPool::default();
+        let timeout = Some(Duration::from_millis(100));
+        let no_chaos = LegChaos::default;
+        let fetch = |key: &str| {
+            run_leg(&pool, &shard.endpoint, timeout, no_chaos(), |c| {
+                c.fetch(key)
+            })
+        };
+        let kept = || pool.idle.lock().unwrap().len();
+        let accepts = || shard.accepts.load(Ordering::SeqCst);
+
+        // A complete exchange keeps its connection for the next one.
+        assert_eq!(echoed(&fetch("a").unwrap()), "a");
+        assert_eq!(echoed(&fetch("b").unwrap()), "b");
+        assert_eq!((kept(), accepts()), (1, 1));
+        // One that timed out does not, and is not retried: the shard is
+        // still working on it. Its late reply must reach nobody — the
+        // next request reads its own.
+        let err = fetch("slow").unwrap_err();
+        let timed_out = [io::ErrorKind::WouldBlock, io::ErrorKind::TimedOut];
+        assert!(timed_out.contains(&err.kind()), "{err}");
+        assert_eq!((kept(), accepts()), (0, 1));
+        assert_eq!(echoed(&fetch("c").unwrap()), "c");
+        assert_eq!((kept(), accepts()), (1, 2));
+        // Nor does one the shard hung up on inside a frame.
+        let err = fetch("half").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!(kept(), 0);
+        assert_eq!(echoed(&fetch("d").unwrap()), "d");
+        // A batch stream cut before `batch_done` had begun to answer:
+        // the leg fails without a second dial, and the connection is gone.
+        let before = accepts();
+        let cut = [BatchItem::new("e", "isl"), BatchItem::new("cut", "isl")];
+        let err = run_leg(&pool, &shard.endpoint, timeout, no_chaos(), |c| {
+            c.compile_batch(&cut, None)
+        })
+        .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "{err}");
+        assert_eq!((kept(), accepts()), (0, before));
+        assert_eq!(echoed(&fetch("f").unwrap()), "f");
+        shard.stop();
     }
 
     #[test]

@@ -46,7 +46,7 @@ use std::time::{Duration, Instant};
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    /// Set by the handler; polled by the accept loop.
+    /// Set by the handler; watched by the listener's housekeeping tick.
     pub static STOP: AtomicBool = AtomicBool::new(false);
 
     const SIGINT: i32 = 2;
@@ -601,7 +601,7 @@ fn background_tune(
     }
 }
 
-/// The idle hook of the accept loop: when nothing is pending and no
+/// The listener's idle hook: when nothing is pending and no
 /// tune is in flight, start tuning the next untuned cached kernel on a
 /// detached thread. The search runs under a cancel-only budget that
 /// request arrival and shutdown trip; only complete outcomes persist
@@ -688,7 +688,7 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
             .unwrap_or_else(|| "disabled".to_string()),
     );
 
-    // The accept loop's idle hook lets the background tuner claim quiet
+    // The listener's idle hook lets the background tuner claim quiet
     // periods (it probes only when genuinely nothing is pending).
     let (idle, conn) = (Arc::clone(&shared), Arc::clone(&shared));
     listener.serve(
@@ -703,7 +703,7 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
                 |frame, out| dispatch(&conn, frame, out),
             )
         },
-    )?;
+    );
     eprintln!("[polyjectd] shutting down: connections drained");
     // Wait out compiles still on the pool so their cache writes land,
     // and any background tune (cancelled above at its next budget

@@ -18,8 +18,8 @@
 //!   fault schedule for the chaos suite;
 //! * [`protocol`] — the length-prefixed JSON request/response wire format;
 //! * [`transport`] — the one Unix/TCP socket layer under the daemon, the
-//!   router front and the client: live-listener-safe bind, stop-polling
-//!   accept and connection loops;
+//!   router front and the client: live-listener-safe bind, blocking
+//!   accept and connection loops that stop on events, not polls;
 //! * [`service`] — canonical kernel hashing + compile-through-cache with
 //!   single-flight deduplication;
 //! * [`daemon`] — `polyjectd`: one compile path (a single compile is a

@@ -34,7 +34,7 @@
 //! and drawn *before* any thread is spawned, so a same-seed replay of
 //! the same request sequence makes byte-identical decisions.
 
-use crate::client::{run_leg, scatter, Client, Endpoint};
+use crate::client::{run_leg, scatter, Client, ConnPool, Endpoint};
 use crate::faults::{LegChaos, NetChaos};
 use crate::hash::{fnv1a64, hex_digest};
 use crate::json::Json;
@@ -47,7 +47,7 @@ use polyject_gpusim::GpuModel;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`Router`].
@@ -142,6 +142,9 @@ pub struct Router {
     metrics: Mutex<HashMap<String, ShardMetrics>>,
     chaos: Option<Mutex<NetChaos>>,
     hot: Mutex<HashMap<String, HotKey>>,
+    /// Kept-open shard connections (shared with hedge leg threads, which
+    /// may outlive the attempt that spawned them).
+    pool: Arc<ConnPool>,
     /// Per-router token mixed into request ids. Cancels address solves
     /// by id on shared daemons, so ids must be globally unique across
     /// router processes and restarts — two routers counting from the
@@ -172,6 +175,7 @@ impl Router {
             metrics: Mutex::new(HashMap::new()),
             chaos: None,
             hot: Mutex::new(HashMap::new()),
+            pool: Arc::default(),
             instance,
             next_req: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -243,10 +247,10 @@ impl Router {
     fn ask<T>(
         &self,
         endpoint: &Endpoint,
-        send: impl FnOnce(&mut Client) -> io::Result<T>,
+        send: impl Fn(&mut Client) -> io::Result<T>,
     ) -> io::Result<T> {
         let timeout = Some(self.config.io_timeout);
-        run_leg(endpoint, timeout, LegChaos::default(), send)
+        run_leg(&self.pool, endpoint, timeout, LegChaos::default(), send)
     }
 
     /// Pre-draws the chaos verdicts for one leg. Always called on the
@@ -326,7 +330,8 @@ impl Router {
         for (endpoint, idxs) in &groups {
             self.with_metrics(endpoint, |m| m.requests += idxs.len() as u64);
         }
-        let gathered = scatter(items, &groups, chaos, Some(self.config.io_timeout));
+        let io_timeout = Some(self.config.io_timeout);
+        let gathered = scatter(&self.pool, items, &groups, chaos, io_timeout);
         for ((endpoint, idxs), leg) in groups.iter().zip(gathered) {
             match leg {
                 Ok(replies) => {
@@ -471,8 +476,9 @@ impl Router {
                 m.hedges_fired += u64::from(leg == 1);
             });
             let (tx, item, req) = (tx.clone(), item.clone(), req_of(leg));
+            let pool = Arc::clone(&self.pool);
             std::thread::spawn(move || {
-                let outcome = run_leg(&endpoint, Some(io_timeout), chaos, |c| {
+                let outcome = run_leg(&pool, &endpoint, Some(io_timeout), chaos, |c| {
                     c.compile_tagged(&item.src, &item.config, &req)
                 });
                 let _ = tx.send((leg, outcome));
@@ -625,7 +631,7 @@ impl Router {
             .and_then(|c| c.lock().expect("chaos lock").torn_transfer(payload));
         let sent = torn.unwrap_or_else(|| payload.clone());
         let resp = self
-            .ask(target, |c| c.transfer(key, kind, sent, checksum))
+            .ask(target, |c| c.transfer(key, kind, sent.clone(), checksum))
             .map_err(|e| e.to_string())?;
         Ok(resp.get("stored").and_then(Json::as_bool) == Some(true))
     }

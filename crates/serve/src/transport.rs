@@ -1,24 +1,29 @@
 //! The one socket layer under `polyjectd`, `polyject-router` and
 //! [`crate::Client`]: a Unix/TCP [`Stream`], a [`Listener`] that refuses
-//! to steal a live socket, and the accept / per-connection loops that
-//! poll a stop flag so shutdown never waits on an idle peer.
+//! to steal a live socket, and the accept / per-connection loops. Both
+//! loops block — in `accept` and in `read` — so a request waits on
+//! nothing. The stop flag reaches them as events: a wake-up connect for
+//! the accept loop, a read-half shutdown for every connection, both
+//! delivered off the request path so shutdown never waits on an idle
+//! peer.
 
 use crate::client::Endpoint;
 use crate::json::Json;
 use crate::protocol::{error_response, read_frame_within, write_frame};
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long an idle accept loop sleeps between polls of the listener
-/// and the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-/// Server-side read timeout: how often a connection thread blocked on a
-/// quiet peer re-checks the stop flag.
-const READ_POLL: Duration = Duration::from_millis(200);
+/// The housekeeping period of [`Listener::serve`]: how often the stop
+/// flag is looked at and the idle hook offered a quiet moment. Nothing
+/// on the request path waits on it.
+const TICK: Duration = Duration::from_millis(20);
 
 /// One connected socket, Unix or TCP.
 #[derive(Debug)]
@@ -45,8 +50,17 @@ impl Stream {
                 io::ErrorKind::Unsupported,
                 format!("unix sockets unavailable: {}", path.display()),
             )),
-            Endpoint::Tcp(addr) => TcpStream::connect(addr).map(Stream::Tcp),
+            Endpoint::Tcp(addr) => TcpStream::connect(addr).and_then(Stream::tcp),
         }
+    }
+
+    /// A TCP stream that sends each write at once. A frame goes out as
+    /// two writes, and left to Nagle the second would wait out the
+    /// peer's delayed ACK of the first (~40 ms) on every exchange over a
+    /// kept-open connection.
+    fn tcp(stream: TcpStream) -> io::Result<Stream> {
+        stream.set_nodelay(true)?;
+        Ok(Stream::Tcp(stream))
     }
 
     /// Sets the read and write timeouts (`None` blocks forever).
@@ -63,6 +77,25 @@ impl Stream {
             #[cfg(unix)]
             Stream::Unix(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
             Stream::Tcp(s) => s.set_read_timeout(read).and(s.set_write_timeout(write)),
+        }
+    }
+
+    /// A second handle on the same socket.
+    fn try_clone(&self) -> io::Result<Stream> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.try_clone().map(Stream::Unix),
+            Stream::Tcp(s) => s.try_clone().map(Stream::Tcp),
+        }
+    }
+
+    /// Shuts down one or both halves of the socket, for every handle on
+    /// it: a thread blocked in `read` on a shut read half sees EOF.
+    fn shutdown(&self, how: Shutdown) -> io::Result<()> {
+        match self {
+            #[cfg(unix)]
+            Stream::Unix(s) => s.shutdown(how),
+            Stream::Tcp(s) => s.shutdown(how),
         }
     }
 }
@@ -95,14 +128,21 @@ impl Write for Stream {
     }
 }
 
-/// A bound, non-blocking server socket. Dropping it removes the Unix
-/// socket file it created.
+/// A bound, blocking server socket. Dropping it removes the Unix socket
+/// file it created.
 pub enum Listener {
     /// Listening on a Unix domain socket at the given path.
     #[cfg(unix)]
     Unix(UnixListener, std::path::PathBuf),
     /// Listening on a TCP address.
     Tcp(TcpListener),
+}
+
+/// A connection being served: its thread, and a second handle on its
+/// socket through which the listener hangs up the read half at stop.
+struct Live {
+    thread: JoinHandle<()>,
+    peer: Arc<Stream>,
 }
 
 impl Listener {
@@ -127,73 +167,163 @@ impl Listener {
                     }
                     std::fs::remove_file(path)?;
                 }
-                let l = UnixListener::bind(path)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Unix(l, path.clone()))
+                Ok(Listener::Unix(UnixListener::bind(path)?, path.clone()))
             }
             #[cfg(not(unix))]
             Endpoint::Unix(path) => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 format!("unix sockets unavailable: {}", path.display()),
             )),
-            Endpoint::Tcp(addr) => {
-                let l = TcpListener::bind(addr)?;
-                l.set_nonblocking(true)?;
-                Ok(Listener::Tcp(l))
-            }
+            Endpoint::Tcp(addr) => TcpListener::bind(addr).map(Listener::Tcp),
         }
     }
 
-    /// Nonblocking accept; `Ok(None)` when no connection is waiting.
-    ///
-    /// # Errors
-    ///
-    /// Propagates accept failures other than `WouldBlock`.
-    fn accept(&self) -> io::Result<Option<Stream>> {
-        let accepted = match self {
+    /// Blocks until a connection arrives.
+    fn accept(&self) -> io::Result<Stream> {
+        match self {
             #[cfg(unix)]
             Listener::Unix(l, _) => l.accept().map(|(s, _)| Stream::Unix(s)),
-            Listener::Tcp(l) => l.accept().map(|(s, _)| Stream::Tcp(s)),
-        };
-        match accepted {
-            Ok(s) => Ok(Some(s)),
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(None),
-            Err(e) => Err(e),
+            Listener::Tcp(l) => l.accept().and_then(|(s, _)| Stream::tcp(s)),
         }
     }
 
-    /// The accept loop: one thread per connection running `conn`, `idle`
-    /// called on every empty poll, until `stopping()`; then every
-    /// connection thread is joined.
+    /// Wakes a blocked [`Listener::accept`] by connecting to the
+    /// listener's own address and hanging up without sending a byte. A
+    /// TCP listener on an unspecified address is reached over loopback.
     ///
-    /// # Errors
-    ///
-    /// Propagates accept failures.
+    /// That address may be gone, or someone else's, by now — a Unix
+    /// socket file unlinked or replaced under the listener — so the
+    /// listening socket is also shut down through a second handle, which
+    /// on Linux fails the blocked `accept` by itself (elsewhere it
+    /// changes nothing and the connect does the waking).
+    fn wake(&self) {
+        match self {
+            #[cfg(unix)]
+            Listener::Unix(l, path) => {
+                drop(UnixStream::connect(path));
+                shut_listening(l.try_clone().map(Into::into));
+            }
+            Listener::Tcp(l) => {
+                if let Ok(mut addr) = l.local_addr() {
+                    if addr.ip().is_unspecified() {
+                        addr.set_ip(match addr {
+                            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+                        });
+                    }
+                    drop(TcpStream::connect(addr));
+                }
+                #[cfg(unix)]
+                shut_listening(l.try_clone().map(Into::into));
+            }
+        }
+    }
+
+    /// Serves until `stopping()`: one thread per connection running
+    /// `conn`, accepted by a loop that blocks in `accept`. A housekeeping
+    /// thread ticks every 20 ms beside it — the stop flag may be set by
+    /// a signal handler, which can do nothing else — and calls `idle`
+    /// after each whole tick without an arrival; once `stopping()` it
+    /// wakes the accept loop instead. Then every connection's read half
+    /// is shut down, so quiet peers read EOF at once while a request in
+    /// flight still writes its reply, and every connection thread is
+    /// joined.
     pub fn serve(
         &self,
-        stopping: impl Fn() -> bool,
-        mut idle: impl FnMut(),
+        stopping: impl Fn() -> bool + Sync,
+        mut idle: impl FnMut() + Send,
         conn: impl Fn(Stream) + Send + Sync + 'static,
-    ) -> io::Result<()> {
-        let conn = Arc::new(conn);
-        let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !stopping() {
-            match self.accept()? {
-                Some(stream) => {
-                    let conn = Arc::clone(&conn);
-                    conns.push(std::thread::spawn(move || conn(stream)));
+    ) {
+        let arrivals = AtomicU64::new(0);
+        // The housekeeper ticks for as long as the accept loop holds its
+        // end of this channel.
+        let (accepting, ticks) = mpsc::channel::<()>();
+        let live = std::thread::scope(|scope| {
+            let (stopping, arrivals) = (&stopping, &arrivals);
+            scope.spawn(move || {
+                let mut seen = 0;
+                while ticks.recv_timeout(TICK) == Err(RecvTimeoutError::Timeout) {
+                    let now = arrivals.load(Ordering::Relaxed);
+                    if stopping() {
+                        self.wake();
+                    } else if now == seen {
+                        idle();
+                    }
+                    seen = now;
                 }
-                None => {
-                    idle();
-                    std::thread::sleep(ACCEPT_POLL);
+            });
+            let live = accept_until(|| self.accept(), stopping, arrivals, conn);
+            drop(accepting);
+            live
+        });
+        for c in &live {
+            let _ = c.peer.shutdown(Shutdown::Read);
+        }
+        for c in live {
+            let _ = c.thread.join();
+        }
+    }
+}
+
+/// Shuts a listening socket down: `shutdown(2)` acts on the socket,
+/// whatever type wraps its descriptor.
+#[cfg(unix)]
+fn shut_listening(listening: io::Result<std::os::fd::OwnedFd>) {
+    let _ = listening.map(|fd| TcpStream::from(fd).shutdown(Shutdown::Both));
+}
+
+/// The accept loop over any source of connections (the unit test
+/// scripts one): spawns `conn` on each, and returns the connections
+/// still live once `stopping()` — the only thing that ends it. Whatever
+/// `accept` returned after the flag was set, the wake-up connect
+/// included, is dropped, not served.
+fn accept_until(
+    mut accept: impl FnMut() -> io::Result<Stream>,
+    stopping: impl Fn() -> bool,
+    arrivals: &AtomicU64,
+    conn: impl Fn(Stream) + Send + Sync + 'static,
+) -> Vec<Live> {
+    let conn = Arc::new(conn);
+    let mut live: Vec<Live> = Vec::new();
+    loop {
+        let accepted = accept();
+        if stopping() {
+            return live;
+        }
+        match accepted {
+            Ok(stream) => {
+                arrivals.fetch_add(1, Ordering::Relaxed);
+                // Without a second handle the listener could not hang
+                // up on this peer at stop: refuse it rather than let
+                // shutdown wait on it.
+                if let Ok(peer) = stream.try_clone().map(Arc::new) {
+                    let (conn, hangup) = (Arc::clone(&conn), Arc::clone(&peer));
+                    let thread = std::thread::spawn(move || {
+                        conn(stream);
+                        // `peer` outlives `stream`, so dropping that no
+                        // longer closes the socket: hang up explicitly,
+                        // and the other side reads EOF now rather than
+                        // at the next prune.
+                        let _ = hangup.shutdown(Shutdown::Both);
+                    });
+                    live.push(Live { thread, peer });
                 }
             }
-            conns.retain(|h| !h.is_finished());
+            // The peer gave up while queued, or a signal arrived: the
+            // next connection is unaffected.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::ConnectionAborted
+                        | io::ErrorKind::Interrupted
+                        | io::ErrorKind::WouldBlock
+                ) => {}
+            // Out of descriptors (`EMFILE` 24, `ENFILE` 23), or anything
+            // else a retry at once would only repeat: give the finished
+            // connections pruned below a tick to free theirs.
+            Err(_) => std::thread::sleep(TICK),
         }
-        for h in conns {
-            let _ = h.join();
-        }
-        Ok(())
+        live.retain(|c| !c.thread.is_finished());
     }
 }
 
@@ -206,53 +336,21 @@ impl Drop for Listener {
     }
 }
 
-/// A server's view of a connection while it waits for a frame: read
-/// timeouts (every [`READ_POLL`]) are ridden out — reported as
-/// `Interrupted`, which `read_exact` retries — until `stopping()`, which
-/// ends the read as if the peer had closed.
-struct Polled<'a, F: Fn() -> bool> {
-    stream: &'a mut Stream,
-    stopping: &'a F,
-}
-
-impl<F: Fn() -> bool> Read for Polled<'_, F> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self.stream.read(buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                Err(if (self.stopping)() {
-                    io::Error::new(io::ErrorKind::UnexpectedEof, "shutting down")
-                } else {
-                    io::ErrorKind::Interrupted.into()
-                })
-            }
-            other => other,
-        }
-    }
-}
-
-/// The per-connection loop of a server: hands each request frame (of at
-/// most `max_frame` bytes) to `handle`, which writes the replies and
-/// returns whether to keep the connection, until the peer closes,
-/// `handle` says stop, or `stopping()`. A malformed frame is answered
-/// with a structured error and the poisoned connection dropped.
+/// The per-connection loop of a server: blocks in `read` for each
+/// request frame (of at most `max_frame` bytes) and hands it to
+/// `handle`, which writes the replies and returns whether to keep the
+/// connection, until the peer closes, `handle` says stop, or shutdown —
+/// which arrives as EOF, when [`Listener::serve`] shuts the read half. A
+/// malformed frame is answered with a structured error and the poisoned
+/// connection dropped.
 pub fn serve_conn(
     mut stream: Stream,
     max_frame: u32,
     stopping: impl Fn() -> bool,
     mut handle: impl FnMut(&Json, &mut Stream) -> bool,
 ) {
-    let _ = stream.set_timeouts(Some(READ_POLL), None);
     while !stopping() {
-        let mut polled = Polled {
-            stream: &mut stream,
-            stopping: &stopping,
-        };
-        match read_frame_within(&mut polled, max_frame) {
+        match read_frame_within(&mut stream, max_frame) {
             Ok(frame) => {
                 if !handle(&frame, &mut stream) {
                     return;
@@ -268,9 +366,95 @@ pub fn serve_conn(
     }
 }
 
+/// Test support shared by this crate's unit tests.
+#[cfg(all(test, unix))]
+pub(crate) mod testing {
+    use super::*;
+    use std::sync::atomic::AtomicBool;
+
+    /// A server over the real accept and connection loops, for this
+    /// crate's tests: `handle` answers every frame until [`TestServer::stop`].
+    pub(crate) struct TestServer {
+        pub endpoint: Endpoint,
+        /// Connections handed to a connection thread.
+        pub accepts: Arc<AtomicU64>,
+        /// Calls of the idle hook.
+        pub idled: Arc<AtomicU64>,
+        stop: Arc<AtomicBool>,
+        thread: JoinHandle<()>,
+    }
+
+    impl TestServer {
+        /// Listens on a fresh Unix socket named after `tag`, or (`tcp`) on a
+        /// loopback port the kernel picks.
+        pub fn start(
+            tag: &str,
+            tcp: bool,
+            handle: impl Fn(&Json, &mut Stream) -> bool + Send + Sync + 'static,
+        ) -> TestServer {
+            let endpoint = if tcp {
+                Endpoint::Tcp("127.0.0.1:0".to_string())
+            } else {
+                let name = format!("pj-transport-{tag}-{}.sock", std::process::id());
+                Endpoint::Unix(std::env::temp_dir().join(name))
+            };
+            let listener = Listener::bind(&endpoint).expect("bind test server");
+            let endpoint = match &listener {
+                Listener::Tcp(l) => Endpoint::Tcp(l.local_addr().unwrap().to_string()),
+                Listener::Unix(..) => endpoint,
+            };
+            let accepts = Arc::new(AtomicU64::new(0));
+            let idled = Arc::new(AtomicU64::new(0));
+            let stop = Arc::new(AtomicBool::new(false));
+            let (accepted, idle, flag) =
+                (Arc::clone(&accepts), Arc::clone(&idled), Arc::clone(&stop));
+            let thread = std::thread::spawn(move || {
+                let stopping = move || flag.load(Ordering::SeqCst);
+                let conn_stopping = stopping.clone();
+                listener.serve(
+                    stopping,
+                    || {
+                        idle.fetch_add(1, Ordering::SeqCst);
+                    },
+                    move |stream| {
+                        accepted.fetch_add(1, Ordering::SeqCst);
+                        serve_conn(stream, 1 << 20, &conn_stopping, &handle)
+                    },
+                )
+            });
+            TestServer {
+                endpoint,
+                accepts,
+                idled,
+                stop,
+                thread,
+            }
+        }
+
+        /// Sets the stop flag and waits for `serve` to return; how long that
+        /// took.
+        pub fn stop(self) -> Duration {
+            let t0 = std::time::Instant::now();
+            self.stop.store(true, Ordering::SeqCst);
+            self.thread.join().expect("test server panicked");
+            t0.elapsed()
+        }
+    }
+}
+
 #[cfg(all(test, unix))]
 mod tests {
+    use super::testing::TestServer;
     use super::*;
+    use crate::protocol::{ok_with, read_frame, Request};
+    use crate::Client;
+    use std::sync::atomic::AtomicBool;
+    use std::time::Instant;
+
+    fn pong(frame: &Json, out: &mut Stream) -> bool {
+        assert_eq!(Request::from_json(frame), Ok(Request::Ping));
+        write_frame(out, &ok_with(vec![("pong", Json::Bool(true))])).is_ok()
+    }
 
     #[test]
     fn bind_replaces_stale_socket_but_refuses_live_one() {
@@ -288,5 +472,139 @@ mod tests {
         assert!(Stream::connect(&ep).is_ok());
         drop(live);
         assert!(!path.exists(), "drop removes the socket file");
+    }
+
+    #[test]
+    fn a_new_connection_waits_on_no_poll() {
+        for tcp in [false, true] {
+            let server = TestServer::start("fresh", tcp, pong);
+            let t0 = Instant::now();
+            for _ in 0..50 {
+                assert!(Client::connect(&server.endpoint).unwrap().ping().unwrap());
+            }
+            // An accept loop that slept 20 ms between polls needed >= 1 s.
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(500), "tcp {tcp}: {took:?}");
+            assert_eq!(server.accepts.load(Ordering::SeqCst), 50);
+            server.stop();
+        }
+    }
+
+    #[test]
+    fn a_kept_connection_waits_on_no_delayed_ack() {
+        for tcp in [false, true] {
+            let server = TestServer::start("kept", tcp, pong);
+            let mut client = Client::connect(&server.endpoint).unwrap();
+            let t0 = Instant::now();
+            for _ in 0..50 {
+                assert!(client.ping().unwrap());
+            }
+            // Under Nagle a kept TCP connection stalls ~40 ms per frame.
+            let took = t0.elapsed();
+            assert!(took < Duration::from_millis(500), "tcp {tcp}: {took:?}");
+            assert_eq!(server.accepts.load(Ordering::SeqCst), 1);
+            server.stop();
+        }
+    }
+
+    #[test]
+    fn stop_does_not_wait_on_silent_or_mid_frame_peers() {
+        for tcp in [false, true] {
+            let server = TestServer::start("quiet", tcp, pong);
+            let silent = Stream::connect(&server.endpoint).unwrap();
+            let mut mid_frame = Stream::connect(&server.endpoint).unwrap();
+            mid_frame.write_all(&100u32.to_be_bytes()).unwrap();
+            // Nothing arrives for a few ticks: the idle hook gets its turn.
+            std::thread::sleep(4 * TICK);
+            assert!(server.idled.load(Ordering::SeqCst) >= 1, "tcp {tcp}");
+            assert_eq!(server.accepts.load(Ordering::SeqCst), 2);
+            let (accepts, took) = (Arc::clone(&server.accepts), server.stop());
+            assert!(took < Duration::from_secs(1), "tcp {tcp}: {took:?}");
+            // The wake-up connect was dropped, not served.
+            assert_eq!(accepts.load(Ordering::SeqCst), 2);
+            drop((silent, mid_frame));
+        }
+    }
+
+    #[test]
+    fn stop_survives_an_unlinked_socket_file() {
+        // `ci.sh` removes its scratch directory, sockets included, and
+        // only then signals the daemons: the wake-up connect has nothing
+        // left to connect to.
+        let server = TestServer::start("unlinked", false, pong);
+        let Endpoint::Unix(path) = server.endpoint.clone() else {
+            unreachable!("started on a Unix socket")
+        };
+        let idle_peer = Stream::connect(&server.endpoint).unwrap();
+        // Let the accept loop take the peer and block again.
+        std::thread::sleep(2 * TICK);
+        std::fs::remove_file(&path).unwrap();
+        let took = server.stop();
+        assert!(took < Duration::from_secs(1), "{took:?}");
+        drop(idle_peer);
+    }
+
+    #[test]
+    fn garbage_frame_is_answered_then_hung_up_on() {
+        for tcp in [false, true] {
+            let server = TestServer::start("garbage", tcp, pong);
+            let mut peer = Stream::connect(&server.endpoint).unwrap();
+            peer.set_timeouts(Some(Duration::from_secs(1)), None)
+                .unwrap();
+            let body = b"this is not json {{{";
+            peer.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+            peer.write_all(body).unwrap();
+            let reply = read_frame(&mut peer).expect("structured reply");
+            assert_eq!(reply.str_field("status").unwrap(), "error");
+            // EOF follows at once (a timeout would be an error here),
+            // though the listener still holds a handle on the socket.
+            assert_eq!(peer.read(&mut [0u8; 1]).expect("EOF, not a timeout"), 0);
+            server.stop();
+        }
+    }
+
+    #[test]
+    fn only_the_stop_flag_ends_the_accept_loop() {
+        let stop = AtomicBool::new(false);
+        let (ours, _theirs) = UnixStream::pair().unwrap();
+        let kind = |k: io::ErrorKind| Err(io::Error::from(k));
+        let mut script = vec![
+            kind(io::ErrorKind::ConnectionAborted),
+            kind(io::ErrorKind::Interrupted),
+            kind(io::ErrorKind::WouldBlock),
+            Err(io::Error::from_raw_os_error(24)),
+            Err(io::Error::from_raw_os_error(23)),
+            Ok(Stream::Unix(ours)),
+        ]
+        .into_iter();
+        let arrivals = AtomicU64::new(0);
+        let served = Arc::new(AtomicU64::new(0));
+        let count = Arc::clone(&served);
+        let t0 = Instant::now();
+        let live = accept_until(
+            || {
+                script.next().unwrap_or_else(|| {
+                    // The script ran out without ending the loop: stop it
+                    // the only way there is, with one last arrival.
+                    stop.store(true, Ordering::SeqCst);
+                    Ok(Stream::Unix(UnixStream::pair().unwrap().0))
+                })
+            },
+            || stop.load(Ordering::SeqCst),
+            &arrivals,
+            move |_stream| {
+                count.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        // Descriptor exhaustion backed off a tick each time; the rest
+        // retried at once.
+        assert!(t0.elapsed() >= 2 * TICK);
+        for c in live {
+            c.thread.join().unwrap();
+        }
+        // One connection served; the one that arrived after the stop
+        // flag was dropped.
+        assert_eq!(arrivals.load(Ordering::SeqCst), 1);
+        assert_eq!(served.load(Ordering::SeqCst), 1);
     }
 }

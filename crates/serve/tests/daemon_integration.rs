@@ -196,6 +196,59 @@ fn daemon_survives_bad_requests() {
     assert_eq!(resp.str_field("status").unwrap(), "ok");
 }
 
+/// SIGTERM is the one stop no request thread can deliver: the handler
+/// only sets a flag, and the listener's housekeeping tick has to turn
+/// that into a wake-up. The daemon must exit 0 within 2 s with peers of
+/// every kind still attached, and dump its final stats on stdout.
+#[test]
+fn sigterm_exits_promptly_with_final_stats() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    let mut daemon = Daemon::spawn("sigterm", &[]);
+    let Endpoint::Unix(socket) = daemon.endpoint.clone() else {
+        unreachable!("spawned on a Unix socket")
+    };
+    // One peer that never sends a byte, one stopped inside a frame, and
+    // one idle after a request, as a connection pool keeps them.
+    let silent = UnixStream::connect(&socket).unwrap();
+    let mut mid_frame = UnixStream::connect(&socket).unwrap();
+    mid_frame.write_all(&100u32.to_be_bytes()).unwrap();
+    let mut pooled = Client::connect(&daemon.endpoint).unwrap();
+    assert!(pooled.ping().unwrap());
+    // A second server probing the socket connects and hangs up without a
+    // byte, as the daemon's own wake-up will.
+    let refused = polyject_serve::transport::Listener::bind(&daemon.endpoint);
+    assert!(refused.is_err(), "a live socket was stolen");
+
+    let t0 = Instant::now();
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(killed.success());
+    let status = loop {
+        if let Some(status) = daemon.child.try_wait().unwrap() {
+            break status;
+        }
+        assert!(
+            t0.elapsed() < Duration::from_secs(2),
+            "polyjectd still running 2 s after SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "{status:?}");
+    let mut report = String::new();
+    let mut stdout = daemon.child.stdout.take().expect("piped stdout");
+    stdout.read_to_string(&mut report).unwrap();
+    let report = Json::parse(report.trim()).expect("final stats JSON on stdout");
+    let stats = report.get("stats").expect("stats section");
+    // The readiness ping and the pooled peer's ping: neither the silent
+    // peers, the probe nor the wake-up count as requests or errors.
+    assert_eq!(stats.get("requests").and_then(Json::as_u64), Some(2));
+    assert_eq!(stats.get("errors").and_then(Json::as_u64), Some(0));
+    drop((silent, mid_frame, pooled));
+}
+
 /// A deep elementwise chain whose influenced compile takes seconds —
 /// long enough to hold a worker (and its queue slot) while the
 /// overloaded case below is probed.

@@ -288,6 +288,12 @@ fn multi_node_chaos_serves_zero_corrupt_artifacts() {
         }
     }
     assert!(verified > 0, "no entry survived to be verified at rest");
+    // For the record (`--nocapture`): what hedging, failover and hot-key
+    // replication did over the run.
+    eprintln!(
+        "[router_chaos] ok {ok} errs {errs}: {}",
+        router.metrics_json(false).render()
+    );
 
     for d in daemons {
         d.shutdown_and_wait();

@@ -10,8 +10,9 @@
 # re-runs replay persisted configs with zero search, candidates 2..N of
 # each search reuse one compile session with zero dependence recompute),
 # a batched throughput smoke (whole op population in one scatter-gather:
-# byte-identical to per-op round trips, >=5x fewer round trips, >=1.5x
-# faster, batch counters live), a polyjectd daemon smoke test (remote
+# byte-identical to per-op round trips, >=5x fewer round trips, batch
+# counters live, and a sequential round trip's p50 <= 10 ms so that no
+# accept or read poll comes back unseen), a polyjectd daemon smoke test (remote
 # replies byte-identical to local), the multi-node router chaos gate
 # (>=200 injected faults across a 3-daemon fleet, zero corruption,
 # same-seed replays identical), and a 3-node router smoke (cold compile
@@ -174,14 +175,19 @@ assert t["batch_requests"] == t["shards"], t["batch_requests"]
 assert t["batch_items"] == t["items"], (t["batch_items"], t["items"])
 assert t["batch_dedup_hits"] > 0, "in-batch dedup never engaged"
 assert t["batch_session_reuses"] > 0, "no batch shared a schedule session"
-assert t["speedup"] >= 1.5, f"batched speedup {t['speedup']:.2f}x under the 1.5x floor"
+# A sequential round trip waits on no poll: its median read 20.06 ms
+# while the accept loop slept between polls, and reads ~1-2 ms since.
+# The batched-over-sequential ratio rested on that sleep, so it is
+# printed, not gated.
+p50 = t["sequential"]["p50_ms"]
+assert p50 <= 10, f"sequential round-trip p50 {p50:.2f} ms: is a poll back on the request path?"
 print(f"   {t['items']} items ({t['unique_items']} unique): "
       f"{t['sequential']['round_trips']} -> {t['batched']['round_trips']} round trips, "
-      f"speedup {t['speedup']:.2f}x, dedup {t['batch_dedup_hits']}, "
-      f"session reuses {t['batch_session_reuses']}")
+      f"sequential p50 {p50:.2f} ms, speedup {t['speedup']:.2f}x (not gated), "
+      f"dedup {t['batch_dedup_hits']}, session reuses {t['batch_session_reuses']}")
 EOF
 echo "ok: batched fleet run byte-identical to per-op round trips,"
-echo "    >=5x fewer round trips, >=1.5x faster, batch counters live"
+echo "    >=5x fewer round trips, sequential p50 <= 10 ms, batch counters live"
 
 step "autotune smoke (deterministic search, persisted zero-search replay)"
 tune_a="$scratch/tune_a.json"
