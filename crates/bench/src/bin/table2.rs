@@ -11,7 +11,8 @@
 //! * `--serial` — force the serial reference path (one worker);
 //! * `--workers N` — pool size (default: available parallelism);
 //! * `--bench` — run serially *and* in parallel, verify the outputs are
-//!   identical, and write `BENCH_table2.json` (see `--json PATH`);
+//!   identical, and record both legs in `BENCH_table2.json` (see `--json
+//!   PATH`) beside whatever other sections the file holds;
 //! * `--cache-dir DIR` — serve per-operator measurements out of a
 //!   persistent schedule cache (misses compile and write back; a fully
 //!   warm run performs zero schedule solves);
@@ -30,12 +31,16 @@
 //!   round trips, verify the artifact fields are identical, and splice a
 //!   `"throughput"` section into `BENCH_table2.json`;
 //! * `--shards N` — fleet size for `--throughput` (default 3).
+//!
+//! An unknown flag or a missing/unparsable value prints the usage text
+//! and exits 2 before anything is measured or written.
 
 use polyject_bench::{
-    default_workers, measurements_identical, render_bench_json, render_table2, run_table2_networks,
+    default_workers, measurements_identical, render_table2, run_table2_networks,
     run_table2_networks_cached, run_table2_tuned, solver_pairs, CacheBench, Table2Bench, Table2Run,
 };
 use polyject_gpusim::GpuModel;
+use polyject_serve::args::{self, Args};
 use polyject_serve::{DiskCache, Json};
 use polyject_tune::TuneOptions;
 use polyject_workloads::{all_networks, geomean_speedup, lstm, Network, Tool};
@@ -64,9 +69,10 @@ fn print_stats(label: &str, run: &Table2Run) {
     );
 }
 
-/// Replaces (or adds) one named section of the bench JSON file,
-/// preserving every other section already recorded there.
-fn splice_section(json_path: &str, name: &str, section: Json) {
+/// Replaces (or adds) the named sections of the bench JSON file — the
+/// one way any mode writes it — preserving every other section already
+/// recorded there.
+fn splice_sections(json_path: &str, sections: Vec<(&str, Json)>) {
     let existing = std::fs::read_to_string(json_path)
         .ok()
         .and_then(|t| Json::parse(&t).ok());
@@ -74,8 +80,12 @@ fn splice_section(json_path: &str, name: &str, section: Json) {
         Some(Json::Obj(pairs)) => pairs,
         _ => vec![("bench".to_string(), Json::Str("table2".to_string()))],
     };
-    pairs.retain(|(k, _)| k != name);
-    pairs.push((name.to_string(), section));
+    for (name, section) in sections {
+        match pairs.iter_mut().find(|(k, _)| k == name) {
+            Some((_, slot)) => *slot = section,
+            None => pairs.push((name.to_string(), section)),
+        }
+    }
     std::fs::write(json_path, Json::Obj(pairs).render_pretty()).expect("write bench json");
 }
 
@@ -127,7 +137,7 @@ fn run_cache_bench(
         b.warm.misses, 0,
         "warm run must be served entirely from cache"
     );
-    splice_section(json_path, "cache", b.to_json());
+    splice_sections(json_path, vec![("cache", b.to_json())]);
     b.warm.run
 }
 
@@ -186,7 +196,7 @@ fn run_tune_bench(
         b.geomean_speedup() >= 1.0,
         "the default point is in every candidate pool; tuning cannot lose"
     );
-    splice_section(json_path, "tune", b.to_json());
+    splice_sections(json_path, vec![("tune", b.to_json())]);
 }
 
 /// The `--throughput` mode: the op stream through a cold fleet one item
@@ -215,75 +225,85 @@ fn run_throughput(nets: &[Network], model: &GpuModel, shards: usize, json_path: 
         b.identical,
         "batched and sequential replies diverged on deterministic artifact fields"
     );
-    splice_section(json_path, "throughput", b.to_json());
+    splice_sections(json_path, vec![("throughput", b.to_json())]);
 }
 
 const USAGE: &str = "usage: table2 [--per-op | --csv] [--stats] [--fast] [--serial | --workers N] \
 [--bench] [--json PATH] [--cache-dir DIR] [--cache-bench] [--tune [--tune-seed N]] \
 [--throughput [--shards N]]";
 
-/// The number after `flag`, or `None` when the flag is absent. A missing
-/// or unparsable value is a usage error: the run would otherwise be
-/// recorded under a default nobody asked for.
-fn numeric_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Option<T> {
-    let value = args.get(args.iter().position(|a| a == flag)? + 1);
-    let parsed = value.and_then(|v| v.parse().ok());
-    if parsed.is_none() {
-        match value {
-            Some(v) => eprintln!("{flag} needs a number, got {v:?}"),
-            None => eprintln!("{flag} needs a number"),
+#[derive(Default)]
+struct Cli {
+    per_op: bool,
+    csv: bool,
+    stats: bool,
+    fast: bool,
+    serial: bool,
+    bench: bool,
+    cache_bench: bool,
+    tune: bool,
+    throughput: bool,
+    workers: Option<usize>,
+    json: Option<String>,
+    cache_dir: Option<String>,
+    tune_seed: Option<u64>,
+    shards: Option<usize>,
+}
+
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    while let Some(flag) = args.next_arg() {
+        match flag.as_str() {
+            "--per-op" => cli.per_op = true,
+            "--csv" => cli.csv = true,
+            "--stats" => cli.stats = true,
+            "--fast" => cli.fast = true,
+            "--serial" => cli.serial = true,
+            "--bench" => cli.bench = true,
+            "--cache-bench" => cli.cache_bench = true,
+            "--tune" => cli.tune = true,
+            "--throughput" => cli.throughput = true,
+            "--workers" => cli.workers = Some(args.int()?),
+            "--json" => cli.json = Some(args.value()?),
+            "--cache-dir" => cli.cache_dir = Some(args.value()?),
+            "--tune-seed" => cli.tune_seed = Some(args.int()?),
+            "--shards" => cli.shards = Some(args.int()?),
+            _ => return Err(args.unexpected()),
         }
-        eprintln!("{USAGE}");
-        std::process::exit(2);
     }
-    parsed
+    Ok(cli)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let has = |f: &str| args.iter().any(|a| a == f);
-    let after = |f: &str| {
-        args.iter()
-            .position(|a| a == f)
-            .and_then(|i| args.get(i + 1))
+    let cli = args::parse(USAGE, parse_args);
+    let workers = match cli.serial {
+        true => 1,
+        false => cli.workers.unwrap_or_else(default_workers),
     };
-    let per_op = has("--per-op");
-    let csv = has("--csv");
-    let stats = has("--stats");
-    let fast = has("--fast");
-    let bench = has("--bench");
-    let workers_flag: Option<usize> = numeric_flag(&args, "--workers");
-    let workers = if has("--serial") {
-        1
-    } else {
-        workers_flag.unwrap_or_else(default_workers)
-    };
-    let json_path = after("--json")
-        .cloned()
-        .unwrap_or_else(|| "BENCH_table2.json".to_string());
-    let cache_bench = has("--cache-bench");
-    let tune = has("--tune");
-    let tune_seed: Option<u64> = numeric_flag(&args, "--tune-seed");
-    let shards: usize = numeric_flag(&args, "--shards").unwrap_or(3);
-    let cache_dir = after("--cache-dir").cloned().unwrap_or_else(|| {
+    let json_path = cli.json.unwrap_or_else(|| "BENCH_table2.json".to_string());
+    let cached = cli.cache_dir.is_some() || cli.cache_bench;
+    let cache_dir = cli.cache_dir.unwrap_or_else(|| {
         std::env::temp_dir()
             .join("polyject-table2-cache")
             .to_string_lossy()
             .into_owned()
     });
-    let cached = has("--cache-dir") || cache_bench;
 
     let model = GpuModel::v100();
-    let nets: Vec<Network> = if fast { vec![lstm()] } else { all_networks() };
-    if has("--throughput") {
-        run_throughput(&nets, &model, shards, &json_path);
+    let nets: Vec<Network> = if cli.fast {
+        vec![lstm()]
+    } else {
+        all_networks()
+    };
+    if cli.throughput {
+        run_throughput(&nets, &model, cli.shards.unwrap_or(3), &json_path);
         return;
     }
     // On a single-core machine a "parallel" leg would only measure thread
     // overhead; run the second leg serially and record that honestly.
     let cores = default_workers();
     let bench_workers = if cores < 2 { 1 } else { workers.max(2) };
-    if bench {
+    if cli.bench {
         if cores < 2 {
             eprintln!(
                 "measuring {} network(s) on {} twice serially ({cores} core: \
@@ -308,8 +328,8 @@ fn main() {
         );
     }
 
-    let run = if cache_bench {
-        run_cache_bench(&nets, &model, workers, &cache_dir, &json_path, stats)
+    let run = if cli.cache_bench {
+        run_cache_bench(&nets, &model, workers, &cache_dir, &json_path, cli.stats)
     } else if cached {
         let mut cache = DiskCache::open_default(Path::new(&cache_dir)).expect("open cache dir");
         isolate_leg();
@@ -325,11 +345,11 @@ fn main() {
             c.misses,
             c.run.perf.counters.lp_solves
         );
-        if stats {
+        if cli.stats {
             print_stats("cached", &c.run);
         }
         c.run
-    } else if bench {
+    } else if cli.bench {
         isolate_leg();
         let serial = run_table2_networks(&nets, &model, 1);
         isolate_leg();
@@ -341,7 +361,7 @@ fn main() {
             parallel,
             identical,
         };
-        std::fs::write(&json_path, render_bench_json(&b)).expect("write bench json");
+        splice_sections(&json_path, b.sections());
         // A serial repeat has no scaling story to tell: label it a
         // determinism repeat instead of printing a meaningless ratio
         // (mirrored by `"speedup": null` in the JSON report).
@@ -367,7 +387,7 @@ fn main() {
             json_path
         );
         assert!(b.identical, "serial and parallel Table II runs diverged");
-        if stats {
+        if cli.stats {
             print_stats("serial", &b.serial);
             print_stats("parallel", &b.parallel);
         }
@@ -375,22 +395,28 @@ fn main() {
     } else {
         isolate_leg();
         let run = run_table2_networks(&nets, &model, workers);
-        if stats {
+        if cli.stats {
             print_stats(if workers <= 1 { "serial" } else { "parallel" }, &run);
         }
         run
     };
-    if tune {
+    if cli.tune {
         // Tuning rides on whatever run mode executed above: it shares
         // the cache directory (tuned configs are a distinct entry kind)
         // and fans candidate evaluation over the same worker budget.
         run_tune_bench(
-            &nets, &model, tune_seed, workers, stats, &cache_dir, &json_path,
+            &nets,
+            &model,
+            cli.tune_seed,
+            workers,
+            cli.stats,
+            &cache_dir,
+            &json_path,
         );
     }
     let results = &run.results;
 
-    if csv {
+    if cli.csv {
         // Machine-readable per-operator dump.
         println!("network,op,class,vec,influenced,isl_ms,tvm_ms,novec_ms,infl_ms");
         for net in results {
@@ -411,7 +437,7 @@ fn main() {
         }
         return;
     }
-    if per_op {
+    if cli.per_op {
         // The paper's "detailed analysis of fused operators".
         for net in results {
             println!("== {} ==", net.name);

@@ -4,7 +4,7 @@
 //! (Section VI): formatting helpers, the paper's published numbers for
 //! side-by-side comparison, and shared driver code used by the `table1`,
 //! `table2`, `fig1_pipeline`, `fig2_running_example` and
-//! `fig3_constraint_tree` binaries and the Criterion benches.
+//! `fig3_constraint_tree` binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +24,10 @@ pub use tuned::{run_table2_tuned, TuneBench, TunedOp};
 pub use polyject_serve::{default_workers, parallel_map};
 
 use polyject_gpusim::GpuModel;
+use polyject_serve::Json;
 use polyject_workloads::{
-    aggregate_network, all_networks, measure_network, measure_op_with_perf, op_key, unique_ops,
-    Network, NetworkMeasurement, OpPerf, Tool,
+    aggregate_network, all_networks, measure_op_with_perf, op_key, unique_ops, Network,
+    NetworkMeasurement, OpPerf, Tool,
 };
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -93,15 +94,6 @@ pub fn paper_table2() -> Vec<PaperRow> {
     ]
 }
 
-/// Runs the full Table II measurement over every network (serial
-/// reference path: per-network memoization, one operator at a time).
-pub fn run_table2(model: &GpuModel) -> Vec<NetworkMeasurement> {
-    all_networks()
-        .iter()
-        .map(|n| measure_network(n, model))
-        .collect()
-}
-
 /// Outcome of an instrumented Table II run.
 #[derive(Clone, Debug)]
 pub struct Table2Run {
@@ -125,8 +117,8 @@ pub struct Table2Run {
 /// Unique operator classes are collected in first-seen order across all
 /// networks, compiled in parallel, then each network row is reassembled
 /// in operator order via [`aggregate_network`]. `measure_op` is a pure
-/// function of the operator class, so the rows are identical to the
-/// serial [`run_table2`] path no matter the worker count.
+/// function of the operator class, so the rows are identical no matter
+/// the worker count.
 pub fn run_table2_networks(nets: &[Network], model: &GpuModel, workers: usize) -> Table2Run {
     let t0 = Instant::now();
     let (unique, index) = unique_ops(nets);
@@ -196,6 +188,13 @@ pub struct Table2Bench {
     pub identical: bool,
 }
 
+/// `x` to `digits` decimals: the report records measurements at the
+/// precision they mean something at.
+fn round_to(x: f64, digits: i32) -> f64 {
+    let unit = 10f64.powi(digits);
+    (x * unit).round() / unit
+}
+
 impl Table2Bench {
     /// True when the machine has fewer than two cores and the "parallel"
     /// leg was therefore run serially: the recorded speedup measures
@@ -203,75 +202,65 @@ impl Table2Bench {
     pub fn parallel_skipped(&self) -> bool {
         self.parallel.workers < 2
     }
-}
 
-/// Every live solver counter as a `(key, rendered value)` pair in
-/// declaration order — the `"solver"` object of `BENCH_table2.json` and
-/// `table2 --stats`: counts verbatim, `*_ns` clocks as `*_ms` with three
-/// decimals.
-pub fn solver_pairs(
-    c: &polyject_sets::SolverCounters,
-) -> impl Iterator<Item = (String, String)> + '_ {
-    c.fields().map(|(name, v)| match name.strip_suffix("_ns") {
-        Some(stem) => (format!("{stem}_ms"), format!("{:.3}", v as f64 / 1e6)),
-        None => (name.to_string(), v.to_string()),
-    })
-}
-
-/// Renders the `BENCH_table2.json` document (hand-rolled writer; the
-/// workspace is offline and carries no serde). Schema is documented in
-/// the repository README.
-pub fn render_bench_json(b: &Table2Bench) -> String {
-    fn run_json(out: &mut String, key: &str, r: &Table2Run) {
-        let solver: Vec<String> = solver_pairs(&r.perf.counters)
-            .map(|(k, v)| format!("\"{k}\": {v}"))
+    /// The `--bench` keys of `BENCH_table2.json` (schema in the
+    /// repository README), to be merged beside whatever other sections
+    /// the file already records.
+    pub fn sections(&self) -> Vec<(&'static str, Json)> {
+        let n = |v: usize| Json::Num(v as f64);
+        let rounded = |x: f64, digits: i32| Json::Num(round_to(x, digits));
+        let run = |r: &Table2Run| {
+            let solver = solver_pairs(&r.perf.counters).map(|(k, v)| (k, Json::Num(v)));
+            Json::obj(vec![
+                ("wall_s", rounded(r.wall_s, 6)),
+                ("workers", n(r.workers)),
+                ("unique_ops", n(r.unique_ops)),
+                ("compile_ms_total", rounded(r.perf.compile_ms, 3)),
+                ("solver", Json::Obj(solver.collect())),
+            ])
+        };
+        // On a single-core machine the "parallel" leg is a serial repeat,
+        // so a wall-clock ratio would be noise masquerading as scaling.
+        let speedup = if self.parallel_skipped() {
+            Json::Null
+        } else if self.parallel.wall_s > 0.0 {
+            rounded(self.serial.wall_s / self.parallel.wall_s, 3)
+        } else {
+            Json::Num(1.0)
+        };
+        let networks = (self.parallel.results.iter())
+            .map(|m| {
+                Json::obj(vec![
+                    ("name", Json::Str(m.name.to_string())),
+                    ("total_ops", n(m.total_ops)),
+                    ("vec_ops", n(m.vec_ops)),
+                    ("infl_ops", n(m.infl_ops)),
+                    ("isl_ms", rounded(m.all_ms[0], 6)),
+                    ("infl_ms", rounded(m.all_ms[3], 6)),
+                    ("speedup_infl", rounded(m.speedup_all(Tool::Infl), 4)),
+                ])
+            })
             .collect();
-        write!(
-            out,
-            "  \"{key}\": {{\n    \"wall_s\": {:.6},\n    \"workers\": {},\n    \"unique_ops\": {},\n    \"compile_ms_total\": {:.3},\n    \"solver\": {{ {} }}\n  }}",
-            r.wall_s, r.workers, r.unique_ops, r.perf.compile_ms, solver.join(", ")
-        )
-        .unwrap();
+        vec![
+            ("cores", n(self.cores)),
+            ("speedup", speedup),
+            ("identical", Json::Bool(self.identical)),
+            ("parallel_skipped", Json::Bool(self.parallel_skipped())),
+            ("serial", run(&self.serial)),
+            ("parallel", run(&self.parallel)),
+            ("networks", Json::Arr(networks)),
+        ]
     }
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"bench\": \"table2\",").unwrap();
-    writeln!(out, "  \"cores\": {},", b.cores).unwrap();
-    // On a single-core machine the "parallel" leg is a serial repeat, so a
-    // wall-clock ratio would be noise masquerading as scaling: record null.
-    if b.parallel_skipped() {
-        writeln!(out, "  \"speedup\": null,").unwrap();
-    } else {
-        writeln!(
-            out,
-            "  \"speedup\": {:.3},",
-            if b.parallel.wall_s > 0.0 {
-                b.serial.wall_s / b.parallel.wall_s
-            } else {
-                1.0
-            }
-        )
-        .unwrap();
-    }
-    writeln!(out, "  \"identical\": {},", b.identical).unwrap();
-    writeln!(out, "  \"parallel_skipped\": {},", b.parallel_skipped()).unwrap();
-    run_json(&mut out, "serial", &b.serial);
-    out.push_str(",\n");
-    run_json(&mut out, "parallel", &b.parallel);
-    out.push_str(",\n  \"networks\": [\n");
-    for (i, m) in b.parallel.results.iter().enumerate() {
-        write!(
-            out,
-            "    {{ \"name\": \"{}\", \"total_ops\": {}, \"vec_ops\": {}, \"infl_ops\": {}, \"isl_ms\": {:.6}, \"infl_ms\": {:.6}, \"speedup_infl\": {:.4} }}{}",
-            m.name, m.total_ops, m.vec_ops, m.infl_ops,
-            m.all_ms[0], m.all_ms[3],
-            m.speedup_all(Tool::Infl),
-            if i + 1 < b.parallel.results.len() { ",\n" } else { "\n" }
-        )
-        .unwrap();
-    }
-    out.push_str("  ]\n}\n");
-    out
+}
+
+/// Every live solver counter as a `(key, value)` pair in declaration
+/// order — the `"solver"` object of `BENCH_table2.json` and `table2
+/// --stats`: counts verbatim, `*_ns` clocks as `*_ms` to three decimals.
+pub fn solver_pairs(c: &polyject_sets::SolverCounters) -> impl Iterator<Item = (String, f64)> + '_ {
+    c.fields().map(|(name, v)| match name.strip_suffix("_ns") {
+        Some(stem) => (format!("{stem}_ms"), round_to(v as f64 / 1e6, 3)),
+        None => (name.to_string(), v as f64),
+    })
 }
 
 /// Renders measured results as a paper-style Table II, with the paper's
@@ -358,35 +347,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn bench_json_contains_schema_fields() {
-        let empty = |workers| Table2Run {
+    fn bench(cores: usize, workers: usize, parallel_wall_s: f64) -> Table2Bench {
+        let run = |workers, wall_s| Table2Run {
             results: vec![],
-            wall_s: 1.5,
+            wall_s,
             workers,
             unique_ops: 0,
             perf: OpPerf::default(),
         };
-        let b = Table2Bench {
-            cores: 4,
-            serial: empty(1),
-            parallel: Table2Run {
-                wall_s: 0.5,
-                ..empty(4)
-            },
+        Table2Bench {
+            cores,
+            serial: run(1, 1.5),
+            parallel: run(workers, parallel_wall_s),
             identical: true,
-        };
-        let json = render_bench_json(&b);
+        }
+    }
+
+    #[test]
+    fn bench_sections_contain_schema_fields() {
+        let json = Json::obj(bench(4, 4, 0.5).sections()).render_pretty();
         for key in [
-            "\"bench\": \"table2\"",
             "\"cores\": 4",
-            "\"speedup\": 3.000",
+            "\"speedup\": 3,",
             "\"identical\": true",
             "\"serial\"",
             "\"parallel\"",
-            "\"wall_s\"",
+            "\"wall_s\": 0.5",
             "\"workers\": 4",
             "\"unique_ops\"",
+            "\"compile_ms_total\"",
             "\"solver\"",
             "\"lp_solves\"",
             "\"fm_eliminations\"",
@@ -405,31 +394,17 @@ mod tests {
             "\"cancelled_solves\"",
             "\"panics_recovered\"",
             "\"parallel_skipped\": false",
-            "\"networks\": [",
+            "\"networks\": []",
         ] {
             assert!(json.contains(key), "missing {key} in:\n{json}");
         }
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
     }
 
     #[test]
     fn single_core_bench_records_skipped_parallel_leg() {
-        let run = |workers| Table2Run {
-            results: vec![],
-            wall_s: 1.0,
-            workers,
-            unique_ops: 0,
-            perf: OpPerf::default(),
-        };
-        let b = Table2Bench {
-            cores: 1,
-            serial: run(1),
-            parallel: run(1),
-            identical: true,
-        };
+        let b = bench(1, 1, 1.0);
         assert!(b.parallel_skipped());
-        let json = render_bench_json(&b);
+        let json = Json::obj(b.sections()).render_pretty();
         assert!(json.contains("\"parallel_skipped\": true"));
         assert!(json.contains("\"cores\": 1"));
         // A serial repeat measures determinism, not scaling: the speedup

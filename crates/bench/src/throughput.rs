@@ -18,7 +18,9 @@
 //! amortizes.
 
 use polyject_gpusim::GpuModel;
-use polyject_serve::{run_daemon, BatchItem, Client, DaemonConfig, Endpoint, Json, ShardedClient};
+use polyject_serve::{
+    run_daemon, BatchItem, Client, DaemonConfig, Endpoint, Json, ShardedClient, Verdict,
+};
 use polyject_workloads::Network;
 use std::path::PathBuf;
 use std::thread::JoinHandle;
@@ -274,7 +276,7 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 fn count_ok(replies: &[Json]) -> usize {
     replies
         .iter()
-        .filter(|r| r.get("status").and_then(Json::as_str) == Some("ok"))
+        .filter(|r| Verdict::of(r) == Verdict::Ok)
         .count()
 }
 

@@ -40,8 +40,8 @@ pub use passes::{
     refine_parallel_loops, vectorize, MappingOptions, MappingStats,
 };
 pub use pipeline::{
-    compile, compile_with_budget, compile_with_options, render_artifacts, Artifacts,
-    CompileOptions, CompileSession, Compiled, Config,
+    compile, compile_with_options, render_artifacts, Artifacts, CompileOptions, CompileSession,
+    Compiled, Config,
 };
 pub use printer::render;
 pub use tiling::{auto_tile_size, tile_ast, TilingOptions};

@@ -117,20 +117,12 @@ pub fn render_artifacts(kernel: &Kernel, compiled: &Compiled) -> Artifacts {
 /// assert!(infl.influenced);
 /// ```
 pub fn compile(kernel: &Kernel, config: Config) -> Result<Compiled, ScheduleError> {
-    compile_with_budget(kernel, config, &Budget::unlimited())
-}
-
-/// [`compile`] under a cooperative [`Budget`]: the scheduling phase checks
-/// the budget's deadline, caps and cancel flag, degrading to an
-/// uninfluenced schedule on exhaustion and aborting with a structured
-/// error on cancellation (see
-/// [`polyject_core::schedule_kernel_budgeted`]).
-pub fn compile_with_budget(
-    kernel: &Kernel,
-    config: Config,
-    budget: &Budget,
-) -> Result<Compiled, ScheduleError> {
-    compile_with_options(kernel, config, budget, &CompileOptions::default())
+    compile_with_options(
+        kernel,
+        config,
+        &Budget::unlimited(),
+        &CompileOptions::default(),
+    )
 }
 
 /// Every knob the pipeline compiles under, in one struct. The defaults
@@ -148,15 +140,19 @@ pub struct CompileOptions {
     pub tiling: Option<TilingOptions>,
 }
 
-/// [`compile_with_budget`] under explicit [`CompileOptions`] instead of
-/// the defaults: influence tree built from `opts.influence`, mapping
-/// from `opts.mapping`, and — when `opts.tiling` is set — tiling applied
-/// after mapping with the mapping re-run (tiling reverts mapped kinds on
-/// tile loops). A cold compile is a [`CompileSession`] of one call.
+/// [`compile`] under a cooperative [`Budget`] — the scheduling phase
+/// checks its deadline, caps and cancel flag, degrading to an
+/// uninfluenced schedule on exhaustion and aborting with a structured
+/// error on cancellation (see [`polyject_core::schedule_kernel_budgeted`])
+/// — and explicit [`CompileOptions`] instead of the defaults: influence
+/// tree built from `opts.influence`, mapping from `opts.mapping`, and —
+/// when `opts.tiling` is set — tiling applied after mapping with the
+/// mapping re-run (tiling reverts mapped kinds on tile loops). A cold
+/// compile is a [`CompileSession`] of one call.
 ///
 /// # Errors
 ///
-/// Propagates [`ScheduleError`] like [`compile_with_budget`].
+/// Propagates [`ScheduleError`] like [`compile`].
 pub fn compile_with_options(
     kernel: &Kernel,
     config: Config,

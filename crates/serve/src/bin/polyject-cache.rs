@@ -5,26 +5,32 @@
 //! polyject-cache <cache-dir> ls
 //! polyject-cache <cache-dir> rm <key>
 //! polyject-cache <cache-dir> verify
+//! polyject-cache <cache-dir> purge-quarantine
 //! polyject-cache <cache-dir> warm <dir-of-.pj-files> [--config isl|novec|infl|all] [--workers <n>]
 //! polyject-cache stats --remote <endpoint>[,<endpoint>...]
 //! ```
 //!
-//! `stats --remote` asks a running `polyjectd` for its `metrics` report
-//! (per-shard identity, hit/miss/cancel/transfer counters, hot-tier and
-//! fault-injection state) instead of opening a cache directory. A
-//! comma-separated endpoint list polls the whole fleet and prints
-//! fleet-wide totals (numeric counters summed across shards) plus the
-//! per-shard breakdown; unreachable shards are reported per-shard and
+//! `stats --remote` asks running `polyjectd` daemons (or a router) for
+//! their `metrics` report (per-shard identity, hit/miss/cancel/transfer
+//! counters, hot-tier and fault-injection state) instead of opening a
+//! cache directory, and prints one schema whether the comma-separated
+//! list names one endpoint or a fleet: `status`, `shards`, `reachable`,
+//! fleet-wide `totals` (numeric counters summed across shards) and the
+//! `per_shard` breakdown. Unreachable shards are reported per shard and
 //! fail the exit status without hiding the reachable ones.
 //!
 //! `warm` compiles every `.pj` file under the given directory through the
-//! cache (on a worker pool), so a later daemon or `table2 --cache-dir`
-//! run starts hot.
+//! cache (on a worker pool) and writes `compile` entries, so a daemon
+//! started on the directory answers those kernels as hits. (`table2
+//! --cache-dir` does not read them: it keeps its own per-operator
+//! `table2-op` entries.)
 
+use polyject_codegen::Config;
 use polyject_gpusim::GpuModel;
+use polyject_serve::args::{self, Args};
 use polyject_serve::{
-    decode_tuned, default_workers, parallel_map, Client, CompileService, DiskCache, Endpoint, Json,
-    Served, TUNED_KIND,
+    config_by_name, decode_tuned, default_workers, parallel_map, Client, CompileService, DiskCache,
+    Endpoint, Json, Request, Served, Verdict, TUNED_KIND,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -34,43 +40,51 @@ const USAGE: &str = "usage: polyject-cache <cache-dir> \
      [--config isl|novec|infl|all] [--workers <n>] | \
      polyject-cache stats --remote <endpoint>[,<endpoint>...]";
 
-fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("{USAGE}");
-        return ExitCode::SUCCESS;
-    }
-    // Remote form: no cache directory, ask a daemon for its metrics.
-    if args.first().map(String::as_str) == Some("stats")
-        && args.get(1).map(String::as_str) == Some("--remote")
-    {
-        let Some(addrs) = args.get(2) else {
-            eprintln!("--remote needs a socket path or host:port\n{USAGE}");
-            return ExitCode::FAILURE;
-        };
-        let mut endpoints = Vec::new();
-        for addr in addrs.split(',').filter(|a| !a.is_empty()) {
-            match Endpoint::parse(addr) {
-                Ok(ep) => endpoints.push(ep),
-                Err(e) => {
-                    eprintln!("bad --remote endpoint: {e}");
-                    return ExitCode::FAILURE;
-                }
+#[derive(Default)]
+struct Cli {
+    remote: Vec<Endpoint>,
+    /// `<cache-dir> <command> [<key> | <dir>]`, or `stats` with `--remote`.
+    words: Vec<String>,
+    /// `warm` only: what to compile under, on how many workers.
+    configs: Option<Vec<Config>>,
+    workers: Option<usize>,
+}
+
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
+    let mut cli = Cli::default();
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--remote" => cli.remote = args.endpoints()?,
+            "--config" => {
+                cli.configs = Some(match args.value()?.as_str() {
+                    "all" => Config::all().to_vec(),
+                    one => vec![config_by_name(one)?],
+                })
             }
+            "--workers" => cli.workers = Some(args.int()?),
+            flag if flag.starts_with("--") => return Err(args.unexpected()),
+            _ => cli.words.push(arg),
         }
-        return match endpoints.as_slice() {
-            [] => {
-                eprintln!("--remote needs at least one endpoint\n{USAGE}");
-                ExitCode::FAILURE
-            }
-            [endpoint] => remote_stats(endpoint),
-            fleet => fleet_stats(fleet),
-        };
     }
-    let (Some(dir), Some(cmd)) = (args.first(), args.get(1)) else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
+    let words: Vec<&str> = cli.words.iter().map(String::as_str).collect();
+    let local = cli.remote.is_empty();
+    let warm_flags = cli.configs.is_some() || cli.workers.is_some();
+    match words.as_slice() {
+        [_, "warm", _] if local => Ok(cli),
+        _ if warm_flags => Err("--config and --workers go with `warm <dir>`".to_string()),
+        ["stats"] if !local => Ok(cli),
+        [_, "stats" | "ls" | "verify" | "purge-quarantine"] | [_, "rm", _] if local => Ok(cli),
+        [_, cmd, ..] if local => Err(format!("unknown command or argument count: {cmd}")),
+        _ => Err("expected <cache-dir> <command>, or `stats` with --remote".to_string()),
+    }
+}
+
+fn main() -> ExitCode {
+    let cli = args::parse(USAGE, parse_args);
+    if !cli.remote.is_empty() {
+        return remote_stats(&cli.remote);
+    }
+    let dir = &cli.words[0];
     let mut cache = match DiskCache::open_default(Path::new(dir)) {
         Ok(c) => c,
         Err(e) => {
@@ -78,7 +92,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    match cmd.as_str() {
+    match cli.words[1].as_str() {
         "stats" => {
             // Per-kind entry counts (compile replies vs tuned configs vs
             // anything future), sorted by kind for stable output.
@@ -130,10 +144,7 @@ fn main() -> ExitCode {
             ExitCode::SUCCESS
         }
         "rm" => {
-            let Some(key) = args.get(2) else {
-                eprintln!("rm needs a key\n{USAGE}");
-                return ExitCode::FAILURE;
-            };
+            let key = &cli.words[2];
             if cache.remove(key) {
                 if let Err(e) = cache.flush() {
                     eprintln!("index flush failed: {e}");
@@ -184,78 +195,13 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         },
-        "warm" => {
-            let Some(src_dir) = args.get(2) else {
-                eprintln!("warm needs a directory of .pj files\n{USAGE}");
-                return ExitCode::FAILURE;
-            };
-            let mut configs = vec!["infl".to_string()];
-            let mut workers = default_workers();
-            let mut i = 3;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--config" => {
-                        i += 1;
-                        match args.get(i).map(String::as_str) {
-                            Some("all") => {
-                                configs = vec!["isl".into(), "novec".into(), "infl".into()]
-                            }
-                            Some(c @ ("isl" | "novec" | "infl")) => configs = vec![c.to_string()],
-                            other => {
-                                eprintln!("unknown --config {other:?} (isl|novec|infl|all)");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    "--workers" => {
-                        i += 1;
-                        match args.get(i).and_then(|v| v.parse().ok()) {
-                            Some(n) => workers = n,
-                            None => {
-                                eprintln!("--workers needs an integer");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    other => {
-                        eprintln!("unexpected argument {other}\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-                i += 1;
-            }
-            warm(cache, Path::new(src_dir), &configs, workers)
-        }
-        other => {
-            eprintln!("unknown command {other}\n{USAGE}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Fetches and prints a daemon's `metrics` report; nonzero exit when
-/// the daemon is unreachable or answers anything but `ok`.
-fn remote_stats(endpoint: &Endpoint) -> ExitCode {
-    let mut client = match Client::connect(endpoint) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot reach daemon at {endpoint}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match client.metrics() {
-        Ok(resp) => {
-            println!("{}", resp.render());
-            if resp.get("status").and_then(Json::as_str) == Some("ok") {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("metrics request failed: {e}");
-            ExitCode::FAILURE
-        }
+        "warm" => warm(
+            cache,
+            Path::new(&cli.words[2]),
+            &cli.configs.unwrap_or(vec![Config::Influenced]),
+            cli.workers.unwrap_or_else(default_workers),
+        ),
+        other => unreachable!("parse_args let {other} through"),
     }
 }
 
@@ -293,19 +239,20 @@ fn add_numeric(total: &mut Json, report: &Json) {
     }
 }
 
-/// Polls every shard of a fleet for its `metrics` report and prints
-/// fleet-wide totals plus the per-shard breakdown. Unreachable shards
-/// appear in the breakdown with an `error` field; the exit status is
-/// nonzero unless every shard answered `ok`.
-fn fleet_stats(endpoints: &[Endpoint]) -> ExitCode {
+/// Polls every endpoint for its `metrics` report and prints the fleet
+/// report — one endpoint is a fleet of one: fleet-wide totals plus the
+/// per-shard breakdown. Unreachable shards appear in the breakdown with
+/// an `error` field; the exit status is nonzero unless every shard
+/// answered `ok`.
+fn remote_stats(endpoints: &[Endpoint]) -> ExitCode {
     let mut totals = Json::Obj(Vec::new());
     let mut per_shard = Vec::new();
     let mut reachable = 0usize;
     for endpoint in endpoints {
-        let result = Client::connect(endpoint).and_then(|mut c| c.metrics());
+        let result = Client::connect(endpoint).and_then(|mut c| c.request(&Request::Metrics));
         let mut row = vec![("endpoint".to_string(), Json::Str(endpoint.to_string()))];
         match result {
-            Ok(resp) if resp.get("status").and_then(Json::as_str) == Some("ok") => {
+            Ok(resp) if Verdict::of(&resp) == Verdict::Ok => {
                 reachable += 1;
                 add_numeric(&mut totals, &resp);
                 if let Json::Obj(fields) = resp {
@@ -313,27 +260,20 @@ fn fleet_stats(endpoints: &[Endpoint]) -> ExitCode {
                 }
             }
             Ok(resp) => {
-                row.push((
-                    "error".to_string(),
-                    Json::Str(
-                        resp.str_field("message")
-                            .unwrap_or("daemon answered non-ok")
-                            .to_string(),
-                    ),
-                ));
+                let why = resp
+                    .str_field("message")
+                    .unwrap_or("daemon answered non-ok");
+                row.push(("error".to_string(), Json::Str(why.to_string())));
             }
             Err(e) => row.push(("error".to_string(), Json::Str(e.to_string()))),
         }
         per_shard.push(Json::Obj(row));
     }
+    let all_ok = reachable == endpoints.len();
     let report = Json::obj(vec![
         (
             "status",
-            Json::Str(if reachable == endpoints.len() {
-                "ok".to_string()
-            } else {
-                "degraded".to_string()
-            }),
+            Json::Str(if all_ok { "ok" } else { "degraded" }.to_string()),
         ),
         ("shards", Json::Num(endpoints.len() as f64)),
         ("reachable", Json::Num(reachable as f64)),
@@ -341,14 +281,14 @@ fn fleet_stats(endpoints: &[Endpoint]) -> ExitCode {
         ("per_shard", Json::Arr(per_shard)),
     ]);
     println!("{}", report.render_pretty());
-    if reachable == endpoints.len() {
+    if all_ok {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-fn warm(cache: DiskCache, src_dir: &Path, configs: &[String], workers: usize) -> ExitCode {
+fn warm(cache: DiskCache, src_dir: &Path, configs: &[Config], workers: usize) -> ExitCode {
     let mut files: Vec<PathBuf> = match std::fs::read_dir(src_dir) {
         Ok(rd) => rd
             .filter_map(|e| e.ok().map(|e| e.path()))
@@ -364,9 +304,9 @@ fn warm(cache: DiskCache, src_dir: &Path, configs: &[String], workers: usize) ->
         eprintln!("no .pj files under {}", src_dir.display());
         return ExitCode::FAILURE;
     }
-    let jobs: Vec<(PathBuf, String)> = files
+    let jobs: Vec<(PathBuf, &str)> = files
         .iter()
-        .flat_map(|f| configs.iter().map(move |c| (f.clone(), c.clone())))
+        .flat_map(|f| configs.iter().map(move |c| (f.clone(), c.name())))
         .collect();
     let service = CompileService::new(Some(cache), GpuModel::v100());
     let outcomes = parallel_map(&jobs, workers, |(path, config)| {

@@ -17,10 +17,10 @@
 //! additionally probes every shard for replica lag, and `join`/`leave`
 //! change membership with a warm transfer of re-homed entries.
 
-use polyject_gpusim::GpuModel;
+use polyject_serve::args::{self, Args};
 use polyject_serve::protocol::{error_response, ok_with, write_frame, ReplyWriter, MAX_FRAME};
 use polyject_serve::transport::{self, Listener};
-use polyject_serve::{BatchItem, Endpoint, Json, Request, Router, RouterConfig};
+use polyject_serve::{Endpoint, Json, Request, Router, RouterConfig};
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,18 +34,7 @@ const USAGE: &str = "usage: polyject-router [--socket <path> | --tcp <host:port>
      [--gpu v100|a100|consumer]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let (endpoint, config) = match parse_args(&args) {
-        Ok(Some(parsed)) => parsed,
-        Ok(None) => {
-            eprintln!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
+    let (endpoint, config) = args::parse(USAGE, parse_args);
     match run(endpoint, config) {
         Ok(report) => {
             println!("{}", report.render());
@@ -58,49 +47,30 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses the command line; `Ok(None)` is `--help`.
-fn parse_args(args: &[String]) -> Result<Option<(Endpoint, RouterConfig)>, String> {
+fn parse_args(args: &mut Args) -> Result<(Endpoint, RouterConfig), String> {
     let mut endpoint = Endpoint::Unix("polyject-router.sock".into());
     let mut config = RouterConfig::default();
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
-        };
-        let int = |v: &String| -> Result<u64, String> {
-            v.parse().map_err(|_| format!("{flag} needs an integer"))
-        };
+    while let Some(flag) = args.next_arg() {
         match flag.as_str() {
-            "--socket" => endpoint = Endpoint::Unix(value()?.into()),
-            "--tcp" => endpoint = Endpoint::Tcp(value()?.clone()),
-            "--shard" => config
-                .shards
-                .push(Endpoint::parse(value()?).map_err(|e| format!("bad --shard endpoint: {e}"))?),
-            "--replication" => config.replication = int(value()?)? as usize,
-            "--hedge-ms" => config.hedge_after = Duration::from_millis(int(value()?)?),
-            "--retries" => config.retries = int(value()?)? as u32,
-            "--backoff-ms" => config.backoff_base = Duration::from_millis(int(value()?)?),
-            "--backoff-cap-ms" => config.backoff_cap = Duration::from_millis(int(value()?)?),
-            "--io-timeout-secs" => config.io_timeout = Duration::from_secs(int(value()?)?),
-            "--seed" => config.seed = int(value()?)?,
-            "--hot-threshold" => config.hot_threshold = int(value()?)?,
-            "--gpu" => {
-                config.gpu = match value()?.as_str() {
-                    "v100" => GpuModel::v100(),
-                    "a100" => GpuModel::a100(),
-                    "consumer" => GpuModel::consumer(),
-                    other => return Err(format!("unknown --gpu {other:?} (v100|a100|consumer)")),
-                }
-            }
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unexpected argument {other}\n{USAGE}")),
+            "--socket" => endpoint = Endpoint::Unix(args.value()?.into()),
+            "--tcp" => endpoint = Endpoint::Tcp(args.value()?),
+            "--shard" => config.shards.extend(args.endpoints()?),
+            "--replication" => config.replication = args.int()?,
+            "--hedge-ms" => config.hedge_after = Duration::from_millis(args.int()?),
+            "--retries" => config.retries = args.int()?,
+            "--backoff-ms" => config.backoff_base = Duration::from_millis(args.int()?),
+            "--backoff-cap-ms" => config.backoff_cap = Duration::from_millis(args.int()?),
+            "--io-timeout-secs" => config.io_timeout = Duration::from_secs(args.int()?),
+            "--seed" => config.seed = args.int()?,
+            "--hot-threshold" => config.hot_threshold = args.int()?,
+            "--gpu" => config.gpu = args.gpu()?,
+            _ => return Err(args.unexpected()),
         }
     }
     if config.shards.is_empty() {
-        return Err(format!("at least one --shard is required\n{USAGE}"));
+        return Err("at least one --shard is required".to_string());
     }
-    Ok(Some((endpoint, config)))
+    Ok((endpoint, config))
 }
 
 fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
@@ -128,22 +98,21 @@ fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
 }
 
 /// Answers one request frame on `out`; `false` closes the connection.
-/// Both compile ops are one `Router::compile_batch` call — the router
-/// scatter-gathers, so replies go out reassembled in request order —
-/// and differ only in the [`ReplyWriter`] framing.
+/// A compile is one `Router::compile_batch` call whichever framing it
+/// arrived in — the router scatter-gathers, so replies go out
+/// reassembled in request order through a [`ReplyWriter`] of that framing.
 fn dispatch(router: &Router, frame: &Json, stop: &AtomicBool, out: &mut impl Write) -> bool {
     let req = match Request::from_json(frame) {
         Ok(r) => r,
         Err(e) => return write_frame(out, &error_response(&e)).is_ok(),
     };
     let reply = match req {
-        Request::Compile { src, config, .. } => {
-            let replies = router.compile_batch(&[BatchItem { src, config }]);
-            return write_replies(ReplyWriter::bare(out), replies);
-        }
-        Request::CompileBatch { items, .. } => {
-            let replies = router.compile_batch(&items);
-            return write_replies(ReplyWriter::envelope(out, items.len()), replies);
+        Request::Compile { items, framing, .. } => {
+            let mut out = ReplyWriter::new(out, framing, items.len());
+            for (i, reply) in router.compile_batch(&items).into_iter().enumerate() {
+                out.item(i, reply);
+            }
+            return out.finish();
         }
         Request::Ping => ok_with(vec![("pong", Json::Bool(true))]),
         Request::Stats => router.metrics_json(false),
@@ -169,11 +138,4 @@ fn dispatch(router: &Router, frame: &Json, stop: &AtomicBool, out: &mut impl Wri
         }
     };
     write_frame(out, &reply).is_ok()
-}
-
-fn write_replies<W: Write>(mut out: ReplyWriter<'_, W>, replies: Vec<Json>) -> bool {
-    for (i, reply) in replies.into_iter().enumerate() {
-        out.item(i, reply);
-    }
-    out.finish()
 }

@@ -25,19 +25,24 @@
 //! trip per shard instead of one round trip per kernel; replies stream
 //! back as they complete and are printed in request order.
 
-use polyject_codegen::{compile, render, render_cuda, Config};
-use polyject_core::{build_influence_tree, render_schedule_tree, schedule_tree, Budget};
+use polyject_codegen::{compile_with_options, render_artifacts, Artifacts, CompileOptions, Config};
+use polyject_core::{build_influence_tree, Budget};
 use polyject_front::{emit_pj, parse};
 use polyject_gpusim::{estimate, profile, GpuModel, KernelTiming};
+use polyject_serve::args::{self, Args};
 use polyject_serve::client::ShardedClient;
-use polyject_serve::{tune_cached, BatchItem, CompileService, DiskCache, Endpoint, Json};
+use polyject_serve::{
+    config_by_name, tune_cached, BatchItem, CompileReply, CompileService, DiskCache, Endpoint,
+    Json, Verdict,
+};
 use polyject_tune::TuneOptions;
+use std::path::PathBuf;
 use std::process::ExitCode;
 
 const USAGE: &str = "usage: polyjectc <file.pj> [--config isl|novec|infl] \
      [--emit code|cuda|schedule|schedtree|tree|profile|pj|time|all] \
      [--remote <endpoint>[,<endpoint>...]] [--batch <file.pj>] \
-     [--tune] [--tune-seed <n>] [--cache-dir <dir>]";
+     [--tune [--tune-seed <n>] [--cache-dir <dir>]]";
 
 /// Every `--emit` value the driver understands.
 const EMIT_VALUES: [&str; 9] = [
@@ -52,168 +57,178 @@ const EMIT_VALUES: [&str; 9] = [
     "all",
 ];
 
+/// Whether `--emit <emit>` asks for `section`.
+fn wants(emit: &str, section: &str) -> bool {
+    emit == section || emit == "all"
+}
+
+struct Cli {
+    file: Option<String>,
+    config: Config,
+    emit: String,
+    remote: Vec<Endpoint>,
+    batch: Option<String>,
+    tune: bool,
+    tune_seed: Option<u64>,
+    cache_dir: Option<PathBuf>,
+}
+
+fn parse_args(args: &mut Args) -> Result<Cli, String> {
+    let mut cli = Cli {
+        file: None,
+        config: Config::Influenced,
+        emit: "all".to_string(),
+        remote: Vec::new(),
+        batch: None,
+        tune: false,
+        tune_seed: None,
+        cache_dir: None,
+    };
+    while let Some(arg) = args.next_arg() {
+        match arg.as_str() {
+            "--config" => cli.config = config_by_name(&args.value()?)?,
+            "--emit" => cli.emit = args.value()?,
+            "--remote" => cli.remote = args.endpoints()?,
+            "--batch" => cli.batch = Some(args.value()?),
+            "--tune" => cli.tune = true,
+            "--tune-seed" => cli.tune_seed = Some(args.int()?),
+            "--cache-dir" => cli.cache_dir = Some(args.value()?.into()),
+            flag if flag.starts_with("--") || cli.file.is_some() => return Err(args.unexpected()),
+            _ => cli.file = Some(arg),
+        }
+    }
+    // A typo'd --emit would otherwise print nothing (every section
+    // check simply misses), and a flag nobody reads is a silent no-op.
+    let (emit, remote) = (cli.emit.as_str(), !cli.remote.is_empty());
+    if !EMIT_VALUES.contains(&emit) {
+        let expected = EMIT_VALUES.join("|");
+        Err(format!(
+            "unknown --emit {emit:?} (expected one of: {expected})"
+        ))
+    } else if cli.batch.is_some() != cli.file.is_none() {
+        Err("expected one <file.pj>, or --batch <file.pj> in its place".to_string())
+    } else if cli.batch.is_some() && !remote {
+        Err("--batch delegates to daemons; it needs --remote".to_string())
+    } else if remote && (cli.tune || matches!(emit, "tree" | "profile")) {
+        Err(
+            "--tune, --emit tree and --emit profile need the in-process pipeline; drop --remote"
+                .to_string(),
+        )
+    } else if !cli.tune && (cli.tune_seed.is_some() || cli.cache_dir.is_some()) {
+        Err("--tune-seed and --cache-dir configure --tune; without it they do nothing".to_string())
+    } else {
+        Ok(cli)
+    }
+}
+
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut file = None;
-    let mut config = Config::Influenced;
-    let mut emit = "all".to_string();
-    let mut remote: Vec<Endpoint> = Vec::new();
-    let mut batch: Option<String> = None;
-    let mut tune = false;
-    let mut tune_seed: Option<u64> = None;
-    let mut cache_dir: Option<std::path::PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--config" => {
-                i += 1;
-                config = match args.get(i).map(String::as_str) {
-                    Some("isl") => Config::Isl,
-                    Some("novec") => Config::NoVec,
-                    Some("infl") => Config::Influenced,
-                    other => {
-                        eprintln!("unknown --config {other:?} (isl|novec|infl)");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--emit" => {
-                i += 1;
-                emit = args.get(i).cloned().unwrap_or_default();
-            }
-            "--remote" => {
-                i += 1;
-                match args.get(i) {
-                    Some(addrs) => {
-                        for addr in addrs.split(',').filter(|a| !a.is_empty()) {
-                            match Endpoint::parse(addr) {
-                                Ok(ep) => remote.push(ep),
-                                Err(e) => {
-                                    eprintln!("bad --remote endpoint: {e}");
-                                    return ExitCode::FAILURE;
-                                }
-                            }
-                        }
-                    }
-                    None => {
-                        eprintln!("--remote needs a socket path or host:port\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--batch" => {
-                i += 1;
-                match args.get(i) {
-                    Some(f) => batch = Some(f.clone()),
-                    None => {
-                        eprintln!("--batch needs a file of kernels\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--tune" => tune = true,
-            "--tune-seed" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(n) => tune_seed = Some(n),
-                    None => {
-                        eprintln!("--tune-seed needs an integer");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--cache-dir" => {
-                i += 1;
-                match args.get(i) {
-                    Some(d) => cache_dir = Some(d.into()),
-                    None => {
-                        eprintln!("--cache-dir needs a directory\n{USAGE}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other if file.is_none() => file = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected argument {other}");
-                return ExitCode::FAILURE;
-            }
+    let cli = args::parse(USAGE, parse_args);
+    let outcome = match (&cli.batch, &cli.file) {
+        (Some(batch_file), _) => run_batch(&cli.remote, batch_file, cli.config),
+        (None, Some(file)) => std::fs::read_to_string(file)
+            .map_err(|e| format!("{file}: {e}"))
+            .and_then(|src| match cli.remote.is_empty() {
+                true => compile_local(&cli, file, &src),
+                false => compile_remote(&cli.remote, file, &src, cli.config),
+            })
+            .map(|output| output.print(cli.config, &cli.emit)),
+        (None, None) => unreachable!("parse_args demands a file or a batch"),
+    };
+    match outcome {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
-        i += 1;
     }
-    // Validate --emit up front: a typo'd value used to silently print
-    // nothing (every `emit == "..."` check simply missed).
-    if !EMIT_VALUES.contains(&emit.as_str()) {
-        eprintln!(
-            "unknown --emit {emit:?} (expected one of: {})\n{USAGE}",
-            EMIT_VALUES.join("|")
+}
+
+/// What one compile has to show, whichever side produced it.
+struct Output {
+    /// [`render_artifacts`] locally, the reply's fields remotely — the
+    /// same strings, since the daemon fills its reply from that function.
+    artifacts: Artifacts,
+    timing: KernelTiming,
+    /// The canonical `.pj` rendering.
+    pj: String,
+    /// Local only: these need the in-process pipeline.
+    tree: Option<String>,
+    profile: Option<String>,
+    /// Remote only: whether the daemon replayed the artifact from cache.
+    cached: Option<bool>,
+}
+
+impl Output {
+    /// Prints the sections `emit` asks for, in one order for both sides.
+    fn print(&self, config: Config, emit: &str) {
+        let section = |name: &str, title: &str, body: Option<&String>| {
+            if let (true, Some(body)) = (wants(emit, name), body) {
+                println!("== {title} ==");
+                print!("{body}");
+            }
+        };
+        let (art, config) = (&self.artifacts, config.name());
+        section("tree", "influence constraint tree", self.tree.as_ref());
+        section(
+            "schedule",
+            &format!("schedule ({config})"),
+            Some(&art.schedule),
         );
-        return ExitCode::FAILURE;
+        section("schedtree", "schedule tree", Some(&art.schedule_tree));
+        section(
+            "code",
+            &format!("generated code ({config})"),
+            Some(&art.code),
+        );
+        section("cuda", "CUDA source", Some(&art.cuda));
+        section("profile", "simulated profile (V100)", self.profile.as_ref());
+        if emit == "pj" {
+            print!("{}", self.pj);
+        }
+        if wants(emit, "time") {
+            println!(
+                "== simulated V100: {:.4} ms (bound by {}, {} vectorized loop(s){}) ==",
+                self.timing.ms(),
+                self.timing.bottleneck(),
+                art.vector_loops,
+                match self.cached {
+                    None => "",
+                    Some(true) => ", cached",
+                    Some(false) => ", compiled",
+                },
+            );
+        }
     }
-    if let Some(batch_file) = batch {
-        if remote.is_empty() {
-            eprintln!("--batch delegates to daemons; it needs --remote");
-            return ExitCode::FAILURE;
-        }
-        return run_batch(&remote, &batch_file, config);
-    }
-    let Some(file) = file else {
-        eprintln!("{USAGE}");
-        return ExitCode::FAILURE;
-    };
-    let src = match std::fs::read_to_string(&file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+}
 
-    if !remote.is_empty() {
-        if tune {
-            eprintln!("--tune needs the in-process pipeline; drop --remote to use it");
-            return ExitCode::FAILURE;
-        }
-        return run_remote(&remote, &file, &src, config, &emit);
-    }
-
-    let kernel = match parse(&src) {
-        Ok(k) => k,
-        Err(e) => {
-            eprintln!("{file}:{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // Autotune first: the winner's options shape everything emitted
-    // below. The [tune] line is deterministic for a fixed seed (model
-    // times only, no wall clock).
-    let tuned_options = if tune {
-        let cache = match &cache_dir {
-            Some(dir) => match DiskCache::open_default(dir) {
-                Ok(c) => Some(c),
-                Err(e) => {
-                    eprintln!("cannot open cache {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-            },
+/// Compiles in process — after the autotuner, with `--tune`: the
+/// winner's options shape everything shown. The `[tune]` line is
+/// deterministic for a fixed seed (model times only, no wall clock).
+fn compile_local(cli: &Cli, file: &str, src: &str) -> Result<Output, String> {
+    let gpu = GpuModel::v100();
+    let kernel = parse(src).map_err(|e| format!("{file}:{e}"))?;
+    let mut opts = CompileOptions::default();
+    if cli.tune {
+        let cache = match &cli.cache_dir {
+            Some(dir) => Some(
+                DiskCache::open_default(dir)
+                    .map_err(|e| format!("cannot open cache {}: {e}", dir.display()))?,
+            ),
             None => None,
         };
-        let svc = CompileService::new(cache, GpuModel::v100());
-        let opts = TuneOptions {
-            seed: tune_seed.unwrap_or(TuneOptions::default().seed),
+        let svc = CompileService::new(cache, gpu.clone());
+        let tune_opts = TuneOptions {
+            seed: cli.tune_seed.unwrap_or(TuneOptions::default().seed),
             ..TuneOptions::default()
         };
-        let report = match tune_cached(&svc, &src, config.name(), &opts, &Budget::unlimited()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("{file}: tuning failed: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+        let report = tune_cached(
+            &svc,
+            src,
+            cli.config.name(),
+            &tune_opts,
+            &Budget::unlimited(),
+        )
+        .map_err(|e| format!("{file}: tuning failed: {e}"))?;
         println!(
             "[tune] default_ms={:.6} tuned_ms={:.6} speedup={:.3} evaluated={} cached={}",
             report.tuned.default_time * 1e3,
@@ -222,72 +237,58 @@ fn main() -> ExitCode {
             report.tuned.evaluated,
             report.cached,
         );
-        Some(report.tuned.to_compile_options())
-    } else {
-        None
-    };
+        opts = report.tuned.to_compile_options();
+    }
+    let compiled = compile_with_options(&kernel, cli.config, &Budget::unlimited(), &opts)
+        .map_err(|e| format!("{file}: {e}"))?;
+    Ok(Output {
+        artifacts: render_artifacts(&kernel, &compiled),
+        timing: estimate(&compiled.ast, &kernel, &gpu),
+        pj: emit_pj(&kernel).map_err(|e| format!("{file}: cannot re-emit: {e}"))?,
+        tree: wants(&cli.emit, "tree")
+            .then(|| build_influence_tree(&kernel, &opts.influence).render()),
+        profile: wants(&cli.emit, "profile")
+            .then(|| profile(&compiled.ast, &kernel, &gpu).render()),
+        cached: None,
+    })
+}
 
-    let infl_options = tuned_options
-        .as_ref()
-        .map(|o| o.influence.clone())
-        .unwrap_or_default();
-    if emit == "tree" || emit == "all" {
-        let tree = build_influence_tree(&kernel, &infl_options);
-        println!("== influence constraint tree ==");
-        print!("{}", tree.render());
-    }
-    let compiled = match match &tuned_options {
-        Some(opts) => {
-            polyject_codegen::compile_with_options(&kernel, config, &Budget::unlimited(), opts)
-        }
-        None => compile(&kernel, config),
-    } {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if emit == "schedule" || emit == "all" {
-        println!("== schedule ({}) ==", config.name());
-        print!("{}", compiled.schedule.render(&kernel));
-    }
-    if emit == "schedtree" || emit == "all" {
-        println!("== schedule tree ==");
-        let st = schedule_tree(&kernel, &compiled.schedule);
-        print!("{}", render_schedule_tree(&st, &kernel));
-    }
-    if emit == "code" || emit == "all" {
-        println!("== generated code ({}) ==", config.name());
-        print!("{}", render(&compiled.ast, &kernel));
-    }
-    if emit == "cuda" || emit == "all" {
-        println!("== CUDA source ==");
-        print!("{}", render_cuda(&compiled.ast, &kernel));
-    }
-    if emit == "profile" || emit == "all" {
-        println!("== simulated profile (V100) ==");
-        print!(
-            "{}",
-            profile(&compiled.ast, &kernel, &GpuModel::v100()).render()
-        );
-    }
-    if emit == "pj" {
-        match emit_pj(&kernel) {
-            Ok(src) => print!("{src}"),
-            Err(e) => eprintln!("cannot re-emit: {e}"),
+/// Delegates the compile to the key's replicas across the fleet the
+/// endpoints name (one daemon or router is a fleet of one).
+fn compile_remote(
+    endpoints: &[Endpoint],
+    file: &str,
+    src: &str,
+    config: Config,
+) -> Result<Output, String> {
+    let resp = ShardedClient::new(endpoints.to_vec(), GpuModel::v100())
+        .compile(src, config.name())
+        .map_err(|e| format!("no daemon answered: {e}"))?;
+    match Verdict::of(&resp) {
+        Verdict::Ok => {}
+        Verdict::Overloaded => return Err("daemon overloaded; retry later".to_string()),
+        _ => {
+            let why = resp.str_field("message").unwrap_or("daemon error");
+            return Err(format!("{file}: {why}"));
         }
     }
-    if emit == "time" || emit == "all" {
-        let t = estimate(&compiled.ast, &kernel, &GpuModel::v100());
-        println!(
-            "== simulated V100: {:.4} ms (bound by {}, {} vectorized loop(s)) ==",
-            t.ms(),
-            t.bottleneck(),
-            compiled.vector_loops
-        );
-    }
-    ExitCode::SUCCESS
+    // `ok` responses embed the reply fields at the top level.
+    let reply = CompileReply::from_json(&resp).map_err(|e| format!("malformed reply: {e}"))?;
+    Ok(Output {
+        timing: KernelTiming::from_pairs(reply.timing.iter().map(|(k, v)| (k.as_str(), *v))),
+        artifacts: Artifacts {
+            code: reply.code,
+            cuda: reply.cuda,
+            schedule: reply.schedule,
+            schedule_tree: reply.schedule_tree,
+            vector_loops: usize::try_from(reply.vector_loops).unwrap_or(usize::MAX),
+            influenced: reply.influenced,
+        },
+        pj: reply.canonical_pj,
+        tree: None,
+        profile: None,
+        cached: resp.get("cached").and_then(Json::as_bool),
+    })
 }
 
 /// Splits a multi-kernel `.pj` file into one source per `kernel` block.
@@ -311,28 +312,23 @@ fn split_kernels(src: &str) -> Vec<String> {
 /// `compile_batch` round trip per shard, printing a per-item summary
 /// line in request order plus the round-trip count a sequential client
 /// would have spent one-per-kernel.
-fn run_batch(endpoints: &[Endpoint], batch_file: &str, config: Config) -> ExitCode {
-    let src = match std::fs::read_to_string(batch_file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{batch_file}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+fn run_batch(endpoints: &[Endpoint], batch_file: &str, config: Config) -> Result<(), String> {
+    let src = std::fs::read_to_string(batch_file).map_err(|e| format!("{batch_file}: {e}"))?;
     let items: Vec<BatchItem> = split_kernels(&src)
         .into_iter()
         .map(|s| BatchItem::new(s, config.name()))
         .collect();
     if items.is_empty() {
-        eprintln!("{batch_file}: no kernels found (expected `kernel <name>` blocks)");
-        return ExitCode::FAILURE;
+        return Err(format!(
+            "{batch_file}: no kernels found (expected `kernel <name>` blocks)"
+        ));
     }
     let (replies, round_trips) =
         ShardedClient::new(endpoints.to_vec(), GpuModel::v100()).compile_batch(&items);
     let mut failed = 0usize;
     for (i, resp) in replies.iter().enumerate() {
-        match resp.str_field("status") {
-            Ok("ok") => {
+        match Verdict::of(resp) {
+            Verdict::Ok => {
                 let cached = resp.get("cached").and_then(Json::as_bool).unwrap_or(false);
                 println!(
                     "[{i}] ok key={} vector_loops={} {}{}",
@@ -344,7 +340,7 @@ fn run_batch(endpoints: &[Endpoint], batch_file: &str, config: Config) -> ExitCo
                         .unwrap_or_default(),
                 );
             }
-            Ok("overloaded") => {
+            Verdict::Overloaded => {
                 failed += 1;
                 println!("[{i}] overloaded (retry later)");
             }
@@ -364,90 +360,8 @@ fn run_batch(endpoints: &[Endpoint], batch_file: &str, config: Config) -> ExitCo
         failed,
         round_trips,
     );
-    if failed == 0 {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
+    match failed {
+        0 => Ok(()),
+        n => Err(format!("{batch_file}: {n} kernel(s) failed")),
     }
-}
-
-/// Delegates the compile to the key's replicas across the fleet the
-/// comma-separated endpoints name (one daemon or router is a fleet of
-/// one), then prints the requested artifacts from the reply.
-fn run_remote(
-    endpoints: &[Endpoint],
-    file: &str,
-    src: &str,
-    config: Config,
-    emit: &str,
-) -> ExitCode {
-    if emit == "tree" || emit == "profile" {
-        eprintln!("--emit {emit} needs the in-process pipeline; drop --remote to use it");
-        return ExitCode::FAILURE;
-    }
-    let mut fleet = ShardedClient::new(endpoints.to_vec(), GpuModel::v100());
-    let resp = match fleet.compile(src, config.name()) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("no daemon answered: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match resp.str_field("status") {
-        Ok("ok") => {}
-        Ok("overloaded") => {
-            eprintln!("daemon overloaded; retry later");
-            return ExitCode::FAILURE;
-        }
-        _ => {
-            eprintln!(
-                "{file}: {}",
-                resp.str_field("message").unwrap_or("daemon error")
-            );
-            return ExitCode::FAILURE;
-        }
-    }
-    let cached = resp.get("cached").and_then(Json::as_bool).unwrap_or(false);
-    let field = |name: &str| resp.str_field(name).unwrap_or("");
-    if emit == "schedule" || emit == "all" {
-        println!("== schedule ({}) ==", config.name());
-        print!("{}", field("schedule"));
-    }
-    if emit == "schedtree" || emit == "all" {
-        println!("== schedule tree ==");
-        print!("{}", field("schedule_tree"));
-    }
-    if emit == "code" || emit == "all" {
-        println!("== generated code ({}) ==", config.name());
-        print!("{}", field("code"));
-    }
-    if emit == "cuda" || emit == "all" {
-        println!("== CUDA source ==");
-        print!("{}", field("cuda"));
-    }
-    if emit == "pj" {
-        print!("{}", field("canonical_pj"));
-    }
-    if emit == "time" || emit == "all" {
-        let pairs: Vec<(String, f64)> = resp
-            .get("timing")
-            .and_then(Json::as_obj)
-            .map(|fields| {
-                fields
-                    .iter()
-                    .filter_map(|(k, v)| v.as_f64().map(|f| (k.clone(), f)))
-                    .collect()
-            })
-            .unwrap_or_default();
-        let t = KernelTiming::from_pairs(pairs.iter().map(|(k, v)| (k.as_str(), *v)));
-        let vector_loops = resp.get("vector_loops").and_then(Json::as_u64).unwrap_or(0);
-        println!(
-            "== simulated V100: {:.4} ms (bound by {}, {} vectorized loop(s), {}) ==",
-            t.ms(),
-            t.bottleneck(),
-            vector_loops,
-            if cached { "cached" } else { "compiled" },
-        );
-    }
-    ExitCode::SUCCESS
 }

@@ -23,7 +23,7 @@
 //! until SIGTERM/SIGINT or a `shutdown` request, then flushes the cache
 //! index and dumps final stats as JSON on stdout.
 
-use polyject_gpusim::GpuModel;
+use polyject_serve::args::{self, Args};
 use polyject_serve::{run_daemon, DaemonConfig, Endpoint};
 use std::process::ExitCode;
 use std::time::Duration;
@@ -35,19 +35,7 @@ const USAGE: &str = "usage: polyjectd [--socket <path> | --tcp <host:port>] \
      [--fault-io <seed>/<one_in>]";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let config = match parse_args(&args) {
-        Ok(Some(config)) => config,
-        Ok(None) => {
-            eprintln!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match run_daemon(config) {
+    match run_daemon(args::parse(USAGE, parse_args)) {
         Ok(report) => {
             // The final stats dump, parseable by scripts.
             println!("{}", report.render());
@@ -60,46 +48,30 @@ fn main() -> ExitCode {
     }
 }
 
-/// Parses the command line; `Ok(None)` is `--help`.
-fn parse_args(args: &[String]) -> Result<Option<DaemonConfig>, String> {
+fn parse_args(args: &mut Args) -> Result<DaemonConfig, String> {
     let mut config = DaemonConfig::default();
-    let mut args = args.iter();
-    while let Some(flag) = args.next() {
-        let mut value = || {
-            args.next()
-                .ok_or_else(|| format!("{flag} needs a value\n{USAGE}"))
-        };
-        fn int<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
-            v.parse().map_err(|_| format!("{flag} needs an integer"))
-        }
+    while let Some(flag) = args.next_arg() {
         match flag.as_str() {
-            "--socket" => config.endpoint = Endpoint::Unix(value()?.into()),
-            "--tcp" => config.endpoint = Endpoint::Tcp(value()?.clone()),
-            "--cache-dir" => config.cache_dir = Some(value()?.into()),
-            "--cache-max-bytes" => config.cache_max_bytes = int(flag, value()?)?,
-            "--workers" => config.workers = int(flag, value()?)?,
-            "--queue-bound" => config.queue_bound = int(flag, value()?)?,
-            "--timeout-secs" => config.request_timeout = Duration::from_secs(int(flag, value()?)?),
-            "--max-frame-bytes" => config.max_frame = int(flag, value()?)?,
-            "--gpu" => {
-                config.gpu = match value()?.as_str() {
-                    "v100" => GpuModel::v100(),
-                    "a100" => GpuModel::a100(),
-                    "consumer" => GpuModel::consumer(),
-                    other => return Err(format!("unknown --gpu {other:?} (v100|a100|consumer)")),
-                }
-            }
+            "--socket" => config.endpoint = Endpoint::Unix(args.value()?.into()),
+            "--tcp" => config.endpoint = Endpoint::Tcp(args.value()?),
+            "--cache-dir" => config.cache_dir = Some(args.value()?.into()),
+            "--cache-max-bytes" => config.cache_max_bytes = args.int()?,
+            "--workers" => config.workers = args.int()?,
+            "--queue-bound" => config.queue_bound = args.int()?,
+            "--timeout-secs" => config.request_timeout = Duration::from_secs(args.int()?),
+            "--max-frame-bytes" => config.max_frame = args.int()?,
+            "--gpu" => config.gpu = args.gpu()?,
             "--background-tune" => config.background_tune = true,
-            "--hot-entries" => config.hot_entries = int(flag, value()?)?,
+            "--hot-entries" => config.hot_entries = args.int()?,
             "--fault-io" => {
-                let parsed = value()?
+                let value = args.value()?;
+                let parsed = value
                     .split_once('/')
                     .and_then(|(seed, one_in)| Some((seed.parse().ok()?, one_in.parse().ok()?)));
                 config.cache_faults =
                     Some(parsed.ok_or("--fault-io needs <seed>/<one_in>, e.g. 7/50")?);
             }
-            "--help" | "-h" => return Ok(None),
-            other => return Err(format!("unexpected argument {other}\n{USAGE}")),
+            _ => return Err(args.unexpected()),
         }
     }
     if config.background_tune && config.cache_dir.is_none() {
@@ -107,5 +79,5 @@ fn parse_args(args: &[String]) -> Result<Option<DaemonConfig>, String> {
             "--background-tune needs --cache-dir (tuned configs persist in the cache)".to_string(),
         );
     }
-    Ok(Some(config))
+    Ok(config)
 }

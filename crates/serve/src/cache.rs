@@ -184,12 +184,20 @@ impl DiskCache {
         }
     }
 
+    /// Whether an entry for `key` is indexed here or on disk (another
+    /// process sharing the directory may have written it). Moves no
+    /// counter: the probe for optional entries, whose absence is the
+    /// normal case rather than a miss.
+    pub fn contains(&mut self, key: &str) -> bool {
+        let path = self.entry_path(key);
+        self.entries.contains_key(key) || self.io.exists(&path)
+    }
+
     /// Looks up a key, verifying the entry checksum. Returns the
     /// `(kind, payload)` on a hit. Corrupt entries are quarantined and
     /// reported as misses.
     pub fn get(&mut self, key: &str) -> Option<(String, Json)> {
-        let path = self.entry_path(key);
-        if !self.entries.contains_key(key) && !self.io.exists(&path) {
+        if !self.contains(key) {
             self.stats.misses += 1;
             return None;
         }
@@ -202,6 +210,7 @@ impl DiskCache {
                     Some(e) => e.last_used = tick,
                     None => {
                         // Valid entry written by another process: adopt it.
+                        let path = self.entry_path(key);
                         let bytes = self.io.metadata_len(&path).unwrap_or(0);
                         self.entries.insert(
                             key.to_string(),

@@ -3,7 +3,7 @@
 
 use crate::faults::LegChaos;
 use crate::json::Json;
-use crate::membership::{Membership, DEFAULT_VNODES};
+use crate::membership::Membership;
 use crate::protocol::{error_response, read_frame, write_frame, BatchItem, Request};
 use crate::service::{cache_key, routing_key};
 use crate::transport::Stream;
@@ -95,7 +95,9 @@ impl Client {
         self.conn.set_timeouts(timeout, timeout)
     }
 
-    /// Sends one request and reads one response frame.
+    /// Sends one request and reads one response frame — the door every
+    /// op goes through; only the ops with many callers get a named method
+    /// below.
     ///
     /// # Errors
     ///
@@ -112,22 +114,7 @@ impl Client {
     ///
     /// Propagates I/O and framing failures.
     pub fn compile(&mut self, src: &str, config: &str) -> io::Result<Json> {
-        self.compile_as(src, config, None)
-    }
-
-    /// Compiles with a caller-chosen request id, so the in-flight solve
-    /// can be cancelled by id from another connection (hedged requests).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and framing failures.
-    pub fn compile_tagged(&mut self, src: &str, config: &str, req: &str) -> io::Result<Json> {
-        self.compile_as(src, config, Some(req.to_string()))
-    }
-
-    fn compile_as(&mut self, src: &str, config: &str, req: Option<String>) -> io::Result<Json> {
-        let (src, config) = (src.to_string(), config.to_string());
-        self.request(&Request::Compile { src, config, req })
+        self.request(&Request::compile(src, config, None))
     }
 
     /// Compiles a whole batch in one round trip: sends a single
@@ -146,14 +133,8 @@ impl Client {
         items: &[BatchItem],
         req: Option<&str>,
     ) -> io::Result<Vec<Json>> {
-        write_frame(
-            &mut self.conn,
-            &Request::CompileBatch {
-                items: items.to_vec(),
-                req: req.map(str::to_string),
-            }
-            .to_json(),
-        )?;
+        let batch = Request::compile_batch(items.to_vec(), req.map(str::to_string));
+        write_frame(&mut self.conn, &batch.to_json())?;
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         loop {
             let frame = self.read_response()?;
@@ -183,67 +164,6 @@ impl Client {
             .into_iter()
             .map(|s| s.unwrap_or_else(|| error_response("server sent no reply for this item")))
             .collect())
-    }
-
-    /// Cancels an in-flight compile by request id.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and framing failures.
-    pub fn cancel(&mut self, req: &str) -> io::Result<Json> {
-        self.request(&Request::Cancel {
-            req: req.to_string(),
-        })
-    }
-
-    /// Fetches the shard metrics report (stats + identity + governance).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and framing failures.
-    pub fn metrics(&mut self) -> io::Result<Json> {
-        self.request(&Request::Metrics)
-    }
-
-    /// Lists `(key, kind)` of every cache entry the daemon holds.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and framing failures.
-    pub fn keys(&mut self) -> io::Result<Json> {
-        self.request(&Request::Keys)
-    }
-
-    /// Fetches one raw cache entry by key.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and framing failures.
-    pub fn fetch(&mut self, key: &str) -> io::Result<Json> {
-        self.request(&Request::Fetch {
-            key: key.to_string(),
-        })
-    }
-
-    /// Stores one raw cache entry on the daemon (checksum re-verified on
-    /// the receiving side).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O and framing failures.
-    pub fn transfer(
-        &mut self,
-        key: &str,
-        kind: &str,
-        payload: Json,
-        checksum: &str,
-    ) -> io::Result<Json> {
-        self.request(&Request::Transfer {
-            key: key.to_string(),
-            kind: kind.to_string(),
-            payload,
-            checksum: checksum.to_string(),
-        })
     }
 
     /// Writes raw bytes straight onto the connection, bypassing framing.
@@ -447,25 +367,20 @@ pub(crate) fn scatter(
 pub struct ShardedClient {
     membership: Membership,
     gpu: GpuModel,
-    replication: usize,
     pool: ConnPool,
 }
+
+/// The failover fan-out: how many of a key's replicas a request tries.
+const REPLICATION: usize = 2;
 
 impl ShardedClient {
     /// Builds a sharded client over the daemon endpoints.
     pub fn new(endpoints: Vec<Endpoint>, gpu: GpuModel) -> ShardedClient {
         ShardedClient {
-            membership: Membership::new(endpoints, DEFAULT_VNODES),
+            membership: Membership::new(endpoints),
             gpu,
-            replication: 2,
             pool: ConnPool::default(),
         }
-    }
-
-    /// Overrides the failover fan-out (how many replicas are tried).
-    pub fn with_replication(mut self, r: usize) -> ShardedClient {
-        self.replication = r.max(1);
-        self
     }
 
     /// Routing only needs a stable key; if the source does not parse,
@@ -478,7 +393,7 @@ impl ShardedClient {
     /// The replica endpoints (health-ordered) a source would route to.
     pub fn route(&self, src: &str, config: &str) -> Vec<Endpoint> {
         let key = self.key(&BatchItem::new(src, config));
-        self.membership.replicas_for(&key, self.replication)
+        self.membership.replicas_for(&key, REPLICATION)
     }
 
     /// Compiles through the owning shard, failing over across replicas
@@ -521,7 +436,7 @@ impl ShardedClient {
         let mut round_trips = 0;
         if items.len() > 1 {
             let keyed = keys.iter().map(String::as_str).enumerate();
-            let groups = self.membership.partition_by_owner(keyed, self.replication);
+            let groups = self.membership.partition_by_owner(keyed, REPLICATION);
             round_trips += groups.len() as u64;
             let chaos = vec![LegChaos::default(); groups.len()];
             let gathered = scatter(&self.pool, items, &groups, chaos, None);
@@ -554,7 +469,7 @@ impl ShardedClient {
     /// one answers a frame.
     fn walk_replicas(&mut self, item: &BatchItem, key: &str) -> io::Result<Json> {
         let mut last = io::Error::new(io::ErrorKind::NotFound, "no shard endpoints configured");
-        for endpoint in self.membership.replicas_for(key, self.replication) {
+        for endpoint in self.membership.replicas_for(key, REPLICATION) {
             let leg = run_leg(&self.pool, &endpoint, None, LegChaos::default(), |c| {
                 c.compile(&item.src, &item.config)
             });
@@ -707,9 +622,8 @@ mod tests {
         use crate::protocol::{ok_with, ReplyWriter};
         let echo = |s: &str| ok_with(vec![("echo", Json::Str(s.to_string()))]);
         match Request::from_json(frame).expect("well-formed request") {
-            Request::Compile { src, .. } => write_frame(out, &echo(&src)).is_ok(),
-            Request::CompileBatch { items, .. } => {
-                let mut replies = ReplyWriter::envelope(out, items.len());
+            Request::Compile { items, framing, .. } => {
+                let mut replies = ReplyWriter::new(out, framing, items.len());
                 for (i, item) in items.iter().enumerate() {
                     if item.src == "cut" {
                         return false;
@@ -794,7 +708,7 @@ mod tests {
         let no_chaos = LegChaos::default;
         let fetch = |key: &str| {
             run_leg(&pool, &shard.endpoint, timeout, no_chaos(), |c| {
-                c.fetch(key)
+                c.request(&Request::Fetch { key: key.into() })
             })
         };
         let kept = || pool.idle.lock().unwrap().len();
@@ -839,7 +753,7 @@ mod tests {
             Endpoint::parse("/nonexistent/s1.sock").unwrap(),
             Endpoint::parse("/nonexistent/s2.sock").unwrap(),
         ];
-        let mut sc = ShardedClient::new(eps.clone(), GpuModel::v100()).with_replication(2);
+        let mut sc = ShardedClient::new(eps.clone(), GpuModel::v100());
         let src = "
 kernel axpy
 param N = 64

@@ -21,7 +21,7 @@ use crate::json::Json;
 use crate::pool::{default_workers, WorkerPool};
 use crate::protocol::{
     error_response, ok_response, ok_with, overloaded_response, retryable_error_response,
-    write_frame, BatchItem, CompileReply, ReplyWriter, Request, MAX_FRAME,
+    write_frame, BatchItem, CompileReply, ReplyWriter, Request, Verdict, MAX_FRAME,
 };
 use crate::service::{CompileService, Served};
 use crate::stats::ServeStats;
@@ -177,7 +177,9 @@ impl Shared {
         self.stats.lock().expect("stats lock poisoned")
     }
 
-    /// The stats report: daemon counters plus the cache's own view.
+    /// The stats report (`stats` and `metrics` alike): the shard
+    /// identity, so a fleet prober can attribute counters to endpoints,
+    /// then daemon counters plus the cache's own view.
     fn stats_json(&self) -> Json {
         let n = |v: u64| Json::Num(v as f64);
         let io_faults = self
@@ -218,30 +220,19 @@ impl Shared {
             ),
         ]);
         ok_with(vec![
+            ("shard", Json::Str(self.endpoint.clone())),
             ("stats", stats.to_json()),
             ("governance", governance),
             ("cache", cache.unwrap_or(Json::Null)),
         ])
     }
-
-    /// The `metrics` report: the stats report plus the shard identity,
-    /// so a fleet prober can attribute counters to endpoints.
-    fn metrics_json(&self) -> Json {
-        let mut pairs = vec![
-            ("status".to_string(), Json::Str("ok".to_string())),
-            ("shard".to_string(), Json::Str(self.endpoint.clone())),
-        ];
-        if let Json::Obj(fields) = self.stats_json() {
-            pairs.extend(fields.into_iter().filter(|(k, _)| k != "status"));
-        }
-        Json::Obj(pairs)
-    }
 }
 
-/// Answers one request frame on `out`. Every op writes through here; the
-/// two compile ops are the same [`serve_items`] call and differ only in
-/// the [`ReplyWriter`] framing their replies leave through. Returns
-/// `false` when the connection should close (peer gone, or shutdown).
+/// Answers one request frame on `out`. Every op writes through here; a
+/// compile is one [`serve_items`] call whichever framing it arrived in,
+/// and its replies leave through a [`ReplyWriter`] of the same framing.
+/// Returns `false` when the connection should close (peer gone, or
+/// shutdown).
 fn dispatch<W: Write>(shared: &Arc<Shared>, frame: &Json, out: &mut W) -> bool {
     shared.stats().requests += 1;
     let req = match Request::from_json(frame) {
@@ -252,19 +243,16 @@ fn dispatch<W: Write>(shared: &Arc<Shared>, frame: &Json, out: &mut W) -> bool {
         }
     };
     let reply = match req {
-        Request::Compile { src, config, req } => {
-            let item = Arc::from([BatchItem { src, config }]);
-            return serve_items(shared, ReplyWriter::bare(out), item, req);
-        }
-        Request::CompileBatch { items, req } => {
-            shared.stats().batch_requests += 1;
-            shared.stats().batch_items += items.len() as u64;
-            let out = ReplyWriter::envelope(out, items.len());
+        Request::Compile {
+            items,
+            req,
+            framing,
+        } => {
+            let out = ReplyWriter::new(out, framing, items.len());
             return serve_items(shared, out, items.into(), req);
         }
         Request::Ping => ok_with(vec![("pong", Json::Bool(true))]),
-        Request::Stats => shared.stats_json(),
-        Request::Metrics => shared.metrics_json(),
+        Request::Stats | Request::Metrics => shared.stats_json(),
         Request::Cancel { req } => {
             let flag = shared
                 .cancel_reg
@@ -401,6 +389,11 @@ fn serve_items<W: Write>(
     // search to yield at its next budget check.
     shared.tune_cancel.store(true, Ordering::SeqCst);
     let enveloped = out.enveloped();
+    if enveloped {
+        let mut stats = shared.stats();
+        stats.batch_requests += 1;
+        stats.batch_items += items.len() as u64;
+    }
     let granted = reserve_slots(shared, items.len());
 
     // Dedup over the admitted items: the first occurrence of each
@@ -461,12 +454,10 @@ fn serve_items<W: Write>(
     // keeps draining so counters and slots stay consistent.
     let mut answer = |i: usize, frame: Json| {
         for &j in riders.get(&i).into_iter().flatten() {
-            let mut stats = shared.stats();
-            match frame.str_field("status") {
-                Ok("ok") => stats.coalesced += 1,
-                _ => stats.errors += 1,
+            match Verdict::of(&frame) {
+                Verdict::Ok => shared.stats().coalesced += 1,
+                _ => shared.stats().errors += 1,
             }
-            drop(stats);
             out.item(j, frame.clone());
         }
         if !out.item(i, frame) {
@@ -781,21 +772,11 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     fn compile_one(shared: &Arc<Shared>, src: &str, config: &str) -> Json {
-        ask(
-            shared,
-            &Request::Compile {
-                src: src.to_string(),
-                config: config.to_string(),
-                req: None,
-            },
-        )
+        ask(shared, &Request::compile(src, config, None))
     }
 
     fn batch(shared: &Arc<Shared>, items: Vec<BatchItem>) -> Vec<Json> {
-        let (frames, open) = ask_all(
-            shared,
-            &Request::CompileBatch { items, req: None }.to_json(),
-        );
+        let (frames, open) = ask_all(shared, &Request::compile_batch(items, None).to_json());
         assert!(open, "an in-memory sink never dies");
         frames
     }
@@ -974,13 +955,37 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     #[test]
-    fn metrics_reports_shard_identity() {
+    fn stats_and_metrics_are_one_report_with_the_shard_identity() {
         let shared = test_shared(4);
         let resp = ask(&shared, &Request::Metrics);
         assert_eq!(resp.str_field("status").unwrap(), "ok");
         assert_eq!(resp.str_field("shard").unwrap(), "/tmp/test-shard.sock");
         assert!(resp.get("stats").is_some());
         assert!(resp.get("governance").is_some());
+        // Only `requests` moved in between: it counts the probe itself.
+        let keys = |r: &Json| -> Vec<String> {
+            let fields = r.as_obj().unwrap();
+            fields.iter().map(|(k, _)| k.clone()).collect()
+        };
+        assert_eq!(keys(&ask(&shared, &Request::Stats)), keys(&resp));
+    }
+
+    #[test]
+    fn framing_decides_the_envelope_and_the_batch_counters() {
+        let shared = test_shared(4);
+        // A batch of one is still answered enveloped, and counted.
+        let frames = batch(&shared, vec![BatchItem::new(SRC, "infl")]);
+        assert_eq!(frames.len(), 2, "item frame + batch_done");
+        assert_eq!(frame_for_index(&frames, 0).str_field("status"), Ok("ok"));
+        assert_eq!(frames[1].str_field("status"), Ok("batch_done"));
+        // A `compile` is answered bare, and is not a batch request.
+        let bare = compile_one(&shared, SRC, "infl");
+        assert_eq!(bare.str_field("status"), Ok("ok"));
+        let key = |r: &Json| r.str_field("key").unwrap().to_string();
+        assert_eq!(key(&bare), key(frame_for_index(&frames, 0)));
+        let stats = shared.stats();
+        assert_eq!((stats.batch_requests, stats.batch_items), (1, 1));
+        assert_eq!(stats.misses, 2, "no cache attached: both compiled");
     }
 
     #[test]

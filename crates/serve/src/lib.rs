@@ -4,6 +4,8 @@
 //! persistent, content-addressed schedule cache, turning repeated
 //! compilation cost from O(requests) into O(unique kernels).
 //!
+//! * [`args`] — the one command-line cursor every polyject binary parses
+//!   its flags with;
 //! * [`pool`] — the dependency-free work-stealing worker pool (moved here
 //!   from `polyject-bench` so both the Table II harness and the daemon
 //!   share one executor), plus a persistent [`pool::WorkerPool`];
@@ -43,6 +45,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod cache;
 pub mod client;
 pub mod daemon;
@@ -69,11 +72,11 @@ pub use hot::HotTier;
 pub use json::Json;
 pub use membership::{HashRing, Membership, ShardState};
 pub use pool::{default_workers, parallel_map, WorkerPool};
-pub use protocol::{read_frame, write_frame, BatchItem, CompileReply, Request};
+pub use protocol::{read_frame, write_frame, BatchItem, CompileReply, Request, Verdict};
 pub use router::{Router, RouterConfig};
 pub use service::{
-    cache_key, cache_key_with_options, compile_reply, compile_reply_with_budget,
-    compile_reply_with_options, config_by_name, CompileService, Governance, Served,
+    cache_key, cache_key_with_options, compile_reply, config_by_name, CompileService, Governance,
+    Served,
 };
 pub use stats::{LatencyAgg, ServeStats, ShardMetrics};
 pub use tuned::{

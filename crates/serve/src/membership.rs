@@ -13,7 +13,7 @@ use crate::hash::fnv1a64;
 
 /// Virtual nodes per shard. 64 keeps the max/min load ratio under ~2x
 /// for small fleets without making ring rebuilds noticeable.
-pub const DEFAULT_VNODES: usize = 64;
+pub const VNODES: usize = 64;
 
 /// An immutable consistent-hash ring over a set of shard endpoints.
 #[derive(Clone, Debug)]
@@ -24,11 +24,11 @@ pub struct HashRing {
 }
 
 impl HashRing {
-    /// Builds a ring with `vnodes` virtual nodes per shard.
-    pub fn new(shards: &[String], vnodes: usize) -> HashRing {
-        let mut points = Vec::with_capacity(shards.len() * vnodes);
+    /// Builds a ring with [`VNODES`] virtual nodes per shard.
+    pub fn new(shards: &[String]) -> HashRing {
+        let mut points = Vec::with_capacity(shards.len() * VNODES);
         for (idx, shard) in shards.iter().enumerate() {
-            for v in 0..vnodes {
+            for v in 0..VNODES {
                 let point = fnv1a64(format!("{shard}#{v}").as_bytes());
                 points.push((point, idx));
             }
@@ -98,13 +98,12 @@ impl ShardState {
 #[derive(Clone, Debug)]
 pub struct Membership {
     shards: Vec<ShardState>,
-    vnodes: usize,
     ring: HashRing,
 }
 
 impl Membership {
     /// Builds a membership over the given endpoints.
-    pub fn new(endpoints: Vec<Endpoint>, vnodes: usize) -> Membership {
+    pub fn new(endpoints: Vec<Endpoint>) -> Membership {
         let shards: Vec<ShardState> = endpoints
             .into_iter()
             .map(|endpoint| ShardState {
@@ -112,17 +111,13 @@ impl Membership {
                 consecutive_failures: 0,
             })
             .collect();
-        let ring = Self::build_ring(&shards, vnodes);
-        Membership {
-            shards,
-            vnodes,
-            ring,
-        }
+        let ring = Self::build_ring(&shards);
+        Membership { shards, ring }
     }
 
-    fn build_ring(shards: &[ShardState], vnodes: usize) -> HashRing {
+    fn build_ring(shards: &[ShardState]) -> HashRing {
         let names: Vec<String> = shards.iter().map(|s| s.endpoint.to_string()).collect();
-        HashRing::new(&names, vnodes)
+        HashRing::new(&names)
     }
 
     /// The current ring (rebuilt on every membership change).
@@ -192,7 +187,7 @@ impl Membership {
             endpoint,
             consecutive_failures: 0,
         });
-        self.ring = Self::build_ring(&self.shards, self.vnodes);
+        self.ring = Self::build_ring(&self.shards);
         true
     }
 
@@ -201,7 +196,7 @@ impl Membership {
         match self.index_of(endpoint) {
             Some(i) => {
                 self.shards.remove(i);
-                self.ring = Self::build_ring(&self.shards, self.vnodes);
+                self.ring = Self::build_ring(&self.shards);
                 true
             }
             None => false,
@@ -245,7 +240,7 @@ mod tests {
 
     #[test]
     fn ring_balances_load() {
-        let ring = HashRing::new(&eps(3), DEFAULT_VNODES);
+        let ring = HashRing::new(&eps(3));
         let mut counts: HashMap<usize, usize> = HashMap::new();
         for key in some_keys(3000) {
             *counts.entry(ring.owner(&key).unwrap()).or_default() += 1;
@@ -261,7 +256,7 @@ mod tests {
 
     #[test]
     fn ring_replicas_are_distinct_and_capped() {
-        let ring = HashRing::new(&eps(3), DEFAULT_VNODES);
+        let ring = HashRing::new(&eps(3));
         for key in some_keys(100) {
             let reps = ring.replicas(&key, 2);
             assert_eq!(reps.len(), 2);
@@ -269,16 +264,14 @@ mod tests {
             // Asking for more replicas than shards caps at the fleet size.
             assert_eq!(ring.replicas(&key, 9).len(), 3);
         }
-        assert!(HashRing::new(&[], DEFAULT_VNODES)
-            .replicas("ab", 2)
-            .is_empty());
+        assert!(HashRing::new(&[]).replicas("ab", 2).is_empty());
     }
 
     #[test]
     fn removal_disrupts_only_the_removed_shards_keys() {
-        let before = HashRing::new(&eps(3), DEFAULT_VNODES);
+        let before = HashRing::new(&eps(3));
         let two: Vec<String> = eps(3).into_iter().take(2).collect();
-        let after = HashRing::new(&two, DEFAULT_VNODES);
+        let after = HashRing::new(&two);
         for key in some_keys(1000) {
             let owner = before.owner(&key).unwrap();
             if owner < 2 {
@@ -294,7 +287,7 @@ mod tests {
     #[test]
     fn membership_health_reorders_replicas() {
         let endpoints: Vec<Endpoint> = eps(3).iter().map(|s| Endpoint::parse(s).unwrap()).collect();
-        let mut m = Membership::new(endpoints, DEFAULT_VNODES);
+        let mut m = Membership::new(endpoints);
         let key = "00112233aabbccdd";
         let orig = m.replicas_for(key, 2);
         assert_eq!(orig.len(), 2);
@@ -314,7 +307,7 @@ mod tests {
     #[test]
     fn membership_add_remove_rebuilds_ring() {
         let endpoints: Vec<Endpoint> = eps(2).iter().map(|s| Endpoint::parse(s).unwrap()).collect();
-        let mut m = Membership::new(endpoints, DEFAULT_VNODES);
+        let mut m = Membership::new(endpoints);
         assert_eq!(m.len(), 2);
         let third = Endpoint::parse("/tmp/shard2.sock").unwrap();
         assert!(m.add(third.clone()));

@@ -72,7 +72,7 @@ pub fn read_frame_within(r: &mut impl Read, max_frame: u32) -> io::Result<Json> 
     Json::parse(&text).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// One item of a [`Request::CompileBatch`].
+/// One `(src, config)` item of a [`Request::Compile`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchItem {
     /// `.pj` source text of this item.
@@ -91,32 +91,35 @@ impl BatchItem {
     }
 }
 
+/// Which of the two wire framings a compile request arrived in, and so
+/// the one its replies leave in (see [`ReplyWriter`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Framing {
+    /// The one-frame `compile` op: one item, answered by one bare reply.
+    Bare,
+    /// The `compile_batch` op: any number of items, each reply wrapped
+    /// in a [`batch_item_response`], closed by a [`batch_done_response`].
+    Envelope,
+}
+
 /// A parsed protocol request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Compile `.pj` source under a configuration (`isl|novec|infl`).
+    /// Compile `.pj` sources under a configuration each. The server
+    /// admits the request as N queue slots, dedups identical `(src,
+    /// config)` items, and answers every item with the frame a request
+    /// of that item alone would get. Enveloped replies *stream* as they
+    /// complete (not in index order — frames carry the item index); one
+    /// failed item degrades to a per-item error, never the request.
     Compile {
-        /// `.pj` source text.
-        src: String,
-        /// Configuration name.
-        config: String,
-        /// Optional caller-chosen request id. A router tags each hedged
-        /// attempt so the losing replica can be cancelled by id.
-        req: Option<String>,
-    },
-    /// Compile a whole batch of ops over one connection. The daemon
-    /// admits the batch as N queue slots, dedups identical `(src,
-    /// config)` items in-batch, and *streams* one [`batch_item_response`]
-    /// frame per item as it completes (not in index order — frames carry
-    /// the item index), closing with one [`batch_done_response`] summary
-    /// frame. One failed item degrades to a per-item error; it never
-    /// fails the batch.
-    CompileBatch {
-        /// The `(src, config)` items, answered per-item by index.
+        /// The items, answered per item by index.
         items: Vec<BatchItem>,
-        /// Optional caller-chosen request id for the whole batch; a
-        /// `cancel` of this id aborts every item still in flight.
+        /// Optional caller-chosen request id; a `cancel` of this id
+        /// aborts every item still in flight (a router tags each hedged
+        /// attempt so the losing replica can be cancelled).
         req: Option<String>,
+        /// The wire framing (a [`Framing::Bare`] request has one item).
+        framing: Framing,
     },
     /// Counter/latency report.
     Stats,
@@ -166,21 +169,37 @@ pub enum Request {
 }
 
 impl Request {
+    /// The one-frame `compile` request of a single item.
+    pub fn compile(src: &str, config: &str, req: Option<String>) -> Request {
+        Request::Compile {
+            items: vec![BatchItem::new(src, config)],
+            req,
+            framing: Framing::Bare,
+        }
+    }
+
+    /// The `compile_batch` request of `items`.
+    pub fn compile_batch(items: Vec<BatchItem>, req: Option<String>) -> Request {
+        Request::Compile {
+            items,
+            req,
+            framing: Framing::Envelope,
+        }
+    }
+
     /// The request as a wire JSON object: `op` first, then the op's
     /// fields, then the optional request id.
     pub fn to_json(&self) -> Json {
         let s = |v: &str| Json::Str(v.to_string());
+        let item = |it: &BatchItem| vec![("src", s(&it.src)), ("config", s(&it.config))];
         let (op, mut fields) = match self {
-            Request::Compile { src, config, .. } => {
-                ("compile", vec![("src", s(src)), ("config", s(config))])
-            }
-            Request::CompileBatch { items, .. } => {
-                let rows = items
-                    .iter()
-                    .map(|it| Json::obj(vec![("src", s(&it.src)), ("config", s(&it.config))]))
-                    .collect();
-                ("compile_batch", vec![("items", Json::Arr(rows))])
-            }
+            Request::Compile { items, framing, .. } => match (framing, items.as_slice()) {
+                (Framing::Bare, [it]) => ("compile", item(it)),
+                _ => {
+                    let rows = items.iter().map(|it| Json::obj(item(it))).collect();
+                    ("compile_batch", vec![("items", Json::Arr(rows))])
+                }
+            },
             Request::Stats => ("stats", vec![]),
             Request::Metrics => ("metrics", vec![]),
             Request::Cancel { req } => ("cancel", vec![("req", s(req))]),
@@ -205,9 +224,7 @@ impl Request {
             Request::Ping => ("ping", vec![]),
             Request::Shutdown => ("shutdown", vec![]),
         };
-        if let Request::Compile { req: Some(id), .. }
-        | Request::CompileBatch { req: Some(id), .. } = self
-        {
+        if let Request::Compile { req: Some(id), .. } = self {
             fields.push(("req", s(id)));
         }
         fields.insert(0, ("op", s(op)));
@@ -220,11 +237,17 @@ impl Request {
     ///
     /// Describes the missing/unknown field.
     pub fn from_json(v: &Json) -> Result<Request, String> {
+        // A missing config defaults to `infl`, in either framing.
+        let item = |row: &Json| -> Result<BatchItem, String> {
+            let config = row.str_field("config").unwrap_or("infl");
+            Ok(BatchItem::new(row.str_field("src")?, config))
+        };
+        let req = v.str_field("req").ok().map(str::to_string);
         match v.str_field("op")? {
             "compile" => Ok(Request::Compile {
-                src: v.str_field("src")?.to_string(),
-                config: v.str_field("config").unwrap_or("infl").to_string(),
-                req: v.str_field("req").ok().map(str::to_string),
+                items: vec![item(v)?],
+                req,
+                framing: Framing::Bare,
             }),
             "compile_batch" => {
                 let rows = v
@@ -234,20 +257,9 @@ impl Request {
                 let items = rows
                     .iter()
                     .enumerate()
-                    .map(|(i, row)| {
-                        Ok(BatchItem {
-                            src: row
-                                .str_field("src")
-                                .map_err(|e| format!("item {i}: {e}"))?
-                                .to_string(),
-                            config: row.str_field("config").unwrap_or("infl").to_string(),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, String>>()?;
-                Ok(Request::CompileBatch {
-                    items,
-                    req: v.str_field("req").ok().map(str::to_string),
-                })
+                    .map(|(i, row)| item(row).map_err(|e| format!("item {i}: {e}")))
+                    .collect::<Result<_, String>>()?;
+                Ok(Request::compile_batch(items, req))
             }
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
@@ -471,12 +483,51 @@ pub fn batch_done_response(items: usize, ok: usize, errors: usize, overloaded: u
     ])
 }
 
-/// The write edge of a compile request — the only place the `compile`
-/// and `compile_batch` ops differ. Every compile is served as a list of
-/// items; a `compile` is a list of one whose reply goes out *bare*,
-/// while a `compile_batch` wraps each reply in a
-/// [`batch_item_response`] and closes with the [`batch_done_response`]
-/// tally. Both the daemon and the router front write through this.
+/// How a reply frame settles. [`Verdict::of`] is the one place a
+/// reply's `status` and `retryable` are read: the router's retry logic,
+/// the [`ReplyWriter`] tally, the daemon's counters, the CLIs and the
+/// bench harness all classify through it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Verdict {
+    /// `ok`: the artifact (or the report asked for).
+    Ok,
+    /// A deterministic `error` (parse/config): the server answered
+    /// definitively; retrying elsewhere would only repeat it.
+    Final,
+    /// `overloaded`: shed by a full queue before any work was done.
+    Overloaded,
+    /// An `error` tagged `"retryable":true` (timeout, cancellation, torn
+    /// transfer) — or a frame with no recognisable status at all.
+    Retryable,
+}
+
+impl Verdict {
+    /// Classifies a reply frame.
+    pub fn of(resp: &Json) -> Verdict {
+        // `retryable` qualifies an error only: an `ok` reply (every
+        // warm hit) is not searched for it.
+        let retryable = || resp.get("retryable").and_then(Json::as_bool) == Some(true);
+        match resp.get("status").and_then(Json::as_str) {
+            Some("ok") => Verdict::Ok,
+            Some("overloaded") => Verdict::Overloaded,
+            Some("error") if !retryable() => Verdict::Final,
+            _ => Verdict::Retryable,
+        }
+    }
+
+    /// Whether another replica (or a later attempt) may still produce
+    /// the real result.
+    pub fn transient(self) -> bool {
+        matches!(self, Verdict::Overloaded | Verdict::Retryable)
+    }
+}
+
+/// The write edge of a compile request — the only place the two
+/// [`Framing`]s differ. Every compile is served as a list of items; a
+/// bare `compile` is a list of one whose reply goes out as-is, while a
+/// `compile_batch` wraps each reply in a [`batch_item_response`] and
+/// closes with the [`batch_done_response`] tally. Both the daemon and
+/// the router front write through this.
 pub struct ReplyWriter<'a, W: Write> {
     out: &'a mut W,
     /// `Some(total)` wraps replies in the item/`batch_done` envelope.
@@ -487,22 +538,14 @@ pub struct ReplyWriter<'a, W: Write> {
 }
 
 impl<'a, W: Write> ReplyWriter<'a, W> {
-    /// The writer for a legacy one-frame `compile`: the single reply is
-    /// written as-is.
-    pub fn bare(out: &'a mut W) -> ReplyWriter<'a, W> {
+    /// The writer for a request of `total` items that arrived in
+    /// `framing`.
+    pub fn new(out: &'a mut W, framing: Framing, total: usize) -> ReplyWriter<'a, W> {
         ReplyWriter {
             out,
-            envelope: None,
+            envelope: (framing == Framing::Envelope).then_some(total),
             tally: [0; 3],
             alive: true,
-        }
-    }
-
-    /// The writer for a `compile_batch` of `total` items.
-    pub fn envelope(out: &'a mut W, total: usize) -> ReplyWriter<'a, W> {
-        ReplyWriter {
-            envelope: Some(total),
-            ..ReplyWriter::bare(out)
         }
     }
 
@@ -514,10 +557,10 @@ impl<'a, W: Write> ReplyWriter<'a, W> {
     /// Writes item `index`'s reply. Returns `false` once the peer is
     /// gone; later writes are then skipped, but still tallied.
     pub fn item(&mut self, index: usize, reply: Json) -> bool {
-        let slot = match reply.str_field("status") {
-            Ok("ok") => 0,
-            Ok("overloaded") => 2,
-            _ => 1,
+        let slot = match Verdict::of(&reply) {
+            Verdict::Ok => 0,
+            Verdict::Overloaded => 2,
+            Verdict::Final | Verdict::Retryable => 1,
         };
         self.tally[slot] += 1;
         let frame = match self.envelope {
@@ -557,12 +600,7 @@ mod tests {
 
     #[test]
     fn frames_roundtrip() {
-        let msg = Request::Compile {
-            src: "kernel k\n".to_string(),
-            config: "infl".to_string(),
-            req: None,
-        }
-        .to_json();
+        let msg = Request::compile("kernel k\n", "infl", None).to_json();
         let mut buf = Vec::new();
         write_frame(&mut buf, &msg).unwrap();
         let back = read_frame(&mut buf.as_slice()).unwrap();
@@ -628,27 +666,19 @@ mod tests {
     }
 
     #[test]
-    fn compile_batch_roundtrips_and_defaults_config() {
-        let req = Request::CompileBatch {
-            items: vec![
-                BatchItem::new("kernel a\n", "isl"),
-                BatchItem::new("kernel b\n", "infl"),
-            ],
-            req: Some("0007.b".to_string()),
-        };
-        assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
+    fn compile_items_default_config_and_name_the_offending_item() {
         // A missing per-item config defaults like a standalone compile.
-        let parsed = Request::from_json(
-            &Json::parse("{\"op\":\"compile_batch\",\"items\":[{\"src\":\"kernel a\\n\"}]}")
-                .unwrap(),
-        )
-        .unwrap();
-        match parsed {
-            Request::CompileBatch { items, req } => {
-                assert_eq!(items, vec![BatchItem::new("kernel a\n", "infl")]);
-                assert!(req.is_none());
+        for frame in [
+            r#"{"op":"compile","src":"kernel a\n"}"#,
+            r#"{"op":"compile_batch","items":[{"src":"kernel a\n"}]}"#,
+        ] {
+            match Request::from_json(&Json::parse(frame).unwrap()).unwrap() {
+                Request::Compile { items, req, .. } => {
+                    assert_eq!(items, vec![BatchItem::new("kernel a\n", "infl")]);
+                    assert!(req.is_none());
+                }
+                other => panic!("parsed {other:?}"),
             }
-            other => panic!("parsed {other:?}"),
         }
         // Structural errors name the offending item.
         let err = Request::from_json(
@@ -684,11 +714,7 @@ mod tests {
     fn router_requests_roundtrip() {
         let payload = Json::obj(vec![("key", Json::Str("ab".into()))]);
         let reqs = vec![
-            Request::Compile {
-                src: "kernel k\n".to_string(),
-                config: "infl".to_string(),
-                req: Some("0007.1.0".to_string()),
-            },
+            Request::compile("kernel k\n", "infl", Some("0007.1.0".to_string())),
             Request::Metrics,
             Request::Cancel {
                 req: "0007.1.1".to_string(),

@@ -38,8 +38,8 @@ use crate::client::{run_leg, scatter, Client, ConnPool, Endpoint};
 use crate::faults::{LegChaos, NetChaos};
 use crate::hash::{fnv1a64, hex_digest};
 use crate::json::Json;
-use crate::membership::{Membership, DEFAULT_VNODES};
-use crate::protocol::{error_response, ok_with, BatchItem, CompileReply};
+use crate::membership::Membership;
+use crate::protocol::{error_response, ok_with, BatchItem, CompileReply, Request, Verdict};
 use crate::service::routing_key;
 use crate::stats::ShardMetrics;
 use polyject_arith::SplitMix64;
@@ -57,8 +57,6 @@ pub struct RouterConfig {
     pub shards: Vec<Endpoint>,
     /// Replication factor for hot keys (and the failover fan-out).
     pub replication: usize,
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: usize,
     /// How long the primary leg runs before a hedge leg is fired.
     pub hedge_after: Duration,
     /// Retry attempts after the first (each walks to the next replica).
@@ -84,7 +82,6 @@ impl Default for RouterConfig {
         RouterConfig {
             shards: Vec::new(),
             replication: 2,
-            vnodes: DEFAULT_VNODES,
             hedge_after: Duration::from_millis(30),
             retries: 3,
             backoff_base: Duration::from_millis(20),
@@ -110,28 +107,6 @@ struct HotKey {
 struct Attempt {
     answer: Option<(Endpoint, Json)>,
     broken: Vec<(Endpoint, String)>,
-}
-
-/// How a shard's reply frame settles.
-enum Verdict {
-    /// `ok`: the artifact.
-    Ok,
-    /// A deterministic `error` (parse/config): the shard answered
-    /// definitively; retrying elsewhere would only repeat it.
-    Final,
-    /// `overloaded`, or an `error` tagged `"retryable":true`: another
-    /// replica (or a later attempt) may still produce the real result.
-    Retry,
-}
-
-/// The one place reply statuses are read.
-fn verdict(resp: &Json) -> Verdict {
-    let retryable = resp.get("retryable").and_then(Json::as_bool) == Some(true);
-    match resp.get("status").and_then(Json::as_str) {
-        Some("ok") => Verdict::Ok,
-        Some("error") if !retryable => Verdict::Final,
-        _ => Verdict::Retry,
-    }
 }
 
 /// The routing front: shard selection, hedging, retry, failover,
@@ -168,7 +143,7 @@ impl Router {
                 ^ INSTANCE_SEQ.fetch_add(1, Ordering::Relaxed),
         )
         .next_u64();
-        let membership = Membership::new(config.shards.clone(), config.vnodes);
+        let membership = Membership::new(config.shards.clone());
         Router {
             config,
             membership: Mutex::new(membership),
@@ -186,11 +161,6 @@ impl Router {
     pub fn with_chaos(mut self, chaos: NetChaos) -> Router {
         self.chaos = Some(Mutex::new(chaos));
         self
-    }
-
-    /// The router's configuration.
-    pub fn config(&self) -> &RouterConfig {
-        &self.config
     }
 
     /// Chaos faults injected so far (0 without an injector).
@@ -232,7 +202,7 @@ impl Router {
     /// The `(key, kind)` of every entry a shard holds; `None` when it
     /// is unreachable.
     fn shard_keys(&self, endpoint: &Endpoint) -> Option<Vec<(String, String)>> {
-        let resp = self.ask(endpoint, Client::keys).ok()?;
+        let resp = self.ask(endpoint, |c| c.request(&Request::Keys)).ok()?;
         let rows = resp.get("keys").and_then(Json::as_arr)?;
         let field = |row: &Json, f: &str| row.str_field(f).map(str::to_string);
         Some(
@@ -412,7 +382,7 @@ impl Router {
     /// `Ok` is the caller's final frame; `Err` says why to try another
     /// replica.
     fn settle(&self, key: &str, by: &Endpoint, resp: Json, rerouted: bool) -> Result<Json, String> {
-        match verdict(&resp) {
+        match Verdict::of(&resp) {
             Verdict::Ok => {
                 self.members().record_success(by);
                 let cached = resp.get("cached").and_then(Json::as_bool) == Some(true);
@@ -429,10 +399,12 @@ impl Router {
                 self.with_metrics(by, |m| m.errors += 1);
                 Ok(resp)
             }
-            Verdict::Retry => {
+            transient => {
                 self.with_metrics(by, |m| m.errors += 1);
-                let status = resp.get("status").and_then(Json::as_str).unwrap_or("");
-                let why = resp.get("message").and_then(Json::as_str).unwrap_or(status);
+                let why = match transient {
+                    Verdict::Overloaded => "overloaded",
+                    _ => resp.str_field("message").unwrap_or("no status"),
+                };
                 Err(format!("{by}: {why}"))
             }
         }
@@ -475,11 +447,11 @@ impl Router {
                 m.requests += 1;
                 m.hedges_fired += u64::from(leg == 1);
             });
-            let (tx, item, req) = (tx.clone(), item.clone(), req_of(leg));
-            let pool = Arc::clone(&self.pool);
+            let tagged = Request::compile(&item.src, &item.config, Some(req_of(leg)));
+            let (tx, pool) = (tx.clone(), Arc::clone(&self.pool));
             std::thread::spawn(move || {
                 let outcome = run_leg(&pool, &endpoint, Some(io_timeout), chaos, |c| {
-                    c.compile_tagged(&item.src, &item.config, &req)
+                    c.request(&tagged)
                 });
                 let _ = tx.send((leg, outcome));
             });
@@ -530,7 +502,7 @@ impl Router {
                     // real result.
                     let other = 1 - leg;
                     let in_flight = other < spawned && !broken.iter().any(|(l, _)| *l == other);
-                    if in_flight && !matches!(verdict(&resp), Verdict::Retry) {
+                    if in_flight && !Verdict::of(&resp).transient() {
                         let loser = &legs[other].0;
                         if self.cancel_on(loser, &req_of(other)) {
                             self.with_metrics(loser, |m| m.hedge_cancels += 1);
@@ -564,7 +536,10 @@ impl Router {
     /// Best-effort cancel of `req` on `endpoint`; true when the daemon
     /// found and tripped an in-flight solve.
     fn cancel_on(&self, endpoint: &Endpoint, req: &str) -> bool {
-        self.ask(endpoint, |c| c.cancel(req))
+        let cancel = Request::Cancel {
+            req: req.to_string(),
+        };
+        self.ask(endpoint, |c| c.request(&cancel))
             .is_ok_and(|resp| resp.get("cancelled").and_then(Json::as_bool) == Some(true))
     }
 
@@ -629,9 +604,14 @@ impl Router {
             .chaos
             .as_ref()
             .and_then(|c| c.lock().expect("chaos lock").torn_transfer(payload));
-        let sent = torn.unwrap_or_else(|| payload.clone());
+        let push = Request::Transfer {
+            key: key.to_string(),
+            kind: kind.to_string(),
+            payload: torn.unwrap_or_else(|| payload.clone()),
+            checksum: checksum.to_string(),
+        };
         let resp = self
-            .ask(target, |c| c.transfer(key, kind, sent.clone(), checksum))
+            .ask(target, |c| c.request(&push))
             .map_err(|e| e.to_string())?;
         Ok(resp.get("stored").and_then(Json::as_bool) == Some(true))
     }
@@ -714,7 +694,12 @@ impl Router {
         key: &str,
         kind: &str,
     ) -> Result<bool, String> {
-        let fetched = self.ask(src, |c| c.fetch(key)).map_err(|e| e.to_string())?;
+        let fetch = Request::Fetch {
+            key: key.to_string(),
+        };
+        let fetched = self
+            .ask(src, |c| c.request(&fetch))
+            .map_err(|e| e.to_string())?;
         if fetched.get("found").and_then(Json::as_bool) != Some(true) {
             return Err(format!("{src} no longer holds {key}"));
         }

@@ -37,8 +37,13 @@ use std::time::Instant;
 pub const KEY_VERSION: u64 = 3;
 
 /// Resolves a configuration name (`isl|novec|infl`) to a [`Config`].
-pub fn config_by_name(name: &str) -> Option<Config> {
-    Config::all().into_iter().find(|c| c.name() == name)
+///
+/// # Errors
+///
+/// The message every front door reports for an unknown name.
+pub fn config_by_name(name: &str) -> Result<Config, String> {
+    let found = Config::all().into_iter().find(|c| c.name() == name);
+    found.ok_or_else(|| format!("unknown config {name:?} (expected isl|novec|infl)"))
 }
 
 fn write_f64_fields(h: &mut Fnv64, values: &[f64]) {
@@ -147,53 +152,20 @@ pub fn cache_key_with_options(
 ///
 /// Returns parse, unknown-config, and scheduling failures as strings.
 pub fn compile_reply(src: &str, config_name: &str, gpu: &GpuModel) -> Result<CompileReply, String> {
-    compile_reply_with_budget(src, config_name, gpu, &Budget::unlimited())
-}
-
-/// [`compile_reply`] under a cooperative [`Budget`]: scheduling degrades
-/// to an uninfluenced schedule on exhaustion (counted in the reply's
-/// `solver.degraded_solves`) and aborts with an error on cancellation.
-///
-/// # Errors
-///
-/// Parse, unknown-config, scheduling, and cancellation failures as
-/// strings.
-pub fn compile_reply_with_budget(
-    src: &str,
-    config_name: &str,
-    gpu: &GpuModel,
-    budget: &Budget,
-) -> Result<CompileReply, String> {
-    compile_reply_with_options(src, config_name, gpu, budget, &CompileOptions::default())
-}
-
-/// [`compile_reply_with_budget`] under explicit [`CompileOptions`] — the
-/// path tuned requests take: the reply's cache key folds the options, so
-/// tuned artifacts never collide with the default compile's entry.
-///
-/// # Errors
-///
-/// Parse, unknown-config, scheduling, and cancellation failures as
-/// strings.
-pub fn compile_reply_with_options(
-    src: &str,
-    config_name: &str,
-    gpu: &GpuModel,
-    budget: &Budget,
-    opts: &CompileOptions,
-) -> Result<CompileReply, String> {
-    let config = config_by_name(config_name)
-        .ok_or_else(|| format!("unknown config {config_name:?} (expected isl|novec|infl)"))?;
+    let config = config_by_name(config_name)?;
     let kernel = polyject_front::parse(src).map_err(|e| e.to_string())?;
     let canonical = polyject_front::emit_pj(&kernel)?;
     let open = || Ok(Arc::new(CompileSession::new(&kernel)));
-    session_reply(open, canonical, config, gpu, budget, opts)
+    let (budget, opts) = (Budget::unlimited(), CompileOptions::default());
+    session_reply(open, canonical, config, gpu, &budget, &opts)
 }
 
 /// Compiles through the [`CompileSession`] that `open` yields and renders
 /// every artifact into the [`CompileReply`] cache payload — the one body
-/// behind a one-shot [`compile_reply_with_options`] and a
-/// [`CompileService`] request served from its warm pool.
+/// behind a one-shot [`compile_reply`] and a [`CompileService`] request
+/// served from its warm pool (under a budget, and the tuned options when
+/// a tuning is persisted: the key folds them, so tuned artifacts never
+/// collide with the default compile's entry).
 fn session_reply(
     open: impl FnOnce() -> Result<Arc<CompileSession>, String>,
     canonical: String,
@@ -435,8 +407,7 @@ impl CompileService {
         config_name: &str,
         budget: &Budget,
     ) -> Result<(CompileReply, Served), String> {
-        let config = config_by_name(config_name)
-            .ok_or_else(|| format!("unknown config {config_name:?} (expected isl|novec|infl)"))?;
+        let config = config_by_name(config_name)?;
         let canonical = polyject_front::canonical_pj(src)?;
 
         // A persisted tuned configuration redirects the request: the
@@ -451,8 +422,10 @@ impl CompileService {
         let opts = tuned_opts.unwrap_or_default();
         let key = cache_key_with_options(&canonical, config.name(), &self.gpu, &opts);
 
-        // The hot tier answers before any disk I/O, so a fault-injected
-        // (or dead) disk never stalls a hot key.
+        // The hot tier answers before any cache *read* — the tuned probe
+        // above costs an index lookup and, for a key this process never
+        // wrote, one `stat` — so a fault-injected (or dead) disk never
+        // stalls a hot key.
         if let Some(reply) = self.hot_get(&key) {
             return Ok((reply, Served::Hit));
         }

@@ -197,9 +197,11 @@ pub fn decode_tuned(j: &Json) -> Result<TunedConfig, String> {
 
 /// The tuned configuration persisted at `key`, if a decodable one is
 /// there: a wrong-kind or undecodable entry (an older format version,
-/// debris) is a miss, and the next complete search overwrites it.
+/// debris) is a miss, and the next complete search overwrites it. Most
+/// kernels are never tuned, so the entry is read only once
+/// [`crate::DiskCache::contains`] has seen it: an absent one is no cache miss.
 pub(crate) fn load_tuned(svc: &CompileService, key: &str) -> Option<TunedConfig> {
-    svc.with_cache(|c| c.get(key))
+    svc.with_cache(|c| c.contains(key).then(|| c.get(key)).flatten())
         .flatten()
         .filter(|(kind, _)| kind == TUNED_KIND)
         .and_then(|(_, payload)| decode_tuned(&payload).ok())
@@ -305,12 +307,7 @@ pub fn batch_reports(
     let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
     for job in jobs {
         let prepared = (|| -> Result<Slot, String> {
-            let config = config_by_name(&job.config_name).ok_or_else(|| {
-                format!(
-                    "unknown config {:?} (expected isl|novec|infl)",
-                    job.config_name
-                )
-            })?;
+            let config = config_by_name(&job.config_name)?;
             let canonical = polyject_front::canonical_pj(&job.src)?;
             let key = tuned_key(&canonical, config.name(), svc.gpu());
             if let Some(tuned) = load_tuned(svc, &key) {
@@ -507,6 +504,24 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert!(warm.cached, "second run replays with zero search");
         assert_eq!(warm.tuned, cold.tuned);
         assert_eq!(warm.key, cold.key);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn absent_tuned_entry_is_no_cache_miss_and_a_foreign_one_is_found() {
+        let (svc, dir) = fresh_service("probe");
+        for _ in 0..3 {
+            svc.serve(SRC, "infl").unwrap();
+        }
+        let misses = svc.with_cache(|c| c.stats().misses).unwrap();
+        assert_eq!(misses, 1, "one fresh compile, two hits, no tuned probe");
+        // Another process sharing the directory tunes the kernel: this
+        // one's index has never seen that entry, and still finds it.
+        let other = DiskCache::open_default(&dir).unwrap();
+        let other = CompileService::new(Some(other), GpuModel::v100());
+        tune_cached(&other, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
+        svc.serve(SRC, "infl").unwrap();
+        assert_eq!(svc.governance().tuned_applied, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -7,7 +7,7 @@
 
 use polyject_front::emit_pj;
 use polyject_gpusim::GpuModel;
-use polyject_serve::{compile_reply, BatchItem, Client, Endpoint, Json};
+use polyject_serve::{compile_reply, BatchItem, Client, Endpoint, Json, Request};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::Arc;
@@ -353,7 +353,13 @@ fn single_compile_is_a_batch_of_one() {
                 let mut c = Client::connect(&endpoint).unwrap();
                 loop {
                     // Shed only if it raced a probe for the slot: retry.
-                    let resp = c.compile_tagged(&slow_src(), "infl", "occupy").unwrap();
+                    let resp = c
+                        .request(&Request::compile(
+                            &slow_src(),
+                            "infl",
+                            Some("occupy".into()),
+                        ))
+                        .unwrap();
                     if resp.str_field("status") != Ok("overloaded") {
                         break resp;
                     }
@@ -372,7 +378,11 @@ fn single_compile_is_a_batch_of_one() {
             std::thread::sleep(Duration::from_millis(5));
         };
         cases.push(overloaded);
-        let cancelled = client.cancel("occupy").unwrap();
+        let cancelled = client
+            .request(&Request::Cancel {
+                req: "occupy".into(),
+            })
+            .unwrap();
         assert_eq!(cancelled.get("cancelled"), Some(&Json::Bool(true)));
         let aborted = occupier.join().unwrap();
         assert_eq!(aborted.get("retryable"), Some(&Json::Bool(true)));

@@ -20,11 +20,17 @@
 use polyject_gpusim::GpuModel;
 use polyject_serve::hash::hex_digest;
 use polyject_serve::service::compile_reply;
-use polyject_serve::{BatchItem, Client, Endpoint, Json, NetChaos, Router, RouterConfig};
+use polyject_serve::{BatchItem, Client, Endpoint, Json, NetChaos, Request, Router, RouterConfig};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
+
+fn fetch(key: &str) -> Request {
+    Request::Fetch {
+        key: key.to_string(),
+    }
+}
 
 struct Daemon {
     child: Child,
@@ -263,14 +269,14 @@ fn multi_node_chaos_serves_zero_corrupt_artifacts() {
     for d in &daemons {
         let mut c = Client::connect(&d.endpoint).unwrap();
         c.set_timeout(Some(Duration::from_secs(10))).unwrap();
-        let keys = c.keys().unwrap();
+        let keys = c.request(&Request::Keys).unwrap();
         for row in keys.get("keys").and_then(Json::as_arr).unwrap() {
             let key = row.str_field("key").unwrap();
             // Reads go through the fault injector too: retry a few
             // times so a transient injected fault is not mistaken for a
             // missing entry.
             for _ in 0..10 {
-                let fetched = c.fetch(key).unwrap();
+                let fetched = c.request(&fetch(key)).unwrap();
                 if fetched.get("found").and_then(Json::as_bool) != Some(true) {
                     continue;
                 }
@@ -942,7 +948,7 @@ fn torn_warm_transfer_is_rejected_then_resumed() {
     assert!(failed >= 1, "the torn transfer was not even attempted");
     let mut c = Client::connect(&target.endpoint).unwrap();
     c.set_timeout(Some(Duration::from_secs(10))).unwrap();
-    let fetched = c.fetch(&key).unwrap();
+    let fetched = c.request(&fetch(&key)).unwrap();
     assert_eq!(
         fetched.get("found").and_then(Json::as_bool),
         Some(false),
@@ -965,7 +971,7 @@ fn torn_warm_transfer_is_rejected_then_resumed() {
     let (moved, _, failed) = router.rebalance();
     assert!(moved >= 1, "rebalance did not resume the failed transfer");
     assert_eq!(failed, 0);
-    let fetched = c.fetch(&key).unwrap();
+    let fetched = c.request(&fetch(&key)).unwrap();
     assert_eq!(fetched.get("found").and_then(Json::as_bool), Some(true));
     let payload = fetched.get("payload").unwrap();
     assert_eq!(

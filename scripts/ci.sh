@@ -4,7 +4,8 @@
 # an offline build of the standalone benchmark package,
 # a <10 s Table II smoke run (LSTM subset, serial vs parallel identity +
 # BENCH JSON emission + per-op CSV byte-identical to a checked-in
-# golden), a seeded fault-injection chaos gate, a
+# golden, then the same CSV gate over all 217 ops of the full table), a
+# seeded fault-injection chaos gate, a
 # budget-exhaustion/cancellation smoke, a cold-vs-warm schedule-cache
 # round-trip, an autotune smoke (same-seed searches byte-identical, warm
 # re-runs replay persisted configs with zero search, candidates 2..N of
@@ -138,6 +139,13 @@ echo "ok: i64 fast path engaged, overflow escalations under 1%"
 cargo run --release -q -p polyject-bench --bin table2 -- \
   --fast --serial --csv 2>/dev/null | diff scripts/table2_fast.golden.csv -
 echo "ok: table2 --fast --csv byte-identical to the checked-in golden"
+# The same gate over the whole population (7 networks, 217 rows, 114
+# unique ops, ~3 s): the --fast subset is 4 LSTM ops, and a scheduler
+# change can pass it while moving an op it never compiles. Same
+# re-record rule, scripts/table2_full.golden.csv.
+cargo run --release -q -p polyject-bench --bin table2 -- \
+  --serial --csv 2>/dev/null | diff scripts/table2_full.golden.csv -
+echo "ok: table2 --csv (all 217 ops) byte-identical to the checked-in golden"
 
 step "schedule-cache round-trip (table2 --fast --cache-bench)"
 cache_json="$scratch/cache_bench.json"
@@ -316,10 +324,15 @@ print(f"   fleet totals: batch_requests {t['batch_requests']}, "
       f"batch_items {t['batch_items']}, batch_dedup_hits {t['batch_dedup_hits']}")
 EOF
 echo "ok: polyjectc --batch via router (1 round trip), fleet stats aggregated"
-# The owner is the only shard that compiled (sole cache miss); kill it hard.
+# The owner is the only shard that compiled (sole miss); kill it hard.
+# `stats --remote` prints the fleet schema for one endpoint as for three.
+shard_stat() { python3 -c '
+import json, sys
+print(json.load(open(sys.argv[1]))["per_shard"][0]["stats"][sys.argv[2]])' "$@"; }
 owner=""
 for i in 0 1 2; do
-  if pjcache stats --remote "$scratch/shard$i.sock" | grep -q '"misses":1'; then
+  pjcache stats --remote "$scratch/shard$i.sock" > "$scratch/shard$i-stats.json"
+  if [ "$(shard_stat "$scratch/shard$i-stats.json" misses)" = 1 ]; then
     owner=$i
   fi
 done
@@ -338,14 +351,16 @@ done
 python3 - "$scratch" "$owner" <<'EOF'
 import json, sys
 scratch, owner = sys.argv[1], sys.argv[2]
-router = json.load(open(f"{scratch}/router-stats.json"))
+fleet = json.load(open(f"{scratch}/router-stats.json"))
+assert fleet["status"] == "ok" and fleet["reachable"] == 1, fleet
+router = fleet["per_shard"][0]
 assert sum(s["failovers"] for s in router["shards"]) >= 1, router
 assert sum(s["cache_hits"] for s in router["shards"]) >= 1, router
 warm = 0
 for i in "012":
     if i == owner:
         continue
-    s = json.load(open(f"{scratch}/shard{i}-stats.json"))["stats"]
+    s = json.load(open(f"{scratch}/shard{i}-stats.json"))["per_shard"][0]["stats"]
     if s["hits"] >= 1 and s["misses"] == 0:
         warm += 1
 assert warm >= 1, "no survivor served the key warm with zero solver work"
@@ -354,6 +369,9 @@ EOF
 # The SIGKILLed owner's cache dir must still verify clean (atomic writes).
 pjcache "$scratch/shard$owner-cache" verify
 echo "ok: cold compile via router, owner killed, warm hit via replica; dead shard's cache intact"
+
+step "size gate (ROADMAP item 1): crates/serve/src line count"
+echo "crates/serve/src: $(find crates/serve/src -name '*.rs' -print0 | xargs -0 cat | wc -l) lines"
 
 echo
 echo "CI gate passed."
