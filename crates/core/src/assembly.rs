@@ -2,9 +2,10 @@
 //!
 //! Farkas linearization ([`validity_constraints`] / [`bounding_constraints`])
 //! and redundancy reduction ([`polyject_sets::try_remove_redundant`]) are
-//! pure functions — of the (relation, layout) pair and of the linearized
-//! system respectively. They are also the whole cost of the assemble
-//! phase, and they are recomputed far more often than their inputs change:
+//! pure functions — of the relation as it reads in its own compact space
+//! (its one or two statement blocks, see [`linearized_reduced`]) and of
+//! the linearized system respectively. They are also the whole cost of the
+//! assemble phase, and are recomputed far more often than their inputs change:
 //! one operator is compiled under several configurations (isl baseline,
 //! no-vector, influenced, plus every fused sub-kernel) over the *same*
 //! kernel and dependences, and the scheduler's backtracking ladder
@@ -31,7 +32,7 @@
 
 use crate::builders::{bounding_constraints, validity_constraints};
 use crate::layout::CoeffLayout;
-use polyject_deps::{DepKind, DepRelation};
+use polyject_deps::DepRelation;
 use polyject_ir::StmtId;
 use polyject_sets::{Budget, BudgetError, ConstraintSet};
 use std::cell::RefCell;
@@ -45,33 +46,36 @@ pub(crate) enum Form {
     Bounding,
 }
 
-/// Everything the linearized form depends on, captured for deep equality.
-/// `tensor` is deliberately excluded: it is provenance, not geometry —
-/// relations differing only by tensor linearize identically.
+/// Everything the linearized form depends on, captured for deep equality:
+/// the relation as it reads in its own compact space (see
+/// [`linearized_reduced`]) — `rel.source`/`rel.target` are positions in
+/// that space, not kernel statement ids, so the identically shaped
+/// relations of a fusion chain share one entry. `rel.tensor` is
+/// deliberately not compared: it is provenance, not geometry — relations
+/// differing only by tensor linearize identically.
 struct LinKey {
     form: Form,
-    source: StmtId,
-    target: StmtId,
-    kind: DepKind,
-    n_source_iters: usize,
-    n_target_iters: usize,
-    n_params: usize,
-    level: Option<usize>,
-    set: ConstraintSet,
+    rel: DepRelation,
     layout: CoeffLayout,
 }
 
 impl LinKey {
-    fn matches(&self, form: Form, rel: &DepRelation, layout: &CoeffLayout) -> bool {
+    fn matches(
+        &self,
+        form: Form,
+        (source, target): (StmtId, StmtId),
+        rel: &DepRelation,
+        layout: &CoeffLayout,
+    ) -> bool {
         self.form == form
-            && self.source == rel.source
-            && self.target == rel.target
-            && self.kind == rel.kind
-            && self.n_source_iters == rel.n_source_iters
-            && self.n_target_iters == rel.n_target_iters
-            && self.n_params == rel.n_params
-            && self.level == rel.level
-            && self.set == rel.set
+            && self.rel.source == source
+            && self.rel.target == target
+            && self.rel.kind == rel.kind
+            && self.rel.n_source_iters == rel.n_source_iters
+            && self.rel.n_target_iters == rel.n_target_iters
+            && self.rel.n_params == rel.n_params
+            && self.rel.level == rel.level
+            && self.rel.set == rel.set
             && self.layout == *layout
     }
 }
@@ -110,7 +114,7 @@ pub fn clear_caches() {
 /// Fingerprint of a linearization key: the relation set's fingerprint
 /// mixed with the form tag and the cheap scalar fields (the layout is
 /// covered by the deep check; collisions only cost a deep compare).
-fn lin_fp(form: Form, rel: &DepRelation) -> u64 {
+fn lin_fp(form: Form, (source, target): (StmtId, StmtId), rel: &DepRelation) -> u64 {
     let tag: u64 = match form {
         Form::Validity => 0x9e37_79b9_7f4a_7c15,
         Form::Bounding => 0xc2b2_ae3d_27d4_eb4f,
@@ -120,14 +124,21 @@ fn lin_fp(form: Form, rel: &DepRelation) -> u64 {
         .wrapping_mul(0x100_0000_01b3)
         .rotate_left(17)
         ^ tag
-        ^ ((rel.source.0 as u64) << 32 | rel.target.0 as u64)
+        ^ ((source.0 as u64) << 32 | target.0 as u64)
         ^ ((rel.n_source_iters as u64) << 48)
         ^ ((rel.n_target_iters as u64) << 40)
 }
 
-/// The linearized, redundancy-reduced constraint system of one relation:
-/// served from the thread-local caches when this (relation, layout) pair
-/// has been assembled before on this thread.
+/// The linearized, redundancy-reduced constraint system of one relation
+/// over `layout`.
+///
+/// A relation touches the blocks of its one or two statements and `u…, w`,
+/// however many statements the kernel has, so it is linearized and reduced
+/// in that compact space — statements ascending, source and target
+/// renumbered to their positions in it — and the reduced rows are then
+/// embedded into `layout`. Both steps are served from the thread-local
+/// caches when this compact form has been assembled before on this
+/// thread, whichever statements of whichever kernel it came from.
 ///
 /// # Errors
 ///
@@ -139,20 +150,35 @@ pub(crate) fn linearized_reduced(
     layout: &CoeffLayout,
     budget: &Budget,
 ) -> Result<ConstraintSet, BudgetError> {
-    let fp = lin_fp(form, rel);
+    let pair = [rel.source.min(rel.target), rel.source.max(rel.target)];
+    let lo = pair[0];
+    let stmts = if rel.source == rel.target {
+        &pair[..1]
+    } else {
+        &pair[..]
+    };
+    let compact = layout.compact(stmts);
+    let at = |s: StmtId| StmtId(usize::from(s != lo));
+    let ends = (at(rel.source), at(rel.target));
+    let fp = lin_fp(form, ends, rel);
     let hit = LIN_CACHE.with(|c| {
         c.borrow()
             .iter()
-            .find(|e| e.fp == fp && e.key.matches(form, rel, layout))
+            .find(|e| e.fp == fp && e.key.matches(form, ends, rel, &compact))
             .map(|e| e.out.clone())
     });
     let cs = match hit {
         Some(cs) => cs,
         None => {
             polyject_sets::counters::note_farkas_linearization(1);
+            let local = DepRelation {
+                source: ends.0,
+                target: ends.1,
+                ..rel.clone()
+            };
             let cs = match form {
-                Form::Validity => validity_constraints([rel], layout),
-                Form::Bounding => bounding_constraints([rel], layout),
+                Form::Validity => validity_constraints([&local], &compact),
+                Form::Bounding => bounding_constraints([&local], &compact),
             };
             LIN_CACHE.with(|c| {
                 let mut c = c.borrow_mut();
@@ -163,15 +189,8 @@ pub(crate) fn linearized_reduced(
                     fp,
                     key: LinKey {
                         form,
-                        source: rel.source,
-                        target: rel.target,
-                        kind: rel.kind,
-                        n_source_iters: rel.n_source_iters,
-                        n_target_iters: rel.n_target_iters,
-                        n_params: rel.n_params,
-                        level: rel.level,
-                        set: rel.set.clone(),
-                        layout: layout.clone(),
+                        rel: local,
+                        layout: compact,
                     },
                     out: cs.clone(),
                 });
@@ -179,7 +198,7 @@ pub(crate) fn linearized_reduced(
             cs
         }
     };
-    reduced(cs, budget)
+    Ok(layout.embed(stmts, reduced(cs, budget)?))
 }
 
 /// Memoized `remove_redundant`: identical systems reduce identically, so
@@ -260,5 +279,110 @@ mod tests {
         let v = linearized_reduced(Form::Validity, rel, &layout, &budget).unwrap();
         let b = linearized_reduced(Form::Bounding, rel, &layout, &budget).unwrap();
         assert_ne!(v, b, "validity and bounding forms differ");
+    }
+
+    /// The relation with source and target swapped (and the two iterator
+    /// blocks of its set with them): a well-formed backward pair, which
+    /// program-ordered workload kernels never produce on their own.
+    fn mirrored(rel: &DepRelation) -> DepRelation {
+        let (a, b) = (rel.n_source_iters, rel.n_target_iters);
+        let old_of = |j: usize| match j {
+            j if j < b => a + j,
+            j if j < a + b => j - b,
+            j => j,
+        };
+        let rows = rel.set.constraints().iter().map(|c| {
+            let coeffs = (0..rel.n_vars())
+                .map(|j| c.expr().coeff(old_of(j)))
+                .collect();
+            let e = polyject_sets::LinExpr::from_rat_coeffs(coeffs, c.expr().constant_term());
+            match c.is_equality() {
+                true => polyject_sets::Constraint::eq0(e),
+                false => polyject_sets::Constraint::ge0(e),
+            }
+        });
+        DepRelation {
+            source: rel.target,
+            target: rel.source,
+            n_source_iters: b,
+            n_target_iters: a,
+            set: ConstraintSet::from_constraints(rel.n_vars(), rows),
+            ..rel.clone()
+        }
+    }
+
+    #[test]
+    fn compact_space_describes_the_full_space_polyhedron() {
+        // Relations drawn by PRNG from kernels of one to five statements:
+        // what comes back from the compact space, embedded, and the
+        // builders' own full-space system imply each other row by row.
+        let mut g = polyject_arith::SplitMix64::new(0x1EA2_C0DE);
+        let budget = Budget::unlimited();
+        let (mut selfs, mut backward, mut forward) = (0, 0, 0);
+        for kernel in [
+            ops::running_example(8),
+            ops::layernorm_like(6, 8),
+            ops::softmax_like(4, 6),
+            ops::reduce_rows(5, 7),
+            ops::elementwise_chain(24, 5),
+        ] {
+            let deps = compute_dependences(&kernel, DepOptions::default());
+            let layout = CoeffLayout::new(&kernel);
+            let rels = deps.relations();
+            for _ in 0..5 {
+                let rel = &rels[g.below(rels.len())];
+                let rel = match rel.source == rel.target {
+                    true => rel.clone(),
+                    false if g.below(2) == 0 => mirrored(rel),
+                    false => rel.clone(),
+                };
+                match rel.source.cmp(&rel.target) {
+                    std::cmp::Ordering::Equal => selfs += 1,
+                    std::cmp::Ordering::Greater => backward += 1,
+                    std::cmp::Ordering::Less => forward += 1,
+                }
+                for form in [Form::Validity, Form::Bounding] {
+                    let ours = linearized_reduced(form, &rel, &layout, &budget).unwrap();
+                    let full = match form {
+                        Form::Validity => validity_constraints([&rel], &layout),
+                        Form::Bounding => bounding_constraints([&rel], &layout),
+                    };
+                    assert_eq!(ours.n_vars(), layout.n_vars());
+                    assert!(
+                        polyject_sets::set_eq(&ours, &full),
+                        "{}: S{} -> S{}\ncompact {ours:?}\nfull {full:?}",
+                        kernel.name(),
+                        rel.source.0,
+                        rel.target.0
+                    );
+                }
+            }
+        }
+        assert!(
+            selfs > 0 && backward > 0 && forward > 0,
+            "draws missed a shape: {selfs} self, {backward} backward, {forward} forward"
+        );
+    }
+
+    #[test]
+    fn chain_relations_share_one_linearization() {
+        // Twelve producer→consumer relations between thirteen different
+        // statement pairs, one shape: one Farkas elimination and one
+        // redundancy pass per form serve them all.
+        let kernel = ops::elementwise_chain(393_216, 13);
+        let deps = compute_dependences(&kernel, DepOptions::default());
+        let layout = CoeffLayout::new(&kernel);
+        let budget = Budget::unlimited();
+        assert_eq!(deps.validity().count(), 12);
+        clear_caches();
+        for form in [Form::Validity, Form::Bounding] {
+            let before = counters::snapshot();
+            for rel in deps.validity() {
+                linearized_reduced(form, rel, &layout, &budget).unwrap();
+            }
+            let d = counters::snapshot().delta_since(&before);
+            assert_eq!(d.farkas_linearizations, 1, "{d:?}");
+            assert_eq!(d.redundancy_checks, 1, "{d:?}");
+        }
     }
 }

@@ -12,7 +12,7 @@
 //! `φ_{S,d}(i, p) = c_iter·i + c_param·p + c_const`.
 
 use polyject_ir::{Kernel, StmtId};
-use polyject_sets::LinExpr;
+use polyject_sets::{ConstraintSet, LinExpr};
 
 /// Describes where each unknown of the per-dimension ILP lives.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -41,6 +41,44 @@ impl CoeffLayout {
             stmt_iters,
             total: off,
         }
+    }
+
+    /// The compact layout of `stmts` (ascending, distinct): `u…, w` and
+    /// those statements' blocks alone, renumbered `0..` in that order. A
+    /// dependence relation touches one or two blocks however many the
+    /// kernel has, so its systems are built here and [`embed`]ded.
+    ///
+    /// [`embed`]: CoeffLayout::embed
+    pub(crate) fn compact(&self, stmts: &[StmtId]) -> CoeffLayout {
+        let mut off = self.n_params + 1;
+        let mut stmt_offsets = Vec::with_capacity(stmts.len());
+        for &s in stmts {
+            stmt_offsets.push(off);
+            off += self.stmt_vars(s).len();
+        }
+        CoeffLayout {
+            n_params: self.n_params,
+            stmt_offsets,
+            stmt_iters: stmts.iter().map(|&s| self.n_iters(s)).collect(),
+            total: off,
+        }
+    }
+
+    /// Embeds a system over [`compact`](CoeffLayout::compact)`(stmts)`
+    /// into this layout, row for row: every unknown keeps its relative
+    /// position (the embedding is monotone) and the blocks of all other
+    /// statements are zero columns.
+    pub(crate) fn embed(&self, stmts: &[StmtId], mut cs: ConstraintSet) -> ConstraintSet {
+        // `at` is the first index not yet aligned with this layout.
+        let mut at = self.n_params + 1;
+        let blocks = stmts.iter().map(|&s| self.stmt_vars(s));
+        for block in blocks.chain(std::iter::once(self.total..self.total)) {
+            if block.start > at {
+                cs = cs.with_vars_inserted(at, block.start - at);
+            }
+            at = block.end;
+        }
+        cs
     }
 
     /// Total number of ILP unknowns.

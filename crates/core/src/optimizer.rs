@@ -13,7 +13,7 @@ use crate::layout::CoeffLayout;
 use crate::tree::InfluenceTree;
 use polyject_ir::{Kernel, Statement, StmtId};
 use polyject_sets::{Constraint, ConstraintSet, LinExpr};
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 /// Options of the influence optimizer (the paper's tuned configuration by
 /// default).
@@ -347,8 +347,11 @@ fn add_branch(
 }
 
 /// Fusion influence: equate, at this depth, the coefficients of same-named
-/// iterators (plus parameter coefficients and the constant) across every
-/// pair of statements deep enough to have this dimension.
+/// iterators (plus parameter coefficients and the constant) across the
+/// statements deep enough to have this dimension. Each class of unknowns
+/// is equated as a star on the first such statement carrying it — a
+/// spanning tree of the class, so S statements cost S−1 rows per class
+/// for the same affine subspace all S(S−1)/2 pairs describe.
 fn add_fusion_constraints(
     cs: &mut ConstraintSet,
     kernel: &Kernel,
@@ -356,28 +359,33 @@ fn add_fusion_constraints(
     depth: usize,
 ) {
     let n = layout.n_vars();
-    let stmts = kernel.statements();
-    for a in 0..stmts.len() {
-        for b in a + 1..stmts.len() {
-            if depth >= stmts[a].n_iters() || depth >= stmts[b].n_iters() {
-                continue;
-            }
-            for (ia, name) in stmts[a].iters().iter().enumerate() {
-                if let Some(ib) = stmts[b].iters().iter().position(|x| x == name) {
-                    let ea = LinExpr::var(n, layout.iter_coeff(StmtId(a), ia));
-                    let eb = LinExpr::var(n, layout.iter_coeff(StmtId(b), ib));
-                    cs.add(Constraint::eq(&ea, &eb));
+    let mut equate = |hub: usize, v: usize| {
+        cs.add(Constraint::eq(&LinExpr::var(n, hub), &LinExpr::var(n, v)));
+    };
+    let mut iter_hubs: BTreeMap<&str, usize> = BTreeMap::new();
+    let mut first: Option<StmtId> = None;
+    for (s, stmt) in kernel.statements().iter().enumerate() {
+        if depth >= stmt.n_iters() {
+            continue;
+        }
+        let sid = StmtId(s);
+        for (i, name) in stmt.iters().iter().enumerate() {
+            let v = layout.iter_coeff(sid, i);
+            match iter_hubs.entry(name.as_str()) {
+                Entry::Occupied(hub) => equate(*hub.get(), v),
+                Entry::Vacant(slot) => {
+                    slot.insert(v);
                 }
             }
-            for p in 0..layout.n_params() {
-                let ea = LinExpr::var(n, layout.param_coeff(StmtId(a), p));
-                let eb = LinExpr::var(n, layout.param_coeff(StmtId(b), p));
-                cs.add(Constraint::eq(&ea, &eb));
-            }
-            let ea = LinExpr::var(n, layout.const_coeff(StmtId(a)));
-            let eb = LinExpr::var(n, layout.const_coeff(StmtId(b)));
-            cs.add(Constraint::eq(&ea, &eb));
         }
+        let Some(hub) = first else {
+            first = Some(sid);
+            continue;
+        };
+        for p in 0..layout.n_params() {
+            equate(layout.param_coeff(hub, p), layout.param_coeff(sid, p));
+        }
+        equate(layout.const_coeff(hub), layout.const_coeff(sid));
     }
 }
 
@@ -526,5 +534,121 @@ mod tests {
             .iter()
             .filter(|s| s.dims.len() == 1)
             .all(|s| s.vectorizable));
+    }
+
+    /// The all-pairs description the star replaced, kept as the reference
+    /// the star is compared against.
+    fn all_pairs_fusion(kernel: &Kernel, layout: &CoeffLayout, depth: usize) -> ConstraintSet {
+        let n = layout.n_vars();
+        let mut cs = ConstraintSet::universe(n);
+        let mut equate = |a: usize, b: usize| {
+            cs.add(Constraint::eq(&LinExpr::var(n, a), &LinExpr::var(n, b)));
+        };
+        let stmts = kernel.statements();
+        for a in 0..stmts.len() {
+            for b in a + 1..stmts.len() {
+                if depth >= stmts[a].n_iters() || depth >= stmts[b].n_iters() {
+                    continue;
+                }
+                for (ia, name) in stmts[a].iters().iter().enumerate() {
+                    if let Some(ib) = stmts[b].iters().iter().position(|x| x == name) {
+                        equate(
+                            layout.iter_coeff(StmtId(a), ia),
+                            layout.iter_coeff(StmtId(b), ib),
+                        );
+                    }
+                }
+                for p in 0..layout.n_params() {
+                    equate(
+                        layout.param_coeff(StmtId(a), p),
+                        layout.param_coeff(StmtId(b), p),
+                    );
+                }
+                equate(layout.const_coeff(StmtId(a)), layout.const_coeff(StmtId(b)));
+            }
+        }
+        cs
+    }
+
+    fn star_fusion(kernel: &Kernel, layout: &CoeffLayout, depth: usize) -> ConstraintSet {
+        let mut cs = ConstraintSet::universe(layout.n_vars());
+        add_fusion_constraints(&mut cs, kernel, layout, depth);
+        cs
+    }
+
+    /// Four statements over `[i, k]`, `[i, j, k]`, `[j]` and `[k, i]`: every
+    /// iterator name is carried by a different subset of statements, at
+    /// different positions, and the rank-1 statement drops out below
+    /// depth 0.
+    fn mixed_names_kernel() -> Kernel {
+        use polyject_ir::{ElemType, Expr, Extent, Idx, KernelBuilder, StatementBuilder};
+        let mut kb = KernelBuilder::new("mixed_names");
+        let p = kb.param("N", 8);
+        let n = Extent::Param(p);
+        let a = kb.tensor("A", vec![n, n], ElemType::F32);
+        let v = kb.tensor("V", vec![n], ElemType::F32);
+        let mut stage = |name: &str, iters: &[&str], write: &[usize], read: (_, &[usize])| {
+            let out = kb.tensor(format!("O{name}"), vec![n; write.len()], ElemType::F32);
+            let idx = |dims: &[usize]| dims.iter().map(|&d| Idx::Iter(d)).collect::<Vec<_>>();
+            let mut sb = StatementBuilder::new(name, iters);
+            for it in 0..iters.len() {
+                sb = sb.bound_extent(it, p);
+            }
+            let sb = sb
+                .write(out, &idx(write))
+                .read(read.0, &idx(read.1))
+                .expr(Expr::Read(0));
+            kb.add_statement(sb).expect("valid statement");
+        };
+        stage("P", &["i", "k"], &[0, 1], (a, &[0, 1]));
+        stage("Q", &["i", "j", "k"], &[0, 1, 2], (a, &[0, 2]));
+        stage("R", &["j"], &[0], (v, &[0]));
+        stage("S", &["k", "i"], &[0, 1], (a, &[1, 0]));
+        kb.finish().expect("valid kernel")
+    }
+
+    #[test]
+    fn fusion_star_spans_what_all_pairs_span() {
+        for kernel in [
+            mixed_names_kernel(),
+            ops::layernorm_like(6, 8),
+            ops::elementwise_chain(64, 5),
+        ] {
+            assert!(kernel.statements().len() >= 3);
+            let layout = CoeffLayout::new(&kernel);
+            for depth in 0..3 {
+                let star = star_fusion(&kernel, &layout, depth);
+                let pairs = all_pairs_fusion(&kernel, &layout, depth);
+                assert!(star.len() <= pairs.len());
+                assert!(
+                    polyject_sets::set_eq(&star, &pairs),
+                    "{} depth {depth}\nstar {star:?}\npairs {pairs:?}",
+                    kernel.name()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fusion_of_two_statements_is_the_one_pair() {
+        let kernel = ops::running_example(64);
+        let layout = CoeffLayout::new(&kernel);
+        for depth in 0..3 {
+            assert_eq!(
+                star_fusion(&kernel, &layout, depth),
+                all_pairs_fusion(&kernel, &layout, depth),
+                "depth {depth}"
+            );
+        }
+    }
+
+    #[test]
+    fn thirteen_statement_chain_fuses_in_a_spanning_tree() {
+        // 13 pin rows + 12 iterator and 12 constant equalities (all 78
+        // pairs used to cost 169).
+        let kernel = ops::elementwise_chain(393_216, 13);
+        let tree = build_influence_tree(&kernel, &InfluenceOptions::default());
+        let root = tree.first_root().expect("non-empty tree");
+        assert_eq!(tree.node(root).constraints.len(), 37);
     }
 }

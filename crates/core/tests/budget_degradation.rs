@@ -64,12 +64,16 @@ fn tiny_node_budget_degrades_to_valid_schedule() {
 #[test]
 fn pathological_kernel_under_100ms_deadline_degrades() {
     // The acceptance bar from the issue, literally: a kernel whose full
-    // influenced solve takes on the order of seconds, given a 100 ms
+    // influenced solve takes several times a 100 ms deadline, given that
     // deadline, must come back degraded-but-valid instead of hanging or
-    // erroring out. A deep elementwise chain blows up the ILP size (the
-    // size is calibrated to stay seconds-long even with the persistent
-    // scheduling contexts' warm solves).
-    let kernel = ops::elementwise_chain(48, 48);
+    // erroring out. A deep elementwise chain blows up the ILP size: at
+    // depth 56 the un-budgeted solve takes 0.75 s (release, 2-core box),
+    // 7.5x the deadline; depth 48 fell to 0.55 s once the lexmin chain
+    // stayed warm and relations linearized in their own space. Not
+    // deeper: from depth 64 the base context's own phase 1 outlasts the
+    // deadline, the uninfluenced fallback inherits a cold-delegating
+    // prefix, and this test takes 40 s.
+    let kernel = ops::elementwise_chain(48, 56);
     let deps = compute_dependences(&kernel, DepOptions::default());
     let tree = pinning_tree(&kernel);
 

@@ -17,10 +17,10 @@
 //! * **truncated or failed read** — a read returns a prefix of the
 //!   file, or errors outright.
 //!
-//! Identical seeds produce identical fault schedules on every platform,
-//! so a chaos failure replays exactly. Metadata probes (`exists`,
-//! `metadata_len`, `read_dir_names`, `create_dir_all`) pass through
-//! unfaulted: the interesting corruption lives in the data path.
+//! Identical seeds produce identical fault schedules on every platform
+//! (over which operation orders, see [`FaultyIo`]). Metadata probes
+//! (`exists`, `metadata_len`, `read_dir_names`, `create_dir_all`) pass
+//! through unfaulted: the interesting corruption lives in the data path.
 
 use polyject_arith::SplitMix64;
 use std::io;
@@ -99,10 +99,10 @@ impl Io for RealIo {
 
 /// An [`Io`] wrapper injecting faults on a deterministic seeded schedule.
 ///
-/// Roughly one in `one_in` data operations faults (`one_in == 0`
-/// disables injection entirely, making the wrapper transparent — the
-/// fault-free replay mode). Which operation faults, and how, is fully
-/// determined by the seed.
+/// Roughly one in `one_in` data operations faults (`0`: none — the
+/// fault-free replay mode). Verdicts come off one stream in *arrival*
+/// order, so the same-seed guarantee covers one operation sequence — one
+/// caller, or a daemon with one worker; two workers race for the next.
 #[derive(Debug)]
 pub struct FaultyIo<I: Io> {
     inner: I,

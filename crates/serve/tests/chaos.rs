@@ -13,6 +13,9 @@
 //!   clean filesystem produce bit-for-bit identical entry files, and the
 //!   same seed produces the identical fault schedule.
 
+#[cfg(unix)]
+mod common;
+
 use polyject_arith::SplitMix64;
 use polyject_serve::{DiskCache, FaultyIo, Json, RealIo};
 use std::collections::HashMap;
@@ -324,39 +327,16 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         daemon.shutdown_and_wait();
     }
 
-    /// A deep elementwise chain whose influenced compile takes on the
-    /// order of seconds (`ir::ops::elementwise_chain`-shaped, rendered as
-    /// `.pj`), so a zero-second request deadline always trips while the
-    /// solve is still in flight and the cancel flag is observed mid-solve
-    /// — the tiny `axpy` kernel can finish before the timeout path even
-    /// stores the flag.
-    fn slow_src() -> String {
-        let (n, depth) = (48, 48);
-        let mut src = format!("kernel chain\nparam N = {n}\ntensor A[N]: f32\n");
-        for s in 0..depth {
-            src.push_str(&format!("tensor T{s}[N]: f32\n"));
-        }
-        for s in 0..depth {
-            let prev = if s == 0 {
-                "A".to_string()
-            } else {
-                format!("T{}", s - 1)
-            };
-            src.push_str(&format!(
-                "stmt S{s} for (i in 0..N) T{s}[i] = {prev}[i] * 2.0\n"
-            ));
-        }
-        src
-    }
-
     #[test]
     fn request_timeout_cancels_compile_and_reclaims_worker() {
         // A zero-second deadline times the seconds-long compile out
         // immediately; the timeout path must then trip the cancel flag so
-        // the worker comes back instead of grinding to completion.
+        // the worker comes back instead of grinding to completion. The
+        // tiny `axpy` kernel can finish before the timeout path even
+        // stores the flag; the deep chain is always still mid-solve.
         let daemon = Daemon::spawn("timeout", &["--timeout-secs", "0"]);
         let mut client = Client::connect(&daemon.endpoint).unwrap();
-        let src = slow_src();
+        let src = crate::common::slow_src("chain", 128);
         let mut timed_out = false;
         for _ in 0..200 {
             let resp = client.compile(&src, "infl").unwrap();

@@ -5,6 +5,8 @@
 
 #![cfg(unix)]
 
+mod common;
+
 use polyject_front::emit_pj;
 use polyject_gpusim::GpuModel;
 use polyject_serve::{compile_reply, BatchItem, Client, Endpoint, Json, Request};
@@ -249,28 +251,6 @@ fn sigterm_exits_promptly_with_final_stats() {
     drop((silent, mid_frame, pooled));
 }
 
-/// A deep elementwise chain whose influenced compile takes seconds —
-/// long enough to hold a worker (and its queue slot) while the
-/// overloaded case below is probed.
-fn slow_src() -> String {
-    let (n, depth) = (48, 48);
-    let mut src = format!("kernel chain\nparam N = {n}\ntensor A[N]: f32\n");
-    for s in 0..depth {
-        src.push_str(&format!("tensor T{s}[N]: f32\n"));
-    }
-    for s in 0..depth {
-        let prev = if s == 0 {
-            "A".to_string()
-        } else {
-            format!("T{}", s - 1)
-        };
-        src.push_str(&format!(
-            "stmt S{s} for (i in 0..N) T{s}[i] = {prev}[i] * 2.0\n"
-        ));
-    }
-    src
-}
-
 /// The counters the equivalence below compares, in a fixed order:
 /// hits, misses, coalesced, errors, overloaded, latency.count,
 /// batch_requests, batch_items.
@@ -355,7 +335,7 @@ fn single_compile_is_a_batch_of_one() {
                     // Shed only if it raced a probe for the slot: retry.
                     let resp = c
                         .request(&Request::compile(
-                            &slow_src(),
+                            &common::slow_src("chain", 128),
                             "infl",
                             Some("occupy".into()),
                         ))

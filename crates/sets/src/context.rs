@@ -104,7 +104,9 @@ impl SchedCtx {
     pub fn build(base: ConstraintSet, budget: &Budget) -> Result<SchedCtx, BudgetError> {
         let prepared = match ctx_prepare(&base, budget) {
             Ok(CtxPrepared::Ready(p)) => Some(p),
-            Ok(CtxPrepared::Unsupported) | Err(SolveAbort::Overflow) => None,
+            Ok(CtxPrepared::Unsupported) | Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {
+                None
+            }
             Err(SolveAbort::Budget(BudgetError::Cancelled)) => return Err(BudgetError::Cancelled),
             Err(SolveAbort::Budget(BudgetError::Exhausted(_))) => None,
         };
@@ -201,7 +203,7 @@ impl SchedCtx {
                 match ctx_extend(&mut t, delta, budget) {
                     Ok(true) => Some(t),
                     Ok(false) => return self.serve_warm_terminal(IlpOutcome::Infeasible, budget),
-                    Err(SolveAbort::Overflow) => None,
+                    Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => None,
                     Err(SolveAbort::Budget(e)) => return Err(e),
                 }
             }
@@ -240,9 +242,12 @@ impl SchedCtx {
                         // Non-unique final: the cold tie-broken vertex is
                         // the answer, so the root re-solves cold below.
                     }
-                    Err(SolveAbort::Overflow) => {}
+                    Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {}
                     Err(SolveAbort::Budget(e)) => return Err(e),
                 }
+            }
+            if served.is_none() {
+                counters::count_lexmin_cold_root(1);
             }
             let (out, basis) =
                 try_minimize_integer_rooted(obj, &self.rows, warm_ub, budget, served)?;
@@ -269,7 +274,7 @@ impl SchedCtx {
                                         );
                                         None
                                     }
-                                    Err(SolveAbort::Overflow) => None,
+                                    Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => None,
                                     Err(SolveAbort::Budget(e)) => return Err(e),
                                 }
                             } else {
@@ -308,5 +313,51 @@ impl SchedCtx {
         counters::count_bb_warm_node(1);
         budget.check()?;
         Ok(out)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tableau::DUAL_PIVOT_LIMIT_OVERRIDE;
+
+    /// A dual repair that hits its pivot cap is not an overflow: wider
+    /// cells would replay the same pivots, so the chain must go cold at
+    /// once — no escalation counted — and still return the cold answer.
+    #[test]
+    fn pivot_limit_goes_cold_without_escalating() {
+        let n = 3;
+        let mut base = ConstraintSet::universe(n);
+        for v in 0..n {
+            base.add(Constraint::ge0(LinExpr::var(n, v)));
+            let mut hi = LinExpr::var(n, v).scaled(-Rat::ONE);
+            hi.set_constant(5i128);
+            base.add(Constraint::ge0(hi));
+        }
+        // Cuts off the origin the prepared base sits at, so extending the
+        // base with it needs at least one repair pivot.
+        let delta = Constraint::ge0(LinExpr::from_coeffs(&[1, 1, 1], -4));
+        let objs = [
+            LinExpr::from_coeffs(&[1, 1, 1], 0),
+            LinExpr::from_coeffs(&[1, 2, 4], 0),
+        ];
+        let budget = Budget::unlimited();
+        let mut cold = base.clone();
+        cold.add(delta.clone());
+        let reference = try_lexmin_integer(&objs, &cold, &budget).expect("unlimited");
+
+        let mut ctx = SchedCtx::build(base, &budget).expect("not cancelled");
+        assert!(ctx.base.is_some(), "a sign-rowed box prepares warm");
+        ctx.push(delta);
+        DUAL_PIVOT_LIMIT_OVERRIDE.with(|l| l.set(Some(0)));
+        let before = counters::snapshot();
+        let out = ctx.try_lexmin(&objs, &budget);
+        let d = counters::snapshot().delta_since(&before);
+        DUAL_PIVOT_LIMIT_OVERRIDE.with(|l| l.set(None));
+
+        assert_eq!(out.expect("unlimited"), reference);
+        assert!(d.bb_repair_pivots >= 1, "no repair was attempted: {d:?}");
+        assert!(d.lexmin_cold_roots >= 1, "the cap never tripped: {d:?}");
+        assert_eq!(d.tab_overflow_escalations, 0, "{d:?}");
     }
 }

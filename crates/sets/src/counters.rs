@@ -154,6 +154,11 @@ solver_counters! {
         cancelled_solves: pub note_cancelled_solve,
         /// Worker panics caught and recovered by the serving pool.
         panics_recovered: pub note_panic_recovered,
+        /// Lexmin objectives whose root LP a [`crate::SchedCtx`] with a
+        /// prepared base had to hand to branch-and-bound unserved — the
+        /// warm chain was dead or its final vertex not provably unique —
+        /// so the root re-solved cold, phase 1 included.
+        lexmin_cold_roots: pub(crate) count_lexmin_cold_root,
     }
     frozen {
         /// Always 0: nothing ticks it; the name is kept for `benchmark/`.
@@ -226,11 +231,12 @@ mod tests {
         note_degraded_solve(20);
         note_cancelled_solve(21);
         note_panic_recovered(22);
+        count_lexmin_cold_root(23);
         let d = snapshot().delta_since(&before);
         // A distinct amount per tick, in declaration order.
-        assert!(d.fields().map(|(_, v)| v).eq(1..=22));
+        assert!(d.fields().map(|(_, v)| v).eq(1..=23));
         assert_eq!(d.fields().next(), Some(("lp_solves", 1)));
-        assert_eq!(d.fields().last(), Some(("panics_recovered", 22)));
+        assert_eq!(d.fields().last(), Some(("lexmin_cold_roots", 23)));
         assert_eq!((d.spec_adopted, d.spec_discarded), (0, 0));
     }
 

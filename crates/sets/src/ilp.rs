@@ -378,7 +378,7 @@ fn branch(
             },
             // Warm repair overflowed (or hit its pivot cap): fall through
             // to the cold solve, exactly as before budgets existed.
-            Err(SolveAbort::Overflow) => {}
+            Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {}
             Err(SolveAbort::Budget(e)) => return Err(e),
         }
     }

@@ -93,7 +93,9 @@ pub fn try_minimize(
     match tableau::solve_int(objective, set, false, budget) {
         Ok((out, _)) => Ok(out),
         Err(SolveAbort::Budget(e)) => Err(e),
-        Err(SolveAbort::Overflow) => Simplex::new(set).minimize(objective, budget),
+        Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {
+            Simplex::new(set).minimize(objective, budget)
+        }
     }
 }
 
@@ -110,7 +112,9 @@ pub(crate) fn minimize_with_basis(
     match tableau::solve_int(objective, set, true, budget) {
         Ok((out, basis)) => Ok((out, basis)),
         Err(SolveAbort::Budget(e)) => Err(e),
-        Err(SolveAbort::Overflow) => Ok((Simplex::new(set).minimize(objective, budget)?, None)),
+        Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {
+            Ok((Simplex::new(set).minimize(objective, budget)?, None))
+        }
     }
 }
 

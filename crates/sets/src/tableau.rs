@@ -59,6 +59,21 @@ use std::cmp::Ordering;
 /// the cap bounds the damage of any bug).
 const DUAL_PIVOT_LIMIT: u64 = 20_000;
 
+#[cfg(test)]
+thread_local! {
+    /// Unit-test override of [`DUAL_PIVOT_LIMIT`] on this thread.
+    pub(crate) static DUAL_PIVOT_LIMIT_OVERRIDE: std::cell::Cell<Option<u64>> =
+        const { std::cell::Cell::new(None) };
+}
+
+fn dual_pivot_limit() -> u64 {
+    #[cfg(test)]
+    if let Some(limit) = DUAL_PIVOT_LIMIT_OVERRIDE.with(|l| l.get()) {
+        return limit;
+    }
+    DUAL_PIVOT_LIMIT
+}
+
 #[derive(PartialEq, Eq)]
 enum RunResult {
     Optimal,
@@ -67,11 +82,15 @@ enum RunResult {
 
 /// Why an integer-tableau solve stopped early.
 pub(crate) enum SolveAbort {
-    /// An intermediate value overflowed the cell type (or the dual pivot
-    /// cap was hit). For `i64` cells the operation wrapper escalates to
-    /// `i128`; for `i128` cells the caller falls back to the
-    /// cold/rational path, exactly as the historical `None` return did.
+    /// An intermediate value overflowed the cell type. For `i64` cells
+    /// the operation wrapper escalates to `i128`; for `i128` cells the
+    /// caller falls back to the cold/rational path, exactly as the
+    /// historical `None` return did.
     Overflow,
+    /// A dual repair hit [`DUAL_PIVOT_LIMIT`]. Wider cells would replay the
+    /// same pivots, so this never escalates: the caller falls back to the
+    /// cold path at once.
+    PivotLimit,
     /// The budget tripped; propagated all the way out, no fallback.
     Budget(BudgetError),
 }
@@ -275,6 +294,25 @@ fn widen_tab(t: &IntTableau<i64>) -> IntTableau<i128> {
     }
 }
 
+/// Divides a row and its positive denominator by their content GCD. The
+/// accumulation starts from the denominator and exits as soon as it hits
+/// 1, so already-reduced rows cost a handful of compares.
+fn reduce_content<C: Cell>(den: &mut C, row: &mut [C]) {
+    let mut g = *den;
+    for &v in row.iter() {
+        if g == C::ONE {
+            return;
+        }
+        g = C::gcd(g, v);
+    }
+    if g > C::ONE {
+        *den = den.div_exact(g);
+        for v in row.iter_mut() {
+            *v = v.div_exact(g);
+        }
+    }
+}
+
 impl<C: Cell> IntTableau<C> {
     fn rows(&self) -> usize {
         self.basis.len()
@@ -295,9 +333,7 @@ impl<C: Cell> IntTableau<C> {
         !(self.bar_artificials && j >= self.art_lo && j < self.art_hi)
     }
 
-    /// Restores `den > 0` and divides the row by its content GCD. The GCD
-    /// accumulation starts from the denominator and exits as soon as it
-    /// hits 1, so already-reduced rows cost a handful of compares.
+    /// Restores `den > 0` and divides the row by its content GCD.
     fn normalize_row(&mut self, r: usize) -> Option<()> {
         let stride = self.stride;
         let row = &mut self.data[r * stride..(r + 1) * stride];
@@ -307,19 +343,7 @@ impl<C: Cell> IntTableau<C> {
                 *v = v.cneg()?;
             }
         }
-        let mut g = self.den[r];
-        for &v in row.iter() {
-            if g == C::ONE {
-                return Some(());
-            }
-            g = C::gcd(g, v);
-        }
-        if g > C::ONE {
-            self.den[r] = self.den[r].div_exact(g);
-            for v in row.iter_mut() {
-                *v = v.div_exact(g);
-            }
-        }
+        reduce_content(&mut self.den[r], row);
         Some(())
     }
 
@@ -745,7 +769,7 @@ pub(crate) fn prepare_int(set: &ConstraintSet, budget: &Budget) -> Result<Prep, 
             }
             Ok(erase_prep(p))
         }
-        Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
+        Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
         Err(SolveAbort::Overflow) => {
             counters::rewind_pivots(marks);
             counters::count_tab_overflow_escalation(1);
@@ -837,7 +861,7 @@ fn finish_int(
                     counters::count_tab_i64_solve(1);
                     Ok((out, pack(basis.map(|(t, s)| (Tab::Small(t), s)))))
                 }
-                Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
+                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
                     counters::count_tab_overflow_escalation(1);
@@ -931,6 +955,12 @@ fn append_priced_row<C: Cell>(
     let mut den: C = C::ONE;
     // Price the row out against the current basis: zero each basic column
     // (basic columns of distinct rows are disjoint, so one sweep works).
+    // The running row stays content-reduced, as `install_objective` keeps
+    // the cost row: a dense row (a lexmin pin over every statement block)
+    // multiplies through one pivot per basic column it touches, and the
+    // unreduced product overflows even `i128` on rows whose reduced form
+    // fits `i64`. The stored row is the same canonical one either way —
+    // `normalize_row` below reduces whatever content is left.
     for r in 0..tab.rows() {
         let cb = tab.basis[r];
         let f = row[cb];
@@ -945,6 +975,7 @@ fn append_priced_row<C: Cell>(
             *v = ov(scaled.csub(sub))?;
         }
         den = ov(den.cmul(pb))?;
+        reduce_content(&mut den, &mut row);
     }
     let r_new = tab.rows();
     match slack_col {
@@ -1028,8 +1059,8 @@ fn dual_repair<C: Cell>(tab: &mut IntTableau<C>, budget: &Budget) -> Result<bool
         ov(tab.pivot(r, c))?;
         counters::count_bb_repair_pivots(1);
         pivots += 1;
-        if pivots > DUAL_PIVOT_LIMIT {
-            return Err(SolveAbort::Overflow);
+        if pivots > dual_pivot_limit() {
+            return Err(SolveAbort::PivotLimit);
         }
     }
 }
@@ -1080,9 +1111,10 @@ fn warm_typed<C: Cell>(
 /// Re-solves the parent's LP with one extra `expr >= 0` row, repairing the
 /// parent's optimal basis with dual simplex pivots instead of a cold
 /// two-phase solve. An `i64` parent is retried on a widened copy if the
-/// repair overflows; only an `i128` overflow (or the pivot cap) surfaces
-/// as [`SolveAbort::Overflow`], telling the caller to fall back to a cold
-/// solve. Budget errors propagate.
+/// repair overflows; an `i128` overflow surfaces as
+/// [`SolveAbort::Overflow`] and the pivot cap (at either width, without a
+/// retry) as [`SolveAbort::PivotLimit`], both telling the caller to fall
+/// back to a cold solve. Budget errors propagate.
 pub(crate) fn warm_resolve(
     parent: &LpBasis,
     extra: &Constraint,
@@ -1119,7 +1151,7 @@ pub(crate) fn warm_resolve(
                     counters::count_tab_i64_solve(1);
                     Ok(pack(r.map(|(v, p, u, t)| (v, p, u, Tab::Small(t)))))
                 }
-                Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
+                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
                     counters::count_tab_overflow_escalation(1);
@@ -1228,7 +1260,7 @@ pub(crate) fn ctx_extend(
                     counters::count_tab_i64_solve(1);
                     Ok(r)
                 }
-                Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
+                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
                     counters::count_tab_overflow_escalation(1);
@@ -1322,7 +1354,7 @@ pub(crate) fn ctx_optimize(
                     counters::count_tab_i64_solve(1);
                     Ok(pack(r.map(|(v, p, u, t, s)| (v, p, u, Tab::Small(t), s))))
                 }
-                Err(SolveAbort::Budget(e)) => Err(SolveAbort::Budget(e)),
+                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
                 Err(SolveAbort::Overflow) => {
                     counters::rewind_pivots(marks);
                     counters::count_tab_overflow_escalation(1);

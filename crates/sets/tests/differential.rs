@@ -596,3 +596,56 @@ fn sched_ctx_fast_path_is_decision_identical() {
         );
     }
 }
+
+/// Pricing a dense row must not cost more width than the row it stores.
+/// Eight variables sit basic on rows `P·x_v − s_v = 1` with `P ≈ 2²⁰`;
+/// a dense delta row (and each dense lexmin pin after it) prices out
+/// against all eight, multiplying through `P` once per basic column. The
+/// un-reduced running row reaches `P⁸ ≈ 2¹⁶⁰` — past `i128`, where the
+/// chain used to die silently — while its content-reduced form never
+/// leaves `O(P²)`: the warm extension stays on `i64` rows, every root is
+/// served warm, and outcome, value, point and decisions equal both the
+/// forced-wide run and the cold reference.
+#[test]
+fn dense_row_pricing_stays_content_reduced() {
+    const P: i128 = 1_000_003;
+    let n = 8usize;
+    let unit = |v: usize, c: i128, k: i128| {
+        let mut e = LinExpr::zero(n);
+        e.set_coeff(v, c);
+        e.set_constant(k);
+        Constraint::ge0(e)
+    };
+    let mut base = ConstraintSet::universe(n);
+    for v in 0..n {
+        base.add(unit(v, 1, 0)); // x_v >= 0
+        base.add(unit(v, P, -1)); // P·x_v >= 1
+        base.add(unit(v, -1, 10)); // x_v <= 10
+    }
+    let dense: Vec<i128> = (0..n as i128).map(|v| v + 2).collect();
+    let delta = Constraint::ge0(LinExpr::from_coeffs(&dense, -3));
+    // Dense objectives, so every pin row is dense as well; the last one's
+    // distinct weights make its optimum vertex unique.
+    let objs = vec![
+        LinExpr::from_coeffs(&vec![1; n], 0),
+        LinExpr::from_coeffs(&dense, 0),
+        LinExpr::from_coeffs(&(0..n as i128).map(|v| 1 << v).collect::<Vec<_>>(), 0),
+    ];
+    let run = || {
+        let mut ctx = SchedCtx::build(base.clone(), &Budget::unlimited()).expect("no cancel");
+        ctx.push(delta.clone());
+        ctx.try_lexmin(&objs, &Budget::unlimited())
+            .expect("unlimited")
+    };
+    let (fast, wide, df, dw) = both_widths(run);
+    assert_eq!(fast, wide);
+    assert_eq!(decisions(&df), decisions(&dw));
+    assert_eq!(df.tab_overflow_escalations, 0, "{df:?}");
+    assert!(df.tab_i64_solves > 0, "{df:?}");
+    assert_eq!(df.lexmin_cold_roots, 0, "{df:?}");
+    assert_eq!(dw.lexmin_cold_roots, 0, "{dw:?}");
+    let mut cold = base.clone();
+    cold.add(delta.clone());
+    let reference = try_lexmin_integer(&objs, &cold, &Budget::unlimited()).expect("unlimited");
+    assert_eq!(fast, reference);
+}
