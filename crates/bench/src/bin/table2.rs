@@ -13,31 +13,28 @@
 //! * `--bench` — run serially *and* in parallel, verify the outputs are
 //!   identical, and record both legs in `BENCH_table2.json` (see `--json
 //!   PATH`) beside whatever other sections the file holds;
-//! * `--cache-dir DIR` — serve per-operator measurements out of a
-//!   persistent schedule cache (misses compile and write back; a fully
-//!   warm run performs zero schedule solves);
-//! * `--cache-bench` — cold-vs-warm cache comparison: wipe the cache
-//!   dir, run cold then warm, verify bitwise-identical measurements, and
-//!   splice a `"cache"` section into `BENCH_table2.json`;
 //! * `--tune` — autotune every unique operator with the deterministic
 //!   beam search, persist the winners in the cache dir, and splice a
 //!   `"tune"` section (per-op default-vs-tuned times plus the geomean)
 //!   into `BENCH_table2.json`; a warm re-run replays every persisted
 //!   configuration with zero search;
 //! * `--tune-seed N` — override the search seed (default: the tuner's);
+//! * `--cache-dir DIR` — where `--tune` persists its winners (default: a
+//!   directory under the system temp dir);
 //! * `--throughput` — batched-vs-sequential serving comparison: spawn a
 //!   cold in-process daemon fleet per leg, push the whole op stream ×
 //!   three configs through `compile_batch` and through one-at-a-time
 //!   round trips, verify the artifact fields are identical, and splice a
 //!   `"throughput"` section into `BENCH_table2.json`;
-//! * `--shards N` — fleet size for `--throughput` (default 3).
+//! * `--shards N` — fleet size for `--throughput` (default 3, at least 1).
 //!
-//! An unknown flag or a missing/unparsable value prints the usage text
-//! and exits 2 before anything is measured or written.
+//! An unknown flag, a missing/unparsable value or a flag whose mode is
+//! absent prints the usage text and exits 2 before anything is measured
+//! or written.
 
 use polyject_bench::{
-    default_workers, measurements_identical, render_table2, run_table2_networks,
-    run_table2_networks_cached, run_table2_tuned, solver_pairs, CacheBench, Table2Bench, Table2Run,
+    default_workers, measurements_identical, render_table2, run_table2_networks, run_table2_tuned,
+    solver_pairs, Table2Bench, Table2Run,
 };
 use polyject_gpusim::GpuModel;
 use polyject_serve::args::{self, Args};
@@ -87,58 +84,6 @@ fn splice_sections(json_path: &str, sections: Vec<(&str, Json)>) {
         }
     }
     std::fs::write(json_path, Json::Obj(pairs).render_pretty()).expect("write bench json");
-}
-
-/// The `--cache-bench` mode: cold run on a wiped cache, warm run on the
-/// result, bitwise comparison, and the recorded `"cache"` section.
-fn run_cache_bench(
-    nets: &[Network],
-    model: &GpuModel,
-    workers: usize,
-    dir: &str,
-    json_path: &str,
-    stats: bool,
-) -> Table2Run {
-    // A true cold run needs an empty cache.
-    let _ = std::fs::remove_dir_all(dir);
-    let mut cache = DiskCache::open_default(Path::new(dir)).expect("open cache dir");
-    eprintln!("[cache-bench] cold run (empty cache at {dir}) ...");
-    isolate_leg();
-    let cold = run_table2_networks_cached(nets, model, workers, &mut cache);
-    eprintln!(
-        "[cache-bench] cold: {:.2}s, {} compiled | warm run ...",
-        cold.run.wall_s, cold.misses
-    );
-    isolate_leg();
-    let warm = run_table2_networks_cached(nets, model, workers, &mut cache);
-    let identical = measurements_identical(&cold.run.results, &warm.run.results);
-    let b = CacheBench {
-        cold,
-        warm,
-        identical,
-    };
-    eprintln!(
-        "[cache-bench] cold {:.2}s vs warm {:.2}s -> {:.1}x | warm: {} hit(s), {} miss(es), \
-         {} lp_solves, identical: {} -> {json_path}",
-        b.cold.run.wall_s,
-        b.warm.run.wall_s,
-        b.speedup(),
-        b.warm.hits,
-        b.warm.misses,
-        b.warm.run.perf.counters.lp_solves,
-        b.identical
-    );
-    if stats {
-        print_stats("cold", &b.cold.run);
-        print_stats("warm", &b.warm.run);
-    }
-    assert!(b.identical, "cached and fresh Table II runs diverged");
-    assert_eq!(
-        b.warm.misses, 0,
-        "warm run must be served entirely from cache"
-    );
-    splice_sections(json_path, vec![("cache", b.to_json())]);
-    b.warm.run
 }
 
 /// The `--tune` mode: beam-search every unique operator through the
@@ -203,9 +148,14 @@ fn run_tune_bench(
 /// per round trip, then through a fresh cold fleet as one scatter-gather
 /// batch, artifact-identity checked and recorded as the `"throughput"`
 /// section.
-fn run_throughput(nets: &[Network], model: &GpuModel, shards: usize, json_path: &str) {
+fn run_throughput(
+    nets: &[Network],
+    model: &GpuModel,
+    shards: usize,
+    json_path: &str,
+) -> Result<(), String> {
     eprintln!("[throughput] spawning {shards}-shard fleets: sequential leg, then batched ...");
-    let b = polyject_bench::run_throughput_bench(nets, model, shards, 2).expect("throughput bench");
+    let b = polyject_bench::run_throughput_bench(nets, model, shards, 2)?;
     eprintln!(
         "[throughput] {} item(s) ({} unique): sequential {:.2}s / {} round trip(s) vs \
          batched {:.2}s / {} round trip(s) -> {:.2}x \
@@ -221,15 +171,18 @@ fn run_throughput(nets: &[Network], model: &GpuModel, shards: usize, json_path: 
         b.batch_session_reuses,
         b.identical
     );
-    assert!(
-        b.identical,
-        "batched and sequential replies diverged on deterministic artifact fields"
-    );
+    if !b.identical {
+        return Err(format!(
+            "batched and sequential replies diverged on {} item(s)",
+            b.mismatches
+        ));
+    }
     splice_sections(json_path, vec![("throughput", b.to_json())]);
+    Ok(())
 }
 
 const USAGE: &str = "usage: table2 [--per-op | --csv] [--stats] [--fast] [--serial | --workers N] \
-[--bench] [--json PATH] [--cache-dir DIR] [--cache-bench] [--tune [--tune-seed N]] \
+[--bench] [--json PATH] [--tune [--tune-seed N] [--cache-dir DIR]] \
 [--throughput [--shards N]]";
 
 #[derive(Default)]
@@ -240,7 +193,6 @@ struct Cli {
     fast: bool,
     serial: bool,
     bench: bool,
-    cache_bench: bool,
     tune: bool,
     throughput: bool,
     workers: Option<usize>,
@@ -260,16 +212,23 @@ fn parse_args(args: &mut Args) -> Result<Cli, String> {
             "--fast" => cli.fast = true,
             "--serial" => cli.serial = true,
             "--bench" => cli.bench = true,
-            "--cache-bench" => cli.cache_bench = true,
             "--tune" => cli.tune = true,
             "--throughput" => cli.throughput = true,
             "--workers" => cli.workers = Some(args.int()?),
             "--json" => cli.json = Some(args.value()?),
             "--cache-dir" => cli.cache_dir = Some(args.value()?),
             "--tune-seed" => cli.tune_seed = Some(args.int()?),
-            "--shards" => cli.shards = Some(args.int()?),
+            "--shards" => match args.int()? {
+                0 => return Err("--shards needs at least one shard".to_string()),
+                n => cli.shards = Some(n),
+            },
             _ => return Err(args.unexpected()),
         }
+    }
+    if cli.cache_dir.is_some() && !cli.tune {
+        return Err(
+            "--cache-dir is where --tune persists its winners; it needs --tune".to_string(),
+        );
     }
     Ok(cli)
 }
@@ -281,7 +240,6 @@ fn main() {
         false => cli.workers.unwrap_or_else(default_workers),
     };
     let json_path = cli.json.unwrap_or_else(|| "BENCH_table2.json".to_string());
-    let cached = cli.cache_dir.is_some() || cli.cache_bench;
     let cache_dir = cli.cache_dir.unwrap_or_else(|| {
         std::env::temp_dir()
             .join("polyject-table2-cache")
@@ -296,7 +254,10 @@ fn main() {
         all_networks()
     };
     if cli.throughput {
-        run_throughput(&nets, &model, cli.shards.unwrap_or(3), &json_path);
+        if let Err(e) = run_throughput(&nets, &model, cli.shards.unwrap_or(3), &json_path) {
+            eprintln!("table2: {e}");
+            std::process::exit(1);
+        }
         return;
     }
     // On a single-core machine a "parallel" leg would only measure thread
@@ -328,28 +289,7 @@ fn main() {
         );
     }
 
-    let run = if cli.cache_bench {
-        run_cache_bench(&nets, &model, workers, &cache_dir, &json_path, cli.stats)
-    } else if cached {
-        let mut cache = DiskCache::open_default(Path::new(&cache_dir)).expect("open cache dir");
-        isolate_leg();
-        let c = run_table2_networks_cached(&nets, &model, workers, &mut cache);
-        eprintln!(
-            "[cache] {} at {cache_dir}: {} hit(s), {} compiled, {} lp_solves",
-            if c.misses == 0 {
-                "warm"
-            } else {
-                "cold/partial"
-            },
-            c.hits,
-            c.misses,
-            c.run.perf.counters.lp_solves
-        );
-        if cli.stats {
-            print_stats("cached", &c.run);
-        }
-        c.run
-    } else if cli.bench {
+    let run = if cli.bench {
         isolate_leg();
         let serial = run_table2_networks(&nets, &model, 1);
         isolate_leg();
@@ -401,9 +341,8 @@ fn main() {
         run
     };
     if cli.tune {
-        // Tuning rides on whatever run mode executed above: it shares
-        // the cache directory (tuned configs are a distinct entry kind)
-        // and fans candidate evaluation over the same worker budget.
+        // Tuning rides on whatever run mode executed above and fans
+        // candidate evaluation over the same worker budget.
         run_tune_bench(
             &nets,
             &model,

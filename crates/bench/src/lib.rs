@@ -9,11 +9,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod cached;
 mod throughput;
 mod tuned;
 
-pub use cached::{op_cache_key, run_table2_networks_cached, CacheBench, CachedTable2};
 pub use throughput::{
     artifact_fields, run_throughput_bench, table2_batch_items, Fleet, LegStats, ThroughputBench,
 };

@@ -297,7 +297,9 @@ fn sum_counter(reports: &[Json], name: &str) -> u64 {
 ///
 /// # Errors
 ///
-/// Fleet spawn failures as strings.
+/// Fleet spawn failures, and any item either leg did not answer `ok`: a
+/// failed reply compares equal to a failed reply, so a comparison over
+/// failures records nothing.
 pub fn run_throughput_bench(
     nets: &[Network],
     gpu: &GpuModel,
@@ -313,6 +315,14 @@ pub fn run_throughput_bench(
             .count()
     };
     let queue_bound = items.len().max(64);
+    let all_ok = |leg: &str, stats: &LegStats| match stats.ok == items.len() {
+        true => Ok(()),
+        false => Err(format!(
+            "{leg} leg: only {} of {} item(s) answered ok",
+            stats.ok,
+            items.len()
+        )),
+    };
 
     // Leg 1: one round trip per item, strictly serial — the client a
     // network compiler without batching would be.
@@ -340,6 +350,7 @@ pub fn run_throughput_bench(
         p50_ms: percentile(&latencies_ms, 0.50),
         p95_ms: percentile(&latencies_ms, 0.95),
     };
+    all_ok("sequential", &sequential)?;
 
     // Leg 2: the whole stream in one scatter-gather, on a fresh cold
     // fleet so both legs pay the same compile bill.
@@ -363,6 +374,7 @@ pub fn run_throughput_bench(
         p50_ms: percentile(&service_ms, 0.50),
         p95_ms: percentile(&service_ms, 0.95),
     };
+    all_ok("batched", &batched)?;
 
     let mismatches = seq_replies
         .iter()

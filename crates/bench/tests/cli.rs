@@ -1,6 +1,8 @@
-//! Black-box tests of the `table2` driver: argument validation, and the
-//! `--bench` record merging into whatever the JSON report already holds.
+//! Black-box tests of the `table2` driver: argument validation, the
+//! `--bench` record merging into whatever the JSON report already holds,
+//! and the throughput leg refusing to record a run whose items failed.
 
+use polyject_gpusim::GpuModel;
 use polyject_serve::Json;
 use std::path::PathBuf;
 use std::process::Command;
@@ -55,6 +57,34 @@ fn unparsable_or_missing_values_are_usage_errors() {
     );
     assert_rejected("trailing", "--json needs a value", &["--bench", "--json"]);
     assert_rejected("cache-dir", "--cache-dir needs a value", &["--cache-dir"]);
+    // A fleet of zero fails every item on both legs, and failure compares
+    // equal to failure: the run would record `"identical": true`.
+    assert_rejected(
+        "shards0",
+        "--shards needs at least one shard",
+        &["--throughput", "--shards", "0"],
+    );
+}
+
+#[test]
+fn cache_dir_belongs_to_tune() {
+    let dir = std::env::temp_dir().join("pj-table2-cli-never-created");
+    assert_rejected(
+        "cache-dir-alone",
+        "--cache-dir is where --tune persists",
+        &["--csv", "--cache-dir", dir.to_str().unwrap()],
+    );
+    assert!(!dir.exists());
+}
+
+#[test]
+fn throughput_bench_refuses_a_run_whose_items_failed() {
+    // The CLI refuses a fleet of zero up front; the library must not
+    // record one either: no shard answers, so no item of either leg is ok.
+    let nets = [polyject_workloads::lstm()];
+    let err = polyject_bench::run_throughput_bench(&nets, &GpuModel::v100(), 0, 1)
+        .expect_err("every item failed on both legs");
+    assert!(err.contains("0 of 12 item(s) answered ok"), "{err}");
 }
 
 #[test]

@@ -21,9 +21,7 @@
 //!
 //! `warm` compiles every `.pj` file under the given directory through the
 //! cache (on a worker pool) and writes `compile` entries, so a daemon
-//! started on the directory answers those kernels as hits. (`table2
-//! --cache-dir` does not read them: it keeps its own per-operator
-//! `table2-op` entries.)
+//! started on the directory answers those kernels as hits.
 
 use polyject_codegen::Config;
 use polyject_gpusim::GpuModel;

@@ -611,7 +611,7 @@ mod tests {
         let dir = tmpdir("rm");
         let mut c = DiskCache::open_default(&dir).unwrap();
         c.put("k1", "compile", &payload("a")).unwrap();
-        c.put("k2", "table2-op", &payload("b")).unwrap();
+        c.put("k2", "tuned-config", &payload("b")).unwrap();
         let l = c.list();
         assert_eq!(l.len(), 2);
         assert_eq!(l[0].0, "k2", "most recent first");

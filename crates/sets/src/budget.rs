@@ -201,15 +201,6 @@ impl Budget {
             || self.max_fm_rows.is_some()
     }
 
-    /// Whether any limit or cancel flag is attached at all.
-    pub fn is_limited(&self) -> bool {
-        self.deadline.is_some()
-            || self.max_ilp_nodes.is_some()
-            || self.max_pivots.is_some()
-            || self.max_fm_rows.is_some()
-            || self.cancel.is_some()
-    }
-
     /// The cooperative check every solver loop performs. Cancellation is
     /// observed on every call; node/pivot caps compare the thread-local
     /// counters against the baseline captured on the first check; deadline
@@ -281,7 +272,6 @@ mod tests {
         for _ in 0..1_000 {
             assert_eq!(b.check(), Ok(()));
         }
-        assert!(!b.is_limited());
         assert!(!b.is_cancelled());
     }
 

@@ -1,26 +1,27 @@
-//! Persistent scheduling contexts: shared-prefix LP basis reuse.
+//! Persistent scheduling contexts: shared-prefix tableau reuse.
 //!
 //! The influenced scheduler solves hundreds of lexicographic ILPs whose
 //! constraint systems share a large common prefix — the Farkas-linearized
 //! validity/bound rows of one dimension sweep — under small per-attempt
 //! deltas (a node's own constraints, the backtracking ladder's relaxed
-//! variants) and a chain of single-row objective pins. The historical
-//! path rebuilt and re-established feasibility of that prefix from
-//! scratch on every `lexmin` call: a cold two-phase simplex per
-//! objective, dominated by phase-1 pivots over rows that never changed.
+//! variants) and a chain of single-row objective pins. Solved cold, each
+//! objective is a two-phase simplex dominated by phase-1 pivots over rows
+//! that never changed.
 //!
-//! A [`SchedCtx`] keeps the prefix in solved form instead, in the style
-//! of isl's `isl_context`/tableau pairing. Building the context runs the
-//! objective-independent half of a solve once (row build, phase 1,
-//! artificial drive-out); each `lexmin` call then
+//! A [`SchedCtx`] keeps the prefix as a solved tableau instead (the
+//! crate's one `tableau::Solved` type), in the style of isl's
+//! `isl_context`/tableau pairing, built once. Each `lexmin` call then runs
+//! the chain from it with that type's two verbs:
 //!
-//! 1. clones the prepared tableau and appends the pushed delta rows
-//!    priced out against the basis, repairing primal feasibility with
-//!    dual simplex pivots;
-//! 2. re-optimizes the same tableau per objective (a primal run from the
-//!    incumbent basis — no phase 1 at all);
-//! 3. threads the branch-and-bound root basis from objective *k* into
-//!    objective *k+1*, extending it with the pin row `obj_k = opt_k`.
+//! 1. a clone of the base is *extended* by the pushed delta rows;
+//! 2. each objective is *optimized* on the same tableau (a primal run
+//!    from the incumbent basis — no phase 1 at all) and handed to
+//!    branch-and-bound as its pre-resolved root;
+//! 3. the root's optimal tableau comes back and is *extended* by the pin
+//!    row `obj_k = opt_k` for objective *k+1*.
+//!
+//! [`crate::try_lexmin_integer`] is the same loop without a base: every
+//! root solves cold and nothing is carried between objectives.
 //!
 //! # Exactness
 //!
@@ -53,15 +54,11 @@ use crate::budget::{Budget, BudgetError};
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::counters;
 use crate::ilp::{
-    expect_within_node_limit, try_find_integer_point, try_lexmin_integer,
-    try_minimize_integer_rooted, IlpOutcome,
+    expect_within_node_limit, try_find_integer_point, try_minimize_integer_rooted, IlpOutcome,
 };
 use crate::linexpr::LinExpr;
 use crate::simplex::LpOutcome;
-use crate::tableau::{
-    ctx_extend, ctx_optimize, ctx_prepare, ctx_resume, CtxOpt, CtxPrepared, LpBasis, PreparedTab,
-    SolveAbort,
-};
+use crate::tableau::{self, or_cold, Built, Solved};
 use polyject_arith::Rat;
 
 /// A stack mark returned by [`SchedCtx::mark`]/[`SchedCtx::push`];
@@ -72,27 +69,27 @@ pub struct CtxMark(usize);
 
 /// A persistent solving context over a fixed base constraint set.
 ///
-/// The base rows are prepared (feasibility-established) once; delta rows
-/// pushed on top are appended to a clone of the prepared tableau per
-/// solve, and successive lexicographic objectives re-optimize warm. See
-/// the module docs for the exactness argument.
+/// The base rows are built into solved form once; delta rows pushed on
+/// top extend a clone of it per solve, and successive lexicographic
+/// objectives re-optimize warm. See the module docs for the exactness
+/// argument.
 ///
 /// `Clone` copies the solved base and the live row stack; a pristine
 /// clone taken right after [`SchedCtx::build`] is how compile sessions
-/// hand every candidate an identical prepared tableau without re-running
-/// the base's phase 1.
+/// hand every candidate an identical base tableau without re-running its
+/// phase 1.
 #[derive(Clone)]
 pub struct SchedCtx {
     /// The full current system: base rows then pushed delta rows. Kept as
     /// a real `ConstraintSet` so cold fallbacks (and branch-and-bound
-    /// below the root) see exactly what the historical path saw,
-    /// including `add`'s dedup/trivially-true filtering.
+    /// below the root) see exactly what a cold solve would, including
+    /// `add`'s dedup/trivially-true filtering.
     rows: ConstraintSet,
     base_len: usize,
     /// The solved base prefix; `None` when the base is unsupported
     /// (sign-split space, no rows, infeasible, overflow, or an exhausted
     /// build budget) and every solve delegates cold.
-    base: Option<PreparedTab>,
+    base: Option<Solved>,
 }
 
 impl SchedCtx {
@@ -102,19 +99,16 @@ impl SchedCtx {
     /// budget's caps) the context simply delegates every solve to the cold
     /// path. Only cancellation propagates as an error.
     pub fn build(base: ConstraintSet, budget: &Budget) -> Result<SchedCtx, BudgetError> {
-        let prepared = match ctx_prepare(&base, budget) {
-            Ok(CtxPrepared::Ready(p)) => Some(p),
-            Ok(CtxPrepared::Unsupported) | Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {
-                None
-            }
-            Err(SolveAbort::Budget(BudgetError::Cancelled)) => return Err(BudgetError::Cancelled),
-            Err(SolveAbort::Budget(BudgetError::Exhausted(_))) => None,
+        let solved = match or_cold(tableau::build(&base, budget)) {
+            Ok(Some(Built::Ready(solved))) => solved.extendable(),
+            Ok(_) | Err(BudgetError::Exhausted(_)) => None,
+            Err(BudgetError::Cancelled) => return Err(BudgetError::Cancelled),
         };
         let base_len = base.len();
         Ok(SchedCtx {
             rows: base,
             base_len,
-            base: prepared,
+            base: solved,
         })
     }
 
@@ -142,7 +136,7 @@ impl SchedCtx {
         m
     }
 
-    /// Pops the row stack back to `m`. Popping never touches the prepared
+    /// Pops the row stack back to `m`. Popping never touches the solved
     /// base, so it is exact regardless of what any solve in between did —
     /// including budget-exhausted ones.
     pub fn pop(&mut self, m: CtxMark) {
@@ -176,144 +170,107 @@ impl SchedCtx {
         // trivially-true filtering match the cold path row-for-row) and
         // always unwound, error paths included.
         let pin_mark = self.rows.len();
-        let out = self.lexmin_pinned(objectives, budget);
+        let base = self.base.as_ref().map(|solved| (solved, self.base_len));
+        let out = lexmin_chain(objectives, &mut self.rows, base, budget);
         self.rows.truncate(pin_mark);
         out
     }
+}
 
-    fn lexmin_pinned(
-        &mut self,
-        objectives: &[LinExpr],
-        budget: &Budget,
-    ) -> Result<IlpOutcome, BudgetError> {
-        if self.base.is_none() {
-            return try_lexmin_integer(objectives, &self.rows, budget);
+/// The pin-and-continue loop of lexicographic minimization: minimize an
+/// objective over `rows`, pin it at its optimum (the pin is left on
+/// `rows`), continue with the next. `base` is a solved tableau of the
+/// first `base_len` rows; with one, roots are served from the warm chain
+/// the module docs describe, and `lexmin_cold_roots` counts the roots it
+/// could not serve. Without one the chain starts absent and stays so.
+pub(crate) fn lexmin_chain(
+    objectives: &[LinExpr],
+    rows: &mut ConstraintSet,
+    base: Option<(&Solved, usize)>,
+    budget: &Budget,
+) -> Result<IlpOutcome, BudgetError> {
+    let live = base.is_some();
+    // The tableau the next root is served from; `None` while the warm
+    // chain is dead and roots solve cold (with warm upper bounds only).
+    let mut chain: Option<Solved> = None;
+    if let Some((solved, base_len)) = base {
+        let mut t = solved.clone();
+        match or_cold(t.extend(&rows.constraints()[base_len..], budget))? {
+            Some(true) => chain = Some(t),
+            Some(false) => return serve_warm_terminal(IlpOutcome::Infeasible, budget),
+            None => {}
         }
+    }
 
-        // Extend a clone of the prepared base with the pushed delta rows.
-        // `None` means the warm chain is dead and solves run cold (with
-        // warm upper bounds only) from here on.
-        let mut chain: Option<PreparedTab> = {
-            let base_tab = self.base.as_ref().expect("checked above");
-            let delta = &self.rows.constraints()[self.base_len..];
-            if delta.is_empty() {
-                Some(base_tab.clone())
-            } else {
-                let mut t = base_tab.clone();
-                match ctx_extend(&mut t, delta, budget) {
-                    Ok(true) => Some(t),
-                    Ok(false) => return self.serve_warm_terminal(IlpOutcome::Infeasible, budget),
-                    Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => None,
-                    Err(SolveAbort::Budget(e)) => return Err(e),
+    let mut last: Option<(Vec<i128>, Rat)> = None;
+    for (idx, obj) in objectives.iter().enumerate() {
+        // Only the last objective's point is emitted, so only its root
+        // must be the provably unique (hence cold-identical) vertex; see
+        // the module docs.
+        let is_last = idx + 1 == objectives.len();
+        // The previous optimum satisfies every pin added so far, so it
+        // is feasible here and its objective value is attainable.
+        let warm_ub = last.as_ref().map(|(p, _)| obj.eval_int(p));
+        let mut served: Option<(LpOutcome, Option<Solved>)> = None;
+        if let Some(mut t) = chain.take() {
+            match or_cold(t.optimize(obj, budget))? {
+                Some(true) => {
+                    let v = t.vertex();
+                    if v.unique || !is_last {
+                        let (point, value) = (v.point, v.value);
+                        served = Some((LpOutcome::Optimal { point, value }, Some(t)));
+                    }
+                    // Non-unique final: the cold tie-broken vertex is
+                    // the answer, so the root re-solves cold below.
                 }
+                Some(false) => return serve_warm_terminal(IlpOutcome::Unbounded, budget),
+                None => {}
             }
+        }
+        if live && served.is_none() {
+            counters::count_lexmin_cold_root(1);
+        }
+        let (out, root) = try_minimize_integer_rooted(obj, rows, warm_ub, budget, served)?;
+        let IlpOutcome::Optimal { point, value } = out else {
+            return Ok(out);
         };
-
-        let mut last: Option<(Vec<i128>, Rat)> = None;
-        for (idx, obj) in objectives.iter().enumerate() {
-            // The emitted answer is the LAST objective's optimum point; the
-            // points of earlier objectives feed nothing but the attainable
-            // upper bound below, and [`crate::minimize_integer_bounded`]'s
-            // contract makes the search result — outcome, value and
-            // tie-broken point — independent of which attainable bound is
-            // supplied. So intermediate roots may be served from ANY
-            // optimal vertex; only the final objective's root must be the
-            // provably unique (hence cold-identical) one.
-            let is_last = idx + 1 == objectives.len();
-            // The previous optimum satisfies every pin added so far, so it
-            // is feasible here and its objective value is attainable.
-            let warm_ub = last.as_ref().map(|(p, _)| obj.eval_int(p));
-            // Re-optimize the incumbent tableau under the new objective.
-            let mut served: Option<(LpOutcome, Option<LpBasis>)> = None;
-            if let Some(t) = chain.take() {
-                match ctx_optimize(t, obj, budget) {
-                    Ok(CtxOpt::Unbounded) => {
-                        return self.serve_warm_terminal(IlpOutcome::Unbounded, budget)
-                    }
-                    Ok(CtxOpt::Optimal {
-                        value,
-                        point,
-                        unique,
-                        basis,
-                    }) => {
-                        if unique || !is_last {
-                            served = Some((LpOutcome::Optimal { point, value }, Some(basis)));
-                        }
-                        // Non-unique final: the cold tie-broken vertex is
-                        // the answer, so the root re-solves cold below.
-                    }
-                    Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {}
-                    Err(SolveAbort::Budget(e)) => return Err(e),
-                }
-            }
-            if served.is_none() {
-                counters::count_lexmin_cold_root(1);
-            }
-            let (out, basis) =
-                try_minimize_integer_rooted(obj, &self.rows, warm_ub, budget, served)?;
-            match out {
-                IlpOutcome::Optimal { point, value } => {
-                    // Pin this objective at its optimum for the later ones.
-                    let mut pin = obj.clone();
-                    pin.set_constant(obj.constant_term() - value);
-                    let before = self.rows.len();
-                    self.rows.add(Constraint::eq0(pin));
-                    // Re-arm the chain from the root's optimal basis,
-                    // extended with the pin row when `add` kept it.
-                    chain = match basis {
-                        Some(b) => {
-                            let mut t = ctx_resume(b);
-                            if self.rows.len() > before {
-                                let added = &self.rows.constraints()[before..];
-                                match ctx_extend(&mut t, added, budget) {
-                                    Ok(true) => Some(t),
-                                    Ok(false) => {
-                                        debug_assert!(
-                                            false,
-                                            "pin row infeasible at its own optimum"
-                                        );
-                                        None
-                                    }
-                                    Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => None,
-                                    Err(SolveAbort::Budget(e)) => return Err(e),
-                                }
-                            } else {
-                                Some(t)
-                            }
-                        }
-                        None => None,
-                    };
-                    last = Some((point, value));
-                }
-                other => return Ok(other),
+        // Pin this objective at its optimum for the later ones.
+        let mut pin = obj.clone();
+        pin.set_constant(obj.constant_term() - value);
+        let before = rows.len();
+        rows.add(Constraint::eq0(pin));
+        // Re-arm the chain from the root's optimal tableau, extended with
+        // the pin row when `add` kept it.
+        if let Some(mut t) = root.filter(|_| live) {
+            match or_cold(t.extend(&rows.constraints()[before..], budget))? {
+                Some(true) => chain = Some(t),
+                Some(false) => debug_assert!(false, "pin row infeasible at its own optimum"),
+                None => {}
             }
         }
-        match last {
-            Some((point, value)) => Ok(IlpOutcome::Optimal { point, value }),
-            None => match try_find_integer_point(&self.rows, budget)? {
-                Some(point) => Ok(IlpOutcome::Optimal {
-                    point,
-                    value: Rat::ZERO,
-                }),
-                None => Ok(IlpOutcome::Infeasible),
+        last = Some((point, value));
+    }
+    match last {
+        Some((point, value)) => Ok(IlpOutcome::Optimal { point, value }),
+        None => Ok(match try_find_integer_point(rows, budget)? {
+            Some(point) => IlpOutcome::Optimal {
+                point,
+                value: Rat::ZERO,
             },
-        }
+            None => IlpOutcome::Infeasible,
+        }),
     }
+}
 
-    /// Reports a basis-independent terminal outcome (infeasible/unbounded)
-    /// discovered warm, ticking the counters the equivalent cold solve's
-    /// single root node would have: one ILP solve, one node, served warm.
-    fn serve_warm_terminal(
-        &self,
-        out: IlpOutcome,
-        budget: &Budget,
-    ) -> Result<IlpOutcome, BudgetError> {
-        counters::count_ilp_solve(1);
-        counters::count_ilp_node(1);
-        counters::count_bb_warm_node(1);
-        budget.check()?;
-        Ok(out)
-    }
+/// Reports a basis-independent terminal outcome (infeasible/unbounded)
+/// discovered warm, ticking the counters the equivalent cold solve's
+/// single root node would have: one ILP solve, one node, served warm.
+fn serve_warm_terminal(out: IlpOutcome, budget: &Budget) -> Result<IlpOutcome, BudgetError> {
+    counters::count_ilp_solve(1);
+    counters::count_ilp_node(1);
+    counters::count_bb_warm_node(1);
+    budget.check()?;
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -344,7 +301,7 @@ mod tests {
         let budget = Budget::unlimited();
         let mut cold = base.clone();
         cold.add(delta.clone());
-        let reference = try_lexmin_integer(&objs, &cold, &budget).expect("unlimited");
+        let reference = crate::try_lexmin_integer(&objs, &cold, &budget).expect("unlimited");
 
         let mut ctx = SchedCtx::build(base, &budget).expect("not cancelled");
         assert!(ctx.base.is_some(), "a sign-rowed box prepares warm");

@@ -13,11 +13,12 @@
 
 use crate::budget::{Budget, BudgetError, BudgetResource};
 use crate::constraint::{Constraint, ConstraintSet};
+use crate::context::lexmin_chain;
 use crate::counters;
 use crate::linexpr::LinExpr;
 use crate::preprocess::{self, PreOutcome};
 use crate::simplex::{minimize, minimize_with_basis, LpOutcome};
-use crate::tableau::{warm_resolve, LpBasis, SolveAbort, WarmOutcome};
+use crate::tableau::{or_cold, Solved, Vertex};
 use polyject_arith::Rat;
 
 /// Result of an integer linear program.
@@ -146,25 +147,25 @@ pub fn try_minimize_integer_bounded(
 }
 
 /// [`try_minimize_integer_bounded`] with a pre-resolved root relaxation:
-/// when a persistent [`crate::context::SchedCtx`] has already solved the
-/// root LP by warm re-optimization — and proven its vertex unique, so it
-/// is the one a cold solve would tie-break to — the root node consumes it
-/// instead of solving cold. Also hands back the root's optimal LP basis
-/// (when the space needed no sign split), which stays valid as a warm
-/// start for the *next* objective of a lexicographic chain.
+/// when a lexmin chain has already solved the root LP by warm
+/// re-optimization — and its vertex may stand in for the one a cold solve
+/// would tie-break to — the root node consumes it instead of solving
+/// cold. Also hands back the root's optimal tableau (when the space
+/// needed no sign split), which the chain extends with the pin row to
+/// start the *next* objective.
 pub(crate) fn try_minimize_integer_rooted(
     objective: &LinExpr,
     set: &ConstraintSet,
     upper_bound: Option<Rat>,
     budget: &Budget,
-    root: Option<(LpOutcome, Option<LpBasis>)>,
-) -> Result<(IlpOutcome, Option<LpBasis>), BudgetError> {
+    root: Option<(LpOutcome, Option<Solved>)>,
+) -> Result<(IlpOutcome, Option<Solved>), BudgetError> {
     counters::count_ilp_solve(1);
     let mut best: Option<(Rat, Vec<i128>)> = None;
     let mut nodes = 0usize;
     // One clone for the whole solve; branch() pushes/pops on it in place.
     let mut work = set.clone();
-    let mut root_basis: Option<LpBasis> = None;
+    let mut root_basis: Option<Solved> = None;
     match branch(
         objective,
         &mut work,
@@ -223,12 +224,8 @@ pub fn is_integer_feasible_reference(set: &ConstraintSet) -> bool {
     )
 }
 
-/// Finds some integer point of the set, if one exists.
-pub fn find_integer_point(set: &ConstraintSet) -> Option<Vec<i128>> {
-    expect_within_node_limit(try_find_integer_point(set, &Budget::unlimited()))
-}
-
-/// [`find_integer_point`] under a cooperative [`Budget`].
+/// Finds some integer point of the set, if one exists, under a
+/// cooperative [`Budget`].
 pub fn try_find_integer_point(
     set: &ConstraintSet,
     budget: &Budget,
@@ -283,33 +280,7 @@ pub fn try_lexmin_integer(
     set: &ConstraintSet,
     budget: &Budget,
 ) -> Result<IlpOutcome, BudgetError> {
-    let mut cur = set.clone();
-    let mut last: Option<(Vec<i128>, Rat)> = None;
-    for obj in objectives {
-        // The previous optimum satisfies every pin added so far, so it is
-        // feasible here and its objective value is attainable.
-        let warm = last.as_ref().map(|(p, _)| obj.eval_int(p));
-        match try_minimize_integer_bounded(obj, &cur, warm, budget)? {
-            IlpOutcome::Optimal { point, value } => {
-                // Pin this objective at its optimum for the later ones.
-                let mut pin = obj.clone();
-                pin.set_constant(obj.constant_term() - value);
-                cur.add(Constraint::eq0(pin));
-                last = Some((point, value));
-            }
-            other => return Ok(other),
-        }
-    }
-    match last {
-        Some((point, value)) => Ok(IlpOutcome::Optimal { point, value }),
-        None => match try_find_integer_point(&cur, budget)? {
-            Some(point) => Ok(IlpOutcome::Optimal {
-                point,
-                value: Rat::ZERO,
-            }),
-            None => Ok(IlpOutcome::Infeasible),
-        },
-    }
+    lexmin_chain(objectives, &mut set.clone(), None, budget)
 }
 
 enum BranchResult {
@@ -324,9 +295,9 @@ fn branch(
     upper_bound: Option<Rat>,
     best: &mut Option<(Rat, Vec<i128>)>,
     nodes: &mut usize,
-    warm_ctx: Option<(&LpBasis, &Constraint)>,
-    preresolved: Option<(LpOutcome, Option<LpBasis>)>,
-    basis_sink: Option<&mut Option<LpBasis>>,
+    warm_ctx: Option<(&Solved, &Constraint)>,
+    preresolved: Option<(LpOutcome, Option<Solved>)>,
+    basis_sink: Option<&mut Option<Solved>>,
     budget: &Budget,
 ) -> Result<BranchResult, BudgetError> {
     *nodes += 1;
@@ -336,60 +307,55 @@ fn branch(
     }
     budget.check()?;
     // Resolve this node's LP relaxation. When the caller already solved it
-    // (a persistent context's warm re-optimization, proven exact), consume
-    // that; when the parent exported an optimal basis, repair it under the
-    // one pushed bound with dual simplex pivots; a cold solve only happens
-    // when neither answer can be proven identical to one (see the safety
-    // notes on [`WarmOutcome`]). The LP outcome used for branching
+    // (a lexmin chain's warm re-optimization), consume that; when the
+    // parent handed down its optimal tableau, extend a clone of it by the
+    // one pushed bound row; a cold solve only happens when neither answer
+    // can be proven identical to one. The LP outcome used for branching
     // decisions is bit-for-bit the cold one either way.
-    let mut resolved: Option<(LpOutcome, Option<LpBasis>)> = preresolved;
+    let mut resolved: Option<(LpOutcome, Option<Solved>)> = preresolved;
     if resolved.is_some() {
         counters::count_bb_warm_node(1);
-    } else if let Some((parent, extra)) = warm_ctx {
-        match warm_resolve(parent, extra, budget) {
-            Ok(warm) => match warm {
-                WarmOutcome::Infeasible => {
-                    counters::count_bb_warm_node(1);
-                    resolved = Some((LpOutcome::Infeasible, None));
-                }
-                WarmOutcome::Optimal {
+    } else if let Some((parent, bound)) = warm_ctx {
+        let mut child = parent.clone();
+        match or_cold(child.extend(std::slice::from_ref(bound), budget))? {
+            Some(false) => {
+                counters::count_bb_warm_node(1);
+                resolved = Some((LpOutcome::Infeasible, None));
+            }
+            Some(true) => {
+                let Vertex {
                     value,
                     point,
                     unique,
-                    basis,
-                } => {
-                    // The optimal *value* is unique even when the vertex is
-                    // not, so value-based pruning decisions made here are
-                    // always identical to a cold solve's.
-                    let prunes = upper_bound.is_some_and(|ub| value > ub)
-                        || best.as_ref().is_some_and(|(bv, _)| value >= *bv);
-                    if prunes {
-                        counters::count_bb_warm_node(1);
-                        return Ok(BranchResult::Done);
-                    }
-                    if unique {
-                        counters::count_bb_warm_node(1);
-                        resolved = Some((LpOutcome::Optimal { point, value }, Some(*basis)));
-                    }
-                    // Non-unique optimum that survives pruning: the cold
-                    // path's tie-broken vertex drives branching, so fall
-                    // through to a cold solve.
+                } = child.vertex();
+                // The optimal *value* is unique even when the vertex is
+                // not, so value-based pruning decisions made here are
+                // always identical to a cold solve's.
+                let prunes = upper_bound.is_some_and(|ub| value > ub)
+                    || best.as_ref().is_some_and(|(bv, _)| value >= *bv);
+                if prunes {
+                    counters::count_bb_warm_node(1);
+                    return Ok(BranchResult::Done);
                 }
-            },
-            // Warm repair overflowed (or hit its pivot cap): fall through
-            // to the cold solve, exactly as before budgets existed.
-            Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {}
-            Err(SolveAbort::Budget(e)) => return Err(e),
+                if unique {
+                    counters::count_bb_warm_node(1);
+                    resolved = Some((LpOutcome::Optimal { point, value }, Some(child)));
+                }
+                // Non-unique optimum that survives pruning: the cold
+                // path's tie-broken vertex drives branching, so fall
+                // through to a cold solve.
+            }
+            None => {}
         }
     }
     let (outcome, basis) = match resolved {
         Some(r) => r,
         None => minimize_with_basis(objective, set, budget)?,
     };
-    // Export the root's optimal basis to the caller (the lexmin chain
+    // Export the root's optimal tableau to the caller (the lexmin chain
     // reseeds from it) while keeping it borrowable for child warm starts.
-    let local_basis: Option<LpBasis>;
-    let basis: &Option<LpBasis> = match basis_sink {
+    let local_basis: Option<Solved>;
+    let basis: &Option<Solved> = match basis_sink {
         Some(sink) => {
             *sink = basis;
             sink
@@ -691,7 +657,10 @@ mod tests {
             1,
             vec![Constraint::eq0(LinExpr::from_coeffs(&[3], -12))],
         );
-        assert_eq!(find_integer_point(&set), Some(vec![4]));
+        assert_eq!(
+            try_find_integer_point(&set, &Budget::unlimited()),
+            Ok(Some(vec![4]))
+        );
     }
 
     #[test]

@@ -8,12 +8,18 @@
 //! * [`minimize`] / [`maximize`] — exact two-phase simplex;
 //! * [`minimize_integer`] / [`lexmin_integer`] — branch-and-bound ILP with
 //!   lexicographic objectives (the scheduler's per-dimension solver);
+//! * [`SchedCtx`] — the same lexmin over a constraint prefix held in
+//!   solved form and re-solved under small row deltas;
 //! * [`eliminate_var`] / [`project_onto_prefix`] — Fourier–Motzkin
 //!   projection (Farkas-multiplier elimination, loop-bound derivation);
 //! * [`integer_points`] — enumeration for reference execution and tests.
 //!
 //! All arithmetic is exact ([`polyject_arith::Rat`]); there is no floating
-//! point anywhere in a decision path.
+//! point anywhere in a decision path. Underneath, every LP is one
+//! solved-tableau type with two verbs — *extend* by rows, *optimize* an
+//! objective — on a fraction-free integer tableau (the private `tableau`
+//! module documents it); the rational `*_reference` solvers are what the
+//! differential tests hold it to.
 //!
 //! Every solver entry point has a `try_*` twin taking a [`Budget`] —
 //! wall-clock deadline, node/pivot/row caps, and a shared cancel flag —
@@ -65,14 +71,14 @@ pub use fm::{
     try_remove_redundant, VarBounds,
 };
 pub use ilp::{
-    find_integer_point, is_integer_feasible, is_integer_feasible_reference, lexmin_integer,
-    minimize_integer, minimize_integer_bounded, minimize_integer_reference, try_find_integer_point,
+    is_integer_feasible, is_integer_feasible_reference, lexmin_integer, minimize_integer,
+    minimize_integer_bounded, minimize_integer_reference, try_find_integer_point,
     try_is_integer_feasible, try_lexmin_integer, try_minimize_integer,
     try_minimize_integer_bounded, IlpOutcome,
 };
 pub use linexpr::LinExpr;
-pub use points::{count_integer_points, eval_bound, integer_points};
-pub use relations::{is_subset, lexmax_point, lexmin_point, set_eq, simplify};
+pub use points::{count_integer_points, integer_points};
+pub use relations::{is_subset, lexmin_point, set_eq};
 pub use simplex::{
     is_rational_feasible, maximize, minimize, minimize_reference, try_minimize, LpOutcome,
 };

@@ -5,7 +5,6 @@
 
 use crate::constraint::ConstraintSet;
 use crate::fm::{bounds_for_var, project_onto_prefix};
-use polyject_arith::Rat;
 
 /// Enumerates every integer point of a bounded set, in lexicographic order
 /// of the variables.
@@ -121,12 +120,6 @@ fn concrete_bounds(
 /// Same conditions as [`integer_points`].
 pub fn count_integer_points(set: &ConstraintSet, limit: usize) -> Result<usize, String> {
     integer_points(set, limit).map(|v| v.len())
-}
-
-/// Evaluates a rational pair `expr/d` at an integer point. Helper shared
-/// with codegen tests.
-pub fn eval_bound(expr: &crate::LinExpr, d: Rat, point: &[i128]) -> Rat {
-    expr.eval_int(point) / d
 }
 
 #[cfg(test)]

@@ -1,12 +1,11 @@
-//! Set-level relations: inclusion, equality, emptiness-aware comparisons
-//! and lexicographic extrema — the handful of isl set operations the
-//! higher layers occasionally need beyond projection and optimization.
+//! Set-level relations: inclusion, equality and the lexicographic
+//! minimum — the handful of isl set operations the higher layers
+//! occasionally need beyond projection and optimization.
 
 use crate::constraint::ConstraintSet;
 use crate::ilp::{lexmin_integer, IlpOutcome};
 use crate::linexpr::LinExpr;
 use crate::simplex::{minimize, LpOutcome};
-use polyject_arith::Rat;
 
 /// Whether every rational point of `a` also satisfies `b` (polyhedral
 /// inclusion, exact via one LP per constraint of `b`).
@@ -89,18 +88,6 @@ pub fn lexmin_point(set: &ConstraintSet) -> Option<Vec<i128>> {
     }
 }
 
-/// The lexicographically largest integer point of a set.
-pub fn lexmax_point(set: &ConstraintSet) -> Option<Vec<i128>> {
-    let n = set.n_vars();
-    let objectives: Vec<LinExpr> = (0..n)
-        .map(|v| LinExpr::var(n, v).scaled(-Rat::ONE))
-        .collect();
-    match lexmin_integer(&objectives, set) {
-        IlpOutcome::Optimal { point, .. } => Some(point),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,14 +146,12 @@ mod tests {
             vec![ge(&[0, 1], 0), ge(&[1, -1], 0), ge(&[-1, 0], 3)],
         );
         assert_eq!(lexmin_point(&set), Some(vec![0, 0]));
-        assert_eq!(lexmax_point(&set), Some(vec![3, 3]));
     }
 
     #[test]
     fn lex_extrema_of_empty() {
         let empty = ConstraintSet::from_constraints(1, vec![ge(&[1], -5), ge(&[-1], 2)]);
         assert_eq!(lexmin_point(&empty), None);
-        assert_eq!(lexmax_point(&empty), None);
     }
 
     #[test]
@@ -174,118 +159,5 @@ mod tests {
         let half = ConstraintSet::from_constraints(1, vec![ge(&[-1], 0)]);
         // x <= 0, unbounded below.
         assert_eq!(lexmin_point(&half), None);
-        assert_eq!(lexmax_point(&half), Some(vec![0]));
-    }
-}
-
-/// Simplifies a set: detects *implicit equalities* (inequalities whose
-/// opposite direction is also implied, i.e. the set lies on the
-/// hyperplane) and converts them to equalities, then prunes redundant
-/// inequalities. The result describes the same rational points with a
-/// canonical, smaller description.
-///
-/// # Examples
-///
-/// ```
-/// use polyject_sets::{simplify, Constraint, ConstraintSet, LinExpr};
-///
-/// // x >= 2 and x <= 2 → the equality x == 2.
-/// let set = ConstraintSet::from_constraints(1, vec![
-///     Constraint::ge0(LinExpr::from_coeffs(&[1], -2)),
-///     Constraint::ge0(LinExpr::from_coeffs(&[-1], 2)),
-/// ]);
-/// let s = simplify(&set);
-/// assert_eq!(s.len(), 1);
-/// assert!(s.constraints()[0].is_equality());
-/// ```
-pub fn simplify(set: &ConstraintSet) -> ConstraintSet {
-    use crate::constraint::Constraint;
-    let mut out = ConstraintSet::universe(set.n_vars());
-    for c in set.constraints() {
-        if c.is_equality() {
-            out.add(c.clone());
-            continue;
-        }
-        // c: e >= 0 is an implicit equality iff max of e over the set is 0.
-        let implicit = match minimize(&-c.expr(), set) {
-            LpOutcome::Optimal { value, .. } => value.is_zero(),
-            LpOutcome::Infeasible => false,
-            LpOutcome::Unbounded => false,
-        };
-        if implicit {
-            out.add(Constraint::eq0(c.expr().clone()));
-        } else {
-            out.add(c.clone());
-        }
-    }
-    crate::fm::remove_redundant(&out)
-}
-
-#[cfg(test)]
-mod simplify_tests {
-    use super::*;
-    use crate::constraint::Constraint;
-
-    #[test]
-    fn detects_diagonal() {
-        // x <= y, y <= x, 0 <= x <= 3 → x == y plus the box.
-        let set = ConstraintSet::from_constraints(
-            2,
-            vec![
-                Constraint::ge0(LinExpr::from_coeffs(&[-1, 1], 0)),
-                Constraint::ge0(LinExpr::from_coeffs(&[1, -1], 0)),
-                Constraint::ge0(LinExpr::from_coeffs(&[1, 0], 0)),
-                Constraint::ge0(LinExpr::from_coeffs(&[0, -1], 3)),
-            ],
-        );
-        let s = simplify(&set);
-        assert!(s.constraints().iter().any(|c| c.is_equality()));
-        assert!(set_eq(&s, &set));
-    }
-
-    #[test]
-    fn leaves_full_dimensional_sets_alone() {
-        let set = ConstraintSet::from_constraints(
-            1,
-            vec![
-                Constraint::ge0(LinExpr::from_coeffs(&[1], 0)),
-                Constraint::ge0(LinExpr::from_coeffs(&[-1], 5)),
-            ],
-        );
-        let s = simplify(&set);
-        assert_eq!(s.len(), 2);
-        assert!(s.constraints().iter().all(|c| !c.is_equality()));
-    }
-
-    #[test]
-    fn simplify_preserves_points() {
-        let set = ConstraintSet::from_constraints(
-            2,
-            vec![
-                Constraint::ge0(LinExpr::from_coeffs(&[1, 1], -4)),
-                Constraint::ge0(LinExpr::from_coeffs(&[-1, -1], 4)),
-                Constraint::ge0(LinExpr::from_coeffs(&[1, 0], 0)),
-                Constraint::ge0(LinExpr::from_coeffs(&[-1, 0], 9)),
-            ],
-        );
-        let s = simplify(&set);
-        assert!(set_eq(&s, &set));
-        for p in crate::points::integer_points(&clamp(&set), 100).unwrap() {
-            assert_eq!(set.contains_int(&p), s.contains_int(&p));
-        }
-    }
-
-    fn clamp(set: &ConstraintSet) -> ConstraintSet {
-        let mut s = set.clone();
-        let n = s.n_vars();
-        for v in 0..n {
-            let mut lo = LinExpr::var(n, v);
-            lo.set_constant(10i128);
-            s.add(Constraint::ge0(lo));
-            let mut hi = LinExpr::var(n, v).scaled(polyject_arith::Rat::int(-1));
-            hi.set_constant(10i128);
-            s.add(Constraint::ge0(hi));
-        }
-        s
     }
 }

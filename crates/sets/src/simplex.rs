@@ -5,17 +5,17 @@
 //! variables and works on a dense exact tableau with Bland's rule, so it
 //! never cycles and never loses precision.
 //!
-//! Solves run on the fraction-free integer tableau of [`crate::tableau`],
-//! which replays the exact pivot sequence of the historical rational
-//! tableau at a fraction of the cost; the rational implementation is kept
-//! verbatim below as [`minimize_reference`], serving both as the fallback
-//! on (never yet observed) `i128` overflow and as the oracle for the
-//! differential test suite.
+//! Solves run on the fraction-free integer tableau of [`crate::tableau`]
+//! (a cold LP is its build + optimize), which replays the exact pivot
+//! sequence of the rational tableau below at a fraction of the cost; the
+//! rational implementation, [`minimize_reference`], serves both as the
+//! fallback on (never yet observed) `i128` overflow and as the oracle for
+//! the differential test suite.
 
 use crate::budget::{infallible, Budget, BudgetError};
 use crate::constraint::{Constraint, ConstraintKind, ConstraintSet};
 use crate::linexpr::LinExpr;
-use crate::tableau::{self, is_sign_row, single_var, LpBasis, SolveAbort};
+use crate::tableau::{self, is_sign_row, single_var, Solved};
 use polyject_arith::Rat;
 
 /// Result of a linear program.
@@ -88,33 +88,23 @@ pub fn try_minimize(
     set: &ConstraintSet,
     budget: &Budget,
 ) -> Result<LpOutcome, BudgetError> {
-    assert_eq!(objective.n_vars(), set.n_vars(), "objective space mismatch");
-    crate::counters::count_lp_solve(1);
-    match tableau::solve_int(objective, set, false, budget) {
-        Ok((out, _)) => Ok(out),
-        Err(SolveAbort::Budget(e)) => Err(e),
-        Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {
-            Simplex::new(set).minimize(objective, budget)
-        }
-    }
+    minimize_with_basis(objective, set, budget).map(|(out, _)| out)
 }
 
-/// Like [`try_minimize`], additionally exporting the optimal basis (when
+/// [`try_minimize`], additionally handing back the optimal tableau (when
 /// one exists and the variable space needed no sign-splitting) so
-/// branch-and-bound can warm-start child nodes with dual simplex repairs.
+/// branch-and-bound children and the next lexmin objective can start
+/// from it instead of from phase 1.
 pub(crate) fn minimize_with_basis(
     objective: &LinExpr,
     set: &ConstraintSet,
     budget: &Budget,
-) -> Result<(LpOutcome, Option<LpBasis>), BudgetError> {
+) -> Result<(LpOutcome, Option<Solved>), BudgetError> {
     assert_eq!(objective.n_vars(), set.n_vars(), "objective space mismatch");
     crate::counters::count_lp_solve(1);
-    match tableau::solve_int(objective, set, true, budget) {
-        Ok((out, basis)) => Ok((out, basis)),
-        Err(SolveAbort::Budget(e)) => Err(e),
-        Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => {
-            Ok((Simplex::new(set).minimize(objective, budget)?, None))
-        }
+    match tableau::or_cold(tableau::solve_int(objective, set, budget))? {
+        Some(solved) => Ok(solved),
+        None => Ok((Simplex::new(set).minimize(objective, budget)?, None)),
     }
 }
 

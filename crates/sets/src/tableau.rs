@@ -1,29 +1,58 @@
-//! Fraction-free integer simplex tableau.
+//! Fraction-free integer simplex tableau: one solved form, two verbs.
 //!
-//! The historical solver (kept as [`crate::minimize_reference`]) stores a
-//! dense tableau of [`Rat`] entries and pays a GCD normalization on every
-//! entry of every pivot. This module stores each row as integer entries
-//! over a single positive per-row denominator (`row_rational = a / den`),
-//! in the style of Edmonds/Bareiss fraction-free elimination: a pivot is
-//! two integer multiplies and a subtract per entry, with one early-exiting
+//! The rational reference ([`crate::minimize_reference`]) stores a dense
+//! tableau of [`Rat`] entries and pays a GCD normalization on every entry
+//! of every pivot. This module stores each row as integer entries over a
+//! single positive per-row denominator (`row_rational = a / den`), in the
+//! style of Edmonds/Bareiss fraction-free elimination: a pivot is two
+//! integer multiplies and a subtract per entry, with one early-exiting
 //! content-GCD pass per *row* instead of per *entry*, and rationals are
 //! only materialized at solution read-out.
+//!
+//! # One solved tableau, two verbs
+//!
+//! Algorithm 1 re-solves one lexicographic ILP per schedule dimension
+//! under small row deltas, which isl serves from a context/tableau
+//! pairing. Here that machinery is one type and two operations:
+//!
+//! * [`build`] turns a constraint set into a [`Solved`] tableau: rows,
+//!   initial basis, phase 1, artificials driven out and barred, the zero
+//!   objective installed. A `Solved` is always primal-feasible for its
+//!   rows and dual-feasible for its installed objective.
+//! * [`Solved::extend`] prices rows in against the current basis and
+//!   repairs primal feasibility with dual simplex pivots; the installed
+//!   objective stays optimal.
+//! * [`Solved::optimize`] installs an objective and runs primal simplex
+//!   from the current basis.
+//! * [`Solved::vertex`] reads value, point and a uniqueness proof.
+//!
+//! Everything else is a composition. A cold LP ([`solve_int`]) is build +
+//! optimize. A branch-and-bound child is its parent's clone extended by
+//! the one bound row. A [`crate::SchedCtx`] lexmin is the built base's
+//! clone extended by the pushed delta rows, optimized per objective, the
+//! root's optimal tableau extended by the `objective = optimum` pin
+//! before the next objective. The verbs return `Ok(false)` for the one
+//! dead end each can prove without reference to a basis (infeasible,
+//! unbounded), and such answers are always safe to serve; a *point* read
+//! from a warm tableau is the cold path's tie-broken vertex only when
+//! [`Vertex::unique`] holds, and callers re-solve cold otherwise.
 //!
 //! # Machine-int fast path
 //!
 //! The tableau is generic over its cell type ([`Cell`]): scheduling
-//! systems have small coefficients, so solves start on `i64` rows —
+//! systems have small coefficients, so tableaux start on `i64` rows —
 //! roughly half the memory traffic and markedly cheaper multiplies than
 //! `i128`. All arithmetic is checked; when an `i64` operation overflows,
-//! the *whole operation* (prepare, finish, warm re-solve, context extend
-//! or re-optimize) is redone from its pristine pre-operation state on
-//! `i128` rows, after rewinding the pivot counters the abandoned attempt
-//! ticked. Both representations run the identical algorithm on identical
-//! integer entries (an `i64` tableau widened to `i128` is exactly the
-//! tableau a pure-`i128` run would hold at that point), so the decision
-//! sequence, the returned outcome, *and the final counter values* are
-//! bit-for-bit those of a pure-`i128` run — the escalation is invisible
-//! except to the `tab_i64_solves` / `tab_overflow_escalations` counters.
+//! the *whole operation* (the build, or one verb) is redone from its
+//! pre-operation state on `i128` rows, after rewinding the pivot counters
+//! the abandoned attempt ticked. Both widths run the identical algorithm
+//! on identical integer entries (an `i64` tableau widened to `i128` is
+//! exactly the tableau a pure-`i128` run would hold at that point), so
+//! the decision sequence, the returned outcome, *and the final counter
+//! values* are bit-for-bit those of a pure-`i128` run — the escalation is
+//! invisible except to the `tab_i64_solves` / `tab_overflow_escalations`
+//! counters. It is written once for the build ([`build`]) and once for
+//! the verbs (`Solved::apply`).
 //!
 //! # Exactness and identity
 //!
@@ -39,12 +68,13 @@
 //! reference solver. The differential suite in `tests/differential.rs`
 //! asserts exactly that, for both cell widths.
 //!
-//! Any overflow of the widest (`i128`) representation aborts the integer
-//! solve with [`SolveAbort::Overflow`] and the caller falls back to the
-//! rational reference, so no new panic paths are introduced. Budget trips
-//! ([`SolveAbort::Budget`]) propagate out instead — a cancelled or
-//! exhausted solve must not silently restart on the slower rational path,
-//! and never triggers an `i64`→`i128` escalation.
+//! Any overflow of the widest (`i128`) representation aborts with
+//! [`SolveAbort::Overflow`] and the caller falls back to its cold path
+//! (ultimately the rational reference), so there are no panic paths.
+//! Budget trips ([`SolveAbort::Budget`]) propagate out instead — a
+//! cancelled or exhausted solve must not silently restart on a slower
+//! path — and, like a hit pivot cap ([`SolveAbort::PivotLimit`]), never
+//! trigger an `i64`→`i128` escalation.
 
 use crate::budget::{Budget, BudgetError};
 use crate::constraint::{Constraint, ConstraintKind, ConstraintSet};
@@ -54,9 +84,9 @@ use crate::simplex::LpOutcome;
 use polyject_arith::{lcm, Rat};
 use std::cmp::Ordering;
 
-/// Cap on dual-simplex repair pivots per warm-started node; beyond it the
-/// node falls back to a cold solve (Bland's rule terminates in theory, but
-/// the cap bounds the damage of any bug).
+/// Cap on dual-simplex repair pivots per [`Solved::extend`]; beyond it the
+/// caller falls back to a cold solve (Bland's rule terminates in theory,
+/// but the cap bounds the damage of any bug).
 const DUAL_PIVOT_LIMIT: u64 = 20_000;
 
 #[cfg(test)]
@@ -83,9 +113,8 @@ enum RunResult {
 /// Why an integer-tableau solve stopped early.
 pub(crate) enum SolveAbort {
     /// An intermediate value overflowed the cell type. For `i64` cells
-    /// the operation wrapper escalates to `i128`; for `i128` cells the
-    /// caller falls back to the cold/rational path, exactly as the
-    /// historical `None` return did.
+    /// the operation is redone on `i128`; for `i128` cells the caller
+    /// falls back to the cold/rational path.
     Overflow,
     /// A dual repair hit [`DUAL_PIVOT_LIMIT`]. Wider cells would replay the
     /// same pivots, so this never escalates: the caller falls back to the
@@ -98,6 +127,17 @@ pub(crate) enum SolveAbort {
 impl From<BudgetError> for SolveAbort {
     fn from(e: BudgetError) -> SolveAbort {
         SolveAbort::Budget(e)
+    }
+}
+
+/// What an abort means to a caller with a cold path to fall back on: a
+/// budget error ends the solve; an `i128` overflow or a hit pivot cap
+/// (`None`) only says the answer has to come from the cold path.
+pub(crate) fn or_cold<T>(r: Result<T, SolveAbort>) -> Result<Option<T>, BudgetError> {
+    match r {
+        Ok(v) => Ok(Some(v)),
+        Err(SolveAbort::Overflow | SolveAbort::PivotLimit) => Ok(None),
+        Err(SolveAbort::Budget(e)) => Err(e),
     }
 }
 
@@ -114,7 +154,7 @@ fn ov<T>(o: Option<T>) -> Result<T, SolveAbort> {
 /// rejected everywhere) so negation is total on representable values, and
 /// widens ratio-test products to `i128`, where they always fit — a ratio
 /// comparison alone never forces an escalation. The `i128` implementation
-/// preserves the historical checked-`i128` semantics verbatim.
+/// is plain checked arithmetic.
 pub(crate) trait Cell: Copy + Eq + Ord + std::fmt::Debug + 'static {
     const ZERO: Self;
     const ONE: Self;
@@ -495,30 +535,36 @@ impl<C: Cell> IntTableau<C> {
         }
     }
 
-    /// Accumulates the values of the original variables from the basic
-    /// rows. The basic value is `b_r / a_r,bv` — the row denominator
-    /// cancels, and `a_r,bv > 0` by the positive-scale invariant.
-    fn read_point(&self, n: usize, split: bool) -> Vec<Rat> {
+    /// Reads the installed objective's optimum off the basic rows. A
+    /// basic variable's value is `b_r / a_r,bv` — the row denominator
+    /// cancels, and `a_r,bv > 0` by the positive-scale invariant; the
+    /// objective value is `valnum / cost_den`, unscaled by `obj_scale`
+    /// and shifted by the objective's constant term.
+    fn read_out(&self, n: usize, split: bool, obj_scale: i128, obj_const: Rat) -> Vertex {
         let mut point = vec![Rat::ZERO; n];
+        let mut basic = vec![false; self.ncols];
         for r in 0..self.rows() {
             let bv = self.basis[r];
+            basic[bv] = true;
             if bv < n {
                 point[bv] += Rat::new(self.b(r).widen(), self.at(r, bv).widen());
             } else if split && bv < 2 * n {
                 point[bv - n] -= Rat::new(self.b(r).widen(), self.at(r, bv).widen());
             }
         }
-        point
-    }
-
-    /// The objective value `valnum / cost_den`, unscaled by `obj_scale`
-    /// and shifted by the objective's constant term.
-    fn value(&self, obj_scale: i128, obj_const: Rat) -> Rat {
-        Rat::new(self.valnum.widen(), self.cost_den.widen()) / Rat::int(obj_scale) + obj_const
+        let unique = (0..self.ncols)
+            .all(|j| basic[j] || !self.enterable(j) || self.cost[j] > C::ZERO)
+            && (self.art_lo..self.art_hi).all(|j| !basic[j]);
+        Vertex {
+            value: Rat::new(self.valnum.widen(), self.cost_den.widen()) / Rat::int(obj_scale)
+                + obj_const,
+            point,
+            unique,
+        }
     }
 
     /// Appends a fresh all-zero column (re-striding the flat storage) and
-    /// returns its index. Used by warm starts to add the new bound's slack.
+    /// returns its index: the slack of a row [`Solved::extend`] takes.
     fn append_column(&mut self) -> usize {
         let old = self.stride;
         let ncols = self.ncols;
@@ -539,76 +585,56 @@ impl<C: Cell> IntTableau<C> {
     }
 }
 
-/// The exported optimal basis of a solved LP over a non-split variable
-/// space, reusable as a dual-simplex warm start after one more constraint
-/// is pushed (branch-and-bound's child nodes).
+/// A tableau in solved form, the one state every LP in the crate passes
+/// through: primal-feasible for the rows it holds, artificials barred,
+/// and dual-feasible for the objective it has installed (the zero
+/// objective straight out of [`build`]). Both verbs keep it that way —
+/// [`Solved::extend`] takes rows, [`Solved::optimize`] takes an
+/// objective — so they compose in any order; [`Solved::vertex`] reads the
+/// optimum. `Clone` is how a caller keeps a state to return to (a context
+/// base, a branch-and-bound parent).
 #[derive(Clone)]
-pub(crate) struct LpBasis {
+pub(crate) struct Solved {
     tab: Tab,
+    /// Variables of the constraint space.
     n: usize,
+    /// Whether each variable is carried as a difference `p − q` of two
+    /// nonnegative columns (the space has a variable without a sign row).
+    split: bool,
+    /// The installed cost row is `obj_scale · (objective − obj_const)`.
     obj_scale: i128,
     obj_const: Rat,
 }
 
-/// Result of a warm-started (dual simplex) re-solve.
-pub(crate) enum WarmOutcome {
-    /// The child LP is empty. Always safe to use: no point is produced.
-    Infeasible,
-    /// The child LP solved to optimality. `value` is always trustworthy
-    /// (the optimal value is unique); `point` may be used only when
-    /// `unique` proves the optimal vertex is the one every correct solver
-    /// — in particular the cold reference path — must return.
-    Optimal {
-        value: Rat,
-        point: Vec<Rat>,
-        unique: bool,
-        basis: Box<LpBasis>,
-    },
-}
-
-/// The objective-independent half of a solve: a tableau whose feasibility
-/// has been established (phase 1 run, artificials driven out and barred),
-/// ready to accept any phase-2 objective. Cloning one and finishing it
-/// with [`finish_int`] reproduces a cold [`solve_int`] bit-for-bit,
-/// because everything up to `install_objective(phase2)` is a pure
-/// function of the ordered row list.
-#[derive(Clone)]
-pub(crate) struct PreparedTab {
-    tab: Tab,
-    n: usize,
-    split: bool,
-}
-
-/// Outcome of the objective-independent preparation pass.
+/// What [`build`] made of a constraint set.
 #[allow(clippy::large_enum_variant)] // built once, matched once: boxing buys nothing
-pub(crate) enum Prep {
+pub(crate) enum Built {
     /// Trivially or phase-1 infeasible.
     Infeasible,
     /// No rows survive filtering (the whole space is `x >= 0` or free).
     Empty { split: bool },
     /// Feasibility established.
-    Ready(PreparedTab),
+    Ready(Solved),
 }
 
-/// Typed intermediate of [`prepare_typed`], before width-erasure.
-#[allow(clippy::large_enum_variant)]
-enum PrepT<C: Cell> {
-    Infeasible,
-    Empty {
-        split: bool,
-    },
-    Ready {
-        tab: IntTableau<C>,
-        n: usize,
-        split: bool,
-    },
+/// The optimum of the installed objective, as [`Solved::vertex`] reads it.
+pub(crate) struct Vertex {
+    /// The optimal value — unique, hence the one any correct solver
+    /// returns, whatever the basis.
+    pub(crate) value: Rat,
+    /// A point attaining it; the cold path's tie-broken vertex only when
+    /// `unique` holds.
+    pub(crate) point: Vec<Rat>,
+    /// Whether the tableau proves the optimal vertex unique: every
+    /// enterable nonbasic column has a strictly positive reduced cost
+    /// and (extra conservatively) no artificial sits in the basis.
+    pub(crate) unique: bool,
 }
 
 thread_local! {
-    /// Test hook: force every fresh tableau onto `i128` rows. Since every
-    /// `i64` tableau originates in [`prepare_int`], gating the build is
-    /// enough to keep the whole downstream chain (warm starts, context
-    /// extends, re-optimizations) on the wide path.
+    /// Test hook: force every fresh tableau onto `i128` rows. Every `i64`
+    /// tableau originates in [`build`], so gating the build keeps the
+    /// whole downstream chain of verbs on the wide path.
     static FORCE_WIDE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -622,12 +648,14 @@ pub fn set_force_wide_tableau(on: bool) -> bool {
 
 /// Builds the tableau for a set and establishes feasibility: raw rows,
 /// initial slack/artificial basis, phase 1 (when needed) and the
-/// artificial drive-out — everything [`solve_int`] does before the
-/// phase-2 objective is installed, verbatim.
-fn prepare_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<PrepT<C>, SolveAbort> {
+/// artificial drive-out, mirroring the rational reference row for row.
+/// Everything here is a pure function of the ordered row list, so a
+/// clone of the result optimized under any objective reproduces a cold
+/// solve of that objective bit for bit.
+fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, SolveAbort> {
     let n = set.n_vars();
     if set.has_trivial_contradiction() {
-        return Ok(PrepT::Infeasible);
+        return Ok(Built::Infeasible);
     }
     // Mirror of the reference: skip the p−q split (and drop the sign rows)
     // when every variable carries an explicit `x >= 0` constraint.
@@ -647,7 +675,7 @@ fn prepare_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<PrepT<
         .collect();
     let m = rows.len();
     if m == 0 {
-        return Ok(PrepT::Empty { split });
+        return Ok(Built::Empty { split });
     }
 
     let n_x = if split { 2 * n } else { n };
@@ -737,7 +765,7 @@ fn prepare_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<PrepT<
             unreachable!("phase-1 objective is bounded below by zero");
         }
         if tab.valnum > C::ZERO {
-            return Ok(PrepT::Infeasible);
+            return Ok(Built::Infeasible);
         }
         // Drive basic artificials out where a structural pivot exists.
         for r in 0..m {
@@ -748,152 +776,195 @@ fn prepare_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<PrepT<
                 }
             }
         }
+        // Leave the zero objective behind: dual-feasible for any basis,
+        // so the result takes rows as readily as an objective.
+        tab.cost.fill(C::ZERO);
+        tab.valnum = C::ZERO;
+        tab.cost_den = C::ONE;
     }
     tab.bar_artificials = true;
-    Ok(PrepT::Ready { tab, n, split })
+    Ok(Built::Ready(Solved {
+        tab: C::wrap(tab),
+        n,
+        split,
+        obj_scale: 1,
+        obj_const: Rat::ZERO,
+    }))
 }
 
-/// Width-dispatching preparation: tries `i64` rows first (unless wide mode
-/// is forced) and redoes the whole preparation on `i128` rows if the
-/// attempt overflows, rewinding the abandoned attempt's pivot counters so
-/// the final counts match a pure-`i128` run.
-pub(crate) fn prepare_int(set: &ConstraintSet, budget: &Budget) -> Result<Prep, SolveAbort> {
+/// [`build_typed`] behind the width dispatch. There is no tableau to
+/// widen yet, so an `i64` overflow redoes the whole build on `i128` rows
+/// (pivot counters rewound, as in [`Solved::apply`]).
+pub(crate) fn build(set: &ConstraintSet, budget: &Budget) -> Result<Built, SolveAbort> {
     if FORCE_WIDE.with(|f| f.get()) {
-        return prepare_typed::<i128>(set, budget).map(erase_prep);
+        return build_typed::<i128>(set, budget);
     }
     let marks = counters::pivot_marks();
-    match prepare_typed::<i64>(set, budget) {
-        Ok(p) => {
-            if !matches!(p, PrepT::Empty { .. }) {
+    match build_typed::<i64>(set, budget) {
+        Ok(built) => {
+            if !matches!(built, Built::Empty { .. }) {
                 counters::count_tab_i64_solve(1);
             }
-            Ok(erase_prep(p))
+            Ok(built)
         }
-        Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
         Err(SolveAbort::Overflow) => {
             counters::rewind_pivots(marks);
             counters::count_tab_overflow_escalation(1);
-            prepare_typed::<i128>(set, budget).map(erase_prep)
+            build_typed::<i128>(set, budget)
         }
+        Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
     }
 }
 
-fn erase_prep<C: Cell>(p: PrepT<C>) -> Prep {
-    match p {
-        PrepT::Infeasible => Prep::Infeasible,
-        PrepT::Empty { split } => Prep::Empty { split },
-        PrepT::Ready { tab, n, split } => Prep::Ready(PreparedTab {
-            tab: C::wrap(tab),
-            n,
-            split,
-        }),
-    }
+/// One of the two operations on a [`Solved`], as data, so that
+/// [`Solved::apply`] can run it at either cell width.
+#[derive(Clone, Copy)]
+enum Verb<'a> {
+    Extend(&'a [Constraint]),
+    /// The objective and the positive scale that clears its denominators.
+    Optimize(&'a LinExpr, i128),
 }
 
-/// The objective-dependent half of [`solve_int`]: installs the phase-2
-/// objective on a feasibility-established tableau and runs it to
-/// optimality.
-#[allow(clippy::type_complexity)]
-fn finish_typed<C: Cell>(
-    mut tab: IntTableau<C>,
-    n: usize,
-    split: bool,
-    objective: &LinExpr,
-    want_basis: bool,
-    budget: &Budget,
-) -> Result<(LpOutcome, Option<(IntTableau<C>, i128)>), SolveAbort> {
-    // Phase 2: the real objective, cleared of denominators. The scale is
-    // positive, so reduced-cost signs — and hence pivots — are unchanged.
-    let mut obj_scale: i128 = 1;
-    for i in 0..n {
-        obj_scale = lcm(obj_scale, objective.coeff(i).denom());
-    }
-    let mut phase2 = vec![C::ZERO; tab.ncols];
-    for i in 0..n {
-        let c = objective.coeff(i);
-        let v = ov(c.numer().checked_mul(obj_scale / c.denom()))?;
-        phase2[i] = ov(C::narrow(v))?;
-        if split {
-            phase2[n + i] = ov(C::narrow(ov(v.checked_neg())?))?;
-        }
-    }
-    ov(tab.install_objective(phase2))?;
-    let res = tab.run(budget, false)?;
-    if res == RunResult::Unbounded {
-        return Ok((LpOutcome::Unbounded, None));
-    }
-
-    let point = tab.read_point(n, split);
-    let value = tab.value(obj_scale, objective.constant_term());
-    let basis = if want_basis && !split {
-        Some((tab, obj_scale))
-    } else {
-        None
-    };
-    Ok((LpOutcome::Optimal { point, value }, basis))
-}
-
-/// [`finish_typed`] behind the width dispatch: an `i64` tableau is cloned
-/// before the attempt so an overflow can redo the finish from the
-/// pristine state on `i128` rows (with the pivot counters rewound).
-fn finish_int(
-    prepared: PreparedTab,
-    objective: &LinExpr,
-    want_basis: bool,
-    budget: &Budget,
-) -> Result<(LpOutcome, Option<LpBasis>), SolveAbort> {
-    let PreparedTab { tab, n, split } = prepared;
-    let obj_const = objective.constant_term();
-    let pack = |basis: Option<(Tab, i128)>| {
-        basis.map(|(tab, obj_scale)| LpBasis {
-            tab,
-            n,
-            obj_scale,
-            obj_const,
-        })
-    };
-    match tab {
-        Tab::Small(t) => {
-            let marks = counters::pivot_marks();
-            let backup = t.clone();
-            match finish_typed(t, n, split, objective, want_basis, budget) {
-                Ok((out, basis)) => {
-                    counters::count_tab_i64_solve(1);
-                    Ok((out, pack(basis.map(|(t, s)| (Tab::Small(t), s)))))
+impl Verb<'_> {
+    /// Runs the verb on typed cells. `Ok(false)` is the verb's
+    /// basis-independent dead end: the extended system is infeasible, or
+    /// the objective is unbounded below.
+    fn run<C: Cell>(
+        self,
+        tab: &mut IntTableau<C>,
+        n: usize,
+        split: bool,
+        budget: &Budget,
+    ) -> Result<bool, SolveAbort> {
+        match self {
+            Verb::Extend(rows) => {
+                for c in rows {
+                    // Mirror the build's row filter: in a non-split space,
+                    // sign rows are implicit and never materialized.
+                    if c.kind() == ConstraintKind::Ge && is_sign_row(c.expr()) {
+                        continue;
+                    }
+                    if !append_priced_row(tab, c)? {
+                        return Ok(false);
+                    }
                 }
-                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
-                Err(SolveAbort::Overflow) => {
-                    counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation(1);
-                    let (out, basis) =
-                        finish_typed(widen_tab(&backup), n, split, objective, want_basis, budget)?;
-                    Ok((out, pack(basis.map(|(t, s)| (Tab::Big(t), s)))))
+                dual_repair(tab, budget)
+            }
+            Verb::Optimize(objective, obj_scale) => {
+                // The scale is positive, so reduced-cost signs — and hence
+                // pivots — are those of the unscaled objective.
+                let mut phase2 = vec![C::ZERO; tab.ncols];
+                for i in 0..n {
+                    let c = objective.coeff(i);
+                    let v = ov(c.numer().checked_mul(obj_scale / c.denom()))?;
+                    phase2[i] = ov(C::narrow(v))?;
+                    if split {
+                        phase2[n + i] = ov(C::narrow(ov(v.checked_neg())?))?;
+                    }
+                }
+                ov(tab.install_objective(phase2))?;
+                Ok(tab.run(budget, false)? == RunResult::Optimal)
+            }
+        }
+    }
+}
+
+impl Solved {
+    /// Runs a verb in place — the crate's one `i64`→`i128` escalation of
+    /// an existing tableau. On `i64` cells the pre-operation state is
+    /// kept aside; if the attempt overflows, the pivot counters it ticked
+    /// are rewound, the escalation is counted, and the verb is redone on
+    /// the widened copy, which then replaces the tableau. Budget and
+    /// pivot-limit aborts pass through untouched (wider cells would
+    /// replay the same pivots). After an `Err` the tableau is mid-pivot
+    /// and only good for dropping.
+    fn apply(&mut self, verb: Verb<'_>, budget: &Budget) -> Result<bool, SolveAbort> {
+        let (n, split) = (self.n, self.split);
+        match &mut self.tab {
+            Tab::Big(t) => verb.run(t, n, split, budget),
+            Tab::Small(t) => {
+                let marks = counters::pivot_marks();
+                let backup = t.clone();
+                match verb.run(t, n, split, budget) {
+                    Ok(done) => {
+                        counters::count_tab_i64_solve(1);
+                        Ok(done)
+                    }
+                    Err(SolveAbort::Overflow) => {
+                        counters::rewind_pivots(marks);
+                        counters::count_tab_overflow_escalation(1);
+                        let mut big = widen_tab(&backup);
+                        let done = verb.run(&mut big, n, split, budget);
+                        self.tab = Tab::Big(big);
+                        done
+                    }
+                    Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
                 }
             }
         }
-        Tab::Big(t) => {
-            let (out, basis) = finish_typed(t, n, split, objective, want_basis, budget)?;
-            Ok((out, pack(basis.map(|(t, s)| (Tab::Big(t), s)))))
+    }
+
+    /// Prices `rows` in against the current basis and repairs primal
+    /// feasibility with dual simplex pivots, keeping the installed
+    /// objective optimal. `Ok(false)` means the extended system has no
+    /// feasible point — a basis-independent fact, safe to report without
+    /// a cold re-solve. Needs a non-split space ([`Solved::extendable`]).
+    pub(crate) fn extend(
+        &mut self,
+        rows: &[Constraint],
+        budget: &Budget,
+    ) -> Result<bool, SolveAbort> {
+        debug_assert!(!self.split);
+        if rows.is_empty() {
+            return Ok(true);
         }
+        self.apply(Verb::Extend(rows), budget)
+    }
+
+    /// Installs `objective` and runs primal simplex from the current
+    /// basis — phase 2 of a cold solve when the tableau comes straight
+    /// from [`build`], a warm re-optimization otherwise. `Ok(false)`
+    /// means the LP is unbounded below (basis-independent, hence exact).
+    pub(crate) fn optimize(
+        &mut self,
+        objective: &LinExpr,
+        budget: &Budget,
+    ) -> Result<bool, SolveAbort> {
+        self.obj_scale = (0..self.n).fold(1, |s, i| lcm(s, objective.coeff(i).denom()));
+        self.obj_const = objective.constant_term();
+        self.apply(Verb::Optimize(objective, self.obj_scale), budget)
+    }
+
+    /// The optimum of the installed objective; meaningful after a verb
+    /// returned `Ok(true)`.
+    pub(crate) fn vertex(&self) -> Vertex {
+        match &self.tab {
+            Tab::Small(t) => t.read_out(self.n, self.split, self.obj_scale, self.obj_const),
+            Tab::Big(t) => t.read_out(self.n, self.split, self.obj_scale, self.obj_const),
+        }
+    }
+
+    /// `Some(self)` when the tableau can take rows: appended rows are
+    /// written over the `n` natural columns only, which a sign-split
+    /// space does not have.
+    pub(crate) fn extendable(self) -> Option<Solved> {
+        (!self.split).then_some(self)
     }
 }
 
-/// Solves the LP with the integer tableau, mirroring the rational
-/// reference decision-for-decision. Aborts with [`SolveAbort::Overflow`]
-/// if any intermediate value overflows `i128` (callers fall back to the
-/// reference solver) and propagates budget errors; otherwise returns the
-/// outcome plus — when requested and the variable space needed no
-/// sign-splitting — the optimal basis for warm starts.
+/// A cold LP: build, then optimize. Mirrors the rational reference
+/// decision for decision; aborts with [`SolveAbort::Overflow`] if any
+/// intermediate value overflows `i128` (callers fall back to the
+/// reference solver) and propagates budget errors. Beside the outcome it
+/// hands back the optimal tableau when that can serve as a warm start.
 pub(crate) fn solve_int(
     objective: &LinExpr,
     set: &ConstraintSet,
-    want_basis: bool,
     budget: &Budget,
-) -> Result<(LpOutcome, Option<LpBasis>), SolveAbort> {
-    match prepare_int(set, budget)? {
-        Prep::Infeasible => Ok((LpOutcome::Infeasible, None)),
-        Prep::Empty { split } => {
-            let n = set.n_vars();
+) -> Result<(LpOutcome, Option<Solved>), SolveAbort> {
+    match build(set, budget)? {
+        Built::Infeasible => Ok((LpOutcome::Infeasible, None)),
+        Built::Empty { split } => {
             let unbounded = if split {
                 !objective.is_constant()
             } else {
@@ -903,36 +974,35 @@ pub(crate) fn solve_int(
                 LpOutcome::Unbounded
             } else {
                 LpOutcome::Optimal {
-                    point: vec![Rat::ZERO; n],
+                    point: vec![Rat::ZERO; set.n_vars()],
                     value: objective.constant_term(),
                 }
             };
             Ok((out, None))
         }
-        Prep::Ready(prepared) => finish_int(prepared, objective, want_basis, budget),
+        Built::Ready(mut solved) => {
+            if !solved.optimize(objective, budget)? {
+                return Ok((LpOutcome::Unbounded, None));
+            }
+            let Vertex { value, point, .. } = solved.vertex();
+            Ok((LpOutcome::Optimal { point, value }, solved.extendable()))
+        }
     }
-}
-
-/// What became of a constraint appended by [`append_priced_row`].
-enum RowFate {
-    /// The row is in the tableau (primal feasibility may need repair).
-    Added,
-    /// The row priced out to an identity implied by the current rows.
-    Dropped,
-    /// The row priced out to `0 = rhs` with `rhs != 0`: the extended
-    /// system has no feasible point. Basis-independent, hence exact.
-    Infeasible,
 }
 
 /// Appends one constraint to a solved tableau, priced out against the
 /// current basis. A `Ge` row gets a fresh slack column and enters the
 /// basis through it (possibly primal-infeasible, i.e. negative); an `Eq`
-/// row pivots in through its smallest enterable nonzero column. Either
-/// way the caller must restore primal feasibility with [`dual_repair`].
+/// row pivots in through its smallest enterable nonzero column, or is
+/// dropped when it prices out to an identity the current rows imply.
+/// Either way the caller must restore primal feasibility with
+/// [`dual_repair`]. `Ok(false)` means the row priced out to `0 = rhs`
+/// with `rhs != 0`: the extended system has no feasible point
+/// (basis-independent, hence exact).
 fn append_priced_row<C: Cell>(
     tab: &mut IntTableau<C>,
     extra: &Constraint,
-) -> Result<RowFate, SolveAbort> {
+) -> Result<bool, SolveAbort> {
     let slack_col = if extra.kind() == ConstraintKind::Ge {
         Some(tab.append_column())
     } else {
@@ -991,7 +1061,6 @@ fn append_priced_row<C: Cell>(
             tab.den.push(den);
             tab.basis.push(col);
             ov(tab.normalize_row(r_new))?;
-            Ok(RowFate::Added)
         }
         None => {
             // An equality row has no slack of its own: pick a basic column
@@ -1000,11 +1069,7 @@ fn append_priced_row<C: Cell>(
             // represented solution, so if no enterable column remains the
             // row reads `0 = rhs`.
             let Some(c) = (0..ncols).find(|&j| tab.enterable(j) && row[j] != C::ZERO) else {
-                return Ok(if row[ncols] == C::ZERO {
-                    RowFate::Dropped
-                } else {
-                    RowFate::Infeasible
-                });
+                return Ok(row[ncols] == C::ZERO);
             };
             tab.data.extend_from_slice(&row);
             tab.den.push(den);
@@ -1012,9 +1077,9 @@ fn append_priced_row<C: Cell>(
             ov(tab.normalize_row(r_new))?;
             ov(tab.pivot(r_new, c))?;
             counters::count_bb_repair_pivots(1);
-            Ok(RowFate::Added)
         }
     }
+    Ok(true)
 }
 
 /// Dual simplex: the basis must be dual-feasible (reduced costs
@@ -1062,323 +1127,6 @@ fn dual_repair<C: Cell>(tab: &mut IntTableau<C>, budget: &Budget) -> Result<bool
         if pivots > dual_pivot_limit() {
             return Err(SolveAbort::PivotLimit);
         }
-    }
-}
-
-/// The optimum point is provably the one the cold path would return only
-/// when it is the *unique* optimum: every enterable nonbasic column must
-/// have a strictly positive reduced cost (and, extra conservatively, no
-/// artificial may sit in the basis).
-fn unique_optimum<C: Cell>(tab: &IntTableau<C>) -> bool {
-    let mut basic = vec![false; tab.ncols];
-    for &bv in &tab.basis {
-        basic[bv] = true;
-    }
-    let strictly_positive =
-        (0..tab.ncols).all(|j| basic[j] || !tab.enterable(j) || tab.cost[j] > C::ZERO);
-    let no_basic_artificial = tab
-        .basis
-        .iter()
-        .all(|&bv| !(bv >= tab.art_lo && bv < tab.art_hi));
-    strictly_positive && no_basic_artificial
-}
-
-/// Typed body of [`warm_resolve`], starting from an owned clone (or
-/// widened copy) of the parent's tableau.
-#[allow(clippy::type_complexity)]
-fn warm_typed<C: Cell>(
-    mut tab: IntTableau<C>,
-    n: usize,
-    parent_scale: i128,
-    parent_const: Rat,
-    extra: &Constraint,
-    budget: &Budget,
-) -> Result<Option<(Rat, Vec<Rat>, bool, IntTableau<C>)>, SolveAbort> {
-    match append_priced_row(&mut tab, extra)? {
-        RowFate::Added | RowFate::Dropped => {}
-        RowFate::Infeasible => return Ok(None),
-    }
-    if !dual_repair(&mut tab, budget)? {
-        // Dual unbounded: the child LP has no feasible point.
-        return Ok(None);
-    }
-    let value = tab.value(parent_scale, parent_const);
-    let point = tab.read_point(n, false);
-    let unique = unique_optimum(&tab);
-    Ok(Some((value, point, unique, tab)))
-}
-
-/// Re-solves the parent's LP with one extra `expr >= 0` row, repairing the
-/// parent's optimal basis with dual simplex pivots instead of a cold
-/// two-phase solve. An `i64` parent is retried on a widened copy if the
-/// repair overflows; an `i128` overflow surfaces as
-/// [`SolveAbort::Overflow`] and the pivot cap (at either width, without a
-/// retry) as [`SolveAbort::PivotLimit`], both telling the caller to fall
-/// back to a cold solve. Budget errors propagate.
-pub(crate) fn warm_resolve(
-    parent: &LpBasis,
-    extra: &Constraint,
-    budget: &Budget,
-) -> Result<WarmOutcome, SolveAbort> {
-    debug_assert_eq!(extra.kind(), ConstraintKind::Ge);
-    let n = parent.n;
-    let pack = |r: Option<(Rat, Vec<Rat>, bool, Tab)>| match r {
-        None => WarmOutcome::Infeasible,
-        Some((value, point, unique, tab)) => WarmOutcome::Optimal {
-            value,
-            point,
-            unique,
-            basis: Box::new(LpBasis {
-                tab,
-                n,
-                obj_scale: parent.obj_scale,
-                obj_const: parent.obj_const,
-            }),
-        },
-    };
-    match &parent.tab {
-        Tab::Small(t) => {
-            let marks = counters::pivot_marks();
-            match warm_typed(
-                t.clone(),
-                n,
-                parent.obj_scale,
-                parent.obj_const,
-                extra,
-                budget,
-            ) {
-                Ok(r) => {
-                    counters::count_tab_i64_solve(1);
-                    Ok(pack(r.map(|(v, p, u, t)| (v, p, u, Tab::Small(t)))))
-                }
-                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
-                Err(SolveAbort::Overflow) => {
-                    counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation(1);
-                    let r = warm_typed(
-                        widen_tab(t),
-                        n,
-                        parent.obj_scale,
-                        parent.obj_const,
-                        extra,
-                        budget,
-                    )?;
-                    Ok(pack(r.map(|(v, p, u, t)| (v, p, u, Tab::Big(t)))))
-                }
-            }
-        }
-        Tab::Big(t) => {
-            let r = warm_typed(
-                t.clone(),
-                n,
-                parent.obj_scale,
-                parent.obj_const,
-                extra,
-                budget,
-            )?;
-            Ok(pack(r.map(|(v, p, u, t)| (v, p, u, Tab::Big(t)))))
-        }
-    }
-}
-
-/// Outcome of preparing a base set for a [`crate::context::SchedCtx`].
-#[allow(clippy::large_enum_variant)] // built once, matched once: boxing buys nothing
-pub(crate) enum CtxPrepared {
-    /// Feasibility established; extensions and re-optimizations welcome.
-    Ready(PreparedTab),
-    /// The base set is already infeasible, or it needs the p−q sign
-    /// split / has no rows — shapes the persistent context does not
-    /// accelerate. The context falls back to cold solves.
-    Unsupported,
-}
-
-/// Prepares a base constraint set for persistent reuse: runs the
-/// objective-independent half of a solve and installs a zero objective
-/// (trivially dual-feasible) so delta rows can be appended and repaired
-/// immediately.
-pub(crate) fn ctx_prepare(set: &ConstraintSet, budget: &Budget) -> Result<CtxPrepared, SolveAbort> {
-    match prepare_int(set, budget)? {
-        Prep::Ready(mut prepared) if !prepared.split => {
-            // A zero objective prices out to nothing: no arithmetic, no
-            // overflow, on either cell width.
-            match &mut prepared.tab {
-                Tab::Small(t) => {
-                    let ncols = t.ncols;
-                    ov(t.install_objective(vec![0i64; ncols]))?;
-                }
-                Tab::Big(t) => {
-                    let ncols = t.ncols;
-                    ov(t.install_objective(vec![0i128; ncols]))?;
-                }
-            }
-            Ok(CtxPrepared::Ready(prepared))
-        }
-        _ => Ok(CtxPrepared::Unsupported),
-    }
-}
-
-/// Typed body of [`ctx_extend`].
-fn ctx_extend_typed<C: Cell>(
-    tab: &mut IntTableau<C>,
-    extra: &[Constraint],
-    budget: &Budget,
-) -> Result<bool, SolveAbort> {
-    for c in extra {
-        // Mirror the cold row filter: in a non-split space, sign rows are
-        // implicit in the tableau and never materialized.
-        if c.kind() == ConstraintKind::Ge && is_sign_row(c.expr()) {
-            continue;
-        }
-        match append_priced_row(tab, c)? {
-            RowFate::Added | RowFate::Dropped => {}
-            RowFate::Infeasible => return Ok(false),
-        }
-    }
-    dual_repair(tab, budget)
-}
-
-/// Extends a prepared (or previously optimized) tableau with extra
-/// constraint rows and repairs primal feasibility. The installed cost row
-/// must be dual-feasible — true right after [`ctx_prepare`] (zero
-/// objective) and right after [`ctx_optimize`] (optimal reduced costs).
-/// Returns `Ok(false)` when the extension makes the system infeasible —
-/// a basis-independent fact, safe to report without a cold re-solve.
-/// An `i64` tableau that overflows mid-extend is promoted in place: the
-/// whole extension is redone on a widened copy of the pre-extend state.
-pub(crate) fn ctx_extend(
-    prepared: &mut PreparedTab,
-    extra: &[Constraint],
-    budget: &Budget,
-) -> Result<bool, SolveAbort> {
-    debug_assert!(!prepared.split);
-    match &mut prepared.tab {
-        Tab::Small(t) => {
-            let marks = counters::pivot_marks();
-            let backup = t.clone();
-            match ctx_extend_typed(t, extra, budget) {
-                Ok(r) => {
-                    counters::count_tab_i64_solve(1);
-                    Ok(r)
-                }
-                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
-                Err(SolveAbort::Overflow) => {
-                    counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation(1);
-                    let mut big = widen_tab(&backup);
-                    let r = ctx_extend_typed(&mut big, extra, budget)?;
-                    prepared.tab = Tab::Big(big);
-                    Ok(r)
-                }
-            }
-        }
-        Tab::Big(t) => ctx_extend_typed(t, extra, budget),
-    }
-}
-
-/// Result of re-optimizing a prepared tableau under a fresh objective.
-#[allow(clippy::large_enum_variant)] // built once, matched once: boxing buys nothing
-pub(crate) enum CtxOpt {
-    /// The LP is unbounded below. Basis-independent, hence exact.
-    Unbounded,
-    /// Solved to optimality. `value` is always exact; `point` matches the
-    /// cold path's tie-broken vertex only when `unique` holds.
-    Optimal {
-        value: Rat,
-        point: Vec<Rat>,
-        unique: bool,
-        basis: LpBasis,
-    },
-}
-
-/// Typed body of [`ctx_optimize`].
-#[allow(clippy::type_complexity)]
-fn ctx_optimize_typed<C: Cell>(
-    mut tab: IntTableau<C>,
-    n: usize,
-    objective: &LinExpr,
-    budget: &Budget,
-) -> Result<Option<(Rat, Vec<Rat>, bool, IntTableau<C>, i128)>, SolveAbort> {
-    let mut obj_scale: i128 = 1;
-    for i in 0..n {
-        obj_scale = lcm(obj_scale, objective.coeff(i).denom());
-    }
-    let mut phase2 = vec![C::ZERO; tab.ncols];
-    for (i, slot) in phase2.iter_mut().enumerate().take(n) {
-        let c = objective.coeff(i);
-        let v = ov(c.numer().checked_mul(obj_scale / c.denom()))?;
-        *slot = ov(C::narrow(v))?;
-    }
-    ov(tab.install_objective(phase2))?;
-    if tab.run(budget, false)? == RunResult::Unbounded {
-        return Ok(None);
-    }
-    let point = tab.read_point(n, false);
-    let value = tab.value(obj_scale, objective.constant_term());
-    let unique = unique_optimum(&tab);
-    Ok(Some((value, point, unique, tab, obj_scale)))
-}
-
-/// Installs a fresh objective on a feasibility-established tableau and
-/// runs primal simplex from the current basis — the warm replacement for
-/// a cold two-phase solve when only the objective changed. An `i64`
-/// tableau is cloned before the attempt; overflow redoes the
-/// re-optimization on the widened pristine copy.
-pub(crate) fn ctx_optimize(
-    prepared: PreparedTab,
-    objective: &LinExpr,
-    budget: &Budget,
-) -> Result<CtxOpt, SolveAbort> {
-    let PreparedTab { tab, n, split } = prepared;
-    debug_assert!(!split);
-    let obj_const = objective.constant_term();
-    let pack = |r: Option<(Rat, Vec<Rat>, bool, Tab, i128)>| match r {
-        None => CtxOpt::Unbounded,
-        Some((value, point, unique, tab, obj_scale)) => CtxOpt::Optimal {
-            value,
-            point,
-            unique,
-            basis: LpBasis {
-                tab,
-                n,
-                obj_scale,
-                obj_const,
-            },
-        },
-    };
-    match tab {
-        Tab::Small(t) => {
-            let marks = counters::pivot_marks();
-            let backup = t.clone();
-            match ctx_optimize_typed(t, n, objective, budget) {
-                Ok(r) => {
-                    counters::count_tab_i64_solve(1);
-                    Ok(pack(r.map(|(v, p, u, t, s)| (v, p, u, Tab::Small(t), s))))
-                }
-                Err(e @ (SolveAbort::Budget(_) | SolveAbort::PivotLimit)) => Err(e),
-                Err(SolveAbort::Overflow) => {
-                    counters::rewind_pivots(marks);
-                    counters::count_tab_overflow_escalation(1);
-                    let r = ctx_optimize_typed(widen_tab(&backup), n, objective, budget)?;
-                    Ok(pack(r.map(|(v, p, u, t, s)| (v, p, u, Tab::Big(t), s))))
-                }
-            }
-        }
-        Tab::Big(t) => {
-            let r = ctx_optimize_typed(t, n, objective, budget)?;
-            Ok(pack(r.map(|(v, p, u, t, s)| (v, p, u, Tab::Big(t), s))))
-        }
-    }
-}
-
-/// Re-wraps an optimal basis (e.g. the root basis handed back by
-/// branch-and-bound) as a prepared tableau so the lexmin chain can extend
-/// it with the next pin row. The optimal cost row stays installed — it is
-/// dual-feasible, exactly what [`ctx_extend`] needs.
-pub(crate) fn ctx_resume(basis: LpBasis) -> PreparedTab {
-    PreparedTab {
-        tab: basis.tab,
-        n: basis.n,
-        split: false,
     }
 }
 

@@ -124,10 +124,15 @@ fn lp_integer_tableau_matches_rational_reference_general() {
 /// clone-per-node reference — same outcome, value, and optimum point.
 /// Instances are biased toward fractional LP relaxations (odd constants
 /// against even coefficients) so the search actually branches and the
-/// dual-simplex repair path runs.
+/// dual-simplex repair path runs — the Table II goldens reach a child
+/// node only twice per table. Children must really be served from their
+/// parent's extended tableau, at both cell widths, and the decision
+/// counters summed over the instances must equal the sums recorded on
+/// the commit before children moved onto the shared `extend` verb.
 #[test]
 fn ilp_warm_start_agrees_with_cold_reference() {
     let mut g = SplitMix64::new(0x5E75_1003);
+    let (mut fast_sum, mut wide_sum) = ([0u64; 6], [0u64; 6]);
     for _ in 0..192 {
         let n = 2 + g.below(2);
         let mut set = arb_bounded_set(&mut g, n);
@@ -138,9 +143,22 @@ fn ilp_warm_start_agrees_with_cold_reference() {
             set.add(Constraint::ge0(LinExpr::from_coeffs(&coeffs, k)));
         }
         let obj = LinExpr::from_coeffs(&g.vec_i128(n, -4, 5), 0);
-        let fast = minimize_integer(&obj, &set);
+        let (fast, wide, df, dw) = both_widths(|| minimize_integer(&obj, &set));
         let refr = minimize_integer_reference(&obj, &set);
         assert_eq!(fast, refr, "set {set:?} obj {obj:?}");
+        assert_eq!(wide, refr, "set {set:?} obj {obj:?}");
+        for (sum, d) in [(&mut fast_sum, df), (&mut wide_sum, dw)] {
+            for (s, v) in sum.iter_mut().zip(decisions(&d)) {
+                *s += v;
+            }
+        }
+    }
+    // lp_solves, phase-1, phase-2, repair pivots, nodes, warm nodes.
+    const RECORDED: [u64; 6] = [233, 493, 132, 180, 430, 197];
+    for sum in [fast_sum, wide_sum] {
+        assert!(sum[3] > 0, "no child repaired its parent's basis: {sum:?}");
+        assert!(sum[5] > 0, "no child was served warm: {sum:?}");
+        assert_eq!(sum, RECORDED);
     }
 }
 
