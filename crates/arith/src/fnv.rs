@@ -30,7 +30,10 @@ impl Fnv64 {
         Fnv64(FNV_OFFSET)
     }
 
-    /// Absorbs bytes.
+    /// Absorbs bytes, one FNV-1a step each — the published byte-wise hash.
+    /// For text and for anything stored or compared across processes
+    /// (cache keys, digests), whose value must never depend on how the
+    /// input was chunked.
     #[inline]
     pub fn write(&mut self, bytes: &[u8]) {
         for &b in bytes {
@@ -38,8 +41,11 @@ impl Fnv64 {
         }
     }
 
-    /// Absorbs one 64-bit word in a single xor-multiply step — the fold
-    /// for combining fingerprints that are already well mixed.
+    /// Absorbs one 64-bit word in a single xor-multiply step: an eighth
+    /// of the multiplies `write` spends on the same eight bytes, and not
+    /// the same hash. For in-memory fingerprints over machine words
+    /// (constraint coefficients, already-mixed fingerprints being
+    /// combined) that only pre-filter a deep comparison.
     #[inline]
     pub fn write_word(&mut self, word: u64) {
         self.0 = (self.0 ^ word).wrapping_mul(FNV_PRIME);

@@ -233,6 +233,48 @@ impl Rat {
         self.numer.signum()
     }
 
+    /// `self + rhs` for any operands: cross-multiply, then one
+    /// normalization in [`Rat::new`].
+    fn add_fractions(self, rhs: Rat) -> Rat {
+        if self.small() && rhs.small() {
+            // i64-range operands cannot overflow i128 products or their sum.
+            return Rat::new(
+                self.numer * rhs.denom + rhs.numer * self.denom,
+                self.denom * rhs.denom,
+            );
+        }
+        let g = gcd(self.denom, rhs.denom);
+        let (db, dd) = (self.denom / g, rhs.denom / g);
+        let n = self
+            .numer
+            .checked_mul(dd)
+            .and_then(|a| rhs.numer.checked_mul(db).and_then(|b| a.checked_add(b)));
+        let d = self.denom.checked_mul(dd);
+        Rat::checked(n, d)
+    }
+
+    /// `self * rhs` for any operands.
+    fn mul_fractions(self, rhs: Rat) -> Rat {
+        if self.small() && rhs.small() {
+            // One normalization gcd instead of two cross-reductions plus one.
+            return Rat::new(self.numer * rhs.numer, self.denom * rhs.denom);
+        }
+        // Cross-reduce before multiplying to shrink intermediates.
+        let g1 = gcd(self.numer, rhs.denom);
+        let g2 = gcd(rhs.numer, self.denom);
+        let (n1, d2) = if g1 == 0 {
+            (0, 1)
+        } else {
+            (self.numer / g1, rhs.denom / g1)
+        };
+        let (n2, d1) = if g2 == 0 {
+            (0, 1)
+        } else {
+            (rhs.numer / g2, self.denom / g2)
+        };
+        Rat::checked(n1.checked_mul(n2), d1.checked_mul(d2))
+    }
+
     fn checked(n: Option<i128>, d: Option<i128>) -> Rat {
         Rat::new(n.expect("rational overflow"), d.expect("rational overflow"))
     }
@@ -313,21 +355,15 @@ impl Ord for Rat {
 impl Add for Rat {
     type Output = Rat;
     fn add(self, rhs: Rat) -> Rat {
-        if self.small() && rhs.small() {
-            // i64-range operands cannot overflow i128 products or their sum.
-            return Rat::new(
-                self.numer * rhs.denom + rhs.numer * self.denom,
-                self.denom * rhs.denom,
+        if self.denom == 1 && rhs.denom == 1 {
+            // A sum of integers is in lowest terms as it stands.
+            return Rat::int(
+                self.numer
+                    .checked_add(rhs.numer)
+                    .expect("rational overflow"),
             );
         }
-        let g = gcd(self.denom, rhs.denom);
-        let (db, dd) = (self.denom / g, rhs.denom / g);
-        let n = self
-            .numer
-            .checked_mul(dd)
-            .and_then(|a| rhs.numer.checked_mul(db).and_then(|b| a.checked_add(b)));
-        let d = self.denom.checked_mul(dd);
-        Rat::checked(n, d)
+        self.add_fractions(rhs)
     }
 }
 
@@ -341,24 +377,15 @@ impl Sub for Rat {
 impl Mul for Rat {
     type Output = Rat;
     fn mul(self, rhs: Rat) -> Rat {
-        if self.small() && rhs.small() {
-            // One normalization gcd instead of two cross-reductions plus one.
-            return Rat::new(self.numer * rhs.numer, self.denom * rhs.denom);
+        if self.denom == 1 && rhs.denom == 1 {
+            // A product of integers is in lowest terms as it stands.
+            return Rat::int(
+                self.numer
+                    .checked_mul(rhs.numer)
+                    .expect("rational overflow"),
+            );
         }
-        // Cross-reduce before multiplying to shrink intermediates.
-        let g1 = gcd(self.numer, rhs.denom);
-        let g2 = gcd(rhs.numer, self.denom);
-        let (n1, d2) = if g1 == 0 {
-            (0, 1)
-        } else {
-            (self.numer / g1, rhs.denom / g1)
-        };
-        let (n2, d1) = if g2 == 0 {
-            (0, 1)
-        } else {
-            (rhs.numer / g2, self.denom / g2)
-        };
-        Rat::checked(n1.checked_mul(n2), d1.checked_mul(d2))
+        self.mul_fractions(rhs)
     }
 }
 
@@ -523,6 +550,77 @@ mod tests {
             Rat::new(i128::MIN + 1, 2).ceil(),
             (i128::MIN + 1).div_euclid(2) + 1
         );
+    }
+
+    type BinOp = fn(Rat, Rat) -> Rat;
+
+    /// `f(a, b)`, or `None` where it panics (an overflow).
+    fn outcome(f: BinOp, a: Rat, b: Rat) -> Option<Rat> {
+        std::panic::catch_unwind(|| f(a, b)).ok()
+    }
+
+    /// The integer short cuts of `+`, `-` and `*` against the general
+    /// path they stand in for: same value, same canonical form, same
+    /// operands refused — on random integers of every magnitude, and at
+    /// the `i64` and `i128` edges where the general path changes method
+    /// (`small`) or overflows.
+    #[test]
+    fn integer_shortcuts_match_the_general_path() {
+        let general: [(BinOp, BinOp); 3] = [
+            (|a, b| a + b, |a, b| a.add_fractions(b)),
+            (|a, b| a - b, |a, b| a.add_fractions(-b)),
+            (|a, b| a * b, |a, b| a.mul_fractions(b)),
+        ];
+        let i64_edge = i64::MAX as i128;
+        let mut edges = vec![0, 1, -1, 2, -3];
+        for e in [i64_edge, 1 << 64, 1 << 100, i128::MAX] {
+            edges.extend([e - 1, e, -e, 1 - e]);
+        }
+        edges.extend([i64_edge + 1, i64_edge + 2, i128::MIN, i128::MIN + 1]);
+        let mut g = crate::SplitMix64::new(0x5eed_0023);
+        let mut operands: Vec<(i128, i128)> = edges
+            .iter()
+            .flat_map(|&a| edges.iter().map(move |&b| (a, b)))
+            .collect();
+        for _ in 0..4000 {
+            // A random magnitude first, so that every width is exercised.
+            let mut draw = || {
+                let wide = (g.next_u64() as i128) << 64 | g.next_u64() as i128;
+                wide >> g.below(128)
+            };
+            operands.push((draw(), draw()));
+        }
+        let mismatches: Vec<_> = operands
+            .iter()
+            .flat_map(|&(a, b)| {
+                general
+                    .iter()
+                    .enumerate()
+                    .filter_map(move |(op, (short, long))| {
+                        let got = outcome(*short, Rat::int(a), Rat::int(b));
+                        let want = outcome(*long, Rat::int(a), Rat::int(b));
+                        (got != want).then_some((op, a, b, got, want))
+                    })
+            })
+            .collect();
+        assert!(mismatches.is_empty(), "{mismatches:?}");
+    }
+
+    /// A fraction on either side hands over to the general path.
+    #[test]
+    fn mixed_integer_and_fraction_operands_normalize() {
+        let mut g = crate::SplitMix64::new(0x5eed_0024);
+        for _ in 0..2000 {
+            let a = Rat::int(g.range_i128(-50, 51));
+            let b = Rat::new(g.range_i128(-50, 51), g.range_i128(1, 13));
+            for r in [a + b, b + a, a - b, b - a, a * b, b * a] {
+                assert_eq!(r, Rat::new(r.numer(), r.denom()), "{a} and {b}");
+            }
+            assert_eq!(a + b - b, a);
+            if !b.is_zero() {
+                assert_eq!(a * b / b, a);
+            }
+        }
     }
 
     #[test]

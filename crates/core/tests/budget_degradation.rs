@@ -67,12 +67,11 @@ fn pathological_kernel_under_100ms_deadline_degrades() {
     // influenced solve takes several times a 100 ms deadline, given that
     // deadline, must come back degraded-but-valid instead of hanging or
     // erroring out. A deep elementwise chain blows up the ILP size: at
-    // depth 56 the un-budgeted solve takes 0.75 s (release, 2-core box),
-    // 7.5x the deadline; depth 48 fell to 0.55 s once the lexmin chain
-    // stayed warm and relations linearized in their own space. Not
-    // deeper: from depth 64 the base context's own phase 1 outlasts the
-    // deadline, the uninfluenced fallback inherits a cold-delegating
-    // prefix, and this test takes 40 s.
+    // depth 56 the un-budgeted solve takes 0.30 s (release, 2-core box),
+    // 3x the deadline. Not deeper: at depth 64 (0.54 s) a debug build's
+    // base context already spends the deadline on its own phase 1, the
+    // uninfluenced fallback inherits a cold-delegating prefix, and this
+    // test takes 15 s there (25 s at depth 72 in release).
     let kernel = ops::elementwise_chain(48, 56);
     let deps = compute_dependences(&kernel, DepOptions::default());
     let tree = pinning_tree(&kernel);

@@ -487,7 +487,8 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
     let root = tmp_root("hedge");
     // Shard `a` has one worker which we occupy with a seconds-long
     // compile; its leg of the hedged request queues behind it and must
-    // lose the race.
+    // lose the race: it starts 5 s late (depth 128) on a 14 s compile
+    // (depth 160), so it is mid-solve when `b` answers.
     let a = spawn_daemon(
         &root.join("a.sock"),
         &root.join("a-cache"),
@@ -503,7 +504,7 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
     let occupier = std::thread::spawn(move || {
         let mut c = Client::connect(&a_ep).unwrap();
         c.set_timeout(Some(Duration::from_secs(180))).unwrap();
-        c.compile(&slow_src("occupy", 96), "infl")
+        c.compile(&slow_src("occupy", 128), "infl")
     });
     // Let the occupier reach a's worker before the hedged request.
     std::thread::sleep(Duration::from_millis(300));
@@ -517,7 +518,7 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
         hot_threshold: 1000,
         ..RouterConfig::default()
     });
-    let resp = router.compile(&slow_src("hedged", 128), "infl");
+    let resp = router.compile(&slow_src("hedged", 160), "infl");
     assert_eq!(resp.str_field("status").unwrap(), "ok", "{}", resp.render());
 
     assert!(router.total(|m| m.hedges_fired) >= 1, "hedge never fired");

@@ -33,17 +33,19 @@ pub struct Constraint {
 
 impl Constraint {
     /// Creates the constraint `expr >= 0`.
-    pub fn ge0(expr: LinExpr) -> Constraint {
+    pub fn ge0(mut expr: LinExpr) -> Constraint {
+        expr.normalize_ineq();
         Constraint {
-            expr: expr.normalized_ineq(),
+            expr,
             kind: ConstraintKind::Ge,
         }
     }
 
     /// Creates the constraint `expr == 0`.
-    pub fn eq0(expr: LinExpr) -> Constraint {
+    pub fn eq0(mut expr: LinExpr) -> Constraint {
+        expr.normalize_eq();
         Constraint {
-            expr: expr.normalized_eq(),
+            expr,
             kind: ConstraintKind::Eq,
         }
     }
@@ -167,30 +169,41 @@ impl fmt::Display for Constraint {
 pub struct ConstraintSet {
     n_vars: usize,
     constraints: Vec<Constraint>,
-    /// One 64-bit fingerprint per constraint, in lockstep with
-    /// `constraints`. Dedup in [`ConstraintSet::add`] scans these first
-    /// and only falls back to a deep comparison on a fingerprint match,
-    /// turning the quadratic growth of Fourier–Motzkin output sets into
-    /// cheap integer scans.
+    /// `fingerprint(&constraints[i])` for every `i`, kept in lockstep by
+    /// every mutation. Dedup scans these words and compares constraints
+    /// deeply only on a match, and a row that moves between sets
+    /// ([`ConstraintSet::intersect`]) brings its word along instead of
+    /// being hashed again.
     hashes: Vec<u64>,
 }
 
-/// FNV-1a over the constraint's kind, coefficients and constant. A pure
-/// function of the (normalized) constraint, so equal constraints always
-/// collide — inequality of fingerprints proves inequality of constraints.
+/// The constraint's kind, coefficients and constant folded through
+/// [`Fnv64::write_word`]: one step per entry that is an integer fitting a
+/// word — every entry of a normalized scheduling row — and a tagged
+/// five-word form for anything wider or fractional. A pure function of
+/// the (normalized) constraint, so equal constraints always collide:
+/// unequal fingerprints prove unequal constraints, equal ones prove
+/// nothing. Lives only in memory, in front of a deep comparison.
 fn fingerprint(c: &Constraint) -> u64 {
+    /// Announces a numerator/denominator pair in `i128` halves.
+    const WIDE: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut h = Fnv64::new();
-    let mut mix = |v: i128| h.write(&v.to_le_bytes());
-    mix(match c.kind {
+    h.write_word(match c.kind {
         ConstraintKind::Eq => 0,
         ConstraintKind::Ge => 1,
     });
-    for r in c.expr.coeffs() {
-        mix(r.numer());
-        mix(r.denom());
+    for r in c.expr.entries() {
+        match i64::try_from(r.numer()) {
+            Ok(v) if r.is_integer() => h.write_word(v as u64),
+            _ => {
+                h.write_word(WIDE);
+                for v in [r.numer(), r.denom()] {
+                    h.write_word(v as u64);
+                    h.write_word((v >> 64) as u64);
+                }
+            }
+        }
     }
-    mix(c.expr.constant_term().numer());
-    mix(c.expr.constant_term().denom());
     h.finish()
 }
 
@@ -222,11 +235,26 @@ impl ConstraintSet {
         n_vars: usize,
         constraints: impl IntoIterator<Item = Constraint>,
     ) -> ConstraintSet {
+        let constraints = constraints.into_iter();
         let mut set = ConstraintSet::universe(n_vars);
+        set.reserve(constraints.size_hint().0);
         for c in constraints {
             set.add(c);
         }
         set
+    }
+
+    fn reserve(&mut self, additional: usize) {
+        self.constraints.reserve(additional);
+        self.hashes.reserve(additional);
+    }
+
+    /// Whether the set already holds `c`, whose fingerprint is `fp`.
+    fn holds(&self, fp: u64, c: &Constraint) -> bool {
+        self.hashes
+            .iter()
+            .zip(&self.constraints)
+            .any(|(&h, e)| h == fp && e == c)
     }
 
     /// Number of variables.
@@ -275,12 +303,7 @@ impl ConstraintSet {
             return;
         }
         let fp = fingerprint(&c);
-        let dup = self
-            .hashes
-            .iter()
-            .zip(&self.constraints)
-            .any(|(&h, e)| h == fp && *e == c);
-        if !dup {
+        if !self.holds(fp, &c) {
             self.constraints.push(c);
             self.hashes.push(fp);
         }
@@ -313,8 +336,14 @@ impl ConstraintSet {
     /// Panics if spaces differ.
     pub fn intersect(&mut self, other: &ConstraintSet) {
         assert_eq!(other.n_vars, self.n_vars, "space mismatch");
-        for c in &other.constraints {
-            self.add(c.clone());
+        self.reserve(other.len());
+        // Every row of `other` went through `add` once: none is trivially
+        // true, and `other.hashes` holds its fingerprint.
+        for (c, &fp) in other.constraints.iter().zip(&other.hashes) {
+            if !self.holds(fp, c) {
+                self.constraints.push(c.clone());
+                self.hashes.push(fp);
+            }
         }
     }
 
@@ -453,6 +482,96 @@ mod tests {
     fn normalization_on_creation() {
         let c = Constraint::ge0(LinExpr::from_coeffs(&[2, 4], 6));
         assert_eq!(c.expr(), &LinExpr::from_coeffs(&[1, 2], 3));
+    }
+
+    /// `hashes` is `fingerprint` over `constraints`, entry for entry.
+    fn assert_lockstep(s: &ConstraintSet) {
+        let derived: Vec<u64> = s.constraints.iter().map(fingerprint).collect();
+        assert_eq!(s.hashes, derived);
+    }
+
+    /// A row over few small values, so that draws repeat: now and then
+    /// trivially true, an equality, a multiple of an earlier draw, or
+    /// wider than a word.
+    fn arb_constraint(g: &mut polyject_arith::SplitMix64, n: usize) -> Constraint {
+        let mut coeffs = g.vec_i128(n, -1, 2);
+        let mut k = g.range_i128(-2, 3);
+        match g.below(8) {
+            0 => coeffs.fill(0),
+            1 => coeffs.iter_mut().for_each(|c| *c *= 3),
+            2 => k = (k << 70) + 1,
+            _ => {}
+        }
+        let e = LinExpr::from_coeffs(&coeffs, k);
+        if g.below(4) == 0 {
+            Constraint::eq0(e)
+        } else {
+            Constraint::ge0(e)
+        }
+    }
+
+    #[test]
+    fn intersect_is_a_fold_of_add_and_hashes_stay_in_lockstep() {
+        let mut g = polyject_arith::SplitMix64::new(0x5eed_0232);
+        for _ in 0..400 {
+            let n = 1 + g.below(3);
+            let draw = |g: &mut polyject_arith::SplitMix64| {
+                let rows: Vec<Constraint> =
+                    (0..g.below(12)).map(|_| arb_constraint(g, n)).collect();
+                let set = ConstraintSet::from_constraints(n, rows.iter().cloned());
+                let mut folded = ConstraintSet::universe(n);
+                rows.into_iter().for_each(|c| folded.add(c));
+                assert_eq!(set.constraints, folded.constraints);
+                assert_eq!(set.hashes, folded.hashes);
+                set
+            };
+            let (a, b) = (draw(&mut g), draw(&mut g));
+            let mut met = a.clone();
+            met.intersect(&b);
+            let mut folded = a.clone();
+            b.constraints().iter().for_each(|c| folded.add(c.clone()));
+            assert_eq!(met.constraints, folded.constraints, "rows and their order");
+            assert_eq!(met.hashes, folded.hashes);
+            assert_eq!(met.fingerprint64(), folded.fingerprint64());
+            assert!(met.len() <= a.len() + b.len());
+
+            assert_lockstep(&met);
+            assert_lockstep(&met.clone());
+            assert_lockstep(&met.with_vars_inserted(g.below(n + 1), g.below(3)));
+            assert_lockstep(&met.extended(n + g.below(3)));
+            let mut cut = met.clone();
+            cut.truncate(g.below(met.len() + 1));
+            assert_lockstep(&cut);
+            assert_eq!(cut.constraints, met.constraints[..cut.len()]);
+        }
+    }
+
+    #[test]
+    fn fingerprint_tells_wide_and_fractional_entries_apart() {
+        let row = |k: Rat| Constraint {
+            expr: LinExpr::from_rat_coeffs(vec![Rat::ONE], k),
+            kind: ConstraintKind::Ge,
+        };
+        // One word, two halves of a wide integer, a denominator.
+        let entries = [
+            Rat::int(5),
+            Rat::int(5 + (1 << 64)),
+            Rat::int(5 + (1 << 100)),
+            Rat::int(i64::MIN as i128),
+            Rat::int(i64::MIN as i128 - 1),
+            Rat::new(5, 3),
+            Rat::new(5, 7),
+        ];
+        let fps: Vec<u64> = entries.iter().map(|&k| fingerprint(&row(k))).collect();
+        for (i, a) in fps.iter().enumerate() {
+            assert_eq!(*a, fingerprint(&row(entries[i])), "a pure function");
+            assert!(fps[..i].iter().all(|b| a != b), "{:?}", entries[i]);
+        }
+        let eq = Constraint {
+            kind: ConstraintKind::Eq,
+            ..row(entries[0])
+        };
+        assert_ne!(fingerprint(&eq), fps[0]);
     }
 
     #[test]

@@ -143,7 +143,8 @@ pub fn try_minimize_integer_bounded(
     upper_bound: Option<Rat>,
     budget: &Budget,
 ) -> Result<IlpOutcome, BudgetError> {
-    try_minimize_integer_rooted(objective, set, upper_bound, budget, None).map(|(o, _)| o)
+    try_minimize_integer_rooted(objective, &mut set.clone(), upper_bound, budget, None)
+        .map(|(o, _)| o)
 }
 
 /// [`try_minimize_integer_bounded`] with a pre-resolved root relaxation:
@@ -152,10 +153,12 @@ pub fn try_minimize_integer_bounded(
 /// would tie-break to — the root node consumes it instead of solving
 /// cold. Also hands back the root's optimal tableau (when the space
 /// needed no sign split), which the chain extends with the pin row to
-/// start the *next* objective.
+/// start the *next* objective. Branch-and-bound pushes and pops its bound
+/// rows on `set` itself, which comes back as it went in, budget errors
+/// included.
 pub(crate) fn try_minimize_integer_rooted(
     objective: &LinExpr,
-    set: &ConstraintSet,
+    set: &mut ConstraintSet,
     upper_bound: Option<Rat>,
     budget: &Budget,
     root: Option<(LpOutcome, Option<Solved>)>,
@@ -163,12 +166,10 @@ pub(crate) fn try_minimize_integer_rooted(
     counters::count_ilp_solve(1);
     let mut best: Option<(Rat, Vec<i128>)> = None;
     let mut nodes = 0usize;
-    // One clone for the whole solve; branch() pushes/pops on it in place.
-    let mut work = set.clone();
     let mut root_basis: Option<Solved> = None;
     match branch(
         objective,
-        &mut work,
+        set,
         upper_bound,
         &mut best,
         &mut nodes,

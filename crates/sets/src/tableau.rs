@@ -5,9 +5,11 @@
 //! of every pivot. This module stores each row as integer entries over a
 //! single positive per-row denominator (`row_rational = a / den`), in the
 //! style of Edmonds/Bareiss fraction-free elimination: a pivot is two
-//! integer multiplies and a subtract per entry, with one early-exiting
-//! content-GCD pass per *row* instead of per *entry*, and rationals are
-//! only materialized at solution read-out.
+//! integer multiplies and a subtract per entry — one multiply and a
+//! subtract per *non-zero of the pivot row* when the pivot element is ±1,
+//! as most are — with one early-exiting content-GCD pass per *row*
+//! instead of per *entry*, and rationals are only materialized at
+//! solution read-out.
 //!
 //! # One solved tableau, two verbs
 //!
@@ -150,11 +152,12 @@ fn ov<T>(o: Option<T>) -> Result<T, SolveAbort> {
 /// Integer cell of a tableau: checked arithmetic over a symmetric range
 /// plus the exact cross-multiplied comparison the ratio tests need.
 ///
-/// The `i64` implementation keeps its range symmetric (`i64::MIN` is
-/// rejected everywhere) so negation is total on representable values, and
-/// widens ratio-test products to `i128`, where they always fit — a ratio
-/// comparison alone never forces an escalation. The `i128` implementation
-/// is plain checked arithmetic.
+/// Both widths reject their `MIN`, so negation is total on representable
+/// values and `a - b` overflows exactly when `b - a` does — which is what
+/// lets a pivot on `-1` add where the general formula negates, subtracts
+/// and negates back, and still report overflow on the same cells. The
+/// `i64` implementation widens ratio-test products to `i128`, where they
+/// always fit — a ratio comparison alone never forces an escalation.
 pub(crate) trait Cell: Copy + Eq + Ord + std::fmt::Debug + 'static {
     const ZERO: Self;
     const ONE: Self;
@@ -172,6 +175,9 @@ pub(crate) trait Cell: Copy + Eq + Ord + std::fmt::Debug + 'static {
     fn gcd(self, o: Self) -> Self;
     /// Exact division by a known divisor (content-GCD reduction).
     fn div_exact(self, d: Self) -> Self;
+    /// Whether `d > 0` divides this value: the one-remainder test that
+    /// saves [`Cell::gcd`]'s Euclid loop when it does.
+    fn divisible_by(self, d: Self) -> bool;
     /// Exact comparison of `a*b` with `c*d`; `None` when a product cannot
     /// be formed in the cell's comparison domain.
     fn cmp_products(a: Self, b: Self, c: Self, d: Self) -> Option<Ordering>;
@@ -183,6 +189,16 @@ pub(crate) trait Cell: Copy + Eq + Ord + std::fmt::Debug + 'static {
 #[inline]
 fn sym64(v: i64) -> Option<i64> {
     if v == i64::MIN {
+        None
+    } else {
+        Some(v)
+    }
+}
+
+/// [`sym64`] for the wide cells.
+#[inline]
+fn sym128(v: i128) -> Option<i128> {
+    if v == i128::MIN {
         None
     } else {
         Some(v)
@@ -226,6 +242,10 @@ impl Cell for i64 {
         self / d
     }
     #[inline]
+    fn divisible_by(self, d: i64) -> bool {
+        self % d == 0
+    }
+    #[inline]
     fn cmp_products(a: i64, b: i64, c: i64, d: i64) -> Option<Ordering> {
         // Products of two representable i64 values always fit in i128.
         Some(((a as i128) * (b as i128)).cmp(&((c as i128) * (d as i128))))
@@ -241,7 +261,7 @@ impl Cell for i128 {
     const NEG_ONE: i128 = -1;
     #[inline]
     fn narrow(v: i128) -> Option<i128> {
-        Some(v)
+        sym128(v)
     }
     #[inline]
     fn widen(self) -> i128 {
@@ -253,15 +273,15 @@ impl Cell for i128 {
     }
     #[inline]
     fn cadd(self, o: i128) -> Option<i128> {
-        self.checked_add(o)
+        self.checked_add(o).and_then(sym128)
     }
     #[inline]
     fn csub(self, o: i128) -> Option<i128> {
-        self.checked_sub(o)
+        self.checked_sub(o).and_then(sym128)
     }
     #[inline]
     fn cmul(self, o: i128) -> Option<i128> {
-        self.checked_mul(o)
+        self.checked_mul(o).and_then(sym128)
     }
     #[inline]
     fn gcd(self, o: i128) -> i128 {
@@ -270,6 +290,10 @@ impl Cell for i128 {
     #[inline]
     fn div_exact(self, d: i128) -> i128 {
         self / d
+    }
+    #[inline]
+    fn divisible_by(self, d: i128) -> bool {
+        self % d == 0
     }
     #[inline]
     fn cmp_products(a: i128, b: i128, c: i128, d: i128) -> Option<Ordering> {
@@ -301,7 +325,9 @@ pub(crate) struct IntTableau<C: Cell> {
     art_lo: usize,
     art_hi: usize,
     bar_artificials: bool,
+    /// Pivot scratch: the pivot row's copy, and its non-zero columns.
     scratch: Vec<C>,
+    nonzero: Vec<usize>,
 }
 
 /// A tableau at either cell width. Every tableau starts [`Tab::Small`]
@@ -331,25 +357,39 @@ fn widen_tab(t: &IntTableau<i64>) -> IntTableau<i128> {
         art_hi: t.art_hi,
         bar_artificials: t.bar_artificials,
         scratch: Vec::with_capacity(t.stride),
+        nonzero: Vec::new(),
     }
 }
 
-/// Divides a row and its positive denominator by their content GCD. The
-/// accumulation starts from the denominator and exits as soon as it hits
-/// 1, so already-reduced rows cost a handful of compares.
-fn reduce_content<C: Cell>(den: &mut C, row: &mut [C]) {
-    let mut g = *den;
-    for &v in row.iter() {
+/// The GCD of `g > 0` and every entry of `row`. Stops as soon as it hits
+/// 1 and calls [`Cell::gcd`] only on an entry the running value does not
+/// already divide, so a reduced row costs a few compares and a row with a
+/// common factor one remainder per non-zero entry.
+fn content<C: Cell>(mut g: C, row: &[C]) -> C {
+    for &v in row {
         if g == C::ONE {
-            return;
+            break;
         }
-        g = C::gcd(g, v);
+        if v != C::ZERO && !v.divisible_by(g) {
+            g = C::gcd(g, v);
+        }
     }
+    g
+}
+
+/// Divides a row's non-zero entries by `g`, which divides them all.
+fn divide_content<C: Cell>(row: &mut [C], g: C) {
+    for v in row.iter_mut().filter(|v| **v != C::ZERO) {
+        *v = v.div_exact(g);
+    }
+}
+
+/// Divides a row and its positive denominator by their content GCD.
+fn reduce_content<C: Cell>(den: &mut C, row: &mut [C]) {
+    let g = content(*den, row);
     if g > C::ONE {
         *den = den.div_exact(g);
-        for v in row.iter_mut() {
-            *v = v.div_exact(g);
-        }
+        divide_content(row, g);
     }
 }
 
@@ -397,19 +437,11 @@ impl<C: Cell> IntTableau<C> {
                 *v = v.cneg()?;
             }
         }
-        let mut g = C::gcd(self.cost_den, self.valnum);
-        for &v in self.cost.iter() {
-            if g == C::ONE {
-                return Some(());
-            }
-            g = C::gcd(g, v);
-        }
+        let g = content(C::gcd(self.cost_den, self.valnum), &self.cost);
         if g > C::ONE {
             self.cost_den = self.cost_den.div_exact(g);
             self.valnum = self.valnum.div_exact(g);
-            for v in self.cost.iter_mut() {
-                *v = v.div_exact(g);
-            }
+            divide_content(&mut self.cost, g);
         }
         Some(())
     }
@@ -425,6 +457,26 @@ impl<C: Cell> IntTableau<C> {
         let mut prow = std::mem::take(&mut self.scratch);
         prow.clear();
         prow.extend_from_slice(&self.data[r * stride..(r + 1) * stride]);
+        if p == C::ONE || p == C::NEG_ONE {
+            self.eliminate_unit(r, c, p == C::ONE, &prow)?;
+        } else {
+            self.eliminate(r, c, p, &prow)?;
+        }
+        if p < C::ZERO {
+            let row = &mut self.data[r * stride..(r + 1) * stride];
+            for v in row.iter_mut() {
+                *v = v.cneg()?;
+            }
+        }
+        self.basis[r] = c;
+        self.scratch = prow;
+        Some(())
+    }
+
+    /// Clears column `c` from every row but `r` and from the cost row,
+    /// for a pivot element `p` of any size.
+    fn eliminate(&mut self, r: usize, c: usize, p: C, prow: &[C]) -> Option<()> {
+        let stride = self.stride;
         for i in 0..self.rows() {
             if i == r {
                 continue;
@@ -449,14 +501,64 @@ impl<C: Cell> IntTableau<C> {
             self.cost_den = self.cost_den.cmul(p)?;
             self.normalize_cost()?;
         }
-        if p < C::ZERO {
-            let row = &mut self.data[r * stride..(r + 1) * stride];
-            for v in row.iter_mut() {
-                *v = v.cneg()?;
+        Some(())
+    }
+
+    /// [`IntTableau::eliminate`] for a pivot element of `+1` (`plus`) or
+    /// `-1` — four pivots in five. There the formula reads
+    /// `a_i ∓ a_ic * a_r` over an unchanged denominator, so a touched row
+    /// is written only where `a_r` is non-zero (a tenth of the columns,
+    /// on scheduling tableaux) and a row over denominator 1 needs no
+    /// content pass. The integers stored, and the cells an overflow is
+    /// reported on, are those of the general formula.
+    fn eliminate_unit(&mut self, r: usize, c: usize, plus: bool, prow: &[C]) -> Option<()> {
+        let stride = self.stride;
+        let ncols = self.ncols;
+        let step = |v: C, f: C, pv: C| {
+            let t = f.cmul(pv)?;
+            if plus {
+                v.csub(t)
+            } else {
+                v.cadd(t)
+            }
+        };
+        let mut nonzero = std::mem::take(&mut self.nonzero);
+        nonzero.clear();
+        nonzero.extend((0..stride).filter(|&j| prow[j] != C::ZERO));
+        for i in 0..self.rows() {
+            if i == r {
+                continue;
+            }
+            let f = self.data[i * stride + c];
+            if f == C::ZERO {
+                continue;
+            }
+            let row = &mut self.data[i * stride..(i + 1) * stride];
+            for &j in &nonzero {
+                row[j] = step(row[j], f, prow[j])?;
+            }
+            if self.den[i] != C::ONE {
+                reduce_content(&mut self.den[i], row);
             }
         }
-        self.basis[r] = c;
-        self.scratch = prow;
+        let f = self.cost[c];
+        if f != C::ZERO {
+            for &j in nonzero.iter().filter(|&&j| j < ncols) {
+                self.cost[j] = step(self.cost[j], f, prow[j])?;
+            }
+            // The value is minus the cost row's right-hand side, so its
+            // update mirrors the entries': `valnum * p + f * b_r`.
+            let t = f.cmul(prow[ncols])?;
+            self.valnum = if plus {
+                self.valnum.cadd(t)?
+            } else {
+                self.valnum.csub(t)?
+            };
+            if self.cost_den != C::ONE {
+                self.normalize_cost()?;
+            }
+        }
+        self.nonzero = nonzero;
         Some(())
     }
 
@@ -685,58 +787,47 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
         .count();
     let n_struct = n_x + n_slack;
 
-    // Constraints are coprime-integer by construction; the defensive
-    // integer extraction below only fails on a malformed expression, in
-    // which case the rational path handles it. Rows are assembled in
-    // canonical `i128` and narrowed into the cell type at data-fill time.
-    let mut raw: Vec<Vec<i128>> = Vec::with_capacity(m);
-    let mut basis0: Vec<Option<usize>> = vec![None; m];
-    let mut slack_idx = n_x;
-    for (r, c) in rows.iter().enumerate() {
-        let mut row = vec![0i128; n_struct + 1];
-        for (i, coef) in c.expr().coeffs().iter().enumerate() {
-            let v = ov(int_of(*coef))?;
-            row[i] = v;
-            if split {
-                row[n + i] = ov(v.checked_neg())?;
-            }
-        }
-        row[n_struct] = ov(ov(int_of(c.expr().constant_term()))?.checked_neg())?;
-        let mut slack: Option<usize> = None;
-        if c.kind() == ConstraintKind::Ge {
-            row[slack_idx] = -1;
-            slack = Some(slack_idx);
-            slack_idx += 1;
-        }
-        if row[n_struct] < 0 {
-            for v in row.iter_mut() {
-                *v = ov(v.checked_neg())?;
-            }
-            basis0[r] = slack;
-        } else if row[n_struct] == 0 {
-            if let Some(s) = slack {
-                for v in row.iter_mut() {
-                    *v = ov(v.checked_neg())?;
-                }
-                basis0[r] = Some(s);
-            }
-        }
-        raw.push(row);
-    }
-    let needy: Vec<usize> = (0..m).filter(|&r| basis0[r].is_none()).collect();
-    let n_total = n_struct + needy.len();
+    // A row is stored with a nonnegative right-hand side and, where it
+    // has one, its slack basic at +1: `expr >= 0` with a nonnegative
+    // constant is flipped to `-expr + s = constant`. Every other row —
+    // an equality, or a negative constant — needs an artificial, so the
+    // column count is known before a cell is written and the rows go
+    // straight into the flat storage. Constraints are coprime-integer by
+    // construction; the integer extraction only fails on a malformed
+    // expression, which the rational path then handles.
+    let needs_artificial =
+        |c: &Constraint| c.kind() == ConstraintKind::Eq || c.expr().constant_term().is_negative();
+    let n_total = n_struct + rows.iter().filter(|c| needs_artificial(c)).count();
     let stride = n_total + 1;
     let mut data = vec![C::ZERO; m * stride];
-    for (r, row) in raw.iter().enumerate() {
-        for (j, &v) in row[..n_struct].iter().enumerate() {
-            data[r * stride + j] = ov(C::narrow(v))?;
+    let mut basis = Vec::with_capacity(m);
+    let (mut slack_idx, mut art_idx) = (n_x, n_struct);
+    for (c, row) in rows.iter().zip(data.chunks_exact_mut(stride)) {
+        let flip = !needs_artificial(c) || c.expr().constant_term().is_positive();
+        let cell = |r: Rat| {
+            let v = ov(C::narrow(ov(int_of(r))?))?;
+            ov(if flip { v.cneg() } else { Some(v) })
+        };
+        for (i, coef) in c.expr().coeffs().iter().enumerate() {
+            row[i] = cell(*coef)?;
+            if split {
+                row[n + i] = ov(row[i].cneg())?;
+            }
         }
-        data[r * stride + n_total] = ov(C::narrow(row[n_struct]))?;
+        row[n_total] = ov(cell(c.expr().constant_term())?.cneg())?;
+        if c.kind() == ConstraintKind::Ge {
+            row[slack_idx] = if flip { C::ONE } else { C::NEG_ONE };
+            slack_idx += 1;
+        }
+        if needs_artificial(c) {
+            row[art_idx] = C::ONE;
+            basis.push(art_idx);
+            art_idx += 1;
+        } else {
+            basis.push(slack_idx - 1);
+        }
     }
-    for (k, &r) in needy.iter().enumerate() {
-        data[r * stride + n_struct + k] = C::ONE;
-        basis0[r] = Some(n_struct + k);
-    }
+    let needy = n_total - n_struct;
 
     let mut tab = IntTableau {
         ncols: n_total,
@@ -746,15 +837,16 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
         cost: vec![C::ZERO; n_total],
         valnum: C::ZERO,
         cost_den: C::ONE,
-        basis: basis0.into_iter().map(|o| o.expect("row basis")).collect(),
+        basis,
         art_lo: n_struct,
         art_hi: n_total,
         bar_artificials: false,
         scratch: Vec::with_capacity(stride),
+        nonzero: Vec::new(),
     };
 
     // Phase 1: minimize the artificial sum.
-    if !needy.is_empty() {
+    if needy > 0 {
         let mut phase1 = vec![C::ZERO; n_total];
         for slot in phase1.iter_mut().take(n_total).skip(n_struct) {
             *slot = C::ONE;
@@ -1029,8 +1121,8 @@ fn append_priced_row<C: Cell>(
     // the cost row: a dense row (a lexmin pin over every statement block)
     // multiplies through one pivot per basic column it touches, and the
     // unreduced product overflows even `i128` on rows whose reduced form
-    // fits `i64`. The stored row is the same canonical one either way —
-    // `normalize_row` below reduces whatever content is left.
+    // fits `i64`. The row is stored as the sweep leaves it: reduced, over
+    // a positive denominator.
     for r in 0..tab.rows() {
         let cb = tab.basis[r];
         let f = row[cb];
@@ -1060,7 +1152,6 @@ fn append_priced_row<C: Cell>(
             tab.data.extend_from_slice(&row);
             tab.den.push(den);
             tab.basis.push(col);
-            ov(tab.normalize_row(r_new))?;
         }
         None => {
             // An equality row has no slack of its own: pick a basic column
@@ -1074,7 +1165,6 @@ fn append_priced_row<C: Cell>(
             tab.data.extend_from_slice(&row);
             tab.den.push(den);
             tab.basis.push(c);
-            ov(tab.normalize_row(r_new))?;
             ov(tab.pivot(r_new, c))?;
             counters::count_bb_repair_pivots(1);
         }
@@ -1144,4 +1234,206 @@ pub(crate) fn is_sign_row(e: &LinExpr) -> bool {
 
 pub(crate) fn single_var(e: &LinExpr) -> Option<usize> {
     e.coeffs().iter().position(|c| !c.is_zero())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use polyject_arith::SplitMix64;
+
+    /// The content reduction [`reduce_content`] replaced: a GCD with
+    /// every entry, then a division of every entry.
+    fn reduce_content_reference<C: Cell>(den: &mut C, row: &mut [C]) {
+        let mut g = *den;
+        for &v in row.iter() {
+            if g == C::ONE {
+                return;
+            }
+            g = C::gcd(g, v);
+        }
+        if g > C::ONE {
+            *den = den.div_exact(g);
+            for v in row.iter_mut() {
+                *v = v.div_exact(g);
+            }
+        }
+    }
+
+    /// The pivot [`IntTableau::pivot`] replaced: the dense fraction-free
+    /// formula whatever the pivot element, the denominator's sign
+    /// restored and the content reduced over every touched row.
+    fn pivot_reference<C: Cell>(t: &mut IntTableau<C>, r: usize, c: usize) -> Option<()> {
+        let (stride, ncols) = (t.stride, t.ncols);
+        let prow = t.data[r * stride..(r + 1) * stride].to_vec();
+        let p = prow[c];
+        for i in (0..t.rows()).filter(|&i| i != r) {
+            let f = t.data[i * stride + c];
+            if f == C::ZERO {
+                continue;
+            }
+            let row = &mut t.data[i * stride..(i + 1) * stride];
+            for (v, &pv) in row.iter_mut().zip(&prow) {
+                *v = v.cmul(p)?.csub(f.cmul(pv)?)?;
+            }
+            t.den[i] = t.den[i].cmul(p)?;
+            if t.den[i] < C::ZERO {
+                t.den[i] = t.den[i].cneg()?;
+                for v in row.iter_mut() {
+                    *v = v.cneg()?;
+                }
+            }
+            reduce_content_reference(&mut t.den[i], row);
+        }
+        let f = t.cost[c];
+        if f != C::ZERO {
+            for (v, &pv) in t.cost.iter_mut().zip(&prow) {
+                *v = v.cmul(p)?.csub(f.cmul(pv)?)?;
+            }
+            t.valnum = t.valnum.cmul(p)?.cadd(f.cmul(prow[ncols])?)?;
+            t.cost_den = t.cost_den.cmul(p)?;
+            if t.cost_den < C::ZERO {
+                t.cost_den = t.cost_den.cneg()?;
+                t.valnum = t.valnum.cneg()?;
+                for v in t.cost.iter_mut() {
+                    *v = v.cneg()?;
+                }
+            }
+            // The value rides along as one more entry of the cost row.
+            t.cost.push(t.valnum);
+            reduce_content_reference(&mut t.cost_den, &mut t.cost);
+            t.valnum = t.cost.pop().expect("pushed above");
+        }
+        if p < C::ZERO {
+            for v in t.data[r * stride..(r + 1) * stride].iter_mut() {
+                *v = v.cneg()?;
+            }
+        }
+        t.basis[r] = c;
+        Some(())
+    }
+
+    /// A sparse entry: mostly zero or a unit, sometimes a small integer,
+    /// rarely one within a few bits of the cell's edge `2^bits`.
+    fn arb_cell<C: Cell>(g: &mut SplitMix64, bits: u32) -> C {
+        let v = match g.below(24) {
+            0..=12 => 0,
+            13..=18 => [1, -1][g.below(2)],
+            19..=22 => g.range_i128(-6, 7),
+            _ => [1, -1][g.below(2)] * (i128::MAX >> (127 - bits + g.below(6) as u32)),
+        };
+        C::narrow(v).expect("within the cell's range")
+    }
+
+    /// A random tableau in the state every pivot finds one: rows and the
+    /// cost row content-reduced over positive denominators.
+    fn arb_tableau<C: Cell>(g: &mut SplitMix64, bits: u32) -> IntTableau<C> {
+        let (m, ncols) = (2 + g.below(4), 3 + g.below(6));
+        let stride = ncols + 1;
+        let mut data: Vec<C> = (0..m * stride).map(|_| arb_cell(g, bits)).collect();
+        let mut arb_den = || C::narrow([1, 1, 1, 2, 3, 6][g.below(6)]).expect("small");
+        let mut den: Vec<C> = (0..m).map(|_| arb_den()).collect();
+        for (d, row) in den.iter_mut().zip(data.chunks_exact_mut(stride)) {
+            reduce_content_reference(d, row);
+        }
+        let mut cost_den = arb_den();
+        let mut cost: Vec<C> = (0..stride).map(|_| arb_cell(g, bits)).collect();
+        reduce_content_reference(&mut cost_den, &mut cost);
+        let valnum = cost.pop().expect("stride >= 1");
+        IntTableau {
+            ncols,
+            stride,
+            data,
+            den,
+            cost,
+            valnum,
+            cost_den,
+            basis: (0..m).collect(),
+            art_lo: ncols,
+            art_hi: ncols,
+            bar_artificials: false,
+            scratch: Vec::new(),
+            nonzero: Vec::new(),
+        }
+    }
+
+    /// Chains of random pivots through [`IntTableau::pivot`] and through
+    /// the formula it replaced: the same pivots overflow, and every other
+    /// one leaves the same cells, denominators, cost row and basis. The
+    /// overflow parity is what keeps `tab_overflow_escalations` where
+    /// the counter snapshot has it.
+    fn pivots_match_reference<C: Cell>(seed: u64, bits: u32) {
+        let mut g = SplitMix64::new(seed);
+        let (mut unit, mut general, mut overflowed) = (0, 0, 0);
+        for _ in 0..3000 {
+            let mut t: IntTableau<C> = arb_tableau(&mut g, bits);
+            for _ in 0..6 {
+                let spots: Vec<(usize, usize)> = (0..t.rows())
+                    .flat_map(|r| (0..t.ncols).map(move |c| (r, c)))
+                    .filter(|&(r, c)| t.at(r, c) != C::ZERO)
+                    .collect();
+                if spots.is_empty() {
+                    break;
+                }
+                let (r, c) = spots[g.below(spots.len())];
+                let p = t.at(r, c);
+                let mut reference = t.clone();
+                let want = pivot_reference(&mut reference, r, c);
+                let got = t.pivot(r, c);
+                assert_eq!(got, want, "pivot on {p:?} at ({r}, {c})");
+                if got.is_none() {
+                    overflowed += 1;
+                    break;
+                }
+                if p == C::ONE || p == C::NEG_ONE {
+                    unit += 1;
+                } else {
+                    general += 1;
+                }
+                assert_eq!(t.data, reference.data, "cells after {p:?} at ({r}, {c})");
+                assert_eq!(t.den, reference.den);
+                assert_eq!(t.cost, reference.cost);
+                assert_eq!(
+                    (t.valnum, t.cost_den),
+                    (reference.valnum, reference.cost_den)
+                );
+                assert_eq!(t.basis, reference.basis);
+            }
+        }
+        assert!(
+            unit > 1000 && general > 1000 && overflowed > 100,
+            "{unit} unit, {general} general, {overflowed} overflowed"
+        );
+    }
+
+    #[test]
+    fn pivots_match_the_dense_reference_at_both_widths() {
+        pivots_match_reference::<i64>(0x5eed_0233, 63);
+        pivots_match_reference::<i128>(0x5eed_0234, 127);
+    }
+
+    fn content_reduction_matches_reference<C: Cell>(seed: u64, bits: u32) {
+        let mut g = SplitMix64::new(seed);
+        let mut reduced = 0;
+        for _ in 0..5000 {
+            let factor = [1, 1, 2, 3, 4, 6, 35][g.below(7)];
+            let entry = |g: &mut SplitMix64| {
+                let v = arb_cell::<C>(g, bits - 8).widen() * factor;
+                C::narrow(v).expect("eight bits of headroom")
+            };
+            let mut row: Vec<C> = (0..g.below(10)).map(|_| entry(&mut g)).collect();
+            let mut den = C::narrow(factor * g.range_i128(1, 9)).expect("small");
+            let (mut want_row, mut want_den) = (row.clone(), den);
+            reduce_content_reference(&mut want_den, &mut want_row);
+            reduce_content(&mut den, &mut row);
+            assert_eq!((den, &row), (want_den, &want_row));
+            reduced += usize::from(den != want_den || factor > 1);
+        }
+        assert!(reduced > 1000, "{reduced} rows had content to lose");
+    }
+
+    #[test]
+    fn content_reduction_matches_the_reference_at_both_widths() {
+        content_reduction_matches_reference::<i64>(0x5eed_0235, 63);
+        content_reduction_matches_reference::<i128>(0x5eed_0236, 127);
+    }
 }
