@@ -81,9 +81,22 @@ pub fn parse(src: &str) -> Result<Kernel, ParseError> {
     Parser::new(tokens).kernel()
 }
 
+/// The deepest expression tree [`parse`] builds. Everything downstream
+/// of it — emission, evaluation, lowering, rendering, even dropping the
+/// tree — recurses once per level, and so does this parser, up to twice
+/// per level (canonical `.pj` spells a negation `(-x)`); a source must
+/// not decide how much stack that takes. [`crate::emit_pj`] parenthesises
+/// every binary operation, so a sum of n terms is n levels deep and its
+/// canonical form nests as far: the bound is on the tree, whichever way
+/// it was written, and is far above any fused operator's expression yet
+/// a small share of a 2 MiB thread stack.
+pub const MAX_EXPR_DEPTH: usize = 256;
+
 struct Parser {
     tokens: Vec<Token>,
     pos: usize,
+    /// `factor` calls on the stack.
+    nesting: usize,
     params: HashMap<String, ParamId>,
     tensors: HashMap<String, (TensorId, usize)>, // id, rank
     builder: Option<KernelBuilder>,
@@ -101,6 +114,7 @@ impl Parser {
         Parser {
             tokens,
             pos: 0,
+            nesting: 0,
             params: HashMap::new(),
             tensors: HashMap::new(),
             builder: None,
@@ -292,7 +306,7 @@ impl Parser {
 
         // Expression; reads are collected as encountered.
         let mut reads: Vec<(TensorId, Vec<Idx>)> = Vec::new();
-        let expr = self.expr(&iters, &mut reads)?;
+        let (expr, _) = self.expr(&iters, &mut reads)?;
 
         let names: Vec<&str> = iters.names.iter().map(String::as_str).collect();
         let mut sb = StatementBuilder::new(&name, &names);
@@ -373,13 +387,28 @@ impl Parser {
         }
     }
 
+    /// The depth of a tree one level above subtrees of depth `below`.
+    fn deeper(&self, below: usize) -> Result<usize, ParseError> {
+        if below < MAX_EXPR_DEPTH {
+            Ok(below + 1)
+        } else {
+            self.too_deep()
+        }
+    }
+
+    fn too_deep<T>(&self) -> Result<T, ParseError> {
+        self.err(format!(
+            "expression nests deeper than {MAX_EXPR_DEPTH} levels"
+        ))
+    }
+
     /// expr := term (('+'|'-') term)*
     fn expr(
         &mut self,
         iters: &Iters,
         reads: &mut Vec<(TensorId, Vec<Idx>)>,
-    ) -> Result<Expr, ParseError> {
-        let mut lhs = self.term(iters, reads)?;
+    ) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut depth) = self.term(iters, reads)?;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Plus => BinOp::Add,
@@ -387,10 +416,11 @@ impl Parser {
                 _ => break,
             };
             self.next();
-            let rhs = self.term(iters, reads)?;
+            let (rhs, rhs_depth) = self.term(iters, reads)?;
+            depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::bin(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
     /// term := factor (('*'|'/') factor)*
@@ -398,8 +428,8 @@ impl Parser {
         &mut self,
         iters: &Iters,
         reads: &mut Vec<(TensorId, Vec<Idx>)>,
-    ) -> Result<Expr, ParseError> {
-        let mut lhs = self.factor(iters, reads)?;
+    ) -> Result<(Expr, usize), ParseError> {
+        let (mut lhs, mut depth) = self.factor(iters, reads)?;
         loop {
             let op = match self.peek().kind {
                 TokenKind::Star => BinOp::Mul,
@@ -407,30 +437,49 @@ impl Parser {
                 _ => break,
             };
             self.next();
-            let rhs = self.factor(iters, reads)?;
+            let (rhs, rhs_depth) = self.factor(iters, reads)?;
+            depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::bin(op, lhs, rhs);
         }
-        Ok(lhs)
+        Ok((lhs, depth))
     }
 
+    /// factor := number | '-' factor | '(' expr ')' | fn '(' expr [',' expr] ')' | access
+    ///
+    /// The one place the parser re-enters itself, so the one place that
+    /// counts how far it has (see [`MAX_EXPR_DEPTH`]).
     fn factor(
         &mut self,
         iters: &Iters,
         reads: &mut Vec<(TensorId, Vec<Idx>)>,
-    ) -> Result<Expr, ParseError> {
+    ) -> Result<(Expr, usize), ParseError> {
+        if self.nesting == 2 * MAX_EXPR_DEPTH {
+            return self.too_deep();
+        }
+        self.nesting += 1;
+        let parsed = self.nested_factor(iters, reads);
+        self.nesting -= 1;
+        parsed
+    }
+
+    fn nested_factor(
+        &mut self,
+        iters: &Iters,
+        reads: &mut Vec<(TensorId, Vec<Idx>)>,
+    ) -> Result<(Expr, usize), ParseError> {
         match self.peek().kind.clone() {
             TokenKind::Float(v) => {
                 self.next();
-                Ok(Expr::Const(v))
+                Ok((Expr::Const(v), 1))
             }
             TokenKind::Int(v) => {
                 self.next();
-                Ok(Expr::Const(v as f32))
+                Ok((Expr::Const(v as f32), 1))
             }
             TokenKind::Minus => {
                 self.next();
-                let inner = self.factor(iters, reads)?;
-                Ok(Expr::un(UnOp::Neg, inner))
+                let (inner, depth) = self.factor(iters, reads)?;
+                Ok((Expr::un(UnOp::Neg, inner), self.deeper(depth)?))
             }
             TokenKind::LParen => {
                 self.next();
@@ -444,20 +493,20 @@ impl Parser {
                     if self.tokens[self.pos + 1].kind == TokenKind::LParen {
                         self.next();
                         self.next();
-                        let arg = self.expr(iters, reads)?;
+                        let (arg, depth) = self.expr(iters, reads)?;
                         self.expect(&TokenKind::RParen)?;
-                        return Ok(Expr::un(un, arg));
+                        return Ok((Expr::un(un, arg), self.deeper(depth)?));
                     }
                 }
                 if let Some(bin) = binary_fn(&name) {
                     if self.tokens[self.pos + 1].kind == TokenKind::LParen {
                         self.next();
                         self.next();
-                        let a = self.expr(iters, reads)?;
+                        let (a, a_depth) = self.expr(iters, reads)?;
                         self.expect(&TokenKind::Comma)?;
-                        let b = self.expr(iters, reads)?;
+                        let (b, b_depth) = self.expr(iters, reads)?;
                         self.expect(&TokenKind::RParen)?;
-                        return Ok(Expr::bin(bin, a, b));
+                        return Ok((Expr::bin(bin, a, b), self.deeper(a_depth.max(b_depth))?));
                     }
                 }
                 let (tid, idx) = self.access(iters)?;
@@ -469,7 +518,7 @@ impl Parser {
                         reads.push((tid, idx));
                         reads.len() - 1
                     });
-                Ok(Expr::Read(read_i))
+                Ok((Expr::Read(read_i), 1))
             }
             other => self.err(format!("expected expression, found {other}")),
         }
@@ -599,6 +648,37 @@ stmt S for (i in 1..8) a[i] = a[i - 1] + a[i]
             let e = parse(src).unwrap_err();
             assert!(e.message.contains(needle), "{src} → {e}");
         }
+    }
+
+    #[test]
+    fn expression_depth_is_bounded_however_it_is_written() {
+        let with = |expr: &str| {
+            let head = "kernel k\nparam N = 8\ntensor A[N]: f32\ntensor B[N]: f32\n";
+            parse(&format!("{head}stmt S for (i in 0..N) B[i] = {expr}\n"))
+        };
+        let sum = |terms: usize| vec!["A[i]"; terms].join(" + ");
+        let too_deep = |e: ParseError| e.message.contains("nests deeper than 256");
+        // The deepest trees accepted, written the cheapest way, have a
+        // canonical form (every level parenthesised) that parses back.
+        for flat in [
+            sum(MAX_EXPR_DEPTH),
+            format!("{}A[i]", "-".repeat(MAX_EXPR_DEPTH - 1)),
+        ] {
+            let kernel = with(&flat).unwrap();
+            let canonical = crate::emit_pj(&kernel).unwrap();
+            assert_eq!(crate::canonical_pj(&canonical).unwrap(), canonical);
+        }
+        assert!(too_deep(with(&sum(MAX_EXPR_DEPTH + 1)).unwrap_err()));
+        assert!(too_deep(with(&sum(200_000)).unwrap_err()));
+        assert!(too_deep(
+            with(&format!("{}A[i]", "-".repeat(200_000))).unwrap_err()
+        ));
+        let parens = |n: usize| format!("{}A[i]{}", "(".repeat(n), ")".repeat(n));
+        assert!(with(&parens(2 * MAX_EXPR_DEPTH - 1)).is_ok());
+        assert!(too_deep(with(&parens(5_000)).unwrap_err()));
+        assert!(too_deep(
+            with(&format!("{}A[i]", "exp(".repeat(200_000))).unwrap_err()
+        ));
     }
 
     #[test]

@@ -67,7 +67,6 @@ pub struct CacheStats {
 
 #[derive(Clone, Debug)]
 struct IndexEntry {
-    key: String,
     kind: String,
     bytes: u64,
     last_used: u64,
@@ -167,6 +166,25 @@ impl DiskCache {
         self.dir.join("entries").join(format!("{key}.json"))
     }
 
+    /// Files `key` in the index, over any earlier row.
+    fn index(&mut self, key: &str, kind: &str, bytes: u64, last_used: u64) {
+        let kind = kind.to_string();
+        let row = IndexEntry {
+            kind,
+            bytes,
+            last_used,
+        };
+        self.entries.insert(key.to_string(), row);
+    }
+
+    /// Indexes a verified entry file the index did not know, at its size
+    /// on disk.
+    fn adopt(&mut self, key: &str, kind: &str, last_used: u64) {
+        let path = self.entry_path(key);
+        let bytes = self.io.metadata_len(&path).unwrap_or(0);
+        self.index(key, kind, bytes, last_used);
+    }
+
     /// Removes every `.tmp.*` staging file in the cache root and
     /// `entries/` — debris of atomic writes that died between create and
     /// rename (torn state). Live entries never carry the prefix, so this
@@ -197,8 +215,18 @@ impl DiskCache {
     /// `(kind, payload)` on a hit. Corrupt entries are quarantined and
     /// reported as misses.
     pub fn get(&mut self, key: &str) -> Option<(String, Json)> {
-        if !self.contains(key) {
+        let found = self.get_if_present(key);
+        if found.is_none() {
             self.stats.misses += 1;
+        }
+        found
+    }
+
+    /// [`DiskCache::get`] for an optional entry: one [`DiskCache::contains`]
+    /// probe, and an absent entry moves no counter (an entry that is
+    /// there but corrupt is quarantined all the same, uncounted as a miss).
+    pub fn get_if_present(&mut self, key: &str) -> Option<(String, Json)> {
+        if !self.contains(key) {
             return None;
         }
         match self.read_verified(key) {
@@ -208,26 +236,13 @@ impl DiskCache {
                 let tick = self.tick;
                 match self.entries.get_mut(key) {
                     Some(e) => e.last_used = tick,
-                    None => {
-                        // Valid entry written by another process: adopt it.
-                        let path = self.entry_path(key);
-                        let bytes = self.io.metadata_len(&path).unwrap_or(0);
-                        self.entries.insert(
-                            key.to_string(),
-                            IndexEntry {
-                                key: key.to_string(),
-                                kind: kind.clone(),
-                                bytes,
-                                last_used: tick,
-                            },
-                        );
-                    }
+                    // Valid entry written by another process: adopt it.
+                    None => self.adopt(key, &kind, tick),
                 }
                 Some((kind, payload))
             }
             Err(reason) => {
                 self.quarantine(key, &reason);
-                self.stats.misses += 1;
                 None
             }
         }
@@ -239,7 +254,7 @@ impl DiskCache {
             .io
             .read_to_string(&path)
             .map_err(|e| format!("unreadable: {e}"))?;
-        let v = Json::parse(&text).map_err(|e| format!("bad json: {e}"))?;
+        let mut v = Json::parse(&text).map_err(|e| format!("bad json: {e}"))?;
         let format = v
             .get("format")
             .and_then(Json::as_u64)
@@ -251,8 +266,9 @@ impl DiskCache {
             return Err("key mismatch".to_string());
         }
         let kind = v.str_field("kind")?.to_string();
-        let payload = v.get("payload").ok_or("missing payload")?.clone();
-        let checksum = v.str_field("checksum")?;
+        let checksum = v.str_field("checksum")?.to_string();
+        // The payload is most of the entry: moved out, not copied.
+        let payload = v.take("payload").ok_or("missing payload")?;
         let actual = hex_digest(&payload.render());
         if checksum != actual {
             return Err(format!("checksum {actual} != recorded {checksum}"));
@@ -281,15 +297,7 @@ impl DiskCache {
         let path = self.entry_path(key);
         self.write_atomic(&path, text.as_bytes())?;
         self.tick += 1;
-        self.entries.insert(
-            key.to_string(),
-            IndexEntry {
-                key: key.to_string(),
-                kind: kind.to_string(),
-                bytes: text.len() as u64,
-                last_used: self.tick,
-            },
-        );
+        self.index(key, kind, text.len() as u64, self.tick);
         self.stats.puts += 1;
         self.evict_to_budget(key);
         self.flush()
@@ -301,10 +309,10 @@ impl DiskCache {
         while self.total_bytes() > self.max_bytes {
             let victim = self
                 .entries
-                .values()
-                .filter(|e| e.key != keep)
-                .min_by_key(|e| e.last_used)
-                .map(|e| e.key.clone());
+                .iter()
+                .filter(|(key, _)| *key != keep)
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(key, _)| key.clone());
             let Some(victim) = victim else { break };
             let path = self.entry_path(&victim);
             let _ = self.io.remove_file(&path);
@@ -326,8 +334,8 @@ impl DiskCache {
     pub fn list(&self) -> Vec<(String, String, u64, u64)> {
         let mut v: Vec<_> = self
             .entries
-            .values()
-            .map(|e| (e.key.clone(), e.kind.clone(), e.bytes, e.last_used))
+            .iter()
+            .map(|(key, e)| (key.clone(), e.kind.clone(), e.bytes, e.last_used))
             .collect();
         v.sort_by(|a, b| b.3.cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
         v
@@ -467,15 +475,8 @@ impl DiskCache {
             if !self.io.exists(&path) {
                 continue;
             }
-            self.entries.insert(
-                key.to_string(),
-                IndexEntry {
-                    key: key.to_string(),
-                    kind: kind.to_string(),
-                    bytes: e.get("bytes").and_then(Json::as_u64).unwrap_or(0),
-                    last_used: e.get("last_used").and_then(Json::as_u64).unwrap_or(0),
-                },
-            );
+            let n = |field: &str| e.get(field).and_then(Json::as_u64).unwrap_or(0);
+            self.index(key, kind, n("bytes"), n("last_used"));
         }
         true
     }
@@ -489,22 +490,9 @@ impl DiskCache {
             let Some(key) = name.strip_suffix(".json") else {
                 continue;
             };
-            let key = key.to_string();
-            match self.read_verified(&key) {
-                Ok((kind, _)) => {
-                    let path = self.entry_path(&key);
-                    let bytes = self.io.metadata_len(&path).unwrap_or(0);
-                    self.entries.insert(
-                        key.clone(),
-                        IndexEntry {
-                            key,
-                            kind,
-                            bytes,
-                            last_used: 0,
-                        },
-                    );
-                }
-                Err(reason) => self.quarantine(&key, &reason),
+            match self.read_verified(key) {
+                Ok((kind, _)) => self.adopt(key, &kind, 0),
+                Err(reason) => self.quarantine(key, &reason),
             }
         }
         Ok(())

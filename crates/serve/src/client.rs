@@ -137,13 +137,12 @@ impl Client {
         write_frame(&mut self.conn, &batch.to_json())?;
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         loop {
-            let frame = self.read_response()?;
+            let mut frame = self.read_response()?;
             match frame.str_field("status") {
                 Ok("item") => {
                     let index = frame.num_field("index").map_err(invalid_data)? as usize;
                     let reply = frame
-                        .get("reply")
-                        .cloned()
+                        .take("reply")
                         .ok_or_else(|| invalid_data("item frame missing reply".to_string()))?;
                     if let Some(slot) = slots.get_mut(index) {
                         *slot = Some(reply);

@@ -2,13 +2,13 @@
 //! timeouts, and graceful shutdown over the shared [`transport`].
 //!
 //! One thread per connection reads length-prefixed frames. Every compile
-//! takes one path — request → admission → dedup → pool → settle →
-//! framing (`serve_items`): a `compile` is a `compile_batch` of one
-//! whose reply is written bare. Items are dispatched onto a shared
-//! [`WorkerPool`] so concurrency is bounded by worker count, with a
-//! bounded pending-job queue that answers `overloaded` instead of
-//! buffering without limit. Identical concurrent requests are
-//! deduplicated by the service's single-flight layer. SIGTERM/SIGINT (or
+//! takes one path — request → admission → dedup → lookup → pool → settle
+//! → framing (`serve_items`): a `compile` is a `compile_batch` of one
+//! whose reply is written bare. A cache hit is answered by the connection
+//! thread; misses are dispatched onto a shared [`WorkerPool`], so compile
+//! concurrency is bounded by worker count, behind a bounded pending
+//! queue that answers `overloaded` instead of buffering without limit.
+//! Identical concurrent compiles share one single-flight. SIGTERM/SIGINT (or
 //! a `shutdown` request) stops the accept loop, lets in-flight work
 //! drain, flushes the cache index, and dumps final stats as JSON.
 
@@ -249,7 +249,7 @@ fn dispatch<W: Write>(shared: &Arc<Shared>, frame: &Json, out: &mut W) -> bool {
             framing,
         } => {
             let out = ReplyWriter::new(out, framing, items.len());
-            return serve_items(shared, out, items.into(), req);
+            return serve_items(shared, out, &items, req);
         }
         Request::Ping => ok_with(vec![("pong", Json::Bool(true))]),
         Request::Stats | Request::Metrics => shared.stats_json(),
@@ -373,16 +373,28 @@ fn reserve_slots(shared: &Shared, want: usize) -> usize {
 /// The one compile path: serves a request of N items (a `compile` is
 /// N = 1). Admits the items as N queue slots ([`reserve_slots`], in
 /// index order; the unadmitted tail is answered `overloaded` at once),
-/// dedups identical `(src, config)` items, fans the unique ones over the
-/// worker pool under one cancel flag (registered by request id), and
-/// writes each reply as its compile lands — completion-ordered — until
-/// every item is settled or the request deadline cancels the rest.
+/// dedups identical `(src, config)` items, then prepares and looks up
+/// each unique one on this, the connection's, thread: a cache hit (or a
+/// parse/config error) is answered here and its slot released, so a
+/// cached answer never waits behind whatever the workers are compiling.
+/// Only the misses go to the worker pool — each with its prepared
+/// canonical form and key, under one cancel flag (registered by request
+/// id) — and their replies are written as the compiles land,
+/// completion-ordered, until every item is settled or the request
+/// deadline cancels the rest.
+///
+/// Admission is decided before any lookup, and every lookup of the
+/// request happens, in item order, before its first miss is submitted:
+/// a worker's cache write must not interleave with this thread's reads,
+/// or a one-worker daemon over a [`FaultyIo`] (verdicts in arrival
+/// order) would stop replaying identically.
+///
 /// Returns `false` when the connection died (remaining work is
 /// cancelled, counters and slots still settle).
 fn serve_items<W: Write>(
     shared: &Arc<Shared>,
     mut out: ReplyWriter<'_, W>,
-    items: Arc<[BatchItem]>,
+    items: &[BatchItem],
     req_id: Option<String>,
 ) -> bool {
     // A request always outranks idle-time work: tell any background
@@ -395,6 +407,7 @@ fn serve_items<W: Write>(
         stats.batch_items += items.len() as u64;
     }
     let granted = reserve_slots(shared, items.len());
+    let deadline = Instant::now() + shared.request_timeout;
 
     // Dedup over the admitted items: the first occurrence of each
     // (src, config) is the primary, later ones ride its result. A rider
@@ -402,17 +415,17 @@ fn serve_items<W: Write>(
     // (it was still counted at admission, where backpressure decides).
     let mut primary_of: HashMap<(&str, &str), usize> = HashMap::new();
     let mut riders: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut open: Vec<usize> = Vec::new();
+    let mut primaries: Vec<usize> = Vec::new();
     for (i, it) in items[..granted].iter().enumerate() {
         match primary_of.entry((it.src.as_str(), it.config.as_str())) {
             Entry::Occupied(e) => riders.entry(*e.get()).or_default().push(i),
             Entry::Vacant(v) => {
                 v.insert(i);
-                open.push(i);
+                primaries.push(i);
             }
         }
     }
-    let riding = granted - open.len();
+    let riding = granted - primaries.len();
     if riding > 0 {
         shared.stats().batch_dedup_hits += riding as u64;
         shared.pending.fetch_sub(riding, Ordering::SeqCst);
@@ -425,29 +438,6 @@ fn serve_items<W: Write>(
         let mut reg = shared.cancel_reg.lock().expect("cancel registry poisoned");
         reg.insert(id.clone(), Arc::clone(&cancel));
     }
-    let (tx, rx) = mpsc::channel();
-    for &i in &open {
-        let (tx, cancel, worker) = (tx.clone(), Arc::clone(&cancel), Arc::clone(shared));
-        let items = Arc::clone(&items);
-        shared.pool.submit(move || {
-            // The compile runs wholly on this worker thread: solver
-            // counters are thread-local, so the delta below is exactly
-            // this item's warm-session savings. The cancel-only budget
-            // lets the connection thread abort the solve.
-            let before = polyject_sets::counters::snapshot();
-            let t0 = Instant::now();
-            let budget = Budget::unlimited().with_cancel(cancel);
-            let (src, config) = (&items[i].src, &items[i].config);
-            let result = worker.service.serve_with_budget(src, config, &budget);
-            let reuses = polyject_sets::counters::snapshot()
-                .delta_since(&before)
-                .session_reuses;
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
-            worker.pending.fetch_sub(1, Ordering::SeqCst);
-            let _ = tx.send((i, result, reuses, ms));
-        });
-    }
-    drop(tx);
 
     // Answers item `i` and its riders with one frame. A dead client
     // stops the writes and aborts remaining work, but the loop below
@@ -464,38 +454,10 @@ fn serve_items<W: Write>(
             cancel.store(true, Ordering::SeqCst);
         }
     };
-
-    // The unadmitted tail first: the client learns what to retry
-    // before any compile finishes.
-    for i in granted..items.len() {
-        shared.stats().overloaded += 1;
-        answer(
-            i,
-            overloaded_response(shared.pending.load(Ordering::SeqCst)),
-        );
-    }
-
-    let deadline = Instant::now() + shared.request_timeout;
-    while !open.is_empty() {
-        let left = deadline.saturating_duration_since(Instant::now());
-        let Ok((i, result, reuses, ms)) = rx.recv_timeout(left) else {
-            // Deadline: trip the cancel flag (solvers abort at their next
-            // budget check, so the workers are reclaimed instead of
-            // leaking on a runaway compile) and answer what is still
-            // open retryably.
-            cancel.store(true, Ordering::SeqCst);
-            shared.stats().timeouts += open.len() as u64;
-            let msg = format!(
-                "request timed out after {:?} (compile cancelled; worker reclaimed)",
-                shared.request_timeout
-            );
-            for i in open.drain(..) {
-                answer(i, retryable_error_response(&msg));
-            }
-            break;
-        };
-        open.retain(|&p| p != i);
-        let frame = match result {
+    // Books one settled item — served here or by a worker, `ms` from its
+    // `prepare` on — and builds its reply frame.
+    let settled =
+        |result: Result<(CompileReply, Served), String>, reuses: u64, ms: f64| match result {
             Ok((reply, served)) => {
                 let mut stats = shared.stats();
                 stats.latency.record(ms);
@@ -521,7 +483,78 @@ fn serve_items<W: Write>(
                 }
             }
         };
-        answer(i, frame);
+
+    // The unadmitted tail first: the client learns what to retry
+    // before any compile finishes.
+    for i in granted..items.len() {
+        shared.stats().overloaded += 1;
+        answer(
+            i,
+            overloaded_response(shared.pending.load(Ordering::SeqCst)),
+        );
+    }
+
+    // Every lookup, then every submission (see above).
+    let mut misses = Vec::new();
+    for i in primaries {
+        let t0 = Instant::now();
+        let request = shared.service.prepare(&items[i].src, &items[i].config);
+        let found = request.as_ref().ok().and_then(|r| shared.service.lookup(r));
+        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let here = match (request, found) {
+            (Ok(request), None) => {
+                misses.push((i, request, ms));
+                continue;
+            }
+            (Ok(_), Some(reply)) => Ok((reply, Served::Hit)),
+            (Err(e), _) => Err(e),
+        };
+        shared.pending.fetch_sub(1, Ordering::SeqCst);
+        answer(i, settled(here, 0, ms));
+    }
+    let mut open: Vec<usize> = misses.iter().map(|&(i, ..)| i).collect();
+    let (tx, rx) = mpsc::channel();
+    for (i, request, looked_up_ms) in misses {
+        let (tx, cancel, worker) = (tx.clone(), Arc::clone(&cancel), Arc::clone(shared));
+        shared.pool.submit(move || {
+            // The compile runs wholly on this worker thread: solver
+            // counters are thread-local, so the delta below is exactly
+            // this item's warm-session savings. The cancel-only budget
+            // lets the connection thread abort the solve.
+            let before = polyject_sets::counters::snapshot();
+            let t0 = Instant::now();
+            let budget = Budget::unlimited().with_cancel(cancel);
+            let result = worker.service.compile(request, &budget);
+            let reuses = polyject_sets::counters::snapshot()
+                .delta_since(&before)
+                .session_reuses;
+            let ms = looked_up_ms + t0.elapsed().as_secs_f64() * 1e3;
+            worker.pending.fetch_sub(1, Ordering::SeqCst);
+            let _ = tx.send((i, result, reuses, ms));
+        });
+    }
+    drop(tx);
+
+    while !open.is_empty() {
+        let left = deadline.saturating_duration_since(Instant::now());
+        let Ok((i, result, reuses, ms)) = rx.recv_timeout(left) else {
+            // Deadline: trip the cancel flag (solvers abort at their next
+            // budget check, so the workers are reclaimed instead of
+            // leaking on a runaway compile) and answer what is still
+            // open retryably.
+            cancel.store(true, Ordering::SeqCst);
+            shared.stats().timeouts += open.len() as u64;
+            let msg = format!(
+                "request timed out after {:?} (compile cancelled; worker reclaimed)",
+                shared.request_timeout
+            );
+            for i in open.drain(..) {
+                answer(i, retryable_error_response(&msg));
+            }
+            break;
+        };
+        open.retain(|&p| p != i);
+        answer(i, settled(result, reuses, ms));
     }
     if let Some(id) = &req_id {
         let mut reg = shared.cancel_reg.lock().expect("cancel registry poisoned");

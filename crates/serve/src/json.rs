@@ -1,6 +1,17 @@
-//! A minimal JSON value model with a deterministic writer and a strict
-//! parser. The workspace builds fully offline and carries no serde; the
-//! cache entry format and the daemon wire protocol both build on this.
+//! A minimal JSON value model with a deterministic writer and a
+//! one-pass parser. The workspace builds fully offline and carries no
+//! serde; the cache entry format and the daemon wire protocol both build
+//! on this.
+//!
+//! The parser reads each byte of its (already valid UTF-8) input a
+//! constant number of times and recurses at most [`MAX_DEPTH`] deep, so a
+//! frame costs time and stack in proportion to its bytes whatever is in
+//! it. It is stricter than RFC 8259 in nothing and laxer in three things:
+//! raw control characters inside strings are accepted, numbers are
+//! whatever `f64::from_str` takes over `[0-9.eE+-]` (so `01` and `1.`
+//! parse), and duplicate object keys are kept. A `\u` escape is exactly
+//! four hex digits; a high surrogate must be followed by an escaped low
+//! one, and a lone low surrogate is an error.
 //!
 //! Determinism matters: cache entry checksums are computed over the
 //! serialized payload, so serialization must be a pure function of the
@@ -10,6 +21,12 @@
 //! byte-identical to a fresh compile).
 
 use std::fmt::Write as _;
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// parser recurses once per level, and a frame of `[[[[…` must not decide
+/// how much stack a connection thread needs; nothing the protocol, a
+/// cache entry or a stats report builds nests a tenth of this.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -40,6 +57,15 @@ impl Json {
             Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
+    }
+
+    /// Moves the value of a key out of an object, leaving `null` there.
+    pub fn take(&mut self, key: &str) -> Option<Json> {
+        match self {
+            Json::Obj(pairs) => pairs.iter_mut().find(|(k, _)| k == key),
+            _ => None,
+        }
+        .map(|(_, v)| std::mem::replace(v, Json::Null))
     }
 
     /// The value as a string slice, if it is a string.
@@ -110,8 +136,13 @@ impl Json {
     /// order is preserved, numbers use shortest round-trip formatting).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out);
+        self.render_into(&mut out);
         out
+    }
+
+    /// Appends what [`Json::render`] returns to `out`.
+    pub(crate) fn render_into(&self, out: &mut String) {
+        self.write(out, None);
     }
 
     /// Serializes the value as indented (2-space) JSON text with a
@@ -119,76 +150,51 @@ impl Json {
     /// Same determinism guarantees as [`Json::render`].
     pub fn render_pretty(&self) -> String {
         let mut out = String::new();
-        self.write_pretty(&mut out, 0);
+        self.write(&mut out, Some(0));
         out.push('\n');
         out
     }
 
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        let pad = |out: &mut String, d: usize| out.push_str(&"  ".repeat(d));
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    pad(out, depth + 1);
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                pad(out, depth);
-                out.push(']');
+    /// The one writer. `indent` is `None` for compact text, else the
+    /// depth this value sits at: a non-empty container then puts each
+    /// member on its own line, one level deeper.
+    fn write(&self, out: &mut String, indent: Option<usize>) {
+        let (open, close, len) = match self {
+            Json::Null => return out.push_str("null"),
+            Json::Bool(true) => return out.push_str("true"),
+            Json::Bool(false) => return out.push_str("false"),
+            Json::Num(n) => return write_num(*n, out),
+            Json::Str(s) => return write_str(s, out),
+            Json::Arr(items) => ('[', ']', items.len()),
+            Json::Obj(pairs) => ('{', '}', pairs.len()),
+        };
+        let inner = indent.filter(|_| len > 0).map(|depth| depth + 1);
+        let line = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.extend(std::iter::repeat_n("  ", depth));
+        };
+        out.push(open);
+        for i in 0..len {
+            if i > 0 {
+                out.push(',');
             }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    pad(out, depth + 1);
-                    write_str(k, out);
-                    out.push_str(": ");
-                    v.write_pretty(out, depth + 1);
-                }
-                out.push('\n');
-                pad(out, depth);
-                out.push('}');
+            if let Some(depth) = inner {
+                line(out, depth);
             }
-            other => other.write(out),
-        }
-    }
-
-    fn write(&self, out: &mut String) {
-        match self {
-            Json::Null => out.push_str("null"),
-            Json::Bool(true) => out.push_str("true"),
-            Json::Bool(false) => out.push_str("false"),
-            Json::Num(n) => write_num(*n, out),
-            Json::Str(s) => write_str(s, out),
-            Json::Arr(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write(out);
+            match self {
+                Json::Arr(items) => items[i].write(out, inner),
+                Json::Obj(pairs) => {
+                    write_str(&pairs[i].0, out);
+                    out.push_str(if inner.is_some() { ": " } else { ":" });
+                    pairs[i].1.write(out, inner);
                 }
-                out.push(']');
-            }
-            Json::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_str(k, out);
-                    out.push(':');
-                    v.write(out);
-                }
-                out.push('}');
+                _ => unreachable!("scalars returned above"),
             }
         }
+        if let Some(depth) = inner {
+            line(out, depth - 1);
+        }
+        out.push(close);
     }
 
     /// Parses JSON text.
@@ -196,14 +202,14 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with the byte offset of the first syntax error
-    /// (including trailing garbage after the top-level value).
+    /// (including trailing garbage after the top-level value, and
+    /// containers nested deeper than [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing garbage at byte {pos}"));
+        let mut p = Parser { text, pos: 0 };
+        let v = p.value(MAX_DEPTH)?;
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(format!("trailing garbage at byte {}", p.pos));
         }
         Ok(v)
     }
@@ -225,275 +231,211 @@ fn write_num(n: f64, out: &mut String) {
 
 fn write_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("write");
-            }
-            c => out.push(c),
+    // Everything that needs escaping is ASCII, so the runs between two
+    // such bytes are whole characters and are copied in one piece.
+    let mut rest = s;
+    while let Some(at) = rest
+        .bytes()
+        .position(|b| matches!(b, b'"' | b'\\' | 0..=0x1f))
+    {
+        out.push_str(&rest[..at]);
+        match rest.as_bytes()[at] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => write!(out, "\\u{b:04x}").expect("write"),
         }
+        rest = &rest[at + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// A cursor over the document being parsed. Every byte is looked at a
+/// constant number of times: nothing rescans what `pos` has passed.
+struct Parser<'a> {
+    text: &'a str,
+    pos: usize,
 }
 
-fn expect(b: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < b.len() && b[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected {:?} at byte {}", c as char, *pos))
+impl Parser<'_> {
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
-}
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'n') => parse_lit(b, pos, "null", Json::Null),
-        Some(b't') => parse_lit(b, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(b, pos)?)),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), String> {
+        if self.peek() == Some(c) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(format!("expected {:?} at byte {}", c as char, self.pos))
+        }
+    }
+
+    /// Parses one value whose containers may nest `room` levels further.
+    fn value(&mut self, room: usize) -> Result<Json, String> {
+        self.skip_ws();
+        match self.peek() {
+            None => Err("unexpected end of input".to_string()),
+            Some(b'n') => self.lit("null", Json::Null),
+            Some(b't') => self.lit("true", Json::Bool(true)),
+            Some(b'f') => self.lit("false", Json::Bool(false)),
+            Some(b'"') => self.string().map(Json::Str),
+            Some(open @ (b'[' | b'{')) => {
+                let Some(room) = room.checked_sub(1) else {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
+                };
+                self.pos += 1;
+                if open == b'[' {
+                    let mut items = Vec::new();
+                    self.members(b']', |p| {
+                        items.push(p.value(room)?);
+                        Ok(())
+                    })?;
+                    Ok(Json::Arr(items))
+                } else {
+                    let mut pairs = Vec::new();
+                    self.members(b'}', |p| {
+                        p.skip_ws();
+                        let key = p.string()?;
+                        p.skip_ws();
+                        p.expect(b':')?;
+                        pairs.push((key, p.value(room)?));
+                        Ok(())
+                    })?;
+                    Ok(Json::Obj(pairs))
+                }
             }
-            loop {
-                items.push(parse_value(b, pos)?);
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {}", *pos)),
+            Some(_) => self.number(),
+        }
+    }
+
+    /// The comma-separated members of a container whose opening bracket
+    /// is consumed, through its `close`; `member` parses one.
+    fn members(
+        &mut self,
+        close: u8,
+        mut member: impl FnMut(&mut Self) -> Result<(), String>,
+    ) -> Result<(), String> {
+        self.skip_ws();
+        if self.peek() == Some(close) {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            member(self)?;
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(c) if c == close => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => {
+                    let close = close as char;
+                    return Err(format!("expected ',' or '{close}' at byte {}", self.pos));
                 }
             }
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(b, pos);
-            if b.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(b, pos);
-                let key = parse_string(b, pos)?;
-                skip_ws(b, pos);
-                expect(b, pos, b':')?;
-                let v = parse_value(b, pos)?;
-                pairs.push((key, v));
-                skip_ws(b, pos);
-                match b.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
-                }
-            }
+    }
+
+    fn lit(&mut self, lit: &str, v: Json) -> Result<Json, String> {
+        if self.text[self.pos..].starts_with(lit) {
+            self.pos += lit.len();
+            Ok(v)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
         }
-        Some(_) => parse_number(b, pos),
     }
-}
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, v: Json) -> Result<Json, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
-        Ok(v)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
+            self.pos += 1;
+        }
+        let s = &self.text[start..self.pos];
+        s.parse::<f64>()
+            .map(Json::Num)
+            .map_err(|_| format!("invalid number {s:?} at byte {start}"))
     }
-}
 
-fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if b.get(*pos) == Some(&b'-') {
-        *pos += 1;
-    }
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-') {
-        *pos += 1;
-    }
-    let s = std::str::from_utf8(&b[start..*pos]).map_err(|_| "non-utf8 number".to_string())?;
-    s.parse::<f64>()
-        .map(Json::Num)
-        .map_err(|_| format!("invalid number {s:?} at byte {start}"))
-}
-
-fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(b, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match b.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
+    fn string(&mut self) -> Result<String, String> {
+        self.expect(b'"')?;
+        let mut out = String::new();
+        loop {
+            // Both delimiters are ASCII, so the run up to the next one is
+            // whole characters of an already valid `&str`: copy it as is.
+            let rest = &self.text[self.pos..];
+            let run = rest
+                .bytes()
+                .position(|b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            out.push_str(&rest[..run]);
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match b.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hi = parse_hex4(b, *pos + 1)?;
-                        *pos += 4;
-                        let c = if (0xD800..0xDC00).contains(&hi) {
-                            // Surrogate pair: expect \uXXXX low half.
-                            if b.get(*pos + 1) == Some(&b'\\') && b.get(*pos + 2) == Some(&b'u') {
-                                let lo = parse_hex4(b, *pos + 3)?;
-                                *pos += 6;
-                                let c = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(c)
-                            } else {
-                                None
-                            }
-                        } else {
-                            char::from_u32(hi)
-                        };
-                        out.push(c.ok_or_else(|| format!("invalid escape at byte {}", *pos))?);
-                    }
-                    _ => return Err(format!("invalid escape at byte {}", *pos)),
+            let escape = self.peek();
+            self.pos += 1;
+            out.push(match escape {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'b') => '\u{8}',
+                Some(b'f') => '\u{c}',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(format!("invalid escape at byte {}", self.pos - 1)),
+            });
+        }
+    }
+
+    /// The scalar of a `\uXXXX` escape whose `\u` is consumed: one code
+    /// unit, or a high surrogate and the `\uXXXX` low one that must follow.
+    fn unicode_escape(&mut self) -> Result<char, String> {
+        let at = self.pos;
+        let mut code = self.hex4()?;
+        if (0xD800..0xDC00).contains(&code) {
+            let low = match self.text.as_bytes().get(self.pos..self.pos + 2) {
+                Some(b"\\u") => {
+                    self.pos += 2;
+                    self.hex4()?
                 }
-                *pos += 1;
+                _ => 0,
+            };
+            if !(0xDC00..=0xDFFF).contains(&low) {
+                return Err(format!("unpaired surrogate in escape at byte {at}"));
             }
-            Some(_) => {
-                // Consume one UTF-8 scalar.
-                let rest = std::str::from_utf8(&b[*pos..])
-                    .map_err(|_| format!("non-utf8 string at byte {}", *pos))?;
-                let c = rest.chars().next().expect("non-empty");
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
         }
-    }
-}
-
-fn parse_hex4(b: &[u8], at: usize) -> Result<u32, String> {
-    if at + 4 > b.len() {
-        return Err("truncated \\u escape".to_string());
-    }
-    let s = std::str::from_utf8(&b[at..at + 4]).map_err(|_| "non-utf8 escape".to_string())?;
-    u32::from_str_radix(s, 16).map_err(|_| format!("invalid \\u escape {s:?}"))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn roundtrip_basic_values() {
-        for text in [
-            "null",
-            "true",
-            "false",
-            "0",
-            "-17",
-            "3.25",
-            "\"hi\"",
-            "[]",
-            "[1,2,3]",
-            "{}",
-            "{\"a\":1,\"b\":[true,null]}",
-        ] {
-            let v = Json::parse(text).unwrap();
-            assert_eq!(v.render(), text, "{text}");
-        }
+        char::from_u32(code).ok_or_else(|| format!("invalid escape at byte {at}"))
     }
 
-    #[test]
-    fn f64_roundtrip_is_bit_exact() {
-        for x in [
-            0.1,
-            1.0 / 3.0,
-            115.642465,
-            f64::MIN_POSITIVE,
-            1.7976931348623157e308,
-            -0.0,
-            2.5000000000000004,
-        ] {
-            let v = Json::Num(x).render();
-            let back = Json::parse(&v).unwrap().as_f64().unwrap();
-            assert_eq!(back.to_bits(), x.to_bits(), "{x} -> {v}");
-        }
-    }
-
-    #[test]
-    fn string_escapes_roundtrip() {
-        let s = "line\nquote\"back\\slash\ttab\u{1}snow\u{2603}";
-        let text = Json::Str(s.to_string()).render();
-        assert_eq!(Json::parse(&text).unwrap().as_str().unwrap(), s);
-    }
-
-    #[test]
-    fn surrogate_pair_escape() {
-        let v = Json::parse("\"\\ud83d\\ude00\"").unwrap();
-        assert_eq!(v.as_str().unwrap(), "😀");
-    }
-
-    #[test]
-    fn rejects_garbage() {
-        assert!(Json::parse("{").is_err());
-        assert!(Json::parse("[1,]").is_err());
-        assert!(Json::parse("1 2").is_err());
-        assert!(Json::parse("\"unterminated").is_err());
-        assert!(Json::parse("nul").is_err());
-    }
-
-    #[test]
-    fn object_accessors() {
-        let v = Json::parse("{\"k\":\"v\",\"n\":4,\"b\":true}").unwrap();
-        assert_eq!(v.str_field("k").unwrap(), "v");
-        assert_eq!(v.num_field("n").unwrap(), 4.0);
-        assert_eq!(v.get("b").unwrap().as_bool(), Some(true));
-        assert_eq!(v.as_obj().unwrap().len(), 3);
-        assert!(v.str_field("missing").is_err());
-        assert_eq!(v.get("n").unwrap().as_u64(), Some(4));
-    }
-
-    #[test]
-    fn pretty_rendering_reparses_identically() {
-        let v = Json::parse("{\"a\":1,\"b\":[true,null,{\"c\":0.1}],\"e\":[],\"o\":{}}").unwrap();
-        let pretty = v.render_pretty();
-        assert!(pretty.contains("\n  \"b\": [\n"), "{pretty}");
-        assert!(pretty.ends_with("}\n"));
-        assert_eq!(Json::parse(&pretty).unwrap(), v);
-    }
-
-    #[test]
-    fn parses_existing_bench_schema() {
-        let text = "{\n  \"bench\": \"table2\",\n  \"cores\": 1,\n  \"nets\": [ { \"name\": \"LSTM\", \"isl_ms\": 0.028640 } ]\n}\n";
-        let v = Json::parse(text).unwrap();
-        assert_eq!(v.str_field("bench").unwrap(), "table2");
-        assert_eq!(
-            v.get("nets").unwrap().as_arr().unwrap()[0]
-                .num_field("isl_ms")
-                .unwrap(),
-            0.028640
-        );
+    /// Exactly four hex digits (no sign, unlike `from_str_radix`).
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self.text.as_bytes().get(self.pos..self.pos + 4);
+        let digits = digits.ok_or("truncated \\u escape")?;
+        let code = digits.iter().try_fold(0, |acc, &d| {
+            let digit = (d as char).to_digit(16).ok_or("invalid \\u escape")?;
+            Ok::<u32, String>(acc * 16 + digit)
+        })?;
+        self.pos += 4;
+        Ok(code)
     }
 }

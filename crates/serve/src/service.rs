@@ -16,6 +16,7 @@
 use crate::cache::DiskCache;
 use crate::hash::{f64_bits_hex, Fnv64};
 use crate::hot::HotTier;
+use crate::json::Json;
 use crate::protocol::CompileReply;
 use crate::tuned::{load_tuned, tuned_key};
 use polyject_codegen::{render_artifacts, CompileOptions, CompileSession, Config};
@@ -221,6 +222,18 @@ pub enum Served {
     Coalesced,
 }
 
+/// A compile request after [`CompileService::prepare`]: what its text
+/// alone decides. Opaque; it carries the canonical form and the key from
+/// the thread that looked the request up to the one that compiles it, so
+/// neither is derived twice.
+#[derive(Debug)]
+pub struct Prepared {
+    config: Config,
+    canonical: String,
+    opts: CompileOptions,
+    key: String,
+}
+
 struct Flight {
     result: Mutex<Option<Result<CompileReply, String>>>,
     done: Condvar,
@@ -387,33 +400,60 @@ impl CompileService {
         self.serve_with_budget(src, config_name, &Budget::unlimited())
     }
 
-    /// [`CompileService::serve`] under a cooperative [`Budget`].
-    ///
-    /// Exhaustion degrades the compile (influence dropped) rather than
-    /// failing it; degraded results are answered but **not cached**, so a
-    /// later unpressured request recompiles at full quality instead of
-    /// replaying the compromise forever. Cancellation (the daemon trips
-    /// the flag on request timeout) aborts with an error and reclaims
-    /// the worker. Coalesced waiters share the leader's outcome, budget
-    /// included.
+    /// [`CompileService::serve`] under a cooperative [`Budget`]: the
+    /// composition of [`CompileService::prepare`],
+    /// [`CompileService::lookup`] and [`CompileService::compile`], which
+    /// the daemon calls one by one (the first two where the request
+    /// arrives, the third on a compile worker).
     ///
     /// # Errors
     ///
-    /// Parse/config/scheduling/cancellation errors, and panics inside
-    /// the compiler converted to errors (the worker thread survives).
+    /// Those of the three steps.
     pub fn serve_with_budget(
         &self,
         src: &str,
         config_name: &str,
         budget: &Budget,
     ) -> Result<(CompileReply, Served), String> {
+        let request = self.prepare(src, config_name)?;
+        match self.lookup(&request) {
+            Some(reply) => Ok((reply, Served::Hit)),
+            None => self.compile(request, budget),
+        }
+    }
+
+    /// Runs compiler code that request input reaches, converting a panic
+    /// into a counted error so the calling thread survives it.
+    fn guarded<T>(&self, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
+        catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
+            let msg = p
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| p.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".to_string());
+            self.panics.fetch_add(1, Ordering::SeqCst);
+            polyject_sets::counters::note_panic_recovered(1);
+            Err(format!("compiler panicked: {msg}"))
+        })
+    }
+
+    /// Step one of a request: everything derived from its text alone —
+    /// the configuration, the canonical form, the options it compiles
+    /// under and the key they hash to. Reads no artifact.
+    ///
+    /// # Errors
+    ///
+    /// Unknown configuration names and parse errors.
+    pub fn prepare(&self, src: &str, config_name: &str) -> Result<Prepared, String> {
         let config = config_by_name(config_name)?;
-        let canonical = polyject_front::canonical_pj(src)?;
+        let canonical = self.guarded(|| polyject_front::canonical_pj(src))?;
 
         // A persisted tuned configuration redirects the request: the
         // compile runs under the tuned options and is keyed by them, so
         // a tuning found once applies on every later compile while the
-        // default entry (if any) stays untouched.
+        // default entry (if any) stays untouched. The probe costs an
+        // index lookup and, for a key this process never wrote, one
+        // `stat`: no cache *read* for an untuned kernel.
         let tkey = tuned_key(&canonical, config.name(), &self.gpu);
         let tuned_opts = load_tuned(self, &tkey).map(|t| t.to_compile_options());
         if tuned_opts.is_some() {
@@ -421,30 +461,66 @@ impl CompileService {
         }
         let opts = tuned_opts.unwrap_or_default();
         let key = cache_key_with_options(&canonical, config.name(), &self.gpu, &opts);
+        Ok(Prepared {
+            config,
+            canonical,
+            opts,
+            key,
+        })
+    }
 
-        // The hot tier answers before any cache *read* — the tuned probe
-        // above costs an index lookup and, for a key this process never
-        // wrote, one `stat` — so a fault-injected (or dead) disk never
-        // stalls a hot key.
-        if let Some(reply) = self.hot_get(&key) {
-            return Ok((reply, Served::Hit));
+    /// Step two: the cached reply for a prepared request, if there is
+    /// one — the hot tier first, so a fault-injected (or dead) disk never
+    /// stalls a hot key, then the disk entry, checksum-verified and
+    /// decoded (and promoted to the hot tier). An entry of the wrong kind
+    /// or an undecodable one is a miss; the compile overwrites it.
+    pub fn lookup(&self, request: &Prepared) -> Option<CompileReply> {
+        self.cached(&request.key, DiskCache::get)
+    }
+
+    fn cached(
+        &self,
+        key: &str,
+        read: impl FnOnce(&mut DiskCache, &str) -> Option<(String, Json)>,
+    ) -> Option<CompileReply> {
+        if let Some(reply) = self.hot_get(key) {
+            return Some(reply);
         }
-
-        if let Some(Some((kind, payload))) = self.with_cache(|c| c.get(&key)) {
-            if kind == "compile" {
-                if let Ok(reply) = CompileReply::from_json(&payload) {
-                    self.hot_put(&key, &reply);
-                    return Ok((reply, Served::Hit));
-                }
-            }
-            // Wrong kind or undecodable payload: fall through and
-            // recompile (the entry will be overwritten).
+        let (kind, payload) = self.with_cache(|c| read(c, key))??;
+        if kind != "compile" {
+            return None;
         }
+        let reply = CompileReply::from_json(&payload).ok()?;
+        self.hot_put(key, &reply);
+        Some(reply)
+    }
 
+    /// Step three, for a request whose [`CompileService::lookup`] missed:
+    /// compiles it, once per key however many identical requests are in
+    /// flight (the first caller compiles, the rest wait and share its
+    /// outcome, budget included).
+    ///
+    /// Budget exhaustion degrades the compile (influence dropped) rather
+    /// than failing it; degraded results are answered but **not cached**,
+    /// so a later unpressured request recompiles at full quality instead
+    /// of replaying the compromise forever. Cancellation (the daemon
+    /// trips the flag on request timeout) aborts with an error and
+    /// reclaims the worker.
+    ///
+    /// # Errors
+    ///
+    /// Scheduling/cancellation errors, and panics inside the compiler
+    /// converted to errors (the worker thread survives).
+    pub fn compile(
+        &self,
+        request: Prepared,
+        budget: &Budget,
+    ) -> Result<(CompileReply, Served), String> {
+        let key = &request.key;
         // Single-flight: first caller for a key compiles, the rest wait.
         let (flight, leader) = {
             let mut map = self.inflight.lock().expect("inflight lock poisoned");
-            match map.get(&key) {
+            match map.get(key) {
                 Some(f) => (Arc::clone(f), false),
                 None => {
                     let f = Arc::new(Flight {
@@ -468,22 +544,43 @@ impl CompileService {
                 .map(|r| (r, Served::Coalesced));
         }
 
-        let open = || self.session_for(&canonical);
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            session_reply(open, canonical.clone(), config, &self.gpu, budget, &opts)
-        }))
-        .unwrap_or_else(|p| {
-            let msg = p
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| p.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            self.panics.fetch_add(1, Ordering::SeqCst);
-            polyject_sets::counters::note_panic_recovered(1);
-            Err(format!("compiler panicked: {msg}"))
-        });
+        // The lookup that missed may be old by now (in the daemon a miss
+        // waits for a worker), and a flight that landed in between has
+        // cached its reply before it left the table: look again, as for
+        // an optional entry, before paying for a compile.
+        let (result, served) = match self.cached(key, DiskCache::get_if_present) {
+            Some(reply) => (Ok(reply), Served::Hit),
+            None => (self.fresh(&request, budget), Served::Fresh),
+        };
 
-        match &result {
+        // Publish the result, wake waiters, and clear the flight.
+        *flight.result.lock().expect("flight lock poisoned") = Some(result.clone());
+        flight.done.notify_all();
+        self.inflight
+            .lock()
+            .expect("inflight lock poisoned")
+            .remove(key);
+
+        result.map(|r| (r, served))
+    }
+
+    /// Compiles a prepared request, whatever the cache holds, and books
+    /// the outcome: governance counters, and both cache tiers for a reply
+    /// worth keeping.
+    fn fresh(&self, request: &Prepared, budget: &Budget) -> Result<CompileReply, String> {
+        let (canonical, key, gpu) = (&request.canonical, &request.key, &self.gpu);
+        let open = || self.session_for(canonical);
+        let compiled = self.guarded(|| {
+            session_reply(
+                open,
+                canonical.clone(),
+                request.config,
+                gpu,
+                budget,
+                &request.opts,
+            )
+        });
+        match &compiled {
             Ok(reply) => {
                 self.degraded
                     .fetch_add(reply.solver.degraded_solves, Ordering::SeqCst);
@@ -491,9 +588,9 @@ impl CompileService {
                 // kernel's best schedule: serve it but keep it out of both
                 // cache tiers so an unpressured request recompiles fully.
                 if reply.solver.degraded_solves == 0 {
-                    self.hot_put(&key, reply);
+                    self.hot_put(key, reply);
                     if let Some(Err(e)) =
-                        self.with_cache(|c| c.put(&key, "compile", &reply.to_json()))
+                        self.with_cache(|c| c.put(key, "compile", &reply.to_json()))
                     {
                         eprintln!("[serve] cache write for {key} failed: {e}");
                     }
@@ -504,16 +601,7 @@ impl CompileService {
             }
             Err(_) => {}
         }
-
-        // Publish the result, wake waiters, and clear the flight.
-        *flight.result.lock().expect("flight lock poisoned") = Some(result.clone());
-        flight.done.notify_all();
-        self.inflight
-            .lock()
-            .expect("inflight lock poisoned")
-            .remove(&key);
-
-        result.map(|r| (r, Served::Fresh))
+        compiled
     }
 }
 

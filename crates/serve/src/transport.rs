@@ -54,10 +54,10 @@ impl Stream {
         }
     }
 
-    /// A TCP stream that sends each write at once. A frame goes out as
-    /// two writes, and left to Nagle the second would wait out the
-    /// peer's delayed ACK of the first (~40 ms) on every exchange over a
-    /// kept-open connection.
+    /// A TCP stream that sends each write at once. A frame is one write,
+    /// but a reply of several frames (a batch's items) is several, and
+    /// left to Nagle each after the first would wait out the peer's
+    /// delayed ACK of the one before (~40 ms).
     fn tcp(stream: TcpStream) -> io::Result<Stream> {
         stream.set_nodelay(true)?;
         Ok(Stream::Tcp(stream))

@@ -198,10 +198,10 @@ pub fn decode_tuned(j: &Json) -> Result<TunedConfig, String> {
 /// The tuned configuration persisted at `key`, if a decodable one is
 /// there: a wrong-kind or undecodable entry (an older format version,
 /// debris) is a miss, and the next complete search overwrites it. Most
-/// kernels are never tuned, so the entry is read only once
-/// [`crate::DiskCache::contains`] has seen it: an absent one is no cache miss.
+/// kernels are never tuned, so the entry is read as an optional one
+/// ([`crate::DiskCache::get_if_present`]): an absent one is no cache miss.
 pub(crate) fn load_tuned(svc: &CompileService, key: &str) -> Option<TunedConfig> {
-    svc.with_cache(|c| c.contains(key).then(|| c.get(key)).flatten())
+    svc.with_cache(|c| c.get_if_present(key))
         .flatten()
         .filter(|(kind, _)| kind == TUNED_KIND)
         .and_then(|(_, payload)| decode_tuned(&payload).ok())

@@ -198,6 +198,148 @@ fn daemon_survives_bad_requests() {
     assert_eq!(resp.str_field("status").unwrap(), "ok");
 }
 
+/// Requests built to take the process down, not just the request: each
+/// is answered with a structured error and the daemon goes on. The two
+/// nesting bombs used to overflow a thread's stack, which aborts the
+/// process (no `catch_unwind` sees it); the bad surrogate pair panicked
+/// debug builds and decoded to the wrong character in release ones.
+#[test]
+fn requests_built_to_kill_the_daemon_get_structured_errors() {
+    use polyject_serve::protocol::MAX_FRAME;
+    let daemon = Daemon::spawn("killers", &["--workers", "1"]);
+    let framed = |body: &[u8]| [&(body.len() as u32).to_be_bytes()[..], body].concat();
+    // Malformed frames: answered, then the poisoned connection is dropped.
+    for (what, bytes) in [
+        ("20 000 open brackets", framed(&b"[".repeat(20_000))),
+        (
+            "an unpaired surrogate",
+            framed(br#"{"op":"ping","note":"\ud800\u0041"}"#),
+        ),
+        (
+            "a length prefix above MAX_FRAME",
+            (MAX_FRAME + 1).to_be_bytes().to_vec(),
+        ),
+    ] {
+        let mut raw = Client::connect(&daemon.endpoint).unwrap();
+        raw.inject_raw(&bytes).unwrap();
+        let reply = raw
+            .read_response()
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        assert_eq!(reply.str_field("status"), Ok("error"), "{what}");
+        assert!(raw.read_response().is_err(), "{what}: connection kept");
+    }
+    // Well-framed compiles whose source is the bomb: ordinary parse
+    // errors, on a connection that stays usable.
+    let mut client = Client::connect(&daemon.endpoint).unwrap();
+    let head = "kernel k\nparam N = 8\ntensor A[N]: f32\ntensor B[N]: f32\n";
+    let stmt = |expr: &str| format!("{head}stmt S for (i in 0..N) B[i] = {expr}\n");
+    let parens = format!("{}A[i]{}", "(".repeat(5_000), ")".repeat(5_000));
+    let sum = vec!["A[i]"; 100_000].join(" + ");
+    let garbage = "\u{1}garbage \"quoted\" \\ é雪 ".repeat((4 << 20) / 24);
+    for (what, src) in [
+        ("5 000 nested parentheses", stmt(&parens)),
+        ("a sum of 100 000 terms", stmt(&sum)),
+        ("4 MiB of garbage", garbage),
+    ] {
+        let reply = client.compile(&src, "infl").unwrap();
+        assert_eq!(reply.str_field("status"), Ok("error"), "{what}");
+        assert!(reply.get("retryable").is_none(), "{what}: a parse error");
+    }
+    assert!(client.ping().unwrap());
+    let report = client.stats().unwrap();
+    let recovered = report.get("governance").unwrap().get("panics_recovered");
+    assert_eq!(recovered.and_then(Json::as_u64), Some(0));
+}
+
+/// A cache hit is answered by the connection thread that read it: it
+/// does not queue behind whatever the workers are compiling (it waited
+/// out the whole compile when hits, too, were handed to the pool). What
+/// it does not skip is admission: with the queue full it is shed.
+#[test]
+fn a_cached_answer_does_not_wait_for_a_busy_worker() {
+    const SRC: &str = "kernel axpy\nparam N = 64\ntensor X[N]: f32\ntensor Y[N]: f32\n\
+                       stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]\n";
+    let daemon = Daemon::spawn("no-hol", &["--workers", "1", "--queue-bound", "2"]);
+    let mut client = Client::connect(&daemon.endpoint).unwrap();
+    let cold = client.compile(SRC, "infl").unwrap();
+    assert_eq!(cold.get("cached"), Some(&Json::Bool(false)));
+
+    // Starts a seconds-long compile on a connection of its own, and
+    // returns once the daemon has taken the request in.
+    let occupy = |client: &mut Client, id: &'static str| {
+        let requests = |c: &mut Client| {
+            let report = c.stats().unwrap();
+            report
+                .get("stats")
+                .unwrap()
+                .get("requests")
+                .unwrap()
+                .as_u64()
+                .unwrap()
+        };
+        let before = requests(client);
+        let endpoint = daemon.endpoint.clone();
+        let held = std::thread::spawn(move || {
+            let mut c = Client::connect(&endpoint).unwrap();
+            let slow = Request::compile(&common::slow_src(id, 128), "infl", Some(id.into()));
+            c.request(&slow).unwrap()
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        // (Each poll is a request too.)
+        while requests(client) - before < 2 {
+            assert!(Instant::now() < deadline, "{id} never arrived");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+        held
+    };
+    let first = occupy(&mut client, "occupier_a");
+    let hits_before = counters(&mut client)[0];
+    let t0 = Instant::now();
+    let warm = client.compile(SRC, "infl").unwrap();
+    let took = t0.elapsed();
+    assert_eq!(warm.get("cached"), Some(&Json::Bool(true)), "{warm:?}");
+    assert!(took < Duration::from_millis(100), "the hit took {took:?}");
+    assert_eq!(counters(&mut client)[0], hits_before + 1);
+
+    // A second occupier queues behind the first and takes the last slot.
+    let second = occupy(&mut client, "occupier_b");
+    let shed = client.compile(SRC, "infl").unwrap();
+    assert_eq!(shed.str_field("status"), Ok("overloaded"), "{shed:?}");
+
+    // Both compiles were still in flight all along: each is there to be
+    // cancelled, and reports so.
+    for (id, held) in [("occupier_a", first), ("occupier_b", second)] {
+        let cancelled = client.request(&Request::Cancel { req: id.into() }).unwrap();
+        assert_eq!(cancelled.get("cancelled"), Some(&Json::Bool(true)), "{id}");
+        let aborted = held.join().unwrap();
+        assert_eq!(aborted.get("retryable"), Some(&Json::Bool(true)), "{id}");
+    }
+}
+
+/// In-batch dedup keys on the submitted text, so two spellings of one
+/// kernel both reach the lookup, both miss, and both go to the pool —
+/// where the second finds the first one's flight, or its cached reply:
+/// one compile either way.
+#[test]
+fn two_spellings_of_one_kernel_in_a_batch_compile_once() {
+    let plain = "kernel axpy\nparam N = 96\ntensor X[N]: f32\ntensor Y[N]: f32\n\
+                 stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]\n";
+    let noisy = "# the same kernel\n\nkernel axpy\nparam N = 96\ntensor X[N]: f32\n\
+                 tensor Y[N]: f32\nstmt S for (i in 0..N)\n  Y[i] = ((2.0 * X[i]) + Y[i])\n";
+    for workers in ["1", "2"] {
+        let daemon = Daemon::spawn(&format!("spellings-{workers}"), &["--workers", workers]);
+        let mut client = Client::connect(&daemon.endpoint).unwrap();
+        let items = [BatchItem::new(plain, "infl"), BatchItem::new(noisy, "infl")];
+        let replies = client.compile_batch(&items, None).unwrap();
+        assert_eq!(replies[0].str_field("status"), Ok("ok"));
+        assert_eq!(artifact_blob(&replies[0]), artifact_blob(&replies[1]));
+        let [hits, misses, coalesced, errors, ..] = counters(&mut client);
+        assert_eq!(misses, 1, "{workers} worker(s): compiled twice");
+        assert_eq!((hits + coalesced, errors), (1, 0), "{workers} worker(s)");
+    }
+}
+
 /// SIGTERM is the one stop no request thread can deliver: the handler
 /// only sets a flag, and the listener's housekeeping tick has to turn
 /// that into a wake-up. The daemon must exit 0 within 2 s with peers of

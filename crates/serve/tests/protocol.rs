@@ -3,9 +3,10 @@
 //! the one classifier every reader of a reply's `status` goes through.
 
 use polyject_serve::protocol::{
-    error_response, ok_with, overloaded_response, retryable_error_response, Framing,
+    batch_done_response, batch_item_response, error_response, ok_with, overloaded_response,
+    retryable_error_response, Framing, MAX_FRAME,
 };
-use polyject_serve::{BatchItem, Json, Request, Verdict};
+use polyject_serve::{read_frame, write_frame, BatchItem, Json, Request, Verdict};
 
 /// Both compile frames exactly as the wire carried them before the two
 /// ops became one `Request` variant.
@@ -75,4 +76,58 @@ fn verdict_reads_status_and_retryable() {
     let transient = [Verdict::Overloaded, Verdict::Retryable];
     assert!(transient.iter().all(|v| v.transient()));
     assert!(!Verdict::Ok.transient() && !Verdict::Final.transient());
+}
+
+#[test]
+fn frames_roundtrip() {
+    let msg = Request::compile("kernel k\n", "infl", None).to_json();
+    let mut buf = Vec::new();
+    write_frame(&mut buf, &msg).unwrap();
+    let back = read_frame(&mut buf.as_slice()).unwrap();
+    assert_eq!(back, msg);
+    assert_eq!(Request::from_json(&back).unwrap().to_json(), msg);
+}
+
+#[test]
+fn oversized_frame_rejected() {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(&(MAX_FRAME + 1).to_be_bytes());
+    assert!(read_frame(&mut buf.as_slice()).is_err());
+}
+
+#[test]
+fn response_builders() {
+    assert!(error_response("boom").render().contains("\"error\""));
+    assert!(overloaded_response(9).render().contains("\"queue_len\":9"));
+    let retry = retryable_error_response("slow down");
+    assert_eq!(retry.get("retryable").and_then(Json::as_bool), Some(true));
+    assert!(error_response("boom").get("retryable").is_none());
+}
+
+#[test]
+fn batch_reply_frames() {
+    let item = batch_item_response(3, 7, error_response("nope"));
+    assert_eq!(item.str_field("status").unwrap(), "item");
+    assert_eq!(item.get("index").and_then(Json::as_u64), Some(3));
+    assert_eq!(item.get("of").and_then(Json::as_u64), Some(7));
+    assert_eq!(
+        item.get("reply").unwrap().str_field("status").unwrap(),
+        "error"
+    );
+    let done = batch_done_response(7, 5, 1, 1);
+    assert_eq!(done.str_field("status").unwrap(), "batch_done");
+    assert_eq!(done.get("items").and_then(Json::as_u64), Some(7));
+    assert_eq!(done.get("ok").and_then(Json::as_u64), Some(5));
+    assert_eq!(done.get("errors").and_then(Json::as_u64), Some(1));
+    assert_eq!(done.get("overloaded").and_then(Json::as_u64), Some(1));
+}
+
+#[test]
+fn request_parse_errors() {
+    assert!(Request::from_json(&Json::parse("{\"op\":\"nope\"}").unwrap()).is_err());
+    assert!(Request::from_json(&Json::parse("{}").unwrap()).is_err());
+    assert_eq!(
+        Request::from_json(&Json::parse("{\"op\":\"ping\"}").unwrap()).unwrap(),
+        Request::Ping
+    );
 }

@@ -2,8 +2,7 @@
 # Offline CI gate: formatting, lints, rustdoc with warnings denied, the
 # tier-1 verify (build + tests),
 # an offline build of the standalone benchmark package and a --quick run
-# of its two solver workloads (compile_cold, tune_search: outputs correct,
-# no operation failed),
+# of its four workloads (outputs correct, no operation failed),
 # a <10 s Table II smoke run (LSTM subset, serial vs parallel identity +
 # BENCH JSON emission + per-op CSV byte-identical to a checked-in
 # golden, then the same CSV gate over all 217 ops of the full table; both
@@ -18,7 +17,8 @@
 # byte-identical to per-op round trips, >=5x fewer round trips, batch
 # counters live, and a sequential round trip's p50 <= 10 ms so that no
 # accept or read poll comes back unseen), a polyjectd daemon smoke test (remote
-# replies byte-identical to local), the multi-node router chaos gate
+# replies byte-identical to local; four requests built to crash the daemon
+# each answered with an error, the daemon alive after), the multi-node router chaos gate
 # (>=200 injected faults across a 3-daemon fleet, zero corruption,
 # same-seed replays identical), and a 3-node router smoke (cold compile
 # through the router, a batched CLI leg with in-batch dedup plus
@@ -67,7 +67,7 @@ echo "ok: benchmark/ builds unmodified against the current public APIs"
 # what it produced (every schedule legal, scaled-down twins executed
 # against the reference interpreter, passes repeating exactly) and says
 # so on its result line. PR 18 passed every gate below and failed these.
-for workload in compile_cold tune_search; do
+for workload in compile_cold tune_search serve_warm serve_batch; do
   result="$("${CARGO_TARGET_DIR:-benchmark/target}/release/polyject-benchmark" \
     --workload "$workload" --quick --trace 0 | tail -n 1)"
   case "$result" in
@@ -255,6 +255,41 @@ cmp "$scratch/local.out" "$scratch/remote1.out"
 cmp "$scratch/remote1.out" "$scratch/remote2.out"
 cargo run --release -q -p polyject-serve --bin polyject-cache -- "$scratch/dcache" stats \
   | grep -q '"entries":1'
+# Four requests that each used to take the process down (a stack
+# overflow in a recursive parser aborts it; a surrogate pair was decoded
+# unchecked) or must be refused before any allocation: every one is
+# answered `status: error` by a daemon that then still answers, having
+# had no panic to recover from.
+python3 - "$sock" <<'EOF'
+import json, socket, struct, sys
+def ask(body, prefix=None):
+    s = socket.socket(socket.AF_UNIX)
+    s.settimeout(30)
+    s.connect(sys.argv[1])
+    s.sendall((struct.pack(">I", len(body)) if prefix is None else prefix) + body)
+    def read(n):
+        buf = b""
+        while len(buf) < n:
+            chunk = s.recv(n - len(buf))
+            assert chunk, "daemon hung up without answering"
+            buf += chunk
+        return buf
+    return json.loads(read(struct.unpack(">I", read(4))[0]))
+MAX_FRAME = 64 << 20
+head = "kernel k\nparam N = 8\ntensor A[N]: f32\ntensor B[N]: f32\nstmt S for (i in 0..N) B[i] = "
+deep = {"op": "compile", "config": "infl", "src": head + "(" * 5000 + "A[i]" + ")" * 5000 + "\n"}
+for what, reply in [
+    ("a frame of 20000 '['", ask(b"[" * 20000)),
+    ("a bad surrogate pair", ask(rb'{"op":"ping","note":"\ud800\u0041"}')),
+    ("a length prefix of MAX_FRAME + 1", ask(b"", struct.pack(">I", MAX_FRAME + 1))),
+    ("a source nesting 5000 parentheses", ask(json.dumps(deep).encode())),
+]:
+    assert reply["status"] == "error", (what, reply)
+    print(f"   {what}: {reply['message'][:64]}")
+assert ask(b'{"op":"ping"}')["pong"] is True
+assert ask(b'{"op":"stats"}')["governance"]["panics_recovered"] == 0
+EOF
+echo "ok: four malformed requests answered with errors; daemon alive, no panic recovered"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
 grep -q '"hits":1' "$scratch/daemon.out"
