@@ -5,6 +5,8 @@
 //! ```text
 //! <cache-dir>/
 //!   index.json                  LRU index {version, tick, entries:[...]}
+//!   index.log                   one {key, kind, bytes, last_used} row per
+//!                               put since index.json was last written
 //!   entries/<key>.json          one versioned entry per cache key
 //!   quarantine/<key>.json.<n>   corrupt entries moved aside, never deleted
 //! ```
@@ -17,6 +19,17 @@
 //! key, or checksum failure counts as a miss, bumps the error counter
 //! and moves the file to `quarantine/` for post-mortem instead of
 //! silently serving bad artifacts.
+//!
+//! **Durability.** An entry is fsynced, then renamed into place. The
+//! rename was never directory-synced, so the index has always been a
+//! recency and budget hint, not the record of what exists: `entries/`
+//! is. A put appends its row to `index.log` (one write, no fsync);
+//! [`DiskCache::flush`] compacts the log into `index.json`. Opening reads
+//! `index.json`, replays the log (skipping torn lines), and reconciles
+//! both with one listing of `entries/`: rows without a file are dropped,
+//! files without a row are adopted unread at their size on disk. A crash
+//! can lose the recency of uncompacted rows, never an entry or the
+//! budget.
 //!
 //! Every filesystem call goes through the [`crate::faults::Io`] seam, so
 //! the chaos suite can open the same cache over a fault-injecting
@@ -47,6 +60,16 @@ pub const DEFAULT_MAX_BYTES: u64 = 256 << 20;
 /// the startup sweep may remove any it finds.
 const TMP_PREFIX: &str = ".tmp.";
 
+const INDEX: &str = "index.json";
+const LOG: &str = "index.log";
+
+/// `index.log` is compacted once it holds more rows than this for an
+/// index of `rows`: a compaction rewrites O(rows) bytes and follows at
+/// least that many puts, so a put costs O(1) amortised.
+const fn compaction_bound(rows: usize) -> usize {
+    4 * rows + 64
+}
+
 /// Operation counters of one [`DiskCache`] instance (process-local, not
 /// persisted).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -65,11 +88,35 @@ pub struct CacheStats {
     pub swept_tmps: u64,
 }
 
+/// One index row. `kind` is empty for an entry adopted unread at open
+/// until its first verified read names it.
 #[derive(Clone, Debug)]
 struct IndexEntry {
     kind: String,
     bytes: u64,
     last_used: u64,
+}
+
+impl IndexEntry {
+    /// The row as `index.json` lists it and `index.log` appends it.
+    fn to_json(&self, key: &str) -> Json {
+        Json::obj(vec![
+            ("key", Json::Str(key.to_string())),
+            ("kind", Json::Str(self.kind.clone())),
+            ("bytes", Json::Num(self.bytes as f64)),
+            ("last_used", Json::Num(self.last_used as f64)),
+        ])
+    }
+
+    fn parse(v: &Json) -> Option<(String, IndexEntry)> {
+        let n = |field: &str| v.get(field).and_then(Json::as_u64).unwrap_or(0);
+        let row = IndexEntry {
+            kind: v.str_field("kind").ok()?.to_string(),
+            bytes: n("bytes"),
+            last_used: n("last_used"),
+        };
+        Some((v.str_field("key").ok()?.to_string(), row))
+    }
 }
 
 /// A persistent, content-addressed, size-bounded LRU cache of compile
@@ -84,6 +131,10 @@ pub struct DiskCache {
     max_bytes: u64,
     tick: u64,
     entries: HashMap<String, IndexEntry>,
+    /// Σ `bytes` over `entries`.
+    total: u64,
+    /// Rows this handle appended to `index.log` since it last compacted.
+    log_rows: usize,
     stats: CacheStats,
     io: Box<dyn Io>,
 }
@@ -92,9 +143,11 @@ impl DiskCache {
     /// Opens (creating if needed) a cache directory with the given
     /// payload byte budget.
     ///
-    /// A missing or unreadable `index.json` is not an error: the index
-    /// is rebuilt by scanning `entries/` (recency resets). Stale
-    /// temporaries from writes that died mid-flight are swept.
+    /// The index is reconciled against `entries/` (see the module docs),
+    /// so a missing, torn or stale `index.json` or `index.log` is not an
+    /// error; a log, or an index the reconciliation changed, is compacted
+    /// on the spot. Stale temporaries from writes that died mid-flight
+    /// are swept.
     ///
     /// # Errors
     ///
@@ -115,15 +168,22 @@ impl DiskCache {
             max_bytes: max_bytes.max(1),
             tick: 0,
             entries: HashMap::new(),
+            total: 0,
+            log_rows: 0,
             stats: CacheStats::default(),
             io,
         };
-        cache.io.create_dir_all(&dir.join("entries"))?;
+        let entries = dir.join("entries");
+        cache.io.create_dir_all(&entries)?;
         cache.io.create_dir_all(&dir.join("quarantine"))?;
-        cache.sweep_stale_tmps();
-        if !cache.load_index() {
-            cache.rebuild_index()?;
-            cache.flush()?;
+        let root = cache.io.read_dir_names(dir).unwrap_or_default();
+        cache.sweep_stale_tmps(dir, root);
+        let names = cache.io.read_dir_names(&entries)?;
+        let files = cache.sweep_stale_tmps(&entries, names);
+        if cache.reconcile(files) {
+            // Best effort: a compaction that fails leaves the log, which
+            // the next open replays.
+            let _ = cache.flush();
         }
         Ok(cache)
     }
@@ -159,7 +219,7 @@ impl DiskCache {
 
     /// Total payload bytes currently indexed.
     pub fn total_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
+        self.total
     }
 
     fn entry_path(&self, key: &str) -> PathBuf {
@@ -167,39 +227,84 @@ impl DiskCache {
     }
 
     /// Files `key` in the index, over any earlier row.
-    fn index(&mut self, key: &str, kind: &str, bytes: u64, last_used: u64) {
-        let kind = kind.to_string();
-        let row = IndexEntry {
-            kind,
-            bytes,
-            last_used,
-        };
-        self.entries.insert(key.to_string(), row);
+    fn index(&mut self, key: String, row: IndexEntry) {
+        self.total += row.bytes;
+        if let Some(old) = self.entries.insert(key, row) {
+            self.total -= old.bytes;
+        }
     }
 
-    /// Indexes a verified entry file the index did not know, at its size
-    /// on disk.
-    fn adopt(&mut self, key: &str, kind: &str, last_used: u64) {
-        let path = self.entry_path(key);
-        let bytes = self.io.metadata_len(&path).unwrap_or(0);
-        self.index(key, kind, bytes, last_used);
+    /// Drops `key`'s row; returns whether there was one.
+    fn unindex(&mut self, key: &str) -> bool {
+        let old = self.entries.remove(key);
+        self.total -= old.as_ref().map_or(0, |e| e.bytes);
+        old.is_some()
     }
 
-    /// Removes every `.tmp.*` staging file in the cache root and
-    /// `entries/` — debris of atomic writes that died between create and
-    /// rename (torn state). Live entries never carry the prefix, so this
-    /// can only reclaim garbage.
-    fn sweep_stale_tmps(&mut self) {
-        for sub in [self.dir.clone(), self.dir.join("entries")] {
-            let Ok(names) = self.io.read_dir_names(&sub) else {
+    /// Removes every `.tmp.*` staging file among `names`, the listing of
+    /// `sub` — debris of atomic writes that died between create and
+    /// rename (torn state) — and returns the other names. Live entries
+    /// never carry the prefix, so this can only reclaim garbage.
+    fn sweep_stale_tmps(&mut self, sub: &Path, names: Vec<String>) -> Vec<String> {
+        let mut kept = Vec::with_capacity(names.len());
+        for name in names {
+            if !name.starts_with(TMP_PREFIX) {
+                kept.push(name);
+            } else if self.io.remove_file(&sub.join(&name)).is_ok() {
+                self.stats.swept_tmps += 1;
+            }
+        }
+        kept
+    }
+
+    /// Builds the index from `index.json`, the rows `index.log` appended
+    /// since, and `files` (the listing of `entries/`): rows without a
+    /// file are dropped, files without a row are adopted unread at
+    /// recency 0 — a corrupt one is quarantined on its first read.
+    /// Returns whether a log existed or the result differs from
+    /// `index.json`, i.e. whether the index wants compacting.
+    fn reconcile(&mut self, files: Vec<String>) -> bool {
+        let mut read = |name: &str| self.io.read_to_string(&self.dir.join(name)).ok();
+        let (index, log) = (read(INDEX), read(LOG));
+        let mut rows: HashMap<String, IndexEntry> = HashMap::new();
+        let index = index.and_then(|text| Json::parse(&text).ok());
+        let current = |v: &Json| v.get("version").and_then(Json::as_u64) == Some(FORMAT_VERSION);
+        if let Some(v) = index.filter(current) {
+            self.tick = v.get("tick").and_then(Json::as_u64).unwrap_or(0);
+            let listed = v.get("entries").and_then(Json::as_arr).unwrap_or_default();
+            rows.extend(listed.iter().filter_map(IndexEntry::parse));
+        }
+        let mut dirty = log.is_some();
+        // A torn append leaves a prefix the next row is glued onto: both
+        // fail to parse and are skipped; their files are adopted below.
+        let logged = log.iter().flat_map(|text| text.lines());
+        for (key, mut row) in logged.filter_map(|l| IndexEntry::parse(&Json::parse(l).ok()?)) {
+            // A put's row never lowers recency an earlier compaction recorded.
+            row.last_used = row.last_used.max(rows.get(&key).map_or(0, |e| e.last_used));
+            rows.insert(key, row);
+        }
+        for name in files {
+            let Some(key) = name.strip_suffix(".json") else {
                 continue;
             };
-            for name in names {
-                if name.starts_with(TMP_PREFIX) && self.io.remove_file(&sub.join(&name)).is_ok() {
-                    self.stats.swept_tmps += 1;
+            match rows.remove(key) {
+                Some(row) => {
+                    self.tick = self.tick.max(row.last_used);
+                    self.index(key.to_string(), row);
+                }
+                None => {
+                    let bytes = self.io.metadata_len(&self.entry_path(key)).unwrap_or(0);
+                    let row = IndexEntry {
+                        kind: String::new(),
+                        bytes,
+                        last_used: 0,
+                    };
+                    self.index(key.to_string(), row);
+                    dirty = true;
                 }
             }
         }
+        dirty || !rows.is_empty()
     }
 
     /// Whether an entry for `key` is indexed here or on disk (another
@@ -230,15 +335,17 @@ impl DiskCache {
             return None;
         }
         match self.read_verified(key) {
-            Ok((kind, payload)) => {
+            Ok((kind, payload, bytes)) => {
                 self.stats.hits += 1;
                 self.tick += 1;
-                let tick = self.tick;
-                match self.entries.get_mut(key) {
-                    Some(e) => e.last_used = tick,
-                    // Valid entry written by another process: adopt it.
-                    None => self.adopt(key, &kind, tick),
-                }
+                // The verified file is the record, the row a hint: rewrite
+                // the row from it (adopting an entry another process wrote).
+                let row = IndexEntry {
+                    kind: kind.clone(),
+                    bytes,
+                    last_used: self.tick,
+                };
+                self.index(key.to_string(), row);
                 Some((kind, payload))
             }
             Err(reason) => {
@@ -248,7 +355,8 @@ impl DiskCache {
         }
     }
 
-    fn read_verified(&mut self, key: &str) -> Result<(String, Json), String> {
+    /// Reads and verifies `key`'s entry: `(kind, payload, file bytes)`.
+    fn read_verified(&mut self, key: &str) -> Result<(String, Json, u64), String> {
         let path = self.entry_path(key);
         let text = self
             .io
@@ -273,12 +381,12 @@ impl DiskCache {
         if checksum != actual {
             return Err(format!("checksum {actual} != recorded {checksum}"));
         }
-        Ok((kind, payload))
+        Ok((kind, payload, text.len() as u64))
     }
 
-    /// Writes an entry atomically (tmp + rename), updates the index, and
-    /// evicts least-recently-used entries if the byte budget is
-    /// exceeded.
+    /// Writes an entry atomically (tmp + rename), appends its index row
+    /// to `index.log`, and evicts least-recently-used entries if the byte
+    /// budget is exceeded. Compacts the log once it outgrows the index.
     ///
     /// # Errors
     ///
@@ -286,27 +394,43 @@ impl DiskCache {
     /// consistent (the rename either happened or it didn't).
     pub fn put(&mut self, key: &str, kind: &str, payload: &Json) -> io::Result<()> {
         let payload_text = payload.render();
-        let entry = Json::obj(vec![
+        let head = Json::obj(vec![
             ("format", Json::Num(FORMAT_VERSION as f64)),
             ("key", Json::Str(key.to_string())),
             ("kind", Json::Str(kind.to_string())),
             ("checksum", Json::Str(hex_digest(&payload_text))),
-            ("payload", payload.clone()),
         ]);
-        let text = entry.render();
-        let path = self.entry_path(key);
-        self.write_atomic(&path, text.as_bytes())?;
+        // The payload is rendered once and spliced in as the last field.
+        let mut text = String::with_capacity(payload_text.len() + 128);
+        head.render_into(&mut text);
+        text.pop();
+        text.push_str(",\"payload\":");
+        text.push_str(&payload_text);
+        text.push('}');
+        self.write_atomic(&self.entry_path(key), text.as_bytes())?;
         self.tick += 1;
-        self.index(key, kind, text.len() as u64, self.tick);
+        let row = IndexEntry {
+            kind: kind.to_string(),
+            bytes: text.len() as u64,
+            last_used: self.tick,
+        };
+        let mut line = row.to_json(key).render();
+        line.push('\n');
+        self.index(key.to_string(), row);
         self.stats.puts += 1;
         self.evict_to_budget(key);
-        self.flush()
+        self.io.append(&self.dir.join(LOG), line.as_bytes())?;
+        self.log_rows += 1;
+        if self.log_rows > compaction_bound(self.entries.len()) {
+            self.flush()?;
+        }
+        Ok(())
     }
 
     /// Evicts LRU entries until the budget holds, never evicting
     /// `keep` (the entry just written).
     fn evict_to_budget(&mut self, keep: &str) {
-        while self.total_bytes() > self.max_bytes {
+        while self.total > self.max_bytes {
             let victim = self
                 .entries
                 .iter()
@@ -316,14 +440,14 @@ impl DiskCache {
             let Some(victim) = victim else { break };
             let path = self.entry_path(&victim);
             let _ = self.io.remove_file(&path);
-            self.entries.remove(&victim);
+            self.unindex(&victim);
             self.stats.evictions += 1;
         }
     }
 
     /// Removes an entry. Returns whether it existed.
     pub fn remove(&mut self, key: &str) -> bool {
-        let existed = self.entries.remove(key).is_some();
+        let existed = self.unindex(key);
         let path = self.entry_path(key);
         let on_disk = self.io.remove_file(&path).is_ok();
         existed || on_disk
@@ -332,37 +456,42 @@ impl DiskCache {
     /// Lists `(key, kind, bytes, last_used)` for every indexed entry,
     /// most recently used first.
     pub fn list(&self) -> Vec<(String, String, u64, u64)> {
-        let mut v: Vec<_> = self
-            .entries
-            .iter()
+        (self.by_recency().into_iter())
             .map(|(key, e)| (key.clone(), e.kind.clone(), e.bytes, e.last_used))
-            .collect();
-        v.sort_by(|a, b| b.3.cmp(&a.3).then_with(|| a.0.cmp(&b.0)));
-        v
+            .collect()
+    }
+
+    fn by_recency(&self) -> Vec<(&String, &IndexEntry)> {
+        let mut rows: Vec<_> = self.entries.iter().collect();
+        rows.sort_by(|a, b| b.1.last_used.cmp(&a.1.last_used).then_with(|| a.0.cmp(b.0)));
+        rows
     }
 
     /// Re-reads and checksum-verifies every entry — indexed ones *and*
     /// unindexed `entries/*.json` files (written by another process or
-    /// orphaned by an index loss) — quarantining the corrupt ones.
-    /// Returns `(ok, quarantined)` counts.
+    /// orphaned by an index loss) — quarantining the corrupt ones and
+    /// re-indexing the sound ones from their files. Returns
+    /// `(ok, quarantined)` counts.
     pub fn verify(&mut self) -> (usize, usize) {
         let mut keys: Vec<String> = self.entries.keys().cloned().collect();
-        if let Ok(names) = self.io.read_dir_names(&self.dir.join("entries")) {
-            for name in names {
-                if name.starts_with(TMP_PREFIX) {
-                    continue;
-                }
-                if let Some(key) = name.strip_suffix(".json") {
-                    keys.push(key.to_string());
-                }
-            }
-        }
+        let names = (self.io.read_dir_names(&self.dir.join("entries"))).unwrap_or_default();
+        let files = names.iter().filter(|name| !name.starts_with(TMP_PREFIX));
+        keys.extend(files.filter_map(|name| Some(name.strip_suffix(".json")?.to_string())));
         keys.sort();
         keys.dedup();
         let (mut ok, mut bad) = (0, 0);
         for key in keys {
             match self.read_verified(&key) {
-                Ok(_) => ok += 1,
+                Ok((kind, _, bytes)) => {
+                    let last_used = self.entries.get(&key).map_or(0, |e| e.last_used);
+                    let row = IndexEntry {
+                        kind,
+                        bytes,
+                        last_used,
+                    };
+                    self.index(key, row);
+                    ok += 1;
+                }
                 Err(reason) => {
                     self.quarantine(&key, &reason);
                     bad += 1;
@@ -417,85 +546,33 @@ impl DiskCache {
                 }
             }
         }
-        self.entries.remove(key);
+        self.unindex(key);
         self.stats.errors += 1;
         eprintln!("[cache] quarantined {key}: {reason}");
     }
 
-    /// Persists the LRU index atomically. Called after every `put`; call
-    /// explicitly after read-heavy phases to persist recency bumps.
+    /// Compacts: writes the whole LRU index to `index.json` atomically,
+    /// then removes `index.log`. `put` calls it once the log outgrows
+    /// the index; call it at shutdown or after read-heavy phases to
+    /// persist recency bumps.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
     pub fn flush(&mut self) -> io::Result<()> {
-        let entries: Vec<Json> = self
-            .list()
-            .into_iter()
-            .map(|(key, kind, bytes, last_used)| {
-                Json::obj(vec![
-                    ("key", Json::Str(key)),
-                    ("kind", Json::Str(kind)),
-                    ("bytes", Json::Num(bytes as f64)),
-                    ("last_used", Json::Num(last_used as f64)),
-                ])
-            })
-            .collect();
+        let rows = self.by_recency().into_iter();
+        let entries = rows.map(|(key, row)| row.to_json(key)).collect();
         let index = Json::obj(vec![
             ("version", Json::Num(FORMAT_VERSION as f64)),
             ("tick", Json::Num(self.tick as f64)),
             ("entries", Json::Arr(entries)),
         ]);
-        self.write_atomic(&self.dir.join("index.json"), index.render().as_bytes())
-    }
-
-    /// Loads `index.json`; returns `false` (leaving the cache empty) on
-    /// any problem, in which case the caller rebuilds by scanning.
-    fn load_index(&mut self) -> bool {
-        let index_path = self.dir.join("index.json");
-        let Ok(text) = self.io.read_to_string(&index_path) else {
-            return false;
-        };
-        let Ok(v) = Json::parse(&text) else {
-            return false;
-        };
-        if v.get("version").and_then(Json::as_u64) != Some(FORMAT_VERSION) {
-            return false;
+        self.write_atomic(&self.dir.join(INDEX), index.render().as_bytes())?;
+        self.log_rows = 0;
+        match self.io.remove_file(&self.dir.join(LOG)) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+            _ => Ok(()),
         }
-        let Some(entries) = v.get("entries").and_then(Json::as_arr) else {
-            return false;
-        };
-        self.tick = v.get("tick").and_then(Json::as_u64).unwrap_or(0);
-        for e in entries {
-            let (Ok(key), Ok(kind)) = (e.str_field("key"), e.str_field("kind")) else {
-                continue;
-            };
-            // Stale index rows for deleted files are dropped here.
-            let path = self.entry_path(key);
-            if !self.io.exists(&path) {
-                continue;
-            }
-            let n = |field: &str| e.get(field).and_then(Json::as_u64).unwrap_or(0);
-            self.index(key, kind, n("bytes"), n("last_used"));
-        }
-        true
-    }
-
-    /// Rebuilds the index by scanning `entries/` (used when the index is
-    /// missing or unreadable). Unverifiable files are quarantined.
-    fn rebuild_index(&mut self) -> io::Result<()> {
-        self.entries.clear();
-        let names = self.io.read_dir_names(&self.dir.join("entries"))?;
-        for name in names {
-            let Some(key) = name.strip_suffix(".json") else {
-                continue;
-            };
-            match self.read_verified(key) {
-                Ok((kind, _)) => self.adopt(key, &kind, 0),
-                Err(reason) => self.quarantine(key, &reason),
-            }
-        }
-        Ok(())
     }
 
     /// Writes `bytes` to `path` atomically: a tmp file in the same
@@ -509,176 +586,5 @@ impl DiskCache {
         let tmp = dir.join(format!("{TMP_PREFIX}{}.{base}", std::process::id()));
         self.io.write(&tmp, bytes)?;
         self.io.rename(&tmp, path)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn tmpdir(tag: &str) -> PathBuf {
-        static N: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-        let n = N.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-        let d = std::env::temp_dir().join(format!(
-            "polyject-cache-test-{}-{tag}-{n}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&d);
-        d
-    }
-
-    fn payload(tag: &str) -> Json {
-        Json::obj(vec![
-            ("cuda", Json::Str(format!("__global__ void {tag}() {{}}"))),
-            ("ms", Json::Num(1.25)),
-        ])
-    }
-
-    #[test]
-    fn put_get_roundtrip_and_persistence() {
-        let dir = tmpdir("roundtrip");
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        assert!(c.get("aaaa").is_none());
-        c.put("aaaa", "compile", &payload("k")).unwrap();
-        let (kind, p) = c.get("aaaa").unwrap();
-        assert_eq!(kind, "compile");
-        assert_eq!(p, payload("k"));
-        assert_eq!(
-            c.stats(),
-            CacheStats {
-                hits: 1,
-                misses: 1,
-                puts: 1,
-                ..CacheStats::default()
-            }
-        );
-        drop(c);
-        // Reopen: entry and recency survive.
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.get("aaaa").unwrap().1, payload("k"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn index_rebuild_after_index_loss() {
-        let dir = tmpdir("rebuild");
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        c.put("k1", "compile", &payload("a")).unwrap();
-        c.put("k2", "compile", &payload("b")).unwrap();
-        drop(c);
-        std::fs::remove_file(dir.join("index.json")).unwrap();
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        assert_eq!(c.len(), 2);
-        assert!(c.get("k1").is_some());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn lru_eviction_respects_recency_and_budget() {
-        let dir = tmpdir("lru");
-        let one = payload("x").render();
-        let entry_overhead = 120; // format/key/kind/checksum wrapper
-        let budget = 2 * (one.len() as u64 + entry_overhead);
-        let mut c = DiskCache::open(&dir, budget).unwrap();
-        c.put("k1", "compile", &payload("x")).unwrap();
-        c.put("k2", "compile", &payload("x")).unwrap();
-        // Touch k1 so k2 becomes the LRU victim.
-        assert!(c.get("k1").is_some());
-        c.put("k3", "compile", &payload("x")).unwrap();
-        assert_eq!(c.stats().evictions, 1);
-        assert!(c.get("k2").is_none(), "LRU entry evicted");
-        assert!(c.get("k1").is_some(), "recently used entry kept");
-        assert!(c.get("k3").is_some(), "new entry kept");
-        assert!(!dir.join("entries").join("k2.json").exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn remove_and_list() {
-        let dir = tmpdir("rm");
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        c.put("k1", "compile", &payload("a")).unwrap();
-        c.put("k2", "tuned-config", &payload("b")).unwrap();
-        let l = c.list();
-        assert_eq!(l.len(), 2);
-        assert_eq!(l[0].0, "k2", "most recent first");
-        assert!(c.remove("k1"));
-        assert!(!c.remove("k1"));
-        assert_eq!(c.len(), 1);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_tmps_swept_on_open() {
-        // Simulate writes that died between create and rename: torn
-        // `.tmp.*` staging files in both the root (index writes) and
-        // `entries/` (entry writes). Opening must reclaim them all while
-        // leaving live entries untouched.
-        let dir = tmpdir("sweep");
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        c.put("live", "compile", &payload("keep")).unwrap();
-        drop(c);
-        let torn_entry = dir.join("entries").join(".tmp.4242.dead.json");
-        let torn_index = dir.join(".tmp.4242.index.json");
-        std::fs::write(&torn_entry, "{\"format\":1,\"key\":\"dead").unwrap();
-        std::fs::write(&torn_index, "{\"version\":1,\"ti").unwrap();
-
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        assert_eq!(c.stats().swept_tmps, 2);
-        assert!(!torn_entry.exists(), "torn entry tmp removed");
-        assert!(!torn_index.exists(), "torn index tmp removed");
-        assert_eq!(c.get("live").unwrap().1, payload("keep"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn torn_entry_is_quarantined_not_served() {
-        // A torn rename can land a truncated entry file under the real
-        // entry name; the checksum layer must quarantine it, never
-        // serve it.
-        let dir = tmpdir("torn");
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        c.put("kk", "compile", &payload("v")).unwrap();
-        drop(c);
-        let entry = dir.join("entries").join("kk.json");
-        let full = std::fs::read_to_string(&entry).unwrap();
-        std::fs::write(&entry, &full[..full.len() / 2]).unwrap();
-
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        assert!(c.get("kk").is_none(), "torn entry must read as a miss");
-        assert!(!entry.exists(), "torn entry moved aside");
-        assert!(
-            dir.join("quarantine").join("kk.json.0").exists(),
-            "torn entry preserved for post-mortem"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn verify_covers_unindexed_entries_and_counts_corpses() {
-        let dir = tmpdir("verify");
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        c.put("good", "compile", &payload("ok")).unwrap();
-        drop(c);
-        // An entry file the index knows nothing about (e.g. dropped from
-        // a stale index), corrupted on disk.
-        let orphan = dir.join("entries").join("orphan.json");
-        std::fs::write(&orphan, "{\"format\":1,\"key\":\"orphan\",\"ga").unwrap();
-        let mut c = DiskCache::open_default(&dir).unwrap();
-        assert!(!c.entries.contains_key("orphan"), "not in the index");
-        let (ok, bad) = c.verify();
-        assert_eq!((ok, bad), (1, 1), "orphan found and quarantined");
-        assert!(!orphan.exists());
-        assert_eq!(c.quarantined_count(), 1);
-        // A second verify finds nothing new: the backlog persists until
-        // an operator purges it, and purging empties it exactly once.
-        let (_, bad) = c.verify();
-        assert_eq!(bad, 0, "already-quarantined corpse re-flagged");
-        assert_eq!(c.quarantined_count(), 1);
-        assert_eq!(c.purge_quarantine().unwrap(), 1);
-        assert_eq!(c.quarantined_count(), 0);
-        assert_eq!(c.purge_quarantine().unwrap(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,9 +7,10 @@
 //! filesystem exhibits under crash/disk-full conditions:
 //!
 //! * **partial write + ENOSPC** — a prefix of the bytes lands on disk,
-//!   then the write errors (disk full mid-write);
+//!   then the write errors (disk full mid-write); appends alike;
 //! * **torn write** — a prefix lands on disk and the write *reports
-//!   success* (lost flush; only the checksum layer can catch this);
+//!   success* (lost flush; only the checksum layer can catch this); a
+//!   torn append leaves a line the next append is glued onto;
 //! * **torn rename** — the rename happens but the destination is
 //!   truncated (crash between rename and data sync);
 //! * **failed rename / remove** — the metadata operation errors,
@@ -37,6 +38,8 @@ pub trait Io: Send + std::fmt::Debug {
     fn read_to_string(&mut self, path: &Path) -> io::Result<String>;
     /// Creates/truncates `path`, writes `bytes`, and syncs the file.
     fn write(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()>;
+    /// Appends `bytes` to `path` (created if missing) in one write, unsynced.
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()>;
     /// `std::fs::rename`.
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()>;
     /// `std::fs::remove_file`.
@@ -67,6 +70,15 @@ impl Io for RealIo {
         let mut f = std::fs::File::create(path)?;
         f.write_all(bytes)?;
         f.sync_all()
+    }
+
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        use std::io::Write as _;
+        let mut f = std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(path)?;
+        f.write_all(bytes)
     }
 
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {
@@ -157,6 +169,26 @@ impl<I: Io> FaultyIo<I> {
     fn enospc() -> io::Error {
         io::Error::other("no space left on device (injected)")
     }
+
+    /// Lands `bytes` through `op`, or on a faulted roll a prefix of them,
+    /// then reports either ENOSPC (disk full mid-write) or success (a
+    /// torn write: prefix on disk, success reported).
+    fn land(
+        &mut self,
+        path: &Path,
+        bytes: &[u8],
+        op: fn(&mut I, &Path, &[u8]) -> io::Result<()>,
+    ) -> io::Result<()> {
+        if !self.roll() {
+            return op(&mut self.inner, path, bytes);
+        }
+        let cut = self.cut(bytes.len());
+        op(&mut self.inner, path, &bytes[..cut])?;
+        if self.rng.below(2) == 0 {
+            return Err(Self::enospc());
+        }
+        Ok(())
+    }
 }
 
 impl<I: Io> Io for FaultyIo<I> {
@@ -181,17 +213,11 @@ impl<I: Io> Io for FaultyIo<I> {
     }
 
     fn write(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
-        if self.roll() {
-            let cut = self.cut(bytes.len());
-            self.inner.write(path, &bytes[..cut])?;
-            if self.rng.below(2) == 0 {
-                // Disk full mid-write: prefix on disk, error reported.
-                return Err(Self::enospc());
-            }
-            // Torn write: prefix on disk, success reported.
-            return Ok(());
-        }
-        self.inner.write(path, bytes)
+        self.land(path, bytes, I::write)
+    }
+
+    fn append(&mut self, path: &Path, bytes: &[u8]) -> io::Result<()> {
+        self.land(path, bytes, I::append)
     }
 
     fn rename(&mut self, from: &Path, to: &Path) -> io::Result<()> {

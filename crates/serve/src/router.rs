@@ -199,17 +199,13 @@ impl Router {
         m.shards().iter().map(|s| s.endpoint.clone()).collect()
     }
 
-    /// The `(key, kind)` of every entry a shard holds; `None` when it
-    /// is unreachable.
-    fn shard_keys(&self, endpoint: &Endpoint) -> Option<Vec<(String, String)>> {
+    /// The key of every entry a shard holds; `None` when it is
+    /// unreachable.
+    fn shard_keys(&self, endpoint: &Endpoint) -> Option<Vec<String>> {
         let resp = self.ask(endpoint, |c| c.request(&Request::Keys)).ok()?;
         let rows = resp.get("keys").and_then(Json::as_arr)?;
-        let field = |row: &Json, f: &str| row.str_field(f).map(str::to_string);
-        Some(
-            rows.iter()
-                .filter_map(|row| Some((field(row, "key").ok()?, field(row, "kind").ok()?)))
-                .collect(),
-        )
+        let key = |row: &Json| row.str_field("key").ok().map(str::to_string);
+        Some(rows.iter().filter_map(key).collect())
     }
 
     /// One chaos-free exchange with a shard under the configured socket
@@ -642,12 +638,9 @@ impl Router {
         // Snapshot who holds what (unreachable shards contribute nothing
         // and receive nothing this pass — the next pass resumes).
         let mut held: HashMap<String, HashSet<String>> = HashMap::new();
-        let mut kinds: HashMap<String, String> = HashMap::new();
         for ep in &endpoints {
-            for (key, kind) in self.shard_keys(ep).unwrap_or_default() {
-                held.entry(ep.to_string()).or_default().insert(key.clone());
-                kinds.insert(key, kind);
-            }
+            let keys = self.shard_keys(ep).unwrap_or_default();
+            held.entry(ep.to_string()).or_default().extend(keys);
         }
         let (mut moved, mut skipped, mut failed) = (0u64, 0u64, 0u64);
         for src_ep in &endpoints {
@@ -668,8 +661,7 @@ impl Router {
                         skipped += 1;
                         continue;
                     }
-                    let kind = kinds.get(&key).cloned().unwrap_or_default();
-                    match self.copy_entry(src_ep, &owner, &key, &kind) {
+                    match self.copy_entry(src_ep, &owner, &key) {
                         Ok(true) => {
                             moved += 1;
                             self.with_metrics(&owner, |m| m.transfers_out += 1);
@@ -687,13 +679,7 @@ impl Router {
 
     /// Fetches one entry from `src` and transfers it to `dst`, with the
     /// sender's checksum carried alongside so a torn copy is rejected.
-    fn copy_entry(
-        &self,
-        src: &Endpoint,
-        dst: &Endpoint,
-        key: &str,
-        kind: &str,
-    ) -> Result<bool, String> {
+    fn copy_entry(&self, src: &Endpoint, dst: &Endpoint, key: &str) -> Result<bool, String> {
         let fetch = Request::Fetch {
             key: key.to_string(),
         };
@@ -704,7 +690,8 @@ impl Router {
             return Err(format!("{src} no longer holds {key}"));
         }
         let payload = fetched.get("payload").ok_or("missing payload")?;
-        self.push_entry(dst, key, kind, payload, fetched.str_field("checksum")?)
+        let (kind, checksum) = (fetched.str_field("kind")?, fetched.str_field("checksum")?);
+        self.push_entry(dst, key, kind, payload, checksum)
     }
 
     /// The router's own metrics report. With `deep`, every shard is
@@ -746,16 +733,8 @@ impl Router {
     /// For each shard: how many keys the ring assigns it that it does
     /// not hold. Unreachable shards report `-1`.
     fn replica_lags(&self, endpoints: &[Endpoint]) -> HashMap<String, i64> {
-        let held: Vec<Option<HashSet<String>>> = endpoints
-            .iter()
-            .map(|ep| {
-                Some(
-                    self.shard_keys(ep)?
-                        .into_iter()
-                        .map(|(key, _)| key)
-                        .collect(),
-                )
-            })
+        let held: Vec<Option<HashSet<String>>> = (endpoints.iter())
+            .map(|ep| Some(self.shard_keys(ep)?.into_iter().collect()))
             .collect();
         // One membership lock and one ring walk per key — not per
         // (key x shard) — so a deep metrics probe cannot stall

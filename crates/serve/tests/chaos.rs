@@ -17,7 +17,7 @@
 mod common;
 
 use polyject_arith::SplitMix64;
-use polyject_serve::{DiskCache, FaultyIo, Json, RealIo};
+use polyject_serve::{DiskCache, FaultyIo, Io, Json, RealIo};
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -43,7 +43,7 @@ fn payload(tag: u64) -> Json {
 /// Every payload the cache may legitimately serve for a key. A `put`
 /// that returned `Ok` over an atomic rename makes its payload the only
 /// acceptable value; a `put` that errored may still have landed (e.g.
-/// the index flush after the entry rename faulted), so its payload joins
+/// the index append after the entry rename faulted), so its payload joins
 /// the acceptable set. A miss is always acceptable — faults may
 /// quarantine good entries, never the reverse.
 type Model = HashMap<String, Vec<Json>>;
@@ -147,6 +147,94 @@ fn cache_chaos_never_serves_corruption() {
         }
     }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn reopen_indexes_every_verified_entry_and_serves_no_other() {
+    // After each faulted round a clean reopen must index every file in
+    // `entries/` (dropping none from `len()`), and after one read of each
+    // indexed key, exactly the entries that verify — each a payload that
+    // was put — with `total_bytes()` their size on disk.
+    let dir = tmpdir("reopen");
+    let mut model = Model::new();
+    let files = |dir: &std::path::Path| -> Vec<u64> {
+        let listing = std::fs::read_dir(dir.join("entries")).unwrap();
+        listing
+            .map(|e| e.unwrap().metadata().unwrap().len())
+            .collect()
+    };
+    let mut quarantined = 0;
+    for seed in 0..40 {
+        chaos_round(&dir, seed, &mut model);
+        let mut cache = DiskCache::open(&dir, 1 << 20).unwrap();
+        assert_eq!(
+            cache.len(),
+            files(&dir).len(),
+            "seed {seed}: a file lost its row"
+        );
+        for (key, ..) in cache.list() {
+            match cache.get(&key) {
+                Some((_, served)) => assert!(
+                    model[&key].contains(&served),
+                    "seed {seed}: {key} served {}",
+                    served.render()
+                ),
+                None => quarantined += 1,
+            }
+        }
+        let sizes = files(&dir);
+        assert_eq!(
+            (cache.len(), cache.total_bytes()),
+            (sizes.len(), sizes.iter().sum()),
+            "seed {seed}: index vs verified entries"
+        );
+    }
+    assert!(
+        quarantined > 0,
+        "no schedule left a torn entry to reconcile"
+    );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn torn_appends_leave_prefixes_that_the_next_row_glues_onto() {
+    // Whatever a faulted append leaves, the file is a concatenation of
+    // prefixes of the rows appended — one whole row per clean append —
+    // and a row that fails to parse is never a row that was not written.
+    let (mut torn, mut enospc) = (0, 0);
+    for seed in 0..16 {
+        let path = tmpdir("append");
+        let mut io = FaultyIo::new(RealIo, seed, 2);
+        let rows: Vec<String> = (0..20).map(|i| format!("{{\"row\":{i}}}\n")).collect();
+        for row in &rows {
+            let (before, injected) = (std::fs::read(&path).unwrap_or_default(), io.injected());
+            let result = io.append(&path, row.as_bytes());
+            let faulted = io.injected() > injected;
+            let after = std::fs::read(&path).unwrap();
+            let landed = after
+                .strip_prefix(before.as_slice())
+                .expect("append only appends");
+            assert!(
+                row.as_bytes().starts_with(landed),
+                "seed {seed}: not a prefix"
+            );
+            assert_eq!(landed == row.as_bytes(), !faulted, "seed {seed}");
+            match (faulted, result.is_ok()) {
+                (true, true) => torn += 1,
+                (true, false) => enospc += 1,
+                (false, ok) => assert!(ok, "seed {seed}: a clean append failed"),
+            }
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        for line in text.lines().filter(|l| Json::parse(l).is_ok()) {
+            assert!(
+                rows.iter().any(|r| r.trim_end() == line),
+                "seed {seed}: invented {line:?}"
+            );
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+    assert!(torn > 0 && enospc > 0, "torn {torn}, enospc {enospc}");
 }
 
 #[test]

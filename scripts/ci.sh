@@ -23,7 +23,8 @@
 # same-seed replays identical), and a 3-node router smoke (cold compile
 # through the router, a batched CLI leg with in-batch dedup plus
 # fleet-aggregated stats, owner shard killed, warm hit served by its
-# replica with zero solver work).
+# replica with zero solver work, the owner's cache directory then serving
+# that kernel cached to a restarted daemon and indexing exactly its files).
 #
 # Everything here works without network access; fmt/clippy are skipped
 # with a notice if the toolchain components are missing.
@@ -92,7 +93,7 @@ echo "ok: exhausted budgets degrade down the ladder; cancellation leaves no part
 step "table2 --fast smoke (serial vs parallel identity, <10 s)"
 smoke_json="$(mktemp)"
 scratch="$(mktemp -d)"
-trap 'rm -f "$smoke_json"; rm -rf "$scratch"; kill "${daemon_pid:-0}" "${router_pid:-0}" ${shard_pids[*]:-} 2>/dev/null || true' EXIT
+trap 'rm -f "$smoke_json"; rm -rf "$scratch"; kill "${daemon_pid:-0}" "${router_pid:-0}" ${shard_pids[*]:-} ${restart_pid:-} 2>/dev/null || true' EXIT
 # Counter gate: every count on a run's `[stats] serial:` line (the *_ms
 # clocks aside) must equal its block of scripts/solver_counters.snapshot.json.
 # The counters are deterministic on one code revision, so any difference
@@ -394,8 +395,35 @@ assert warm >= 1, "no survivor served the key warm with zero solver work"
 print(f"   owner shard{owner} killed; replica served warm (zero solver work)")
 EOF
 # The SIGKILLed owner's cache dir must still verify clean (atomic writes).
-pjcache "$scratch/shard$owner-cache" verify
+# Its puts' index rows were appended to index.log and never compacted.
+owner_cache="$scratch/shard$owner-cache"
+[ -f "$owner_cache/index.log" ] || { echo "killed shard left no index.log"; exit 1; }
+pjcache "$owner_cache" verify
+# A daemon restarted over that directory serves the kernel compiled before
+# the kill from cache, and the reconciled index counts exactly what
+# entries/ holds: no row lost to the kill, none invented.
+cargo run --release -q -p polyject-serve --bin polyjectd -- \
+  --socket "$scratch/restart.sock" --cache-dir "$owner_cache" >"$scratch/restart.out" &
+restart_pid=$!
+for _ in $(seq 1 100); do [ -S "$scratch/restart.sock" ] && break; sleep 0.1; done
+[ -S "$scratch/restart.sock" ] || { echo "restarted shard never bound"; exit 1; }
+pjc --batch "$scratch/one.pj" --config infl --remote "$scratch/restart.sock" \
+  > "$scratch/restart-batch.out"
+grep -q '^\[0\] ok .* cached' "$scratch/restart-batch.out" \
+  || { cat "$scratch/restart-batch.out"; echo "restarted shard recompiled"; exit 1; }
+kill -TERM "$restart_pid"
+wait "$restart_pid"
+pjcache "$owner_cache" stats > "$scratch/restart-stats.json"
+python3 - "$owner_cache" "$scratch/restart-stats.json" <<'EOF'
+import json, os, sys
+entries = os.path.join(sys.argv[1], "entries")
+stats = json.load(open(sys.argv[2]))
+sizes = [os.path.getsize(os.path.join(entries, f)) for f in os.listdir(entries)]
+assert (stats["entries"], stats["bytes"]) == (len(sizes), sum(sizes)), (stats, sizes)
+print(f"   restarted owner: cached hit; index {len(sizes)} entries, {sum(sizes)} bytes = entries/")
+EOF
 echo "ok: cold compile via router, owner killed, warm hit via replica; dead shard's cache intact"
+echo "    and served cached after a restart, its index equal to entries/"
 
 step "size gate (ROADMAP item 1): crates/serve/src line count"
 for dir in crates/serve/src crates/sets/src; do
