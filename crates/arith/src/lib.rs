@@ -2,8 +2,8 @@
 //!
 //! Exact rational and integer linear algebra underpinning the `polyject`
 //! polyhedral compiler: [`Rat`] (exact `i128` rationals), dense rational
-//! [`Matrix`] operations, and integer-lattice utilities (Hermite normal
-//! form, primitive kernels) used to build the scheduler's orthogonality
+//! [`Matrix`] operations, and the primitive integer kernel
+//! ([`integer_kernel_basis`]) used to build the scheduler's orthogonality
 //! constraints.
 //!
 //! Everything here is exact — no floating point is ever used in a
@@ -23,15 +23,11 @@
 #![warn(missing_docs)]
 
 mod fnv;
-mod hnf;
 mod matrix;
 mod prng;
 mod rat;
 
 pub use fnv::{fnv1a64, Fnv64};
-pub use hnf::{
-    determinant, hermite_normal_form, integer_kernel_basis, is_unimodular, primitive_integer_vector,
-};
-pub use matrix::Matrix;
+pub use matrix::{integer_kernel_basis, primitive_integer_vector, Matrix};
 pub use prng::SplitMix64;
 pub use rat::{gcd, lcm, Rat};

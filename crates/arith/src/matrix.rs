@@ -1,8 +1,10 @@
 //! Dense matrices over exact rationals, with the small amount of linear
 //! algebra a polyhedral scheduler needs: row reduction, rank, kernels and
-//! linear-system solving.
+//! linear-system solving — plus the primitive integer kernel the
+//! influenced scheduler builds the orthogonal-subspace matrix `H⊥` of the
+//! Pluto progression constraints from (paper Section IV-A.3).
 
-use crate::rat::Rat;
+use crate::rat::{gcd, lcm, Rat};
 use std::fmt;
 use std::ops::{Index, IndexMut, Mul};
 
@@ -238,6 +240,69 @@ impl Matrix {
     }
 }
 
+/// Scales a rational vector to a primitive integer vector (integer entries
+/// with gcd 1), preserving direction.
+///
+/// # Examples
+///
+/// ```
+/// use polyject_arith::{primitive_integer_vector, Rat};
+/// let v = vec![Rat::new(1, 2), Rat::new(-3, 4)];
+/// assert_eq!(primitive_integer_vector(&v), vec![2, -3]);
+/// ```
+pub fn primitive_integer_vector(v: &[Rat]) -> Vec<i128> {
+    let mut denom_lcm = 1i128;
+    for x in v {
+        denom_lcm = lcm(denom_lcm, x.denom());
+    }
+    if denom_lcm == 0 {
+        denom_lcm = 1;
+    }
+    let ints: Vec<i128> = v
+        .iter()
+        .map(|x| {
+            (x.numer())
+                .checked_mul(denom_lcm / x.denom())
+                .expect("primitive vector overflow")
+        })
+        .collect();
+    let g = ints.iter().fold(0i128, |acc, &x| gcd(acc, x));
+    if g <= 1 {
+        ints
+    } else {
+        ints.iter().map(|&x| x / g).collect()
+    }
+}
+
+/// A basis of integer vectors spanning the rational kernel of `a`
+/// (equivalently, the orthogonal complement of the row space): every
+/// returned vector `v` is primitive and satisfies `a * v = 0`.
+///
+/// This is the `H⊥` construction used by the progression constraint
+/// builder.
+///
+/// # Examples
+///
+/// ```
+/// use polyject_arith::integer_kernel_basis;
+/// // Row space spanned by (1, 1, 0): complement has dimension 2.
+/// let k = integer_kernel_basis(&[vec![1, 1, 0]]);
+/// assert_eq!(k.len(), 2);
+/// for v in &k {
+///     assert_eq!(v[0] + v[1], 0);
+/// }
+/// ```
+pub fn integer_kernel_basis(a: &[Vec<i128>]) -> Vec<Vec<i128>> {
+    if a.is_empty() {
+        return Vec::new();
+    }
+    let m = Matrix::from_rows(a);
+    m.kernel_basis()
+        .iter()
+        .map(|v| primitive_integer_vector(v))
+        .collect()
+}
+
 impl Index<(usize, usize)> for Matrix {
     type Output = Rat;
     fn index(&self, (r, c): (usize, usize)) -> &Rat {
@@ -320,6 +385,18 @@ mod tests {
     fn kernel_of_full_rank_square_is_empty() {
         let m = Matrix::from_rows(&[vec![2, 1], vec![1, 1]]);
         assert!(m.kernel_basis().is_empty());
+    }
+
+    #[test]
+    fn integer_kernel_is_primitive_orthogonal_complement() {
+        let a = vec![vec![2, 0, 1], vec![0, 3, 1]];
+        let k = integer_kernel_basis(&a);
+        assert_eq!(k, vec![vec![-3, -2, 6]]);
+        assert!(integer_kernel_basis(&[vec![1, 0], vec![0, 1]]).is_empty());
+        assert_eq!(
+            primitive_integer_vector(&[Rat::ZERO, Rat::ZERO]),
+            vec![0, 0]
+        );
     }
 
     #[test]

@@ -33,12 +33,12 @@
 //! or written.
 
 use polyject_bench::{
-    default_workers, measurements_identical, render_table2, run_table2_networks, run_table2_tuned,
-    solver_pairs, Table2Bench, Table2Run,
+    measurements_identical, render_table2, run_table2_networks, run_table2_tuned, solver_pairs,
+    Table2Bench, Table2Run,
 };
 use polyject_gpusim::GpuModel;
 use polyject_serve::args::{self, Args};
-use polyject_serve::{DiskCache, Json};
+use polyject_serve::{default_workers, DiskCache, Json};
 use polyject_tune::TuneOptions;
 use polyject_workloads::{all_networks, geomean_speedup, lstm, Network, Tool};
 use std::path::Path;

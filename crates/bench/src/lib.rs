@@ -16,13 +16,9 @@ pub use throughput::{
     artifact_fields, run_throughput_bench, table2_batch_items, Fleet, LegStats, ThroughputBench,
 };
 pub use tuned::{run_table2_tuned, TuneBench, TunedOp};
-// The worker pool lives in `polyject-serve` (shared with the daemon);
-// re-exported here so existing `polyject_bench::parallel_map` users keep
-// working.
-pub use polyject_serve::{default_workers, parallel_map};
 
 use polyject_gpusim::GpuModel;
-use polyject_serve::Json;
+use polyject_serve::{parallel_map, Json};
 use polyject_workloads::{
     aggregate_network, all_networks, measure_op_with_perf, op_key, unique_ops, Network,
     NetworkMeasurement, OpPerf, Tool,
@@ -110,7 +106,8 @@ pub struct Table2Run {
 }
 
 /// Runs Table II over the given networks with global operator
-/// deduplication and `workers` pool threads (see [`parallel_map`]).
+/// deduplication and `workers` pool threads (see
+/// [`polyject_serve::parallel_map`]).
 ///
 /// Unique operator classes are collected in first-seen order across all
 /// networks, compiled in parallel, then each network row is reassembled

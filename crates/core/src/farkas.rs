@@ -15,7 +15,6 @@
 //! substitution + Fourier–Motzkin) leaves constraints purely over the
 //! unknowns.
 
-use polyject_arith::Rat;
 use polyject_sets::{project_onto_prefix, Constraint, ConstraintSet, LinExpr};
 
 /// An affine function over a relation space whose coefficients are linear
@@ -52,17 +51,6 @@ impl AffineTemplate {
             var_coeffs: self.var_coeffs.iter().map(|e| -e).collect(),
             constant: -&self.constant,
         }
-    }
-
-    /// Instantiates the template at a concrete unknown assignment,
-    /// producing a plain [`LinExpr`] over the relation space.
-    pub fn instantiate(&self, unknowns: &[i128]) -> LinExpr {
-        let coeffs: Vec<Rat> = self
-            .var_coeffs
-            .iter()
-            .map(|e| e.eval_int(unknowns))
-            .collect();
-        LinExpr::from_rat_coeffs(coeffs, self.constant.eval_int(unknowns))
     }
 }
 
@@ -147,14 +135,6 @@ pub fn farkas_nonneg(relation: &ConstraintSet, template: &AffineTemplate) -> Con
     sys.add(Constraint::eq0(e));
 
     project_onto_prefix(&sys, n_unknowns)
-}
-
-/// Produces the constraints equivalent to "`template(x) == 0` for every
-/// `x` in `relation`" (both directions of [`farkas_nonneg`]).
-pub fn farkas_zero(relation: &ConstraintSet, template: &AffineTemplate) -> ConstraintSet {
-    let mut cs = farkas_nonneg(relation, template);
-    cs.intersect(&farkas_nonneg(relation, &template.negated()));
-    cs
 }
 
 #[cfg(test)]
@@ -248,33 +228,5 @@ mod tests {
         assert!(cs.contains_int(&[-1]) || !cs.contains_int(&[-1]));
         // (Smoke: the call terminates and produces a well-formed set.)
         assert_eq!(cs.n_vars(), 1);
-    }
-
-    #[test]
-    fn farkas_zero_pins_coefficients() {
-        // ψ(x) = c·x on { 0 <= x <= 3 } is identically zero iff c == 0.
-        let rel = ConstraintSet::from_constraints(
-            1,
-            vec![
-                Constraint::ge0(LinExpr::from_coeffs(&[1], 0)),
-                Constraint::ge0(LinExpr::from_coeffs(&[-1], 3)),
-            ],
-        );
-        let mut t = AffineTemplate::zero(1, 1);
-        t.var_coeffs[0] = LinExpr::var(1, 0);
-        let cs = farkas_zero(&rel, &t);
-        assert!(cs.contains_int(&[0]));
-        assert!(!cs.contains_int(&[1]));
-        assert!(!cs.contains_int(&[-1]));
-    }
-
-    #[test]
-    fn instantiate_concrete() {
-        let mut t = AffineTemplate::zero(2, 2);
-        t.var_coeffs[0] = LinExpr::from_coeffs(&[1, 0], 0);
-        t.var_coeffs[1] = LinExpr::from_coeffs(&[0, 2], 0);
-        t.constant = LinExpr::from_coeffs(&[1, 1], 3);
-        let e = t.instantiate(&[4, 5]);
-        assert_eq!(e, LinExpr::from_coeffs(&[4, 10], 12));
     }
 }

@@ -4,15 +4,16 @@
 //! ```text
 //! polyject-router [--socket <path> | --tcp <host:port>]
 //!                 --shard <endpoint> [--shard <endpoint> ...]
-//!                 [--replication <n>] [--hedge-ms <n>] [--retries <n>]
-//!                 [--backoff-ms <n>] [--backoff-cap-ms <n>]
-//!                 [--io-timeout-secs <n>] [--seed <n>]
+//!                 [--hedge-ms <n>] [--retries <n>] [--backoff-ms <n>]
+//!                 [--backoff-cap-ms <n>] [--io-timeout-secs <n>] [--seed <n>]
 //!                 [--hot-threshold <n>] [--gpu v100|a100|consumer]
 //! ```
 //!
 //! Speaks the same length-prefixed JSON protocol as the daemons:
-//! `compile` requests are consistent-hash routed (with hedging, retry,
-//! failover, and hot-key replication — see `polyject_serve::router`),
+//! `compile` requests take the same ring walk as `polyjectc --remote
+//! a,b,c` (the router routes through a `ShardedClient`: same keys, same
+//! two replicas per key, same scatter) plus hedging, retry, hot-key
+//! replication and warm transfer — see `polyject_serve::router`;
 //! `stats` returns the router's shallow per-shard counters, `metrics`
 //! additionally probes every shard for replica lag, and `join`/`leave`
 //! change membership with a warm transfer of re-homed entries.
@@ -28,10 +29,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 const USAGE: &str = "usage: polyject-router [--socket <path> | --tcp <host:port>] \
-     --shard <endpoint> [--shard <endpoint> ...] [--replication <n>] \
-     [--hedge-ms <n>] [--retries <n>] [--backoff-ms <n>] [--backoff-cap-ms <n>] \
-     [--io-timeout-secs <n>] [--seed <n>] [--hot-threshold <n>] \
-     [--gpu v100|a100|consumer]";
+     --shard <endpoint> [--shard <endpoint> ...] [--hedge-ms <n>] [--retries <n>] \
+     [--backoff-ms <n>] [--backoff-cap-ms <n>] [--io-timeout-secs <n>] [--seed <n>] \
+     [--hot-threshold <n>] [--gpu v100|a100|consumer]";
 
 fn main() -> ExitCode {
     let (endpoint, config) = args::parse(USAGE, parse_args);
@@ -55,7 +55,6 @@ fn parse_args(args: &mut Args) -> Result<(Endpoint, RouterConfig), String> {
             "--socket" => endpoint = Endpoint::Unix(args.value()?.into()),
             "--tcp" => endpoint = Endpoint::Tcp(args.value()?),
             "--shard" => config.shards.extend(args.endpoints()?),
-            "--replication" => config.replication = args.int()?,
             "--hedge-ms" => config.hedge_after = Duration::from_millis(args.int()?),
             "--retries" => config.retries = args.int()?,
             "--backoff-ms" => config.backoff_base = Duration::from_millis(args.int()?),

@@ -5,12 +5,12 @@ use crate::faults::LegChaos;
 use crate::json::Json;
 use crate::membership::Membership;
 use crate::protocol::{error_response, read_frame, write_frame, BatchItem, Request};
-use crate::service::{cache_key, routing_key};
+use crate::service::routing_key;
 use crate::transport::Stream;
 use polyject_gpusim::GpuModel;
 use std::io::{self, Write};
 use std::path::PathBuf;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 /// Where a daemon listens: a Unix socket path (the default) or a TCP
@@ -255,8 +255,8 @@ impl ConnPool {
 /// The body of one leg — one exchange with one shard: apply the
 /// pre-drawn chaos verdict, take a kept connection from `pool` or dial
 /// one (under the socket timeout), `send`, and check the connection back
-/// in once the exchange completed. The router's hedged item legs, both
-/// scatters' sub-batch legs and the sharded client's replica walk all
+/// in once the exchange completed. The router's hedged item legs, the
+/// scatter's sub-batch legs and the sharded client's replica walk all
 /// run through here.
 ///
 /// A kept connection may have been closed by its shard since (the shard
@@ -323,81 +323,60 @@ pub(crate) fn run_leg<T>(
     Ok(reply)
 }
 
-/// Scatter-gather: every owner group's items go out as ONE
-/// `compile_batch` frame over one connection, all groups in flight at
-/// once (so the whole fleet's worker pools crunch concurrently), and
-/// every leg is gathered — a full barrier — before this returns the
-/// per-group replies (sub-batch order) in group order.
-pub(crate) fn scatter(
-    pool: &ConnPool,
-    items: &[BatchItem],
-    groups: &[(Endpoint, Vec<usize>)],
-    chaos: Vec<LegChaos>,
-    io_timeout: Option<Duration>,
-) -> Vec<io::Result<Vec<Json>>> {
-    std::thread::scope(|scope| {
-        let legs: Vec<_> = groups
-            .iter()
-            .zip(chaos)
-            .map(|((endpoint, idxs), chaos)| {
-                let sub: Vec<BatchItem> = idxs.iter().map(|&i| items[i].clone()).collect();
-                scope.spawn(move || {
-                    run_leg(pool, endpoint, io_timeout, chaos, |c| {
-                        c.compile_batch(&sub, None)
-                    })
-                })
-            })
-            .collect();
-        legs.into_iter()
-            .map(|leg| {
-                leg.join()
-                    .unwrap_or_else(|_| Err(io::Error::other("leg panicked")))
-            })
-            .collect()
-    })
-}
-
-/// Client-side shard selection: `polyjectc --remote a,b,c` routes each
-/// request over the same consistent-hash ring a `polyject-router` uses
-/// (same keying, same partition, same scatter, same leg body), trying
-/// the key's replicas in health order — no router process needed for
-/// the common "N daemons, one client" topology. Unlike the router it
+/// Client-side shard selection: `polyjectc --remote a,b,c` keys each
+/// item, scatters a batch by owner and tries a key's replicas in health
+/// order — no router process needed for "N daemons, one client". A
+/// `polyject-router` routes through one of these and adds hedging,
+/// retries, hot-key replication and warm transfer; this client itself
 /// never hedges or retries: any frame a shard answers is final.
 pub struct ShardedClient {
-    membership: Membership,
+    membership: Mutex<Membership>,
     gpu: GpuModel,
-    pool: ConnPool,
+    /// Kept connections, shared with the router's hedge legs.
+    pub(crate) pool: Arc<ConnPool>,
 }
 
-/// The failover fan-out: how many of a key's replicas a request tries.
+/// How many of a key's replicas a request tries and a hot key is copied to.
 const REPLICATION: usize = 2;
 
 impl ShardedClient {
     /// Builds a sharded client over the daemon endpoints.
     pub fn new(endpoints: Vec<Endpoint>, gpu: GpuModel) -> ShardedClient {
         ShardedClient {
-            membership: Membership::new(endpoints),
+            membership: Mutex::new(Membership::new(endpoints)),
             gpu,
-            pool: ConnPool::default(),
+            pool: Arc::default(),
         }
     }
 
-    /// Routing only needs a stable key; if the source does not parse,
-    /// hash it raw and let the daemon report the parse error.
-    fn key(&self, item: &BatchItem) -> String {
+    /// The routing key of an item: the cache key of its canonical form.
+    /// A source that does not parse has none; its answer is the parse
+    /// error, given here with no shard contacted.
+    pub(crate) fn key(&self, item: &BatchItem) -> Result<String, Json> {
         routing_key(&item.src, &item.config, &self.gpu)
-            .unwrap_or_else(|_| cache_key(&item.src, &item.config, &self.gpu))
+            .map_err(|e| error_response(&format!("parse error: {e}")))
     }
 
-    /// The replica endpoints (health-ordered) a source would route to.
+    /// The ring and shard health.
+    pub(crate) fn members(&self) -> MutexGuard<'_, Membership> {
+        self.membership.lock().expect("membership lock")
+    }
+
+    /// A key's replicas, healthy shards first.
+    pub(crate) fn replicas(&self, key: &str) -> Vec<Endpoint> {
+        self.members().replicas_for(key, REPLICATION)
+    }
+
+    /// The replica endpoints (health-ordered) a source would route to;
+    /// none for a source that does not parse.
     pub fn route(&self, src: &str, config: &str) -> Vec<Endpoint> {
-        let key = self.key(&BatchItem::new(src, config));
-        self.membership.replicas_for(&key, REPLICATION)
+        (self.key(&BatchItem::new(src, config)).ok())
+            .map_or_else(Vec::new, |key| self.replicas(&key))
     }
 
     /// Compiles through the owning shard, failing over across replicas
-    /// on socket errors. A structured daemon response (any status) is
-    /// returned as-is; `Err` means every replica was unreachable.
+    /// on socket errors. A structured response (any status) is returned
+    /// as-is; `Err` means every replica was unreachable.
     ///
     /// # Errors
     ///
@@ -429,56 +408,106 @@ impl ShardedClient {
     /// The one request path: key, then (for more than one item) scatter
     /// by owner, then the replica walk for whatever is still unanswered
     /// — which for a single compile is the whole request.
-    fn route_batch(&mut self, items: &[BatchItem]) -> (Vec<io::Result<Json>>, u64) {
-        let keys: Vec<String> = items.iter().map(|it| self.key(it)).collect();
+    fn route_batch(&self, items: &[BatchItem]) -> (Vec<io::Result<Json>>, u64) {
+        let keys: Vec<Result<String, Json>> = items.iter().map(|it| self.key(it)).collect();
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         let mut round_trips = 0;
         if items.len() > 1 {
-            let keyed = keys.iter().map(String::as_str).enumerate();
-            let groups = self.membership.partition_by_owner(keyed, REPLICATION);
-            round_trips += groups.len() as u64;
-            let chaos = vec![LegChaos::default(); groups.len()];
-            let gathered = scatter(&self.pool, items, &groups, chaos, None);
-            // Membership updates stay on this thread, after the barrier.
-            for ((endpoint, idxs), attempt) in groups.iter().zip(gathered) {
-                match attempt {
-                    Ok(replies) => {
-                        self.membership.record_success(endpoint);
-                        for (&i, reply) in idxs.iter().zip(replies) {
-                            slots[i] = Some(reply);
-                        }
-                    }
-                    Err(_) => self.membership.record_failure(endpoint),
-                }
-            }
+            let plan = |_: &Endpoint, _| {
+                round_trips += 1;
+                LegChaos::default()
+            };
+            self.scatter(items, &keys, &mut slots, None, plan, |_, _, r| Some(r));
         }
-        let replies = (items.iter().zip(&keys).zip(slots))
-            .map(|((item, key), slot)| match slot {
-                Some(reply) => Ok(reply),
-                None => {
+        let replies = (items.iter().zip(keys).zip(slots))
+            .map(|((item, key), slot)| match (slot, key) {
+                (Some(reply), _) | (None, Err(reply)) => Ok(reply),
+                (None, Ok(key)) => {
                     round_trips += 1;
-                    self.walk_replicas(item, key)
+                    self.walk_replicas(item, &key)
                 }
             })
             .collect();
         (replies, round_trips)
     }
 
+    /// The scatter stage (this client's and the router's): the keyed items
+    /// are grouped by owner — the first of their replicas — in order of
+    /// first occurrence, so a scatter is deterministic for a fixed
+    /// membership. Each owner gets its group as ONE `compile_batch` frame,
+    /// all legs in flight at once, gathered at a full barrier. Then, in
+    /// group order, a broken leg strikes its shard and each reply `settle`
+    /// makes final fills its slot and heals its shard; other slots stay
+    /// empty for the item stage. `plan` gives each group's leg its chaos,
+    /// once per group in order, before any leg starts. Returns the broken
+    /// shards.
+    pub(crate) fn scatter(
+        &self,
+        items: &[BatchItem],
+        keys: &[Result<String, Json>],
+        slots: &mut [Option<Json>],
+        io_timeout: Option<Duration>,
+        mut plan: impl FnMut(&Endpoint, usize) -> LegChaos,
+        mut settle: impl FnMut(&str, &Endpoint, Json) -> Option<Json>,
+    ) -> Vec<Endpoint> {
+        let mut groups: Vec<(Endpoint, Vec<usize>)> = Vec::new();
+        for (i, key) in keys.iter().enumerate() {
+            let Ok(key) = key else { continue };
+            let Some(owner) = self.replicas(key).into_iter().next() else {
+                continue;
+            };
+            match groups.iter_mut().find(|(ep, _)| *ep == owner) {
+                Some((_, idxs)) => idxs.push(i),
+                None => groups.push((owner, vec![i])),
+            }
+        }
+        let chaos: Vec<_> = groups.iter().map(|(ep, at)| plan(ep, at.len())).collect();
+        let pool = &*self.pool;
+        let gathered: Vec<io::Result<Vec<Json>>> = std::thread::scope(|scope| {
+            let legs: Vec<_> = (groups.iter().zip(chaos))
+                .map(|((endpoint, idxs), chaos)| {
+                    let sub: Vec<BatchItem> = idxs.iter().map(|&i| items[i].clone()).collect();
+                    let send = move |c: &mut Client| c.compile_batch(&sub, None);
+                    scope.spawn(move || run_leg(pool, endpoint, io_timeout, chaos, send))
+                })
+                .collect();
+            (legs.into_iter())
+                .map(|leg| (leg.join()).unwrap_or_else(|_| Err(io::Error::other("leg panicked"))))
+                .collect()
+        });
+        let mut broken = Vec::new();
+        for ((endpoint, idxs), leg) in groups.into_iter().zip(gathered) {
+            let Ok(replies) = leg else {
+                self.members().record_failure(&endpoint);
+                broken.push(endpoint);
+                continue;
+            };
+            for (&i, reply) in idxs.iter().zip(replies) {
+                let key = keys[i].as_ref().expect("only keyed items scatter");
+                slots[i] = settle(key, &endpoint, reply);
+                if slots[i].is_some() {
+                    self.members().record_success(&endpoint);
+                }
+            }
+        }
+        broken
+    }
+
     /// The item stage: tries the key's replicas in health order until
     /// one answers a frame.
-    fn walk_replicas(&mut self, item: &BatchItem, key: &str) -> io::Result<Json> {
+    fn walk_replicas(&self, item: &BatchItem, key: &str) -> io::Result<Json> {
         let mut last = io::Error::new(io::ErrorKind::NotFound, "no shard endpoints configured");
-        for endpoint in self.membership.replicas_for(key, REPLICATION) {
+        for endpoint in self.replicas(key) {
             let leg = run_leg(&self.pool, &endpoint, None, LegChaos::default(), |c| {
                 c.compile(&item.src, &item.config)
             });
             match leg {
                 Ok(resp) => {
-                    self.membership.record_success(&endpoint);
+                    self.members().record_success(&endpoint);
                     return Ok(resp);
                 }
                 Err(e) => {
-                    self.membership.record_failure(&endpoint);
+                    self.members().record_failure(&endpoint);
                     last = io::Error::new(e.kind(), format!("shard {endpoint} unreachable: {e}"));
                 }
             }
@@ -650,6 +679,12 @@ mod tests {
         reply.str_field("echo").expect("an echo reply")
     }
 
+    /// A kernel named `name`: a source the client can key.
+    #[cfg(unix)]
+    fn pj(name: &str) -> String {
+        format!("kernel {name}\nparam N = 8\ntensor X[N]: f32\nstmt S for (i in 0..N) X[i] = 2.0\n")
+    }
+
     #[test]
     #[cfg(unix)]
     fn sharded_client_dials_once_for_many_requests() {
@@ -657,13 +692,14 @@ mod tests {
         let shard = TestServer::start("pool-once", false, echo_shard);
         let mut sc = ShardedClient::new(vec![shard.endpoint.clone()], GpuModel::v100());
         for i in 0..20 {
-            let src = format!("kernel {i}");
+            let src = pj(&format!("k{i}"));
             assert_eq!(echoed(&sc.compile(&src, "infl").unwrap()), src);
         }
         // The scatter path goes through the same pool.
-        let batch = [BatchItem::new("a", "isl"), BatchItem::new("b", "isl")];
+        let (a, b) = (pj("a"), pj("b"));
+        let batch = [BatchItem::new(&a, "isl"), BatchItem::new(&b, "isl")];
         let (replies, round_trips) = sc.compile_batch(&batch);
-        assert_eq!((echoed(&replies[0]), echoed(&replies[1])), ("a", "b"));
+        assert_eq!([echoed(&replies[0]), echoed(&replies[1])], [&a, &b]);
         assert_eq!(round_trips, 1);
         assert_eq!(shard.accepts.load(Ordering::SeqCst), 1);
         shard.stop();
@@ -675,8 +711,8 @@ mod tests {
         use std::sync::atomic::Ordering;
         let first = TestServer::start("pool-restart", false, echo_shard);
         let mut sc = ShardedClient::new(vec![first.endpoint.clone()], GpuModel::v100());
-        let strikes = |sc: &ShardedClient| sc.membership.shards()[0].consecutive_failures;
-        assert_eq!(echoed(&sc.compile("one", "infl").unwrap()), "one");
+        let strikes = |sc: &ShardedClient| sc.members().shards()[0].consecutive_failures;
+        assert_eq!(echoed(&sc.compile(&pj("one"), "infl").unwrap()), pj("one"));
         // The shard stops while the client still holds its kept
         // connection (as `Fleet::shutdown` finds it): that must not wait
         // on the client.
@@ -685,14 +721,14 @@ mod tests {
         // A new shard on the same socket: the kept connection is dead, the
         // request re-dials once and the caller never hears of it.
         let second = TestServer::start("pool-restart", false, echo_shard);
-        assert_eq!(echoed(&sc.compile("two", "infl").unwrap()), "two");
-        assert_eq!(echoed(&sc.compile("three", "infl").unwrap()), "three");
+        assert_eq!(echoed(&sc.compile(&pj("two"), "infl").unwrap()), pj("two"));
+        assert_eq!(echoed(&sc.compile(&pj("six"), "infl").unwrap()), pj("six"));
         assert_eq!(second.accepts.load(Ordering::SeqCst), 1);
         assert_eq!(strikes(&sc), 0);
         // Nobody listening at all: the fresh dial fails, and that is the
         // shard's failure — structured, and counted.
         second.stop();
-        let err = sc.compile("four", "infl").unwrap_err();
+        let err = sc.compile(&pj("four"), "infl").unwrap_err();
         assert!(err.to_string().contains("unreachable"), "{err}");
         assert_eq!(strikes(&sc), 1);
     }
@@ -766,8 +802,9 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         // All replicas dead: structured error naming a shard, no panic.
         let err = sc.compile(src, "infl").unwrap_err();
         assert!(err.to_string().contains("unreachable"), "{err}");
-        // Unparsable sources still route (hashed raw) instead of panicking.
-        assert_eq!(sc.route("kernel {{{ not a kernel", "infl").len(), 2);
+        // An unparsable source routes nowhere (it is answered locally)
+        // instead of panicking.
+        assert!(sc.route("kernel {{{ not a kernel", "infl").is_empty());
         let none = ShardedClient::new(Vec::new(), GpuModel::v100())
             .compile(src, "infl")
             .unwrap_err();

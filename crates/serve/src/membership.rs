@@ -40,11 +40,6 @@ impl HashRing {
         }
     }
 
-    /// The shard endpoints the ring was built from.
-    pub fn shards(&self) -> &[String] {
-        &self.shards
-    }
-
     /// The first `r` distinct shards clockwise from the key's point, in
     /// ring order. Fewer than `r` come back when the fleet is smaller.
     pub fn replicas(&self, key: &str, r: usize) -> Vec<usize> {
@@ -120,24 +115,9 @@ impl Membership {
         HashRing::new(&names)
     }
 
-    /// The current ring (rebuilt on every membership change).
-    pub fn ring(&self) -> &HashRing {
-        &self.ring
-    }
-
     /// All shard states, in membership order.
     pub fn shards(&self) -> &[ShardState] {
         &self.shards
-    }
-
-    /// Number of member shards.
-    pub fn len(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Whether the membership is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.is_empty()
     }
 
     /// The `r` replica endpoints for a key, ring-ordered but with
@@ -153,28 +133,6 @@ impl Membership {
             .chain(sick)
             .map(|i| self.shards[i].endpoint.clone())
             .collect()
-    }
-
-    /// Partitions `(item index, key)` pairs by owner — the first of each
-    /// key's [`Membership::replicas_for`] — with groups in
-    /// first-occurrence order, so a scatter is deterministic for a fixed
-    /// membership. An empty membership yields no groups.
-    pub(crate) fn partition_by_owner<'a>(
-        &self,
-        keyed: impl Iterator<Item = (usize, &'a str)>,
-        r: usize,
-    ) -> Vec<(Endpoint, Vec<usize>)> {
-        let mut groups: Vec<(Endpoint, Vec<usize>)> = Vec::new();
-        for (i, key) in keyed {
-            let Some(owner) = self.replicas_for(key, r).into_iter().next() else {
-                continue;
-            };
-            match groups.iter_mut().find(|(ep, _)| *ep == owner) {
-                Some((_, idxs)) => idxs.push(i),
-                None => groups.push((owner, vec![i])),
-            }
-        }
-        groups
     }
 
     /// Adds a shard (no-op when already a member). Returns whether the
@@ -308,13 +266,14 @@ mod tests {
     fn membership_add_remove_rebuilds_ring() {
         let endpoints: Vec<Endpoint> = eps(2).iter().map(|s| Endpoint::parse(s).unwrap()).collect();
         let mut m = Membership::new(endpoints);
-        assert_eq!(m.len(), 2);
+        let ring_size = |m: &Membership| m.replicas_for("00112233aabbccdd", 9).len();
+        assert_eq!(ring_size(&m), 2);
         let third = Endpoint::parse("/tmp/shard2.sock").unwrap();
         assert!(m.add(third.clone()));
         assert!(!m.add(third.clone()), "double-add must be a no-op");
-        assert_eq!(m.ring().shards().len(), 3);
+        assert_eq!(ring_size(&m), 3);
         assert!(m.remove(&third));
         assert!(!m.remove(&third));
-        assert_eq!(m.ring().shards().len(), 2);
+        assert_eq!(ring_size(&m), 2);
     }
 }

@@ -24,30 +24,28 @@
 //!   (the receiver re-verifies the checksum before storing).
 //!
 //! One request path: [`Router::compile`] is [`Router::compile_batch`] of
-//! one item. Items are keyed, a batch of several is scattered by owner,
-//! and whatever is still unanswered — all of a one-item request — walks
-//! the hedged item stage; every reply, scattered or hedged, is classified
-//! and settled by the same code.
+//! one item. Its [`ShardedClient`] keys the items, scatters a batch of
+//! several by owner and keeps shard health; whatever is still unanswered
+//! — all of a one-item request — walks the hedged item stage, and every
+//! reply, scattered or hedged, is settled by the same code.
 //!
 //! Every random decision (jitter, injected chaos) is drawn from one
 //! SplitMix64 stream seeded by `seed ^ fnv1a64(key) ^ request index`,
 //! and drawn *before* any thread is spawned, so a same-seed replay of
 //! the same request sequence makes byte-identical decisions.
 
-use crate::client::{run_leg, scatter, Client, ConnPool, Endpoint};
+use crate::client::{run_leg, Client, Endpoint, ShardedClient};
 use crate::faults::{LegChaos, NetChaos};
 use crate::hash::{fnv1a64, hex_digest};
 use crate::json::Json;
-use crate::membership::Membership;
 use crate::protocol::{error_response, ok_with, BatchItem, CompileReply, Request, Verdict};
-use crate::service::routing_key;
 use crate::stats::ShardMetrics;
 use polyject_arith::SplitMix64;
 use polyject_gpusim::GpuModel;
 use std::collections::{HashMap, HashSet};
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`Router`].
@@ -55,8 +53,6 @@ use std::time::{Duration, Instant};
 pub struct RouterConfig {
     /// The backend `polyjectd` endpoints (the initial membership).
     pub shards: Vec<Endpoint>,
-    /// Replication factor for hot keys (and the failover fan-out).
-    pub replication: usize,
     /// How long the primary leg runs before a hedge leg is fired.
     pub hedge_after: Duration,
     /// Retry attempts after the first (each walks to the next replica).
@@ -81,7 +77,6 @@ impl Default for RouterConfig {
     fn default() -> RouterConfig {
         RouterConfig {
             shards: Vec::new(),
-            replication: 2,
             hedge_after: Duration::from_millis(30),
             retries: 3,
             backoff_base: Duration::from_millis(20),
@@ -113,13 +108,11 @@ struct Attempt {
 /// replication, and warm transfer over a fleet of daemons.
 pub struct Router {
     config: RouterConfig,
-    membership: Mutex<Membership>,
+    /// The ring walk: keying, scatter, shard health, kept connections.
+    client: ShardedClient,
     metrics: Mutex<HashMap<String, ShardMetrics>>,
     chaos: Option<Mutex<NetChaos>>,
     hot: Mutex<HashMap<String, HotKey>>,
-    /// Kept-open shard connections (shared with hedge leg threads, which
-    /// may outlive the attempt that spawned them).
-    pool: Arc<ConnPool>,
     /// Per-router token mixed into request ids. Cancels address solves
     /// by id on shared daemons, so ids must be globally unique across
     /// router processes and restarts — two routers counting from the
@@ -143,14 +136,12 @@ impl Router {
                 ^ INSTANCE_SEQ.fetch_add(1, Ordering::Relaxed),
         )
         .next_u64();
-        let membership = Membership::new(config.shards.clone());
         Router {
+            client: ShardedClient::new(config.shards.clone(), config.gpu.clone()),
             config,
-            membership: Mutex::new(membership),
             metrics: Mutex::new(HashMap::new()),
             chaos: None,
             hot: Mutex::new(HashMap::new()),
-            pool: Arc::default(),
             instance,
             next_req: AtomicU64::new(0),
             requests: AtomicU64::new(0),
@@ -190,12 +181,8 @@ impl Router {
         map.values().map(&pick).sum()
     }
 
-    fn members(&self) -> MutexGuard<'_, Membership> {
-        self.membership.lock().expect("membership lock")
-    }
-
     fn endpoints(&self) -> Vec<Endpoint> {
-        let m = self.members();
+        let m = self.client.members();
         m.shards().iter().map(|s| s.endpoint.clone()).collect()
     }
 
@@ -215,8 +202,8 @@ impl Router {
         endpoint: &Endpoint,
         send: impl Fn(&mut Client) -> io::Result<T>,
     ) -> io::Result<T> {
-        let timeout = Some(self.config.io_timeout);
-        run_leg(&self.pool, endpoint, timeout, LegChaos::default(), send)
+        let (pool, timeout) = (&self.client.pool, Some(self.config.io_timeout));
+        run_leg(pool, endpoint, timeout, LegChaos::default(), send)
     }
 
     /// Pre-draws the chaos verdicts for one leg. Always called on the
@@ -237,14 +224,13 @@ impl Router {
         replies.pop().expect("one reply per item")
     }
 
-    /// Compiles a batch, one reply per item in request order. Items are
-    /// keyed on the request thread (parse errors answered immediately,
-    /// no shard contact); a batch of more than one then goes through the
-    /// scatter stage (`scatter_stage`); whatever is still
-    /// unanswered — every item of a one-item request, and the items a
-    /// sub-batch could not settle (dead shard, poisoned connection,
-    /// retryable reply) — walks the hedged/retried/failed-over item
-    /// stage (`item_stage`) sequentially in item order.
+    /// Compiles a batch, one reply per item in request order. The client
+    /// keys the items (parse errors answered at once, no shard contact)
+    /// and scatters a batch of several; its barrier keeps the item
+    /// stage's RNG draws in item order. Whatever is still unanswered —
+    /// all of a one-item request, and what a sub-batch could not settle
+    /// (dead shard, poisoned connection, retryable reply) — walks the
+    /// hedged/retried/failed-over item stage sequentially in item order.
     ///
     /// Chaos verdicts are pre-drawn on the request thread and the item
     /// stage is sequential, so a same-seed replay of the same request
@@ -252,65 +238,29 @@ impl Router {
     pub fn compile_batch(&self, items: &[BatchItem]) -> Vec<Json> {
         self.requests
             .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let keyed: Vec<Result<String, Json>> = items
-            .iter()
-            .map(|it| {
-                routing_key(&it.src, &it.config, &self.config.gpu)
-                    .map_err(|e| error_response(&format!("parse error: {e}")))
-            })
-            .collect();
+        let keys: Vec<Result<String, Json>> = items.iter().map(|it| self.client.key(it)).collect();
         let scattered = items.len() > 1;
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         if scattered {
-            self.scatter_stage(items, &keyed, &mut slots);
+            let plan = |endpoint: &Endpoint, n: usize| {
+                self.with_metrics(endpoint, |m| m.requests += n as u64);
+                self.plan_leg(endpoint)
+            };
+            let settle = |key: &str, by: &Endpoint, resp| self.settle(key, by, resp, false).ok();
+            let timeout = Some(self.config.io_timeout);
+            let broken = self
+                .client
+                .scatter(items, &keys, &mut slots, timeout, plan, settle);
+            for endpoint in broken {
+                self.with_metrics(&endpoint, |m| m.connect_failures += 1);
+            }
         }
-        (items.iter().zip(keyed).zip(slots))
+        (items.iter().zip(keys).zip(slots))
             .map(|((item, key), slot)| match (slot, key) {
                 (Some(resp), _) | (None, Err(resp)) => resp,
                 (None, Ok(key)) => self.item_stage(item, &key, scattered),
             })
             .collect()
-    }
-
-    /// The scatter stage: keyed items are partitioned by owning shard,
-    /// each shard receives its sub-batch as ONE `compile_batch` frame
-    /// over one connection, all sub-batches are gathered (full barrier,
-    /// so the item stage's RNG draws happen in item order no matter
-    /// which shard answered first), and every reply that settles fills
-    /// its slot. A broken leg or a retryable reply leaves the slot
-    /// empty for the item stage.
-    fn scatter_stage(
-        &self,
-        items: &[BatchItem],
-        keyed: &[Result<String, Json>],
-        slots: &mut [Option<Json>],
-    ) {
-        let with_key = keyed
-            .iter()
-            .enumerate()
-            .filter_map(|(i, k)| Some((i, k.as_ref().ok()?.as_str())));
-        let groups = self
-            .members()
-            .partition_by_owner(with_key, self.config.replication.max(2));
-        let chaos = groups.iter().map(|(ep, _)| self.plan_leg(ep)).collect();
-        for (endpoint, idxs) in &groups {
-            self.with_metrics(endpoint, |m| m.requests += idxs.len() as u64);
-        }
-        let io_timeout = Some(self.config.io_timeout);
-        let gathered = scatter(&self.pool, items, &groups, chaos, io_timeout);
-        for ((endpoint, idxs), leg) in groups.iter().zip(gathered) {
-            match leg {
-                Ok(replies) => {
-                    for (&i, resp) in idxs.iter().zip(replies) {
-                        let key = keyed[i].as_ref().expect("only keyed items scatter");
-                        slots[i] = self.settle(key, endpoint, resp, false).ok();
-                    }
-                }
-                // Dead shard mid-scatter, partition, poisoned connection:
-                // the whole sub-batch falls to the item stage.
-                Err(_) => self.strike(endpoint),
-            }
-        }
     }
 
     /// The item stage: up to `1 + retries` hedged attempts walking the
@@ -321,9 +271,7 @@ impl Router {
     fn item_stage(&self, item: &BatchItem, key: &str, rerouted: bool) -> Json {
         let req_index = self.next_req.fetch_add(1, Ordering::Relaxed);
         let mut rng = SplitMix64::new(self.config.seed ^ fnv1a64(key.as_bytes()) ^ req_index);
-        let candidates = self
-            .members()
-            .replicas_for(key, self.config.replication.max(2));
+        let candidates = self.client.replicas(key);
         if candidates.is_empty() {
             return error_response("no shards configured");
         }
@@ -352,7 +300,8 @@ impl Router {
             }
             let tried = self.hedged_attempt(item, req_index, attempt, &legs);
             for (ep, why) in &tried.broken {
-                self.strike(ep);
+                self.client.members().record_failure(ep);
+                self.with_metrics(ep, |m| m.connect_failures += 1);
                 last_failure = format!("{ep}: {why}");
             }
             if let Some((by, resp)) = tried.answer {
@@ -361,7 +310,10 @@ impl Router {
                 // way the fleet routed around a failure.
                 let rerouted = rerouted || attempt > 0 || !tried.broken.is_empty();
                 match self.settle(key, &by, resp, rerouted) {
-                    Ok(frame) => return frame,
+                    Ok(frame) => {
+                        self.client.members().record_success(&by);
+                        return frame;
+                    }
                     Err(why) => last_failure = why,
                 }
             }
@@ -373,14 +325,13 @@ impl Router {
         ))
     }
 
-    /// Settles the frame `by` answered for `key` — the membership and
-    /// [`ShardMetrics`] updates of every reply, scattered or hedged.
-    /// `Ok` is the caller's final frame; `Err` says why to try another
-    /// replica.
+    /// Settles the frame `by` answered for `key` — the [`ShardMetrics`]
+    /// updates of every reply, scattered or hedged. `Ok` is the caller's
+    /// final frame (and a success for `by`'s health); `Err` says why to
+    /// try another replica.
     fn settle(&self, key: &str, by: &Endpoint, resp: Json, rerouted: bool) -> Result<Json, String> {
         match Verdict::of(&resp) {
             Verdict::Ok => {
-                self.members().record_success(by);
                 let cached = resp.get("cached").and_then(Json::as_bool) == Some(true);
                 self.with_metrics(by, |m| {
                     m.ok += 1;
@@ -391,7 +342,6 @@ impl Router {
                 Ok(tag_via(resp, by))
             }
             Verdict::Final => {
-                self.members().record_success(by);
                 self.with_metrics(by, |m| m.errors += 1);
                 Ok(resp)
             }
@@ -404,14 +354,6 @@ impl Router {
                 Err(format!("{by}: {why}"))
             }
         }
-    }
-
-    /// Records a leg that failed at the socket level: a health strike
-    /// (the shard is deprioritized until a success heals it) and a
-    /// `connect_failures` tick.
-    fn strike(&self, endpoint: &Endpoint) {
-        self.members().record_failure(endpoint);
-        self.with_metrics(endpoint, |m| m.connect_failures += 1);
     }
 
     /// Runs one attempt: the primary leg in a worker thread, the hedge
@@ -444,7 +386,7 @@ impl Router {
                 m.hedges_fired += u64::from(leg == 1);
             });
             let tagged = Request::compile(&item.src, &item.config, Some(req_of(leg)));
-            let (tx, pool) = (tx.clone(), Arc::clone(&self.pool));
+            let (tx, pool) = (tx.clone(), Arc::clone(&self.client.pool));
             std::thread::spawn(move || {
                 let outcome = run_leg(&pool, &endpoint, Some(io_timeout), chaos, |c| {
                     c.request(&tagged)
@@ -569,9 +511,7 @@ impl Router {
     /// Pushes one entry to every ring replica except the shard that just
     /// served it. True only if every push landed.
     fn replicate(&self, reply: &CompileReply, served_by: &Endpoint) -> bool {
-        let mut targets = self
-            .members()
-            .replicas_for(&reply.key, self.config.replication);
+        let mut targets = self.client.replicas(&reply.key);
         targets.retain(|e| e != served_by);
         let payload = reply.to_json();
         let checksum = hex_digest(&payload.render());
@@ -616,7 +556,7 @@ impl Router {
     /// rest of the fleet. Returns a progress report; transfer failures
     /// are counted, not fatal (rerunning the join resumes the transfer).
     pub fn join(&self, endpoint: &Endpoint) -> Json {
-        let added = self.members().add(endpoint.clone());
+        let added = self.client.members().add(endpoint.clone());
         let report = self.rebalance();
         membership_report("join", added, report)
     }
@@ -625,7 +565,7 @@ impl Router {
     /// re-homed first (planned decommission); a dead shard is simply
     /// dropped and its keys re-converge from replicas.
     pub fn leave(&self, endpoint: &Endpoint) -> Json {
-        let removed = self.members().remove(endpoint);
+        let removed = self.client.members().remove(endpoint);
         let report = self.rebalance();
         membership_report("leave", removed, report)
     }
@@ -634,7 +574,7 @@ impl Router {
     /// offered to the ring owners that do not hold them yet. Returns
     /// `(moved, skipped, failed)`.
     pub fn rebalance(&self) -> (u64, u64, u64) {
-        let (endpoints, replication) = (self.endpoints(), self.config.replication);
+        let endpoints = self.endpoints();
         // Snapshot who holds what (unreachable shards contribute nothing
         // and receive nothing this pass — the next pass resumes).
         let mut held: HashMap<String, HashSet<String>> = HashMap::new();
@@ -649,8 +589,7 @@ impl Router {
                 .map(|s| s.iter().cloned().collect())
                 .unwrap_or_default();
             for key in src_keys {
-                let owners = self.members().replicas_for(&key, replication);
-                for owner in owners {
+                for owner in self.client.replicas(&key) {
                     if owner == *src_ep {
                         continue;
                     }
@@ -736,16 +675,13 @@ impl Router {
         let held: Vec<Option<HashSet<String>>> = (endpoints.iter())
             .map(|ep| Some(self.shard_keys(ep)?.into_iter().collect()))
             .collect();
-        // One membership lock and one ring walk per key — not per
-        // (key x shard) — so a deep metrics probe cannot stall
+        // One ring walk per key — not per (key x shard) — each under its
+        // own short membership lock, so a deep metrics probe cannot stall
         // concurrent compile routing on a large cache.
         let all_keys: HashSet<&String> = held.iter().flatten().flatten().collect();
-        let owners_by_key: Vec<(&String, Vec<Endpoint>)> = {
-            let m = self.members();
-            (all_keys.into_iter())
-                .map(|k| (k, m.replicas_for(k, self.config.replication)))
-                .collect()
-        };
+        let owners_by_key: Vec<(&String, Vec<Endpoint>)> = (all_keys.into_iter())
+            .map(|k| (k, self.client.replicas(k)))
+            .collect();
         (endpoints.iter().zip(&held))
             .map(|(ep, keys)| {
                 let lag = keys.as_ref().map_or(-1, |keys| {
@@ -805,19 +741,42 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     #[test]
-    fn parse_errors_fail_fast_without_touching_shards() {
+    #[cfg(unix)]
+    fn client_and_router_route_alike_and_answer_parse_errors_locally() {
+        use crate::transport::testing::TestServer;
+        let shards: Vec<TestServer> = (0..3)
+            .map(|i| TestServer::start(&format!("agree{i}"), false, |_, _| false))
+            .collect();
+        let eps: Vec<Endpoint> = shards.iter().map(|s| s.endpoint.clone()).collect();
+        let mut sc = ShardedClient::new(eps.clone(), GpuModel::v100());
         let router = Router::new(RouterConfig {
-            shards: vec![Endpoint::parse("/nonexistent/shard.sock").unwrap()],
+            shards: eps,
             ..RouterConfig::default()
         });
-        let resp = router.compile("kernel {{{ not a kernel", "infl");
-        assert_eq!(resp.get("status").and_then(Json::as_str), Some("error"));
-        assert!(
-            resp.str_field("message").unwrap().contains("parse error"),
-            "{}",
-            resp.render()
-        );
-        assert_eq!(router.total(|m| m.requests), 0, "no shard was contacted");
+        let nets = polyject_workloads::all_networks();
+        for op in polyject_workloads::unique_ops(&nets).0 {
+            let src = polyject_front::emit_pj(&op.build()).expect("Table II op as .pj");
+            for config in ["isl", "novec", "infl"] {
+                let route = sc.route(&src, config);
+                assert_eq!(route.len(), 2);
+                assert_eq!(router.client.route(&src, config), route);
+            }
+        }
+        // An unparsable source: `parse error` from both, no shard touched.
+        let bad = ["kernel {{{", "("].map(|src| BatchItem::new(src, "infl"));
+        let (mut replies, round_trips) = sc.compile_batch(&bad);
+        replies.push(sc.compile("(", "isl").unwrap());
+        replies.extend(router.compile_batch(&bad));
+        replies.push(router.compile("(", "isl"));
+        for reply in &replies {
+            let message = reply.str_field("message").unwrap_or_default();
+            assert!(message.starts_with("parse error"), "{}", reply.render());
+        }
+        assert_eq!((round_trips, router.total(|m| m.requests)), (0, 0));
+        for shard in shards {
+            assert_eq!(shard.accepts.load(Ordering::SeqCst), 0);
+            shard.stop();
+        }
     }
 
     #[test]
@@ -841,12 +800,17 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
             resp.render()
         );
         assert!(router.total(|m| m.connect_failures) >= 2);
-        // The failed shards accrued health strikes.
-        let router_membership = router.membership.lock().unwrap();
-        assert!(router_membership
+        // The failed shards accrued health strikes, and the metrics list
+        // every shard.
+        assert!(router
+            .client
+            .members()
             .shards()
             .iter()
             .all(|s| s.consecutive_failures > 0));
+        let m = router.metrics_json(false);
+        assert_eq!(m.get("status").and_then(Json::as_str), Some("ok"));
+        assert_eq!(m.get("shards").and_then(Json::as_arr).unwrap().len(), 2);
     }
 
     #[test]
@@ -856,19 +820,5 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert_eq!(r.get("moved").and_then(Json::as_u64), Some(3));
         assert_eq!(r.get("skipped").and_then(Json::as_u64), Some(1));
         assert_eq!(r.get("failed").and_then(Json::as_u64), Some(2));
-    }
-
-    #[test]
-    fn metrics_json_lists_every_shard() {
-        let router = Router::new(RouterConfig {
-            shards: vec![
-                Endpoint::parse("/nonexistent/a.sock").unwrap(),
-                Endpoint::parse("/nonexistent/b.sock").unwrap(),
-            ],
-            ..RouterConfig::default()
-        });
-        let m = router.metrics_json(false);
-        assert_eq!(m.get("status").and_then(Json::as_str), Some("ok"));
-        assert_eq!(m.get("shards").and_then(Json::as_arr).unwrap().len(), 2);
     }
 }

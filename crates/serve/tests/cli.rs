@@ -93,6 +93,8 @@ fn usage_errors_exit_nonzero_with_usage_on_stderr_and_nothing_on_stdout() {
         (POLYJECT_CACHE, &["dir", "rm"], "argument count"),
         (POLYJECTD, &["--sockte", "x"], "unexpected argument --sockte"),
         (POLYJECT_ROUTER, &["--shrad", "x"], "unexpected argument --shrad"),
+        // The fan-out is fixed at a key's two replicas.
+        (POLYJECT_ROUTER, &["--shard", "a.sock", "--replication", "2"], "unexpected argument --replication"),
         (POLYJECT_ROUTER, &[], "at least one --shard"),
         // Non-integers.
         (POLYJECTC, &[file, "--tune", "--tune-seed", "0x7"], "--tune-seed needs an integer"),

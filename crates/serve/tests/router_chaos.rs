@@ -306,7 +306,6 @@ fn killed_shard_fails_over_to_warm_replica() {
         .collect();
     let router = Router::new(RouterConfig {
         shards: daemons.iter().map(|d| d.endpoint.clone()).collect(),
-        replication: 2,
         hot_threshold: 2,
         retries: 2,
         hedge_after: Duration::from_secs(5),
@@ -511,7 +510,6 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
 
     let router = Router::new(RouterConfig {
         shards: vec![a.endpoint.clone(), b.endpoint.clone()],
-        replication: 2,
         retries: 1,
         hedge_after: Duration::from_millis(50),
         io_timeout: Duration::from_secs(120),
@@ -578,7 +576,6 @@ fn broken_hedge_leg_does_not_beat_healthy_leg() {
     let dead = Endpoint::Unix(root.join("dead.sock"));
     let router = Router::new(RouterConfig {
         shards: vec![a.endpoint.clone(), dead],
-        replication: 2,
         retries: 1,
         // The hedge (whichever leg lands on the dead socket) always
         // reports Broken long before the healthy compile finishes: the
@@ -740,7 +737,6 @@ fn shard_death_mid_scatter_degrades_to_failover() {
         .collect();
     let router = Router::new(RouterConfig {
         shards: daemons.iter().map(|d| d.endpoint.clone()).collect(),
-        replication: 2,
         retries: 2,
         hedge_after: Duration::from_secs(5),
         backoff_base: Duration::from_millis(2),
@@ -912,7 +908,6 @@ fn torn_warm_transfer_is_rejected_then_resumed() {
         .collect();
     let router = Router::new(RouterConfig {
         shards: daemons.iter().map(|d| d.endpoint.clone()).collect(),
-        replication: 2,
         hot_threshold: 1000, // keep auto-replication out of the way
         hedge_after: Duration::from_secs(5),
         retries: 1,

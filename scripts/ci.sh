@@ -24,7 +24,8 @@
 # through the router, a batched CLI leg with in-batch dedup plus
 # fleet-aggregated stats, owner shard killed, warm hit served by its
 # replica with zero solver work, the owner's cache directory then serving
-# that kernel cached to a restarted daemon and indexing exactly its files).
+# that kernel cached to a restarted daemon and indexing exactly its files),
+# and a size gate (crates/serve/src under a line ceiling).
 #
 # Everything here works without network access; fmt/clippy are skipped
 # with a notice if the toolchain components are missing.
@@ -426,9 +427,19 @@ echo "ok: cold compile via router, owner killed, warm hit via replica; dead shar
 echo "    and served cached after a restart, its index equal to entries/"
 
 step "size gate (ROADMAP item 1): crates/serve/src line count"
-for dir in crates/serve/src crates/sets/src; do
-  echo "$dir: $(find "$dir" -name '*.rs' -print0 | xargs -0 cat | wc -l) lines"
+# The serving tier may shrink, never grow: lower the ceiling with any
+# change that deletes serve code. The other counts are printed only.
+serve_ceiling=9356
+lines_in() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
+serve_lines="$(lines_in crates/serve/src)"
+for dir in crates/arith/src crates/sets/src; do
+  echo "$dir: $(lines_in "$dir") lines"
 done
+if [ "$serve_lines" -gt "$serve_ceiling" ]; then
+  echo "crates/serve/src: $serve_lines lines, above the ceiling of $serve_ceiling" >&2
+  exit 1
+fi
+echo "ok: crates/serve/src: $serve_lines lines (ceiling $serve_ceiling)"
 
 echo
 echo "CI gate passed."

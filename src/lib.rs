@@ -14,7 +14,7 @@
 //!
 //! | module | crate | role |
 //! |---|---|---|
-//! | [`arith`] | `polyject-arith` | exact rationals, matrices, Hermite normal form |
+//! | [`arith`] | `polyject-arith` | exact rationals, matrices, integer kernels |
 //! | [`sets`] | `polyject-sets` | constraint sets, simplex, ILP, Fourier–Motzkin |
 //! | [`ir`] | `polyject-ir` | kernels, statements, accesses, executable expressions |
 //! | [`deps`] | `polyject-deps` | dependence relations, dependence graph, SCCs |
