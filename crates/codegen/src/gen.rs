@@ -45,14 +45,11 @@ pub fn generate_ast(kernel: &Kernel, schedule: &Schedule) -> Ast {
     let depth = schedule.depth();
     let gspace = depth + n_params; // global space: [t_0..t_{depth-1}, params]
 
-    let stmts: Vec<GenStmt> = kernel
-        .statements()
-        .iter()
-        .enumerate()
-        .map(|(i, _)| GenStmt::new(kernel, schedule, StmtId(i), depth, gspace))
+    let stmts: Vec<GenStmt> = (0..kernel.statements().len())
+        .map(|i| GenStmt::new(kernel, schedule, StmtId(i), depth))
         .collect();
 
-    let mut gen = Generator {
+    let gen = Generator {
         schedule,
         depth,
         gspace,
@@ -75,16 +72,13 @@ struct GenStmt {
     iter_exprs: Vec<LinExpr>,
     /// Accumulated guards (bounds not absorbed into loop bounds).
     guards: Vec<Constraint>,
+    /// Whether the domain is known to have an instance at the kernel's
+    /// default parameter values (see [`holds_lower_corner`]).
+    inhabited: bool,
 }
 
 impl GenStmt {
-    fn new(
-        kernel: &Kernel,
-        schedule: &Schedule,
-        id: StmtId,
-        depth: usize,
-        _gspace: usize,
-    ) -> GenStmt {
+    fn new(kernel: &Kernel, schedule: &Schedule, id: StmtId, depth: usize) -> GenStmt {
         let stmt = kernel.statement(id);
         let n_iters = stmt.n_iters();
         let n_params = kernel.n_params();
@@ -139,6 +133,7 @@ impl GenStmt {
             time_poly,
             iter_exprs: recover_iterators(kernel, schedule, id, depth),
             guards: Vec::new(),
+            inhabited: holds_lower_corner(stmt.domain(), n_iters, kernel.param_defaults()),
         }
     }
 
@@ -223,6 +218,55 @@ fn recover_iterators(
     out
 }
 
+/// Whether `domain` (over `[iters, params]`) contains its lower corner at
+/// the parameter values `params`: each iterator at the largest lower bound
+/// that an inequality on it alone states (0 without one). `true` proves
+/// the domain has an instance there without a solve; `false` proves
+/// nothing (the IR can build a statement that is empty at its defaults,
+/// e.g. `for i in 5..3` or a zero-valued extent parameter).
+fn holds_lower_corner(domain: &ConstraintSet, n_iters: usize, params: &[i64]) -> bool {
+    let mut point: Vec<i128> = vec![0; n_iters];
+    point.extend(params.iter().map(|&v| i128::from(v)));
+    for it in 0..n_iters {
+        // Iterators `it..` are still 0, so a constraint on `it` alone
+        // evaluates to its parameter part.
+        point[it] = domain
+            .constraints()
+            .iter()
+            .filter(|c| {
+                let e = c.expr();
+                !c.is_equality()
+                    && e.coeff(it).is_positive()
+                    && (0..n_iters).all(|j| j == it || e.coeff(j).is_zero())
+            })
+            .map(|c| (-c.expr().eval_int(&point) / c.expr().coeff(it)).ceil())
+            .max()
+            .unwrap_or(0);
+    }
+    domain.contains_int(&point)
+}
+
+/// A statement at one level `d` of the generation, with the projection of
+/// its time polyhedron onto `[t_0..t_d, params]` once clustering, a date
+/// query or the loop bounds first ask for it. It lives for one level of
+/// one [`generate_ast`] call: the cluster it lands in carries it to the
+/// loop it becomes, and the next level starts from the statement.
+struct LevelStmt {
+    stmt: GenStmt,
+    proj: Option<ConstraintSet>,
+}
+
+impl LevelStmt {
+    /// The projection onto `[t_0..t_d, params]`, eliminating
+    /// `t_{d+1}..t_{depth-1}` in that order.
+    fn proj(&mut self, d: usize, depth: usize) -> &ConstraintSet {
+        self.proj.get_or_insert_with(|| {
+            let elim: Vec<usize> = (d + 1..depth).collect();
+            eliminate_vars(&self.stmt.time_poly, &elim)
+        })
+    }
+}
+
 struct Generator<'a> {
     schedule: &'a Schedule,
     depth: usize,
@@ -232,7 +276,7 @@ struct Generator<'a> {
 }
 
 impl Generator<'_> {
-    fn generate(&mut self, stmts: Vec<GenStmt>, d: usize) -> Vec<AstNode> {
+    fn generate(&self, stmts: Vec<GenStmt>, d: usize) -> Vec<AstNode> {
         if stmts.is_empty() {
             return Vec::new();
         }
@@ -248,24 +292,27 @@ impl Generator<'_> {
         // Statements whose time ranges at this dimension cannot overlap
         // are emitted as separate consecutive constructs, ordered by their
         // minimum date (Quilleré-style splitting, restricted to the whole-
-        // range granularity this domain needs).
-        let clusters = self.cluster_by_overlap(&stmts, d);
-        if clusters.len() > 1 {
-            let mut out = Vec::new();
-            for c in clusters {
-                out.extend(self.generate(c, d));
-            }
-            return out;
-        }
+        // range granularity this domain needs). A cluster is a connected
+        // component of the overlap relation, so clustering it again would
+        // return it unchanged: each is emitted as it stands.
+        let level = stmts
+            .into_iter()
+            .map(|stmt| LevelStmt { stmt, proj: None })
+            .collect();
+        self.cluster_by_overlap(level, d)
+            .into_iter()
+            .flat_map(|c| self.generate_cluster(c, d))
+            .collect()
+    }
 
-        let consts: Vec<&GenStmt> = stmts
-            .iter()
-            .filter(|s| s.row_const(self.schedule, d).is_some())
-            .collect();
-        let loops: Vec<&GenStmt> = stmts
-            .iter()
-            .filter(|s| s.row_const(self.schedule, d).is_none())
-            .collect();
+    /// Emits one cluster of [`Generator::cluster_by_overlap`] at dimension
+    /// `d`: a run of scalar constructs, or one loop with the constant-row
+    /// statements placed before, inside or after it.
+    fn generate_cluster(&self, stmts: Vec<LevelStmt>, d: usize) -> Vec<AstNode> {
+        let (consts, loops): (Vec<LevelStmt>, Vec<LevelStmt>) = stmts
+            .into_iter()
+            .partition(|s| s.stmt.row_const(self.schedule, d).is_some());
+        let consts: Vec<GenStmt> = consts.into_iter().map(|s| s.stmt).collect();
 
         if loops.is_empty() {
             // Pure scalar dimension: partition by constant value.
@@ -280,7 +327,7 @@ impl Generator<'_> {
                 let group: Vec<GenStmt> = consts
                     .iter()
                     .filter(|s| s.row_const(self.schedule, d) == Some(v))
-                    .map(|s| (*s).clone())
+                    .cloned()
                     .collect();
                 out.extend(self.generate(group, d + 1));
             }
@@ -288,45 +335,48 @@ impl Generator<'_> {
         }
 
         // Place each constant statement before, inside or after the loop.
+        let loop_stmts: Vec<&GenStmt> = loops.iter().map(|l| &l.stmt).collect();
         let mut before: Vec<GenStmt> = Vec::new();
         let mut inside: Vec<GenStmt> = Vec::new();
         let mut after: Vec<GenStmt> = Vec::new();
-        for c in &consts {
+        for mut c in consts {
             let v = c.row_const(self.schedule, d).expect("constant row");
-            match self.placement(c, v, &loops, d) {
-                Placement::Before => before.push((*c).clone()),
-                Placement::After => after.push((*c).clone()),
+            match self.placement(&c, v, &loop_stmts, d) {
+                Placement::Before => before.push(c),
+                Placement::After => after.push(c),
                 Placement::Inside => {
-                    let mut s = (*c).clone();
                     // Guard t_d == v.
                     let mut e = LinExpr::var(self.gspace, d);
                     e.set_constant(-v);
-                    s.guards.push(Constraint::eq0(e));
-                    inside.push(s);
+                    c.guards.push(Constraint::eq0(e));
+                    inside.push(c);
                 }
             }
         }
 
-        let mut out = Vec::new();
-        out.extend(self.generate(before, d + 1));
-        out.push(self.emit_loop(&loops, inside, d));
+        let mut out = self.generate(before, d + 1);
+        out.push(self.emit_loop(loops, inside, d));
         out.extend(self.generate(after, d + 1));
         out
     }
 
-    /// Groups statements into clusters whose `t_d` ranges may overlap
-    /// (union-find over pairwise integer-feasibility of the intersected
-    /// time polyhedra), ordered by minimum date under the kernel's default
-    /// parameter values.
-    fn cluster_by_overlap(&self, stmts: &[GenStmt], d: usize) -> Vec<Vec<GenStmt>> {
+    /// Groups statements into clusters: the connected components of "the
+    /// `t_d` ranges overlap", where a pair overlaps when the intersection
+    /// of its projected time polyhedra has an integer point. The ILP is
+    /// asked only what the union-find and the schedule do not answer: a
+    /// pair already in one component is not tested, nor is a pair whose
+    /// rows at `d` are two different constants (`t_d = x ∧ t_d = y` is
+    /// empty). With more than one cluster, clusters are ordered by their
+    /// minimum date under the kernel's default parameter values (stable
+    /// on ties), each member's date computed once.
+    fn cluster_by_overlap(&self, mut stmts: Vec<LevelStmt>, d: usize) -> Vec<Vec<LevelStmt>> {
         let n = stmts.len();
         if n <= 1 {
-            return vec![stmts.to_vec()];
+            return vec![stmts];
         }
-        let elim: Vec<usize> = (d + 1..self.depth).collect();
-        let projs: Vec<ConstraintSet> = stmts
+        let consts: Vec<Option<i128>> = stmts
             .iter()
-            .map(|s| eliminate_vars(&s.time_poly, &elim))
+            .map(|s| s.stmt.row_const(self.schedule, d))
             .collect();
         let mut parent: Vec<usize> = (0..n).collect();
         fn find(parent: &mut Vec<usize>, x: usize) -> usize {
@@ -338,37 +388,56 @@ impl Generator<'_> {
         }
         for a in 0..n {
             for b in a + 1..n {
-                let mut both = projs[a].clone();
-                both.intersect(&projs[b]);
+                let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
+                let distinct_consts =
+                    matches!((consts[a], consts[b]), (Some(x), Some(y)) if x != y);
+                if ra == rb || distinct_consts {
+                    continue;
+                }
+                let mut both = stmts[a].proj(d, self.depth).clone();
+                both.intersect(stmts[b].proj(d, self.depth));
                 if !both.has_trivial_contradiction() && is_integer_feasible(&both) {
-                    let (ra, rb) = (find(&mut parent, a), find(&mut parent, b));
                     parent[ra] = rb;
                 }
             }
         }
-        let mut groups: Vec<(i128, Vec<GenStmt>)> = Vec::new();
-        let mut rep_of: Vec<(usize, usize)> = Vec::new(); // (root, group index)
-        for i in 0..n {
+        let mut group_of_root: Vec<Option<usize>> = vec![None; n];
+        let mut groups: Vec<Vec<LevelStmt>> = Vec::new();
+        for (i, s) in stmts.into_iter().enumerate() {
             let r = find(&mut parent, i);
-            let gi = match rep_of.iter().find(|(root, _)| *root == r) {
-                Some((_, gi)) => *gi,
-                None => {
-                    groups.push((self.min_date(&projs[i], d), Vec::new()));
-                    rep_of.push((r, groups.len() - 1));
-                    groups.len() - 1
-                }
-            };
-            groups[gi].0 = groups[gi].0.min(self.min_date(&projs[i], d));
-            groups[gi].1.push(stmts[i].clone());
+            let gi = *group_of_root[r].get_or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[gi].push(s);
         }
-        groups.sort_by_key(|(min, _)| *min);
-        groups.into_iter().map(|(_, g)| g).collect()
+        if groups.len() == 1 {
+            return groups;
+        }
+        let mut dated: Vec<(i128, Vec<LevelStmt>)> = groups
+            .into_iter()
+            .map(|mut g| {
+                let min = g
+                    .iter_mut()
+                    .map(|s| self.min_date(s, d))
+                    .min()
+                    .expect("non-empty cluster");
+                (min, g)
+            })
+            .collect();
+        dated.sort_by_key(|(min, _)| *min);
+        dated.into_iter().map(|(_, g)| g).collect()
     }
 
-    /// Minimum `t_d` of a projected time polyhedron under the default
-    /// parameter values.
-    fn min_date(&self, proj: &ConstraintSet, d: usize) -> i128 {
-        self.extreme_date(proj, d, false)
+    /// Minimum `t_d` of a statement under the default parameter values.
+    /// A constant row's minimum is its constant when the statement is
+    /// known to have an instance there; otherwise the ILP answers on the
+    /// projection (`i128::MIN / 2` when it is empty).
+    fn min_date(&self, s: &mut LevelStmt, d: usize) -> i128 {
+        match s.stmt.row_const(self.schedule, d) {
+            Some(v) if s.stmt.inhabited => v,
+            _ => self.extreme_date(s.proj(d, self.depth), d, false),
+        }
     }
 
     /// Minimum or maximum `t_d` of a projected time polyhedron under the
@@ -400,10 +469,12 @@ impl Generator<'_> {
         }
     }
 
-    fn emit_loop(&mut self, loops: &[&GenStmt], inside: Vec<GenStmt>, d: usize) -> AstNode {
+    fn emit_loop(&self, mut loops: Vec<LevelStmt>, inside: Vec<GenStmt>, d: usize) -> AstNode {
         // Bounds of t_d per statement, over [t_0..t_{d-1}, params].
-        let per_stmt: Vec<(Vec<Bound>, Vec<Bound>)> =
-            loops.iter().map(|s| self.stmt_bounds(s, d)).collect();
+        let per_stmt: Vec<(Vec<Bound>, Vec<Bound>)> = loops
+            .iter_mut()
+            .map(|s| stmt_bounds(s.proj(d, self.depth), d))
+            .collect();
         // Shared bounds: those present in every statement's list.
         let mut shared_lowers = shared_bounds(per_stmt.iter().map(|(l, _)| l));
         let mut shared_uppers = shared_bounds(per_stmt.iter().map(|(_, u)| u));
@@ -414,11 +485,10 @@ impl Generator<'_> {
             // parametricity, which concrete-shape fused operators don't
             // have anyway.
             let (mut lo, mut hi) = (i128::MAX, i128::MIN);
-            for s in loops {
-                let elim: Vec<usize> = (d + 1..self.depth).collect();
-                let proj = eliminate_vars(&s.time_poly, &elim);
-                lo = lo.min(self.extreme_date(&proj, d, false));
-                hi = hi.max(self.extreme_date(&proj, d, true));
+            for s in &mut loops {
+                let proj = s.proj(d, self.depth);
+                lo = lo.min(self.extreme_date(proj, d, false));
+                hi = hi.max(self.extreme_date(proj, d, true));
             }
             assert!(lo <= hi, "empty union loop range at dim {d}");
             shared_lowers = vec![Bound {
@@ -431,8 +501,8 @@ impl Generator<'_> {
             }];
         }
         let mut body_stmts: Vec<GenStmt> = Vec::new();
-        for (s, (lo, up)) in loops.iter().zip(&per_stmt) {
-            let mut gs = (*s).clone();
+        for (s, (lo, up)) in loops.into_iter().zip(&per_stmt) {
+            let mut gs = s.stmt;
             // Residual bounds become guards.
             for b in lo {
                 if !shared_lowers.contains(b) {
@@ -463,28 +533,6 @@ impl Generator<'_> {
             step: 1,
             body,
         })
-    }
-
-    /// Bounds of `t_d` for one statement, with variables `t_d..` removed
-    /// from the expressions (they are zero after projection).
-    fn stmt_bounds(&self, s: &GenStmt, d: usize) -> (Vec<Bound>, Vec<Bound>) {
-        // Project onto [t_0..t_d, params]: eliminate t_{d+1}..t_{depth-1}.
-        let elim: Vec<usize> = (d + 1..self.depth).collect();
-        let proj = eliminate_vars(&s.time_poly, &elim);
-        let vb = bounds_for_var(&proj, d);
-        let conv = |(e, div): &(LinExpr, Rat)| {
-            // Normalize divisor to an integer (bounds_for_var yields the
-            // raw coefficient, integer by construction).
-            let div = div.to_integer().expect("integer divisor");
-            Bound {
-                expr: e.clone(),
-                divisor: div,
-            }
-        };
-        (
-            vb.lowers.iter().map(conv).collect(),
-            vb.uppers.iter().map(conv).collect(),
-        )
     }
 
     /// Decides where a constant-row statement sits relative to a loop at
@@ -536,8 +584,6 @@ impl Generator<'_> {
     /// dimension where both rows are constants with different values, and
     /// by statement order if all deeper constant rows tie.
     fn const_sorts_before(&self, a: &GenStmt, b: &GenStmt, d: usize) -> bool {
-        let ra = self.schedule.stmt(a.id);
-        let rb = self.schedule.stmt(b.id);
         for dd in d + 1..self.depth {
             match (
                 a.row_const(self.schedule, dd),
@@ -548,7 +594,6 @@ impl Generator<'_> {
                 _ => return false, // undecidable syntactically
             }
         }
-        let _ = (ra, rb);
         a.id < b.id
     }
 
@@ -566,6 +611,26 @@ enum Placement {
     Before,
     Inside,
     After,
+}
+
+/// Bounds of `t_d` in a statement's projection onto `[t_0..t_d, params]`,
+/// with variables `t_d..` removed from the expressions (they are zero after
+/// projection).
+fn stmt_bounds(proj: &ConstraintSet, d: usize) -> (Vec<Bound>, Vec<Bound>) {
+    let vb = bounds_for_var(proj, d);
+    let conv = |(e, div): &(LinExpr, Rat)| {
+        // Normalize divisor to an integer (bounds_for_var yields the raw
+        // coefficient, integer by construction).
+        let div = div.to_integer().expect("integer divisor");
+        Bound {
+            expr: e.clone(),
+            divisor: div,
+        }
+    };
+    (
+        vb.lowers.iter().map(conv).collect(),
+        vb.uppers.iter().map(conv).collect(),
+    )
 }
 
 /// Bounds present in every statement's bound list.
@@ -615,6 +680,29 @@ mod tests {
         // Outer loop of X: 0 <= c1 <= N-1. Global space: [t0..t3, N].
         let (lo, hi) = loops[0].range(&[0, 0, 0, 0, 8]);
         assert_eq!((lo, hi), (0, 7));
+    }
+
+    #[test]
+    fn statement_empty_at_defaults_keeps_the_ilp_date() {
+        use polyject_ir::{ElemType, Expr, Extent, Idx, KernelBuilder, StatementBuilder};
+        // S1's domain 5 <= i <= 3 is empty, so its minimum date is no
+        // constant: the ILP finds none and orders it first, where its
+        // scalar row (1) alone would order it after S0.
+        let mut kb = KernelBuilder::new("empty_second");
+        let a = kb.tensor("A", vec![Extent::Const(8)], ElemType::F32);
+        let b = kb.tensor("B", vec![Extent::Const(8)], ElemType::F32);
+        for (name, lo, hi) in [("S0", 0, 7), ("S1", 5, 3)] {
+            let sb = StatementBuilder::new(name, &["i"])
+                .bound_range(0, lo, hi)
+                .write(b, &[Idx::Iter(0)])
+                .read(a, &[Idx::Iter(0)])
+                .expr(Expr::Read(0));
+            kb.add_statement(sb).unwrap();
+        }
+        let kernel = kb.finish().unwrap();
+        let ast = generate_ast(&kernel, &Schedule::identity(&kernel));
+        let order: Vec<StmtId> = ast.statements().iter().map(|s| s.stmt).collect();
+        assert_eq!(order, [StmtId(1), StmtId(0)]);
     }
 
     #[test]
