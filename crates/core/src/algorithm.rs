@@ -622,10 +622,10 @@ impl<'a> Driver<'a> {
         use_progression: bool,
     ) -> Result<(), ScheduleError> {
         let t0 = std::time::Instant::now();
-        let fresh = !self.base_cache.as_ref().is_some_and(|(v, p, rem)| {
+        let hit = self.base_cache.as_ref().is_some_and(|(v, p, rem)| {
             *v == self.sched_version && *p == use_progression && rem == remaining
         });
-        if !fresh {
+        if hit {
             self.stats.assemble_cache_hits += 1;
             polyject_sets::counters::add_assemble_ns(t0.elapsed().as_nanos() as u64);
             return Ok(());

@@ -228,28 +228,6 @@ impl Schedule {
         self.vector_dims[s.0]
     }
 
-    /// Compares two instances by logical date. Instances of statements
-    /// whose schedules have unequal depth are compared on the common
-    /// prefix, shorter-first on ties (matching code generation, which nests
-    /// shallower statements outside).
-    pub fn compare_instances(
-        &self,
-        (s, si): (StmtId, &[i64]),
-        (t, ti): (StmtId, &[i64]),
-        params: &[i64],
-    ) -> std::cmp::Ordering {
-        let ds = self.stmts[s.0].date(si, params);
-        let dt = self.stmts[t.0].date(ti, params);
-        let common = ds.len().min(dt.len());
-        for k in 0..common {
-            match ds[k].cmp(&dt[k]) {
-                std::cmp::Ordering::Equal => continue,
-                o => return o,
-            }
-        }
-        ds.len().cmp(&dt.len())
-    }
-
     /// Renders the schedule as text, e.g. for golden tests and the Fig. 2
     /// regenerator.
     pub fn render(&self, kernel: &Kernel) -> String {
@@ -325,12 +303,11 @@ mod tests {
     fn identity_matches_program_order() {
         let k = ops::running_example(4);
         let sched = Schedule::identity(&k);
+        let date = |s: usize, iters: &[i64]| sched.stmt(StmtId(s)).date(iters, &[4]);
         // X(2, 1) runs before Y(0, 0, 0) because of the scalar dimension.
-        let o = sched.compare_instances((StmtId(0), &[2, 1]), (StmtId(1), &[0, 0, 0]), &[4]);
-        assert_eq!(o, std::cmp::Ordering::Less);
+        assert!(date(0, &[2, 1]) < date(1, &[0, 0, 0]));
         // Within X, lexicographic iterator order.
-        let o = sched.compare_instances((StmtId(0), &[1, 3]), (StmtId(0), &[2, 0]), &[4]);
-        assert_eq!(o, std::cmp::Ordering::Less);
+        assert!(date(0, &[1, 3]) < date(0, &[2, 0]));
     }
 
     #[test]

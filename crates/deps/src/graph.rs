@@ -101,24 +101,6 @@ impl DepGraph {
             self.edges[s.0].push(t.0);
         }
     }
-
-    /// Renders the graph in Graphviz DOT syntax, labeling nodes with the
-    /// given name function.
-    pub fn to_dot(&self, name: impl Fn(StmtId) -> String) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::from("digraph deps {\n");
-        for v in 0..self.n {
-            writeln!(out, "  n{} [label=\"{}\"];", v, name(StmtId(v))).expect("write");
-        }
-        for (v, targets) in self.edges.iter().enumerate() {
-            for &t in targets {
-                writeln!(out, "  n{v} -> n{t};").expect("write");
-            }
-        }
-        out.push('}');
-        out.push('\n');
-        out
-    }
 }
 
 struct Tarjan<'g> {
@@ -208,16 +190,6 @@ mod tests {
         g.add_edge(StmtId(0), StmtId(0));
         assert_eq!(g.sccs(), vec![vec![StmtId(0)]]);
         assert!(g.has_edge(StmtId(0), StmtId(0)));
-    }
-
-    #[test]
-    fn dot_output() {
-        let mut g = DepGraph::new(2);
-        g.add_edge(StmtId(0), StmtId(1));
-        let dot = g.to_dot(|s| format!("S{}", s.0));
-        assert!(dot.starts_with("digraph deps {"));
-        assert!(dot.contains("n0 -> n1;"));
-        assert!(dot.contains("label=\"S1\""));
     }
 
     #[test]

@@ -83,16 +83,6 @@ impl Kernel {
         self.statements.iter().map(|s| s.write().tensor()).collect()
     }
 
-    /// Ids of tensors that are only read (pure inputs).
-    pub fn input_tensors(&self) -> BTreeSet<TensorId> {
-        let outs = self.output_tensors();
-        self.statements
-            .iter()
-            .flat_map(|s| s.reads().iter().map(|a| a.tensor()))
-            .filter(|t| !outs.contains(t))
-            .collect()
-    }
-
     /// Allocates zero-filled buffers for every tensor under the given
     /// parameter values.
     pub fn zero_buffers(&self, param_values: &[i64]) -> Vec<Vec<f32>> {
@@ -224,23 +214,6 @@ impl Kernel {
             tensors: self.tensors.clone(),
             statements: ids.iter().map(|&i| self.statement(i).clone()).collect(),
         }
-    }
-
-    /// Total bytes moved if every access of every instance hit DRAM once —
-    /// an upper bound used by tests and the simulator's sanity checks.
-    pub fn naive_bytes_accessed(&self, param_values: &[i64]) -> u64 {
-        let mut total = 0u64;
-        for s in &self.statements {
-            let domain = s.concrete_domain(param_values);
-            let count = polyject_sets::count_integer_points(&domain, usize::MAX)
-                .expect("bounded domain") as u64;
-            let per_instance: u64 = s
-                .accesses()
-                .map(|(a, _)| self.tensor(a.tensor()).elem().size_bytes() as u64)
-                .sum();
-            total += count * per_instance;
-        }
-        total
     }
 }
 
@@ -377,11 +350,9 @@ mod tests {
     }
 
     #[test]
-    fn input_output_classification() {
+    fn output_tensors_are_the_written_ones() {
         let k = two_statement_kernel(2);
-        let ins: Vec<usize> = k.input_tensors().iter().map(|t| t.0).collect();
         let outs: Vec<usize> = k.output_tensors().iter().map(|t| t.0).collect();
-        assert_eq!(ins, vec![0]);
         assert_eq!(outs, vec![1, 2]);
     }
 
@@ -396,13 +367,6 @@ mod tests {
                 .expr(Expr::Const(0.0)),
         );
         assert!(r.is_err());
-    }
-
-    #[test]
-    fn naive_bytes() {
-        let k = two_statement_kernel(2);
-        // X: 4 instances × 2 accesses × 4B = 32; Y: 4 × 3 × 4 = 48.
-        assert_eq!(k.naive_bytes_accessed(&[]), 80);
     }
 
     #[test]

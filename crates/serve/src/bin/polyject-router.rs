@@ -83,7 +83,6 @@ fn run(endpoint: Endpoint, config: RouterConfig) -> Result<Json, String> {
     let (conn_router, conn_stop) = (Arc::clone(&router), Arc::clone(&stop));
     listener.serve(
         || stop.load(Ordering::SeqCst),
-        || {},
         move |stream| {
             transport::serve_conn(
                 stream,

@@ -5,19 +5,16 @@
 //!           [--cache-dir <dir>] [--cache-max-bytes <n>]
 //!           [--workers <n>] [--queue-bound <n>] [--timeout-secs <n>]
 //!           [--max-frame-bytes <n>] [--gpu v100|a100|consumer]
-//!           [--background-tune] [--hot-entries <n>]
-//!           [--fault-io <seed>/<one_in>]
+//!           [--hot-entries <n>] [--fault-io <seed>/<one_in>]
 //! ```
 //!
 //! `--hot-entries` bounds the in-memory hot tier above the disk cache
 //! (0 disables it); `--fault-io` wires the seeded fault injector in
 //! front of every cache file operation — chaos suites only.
 //!
-//! With `--background-tune` (needs `--cache-dir`), idle time is spent
-//! autotuning cached kernels: the daemon picks cached compiles without
-//! a persisted tuned configuration, searches the knob space one kernel
-//! at a time, and stops the moment a request arrives. Later compiles of
-//! a tuned kernel apply its configuration automatically.
+//! The daemon never tunes. A `tuned-config` entry persisted into its
+//! `--cache-dir` by `polyjectc --tune` or `table2 --tune` is applied to
+//! later compiles of that kernel automatically.
 //!
 //! Serves the length-prefixed JSON protocol (see `polyject_serve::protocol`)
 //! until SIGTERM/SIGINT or a `shutdown` request, then flushes the cache
@@ -31,8 +28,7 @@ use std::time::Duration;
 const USAGE: &str = "usage: polyjectd [--socket <path> | --tcp <host:port>] \
      [--cache-dir <dir>] [--cache-max-bytes <n>] [--workers <n>] \
      [--queue-bound <n>] [--timeout-secs <n>] [--max-frame-bytes <n>] \
-     [--gpu v100|a100|consumer] [--background-tune] [--hot-entries <n>] \
-     [--fault-io <seed>/<one_in>]";
+     [--gpu v100|a100|consumer] [--hot-entries <n>] [--fault-io <seed>/<one_in>]";
 
 fn main() -> ExitCode {
     match run_daemon(args::parse(USAGE, parse_args)) {
@@ -61,7 +57,6 @@ fn parse_args(args: &mut Args) -> Result<DaemonConfig, String> {
             "--timeout-secs" => config.request_timeout = Duration::from_secs(args.int()?),
             "--max-frame-bytes" => config.max_frame = args.int()?,
             "--gpu" => config.gpu = args.gpu()?,
-            "--background-tune" => config.background_tune = true,
             "--hot-entries" => config.hot_entries = args.int()?,
             "--fault-io" => {
                 let value = args.value()?;
@@ -73,11 +68,6 @@ fn parse_args(args: &mut Args) -> Result<DaemonConfig, String> {
             }
             _ => return Err(args.unexpected()),
         }
-    }
-    if config.background_tune && config.cache_dir.is_none() {
-        return Err(
-            "--background-tune needs --cache-dir (tuned configs persist in the cache)".to_string(),
-        );
     }
     Ok(config)
 }

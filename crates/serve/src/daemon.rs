@@ -26,10 +26,8 @@ use crate::protocol::{
 use crate::service::{CompileService, Served};
 use crate::stats::ServeStats;
 use crate::transport::{self, Listener};
-use crate::tuned::{tune_cached, tuned_key, TuneReport};
 use polyject_core::Budget;
 use polyject_gpusim::GpuModel;
-use polyject_tune::TuneOptions;
 use std::collections::hash_map::{Entry, HashMap};
 use std::io::{self, Write};
 use std::path::PathBuf;
@@ -103,12 +101,6 @@ pub struct DaemonConfig {
     pub max_frame: u32,
     /// GPU model requests compile against.
     pub gpu: GpuModel,
-    /// Improve hot cache entries while idle: when no requests are
-    /// pending, the daemon picks a cached compile entry without a tuned
-    /// configuration and runs the autotuner on it (one kernel at a
-    /// time, cancelled the moment a request arrives). Only *complete*
-    /// outcomes are persisted.
-    pub background_tune: bool,
     /// In-memory hot-tier capacity in entries (`0` disables the tier).
     /// Only meaningful with a cache directory — an uncached daemon has
     /// no keys to keep hot.
@@ -131,7 +123,6 @@ impl Default for DaemonConfig {
             cache_max_bytes: crate::cache::DEFAULT_MAX_BYTES,
             max_frame: MAX_FRAME,
             gpu: GpuModel::v100(),
-            background_tune: false,
             hot_entries: DEFAULT_HOT_ENTRIES,
             cache_faults: None,
         }
@@ -156,16 +147,6 @@ struct Shared {
     /// Injected-fault counter of the cache's [`FaultyIo`], when the
     /// daemon was started with `cache_faults`.
     io_faults: Option<Arc<AtomicU64>>,
-    /// Idle-time autotuning enabled (`--background-tune`).
-    background_tune: bool,
-    /// A background tune is in flight (at most one at a time; not
-    /// counted in `pending` — tuning never triggers backpressure).
-    tuning: AtomicBool,
-    /// Tripped on request arrival and shutdown so the background search
-    /// yields the machine immediately.
-    tune_cancel: Arc<AtomicBool>,
-    /// Kernels background-tuned (completed + persisted) this run.
-    tuned_count: AtomicU64,
 }
 
 impl Shared {
@@ -214,10 +195,6 @@ impl Shared {
             ("cancelled_solves", n(gov.cancelled_solves)),
             ("panics_recovered", n(panics)),
             ("tuned_applied", n(gov.tuned_applied)),
-            (
-                "background_tuned",
-                n(self.tuned_count.load(Ordering::SeqCst)),
-            ),
         ]);
         ok_with(vec![
             ("shard", Json::Str(self.endpoint.clone())),
@@ -397,9 +374,6 @@ fn serve_items<W: Write>(
     items: &[BatchItem],
     req_id: Option<String>,
 ) -> bool {
-    // A request always outranks idle-time work: tell any background
-    // search to yield at its next budget check.
-    shared.tune_cancel.store(true, Ordering::SeqCst);
     let enveloped = out.enveloped();
     if enveloped {
         let mut stats = shared.stats();
@@ -563,95 +537,6 @@ fn serve_items<W: Write>(
     out.finish()
 }
 
-/// Finds a cached compile entry without a tuned configuration — the
-/// next kernel the idle tuner should improve. Returns its canonical
-/// source and config name.
-fn pick_tune_candidate(shared: &Shared) -> Option<(String, String)> {
-    shared
-        .service
-        .with_cache(|c| {
-            let entries = c.list();
-            for (key, kind, _, _) in entries {
-                if kind != "compile" {
-                    continue;
-                }
-                let Some((_, payload)) = c.get(&key) else {
-                    continue;
-                };
-                let Ok(reply) = CompileReply::from_json(&payload) else {
-                    continue;
-                };
-                let tkey = tuned_key(&reply.canonical_pj, &reply.config, shared.service.gpu());
-                if c.get(&tkey).is_none() {
-                    return Some((reply.canonical_pj, reply.config));
-                }
-            }
-            None
-        })
-        .flatten()
-}
-
-/// Holds the one background-tune slot ([`Shared::tuning`]) and frees it
-/// on drop, so a tune that panics cannot leave the flag set — that would
-/// stop idle tuning for good and hang [`run_daemon`]'s drain loop.
-struct TuningSlot(Arc<Shared>);
-
-impl Drop for TuningSlot {
-    fn drop(&mut self) {
-        self.0.tuning.store(false, Ordering::SeqCst);
-    }
-}
-
-/// The background-tune thread's body: runs `tune` and counts a freshly
-/// searched, complete (hence persisted) outcome. The slot is released
-/// when this returns or unwinds.
-fn background_tune(
-    slot: TuningSlot,
-    config: &str,
-    tune: impl FnOnce(&Shared) -> Result<TuneReport, String>,
-) {
-    let s = &slot.0;
-    match tune(s) {
-        Ok(report) if !report.cached && report.complete => {
-            s.tuned_count.fetch_add(1, Ordering::SeqCst);
-            eprintln!(
-                "[polyjectd] background-tuned {} ({config}): speedup {:.3}x over {} candidates",
-                report.key,
-                report.tuned.speedup(),
-                report.tuned.evaluated,
-            );
-        }
-        _ => {}
-    }
-}
-
-/// The listener's idle hook: when nothing is pending and no
-/// tune is in flight, start tuning the next untuned cached kernel on a
-/// detached thread. The search runs under a cancel-only budget that
-/// request arrival and shutdown trip; only complete outcomes persist
-/// (an interrupted search leaves no partial state, by [`tune_cached`]'s
-/// contract).
-fn maybe_background_tune(shared: &Arc<Shared>) {
-    if !shared.background_tune
-        || shared.stopping()
-        || shared.pending.load(Ordering::SeqCst) != 0
-        || shared.tuning.swap(true, Ordering::SeqCst)
-    {
-        return;
-    }
-    let slot = TuningSlot(Arc::clone(shared));
-    let Some((src, config)) = pick_tune_candidate(shared) else {
-        return;
-    };
-    shared.tune_cancel.store(false, Ordering::SeqCst);
-    std::thread::spawn(move || {
-        background_tune(slot, &config, |s| {
-            let budget = Budget::unlimited().with_cancel(Arc::clone(&s.tune_cancel));
-            tune_cached(&s.service, &src, &config, &TuneOptions::default(), &budget)
-        })
-    });
-}
-
 /// Runs a daemon until SIGTERM/SIGINT or a `shutdown` request, then
 /// drains in-flight work, flushes the cache index, and returns the final
 /// stats report (the listener removes its Unix socket file on drop).
@@ -695,10 +580,6 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
         endpoint: config.endpoint.to_string(),
         cancel_reg: Mutex::new(HashMap::new()),
         io_faults,
-        background_tune: config.background_tune && config.cache_dir.is_some(),
-        tuning: AtomicBool::new(false),
-        tune_cancel: Arc::new(AtomicBool::new(false)),
-        tuned_count: AtomicU64::new(0),
     });
     eprintln!(
         "[polyjectd] listening on {} ({} workers, queue bound {}, cache {})",
@@ -712,12 +593,9 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
             .unwrap_or_else(|| "disabled".to_string()),
     );
 
-    // The listener's idle hook lets the background tuner claim quiet
-    // periods (it probes only when genuinely nothing is pending).
-    let (idle, conn) = (Arc::clone(&shared), Arc::clone(&shared));
+    let conn = Arc::clone(&shared);
     listener.serve(
         || shared.stopping(),
-        || maybe_background_tune(&idle),
         move |stream| {
             let max_frame = conn.max_frame;
             transport::serve_conn(
@@ -729,11 +607,8 @@ pub fn run_daemon(config: DaemonConfig) -> io::Result<Json> {
         },
     );
     eprintln!("[polyjectd] shutting down: connections drained");
-    // Wait out compiles still on the pool so their cache writes land,
-    // and any background tune (cancelled above at its next budget
-    // check) so the tuning thread is not torn down mid-write.
-    shared.tune_cancel.store(true, Ordering::SeqCst);
-    while shared.pending.load(Ordering::SeqCst) > 0 || shared.tuning.load(Ordering::SeqCst) {
+    // Wait out compiles still on the pool so their cache writes land.
+    while shared.pending.load(Ordering::SeqCst) > 0 {
         std::thread::sleep(Duration::from_millis(20));
     }
     if let Some(Err(e)) = shared.service.with_cache(DiskCache::flush) {
@@ -754,12 +629,7 @@ tensor Y[N]: f32
 stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
 ";
 
-    fn shared_with(
-        service: CompileService,
-        workers: usize,
-        queue_bound: usize,
-        background_tune: bool,
-    ) -> Arc<Shared> {
+    fn shared_with(service: CompileService, workers: usize, queue_bound: usize) -> Arc<Shared> {
         Arc::new(Shared {
             service,
             pool: WorkerPool::new(workers),
@@ -772,16 +642,12 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
             endpoint: "/tmp/test-shard.sock".to_string(),
             cancel_reg: Mutex::new(HashMap::new()),
             io_faults: None,
-            background_tune,
-            tuning: AtomicBool::new(false),
-            tune_cancel: Arc::new(AtomicBool::new(false)),
-            tuned_count: AtomicU64::new(0),
         })
     }
 
     fn test_shared(queue_bound: usize) -> Arc<Shared> {
         let service = CompileService::new(None, GpuModel::v100());
-        shared_with(service, 2, queue_bound, false)
+        shared_with(service, 2, queue_bound)
     }
 
     /// Dispatches one request frame; returns the reply frames written
@@ -902,83 +768,6 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
     }
 
-    /// Daemon state with background tuning on, over an empty cache
-    /// directory of its own.
-    fn tuning_shared(tag: &str) -> (Arc<Shared>, std::path::PathBuf) {
-        let dir = std::env::temp_dir().join(format!("pj-bgtune-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let cache = DiskCache::open_default(&dir).unwrap();
-        let service = CompileService::new(Some(cache), GpuModel::v100());
-        (shared_with(service, 2, 4, true), dir)
-    }
-
-    #[test]
-    fn panicking_background_tune_frees_the_slot() {
-        let (shared, dir) = tuning_shared("panic");
-        let resp = compile_one(&shared, SRC, "infl");
-        assert_eq!(resp.str_field("status").unwrap(), "ok");
-
-        // The thread body, holding the slot, with a tune that panics.
-        assert!(!shared.tuning.swap(true, Ordering::SeqCst));
-        let slot = TuningSlot(Arc::clone(&shared));
-        let body = std::thread::spawn(move || {
-            background_tune(slot, "infl", |_| panic!("tune blew up"));
-        });
-        assert!(body.join().is_err(), "the panic reaches the thread's end");
-        assert!(!shared.tuning.load(Ordering::SeqCst), "slot freed");
-        assert_eq!(shared.tuned_count.load(Ordering::SeqCst), 0);
-
-        // The next idle probe is admitted and tunes the cached kernel.
-        maybe_background_tune(&shared);
-        for _ in 0..600 {
-            if shared.tuned_count.load(Ordering::SeqCst) == 1 {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert_eq!(shared.tuned_count.load(Ordering::SeqCst), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn idle_hook_tunes_cached_kernels_and_respects_arrivals() {
-        let (shared, dir) = tuning_shared("idle");
-        // Nothing cached yet: the hook finds no candidate and stays idle.
-        maybe_background_tune(&shared);
-        assert!(!shared.tuning.load(Ordering::SeqCst));
-
-        // Cache one compile, then let the idle hook tune it.
-        let resp = compile_one(&shared, SRC, "infl");
-        assert_eq!(resp.str_field("status").unwrap(), "ok");
-        maybe_background_tune(&shared);
-        for _ in 0..600 {
-            if !shared.tuning.load(Ordering::SeqCst) {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        assert!(!shared.tuning.load(Ordering::SeqCst), "tune finished");
-        assert_eq!(shared.tuned_count.load(Ordering::SeqCst), 1);
-        let tuned_entries = shared
-            .service
-            .with_cache(|c| {
-                c.list()
-                    .iter()
-                    .filter(|(_, kind, _, _)| kind == crate::tuned::TUNED_KIND)
-                    .count()
-            })
-            .unwrap();
-        assert_eq!(tuned_entries, 1, "complete outcome persisted");
-
-        // Once everything is tuned there is nothing left to pick.
-        assert!(pick_tune_candidate(&shared).is_none());
-        // A request arrival trips the cancel flag.
-        shared.tune_cancel.store(false, Ordering::SeqCst);
-        let _ = compile_one(&shared, SRC, "infl");
-        assert!(shared.tune_cancel.load(Ordering::SeqCst));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     #[test]
     fn compile_errors_counted() {
         let shared = test_shared(4);
@@ -1045,12 +834,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         let dir = std::env::temp_dir().join(format!("pj-transfer-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cache = DiskCache::open_default(&dir).unwrap();
-        let shared = shared_with(
-            CompileService::new(Some(cache), GpuModel::v100()),
-            2,
-            4,
-            false,
-        );
+        let shared = shared_with(CompileService::new(Some(cache), GpuModel::v100()), 2, 4);
 
         // Populate one entry via a compile, list it, fetch it raw.
         let resp = compile_one(&shared, SRC, "infl");
@@ -1194,7 +978,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     fn batch_dedups_items_and_shares_sessions_across_configs() {
         // One worker so the unique items run serially and the family
         // session built by the first is warm for the second.
-        let shared = shared_with(CompileService::new(None, GpuModel::v100()), 1, 8, false);
+        let shared = shared_with(CompileService::new(None, GpuModel::v100()), 1, 8);
         let items = vec![
             BatchItem::new(SRC, "infl"),
             BatchItem::new(SRC, "infl"), // in-batch duplicate

@@ -125,8 +125,8 @@ fn worker_loop(shared: Arc<PoolShared>) {
 
 /// A persistent worker pool: `workers` threads pulling boxed jobs from a
 /// shared queue, living until [`WorkerPool::shutdown`] (or drop). The
-/// daemon dispatches compile requests here; submitters observe queue
-/// depth via [`WorkerPool::queue_len`] to apply backpressure.
+/// daemon dispatches compile requests here and bounds them itself, by
+/// counting the requests it admits; the queue has no bound of its own.
 ///
 /// # Examples
 ///
@@ -181,12 +181,6 @@ impl WorkerPool {
             .expect("pool queue poisoned")
             .push_back(Box::new(job));
         self.shared.available.notify_one();
-    }
-
-    /// Number of jobs waiting in the queue (not counting jobs currently
-    /// executing) — the backpressure signal.
-    pub fn queue_len(&self) -> usize {
-        self.shared.queue.lock().expect("pool queue poisoned").len()
     }
 
     /// Number of worker threads.

@@ -270,11 +270,12 @@ const SESSION_CAP: usize = 8;
 /// LRU pool of warm [`CompileSession`]s keyed by canonical kernel:
 /// repeat requests for the same kernel under another configuration or
 /// *different* options (`isl`, then `novec` and `infl`; the default
-/// compile, then a tuned redirect; `--background-tune` re-serving what
-/// it just tuned) reuse one dependence analysis and base scheduling
-/// context instead of recomputing the option-invariant prefix per
-/// request. Metered budgets are kept off the shared memos by the session
-/// itself, so resource accounting never observes warm state.
+/// compile, then the tuned redirect once `polyjectc --tune` has persisted
+/// a tuning into the shared cache directory) reuse one dependence
+/// analysis and base scheduling context instead of recomputing the
+/// option-invariant prefix per request. Metered budgets are kept off the
+/// shared memos by the session itself, so resource accounting never
+/// observes warm state.
 pub struct CompileService {
     cache: Option<Mutex<DiskCache>>,
     /// Bounded in-memory hot tier above the disk cache (opt-in via
@@ -388,37 +389,20 @@ impl CompileService {
         Ok(session)
     }
 
-    /// Serves one compile request: canonicalize, look up the cache,
-    /// otherwise compile exactly once per key no matter how many
-    /// identical requests are in flight.
-    ///
-    /// # Errors
-    ///
-    /// Parse/config/scheduling errors, and panics inside the compiler
-    /// converted to errors (the worker thread survives).
-    pub fn serve(&self, src: &str, config_name: &str) -> Result<(CompileReply, Served), String> {
-        self.serve_with_budget(src, config_name, &Budget::unlimited())
-    }
-
-    /// [`CompileService::serve`] under a cooperative [`Budget`]: the
-    /// composition of [`CompileService::prepare`],
-    /// [`CompileService::lookup`] and [`CompileService::compile`], which
-    /// the daemon calls one by one (the first two where the request
-    /// arrives, the third on a compile worker).
+    /// Serves one compile request unbudgeted: the composition of
+    /// [`CompileService::prepare`], [`CompileService::lookup`] and, on a
+    /// miss, [`CompileService::compile`], which the daemon calls one by
+    /// one (the first two where the request arrives, the third on a
+    /// compile worker).
     ///
     /// # Errors
     ///
     /// Those of the three steps.
-    pub fn serve_with_budget(
-        &self,
-        src: &str,
-        config_name: &str,
-        budget: &Budget,
-    ) -> Result<(CompileReply, Served), String> {
+    pub fn serve(&self, src: &str, config_name: &str) -> Result<(CompileReply, Served), String> {
         let request = self.prepare(src, config_name)?;
         match self.lookup(&request) {
             Some(reply) => Ok((reply, Served::Hit)),
-            None => self.compile(request, budget),
+            None => self.compile(request, &Budget::unlimited()),
         }
     }
 
@@ -775,7 +759,9 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         let metered = Budget::unlimited().with_max_pivots(u64::MAX);
         let serve = |budget: &Budget| {
             let before = polyject_sets::counters::snapshot();
-            let (reply, _) = svc.serve_with_budget(SRC, "infl", budget).unwrap();
+            let request = svc.prepare(SRC, "infl").unwrap();
+            assert!(svc.lookup(&request).is_none(), "no cache attached");
+            let (reply, _) = svc.compile(request, budget).unwrap();
             (
                 reply,
                 polyject_sets::counters::snapshot().delta_since(&before),

@@ -14,15 +14,13 @@ use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// The housekeeping period of [`Listener::serve`]: how often the stop
-/// flag is looked at and the idle hook offered a quiet moment. Nothing
-/// on the request path waits on it.
+/// flag is looked at. Nothing on the request path waits on it.
 const TICK: Duration = Duration::from_millis(20);
 
 /// One connected socket, Unix or TCP.
@@ -222,37 +220,29 @@ impl Listener {
     /// Serves until `stopping()`: one thread per connection running
     /// `conn`, accepted by a loop that blocks in `accept`. A housekeeping
     /// thread ticks every 20 ms beside it — the stop flag may be set by
-    /// a signal handler, which can do nothing else — and calls `idle`
-    /// after each whole tick without an arrival; once `stopping()` it
-    /// wakes the accept loop instead. Then every connection's read half
-    /// is shut down, so quiet peers read EOF at once while a request in
-    /// flight still writes its reply, and every connection thread is
+    /// a signal handler, which can do nothing else — and once
+    /// `stopping()` wakes the accept loop. Then every connection's read
+    /// half is shut down, so quiet peers read EOF at once while a request
+    /// in flight still writes its reply, and every connection thread is
     /// joined.
     pub fn serve(
         &self,
         stopping: impl Fn() -> bool + Sync,
-        mut idle: impl FnMut() + Send,
         conn: impl Fn(Stream) + Send + Sync + 'static,
     ) {
-        let arrivals = AtomicU64::new(0);
         // The housekeeper ticks for as long as the accept loop holds its
         // end of this channel.
         let (accepting, ticks) = mpsc::channel::<()>();
         let live = std::thread::scope(|scope| {
-            let (stopping, arrivals) = (&stopping, &arrivals);
+            let stopping = &stopping;
             scope.spawn(move || {
-                let mut seen = 0;
                 while ticks.recv_timeout(TICK) == Err(RecvTimeoutError::Timeout) {
-                    let now = arrivals.load(Ordering::Relaxed);
                     if stopping() {
                         self.wake();
-                    } else if now == seen {
-                        idle();
                     }
-                    seen = now;
                 }
             });
-            let live = accept_until(|| self.accept(), stopping, arrivals, conn);
+            let live = accept_until(|| self.accept(), stopping, conn);
             drop(accepting);
             live
         });
@@ -280,7 +270,6 @@ fn shut_listening(listening: io::Result<std::os::fd::OwnedFd>) {
 fn accept_until(
     mut accept: impl FnMut() -> io::Result<Stream>,
     stopping: impl Fn() -> bool,
-    arrivals: &AtomicU64,
     conn: impl Fn(Stream) + Send + Sync + 'static,
 ) -> Vec<Live> {
     let conn = Arc::new(conn);
@@ -292,7 +281,6 @@ fn accept_until(
         }
         match accepted {
             Ok(stream) => {
-                arrivals.fetch_add(1, Ordering::Relaxed);
                 // Without a second handle the listener could not hang
                 // up on this peer at stop: refuse it rather than let
                 // shutdown wait on it.
@@ -370,7 +358,7 @@ pub fn serve_conn(
 #[cfg(all(test, unix))]
 pub(crate) mod testing {
     use super::*;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// A server over the real accept and connection loops, for this
     /// crate's tests: `handle` answers every frame until [`TestServer::stop`].
@@ -378,8 +366,6 @@ pub(crate) mod testing {
         pub endpoint: Endpoint,
         /// Connections handed to a connection thread.
         pub accepts: Arc<AtomicU64>,
-        /// Calls of the idle hook.
-        pub idled: Arc<AtomicU64>,
         stop: Arc<AtomicBool>,
         thread: JoinHandle<()>,
     }
@@ -404,28 +390,19 @@ pub(crate) mod testing {
                 Listener::Unix(..) => endpoint,
             };
             let accepts = Arc::new(AtomicU64::new(0));
-            let idled = Arc::new(AtomicU64::new(0));
             let stop = Arc::new(AtomicBool::new(false));
-            let (accepted, idle, flag) =
-                (Arc::clone(&accepts), Arc::clone(&idled), Arc::clone(&stop));
+            let (accepted, flag) = (Arc::clone(&accepts), Arc::clone(&stop));
             let thread = std::thread::spawn(move || {
                 let stopping = move || flag.load(Ordering::SeqCst);
                 let conn_stopping = stopping.clone();
-                listener.serve(
-                    stopping,
-                    || {
-                        idle.fetch_add(1, Ordering::SeqCst);
-                    },
-                    move |stream| {
-                        accepted.fetch_add(1, Ordering::SeqCst);
-                        serve_conn(stream, 1 << 20, &conn_stopping, &handle)
-                    },
-                )
+                listener.serve(stopping, move |stream| {
+                    accepted.fetch_add(1, Ordering::SeqCst);
+                    serve_conn(stream, 1 << 20, &conn_stopping, &handle)
+                })
             });
             TestServer {
                 endpoint,
                 accepts,
-                idled,
                 stop,
                 thread,
             }
@@ -448,7 +425,7 @@ mod tests {
     use super::*;
     use crate::protocol::{ok_with, read_frame, Request};
     use crate::Client;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Instant;
 
     fn pong(frame: &Json, out: &mut Stream) -> bool {
@@ -514,9 +491,8 @@ mod tests {
             let silent = Stream::connect(&server.endpoint).unwrap();
             let mut mid_frame = Stream::connect(&server.endpoint).unwrap();
             mid_frame.write_all(&100u32.to_be_bytes()).unwrap();
-            // Nothing arrives for a few ticks: the idle hook gets its turn.
+            // Let the accept loop take both peers and block again.
             std::thread::sleep(4 * TICK);
-            assert!(server.idled.load(Ordering::SeqCst) >= 1, "tcp {tcp}");
             assert_eq!(server.accepts.load(Ordering::SeqCst), 2);
             let (accepts, took) = (Arc::clone(&server.accepts), server.stop());
             assert!(took < Duration::from_secs(1), "tcp {tcp}: {took:?}");
@@ -577,7 +553,6 @@ mod tests {
             Ok(Stream::Unix(ours)),
         ]
         .into_iter();
-        let arrivals = AtomicU64::new(0);
         let served = Arc::new(AtomicU64::new(0));
         let count = Arc::clone(&served);
         let t0 = Instant::now();
@@ -591,7 +566,6 @@ mod tests {
                 })
             },
             || stop.load(Ordering::SeqCst),
-            &arrivals,
             move |_stream| {
                 count.fetch_add(1, Ordering::SeqCst);
             },
@@ -604,7 +578,6 @@ mod tests {
         }
         // One connection served; the one that arrived after the stop
         // flag was dropped.
-        assert_eq!(arrivals.load(Ordering::SeqCst), 1);
         assert_eq!(served.load(Ordering::SeqCst), 1);
     }
 }

@@ -6,10 +6,9 @@
 //! [`DiskCache`](crate::DiskCache) under its own entry kind
 //! ([`TUNED_KIND`]) at a key derived from the same canonical-kernel
 //! material as the compile key but under a distinct domain tag
-//! ([`tuned_key`]), so a tuning found once (by
-//! `polyjectc --tune` or by the daemon's idle background tuner) applies
-//! on every later compile of that kernel, from any client sharing the
-//! cache directory.
+//! ([`tuned_key`]), so a tuning found once (by `polyjectc --tune` or
+//! `table2 --tune`) applies on every later compile of that kernel, from
+//! any client or daemon sharing the cache directory.
 //!
 //! Floats are serialized as IEEE-754 bit patterns, so a decoded config
 //! is *bit-identical* to the persisted one — the determinism guarantees

@@ -95,6 +95,8 @@ fn usage_errors_exit_nonzero_with_usage_on_stderr_and_nothing_on_stdout() {
         (POLYJECT_ROUTER, &["--shrad", "x"], "unexpected argument --shrad"),
         // The fan-out is fixed at a key's two replicas.
         (POLYJECT_ROUTER, &["--shard", "a.sock", "--replication", "2"], "unexpected argument --replication"),
+        // The daemon never tunes; `polyjectc --tune` persists tunings it applies.
+        (POLYJECTD, &["--background-tune"], "unexpected argument --background-tune"),
         (POLYJECT_ROUTER, &[], "at least one --shard"),
         // Non-integers.
         (POLYJECTC, &[file, "--tune", "--tune-seed", "0x7"], "--tune-seed needs an integer"),
@@ -120,7 +122,6 @@ fn usage_errors_exit_nonzero_with_usage_on_stderr_and_nothing_on_stdout() {
         (POLYJECTC, &[], "expected one <file.pj>"),
         (POLYJECT_CACHE, &["dir", "stats", "--workers", "2"], "go with `warm <dir>`"),
         (POLYJECT_CACHE, &["dir", "stats", "--remote", "a.sock"], "expected <cache-dir> <command>"),
-        (POLYJECTD, &["--background-tune"], "--background-tune needs --cache-dir"),
     ];
     for (bin, args, expect) in cases {
         let out = run(bin, args);

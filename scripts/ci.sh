@@ -18,7 +18,9 @@
 # counters live, and a sequential round trip's p50 <= 10 ms so that no
 # accept or read poll comes back unseen), a polyjectd daemon smoke test (remote
 # replies byte-identical to local; four requests built to crash the daemon
-# each answered with an error, the daemon alive after), the multi-node router chaos gate
+# each answered with an error, the daemon alive after; a tuning that
+# polyjectc persists into the daemon's cache directory applied to the
+# daemon's next compile of that kernel), the multi-node router chaos gate
 # (>=200 injected faults across a 3-daemon fleet, zero corruption,
 # same-seed replays identical), and a 3-node router smoke (cold compile
 # through the router, a batched CLI leg with in-batch dedup plus
@@ -292,10 +294,27 @@ assert ask(b'{"op":"ping"}')["pong"] is True
 assert ask(b'{"op":"stats"}')["governance"]["panics_recovered"] == 0
 EOF
 echo "ok: four malformed requests answered with errors; daemon alive, no panic recovered"
+# The daemon never tunes; tuning is an explicit step. A tuned-config entry
+# that polyjectc persists into the live daemon's directory redirects the
+# daemon's next compile of that kernel, which then matches the local
+# tuned compile byte for byte.
+pjc "$src" --config infl --tune --cache-dir "$scratch/dcache" --emit cuda \
+  | sed '/^\[tune\] /d' > "$scratch/tuned-local.out"
+pjc "$src" --config infl --emit cuda --remote "$sock" > "$scratch/tuned-remote.out"
+cmp "$scratch/tuned-local.out" "$scratch/tuned-remote.out"
 kill -TERM "$daemon_pid"
 wait "$daemon_pid"
-grep -q '"hits":1' "$scratch/daemon.out"
-echo "ok: remote replies byte-identical to local, second request cached"
+# The final stats report: the repeat is the one hit, and the tuned
+# redirect was applied once, compiling under its own key (the second miss).
+python3 - "$scratch/daemon.out" <<'EOF'
+import json, sys
+report = json.load(open(sys.argv[1]))
+stats, gov = report["stats"], report["governance"]
+assert (stats["hits"], stats["misses"]) == (1, 2), stats
+assert gov["tuned_applied"] == 1, gov
+EOF
+echo "ok: remote replies byte-identical to local, second request cached,"
+echo "    a tuning persisted by polyjectc --tune applied by the daemon sharing its cache"
 
 step "router chaos gate (3-node fleet: >=200 faults, zero corruption, replay identical)"
 cargo test --release -q -p polyject-serve --test router_chaos
@@ -429,7 +448,7 @@ echo "    and served cached after a restart, its index equal to entries/"
 step "size gate (ROADMAP item 1): crates/serve/src line count"
 # The serving tier may shrink, never grow: lower the ceiling with any
 # change that deletes serve code. The other counts are printed only.
-serve_ceiling=9356
+serve_ceiling=9081
 lines_in() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 serve_lines="$(lines_in crates/serve/src)"
 for dir in crates/arith/src crates/sets/src; do
