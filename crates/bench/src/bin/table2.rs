@@ -12,36 +12,22 @@
 //! * `--workers N` — pool size (default: available parallelism);
 //! * `--bench` — run serially *and* in parallel, verify the outputs are
 //!   identical, and record both legs in `BENCH_table2.json` (see `--json
-//!   PATH`) beside whatever other sections the file holds;
-//! * `--tune` — autotune every unique operator with the deterministic
-//!   beam search, persist the winners in the cache dir, and splice a
-//!   `"tune"` section (per-op default-vs-tuned times plus the geomean)
-//!   into `BENCH_table2.json`; a warm re-run replays every persisted
-//!   configuration with zero search;
-//! * `--tune-seed N` — override the search seed (default: the tuner's);
-//! * `--cache-dir DIR` — where `--tune` persists its winners (default: a
-//!   directory under the system temp dir);
-//! * `--throughput` — batched-vs-sequential serving comparison: spawn a
-//!   cold in-process daemon fleet per leg, push the whole op stream ×
-//!   three configs through `compile_batch` and through one-at-a-time
-//!   round trips, verify the artifact fields are identical, and splice a
-//!   `"throughput"` section into `BENCH_table2.json`;
-//! * `--shards N` — fleet size for `--throughput` (default 3, at least 1).
+//!   PATH`) beside whatever other sections the file holds.
 //!
-//! An unknown flag, a missing/unparsable value or a flag whose mode is
-//! absent prints the usage text and exits 2 before anything is measured
-//! or written.
+//! Tuning and serving throughput are measured by the benchmark package
+//! (`polyject-benchmark --workload tune_search|serve_batch`), not here.
+//!
+//! An unknown flag or a missing/unparsable value prints the usage text
+//! and exits 2 before anything is measured or written.
 
 use polyject_bench::{
-    measurements_identical, render_table2, run_table2_networks, run_table2_tuned, solver_pairs,
-    Table2Bench, Table2Run,
+    measurements_identical, render_table2, run_table2_networks, solver_pairs, Table2Bench,
+    Table2Run,
 };
 use polyject_gpusim::GpuModel;
 use polyject_serve::args::{self, Args};
-use polyject_serve::{default_workers, DiskCache, Json};
-use polyject_tune::TuneOptions;
+use polyject_serve::{default_workers, Json};
 use polyject_workloads::{all_networks, geomean_speedup, lstm, Network, Tool};
-use std::path::Path;
 
 /// Clears the calling thread's memoized assembly state (Farkas
 /// linearizations, redundancy verdicts) so each bench leg's counters
@@ -66,9 +52,8 @@ fn print_stats(label: &str, run: &Table2Run) {
     );
 }
 
-/// Replaces (or adds) the named sections of the bench JSON file — the
-/// one way any mode writes it — preserving every other section already
-/// recorded there.
+/// Replaces (or adds) the named sections of the bench JSON file,
+/// preserving every other section already recorded there.
 fn splice_sections(json_path: &str, sections: Vec<(&str, Json)>) {
     let existing = std::fs::read_to_string(json_path)
         .ok()
@@ -86,104 +71,8 @@ fn splice_sections(json_path: &str, sections: Vec<(&str, Json)>) {
     std::fs::write(json_path, Json::Obj(pairs).render_pretty()).expect("write bench json");
 }
 
-/// The `--tune` mode: beam-search every unique operator through the
-/// persistent cache and record the `"tune"` section.
-fn run_tune_bench(
-    nets: &[Network],
-    model: &GpuModel,
-    seed: Option<u64>,
-    workers: usize,
-    stats: bool,
-    dir: &str,
-    json_path: &str,
-) {
-    let opts = TuneOptions {
-        seed: seed.unwrap_or(TuneOptions::default().seed),
-        ..TuneOptions::default()
-    };
-    let cache = DiskCache::open_default(Path::new(dir)).expect("open cache dir");
-    eprintln!(
-        "[tune] tuning unique operators (seed {:016x}, cache at {dir}) ...",
-        opts.seed
-    );
-    isolate_leg();
-    let before = polyject_sets::counters::snapshot();
-    let b = run_table2_tuned(nets, model, &opts, cache, workers).expect("tune bench");
-    if stats {
-        // With one worker every search runs on this thread, so the delta
-        // is the whole tune leg; with a pool it covers the serial share.
-        let c = polyject_sets::counters::snapshot().delta_since(&before);
-        eprintln!(
-            "[stats] tune: lp_solves {} ilp_nodes {} | phases dep {:.1}ms \
-             assemble {:.1}ms solve {:.1}ms codegen {:.1}ms \
-             | farkas {} deps {} session_reuses {}",
-            c.lp_solves,
-            c.ilp_nodes,
-            c.dependence_ns as f64 / 1e6,
-            c.assemble_ns as f64 / 1e6,
-            c.solve_ns as f64 / 1e6,
-            c.codegen_ns as f64 / 1e6,
-            c.farkas_linearizations,
-            c.dependence_analyses,
-            c.session_reuses
-        );
-    }
-    eprintln!(
-        "[tune] {} op(s) in {:.2}s: {} searched, {} replayed from cache \
-         | geomean tuned-vs-default {:.3}x -> {json_path}",
-        b.ops.len(),
-        b.wall_s,
-        b.searched,
-        b.replayed,
-        b.geomean_speedup()
-    );
-    assert!(
-        b.geomean_speedup() >= 1.0,
-        "the default point is in every candidate pool; tuning cannot lose"
-    );
-    splice_sections(json_path, vec![("tune", b.to_json())]);
-}
-
-/// The `--throughput` mode: the op stream through a cold fleet one item
-/// per round trip, then through a fresh cold fleet as one scatter-gather
-/// batch, artifact-identity checked and recorded as the `"throughput"`
-/// section.
-fn run_throughput(
-    nets: &[Network],
-    model: &GpuModel,
-    shards: usize,
-    json_path: &str,
-) -> Result<(), String> {
-    eprintln!("[throughput] spawning {shards}-shard fleets: sequential leg, then batched ...");
-    let b = polyject_bench::run_throughput_bench(nets, model, shards, 2)?;
-    eprintln!(
-        "[throughput] {} item(s) ({} unique): sequential {:.2}s / {} round trip(s) vs \
-         batched {:.2}s / {} round trip(s) -> {:.2}x \
-         | dedup_hits {} session_reuses {} | identical: {} -> {json_path}",
-        b.items,
-        b.unique_items,
-        b.sequential.wall_s,
-        b.sequential.round_trips,
-        b.batched.wall_s,
-        b.batched.round_trips,
-        b.speedup(),
-        b.batch_dedup_hits,
-        b.batch_session_reuses,
-        b.identical
-    );
-    if !b.identical {
-        return Err(format!(
-            "batched and sequential replies diverged on {} item(s)",
-            b.mismatches
-        ));
-    }
-    splice_sections(json_path, vec![("throughput", b.to_json())]);
-    Ok(())
-}
-
-const USAGE: &str = "usage: table2 [--per-op | --csv] [--stats] [--fast] [--serial | --workers N] \
-[--bench] [--json PATH] [--tune [--tune-seed N] [--cache-dir DIR]] \
-[--throughput [--shards N]]";
+const USAGE: &str =
+    "usage: table2 [--per-op | --csv] [--stats] [--fast] [--serial | --workers N] [--bench] [--json PATH]";
 
 #[derive(Default)]
 struct Cli {
@@ -193,13 +82,8 @@ struct Cli {
     fast: bool,
     serial: bool,
     bench: bool,
-    tune: bool,
-    throughput: bool,
     workers: Option<usize>,
     json: Option<String>,
-    cache_dir: Option<String>,
-    tune_seed: Option<u64>,
-    shards: Option<usize>,
 }
 
 fn parse_args(args: &mut Args) -> Result<Cli, String> {
@@ -212,23 +96,10 @@ fn parse_args(args: &mut Args) -> Result<Cli, String> {
             "--fast" => cli.fast = true,
             "--serial" => cli.serial = true,
             "--bench" => cli.bench = true,
-            "--tune" => cli.tune = true,
-            "--throughput" => cli.throughput = true,
             "--workers" => cli.workers = Some(args.int()?),
             "--json" => cli.json = Some(args.value()?),
-            "--cache-dir" => cli.cache_dir = Some(args.value()?),
-            "--tune-seed" => cli.tune_seed = Some(args.int()?),
-            "--shards" => match args.int()? {
-                0 => return Err("--shards needs at least one shard".to_string()),
-                n => cli.shards = Some(n),
-            },
             _ => return Err(args.unexpected()),
         }
-    }
-    if cli.cache_dir.is_some() && !cli.tune {
-        return Err(
-            "--cache-dir is where --tune persists its winners; it needs --tune".to_string(),
-        );
     }
     Ok(cli)
 }
@@ -240,12 +111,6 @@ fn main() {
         false => cli.workers.unwrap_or_else(default_workers),
     };
     let json_path = cli.json.unwrap_or_else(|| "BENCH_table2.json".to_string());
-    let cache_dir = cli.cache_dir.unwrap_or_else(|| {
-        std::env::temp_dir()
-            .join("polyject-table2-cache")
-            .to_string_lossy()
-            .into_owned()
-    });
 
     let model = GpuModel::v100();
     let nets: Vec<Network> = if cli.fast {
@@ -253,13 +118,6 @@ fn main() {
     } else {
         all_networks()
     };
-    if cli.throughput {
-        if let Err(e) = run_throughput(&nets, &model, cli.shards.unwrap_or(3), &json_path) {
-            eprintln!("table2: {e}");
-            std::process::exit(1);
-        }
-        return;
-    }
     // On a single-core machine a "parallel" leg would only measure thread
     // overhead; run the second leg serially and record that honestly.
     let cores = default_workers();
@@ -340,19 +198,6 @@ fn main() {
         }
         run
     };
-    if cli.tune {
-        // Tuning rides on whatever run mode executed above and fans
-        // candidate evaluation over the same worker budget.
-        run_tune_bench(
-            &nets,
-            &model,
-            cli.tune_seed,
-            workers,
-            cli.stats,
-            &cache_dir,
-            &json_path,
-        );
-    }
     let results = &run.results;
 
     if cli.csv {

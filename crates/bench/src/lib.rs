@@ -4,18 +4,15 @@
 //! (Section VI): formatting helpers, the paper's published numbers for
 //! side-by-side comparison, and shared driver code used by the `table1`,
 //! `table2`, `fig1_pipeline`, `fig2_running_example` and
-//! `fig3_constraint_tree` binaries.
+//! `fig3_constraint_tree` binaries, plus the in-process daemon [`Fleet`]
+//! the benchmark package's serving workloads spawn.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod throughput;
-mod tuned;
+mod fleet;
 
-pub use throughput::{
-    artifact_fields, run_throughput_bench, table2_batch_items, Fleet, LegStats, ThroughputBench,
-};
-pub use tuned::{run_table2_tuned, TuneBench, TunedOp};
+pub use fleet::{artifact_fields, table2_batch_items, Fleet};
 
 use polyject_gpusim::GpuModel;
 use polyject_serve::{parallel_map, Json};

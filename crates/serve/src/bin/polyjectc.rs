@@ -221,14 +221,8 @@ fn compile_local(cli: &Cli, file: &str, src: &str) -> Result<Output, String> {
             seed: cli.tune_seed.unwrap_or(TuneOptions::default().seed),
             ..TuneOptions::default()
         };
-        let report = tune_cached(
-            &svc,
-            src,
-            cli.config.name(),
-            &tune_opts,
-            &Budget::unlimited(),
-        )
-        .map_err(|e| format!("{file}: tuning failed: {e}"))?;
+        let report = tune_cached(&svc, src, cli.config.name(), &tune_opts)
+            .map_err(|e| format!("{file}: tuning failed: {e}"))?;
         println!(
             "[tune] default_ms={:.6} tuned_ms={:.6} speedup={:.3} evaluated={} cached={}",
             report.tuned.default_time * 1e3,

@@ -13,8 +13,8 @@
 //! front of every cache file operation — chaos suites only.
 //!
 //! The daemon never tunes. A `tuned-config` entry persisted into its
-//! `--cache-dir` by `polyjectc --tune` or `table2 --tune` is applied to
-//! later compiles of that kernel automatically.
+//! `--cache-dir` by `polyjectc --tune` is applied to later compiles of
+//! that kernel automatically.
 //!
 //! Serves the length-prefixed JSON protocol (see `polyject_serve::protocol`)
 //! until SIGTERM/SIGINT or a `shutdown` request, then flushes the cache

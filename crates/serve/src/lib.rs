@@ -32,8 +32,8 @@
 //! * [`stats`] — hit/miss/eviction/error counters and latency
 //!   aggregates, plus the router's per-shard [`stats::ShardMetrics`];
 //! * [`tuned`] — persisted tuned configurations: the autotuner's
-//!   cache-backed entry point (`batch_reports` fanning whole per-kernel
-//!   searches over the pool; `tune_cached` is its one-job call) and the
+//!   cache-backed entry point (`tune_cached`: probe the cache, else one
+//!   beam search on the calling thread, persisted when complete) and the
 //!   `tuned-config` entry kind;
 //! * [`membership`] — the consistent-hash ring over the FNV-1a key
 //!   space, with per-shard health for failover ordering;
@@ -80,6 +80,6 @@ pub use service::{
 };
 pub use stats::{LatencyAgg, ServeStats, ShardMetrics};
 pub use tuned::{
-    batch_reports, decode_tuned, encode_tuned, tune_cached, tuned_key, TuneJob, TuneReport,
-    TUNED_FORMAT_VERSION, TUNED_KIND,
+    decode_tuned, encode_tuned, tune_cached, tuned_key, TuneReport, TUNED_FORMAT_VERSION,
+    TUNED_KIND,
 };

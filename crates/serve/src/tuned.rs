@@ -6,8 +6,8 @@
 //! [`DiskCache`](crate::DiskCache) under its own entry kind
 //! ([`TUNED_KIND`]) at a key derived from the same canonical-kernel
 //! material as the compile key but under a distinct domain tag
-//! ([`tuned_key`]), so a tuning found once (by `polyjectc --tune` or
-//! `table2 --tune`) applies on every later compile of that kernel, from
+//! ([`tuned_key`]), so a tuning found once (by `polyjectc --tune`, through
+//! [`tune_cached`]) applies on every later compile of that kernel, from
 //! any client or daemon sharing the cache directory.
 //!
 //! Floats are serialized as IEEE-754 bit patterns, so a decoded config
@@ -16,13 +16,11 @@
 
 use crate::hash::{f64_bits_hex, Fnv64};
 use crate::json::Json;
-use crate::pool::parallel_map;
 use crate::service::{cache_key, config_by_name, CompileService};
 use polyject_codegen::{MappingOptions, TilingOptions};
 use polyject_core::{Budget, InfluenceOptions};
 use polyject_gpusim::GpuModel;
 use polyject_tune::{beam_search, KnobPoint, SerialRunner, TuneOptions, TuneRequest, TunedConfig};
-use std::sync::Mutex;
 
 /// Cache entry kind of persisted tuned configurations.
 pub const TUNED_KIND: &str = "tuned-config";
@@ -207,10 +205,9 @@ pub(crate) fn load_tuned(svc: &CompileService, key: &str) -> Option<TunedConfig>
 }
 
 /// The outcome of tuning one kernel: the tuned configuration, its cache
-/// key, whether it was replayed from the cache (zero search) or searched
-/// now, and the search-side savings counters the bench harness reports
-/// onward (all zero for a replay — no search ran).
-#[derive(Clone, Debug, PartialEq)]
+/// key, and whether it was replayed from the cache (zero search) or
+/// searched now.
+#[derive(Clone, Debug)]
 pub struct TuneReport {
     /// Cache key the configuration lives under.
     pub key: String,
@@ -219,29 +216,13 @@ pub struct TuneReport {
     /// `true` when the config was replayed from the cache without any
     /// search.
     pub cached: bool,
-    /// `true` when the search ran all its rounds (replayed configs are
-    /// complete by construction — only complete outcomes persist). An
-    /// incomplete config is still the best point seen, but it was not
-    /// persisted.
-    pub complete: bool,
-    /// Oracle estimate calls served from the search's AST memo.
-    pub estimate_memo_hits: u64,
-    /// Dependence analyses performed by candidates 2..N (zero when the
-    /// session amortized them all).
-    pub warm_dependence_analyses: u64,
-    /// Farkas linearizations performed by candidates 2..N.
-    pub warm_farkas_linearizations: u64,
-    /// Schedules served from the session's prefix or memo.
-    pub session_reuses: u64,
 }
 
-/// Tunes one kernel through the service's cache — the one-job call of
-/// [`batch_reports`]: a persisted [`TunedConfig`] is returned immediately
-/// (zero search); otherwise the beam search runs through one compile
-/// session on the calling thread and a *complete* outcome is persisted.
-/// Incomplete outcomes — the budget stopped the search early — are
-/// returned but never persisted, since a replay with more budget would
-/// differ.
+/// Tunes one kernel through the service's cache: a persisted
+/// [`TunedConfig`] is returned immediately (zero search); otherwise the
+/// beam search runs under an unlimited budget through one compile
+/// session on the calling thread, and its outcome is persisted if the
+/// search ran all its rounds.
 ///
 /// # Errors
 ///
@@ -252,133 +233,37 @@ pub fn tune_cached(
     src: &str,
     config_name: &str,
     opts: &TuneOptions,
-    budget: &Budget,
 ) -> Result<TuneReport, String> {
-    let job = TuneJob {
-        src: src.to_string(),
-        config_name: config_name.to_string(),
+    let config = config_by_name(config_name)?;
+    let canonical = polyject_front::canonical_pj(src)?;
+    let key = tuned_key(&canonical, config.name(), svc.gpu());
+    if let Some(tuned) = load_tuned(svc, &key) {
+        return Ok(TuneReport {
+            key,
+            tuned,
+            cached: true,
+        });
+    }
+    let req = TuneRequest {
+        kernel: polyject_front::parse(&canonical).map_err(|e| e.to_string())?,
+        config,
+        gpu: svc.gpu().clone(),
+        budget: Budget::unlimited(),
     };
-    batch_reports(svc, &[job], opts, budget, 1)
-        .pop()
-        .expect("one slot per job")
-}
-
-/// One kernel of a [`batch_reports`] request: source text plus the
-/// pipeline configuration name (`isl`/`novec`/`infl`).
-#[derive(Clone, Debug)]
-pub struct TuneJob {
-    /// Kernel source (`.pj` text).
-    pub src: String,
-    /// Configuration name the candidates compile under.
-    pub config_name: String,
-}
-
-/// Tunes a batch of kernels through the service's cache, fanning the
-/// *searches* (not the candidates within one — those serialize through
-/// their search's compile session) over `workers` pool threads.
-///
-/// Phases, chosen so the cache is only touched from the calling thread
-/// and cache writes land in deterministic job order:
-///
-/// 1. serial: resolve configs, canonicalize, probe the cache — replayed
-///    configs are done here with zero search, and an entry that is not
-///    a decodable tuned config of this format version is a miss;
-/// 2. parallel: run the beam searches of the remaining jobs over the
-///    pool ([`parallel_map`]), one compile session per kernel;
-/// 3. serial: persist complete outcomes, in job order.
-///
-/// Returns one slot per job, in job order.
-pub fn batch_reports(
-    svc: &CompileService,
-    jobs: &[TuneJob],
-    opts: &TuneOptions,
-    budget: &Budget,
-    workers: usize,
-) -> Vec<Result<TuneReport, String>> {
-    // Phase 1 (serial, calling thread): key derivation + cache probe.
-    enum Slot {
-        Done(Result<TuneReport, String>),
-        Search {
-            key: String,
-            req: Mutex<TuneRequest>,
-        },
+    let outcome = beam_search(&req, opts, &SerialRunner).map_err(|e| e.to_string())?;
+    // A search that stopped early would not replay as itself.
+    if outcome.complete {
+        if let Some(Err(e)) =
+            svc.with_cache(|c| c.put(&key, TUNED_KIND, &encode_tuned(&outcome.tuned)))
+        {
+            eprintln!("[tune] cache write for {key} failed: {e}");
+        }
     }
-    let mut slots: Vec<Slot> = Vec::with_capacity(jobs.len());
-    for job in jobs {
-        let prepared = (|| -> Result<Slot, String> {
-            let config = config_by_name(&job.config_name)?;
-            let canonical = polyject_front::canonical_pj(&job.src)?;
-            let key = tuned_key(&canonical, config.name(), svc.gpu());
-            if let Some(tuned) = load_tuned(svc, &key) {
-                return Ok(Slot::Done(Ok(TuneReport {
-                    key,
-                    tuned,
-                    cached: true,
-                    complete: true,
-                    estimate_memo_hits: 0,
-                    warm_dependence_analyses: 0,
-                    warm_farkas_linearizations: 0,
-                    session_reuses: 0,
-                })));
-            }
-            let kernel = polyject_front::parse(&canonical).map_err(|e| e.to_string())?;
-            // `Budget` is Send but not Sync (thread-local metering), so
-            // the pending request rides to its worker inside a Mutex and
-            // each search meters its own clone.
-            Ok(Slot::Search {
-                key,
-                req: Mutex::new(TuneRequest {
-                    kernel,
-                    config,
-                    gpu: svc.gpu().clone(),
-                    budget: budget.clone(),
-                }),
-            })
-        })();
-        slots.push(prepared.unwrap_or_else(|e| Slot::Done(Err(e))));
-    }
-
-    // Phase 2 (parallel): the pending searches, whole kernels at a time.
-    let pending: Vec<&Slot> = slots
-        .iter()
-        .filter(|s| matches!(s, Slot::Search { .. }))
-        .collect();
-    let searched = parallel_map(&pending, workers, |slot| {
-        let Slot::Search { req, .. } = slot else {
-            unreachable!("pending slots are searches");
-        };
-        let req = req.lock().expect("request lock poisoned").clone();
-        beam_search(&req, opts, &SerialRunner).map_err(|e| e.to_string())
-    });
-
-    // Phase 3 (serial, calling thread): persist + report, in job order.
-    let mut searched = searched.into_iter();
-    slots
-        .into_iter()
-        .map(|slot| match slot {
-            Slot::Done(r) => r,
-            Slot::Search { key, .. } => {
-                let outcome = searched.next().expect("one result per pending search")?;
-                if outcome.complete {
-                    if let Some(Err(e)) =
-                        svc.with_cache(|c| c.put(&key, TUNED_KIND, &encode_tuned(&outcome.tuned)))
-                    {
-                        eprintln!("[tune] cache write for {key} failed: {e}");
-                    }
-                }
-                Ok(TuneReport {
-                    key,
-                    tuned: outcome.tuned,
-                    cached: false,
-                    complete: outcome.complete,
-                    estimate_memo_hits: outcome.estimate_memo_hits,
-                    warm_dependence_analyses: outcome.warm_dependence_analyses,
-                    warm_farkas_linearizations: outcome.warm_farkas_linearizations,
-                    session_reuses: outcome.session_reuses,
-                })
-            }
-        })
-        .collect()
+    Ok(TuneReport {
+        key,
+        tuned: outcome.tuned,
+        cached: false,
+    })
 }
 
 #[cfg(test)]
@@ -497,12 +382,13 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     #[test]
     fn tune_cached_persists_and_replays_byte_identically() {
         let (svc, dir) = fresh_service("replay");
-        let cold = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
+        let cold = tune_cached(&svc, SRC, "infl", &small()).unwrap();
         assert!(!cold.cached);
-        let warm = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
+        let warm = tune_cached(&svc, SRC, "infl", &small()).unwrap();
         assert!(warm.cached, "second run replays with zero search");
         assert_eq!(warm.tuned, cold.tuned);
         assert_eq!(warm.key, cold.key);
+        assert!(tune_cached(&svc, "not a kernel", "infl", &small()).is_err());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -518,7 +404,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         // one's index has never seen that entry, and still finds it.
         let other = DiskCache::open_default(&dir).unwrap();
         let other = CompileService::new(Some(other), GpuModel::v100());
-        tune_cached(&other, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
+        tune_cached(&other, SRC, "infl", &small()).unwrap();
         svc.serve(SRC, "infl").unwrap();
         assert_eq!(svc.governance().tuned_applied, 1);
         let _ = std::fs::remove_dir_all(&dir);
@@ -533,7 +419,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert_eq!(svc.governance().tuned_applied, 0);
         // Tune (persists a TunedConfig), then serve again: the request
         // is redirected to the tuned options and counted.
-        let report = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
+        let report = tune_cached(&svc, SRC, "infl", &small()).unwrap();
         assert!(!report.cached);
         let (reply, _) = svc.serve(SRC, "infl").unwrap();
         assert_eq!(svc.governance().tuned_applied, 1);
@@ -555,49 +441,6 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     #[test]
-    fn batch_matches_single_tunes_and_replays() {
-        let jobs = vec![
-            TuneJob {
-                src: SRC.to_string(),
-                config_name: "infl".to_string(),
-            },
-            TuneJob {
-                src: SRC.to_string(),
-                config_name: "isl".to_string(),
-            },
-            TuneJob {
-                src: "not a kernel".to_string(),
-                config_name: "infl".to_string(),
-            },
-        ];
-        let unlimited = Budget::unlimited();
-        let (batch_svc, batch_dir) = fresh_service("batch");
-        let cold = batch_reports(&batch_svc, &jobs, &small(), &unlimited, 2);
-        assert_eq!(cold.len(), 3);
-        let cold_infl = cold[0].as_ref().unwrap();
-        assert!(!cold_infl.cached);
-        assert!(cold[2].is_err(), "bad source reports its error in place");
-
-        // Cold on its own empty cache, a single tune is field for field
-        // the one-job batch.
-        let (single_svc, single_dir) = fresh_service("single");
-        let single = tune_cached(&single_svc, SRC, "infl", &small(), &unlimited).unwrap();
-        assert_eq!(&single, cold_infl);
-
-        // Warm, both replay the persisted outcome with zero search.
-        let warm_single = tune_cached(&batch_svc, SRC, "infl", &small(), &unlimited).unwrap();
-        let warm = batch_reports(&batch_svc, &jobs[..2], &small(), &unlimited, 2);
-        assert!(warm.iter().all(|r| r.as_ref().unwrap().cached));
-        let warm_infl = warm[0].as_ref().unwrap();
-        assert_eq!(&warm_single, warm_infl);
-        assert_eq!(warm_infl.tuned, cold_infl.tuned);
-        assert_eq!(warm_infl.session_reuses, 0, "a replay runs no search");
-        for dir in [batch_dir, single_dir] {
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
     fn v1_payload_is_a_miss_and_is_overwritten() {
         let (svc, dir) = fresh_service("v1");
         let canonical = polyject_front::canonical_pj(SRC).unwrap();
@@ -607,7 +450,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
             .unwrap()
             .unwrap();
 
-        let report = tune_cached(&svc, SRC, "infl", &small(), &Budget::unlimited()).unwrap();
+        let report = tune_cached(&svc, SRC, "infl", &small()).unwrap();
         assert!(!report.cached, "an old-format entry forces a fresh search");
         assert_eq!(report.key, key);
         let (kind, payload) = svc.with_cache(|c| c.get(&key)).unwrap().unwrap();

@@ -477,7 +477,6 @@ fn torn_tuned_config_is_quarantined_as_a_miss() {
     // never be half-applied: the checksum layer quarantines it, the
     // lookup is a miss, and the next tune runs a fresh search instead
     // of trusting debris.
-    use polyject_core::Budget;
     use polyject_gpusim::GpuModel;
     use polyject_serve::{tune_cached, CompileService, TUNED_KIND};
     use polyject_tune::TuneOptions;
@@ -502,8 +501,8 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         Some(DiskCache::open(&dir, 1 << 20).unwrap()),
         GpuModel::v100(),
     );
-    let cold = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited()).unwrap();
-    assert!(!cold.cached && cold.complete);
+    let cold = tune_cached(&svc, SRC, "infl", &opts).unwrap();
+    assert!(!cold.cached);
     drop(svc);
 
     // Tear the entry: truncate the file mid-payload, as a crash between
@@ -520,7 +519,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     );
     let miss = svc.with_cache(|c| c.get(&cold.key)).unwrap();
     assert!(miss.is_none(), "torn tuned entry must not be served");
-    let retuned = tune_cached(&svc, SRC, "infl", &opts, &Budget::unlimited()).unwrap();
+    let retuned = tune_cached(&svc, SRC, "infl", &opts).unwrap();
     assert!(!retuned.cached, "torn entry forces a fresh search");
     assert_eq!(retuned.tuned, cold.tuned, "same seed, same winner");
     // The rewritten entry decodes again.

@@ -264,6 +264,25 @@ fn a_cached_answer_does_not_wait_for_a_busy_worker() {
     let cold = client.compile(SRC, "infl").unwrap();
     assert_eq!(cold.get("cached"), Some(&Json::Bool(false)));
 
+    // No poll on the request path: a hit over a fresh connection read
+    // ~20 ms while the accept loop slept between polls, ~0.2 ms since.
+    let mut hit_ms: Vec<f64> = (0..20)
+        .map(|_| {
+            let t0 = Instant::now();
+            let hit = Client::connect(&daemon.endpoint)
+                .and_then(|mut c| c.compile(SRC, "infl"))
+                .unwrap();
+            assert_eq!(hit.get("cached"), Some(&Json::Bool(true)), "{hit:?}");
+            t0.elapsed().as_secs_f64() * 1e3
+        })
+        .collect();
+    hit_ms.sort_by(f64::total_cmp);
+    let p50 = hit_ms[hit_ms.len() / 2];
+    assert!(
+        p50 <= 10.0,
+        "new-connection hit p50 {p50:.2} ms: a poll is back"
+    );
+
     // Starts a seconds-long compile on a connection of its own, and
     // returns once the daemon has taken the request in.
     let occupy = |client: &mut Client, id: &'static str| {
