@@ -1,18 +1,18 @@
 //! The parallel Table II pipeline must produce results byte-identical to
 //! the serial reference path: same rows, bitwise-equal f64 times.
 //!
-//! Runs on a three-network subset (the full table takes minutes); the
-//! subset still exercises cross-network operator deduplication, since
-//! the CV networks share operator classes.
+//! Runs the full Table II population (a serial pass takes well under a
+//! second), which also exercises cross-network operator deduplication,
+//! since the CV networks share operator classes.
 
 use polyject_bench::{measurements_identical, render_table2, run_table2_networks};
 use polyject_gpusim::GpuModel;
-use polyject_workloads::{lstm, measure_network, mobilenet_v2, vgg16};
+use polyject_workloads::{all_networks, measure_network};
 
 #[test]
 fn parallel_pipeline_matches_serial_reference() {
     let model = GpuModel::v100();
-    let nets = vec![lstm(), mobilenet_v2(), vgg16()];
+    let nets = all_networks();
 
     // Legacy serial path: per-network memoized measure_network.
     let reference: Vec<_> = nets.iter().map(|n| measure_network(n, &model)).collect();

@@ -22,11 +22,6 @@ pub enum LoopKind {
 }
 
 impl LoopKind {
-    /// Whether the loop's iterations are distributed over hardware.
-    pub fn is_mapped(&self) -> bool {
-        matches!(self, LoopKind::Block(_) | LoopKind::Thread(_))
-    }
-
     /// The vector width, if vectorized.
     pub fn vector_width(&self) -> Option<u8> {
         match self {
@@ -82,7 +77,7 @@ impl Bound {
 }
 
 /// A loop over one schedule dimension.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct LoopNode {
     /// The schedule dimension this loop scans.
     pub dim: usize,
@@ -125,21 +120,11 @@ impl LoopNode {
         let step = self.step.max(1) as i128;
         (lo..=hi).step_by(step as usize)
     }
-
-    /// Trip count at given outer values (respecting the step).
-    pub fn trip_count(&self, outer: &[i128]) -> i64 {
-        let (lo, hi) = self.range(outer);
-        if hi < lo {
-            return 0;
-        }
-        let step = self.step.max(1) as i128;
-        (((hi - lo) / step) + 1) as i64
-    }
 }
 
 /// A statement instance: how to recover the statement's iterators from the
 /// schedule variables, plus residual guards.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct StmtNode {
     /// The statement.
     pub stmt: StmtId,
@@ -196,7 +181,7 @@ impl StmtNode {
 }
 
 /// A node of the generated AST.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum AstNode {
     /// A loop.
     Loop(LoopNode),
@@ -245,7 +230,7 @@ impl AstNode {
 }
 
 /// A complete generated program: a sequence of top-level nodes.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Ast {
     /// Top-level nodes in execution order.
     pub roots: Vec<AstNode>,
@@ -307,12 +292,10 @@ mod tests {
         };
         // Space: [N]; range 0..=N-1.
         assert_eq!(l.range(&[8]), (0, 7));
-        assert_eq!(l.trip_count(&[8]), 8);
         let tiled = LoopNode {
             step: 3,
             ..l.clone()
         };
-        assert_eq!(tiled.trip_count(&[8]), 3); // 0, 3, 6
         assert_eq!(tiled.values(&[8]).collect::<Vec<_>>(), vec![0, 3, 6]);
     }
 
@@ -334,7 +317,6 @@ mod tests {
         assert_eq!(LoopKind::Parallel.to_string(), "forall");
         assert_eq!(LoopKind::Vector(4).to_string(), "forvec/*x4*/");
         assert_eq!(LoopKind::Thread(0).to_string(), "forall/*threadIdx.x*/");
-        assert!(LoopKind::Block(1).is_mapped());
         assert_eq!(LoopKind::Vector(2).vector_width(), Some(2));
     }
 }

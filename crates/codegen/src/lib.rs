@@ -6,7 +6,7 @@
 //! AKG modifications of paper Section V), a CUDA-like pretty printer
 //! ([`render`]), and the end-to-end [`compile`] pipeline covering the
 //! paper's `isl` / `novec` / `infl` configurations. The pipeline has one
-//! body, [`CompileSession::compile_keyed`]: a per-kernel session that
+//! body, [`CompileSession::compile_with`]: a per-kernel session that
 //! serves every configuration and option set of its kernel, of which
 //! [`compile`] is the one-call use.
 //!

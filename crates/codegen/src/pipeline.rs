@@ -218,24 +218,28 @@ pub struct CompileSession {
     lowered: std::sync::Mutex<LoweredMemo>,
 }
 
-/// Lowered artifacts memoized per (config, schedule identity, mapping,
-/// tiling).
+/// Lowered artifacts memoized per [`LoweredKey`], compared with `==`.
 ///
-/// [`lower`] is a pure function of the schedule and exactly those three
-/// inputs — `vectorize` reads the kernel and schedule only — so
-/// beam-search candidates that differ in influence weights but converge
-/// on the same memoized schedule (the common case: a handful of distinct
-/// schedules serve dozens of knob points) replay the finished AST
-/// instead of re-running codegen. Like the schedule memo, every entry
-/// carries a session-unique identity so downstream layers (the tuner's
-/// timing memo) can key on "same lowered artifact".
+/// [`lower`] is a pure function of exactly the key's values —
+/// `vectorize` reads the kernel and schedule only — so beam-search
+/// candidates that differ in influence weights but converge on the same
+/// schedule (the common case: a handful of distinct schedules serve
+/// dozens of knob points) replay the finished AST instead of re-running
+/// codegen.
 struct LoweredMemo {
-    entries: Vec<(LoweredKey, Compiled, u64)>,
-    next_id: u64,
+    entries: Vec<(LoweredKey, Compiled)>,
 }
 
-/// The exact inputs [`lower`] reads besides the schedule itself.
-type LoweredKey = (Config, u64, MappingOptions, Option<TilingOptions>);
+/// Every input [`lower`] reads besides the session's kernel and
+/// dependences: config, mapping, tiling, and the schedule result's
+/// `influenced` flag and schedule.
+type LoweredKey = (
+    Config,
+    MappingOptions,
+    Option<TilingOptions>,
+    bool,
+    Schedule,
+);
 
 /// Cap on memoized lowered artifacts per session; sized like the
 /// schedule memo times the handful of mapping/tiling points a beam
@@ -249,7 +253,6 @@ impl CompileSession {
             session: polyject_core::ScheduleSession::new(kernel, SchedulerOptions::default()),
             lowered: std::sync::Mutex::new(LoweredMemo {
                 entries: Vec::new(),
-                next_id: 0,
             }),
         }
     }
@@ -260,9 +263,9 @@ impl CompileSession {
     }
 
     /// Compiles the session's kernel under a configuration and explicit
-    /// options. Metered budgets bypass shared state inside the schedule
-    /// session itself (see
-    /// [`polyject_core::ScheduleSession::schedule_with`]).
+    /// options. A budget with resource limits bypasses every memo, like
+    /// [`polyject_core::ScheduleSession::schedule_with`] does: a metered
+    /// artifact is neither served from nor stored into shared state.
     ///
     /// # Errors
     ///
@@ -274,58 +277,35 @@ impl CompileSession {
         budget: &Budget,
         opts: &CompileOptions,
     ) -> Result<Compiled, ScheduleError> {
-        self.compile_keyed(config, budget, opts).map(|(c, _)| c)
-    }
-
-    /// Like [`compile_with`](CompileSession::compile_with), but also
-    /// returns the artifact's session-unique identity: two calls return
-    /// the same `Some(id)` exactly when they served the same lowered-memo
-    /// entry (hence bitwise the same `Compiled`). Metered budgets compile
-    /// outside the memo and get `None`. The autotuner keys its per-search
-    /// timing memo on this id, skipping AST digesting and re-simulation
-    /// for colliding candidates.
-    ///
-    /// # Errors
-    ///
-    /// Those of [`compile_with`](CompileSession::compile_with).
-    pub fn compile_keyed(
-        &self,
-        config: Config,
-        budget: &Budget,
-        opts: &CompileOptions,
-    ) -> Result<(Compiled, Option<u64>), ScheduleError> {
         let influence = match config {
             Config::Isl => None,
             Config::NoVec | Config::Influenced => Some(&opts.influence),
         };
-        let (result, sched_id) = self.session.schedule_keyed(influence, budget)?;
-        // No schedule id = metered bypass: the schedule came from outside
-        // the shared memo, so the lowered memo must neither serve nor
-        // absorb it.
-        let key: Option<LoweredKey> = sched_id.map(|sid| (config, sid, opts.mapping, opts.tiling));
-        if let Some(key) = &key {
+        let result = self.session.schedule_with(influence, budget)?;
+        let (kernel, deps) = (self.kernel(), self.session.deps());
+        if budget.has_resource_limits() {
+            return Ok(lower(kernel, config, opts, deps, result));
+        }
+        let key: LoweredKey = (
+            config,
+            opts.mapping,
+            opts.tiling,
+            result.influenced,
+            result.schedule.clone(),
+        );
+        {
             let memo = self.lowered.lock().expect("lowered memo lock poisoned");
-            if let Some((_, compiled, id)) = memo.entries.iter().find(|(k, _, _)| k == key) {
-                return Ok((compiled.clone(), Some(*id)));
+            if let Some((_, compiled)) = memo.entries.iter().find(|(k, _)| *k == key) {
+                return Ok(compiled.clone());
             }
         }
-        let compiled = lower(self.kernel(), config, opts, self.session.deps(), result);
-        let Some(key) = key else {
-            return Ok((compiled, None));
-        };
+        let compiled = lower(kernel, config, opts, deps, result);
         let mut memo = self.lowered.lock().expect("lowered memo lock poisoned");
-        // Raced insert from another thread: keep its entry (and identity)
-        // so equal ids always mean "same entry".
-        if let Some((_, existing, id)) = memo.entries.iter().find(|(k, _, _)| *k == key) {
-            return Ok((existing.clone(), Some(*id)));
-        }
         if memo.entries.len() >= LOWERED_CAP {
             memo.entries.remove(0);
         }
-        let id = memo.next_id;
-        memo.next_id += 1;
-        memo.entries.push((key, compiled.clone(), id));
-        Ok((compiled, Some(id)))
+        memo.entries.push((key, compiled.clone()));
+        Ok(compiled)
     }
 }
 

@@ -169,16 +169,10 @@ impl SchedulePrefix {
 }
 
 /// Per-session mutable state behind one lock: the lazily built prefix
-/// and the two-level schedule memo. Every memo entry carries the
-/// session-unique identity of its `(schedule, influenced)` *value*
-/// (monotonic, never reused even across FIFO eviction; shared between
-/// entries whose solves converged on the same schedule) so downstream
-/// layers can key their own memos on "same schedule" without comparing
-/// schedules structurally.
+/// and the two-level schedule memo.
 struct SessionState {
     prefix: Option<Arc<SchedulePrefix>>,
     memo: Vec<MemoEntry>,
-    next_id: u64,
 }
 
 /// One memoized schedule, addressable at two levels:
@@ -194,7 +188,6 @@ struct MemoEntry {
     options: Option<InfluenceOptions>,
     tree: InfluenceTree,
     result: ScheduleResult,
-    id: u64,
 }
 
 /// A per-kernel scheduling session: dependence analysis runs once in
@@ -226,7 +219,6 @@ impl ScheduleSession {
             state: Mutex::new(SessionState {
                 prefix: None,
                 memo: Vec::new(),
-                next_id: 0,
             }),
         }
     }
@@ -269,36 +261,14 @@ impl ScheduleSession {
         influence: Option<&InfluenceOptions>,
         budget: &Budget,
     ) -> Result<ScheduleResult, ScheduleError> {
-        self.schedule_keyed(influence, budget).map(|(r, _)| r)
-    }
-
-    /// Like [`schedule_with`](ScheduleSession::schedule_with), but also
-    /// returns the schedule's session-unique identity: two calls return
-    /// the same `Some(id)` exactly when their `(schedule, influenced)`
-    /// values are bitwise identical — distinct influence option sets
-    /// frequently solve to the *same* schedule, and they share one id.
-    /// Metered bypasses get `None`, and a value re-solved after FIFO
-    /// eviction gets a fresh identity, so an id never aliases two
-    /// distinct schedules. Downstream memos (AST lowering, timing
-    /// estimates) key on it.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`schedule_with`](ScheduleSession::schedule_with).
-    pub fn schedule_keyed(
-        &self,
-        influence: Option<&InfluenceOptions>,
-        budget: &Budget,
-    ) -> Result<(ScheduleResult, Option<u64>), ScheduleError> {
         if budget.has_resource_limits() {
             let tree = self.build_tree(influence);
-            return schedule_kernel_budgeted(&self.kernel, &self.deps, &tree, self.opts, budget)
-                .map(|r| (r, None));
+            return schedule_kernel_budgeted(&self.kernel, &self.deps, &tree, self.opts, budget);
         }
         {
             let state = self.state.lock().expect("session lock poisoned");
             if let Some(e) = state.memo.iter().find(|e| e.options.as_ref() == influence) {
-                let hit = (e.result.clone(), Some(e.id));
+                let hit = e.result.clone();
                 drop(state);
                 polyject_sets::counters::note_session_reuse(1);
                 return Ok(hit);
@@ -309,24 +279,37 @@ impl ScheduleSession {
         // equal to a solved entry's proves the solve would be bitwise
         // identical — replay it and index these options as an alias.
         let tree = self.build_tree(influence);
-        {
-            let mut state = self.state.lock().expect("session lock poisoned");
-            if let Some(e) = state.memo.iter().find(|e| e.tree == tree) {
-                let (result, id) = (e.result.clone(), e.id);
-                if state.memo.len() >= MEMO_CAP {
-                    state.memo.remove(0);
-                }
-                state.memo.push(MemoEntry {
-                    options: influence.cloned(),
-                    tree,
-                    result: result.clone(),
-                    id,
-                });
-                drop(state);
+        let replay = {
+            let state = self.state.lock().expect("session lock poisoned");
+            let hit = state.memo.iter().find(|e| e.tree == tree);
+            hit.map(|e| e.result.clone())
+        };
+        let result = match replay {
+            Some(result) => {
                 polyject_sets::counters::note_session_reuse(1);
-                return Ok((result, Some(id)));
+                result
             }
+            None => self.solve(&tree, budget)?,
+        };
+        let mut state = self.state.lock().expect("session lock poisoned");
+        if state.memo.len() >= MEMO_CAP {
+            state.memo.remove(0);
         }
+        state.memo.push(MemoEntry {
+            options: influence.cloned(),
+            tree,
+            result: result.clone(),
+        });
+        Ok(result)
+    }
+
+    /// Runs the option-dependent suffix for `tree` over the shared prefix,
+    /// building the prefix on the session's first solve.
+    fn solve(
+        &self,
+        tree: &InfluenceTree,
+        budget: &Budget,
+    ) -> Result<ScheduleResult, ScheduleError> {
         let (prefix, warm) = {
             let mut state = self.state.lock().expect("session lock poisoned");
             match &state.prefix {
@@ -346,39 +329,14 @@ impl ScheduleSession {
         if warm {
             polyject_sets::counters::note_session_reuse(1);
         }
-        let result = schedule_kernel_with_prefix(
+        schedule_kernel_with_prefix(
             &self.kernel,
             &self.deps,
-            &tree,
+            tree,
             self.opts,
             budget,
             Some(&prefix),
-        )?;
-        let mut state = self.state.lock().expect("session lock poisoned");
-        if state.memo.len() >= MEMO_CAP {
-            state.memo.remove(0);
-        }
-        // Identity is per schedule *value*, not per influence key: when
-        // this solve converged on a schedule some earlier entry already
-        // holds, share its id so downstream memos deduplicate the
-        // (identical) lowering and simulation work.
-        let id = match state.memo.iter().find(|e| {
-            e.result.influenced == result.influenced && e.result.schedule == result.schedule
-        }) {
-            Some(e) => e.id,
-            None => {
-                let id = state.next_id;
-                state.next_id += 1;
-                id
-            }
-        };
-        state.memo.push(MemoEntry {
-            options: influence.cloned(),
-            tree,
-            result: result.clone(),
-            id,
-        });
-        Ok((result, Some(id)))
+        )
     }
 }
 

@@ -75,14 +75,6 @@ impl DepRelation {
         self.n_source_iters + self.n_target_iters + self.n_params
     }
 
-    /// Splits a point of the relation space into (source iters, target
-    /// iters, params).
-    pub fn split_point<'p>(&self, point: &'p [i128]) -> (&'p [i128], &'p [i128], &'p [i128]) {
-        let a = self.n_source_iters;
-        let b = a + self.n_target_iters;
-        (&point[..a], &point[a..b], &point[b..])
-    }
-
     /// A short human-readable label like `flow X->Y (B)`.
     pub fn label(&self, stmt_name: impl Fn(StmtId) -> String, tensor_name: &str) -> String {
         format!(
@@ -98,7 +90,6 @@ impl DepRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyject_sets::ConstraintSet;
 
     #[test]
     fn kind_validity() {
@@ -106,26 +97,6 @@ mod tests {
         assert!(DepKind::Anti.affects_validity());
         assert!(DepKind::Output.affects_validity());
         assert!(!DepKind::Input.affects_validity());
-    }
-
-    #[test]
-    fn split_point() {
-        let r = DepRelation {
-            source: StmtId(0),
-            target: StmtId(1),
-            kind: DepKind::Flow,
-            set: ConstraintSet::universe(6),
-            n_source_iters: 2,
-            n_target_iters: 3,
-            n_params: 1,
-            level: None,
-            tensor: 0,
-        };
-        let p = [1, 2, 3, 4, 5, 9];
-        let (s, t, params) = r.split_point(&p);
-        assert_eq!(s, &[1, 2]);
-        assert_eq!(t, &[3, 4, 5]);
-        assert_eq!(params, &[9]);
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl Access {
             .expect("integer access coefficient") as i64
     }
 
-    /// Whether the access mentions iterator `iter` in any index dimension.
-    pub fn uses_iter(&self, iter: usize) -> bool {
-        (0..self.indices.len()).any(|d| self.iter_coeff(d, iter) != 0)
-    }
-
     /// The element stride of this access along iterator `iter`, given the
     /// tensor's concrete strides: `Σ_dim coeff(dim, iter) · stride[dim]`.
     ///
@@ -219,7 +214,5 @@ mod tests {
         // B[i][k] for statement (i, j, k): j does not occur.
         let acc = Access::new(TensorId(0), &[Idx::Iter(0), Idx::Iter(2)], 3, 0);
         assert_eq!(acc.stride_along(1, &[8, 1]), 0);
-        assert!(!acc.uses_iter(1));
-        assert!(acc.uses_iter(0));
     }
 }

@@ -21,7 +21,7 @@
 use crate::space::KnobPoint;
 use polyject_arith::fnv1a64;
 use polyject_arith::SplitMix64;
-use polyject_codegen::{CompileSession, Compiled, Config, MappingOptions, TilingOptions};
+use polyject_codegen::{Ast, CompileSession, Compiled, Config, MappingOptions, TilingOptions};
 use polyject_core::{Budget, ScheduleError};
 use polyject_gpusim::{estimate, GpuModel, KernelTiming};
 use polyject_ir::Kernel;
@@ -105,26 +105,16 @@ pub struct EvalRecord {
 pub struct EvalCtx<'a> {
     req: &'a TuneRequest,
     session: CompileSession,
-    gpu_digest: u64,
     memo: Mutex<EstimateMemo>,
 }
 
-/// Estimate memo state: one entry per distinct generated AST (keyed by
-/// digest), plus the total call count. Hits are derived as
+/// Estimate memo state: one entry per distinct generated AST, compared
+/// with `==`, plus the total call count. Hits are derived as
 /// `calls - entries.len()` — an order-independent formula, so the
 /// reported count is deterministic no matter how a runner interleaves
 /// candidates.
-///
-/// `by_artifact` is a digest-free shortcut in front of the AST layer:
-/// when the compile session served a memoized lowered artifact, its
-/// session-unique id proves the AST is bitwise one already simulated, so
-/// the (surprisingly costly) debug-format digest is skipped outright.
-/// An artifact hit is an AST hit by construction — the same AST was
-/// digested when the artifact's timing was first recorded — so the
-/// hit formula above is unaffected.
 struct EstimateMemo {
-    entries: Vec<(u64, KernelTiming)>,
-    by_artifact: Vec<(u64, KernelTiming)>,
+    entries: Vec<(Ast, KernelTiming)>,
     calls: u64,
 }
 
@@ -135,10 +125,8 @@ impl<'a> EvalCtx<'a> {
         EvalCtx {
             req,
             session: CompileSession::new(&req.kernel),
-            gpu_digest: fnv1a64(format!("{:?}", req.gpu).as_bytes()),
             memo: Mutex::new(EstimateMemo {
                 entries: Vec::new(),
-                by_artifact: Vec::new(),
                 calls: 0,
             }),
         }
@@ -168,52 +156,23 @@ impl<'a> EvalCtx<'a> {
     /// tilings below the extent threshold all degenerate to the untiled
     /// mapping), and the simulator is pure in (AST, kernel, model).
     pub fn estimate(&self, c: &Compiled) -> KernelTiming {
-        self.estimate_keyed(None, c)
-    }
-
-    /// [`estimate`](EvalCtx::estimate) with an optional lowered-artifact
-    /// identity from [`CompileSession::compile_keyed`]: a known artifact
-    /// that was simulated before replays its timing without touching the
-    /// AST at all.
-    fn estimate_keyed(&self, artifact: Option<u64>, c: &Compiled) -> KernelTiming {
-        {
-            let mut memo = self.memo.lock().expect("estimate memo lock poisoned");
-            memo.calls += 1;
-            if let Some(id) = artifact {
-                if let Some((_, t)) = memo.by_artifact.iter().find(|(i, _)| *i == id) {
-                    return t.clone();
-                }
-            }
-        }
-        let digest = fnv1a64(format!("{:?}", c.ast).as_bytes()) ^ self.gpu_digest;
         let mut memo = self.memo.lock().expect("estimate memo lock poisoned");
-        let t = if let Some((_, t)) = memo.entries.iter().find(|(d, _)| *d == digest) {
-            t.clone()
-        } else {
-            let t = estimate(&c.ast, &self.req.kernel, &self.req.gpu);
-            memo.entries.push((digest, t.clone()));
-            t
-        };
-        if let Some(id) = artifact {
-            memo.by_artifact.push((id, t.clone()));
+        memo.calls += 1;
+        if let Some((_, t)) = memo.entries.iter().find(|(ast, _)| *ast == c.ast) {
+            return t.clone();
         }
+        let t = estimate(&c.ast, &self.req.kernel, &self.req.gpu);
+        memo.entries.push((c.ast.clone(), t.clone()));
         t
     }
 
     /// Compiles and simulates one candidate — the oracle call. `None` on
     /// any compile failure.
     pub fn evaluate(&self, point: &KnobPoint) -> Option<Evaluated> {
-        let (c, artifact) = self
-            .session
-            .compile_keyed(
-                self.req.config,
-                &self.req.budget,
-                &point.to_compile_options(),
-            )
-            .ok()?;
+        let c = self.compile(point).ok()?;
         Some(Evaluated {
             point: point.clone(),
-            timing: self.estimate_keyed(artifact, &c),
+            timing: self.estimate(&c),
         })
     }
 
