@@ -7,22 +7,22 @@
 //! * `--csv` — machine-readable per-operator CSV;
 //! * `--stats` — compile-side performance counters (LP/ILP solves,
 //!   branch-and-bound nodes, FM eliminations, compile wall-clock);
-//! * `--fast` — one-network subset (LSTM) for CI smoke runs;
-//! * `--serial` — force the serial reference path (one worker);
-//! * `--workers N` — pool size (default: available parallelism);
+//! * `--fast` — one-network subset (LSTM) for a quick run;
+//! * `--workers N` — pool size (default: available parallelism; `1` is
+//!   the serial reference path);
 //! * `--bench` — run serially *and* in parallel, verify the outputs are
-//!   identical, and record both legs in `BENCH_table2.json` (see `--json
-//!   PATH`) beside whatever other sections the file holds.
+//!   identical, and write both legs to `BENCH_table2.json` (or to
+//!   `--json PATH`), replacing the file.
 //!
 //! Tuning and serving throughput are measured by the benchmark package
 //! (`polyject-benchmark --workload tune_search|serve_batch`), not here.
 //!
-//! An unknown flag or a missing/unparsable value prints the usage text
-//! and exits 2 before anything is measured or written.
+//! An unknown flag, a missing/unparsable value, `--per-op` with `--csv`,
+//! or `--json` without `--bench` prints the usage text and exits 2
+//! before anything is measured or written.
 
 use polyject_bench::{
-    measurements_identical, render_table2, run_table2_networks, solver_pairs, Table2Bench,
-    Table2Run,
+    render_csv, render_table2, run_table2_networks, solver_pairs, Table2Bench, Table2Run,
 };
 use polyject_gpusim::GpuModel;
 use polyject_serve::args::{self, Args};
@@ -52,27 +52,8 @@ fn print_stats(label: &str, run: &Table2Run) {
     );
 }
 
-/// Replaces (or adds) the named sections of the bench JSON file,
-/// preserving every other section already recorded there.
-fn splice_sections(json_path: &str, sections: Vec<(&str, Json)>) {
-    let existing = std::fs::read_to_string(json_path)
-        .ok()
-        .and_then(|t| Json::parse(&t).ok());
-    let mut pairs = match existing {
-        Some(Json::Obj(pairs)) => pairs,
-        _ => vec![("bench".to_string(), Json::Str("table2".to_string()))],
-    };
-    for (name, section) in sections {
-        match pairs.iter_mut().find(|(k, _)| k == name) {
-            Some((_, slot)) => *slot = section,
-            None => pairs.push((name.to_string(), section)),
-        }
-    }
-    std::fs::write(json_path, Json::Obj(pairs).render_pretty()).expect("write bench json");
-}
-
 const USAGE: &str =
-    "usage: table2 [--per-op | --csv] [--stats] [--fast] [--serial | --workers N] [--bench] [--json PATH]";
+    "usage: table2 [--per-op | --csv] [--stats] [--fast] [--workers N] [--bench [--json PATH]]";
 
 #[derive(Default)]
 struct Cli {
@@ -80,7 +61,6 @@ struct Cli {
     csv: bool,
     stats: bool,
     fast: bool,
-    serial: bool,
     bench: bool,
     workers: Option<usize>,
     json: Option<String>,
@@ -94,22 +74,24 @@ fn parse_args(args: &mut Args) -> Result<Cli, String> {
             "--csv" => cli.csv = true,
             "--stats" => cli.stats = true,
             "--fast" => cli.fast = true,
-            "--serial" => cli.serial = true,
             "--bench" => cli.bench = true,
             "--workers" => cli.workers = Some(args.int()?),
             "--json" => cli.json = Some(args.value()?),
             _ => return Err(args.unexpected()),
         }
     }
+    if cli.per_op && cli.csv {
+        return Err("--per-op and --csv each choose the output; give one".to_string());
+    }
+    if cli.json.is_some() && !cli.bench {
+        return Err("--json names the --bench report; without --bench it does nothing".to_string());
+    }
     Ok(cli)
 }
 
 fn main() {
     let cli = args::parse(USAGE, parse_args);
-    let workers = match cli.serial {
-        true => 1,
-        false => cli.workers.unwrap_or_else(default_workers),
-    };
+    let workers = cli.workers.unwrap_or_else(default_workers);
     let json_path = cli.json.unwrap_or_else(|| "BENCH_table2.json".to_string());
 
     let model = GpuModel::v100();
@@ -152,14 +134,16 @@ fn main() {
         let serial = run_table2_networks(&nets, &model, 1);
         isolate_leg();
         let parallel = run_table2_networks(&nets, &model, bench_workers);
-        let identical = measurements_identical(&serial.results, &parallel.results);
+        let identical = serial.results == parallel.results;
         let b = Table2Bench {
             cores,
             serial,
             parallel,
             identical,
         };
-        splice_sections(&json_path, b.sections());
+        let mut report = vec![("bench", Json::Str("table2".to_string()))];
+        report.extend(b.sections());
+        std::fs::write(&json_path, Json::obj(report).render_pretty()).expect("write bench json");
         // A serial repeat has no scaling story to tell: label it a
         // determinism repeat instead of printing a meaningless ratio
         // (mirrored by `"speedup": null` in the JSON report).
@@ -201,24 +185,7 @@ fn main() {
     let results = &run.results;
 
     if cli.csv {
-        // Machine-readable per-operator dump.
-        println!("network,op,class,vec,influenced,isl_ms,tvm_ms,novec_ms,infl_ms");
-        for net in results {
-            for m in &net.per_op {
-                println!(
-                    "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6}",
-                    net.name,
-                    m.name,
-                    m.class,
-                    m.vec_eligible,
-                    m.influenced,
-                    m.time_ms[0],
-                    m.time_ms[1],
-                    m.time_ms[2],
-                    m.time_ms[3]
-                );
-            }
-        }
+        print!("{}", render_csv(results));
         return;
     }
     if cli.per_op {

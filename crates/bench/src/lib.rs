@@ -139,33 +139,6 @@ pub fn run_table2_networks(nets: &[Network], model: &GpuModel, workers: usize) -
     }
 }
 
-/// Whether two result sets are exactly identical: same networks, same
-/// counts, and bitwise-equal times (f64 compared by bits, so this is
-/// byte-identity of everything rendered into the table, not an epsilon
-/// comparison).
-pub fn measurements_identical(a: &[NetworkMeasurement], b: &[NetworkMeasurement]) -> bool {
-    fn ms_eq(x: &[f64; 4], y: &[f64; 4]) -> bool {
-        x.iter().zip(y).all(|(a, b)| a.to_bits() == b.to_bits())
-    }
-    a.len() == b.len()
-        && a.iter().zip(b).all(|(m, n)| {
-            m.name == n.name
-                && m.total_ops == n.total_ops
-                && m.vec_ops == n.vec_ops
-                && m.infl_ops == n.infl_ops
-                && ms_eq(&m.all_ms, &n.all_ms)
-                && ms_eq(&m.infl_ms, &n.infl_ms)
-                && m.per_op.len() == n.per_op.len()
-                && m.per_op.iter().zip(&n.per_op).all(|(p, q)| {
-                    p.name == q.name
-                        && p.class == q.class
-                        && p.vec_eligible == q.vec_eligible
-                        && p.influenced == q.influenced
-                        && ms_eq(&p.time_ms, &q.time_ms)
-                })
-        })
-}
-
 /// Inputs of the machine-readable `BENCH_table2.json` report.
 #[derive(Clone, Debug)]
 pub struct Table2Bench {
@@ -195,9 +168,9 @@ impl Table2Bench {
         self.parallel.workers < 2
     }
 
-    /// The `--bench` keys of `BENCH_table2.json` (schema in the
-    /// repository README), to be merged beside whatever other sections
-    /// the file already records.
+    /// The `--bench` keys of `BENCH_table2.json` after its leading
+    /// `"bench": "table2"` (schema in the repository README): `table2
+    /// --bench` writes the file whole from them.
     pub fn sections(&self) -> Vec<(&'static str, Json)> {
         let n = |v: usize| Json::Num(v as f64);
         let rounded = |x: f64, digits: i32| Json::Num(round_to(x, digits));
@@ -253,6 +226,26 @@ pub fn solver_pairs(c: &polyject_sets::SolverCounters) -> impl Iterator<Item = (
         Some(stem) => (format!("{stem}_ms"), round_to(v as f64 / 1e6, 3)),
         None => (name.to_string(), v as f64),
     })
+}
+
+/// Renders measured results as the machine-readable per-operator CSV
+/// (`table2 --csv`): a header, then one row per operator of every
+/// network in order — the vectorized / influenced flags and the four
+/// simulated times in milliseconds to six decimals.
+pub fn render_csv(results: &[NetworkMeasurement]) -> String {
+    let mut out = String::from("network,op,class,vec,influenced,isl_ms,tvm_ms,novec_ms,infl_ms\n");
+    for net in results {
+        for m in &net.per_op {
+            let [isl, tvm, novec, infl] = m.time_ms;
+            writeln!(
+                out,
+                "{},{},{},{},{},{isl:.6},{tvm:.6},{novec:.6},{infl:.6}",
+                net.name, m.name, m.class, m.vec_eligible, m.influenced
+            )
+            .unwrap();
+        }
+    }
+    out
 }
 
 /// Renders measured results as a paper-style Table II, with the paper's

@@ -5,27 +5,23 @@
 //! second), which also exercises cross-network operator deduplication,
 //! since the CV networks share operator classes.
 
-use polyject_bench::{measurements_identical, render_table2, run_table2_networks};
+use polyject_bench::{render_table2, run_table2_networks};
 use polyject_gpusim::GpuModel;
-use polyject_workloads::{all_networks, measure_network};
+use polyject_workloads::all_networks;
 
 #[test]
 fn parallel_pipeline_matches_serial_reference() {
     let model = GpuModel::v100();
     let nets = all_networks();
 
-    // Legacy serial path: per-network memoized measure_network.
-    let reference: Vec<_> = nets.iter().map(|n| measure_network(n, &model)).collect();
     // Same pipeline serially (workers=1) and in parallel.
     let serial = run_table2_networks(&nets, &model, 1);
     let parallel = run_table2_networks(&nets, &model, 4);
 
+    // Every time is a finite sum of positive values, so `==` on the rows
+    // is bit equality of everything rendered into the table.
     assert!(
-        measurements_identical(&reference, &serial.results),
-        "global-dedup serial pipeline diverged from measure_network"
-    );
-    assert!(
-        measurements_identical(&serial.results, &parallel.results),
+        serial.results == parallel.results,
         "parallel run diverged from serial run"
     );
     // The rendered table — what the binary actually prints — is
@@ -34,7 +30,6 @@ fn parallel_pipeline_matches_serial_reference() {
         render_table2(&serial.results),
         render_table2(&parallel.results)
     );
-    assert_eq!(render_table2(&reference), render_table2(&parallel.results));
 
     // Dedup bookkeeping: at most as many unique ops as total ops, and
     // the counts agree between the two pipeline runs.

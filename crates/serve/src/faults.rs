@@ -285,9 +285,6 @@ pub struct NetChaos {
     /// Test knob: tear the next N transfer payloads unconditionally.
     force_torn_transfers: u32,
     injected: u64,
-    partitions: u64,
-    garbage_frames: u64,
-    torn_transfers: u64,
 }
 
 impl NetChaos {
@@ -300,9 +297,6 @@ impl NetChaos {
             partitioned: std::collections::HashMap::new(),
             force_torn_transfers: 0,
             injected: 0,
-            partitions: 0,
-            garbage_frames: 0,
-            torn_transfers: 0,
         }
     }
 
@@ -332,7 +326,6 @@ impl NetChaos {
         if self.roll() {
             let window = 1 + self.rng.below(4) as u32;
             self.partitioned.insert(endpoint.to_string(), window);
-            self.partitions += 1;
             return true;
         }
         false
@@ -355,7 +348,6 @@ impl NetChaos {
         if !self.roll() {
             return None;
         }
-        self.garbage_frames += 1;
         let len = 4 + self.rng.below(12);
         let mut bytes = (len as u32).to_be_bytes().to_vec();
         for _ in 0..len {
@@ -377,7 +369,6 @@ impl NetChaos {
         } else if !self.roll() {
             return None;
         }
-        self.torn_transfers += 1;
         let fields = payload.as_obj()?;
         let keep = if fields.is_empty() {
             0
@@ -395,21 +386,6 @@ impl NetChaos {
     /// Total faults injected (partitions counted per blocked operation).
     pub fn injected(&self) -> u64 {
         self.injected
-    }
-
-    /// Partition windows started.
-    pub fn partitions(&self) -> u64 {
-        self.partitions
-    }
-
-    /// Garbage frames emitted.
-    pub fn garbage_frames(&self) -> u64 {
-        self.garbage_frames
-    }
-
-    /// Transfer payloads torn.
-    pub fn torn_transfers(&self) -> u64 {
-        self.torn_transfers
     }
 }
 
@@ -512,13 +488,14 @@ mod tests {
         ]);
         let mut chaos = NetChaos::new(5, 0);
         assert!(chaos.torn_transfer(&payload).is_none(), "rate 0, no force");
+        assert_eq!(chaos.injected(), 0);
         chaos.force_torn_transfers(1);
         let torn = chaos.torn_transfer(&payload).unwrap();
         let fields = torn.as_obj().unwrap();
         assert!(fields.len() < 3);
         let orig = payload.as_obj().unwrap();
         assert_eq!(&orig[..fields.len()], fields);
-        assert_eq!(chaos.torn_transfers(), 1);
+        assert_eq!(chaos.injected(), 1);
         // Knob consumed.
         assert!(chaos.torn_transfer(&payload).is_none());
     }

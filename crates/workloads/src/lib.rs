@@ -8,10 +8,13 @@
 //! # Examples
 //!
 //! ```
-//! use polyject_workloads::{lstm, measure_network, Tool};
+//! use polyject_workloads::{aggregate_network, lstm, measure_op, Tool};
 //! use polyject_gpusim::GpuModel;
 //!
-//! let m = measure_network(&lstm(), &GpuModel::v100());
+//! let net = lstm();
+//! let model = GpuModel::v100();
+//! let per_op = net.ops.iter().map(|op| measure_op(op, &model)).collect();
+//! let m = aggregate_network(&net, per_op);
 //! assert_eq!(m.total_ops, 4);
 //! println!("LSTM infl speedup: {:.2}x", m.speedup_all(Tool::Infl));
 //! ```
@@ -26,8 +29,8 @@ mod tvm;
 
 pub use classes::OpClass;
 pub use measure::{
-    aggregate_network, geomean_speedup, measure_network, measure_op, measure_op_with_perf, op_key,
-    unique_ops, NetworkMeasurement, OpMeasurement, OpPerf, Tool,
+    aggregate_network, geomean_speedup, measure_op, measure_op_with_perf, op_key, unique_ops,
+    NetworkMeasurement, OpMeasurement, OpPerf, Tool,
 };
 pub use networks::{
     all_networks, bert, lstm, mobilenet_v2, resnet101, resnet50, resnext50, vgg16, NetKind, Network,

@@ -50,7 +50,7 @@ impl Tool {
 }
 
 /// Per-operator measurement.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct OpMeasurement {
     /// The operator's kernel name.
     pub name: String,
@@ -75,7 +75,7 @@ impl OpMeasurement {
 }
 
 /// Per-network aggregation (one Table II row).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkMeasurement {
     /// Network name.
     pub name: &'static str,
@@ -198,25 +198,10 @@ pub fn unique_ops(nets: &[Network]) -> (Vec<&OpClass>, HashMap<String, usize>) {
     (unique, index)
 }
 
-/// Measures a whole network (memoizing identical operator classes).
-pub fn measure_network(net: &Network, model: &GpuModel) -> NetworkMeasurement {
-    let mut memo: HashMap<String, OpMeasurement> = HashMap::new();
-    let mut per_op = Vec::with_capacity(net.ops.len());
-    for op in &net.ops {
-        let m = memo
-            .entry(op_key(op))
-            .or_insert_with(|| measure_op(op, model))
-            .clone();
-        per_op.push(m);
-    }
-    aggregate_network(net, per_op)
-}
-
 /// Builds the per-network aggregation (one Table II row) from
 /// already-measured operators, given in the network's operator order.
-/// [`measure_network`] and the parallel pipeline share this, so a
-/// serially measured row and a row reassembled from a parallel run are
-/// identical by construction.
+/// Every Table II row is assembled here, so a serially measured row and
+/// a row reassembled from a parallel run are identical by construction.
 ///
 /// # Panics
 ///
@@ -375,12 +360,12 @@ mod tests {
                 },
             ],
         };
-        let m = measure_network(&net, &model());
+        let per_op = net.ops.iter().map(|op| measure_op(op, &model())).collect();
+        let m = aggregate_network(&net, per_op);
         assert_eq!(m.total_ops, 3);
         assert_eq!(m.infl_ops, 2);
         assert!(m.speedup_all(Tool::Infl) > 1.0);
         assert!(m.speedup_infl(Tool::Infl) >= m.speedup_all(Tool::Infl));
-        // Memoization: identical transposes measured once, reported twice.
         assert_eq!(m.per_op.len(), 3);
     }
 

@@ -73,7 +73,7 @@ pub mod prelude {
     pub use polyject_ir::{
         BinOp, ElemType, Expr, Extent, Idx, Kernel, KernelBuilder, StatementBuilder, StmtId, UnOp,
     };
-    pub use polyject_workloads::{measure_network, measure_op, OpClass, Tool};
+    pub use polyject_workloads::{measure_op, OpClass, Tool};
 }
 
 #[cfg(test)]

@@ -1,17 +1,26 @@
 //! Integration tests asserting the *shape* of the paper's results: who
 //! wins, in which direction, and the Table II operator counts. (The full
 //! Table II regeneration lives in `cargo run -p polyject-bench --bin
-//! table2`; these tests cover the fast networks and single operators.)
+//! table2`, its exact outputs in `identity_gates.rs`; these tests cover
+//! the fast networks and single operators.)
 
 use polyject::gpusim::{estimate, GpuModel};
 use polyject::ir::{ops, ElemType};
 use polyject::prelude::*;
 use polyject::workloads::{
-    all_networks, lstm, measure_network, measure_op, mobilenet_v2, resnet50, OpClass, Tool,
+    all_networks, lstm, measure_op, mobilenet_v2, resnet50, Network, NetworkMeasurement, OpClass,
+    Tool,
 };
+use polyject_bench::run_table2_networks;
 
 fn model() -> GpuModel {
     GpuModel::v100()
+}
+
+/// One network's Table II row, measured serially.
+fn measure(net: &Network) -> NetworkMeasurement {
+    let mut run = run_table2_networks(std::slice::from_ref(net), &model(), 1);
+    run.results.remove(0)
 }
 
 #[test]
@@ -74,7 +83,7 @@ fn table2_counts_match_paper() {
         (mobilenet_v2(), (18, 16, 16)),
         (resnet50(), (17, 10, 12)),
     ] {
-        let m = measure_network(&net, &model());
+        let m = measure(&net);
         assert_eq!(
             (m.total_ops, m.vec_ops, m.infl_ops),
             expect,
@@ -86,7 +95,7 @@ fn table2_counts_match_paper() {
 
 #[test]
 fn resnet50_speedups_have_paper_shape() {
-    let m = measure_network(&resnet50(), &model());
+    let m = measure(&resnet50());
     // Paper row: tvm 3.07, novec 3.05, infl 3.43 — all well above 1, infl
     // the best of the three pipeline configurations, influenced-only
     // larger than overall.
@@ -105,7 +114,7 @@ fn resnet50_speedups_have_paper_shape() {
 
 #[test]
 fn lstm_speedups_near_one() {
-    let m = measure_network(&lstm(), &model());
+    let m = measure(&lstm());
     let infl = m.speedup_all(Tool::Infl);
     assert!((1.0..1.25).contains(&infl), "paper: 1.05, measured {infl}");
     let tvm = m.speedup_all(Tool::Tvm);
