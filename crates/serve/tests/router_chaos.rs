@@ -486,7 +486,7 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
     let root = tmp_root("hedge");
     // Shard `a` has one worker which we occupy with a seconds-long
     // compile; its leg of the hedged request queues behind it and must
-    // lose the race: it starts 5 s late (depth 128) on a 14 s compile
+    // lose the race: it starts 3 s late (depth 128) on a 9 s compile
     // (depth 160), so it is mid-solve when `b` answers.
     let a = spawn_daemon(
         &root.join("a.sock"),

@@ -6,10 +6,11 @@
 //! single positive per-row denominator (`row_rational = a / den`), in the
 //! style of Edmonds/Bareiss fraction-free elimination: a pivot is two
 //! integer multiplies and a subtract per entry — one multiply and a
-//! subtract per *non-zero of the pivot row* when the pivot element is ±1,
-//! as most are — with one early-exiting content-GCD pass per *row*
-//! instead of per *entry*, and rationals are only materialized at
-//! solution read-out.
+//! subtract per *non-zero of the pivot row* when the pivot element
+//! divides the row's entry in the pivot column (always when it is ±1, as
+//! four in five are, and in four rows of five otherwise) — with one
+//! early-exiting content-GCD pass per *row* instead of per *entry*, and
+//! rationals are only materialized at solution read-out.
 //!
 //! # One solved tableau, two verbs
 //!
@@ -47,14 +48,17 @@
 //! `i128`. All arithmetic is checked; when an `i64` operation overflows,
 //! the *whole operation* (the build, or one verb) is redone from its
 //! pre-operation state on `i128` rows, after rewinding the pivot counters
-//! the abandoned attempt ticked. Both widths run the identical algorithm
+//! the abandoned attempt ticked. A verb copies that state only when it
+//! first pivots ([`Undo`]): before, it has only appended rows and slack
+//! columns, which the redo drops. Both widths run the identical algorithm
 //! on identical integer entries (an `i64` tableau widened to `i128` is
 //! exactly the tableau a pure-`i128` run would hold at that point), so
 //! the decision sequence, the returned outcome, *and the final counter
 //! values* are bit-for-bit those of a pure-`i128` run — the escalation is
 //! invisible except to the `tab_i64_solves` / `tab_overflow_escalations`
-//! counters. It is written once for the build ([`build`]) and once for
-//! the verbs (`Solved::apply`).
+//! counters, which [`clear_column`]'s integer-multiplier rows can only
+//! move one way: they overflow only where the dense formula would. It is written once for the build ([`build`]) and once for the
+//! verbs (`Solved::apply`).
 //!
 //! # Exactness and identity
 //!
@@ -154,8 +158,8 @@ fn ov<T>(o: Option<T>) -> Result<T, SolveAbort> {
 ///
 /// Both widths reject their `MIN`, so negation is total on representable
 /// values and `a - b` overflows exactly when `b - a` does — which is what
-/// lets a pivot on `-1` add where the general formula negates, subtracts
-/// and negates back, and still report overflow on the same cells. The
+/// lets the dense elimination run over `|p|` with the multiplier negated
+/// to match, and still report overflow on the same cells. The
 /// `i64` implementation widens ratio-test products to `i128`, where they
 /// always fit — a ratio comparison alone never forces an escalation.
 pub(crate) trait Cell: Copy + Eq + Ord + std::fmt::Debug + 'static {
@@ -167,7 +171,6 @@ pub(crate) trait Cell: Copy + Eq + Ord + std::fmt::Debug + 'static {
     fn narrow(v: i128) -> Option<Self>;
     fn widen(self) -> i128;
     fn cneg(self) -> Option<Self>;
-    fn cadd(self, o: Self) -> Option<Self>;
     fn csub(self, o: Self) -> Option<Self>;
     fn cmul(self, o: Self) -> Option<Self>;
     /// GCD of representable values (never overflows: the result's
@@ -175,7 +178,7 @@ pub(crate) trait Cell: Copy + Eq + Ord + std::fmt::Debug + 'static {
     fn gcd(self, o: Self) -> Self;
     /// Exact division by a known divisor (content-GCD reduction).
     fn div_exact(self, d: Self) -> Self;
-    /// Whether `d > 0` divides this value: the one-remainder test that
+    /// Whether `d != 0` divides this value: the one-remainder test that
     /// saves [`Cell::gcd`]'s Euclid loop when it does.
     fn divisible_by(self, d: Self) -> bool;
     /// Exact comparison of `a*b` with `c*d`; `None` when a product cannot
@@ -220,10 +223,6 @@ impl Cell for i64 {
     #[inline]
     fn cneg(self) -> Option<i64> {
         self.checked_neg()
-    }
-    #[inline]
-    fn cadd(self, o: i64) -> Option<i64> {
-        self.checked_add(o).and_then(sym64)
     }
     #[inline]
     fn csub(self, o: i64) -> Option<i64> {
@@ -272,10 +271,6 @@ impl Cell for i128 {
         self.checked_neg()
     }
     #[inline]
-    fn cadd(self, o: i128) -> Option<i128> {
-        self.checked_add(o).and_then(sym128)
-    }
-    #[inline]
     fn csub(self, o: i128) -> Option<i128> {
         self.checked_sub(o).and_then(sym128)
     }
@@ -308,7 +303,8 @@ impl Cell for i128 {
 
 /// Dense integer tableau: row-major `data` with `stride = ncols + 1` (the
 /// right-hand side lives in the last slot of each row), one positive
-/// denominator per row, and a cost row with its own denominator.
+/// denominator per row, and a cost row of the same shape with its own
+/// denominator (its right-hand side is minus the objective value).
 #[derive(Clone)]
 pub(crate) struct IntTableau<C: Cell> {
     ncols: usize,
@@ -316,8 +312,6 @@ pub(crate) struct IntTableau<C: Cell> {
     data: Vec<C>,
     den: Vec<C>,
     cost: Vec<C>,
-    /// Numerator of the objective value `val = valnum / cost_den`.
-    valnum: C,
     cost_den: C,
     basis: Vec<usize>,
     /// Artificial columns occupy `art_lo..art_hi`; they may not enter the
@@ -328,6 +322,22 @@ pub(crate) struct IntTableau<C: Cell> {
     /// Pivot scratch: the pivot row's copy, and its non-zero columns.
     scratch: Vec<C>,
     nonzero: Vec<usize>,
+    undo: Undo<C>,
+}
+
+/// How [`Solved::apply`] gets back to an overflowing `i64` verb's start.
+/// Before its first pivot a verb only appends rows and slack columns
+/// (zero in every earlier row), which [`widen_tab`] drops, and, as
+/// `Optimize`, overwrites the cost row, which the redo installs afresh.
+/// So only the first pivot copies the tableau.
+#[derive(Clone)]
+enum Undo<C: Cell> {
+    /// Not inside an `i64` verb.
+    Off,
+    /// Inside one that has not pivoted.
+    Armed,
+    /// Inside one that has: the tableau as its first pivot found it.
+    Saved(Box<IntTableau<C>>),
 }
 
 /// A tableau at either cell width. Every tableau starts [`Tab::Small`]
@@ -339,25 +349,88 @@ pub(crate) enum Tab {
     Big(IntTableau<i128>),
 }
 
-/// Widens an `i64` tableau into the identical `i128` tableau: a pure
+/// Widens the first `rows` rows and `ncols` columns (and the right-hand
+/// side) of a tableau into the identical `i128` tableau: a pure
 /// representation change — same rational row values, same basis, same
 /// normalization state — so continuing on the widened copy replays
-/// exactly what a pure-`i128` run would have done from this state.
-fn widen_tab(t: &IntTableau<i64>) -> IntTableau<i128> {
+/// exactly what a pure-`i128` run would have done from that state.
+fn widen_tab<C: Cell>(t: &IntTableau<C>, rows: usize, ncols: usize) -> IntTableau<i128> {
+    let data = t.data.chunks_exact(t.stride).take(rows);
     IntTableau {
-        ncols: t.ncols,
-        stride: t.stride,
-        data: t.data.iter().map(|&v| v as i128).collect(),
-        den: t.den.iter().map(|&v| v as i128).collect(),
-        cost: t.cost.iter().map(|&v| v as i128).collect(),
-        valnum: t.valnum as i128,
-        cost_den: t.cost_den as i128,
-        basis: t.basis.clone(),
+        ncols,
+        stride: ncols + 1,
+        data: data
+            .flat_map(|row| row[..ncols].iter().chain(&row[t.ncols..]))
+            .map(|v| v.widen())
+            .collect(),
+        den: t.den[..rows].iter().map(|v| v.widen()).collect(),
+        cost: t.cost[..ncols]
+            .iter()
+            .chain(&t.cost[t.ncols..])
+            .map(|v| v.widen())
+            .collect(),
+        cost_den: t.cost_den.widen(),
+        basis: t.basis[..rows].to_vec(),
         art_lo: t.art_lo,
         art_hi: t.art_hi,
         bar_artificials: t.bar_artificials,
-        scratch: Vec::with_capacity(t.stride),
+        scratch: Vec::with_capacity(ncols + 1),
         nonzero: Vec::new(),
+        undo: Undo::Off,
+    }
+}
+
+/// Clears entry `c` of a row over `den` (a tableau row or the cost row)
+/// against the pivot row `prow`, whose element there is `p` and whose
+/// non-zero columns are `nonzero`. When `p` divides the row's entry `f`
+/// (always when `p` is ±1, as four pivots in five are; in four rows of
+/// five otherwise) the update is `row - (f/p) * prow` over the unchanged
+/// denominator: written only where `prow` is non-zero, with no content
+/// pass over denominator 1. Else it is the dense `row * |p| - f *
+/// sign(p) * prow` over `den * |p|`. Both store the row's one
+/// content-reduced form over a positive denominator, and the first one's
+/// cells are the dense formula's divided by `|p|`: they overflow only
+/// where it does.
+fn clear_column<C: Cell>(
+    row: &mut [C],
+    den: &mut C,
+    c: usize,
+    prow: &[C],
+    nonzero: &[usize],
+) -> Option<()> {
+    let (f, p) = (row[c], prow[c]);
+    if f == C::ZERO {
+        return Some(());
+    }
+    if let Some(q) = quotient(f, p) {
+        for &j in nonzero {
+            row[j] = row[j].csub(q.cmul(prow[j])?)?;
+        }
+        if *den == C::ONE {
+            return Some(());
+        }
+    } else {
+        let (abs_p, f) = if p < C::ZERO {
+            (p.cneg()?, f.cneg()?)
+        } else {
+            (p, f)
+        };
+        for (v, &pv) in row.iter_mut().zip(prow) {
+            *v = v.cmul(abs_p)?.csub(f.cmul(pv)?)?;
+        }
+        *den = den.cmul(abs_p)?;
+    }
+    reduce_content(den, row);
+    Some(())
+}
+
+/// `f / p` when `p` divides `f`; no division for the ±1 most pivots are.
+#[inline]
+fn quotient<C: Cell>(f: C, p: C) -> Option<C> {
+    match p {
+        _ if p == C::ONE => Some(f),
+        _ if p == C::NEG_ONE => f.cneg(),
+        _ => f.divisible_by(p).then(|| f.div_exact(p)),
     }
 }
 
@@ -413,55 +486,24 @@ impl<C: Cell> IntTableau<C> {
         !(self.bar_artificials && j >= self.art_lo && j < self.art_hi)
     }
 
-    /// Restores `den > 0` and divides the row by its content GCD.
-    fn normalize_row(&mut self, r: usize) -> Option<()> {
-        let stride = self.stride;
-        let row = &mut self.data[r * stride..(r + 1) * stride];
-        if self.den[r] < C::ZERO {
-            self.den[r] = self.den[r].cneg()?;
-            for v in row.iter_mut() {
-                *v = v.cneg()?;
-            }
-        }
-        reduce_content(&mut self.den[r], row);
-        Some(())
-    }
-
-    /// Same reduction for the cost row (entries, value numerator, and its
-    /// denominator).
-    fn normalize_cost(&mut self) -> Option<()> {
-        if self.cost_den < C::ZERO {
-            self.cost_den = self.cost_den.cneg()?;
-            self.valnum = self.valnum.cneg()?;
-            for v in self.cost.iter_mut() {
-                *v = v.cneg()?;
-            }
-        }
-        let g = content(C::gcd(self.cost_den, self.valnum), &self.cost);
-        if g > C::ONE {
-            self.cost_den = self.cost_den.div_exact(g);
-            self.valnum = self.valnum.div_exact(g);
-            divide_content(&mut self.cost, g);
-        }
-        Some(())
-    }
-
     /// Fraction-free pivot at `(r, c)`: rows `i != r` become
     /// `a_i * p - a_ic * a_r` over `den_i * p`; the pivot row itself is
     /// left unscaled (re-negated when `p < 0` to keep the positive-scale
-    /// invariant). Returns `None` on arithmetic overflow.
+    /// invariant). Returns `None` on arithmetic overflow. Inside an `i64`
+    /// verb the first pivot keeps the tableau as it found it ([`Undo`]).
     fn pivot(&mut self, r: usize, c: usize) -> Option<()> {
+        if matches!(self.undo, Undo::Armed) {
+            let mut copy = self.clone();
+            copy.undo = Undo::Off;
+            self.undo = Undo::Saved(Box::new(copy));
+        }
         let stride = self.stride;
         let p = self.data[r * stride + c];
         debug_assert!(p != C::ZERO, "pivot on a zero element");
         let mut prow = std::mem::take(&mut self.scratch);
         prow.clear();
         prow.extend_from_slice(&self.data[r * stride..(r + 1) * stride]);
-        if p == C::ONE || p == C::NEG_ONE {
-            self.eliminate_unit(r, c, p == C::ONE, &prow)?;
-        } else {
-            self.eliminate(r, c, p, &prow)?;
-        }
+        self.eliminate(r, c, &prow)?;
         if p < C::ZERO {
             let row = &mut self.data[r * stride..(r + 1) * stride];
             for v in row.iter_mut() {
@@ -473,91 +515,18 @@ impl<C: Cell> IntTableau<C> {
         Some(())
     }
 
-    /// Clears column `c` from every row but `r` and from the cost row,
-    /// for a pivot element `p` of any size.
-    fn eliminate(&mut self, r: usize, c: usize, p: C, prow: &[C]) -> Option<()> {
+    /// Clears column `c` from every row but `r` and from the cost row
+    /// ([`clear_column`]).
+    fn eliminate(&mut self, r: usize, c: usize, prow: &[C]) -> Option<()> {
         let stride = self.stride;
-        for i in 0..self.rows() {
-            if i == r {
-                continue;
-            }
-            let f = self.data[i * stride + c];
-            if f == C::ZERO {
-                continue;
-            }
-            let row = &mut self.data[i * stride..(i + 1) * stride];
-            for (v, &pv) in row.iter_mut().zip(prow.iter()) {
-                *v = v.cmul(p)?.csub(f.cmul(pv)?)?;
-            }
-            self.den[i] = self.den[i].cmul(p)?;
-            self.normalize_row(i)?;
-        }
-        let f = self.cost[c];
-        if f != C::ZERO {
-            for (v, &pv) in self.cost.iter_mut().zip(prow.iter()) {
-                *v = v.cmul(p)?.csub(f.cmul(pv)?)?;
-            }
-            self.valnum = self.valnum.cmul(p)?.cadd(f.cmul(prow[self.ncols])?)?;
-            self.cost_den = self.cost_den.cmul(p)?;
-            self.normalize_cost()?;
-        }
-        Some(())
-    }
-
-    /// [`IntTableau::eliminate`] for a pivot element of `+1` (`plus`) or
-    /// `-1` — four pivots in five. There the formula reads
-    /// `a_i ∓ a_ic * a_r` over an unchanged denominator, so a touched row
-    /// is written only where `a_r` is non-zero (a tenth of the columns,
-    /// on scheduling tableaux) and a row over denominator 1 needs no
-    /// content pass. The integers stored, and the cells an overflow is
-    /// reported on, are those of the general formula.
-    fn eliminate_unit(&mut self, r: usize, c: usize, plus: bool, prow: &[C]) -> Option<()> {
-        let stride = self.stride;
-        let ncols = self.ncols;
-        let step = |v: C, f: C, pv: C| {
-            let t = f.cmul(pv)?;
-            if plus {
-                v.csub(t)
-            } else {
-                v.cadd(t)
-            }
-        };
         let mut nonzero = std::mem::take(&mut self.nonzero);
         nonzero.clear();
         nonzero.extend((0..stride).filter(|&j| prow[j] != C::ZERO));
-        for i in 0..self.rows() {
-            if i == r {
-                continue;
-            }
-            let f = self.data[i * stride + c];
-            if f == C::ZERO {
-                continue;
-            }
+        for i in (0..self.rows()).filter(|&i| i != r) {
             let row = &mut self.data[i * stride..(i + 1) * stride];
-            for &j in &nonzero {
-                row[j] = step(row[j], f, prow[j])?;
-            }
-            if self.den[i] != C::ONE {
-                reduce_content(&mut self.den[i], row);
-            }
+            clear_column(row, &mut self.den[i], c, prow, &nonzero)?;
         }
-        let f = self.cost[c];
-        if f != C::ZERO {
-            for &j in nonzero.iter().filter(|&&j| j < ncols) {
-                self.cost[j] = step(self.cost[j], f, prow[j])?;
-            }
-            // The value is minus the cost row's right-hand side, so its
-            // update mirrors the entries': `valnum * p + f * b_r`.
-            let t = f.cmul(prow[ncols])?;
-            self.valnum = if plus {
-                self.valnum.cadd(t)?
-            } else {
-                self.valnum.csub(t)?
-            };
-            if self.cost_den != C::ONE {
-                self.normalize_cost()?;
-            }
-        }
+        clear_column(&mut self.cost, &mut self.cost_den, c, prow, &nonzero)?;
         self.nonzero = nonzero;
         Some(())
     }
@@ -565,10 +534,10 @@ impl<C: Cell> IntTableau<C> {
     /// Installs an integer objective row, pricing it out against the
     /// current basis (basic columns end with reduced cost zero). Mirrors
     /// the rational `install_objective` row-for-row.
-    fn install_objective(&mut self, cost: Vec<C>) -> Option<()> {
+    fn install_objective(&mut self, mut cost: Vec<C>) -> Option<()> {
         debug_assert_eq!(cost.len(), self.ncols);
+        cost.push(C::ZERO);
         self.cost = cost;
-        self.valnum = C::ZERO;
         self.cost_den = C::ONE;
         let stride = self.stride;
         for r in 0..self.rows() {
@@ -580,14 +549,12 @@ impl<C: Cell> IntTableau<C> {
             // has +1 in its basic column.
             let pb = self.data[r * stride + self.basis[r]];
             debug_assert!(pb > C::ZERO);
-            let mut valnum = self.valnum.cmul(pb)?;
-            for (v, j) in self.cost.iter_mut().zip(0..) {
-                *v = v.cmul(pb)?.csub(cb.cmul(self.data[r * stride + j])?)?;
+            let row = &self.data[r * stride..(r + 1) * stride];
+            for (v, &a) in self.cost.iter_mut().zip(row) {
+                *v = v.cmul(pb)?.csub(cb.cmul(a)?)?;
             }
-            valnum = valnum.cadd(cb.cmul(self.data[r * stride + self.ncols])?)?;
-            self.valnum = valnum;
             self.cost_den = self.cost_den.cmul(pb)?;
-            self.normalize_cost()?;
+            reduce_content(&mut self.cost_den, &mut self.cost);
         }
         Some(())
     }
@@ -640,8 +607,9 @@ impl<C: Cell> IntTableau<C> {
     /// Reads the installed objective's optimum off the basic rows. A
     /// basic variable's value is `b_r / a_r,bv` — the row denominator
     /// cancels, and `a_r,bv > 0` by the positive-scale invariant; the
-    /// objective value is `valnum / cost_den`, unscaled by `obj_scale`
-    /// and shifted by the objective's constant term.
+    /// objective value is minus the cost row's right-hand side over
+    /// `cost_den`, unscaled by `obj_scale` and shifted by the objective's
+    /// constant term.
     fn read_out(&self, n: usize, split: bool, obj_scale: i128, obj_const: Rat) -> Vertex {
         let mut point = vec![Rat::ZERO; n];
         let mut basic = vec![false; self.ncols];
@@ -658,7 +626,8 @@ impl<C: Cell> IntTableau<C> {
             .all(|j| basic[j] || !self.enterable(j) || self.cost[j] > C::ZERO)
             && (self.art_lo..self.art_hi).all(|j| !basic[j]);
         Vertex {
-            value: Rat::new(self.valnum.widen(), self.cost_den.widen()) / Rat::int(obj_scale)
+            value: Rat::new(-self.cost[self.ncols].widen(), self.cost_den.widen())
+                / Rat::int(obj_scale)
                 + obj_const,
             point,
             unique,
@@ -682,7 +651,7 @@ impl<C: Cell> IntTableau<C> {
         self.data = data;
         self.ncols += 1;
         self.stride += 1;
-        self.cost.push(C::ZERO);
+        self.cost.insert(ncols, C::ZERO);
         ncols
     }
 }
@@ -720,6 +689,7 @@ pub(crate) enum Built {
 }
 
 /// The optimum of the installed objective, as [`Solved::vertex`] reads it.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 pub(crate) struct Vertex {
     /// The optimal value — unique, hence the one any correct solver
     /// returns, whatever the basis.
@@ -834,8 +804,7 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
         stride,
         data,
         den: vec![C::ONE; m],
-        cost: vec![C::ZERO; n_total],
-        valnum: C::ZERO,
+        cost: vec![C::ZERO; stride],
         cost_den: C::ONE,
         basis,
         art_lo: n_struct,
@@ -843,6 +812,7 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
         bar_artificials: false,
         scratch: Vec::with_capacity(stride),
         nonzero: Vec::new(),
+        undo: Undo::Off,
     };
 
     // Phase 1: minimize the artificial sum.
@@ -856,7 +826,8 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
         if res == RunResult::Unbounded {
             unreachable!("phase-1 objective is bounded below by zero");
         }
-        if tab.valnum > C::ZERO {
+        // A positive optimum: the cost row's right-hand side is its negation.
+        if tab.cost[n_total] < C::ZERO {
             return Ok(Built::Infeasible);
         }
         // Drive basic artificials out where a structural pivot exists.
@@ -871,7 +842,6 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
         // Leave the zero objective behind: dual-feasible for any basis,
         // so the result takes rows as readily as an objective.
         tab.cost.fill(C::ZERO);
-        tab.valnum = C::ZERO;
         tab.cost_den = C::ONE;
     }
     tab.bar_artificials = true;
@@ -963,10 +933,11 @@ impl Verb<'_> {
 
 impl Solved {
     /// Runs a verb in place — the crate's one `i64`→`i128` escalation of
-    /// an existing tableau. On `i64` cells the pre-operation state is
-    /// kept aside; if the attempt overflows, the pivot counters it ticked
-    /// are rewound, the escalation is counted, and the verb is redone on
-    /// the widened copy, which then replaces the tableau. Budget and
+    /// an existing tableau. On `i64` cells the pre-operation state stays
+    /// recoverable ([`Undo`]: a copy only once the verb pivots); if the
+    /// attempt overflows, the pivot counters it ticked are rewound, the
+    /// escalation is counted, and the verb is redone on the widened
+    /// pre-operation state, which then replaces the tableau. Budget and
     /// pivot-limit aborts pass through untouched (wider cells would
     /// replay the same pivots). After an `Err` the tableau is mid-pivot
     /// and only good for dropping.
@@ -976,8 +947,11 @@ impl Solved {
             Tab::Big(t) => verb.run(t, n, split, budget),
             Tab::Small(t) => {
                 let marks = counters::pivot_marks();
-                let backup = t.clone();
-                match verb.run(t, n, split, budget) {
+                let (rows, ncols) = (t.rows(), t.ncols);
+                t.undo = Undo::Armed;
+                let result = verb.run(t, n, split, budget);
+                let undo = std::mem::replace(&mut t.undo, Undo::Off);
+                match result {
                     Ok(done) => {
                         counters::count_tab_i64_solve(1);
                         Ok(done)
@@ -985,7 +959,11 @@ impl Solved {
                     Err(SolveAbort::Overflow) => {
                         counters::rewind_pivots(marks);
                         counters::count_tab_overflow_escalation(1);
-                        let mut big = widen_tab(&backup);
+                        let start = match &undo {
+                            Undo::Saved(copy) => copy,
+                            _ => &*t,
+                        };
+                        let mut big = widen_tab(start, rows, ncols);
                         let done = verb.run(&mut big, n, split, budget);
                         self.tab = Tab::Big(big);
                         done
@@ -1263,46 +1241,31 @@ mod tests {
     /// formula whatever the pivot element, the denominator's sign
     /// restored and the content reduced over every touched row.
     fn pivot_reference<C: Cell>(t: &mut IntTableau<C>, r: usize, c: usize) -> Option<()> {
-        let (stride, ncols) = (t.stride, t.ncols);
+        let stride = t.stride;
         let prow = t.data[r * stride..(r + 1) * stride].to_vec();
         let p = prow[c];
-        for i in (0..t.rows()).filter(|&i| i != r) {
-            let f = t.data[i * stride + c];
+        let dense = |row: &mut [C], den: &mut C| {
+            let f = row[c];
             if f == C::ZERO {
-                continue;
+                return Some(());
             }
-            let row = &mut t.data[i * stride..(i + 1) * stride];
             for (v, &pv) in row.iter_mut().zip(&prow) {
                 *v = v.cmul(p)?.csub(f.cmul(pv)?)?;
             }
-            t.den[i] = t.den[i].cmul(p)?;
-            if t.den[i] < C::ZERO {
-                t.den[i] = t.den[i].cneg()?;
+            *den = den.cmul(p)?;
+            if *den < C::ZERO {
+                *den = den.cneg()?;
                 for v in row.iter_mut() {
                     *v = v.cneg()?;
                 }
             }
-            reduce_content_reference(&mut t.den[i], row);
+            reduce_content_reference(den, row);
+            Some(())
+        };
+        for i in (0..t.rows()).filter(|&i| i != r) {
+            dense(&mut t.data[i * stride..(i + 1) * stride], &mut t.den[i])?;
         }
-        let f = t.cost[c];
-        if f != C::ZERO {
-            for (v, &pv) in t.cost.iter_mut().zip(&prow) {
-                *v = v.cmul(p)?.csub(f.cmul(pv)?)?;
-            }
-            t.valnum = t.valnum.cmul(p)?.cadd(f.cmul(prow[ncols])?)?;
-            t.cost_den = t.cost_den.cmul(p)?;
-            if t.cost_den < C::ZERO {
-                t.cost_den = t.cost_den.cneg()?;
-                t.valnum = t.valnum.cneg()?;
-                for v in t.cost.iter_mut() {
-                    *v = v.cneg()?;
-                }
-            }
-            // The value rides along as one more entry of the cost row.
-            t.cost.push(t.valnum);
-            reduce_content_reference(&mut t.cost_den, &mut t.cost);
-            t.valnum = t.cost.pop().expect("pushed above");
-        }
+        dense(&mut t.cost, &mut t.cost_den)?;
         if p < C::ZERO {
             for v in t.data[r * stride..(r + 1) * stride].iter_mut() {
                 *v = v.cneg()?;
@@ -1338,14 +1301,12 @@ mod tests {
         let mut cost_den = arb_den();
         let mut cost: Vec<C> = (0..stride).map(|_| arb_cell(g, bits)).collect();
         reduce_content_reference(&mut cost_den, &mut cost);
-        let valnum = cost.pop().expect("stride >= 1");
         IntTableau {
             ncols,
             stride,
             data,
             den,
             cost,
-            valnum,
             cost_den,
             basis: (0..m).collect(),
             art_lo: ncols,
@@ -1353,17 +1314,26 @@ mod tests {
             bar_artificials: false,
             scratch: Vec::new(),
             nonzero: Vec::new(),
+            undo: Undo::Off,
         }
     }
 
+    /// Everything a pivot writes, widened so two cell types compare.
+    type Written = (Vec<i128>, Vec<i128>, Vec<i128>, i128, Vec<usize>);
+    fn written<C: Cell>(t: &IntTableau<C>) -> Written {
+        let w = widen_tab(t, t.rows(), t.ncols);
+        (w.data, w.den, w.cost, w.cost_den, w.basis)
+    }
+
     /// Chains of random pivots through [`IntTableau::pivot`] and through
-    /// the formula it replaced: the same pivots overflow, and every other
-    /// one leaves the same cells, denominators, cost row and basis. The
-    /// overflow parity is what keeps `tab_overflow_escalations` where
-    /// the counter snapshot has it.
-    fn pivots_match_reference<C: Cell>(seed: u64, bits: u32) {
+    /// the dense formula. Where the dense formula fits, `pivot` does too
+    /// and writes the same cells, denominators, cost row and basis; where
+    /// only the dense formula overflows, `pivot` writes what it writes on
+    /// the `i128`-widened tableau. Returns how many such avoided overflows
+    /// were checked (an `i128` sweep has no wider tableau to check on).
+    fn pivots_match_reference<C: Cell>(seed: u64, bits: u32) -> usize {
         let mut g = SplitMix64::new(seed);
-        let (mut unit, mut general, mut overflowed) = (0, 0, 0);
+        let (mut unit, mut int_rows, mut overflowed, mut avoided) = (0, 0, 0, 0);
         for _ in 0..3000 {
             let mut t: IntTableau<C> = arb_tableau(&mut g, bits);
             for _ in 0..6 {
@@ -1376,39 +1346,123 @@ mod tests {
                 }
                 let (r, c) = spots[g.below(spots.len())];
                 let p = t.at(r, c);
+                let unit_p = p == C::ONE || p == C::NEG_ONE;
+                let divides = |i| i != r && t.at(i, c) != C::ZERO && t.at(i, c).divisible_by(p);
+                unit += usize::from(unit_p);
+                int_rows += (0..t.rows()).filter(|&i| !unit_p && divides(i)).count();
+                let mut wide = widen_tab(&t, t.rows(), t.ncols);
                 let mut reference = t.clone();
                 let want = pivot_reference(&mut reference, r, c);
                 let got = t.pivot(r, c);
-                assert_eq!(got, want, "pivot on {p:?} at ({r}, {c})");
-                if got.is_none() {
-                    overflowed += 1;
-                    break;
+                let at = format!("pivot on {p:?} at ({r}, {c})");
+                match (got, want) {
+                    (Some(()), Some(())) => assert_eq!(written(&t), written(&reference), "{at}"),
+                    (None, Some(())) => panic!("{at} overflows where the dense formula fits"),
+                    (Some(()), None) => {
+                        if pivot_reference(&mut wide, r, c).is_some() {
+                            assert_eq!(written(&t), written(&wide), "{at}");
+                            avoided += 1;
+                        }
+                    }
+                    (None, None) => {
+                        overflowed += 1;
+                        break;
+                    }
                 }
-                if p == C::ONE || p == C::NEG_ONE {
-                    unit += 1;
-                } else {
-                    general += 1;
-                }
-                assert_eq!(t.data, reference.data, "cells after {p:?} at ({r}, {c})");
-                assert_eq!(t.den, reference.den);
-                assert_eq!(t.cost, reference.cost);
-                assert_eq!(
-                    (t.valnum, t.cost_den),
-                    (reference.valnum, reference.cost_den)
-                );
-                assert_eq!(t.basis, reference.basis);
             }
         }
         assert!(
-            unit > 1000 && general > 1000 && overflowed > 100,
-            "{unit} unit, {general} general, {overflowed} overflowed"
+            unit > 1000 && int_rows > 1000 && overflowed > 100,
+            "{unit} unit pivots, {int_rows} integer-multiplier rows, {overflowed} overflowed"
         );
+        avoided
     }
 
     #[test]
     fn pivots_match_the_dense_reference_at_both_widths() {
-        pivots_match_reference::<i64>(0x5eed_0233, 63);
+        let avoided = pivots_match_reference::<i64>(0x5eed_0233, 63);
+        assert!(avoided > 0, "no overflow of the dense formula was avoided");
         pivots_match_reference::<i128>(0x5eed_0234, 127);
+    }
+
+    /// Extends `0 <= x, y <= 100`, optimized for `-x` (`x` basic at 100),
+    /// by `rows` (`c0·x + c1·y + c2 >= 0`, or `= 0`): as an `i64` attempt
+    /// that overflows after `want.0` pivots with a copy of shape `want.1`
+    /// and can undo back to the base, then fast and forced wide, which
+    /// agree on the answer, the vertex and every decision counter.
+    fn escalate(rows: &[([i128; 3], bool)], want: (u64, Option<(usize, usize)>)) {
+        let constraint = |c: [i128; 3], eq: bool| {
+            [Constraint::ge0, Constraint::eq0][usize::from(eq)](LinExpr::from_coeffs(&c[..2], c[2]))
+        };
+        let rows: Vec<Constraint> = rows.iter().map(|&(c, eq)| constraint(c, eq)).collect();
+        let budget = Budget::unlimited();
+        let box_rows = [[1, 0, 0], [0, 1, 0], [-1, 0, 100], [0, -1, 100]];
+        let set = ConstraintSet::from_constraints(2, box_rows.map(|c| constraint(c, false)));
+        let minus_x = LinExpr::from_coeffs(&[-1, 0], 0);
+        let base = || solve_int(&minus_x, &set, &budget).ok().and_then(|s| s.1);
+        let Some(Tab::Small(mut t)) = base().map(|s| s.tab) else {
+            panic!("the box fits i64");
+        };
+        let start = written(&t);
+        t.undo = Undo::Armed;
+        let before = counters::snapshot();
+        let out = Verb::Extend(&rows).run(&mut t, 2, false, &budget);
+        let pivots = counters::snapshot().delta_since(&before).bb_repair_pivots;
+        let undo = std::mem::replace(&mut t.undo, Undo::Off);
+        let from = match &undo {
+            Undo::Saved(copy) => copy,
+            _ => &t,
+        };
+        let copy = matches!(undo, Undo::Saved(_)).then(|| (from.rows(), from.ncols));
+        assert!(matches!(out, Err(SolveAbort::Overflow)));
+        assert_eq!((pivots, copy), want);
+        assert_eq!(written(&widen_tab(from, 2, 4)), start);
+
+        let run = || {
+            let before = counters::snapshot();
+            let mut solved = base().expect("the box is bounded");
+            let done = solved.extend(&rows, &budget).ok();
+            let mut d = counters::snapshot().delta_since(&before);
+            let escalations = d.tab_overflow_escalations;
+            (d.tab_i64_solves, d.tab_overflow_escalations) = (0, 0);
+            ((done, solved.vertex(), d), escalations)
+        };
+        let fast = run();
+        let prev = set_force_wide_tableau(true);
+        let wide = run();
+        set_force_wide_tableau(prev);
+        assert_eq!((fast.0 .0, fast.1, wide.1), (Some(true), 1, 0));
+        assert_eq!(fast.0, wide.0);
+    }
+
+    const B: i128 = 1 << 33;
+
+    #[test]
+    fn an_overflow_before_any_pivot_escalates_without_a_copy() {
+        // The first row and its slack are appended; pricing the second
+        // against `x + s = 100` puts `3 - 2^62 * 100` in its right side.
+        escalate(&[([1, 1, -1], false), ([1 << 62, 1, -3], false)], (0, None));
+    }
+
+    #[test]
+    fn an_overflow_in_dual_repair_escalates_from_the_first_pivots_copy() {
+        // Both rows and their slacks are in the copy; `y >= (2^33 + 2) x`
+        // is violated, dual repair pivots once, and its next pivot
+        // overflows.
+        escalate(
+            &[([1, -1, 0], false), ([-(B + 2), 1, 0], false)],
+            (1, Some((4, 6))),
+        );
+    }
+
+    #[test]
+    fn a_slack_column_appended_after_the_copy_is_dropped_with_its_row() {
+        // The equality pivots in, so the copy holds its row; the
+        // inequality's slack column is appended to the live tableau only.
+        escalate(
+            &[([1, -(B + 6), 0], true), ([B + 8, -(B + 5), 0], false)],
+            (1, Some((3, 4))),
+        );
     }
 
     fn content_reduction_matches_reference<C: Cell>(seed: u64, bits: u32) {
