@@ -9,7 +9,6 @@ use crate::budget::{infallible, Budget, BudgetError};
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::counters;
 use crate::linexpr::LinExpr;
-use crate::preprocess::integer_row;
 use crate::simplex::{try_minimize, LpOutcome};
 use polyject_arith::Rat;
 
@@ -377,6 +376,16 @@ impl ConstraintSet {
             self.add(c);
         }
     }
+}
+
+/// The expression's coefficients and constant as integers, if they all are.
+/// Normalized constraints always satisfy this.
+fn integer_row(expr: &LinExpr) -> Option<(Vec<i128>, i128)> {
+    let mut ints = Vec::with_capacity(expr.n_vars());
+    for c in expr.coeffs() {
+        ints.push(c.to_integer()?);
+    }
+    Some((ints, expr.constant_term().to_integer()?))
 }
 
 #[cfg(test)]

@@ -195,9 +195,9 @@ pub(crate) fn try_minimize_integer_rooted(
 
 /// Whether a set contains at least one integer point.
 ///
-/// Runs a preprocessing pass first (single-variable bound merging with
-/// integer tightening, constraint-content infeasibility checks); many
-/// dependence-analysis queries are decided there without any LP solve.
+/// Runs a preprocessing pass first (unit equalities substituted out, rows
+/// tightened by their content, single-variable rows merged into bounds)
+/// that decides nearly every dependence test with no tableau at all.
 /// The answer is identical to solving the raw set — only the point that
 /// would witness feasibility may differ, and no point is reported here.
 pub fn is_integer_feasible(set: &ConstraintSet) -> bool {
@@ -211,7 +211,9 @@ pub fn try_is_integer_feasible(set: &ConstraintSet, budget: &Budget) -> Result<b
     counters::add_preprocess_ns(t0.elapsed().as_nanos() as u64);
     match pre? {
         PreOutcome::Infeasible => Ok(false),
+        PreOutcome::Feasible => Ok(true),
         PreOutcome::Reduced(reduced) => Ok(try_find_integer_point(&reduced, budget)?.is_some()),
+        PreOutcome::Unchanged => Ok(try_find_integer_point(set, budget)?.is_some()),
     }
 }
 

@@ -78,6 +78,8 @@ pub use ilp::{
 };
 pub use linexpr::LinExpr;
 pub use points::{count_integer_points, integer_points};
+#[doc(hidden)]
+pub use preprocess::integer_feasibility_route;
 pub use relations::{is_subset, lexmin_point, set_eq};
 pub use simplex::{
     is_rational_feasible, maximize, minimize, minimize_reference, try_minimize, LpOutcome,

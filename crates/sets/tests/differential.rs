@@ -13,13 +13,16 @@
 //!   [`eliminate_var_reference`] (rational combinations) — syntactic
 //!   constraint-set equality;
 //! * [`is_integer_feasible`] (preprocessed) vs
-//!   [`is_integer_feasible_reference`] (raw branch-and-bound).
+//!   [`is_integer_feasible_reference`] (raw branch-and-bound), on random
+//!   boxes and on dependence-shaped sets that take each of the
+//!   preprocessing's four ways (infeasible, feasible, reduced, unchanged).
 
 use polyject_arith::{Rat, SplitMix64};
 use polyject_sets::{
-    eliminate_var, eliminate_var_reference, is_integer_feasible, is_integer_feasible_reference,
-    minimize, minimize_integer, minimize_integer_reference, minimize_reference, try_lexmin_integer,
-    Budget, BudgetError, Constraint, ConstraintSet, LinExpr, SchedCtx,
+    eliminate_var, eliminate_var_reference, integer_feasibility_route, is_integer_feasible,
+    is_integer_feasible_reference, minimize, minimize_integer, minimize_integer_reference,
+    minimize_reference, try_lexmin_integer, Budget, BudgetError, Constraint, ConstraintSet,
+    LinExpr, SchedCtx,
 };
 
 /// A random bounded set: a box `[0, hi]` per variable plus random
@@ -60,6 +63,72 @@ fn arb_general_set(g: &mut SplitMix64, n: usize) -> ConstraintSet {
         } else {
             s.add(Constraint::ge0(LinExpr::from_coeffs(&coeffs, k)));
         }
+    }
+    s
+}
+
+/// A dependence-shaped set: source iterators `s` (1–3) then target
+/// iterators `t` (1–3), each in a box; access equalities `s_i = t_j + c`
+/// (one in five strided, `2 s_i = t_j + c`); sometimes a strict order
+/// row `t_k >= s_k + 1` and a non-unit equality.
+///
+/// One set in five instead takes the access `t_0 = 2^64 s_0`, an extra
+/// variable `u` and the row `2^64 t_0 + u >= 0`: substituting `t_0` into
+/// it needs the coefficient `2^128`, so preprocessing hands the set over
+/// unchanged. The tableau never pivots on `t_0` or `u` — every box is
+/// `[0, hi]` with `hi >= 1` (no sign split, no tie with a zero bound), and
+/// no other row mentions `t_0` or `u` — so both solvers decide it without
+/// overflow.
+fn arb_dependence_set(g: &mut SplitMix64) -> ConstraintSet {
+    let (d1, d2) = (1 + g.below(3), 1 + g.below(3));
+    let overflow = g.below(5) == 0;
+    let n = d1 + d2 + usize::from(overflow);
+    let row = |terms: &[(usize, i128)], k: i128| {
+        let mut coeffs = vec![0i128; n];
+        for &(v, a) in terms {
+            coeffs[v] += a;
+        }
+        LinExpr::from_coeffs(&coeffs, k)
+    };
+    let mut s = ConstraintSet::universe(n);
+    for v in 0..n {
+        let (lo, width) = match overflow {
+            true => (0, g.range_i128(1, 6)),
+            false => (g.range_i128(0, 3), g.range_i128(0, 6)),
+        };
+        s.add(Constraint::ge0(row(&[(v, 1)], -lo)));
+        s.add(Constraint::ge0(row(&[(v, -1)], lo + width)));
+    }
+    if overflow {
+        // Both rows are built from coprime entries: normalization keeps them.
+        s.add(Constraint::eq0(row(&[(0, 1 << 64), (d1, -1)], 0)));
+        s.add(Constraint::ge0(row(&[(d1, 1 << 64), (n - 1, 1)], 0)));
+    }
+    for i in usize::from(overflow)..d1.min(d2) {
+        let j = d1 + g.below(d2);
+        if g.below(4) != 0 && !(overflow && j == d1) {
+            let scale = if g.below(5) == 0 { 2 } else { 1 };
+            s.add(Constraint::eq0(row(
+                &[(i, scale), (j, -1)],
+                g.range_i128(-1, 2),
+            )));
+        }
+    }
+    if overflow {
+        return s;
+    }
+    if g.below(2) == 0 {
+        let k = g.below(d1.min(d2));
+        s.add(Constraint::ge0(row(&[(d1 + k, 1), (k, -1)], -1)));
+    }
+    let (a, b) = (g.below(d1), d1 + g.below(d2));
+    match g.below(4) {
+        0 => s.add(Constraint::eq0(row(&[(a, 2), (b, 2)], g.range_i128(-8, 0)))),
+        1 => s.add(Constraint::eq0(row(
+            &[(a, 2), (b, -3)],
+            g.range_i128(-2, 3),
+        ))),
+        _ => {}
     }
     s
 }
@@ -218,6 +287,22 @@ fn integer_feasibility_preprocessing_agrees_with_reference() {
             is_integer_feasible_reference(&set),
             "set {set:?}"
         );
+    }
+    // Dependence-shaped sets, the bulk of the queries a compile asks;
+    // every way the preprocessing can go must be taken often.
+    let mut routes = std::collections::BTreeMap::new();
+    for _ in 0..400 {
+        let set = arb_dependence_set(&mut g);
+        *routes.entry(integer_feasibility_route(&set)).or_insert(0) += 1;
+        assert_eq!(
+            is_integer_feasible(&set),
+            is_integer_feasible_reference(&set),
+            "set {set:?}"
+        );
+    }
+    for route in ["infeasible", "feasible", "reduced", "unchanged"] {
+        let taken = routes.get(route).copied().unwrap_or(0);
+        assert!(taken > 20, "route {route} taken {taken} times: {routes:?}");
     }
 }
 

@@ -2,7 +2,8 @@
 # Offline CI gate: formatting, lints, rustdoc with warnings denied, the
 # tier-1 verify (build + tests; tests/identity_gates.rs holds Table II's
 # exact outputs there: both golden CSVs byte for byte, every solver
-# count equal to the checked-in snapshot, escalations under 1%), the
+# count equal to the checked-in snapshot, overflow escalations at or
+# under a fixed ceiling), the
 # workspace tests,
 # an offline build of the standalone benchmark package and a --quick run
 # of its four workloads (outputs correct, no operation failed), a

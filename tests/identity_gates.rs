@@ -9,7 +9,11 @@
 //!   `scripts/solver_counters.snapshot.json`, with no count missing on
 //!   either side;
 //! * the machine-integer tableau is engaged, and overflow escalations to
-//!   the 128-bit tableau stay at or under 1 % of LP solves.
+//!   the 128-bit tableau stay at or under a fixed ceiling: 36 for the
+//!   whole population, 1 for `--fast`. These are counts, not a share of
+//!   LP solves, so a change that removes solves that never overflow
+//!   cannot fail the gate; a re-record may lower a ceiling, never raise
+//!   it.
 //!
 //! The counts are deterministic on one code revision, so a difference is
 //! a schedule, a timing or a solver decision that moved (or
@@ -40,6 +44,14 @@ fn table2_flags(block: &str) -> &'static str {
     match block {
         "fast" => "--fast --workers 1",
         _ => "--workers 1",
+    }
+}
+
+/// The most overflow escalations a block's run may make.
+fn escalation_ceiling(block: &str) -> u64 {
+    match block {
+        "fast" => 1,
+        _ => 36,
     }
 }
 
@@ -84,15 +96,17 @@ fn assert_counts_match_snapshot(block: &str, run: &Table2Run) {
             bad.push(format!("{name}: live {value}, not in the snapshot"));
         }
     }
-    let (esc, lps) = (
-        run.perf.counters.tab_overflow_escalations,
-        run.perf.counters.lp_solves,
-    );
     if run.perf.counters.tab_i64_solves == 0 {
         bad.push("the i64 tableau path never engaged".to_string());
     }
-    if esc * 100 > lps {
-        bad.push(format!("escalation rate {esc}/{lps} LP solves above 1%"));
+    let (esc, ceiling) = (
+        run.perf.counters.tab_overflow_escalations,
+        escalation_ceiling(block),
+    );
+    if esc > ceiling {
+        bad.push(format!(
+            "{esc} overflow escalations, above the ceiling {ceiling}"
+        ));
     }
     assert!(
         bad.is_empty(),

@@ -10,7 +10,7 @@ use polyject::codegen::{render_artifacts, Artifacts};
 use polyject::core::{clear_assembly_caches, verify_schedule};
 use polyject::gpusim::seeded_buffers;
 use polyject::prelude::*;
-use polyject::sets::counters;
+use polyject::sets::{counters, is_integer_feasible_reference};
 use polyject::workloads::{all_networks, op_key, unique_ops};
 use std::collections::HashSet;
 
@@ -126,4 +126,25 @@ fn full_size_schedules_are_legal_and_a_pass_repeats_exactly() {
     let (second_counts, second) = pass(&ops);
     assert_eq!(first_counts, second_counts, "solver work differs");
     assert!(first == second, "artifacts differ between passes");
+}
+
+/// Integer-feasibility preprocessing decides nearly every dependence
+/// test with no tableau; it must keep exactly the relations branch and
+/// bound on the raw sets keeps. 827 is the count of the solver before
+/// unit equalities were substituted, and every kept set has an integer
+/// point by the unpreprocessed reference search.
+#[test]
+fn dependence_analysis_keeps_every_feasible_relation() {
+    let mut kept = 0;
+    for class in population() {
+        let deps = compute_dependences(&class.build(), DepOptions::default());
+        for rel in deps.relations() {
+            assert!(
+                is_integer_feasible_reference(&rel.set),
+                "{class:?}: kept an empty relation {rel:?}"
+            );
+        }
+        kept += deps.len();
+    }
+    assert_eq!(kept, 827);
 }
