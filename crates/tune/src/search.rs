@@ -361,10 +361,21 @@ pub fn log_digest(records: &[EvalRecord]) -> u64 {
     fnv1a64(s.as_bytes())
 }
 
-/// Accumulating search state shared by the absorb step.
+/// Accumulating search state shared by the absorb step. `records[i]`
+/// logs `pool[i]`, so it holds that point's canonical key.
 struct State {
     pool: Vec<Evaluated>,
     records: Vec<EvalRecord>,
+}
+
+impl State {
+    /// Orders pool points `i` and `j` fastest first, ties broken by
+    /// canonical key — read from the log, not formatted again.
+    fn cmp_rank(&self, i: usize, j: usize) -> std::cmp::Ordering {
+        let (a, b) = (&self.pool[i].timing.time, &self.pool[j].timing.time);
+        a.total_cmp(b)
+            .then_with(|| self.records[i].key.cmp(&self.records[j].key))
+    }
 }
 
 /// Evaluates a batch through the runner and folds the results into the
@@ -470,18 +481,7 @@ pub fn beam_search(
 
         // Beam: the `beam_width` fastest points, key-tie-broken.
         let mut order: Vec<usize> = (0..state.pool.len()).collect();
-        order.sort_by(|&i, &j| {
-            state.pool[i]
-                .timing
-                .time
-                .total_cmp(&state.pool[j].timing.time)
-                .then_with(|| {
-                    state.pool[i]
-                        .point
-                        .canonical_key()
-                        .cmp(&state.pool[j].point.canonical_key())
-                })
-        });
+        order.sort_by(|&i, &j| state.cmp_rank(i, j));
         let beam = order.iter().take(opts.beam_width);
 
         // Neighbors: fresh mutations of each survivor, in beam × draw
@@ -503,15 +503,9 @@ pub fn beam_search(
         complete = false;
     }
 
-    let best = state
-        .pool
-        .iter()
-        .min_by(|a, b| {
-            a.timing
-                .time
-                .total_cmp(&b.timing.time)
-                .then_with(|| a.point.canonical_key().cmp(&b.point.canonical_key()))
-        })
+    let best = (0..state.pool.len())
+        .min_by(|&i, &j| state.cmp_rank(i, j))
+        .map(|i| &state.pool[i])
         .expect("pool contains at least the default point");
     let tuned = TunedConfig::new(
         best.point.clone(),
