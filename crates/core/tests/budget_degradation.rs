@@ -67,15 +67,15 @@ fn pathological_kernel_under_100ms_deadline_degrades() {
     // influenced solve takes several times a 100 ms deadline, given that
     // deadline, must come back degraded-but-valid instead of hanging or
     // erroring out. A deep elementwise chain blows up the ILP size: at
-    // depth 64 the un-budgeted solve takes 0.27-0.30 s (release, 2-core
-    // box; 0.41 s in the dev profile), 3x the deadline, and the budgeted
-    // run answers in 0.26 s (0.36 s dev). Depth 56 now solves in
-    // 0.17-0.20 s, too close to the deadline on a faster box. Deeper
+    // depth 72 the un-budgeted solve takes 0.27 s (release, 2-core box;
+    // 0.32 s in the dev profile), about 3x the deadline, and the budgeted
+    // run answers in 0.33 s (0.36 s dev). Depth 64 now solves in 0.17 s
+    // (0.22 s dev), too close to the deadline on a faster box. Deeper
     // chains once hit a cliff (a base context that spent the deadline on
     // its own phase 1 left the fallback a cold-delegating prefix: 15 s at
     // depth 64 in a debug build, 25 s at depth 72 in release); re-time
     // both sides before moving the depth.
-    let kernel = ops::elementwise_chain(48, 64);
+    let kernel = ops::elementwise_chain(48, 72);
     let deps = compute_dependences(&kernel, DepOptions::default());
     let tree = pinning_tree(&kernel);
 

@@ -486,8 +486,9 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
     let root = tmp_root("hedge");
     // Shard `a` has one worker which we occupy with a seconds-long
     // compile; its leg of the hedged request queues behind it and must
-    // lose the race: it starts 3 s late (depth 128) on a 9 s compile
-    // (depth 160), so it is mid-solve when `b` answers.
+    // lose the race: it starts ~2 s late (depth 128) on a ~5 s compile
+    // (depth 192; dev profile, 2-core box), so it is mid-solve when `b`
+    // answers.
     let a = spawn_daemon(
         &root.join("a.sock"),
         &root.join("a-cache"),
@@ -516,7 +517,7 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
         hot_threshold: 1000,
         ..RouterConfig::default()
     });
-    let resp = router.compile(&slow_src("hedged", 160), "infl");
+    let resp = router.compile(&slow_src("hedged", 192), "infl");
     assert_eq!(resp.str_field("status").unwrap(), "ok", "{}", resp.render());
 
     assert!(router.total(|m| m.hedges_fired) >= 1, "hedge never fired");
