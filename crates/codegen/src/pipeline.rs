@@ -129,7 +129,12 @@ pub fn compile(kernel: &Kernel, config: Config) -> Result<Compiled, ScheduleErro
 /// reproduce [`compile`] exactly; the autotuner searches over the
 /// non-default points and replays winners through this entry. The
 /// scheduler core always runs [`SchedulerOptions::default`].
-#[derive(Clone, Debug, Default)]
+///
+/// [`CompileOptions::canonical_key`] is the one encoding of the option
+/// set: the tuner's candidate log, the persisted tuned configuration and
+/// the serving cache key all carry it, so a new knob is encoded here
+/// and nowhere else.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct CompileOptions {
     /// Influence-optimizer knobs (weights, scenario-variant toggles).
     pub influence: InfluenceOptions,
@@ -138,6 +143,127 @@ pub struct CompileOptions {
     /// Optional tiling applied after mapping (`None` = untiled, the
     /// pipeline default).
     pub tiling: Option<TilingOptions>,
+}
+
+impl CompileOptions {
+    /// A canonical, injective textual encoding of the options. Floats are
+    /// rendered as IEEE-754 bit patterns, so the key is stable across
+    /// formatting changes and two keys are equal exactly when the options
+    /// are. [`CompileOptions::from_canonical_key`] inverts it.
+    pub fn canonical_key(&self) -> String {
+        let mut s = String::with_capacity(160);
+        self.write_key(&mut s)
+            .expect("formatting into a String cannot fail");
+        s
+    }
+
+    fn write_key(&self, s: &mut String) -> std::fmt::Result {
+        use std::fmt::Write;
+        let infl = &self.influence;
+        s.push_str("w=");
+        for (i, w) in infl.weights.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(s, "{sep}{:016x}", w.to_bits())?;
+        }
+        write!(s, ";L={};S={};V=", infl.thread_limit, infl.max_scenarios)?;
+        for (i, v) in infl.vector_widths.iter().enumerate() {
+            let sep = if i > 0 { "," } else { "" };
+            write!(s, "{sep}{v}")?;
+        }
+        write!(
+            s,
+            ";F={};R={}",
+            infl.fusion_variants as u8, infl.relaxed_variants as u8
+        )?;
+        match self.tiling {
+            None => s.push_str(";T=-"),
+            Some(t) => write!(
+                s,
+                ";T={}/{}/{}",
+                t.tile_size, t.min_extent, t.max_tiled_loops
+            )?,
+        }
+        let map = &self.mapping;
+        write!(
+            s,
+            ";M={}/{}/{}",
+            map.max_threads, map.max_thread_axes, map.max_block_axes
+        )
+    }
+
+    /// Decodes a [`CompileOptions::canonical_key`]. Accepts exactly the
+    /// strings `canonical_key` emits.
+    ///
+    /// # Errors
+    ///
+    /// Any other string — truncated, with an unknown tag or field, a
+    /// malformed number, or a non-canonical spelling of one.
+    pub fn from_canonical_key(key: &str) -> Result<CompileOptions, String> {
+        parse_key(key)
+            // Re-encoding rejects what the lenient number parsers accept
+            // but `canonical_key` never writes: signs, leading zeros,
+            // upper-case hex.
+            .filter(|opts| opts.canonical_key() == key)
+            .ok_or_else(|| format!("not a canonical options key: {key:?}"))
+    }
+}
+
+fn parse_key(key: &str) -> Option<CompileOptions> {
+    fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
+        s.parse().ok()
+    }
+    fn triple(s: &str) -> Option<[&str; 3]> {
+        let mut parts = s.split('/');
+        let t = [parts.next()?, parts.next()?, parts.next()?];
+        parts.next().is_none().then_some(t)
+    }
+    let flag = |f: &str| match f {
+        "0" => Some(false),
+        "1" => Some(true),
+        _ => None,
+    };
+    let mut fields = key.split(';');
+    let mut field = |tag: &str| fields.next()?.strip_prefix(tag);
+    let weights: Vec<f64> = field("w=")?
+        .split(',')
+        .map(|w| u64::from_str_radix(w, 16).ok().map(f64::from_bits))
+        .collect::<Option<_>>()?;
+    let thread_limit = num(field("L=")?)?;
+    let max_scenarios = num(field("S=")?)?;
+    let vector_widths = match field("V=")? {
+        "" => Vec::new(),
+        v => v.split(',').map(num).collect::<Option<_>>()?,
+    };
+    let fusion_variants = flag(field("F=")?)?;
+    let relaxed_variants = flag(field("R=")?)?;
+    let tiling = match field("T=")? {
+        "-" => None,
+        t => {
+            let [size, extent, loops] = triple(t)?;
+            Some(TilingOptions {
+                tile_size: num(size)?,
+                min_extent: num(extent)?,
+                max_tiled_loops: num(loops)?,
+            })
+        }
+    };
+    let [threads, thread_axes, block_axes] = triple(field("M=")?)?;
+    Some(CompileOptions {
+        influence: InfluenceOptions {
+            weights: weights.try_into().ok()?,
+            thread_limit,
+            max_scenarios,
+            vector_widths,
+            fusion_variants,
+            relaxed_variants,
+        },
+        mapping: MappingOptions {
+            max_threads: num(threads)?,
+            max_thread_axes: num(thread_axes)?,
+            max_block_axes: num(block_axes)?,
+        },
+        tiling,
+    })
 }
 
 /// [`compile`] under a cooperative [`Budget`] — the scheduling phase
@@ -396,5 +522,56 @@ mod tests {
             "tiling must add tile loops"
         );
         assert!(loops.iter().any(|l| matches!(l.kind, LoopKind::Thread(0))));
+    }
+
+    const DEFAULT_KEY: &str = "w=4014000000000000,4008000000000000,3ff0000000000000,\
+        3ff0000000000000,3ff0000000000000;L=1024;S=8;V=4,2;F=1;R=1;T=-;M=1024/2/3";
+
+    #[test]
+    fn canonical_key_of_the_defaults_is_pinned_and_decodes() {
+        let opts = CompileOptions::default();
+        assert_eq!(opts.canonical_key(), DEFAULT_KEY);
+        assert_eq!(CompileOptions::from_canonical_key(DEFAULT_KEY), Ok(opts));
+        // An empty width list is a point too.
+        let mut no_widths = CompileOptions::default();
+        no_widths.influence.vector_widths.clear();
+        let key = no_widths.canonical_key();
+        assert!(key.contains(";V=;"));
+        assert_eq!(CompileOptions::from_canonical_key(&key), Ok(no_widths));
+    }
+
+    #[test]
+    fn from_canonical_key_rejects_everything_else() {
+        // Every proper prefix is a truncated key.
+        for (cut, _) in DEFAULT_KEY.char_indices() {
+            let truncated = &DEFAULT_KEY[..cut];
+            assert!(
+                CompileOptions::from_canonical_key(truncated).is_err(),
+                "{truncated:?}"
+            );
+        }
+        let bad = [
+            DEFAULT_KEY.replace("L=", "X="),
+            DEFAULT_KEY.replace(";S=8", ""),
+            DEFAULT_KEY.replace("4014000000000000", "40140000000000zz"),
+            DEFAULT_KEY.replace("4014000000000000", "4014000000000000,"),
+            DEFAULT_KEY.replace("3ff0000000000000;", "3ff0000000000000,3ff0000000000000;"),
+            DEFAULT_KEY.replace("F=1", "F=2"),
+            DEFAULT_KEY.replace("V=4,2", "V=4,,2"),
+            DEFAULT_KEY.replace("T=-", "T=32/64"),
+            DEFAULT_KEY.replace("T=-", "T=32/64/2/1"),
+            DEFAULT_KEY.replace("M=1024/2/3", "M=1024/2/3/4"),
+            format!("{DEFAULT_KEY};Q=1"),
+            format!("{DEFAULT_KEY};"),
+            // Spellings the number parsers accept but the encoder never
+            // writes.
+            DEFAULT_KEY.replace("L=1024", "L=+1024"),
+            DEFAULT_KEY.replace("S=8", "S=08"),
+            DEFAULT_KEY.replace("3ff0000000000000;", "3FF0000000000000;"),
+            DEFAULT_KEY.replace("4014000000000000", "+4014000000000000"),
+        ];
+        for key in &bad {
+            assert!(CompileOptions::from_canonical_key(key).is_err(), "{key:?}");
+        }
     }
 }

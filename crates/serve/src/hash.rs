@@ -12,8 +12,8 @@ pub fn hex_digest(text: &str) -> String {
 }
 
 /// Renders an `f64` as its IEEE-754 bit pattern in hex — the form used
-/// inside cache key material so that configuration floats (influence
-/// weights, GPU bandwidths) contribute exactly, with no formatting
+/// inside cache key material and payloads so that floats (GPU
+/// bandwidths, simulated times) contribute exactly, with no formatting
 /// ambiguity.
 pub fn f64_bits_hex(v: f64) -> String {
     format!("{:016x}", v.to_bits())

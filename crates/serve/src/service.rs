@@ -4,9 +4,9 @@
 //! `.pj` rendering of the kernel (so formatting, comments, and statement
 //! spelling differences that parse to the same kernel share one entry)
 //! plus every knob that shapes the output: the pipeline [`Config`], the
-//! influence/scheduler/mapping/tiling option defaults the pipeline
-//! compiles under, the [`GpuModel`] the timing is estimated on, and a
-//! key-format version tag. Anything that would change the artifacts
+//! [`CompileOptions`] the request compiles under (as their canonical
+//! key), the scheduler defaults, the [`GpuModel`] the timing is
+//! estimated on, and a key-format version tag. Anything that would change the artifacts
 //! changes the key; anything that wouldn't, doesn't.
 //!
 //! [`CompileService`] layers single-flight deduplication on top: when
@@ -18,7 +18,7 @@ use crate::hash::{f64_bits_hex, Fnv64};
 use crate::hot::HotTier;
 use crate::json::Json;
 use crate::protocol::CompileReply;
-use crate::tuned::{load_tuned, tuned_key};
+use crate::tuned::{load_tuned, tuned_key_of};
 use polyject_codegen::{render_artifacts, CompileOptions, CompileSession, Config};
 use polyject_core::{Budget, SchedulerOptions};
 use polyject_gpusim::{estimate, GpuModel};
@@ -35,7 +35,9 @@ use std::time::Instant;
 /// Version 3: [`CompileOptions`] lost its scheduler group and the
 /// Feautrier switch is gone, so the scheduler material is the five
 /// [`SchedulerOptions::default`] constants; a v2 entry is never looked up.
-pub const KEY_VERSION: u64 = 3;
+/// Version 4: the options are folded as their
+/// [`CompileOptions::canonical_key`], one field.
+pub const KEY_VERSION: u64 = 4;
 
 /// Resolves a configuration name (`isl|novec|infl`) to a [`Config`].
 ///
@@ -89,18 +91,11 @@ pub fn cache_key_with_options(
     h.write_field(canonical_pj);
     h.write_field(config);
 
-    // The options the pipeline compiles under; folding the actual values
-    // (not the defaults) both invalidates old entries when a default
-    // changes and gives tuned compiles their own entries.
-    let infl = &opts.influence;
-    write_f64_fields(&mut h, &infl.weights);
-    h.write_field(&infl.thread_limit.to_string());
-    h.write_field(&infl.max_scenarios.to_string());
-    for w in &infl.vector_widths {
-        h.write_field(&w.to_string());
-    }
-    h.write_field(&infl.fusion_variants.to_string());
-    h.write_field(&infl.relaxed_variants.to_string());
+    // The options the pipeline compiles under, in their one encoding;
+    // folding the actual values (not the defaults) both invalidates old
+    // entries when a default changes and gives tuned compiles their own
+    // entries.
+    h.write_field(&opts.canonical_key());
     // Every compile schedules under the scheduler defaults; folding the
     // constants invalidates old entries when one of them changes.
     let sched = SchedulerOptions::default();
@@ -109,18 +104,6 @@ pub fn cache_key_with_options(
     h.write_field(&sched.bounds.max_bound.to_string());
     h.write_field(&sched.max_dims.to_string());
     h.write_field(&sched.max_attempts.to_string());
-    let map = &opts.mapping;
-    h.write_field(&map.max_threads.to_string());
-    h.write_field(&map.max_thread_axes.to_string());
-    h.write_field(&map.max_block_axes.to_string());
-    match &opts.tiling {
-        None => h.write_field("untiled"),
-        Some(tile) => {
-            h.write_field(&tile.tile_size.to_string());
-            h.write_field(&tile.min_extent.to_string());
-            h.write_field(&tile.max_tiled_loops.to_string());
-        }
-    }
 
     h.write_field(&gpu.name);
     write_f64_fields(
@@ -157,19 +140,21 @@ pub fn compile_reply(src: &str, config_name: &str, gpu: &GpuModel) -> Result<Com
     let kernel = polyject_front::parse(src).map_err(|e| e.to_string())?;
     let canonical = polyject_front::emit_pj(&kernel)?;
     let open = || Ok(Arc::new(CompileSession::new(&kernel)));
+    let key = cache_key(&canonical, config.name(), gpu);
     let (budget, opts) = (Budget::unlimited(), CompileOptions::default());
-    session_reply(open, canonical, config, gpu, &budget, &opts)
+    session_reply(open, canonical, key, config, gpu, &budget, &opts)
 }
 
 /// Compiles through the [`CompileSession`] that `open` yields and renders
 /// every artifact into the [`CompileReply`] cache payload — the one body
 /// behind a one-shot [`compile_reply`] and a [`CompileService`] request
 /// served from its warm pool (under a budget, and the tuned options when
-/// a tuning is persisted: the key folds them, so tuned artifacts never
+/// a tuning is persisted: `key` folds them, so tuned artifacts never
 /// collide with the default compile's entry).
 fn session_reply(
     open: impl FnOnce() -> Result<Arc<CompileSession>, String>,
     canonical: String,
+    key: String,
     config: Config,
     gpu: &GpuModel,
     budget: &Budget,
@@ -185,7 +170,6 @@ fn session_reply(
     let compiled = session
         .compile_with(config, budget, opts)
         .map_err(|e| e.to_string())?;
-    let key = cache_key_with_options(&canonical, config.name(), gpu, opts);
     let artifacts = render_artifacts(kernel, &compiled);
     let timing = estimate(&compiled.ast, kernel, gpu);
     let compile_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -438,13 +422,18 @@ impl CompileService {
         // default entry (if any) stays untouched. The probe costs an
         // index lookup and, for a key this process never wrote, one
         // `stat`: no cache *read* for an untuned kernel.
-        let tkey = tuned_key(&canonical, config.name(), &self.gpu);
-        let tuned_opts = load_tuned(self, &tkey).map(|t| t.to_compile_options());
-        if tuned_opts.is_some() {
-            self.tuned_applied.fetch_add(1, Ordering::SeqCst);
-        }
-        let opts = tuned_opts.unwrap_or_default();
-        let key = cache_key_with_options(&canonical, config.name(), &self.gpu, &opts);
+        // The default-options key is hashed once: it is the untuned
+        // request's cache key and the material of its tuned key.
+        let base = cache_key(&canonical, config.name(), &self.gpu);
+        let (opts, key) = match load_tuned(self, &tuned_key_of(&base)) {
+            Some(tuned) => {
+                self.tuned_applied.fetch_add(1, Ordering::SeqCst);
+                let key =
+                    cache_key_with_options(&canonical, config.name(), &self.gpu, &tuned.point);
+                (tuned.point, key)
+            }
+            None => (CompileOptions::default(), base),
+        };
         Ok(Prepared {
             config,
             canonical,
@@ -558,6 +547,7 @@ impl CompileService {
             session_reply(
                 open,
                 canonical.clone(),
+                key.clone(),
                 request.config,
                 gpu,
                 budget,
@@ -612,6 +602,57 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         assert_ne!(base, cache_key(&canon, "infl", &GpuModel::a100()));
         let other = canon.replace("64", "128");
         assert_ne!(base, cache_key(&other, "infl", &v100));
+    }
+
+    #[test]
+    fn every_knob_moves_the_key() {
+        use polyject_codegen::TilingOptions;
+        let canon = polyject_front::canonical_pj(SRC).unwrap();
+        let key =
+            |opts: &CompileOptions| cache_key_with_options(&canon, "infl", &GpuModel::v100(), opts);
+        let edits: [fn(&mut CompileOptions); 17] = [
+            |o| o.influence.weights[0] = 0.5,
+            |o| o.influence.weights[1] = 0.5,
+            |o| o.influence.weights[2] = 0.5,
+            |o| o.influence.weights[3] = 0.5,
+            |o| o.influence.weights[4] = 0.5,
+            |o| o.influence.thread_limit = 512,
+            |o| o.influence.max_scenarios = 4,
+            |o| o.influence.vector_widths = vec![4],
+            |o| o.influence.fusion_variants = false,
+            |o| o.influence.relaxed_variants = false,
+            |o| o.mapping.max_threads = 256,
+            |o| o.mapping.max_thread_axes = 3,
+            |o| o.mapping.max_block_axes = 2,
+            |o| o.tiling = Some(TilingOptions::default()),
+            |o| {
+                o.tiling = Some(TilingOptions {
+                    tile_size: 64,
+                    ..TilingOptions::default()
+                })
+            },
+            |o| {
+                o.tiling = Some(TilingOptions {
+                    min_extent: 128,
+                    ..TilingOptions::default()
+                })
+            },
+            |o| {
+                o.tiling = Some(TilingOptions {
+                    max_tiled_loops: 3,
+                    ..TilingOptions::default()
+                })
+            },
+        ];
+        let mut keys = vec![cache_key(&canon, "infl", &GpuModel::v100())];
+        assert_eq!(keys[0], key(&CompileOptions::default()));
+        for edit in &edits {
+            let mut opts = CompileOptions::default();
+            edit(&mut opts);
+            let k = key(&opts);
+            assert!(!keys.contains(&k), "{opts:?} shares a key");
+            keys.push(k);
+        }
     }
 
     #[test]

@@ -17,27 +17,35 @@
 use crate::hash::{f64_bits_hex, Fnv64};
 use crate::json::Json;
 use crate::service::{cache_key, config_by_name, CompileService};
-use polyject_codegen::{MappingOptions, TilingOptions};
-use polyject_core::{Budget, InfluenceOptions};
+use polyject_codegen::CompileOptions;
+use polyject_core::Budget;
 use polyject_gpusim::GpuModel;
-use polyject_tune::{beam_search, KnobPoint, SerialRunner, TuneOptions, TuneRequest, TunedConfig};
+use polyject_tune::{beam_search, SerialRunner, TuneOptions, TuneRequest, TunedConfig};
 
 /// Cache entry kind of persisted tuned configurations.
 pub const TUNED_KIND: &str = "tuned-config";
 
 /// Payload format version folded into both the key and the payload;
-/// bump when the encoding or the knob space changes meaning.
-pub const TUNED_FORMAT_VERSION: u64 = 2;
+/// bump when the encoding or the knob space changes meaning. Version 3:
+/// the point is its [`CompileOptions::canonical_key`] string, not a
+/// nested object.
+pub const TUNED_FORMAT_VERSION: u64 = 3;
 
 /// The cache key a kernel's tuned configuration lives under: the compile
 /// key material re-hashed beneath a distinct domain tag, so compile and
 /// tuned entries for one kernel never collide while still sharing
 /// invalidation behavior (any key-material change moves both).
 pub fn tuned_key(canonical_pj: &str, config: &str, gpu: &GpuModel) -> String {
+    tuned_key_of(&cache_key(canonical_pj, config, gpu))
+}
+
+/// [`tuned_key`] from the kernel's default-options [`cache_key`], for a
+/// caller that has already computed it.
+pub(crate) fn tuned_key_of(compile_key: &str) -> String {
     let mut h = Fnv64::new();
     h.write_field("polyject-tuned");
     h.write_field(&TUNED_FORMAT_VERSION.to_string());
-    h.write_field(&cache_key(canonical_pj, config, gpu));
+    h.write_field(compile_key);
     h.hex()
 }
 
@@ -51,59 +59,13 @@ fn u64_from_hex(s: &str) -> Result<u64, String> {
     u64::from_str_radix(s, 16).map_err(|_| format!("bad u64 hex {s:?}"))
 }
 
-/// Encodes a tuned configuration as a cache payload. Inverse of
-/// [`decode_tuned`].
+/// Encodes a tuned configuration as a cache payload: the winning point
+/// as its [`CompileOptions::canonical_key`] beside the search's
+/// provenance. Inverse of [`decode_tuned`].
 pub fn encode_tuned(cfg: &TunedConfig) -> Json {
-    let p = &cfg.point;
-    let tiling = match &p.tiling {
-        None => Json::Null,
-        Some(t) => Json::obj(vec![
-            ("tile_size", Json::Num(t.tile_size as f64)),
-            ("min_extent", Json::Num(t.min_extent as f64)),
-            ("max_tiled_loops", Json::Num(t.max_tiled_loops as f64)),
-        ]),
-    };
-    let point = Json::obj(vec![
-        (
-            "weights",
-            Json::Arr(
-                p.influence
-                    .weights
-                    .iter()
-                    .map(|&w| Json::Str(f64_bits_hex(w)))
-                    .collect(),
-            ),
-        ),
-        ("thread_limit", Json::Num(p.influence.thread_limit as f64)),
-        ("max_scenarios", Json::Num(p.influence.max_scenarios as f64)),
-        (
-            "vector_widths",
-            Json::Arr(
-                p.influence
-                    .vector_widths
-                    .iter()
-                    .map(|&w| Json::Num(w as f64))
-                    .collect(),
-            ),
-        ),
-        ("fusion_variants", Json::Bool(p.influence.fusion_variants)),
-        ("relaxed_variants", Json::Bool(p.influence.relaxed_variants)),
-        ("tiling", tiling),
-        (
-            "mapping",
-            Json::obj(vec![
-                ("max_threads", Json::Num(p.mapping.max_threads as f64)),
-                (
-                    "max_thread_axes",
-                    Json::Num(p.mapping.max_thread_axes as f64),
-                ),
-                ("max_block_axes", Json::Num(p.mapping.max_block_axes as f64)),
-            ]),
-        ),
-    ]);
     Json::obj(vec![
         ("version", Json::Num(TUNED_FORMAT_VERSION as f64)),
-        ("point", point),
+        ("point", Json::Str(cfg.point.canonical_key())),
         ("seed", Json::Str(format!("{:016x}", cfg.seed))),
         ("rounds", Json::Num(cfg.rounds as f64)),
         ("evaluated", Json::Num(cfg.evaluated as f64)),
@@ -117,8 +79,9 @@ pub fn encode_tuned(cfg: &TunedConfig) -> Json {
 ///
 /// # Errors
 ///
-/// Unknown version, missing fields, and malformed bit patterns, as
-/// strings — callers treat a decode failure as a cache miss.
+/// Unknown version, missing fields, a malformed point key, and malformed
+/// bit patterns, as strings — callers treat a decode failure as a cache
+/// miss.
 pub fn decode_tuned(j: &Json) -> Result<TunedConfig, String> {
     let version = j.num_field("version")? as u64;
     if version != TUNED_FORMAT_VERSION {
@@ -126,63 +89,8 @@ pub fn decode_tuned(j: &Json) -> Result<TunedConfig, String> {
             "tuned-config version {version} (expected {TUNED_FORMAT_VERSION})"
         ));
     }
-    let pj = j
-        .get("point")
-        .ok_or_else(|| "missing field point".to_string())?;
-    let weights_arr = pj
-        .get("weights")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing field weights".to_string())?;
-    if weights_arr.len() != 5 {
-        return Err(format!("expected 5 weights, got {}", weights_arr.len()));
-    }
-    let mut weights = [0.0f64; 5];
-    for (i, w) in weights_arr.iter().enumerate() {
-        weights[i] = f64_from_hex(w.as_str().ok_or("weights must be bit-pattern strings")?)?;
-    }
-    let vector_widths = pj
-        .get("vector_widths")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| "missing field vector_widths".to_string())?
-        .iter()
-        .map(|v| v.as_f64().map(|f| f as i64).ok_or("bad vector width"))
-        .collect::<Result<Vec<i64>, _>>()?;
-    let influence = InfluenceOptions {
-        weights,
-        thread_limit: pj.num_field("thread_limit")? as i64,
-        max_scenarios: pj.num_field("max_scenarios")? as usize,
-        vector_widths,
-        fusion_variants: pj
-            .get("fusion_variants")
-            .and_then(Json::as_bool)
-            .ok_or("missing field fusion_variants")?,
-        relaxed_variants: pj
-            .get("relaxed_variants")
-            .and_then(Json::as_bool)
-            .ok_or("missing field relaxed_variants")?,
-    };
-    let tiling = match pj.get("tiling") {
-        None | Some(Json::Null) => None,
-        Some(t) => Some(TilingOptions {
-            tile_size: t.num_field("tile_size")? as i64,
-            min_extent: t.num_field("min_extent")? as i64,
-            max_tiled_loops: t.num_field("max_tiled_loops")? as usize,
-        }),
-    };
-    let mj = pj
-        .get("mapping")
-        .ok_or_else(|| "missing field mapping".to_string())?;
-    let mapping = MappingOptions {
-        max_threads: mj.num_field("max_threads")? as i64,
-        max_thread_axes: mj.num_field("max_thread_axes")? as usize,
-        max_block_axes: mj.num_field("max_block_axes")? as usize,
-    };
     Ok(TunedConfig::new(
-        KnobPoint {
-            influence,
-            tiling,
-            mapping,
-        },
+        CompileOptions::from_canonical_key(j.str_field("point")?)?,
         u64_from_hex(j.str_field("seed")?)?,
         j.num_field("rounds")? as usize,
         j.num_field("evaluated")? as usize,
@@ -270,11 +178,13 @@ pub fn tune_cached(
 mod tests {
     use super::*;
     use crate::cache::DiskCache;
+    use polyject_codegen::{MappingOptions, TilingOptions};
+    use polyject_core::InfluenceOptions;
     use polyject_tune::log_digest;
 
     fn sample_config() -> TunedConfig {
         TunedConfig::new(
-            KnobPoint {
+            CompileOptions {
                 influence: InfluenceOptions {
                     weights: [0.5, 3.0, 1.0, 8.0, 1.0],
                     thread_limit: 512,
@@ -303,12 +213,13 @@ mod tests {
         )
     }
 
-    /// Rewrites the `version` field of an encoded payload.
-    fn with_version(mut j: Json, version: f64) -> Json {
+    /// The encoded [`sample_config`] with one field rewritten.
+    fn sample_payload_with(field: &str, value: Json) -> Json {
+        let mut j = encode_tuned(&sample_config());
         if let Json::Obj(pairs) = &mut j {
             for (k, v) in pairs.iter_mut() {
-                if k == "version" {
-                    *v = Json::Num(version);
+                if k == field {
+                    *v = value.clone();
                 }
             }
         }
@@ -328,15 +239,30 @@ mod tests {
         assert_eq!(decode_tuned(&encode_tuned(&untiled)).unwrap(), untiled);
     }
 
+    /// A version-2 payload as that format wrote it: the point as a nested
+    /// object, field by field.
+    const V2_PAYLOAD: &str = r#"{"version":2,"point":{"weights":["3fe0000000000000",
+        "4008000000000000","3ff0000000000000","4020000000000000","3ff0000000000000"],
+        "thread_limit":512,"max_scenarios":4,"vector_widths":[4],"fusion_variants":true,
+        "relaxed_variants":false,"tiling":{"tile_size":32,"min_extent":64,"max_tiled_loops":2},
+        "mapping":{"max_threads":256,"max_thread_axes":2,"max_block_axes":3}},
+        "seed":"5eed1e55ca11ab1e","rounds":3,"evaluated":23,"default_time":"3ee43c8a8e509da2",
+        "tuned_time":"3eddd4c62336fd1c","log_digest":"cbf29ce484222325"}"#;
+
     #[test]
     fn decode_rejects_bad_payloads() {
         assert!(decode_tuned(&Json::Null).is_err());
-        // A wrong version — a future one, or the v1 this format replaced
-        // — is a miss, not a panic.
-        for version in [99.0, 1.0] {
-            let j = with_version(encode_tuned(&sample_config()), version);
+        // A wrong version — a future one, or the v1 and v2 this format
+        // replaced — is a miss, not a panic.
+        for version in [99.0, 1.0, 2.0] {
+            let j = sample_payload_with("version", Json::Num(version));
             assert!(decode_tuned(&j).unwrap_err().contains("version"));
         }
+        let v2 = Json::parse(V2_PAYLOAD).unwrap();
+        assert!(decode_tuned(&v2).unwrap_err().contains("version"));
+        // A current version around a point that is no canonical key.
+        let j = sample_payload_with("point", Json::Str("w=zz".into()));
+        assert!(decode_tuned(&j).unwrap_err().contains("canonical"));
     }
 
     #[test]
@@ -441,21 +367,25 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
     }
 
     #[test]
-    fn v1_payload_is_a_miss_and_is_overwritten() {
-        let (svc, dir) = fresh_service("v1");
+    fn old_payloads_are_a_miss_and_are_overwritten() {
+        let (svc, dir) = fresh_service("old");
         let canonical = polyject_front::canonical_pj(SRC).unwrap();
         let key = tuned_key(&canonical, "infl", svc.gpu());
-        let v1 = with_version(encode_tuned(&sample_config()), 1.0);
-        svc.with_cache(|c| c.put(&key, TUNED_KIND, &v1))
-            .unwrap()
-            .unwrap();
+        let v1 = sample_payload_with("version", Json::Num(1.0));
+        let v2 = Json::parse(V2_PAYLOAD).unwrap();
+        for old in [v1, v2] {
+            svc.with_cache(|c| c.put(&key, TUNED_KIND, &old))
+                .unwrap()
+                .unwrap();
+            assert_eq!(load_tuned(&svc, &key), None, "an old entry is never served");
 
-        let report = tune_cached(&svc, SRC, "infl", &small()).unwrap();
-        assert!(!report.cached, "an old-format entry forces a fresh search");
-        assert_eq!(report.key, key);
-        let (kind, payload) = svc.with_cache(|c| c.get(&key)).unwrap().unwrap();
-        assert_eq!(kind, TUNED_KIND);
-        assert_eq!(decode_tuned(&payload).unwrap(), report.tuned);
+            let report = tune_cached(&svc, SRC, "infl", &small()).unwrap();
+            assert!(!report.cached, "an old-format entry forces a fresh search");
+            assert_eq!(report.key, key);
+            let (kind, payload) = svc.with_cache(|c| c.get(&key)).unwrap().unwrap();
+            assert_eq!(kind, TUNED_KIND);
+            assert_eq!(decode_tuned(&payload).unwrap(), report.tuned);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -49,7 +49,7 @@
 #![warn(missing_docs)]
 
 mod search;
-mod space;
+pub mod space;
 
 pub use polyject_arith::fnv1a64;
 pub use search::{

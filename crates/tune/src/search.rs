@@ -18,10 +18,12 @@
 //! determinism does not depend on evaluation order, only on the order
 //! results are *absorbed*, which the contract fixes.
 
-use crate::space::KnobPoint;
+use crate::space::{mutate, sample};
 use polyject_arith::fnv1a64;
 use polyject_arith::SplitMix64;
-use polyject_codegen::{Ast, CompileSession, Compiled, Config, MappingOptions, TilingOptions};
+use polyject_codegen::{
+    Ast, CompileOptions, CompileSession, Compiled, Config, MappingOptions, TilingOptions,
+};
 use polyject_core::{Budget, ScheduleError};
 use polyject_gpusim::{estimate, GpuModel, KernelTiming};
 use polyject_ir::Kernel;
@@ -80,7 +82,7 @@ pub struct TuneRequest {
 #[derive(Clone, Debug)]
 pub struct Evaluated {
     /// The candidate.
-    pub point: KnobPoint,
+    pub point: CompileOptions,
     /// Its simulated timing.
     pub timing: KernelTiming,
 }
@@ -143,12 +145,9 @@ impl<'a> EvalCtx<'a> {
     ///
     /// Propagates [`ScheduleError`] like
     /// [`polyject_codegen::compile_with_options`].
-    pub fn compile(&self, point: &KnobPoint) -> Result<Compiled, ScheduleError> {
-        self.session.compile_with(
-            self.req.config,
-            &self.req.budget,
-            &point.to_compile_options(),
-        )
+    pub fn compile(&self, point: &CompileOptions) -> Result<Compiled, ScheduleError> {
+        self.session
+            .compile_with(self.req.config, &self.req.budget, point)
     }
 
     /// Simulates a compiled candidate, memoized on the generated AST:
@@ -168,7 +167,7 @@ impl<'a> EvalCtx<'a> {
 
     /// Compiles and simulates one candidate — the oracle call. `None` on
     /// any compile failure.
-    pub fn evaluate(&self, point: &KnobPoint) -> Option<Evaluated> {
+    pub fn evaluate(&self, point: &CompileOptions) -> Option<Evaluated> {
         let c = self.compile(point).ok()?;
         Some(Evaluated {
             point: point.clone(),
@@ -194,7 +193,7 @@ impl<'a> EvalCtx<'a> {
 /// threads — parallelism belongs at the whole-search (per-kernel) level.
 pub trait JobRunner {
     /// Evaluates `points` through `ctx`, preserving order.
-    fn evaluate(&self, ctx: &EvalCtx<'_>, points: &[KnobPoint]) -> Vec<Option<Evaluated>>;
+    fn evaluate(&self, ctx: &EvalCtx<'_>, points: &[CompileOptions]) -> Vec<Option<Evaluated>>;
 }
 
 /// The in-process runner: evaluates candidates one by one on the calling
@@ -202,7 +201,7 @@ pub trait JobRunner {
 pub struct SerialRunner;
 
 impl JobRunner for SerialRunner {
-    fn evaluate(&self, ctx: &EvalCtx<'_>, points: &[KnobPoint]) -> Vec<Option<Evaluated>> {
+    fn evaluate(&self, ctx: &EvalCtx<'_>, points: &[CompileOptions]) -> Vec<Option<Evaluated>> {
         points.iter().map(|p| ctx.evaluate(p)).collect()
     }
 }
@@ -211,7 +210,7 @@ impl JobRunner for SerialRunner {
 /// (untiled, plus two tile sizes under two thread budgets). The beam
 /// search evaluates these as deterministic anchors in its seed round, so
 /// its winner is never worse than the best of this grid.
-pub fn grid_anchors() -> Vec<KnobPoint> {
+pub fn grid_anchors() -> Vec<CompileOptions> {
     let tilings = [
         None,
         Some(TilingOptions {
@@ -241,10 +240,10 @@ pub fn grid_anchors() -> Vec<KnobPoint> {
             } else {
                 *mapping
             };
-            let p = KnobPoint {
+            let p = CompileOptions {
                 tiling: *tiling,
                 mapping,
-                ..KnobPoint::default()
+                ..CompileOptions::default()
             };
             if !anchors.contains(&p) {
                 anchors.push(p);
@@ -260,7 +259,7 @@ pub fn grid_anchors() -> Vec<KnobPoint> {
 #[derive(Clone, Debug, PartialEq)]
 pub struct TunedConfig {
     /// Winning knob point.
-    pub point: KnobPoint,
+    pub point: CompileOptions,
     /// Seed the search ran under.
     pub seed: u64,
     /// Neighbor rounds the search was configured for.
@@ -284,7 +283,7 @@ impl TunedConfig {
     /// A tuned configuration from the values a search produces (or a
     /// persisted payload carries).
     pub fn new(
-        point: KnobPoint,
+        point: CompileOptions,
         seed: u64,
         rounds: usize,
         evaluated: usize,
@@ -313,9 +312,9 @@ impl TunedConfig {
         }
     }
 
-    /// Lowers the winner to pipeline [`polyject_codegen::CompileOptions`].
-    pub fn to_compile_options(&self) -> polyject_codegen::CompileOptions {
-        self.point.to_compile_options()
+    /// The winner's pipeline options.
+    pub fn to_compile_options(&self) -> CompileOptions {
+        self.point.clone()
     }
 }
 
@@ -385,7 +384,7 @@ fn absorb(
     ctx: &EvalCtx<'_>,
     runner: &dyn JobRunner,
     round: usize,
-    batch: &[KnobPoint],
+    batch: &[CompileOptions],
 ) {
     for ev in runner.evaluate(ctx, batch).into_iter().flatten() {
         state.records.push(EvalRecord {
@@ -398,7 +397,7 @@ fn absorb(
 }
 
 /// Records `p` in `seen`; `false` when the point was already there.
-fn first_sight(seen: &mut Vec<String>, p: &KnobPoint) -> bool {
+fn first_sight(seen: &mut Vec<String>, p: &CompileOptions) -> bool {
     let key = p.canonical_key();
     let fresh = !seen.contains(&key);
     if fresh {
@@ -434,7 +433,7 @@ pub fn beam_search(
     // deterministic however callers fan whole searches out.
     let search_start = polyject_sets::counters::snapshot();
     let ctx = EvalCtx::new(req);
-    let default_point = KnobPoint::default();
+    let default_point = CompileOptions::default();
     let compiled = ctx.compile(&default_point)?;
     let default_timing = ctx.estimate(&compiled);
     let after_default = polyject_sets::counters::snapshot();
@@ -463,7 +462,7 @@ pub fn beam_search(
     let mut sampled = 0;
     while sampled < opts.initial_samples && tries < opts.initial_samples * 16 {
         tries += 1;
-        let p = KnobPoint::sample(&mut rng);
+        let p = sample(&mut rng);
         if first_sight(&mut seen, &p) {
             batch.push(p);
             sampled += 1;
@@ -487,10 +486,10 @@ pub fn beam_search(
         // Neighbors: fresh mutations of each survivor, in beam × draw
         // order. Candidates past the per-round evaluation cap are
         // dropped and their keys stay in `seen`: they don't come back.
-        let mut cands: Vec<KnobPoint> = Vec::new();
+        let mut cands: Vec<CompileOptions> = Vec::new();
         for &survivor in beam {
             for _ in 0..opts.neighbors_per_survivor {
-                let p = state.pool[survivor].point.mutate(&mut rng);
+                let p = mutate(&state.pool[survivor].point, &mut rng);
                 if first_sight(&mut seen, &p) {
                     cands.push(p);
                 }
@@ -575,17 +574,17 @@ mod tests {
 
         // Seed round: the default point, the anchors, uniform samples.
         let mut rng = SplitMix64::new(opts.seed);
-        let mut pool = vec![KnobPoint::default()];
+        let mut pool = vec![CompileOptions::default()];
         pool.extend(grid_anchors());
         pool.dedup(); // the untiled anchor is the default point
         let seeded = pool.len() + opts.initial_samples;
         while pool.len() < seeded {
-            let p = KnobPoint::sample(&mut rng);
+            let p = sample(&mut rng);
             if !pool.contains(&p) {
                 pool.push(p);
             }
         }
-        let mut seen: Vec<String> = pool.iter().map(KnobPoint::canonical_key).collect();
+        let mut seen: Vec<String> = pool.iter().map(CompileOptions::canonical_key).collect();
         let round0: Vec<&EvalRecord> = out.log.iter().filter(|r| r.round == 0).collect();
         let logged: Vec<&str> = round0.iter().map(|r| r.key.as_str()).collect();
         assert_eq!(logged, seen, "every seed candidate compiled, in order");
@@ -598,7 +597,7 @@ mod tests {
         let mut expected = Vec::new();
         for &i in order.iter().take(opts.beam_width) {
             for _ in 0..opts.neighbors_per_survivor {
-                let key = pool[i].mutate(&mut rng).canonical_key();
+                let key = mutate(&pool[i], &mut rng).canonical_key();
                 if !seen.contains(&key) {
                     seen.push(key.clone());
                     expected.push(key);

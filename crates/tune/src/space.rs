@@ -10,7 +10,6 @@
 
 use polyject_arith::SplitMix64;
 use polyject_codegen::{CompileOptions, MappingOptions, TilingOptions};
-use polyject_core::InfluenceOptions;
 
 /// Menu for each of the five influence cost weights `w₁..w₅`.
 const WEIGHT_CHOICES: [f64; 6] = [0.5, 1.0, 2.0, 3.0, 5.0, 8.0];
@@ -32,122 +31,63 @@ const THREAD_AXES: [usize; 3] = [1, 2, 3];
 /// Menu for block axes.
 const BLOCK_AXES: [usize; 2] = [2, 3];
 
-/// One point of the joint knob space.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct KnobPoint {
-    /// Influence-optimizer knobs (weights, limits, variant toggles).
-    pub influence: InfluenceOptions,
-    /// Optional tiling (`None` = untiled, the pipeline default).
-    pub tiling: Option<TilingOptions>,
-    /// Block/thread mapping knobs.
-    pub mapping: MappingOptions,
+/// One point of the joint knob space — the pipeline's options, whose
+/// [`CompileOptions::canonical_key`] the search dedups, tie-breaks and
+/// digests by. The alias keeps the name `benchmark/`'s runner uses.
+pub type KnobPoint = CompileOptions;
+
+/// Draws a uniform point of the space.
+pub fn sample(rng: &mut SplitMix64) -> CompileOptions {
+    let mut p = CompileOptions::default();
+    for i in 0..5 {
+        p.influence.weights[i] = WEIGHT_CHOICES[rng.below(WEIGHT_CHOICES.len())];
+    }
+    p.influence.thread_limit = THREAD_LIMITS[rng.below(THREAD_LIMITS.len())];
+    p.influence.max_scenarios = MAX_SCENARIOS[rng.below(MAX_SCENARIOS.len())];
+    p.influence.vector_widths = VECTOR_WIDTH_SETS[rng.below(VECTOR_WIDTH_SETS.len())].to_vec();
+    p.influence.fusion_variants = rng.below(2) == 0;
+    p.influence.relaxed_variants = rng.below(2) == 0;
+    p.tiling = sample_tiling(rng);
+    p.mapping = sample_mapping(rng);
+    p
 }
 
-impl KnobPoint {
-    /// A canonical, injective textual encoding of the point. Floats are
-    /// rendered as IEEE-754 bit patterns, so the key is stable across
-    /// formatting changes and two keys are equal exactly when the points
-    /// are.
-    pub fn canonical_key(&self) -> String {
-        let mut s = String::new();
-        s.push_str("w=");
-        for (i, w) in self.influence.weights.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!("{:016x}", w.to_bits()));
-        }
-        s.push_str(&format!(";L={}", self.influence.thread_limit));
-        s.push_str(&format!(";S={}", self.influence.max_scenarios));
-        s.push_str(";V=");
-        for (i, v) in self.influence.vector_widths.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&v.to_string());
-        }
-        s.push_str(&format!(
-            ";F={};R={}",
-            self.influence.fusion_variants as u8, self.influence.relaxed_variants as u8
-        ));
-        match self.tiling {
-            None => s.push_str(";T=-"),
-            Some(t) => s.push_str(&format!(
-                ";T={}/{}/{}",
-                t.tile_size, t.min_extent, t.max_tiled_loops
-            )),
-        }
-        s.push_str(&format!(
-            ";M={}/{}/{}",
-            self.mapping.max_threads, self.mapping.max_thread_axes, self.mapping.max_block_axes
-        ));
-        s
-    }
-
-    /// Lowers the point to the pipeline's [`CompileOptions`] — the tuner
-    /// searches the spaces the paper leaves to "respective tool
-    /// auto-tuners", not solver caps.
-    pub fn to_compile_options(&self) -> CompileOptions {
-        CompileOptions {
-            influence: self.influence.clone(),
-            mapping: self.mapping,
-            tiling: self.tiling,
-        }
-    }
-
-    /// Draws a uniform point of the space.
-    pub fn sample(rng: &mut SplitMix64) -> KnobPoint {
-        let mut p = KnobPoint::default();
-        for i in 0..5 {
+/// Re-draws one knob group of `point` (a local move for the beam
+/// search). The result may coincide with `point`; callers dedupe by
+/// [`CompileOptions::canonical_key`].
+pub fn mutate(point: &CompileOptions, rng: &mut SplitMix64) -> CompileOptions {
+    let mut p = point.clone();
+    match rng.below(8) {
+        0 => {
+            let i = rng.below(5);
             p.influence.weights[i] = WEIGHT_CHOICES[rng.below(WEIGHT_CHOICES.len())];
         }
-        p.influence.thread_limit = THREAD_LIMITS[rng.below(THREAD_LIMITS.len())];
-        p.influence.max_scenarios = MAX_SCENARIOS[rng.below(MAX_SCENARIOS.len())];
-        p.influence.vector_widths = VECTOR_WIDTH_SETS[rng.below(VECTOR_WIDTH_SETS.len())].to_vec();
-        p.influence.fusion_variants = rng.below(2) == 0;
-        p.influence.relaxed_variants = rng.below(2) == 0;
-        p.tiling = sample_tiling(rng);
-        p.mapping = sample_mapping(rng);
-        p
-    }
-
-    /// Re-draws one knob group (a local move for the beam search). The
-    /// result may coincide with `self`; callers dedupe by
-    /// [`KnobPoint::canonical_key`].
-    pub fn mutate(&self, rng: &mut SplitMix64) -> KnobPoint {
-        let mut p = self.clone();
-        match rng.below(8) {
-            0 => {
-                let i = rng.below(5);
-                p.influence.weights[i] = WEIGHT_CHOICES[rng.below(WEIGHT_CHOICES.len())];
+        1 => p.influence.thread_limit = THREAD_LIMITS[rng.below(THREAD_LIMITS.len())],
+        2 => p.influence.max_scenarios = MAX_SCENARIOS[rng.below(MAX_SCENARIOS.len())],
+        3 => {
+            p.influence.vector_widths =
+                VECTOR_WIDTH_SETS[rng.below(VECTOR_WIDTH_SETS.len())].to_vec();
+        }
+        4 => {
+            // Flip one variant toggle, but never both off: an empty
+            // influence tree degenerates to the isl baseline, which
+            // the default point already covers.
+            if rng.below(2) == 0 {
+                p.influence.fusion_variants = !p.influence.fusion_variants;
+            } else {
+                p.influence.relaxed_variants = !p.influence.relaxed_variants;
             }
-            1 => p.influence.thread_limit = THREAD_LIMITS[rng.below(THREAD_LIMITS.len())],
-            2 => p.influence.max_scenarios = MAX_SCENARIOS[rng.below(MAX_SCENARIOS.len())],
-            3 => {
-                p.influence.vector_widths =
-                    VECTOR_WIDTH_SETS[rng.below(VECTOR_WIDTH_SETS.len())].to_vec();
-            }
-            4 => {
-                // Flip one variant toggle, but never both off: an empty
-                // influence tree degenerates to the isl baseline, which
-                // the default point already covers.
-                if rng.below(2) == 0 {
-                    p.influence.fusion_variants = !p.influence.fusion_variants;
-                } else {
-                    p.influence.relaxed_variants = !p.influence.relaxed_variants;
-                }
-                if !p.influence.fusion_variants && !p.influence.relaxed_variants {
-                    p.influence.fusion_variants = true;
-                }
-            }
-            5 => p.tiling = sample_tiling(rng),
-            6 => p.mapping = sample_mapping(rng),
-            _ => {
-                p.mapping.max_threads = MAP_THREADS[rng.below(MAP_THREADS.len())];
+            if !p.influence.fusion_variants && !p.influence.relaxed_variants {
+                p.influence.fusion_variants = true;
             }
         }
-        p
+        5 => p.tiling = sample_tiling(rng),
+        6 => p.mapping = sample_mapping(rng),
+        _ => {
+            p.mapping.max_threads = MAP_THREADS[rng.below(MAP_THREADS.len())];
+        }
     }
+    p
 }
 
 fn sample_tiling(rng: &mut SplitMix64) -> Option<TilingOptions> {
@@ -175,6 +115,7 @@ fn sample_mapping(rng: &mut SplitMix64) -> MappingOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grid_anchors;
 
     #[test]
     fn canonical_key_is_injective_on_the_menus() {
@@ -182,7 +123,7 @@ mod tests {
         let mut keys = Vec::new();
         let mut points = Vec::new();
         for _ in 0..200 {
-            let p = KnobPoint::sample(&mut rng);
+            let p = sample(&mut rng);
             let k = p.canonical_key();
             if let Some(i) = keys.iter().position(|x| *x == k) {
                 assert_eq!(points[i], p, "equal keys must mean equal points");
@@ -192,27 +133,82 @@ mod tests {
         }
     }
 
+    /// The default point, one point per menu value (the rest default).
+    fn menu_points() -> Vec<CompileOptions> {
+        let mut points = vec![CompileOptions::default()];
+        let mut with = |f: &dyn Fn(&mut CompileOptions)| {
+            let mut p = CompileOptions::default();
+            f(&mut p);
+            points.push(p);
+        };
+        for i in 0..5 {
+            for w in WEIGHT_CHOICES {
+                with(&|p| p.influence.weights[i] = w);
+            }
+        }
+        for l in THREAD_LIMITS {
+            with(&|p| p.influence.thread_limit = l);
+        }
+        for s in MAX_SCENARIOS {
+            with(&|p| p.influence.max_scenarios = s);
+        }
+        for v in VECTOR_WIDTH_SETS {
+            with(&|p| p.influence.vector_widths = v.to_vec());
+        }
+        for (f, r) in [(false, true), (true, false), (false, false)] {
+            with(&|p| (p.influence.fusion_variants, p.influence.relaxed_variants) = (f, r));
+        }
+        for tile_size in TILE_SIZES {
+            for max_tiled_loops in TILED_LOOPS {
+                with(&|p| {
+                    p.tiling = Some(TilingOptions {
+                        tile_size,
+                        min_extent: 2 * tile_size,
+                        max_tiled_loops,
+                    })
+                });
+            }
+        }
+        for t in MAP_THREADS {
+            with(&|p| p.mapping.max_threads = t);
+        }
+        for a in THREAD_AXES {
+            with(&|p| p.mapping.max_thread_axes = a);
+        }
+        for b in BLOCK_AXES {
+            with(&|p| p.mapping.max_block_axes = b);
+        }
+        points
+    }
+
     #[test]
-    fn default_point_lowers_to_default_options() {
-        let opts = KnobPoint::default().to_compile_options();
-        assert_eq!(opts.mapping, MappingOptions::default());
-        assert!(opts.tiling.is_none());
-        assert_eq!(opts.influence.weights, InfluenceOptions::default().weights);
+    fn canonical_key_round_trips_over_the_space() {
+        let mut points = menu_points();
+        points.extend(grid_anchors());
+        let mut rng = SplitMix64::new(11);
+        points.extend((0..1000).map(|_| sample(&mut rng)));
+        let mut p = CompileOptions::default();
+        for _ in 0..200 {
+            p = mutate(&p, &mut rng);
+            points.push(p.clone());
+        }
+        for p in &points {
+            let key = p.canonical_key();
+            let decoded = CompileOptions::from_canonical_key(&key).unwrap();
+            assert_eq!(&decoded, p, "{key}");
+            assert_eq!(decoded.canonical_key(), key);
+        }
     }
 
     #[test]
     fn sampling_is_seed_deterministic() {
         let a: Vec<String> = {
             let mut rng = SplitMix64::new(42);
-            (0..32)
-                .map(|_| KnobPoint::sample(&mut rng).canonical_key())
-                .collect()
+            (0..32).map(|_| sample(&mut rng).canonical_key()).collect()
         };
         let b: Vec<String> = {
             let mut rng = SplitMix64::new(42);
-            (0..32)
-                .map(|_| KnobPoint::sample(&mut rng).canonical_key())
-                .collect()
+            (0..32).map(|_| sample(&mut rng).canonical_key()).collect()
         };
         assert_eq!(a, b);
     }
@@ -220,9 +216,9 @@ mod tests {
     #[test]
     fn mutation_never_disables_both_variant_toggles() {
         let mut rng = SplitMix64::new(3);
-        let mut p = KnobPoint::default();
+        let mut p = CompileOptions::default();
         for _ in 0..500 {
-            p = p.mutate(&mut rng);
+            p = mutate(&p, &mut rng);
             assert!(p.influence.fusion_variants || p.influence.relaxed_variants);
         }
     }

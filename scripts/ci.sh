@@ -303,7 +303,7 @@ echo "    and served cached after a restart, its index equal to entries/"
 step "size gate (ROADMAP item 1): crates/serve/src line count"
 # The serving tier may shrink, never grow: lower the ceiling with any
 # change that deletes serve code. The other counts are printed only.
-serve_ceiling=8895
+serve_ceiling=8866
 lines_in() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 serve_lines="$(lines_in crates/serve/src)"
 for dir in crates/arith/src crates/sets/src crates/core/src crates/codegen/src \

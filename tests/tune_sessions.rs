@@ -11,11 +11,11 @@
 //! `session_reuses`, and one that served a wrong value would move the
 //! log digest.
 
-use polyject::codegen::{Config, TilingOptions};
+use polyject::codegen::{CompileOptions, Config, TilingOptions};
 use polyject::core::Budget;
 use polyject::gpusim::GpuModel;
 use polyject::ir::ops;
-use polyject::tune::{beam_search, EvalCtx, KnobPoint, SerialRunner, TuneOptions, TuneRequest};
+use polyject::tune::{beam_search, EvalCtx, SerialRunner, TuneOptions, TuneRequest};
 use polyject::workloads::{lstm, op_key, unique_ops};
 
 /// Per LSTM operator: `(op key, evaluated, estimate_memo_hits,
@@ -74,14 +74,14 @@ fn one_ast_under_two_lowering_keys_is_simulated_once() {
     // one estimate entry and one hit.
     let req = request(ops::transpose_2d(32, 32));
     let ctx = EvalCtx::new(&req);
-    let untiled = KnobPoint::default();
-    let below_extent = KnobPoint {
+    let untiled = CompileOptions::default();
+    let below_extent = CompileOptions {
         tiling: Some(TilingOptions {
             tile_size: 32,
             min_extent: 64,
             max_tiled_loops: 2,
         }),
-        ..KnobPoint::default()
+        ..CompileOptions::default()
     };
     let a = ctx.compile(&untiled).unwrap();
     let b = ctx.compile(&below_extent).unwrap();
