@@ -43,7 +43,7 @@ impl fmt::Display for LoopKind {
     }
 }
 
-fn axis_name(a: u8) -> char {
+pub(crate) fn axis_name(a: u8) -> char {
     match a {
         0 => 'x',
         1 => 'y',

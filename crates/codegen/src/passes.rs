@@ -312,33 +312,6 @@ pub fn access_stride_along(
     total.to_integer().map(|v| v as i64)
 }
 
-/// Convenience: parallel/vector statistics of a mapped AST.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MappingStats {
-    /// Loops mapped to block axes.
-    pub block_loops: usize,
-    /// Loops mapped to thread axes.
-    pub thread_loops: usize,
-    /// Vectorized loops.
-    pub vector_loops: usize,
-    /// Sequential loops remaining.
-    pub seq_loops: usize,
-}
-
-/// Computes [`MappingStats`] for an AST.
-pub fn mapping_stats(ast: &Ast) -> MappingStats {
-    let mut st = MappingStats::default();
-    for l in ast.loops() {
-        match l.kind {
-            LoopKind::Block(_) => st.block_loops += 1,
-            LoopKind::Thread(_) => st.thread_loops += 1,
-            LoopKind::Vector(_) => st.vector_loops += 1,
-            LoopKind::Seq | LoopKind::Parallel => st.seq_loops += 1,
-        }
-    }
-    st
-}
-
 /// Substitutes `iter_exprs` into an access to express its full element
 /// offset as an affine function of the global space — used by the
 /// simulator's coalescing model.

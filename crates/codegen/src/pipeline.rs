@@ -351,7 +351,9 @@ pub struct CompileSession {
 /// candidates that differ in influence weights but converge on the same
 /// schedule (the common case: a handful of distinct schedules serve
 /// dozens of knob points) replay the finished AST instead of re-running
-/// codegen.
+/// codegen. The key holds the whole schedule result, so metered and
+/// unmetered compiles share the memo safely: a degraded schedule is a
+/// different key from an undegraded one, and never answers for it.
 struct LoweredMemo {
     entries: Vec<(LoweredKey, Compiled)>,
 }
@@ -389,9 +391,10 @@ impl CompileSession {
     }
 
     /// Compiles the session's kernel under a configuration and explicit
-    /// options. A budget with resource limits bypasses every memo, like
-    /// [`polyject_core::ScheduleSession::schedule_with`] does: a metered
-    /// artifact is neither served from nor stored into shared state.
+    /// options. A budget with resource limits bypasses the schedule memo
+    /// (see [`polyject_core::ScheduleSession::schedule_with`]); the
+    /// lowered memo is keyed by the schedule it lowers, so every budget
+    /// reads and writes it.
     ///
     /// # Errors
     ///
@@ -408,10 +411,6 @@ impl CompileSession {
             Config::NoVec | Config::Influenced => Some(&opts.influence),
         };
         let result = self.session.schedule_with(influence, budget)?;
-        let (kernel, deps) = (self.kernel(), self.session.deps());
-        if budget.has_resource_limits() {
-            return Ok(lower(kernel, config, opts, deps, result));
-        }
         let key: LoweredKey = (
             config,
             opts.mapping,
@@ -425,7 +424,7 @@ impl CompileSession {
                 return Ok(compiled.clone());
             }
         }
-        let compiled = lower(kernel, config, opts, deps, result);
+        let compiled = lower(self.kernel(), config, opts, self.session.deps(), result);
         let mut memo = self.lowered.lock().expect("lowered memo lock poisoned");
         if memo.entries.len() >= LOWERED_CAP {
             memo.entries.remove(0);
@@ -506,6 +505,20 @@ mod tests {
         let d = polyject_sets::counters::snapshot().delta_since(&before);
         assert_eq!(d.dependence_analyses, 1);
         assert_eq!(d.session_reuses, 0);
+    }
+
+    #[test]
+    fn metered_and_unmetered_compiles_share_the_lowered_memo_exactly() {
+        let kernel = ops::transpose_2d(128, 128);
+        let opts = CompileOptions::default();
+        let fresh = compile_with_options(&kernel, Config::Influenced, &Budget::unlimited(), &opts);
+        let fresh = format!("{:?}", fresh.unwrap());
+        let metered = Budget::unlimited().with_max_pivots(u64::MAX);
+        let session = CompileSession::new(&kernel);
+        for budget in [&metered, &Budget::unlimited(), &metered] {
+            let c = session.compile_with(Config::Influenced, budget, &opts);
+            assert_eq!(format!("{:?}", c.unwrap()), fresh);
+        }
     }
 
     #[test]

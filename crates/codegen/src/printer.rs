@@ -75,21 +75,7 @@ fn render_node(node: &AstNode, kernel: &Kernel, names: &[String], indent: usize,
 
 fn render_stmt(s: &StmtNode, kernel: &Kernel, names: &[String], pad: &str, out: &mut String) {
     let stmt = kernel.statement(s.stmt);
-    let mut guard_prefix = String::new();
-    if !s.guards.is_empty() {
-        let conds: Vec<String> = s
-            .guards
-            .iter()
-            .map(|g| {
-                format!(
-                    "{} {} 0",
-                    render_expr(g.expr(), names),
-                    if g.is_equality() { "==" } else { ">=" }
-                )
-            })
-            .collect();
-        guard_prefix = format!("if ({}) ", conds.join(" && "));
-    }
+    let guard_prefix = render_guard(s, names);
     let w = compose_access(stmt.write(), s, names, kernel);
     let reads: Vec<String> = stmt
         .reads()
@@ -98,6 +84,22 @@ fn render_stmt(s: &StmtNode, kernel: &Kernel, names: &[String], pad: &str, out: 
         .collect();
     let body = stmt.expr().display_with(|i| reads[i].clone());
     writeln!(out, "{pad}{guard_prefix}{}: {w} = {body};", stmt.name()).expect("string write");
+}
+
+/// The `if (...) ` prefix of a guarded statement; empty without guards.
+pub(crate) fn render_guard(s: &StmtNode, names: &[String]) -> String {
+    if s.guards.is_empty() {
+        return String::new();
+    }
+    let conds: Vec<String> = s
+        .guards
+        .iter()
+        .map(|g| {
+            let op = if g.is_equality() { "==" } else { ">=" };
+            format!("{} {op} 0", render_expr(g.expr(), names))
+        })
+        .collect();
+    format!("if ({}) ", conds.join(" && "))
 }
 
 pub(crate) fn compose_access(

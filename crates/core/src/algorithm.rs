@@ -52,8 +52,7 @@ impl Default for SchedulerOptions {
 pub enum ScheduleErrorKind {
     /// No valid schedule was found within the attempt limits.
     Infeasible,
-    /// A resource budget (deadline, node/pivot/row cap) was exhausted
-    /// before a schedule could be completed, even after degradation.
+    /// A deadline, node or pivot cap ran out, even after degradation.
     Exhausted,
     /// The shared cancel flag tripped; the caller abandoned the compile.
     Cancelled,

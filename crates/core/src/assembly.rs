@@ -201,7 +201,7 @@ pub(crate) fn linearized_reduced(
     Ok(layout.embed(stmts, reduced(cs, budget)?))
 }
 
-/// Memoized `remove_redundant`: identical systems reduce identically, so
+/// Memoized `try_remove_redundant`: identical systems reduce identically, so
 /// the LP-backed redundancy check runs once per distinct system per
 /// thread. Degraded (budget-exhausted) results are returned unreduced and
 /// never cached.

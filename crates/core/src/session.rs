@@ -247,10 +247,10 @@ impl ScheduleSession {
     /// schedule outright. Both warm forms tick the `session_reuses`
     /// counter.
     ///
-    /// A budget with resource limits (deadline or node/pivot/row caps)
-    /// bypasses all shared state and compiles cold: metered work must
-    /// stay accountable to the thread that pays for it, and a degraded
-    /// artifact must never be served to a later, better-funded call.
+    /// A budget with resource limits (deadline or node/pivot caps)
+    /// bypasses the memo and the solved prefix and schedules cold: metered
+    /// work must stay accountable to the thread that pays for it, and a
+    /// degraded schedule must never be served to a later, better-funded call.
     ///
     /// # Errors
     ///

@@ -2,7 +2,6 @@
 //! components (Tarjan), used by the scheduler's SCC-separation fallback
 //! (Algorithm 1, lines 32–34).
 
-use crate::analysis::Dependences;
 use crate::relation::DepRelation;
 use polyject_ir::StmtId;
 
@@ -31,11 +30,6 @@ impl DepGraph {
             n: n_statements,
             edges,
         }
-    }
-
-    /// Builds the validity graph of a kernel's dependences.
-    pub fn validity_graph(n_statements: usize, deps: &Dependences) -> DepGraph {
-        DepGraph::from_relations(n_statements, deps.validity())
     }
 
     /// Whether the edge `s → t` exists.

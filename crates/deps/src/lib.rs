@@ -13,7 +13,7 @@
 //!
 //! let kernel = ops::running_example(32);
 //! let deps = compute_dependences(&kernel, DepOptions::default());
-//! let graph = DepGraph::validity_graph(kernel.statements().len(), &deps);
+//! let graph = DepGraph::from_relations(kernel.statements().len(), deps.validity());
 //! // X feeds Y through tensor B.
 //! assert!(graph.has_edge(polyject_ir::StmtId(0), polyject_ir::StmtId(1)));
 //! ```

@@ -808,14 +808,14 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
                 polyject_sets::counters::snapshot().delta_since(&before),
             )
         };
-        // The metered request opens the pooled session but leaves nothing
-        // in it: the unmetered request after it solves from scratch.
+        // The metered request opens the pooled session but leaves its
+        // schedule memo empty: the unmetered request after it solves anew.
         let (m1, d) = serve(&metered);
         assert_eq!(d.session_reuses, 0, "metered requests never reuse");
         let (u1, d) = serve(&Budget::unlimited());
         assert_eq!(d.session_reuses, 0, "the metered run left no warm state");
         assert!(d.lp_solves > 0);
-        // Nor is it served from what the unmetered request memoized.
+        // Nor is it served from the schedule the unmetered one memoized.
         let (m2, d) = serve(&metered);
         assert_eq!(d.session_reuses, 0);
         assert!(d.lp_solves > 0, "metered requests pay for their own solve");

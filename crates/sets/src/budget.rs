@@ -1,13 +1,22 @@
 //! Cooperative resource budgets for the exact solvers.
 //!
 //! A [`Budget`] bounds how much work a solver call may perform — a
-//! wall-clock deadline, caps on branch-and-bound nodes, simplex pivots and
-//! Fourier–Motzkin row growth, and a shared cancellation flag that a
-//! supervising thread (e.g. the `polyjectd` request-timeout path) can trip
-//! at any time. Every solver loop calls [`Budget::check`] cooperatively
-//! and unwinds with a structured [`BudgetError`] instead of running away,
-//! so a pathological problem degrades or cancels instead of hanging a
-//! worker forever.
+//! wall-clock deadline, caps on branch-and-bound nodes and simplex
+//! pivots, and a shared cancellation flag that a supervising thread (e.g.
+//! the `polyjectd` request-timeout path) can trip at any time. Every
+//! simplex and branch-and-bound loop calls [`Budget::check`]
+//! cooperatively and unwinds with a structured [`BudgetError`] instead of
+//! running away, so a pathological problem degrades or cancels instead of
+//! hanging a worker forever.
+//!
+//! Only the three calls the scheduler meters take a budget:
+//! [`crate::SchedCtx::build`], [`crate::SchedCtx::try_lexmin`] and
+//! [`crate::try_remove_redundant`] — one door per question, as isl bounds
+//! work with one per-context limit rather than a second entry point per
+//! operation. Every other solver question ([`crate::minimize`],
+//! [`crate::lexmin_integer`], [`crate::eliminate_var`], …) has one plain
+//! function that runs unmetered; Fourier–Motzkin elimination and the
+//! integer-feasibility preprocessing take no budget at all.
 //!
 //! Node and pivot consumption is measured against the thread-local
 //! [`crate::counters`], with a baseline captured lazily on the first check
@@ -18,10 +27,6 @@
 //! guarantees. Deadline checks are amortized (one `Instant::now()` every
 //! `DEADLINE_STRIDE` checks) so the per-pivot cost stays a few loads and
 //! compares.
-//!
-//! The legacy entry points ([`crate::minimize`], [`crate::lexmin_integer`],
-//! …) wrap their budgeted `try_*` counterparts with [`Budget::unlimited`],
-//! which can never trip, so their behavior is unchanged.
 
 use crate::counters;
 use std::cell::Cell;
@@ -45,8 +50,6 @@ pub enum BudgetResource {
     /// The simplex pivot cap (phase 1 + phase 2 + dual repairs) was
     /// reached.
     Pivots,
-    /// A Fourier–Motzkin elimination grew past the row cap.
-    FmRows,
 }
 
 impl fmt::Display for BudgetResource {
@@ -55,7 +58,6 @@ impl fmt::Display for BudgetResource {
             BudgetResource::Deadline => "deadline",
             BudgetResource::IlpNodes => "ilp-nodes",
             BudgetResource::Pivots => "pivots",
-            BudgetResource::FmRows => "fm-rows",
         })
     }
 }
@@ -92,7 +94,6 @@ pub struct Budget {
     deadline: Option<Instant>,
     max_ilp_nodes: Option<u64>,
     max_pivots: Option<u64>,
-    max_fm_rows: Option<usize>,
     cancel: Option<Arc<AtomicBool>>,
     /// `(ilp_nodes, pivots)` of this thread when first checked.
     base: Cell<Option<(u64, u64)>>,
@@ -106,7 +107,6 @@ impl Clone for Budget {
             deadline: self.deadline,
             max_ilp_nodes: self.max_ilp_nodes,
             max_pivots: self.max_pivots,
-            max_fm_rows: self.max_fm_rows,
             cancel: self.cancel.clone(),
             base: Cell::new(None),
             tick: Cell::new(0),
@@ -127,7 +127,6 @@ impl Budget {
             deadline: None,
             max_ilp_nodes: None,
             max_pivots: None,
-            max_fm_rows: None,
             cancel: None,
             base: Cell::new(None),
             tick: Cell::new(0),
@@ -158,12 +157,6 @@ impl Budget {
         self
     }
 
-    /// Caps the row count a single Fourier–Motzkin elimination may reach.
-    pub fn with_max_fm_rows(mut self, max: usize) -> Budget {
-        self.max_fm_rows = Some(max);
-        self
-    }
-
     /// Attaches a shared cancellation flag; storing `true` into it makes
     /// the next [`Budget::check`] return [`BudgetError::Cancelled`].
     pub fn with_cancel(mut self, flag: Arc<AtomicBool>) -> Budget {
@@ -188,17 +181,14 @@ impl Budget {
             .is_some_and(|c| c.load(Ordering::Relaxed))
     }
 
-    /// Whether any *resource* limit — deadline, node/pivot cap, or FM row
-    /// cap — is attached, i.e. anything beyond a cancellation flag.
+    /// Whether any *resource* limit — deadline or node/pivot cap — is
+    /// attached, i.e. anything beyond a cancellation flag.
     /// Resource-metered budgets account work against thread-local
     /// counters, so callers that could serve work paid for elsewhere
     /// (a compile session's shared prefix and memos) must check this and
     /// compute everything under the budget when it holds.
     pub fn has_resource_limits(&self) -> bool {
-        self.deadline.is_some()
-            || self.max_ilp_nodes.is_some()
-            || self.max_pivots.is_some()
-            || self.max_fm_rows.is_some()
+        self.deadline.is_some() || self.max_ilp_nodes.is_some() || self.max_pivots.is_some()
     }
 
     /// The cooperative check every solver loop performs. Cancellation is
@@ -211,7 +201,7 @@ impl Budget {
                 return Err(BudgetError::Cancelled);
             }
         }
-        if self.deadline.is_none() && self.max_ilp_nodes.is_none() && self.max_pivots.is_none() {
+        if !self.has_resource_limits() {
             return Ok(());
         }
         let snap = counters::snapshot();
@@ -243,18 +233,10 @@ impl Budget {
         }
         Ok(())
     }
-
-    /// Row-growth check for Fourier–Motzkin eliminations.
-    pub fn check_fm_rows(&self, rows: usize) -> Result<(), BudgetError> {
-        match self.max_fm_rows {
-            Some(max) if rows > max => Err(BudgetError::Exhausted(BudgetResource::FmRows)),
-            _ => Ok(()),
-        }
-    }
 }
 
 /// Unwraps a result produced under [`Budget::unlimited`], which cannot
-/// fail for budget reasons. Used by the legacy non-budgeted entry points.
+/// fail for budget reasons. Used by the plain, unmetered entry points.
 pub(crate) fn infallible<T>(r: Result<T, BudgetError>) -> T {
     match r {
         Ok(v) => v,
@@ -324,17 +306,6 @@ mod tests {
             b.check(),
             Err(BudgetError::Exhausted(BudgetResource::Pivots))
         );
-    }
-
-    #[test]
-    fn fm_row_cap() {
-        let b = Budget::unlimited().with_max_fm_rows(10);
-        assert_eq!(b.check_fm_rows(10), Ok(()));
-        assert_eq!(
-            b.check_fm_rows(11),
-            Err(BudgetError::Exhausted(BudgetResource::FmRows))
-        );
-        assert_eq!(Budget::unlimited().check_fm_rows(usize::MAX), Ok(()));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! A [`SchedCtx`] keeps the prefix as a solved tableau instead (the
 //! crate's one `tableau::Solved` type), in the style of isl's
-//! `isl_context`/tableau pairing, built once. Each `lexmin` call then runs
-//! the chain from it with that type's two verbs:
+//! `isl_context`/tableau pairing, built once. Each
+//! [`SchedCtx::try_lexmin`] call then runs the chain from it with that
+//! type's two verbs:
 //!
 //! 1. a clone of the base is *extended* by the pushed delta rows;
 //! 2. each objective is *optimized* on the same tableau (a primal run
@@ -20,8 +21,8 @@
 //! 3. the root's optimal tableau comes back and is *extended* by the pin
 //!    row `obj_k = opt_k` for objective *k+1*.
 //!
-//! [`crate::try_lexmin_integer`] is the same loop without a base: every
-//! root solves cold and nothing is carried between objectives.
+//! [`crate::lexmin_integer`] is the same loop without a base: every root
+//! solves cold and nothing is carried between objectives.
 //!
 //! # Exactness
 //!
@@ -35,16 +36,16 @@
 //!   only value-based pruning decisions and the objective pins.
 //! * An **intermediate** objective's optimum point influences nothing
 //!   but the attainable upper bound passed to the next step, and
-//!   [`crate::minimize_integer_bounded`]'s contract makes the search
-//!   result — outcome, value and tie-broken point — independent of
-//!   which attainable bound is supplied. Any optimal vertex may be
-//!   served there.
+//!   branch-and-bound's bound contract (see `ilp::try_minimize_integer_rooted`)
+//!   makes the search result — outcome, value and tie-broken point —
+//!   independent of which attainable bound is supplied. Any optimal
+//!   vertex may be served there.
 //! * The **final** objective's point is the emitted answer, so it is
 //!   trusted only when the tableau proves the optimum vertex *unique*
 //!   (all enterable nonbasic reduced costs strictly positive, no basic
 //!   artificial). A unique LP vertex is exactly the cold path's
 //!   tie-broken answer. Anything weaker falls back to a cold root solve
-//!   inside [`crate::try_minimize_integer_bounded`]'s search, unchanged.
+//!   inside the same branch-and-bound search, unchanged.
 //!
 //! The differential suite in `tests/differential.rs` drives randomized
 //! push/pop/lexmin traces through a context against the cold solver and
@@ -53,9 +54,7 @@
 use crate::budget::{Budget, BudgetError};
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::counters;
-use crate::ilp::{
-    expect_within_node_limit, try_find_integer_point, try_minimize_integer_rooted, IlpOutcome,
-};
+use crate::ilp::{try_find_integer_point, try_minimize_integer_rooted, IlpOutcome};
 use crate::linexpr::LinExpr;
 use crate::simplex::LpOutcome;
 use crate::tableau::{self, or_cold, Built, Solved};
@@ -147,20 +146,14 @@ impl SchedCtx {
         self.rows.truncate(m.0);
     }
 
-    /// [`SchedCtx::try_lexmin`] under an unlimited budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if branch-and-bound exceeds its node limit, exactly like
-    /// [`crate::lexmin_integer`].
-    pub fn lexmin(&mut self, objectives: &[LinExpr]) -> IlpOutcome {
-        expect_within_node_limit(self.try_lexmin(objectives, &Budget::unlimited()))
-    }
-
-    /// Lexicographically minimizes `objectives` over the current system —
-    /// same contract and bit-identical results as
-    /// [`crate::try_lexmin_integer`] on [`SchedCtx::rows`], but with the
-    /// base prefix solved once at build time instead of per call.
+    /// Lexicographically minimizes `objectives` over the current system
+    /// under a cooperative [`Budget`] — bit-identical results to
+    /// [`crate::lexmin_integer`] on [`SchedCtx::rows`], but with the base
+    /// prefix solved once at build time instead of per call. The budget
+    /// spans the whole lexicographic sequence: a deadline or node cap is
+    /// shared across all objectives, not reset per step. An unlimited
+    /// budget can still surface the built-in branch-and-bound node cap as
+    /// [`BudgetError::Exhausted`].
     pub fn try_lexmin(
         &mut self,
         objectives: &[LinExpr],
@@ -301,7 +294,7 @@ mod tests {
         let budget = Budget::unlimited();
         let mut cold = base.clone();
         cold.add(delta.clone());
-        let reference = crate::try_lexmin_integer(&objs, &cold, &budget).expect("unlimited");
+        let reference = crate::lexmin_integer(&objs, &cold);
 
         let mut ctx = SchedCtx::build(base, &budget).expect("not cancelled");
         assert!(ctx.base.is_some(), "a sign-rowed box prepares warm");

@@ -35,21 +35,9 @@ const PRUNE_THRESHOLD: usize = 32;
 /// assert!(!proj.contains_int(&[9, 0]));
 /// ```
 pub fn eliminate_var(set: &ConstraintSet, var: usize) -> ConstraintSet {
-    infallible(try_eliminate_var(set, var, &Budget::unlimited()))
-}
-
-/// [`eliminate_var`] under a cooperative [`Budget`]: the pairwise
-/// combination loop checks the cancel flag and row-growth cap, so a
-/// blowing-up projection aborts with a structured error instead of
-/// consuming unbounded memory and time.
-pub fn try_eliminate_var(
-    set: &ConstraintSet,
-    var: usize,
-    budget: &Budget,
-) -> Result<ConstraintSet, BudgetError> {
     assert!(var < set.n_vars(), "variable out of range");
     counters::count_fm_elimination(1);
-    eliminate_var_impl(set, var, true, budget)
+    eliminate_var_impl(set, var, true)
 }
 
 /// [`eliminate_var`] without the integer combination fast path: every row
@@ -58,15 +46,10 @@ pub fn try_eliminate_var(
 /// produce syntactically identical constraint sets.
 pub fn eliminate_var_reference(set: &ConstraintSet, var: usize) -> ConstraintSet {
     assert!(var < set.n_vars(), "variable out of range");
-    infallible(eliminate_var_impl(set, var, false, &Budget::unlimited()))
+    eliminate_var_impl(set, var, false)
 }
 
-fn eliminate_var_impl(
-    set: &ConstraintSet,
-    var: usize,
-    use_int: bool,
-    budget: &Budget,
-) -> Result<ConstraintSet, BudgetError> {
+fn eliminate_var_impl(set: &ConstraintSet, var: usize, use_int: bool) -> ConstraintSet {
     // Prefer substitution through an equality involving the variable.
     if let Some(eq) = set
         .constraints()
@@ -111,14 +94,14 @@ fn eliminate_var_impl(
                     // empty set into a non-empty projection.
                     let mut empty = ConstraintSet::universe(set.n_vars());
                     empty.add(Constraint::ge0(LinExpr::constant(set.n_vars(), -1)));
-                    return Ok(empty);
+                    return empty;
                 }
                 if !nc.is_trivially_true() {
                     out.add(nc);
                 }
             }
         }
-        return Ok(out);
+        return out;
     }
 
     // Pure inequality elimination.
@@ -145,7 +128,6 @@ fn eliminate_var_impl(
         .map(|c| use_int.then(|| integer_row(c.expr())).flatten())
         .collect();
     for (lo, lo_row) in lowers.iter().zip(&lo_rows) {
-        budget.check()?;
         for (up, up_row) in uppers.iter().zip(&up_rows) {
             // p > 0, n < 0: (-n)*lo + p*up eliminates var, both scaled
             // positively so the >= direction is preserved.
@@ -162,14 +144,13 @@ fn eliminate_var_impl(
             let nc = Constraint::ge0(combined);
             if !nc.is_trivially_true() {
                 out.add_even_if_false(nc);
-                budget.check_fm_rows(out.len())?;
             }
         }
     }
     if out.len() > PRUNE_THRESHOLD {
-        try_remove_redundant(&out, budget)
+        infallible(try_remove_redundant(&out, &Budget::unlimited()))
     } else {
-        Ok(out)
+        out
     }
 }
 
@@ -211,23 +192,14 @@ fn pair_combine_int(lo: &(Vec<i128>, i128), up: &(Vec<i128>, i128), var: usize) 
 
 /// Eliminates several variables existentially (in the given order).
 pub fn eliminate_vars(set: &ConstraintSet, vars: &[usize]) -> ConstraintSet {
-    infallible(try_eliminate_vars(set, vars, &Budget::unlimited()))
-}
-
-/// [`eliminate_vars`] under a cooperative [`Budget`].
-pub fn try_eliminate_vars(
-    set: &ConstraintSet,
-    vars: &[usize],
-    budget: &Budget,
-) -> Result<ConstraintSet, BudgetError> {
     let mut cur = set.clone();
     for &v in vars {
-        cur = try_eliminate_var(&cur, v, budget)?;
+        cur = eliminate_var(&cur, v);
         if cur.has_trivial_contradiction() {
-            return Ok(cur);
+            break;
         }
     }
-    Ok(cur)
+    cur
 }
 
 /// Projects the set onto its first `keep` variables: eliminates all later
@@ -237,31 +209,18 @@ pub fn try_eliminate_vars(
 ///
 /// Panics if `keep > set.n_vars()`.
 pub fn project_onto_prefix(set: &ConstraintSet, keep: usize) -> ConstraintSet {
-    infallible(try_project_onto_prefix(set, keep, &Budget::unlimited()))
-}
-
-/// [`project_onto_prefix`] under a cooperative [`Budget`].
-///
-/// # Panics
-///
-/// Panics if `keep > set.n_vars()`.
-pub fn try_project_onto_prefix(
-    set: &ConstraintSet,
-    keep: usize,
-    budget: &Budget,
-) -> Result<ConstraintSet, BudgetError> {
     assert!(
         keep <= set.n_vars(),
         "cannot keep more variables than exist"
     );
     let vars: Vec<usize> = (keep..set.n_vars()).collect();
-    let eliminated = try_eliminate_vars(set, &vars, budget)?;
+    let eliminated = eliminate_vars(set, &vars);
     if eliminated.has_trivial_contradiction() {
         // Elimination stopped early on a contradiction; the projection of
         // an empty set is empty.
         let mut out = ConstraintSet::universe(keep);
         out.add(Constraint::ge0(LinExpr::constant(keep, -1)));
-        return Ok(out);
+        return out;
     }
     let mut out = ConstraintSet::universe(keep);
     for c in eliminated.constraints() {
@@ -275,19 +234,15 @@ pub fn try_project_onto_prefix(
         };
         out.add_even_if_false(nc);
     }
-    Ok(out)
+    out
 }
 
-/// Removes constraints that are implied by the others (LP-based, exact).
+/// Removes constraints that are implied by the others (LP-based, exact)
+/// under a cooperative [`Budget`]: each redundancy probe is a budgeted LP
+/// solve, and an exhausted or cancelled budget aborts the whole pass.
 ///
 /// A constraint `e >= 0` is redundant iff the minimum of `e` subject to the
 /// remaining constraints is `>= 0`. Equalities are kept as-is.
-pub fn remove_redundant(set: &ConstraintSet) -> ConstraintSet {
-    infallible(try_remove_redundant(set, &Budget::unlimited()))
-}
-
-/// [`remove_redundant`] under a cooperative [`Budget`]: each redundancy
-/// probe is a budgeted LP solve.
 pub fn try_remove_redundant(
     set: &ConstraintSet,
     budget: &Budget,
@@ -495,7 +450,7 @@ mod tests {
             1,
             vec![ge(&[1], 0), ge(&[1], 5), ge(&[-1], 10), ge(&[-1], 20)],
         );
-        let r = remove_redundant(&set);
+        let r = try_remove_redundant(&set, &Budget::unlimited()).unwrap();
         assert_eq!(r.len(), 2);
         assert!(r.contains_int(&[0]) && r.contains_int(&[10]));
         assert!(!r.contains_int(&[-1]) && !r.contains_int(&[11]));

@@ -59,13 +59,12 @@ impl IlpOutcome {
 
 /// Hard cap on branch-and-bound nodes; scheduling ILPs explore a handful.
 /// Budgeted solves surface the cap as a structured
-/// [`BudgetError::Exhausted`]; the legacy unbudgeted entry points keep
-/// their historical panic.
+/// [`BudgetError::Exhausted`]; the plain entry points panic.
 const NODE_LIMIT: usize = 100_000;
 
 /// Unwraps a solve run under [`Budget::unlimited`]: the only error an
 /// unlimited budget can surface is the built-in [`NODE_LIMIT`] cap, which
-/// the legacy entry points report as their documented panic.
+/// the plain entry points report as their documented panic.
 pub(crate) fn expect_within_node_limit<T>(r: Result<T, BudgetError>) -> T {
     match r {
         Ok(v) => v,
@@ -97,65 +96,32 @@ pub(crate) fn expect_within_node_limit<T>(r: Result<T, BudgetError>) -> T {
 /// Panics if branch-and-bound exceeds its node limit (a malformed,
 /// effectively unbounded search).
 pub fn minimize_integer(objective: &LinExpr, set: &ConstraintSet) -> IlpOutcome {
-    minimize_integer_bounded(objective, set, None)
+    let unlimited = Budget::unlimited();
+    let solved = try_minimize_integer_rooted(objective, &mut set.clone(), None, &unlimited, None);
+    expect_within_node_limit(solved).0
 }
 
-/// [`minimize_integer`] under a cooperative [`Budget`]: every
-/// branch-and-bound node checks the budget and the solve aborts with a
-/// structured error — leaving no partial state behind — instead of
-/// running away.
-pub fn try_minimize_integer(
-    objective: &LinExpr,
-    set: &ConstraintSet,
-    budget: &Budget,
-) -> Result<IlpOutcome, BudgetError> {
-    try_minimize_integer_bounded(objective, set, None, budget)
-}
-
-/// Like [`minimize_integer`], with an optional *attainable* upper bound on
-/// the objective: subtrees whose LP relaxation strictly exceeds the bound
-/// are pruned before any incumbent exists.
+/// Branch-and-bound minimization of `objective` over the integer points
+/// of `set`, every node checking `budget`.
 ///
-/// The caller must guarantee that some feasible integer point attains a
-/// value `<= upper_bound` (e.g. the bound is the objective evaluated at a
-/// known feasible point, as [`lexmin_integer`] does between successive
+/// `upper_bound` is an optional *attainable* bound on the objective:
+/// subtrees whose LP relaxation strictly exceeds it are pruned before any
+/// incumbent exists. The caller must guarantee that some feasible integer
+/// point attains a value `<= upper_bound` (e.g. the objective evaluated at
+/// a known feasible point, as [`lexmin_integer`] does between successive
 /// objectives). Under that contract the result — outcome, value *and*
 /// tie-broken point — is identical to the unbounded search: pruning only
 /// removes subtrees whose every integer point is strictly worse than the
 /// optimum, and the depth-first order of the remaining nodes is unchanged.
-pub fn minimize_integer_bounded(
-    objective: &LinExpr,
-    set: &ConstraintSet,
-    upper_bound: Option<Rat>,
-) -> IlpOutcome {
-    expect_within_node_limit(try_minimize_integer_bounded(
-        objective,
-        set,
-        upper_bound,
-        &Budget::unlimited(),
-    ))
-}
-
-/// [`minimize_integer_bounded`] under a cooperative [`Budget`].
-pub fn try_minimize_integer_bounded(
-    objective: &LinExpr,
-    set: &ConstraintSet,
-    upper_bound: Option<Rat>,
-    budget: &Budget,
-) -> Result<IlpOutcome, BudgetError> {
-    try_minimize_integer_rooted(objective, &mut set.clone(), upper_bound, budget, None)
-        .map(|(o, _)| o)
-}
-
-/// [`try_minimize_integer_bounded`] with a pre-resolved root relaxation:
-/// when a lexmin chain has already solved the root LP by warm
-/// re-optimization — and its vertex may stand in for the one a cold solve
-/// would tie-break to — the root node consumes it instead of solving
-/// cold. Also hands back the root's optimal tableau (when the space
-/// needed no sign split), which the chain extends with the pin row to
-/// start the *next* objective. Branch-and-bound pushes and pops its bound
-/// rows on `set` itself, which comes back as it went in, budget errors
-/// included.
+///
+/// `root` is a pre-resolved root relaxation: when a lexmin chain has
+/// already solved the root LP by warm re-optimization — and its vertex
+/// may stand in for the one a cold solve would tie-break to — the root
+/// node consumes it instead of solving cold. Also hands back the root's
+/// optimal tableau (when the space needed no sign split), which the chain
+/// extends with the pin row to start the *next* objective.
+/// Branch-and-bound pushes and pops its bound rows on `set` itself, which
+/// comes back as it went in, budget errors included.
 pub(crate) fn try_minimize_integer_rooted(
     objective: &LinExpr,
     set: &mut ConstraintSet,
@@ -185,8 +151,9 @@ pub(crate) fn try_minimize_integer_rooted(
                 // The bound contract was violated (no feasible point at or
                 // below it). Fall back to the exact unbounded search rather
                 // than report a spurious Infeasible.
-                debug_assert!(false, "minimize_integer_bounded: unattainable upper bound");
-                try_minimize_integer(objective, set, budget).map(|o| (o, None))
+                debug_assert!(false, "unattainable upper bound");
+                try_minimize_integer_rooted(objective, set, None, budget, None)
+                    .map(|(o, _)| (o, None))
             }
             None => Ok((IlpOutcome::Infeasible, None)),
         },
@@ -201,20 +168,16 @@ pub(crate) fn try_minimize_integer_rooted(
 /// The answer is identical to solving the raw set — only the point that
 /// would witness feasibility may differ, and no point is reported here.
 pub fn is_integer_feasible(set: &ConstraintSet) -> bool {
-    expect_within_node_limit(try_is_integer_feasible(set, &Budget::unlimited()))
-}
-
-/// [`is_integer_feasible`] under a cooperative [`Budget`].
-pub fn try_is_integer_feasible(set: &ConstraintSet, budget: &Budget) -> Result<bool, BudgetError> {
     let t0 = std::time::Instant::now();
-    let pre = preprocess::tighten_for_integrality(set, budget);
+    let pre = preprocess::tighten_for_integrality(set);
     counters::add_preprocess_ns(t0.elapsed().as_nanos() as u64);
-    match pre? {
-        PreOutcome::Infeasible => Ok(false),
-        PreOutcome::Feasible => Ok(true),
-        PreOutcome::Reduced(reduced) => Ok(try_find_integer_point(&reduced, budget)?.is_some()),
-        PreOutcome::Unchanged => Ok(try_find_integer_point(set, budget)?.is_some()),
-    }
+    let point = match pre {
+        PreOutcome::Infeasible => return false,
+        PreOutcome::Feasible => return true,
+        PreOutcome::Reduced(reduced) => try_find_integer_point(&reduced, &Budget::unlimited()),
+        PreOutcome::Unchanged => try_find_integer_point(set, &Budget::unlimited()),
+    };
+    expect_within_node_limit(point).is_some()
 }
 
 /// [`is_integer_feasible`] without preprocessing: branch-and-bound on the
@@ -229,11 +192,12 @@ pub fn is_integer_feasible_reference(set: &ConstraintSet) -> bool {
 
 /// Finds some integer point of the set, if one exists, under a
 /// cooperative [`Budget`].
-pub fn try_find_integer_point(
+pub(crate) fn try_find_integer_point(
     set: &ConstraintSet,
     budget: &Budget,
 ) -> Result<Option<Vec<i128>>, BudgetError> {
-    match try_minimize_integer(&LinExpr::zero(set.n_vars()), set, budget)? {
+    let zero = LinExpr::zero(set.n_vars());
+    match try_minimize_integer_rooted(&zero, &mut set.clone(), None, budget, None)?.0 {
         IlpOutcome::Optimal { point, .. } => Ok(Some(point)),
         IlpOutcome::Unbounded => unreachable!("zero objective cannot be unbounded"),
         IlpOutcome::Infeasible => Ok(None),
@@ -248,9 +212,12 @@ pub fn try_find_integer_point(
 /// Between successive objectives the previous optimum point is reused as a
 /// warm start: it stays feasible after its objective is pinned, so its
 /// value under the next objective is an attainable upper bound that lets
-/// branch-and-bound prune strictly-worse subtrees from the start (see
-/// [`minimize_integer_bounded`]); results are identical to solving each
-/// step cold.
+/// branch-and-bound prune strictly-worse subtrees from the start; results
+/// are identical to solving each step cold. [`SchedCtx::try_lexmin`] is
+/// the same chain over a base prefix held in solved form, under a
+/// [`Budget`].
+///
+/// [`SchedCtx::try_lexmin`]: crate::SchedCtx::try_lexmin
 ///
 /// # Examples
 ///
@@ -272,18 +239,8 @@ pub fn try_find_integer_point(
 /// }
 /// ```
 pub fn lexmin_integer(objectives: &[LinExpr], set: &ConstraintSet) -> IlpOutcome {
-    expect_within_node_limit(try_lexmin_integer(objectives, set, &Budget::unlimited()))
-}
-
-/// [`lexmin_integer`] under a cooperative [`Budget`]. The budget spans the
-/// whole lexicographic sequence: a deadline or node cap is shared across
-/// all objectives, not reset per step.
-pub fn try_lexmin_integer(
-    objectives: &[LinExpr],
-    set: &ConstraintSet,
-    budget: &Budget,
-) -> Result<IlpOutcome, BudgetError> {
-    lexmin_chain(objectives, &mut set.clone(), None, budget)
+    let unlimited = Budget::unlimited();
+    expect_within_node_limit(lexmin_chain(objectives, &mut set.clone(), None, &unlimited))
 }
 
 enum BranchResult {
@@ -601,11 +558,22 @@ mod tests {
             vec![ge(2, &[2, 2], -5), ge(2, &[1, 0], 0), ge(2, &[0, 1], 0)],
         );
         let obj = LinExpr::from_coeffs(&[1, 1], 0);
+        let bounded = |ub: i128| {
+            let unlimited = Budget::unlimited();
+            let root = None;
+            try_minimize_integer_rooted(
+                &obj,
+                &mut set.clone(),
+                Some(Rat::int(ub)),
+                &unlimited,
+                root,
+            )
+            .unwrap()
+            .0
+        };
         let cold = minimize_integer(&obj, &set);
-        let warm = minimize_integer_bounded(&obj, &set, Some(Rat::int(3)));
-        let loose = minimize_integer_bounded(&obj, &set, Some(Rat::int(100)));
-        assert_eq!(cold, warm);
-        assert_eq!(cold, loose);
+        assert_eq!(cold, bounded(3));
+        assert_eq!(cold, bounded(100));
     }
 
     #[test]

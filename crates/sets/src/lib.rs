@@ -21,10 +21,13 @@
 //! module documents it); the rational `*_reference` solvers are what the
 //! differential tests hold it to.
 //!
-//! Every solver entry point has a `try_*` twin taking a [`Budget`] —
-//! wall-clock deadline, node/pivot/row caps, and a shared cancel flag —
-//! that every solver loop checks cooperatively, returning a structured
-//! [`BudgetError`] instead of running away (see [`budget`]).
+//! One door per question: every solver question has one public function.
+//! Only the three calls the scheduler meters — [`SchedCtx::build`],
+//! [`SchedCtx::try_lexmin`] and [`try_remove_redundant`] — take a
+//! [`Budget`] (wall-clock deadline, node/pivot caps and a shared cancel
+//! flag) that their simplex and branch-and-bound loops check
+//! cooperatively, returning a structured [`BudgetError`] instead of
+//! running away (see [`budget`]). The rest run unmetered.
 //!
 //! # Examples
 //!
@@ -67,22 +70,17 @@ pub use context::{CtxMark, SchedCtx};
 pub use counters::SolverCounters;
 pub use fm::{
     bounds_for_var, eliminate_var, eliminate_var_reference, eliminate_vars, project_onto_prefix,
-    remove_redundant, try_eliminate_var, try_eliminate_vars, try_project_onto_prefix,
     try_remove_redundant, VarBounds,
 };
 pub use ilp::{
     is_integer_feasible, is_integer_feasible_reference, lexmin_integer, minimize_integer,
-    minimize_integer_bounded, minimize_integer_reference, try_find_integer_point,
-    try_is_integer_feasible, try_lexmin_integer, try_minimize_integer,
-    try_minimize_integer_bounded, IlpOutcome,
+    minimize_integer_reference, IlpOutcome,
 };
 pub use linexpr::LinExpr;
 pub use points::{count_integer_points, integer_points};
 #[doc(hidden)]
 pub use preprocess::integer_feasibility_route;
 pub use relations::{is_subset, lexmin_point, set_eq};
-pub use simplex::{
-    is_rational_feasible, maximize, minimize, minimize_reference, try_minimize, LpOutcome,
-};
+pub use simplex::{is_rational_feasible, maximize, minimize, minimize_reference, LpOutcome};
 #[doc(hidden)]
 pub use tableau::set_force_wide_tableau;

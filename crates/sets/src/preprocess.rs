@@ -30,7 +30,6 @@
 //! original rows, because rewriting them changes which tie-broken vertex
 //! the simplex reports even when the optimal value is unchanged.
 
-use crate::budget::{Budget, BudgetError};
 use crate::constraint::{Constraint, ConstraintSet};
 use crate::linexpr::LinExpr;
 
@@ -55,26 +54,22 @@ enum Tight {
 }
 
 /// Runs the pass described in the module docs.
-pub(crate) fn tighten_for_integrality(
-    set: &ConstraintSet,
-    budget: &Budget,
-) -> Result<PreOutcome, BudgetError> {
+pub(crate) fn tighten_for_integrality(set: &ConstraintSet) -> PreOutcome {
     // Row-major integer rows — variable coefficients, then the constant —
     // and whether each is an equality.
     let w = set.n_vars() + 1;
     let mut rows = Vec::with_capacity(set.len() * w);
     let mut eqs = Vec::with_capacity(set.len());
     for c in set.constraints() {
-        budget.check()?;
         for e in c.expr().entries() {
             let Some(a) = e.to_integer() else {
-                return Ok(PreOutcome::Unchanged);
+                return PreOutcome::Unchanged;
             };
             rows.push(a);
         }
         eqs.push(c.is_equality());
     }
-    Ok(decide(w, rows, eqs).unwrap_or(PreOutcome::Unchanged))
+    decide(w, rows, eqs).unwrap_or(PreOutcome::Unchanged)
 }
 
 /// The pass over integer rows of width `w`; `None` on overflow.
@@ -172,7 +167,7 @@ fn decide(w: usize, mut rows: Vec<i128>, mut eqs: Vec<bool>) -> Option<PreOutcom
 /// differential tests, which count how often each way is taken.
 #[doc(hidden)]
 pub fn integer_feasibility_route(set: &ConstraintSet) -> &'static str {
-    match crate::ilp::expect_within_node_limit(tighten_for_integrality(set, &Budget::unlimited())) {
+    match tighten_for_integrality(set) {
         PreOutcome::Infeasible => "infeasible",
         PreOutcome::Feasible => "feasible",
         PreOutcome::Reduced(_) => "reduced",
@@ -207,6 +202,7 @@ fn tighten_row(row: &mut [i128], eq: bool) -> Option<Tight> {
 
 #[cfg(test)]
 mod tests {
+    use super::tighten_for_integrality as tighten;
     use super::*;
 
     fn pts(set: &ConstraintSet) -> Vec<Vec<i128>> {
@@ -233,10 +229,6 @@ mod tests {
         (0..n)
             .flat_map(|v| [ge(n, &unit(v, 1), 0), ge(n, &unit(v, -1), hi)])
             .collect()
-    }
-
-    fn tighten(set: &ConstraintSet) -> PreOutcome {
-        tighten_for_integrality(set, &Budget::unlimited()).unwrap()
     }
 
     fn reduced(set: &ConstraintSet) -> ConstraintSet {

@@ -79,11 +79,7 @@ pub fn minimize(objective: &LinExpr, set: &ConstraintSet) -> LpOutcome {
 /// [`minimize`] under a cooperative [`Budget`]: the simplex loops check
 /// the budget every iteration and abort with the structured error instead
 /// of running away.
-///
-/// # Panics
-///
-/// Panics if the objective's variable count differs from the set's.
-pub fn try_minimize(
+pub(crate) fn try_minimize(
     objective: &LinExpr,
     set: &ConstraintSet,
     budget: &Budget,

@@ -1,17 +1,23 @@
-//! Budget-governance differential tests: a solve aborted by a budget —
-//! cancellation, deadline, or node/row caps — must leave no partial state
-//! behind, so a subsequent unbudgeted solve on the same inputs matches the
-//! reference solver exactly.
+//! Budget-governance tests for the three metered doors —
+//! `SchedCtx::build`, `SchedCtx::try_lexmin` and `try_remove_redundant`.
+//! A solve aborted by a budget (cancellation, deadline, node or pivot
+//! cap) returns a structured error and leaves no partial state behind, so
+//! a later unbudgeted solve on the same inputs matches the reference
+//! solver exactly.
+//!
+//! Every `try_lexmin` check runs on two contexts over the same system:
+//! one built warm, and one built under `with_max_pivots(0)`, whose base
+//! build exhausts, so every solve on it takes the cold path and its
+//! branch-and-bound root solves cold.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use polyject_sets::{
-    counters, eliminate_var, eliminate_var_reference, lexmin_integer, minimize_integer,
-    minimize_integer_reference, set_force_wide_tableau, try_eliminate_var, try_lexmin_integer,
-    try_minimize_integer, Budget, BudgetError, BudgetResource, Constraint, ConstraintSet,
-    IlpOutcome, LinExpr,
+    counters, lexmin_integer, minimize_integer_reference, set_force_wide_tableau,
+    try_remove_redundant, Budget, BudgetError, BudgetResource, Constraint, ConstraintSet,
+    IlpOutcome, LinExpr, SchedCtx,
 };
 
 fn ge(coeffs: &[i128], k: i128) -> Constraint {
@@ -33,53 +39,114 @@ fn branching_problem() -> (LinExpr, ConstraintSet) {
     (LinExpr::from_coeffs(&[1, 1, 1], 0), set)
 }
 
+/// The warm and the cold context over `set`.
+fn contexts(set: &ConstraintSet) -> [(&'static str, SchedCtx); 2] {
+    let build = |budget: Budget| SchedCtx::build(set.clone(), &budget).expect("not cancelled");
+    [
+        ("warm", build(Budget::unlimited())),
+        ("cold", build(Budget::unlimited().with_max_pivots(0))),
+    ]
+}
+
+/// Solves `objs` on `ctx` under `budget`, checking that the call left the
+/// context's rows exactly as they were, aborted or not.
+fn lexmin_keeping_rows(
+    ctx: &mut SchedCtx,
+    objs: &[LinExpr],
+    budget: &Budget,
+) -> Result<IlpOutcome, BudgetError> {
+    let rows = ctx.rows().clone();
+    let out = ctx.try_lexmin(objs, budget);
+    assert_eq!(ctx.rows(), &rows, "try_lexmin left rows behind");
+    out
+}
+
+#[test]
+fn the_cold_context_solves_its_root_cold() {
+    let (obj, set) = branching_problem();
+    let [(_, mut warm), (_, mut cold)] = contexts(&set);
+    let lp_solves = |ctx: &mut SchedCtx| {
+        let before = counters::snapshot();
+        ctx.try_lexmin(std::slice::from_ref(&obj), &Budget::unlimited())
+            .expect("unlimited");
+        counters::snapshot().delta_since(&before).lp_solves
+    };
+    // The warm context serves the (unique) root vertex from its solved
+    // base; the cold one pays a cold LP for it.
+    assert_eq!(lp_solves(&mut cold), lp_solves(&mut warm) + 1);
+}
+
 #[test]
 fn node_cap_aborts_with_structured_error() {
     let (obj, set) = branching_problem();
     let budget = Budget::unlimited().with_max_ilp_nodes(1);
-    match try_minimize_integer(&obj, &set, &budget) {
-        Err(BudgetError::Exhausted(BudgetResource::IlpNodes)) => {}
-        other => panic!("expected node exhaustion, got {other:?}"),
+    for (name, mut ctx) in contexts(&set) {
+        assert_eq!(
+            lexmin_keeping_rows(&mut ctx, std::slice::from_ref(&obj), &budget),
+            Err(BudgetError::Exhausted(BudgetResource::IlpNodes)),
+            "{name}"
+        );
     }
 }
 
 #[test]
 fn aborted_solve_leaves_no_partial_state() {
     let (obj, set) = branching_problem();
-    let reference = minimize_integer_reference(&obj, &set);
-
-    // Trip the solve at every possible depth: whatever node the abort
-    // lands on, the push/pop discipline must restore the set, so the
-    // follow-up unbudgeted solve on the *same* inputs matches the
-    // reference solver exactly.
-    for cap in 1..12 {
-        let budget = Budget::unlimited().with_max_ilp_nodes(cap);
-        let _ = try_minimize_integer(&obj, &set, &budget);
-        assert_eq!(
-            minimize_integer(&obj, &set),
-            reference,
-            "partial state leaked after aborting at node cap {cap}"
-        );
+    let objs = [obj];
+    let reference = minimize_integer_reference(&objs[0], &set);
+    for (name, mut ctx) in contexts(&set) {
+        // Trip the solve at every possible depth: whatever node the abort
+        // lands on, the push/pop discipline must restore the rows, so the
+        // follow-up unbudgeted solve on the *same* context matches the
+        // reference solver exactly.
+        for cap in 1..12 {
+            let budget = Budget::unlimited().with_max_ilp_nodes(cap);
+            let _ = lexmin_keeping_rows(&mut ctx, &objs, &budget);
+            assert_eq!(
+                ctx.try_lexmin(&objs, &Budget::unlimited()),
+                Ok(reference.clone()),
+                "{name}: partial state leaked after aborting at node cap {cap}"
+            );
+        }
     }
 }
 
 #[test]
 fn cancelled_solve_leaves_no_partial_state() {
     let (obj, set) = branching_problem();
-    let reference = minimize_integer_reference(&obj, &set);
+    let objs = [obj];
+    let reference = minimize_integer_reference(&objs[0], &set);
+    for (name, mut ctx) in contexts(&set) {
+        let flag = Arc::new(AtomicBool::new(true));
+        let budget = Budget::unlimited().with_cancel(Arc::clone(&flag));
+        let before = counters::snapshot();
+        assert_eq!(
+            lexmin_keeping_rows(&mut ctx, &objs, &budget),
+            Err(BudgetError::Cancelled),
+            "{name}"
+        );
+        // Cooperative cancellation, like any budget abort, must not
+        // register as an overflow escalation.
+        let delta = counters::snapshot().delta_since(&before);
+        assert_eq!(delta.tab_overflow_escalations, 0, "{name}");
+        assert_eq!(
+            ctx.try_lexmin(&objs, &Budget::unlimited()),
+            Ok(reference.clone()),
+            "{name}"
+        );
 
-    let flag = Arc::new(AtomicBool::new(true));
-    let budget = Budget::unlimited().with_cancel(Arc::clone(&flag));
-    match try_minimize_integer(&obj, &set, &budget) {
-        Err(BudgetError::Cancelled) => {}
-        other => panic!("expected cancellation, got {other:?}"),
+        // Un-trip the flag: the same budget now completes on the fast
+        // path to the exact reference answer.
+        flag.store(false, Ordering::Relaxed);
+        let before = counters::snapshot();
+        assert_eq!(
+            ctx.try_lexmin(&objs, &budget),
+            Ok(reference.clone()),
+            "{name}"
+        );
+        let delta = counters::snapshot().delta_since(&before);
+        assert!(delta.tab_i64_solves > 0, "{name}: {delta:?}");
     }
-    assert_eq!(minimize_integer(&obj, &set), reference);
-
-    // Un-trip the flag: the same budget now lets the solve run to the
-    // exact reference answer.
-    flag.store(false, Ordering::Relaxed);
-    assert_eq!(try_minimize_integer(&obj, &set, &budget), Ok(reference));
 }
 
 #[test]
@@ -89,131 +156,130 @@ fn expired_deadline_aborts_lexmin() {
         LinExpr::from_coeffs(&[1, 1, 1], 0),
         LinExpr::from_coeffs(&[0, 0, -1], 0),
     ];
-    let budget = Budget::unlimited().with_deadline(Instant::now());
-    match try_lexmin_integer(&objs, &set, &budget) {
-        Err(BudgetError::Exhausted(BudgetResource::Deadline)) => {}
-        other => panic!("expected deadline exhaustion, got {other:?}"),
+    let reference = lexmin_integer(&objs, &set);
+    assert!(matches!(reference, IlpOutcome::Optimal { .. }));
+    for (name, mut ctx) in contexts(&set) {
+        let budget = Budget::unlimited().with_deadline(Instant::now());
+        assert_eq!(
+            lexmin_keeping_rows(&mut ctx, &objs, &budget),
+            Err(BudgetError::Exhausted(BudgetResource::Deadline)),
+            "{name}"
+        );
+        // And the unbudgeted lexmin still works on the same context.
+        assert_eq!(
+            ctx.try_lexmin(&objs, &Budget::unlimited()),
+            Ok(reference.clone()),
+            "{name}"
+        );
     }
-    // And the unbudgeted lexmin still works on the same set.
-    assert!(matches!(
-        lexmin_integer(&objs, &set),
-        IlpOutcome::Optimal { .. }
-    ));
 }
 
 #[test]
 fn budgeted_solve_matches_unbudgeted_when_it_completes() {
     let (obj, set) = branching_problem();
+    let objs = [obj];
     let generous = Budget::unlimited()
         .with_max_ilp_nodes(1_000_000)
         .with_max_pivots(10_000_000);
-    assert_eq!(
-        try_minimize_integer(&obj, &set, &generous),
-        Ok(minimize_integer_reference(&obj, &set))
-    );
-}
-
-/// Many crossing lower/upper pairs so the pairwise Fourier–Motzkin loop
-/// produces a quadratic number of rows.
-fn fm_blowup_problem() -> ConstraintSet {
-    let n = 9;
-    let mut cs = Vec::new();
-    for i in 0..8i128 {
-        // x_last >= i*x_i - i  (lower bound on the eliminated variable)
-        let mut lo = vec![0i128; n];
-        lo[i as usize] = -(i + 1);
-        lo[n - 1] = 1;
-        cs.push(ge(&lo, i));
-        // x_last <= i*x_i + i  (upper bound)
-        let mut up = vec![0i128; n];
-        up[i as usize] = i + 2;
-        up[n - 1] = -1;
-        cs.push(ge(&up, i));
+    for (name, mut ctx) in contexts(&set) {
+        assert_eq!(
+            ctx.try_lexmin(&objs, &generous),
+            Ok(minimize_integer_reference(&objs[0], &set)),
+            "{name}"
+        );
     }
-    ConstraintSet::from_constraints(n, cs)
 }
 
 #[test]
-fn pivot_cap_trips_inside_the_i64_fast_path() {
+fn pivot_cap_trips_on_either_cell_width_without_escalating() {
     let (obj, set) = branching_problem();
-    let reference = minimize_integer_reference(&obj, &set);
-
-    // Small coefficients: the solve runs entirely on the machine-int
-    // tableau, so the pivot cap is probed *inside* the i64 fast path.
+    let objs = [obj];
+    let reference = minimize_integer_reference(&objs[0], &set);
     let budget = Budget::unlimited().with_max_pivots(1);
-    let before = counters::snapshot();
-    match try_minimize_integer(&obj, &set, &budget) {
-        Err(BudgetError::Exhausted(BudgetResource::Pivots)) => {}
-        other => panic!("expected pivot exhaustion, got {other:?}"),
-    }
-    let delta = counters::snapshot().delta_since(&before);
-    // A budget abort propagates as-is from the i64 attempt; it must never
-    // be misread as an arithmetic overflow and escalated to i128.
-    assert_eq!(
-        delta.tab_overflow_escalations, 0,
-        "pivot-cap abort escalated to the wide tableau"
-    );
+    // Small coefficients: on the default path every tableau runs on
+    // machine-int cells, so the cap is probed *inside* the i64 fast path;
+    // forced wide, the same cap trips the identical structured error, so
+    // a caller cannot observe which width hit it.
+    for wide in [false, true] {
+        let prev = set_force_wide_tableau(wide);
+        for (name, mut ctx) in contexts(&set) {
+            let before = counters::snapshot();
+            assert_eq!(
+                lexmin_keeping_rows(&mut ctx, &objs, &budget),
+                Err(BudgetError::Exhausted(BudgetResource::Pivots)),
+                "{name}, wide {wide}"
+            );
+            // A budget abort propagates as-is; it must never be misread
+            // as an arithmetic overflow and escalated to i128.
+            let delta = counters::snapshot().delta_since(&before);
+            assert_eq!(delta.tab_overflow_escalations, 0, "{name}, wide {wide}");
 
-    // The forced-wide solver trips the identical structured error, so a
-    // caller cannot observe which width hit the cap.
-    let prev = set_force_wide_tableau(true);
-    let wide = try_minimize_integer(&obj, &set, &budget);
-    set_force_wide_tableau(prev);
-    match wide {
-        Err(BudgetError::Exhausted(BudgetResource::Pivots)) => {}
-        other => panic!("expected pivot exhaustion on wide path, got {other:?}"),
+            // No partial state: the unbudgeted follow-up matches the
+            // reference, on the fast path unless forced wide.
+            let before = counters::snapshot();
+            assert_eq!(
+                ctx.try_lexmin(&objs, &Budget::unlimited()),
+                Ok(reference.clone()),
+                "{name}, wide {wide}"
+            );
+            let delta = counters::snapshot().delta_since(&before);
+            assert_eq!(delta.tab_i64_solves > 0, !wide, "{name}, wide {wide}");
+            assert_eq!(delta.tab_overflow_escalations, 0, "{name}, wide {wide}");
+        }
+        set_force_wide_tableau(prev);
     }
-
-    // No partial state: the unbudgeted follow-up matches the reference and
-    // actually exercises the fast path.
-    let before = counters::snapshot();
-    assert_eq!(minimize_integer(&obj, &set), reference);
-    let delta = counters::snapshot().delta_since(&before);
-    assert!(
-        delta.tab_i64_solves > 0,
-        "follow-up solve was expected to run on the i64 fast path"
-    );
-    assert_eq!(delta.tab_overflow_escalations, 0);
 }
 
+/// The three metered doors in one table. Under a tripped cancel flag each
+/// returns `Cancelled`. Under `with_max_pivots(0)`, on a system that needs
+/// a pivot, `try_lexmin` and `try_remove_redundant` exhaust their pivots,
+/// while `build` falls back to cold solving and a later unlimited
+/// `try_lexmin` still answers like `lexmin_integer`. No door changes its
+/// input.
 #[test]
-fn cancel_flag_is_probed_inside_the_i64_fast_path() {
+fn every_metered_door_under_cancel_and_a_zero_pivot_cap() {
+    type Door = fn(&ConstraintSet, &[LinExpr], &Budget) -> Result<(), BudgetError>;
+    let doors: [(&str, Door, Result<(), BudgetError>); 3] = [
+        (
+            "build",
+            |set, objs, budget| {
+                let mut ctx = SchedCtx::build(set.clone(), budget)?;
+                assert_eq!(ctx.rows(), set);
+                let out = lexmin_keeping_rows(&mut ctx, objs, &Budget::unlimited());
+                assert_eq!(out, Ok(lexmin_integer(objs, set)));
+                Ok(())
+            },
+            Ok(()),
+        ),
+        (
+            "try_lexmin",
+            |set, objs, budget| {
+                let mut ctx = SchedCtx::build(set.clone(), &Budget::unlimited())?;
+                lexmin_keeping_rows(&mut ctx, objs, budget).map(drop)
+            },
+            Err(BudgetError::Exhausted(BudgetResource::Pivots)),
+        ),
+        (
+            "try_remove_redundant",
+            |set, _, budget| {
+                let before = set.clone();
+                let out = try_remove_redundant(set, budget).map(drop);
+                assert_eq!(set, &before);
+                out
+            },
+            Err(BudgetError::Exhausted(BudgetResource::Pivots)),
+        ),
+    ];
     let (obj, set) = branching_problem();
-    let reference = minimize_integer_reference(&obj, &set);
-
-    let flag = Arc::new(AtomicBool::new(true));
-    let budget = Budget::unlimited().with_cancel(Arc::clone(&flag));
-    let before = counters::snapshot();
-    match try_minimize_integer(&obj, &set, &budget) {
-        Err(BudgetError::Cancelled) => {}
-        other => panic!("expected cancellation, got {other:?}"),
+    let objs = [obj];
+    let cancelled = Budget::unlimited().with_cancel(Arc::new(AtomicBool::new(true)));
+    let no_pivots = Budget::unlimited().with_max_pivots(0);
+    for (name, door, under_no_pivots) in doors {
+        assert_eq!(
+            door(&set, &objs, &cancelled),
+            Err(BudgetError::Cancelled),
+            "{name}"
+        );
+        assert_eq!(door(&set, &objs, &no_pivots), under_no_pivots, "{name}");
     }
-    let delta = counters::snapshot().delta_since(&before);
-    // Cooperative cancellation, like any budget abort, must not register
-    // as an overflow escalation.
-    assert_eq!(delta.tab_overflow_escalations, 0);
-
-    // Un-trip the flag: the same budget now completes on the fast path to
-    // the exact reference answer.
-    flag.store(false, Ordering::Relaxed);
-    let before = counters::snapshot();
-    assert_eq!(try_minimize_integer(&obj, &set, &budget), Ok(reference));
-    let delta = counters::snapshot().delta_since(&before);
-    assert!(delta.tab_i64_solves > 0);
-}
-
-#[test]
-fn fm_row_cap_aborts_and_leaves_no_partial_state() {
-    let set = fm_blowup_problem();
-    let var = set.n_vars() - 1;
-    let reference = eliminate_var_reference(&set, var);
-
-    let budget = Budget::unlimited().with_max_fm_rows(4);
-    match try_eliminate_var(&set, var, &budget) {
-        Err(BudgetError::Exhausted(BudgetResource::FmRows)) => {}
-        other => panic!("expected FM row exhaustion, got {other:?}"),
-    }
-    // The input set is untouched and the unbudgeted projection matches
-    // the rational reference implementation syntactically.
-    assert_eq!(eliminate_var(&set, var), reference);
 }

@@ -20,8 +20,8 @@
 use polyject_arith::{Rat, SplitMix64};
 use polyject_sets::{
     eliminate_var, eliminate_var_reference, integer_feasibility_route, is_integer_feasible,
-    is_integer_feasible_reference, minimize, minimize_integer, minimize_integer_reference,
-    minimize_reference, try_lexmin_integer, Budget, BudgetError, Constraint, ConstraintSet,
+    is_integer_feasible_reference, lexmin_integer, minimize, minimize_integer,
+    minimize_integer_reference, minimize_reference, Budget, BudgetError, Constraint, ConstraintSet,
     LinExpr, SchedCtx,
 };
 
@@ -431,8 +431,7 @@ fn sched_ctx_lexmin_matches_cold_solver() {
             let warm = ctx
                 .try_lexmin(&objs, &Budget::unlimited())
                 .expect("unlimited");
-            let cold_out =
-                try_lexmin_integer(&objs, &cold, &Budget::unlimited()).expect("unlimited");
+            let cold_out = lexmin_integer(&objs, &cold);
             assert_eq!(warm, cold_out, "case {case} round {round} base {base:?}");
             // Lexmin must leave the pushed rows exactly as they were
             // (objective pins are unwound), and pop must restore the base.
@@ -480,14 +479,14 @@ fn sched_ctx_survives_budget_exhaustion() {
         let warm = ctx
             .try_lexmin(&objs, &Budget::unlimited())
             .expect("unlimited");
-        let cold_out = try_lexmin_integer(&objs, &cold, &Budget::unlimited()).expect("unlimited");
+        let cold_out = lexmin_integer(&objs, &cold);
         assert_eq!(warm, cold_out, "case {case} base {base:?}");
         // Popping after an exhausted solve restores the bare base.
         ctx.pop(mark);
         let warm_base = ctx
             .try_lexmin(&objs, &Budget::unlimited())
             .expect("unlimited");
-        let cold_base = try_lexmin_integer(&objs, &base, &Budget::unlimited()).expect("unlimited");
+        let cold_base = lexmin_integer(&objs, &base);
         assert_eq!(warm_base, cold_base, "case {case} base {base:?}");
     }
     assert!(
@@ -749,6 +748,6 @@ fn dense_row_pricing_stays_content_reduced() {
     assert_eq!(dw.lexmin_cold_roots, 0, "{dw:?}");
     let mut cold = base.clone();
     cold.add(delta.clone());
-    let reference = try_lexmin_integer(&objs, &cold, &Budget::unlimited()).expect("unlimited");
+    let reference = lexmin_integer(&objs, &cold);
     assert_eq!(fast, reference);
 }

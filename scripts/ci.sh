@@ -8,7 +8,7 @@
 # an offline build of the standalone benchmark package and a --quick run
 # of its four workloads (outputs correct, no operation failed), a
 # seeded fault-injection chaos gate, a
-# budget-exhaustion/cancellation smoke, a polyjectd daemon smoke test (remote
+# budget smoke (deadline, ILP nodes, pivots, cancel), a polyjectd daemon smoke test (remote
 # replies byte-identical to local; four requests built to crash the daemon
 # each answered with an error, the daemon alive after; a tuning that
 # polyjectc persists into the daemon's cache directory replayed with zero
@@ -85,10 +85,10 @@ step "seeded chaos gate (cache I/O + socket-frame fault injection)"
 cargo test --release -q -p polyject-serve --test chaos
 echo "ok: >=200 injected faults, no hangs, no corruption served, replay byte-identical"
 
-step "budget-exhaustion smoke (graceful degradation + cancellation)"
+step "budget smoke (deadline, ILP-node and pivot caps, cancel flag)"
 cargo test --release -q -p polyject-sets --test budget
 cargo test --release -q -p polyject-core --test budget_degradation
-echo "ok: exhausted budgets degrade down the ladder; cancellation leaves no partial state"
+echo "ok: an exhausted deadline, ILP-node or pivot cap degrades down the ladder; cancel leaves no partial state"
 
 step "polyjectd daemon smoke (remote == local, cache hit on repeat)"
 scratch="$(mktemp -d)"
