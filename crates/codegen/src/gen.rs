@@ -111,21 +111,12 @@ impl GenStmt {
         let eliminated = eliminate_vars(&set, &iter_vars);
         let mut time_poly = ConstraintSet::universe(depth + n_params);
         for c in eliminated.constraints() {
-            let coeffs: Vec<Rat> = (0..depth)
-                .map(|v| c.expr().coeff(v))
-                .chain((0..n_params).map(|p| c.expr().coeff(depth + n_iters + p)))
-                .collect();
             debug_assert!(
-                (depth..depth + n_iters).all(|v| c.expr().coeff(v).is_zero()),
+                c.coeffs()[depth..depth + n_iters].iter().all(|&a| a == 0),
                 "iterator survived elimination"
             );
-            let e = LinExpr::from_rat_coeffs(coeffs, c.expr().constant_term());
-            let nc = if c.is_equality() {
-                Constraint::eq0(e)
-            } else {
-                Constraint::ge0(e)
-            };
-            time_poly.add(nc);
+            let old_of = |j: usize| if j < depth { j } else { j + n_iters };
+            time_poly.add(c.remapped(depth + n_params, old_of));
         }
 
         GenStmt {
@@ -234,12 +225,11 @@ fn holds_lower_corner(domain: &ConstraintSet, n_iters: usize, params: &[i64]) ->
             .constraints()
             .iter()
             .filter(|c| {
-                let e = c.expr();
                 !c.is_equality()
-                    && e.coeff(it).is_positive()
-                    && (0..n_iters).all(|j| j == it || e.coeff(j).is_zero())
+                    && c.coeff(it) > 0
+                    && (0..n_iters).all(|j| j == it || c.coeff(j) == 0)
             })
-            .map(|c| (-c.expr().eval_int(&point) / c.expr().coeff(it)).ceil())
+            .map(|c| Rat::new(-c.value_at(&point), c.coeff(it)).ceil())
             .max()
             .unwrap_or(0);
     }
@@ -618,14 +608,9 @@ enum Placement {
 /// projection).
 fn stmt_bounds(proj: &ConstraintSet, d: usize) -> (Vec<Bound>, Vec<Bound>) {
     let vb = bounds_for_var(proj, d);
-    let conv = |(e, div): &(LinExpr, Rat)| {
-        // Normalize divisor to an integer (bounds_for_var yields the raw
-        // coefficient, integer by construction).
-        let div = div.to_integer().expect("integer divisor");
-        Bound {
-            expr: e.clone(),
-            divisor: div,
-        }
+    let conv = |(e, div): &(LinExpr, i128)| Bound {
+        expr: e.clone(),
+        divisor: *div,
     };
     (
         vb.lowers.iter().map(conv).collect(),

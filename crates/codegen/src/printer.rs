@@ -96,7 +96,7 @@ pub(crate) fn render_guard(s: &StmtNode, names: &[String]) -> String {
         .iter()
         .map(|g| {
             let op = if g.is_equality() { "==" } else { ">=" };
-            format!("{} {op} 0", render_expr(g.expr(), names))
+            format!("{} {op} 0", render_expr(&g.to_expr(), names))
         })
         .collect();
     format!("if ({}) ", conds.join(" && "))

@@ -291,16 +291,11 @@ mod tests {
             j if j < a + b => j - b,
             j => j,
         };
-        let rows = rel.set.constraints().iter().map(|c| {
-            let coeffs = (0..rel.n_vars())
-                .map(|j| c.expr().coeff(old_of(j)))
-                .collect();
-            let e = polyject_sets::LinExpr::from_rat_coeffs(coeffs, c.expr().constant_term());
-            match c.is_equality() {
-                true => polyject_sets::Constraint::eq0(e),
-                false => polyject_sets::Constraint::ge0(e),
-            }
-        });
+        let rows = rel
+            .set
+            .constraints()
+            .iter()
+            .map(|c| c.remapped(rel.n_vars(), old_of));
         DepRelation {
             source: rel.target,
             target: rel.source,

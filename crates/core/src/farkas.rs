@@ -108,8 +108,8 @@ pub fn farkas_nonneg(relation: &ConstraintSet, template: &AffineTemplate) -> Con
     for v in 0..n_rel {
         let mut e = template.var_coeffs[v].extended(n);
         for (k, c) in relation.constraints().iter().enumerate() {
-            let coef = c.expr().coeff(v);
-            if !coef.is_zero() {
+            let coef = c.coeff(v);
+            if coef != 0 {
                 let mut m = LinExpr::zero(n);
                 m.set_coeff(mult(k), -coef);
                 e = &e + &m;
@@ -125,8 +125,8 @@ pub fn farkas_nonneg(relation: &ConstraintSet, template: &AffineTemplate) -> Con
         e = &e + &m;
     }
     for (k, c) in relation.constraints().iter().enumerate() {
-        let coef = c.expr().constant_term();
-        if !coef.is_zero() {
+        let coef = c.constant();
+        if coef != 0 {
             let mut m = LinExpr::zero(n);
             m.set_coeff(mult(k), -coef);
             e = &e + &m;

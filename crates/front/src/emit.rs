@@ -117,27 +117,20 @@ fn iter_range(kernel: &Kernel, s: &Statement, iter: usize) -> Result<(String, St
         if c.is_equality() {
             continue;
         }
-        let e = c.expr();
-        if e.coeff(iter) == polyject_arith::Rat::int(-1)
-            && (0..s.n_iters()).all(|v| v == iter || e.coeff(v).is_zero())
-        {
+        if c.coeff(iter) == -1 && (0..s.n_iters()).all(|v| v == iter || c.coeff(v) == 0) {
             // -iter + (param?) + const >= 0 → iter <= param + const.
             for p in 0..s.n_params() {
-                if e.coeff(s.n_iters() + p) == polyject_arith::Rat::ONE
-                    && e.constant_term() == polyject_arith::Rat::int(-1)
-                    && (0..s.n_params()).all(|q| q == p || e.coeff(s.n_iters() + q).is_zero())
+                if c.coeff(s.n_iters() + p) == 1
+                    && c.constant() == -1
+                    && (0..s.n_params()).all(|q| q == p || c.coeff(s.n_iters() + q) == 0)
                 {
                     let lo = lower_of(s, iter)?;
                     return Ok((lo, kernel.param_names()[p].clone()));
                 }
             }
-            if (0..s.n_params()).all(|q| e.coeff(s.n_iters() + q).is_zero()) {
-                let hi = e
-                    .constant_term()
-                    .to_integer()
-                    .ok_or_else(|| "non-integer bound".to_string())?;
+            if (0..s.n_params()).all(|q| c.coeff(s.n_iters() + q) == 0) {
                 let lo = lower_of(s, iter)?;
-                return Ok((lo, (hi + 1).to_string()));
+                return Ok((lo, (c.constant() + 1).to_string()));
             }
         }
     }
@@ -153,16 +146,11 @@ fn lower_of(s: &Statement, iter: usize) -> Result<String, String> {
         if c.is_equality() {
             continue;
         }
-        let e = c.expr();
-        if e.coeff(iter) == polyject_arith::Rat::ONE
-            && (0..s.n_iters()).all(|v| v == iter || e.coeff(v).is_zero())
-            && (0..s.n_params()).all(|q| e.coeff(s.n_iters() + q).is_zero())
+        if c.coeff(iter) == 1
+            && (0..s.n_iters()).all(|v| v == iter || c.coeff(v) == 0)
+            && (0..s.n_params()).all(|q| c.coeff(s.n_iters() + q) == 0)
         {
-            let lo = -e
-                .constant_term()
-                .to_integer()
-                .ok_or_else(|| "non-integer bound".to_string())?;
-            return Ok(lo.to_string());
+            return Ok((-c.constant()).to_string());
         }
     }
     Err(format!(

@@ -277,7 +277,7 @@ impl Accumulator<'_> {
         for g in &s.guards {
             if g.is_equality() {
                 for (dim, extent) in &ctx.extents {
-                    if !g.expr().coeff(*dim).is_zero() && *extent > 0.0 {
+                    if g.coeff(*dim) != 0 && *extent > 0.0 {
                         instances /= extent;
                     }
                 }

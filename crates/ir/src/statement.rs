@@ -3,6 +3,7 @@
 use crate::access::{Access, Idx};
 use crate::expr::Expr;
 use crate::types::{Extent, TensorId};
+use polyject_arith::Rat;
 use polyject_sets::{project_onto_prefix, Constraint, ConstraintSet, LinExpr};
 
 /// A statement of a fused operator.
@@ -97,13 +98,13 @@ impl Statement {
         let lo = b
             .lowers
             .iter()
-            .map(|(e, div)| (e.eval_int(&at) / *div).ceil())
+            .map(|(e, div)| (e.eval_int(&at) / Rat::int(*div)).ceil())
             .max()
             .unwrap_or(0);
         let hi = b
             .uppers
             .iter()
-            .map(|(e, div)| (e.eval_int(&at) / *div).floor())
+            .map(|(e, div)| (e.eval_int(&at) / Rat::int(*div)).floor())
             .min()
             .unwrap_or(-1);
         (hi - lo + 1).max(0) as i64
@@ -112,24 +113,13 @@ impl Statement {
 
 /// Moves variable `var` to position 0, shifting earlier variables right.
 fn reorder_var_first(set: &ConstraintSet, var: usize) -> ConstraintSet {
-    let n = set.n_vars();
-    let mut out = ConstraintSet::universe(n);
-    for c in set.constraints() {
-        let mut coeffs = Vec::with_capacity(n);
-        coeffs.push(c.expr().coeff(var));
-        for v in 0..n {
-            if v != var {
-                coeffs.push(c.expr().coeff(v));
-            }
-        }
-        let e = LinExpr::from_rat_coeffs(coeffs, c.expr().constant_term());
-        out.add(if c.is_equality() {
-            Constraint::eq0(e)
-        } else {
-            Constraint::ge0(e)
-        });
-    }
-    out
+    let old_of = |j: usize| match j {
+        0 => var,
+        j if j <= var => j - 1,
+        j => j,
+    };
+    let rows = set.constraints().iter();
+    ConstraintSet::from_constraints(set.n_vars(), rows.map(|c| c.remapped(set.n_vars(), old_of)))
 }
 
 /// Builder for [`Statement`], finished by

@@ -1,8 +1,14 @@
-//! Affine constraints and constraint sets (rational polyhedra with integer
-//! points of interest).
+//! Affine constraints and constraint sets (polyhedra whose integer
+//! points are of interest).
+//!
+//! A [`Constraint`] stores one row of coprime integers — its variable
+//! coefficients, then its constant — and its kind. Every constructor
+//! brings the row to that form once ([`normalize`]), so the solvers,
+//! Fourier–Motzkin and the integer preprocessing read the cells as they
+//! are stored. [`LinExpr`] stays the rational input and output type.
 
 use crate::linexpr::LinExpr;
-use polyject_arith::{Fnv64, Rat};
+use polyject_arith::{gcd, lcm, Fnv64, Rat};
 use std::fmt;
 
 /// The sense of a constraint on an affine expression.
@@ -14,45 +20,83 @@ pub enum ConstraintKind {
     Ge,
 }
 
-/// A single affine constraint: `expr == 0` or `expr >= 0`.
+/// A single affine constraint: `expr == 0` or `expr >= 0`, held as the
+/// coprime integer row of `expr`.
 ///
 /// # Examples
 ///
 /// ```
 /// use polyject_sets::{Constraint, LinExpr};
-/// // x0 - 3 >= 0, i.e. x0 >= 3
-/// let c = Constraint::ge0(LinExpr::from_coeffs(&[1], -3));
+/// // 2*x0 - 6 >= 0, i.e. x0 >= 3
+/// let c = Constraint::ge0(LinExpr::from_coeffs(&[2], -6));
+/// assert_eq!(c.row(), &[1, -3]);
 /// assert!(c.is_satisfied_int(&[5]));
 /// assert!(!c.is_satisfied_int(&[2]));
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Constraint {
-    expr: LinExpr,
+    /// The variable coefficients, then the constant.
+    row: Vec<i128>,
     kind: ConstraintKind,
+}
+
+/// Brings an integer row to its canonical form in place: divided by the
+/// content of its entries (the scan stops at the first gcd of 1) and, for
+/// an equality only, with its first non-zero entry positive.
+fn normalize(row: &mut [i128], kind: ConstraintKind) {
+    let mut g: i128 = 0;
+    for &c in row.iter() {
+        if g == 1 {
+            break;
+        }
+        if c != 0 {
+            g = gcd(g, c);
+        }
+    }
+    if g > 1 {
+        row.iter_mut().for_each(|c| *c /= g);
+    }
+    if kind == ConstraintKind::Eq && row.iter().find(|&&c| c != 0).is_some_and(|&c| c < 0) {
+        for c in row.iter_mut() {
+            *c = c.checked_neg().expect("rational overflow");
+        }
+    }
+}
+
+/// The entries of `expr` — coefficients, then the constant — scaled by
+/// the lcm of their denominators, so each is an integer.
+fn integer_entries(expr: &LinExpr) -> Vec<i128> {
+    let denom_lcm = expr
+        .entries()
+        .filter(|c| !c.is_integer())
+        .fold(1, |l, c| lcm(l, c.denom()));
+    expr.entries()
+        .map(|c| {
+            c.numer()
+                .checked_mul(denom_lcm / c.denom())
+                .expect("rational overflow")
+        })
+        .collect()
 }
 
 impl Constraint {
     /// Creates the constraint `expr >= 0`.
-    pub fn ge0(mut expr: LinExpr) -> Constraint {
-        expr.normalize_ineq();
-        Constraint {
-            expr,
-            kind: ConstraintKind::Ge,
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics with `"rational overflow"` if an entry of the normalized row
+    /// does not fit `i128`.
+    pub fn ge0(expr: LinExpr) -> Constraint {
+        Constraint::from_row(ConstraintKind::Ge, integer_entries(&expr))
     }
 
     /// Creates the constraint `expr == 0`.
-    pub fn eq0(mut expr: LinExpr) -> Constraint {
-        expr.normalize_eq();
-        Constraint {
-            expr,
-            kind: ConstraintKind::Eq,
-        }
-    }
-
-    /// Creates `lhs >= rhs`.
-    pub fn ge(lhs: &LinExpr, rhs: &LinExpr) -> Constraint {
-        Constraint::ge0(lhs - rhs)
+    ///
+    /// # Panics
+    ///
+    /// As [`Constraint::ge0`].
+    pub fn eq0(expr: LinExpr) -> Constraint {
+        Constraint::from_row(ConstraintKind::Eq, integer_entries(&expr))
     }
 
     /// Creates `lhs == rhs`.
@@ -60,9 +104,43 @@ impl Constraint {
         Constraint::eq0(lhs - rhs)
     }
 
-    /// The constrained expression.
-    pub fn expr(&self) -> &LinExpr {
-        &self.expr
+    /// The constraint of `kind` on the integer row `row` (coefficients,
+    /// then the constant), normalized.
+    pub(crate) fn from_row(kind: ConstraintKind, mut row: Vec<i128>) -> Constraint {
+        normalize(&mut row, kind);
+        Constraint { row, kind }
+    }
+
+    /// The normalized row: the variable coefficients, then the constant.
+    pub fn row(&self) -> &[i128] {
+        &self.row
+    }
+
+    /// The variable coefficients.
+    pub fn coeffs(&self) -> &[i128] {
+        &self.row[..self.n_vars()]
+    }
+
+    /// Coefficient of variable `var`.
+    pub fn coeff(&self, var: usize) -> i128 {
+        self.coeffs()[var]
+    }
+
+    /// The constant term.
+    pub fn constant(&self) -> i128 {
+        self.row[self.n_vars()]
+    }
+
+    /// Number of variables in the constraint's space.
+    pub(crate) fn n_vars(&self) -> usize {
+        self.row.len() - 1
+    }
+
+    /// The constrained expression, for callers that do rational
+    /// arithmetic on it (an LP objective, the `*_reference` solvers) or
+    /// render it.
+    pub fn to_expr(&self) -> LinExpr {
+        LinExpr::from_coeffs(self.coeffs(), self.constant())
     }
 
     /// The constraint sense.
@@ -75,18 +153,58 @@ impl Constraint {
         self.kind == ConstraintKind::Eq
     }
 
+    /// The variable `v` when this is the sign row `x_v >= 0`.
+    pub(crate) fn sign_var(&self) -> Option<usize> {
+        if self.kind != ConstraintKind::Ge || self.constant() != 0 {
+            return None;
+        }
+        let mut vars = self.coeffs().iter().enumerate().filter(|(_, &c)| c != 0);
+        match (vars.next(), vars.next()) {
+            (Some((v, 1)), None) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// The constrained expression's value at an integer point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `point.len() != self.n_vars()`, or with `"rational
+    /// overflow"` if the value does not fit `i128`.
+    pub fn value_at(&self, point: &[i128]) -> i128 {
+        assert_eq!(point.len(), self.n_vars(), "dimension mismatch");
+        self.coeffs()
+            .iter()
+            .zip(point)
+            .try_fold(self.constant(), |acc, (&c, &x)| {
+                acc.checked_add(c.checked_mul(x)?)
+            })
+            .expect("rational overflow")
+    }
+
+    /// Whether the sense holds for the expression value `v`.
+    fn holds(&self, v: i128) -> bool {
+        match self.kind {
+            ConstraintKind::Eq => v == 0,
+            ConstraintKind::Ge => v >= 0,
+        }
+    }
+
     /// Checks satisfaction at an integer point.
     pub fn is_satisfied_int(&self, point: &[i128]) -> bool {
-        let v = self.expr.eval_int(point);
-        match self.kind {
-            ConstraintKind::Eq => v.is_zero(),
-            ConstraintKind::Ge => !v.is_negative(),
-        }
+        self.holds(self.value_at(point))
     }
 
     /// Checks satisfaction at a rational point.
     pub fn is_satisfied(&self, point: &[Rat]) -> bool {
-        let v = self.expr.eval(point);
+        assert_eq!(point.len(), self.n_vars(), "dimension mismatch");
+        let v = self
+            .coeffs()
+            .iter()
+            .zip(point)
+            .fold(Rat::int(self.constant()), |acc, (&c, &x)| {
+                acc + Rat::int(c) * x
+            });
         match self.kind {
             ConstraintKind::Eq => v.is_zero(),
             ConstraintKind::Ge => !v.is_negative(),
@@ -94,42 +212,57 @@ impl Constraint {
     }
 
     /// Returns the constraint with its space extended to `n_vars`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_vars < self.n_vars()`.
     pub fn extended(&self, n_vars: usize) -> Constraint {
-        Constraint {
-            expr: self.expr.extended(n_vars),
-            kind: self.kind,
-        }
+        assert!(n_vars >= self.n_vars(), "cannot shrink space");
+        self.with_vars_inserted(self.n_vars(), n_vars - self.n_vars())
     }
 
     /// Returns the constraint with `count` fresh variables inserted at `at`.
     pub fn with_vars_inserted(&self, at: usize, count: usize) -> Constraint {
+        assert!(at <= self.n_vars(), "insertion point out of range");
+        let mut row = Vec::with_capacity(self.row.len() + count);
+        row.extend_from_slice(&self.row[..at]);
+        row.extend(std::iter::repeat_n(0, count));
+        row.extend_from_slice(&self.row[at..]);
+        // Zero columns change neither the content nor the first non-zero
+        // entry: the row stays normalized.
         Constraint {
-            expr: self.expr.with_vars_inserted(at, count),
+            row,
             kind: self.kind,
         }
     }
 
+    /// The constraint over `n_vars` variables whose coefficient `j` is
+    /// this one's coefficient `old_of(j)`, with the same constant and
+    /// kind: the columns permuted, or projected away where they are zero.
+    /// Normalized again, as a permutation can move an equality's first
+    /// non-zero entry.
+    pub fn remapped(&self, n_vars: usize, old_of: impl Fn(usize) -> usize) -> Constraint {
+        let row = (0..n_vars)
+            .map(|j| self.coeff(old_of(j)))
+            .chain([self.constant()])
+            .collect();
+        Constraint::from_row(self.kind, row)
+    }
+
+    /// Whether the row has no variable term.
+    fn is_constant(&self) -> bool {
+        self.coeffs().iter().all(|&c| c == 0)
+    }
+
     /// A trivially true constraint is `c >= 0` with `c >= 0`, or `0 == 0`.
     pub fn is_trivially_true(&self) -> bool {
-        if !self.expr.is_constant() {
-            return false;
-        }
-        match self.kind {
-            ConstraintKind::Eq => self.expr.constant_term().is_zero(),
-            ConstraintKind::Ge => !self.expr.constant_term().is_negative(),
-        }
+        self.is_constant() && self.holds(self.constant())
     }
 
     /// A trivially false constraint is `c >= 0` with `c < 0`, or `c == 0`
     /// with `c != 0`.
     pub fn is_trivially_false(&self) -> bool {
-        if !self.expr.is_constant() {
-            return false;
-        }
-        match self.kind {
-            ConstraintKind::Eq => !self.expr.constant_term().is_zero(),
-            ConstraintKind::Ge => self.expr.constant_term().is_negative(),
-        }
+        self.is_constant() && !self.holds(self.constant())
     }
 }
 
@@ -145,12 +278,12 @@ impl fmt::Display for Constraint {
             ConstraintKind::Eq => "=",
             ConstraintKind::Ge => ">=",
         };
-        write!(f, "{} {} 0", self.expr, op)
+        write!(f, "{} {} 0", self.to_expr(), op)
     }
 }
 
 /// A conjunction of affine constraints over a shared positional variable
-/// space — a rational polyhedron.
+/// space — a polyhedron.
 ///
 /// # Examples
 ///
@@ -177,30 +310,27 @@ pub struct ConstraintSet {
     hashes: Vec<u64>,
 }
 
-/// The constraint's kind, coefficients and constant folded through
-/// [`Fnv64::write_word`]: one step per entry that is an integer fitting a
-/// word — every entry of a normalized scheduling row — and a tagged
-/// five-word form for anything wider or fractional. A pure function of
-/// the (normalized) constraint, so equal constraints always collide:
-/// unequal fingerprints prove unequal constraints, equal ones prove
-/// nothing. Lives only in memory, in front of a deep comparison.
+/// The constraint's kind and row folded through [`Fnv64::write_word`]:
+/// one step per entry that fits a word — every entry of a scheduling row
+/// — and a tagged three-word form for anything wider. A pure function of
+/// the constraint, so equal constraints always collide: unequal
+/// fingerprints prove unequal constraints, equal ones prove nothing.
+/// Lives only in memory, in front of a deep comparison.
 fn fingerprint(c: &Constraint) -> u64 {
-    /// Announces a numerator/denominator pair in `i128` halves.
+    /// Announces an entry in `i128` halves.
     const WIDE: u64 = 0x9e37_79b9_7f4a_7c15;
     let mut h = Fnv64::new();
     h.write_word(match c.kind {
         ConstraintKind::Eq => 0,
         ConstraintKind::Ge => 1,
     });
-    for r in c.expr.entries() {
-        match i64::try_from(r.numer()) {
-            Ok(v) if r.is_integer() => h.write_word(v as u64),
-            _ => {
+    for &v in &c.row {
+        match i64::try_from(v) {
+            Ok(v) => h.write_word(v as u64),
+            Err(_) => {
                 h.write_word(WIDE);
-                for v in [r.numer(), r.denom()] {
-                    h.write_word(v as u64);
-                    h.write_word((v >> 64) as u64);
-                }
+                h.write_word(v as u64);
+                h.write_word((v >> 64) as u64);
             }
         }
     }
@@ -298,7 +428,7 @@ impl ConstraintSet {
     ///
     /// Panics if the constraint's variable count differs.
     pub fn add(&mut self, c: Constraint) {
-        assert_eq!(c.expr().n_vars(), self.n_vars, "constraint space mismatch");
+        assert_eq!(c.n_vars(), self.n_vars, "constraint space mismatch");
         if c.is_trivially_true() {
             return;
         }
@@ -393,11 +523,6 @@ impl ConstraintSet {
             hashes,
         }
     }
-
-    /// Splits the constraints into (equalities, inequalities).
-    pub fn split(&self) -> (Vec<&Constraint>, Vec<&Constraint>) {
-        self.constraints.iter().partition(|c| c.is_equality())
-    }
 }
 
 impl fmt::Debug for ConstraintSet {
@@ -481,7 +606,121 @@ mod tests {
     #[test]
     fn normalization_on_creation() {
         let c = Constraint::ge0(LinExpr::from_coeffs(&[2, 4], 6));
-        assert_eq!(c.expr(), &LinExpr::from_coeffs(&[1, 2], 3));
+        assert_eq!(c.row(), [1, 2, 3]);
+        assert_eq!((c.coeff(1), c.constant(), c.n_vars()), (2, 3, 2));
+        assert_eq!(c.to_expr(), LinExpr::from_coeffs(&[1, 2], 3));
+    }
+
+    /// An expression with rational entries.
+    fn rat_expr(coeffs: &[Rat], k: Rat) -> LinExpr {
+        let mut e = LinExpr::constant(coeffs.len(), k);
+        for (v, &c) in coeffs.iter().enumerate() {
+            e.set_coeff(v, c);
+        }
+        e
+    }
+
+    #[test]
+    fn normalization_inequality_keeps_direction() {
+        // (1/2)x0 - (3/2) >= 0 normalizes to x0 - 3 >= 0.
+        let e = rat_expr(&[Rat::new(1, 2)], Rat::new(-3, 2));
+        assert_eq!(Constraint::ge0(e).row(), [1, -3]);
+        // -2x0 + 4 >= 0 normalizes to -x0 + 2 >= 0 (no sign flip!).
+        let e = LinExpr::from_coeffs(&[-2], 4);
+        assert_eq!(Constraint::ge0(e).row(), [-1, 2]);
+    }
+
+    #[test]
+    fn normalization_equality_canonical_sign() {
+        let e = LinExpr::from_coeffs(&[-2, 4], -6);
+        assert_eq!(Constraint::eq0(e).row(), [1, -2, 3]);
+    }
+
+    /// The route the integer normalizer replaced: one scaling factor — an
+    /// lcm over every denominator, a gcd over every integerized numerator
+    /// — applied through `LinExpr::scaled`, and a sign flip for an
+    /// equality with a negative leading entry.
+    fn normalized_reference(e: &LinExpr, kind: ConstraintKind) -> LinExpr {
+        let denom_lcm = e.entries().fold(1, |l, c| lcm(l, c.denom()));
+        let g = e.entries().fold(0, |g, c| {
+            let int = c.numer().checked_mul(denom_lcm / c.denom());
+            gcd(g, int.expect("reference overflow"))
+        });
+        let n = e.scaled(Rat::new(denom_lcm, g.max(1)));
+        let lead = n.entries().find(|c| !c.is_zero()).copied();
+        if kind == ConstraintKind::Eq && lead.is_some_and(|l| l.is_negative()) {
+            n.scaled(-Rat::ONE)
+        } else {
+            n
+        }
+    }
+
+    #[test]
+    fn normalization_matches_the_scaling_route_on_random_rows() {
+        let mut g = polyject_arith::SplitMix64::new(0x5eed_0231);
+        for case in 0..3000 {
+            let n = g.below(7);
+            // Sparse rows, a common factor now and then, fractions in
+            // every third row, the odd all-zero row.
+            let factor = [1, 1, 2, 3, 6, 10][g.below(6)];
+            let fractional = case % 3 == 0;
+            let mut entry = || {
+                if g.below(3) == 0 {
+                    return Rat::ZERO;
+                }
+                let num = factor * g.range_i128(-9, 10);
+                let den = if fractional { g.range_i128(1, 13) } else { 1 };
+                Rat::new(num, den)
+            };
+            let coeffs: Vec<Rat> = (0..n).map(|_| entry()).collect();
+            let e = rat_expr(&coeffs, entry());
+            for kind in [ConstraintKind::Ge, ConstraintKind::Eq] {
+                let c = match kind {
+                    ConstraintKind::Ge => Constraint::ge0(e.clone()),
+                    ConstraintKind::Eq => Constraint::eq0(e.clone()),
+                };
+                assert_eq!(c.to_expr(), normalized_reference(&e, kind), "{e}");
+                let again = Constraint::from_row(kind, c.row().to_vec());
+                assert_eq!(again, c, "idempotent on {e}");
+            }
+        }
+    }
+
+    #[test]
+    fn normalization_of_a_large_row_is_exact() {
+        // lcm 3 * 2^20: the entries integerize to 2^120 and 3, coprime.
+        let e = rat_expr(&[Rat::new(1 << 100, 3)], Rat::new(1, 1 << 20));
+        assert_eq!(Constraint::ge0(e.clone()).row(), [1 << 120, 3]);
+        assert_eq!(
+            normalized_reference(&e, ConstraintKind::Ge),
+            LinExpr::from_coeffs(&[1 << 120], 3)
+        );
+        // And a common factor of 2^100 comes out of integers as wide.
+        let e = LinExpr::from_coeffs(&[-(3 << 100), 5 << 100], 1 << 101);
+        assert_eq!(Constraint::eq0(e).row(), [3, -5, -2]);
+    }
+
+    /// The integerized entry `2^100 * 2^30` does not fit `i128`: that is a
+    /// panic with the exact layer's message under every profile, never a
+    /// wrapped product normalizing to some other constraint.
+    #[test]
+    #[should_panic(expected = "rational overflow")]
+    fn normalization_overflow_panics_instead_of_wrapping() {
+        let e = rat_expr(&[Rat::new(1 << 100, 3)], Rat::new(1, 1 << 30));
+        let _ = Constraint::ge0(e);
+    }
+
+    #[test]
+    fn remapping_columns_renormalizes_an_equality() {
+        // -x0 + 2*x1 == 0 is stored as x0 - 2*x1 == 0; swapping the
+        // columns puts -2 first, so the sign flips back.
+        let c = Constraint::eq0(LinExpr::from_coeffs(&[-1, 2], 0));
+        let swapped = c.remapped(2, |j| 1 - j);
+        assert_eq!(swapped.row(), [2, -1, 0]);
+        assert_eq!(swapped, Constraint::eq0(LinExpr::from_coeffs(&[-2, 1], 0)));
+        // A projection drops a zero column; an inequality keeps its sign.
+        let c = Constraint::ge0(LinExpr::from_coeffs(&[0, -3, 0], 6));
+        assert_eq!(c.remapped(1, |j| j + 1).row(), [-1, 2]);
     }
 
     /// `hashes` is `fingerprint` over `constraints`, entry for entry.
@@ -547,20 +786,18 @@ mod tests {
     }
 
     #[test]
-    fn fingerprint_tells_wide_and_fractional_entries_apart() {
-        let row = |k: Rat| Constraint {
-            expr: LinExpr::from_rat_coeffs(vec![Rat::ONE], k),
+    fn fingerprint_tells_wide_entries_apart() {
+        let row = |k: i128| Constraint {
+            row: vec![1, k],
             kind: ConstraintKind::Ge,
         };
-        // One word, two halves of a wide integer, a denominator.
+        // One word, two halves of a wide integer.
         let entries = [
-            Rat::int(5),
-            Rat::int(5 + (1 << 64)),
-            Rat::int(5 + (1 << 100)),
-            Rat::int(i64::MIN as i128),
-            Rat::int(i64::MIN as i128 - 1),
-            Rat::new(5, 3),
-            Rat::new(5, 7),
+            5,
+            5 + (1 << 64),
+            5 + (1 << 100),
+            i64::MIN as i128,
+            i64::MIN as i128 - 1,
         ];
         let fps: Vec<u64> = entries.iter().map(|&k| fingerprint(&row(k))).collect();
         for (i, a) in fps.iter().enumerate() {

@@ -6,7 +6,7 @@
 //! loop bounds for each schedule dimension.
 
 use crate::budget::{infallible, Budget, BudgetError};
-use crate::constraint::{Constraint, ConstraintSet};
+use crate::constraint::{Constraint, ConstraintKind, ConstraintSet};
 use crate::counters;
 use crate::linexpr::LinExpr;
 use crate::simplex::{try_minimize, LpOutcome};
@@ -37,54 +37,103 @@ const PRUNE_THRESHOLD: usize = 32;
 pub fn eliminate_var(set: &ConstraintSet, var: usize) -> ConstraintSet {
     assert!(var < set.n_vars(), "variable out of range");
     counters::count_fm_elimination(1);
-    eliminate_var_impl(set, var, true)
+    eliminate_var_impl(set, var, &INTEGER)
 }
 
-/// [`eliminate_var`] without the integer combination fast path: every row
-/// combination goes through rational arithmetic. Kept as a reference
-/// implementation for differential tests of the integer path, which must
-/// produce syntactically identical constraint sets.
+/// [`eliminate_var`] with every row combination done in rational
+/// arithmetic on [`Constraint::to_expr`]. Kept as a reference
+/// implementation for differential tests of the integer combinations,
+/// which must produce syntactically identical constraint sets.
 pub fn eliminate_var_reference(set: &ConstraintSet, var: usize) -> ConstraintSet {
     assert!(var < set.n_vars(), "variable out of range");
-    eliminate_var_impl(set, var, false)
+    eliminate_var_impl(set, var, &RATIONAL)
 }
 
-fn eliminate_var_impl(set: &ConstraintSet, var: usize, use_int: bool) -> ConstraintSet {
+/// How [`eliminate_var_impl`] combines two rows into one free of `var`.
+struct Combine {
+    /// Row `c` with `var` substituted out through the equality `eq`, as a
+    /// constraint of `c`'s kind.
+    substitute: fn(c: &Constraint, eq: &Constraint, var: usize) -> Constraint,
+    /// The positive combination of a lower bound `lo` and an upper bound
+    /// `up` on `var` in which `var` cancels.
+    pair: fn(lo: &Constraint, up: &Constraint, var: usize) -> Constraint,
+}
+
+/// Combinations on the stored integer rows. With `g` the gcd of the two
+/// coefficients of `var` — `a` in `eq` and `b` in `c`, or `p > 0` in `lo`
+/// and `n < 0` in `up` — the substitution is
+/// `sign(a)·((a/g)·c − (b/g)·eq)` and the pair `(−n/g)·lo + (p/g)·up`:
+/// positive multiples of the rational combinations, so the same
+/// constraints once normalized.
+const INTEGER: Combine = Combine {
+    substitute: |c, eq, var| {
+        let (a, b) = (eq.coeff(var), c.coeff(var));
+        let (fc, feq) = if a > 0 { (a, neg(b)) } else { (neg(a), b) };
+        combine_rows(c, fc, eq, feq)
+    },
+    pair: |lo, up, var| combine_rows(lo, neg(up.coeff(var)), up, lo.coeff(var)),
+};
+
+/// `-v`, panicking with `"rational overflow"` on `i128::MIN`.
+fn neg(v: i128) -> i128 {
+    v.checked_neg().expect("rational overflow")
+}
+
+/// The reference's combinations, in [`Rat`] arithmetic.
+const RATIONAL: Combine = Combine {
+    substitute: |c, eq, var| {
+        let (a, b) = (Rat::int(eq.coeff(var)), Rat::int(c.coeff(var)));
+        let combined = &c.to_expr() - &eq.to_expr().scaled(b / a);
+        match c.kind() {
+            ConstraintKind::Eq => Constraint::eq0(combined),
+            ConstraintKind::Ge => Constraint::ge0(combined),
+        }
+    },
+    pair: |lo, up, var| {
+        let (p, n) = (Rat::int(lo.coeff(var)), Rat::int(up.coeff(var)));
+        Constraint::ge0(&lo.to_expr().scaled(-n) + &up.to_expr().scaled(p))
+    },
+};
+
+/// `(fx/g)·x + (fy/g)·y` with `g = gcd(fx, fy)` and `fx > 0`, as a
+/// constraint of `x`'s kind.
+///
+/// # Panics
+///
+/// Panics with `"rational overflow"` if an entry does not fit `i128`.
+fn combine_rows(x: &Constraint, fx: i128, y: &Constraint, fy: i128) -> Constraint {
+    let g = polyject_arith::gcd(fx, fy);
+    let (fx, fy) = (fx / g, fy / g);
+    let row = x
+        .row()
+        .iter()
+        .zip(y.row())
+        .map(|(&a, &b)| {
+            fx.checked_mul(a)
+                .and_then(|a| a.checked_add(fy.checked_mul(b)?))
+                .expect("rational overflow")
+        })
+        .collect();
+    Constraint::from_row(x.kind(), row)
+}
+
+fn eliminate_var_impl(set: &ConstraintSet, var: usize, combine: &Combine) -> ConstraintSet {
     // Prefer substitution through an equality involving the variable.
     if let Some(eq) = set
         .constraints()
         .iter()
-        .find(|c| c.is_equality() && !c.expr().coeff(var).is_zero())
+        .find(|c| c.is_equality() && c.coeff(var) != 0)
     {
-        let a = eq.expr().coeff(var);
-        // Normalized rows are integer, so the substitution can be computed
-        // as sign(a)·(a·c − b·eq): a positive integer multiple of the
-        // rational combination c − (b/a)·eq, hence the same constraint
-        // after canonical normalization — without any rational division.
-        let eq_row = if use_int {
-            integer_row(eq.expr())
-        } else {
-            None
-        };
         let mut out = ConstraintSet::universe(set.n_vars());
         for c in set.constraints() {
             if std::ptr::eq(c, eq) {
                 continue;
             }
-            let b = c.expr().coeff(var);
-            if b.is_zero() {
+            if c.coeff(var) == 0 {
                 out.add(c.clone());
             } else {
-                let combined = eq_row
-                    .as_ref()
-                    .and_then(|(erow, ek)| eq_combine_int(c.expr(), erow, *ek, var))
-                    .unwrap_or_else(|| c.expr() - &eq.expr().scaled(b / a));
-                debug_assert!(combined.coeff(var).is_zero());
-                let nc = if c.is_equality() {
-                    Constraint::eq0(combined)
-                } else {
-                    Constraint::ge0(combined)
-                };
+                let nc = (combine.substitute)(c, eq, var);
+                debug_assert_eq!(nc.coeff(var), 0);
                 if nc.is_trivially_false() {
                     // Substitution exposed a contradiction (e.g. `0 == 1`
                     // after combining two incompatible equalities): the
@@ -109,39 +158,16 @@ fn eliminate_var_impl(set: &ConstraintSet, var: usize, use_int: bool) -> Constra
     let mut uppers = Vec::new(); // coeff < 0: gives an upper bound on var
     let mut out = ConstraintSet::universe(set.n_vars());
     for c in set.constraints() {
-        let a = c.expr().coeff(var);
-        if a.is_zero() {
-            out.add(c.clone());
-        } else if a.is_positive() {
-            lowers.push(c);
-        } else {
-            uppers.push(c);
+        match c.coeff(var) {
+            0 => out.add(c.clone()),
+            a if a > 0 => lowers.push(c),
+            _ => uppers.push(c),
         }
     }
-    // Extract each row's integer form once, not once per pair.
-    let lo_rows: Vec<Option<(Vec<i128>, i128)>> = lowers
-        .iter()
-        .map(|c| use_int.then(|| integer_row(c.expr())).flatten())
-        .collect();
-    let up_rows: Vec<Option<(Vec<i128>, i128)>> = uppers
-        .iter()
-        .map(|c| use_int.then(|| integer_row(c.expr())).flatten())
-        .collect();
-    for (lo, lo_row) in lowers.iter().zip(&lo_rows) {
-        for (up, up_row) in uppers.iter().zip(&up_rows) {
-            // p > 0, n < 0: (-n)*lo + p*up eliminates var, both scaled
-            // positively so the >= direction is preserved.
-            let combined = match (lo_row, up_row) {
-                (Some(l), Some(u)) => pair_combine_int(l, u, var),
-                _ => None,
-            }
-            .unwrap_or_else(|| {
-                let p = lo.expr().coeff(var);
-                let n = up.expr().coeff(var);
-                &lo.expr().scaled(-n) + &up.expr().scaled(p)
-            });
-            debug_assert!(combined.coeff(var).is_zero());
-            let nc = Constraint::ge0(combined);
+    for lo in &lowers {
+        for up in &uppers {
+            let nc = (combine.pair)(lo, up, var);
+            debug_assert_eq!(nc.coeff(var), 0);
             if !nc.is_trivially_true() {
                 out.add_even_if_false(nc);
             }
@@ -152,42 +178,6 @@ fn eliminate_var_impl(set: &ConstraintSet, var: usize, use_int: bool) -> Constra
     } else {
         out
     }
-}
-
-/// Integer form of the equality substitution `c − (b/a)·eq` for `eq` with
-/// integer row `(erow, ek)`: returns `sign(a)·(a·c − b·eq)`, a positive
-/// integer multiple, or `None` on non-integer rows or overflow (the caller
-/// falls back to rational arithmetic).
-fn eq_combine_int(c: &LinExpr, erow: &[i128], ek: i128, var: usize) -> Option<LinExpr> {
-    let (crow, ck) = integer_row(c)?;
-    let a = erow[var];
-    let b = crow[var];
-    let s: i128 = if a > 0 { 1 } else { -1 };
-    let mut coeffs = Vec::with_capacity(crow.len());
-    for (cv, ev) in crow.iter().zip(erow) {
-        let t = a.checked_mul(*cv)?.checked_sub(b.checked_mul(*ev)?)?;
-        coeffs.push(t.checked_mul(s)?);
-    }
-    let k = a
-        .checked_mul(ck)?
-        .checked_sub(b.checked_mul(ek)?)?
-        .checked_mul(s)?;
-    Some(LinExpr::from_coeffs(&coeffs, k))
-}
-
-/// Integer form of the pairwise combination `(−n)·lo + p·up` (with
-/// `p = lo[var] > 0`, `n = up[var] < 0`), or `None` on overflow.
-fn pair_combine_int(lo: &(Vec<i128>, i128), up: &(Vec<i128>, i128), var: usize) -> Option<LinExpr> {
-    let (lrow, lk) = lo;
-    let (urow, uk) = up;
-    let p = lrow[var];
-    let nn = urow[var].checked_neg()?;
-    let mut coeffs = Vec::with_capacity(lrow.len());
-    for (lv, uv) in lrow.iter().zip(urow) {
-        coeffs.push(nn.checked_mul(*lv)?.checked_add(p.checked_mul(*uv)?)?);
-    }
-    let k = nn.checked_mul(*lk)?.checked_add(p.checked_mul(*uk)?)?;
-    Some(LinExpr::from_coeffs(&coeffs, k))
 }
 
 /// Eliminates several variables existentially (in the given order).
@@ -224,15 +214,8 @@ pub fn project_onto_prefix(set: &ConstraintSet, keep: usize) -> ConstraintSet {
     }
     let mut out = ConstraintSet::universe(keep);
     for c in eliminated.constraints() {
-        debug_assert!((keep..set.n_vars()).all(|v| c.expr().coeff(v).is_zero()));
-        let coeffs: Vec<Rat> = (0..keep).map(|v| c.expr().coeff(v)).collect();
-        let expr = LinExpr::from_rat_coeffs(coeffs, c.expr().constant_term());
-        let nc = if c.is_equality() {
-            Constraint::eq0(expr)
-        } else {
-            Constraint::ge0(expr)
-        };
-        out.add_even_if_false(nc);
+        debug_assert!(c.coeffs()[keep..].iter().all(|&a| a == 0));
+        out.add_even_if_false(c.remapped(keep, |v| v));
     }
     out
 }
@@ -256,7 +239,7 @@ pub fn try_remove_redundant(
         }
         let candidate = kept.remove(i);
         let rest = ConstraintSet::from_constraints(set.n_vars(), kept.iter().cloned());
-        let redundant = match try_minimize(candidate.expr(), &rest, budget)? {
+        let redundant = match try_minimize(&candidate.to_expr(), &rest, budget)? {
             LpOutcome::Optimal { value, .. } => !value.is_negative(),
             LpOutcome::Infeasible => true, // empty set: everything is implied
             LpOutcome::Unbounded => false,
@@ -281,27 +264,27 @@ pub fn try_remove_redundant(
 #[derive(Clone, Debug, Default)]
 pub struct VarBounds {
     /// Lower bounds: `var >= expr / divisor`.
-    pub lowers: Vec<(LinExpr, Rat)>,
+    pub lowers: Vec<(LinExpr, i128)>,
     /// Upper bounds: `var <= expr / divisor`.
-    pub uppers: Vec<(LinExpr, Rat)>,
+    pub uppers: Vec<(LinExpr, i128)>,
 }
 
 /// Extracts the bound expressions that the set imposes on `var`, in terms
 /// of the other variables.
 ///
 /// Constraint `a·var + rest >= 0` with `a > 0` yields lower bound
-/// `(-rest, a)`; with `a < 0`, upper bound `(rest', a')` after sign
-/// normalization. Equalities contribute to both sides.
+/// `(-rest, a)`; with `a < 0`, upper bound `(rest, -a)`. Equalities
+/// contribute to both sides.
 pub fn bounds_for_var(set: &ConstraintSet, var: usize) -> VarBounds {
     let mut out = VarBounds::default();
     for c in set.constraints() {
-        let a = c.expr().coeff(var);
-        if a.is_zero() {
+        let a = c.coeff(var);
+        if a == 0 {
             continue;
         }
-        let mut rest = c.expr().clone();
-        rest.set_coeff(var, Rat::ZERO);
-        if a.is_positive() {
+        let mut rest = c.to_expr();
+        rest.set_coeff(var, 0);
+        if a > 0 {
             // a*var + rest >= 0  =>  var >= -rest/a
             out.lowers.push((-&rest, a));
             if c.is_equality() {
@@ -331,16 +314,6 @@ impl ConstraintSet {
             self.add(c);
         }
     }
-}
-
-/// The expression's coefficients and constant as integers, if they all are.
-/// Normalized constraints always satisfy this.
-fn integer_row(expr: &LinExpr) -> Option<(Vec<i128>, i128)> {
-    let mut ints = Vec::with_capacity(expr.n_vars());
-    for c in expr.coeffs() {
-        ints.push(c.to_integer()?);
-    }
-    Some((ints, expr.constant_term().to_integer()?))
 }
 
 #[cfg(test)]
@@ -465,7 +438,7 @@ mod tests {
         assert_eq!(b.uppers.len(), 1);
         let (lo, d) = &b.lowers[0];
         // x >= (y - 4)/2
-        assert_eq!(*d, Rat::int(2));
+        assert_eq!(*d, 2);
         assert_eq!(lo, &LinExpr::from_coeffs(&[0, 1], -4));
     }
 

@@ -3,8 +3,10 @@
 //! A small exact integer-set library — the subset of isl functionality the
 //! `polyject` polyhedral compiler needs:
 //!
-//! * [`LinExpr`] — affine expressions over a positional variable space;
-//! * [`Constraint`] / [`ConstraintSet`] — rational polyhedra;
+//! * [`LinExpr`] — affine expressions with rational coefficients over a
+//!   positional variable space (objectives, points, bounds);
+//! * [`Constraint`] / [`ConstraintSet`] — polyhedra, each constraint one
+//!   row of coprime integers;
 //! * [`minimize`] / [`maximize`] — exact two-phase simplex;
 //! * [`minimize_integer`] / [`lexmin_integer`] — branch-and-bound ILP with
 //!   lexicographic objectives (the scheduler's per-dimension solver);
@@ -14,8 +16,12 @@
 //!   projection (Farkas-multiplier elimination, loop-bound derivation);
 //! * [`integer_points`] — enumeration for reference execution and tests.
 //!
-//! All arithmetic is exact ([`polyject_arith::Rat`]); there is no floating
-//! point anywhere in a decision path. Underneath, every LP is one
+//! All arithmetic is exact and checked — integer rows, and
+//! [`polyject_arith::Rat`] where a value can be fractional (LP points and
+//! values, the reference solvers); there is no floating point anywhere in
+//! a decision path. Constraint rows are normalized once, at construction,
+//! and Fourier–Motzkin, the integer preprocessing and the tableau read
+//! them as stored. Underneath, every LP is one
 //! solved-tableau type with two verbs — *extend* by rows, *optimize* an
 //! objective — on a fraction-free integer tableau (the private `tableau`
 //! module documents it); the rational `*_reference` solvers are what the

@@ -64,11 +64,6 @@ impl LinExpr {
         }
     }
 
-    /// Builds an expression from rational coefficients and constant.
-    pub fn from_rat_coeffs(coeffs: Vec<Rat>, constant: Rat) -> LinExpr {
-        LinExpr { coeffs, constant }
-    }
-
     /// Number of variables in the expression's space.
     pub fn n_vars(&self) -> usize {
         self.coeffs.len()
@@ -169,91 +164,9 @@ impl LinExpr {
         }
     }
 
-    /// Normalizes the expression so that all coefficients and the constant
-    /// are coprime integers. Preserves the zero set of `expr = 0` and the
-    /// direction of `expr >= 0` only up to a positive factor, so callers
-    /// must not flip signs: the leading-sign canonicalization is applied
-    /// only by [`LinExpr::normalized_eq`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if an integerized entry overflows `i128`.
-    pub fn normalized_ineq(&self) -> LinExpr {
-        let mut e = self.clone();
-        e.normalize_ineq();
-        e
-    }
-
-    /// Normalization for equalities: integer, coprime, first nonzero entry
-    /// positive (sign flips are allowed for `expr = 0`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an integerized entry overflows `i128`.
-    pub fn normalized_eq(&self) -> LinExpr {
-        let mut e = self.clone();
-        e.normalize_eq();
-        e
-    }
-
-    /// [`LinExpr::normalized_ineq`] in place. The work is proportional to
-    /// what is not already normal: a row of integers (every row a solver
-    /// or a projection hands back) costs one compare per entry for the
-    /// denominators, its content scan stops at the first gcd of 1 — the
-    /// first unit coefficient — and a row that was normal already is not
-    /// written to. Only fractions pay an lcm, only a common factor a
-    /// division per entry.
-    pub(crate) fn normalize_ineq(&mut self) {
-        let mut denom_lcm: i128 = 1;
-        for c in self.entries() {
-            if !c.is_integer() {
-                denom_lcm = polyject_arith::lcm(denom_lcm, c.denom());
-            }
-        }
-        if denom_lcm != 1 {
-            self.map_entries(|c| {
-                c.numer()
-                    .checked_mul(denom_lcm / c.denom())
-                    .expect("rational overflow")
-            });
-        }
-        let mut g: i128 = 0;
-        for c in self.entries() {
-            if g == 1 {
-                break;
-            }
-            if !c.is_zero() {
-                g = polyject_arith::gcd(g, c.numer());
-            }
-        }
-        if g > 1 {
-            self.map_entries(|c| c.numer() / g);
-        }
-    }
-
-    /// [`LinExpr::normalized_eq`] in place.
-    pub(crate) fn normalize_eq(&mut self) {
-        self.normalize_ineq();
-        if self
-            .entries()
-            .find(|c| !c.is_zero())
-            .is_some_and(Rat::is_negative)
-        {
-            self.map_entries(|c| c.numer().checked_neg().expect("rational overflow"));
-        }
-    }
-
     /// The coefficients, then the constant.
     pub(crate) fn entries(&self) -> impl Iterator<Item = &Rat> {
         self.coeffs.iter().chain(std::iter::once(&self.constant))
-    }
-
-    /// Replaces every entry by the integer `f` makes of it.
-    fn map_entries(&mut self, f: impl Fn(Rat) -> i128) {
-        for c in self.coeffs.iter_mut() {
-            *c = Rat::int(f(*c));
-        }
-        self.constant = Rat::int(f(self.constant));
     }
 }
 
@@ -369,96 +282,6 @@ mod tests {
         let c = LinExpr::constant(2, 7);
         assert!(c.is_constant());
         assert_eq!(c.constant_term(), Rat::int(7));
-    }
-
-    #[test]
-    fn normalization_inequality_keeps_direction() {
-        // (1/2)x0 - (3/2) >= 0 normalizes to x0 - 3 >= 0.
-        let e = LinExpr::from_rat_coeffs(vec![Rat::new(1, 2)], Rat::new(-3, 2));
-        assert_eq!(e.normalized_ineq(), LinExpr::from_coeffs(&[1], -3));
-        // -2x0 + 4 >= 0 normalizes to -x0 + 2 >= 0 (no sign flip!).
-        let e = LinExpr::from_coeffs(&[-2], 4);
-        assert_eq!(e.normalized_ineq(), LinExpr::from_coeffs(&[-1], 2));
-    }
-
-    #[test]
-    fn normalization_equality_canonical_sign() {
-        let e = LinExpr::from_coeffs(&[-2, 4], -6);
-        assert_eq!(e.normalized_eq(), LinExpr::from_coeffs(&[1, -2], 3));
-    }
-
-    /// The route `normalize_ineq` replaced: one scaling factor — an lcm
-    /// over every denominator, a gcd over every integerized numerator —
-    /// applied through `scaled`.
-    fn normalized_ineq_reference(e: &LinExpr) -> LinExpr {
-        let denom_lcm = e
-            .entries()
-            .fold(1, |l, c| polyject_arith::lcm(l, c.denom()));
-        let g = e.entries().fold(0, |g, c| {
-            let int = c.numer().checked_mul(denom_lcm / c.denom());
-            polyject_arith::gcd(g, int.expect("reference overflow"))
-        });
-        e.scaled(Rat::new(denom_lcm, g.max(1)))
-    }
-
-    fn normalized_eq_reference(e: &LinExpr) -> LinExpr {
-        let n = normalized_ineq_reference(e);
-        let lead = n.entries().find(|c| !c.is_zero()).copied();
-        if lead.is_some_and(|l| l.is_negative()) {
-            n.scaled(-Rat::ONE)
-        } else {
-            n
-        }
-    }
-
-    #[test]
-    fn normalization_matches_the_scaling_route_on_random_rows() {
-        let mut g = polyject_arith::SplitMix64::new(0x5eed_0231);
-        for case in 0..3000 {
-            let n = g.below(7);
-            // Sparse rows, a common factor now and then, fractions in
-            // every third row, the odd all-zero row.
-            let factor = [1, 1, 2, 3, 6, 10][g.below(6)];
-            let fractional = case % 3 == 0;
-            let mut entry = || {
-                if g.below(3) == 0 {
-                    return Rat::ZERO;
-                }
-                let num = factor * g.range_i128(-9, 10);
-                let den = if fractional { g.range_i128(1, 13) } else { 1 };
-                Rat::new(num, den)
-            };
-            let coeffs: Vec<Rat> = (0..n).map(|_| entry()).collect();
-            let e = LinExpr::from_rat_coeffs(coeffs, entry());
-            let ineq = e.normalized_ineq();
-            assert_eq!(ineq, normalized_ineq_reference(&e), "{e}");
-            assert_eq!(e.normalized_eq(), normalized_eq_reference(&e), "{e}");
-            assert_eq!(ineq.normalized_ineq(), ineq, "idempotent on {e}");
-        }
-    }
-
-    #[test]
-    fn normalization_of_a_large_row_is_exact() {
-        // lcm 3 * 2^20: the entries integerize to 2^120 and 3, coprime.
-        let e = LinExpr::from_rat_coeffs(vec![Rat::new(1 << 100, 3)], Rat::new(1, 1 << 20));
-        assert_eq!(e.normalized_ineq(), LinExpr::from_coeffs(&[1 << 120], 3));
-        assert_eq!(
-            normalized_ineq_reference(&e),
-            LinExpr::from_coeffs(&[1 << 120], 3)
-        );
-        // And a common factor of 2^100 comes out of integers as wide.
-        let e = LinExpr::from_coeffs(&[-(3 << 100), 5 << 100], 1 << 101);
-        assert_eq!(e.normalized_eq(), LinExpr::from_coeffs(&[3, -5], -2));
-    }
-
-    /// The integerized entry `2^100 * 2^30` does not fit `i128`: that is a
-    /// panic with the exact layer's message under every profile, never a
-    /// wrapped product normalizing to some other constraint.
-    #[test]
-    #[should_panic(expected = "rational overflow")]
-    fn normalization_overflow_panics_instead_of_wrapping() {
-        let e = LinExpr::from_rat_coeffs(vec![Rat::new(1 << 100, 3)], Rat::new(1, 1 << 30));
-        let _ = e.normalized_ineq();
     }
 
     #[test]

@@ -5,6 +5,7 @@
 
 use crate::constraint::ConstraintSet;
 use crate::fm::{bounds_for_var, project_onto_prefix};
+use polyject_arith::Rat;
 
 /// Enumerates every integer point of a bounded set, in lexicographic order
 /// of the variables.
@@ -98,12 +99,12 @@ fn concrete_bounds(
     let mut point: Vec<i128> = prefix.to_vec();
     point.push(0);
     for (e, d) in &b.lowers {
-        let v = e.eval_int(&point) / *d;
+        let v = e.eval_int(&point) / Rat::int(*d);
         let v = v.ceil();
         lo = Some(lo.map_or(v, |c: i128| c.max(v)));
     }
     for (e, d) in &b.uppers {
-        let v = e.eval_int(&point) / *d;
+        let v = e.eval_int(&point) / Rat::int(*d);
         let v = v.floor();
         hi = Some(hi.map_or(v, |c: i128| c.min(v)));
     }

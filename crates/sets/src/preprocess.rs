@@ -22,16 +22,15 @@
 //!   variables plus the bounds of the variables they mention, compacted to
 //!   those variables: every other one takes any integer within its bounds.
 //!
-//! A non-integer entry (which normalization rules out) or an `i128`
-//! overflow in any rewrite hands the input to branch-and-bound unchanged.
+//! The pass copies the stored integer rows; an `i128` overflow in any
+//! rewrite hands the input to branch-and-bound unchanged.
 //!
 //! This pass is used only by boolean feasibility queries
 //! ([`crate::is_integer_feasible`]): optimizing solves must see the
 //! original rows, because rewriting them changes which tie-broken vertex
 //! the simplex reports even when the optimal value is unchanged.
 
-use crate::constraint::{Constraint, ConstraintSet};
-use crate::linexpr::LinExpr;
+use crate::constraint::{Constraint, ConstraintKind, ConstraintSet};
 
 /// Result of the tightening pass.
 pub(crate) enum PreOutcome {
@@ -41,7 +40,7 @@ pub(crate) enum PreOutcome {
     Feasible,
     /// A set with an integer point exactly when the input has one.
     Reduced(ConstraintSet),
-    /// Overflow, or an entry that is not an integer: decide the input.
+    /// A rewrite overflowed: decide the input.
     Unchanged,
 }
 
@@ -61,12 +60,7 @@ pub(crate) fn tighten_for_integrality(set: &ConstraintSet) -> PreOutcome {
     let mut rows = Vec::with_capacity(set.len() * w);
     let mut eqs = Vec::with_capacity(set.len());
     for c in set.constraints() {
-        for e in c.expr().entries() {
-            let Some(a) = e.to_integer() else {
-                return PreOutcome::Unchanged;
-            };
-            rows.push(a);
-        }
+        rows.extend_from_slice(c.row());
         eqs.push(c.is_equality());
     }
     decide(w, rows, eqs).unwrap_or(PreOutcome::Unchanged)
@@ -138,18 +132,18 @@ fn decide(w: usize, mut rows: Vec<i128>, mut eqs: Vec<bool>) -> Option<PreOutcom
     let m = keep.len();
     let mut out = ConstraintSet::universe(m);
     for (row, eq) in multi {
-        let coeffs: Vec<i128> = keep.iter().map(|&v| row[v]).collect();
-        let e = LinExpr::from_coeffs(&coeffs, row[n]);
-        out.add(if eq {
-            Constraint::eq0(e)
+        let kept = keep.iter().map(|&v| row[v]).chain([row[n]]).collect();
+        let kind = if eq {
+            ConstraintKind::Eq
         } else {
-            Constraint::ge0(e)
-        });
+            ConstraintKind::Ge
+        };
+        out.add(Constraint::from_row(kind, kept));
     }
     let bound = |j: usize, a: i128, k: i128| {
-        let mut coeffs = vec![0; m];
-        coeffs[j] = a;
-        Constraint::ge0(LinExpr::from_coeffs(&coeffs, k))
+        let mut row = vec![0; m + 1];
+        (row[j], row[m]) = (a, k);
+        Constraint::from_row(ConstraintKind::Ge, row)
     };
     for (j, &v) in keep.iter().enumerate() {
         if let Some(l) = lo[v] {
@@ -204,6 +198,7 @@ fn tighten_row(row: &mut [i128], eq: bool) -> Option<Tight> {
 mod tests {
     use super::tighten_for_integrality as tighten;
     use super::*;
+    use crate::linexpr::LinExpr;
 
     fn pts(set: &ConstraintSet) -> Vec<Vec<i128>> {
         crate::points::integer_points(set, 10_000).unwrap()
@@ -260,10 +255,7 @@ mod tests {
         let set = ConstraintSet::from_constraints(2, rows);
         let r = reduced(&set);
         assert_eq!(pts(&set), pts(&r));
-        assert!(r
-            .constraints()
-            .iter()
-            .any(|c| c.expr() == &LinExpr::from_coeffs(&[1, 1], -1)));
+        assert!(r.constraints().iter().any(|c| c.row() == [1, 1, -1]));
     }
 
     #[test]

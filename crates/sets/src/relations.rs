@@ -34,7 +34,8 @@ pub fn is_subset(a: &ConstraintSet, b: &ConstraintSet) -> bool {
     for c in b.constraints() {
         // a ⊆ {c} iff min over a of c.expr is >= 0 (and == 0 both ways
         // for equalities).
-        let lo = match minimize(c.expr(), a) {
+        let e = c.to_expr();
+        let lo = match minimize(&e, a) {
             LpOutcome::Infeasible => return true, // empty ⊆ anything
             LpOutcome::Unbounded => return false,
             LpOutcome::Optimal { value, .. } => value,
@@ -43,7 +44,7 @@ pub fn is_subset(a: &ConstraintSet, b: &ConstraintSet) -> bool {
             return false;
         }
         if c.is_equality() {
-            match minimize(&-c.expr(), a) {
+            match minimize(&-&e, a) {
                 LpOutcome::Infeasible => return true,
                 LpOutcome::Unbounded => return false,
                 LpOutcome::Optimal { value, .. } => {

@@ -15,7 +15,7 @@
 use crate::budget::{infallible, Budget, BudgetError};
 use crate::constraint::{Constraint, ConstraintKind, ConstraintSet};
 use crate::linexpr::LinExpr;
-use crate::tableau::{self, is_sign_row, single_var, Solved};
+use crate::tableau::{self, Solved};
 use polyject_arith::Rat;
 
 /// Result of a linear program.
@@ -160,19 +160,20 @@ impl<'a> Simplex<'a> {
         // skipped entirely and the sign rows are dropped — a large
         // constant-factor win on the dense exact tableau.
         let mut nonneg = vec![false; self.n];
-        for c in self.set.constraints() {
-            if c.kind() == ConstraintKind::Ge && is_sign_row(c.expr()) {
-                if let Some(v) = single_var(c.expr()) {
-                    nonneg[v] = true;
-                }
-            }
+        for v in self
+            .set
+            .constraints()
+            .iter()
+            .filter_map(Constraint::sign_var)
+        {
+            nonneg[v] = true;
         }
         let split = !nonneg.iter().all(|&b| b) || self.n == 0;
         let rows: Vec<&Constraint> = self
             .set
             .constraints()
             .iter()
-            .filter(|c| split || !(c.kind() == ConstraintKind::Ge && is_sign_row(c.expr())))
+            .filter(|c| split || c.sign_var().is_none())
             .collect();
         let m = rows.len();
         if m == 0 {
@@ -209,14 +210,14 @@ impl<'a> Simplex<'a> {
         let mut basis0: Vec<Option<usize>> = vec![None; m];
         let mut slack_idx = n_x;
         for (r, c) in rows.iter().enumerate() {
-            for (i, &coef) in c.expr().coeffs().iter().enumerate() {
-                a[r][i] = coef;
+            for (i, &coef) in c.coeffs().iter().enumerate() {
+                a[r][i] = Rat::int(coef);
                 if split {
-                    a[r][self.n + i] = -coef;
+                    a[r][self.n + i] = -Rat::int(coef);
                 }
             }
             // expr >= 0  =>  expr - s = 0, s >= 0; expr == 0 => expr = 0.
-            b[r] = -c.expr().constant_term();
+            b[r] = -Rat::int(c.constant());
             let mut slack: Option<usize> = None;
             if c.kind() == ConstraintKind::Ge {
                 a[r][slack_idx] = -Rat::ONE;

@@ -863,18 +863,14 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
     // Mirror of the reference: skip the p−q split (and drop the sign rows)
     // when every variable carries an explicit `x >= 0` constraint.
     let mut nonneg = vec![false; n];
-    for c in set.constraints() {
-        if c.kind() == ConstraintKind::Ge && is_sign_row(c.expr()) {
-            if let Some(v) = single_var(c.expr()) {
-                nonneg[v] = true;
-            }
-        }
+    for v in set.constraints().iter().filter_map(Constraint::sign_var) {
+        nonneg[v] = true;
     }
     let split = !nonneg.iter().all(|&b| b) || n == 0;
     let rows: Vec<&Constraint> = set
         .constraints()
         .iter()
-        .filter(|c| split || !(c.kind() == ConstraintKind::Ge && is_sign_row(c.expr())))
+        .filter(|c| split || c.sign_var().is_none())
         .collect();
     let m = rows.len();
     if m == 0 {
@@ -893,11 +889,9 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
     // constant is flipped to `-expr + s = constant`. Every other row —
     // an equality, or a negative constant — needs an artificial, so the
     // column count is known before a cell is written and the rows go
-    // straight into the flat storage. Constraints are coprime-integer by
-    // construction; the integer extraction only fails on a malformed
-    // expression, which the rational path then handles.
-    let needs_artificial =
-        |c: &Constraint| c.kind() == ConstraintKind::Eq || c.expr().constant_term().is_negative();
+    // straight into the flat storage, copied from the constraints'
+    // integer rows.
+    let needs_artificial = |c: &Constraint| c.kind() == ConstraintKind::Eq || c.constant() < 0;
     let n_total = n_struct + rows.iter().filter(|c| needs_artificial(c)).count();
     let stride = n_total + 1;
     let words = stride.div_ceil(64);
@@ -909,20 +903,20 @@ fn build_typed<C: Cell>(set: &ConstraintSet, budget: &Budget) -> Result<Built, S
         .chunks_exact_mut(stride)
         .zip(bits.chunks_exact_mut(words));
     for (c, (row, bits)) in rows.iter().zip(rows_out) {
-        let flip = !needs_artificial(c) || c.expr().constant_term().is_positive();
-        let cell = |r: Rat| {
-            let v = ov(C::narrow(ov(int_of(r))?))?;
+        let flip = !needs_artificial(c) || c.constant() > 0;
+        let cell = |v: i128| {
+            let v = ov(C::narrow(v))?;
             ov(if flip { v.cneg() } else { Some(v) })
         };
-        let coeffs = c.expr().coeffs().iter().enumerate();
-        for (i, coef) in coeffs.filter(|(_, coef)| !coef.is_zero()) {
-            let v = cell(*coef)?;
+        let coeffs = c.coeffs().iter().enumerate();
+        for (i, &coef) in coeffs.filter(|(_, &coef)| coef != 0) {
+            let v = cell(coef)?;
             put(row, bits, i, v);
             if split {
                 put(row, bits, n + i, ov(v.cneg())?);
             }
         }
-        let rhs = ov(cell(c.expr().constant_term())?.cneg())?;
+        let rhs = ov(cell(c.constant())?.cneg())?;
         put(row, bits, n_total, rhs);
         if c.kind() == ConstraintKind::Ge {
             put(row, bits, slack_idx, if flip { C::ONE } else { C::NEG_ONE });
@@ -1046,7 +1040,7 @@ impl Verb<'_> {
                 for c in rows {
                     // Mirror the build's row filter: in a non-split space,
                     // sign rows are implicit and never materialized.
-                    if c.kind() == ConstraintKind::Ge && is_sign_row(c.expr()) {
+                    if c.sign_var().is_some() {
                         continue;
                     }
                     if !append_priced_row(tab, c)? {
@@ -1226,15 +1220,15 @@ fn append_priced_row<C: Cell>(
     // New row for `expr - s = 0` (resp. `expr = 0`).
     let mut row = vec![C::ZERO; stride];
     let mut bits = vec![0; words];
-    let coeffs = extra.expr().coeffs().iter().enumerate();
-    for (i, coef) in coeffs.filter(|(_, coef)| !coef.is_zero()) {
-        put(&mut row, &mut bits, i, ov(C::narrow(ov(int_of(*coef))?))?);
+    let coeffs = extra.coeffs().iter().enumerate();
+    for (i, &coef) in coeffs.filter(|(_, &coef)| coef != 0) {
+        put(&mut row, &mut bits, i, ov(C::narrow(coef))?);
     }
     if let Some(col) = slack_col {
         put(&mut row, &mut bits, col, C::NEG_ONE);
     }
-    let rhs = ov(int_of(extra.expr().constant_term()))?.checked_neg();
-    put(&mut row, &mut bits, ncols, ov(C::narrow(ov(rhs)?))?);
+    let rhs = ov(extra.constant().checked_neg())?;
+    put(&mut row, &mut bits, ncols, ov(C::narrow(rhs))?);
     let mut den: C = C::ONE;
     // Price the row out against the current basis: zero each basic column
     // (basic columns of distinct rows are disjoint, so one sweep works).
@@ -1341,22 +1335,6 @@ fn dual_repair<C: Cell>(tab: &mut IntTableau<C>, budget: &Budget) -> Result<bool
             return Err(SolveAbort::PivotLimit);
         }
     }
-}
-
-fn int_of(r: Rat) -> Option<i128> {
-    r.to_integer()
-}
-
-/// Whether the expression is exactly `x_v` for some variable `v` (an
-/// explicit sign constraint when used as `expr >= 0`).
-pub(crate) fn is_sign_row(e: &LinExpr) -> bool {
-    e.constant_term().is_zero()
-        && e.coeffs().iter().filter(|c| !c.is_zero()).count() == 1
-        && e.coeffs().iter().all(|c| c.is_zero() || *c == Rat::ONE)
-}
-
-pub(crate) fn single_var(e: &LinExpr) -> Option<usize> {
-    e.coeffs().iter().position(|c| !c.is_zero())
 }
 
 #[cfg(test)]

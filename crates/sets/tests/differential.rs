@@ -140,7 +140,11 @@ fn arb_objective(g: &mut SplitMix64, n: usize) -> LinExpr {
         let coeffs: Vec<Rat> = (0..n)
             .map(|_| Rat::new(g.range_i128(-5, 6), g.range_i128(1, 4)))
             .collect();
-        LinExpr::from_rat_coeffs(coeffs, Rat::new(g.range_i128(-3, 4), g.range_i128(1, 3)))
+        let mut e = LinExpr::constant(n, Rat::new(g.range_i128(-3, 4), g.range_i128(1, 3)));
+        for (v, c) in coeffs.into_iter().enumerate() {
+            e.set_coeff(v, c);
+        }
+        e
     } else {
         LinExpr::from_coeffs(&g.vec_i128(n, -4, 5), g.range_i128(-3, 4))
     }
@@ -249,6 +253,23 @@ fn fm_integer_combinations_match_rational_reference() {
         let refr = eliminate_var_reference(&set, var);
         assert_eq!(fast, refr, "set {set:?} var {var}");
     }
+    // Substituting through `2^64·x0 + x1 == 0` (a = 2^64): for both
+    // inequalities b = ±2^64, so the unreduced `a·c − b·eq` multiplies
+    // two entries of magnitude 2^64 and overflows `i128`, while the
+    // gcd-reduced `(a/g)·c − (b/g)·eq` is `c ∓ eq`.
+    let big = 1i128 << 64;
+    let set = ConstraintSet::from_constraints(
+        3,
+        vec![
+            Constraint::eq0(LinExpr::from_coeffs(&[big, 1, 0], 0)),
+            Constraint::ge0(LinExpr::from_coeffs(&[big, big + 1, 0], -1)),
+            Constraint::ge0(LinExpr::from_coeffs(&[-big, 0, 1], 3)),
+        ],
+    );
+    let fast = eliminate_var(&set, 0);
+    assert_eq!(fast, eliminate_var_reference(&set, 0));
+    let rows: Vec<&[i128]> = fast.constraints().iter().map(|c| c.row()).collect();
+    assert_eq!(rows, [&[0, big, 0, -1][..], &[0, 1, 1, 3][..]]);
 }
 
 /// Preprocessed integer-feasibility must answer exactly like the raw

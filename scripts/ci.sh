@@ -302,14 +302,30 @@ echo "    and served cached after a restart, its index equal to entries/"
 
 step "size gate (ROADMAP item 1): crates/serve/src line count"
 # The serving tier may shrink, never grow: lower the ceiling with any
-# change that deletes serve code. The other counts are printed only.
+# change that deletes serve code. The other counts are printed only: per
+# crate, its non-test lines (each file up to its first `#[cfg(test)]`
+# module) and its test lines (from there on), then the sums. A
+# `#[cfg(test)]` on a single item, such as tableau.rs's test-only pivot
+# cap override, does not split the file.
 serve_ceiling=8866
 lines_in() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 serve_lines="$(lines_in crates/serve/src)"
-for dir in crates/arith/src crates/sets/src crates/core/src crates/codegen/src \
-  crates/tune/src crates/bench/src; do
-  echo "$dir: $(lines_in "$dir") lines"
+split_lines() {
+  find "$1" -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { t = 0; cfg = 0 }
+    !t && cfg && /^mod / { t = 1; n[0]--; n[1]++ }
+    { n[t]++; cfg = /^#\[cfg\(test\)\]$/ }
+    END { printf "%d %d\n", n[0], n[1] }'
+}
+code_sum=0
+test_sum=0
+for dir in crates/*/src; do
+  read -r code tests < <(split_lines "$dir")
+  echo "$dir: $code non-test lines, $tests test lines"
+  code_sum=$((code_sum + code))
+  test_sum=$((test_sum + tests))
 done
+echo "crates/*/src: $code_sum non-test lines, $test_sum test lines"
 if [ "$serve_lines" -gt "$serve_ceiling" ]; then
   echo "crates/serve/src: $serve_lines lines, above the ceiling of $serve_ceiling" >&2
   exit 1
