@@ -21,6 +21,12 @@
 //! averages 67 cells, so it holds the solver's decisions on wide rows as
 //! well.
 //!
+//! A fourth block, `tune`, pins the counts of one default-options beam
+//! search over the population's first `f16` 2-D transpose: every
+//! candidate compiles through one session, so it holds the session
+//! memos and the lowering the tuner's oracle leans on, where the other
+//! blocks compile each operator once.
+//!
 //! The counts are deterministic on one code revision, so a difference is
 //! a schedule, a timing or a solver decision that moved (or
 //! instrumentation that came unwired). Re-record a golden or a block
@@ -30,9 +36,11 @@ use polyject::codegen::{compile, Config};
 use polyject::core::clear_assembly_caches;
 use polyject::gpusim::GpuModel;
 use polyject::ir::ops;
+use polyject::ir::ElemType;
 use polyject::serve::Json;
 use polyject::sets::{counters, SolverCounters};
-use polyject::workloads::{all_networks, lstm, Network};
+use polyject::tune::{beam_search, SerialRunner, TuneOptions, TuneRequest};
+use polyject::workloads::{all_networks, lstm, unique_ops, Network, OpClass};
 use polyject_bench::{render_csv, run_table2_networks, solver_pairs, Table2Run};
 
 /// A file under `scripts/`, read from the repository root.
@@ -54,7 +62,7 @@ const CHAIN_DEPTH: usize = 64;
 /// How to regenerate a block's counts.
 fn rerecord_hint(block: &str) -> String {
     match block {
-        "chain" => "the live values above".to_string(),
+        "chain" | "tune" => "the live values above".to_string(),
         _ => format!(
             "the `[stats] serial:` line of\n  \
              cargo run --release -p polyject-bench --bin table2 -- {} --stats",
@@ -75,7 +83,7 @@ fn table2_flags(block: &str) -> &'static str {
 fn escalation_ceiling(block: &str) -> u64 {
     match block {
         "fast" => 1,
-        "chain" => 0,
+        "chain" | "tune" => 0,
         _ => 36,
     }
 }
@@ -160,4 +168,33 @@ fn deep_chain_compile_equals_its_snapshot() {
     let compiled = compile(&ops::elementwise_chain(48, CHAIN_DEPTH), Config::Influenced);
     assert!(compiled.expect("the chain compiles").influenced);
     assert_counts_match_snapshot("chain", &counters::snapshot().delta_since(&before));
+}
+
+#[test]
+fn default_beam_search_on_an_f16_transpose_equals_its_snapshot() {
+    let nets = all_networks();
+    let (ops, _) = unique_ops(&nets);
+    let transpose = ops
+        .into_iter()
+        .find(|op| {
+            matches!(
+                op,
+                OpClass::Transpose2D {
+                    elem: ElemType::F16,
+                    ..
+                }
+            )
+        })
+        .expect("Table II transposes f16 activations");
+    let req = TuneRequest {
+        kernel: transpose.build(),
+        config: Config::Influenced,
+        gpu: GpuModel::v100(),
+        budget: polyject::core::Budget::unlimited(),
+    };
+    clear_assembly_caches();
+    let before = counters::snapshot();
+    let out = beam_search(&req, &TuneOptions::default(), &SerialRunner);
+    assert!(out.expect("the default point compiles").complete);
+    assert_counts_match_snapshot("tune", &counters::snapshot().delta_since(&before));
 }
