@@ -288,37 +288,36 @@ pub fn compile_with_options(
     CompileSession::new(kernel).compile_with(config, budget, opts)
 }
 
-/// Everything downstream of the polyhedral phase, timed as `codegen_ns`:
-/// schedule → AST → parallel-loop refinement → (optional) vectorization →
-/// GPU mapping → (optional) tiling with a re-map.
-fn lower(
+/// The schedule half of lowering: schedule → AST → parallel-loop
+/// refinement → vectorization when `config` is [`Config::Influenced`].
+/// It reads no [`CompileOptions`], so a session runs it once per
+/// schedule; the unmapped AST it returns is what [`map_and_tile`]
+/// starts from.
+fn lower_schedule(
     kernel: &Kernel,
     config: Config,
-    opts: &CompileOptions,
     deps: &Dependences,
-    result: ScheduleResult,
-) -> Compiled {
-    let t0 = std::time::Instant::now();
-    let mut ast = generate_ast(kernel, &result.schedule);
-    crate::passes::refine_parallel_loops(&mut ast, &result.schedule, deps);
+    schedule: &Schedule,
+) -> Lowered {
+    let mut ast = generate_ast(kernel, schedule);
+    crate::passes::refine_parallel_loops(&mut ast, schedule, deps);
     let vector_loops = if config == Config::Influenced {
-        vectorize(&mut ast, kernel, &result.schedule)
+        vectorize(&mut ast, kernel, schedule)
     } else {
         0
     };
-    map_to_gpu(&mut ast, kernel, opts.mapping);
+    Lowered { ast, vector_loops }
+}
+
+/// The options half of lowering, run on every compile: GPU mapping, then
+/// — when `opts.tiling` is set — tiling with a re-map.
+fn map_and_tile(ast: &mut Ast, kernel: &Kernel, schedule: &Schedule, opts: &CompileOptions) {
+    map_to_gpu(ast, kernel, opts.mapping);
     if let Some(t) = opts.tiling {
-        tile_ast(&mut ast, kernel, &result.schedule, t);
+        tile_ast(ast, kernel, schedule, t);
         // Tiling reverts mapped kinds on the loops it splits; re-map so
         // the tiled AST is launchable again.
-        map_to_gpu(&mut ast, kernel, opts.mapping);
-    }
-    polyject_sets::counters::add_codegen_ns(t0.elapsed().as_nanos() as u64);
-    Compiled {
-        schedule: result.schedule,
-        ast,
-        influenced: result.influenced,
-        vector_loops,
+        map_to_gpu(ast, kernel, opts.mapping);
     }
 }
 
@@ -328,9 +327,9 @@ fn lower(
 /// [`CompileOptions`], so they are computed once (inside the held
 /// [`polyject_core::ScheduleSession`]) and every
 /// [`compile_with`](CompileSession::compile_with) call re-runs only the
-/// configuration- and option-dependent suffix — influence-tree
-/// construction, constraint injection, the per-dimension ILP ladder, and
-/// codegen.
+/// configuration- and option-dependent suffix — scenario planning,
+/// constraint injection and the per-dimension ILP ladder for a new plan,
+/// AST generation for a new schedule, and mapping and tiling always.
 ///
 /// [`compile_with_options`] is a session of one call; the autotuner and
 /// the compile service keep one open per kernel, so candidate 2..N (and
@@ -344,35 +343,37 @@ pub struct CompileSession {
     lowered: std::sync::Mutex<LoweredMemo>,
 }
 
-/// Lowered artifacts memoized per [`LoweredKey`], compared with `==`.
+/// The schedule half of lowering ([`lower_schedule`]) memoized per
+/// [`LoweredKey`], compared with `==`.
 ///
-/// [`lower`] is a pure function of exactly the key's values —
-/// `vectorize` reads the kernel and schedule only — so beam-search
-/// candidates that differ in influence weights but converge on the same
-/// schedule (the common case: a handful of distinct schedules serve
-/// dozens of knob points) replay the finished AST instead of re-running
-/// codegen. The key holds the whole schedule result, so metered and
+/// `lower_schedule` is a pure function of exactly the key's values —
+/// `vectorize` reads the kernel and schedule only — and reads no
+/// mapping or tiling knob, so every candidate that lands on an already
+/// lowered schedule (beam-search mutations of the weights, the mapping or
+/// the tiling alike) clones its unmapped AST and runs only
+/// [`map_and_tile`]. The key holds the whole schedule, so metered and
 /// unmetered compiles share the memo safely: a degraded schedule is a
 /// different key from an undegraded one, and never answers for it.
 struct LoweredMemo {
-    entries: Vec<(LoweredKey, Compiled)>,
+    entries: Vec<(LoweredKey, Lowered)>,
 }
 
-/// Every input [`lower`] reads besides the session's kernel and
-/// dependences: config, mapping, tiling, and the schedule result's
-/// `influenced` flag and schedule.
-type LoweredKey = (
-    Config,
-    MappingOptions,
-    Option<TilingOptions>,
-    bool,
-    Schedule,
-);
+/// Every input [`lower_schedule`] reads besides the session's kernel and
+/// dependences: the configuration and the schedule.
+type LoweredKey = (Config, Schedule);
 
-/// Cap on memoized lowered artifacts per session; sized like the
-/// schedule memo times the handful of mapping/tiling points a beam
-/// keeps alive, so a search never evicts a live entry.
-const LOWERED_CAP: usize = 256;
+/// The unmapped AST of one schedule and the loops `vectorize` rewrote.
+#[derive(Clone)]
+struct Lowered {
+    ast: Ast,
+    vector_loops: usize,
+}
+
+/// Cap on memoized lowerings per session. Every unmetered schedule
+/// comes out of the schedule memo (64 entries), and `novec` and `infl`
+/// lower each of those under their own key, so a search never evicts a
+/// live entry.
+const LOWERED_CAP: usize = 128;
 
 impl CompileSession {
     /// Opens a session for one kernel, analyzing its dependences once.
@@ -410,27 +411,41 @@ impl CompileSession {
             Config::Isl => None,
             Config::NoVec | Config::Influenced => Some(&opts.influence),
         };
-        let result = self.session.schedule_with(influence, budget)?;
-        let key: LoweredKey = (
-            config,
-            opts.mapping,
-            opts.tiling,
-            result.influenced,
-            result.schedule.clone(),
-        );
-        {
+        let ScheduleResult {
+            schedule,
+            influenced,
+            ..
+        } = self.session.schedule_with(influence, budget)?;
+        let t0 = std::time::Instant::now();
+        let memoized = {
             let memo = self.lowered.lock().expect("lowered memo lock poisoned");
-            if let Some((_, compiled)) = memo.entries.iter().find(|(k, _)| *k == key) {
-                return Ok(compiled.clone());
+            let hit = (memo.entries.iter()).find(|((c, s), _)| *c == config && *s == schedule);
+            hit.map(|(_, lowered)| lowered.clone())
+        };
+        let Lowered {
+            mut ast,
+            vector_loops,
+        } = match memoized {
+            Some(lowered) => lowered,
+            None => {
+                let lowered = lower_schedule(self.kernel(), config, self.session.deps(), &schedule);
+                let mut memo = self.lowered.lock().expect("lowered memo lock poisoned");
+                if memo.entries.len() >= LOWERED_CAP {
+                    memo.entries.remove(0);
+                }
+                memo.entries
+                    .push(((config, schedule.clone()), lowered.clone()));
+                lowered
             }
-        }
-        let compiled = lower(self.kernel(), config, opts, self.session.deps(), result);
-        let mut memo = self.lowered.lock().expect("lowered memo lock poisoned");
-        if memo.entries.len() >= LOWERED_CAP {
-            memo.entries.remove(0);
-        }
-        memo.entries.push((key, compiled.clone()));
-        Ok(compiled)
+        };
+        map_and_tile(&mut ast, self.kernel(), &schedule, opts);
+        polyject_sets::counters::add_codegen_ns(t0.elapsed().as_nanos() as u64);
+        Ok(Compiled {
+            schedule,
+            ast,
+            influenced,
+            vector_loops,
+        })
     }
 }
 
@@ -518,6 +533,47 @@ mod tests {
         for budget in [&metered, &Budget::unlimited(), &metered] {
             let c = session.compile_with(Config::Influenced, budget, &opts);
             assert_eq!(format!("{:?}", c.unwrap()), fresh);
+        }
+    }
+
+    #[test]
+    fn a_mapping_or_tiling_only_candidate_does_no_solver_work() {
+        use polyject_sets::counters;
+        let kernel = ops::running_example(64);
+        let budget = Budget::unlimited();
+        let session = CompileSession::new(&kernel);
+        let base = CompileOptions::default();
+        session
+            .compile_with(Config::Influenced, &budget, &base)
+            .unwrap();
+        let remapped = CompileOptions {
+            mapping: MappingOptions {
+                max_threads: 256,
+                ..MappingOptions::default()
+            },
+            ..base.clone()
+        };
+        let tiled = CompileOptions {
+            tiling: Some(TilingOptions {
+                tile_size: 16,
+                min_extent: 32,
+                max_tiled_loops: 2,
+            }),
+            ..base.clone()
+        };
+        for opts in [&remapped, &tiled] {
+            let before = counters::snapshot();
+            let warm = session.compile_with(Config::Influenced, &budget, opts);
+            let d = counters::snapshot().delta_since(&before);
+            assert_eq!((d.ilp_solves, d.lp_solves, d.fm_eliminations), (0, 0, 0));
+            let before = counters::snapshot();
+            let fresh = compile_with_options(&kernel, Config::Influenced, &budget, opts);
+            let cold = counters::snapshot().delta_since(&before);
+            assert!(
+                cold.fm_eliminations > 0,
+                "a cold compile lowers from scratch"
+            );
+            assert_eq!(warm.unwrap().ast, fresh.unwrap().ast);
         }
     }
 

@@ -55,7 +55,9 @@ pub use checks::{
     is_strongly_satisfied, schedule_respects,
 };
 pub use layout::CoeffLayout;
-pub use optimizer::{build_influence_tree, build_scenarios, InfluenceOptions, Scenario};
+pub use optimizer::{
+    build_influence_tree, build_scenarios, InfluenceOptions, Scenario, ScenarioPlan,
+};
 pub use polyject_sets::{Budget, BudgetError, BudgetResource};
 pub use schedtree::{render_schedule_tree, schedule_tree, TreeNode};
 pub use schedule::{DimFlags, Schedule, ScheduleRow, StatementSchedule};

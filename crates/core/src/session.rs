@@ -19,16 +19,22 @@
 //!   this solved tableau instead of a cold preparation.
 //!
 //! [`ScheduleSession::schedule_with`] runs only the option-dependent
-//! suffix (influence-tree construction, constraint injection, the
-//! per-dimension ILP ladder) and memoizes finished schedules at two
-//! levels: per influence option set — beam-search mutations that only
-//! move tiling or mapping knobs replay the schedule outright — and per
-//! built influence *tree*, deduplicating weight mutations that select
-//! the same scenario dimensions (the solver never reads the options,
-//! only the tree, so equal trees provably solve identically). A
-//! resource-metered budget never touches shared state, because pre-paid
-//! work would escape its thread-local accounting. Warm serves are
-//! counted in the `session_reuses` solver counter.
+//! suffix (scenario planning, constraint injection, the per-dimension
+//! ILP ladder) and memoizes finished schedules at two levels: per
+//! influence option set — beam-search mutations that only move tiling or
+//! mapping knobs replay the schedule outright — and per
+//! [`ScenarioPlan`], deduplicating weight mutations that select the same
+//! scenario dimensions. Algorithm 2's shape facts (access strides, trip
+//! counts, the coefficient layout) read no knob, so the session analyses
+//! them once, on its first influenced call, and plans every option set
+//! against that analysis; the influence tree is built only when a plan
+//! needs a solve. The solver never reads the options, only the tree, and
+//! equal plans build equal trees, so a plan hit provably solves
+//! identically. The `isl` baseline's empty plan never builds the
+//! analysis. A resource-metered budget never touches shared state,
+//! because pre-paid work would escape its thread-local accounting: it
+//! builds its tree with [`build_influence_tree`] and schedules cold.
+//! Warm serves are counted in the `session_reuses` solver counter.
 //!
 //! The session is the route every compile takes: the codegen pipeline
 //! reaches this crate only through it (a one-shot compile opens a session
@@ -46,14 +52,14 @@ use crate::algorithm::{
 };
 use crate::builders::{coefficient_bounds, progression_constraints, proximity_objectives};
 use crate::layout::CoeffLayout;
-use crate::optimizer::{build_influence_tree, InfluenceOptions};
+use crate::optimizer::{build_influence_tree, InfluenceOptions, ScenarioPlan, ShapeAnalysis};
 use crate::schedule::Schedule;
 use crate::tree::InfluenceTree;
 use polyject_deps::{compute_dependences, DepKind, DepOptions, DepRelation, Dependences};
 use polyject_ir::{Kernel, StmtId};
 use polyject_sets::{Budget, ConstraintSet, LinExpr, SchedCtx};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Finished schedules memoized per influence option set; a beam search
 /// evaluates a few dozen candidates per kernel, so a small bound keeps
@@ -178,15 +184,16 @@ struct SessionState {
 /// One memoized schedule, addressable at two levels:
 ///
 /// 1. by influence *options* — an exact repeat of a candidate's knobs
-///    replays the schedule without even building the influence tree;
-/// 2. by built influence *tree* — the suffix solver is a deterministic
-///    function of `(kernel, deps, tree, scheduler opts, prefix)` and
-///    never reads the options again, so distinct weight vectors that
-///    select the same scenario dimensions (the dominant beam-search
-///    move) provably solve to this very result and replay it too.
+///    replays the schedule without even planning its scenarios;
+/// 2. by [`ScenarioPlan`] — the suffix solver is a deterministic function
+///    of `(kernel, deps, tree, scheduler opts, prefix)`, the tree a
+///    function of the plan and the kernel, and neither reads the options
+///    again, so distinct weight vectors that select the same scenario
+///    dimensions (the dominant beam-search move) provably solve to this
+///    very result and replay it too.
 struct MemoEntry {
     options: Option<InfluenceOptions>,
-    tree: InfluenceTree,
+    plan: ScenarioPlan,
     result: ScheduleResult,
 }
 
@@ -204,6 +211,8 @@ pub struct ScheduleSession {
     kernel: Kernel,
     deps: Dependences,
     opts: SchedulerOptions,
+    /// Algorithm 2's shape facts, analysed on the first influenced call.
+    shapes: OnceLock<ShapeAnalysis>,
     state: Mutex<SessionState>,
 }
 
@@ -216,6 +225,7 @@ impl ScheduleSession {
             kernel: kernel.clone(),
             deps,
             opts,
+            shapes: OnceLock::new(),
             state: Mutex::new(SessionState {
                 prefix: None,
                 memo: Vec::new(),
@@ -233,19 +243,35 @@ impl ScheduleSession {
         &self.deps
     }
 
-    fn build_tree(&self, influence: Option<&InfluenceOptions>) -> InfluenceTree {
+    /// The scenario plan of `influence` (`None` = the `isl` baseline's
+    /// empty plan), over the session's shape analysis, which the first
+    /// influenced call builds.
+    pub fn plan(&self, influence: Option<&InfluenceOptions>) -> ScenarioPlan {
         match influence {
-            Some(io) => build_influence_tree(&self.kernel, io),
-            None => InfluenceTree::new(),
+            Some(io) => self.shapes().plan(&self.kernel, io),
+            None => ScenarioPlan::default(),
         }
+    }
+
+    /// The influence tree the session solves for `plan`: for
+    /// `self.plan(Some(io))` it equals `build_influence_tree(kernel, io)`.
+    pub fn influence_tree(&self, plan: &ScenarioPlan) -> InfluenceTree {
+        if plan.is_empty() {
+            return InfluenceTree::new();
+        }
+        self.shapes().tree(&self.kernel, plan)
+    }
+
+    fn shapes(&self) -> &ShapeAnalysis {
+        self.shapes.get_or_init(|| ShapeAnalysis::new(&self.kernel))
     }
 
     /// Schedules the session's kernel under the given influence options
     /// (`None` = empty tree, the `isl` baseline). The first call builds
     /// the shared prefix; later calls clone its solved base tableau and
-    /// — when the influence options repeat — replay the memoized
-    /// schedule outright. Both warm forms tick the `session_reuses`
-    /// counter.
+    /// — when the influence options or their [`ScenarioPlan`] repeat —
+    /// replay the memoized schedule outright. Both warm forms tick the
+    /// `session_reuses` counter.
     ///
     /// A budget with resource limits (deadline or node/pivot caps)
     /// bypasses the memo and the solved prefix and schedules cold: metered
@@ -262,7 +288,10 @@ impl ScheduleSession {
         budget: &Budget,
     ) -> Result<ScheduleResult, ScheduleError> {
         if budget.has_resource_limits() {
-            let tree = self.build_tree(influence);
+            let tree = match influence {
+                Some(io) => build_influence_tree(&self.kernel, io),
+                None => InfluenceTree::new(),
+            };
             return schedule_kernel_budgeted(&self.kernel, &self.deps, &tree, self.opts, budget);
         }
         {
@@ -274,14 +303,15 @@ impl ScheduleSession {
                 return Ok(hit);
             }
         }
-        // New options: build their influence tree and check the memo's
-        // second level. The solver only ever sees the tree, so a tree
-        // equal to a solved entry's proves the solve would be bitwise
-        // identical — replay it and index these options as an alias.
-        let tree = self.build_tree(influence);
+        // New options: plan their scenarios and check the memo's second
+        // level. Equal plans build equal trees and the solver only ever
+        // sees the tree, so a plan equal to a solved entry's proves the
+        // solve would be bitwise identical — replay it and index these
+        // options as an alias. Only a new plan builds its tree.
+        let plan = self.plan(influence);
         let replay = {
             let state = self.state.lock().expect("session lock poisoned");
-            let hit = state.memo.iter().find(|e| e.tree == tree);
+            let hit = state.memo.iter().find(|e| e.plan == plan);
             hit.map(|e| e.result.clone())
         };
         let result = match replay {
@@ -289,7 +319,7 @@ impl ScheduleSession {
                 polyject_sets::counters::note_session_reuse(1);
                 result
             }
-            None => self.solve(&tree, budget)?,
+            None => self.solve(&self.influence_tree(&plan), budget)?,
         };
         let mut state = self.state.lock().expect("session lock poisoned");
         if state.memo.len() >= MEMO_CAP {
@@ -297,7 +327,7 @@ impl ScheduleSession {
         }
         state.memo.push(MemoEntry {
             options: influence.cloned(),
-            tree,
+            plan,
             result: result.clone(),
         });
         Ok(result)
@@ -408,15 +438,28 @@ mod tests {
     fn metered_budgets_bypass_the_session() {
         let kernel = ops::transpose_2d(16, 16);
         let session = ScheduleSession::new(&kernel, SchedulerOptions::default());
-        session.schedule_with(None, &Budget::unlimited()).unwrap();
-        let before = counters::snapshot();
+        let io = InfluenceOptions::default();
+        for influence in [None, Some(&io)] {
+            session
+                .schedule_with(influence, &Budget::unlimited())
+                .unwrap();
+        }
         let metered = Budget::unlimited().with_max_pivots(u64::MAX);
-        let r = session.schedule_with(None, &metered).unwrap();
-        let d = counters::snapshot().delta_since(&before);
-        assert_eq!(d.session_reuses, 0, "metered calls never reuse");
-        assert_eq!(
-            r.schedule.render(&kernel),
-            cold(&kernel, None).schedule.render(&kernel)
-        );
+        for influence in [None, Some(&io)] {
+            let before = counters::snapshot();
+            let r = session.schedule_with(influence, &metered).unwrap();
+            let d = counters::snapshot().delta_since(&before);
+            assert_eq!(d.session_reuses, 0, "metered calls never reuse");
+            let before = counters::snapshot();
+            let reference = cold(&kernel, influence);
+            let cold_fm = counters::snapshot().delta_since(&before).fm_eliminations;
+            // The metered call analyses the shapes again, as a cold
+            // compile does: it borrows nothing from the warm session.
+            assert_eq!(d.fm_eliminations, cold_fm);
+            assert_eq!(
+                r.schedule.render(&kernel),
+                reference.schedule.render(&kernel)
+            );
+        }
     }
 }

@@ -27,6 +27,7 @@ use polyject_codegen::{
 use polyject_core::{Budget, ScheduleError};
 use polyject_gpusim::{estimate, GpuModel, KernelTiming};
 use polyject_ir::Kernel;
+use std::collections::HashSet;
 use std::sync::Mutex;
 
 /// Search-shape knobs. The defaults evaluate ≈ 30 candidates, which
@@ -377,33 +378,33 @@ impl State {
     }
 }
 
-/// Evaluates a batch through the runner and folds the results into the
-/// state, preserving batch order.
+/// Evaluates a batch of `(point, canonical key)` pairs through the
+/// runner and folds the results into the state, preserving batch order;
+/// each record carries the key [`first_sight`] formatted.
 fn absorb(
     state: &mut State,
     ctx: &EvalCtx<'_>,
     runner: &dyn JobRunner,
     round: usize,
-    batch: &[CompileOptions],
+    batch: Vec<(CompileOptions, String)>,
 ) {
-    for ev in runner.evaluate(ctx, batch).into_iter().flatten() {
+    let (points, keys): (Vec<CompileOptions>, Vec<String>) = batch.into_iter().unzip();
+    for (ev, key) in runner.evaluate(ctx, &points).into_iter().zip(keys) {
+        let Some(ev) = ev else { continue };
         state.records.push(EvalRecord {
             round,
-            key: ev.point.canonical_key(),
+            key,
             time: ev.timing.time,
         });
         state.pool.push(ev);
     }
 }
 
-/// Records `p` in `seen`; `false` when the point was already there.
-fn first_sight(seen: &mut Vec<String>, p: &CompileOptions) -> bool {
+/// Records `p`'s canonical key in `seen` and returns it, or `None` when
+/// the point was already there.
+fn first_sight(seen: &mut HashSet<String>, p: CompileOptions) -> Option<(CompileOptions, String)> {
     let key = p.canonical_key();
-    let fresh = !seen.contains(&key);
-    if fresh {
-        seen.push(key);
-    }
-    fresh
+    seen.insert(key.clone()).then_some((p, key))
 }
 
 /// Runs the deterministic beam search.
@@ -450,25 +451,25 @@ pub fn beam_search(
             time: default_time,
         }],
     };
-    let mut seen: Vec<String> = vec![default_point.canonical_key()];
+    let mut seen: HashSet<String> = HashSet::from([default_point.canonical_key()]);
     let mut rng = SplitMix64::new(opts.seed);
     let mut complete = true;
 
     // Seed round: the grid anchors first (deterministic, no RNG draw),
     // then uniform samples, all deduped.
-    let mut batch = grid_anchors();
-    batch.retain(|p| first_sight(&mut seen, p));
+    let mut batch: Vec<(CompileOptions, String)> = (grid_anchors().into_iter())
+        .filter_map(|p| first_sight(&mut seen, p))
+        .collect();
     let mut tries = 0;
     let mut sampled = 0;
     while sampled < opts.initial_samples && tries < opts.initial_samples * 16 {
         tries += 1;
-        let p = sample(&mut rng);
-        if first_sight(&mut seen, &p) {
-            batch.push(p);
+        if let Some(fresh) = first_sight(&mut seen, sample(&mut rng)) {
+            batch.push(fresh);
             sampled += 1;
         }
     }
-    absorb(&mut state, &ctx, runner, 0, &batch);
+    absorb(&mut state, &ctx, runner, 0, batch);
 
     for round in 1..=opts.rounds {
         // A fresh clone re-arms the amortized deadline probe, so the
@@ -486,17 +487,15 @@ pub fn beam_search(
         // Neighbors: fresh mutations of each survivor, in beam × draw
         // order. Candidates past the per-round evaluation cap are
         // dropped and their keys stay in `seen`: they don't come back.
-        let mut cands: Vec<CompileOptions> = Vec::new();
+        let mut cands: Vec<(CompileOptions, String)> = Vec::new();
         for &survivor in beam {
             for _ in 0..opts.neighbors_per_survivor {
                 let p = mutate(&state.pool[survivor].point, &mut rng);
-                if first_sight(&mut seen, &p) {
-                    cands.push(p);
-                }
+                cands.extend(first_sight(&mut seen, p));
             }
         }
         cands.truncate(opts.evals_per_round);
-        absorb(&mut state, &ctx, runner, round, &cands);
+        absorb(&mut state, &ctx, runner, round, cands);
     }
     if req.budget.clone().check().is_err() {
         complete = false;

@@ -70,8 +70,8 @@ fn every_candidate_after_the_first_reuses_the_session() {
 #[test]
 fn one_ast_under_two_lowering_keys_is_simulated_once() {
     // A tiling whose `min_extent` exceeds every loop leaves the AST as
-    // the untiled compile made it: two lowered-memo keys, one AST, so
-    // one estimate entry and one hit.
+    // the untiled compile made it: two option sets, one schedule and one
+    // lowered entry, one AST, so one estimate entry and one hit.
     let req = request(ops::transpose_2d(32, 32));
     let ctx = EvalCtx::new(&req);
     let untiled = CompileOptions::default();
