@@ -128,7 +128,7 @@ pub fn compile(kernel: &Kernel, config: Config) -> Result<Compiled, ScheduleErro
 /// Every knob the pipeline compiles under, in one struct. The defaults
 /// reproduce [`compile`] exactly; the autotuner searches over the
 /// non-default points and replays winners through this entry. The
-/// scheduler core always runs [`SchedulerOptions::default`].
+/// scheduler core has no knob of its own.
 ///
 /// [`CompileOptions::canonical_key`] is the one encoding of the option
 /// set: the tuner's candidate log, the persisted tuned configuration and

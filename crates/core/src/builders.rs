@@ -11,28 +11,15 @@ use polyject_deps::DepRelation;
 use polyject_ir::{Kernel, StmtId};
 use polyject_sets::{Constraint, ConstraintSet, LinExpr};
 
-/// Bounds on the ILP unknowns, keeping every per-dimension problem bounded
-/// (Pluto does the same; coefficients of useful AI/DL schedules are tiny).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoeffBounds {
-    /// Maximum iterator/parameter coefficient (minimum is 0: the paper
-    /// restricts itself to non-negative coefficients, Section IV-A.3).
-    pub max_coeff: i64,
-    /// Maximum statement-constant coefficient.
-    pub max_const: i64,
-    /// Maximum value of the reuse-bound coefficients `u` and `w`.
-    pub max_bound: i64,
-}
-
-impl Default for CoeffBounds {
-    fn default() -> CoeffBounds {
-        CoeffBounds {
-            max_coeff: 4,
-            max_const: 16,
-            max_bound: 1 << 30,
-        }
-    }
-}
+/// Maximum iterator/parameter coefficient (minimum is 0: the paper
+/// restricts itself to non-negative coefficients, Section IV-A.3). This
+/// and the two bounds below keep every per-dimension ILP bounded (Pluto
+/// does the same; coefficients of useful AI/DL schedules are tiny).
+pub const MAX_COEFF: i64 = 4;
+/// Maximum statement-constant coefficient.
+pub const MAX_CONST: i64 = 16;
+/// Maximum value of the reuse-bound coefficients `u` and `w`.
+pub const MAX_BOUND: i64 = 1 << 30;
 
 /// The template of the reuse distance `φ_T(t) − φ_S(s)` of a dependence
 /// relation, over the layout's unknowns. Relation space:
@@ -104,13 +91,13 @@ pub fn bounding_constraints<'a>(
 /// towards schedules built from the *earlier*, outer iterators — matching
 /// isl's choice on the paper's running example). Weighting is exact
 /// because every unknown is bounded by [`coefficient_bounds`].
-pub fn proximity_objectives(layout: &CoeffLayout, bounds: CoeffBounds) -> Vec<LinExpr> {
+pub fn proximity_objectives(layout: &CoeffLayout) -> Vec<LinExpr> {
     let n = layout.n_vars();
     let mut objs = Vec::new();
-    // (max_bound+1)·Σu + w ≡ lexicographic (Σu, w) since w <= max_bound.
+    // (MAX_BOUND+1)·Σu + w ≡ lexicographic (Σu, w) since w <= MAX_BOUND.
     let mut prox = LinExpr::zero(n);
     for p in 0..layout.n_params() {
-        prox.set_coeff(layout.u(p), (bounds.max_bound + 1) as i128);
+        prox.set_coeff(layout.u(p), (MAX_BOUND + 1) as i128);
     }
     prox.set_coeff(layout.w(), 1);
     objs.push(prox);
@@ -123,7 +110,7 @@ pub fn proximity_objectives(layout: &CoeffLayout, bounds: CoeffBounds) -> Vec<Li
     }
     objs.push(sum_c);
     // Deterministic per-statement tie-break, later statements first.
-    let base = (bounds.max_coeff.max(bounds.max_const) + 1) as i128;
+    let base = (MAX_COEFF.max(MAX_CONST) + 1) as i128;
     for s in (0..layout.n_statements()).rev() {
         let mut e = LinExpr::zero(n);
         let mut weight: i128 = 1;
@@ -138,7 +125,7 @@ pub fn proximity_objectives(layout: &CoeffLayout, bounds: CoeffBounds) -> Vec<Li
 
 /// Sign and magnitude bounds on all unknowns (everything non-negative, as
 /// the paper assumes, and bounded so the ILP always terminates).
-pub fn coefficient_bounds(layout: &CoeffLayout, bounds: CoeffBounds) -> ConstraintSet {
+pub fn coefficient_bounds(layout: &CoeffLayout) -> ConstraintSet {
     let n = layout.n_vars();
     let mut out = ConstraintSet::universe(n);
     let mut bound_var = |v: usize, max: i64| {
@@ -148,18 +135,18 @@ pub fn coefficient_bounds(layout: &CoeffLayout, bounds: CoeffBounds) -> Constrai
         out.add(Constraint::ge0(e)); // v <= max
     };
     for p in 0..layout.n_params() {
-        bound_var(layout.u(p), bounds.max_bound);
+        bound_var(layout.u(p), MAX_BOUND);
     }
-    bound_var(layout.w(), bounds.max_bound);
+    bound_var(layout.w(), MAX_BOUND);
     for s in 0..layout.n_statements() {
         let sid = StmtId(s);
         for i in 0..layout.n_iters(sid) {
-            bound_var(layout.iter_coeff(sid, i), bounds.max_coeff);
+            bound_var(layout.iter_coeff(sid, i), MAX_COEFF);
         }
         for p in 0..layout.n_params() {
-            bound_var(layout.param_coeff(sid, p), bounds.max_coeff);
+            bound_var(layout.param_coeff(sid, p), MAX_COEFF);
         }
-        bound_var(layout.const_coeff(sid), bounds.max_const);
+        bound_var(layout.const_coeff(sid), MAX_CONST);
     }
     out
 }
@@ -280,7 +267,7 @@ mod tests {
         let v: Vec<&DepRelation> = deps.validity().collect();
         let mut sys = validity_constraints(v.iter().copied(), &layout);
         sys.intersect(&bounding_constraints(deps.proximity(), &layout));
-        sys.intersect(&coefficient_bounds(&layout, CoeffBounds::default()));
+        sys.intersect(&coefficient_bounds(&layout));
         let sched = Schedule::empty(&kernel);
         sys.intersect(&progression_constraints(
             &kernel,
@@ -288,7 +275,7 @@ mod tests {
             &layout,
             &[StmtId(0), StmtId(1)],
         ));
-        match lexmin_integer(&proximity_objectives(&layout, CoeffBounds::default()), &sys) {
+        match lexmin_integer(&proximity_objectives(&layout), &sys) {
             IlpOutcome::Optimal { point, .. } => {
                 assert_eq!(point[layout.u(0)], 0, "zero reuse distance expected");
                 assert_eq!(point[layout.w()], 0);
@@ -343,19 +330,21 @@ mod tests {
     #[test]
     fn bounds_cap_everything() {
         let (_, _, layout) = setup();
-        let cs = coefficient_bounds(
-            &layout,
-            CoeffBounds {
-                max_coeff: 2,
-                max_const: 3,
-                max_bound: 5,
-            },
-        );
-        let mut p = vec![0i128; layout.n_vars()];
-        assert!(cs.contains_int(&p));
-        p[layout.iter_coeff(StmtId(1), 2)] = 3;
-        assert!(!cs.contains_int(&p));
-        p[layout.iter_coeff(StmtId(1), 2)] = -1;
-        assert!(!cs.contains_int(&p));
+        let cs = coefficient_bounds(&layout);
+        let zero = vec![0i128; layout.n_vars()];
+        assert!(cs.contains_int(&zero));
+        for (v, max) in [
+            (layout.iter_coeff(StmtId(1), 2), MAX_COEFF),
+            (layout.param_coeff(StmtId(0), 0), MAX_COEFF),
+            (layout.const_coeff(StmtId(1)), MAX_CONST),
+            (layout.u(0), MAX_BOUND),
+            (layout.w(), MAX_BOUND),
+        ] {
+            let mut p = zero.clone();
+            for (value, inside) in [(max, true), (max + 1, false), (-1, false)] {
+                p[v] = value as i128;
+                assert_eq!(cs.contains_int(&p), inside, "unknown {v} at {value}");
+            }
+        }
     }
 }

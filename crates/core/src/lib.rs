@@ -43,12 +43,12 @@ mod verify;
 
 pub use algorithm::{
     schedule_kernel, schedule_kernel_budgeted, ScheduleError, ScheduleErrorKind, ScheduleResult,
-    ScheduleStats, SchedulerOptions,
+    ScheduleStats, SchedulerOptions, MAX_ATTEMPTS, MAX_DIMS,
 };
 pub use assembly::clear_caches as clear_assembly_caches;
 pub use builders::{
     bounding_constraints, coefficient_bounds, distance_template, progression_constraints,
-    proximity_objectives, validity_constraints, CoeffBounds,
+    proximity_objectives, validity_constraints, MAX_BOUND, MAX_COEFF, MAX_CONST,
 };
 pub use checks::{
     dim_is_coincident, dim_is_weakly_valid, distance_at_dim, equal_date_prefix,
@@ -61,6 +61,6 @@ pub use optimizer::{
 pub use polyject_sets::{Budget, BudgetError, BudgetResource};
 pub use schedtree::{render_schedule_tree, schedule_tree, TreeNode};
 pub use schedule::{DimFlags, Schedule, ScheduleRow, StatementSchedule};
-pub use session::{SchedulePrefix, ScheduleSession};
+pub use session::ScheduleSession;
 pub use tree::{InfluenceNode, InfluenceTree, NodeId};
 pub use verify::{verify_schedule, ScheduleReport};

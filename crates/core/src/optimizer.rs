@@ -554,7 +554,7 @@ mod tests {
         assert_eq!(tree.depth(root), 0);
         let c1 = tree.first_child(root).unwrap();
         let c2 = tree.first_child(c1).unwrap();
-        assert!(tree.is_leaf(c2));
+        assert_eq!(tree.first_child(c2), None);
         let rendered = tree.render();
         assert!(rendered.contains("fused"), "{rendered}");
         assert!(rendered.contains("relaxed"), "{rendered}");

@@ -20,18 +20,19 @@
 //!
 //! [`ScheduleSession::schedule_with`] runs only the option-dependent
 //! suffix (scenario planning, constraint injection, the per-dimension
-//! ILP ladder) and memoizes finished schedules at two levels: per
-//! influence option set — beam-search mutations that only move tiling or
-//! mapping knobs replay the schedule outright — and per
-//! [`ScenarioPlan`], deduplicating weight mutations that select the same
-//! scenario dimensions. Algorithm 2's shape facts (access strides, trip
-//! counts, the coefficient layout) read no knob, so the session analyses
-//! them once, on its first influenced call, and plans every option set
-//! against that analysis; the influence tree is built only when a plan
-//! needs a solve. The solver never reads the options, only the tree, and
-//! equal plans build equal trees, so a plan hit provably solves
-//! identically. The `isl` baseline's empty plan never builds the
-//! analysis. A resource-metered budget never touches shared state,
+//! ILP ladder) and memoizes finished schedules by [`ScenarioPlan`] alone:
+//! every call plans its options, and a plan equal to a solved one's
+//! replays that schedule — whether the options repeat outright (a
+//! beam-search mutation that only moves tiling or mapping knobs) or only
+//! select the same scenario dimensions (most weight mutations).
+//! Algorithm 2's shape facts (access strides, trip counts, the
+//! coefficient layout) read no knob, so the session analyses them once,
+//! on its first influenced call, and plans every option set against that
+//! analysis; the influence tree is built only when a plan needs a solve.
+//! The solver never reads the options, only the tree, and equal plans
+//! build equal trees, so a plan hit provably solves identically. The
+//! `isl` baseline's empty plan never builds the analysis. A
+//! resource-metered budget never touches shared state,
 //! because pre-paid work would escape its thread-local accounting: it
 //! builds its tree with [`build_influence_tree`] and schedules cold.
 //! Warm serves are counted in the `session_reuses` solver counter.
@@ -40,15 +41,14 @@
 //! reaches this crate only through it (a one-shot compile opens a session
 //! for one call), while [`schedule_kernel`](crate::schedule_kernel) stays
 //! the paper-level Algorithm 1 entry for figures and examples. The two
-//! cannot diverge — `schedule_kernel` builds privately the very prefix a
-//! session shares and runs the same driver over it, the solver is
+//! cannot diverge — `schedule_kernel` builds for one call the very prefix
+//! a session shares and runs the same function over it, the solver is
 //! deterministic on equal inputs, and a long-lived session is pinned
 //! bitwise against fresh ones by the differential suite in
 //! `crates/workloads`.
 
 use crate::algorithm::{
-    schedule_kernel_budgeted, schedule_kernel_with_prefix, ScheduleError, ScheduleResult,
-    SchedulerOptions,
+    schedule_kernel_budgeted, schedule_over, ScheduleError, ScheduleResult, SchedulerOptions,
 };
 use crate::builders::{coefficient_bounds, progression_constraints, proximity_objectives};
 use crate::layout::CoeffLayout;
@@ -61,21 +61,21 @@ use polyject_sets::{Budget, ConstraintSet, LinExpr, SchedCtx};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Finished schedules memoized per influence option set; a beam search
-/// evaluates a few dozen candidates per kernel, so a small bound keeps
-/// the session's footprint flat without ever evicting a live entry.
+/// Solved schedules memoized per session, one per distinct
+/// [`ScenarioPlan`]; a beam search evaluates a few dozen candidates per
+/// kernel, fewer distinct plans, so a small bound keeps the session's
+/// footprint flat without ever evicting a live entry.
 const MEMO_CAP: usize = 64;
 
 /// The option-invariant prefix of schedule construction for one
-/// (kernel, dependences, scheduler options) triple: layout, linearized
-/// per-relation systems, static bounds, objectives, and the assembled
-/// dimension-0 base system held in solved form.
+/// (kernel, dependences) pair: layout, linearized per-relation systems,
+/// static bounds, objectives, and the assembled dimension-0 base system
+/// held in solved form.
 ///
-/// Built by [`ScheduleSession`] and shared read-only across candidate
-/// compiles; the scheduling driver builds one privately when called
-/// without a session, so both execute the identical code path.
-#[derive(Clone)]
-pub struct SchedulePrefix {
+/// Built once by [`ScheduleSession`] and shared read-only across
+/// candidate compiles; [`schedule_kernel_budgeted`] builds one for its
+/// call, and both run the same driver over it.
+pub(crate) struct SchedulePrefix {
     pub(crate) layout: CoeffLayout,
     pub(crate) val_cache: Vec<ConstraintSet>,
     pub(crate) bound_cache: Vec<ConstraintSet>,
@@ -104,7 +104,6 @@ impl SchedulePrefix {
     pub(crate) fn build(
         kernel: &Kernel,
         deps: &Dependences,
-        opts: SchedulerOptions,
         budget: &Budget,
     ) -> Result<SchedulePrefix, ScheduleError> {
         let t0 = std::time::Instant::now();
@@ -138,11 +137,11 @@ impl SchedulePrefix {
             .collect::<Result<Vec<_>, _>>()?;
         // Static part of every per-dimension system: coefficient bounds
         // plus the (dimension-independent) input-reuse bounding.
-        let mut bounds_cs = coefficient_bounds(&layout, opts.bounds);
+        let mut bounds_cs = coefficient_bounds(&layout);
         for cs in &input_bound_cache {
             bounds_cs.intersect(cs);
         }
-        let objectives = proximity_objectives(&layout, opts.bounds);
+        let objectives = proximity_objectives(&layout);
         // The dimension-0 base system, assembled in exactly the order the
         // driver's `build_system` uses so the prepared context is
         // row-for-row what a cold first assembly produces.
@@ -175,30 +174,26 @@ impl SchedulePrefix {
 }
 
 /// Per-session mutable state behind one lock: the lazily built prefix
-/// and the two-level schedule memo.
+/// and the schedule memo.
 struct SessionState {
     prefix: Option<Arc<SchedulePrefix>>,
     memo: Vec<MemoEntry>,
 }
 
-/// One memoized schedule, addressable at two levels:
-///
-/// 1. by influence *options* — an exact repeat of a candidate's knobs
-///    replays the schedule without even planning its scenarios;
-/// 2. by [`ScenarioPlan`] — the suffix solver is a deterministic function
-///    of `(kernel, deps, tree, scheduler opts, prefix)`, the tree a
-///    function of the plan and the kernel, and neither reads the options
-///    again, so distinct weight vectors that select the same scenario
-///    dimensions (the dominant beam-search move) provably solve to this
-///    very result and replay it too.
+/// One solved schedule, keyed by the [`ScenarioPlan`] it was solved
+/// for. The suffix solver is a deterministic function of
+/// `(kernel, deps, tree, prefix)`, the tree a function of the plan and
+/// the kernel, and neither reads the options again, so every option set
+/// with this plan — an exact repeat, or a distinct weight vector that
+/// selects the same scenario dimensions — provably solves to this very
+/// result and replays it. Only a solve writes an entry.
 struct MemoEntry {
-    options: Option<InfluenceOptions>,
     plan: ScenarioPlan,
     result: ScheduleResult,
 }
 
 /// A per-kernel scheduling session: dependence analysis runs once in
-/// [`ScheduleSession::new`], the option-invariant [`SchedulePrefix`] is
+/// [`ScheduleSession::new`], the option-invariant scheduling prefix is
 /// built once on first use, and every
 /// [`schedule_with`](ScheduleSession::schedule_with) call runs only the
 /// option-dependent suffix — bitwise identical to a cold
@@ -210,21 +205,19 @@ struct MemoEntry {
 pub struct ScheduleSession {
     kernel: Kernel,
     deps: Dependences,
-    opts: SchedulerOptions,
     /// Algorithm 2's shape facts, analysed on the first influenced call.
     shapes: OnceLock<ShapeAnalysis>,
     state: Mutex<SessionState>,
 }
 
 impl ScheduleSession {
-    /// Opens a session for `kernel`: computes its dependences (once) and
-    /// pins the scheduler options every warm call compiles under.
-    pub fn new(kernel: &Kernel, opts: SchedulerOptions) -> ScheduleSession {
+    /// Opens a session for `kernel`, computing its dependences (once).
+    /// The field-less [`SchedulerOptions`] is kept for `benchmark/`.
+    pub fn new(kernel: &Kernel, _: SchedulerOptions) -> ScheduleSession {
         let deps = compute_dependences(kernel, DepOptions::default());
         ScheduleSession {
             kernel: kernel.clone(),
             deps,
-            opts,
             shapes: OnceLock::new(),
             state: Mutex::new(SessionState {
                 prefix: None,
@@ -267,11 +260,11 @@ impl ScheduleSession {
     }
 
     /// Schedules the session's kernel under the given influence options
-    /// (`None` = empty tree, the `isl` baseline). The first call builds
-    /// the shared prefix; later calls clone its solved base tableau and
-    /// — when the influence options or their [`ScenarioPlan`] repeat —
-    /// replay the memoized schedule outright. Both warm forms tick the
-    /// `session_reuses` counter.
+    /// (`None` = empty tree, the `isl` baseline). The options are planned
+    /// first: a [`ScenarioPlan`] equal to a solved one's replays that
+    /// schedule outright, and a new plan is solved over the shared
+    /// prefix, which the session's first solve builds. Both warm forms
+    /// tick the `session_reuses` counter.
     ///
     /// A budget with resource limits (deadline or node/pivot caps)
     /// bypasses the memo and the solved prefix and schedules cold: metered
@@ -292,81 +285,44 @@ impl ScheduleSession {
                 Some(io) => build_influence_tree(&self.kernel, io),
                 None => InfluenceTree::new(),
             };
-            return schedule_kernel_budgeted(&self.kernel, &self.deps, &tree, self.opts, budget);
+            return schedule_kernel_budgeted(&self.kernel, &self.deps, &tree, budget);
         }
-        {
-            let state = self.state.lock().expect("session lock poisoned");
-            if let Some(e) = state.memo.iter().find(|e| e.options.as_ref() == influence) {
-                let hit = e.result.clone();
-                drop(state);
-                polyject_sets::counters::note_session_reuse(1);
-                return Ok(hit);
-            }
-        }
-        // New options: plan their scenarios and check the memo's second
-        // level. Equal plans build equal trees and the solver only ever
-        // sees the tree, so a plan equal to a solved entry's proves the
-        // solve would be bitwise identical — replay it and index these
-        // options as an alias. Only a new plan builds its tree.
         let plan = self.plan(influence);
         let replay = {
             let state = self.state.lock().expect("session lock poisoned");
             let hit = state.memo.iter().find(|e| e.plan == plan);
             hit.map(|e| e.result.clone())
         };
-        let result = match replay {
-            Some(result) => {
-                polyject_sets::counters::note_session_reuse(1);
-                result
-            }
-            None => self.solve(&self.influence_tree(&plan), budget)?,
-        };
+        if let Some(result) = replay {
+            polyject_sets::counters::note_session_reuse(1);
+            return Ok(result);
+        }
+        let tree = self.influence_tree(&plan);
+        let result = schedule_over(&self.kernel, &self.deps, &tree, budget, || {
+            self.prefix(budget)
+        })?;
         let mut state = self.state.lock().expect("session lock poisoned");
         if state.memo.len() >= MEMO_CAP {
             state.memo.remove(0);
         }
         state.memo.push(MemoEntry {
-            options: influence.cloned(),
             plan,
             result: result.clone(),
         });
         Ok(result)
     }
 
-    /// Runs the option-dependent suffix for `tree` over the shared prefix,
-    /// building the prefix on the session's first solve.
-    fn solve(
-        &self,
-        tree: &InfluenceTree,
-        budget: &Budget,
-    ) -> Result<ScheduleResult, ScheduleError> {
-        let (prefix, warm) = {
-            let mut state = self.state.lock().expect("session lock poisoned");
-            match &state.prefix {
-                Some(p) => (p.clone(), true),
-                None => {
-                    let p = Arc::new(SchedulePrefix::build(
-                        &self.kernel,
-                        &self.deps,
-                        self.opts,
-                        budget,
-                    )?);
-                    state.prefix = Some(p.clone());
-                    (p, false)
-                }
-            }
-        };
-        if warm {
+    /// The shared prefix, built on the session's first solve; a later
+    /// solve borrows it and counts a session reuse.
+    fn prefix(&self, budget: &Budget) -> Result<Arc<SchedulePrefix>, ScheduleError> {
+        let mut state = self.state.lock().expect("session lock poisoned");
+        if let Some(p) = &state.prefix {
             polyject_sets::counters::note_session_reuse(1);
+            return Ok(p.clone());
         }
-        schedule_kernel_with_prefix(
-            &self.kernel,
-            &self.deps,
-            tree,
-            self.opts,
-            budget,
-            Some(&prefix),
-        )
+        let p = Arc::new(SchedulePrefix::build(&self.kernel, &self.deps, budget)?);
+        state.prefix = Some(p.clone());
+        Ok(p)
     }
 }
 
@@ -382,14 +338,7 @@ mod tests {
             Some(io) => build_influence_tree(kernel, io),
             None => InfluenceTree::new(),
         };
-        schedule_kernel_budgeted(
-            kernel,
-            &deps,
-            &tree,
-            SchedulerOptions::default(),
-            &Budget::unlimited(),
-        )
-        .expect("schedulable")
+        schedule_kernel_budgeted(kernel, &deps, &tree, &Budget::unlimited()).expect("schedulable")
     }
 
     #[test]

@@ -26,12 +26,6 @@ pub struct InfluenceNode {
     /// Statements whose schedule row built at this depth is their
     /// load/store vectorization dimension (`forvec` candidates).
     pub vector_stmts: Vec<StmtId>,
-    /// Additional objective functions injected into the lexicographic
-    /// optimization right after the proximity objective (the paper's
-    /// cost-function-injection mechanism: "our implementation also
-    /// supports the specification of new objective functions in each
-    /// node"; the Section V constraint construction does not use them).
-    pub objectives: Vec<polyject_sets::LinExpr>,
     /// Human-readable description of what this node asks for.
     pub label: String,
     pub(crate) parent: Option<NodeId>,
@@ -85,7 +79,6 @@ impl InfluenceTree {
         self.nodes.push(InfluenceNode {
             constraints,
             vector_stmts: Vec::new(),
-            objectives: Vec::new(),
             label: label.into(),
             parent: None,
             children: Vec::new(),
@@ -108,7 +101,6 @@ impl InfluenceTree {
         self.nodes.push(InfluenceNode {
             constraints,
             vector_stmts: Vec::new(),
-            objectives: Vec::new(),
             label: label.into(),
             parent: Some(parent),
             children: Vec::new(),
@@ -123,12 +115,6 @@ impl InfluenceTree {
         if !self.nodes[node.0].vector_stmts.contains(&stmt) {
             self.nodes[node.0].vector_stmts.push(stmt);
         }
-    }
-
-    /// Injects an additional objective function at a node (minimized right
-    /// after the proximity objective while the node is active).
-    pub fn add_objective(&mut self, node: NodeId, objective: polyject_sets::LinExpr) {
-        self.nodes[node.0].objectives.push(objective);
     }
 
     /// A node by id.
@@ -173,11 +159,6 @@ impl InfluenceTree {
             cur = self.nodes[a.0].parent;
         }
         None
-    }
-
-    /// Whether a node is a leaf.
-    pub fn is_leaf(&self, id: NodeId) -> bool {
-        self.nodes[id.0].children.is_empty()
     }
 
     /// Renders the tree structure (the Fig. 3 regenerator uses this).
@@ -242,8 +223,7 @@ mod tests {
         assert_eq!(t.first_child(r1), Some(c1));
         assert_eq!(t.right_sibling(c1), Some(c2));
         assert_eq!(t.depth(g1), 2);
-        assert!(t.is_leaf(g1));
-        assert!(!t.is_leaf(r1));
+        assert_eq!(t.first_child(g1), None);
         // g1's ancestors: c1 (sibling c2).
         assert_eq!(t.ancestor_right_sibling(g1), Some(c2));
         // c2 has no sibling to the right; its ancestor r1 has r2.

@@ -39,7 +39,7 @@ fn expired_deadline_degrades_to_valid_schedule() {
     // immediately, the ladder runs dry, and the uninfluenced fallback
     // (cancel-only budget) must still deliver a valid schedule.
     let budget = Budget::unlimited().with_deadline(Instant::now());
-    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, SchedulerOptions::default(), &budget)
+    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, &budget)
         .expect("degraded-but-valid schedule");
     assert!(!res.influenced, "influence must have been dropped");
     assert!(res.stats.degraded_solves >= 1, "degradation was counted");
@@ -54,7 +54,7 @@ fn tiny_node_budget_degrades_to_valid_schedule() {
     let tree = pinning_tree(&kernel);
 
     let budget = Budget::unlimited().with_max_ilp_nodes(0);
-    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, SchedulerOptions::default(), &budget)
+    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, &budget)
         .expect("degraded-but-valid schedule");
     assert!(res.stats.degraded_solves >= 1);
     let v: Vec<_> = deps.validity().collect();
@@ -80,7 +80,7 @@ fn pathological_kernel_under_100ms_deadline_degrades() {
     let tree = pinning_tree(&kernel);
 
     let budget = Budget::unlimited().with_deadline_in(Duration::from_millis(100));
-    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, SchedulerOptions::default(), &budget)
+    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, &budget)
         .expect("degraded-but-valid schedule");
     assert!(res.stats.degraded_solves >= 1, "deadline never tripped");
     let v: Vec<_> = deps.validity().collect();
@@ -96,7 +96,7 @@ fn pre_tripped_cancel_aborts_without_fallback() {
     let flag = Arc::new(AtomicBool::new(true));
     let budget = Budget::unlimited().with_cancel(Arc::clone(&flag));
     let before = polyject_sets::counters::snapshot();
-    let err = schedule_kernel_budgeted(&kernel, &deps, &tree, SchedulerOptions::default(), &budget)
+    let err = schedule_kernel_budgeted(&kernel, &deps, &tree, &budget)
         .expect_err("cancelled compile must not fall back");
     assert!(err.is_cancelled());
     assert_eq!(err.kind(), ScheduleErrorKind::Cancelled);
@@ -105,7 +105,7 @@ fn pre_tripped_cancel_aborts_without_fallback() {
 
     // Untripping the flag restores normal scheduling with the same budget.
     flag.store(false, Ordering::Relaxed);
-    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, SchedulerOptions::default(), &budget)
+    let res = schedule_kernel_budgeted(&kernel, &deps, &tree, &budget)
         .expect("schedulable once uncancelled");
     let v: Vec<_> = deps.validity().collect();
     assert!(schedule_respects(v.iter().copied(), &res.schedule));
@@ -119,9 +119,7 @@ fn generous_budget_matches_unbudgeted_run() {
 
     let plain = schedule_kernel(&kernel, &deps, &tree, SchedulerOptions::default()).unwrap();
     let budget = Budget::unlimited().with_deadline_in(Duration::from_secs(3600));
-    let budgeted =
-        schedule_kernel_budgeted(&kernel, &deps, &tree, SchedulerOptions::default(), &budget)
-            .unwrap();
+    let budgeted = schedule_kernel_budgeted(&kernel, &deps, &tree, &budget).unwrap();
     assert_eq!(
         plain.schedule.render(&kernel),
         budgeted.schedule.render(&kernel),
