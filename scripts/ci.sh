@@ -307,7 +307,7 @@ step "size gate (ROADMAP item 1): crates/serve/src line count"
 # module) and its test lines (from there on), then the sums. A
 # `#[cfg(test)]` on a single item, such as tableau.rs's test-only pivot
 # cap override, does not split the file.
-serve_ceiling=8866
+serve_ceiling=8865
 lines_in() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
 serve_lines="$(lines_in crates/serve/src)"
 split_lines() {
