@@ -28,6 +28,6 @@ mod prng;
 mod rat;
 
 pub use fnv::{fnv1a64, Fnv64};
-pub use matrix::{integer_kernel_basis, primitive_integer_vector, Matrix};
+pub use matrix::{integer_kernel_basis, Matrix};
 pub use prng::SplitMix64;
 pub use rat::{gcd, lcm, Rat};

@@ -242,15 +242,7 @@ impl Matrix {
 
 /// Scales a rational vector to a primitive integer vector (integer entries
 /// with gcd 1), preserving direction.
-///
-/// # Examples
-///
-/// ```
-/// use polyject_arith::{primitive_integer_vector, Rat};
-/// let v = vec![Rat::new(1, 2), Rat::new(-3, 4)];
-/// assert_eq!(primitive_integer_vector(&v), vec![2, -3]);
-/// ```
-pub fn primitive_integer_vector(v: &[Rat]) -> Vec<i128> {
+pub(crate) fn primitive_integer_vector(v: &[Rat]) -> Vec<i128> {
     let mut denom_lcm = 1i128;
     for x in v {
         denom_lcm = lcm(denom_lcm, x.denom());
@@ -396,6 +388,10 @@ mod tests {
         assert_eq!(
             primitive_integer_vector(&[Rat::ZERO, Rat::ZERO]),
             vec![0, 0]
+        );
+        assert_eq!(
+            primitive_integer_vector(&[Rat::new(1, 2), Rat::new(-3, 4)]),
+            vec![2, -3]
         );
     }
 

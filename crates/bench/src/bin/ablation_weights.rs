@@ -5,28 +5,22 @@
 //! (load-priority) weights, and compares simulated times and the chosen
 //! innermost dimension.
 
-use polyject_codegen::{
-    generate_ast, map_to_gpu, refine_parallel_loops, vectorize, MappingOptions,
-};
-use polyject_core::{build_influence_tree, schedule_kernel, InfluenceOptions, SchedulerOptions};
-use polyject_deps::{compute_dependences, DepOptions};
+use polyject_codegen::{compile_with_options, CompileOptions, Config};
+use polyject_core::{Budget, InfluenceOptions};
 use polyject_gpusim::{estimate, GpuModel};
 use polyject_ir::{ops, ElemType, Kernel};
 
 fn compile_with_weights(kernel: &Kernel, weights: [f64; 5]) -> (String, f64, usize) {
-    let deps = compute_dependences(kernel, DepOptions::default());
-    let opts = InfluenceOptions {
-        weights,
-        ..InfluenceOptions::default()
+    let opts = CompileOptions {
+        influence: InfluenceOptions {
+            weights,
+            ..InfluenceOptions::default()
+        },
+        ..CompileOptions::default()
     };
-    let tree = build_influence_tree(kernel, &opts);
-    let res =
-        schedule_kernel(kernel, &deps, &tree, SchedulerOptions::default()).expect("schedulable");
-    let mut ast = generate_ast(kernel, &res.schedule);
-    refine_parallel_loops(&mut ast, &res.schedule, &deps);
-    let nvec = vectorize(&mut ast, kernel, &res.schedule);
-    map_to_gpu(&mut ast, kernel, MappingOptions::default());
-    let t = estimate(&ast, kernel, &GpuModel::v100());
+    let res = compile_with_options(kernel, Config::Influenced, &Budget::unlimited(), &opts)
+        .expect("schedulable");
+    let t = estimate(&res.ast, kernel, &GpuModel::v100());
     // Innermost row of the first statement, as a label.
     let stmt = &kernel.statements()[0];
     let rows = res.schedule.stmt(polyject_ir::StmtId(0)).rows();
@@ -44,7 +38,7 @@ fn compile_with_weights(kernel: &Kernel, weights: [f64; 5]) -> (String, f64, usi
                 .join("+")
         })
         .unwrap_or_default();
-    (inner, t.ms(), nvec)
+    (inner, t.ms(), res.vector_loops)
 }
 
 fn main() {

@@ -21,16 +21,6 @@ pub enum LoopKind {
     Vector(u8),
 }
 
-impl LoopKind {
-    /// The vector width, if vectorized.
-    pub fn vector_width(&self) -> Option<u8> {
-        match self {
-            LoopKind::Vector(w) => Some(*w),
-            _ => None,
-        }
-    }
-}
-
 impl fmt::Display for LoopKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -317,6 +307,5 @@ mod tests {
         assert_eq!(LoopKind::Parallel.to_string(), "forall");
         assert_eq!(LoopKind::Vector(4).to_string(), "forvec/*x4*/");
         assert_eq!(LoopKind::Thread(0).to_string(), "forall/*threadIdx.x*/");
-        assert_eq!(LoopKind::Vector(2).vector_width(), Some(2));
     }
 }

@@ -36,12 +36,11 @@ pub use ast::{Ast, AstNode, Bound, LoopKind, LoopNode, StmtNode};
 pub use cuda::render_cuda;
 pub use gen::generate_ast;
 pub use passes::{
-    access_offset_expr, access_stride_along, loop_extent, map_to_gpu, refine_parallel_loops,
-    vectorize, MappingOptions,
+    access_stride_along, loop_extent, map_to_gpu, refine_parallel_loops, vectorize, MappingOptions,
 };
 pub use pipeline::{
     compile, compile_with_options, render_artifacts, Artifacts, CompileOptions, CompileSession,
     Compiled, Config,
 };
 pub use printer::render;
-pub use tiling::{auto_tile_size, tile_ast, TilingOptions};
+pub use tiling::{tile_ast, TilingOptions};

@@ -313,9 +313,9 @@ pub fn access_stride_along(
 }
 
 /// Substitutes `iter_exprs` into an access to express its full element
-/// offset as an affine function of the global space — used by the
-/// simulator's coalescing model.
-pub fn access_offset_expr(
+/// offset as an affine function of the global space — how vectorization
+/// tells a read of a leaf's own written cell from a read of another.
+pub(crate) fn access_offset_expr(
     kernel: &Kernel,
     stmt_node: &StmtNode,
     access: &polyject_ir::Access,

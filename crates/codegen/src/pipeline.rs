@@ -475,7 +475,7 @@ mod tests {
             .ast
             .loops()
             .iter()
-            .all(|l| l.kind.vector_width().is_none()));
+            .all(|l| !matches!(l.kind, LoopKind::Vector(_))));
     }
 
     #[test]

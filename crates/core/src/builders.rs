@@ -24,7 +24,7 @@ pub const MAX_BOUND: i64 = 1 << 30;
 /// The template of the reuse distance `φ_T(t) − φ_S(s)` of a dependence
 /// relation, over the layout's unknowns. Relation space:
 /// `[s_iters..., t_iters..., params...]`.
-pub fn distance_template(rel: &DepRelation, layout: &CoeffLayout) -> AffineTemplate {
+pub(crate) fn distance_template(rel: &DepRelation, layout: &CoeffLayout) -> AffineTemplate {
     let n_u = layout.n_vars();
     let mut t = AffineTemplate::zero(rel.n_vars(), n_u);
     for v in 0..rel.n_source_iters {
@@ -47,7 +47,7 @@ pub fn distance_template(rel: &DepRelation, layout: &CoeffLayout) -> AffineTempl
 
 /// Validity constraints (paper eq. (1), weak form): the reuse distance of
 /// every relation in `deps` is non-negative.
-pub fn validity_constraints<'a>(
+pub(crate) fn validity_constraints<'a>(
     deps: impl IntoIterator<Item = &'a DepRelation>,
     layout: &CoeffLayout,
 ) -> ConstraintSet {
@@ -60,7 +60,7 @@ pub fn validity_constraints<'a>(
 
 /// Reuse-distance bounding constraints (paper eq. (2)):
 /// `u·p + w − (φ_T(t) − φ_S(s)) >= 0` on every relation of `deps`.
-pub fn bounding_constraints<'a>(
+pub(crate) fn bounding_constraints<'a>(
     deps: impl IntoIterator<Item = &'a DepRelation>,
     layout: &CoeffLayout,
 ) -> ConstraintSet {
@@ -91,7 +91,7 @@ pub fn bounding_constraints<'a>(
 /// towards schedules built from the *earlier*, outer iterators — matching
 /// isl's choice on the paper's running example). Weighting is exact
 /// because every unknown is bounded by [`coefficient_bounds`].
-pub fn proximity_objectives(layout: &CoeffLayout) -> Vec<LinExpr> {
+pub(crate) fn proximity_objectives(layout: &CoeffLayout) -> Vec<LinExpr> {
     let n = layout.n_vars();
     let mut objs = Vec::new();
     // (MAX_BOUND+1)·Σu + w ≡ lexicographic (Σu, w) since w <= MAX_BOUND.
@@ -125,7 +125,7 @@ pub fn proximity_objectives(layout: &CoeffLayout) -> Vec<LinExpr> {
 
 /// Sign and magnitude bounds on all unknowns (everything non-negative, as
 /// the paper assumes, and bounded so the ILP always terminates).
-pub fn coefficient_bounds(layout: &CoeffLayout) -> ConstraintSet {
+pub(crate) fn coefficient_bounds(layout: &CoeffLayout) -> ConstraintSet {
     let n = layout.n_vars();
     let mut out = ConstraintSet::universe(n);
     let mut bound_var = |v: usize, max: i64| {
@@ -159,7 +159,7 @@ pub fn coefficient_bounds(layout: &CoeffLayout) -> ConstraintSet {
 /// Statements whose iterator space is already fully spanned (`H_S` has
 /// full rank) receive no constraint — their rows may legitimately be zero
 /// from here on.
-pub fn progression_constraints(
+pub(crate) fn progression_constraints(
     kernel: &Kernel,
     schedule: &Schedule,
     layout: &CoeffLayout,

@@ -10,7 +10,7 @@ use polyject_sets::{is_integer_feasible, maximize, Constraint, ConstraintSet, Li
 /// concrete affine expression over the relation space
 /// `[s_iters..., t_iters..., params...]`. Statements whose schedule is
 /// shallower than `d` contribute a zero row.
-pub fn distance_at_dim(rel: &DepRelation, schedule: &Schedule, d: usize) -> LinExpr {
+pub(crate) fn distance_at_dim(rel: &DepRelation, schedule: &Schedule, d: usize) -> LinExpr {
     let n = rel.n_vars();
     let zero_s = ScheduleRow::zero(rel.n_source_iters, rel.n_params);
     let zero_t = ScheduleRow::zero(rel.n_target_iters, rel.n_params);
@@ -34,7 +34,11 @@ pub fn distance_at_dim(rel: &DepRelation, schedule: &Schedule, d: usize) -> LinE
 
 /// The relation restricted to instance pairs whose logical dates coincide
 /// on dimensions `0..depth`.
-pub fn equal_date_prefix(rel: &DepRelation, schedule: &Schedule, depth: usize) -> ConstraintSet {
+pub(crate) fn equal_date_prefix(
+    rel: &DepRelation,
+    schedule: &Schedule,
+    depth: usize,
+) -> ConstraintSet {
     let mut set = rel.set.clone();
     for d in 0..depth {
         set.add(Constraint::eq0(distance_at_dim(rel, schedule, d)));
@@ -47,7 +51,7 @@ pub fn equal_date_prefix(rel: &DepRelation, schedule: &Schedule, depth: usize) -
 ///
 /// This is exact under the invariant the scheduler maintains — every built
 /// dimension weakly satisfies every relation still under consideration.
-pub fn is_strongly_satisfied(rel: &DepRelation, schedule: &Schedule) -> bool {
+pub(crate) fn is_strongly_satisfied(rel: &DepRelation, schedule: &Schedule) -> bool {
     let depth = schedule
         .stmt(rel.source)
         .depth()
@@ -88,27 +92,6 @@ pub fn dim_is_coincident<'a>(
         }
     }
     true
-}
-
-/// Whether every relation's distance at dimension `d` is pointwise
-/// non-negative (the weak-validity invariant) — used by schedule
-/// verification in tests.
-pub fn dim_is_weakly_valid(rel: &DepRelation, schedule: &Schedule, d: usize) -> bool {
-    let dist = distance_at_dim(rel, schedule, d);
-    let neg = ConstraintSet::from_constraints(
-        rel.n_vars(),
-        rel.set
-            .constraints()
-            .iter()
-            .cloned()
-            .chain(std::iter::once({
-                // dist <= -1
-                let mut e = -&dist;
-                e.set_constant(e.constant_term() - polyject_arith::Rat::ONE);
-                Constraint::ge0(e)
-            })),
-    );
-    !is_integer_feasible(&neg)
 }
 
 /// Full lexicographic validity of a schedule against a set of relations:
@@ -207,34 +190,5 @@ mod tests {
         // Dim 1 ("i" for both) is coincident: every remaining dependent
         // pair shares i.
         assert!(dim_is_coincident(v.iter().copied(), &sched, 1));
-    }
-
-    #[test]
-    fn weak_validity_per_dim() {
-        // Pointwise per-dimension validity is the invariant the scheduler
-        // maintains, not a property of arbitrary valid schedules: for the
-        // identity schedule it holds on same-statement relations (whose
-        // order is purely lexicographic) but not necessarily across
-        // statements (where the scalar dimension already orders
-        // everything).
-        let kernel = ops::running_example(8);
-        let deps = compute_dependences(&kernel, DepOptions::default());
-        let sched = Schedule::identity(&kernel);
-        for rel in deps.validity().filter(|r| r.source == r.target) {
-            for d in 0..4 {
-                assert!(
-                    dim_is_weakly_valid(rel, &sched, d),
-                    "dim {d} weakly valid for {:?}",
-                    rel.kind
-                );
-            }
-        }
-        // And the cross-statement flow is weakly valid at the ordering
-        // dimension 0.
-        let flow = deps
-            .validity()
-            .find(|r| r.source != r.target)
-            .expect("cross-statement flow");
-        assert!(dim_is_weakly_valid(flow, &sched, 0));
     }
 }

@@ -23,7 +23,7 @@ use polyject_sets::{project_onto_prefix, Constraint, ConstraintSet, LinExpr};
 /// `var_coeffs[v]` is the coefficient of relation variable `v`;
 /// `constant` is the constant term. Both live over the unknown space.
 #[derive(Clone, Debug)]
-pub struct AffineTemplate {
+pub(crate) struct AffineTemplate {
     /// Per-relation-variable coefficient, as an expression in the unknowns.
     pub var_coeffs: Vec<LinExpr>,
     /// Constant term, as an expression in the unknowns.
@@ -59,27 +59,7 @@ impl AffineTemplate {
 ///
 /// If the relation is empty the condition is vacuous and the universe set
 /// is returned.
-///
-/// # Examples
-///
-/// ```
-/// use polyject_core::farkas::{farkas_nonneg, AffineTemplate};
-/// use polyject_sets::{Constraint, ConstraintSet, LinExpr};
-///
-/// // Relation: { x | 0 <= x <= 10 }; template ψ(x) = c·x  (c unknown).
-/// // ψ >= 0 on the relation iff c >= 0.
-/// let rel = ConstraintSet::from_constraints(1, vec![
-///     Constraint::ge0(LinExpr::from_coeffs(&[1], 0)),
-///     Constraint::ge0(LinExpr::from_coeffs(&[-1], 10)),
-/// ]);
-/// let mut t = AffineTemplate::zero(1, 1);
-/// t.var_coeffs[0] = LinExpr::var(1, 0); // coeff of x is the unknown c
-/// let cs = farkas_nonneg(&rel, &t);
-/// assert!(cs.contains_int(&[0]));
-/// assert!(cs.contains_int(&[3]));
-/// assert!(!cs.contains_int(&[-1]));
-/// ```
-pub fn farkas_nonneg(relation: &ConstraintSet, template: &AffineTemplate) -> ConstraintSet {
+pub(crate) fn farkas_nonneg(relation: &ConstraintSet, template: &AffineTemplate) -> ConstraintSet {
     let n_unknowns = template.n_unknowns();
     assert_eq!(
         template.var_coeffs.len(),

@@ -32,7 +32,7 @@ mod algorithm;
 mod assembly;
 mod builders;
 mod checks;
-pub mod farkas;
+mod farkas;
 mod layout;
 mod optimizer;
 mod schedtree;
@@ -46,14 +46,8 @@ pub use algorithm::{
     ScheduleStats, SchedulerOptions, MAX_ATTEMPTS, MAX_DIMS,
 };
 pub use assembly::clear_caches as clear_assembly_caches;
-pub use builders::{
-    bounding_constraints, coefficient_bounds, distance_template, progression_constraints,
-    proximity_objectives, validity_constraints, MAX_BOUND, MAX_COEFF, MAX_CONST,
-};
-pub use checks::{
-    dim_is_coincident, dim_is_weakly_valid, distance_at_dim, equal_date_prefix,
-    is_strongly_satisfied, schedule_respects,
-};
+pub use builders::{MAX_BOUND, MAX_COEFF, MAX_CONST};
+pub use checks::{dim_is_coincident, schedule_respects};
 pub use layout::CoeffLayout;
 pub use optimizer::{
     build_influence_tree, build_scenarios, InfluenceOptions, Scenario, ScenarioPlan,

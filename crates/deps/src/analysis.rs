@@ -18,24 +18,17 @@ use crate::relation::{DepKind, DepRelation};
 use polyject_ir::{Access, Kernel, Statement, StmtId};
 use polyject_sets::{is_integer_feasible, Constraint, ConstraintSet, LinExpr};
 
-/// Options controlling dependence analysis.
-#[derive(Clone, Copy, Debug)]
-pub struct DepOptions {
-    /// Also compute read-after-read relations (for proximity).
-    pub include_input: bool,
-    /// Minimum assumed value of every parameter (the context). AI/DL
-    /// shapes are at least 1; a larger value may expose more parallelism.
-    pub param_min: i64,
-}
+/// The parameter context: every parameter is assumed at least this.
+/// AI/DL shapes are at least 1.
+const PARAM_MIN: i128 = 1;
 
-impl Default for DepOptions {
-    fn default() -> DepOptions {
-        DepOptions {
-            include_input: true,
-            param_min: 1,
-        }
-    }
-}
+/// Dependence analysis has no setting: read-after-read (input) relations
+/// are always computed, for proximity, and every parameter is assumed at
+/// least 1.
+/// This field-less type stays in the signature of [`compute_dependences`]
+/// only until `benchmark/` stops passing it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct DepOptions {}
 
 /// The set of dependence relations of a kernel.
 #[derive(Clone, Debug, Default)]
@@ -83,7 +76,7 @@ impl Dependences {
 /// // X writes B, Y reads B: at least one flow dependence must exist.
 /// assert!(deps.validity().count() >= 1);
 /// ```
-pub fn compute_dependences(kernel: &Kernel, opts: DepOptions) -> Dependences {
+pub fn compute_dependences(kernel: &Kernel, _: DepOptions) -> Dependences {
     let t0 = std::time::Instant::now();
     let mut relations = Vec::new();
     let stmts = kernel.statements();
@@ -100,9 +93,6 @@ pub fn compute_dependences(kernel: &Kernel, opts: DepOptions) -> Dependences {
                         (false, true) => DepKind::Anti,
                         (false, false) => DepKind::Input,
                     };
-                    if kind == DepKind::Input && !opts.include_input {
-                        continue;
-                    }
                     // Note: a read access paired with *itself* is kept for
                     // same-statement pairs — the lexicographic-order split
                     // restricts it to distinct iterations, which is exactly
@@ -112,7 +102,6 @@ pub fn compute_dependences(kernel: &Kernel, opts: DepOptions) -> Dependences {
                         (StmtId(si), s, sa),
                         (StmtId(ti), t, ta),
                         kind,
-                        opts,
                     ));
                 }
             }
@@ -130,7 +119,6 @@ fn build_pair_relations(
     (sid, s, sa): (StmtId, &Statement, &Access),
     (tid, t, ta): (StmtId, &Statement, &Access),
     kind: DepKind,
-    opts: DepOptions,
 ) -> Vec<DepRelation> {
     let n_params = kernel.n_params();
     let ns = s.n_iters();
@@ -152,7 +140,7 @@ fn build_pair_relations(
     // Parameter context.
     for p in 0..n_params {
         let mut e = LinExpr::var(n, ns + nt + p);
-        e.set_constant(-(opts.param_min as i128));
+        e.set_constant(-PARAM_MIN);
         base.add(Constraint::ge0(e));
     }
 
@@ -279,14 +267,8 @@ mod tests {
         )
         .unwrap();
         let kernel = kb.finish().unwrap();
-        let deps = compute_dependences(
-            &kernel,
-            DepOptions {
-                include_input: false,
-                param_min: 1,
-            },
-        );
-        assert!(deps.is_empty());
+        let deps = compute_dependences(&kernel, DepOptions::default());
+        assert!(deps.relations().iter().all(|r| r.kind == DepKind::Input));
     }
 
     #[test]
@@ -304,13 +286,7 @@ mod tests {
         )
         .unwrap();
         let kernel = kb.finish().unwrap();
-        let deps = compute_dependences(
-            &kernel,
-            DepOptions {
-                include_input: false,
-                param_min: 1,
-            },
-        );
+        let deps = compute_dependences(&kernel, DepOptions::default());
         let flows: Vec<_> = deps
             .relations()
             .iter()
@@ -349,13 +325,7 @@ mod tests {
             .unwrap();
         }
         let kernel = kb.finish().unwrap();
-        let deps = compute_dependences(
-            &kernel,
-            DepOptions {
-                include_input: false,
-                param_min: 1,
-            },
-        );
+        let deps = compute_dependences(&kernel, DepOptions::default());
         assert!(deps
             .relations()
             .iter()
@@ -364,26 +334,5 @@ mod tests {
             .relations()
             .iter()
             .any(|r| r.kind == DepKind::Output && r.source == StmtId(1) && r.target == StmtId(2)));
-    }
-
-    #[test]
-    fn input_dependences_optional() {
-        let kernel = ops::running_example(8);
-        let with = compute_dependences(
-            &kernel,
-            DepOptions {
-                include_input: true,
-                param_min: 1,
-            },
-        );
-        let without = compute_dependences(
-            &kernel,
-            DepOptions {
-                include_input: false,
-                param_min: 1,
-            },
-        );
-        assert!(with.len() > without.len());
-        assert_eq!(with.validity().count(), without.validity().count());
     }
 }

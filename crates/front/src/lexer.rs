@@ -4,7 +4,7 @@ use std::fmt;
 
 /// A token with its source position.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Token {
+pub(crate) struct Token {
     /// The token kind/payload.
     pub kind: TokenKind,
     /// 1-based source line.
@@ -15,7 +15,7 @@ pub struct Token {
 
 /// Token kinds of the kernel language.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TokenKind {
+pub(crate) enum TokenKind {
     /// Identifier or keyword.
     Ident(String),
     /// Integer literal.
@@ -75,7 +75,7 @@ impl fmt::Display for TokenKind {
 
 /// A lexical error with position.
 #[derive(Clone, Debug, PartialEq)]
-pub struct LexError {
+pub(crate) struct LexError {
     /// Description.
     pub message: String,
     /// 1-based line.
@@ -84,28 +84,12 @@ pub struct LexError {
     pub col: usize,
 }
 
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}:{}: {}", self.line, self.col, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
-
 /// Tokenizes a source string. `#` starts a comment to end of line.
 ///
 /// # Errors
 ///
 /// Returns the first lexical error (unknown character, malformed number).
-///
-/// # Examples
-///
-/// ```
-/// use polyject_front::lex;
-/// let toks = lex("param N = 8 # hi").unwrap();
-/// assert_eq!(toks.len(), 5); // param, N, =, 8, EOF
-/// ```
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     let mut out = Vec::new();
     let mut line = 1usize;
     let mut col = 1usize;
@@ -299,6 +283,8 @@ mod tests {
         assert_eq!(toks[0].kind, TokenKind::Ident("x".into()));
         assert_eq!(toks[0].line, 2);
         assert_eq!(toks[0].col, 1);
+        // param, N, =, 8, EOF: a trailing comment yields no token.
+        assert_eq!(lex("param N = 8 # hi").unwrap().len(), 5);
     }
 
     #[test]

@@ -31,5 +31,4 @@ mod lexer;
 mod parser;
 
 pub use emit::{canonical_pj, emit_pj};
-pub use lexer::{lex, LexError, Token, TokenKind};
 pub use parser::{parse, ParseError, MAX_EXPR_DEPTH};

@@ -116,7 +116,7 @@ pub fn execute_ast(
 
 /// Width of the global variable space `[t…, params…]` used by the AST's
 /// expressions.
-pub fn global_width(ast: &Ast, kernel: &Kernel) -> usize {
+pub(crate) fn global_width(ast: &Ast, kernel: &Kernel) -> usize {
     ast.statements()
         .iter()
         .flat_map(|s| s.iter_exprs.iter().map(polyject_sets::LinExpr::n_vars))

@@ -30,5 +30,5 @@ mod exec;
 mod model;
 
 pub use analyze::{estimate, profile, AccessMetric, AccessPattern, ProfileReport};
-pub use exec::{check_equivalence, execute_ast, global_width, seeded_buffers, ExecError};
+pub use exec::{check_equivalence, execute_ast, seeded_buffers, ExecError};
 pub use model::{GpuModel, KernelTiming};

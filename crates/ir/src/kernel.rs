@@ -184,23 +184,11 @@ impl Kernel {
         Ok(())
     }
 
-    /// Extracts one statement as a standalone kernel sharing the same
-    /// parameters and tensor declarations — how a per-statement baseline
-    /// (the paper's TVM comparison) executes a fused operator: one kernel
-    /// launch per statement, intermediates round-tripping through global
-    /// memory.
-    pub fn with_single_statement(&self, id: StmtId) -> Kernel {
-        Kernel {
-            name: format!("{}__{}", self.name, self.statement(id).name()),
-            param_names: self.param_names.clone(),
-            param_defaults: self.param_defaults.clone(),
-            tensors: self.tensors.clone(),
-            statements: vec![self.statement(id).clone()],
-        }
-    }
-
     /// Extracts a consecutive group of statements as a standalone kernel
-    /// (see [`Kernel::with_single_statement`]).
+    /// sharing the same parameters and tensor declarations — how a
+    /// per-group baseline (the paper's TVM comparison) executes a fused
+    /// operator: one kernel launch per group, intermediates round-tripping
+    /// through global memory.
     ///
     /// # Panics
     ///

@@ -261,89 +261,18 @@ fn same_seed_replays_the_same_fault_schedule() {
 #[cfg(unix)]
 mod daemon_chaos {
     use super::SplitMix64;
+    use crate::common::Daemon;
     use polyject_serve::{read_frame, Client, Endpoint, Json};
     use std::io::Write;
     use std::os::unix::net::UnixStream;
-    use std::path::PathBuf;
-    use std::process::{Child, Command, Stdio};
     use std::time::{Duration, Instant};
 
-    struct Daemon {
-        child: Child,
-        socket: PathBuf,
-        endpoint: Endpoint,
-        dir: PathBuf,
-    }
-
-    impl Daemon {
-        fn spawn(tag: &str, extra: &[&str]) -> Daemon {
-            let dir =
-                std::env::temp_dir().join(format!("pj-daemon-chaos-{tag}-{}", std::process::id()));
-            let _ = std::fs::remove_dir_all(&dir);
-            std::fs::create_dir_all(&dir).unwrap();
-            let socket = dir.join("d.sock");
-            let mut args = vec![
-                "--socket".to_string(),
-                socket.to_str().unwrap().to_string(),
-                "--workers".to_string(),
-                "2".to_string(),
-            ];
-            args.extend(extra.iter().map(|s| s.to_string()));
-            let child = Command::new(env!("CARGO_BIN_EXE_polyjectd"))
-                .args(&args)
-                .stdout(Stdio::piped())
-                .stderr(Stdio::null())
-                .spawn()
-                .expect("spawn polyjectd");
-            let endpoint = Endpoint::Unix(socket.clone());
-            let deadline = Instant::now() + Duration::from_secs(30);
-            loop {
-                if let Ok(mut c) = Client::connect(&endpoint) {
-                    if c.ping().unwrap_or(false) {
-                        break;
-                    }
-                }
-                assert!(Instant::now() < deadline, "daemon never became ready");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Daemon {
-                child,
-                socket,
-                endpoint,
-                dir,
-            }
-        }
-
-        fn shutdown_and_wait(mut self) {
-            let mut client = Client::connect(&self.endpoint).unwrap();
-            let bye = client.shutdown().unwrap();
-            assert_eq!(bye.get("stopping").and_then(Json::as_bool), Some(true));
-            let deadline = Instant::now() + Duration::from_secs(30);
-            loop {
-                match self.child.try_wait().unwrap() {
-                    Some(status) => {
-                        assert!(status.success(), "{status:?}");
-                        break;
-                    }
-                    None => {
-                        assert!(
-                            Instant::now() < deadline,
-                            "daemon hung on shutdown: a worker or connection leaked"
-                        );
-                        std::thread::sleep(Duration::from_millis(50));
-                    }
-                }
-            }
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
-    }
-
-    impl Drop for Daemon {
-        fn drop(&mut self) {
-            let _ = self.child.kill();
-            let _ = self.child.wait();
-            let _ = std::fs::remove_dir_all(&self.dir);
-        }
+    fn spawn(tag: &str, extra: &[&str]) -> Daemon {
+        let dir =
+            std::env::temp_dir().join(format!("pj-daemon-chaos-{tag}-{}", std::process::id()));
+        let mut args = vec!["--workers", "2"];
+        args.extend(extra);
+        Daemon::spawn(&dir.join("d.sock"), &args, Some(dir))
     }
 
     const SRC: &str = "
@@ -359,11 +288,14 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         // --max-frame-bytes 4096: small enough that the oversized-frame
         // path is exercised by a 5000-byte length prefix, large enough
         // for real requests.
-        let daemon = Daemon::spawn("frames", &["--max-frame-bytes", "4096"]);
+        let daemon = spawn("frames", &["--max-frame-bytes", "4096"]);
+        let Endpoint::Unix(socket) = &daemon.endpoint else {
+            unreachable!("spawned on a Unix socket")
+        };
         let mut rng = SplitMix64::new(99);
         let mut faults = 0;
         for round in 0..60 {
-            let mut s = UnixStream::connect(&daemon.socket).unwrap();
+            let mut s = UnixStream::connect(socket).unwrap();
             match rng.below(4) {
                 0 => {
                     // Mid-frame disconnect: length prefix promises 100
@@ -422,7 +354,7 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         // the worker comes back instead of grinding to completion. The
         // tiny `axpy` kernel can finish before the timeout path even
         // stores the flag; the deep chain is always still mid-solve.
-        let daemon = Daemon::spawn("timeout", &["--timeout-secs", "0"]);
+        let daemon = spawn("timeout", &["--timeout-secs", "0"]);
         let mut client = Client::connect(&daemon.endpoint).unwrap();
         let src = crate::common::slow_src("chain", 128);
         let mut timed_out = false;

@@ -7,67 +7,23 @@
 
 mod common;
 
+use common::Daemon;
 use polyject_front::emit_pj;
 use polyject_gpusim::GpuModel;
 use polyject_serve::{compile_reply, BatchItem, Client, Endpoint, Json, Request};
-use std::path::PathBuf;
-use std::process::{Child, Command, Stdio};
+use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-struct Daemon {
-    child: Child,
-    endpoint: Endpoint,
-    dir: PathBuf,
-}
-
-impl Daemon {
-    /// Spawns a daemon in its own scratch directory (`tag` keeps the
-    /// tests of this file, which run in parallel, off each other's
-    /// socket and cache).
-    fn spawn(tag: &str, extra: &[&str]) -> Daemon {
-        let dir = std::env::temp_dir().join(format!("pj-daemon-it-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let socket = dir.join("d.sock");
-        let child = Command::new(env!("CARGO_BIN_EXE_polyjectd"))
-            .args([
-                "--socket",
-                socket.to_str().unwrap(),
-                "--cache-dir",
-                dir.join("cache").to_str().unwrap(),
-            ])
-            .args(extra)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn polyjectd");
-        let endpoint = Endpoint::Unix(socket);
-        // Wait for the accept loop to come up.
-        let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            if let Ok(mut c) = Client::connect(&endpoint) {
-                if c.ping().unwrap_or(false) {
-                    break;
-                }
-            }
-            assert!(Instant::now() < deadline, "daemon never became ready");
-            std::thread::sleep(Duration::from_millis(50));
-        }
-        Daemon {
-            child,
-            endpoint,
-            dir,
-        }
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-        let _ = std::fs::remove_dir_all(&self.dir);
-    }
+/// Spawns a daemon in its own scratch directory (`tag` keeps the tests
+/// of this file, which run in parallel, off each other's socket and
+/// cache).
+fn spawn(tag: &str, extra: &[&str]) -> Daemon {
+    let dir = std::env::temp_dir().join(format!("pj-daemon-it-{tag}-{}", std::process::id()));
+    let cache = dir.join("cache");
+    let mut args = vec!["--cache-dir", cache.to_str().unwrap()];
+    args.extend(extra);
+    Daemon::spawn(&dir.join("d.sock"), &args, Some(dir))
 }
 
 /// The reply fields a client actually consumes, as one comparable blob.
@@ -87,7 +43,7 @@ fn artifact_blob(resp: &Json) -> String {
 
 #[test]
 fn concurrent_clients_get_byte_identical_replies() {
-    let daemon = Daemon::spawn("concurrent", &["--workers", "2"]);
+    let daemon = spawn("concurrent", &["--workers", "2"]);
 
     // Table II operators (the LSTM network's), expressed as .pj source.
     let sources: Vec<String> = polyject_workloads::lstm()
@@ -158,27 +114,12 @@ fn concurrent_clients_get_byte_identical_replies() {
     assert_eq!(n("hits") + n("coalesced"), 4 * total, "{}", stats.render());
     assert_eq!(n("errors"), 0);
 
-    let bye = client.shutdown().unwrap();
-    assert_eq!(bye.get("stopping").and_then(Json::as_bool), Some(true));
-    let mut daemon = daemon;
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        match daemon.child.try_wait().unwrap() {
-            Some(status) => {
-                assert!(status.success(), "{status:?}");
-                break;
-            }
-            None => {
-                assert!(Instant::now() < deadline, "daemon ignored shutdown");
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        }
-    }
+    daemon.shutdown_and_wait();
 }
 
 #[test]
 fn daemon_survives_bad_requests() {
-    let daemon = Daemon::spawn("bad-requests", &["--workers", "2"]);
+    let daemon = spawn("bad-requests", &["--workers", "2"]);
     let mut client = Client::connect(&daemon.endpoint).unwrap();
 
     // Parse errors and unknown configs come back as error responses …
@@ -206,7 +147,7 @@ fn daemon_survives_bad_requests() {
 #[test]
 fn requests_built_to_kill_the_daemon_get_structured_errors() {
     use polyject_serve::protocol::MAX_FRAME;
-    let daemon = Daemon::spawn("killers", &["--workers", "1"]);
+    let daemon = spawn("killers", &["--workers", "1"]);
     let framed = |body: &[u8]| [&(body.len() as u32).to_be_bytes()[..], body].concat();
     // Malformed frames: answered, then the poisoned connection is dropped.
     for (what, bytes) in [
@@ -259,7 +200,7 @@ fn requests_built_to_kill_the_daemon_get_structured_errors() {
 fn a_cached_answer_does_not_wait_for_a_busy_worker() {
     const SRC: &str = "kernel axpy\nparam N = 64\ntensor X[N]: f32\ntensor Y[N]: f32\n\
                        stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]\n";
-    let daemon = Daemon::spawn("no-hol", &["--workers", "1", "--queue-bound", "2"]);
+    let daemon = spawn("no-hol", &["--workers", "1", "--queue-bound", "2"]);
     let mut client = Client::connect(&daemon.endpoint).unwrap();
     let cold = client.compile(SRC, "infl").unwrap();
     assert_eq!(cold.get("cached"), Some(&Json::Bool(false)));
@@ -347,7 +288,7 @@ fn two_spellings_of_one_kernel_in_a_batch_compile_once() {
     let noisy = "# the same kernel\n\nkernel axpy\nparam N = 96\ntensor X[N]: f32\n\
                  tensor Y[N]: f32\nstmt S for (i in 0..N)\n  Y[i] = ((2.0 * X[i]) + Y[i])\n";
     for workers in ["1", "2"] {
-        let daemon = Daemon::spawn(&format!("spellings-{workers}"), &["--workers", workers]);
+        let daemon = spawn(&format!("spellings-{workers}"), &["--workers", workers]);
         let mut client = Client::connect(&daemon.endpoint).unwrap();
         let items = [BatchItem::new(plain, "infl"), BatchItem::new(noisy, "infl")];
         let replies = client.compile_batch(&items, None).unwrap();
@@ -367,7 +308,7 @@ fn two_spellings_of_one_kernel_in_a_batch_compile_once() {
 fn sigterm_exits_promptly_with_final_stats() {
     use std::io::{Read, Write};
     use std::os::unix::net::UnixStream;
-    let mut daemon = Daemon::spawn("sigterm", &[]);
+    let mut daemon = spawn("sigterm", &[]);
     let Endpoint::Unix(socket) = daemon.endpoint.clone() else {
         unreachable!("spawned on a Unix socket")
     };
@@ -459,7 +400,7 @@ fn single_compile_is_a_batch_of_one() {
     let script = |tag: &str, ask: Ask| -> Vec<(String, [u64; 8])> {
         // One worker, one queue slot: a single slow compile in flight
         // fills the queue.
-        let daemon = Daemon::spawn(tag, &["--workers", "1", "--queue-bound", "1"]);
+        let daemon = spawn(tag, &["--workers", "1", "--queue-bound", "1"]);
         let mut client = Client::connect(&daemon.endpoint).unwrap();
         let case = |client: &mut Client, src: &str, config: &str| {
             let before = counters(client);

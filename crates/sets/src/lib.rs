@@ -86,7 +86,7 @@ pub use linexpr::LinExpr;
 pub use points::{count_integer_points, integer_points};
 #[doc(hidden)]
 pub use preprocess::integer_feasibility_route;
-pub use relations::{is_subset, lexmin_point, set_eq};
-pub use simplex::{is_rational_feasible, maximize, minimize, minimize_reference, LpOutcome};
+pub use relations::{is_subset, set_eq};
+pub use simplex::{maximize, minimize, minimize_reference, LpOutcome};
 #[doc(hidden)]
 pub use tableau::set_force_wide_tableau;

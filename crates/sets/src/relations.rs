@@ -1,10 +1,8 @@
-//! Set-level relations: inclusion, equality and the lexicographic
-//! minimum — the handful of isl set operations the higher layers
-//! occasionally need beyond projection and optimization.
+//! Set-level relations: inclusion and equality — the isl set operations
+//! the higher layers occasionally need beyond projection and
+//! optimization.
 
 use crate::constraint::ConstraintSet;
-use crate::ilp::{lexmin_integer, IlpOutcome};
-use crate::linexpr::LinExpr;
 use crate::simplex::{minimize, LpOutcome};
 
 /// Whether every rational point of `a` also satisfies `b` (polyhedral
@@ -63,36 +61,12 @@ pub fn set_eq(a: &ConstraintSet, b: &ConstraintSet) -> bool {
     is_subset(a, b) && is_subset(b, a)
 }
 
-/// The lexicographically smallest integer point of a set (bounded below
-/// in lexicographic order), via sequential per-coordinate minimization.
-///
-/// # Examples
-///
-/// ```
-/// use polyject_sets::{lexmin_point, Constraint, ConstraintSet, LinExpr};
-///
-/// // Box [1,3] × [2,5].
-/// let set = ConstraintSet::from_constraints(2, vec![
-///     Constraint::ge0(LinExpr::from_coeffs(&[1, 0], -1)),
-///     Constraint::ge0(LinExpr::from_coeffs(&[-1, 0], 3)),
-///     Constraint::ge0(LinExpr::from_coeffs(&[0, 1], -2)),
-///     Constraint::ge0(LinExpr::from_coeffs(&[0, -1], 5)),
-/// ]);
-/// assert_eq!(lexmin_point(&set), Some(vec![1, 2]));
-/// ```
-pub fn lexmin_point(set: &ConstraintSet) -> Option<Vec<i128>> {
-    let n = set.n_vars();
-    let objectives: Vec<LinExpr> = (0..n).map(|v| LinExpr::var(n, v)).collect();
-    match lexmin_integer(&objectives, set) {
-        IlpOutcome::Optimal { point, .. } => Some(point),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::constraint::Constraint;
+    use crate::ilp::{lexmin_integer, IlpOutcome};
+    use crate::linexpr::LinExpr;
 
     fn ge(coeffs: &[i128], k: i128) -> Constraint {
         Constraint::ge0(LinExpr::from_coeffs(coeffs, k))
@@ -137,6 +111,17 @@ mod tests {
         let b = unit_box(2, 4);
         assert!(is_subset(&diag, &b));
         assert!(!is_subset(&b, &diag));
+    }
+
+    /// The lexicographically smallest integer point: `lexmin_integer`
+    /// over the unit objectives `x0, x1, …`.
+    fn lexmin_point(set: &ConstraintSet) -> Option<Vec<i128>> {
+        let n = set.n_vars();
+        let units: Vec<LinExpr> = (0..n).map(|v| LinExpr::var(n, v)).collect();
+        match lexmin_integer(&units, set) {
+            IlpOutcome::Optimal { point, .. } => Some(point),
+            _ => None,
+        }
     }
 
     #[test]

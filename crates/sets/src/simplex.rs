@@ -127,7 +127,8 @@ pub fn maximize(objective: &LinExpr, set: &ConstraintSet) -> LpOutcome {
 }
 
 /// Whether a constraint set has at least one rational point.
-pub fn is_rational_feasible(set: &ConstraintSet) -> bool {
+#[cfg(test)]
+pub(crate) fn is_rational_feasible(set: &ConstraintSet) -> bool {
     !matches!(
         minimize(&LinExpr::zero(set.n_vars()), set),
         LpOutcome::Infeasible

@@ -10,9 +10,8 @@
 
 use polyject_arith::{Rat, SplitMix64};
 use polyject_sets::{
-    eliminate_var, integer_points, is_subset, lexmin_integer, lexmin_point, minimize,
-    minimize_integer, minimize_integer_reference, Constraint, ConstraintSet, IlpOutcome, LinExpr,
-    LpOutcome,
+    eliminate_var, integer_points, is_subset, lexmin_integer, minimize, minimize_integer,
+    minimize_integer_reference, Constraint, ConstraintSet, IlpOutcome, LinExpr, LpOutcome,
 };
 
 /// A random bounded constraint set over `n` variables: a box [0, hi] per
@@ -164,7 +163,7 @@ fn fm_projection_sound_and_complete() {
                 fixed.add(Constraint::eq0(e));
             }
             assert!(
-                polyject_sets::is_rational_feasible(&fixed),
+                !matches!(minimize(&LinExpr::zero(n), &fixed), LpOutcome::Infeasible),
                 "point {:?} of the projection must lift",
                 p
             );
@@ -179,7 +178,12 @@ fn lexmin_is_minimal() {
         let set = arb_bounded_set(&mut g, 3);
         let points = integer_points(&set, 10_000).expect("bounded");
         let brute = points.iter().min().cloned();
-        assert_eq!(lexmin_point(&set), brute);
+        let units: Vec<LinExpr> = (0..3).map(|v| LinExpr::var(3, v)).collect();
+        let lexmin = match lexmin_integer(&units, &set) {
+            IlpOutcome::Optimal { point, .. } => Some(point),
+            _ => None,
+        };
+        assert_eq!(lexmin, brute);
     }
 }
 

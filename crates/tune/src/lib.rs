@@ -53,7 +53,7 @@ pub mod space;
 
 pub use polyject_arith::fnv1a64;
 pub use search::{
-    beam_search, grid_anchors, log_digest, EvalCtx, EvalRecord, Evaluated, JobRunner, SerialRunner,
-    TuneOptions, TuneOutcome, TuneRequest, TunedConfig,
+    beam_search, log_digest, EvalCtx, EvalRecord, Evaluated, JobRunner, SerialRunner, TuneOptions,
+    TuneOutcome, TuneRequest, TunedConfig,
 };
 pub use space::KnobPoint;

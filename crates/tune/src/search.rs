@@ -40,8 +40,8 @@ pub struct TuneOptions {
     pub beam_width: usize,
     /// Neighbor rounds after the uniform seed round.
     pub rounds: usize,
-    /// Uniform samples in the seed round (the default point and the
-    /// [`grid_anchors`] are always evaluated additionally, first).
+    /// Uniform samples in the seed round (the default point and the grid
+    /// anchors are always evaluated additionally, first).
     pub initial_samples: usize,
     /// Mutations drawn per survivor per round.
     pub neighbors_per_survivor: usize,
@@ -211,7 +211,7 @@ impl JobRunner for SerialRunner {
 /// (untiled, plus two tile sizes under two thread budgets). The beam
 /// search evaluates these as deterministic anchors in its seed round, so
 /// its winner is never worse than the best of this grid.
-pub fn grid_anchors() -> Vec<CompileOptions> {
+pub(crate) fn grid_anchors() -> Vec<CompileOptions> {
     let tilings = [
         None,
         Some(TilingOptions {
@@ -411,7 +411,7 @@ fn first_sight(seen: &mut HashSet<String>, p: CompileOptions) -> Option<(Compile
 ///
 /// The default point is evaluated first, through the runner (its
 /// failure is the only error — with no valid default there is nothing
-/// to tune); the [`grid_anchors`] and a uniform seed round follow, then
+/// to tune); the grid anchors and a uniform seed round follow, then
 /// `opts.rounds` neighbor rounds where survivors spawn mutations in beam
 /// order and the first `evals_per_round` unseen ones reach the oracle.
 /// The budget is probed between rounds; tripping it ends the search

@@ -115,7 +115,7 @@ fn sample_mapping(rng: &mut SplitMix64) -> MappingOptions {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid_anchors;
+    use crate::search::grid_anchors;
 
     #[test]
     fn canonical_key_is_injective_on_the_menus() {

@@ -35,4 +35,4 @@ pub use measure::{
 pub use networks::{
     all_networks, bert, lstm, mobilenet_v2, resnet101, resnet50, resnext50, vgg16, NetKind, Network,
 };
-pub use tvm::{compile_tvm, manual_schedule};
+pub use tvm::compile_tvm;

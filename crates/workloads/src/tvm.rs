@@ -64,7 +64,7 @@ pub fn fuse_groups(kernel: &Kernel) -> Vec<Vec<StmtId>> {
 /// statement-order dimension for multi-statement groups. Parallel flags
 /// are derived from the group's dependences. Falls back to the identity
 /// order if the reordering would violate a dependence.
-pub fn manual_schedule(kernel: &Kernel) -> Schedule {
+pub(crate) fn manual_schedule(kernel: &Kernel) -> Schedule {
     let stmts = kernel.statements();
     let last = stmts.last().expect("nonempty kernel");
     let params = kernel.param_defaults();
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn transpose_manual_is_store_aligned() {
         let k = ops::transpose_2d(64, 128);
-        let sub = k.with_single_statement(StmtId(0));
+        let sub = k.with_statement_subset(&[StmtId(0)]);
         let sched = manual_schedule(&sub);
         // Write B[j][i]: stride along j = 64 (outer), along i = 1 (inner).
         let rows = sched.stmt(StmtId(0)).rows();
@@ -137,7 +137,7 @@ mod tests {
     #[test]
     fn reduction_manual_keeps_reduce_inner_and_sequential() {
         let k = ops::reduce_rows(32, 64);
-        let sub = k.with_single_statement(StmtId(0));
+        let sub = k.with_statement_subset(&[StmtId(0)]);
         let sched = manual_schedule(&sub);
         let rows = sched.stmt(StmtId(0)).rows();
         assert_eq!(rows[0].iter_coeffs, vec![1, 0], "i outer");

@@ -20,11 +20,11 @@
 # fleet-aggregated stats, owner shard killed, warm hit served by its
 # replica with zero solver work, the owner's cache directory then serving
 # that kernel cached to a restarted daemon and indexing exactly its files),
-# and a size gate (crates/serve/src under a line ceiling). Only what needs
-# processes, sockets or the benchmark package lives here; what a test can
-# check, tier-1 checks. Tuning's session amortisation is gated by
-# tests/tune_sessions.rs and a hit's freedom from polls by
-# tests/daemon_integration.rs, both run above.
+# and a size gate (crates/serve/src's non-test lines under a ceiling).
+# Only what needs processes, sockets or the benchmark package lives
+# here; what a test can check, tier-1 checks. Tuning's session
+# amortisation is gated by tests/tune_sessions.rs and a hit's freedom
+# from polls by tests/daemon_integration.rs, both run above.
 #
 # Everything here works without network access; fmt/clippy are skipped
 # with a notice if the toolchain components are missing.
@@ -300,21 +300,21 @@ EOF
 echo "ok: cold compile via router, owner killed, warm hit via replica; dead shard's cache intact"
 echo "    and served cached after a restart, its index equal to entries/"
 
-step "size gate (ROADMAP item 1): crates/serve/src line count"
+step "size gate (ROADMAP item 1): crates/serve/src non-test line count"
 # The serving tier may shrink, never grow: lower the ceiling with any
-# change that deletes serve code. The other counts are printed only: per
-# crate, its non-test lines (each file up to its first `#[cfg(test)]`
-# module) and its test lines (from there on), then the sums. A
-# `#[cfg(test)]` on a single item, such as tableau.rs's test-only pivot
-# cap override, does not split the file.
-serve_ceiling=8865
-lines_in() { find "$1" -name '*.rs' -print0 | xargs -0 cat | wc -l; }
-serve_lines="$(lines_in crates/serve/src)"
+# change that deletes serve code. Lines are split per file as in the
+# report below: non-test lines run up to the file's first test module (a
+# `mod` item under `#[cfg(test)]` or `#[cfg(all(test, ...))]`), test lines
+# from there on, so a unit test added in `crates/serve/src` does not count
+# against the ceiling. A `#[cfg(test)]` on a single item, such as
+# tableau.rs's test-only pivot cap override, does not split the file. The
+# other crates' counts are printed only, then the sums.
+serve_ceiling=6815
 split_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { t = 0; cfg = 0 }
-    !t && cfg && /^mod / { t = 1; n[0]--; n[1]++ }
-    { n[t]++; cfg = /^#\[cfg\(test\)\]$/ }
+    !t && cfg && /^(pub(\(crate\))? )?mod / { t = 1; n[0]--; n[1]++ }
+    { n[t]++; cfg = /^#\[cfg\((test|all\(test, .*\))\)\]$/ }
     END { printf "%d %d\n", n[0], n[1] }'
 }
 code_sum=0
@@ -326,11 +326,11 @@ for dir in crates/*/src; do
   test_sum=$((test_sum + tests))
 done
 echo "crates/*/src: $code_sum non-test lines, $test_sum test lines"
+read -r serve_lines _ < <(split_lines crates/serve/src)
 if [ "$serve_lines" -gt "$serve_ceiling" ]; then
-  echo "crates/serve/src: $serve_lines lines, above the ceiling of $serve_ceiling" >&2
+  echo "crates/serve/src: $serve_lines non-test lines, above the ceiling of $serve_ceiling" >&2
   exit 1
 fi
-echo "ok: crates/serve/src: $serve_lines lines (ceiling $serve_ceiling)"
-
+echo "ok: crates/serve/src: $serve_lines non-test lines (ceiling $serve_ceiling)"
 echo
 echo "CI gate passed."

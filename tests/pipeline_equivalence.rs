@@ -1,6 +1,6 @@
 //! Cross-crate integration: every operator class, compiled under every
-//! pipeline configuration (and the TVM baseline), must compute exactly
-//! the reference semantics.
+//! pipeline configuration (and the TVM baseline), and tiled ASTs must
+//! compute exactly the reference semantics.
 
 use polyject::gpusim::{check_equivalence, execute_ast, seeded_buffers};
 use polyject::ir::{ops, ElemType, Kernel};
@@ -46,6 +46,36 @@ fn tvm_baseline_preserves_semantics() {
         let mut reference = inputs;
         kernel.execute_reference(&mut reference, &params);
         assert_eq!(bufs, reference, "tvm on {}", kernel.name());
+    }
+}
+
+#[test]
+fn tiled_asts_preserve_semantics() {
+    // Extent 72 with the preferred tile 32 falls back to a divisor (8):
+    // the tiled loops must still cover every point exactly once.
+    let remainder = TilingOptions {
+        min_extent: 16,
+        ..TilingOptions::default()
+    };
+    let small_tiles = TilingOptions {
+        tile_size: 16,
+        min_extent: 32,
+        max_tiled_loops: 3,
+    };
+    for (kernel, opts) in [
+        (ops::transpose_2d(96, 80), small_tiles),
+        (ops::running_example(72), small_tiles),
+        (ops::bias_add_relu(96, 64), small_tiles),
+        (ops::transpose_2d(72, 72), remainder),
+    ] {
+        let params = kernel.param_defaults().to_vec();
+        let inputs = seeded_buffers(&kernel, &params, 0x711E);
+        let compiled = compile(&kernel, Config::Isl).unwrap();
+        let mut tiled = compiled.ast.clone();
+        let n = tile_ast(&mut tiled, &kernel, &compiled.schedule, opts);
+        assert!(n > 0, "{} tiled", kernel.name());
+        check_equivalence(&tiled, &kernel, &inputs, &params)
+            .unwrap_or_else(|e| panic!("tiled {}: {e}", kernel.name()));
     }
 }
 
