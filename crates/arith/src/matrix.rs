@@ -34,15 +34,6 @@ impl Matrix {
         }
     }
 
-    /// Creates an identity matrix of the given order.
-    pub fn identity(n: usize) -> Matrix {
-        let mut m = Matrix::zero(n, n);
-        for i in 0..n {
-            m[(i, i)] = Rat::ONE;
-        }
-        m
-    }
-
     /// Creates a matrix from integer rows.
     ///
     /// # Panics
@@ -63,11 +54,6 @@ impl Matrix {
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
-    }
-
-    /// Number of columns.
-    pub fn cols(&self) -> usize {
-        self.cols
     }
 
     /// Returns the row at `r` as a slice.
@@ -101,25 +87,8 @@ impl Matrix {
         t
     }
 
-    /// Matrix–vector product.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[Rat]) -> Vec<Rat> {
-        assert_eq!(v.len(), self.cols, "dimension mismatch");
-        (0..self.rows)
-            .map(|i| {
-                self.row(i)
-                    .iter()
-                    .zip(v)
-                    .fold(Rat::ZERO, |acc, (&a, &b)| acc + a * b)
-            })
-            .collect()
-    }
-
     /// In-place reduced row echelon form; returns the pivot columns.
-    pub fn rref(&mut self) -> Vec<usize> {
+    pub(crate) fn rref(&mut self) -> Vec<usize> {
         let mut pivots = Vec::new();
         let mut r = 0;
         for c in 0..self.cols {
@@ -167,19 +136,7 @@ impl Matrix {
 
     /// A basis of the right kernel (nullspace): every returned vector `v`
     /// satisfies `self * v = 0`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use polyject_arith::Matrix;
-    /// let m = Matrix::from_rows(&[vec![1, 1, 0]]);
-    /// let k = m.kernel_basis();
-    /// assert_eq!(k.len(), 2);
-    /// for v in &k {
-    ///     assert!(m.mul_vec(v).iter().all(|x| x.is_zero()));
-    /// }
-    /// ```
-    pub fn kernel_basis(&self) -> Vec<Vec<Rat>> {
+    pub(crate) fn kernel_basis(&self) -> Vec<Vec<Rat>> {
         let mut m = self.clone();
         let pivots = m.rref();
         let mut basis = Vec::new();
@@ -349,9 +306,18 @@ impl fmt::Debug for Matrix {
 mod tests {
     use super::*;
 
+    fn mul_vec(m: &Matrix, v: &[Rat]) -> Vec<Rat> {
+        let dot = |row: &[Rat]| {
+            row.iter()
+                .zip(v)
+                .fold(Rat::ZERO, |acc, (&a, &b)| acc + a * b)
+        };
+        (0..m.rows()).map(|i| dot(m.row(i))).collect()
+    }
+
     #[test]
     fn identity_and_mul() {
-        let id = Matrix::identity(3);
+        let id = Matrix::from_rows(&[vec![1, 0, 0], vec![0, 1, 0], vec![0, 0, 1]]);
         let m = Matrix::from_rows(&[vec![1, 2, 3], vec![4, 5, 6], vec![7, 8, 10]]);
         assert_eq!(&id * &m, m);
         assert_eq!(&m * &id, m);
@@ -370,7 +336,7 @@ mod tests {
         let m = Matrix::from_rows(&[vec![1, 0, 1], vec![0, 1, -1]]);
         let k = m.kernel_basis();
         assert_eq!(k.len(), 1);
-        assert!(m.mul_vec(&k[0]).iter().all(Rat::is_zero));
+        assert!(mul_vec(&m, &k[0]).iter().all(Rat::is_zero));
     }
 
     #[test]
@@ -405,7 +371,7 @@ mod tests {
         assert!(sing.solve(&[Rat::int(1), Rat::int(3)]).is_none());
         // Consistent underdetermined system still yields a solution.
         let x = sing.solve(&[Rat::int(1), Rat::int(2)]).unwrap();
-        assert_eq!(sing.mul_vec(&x), vec![Rat::int(1), Rat::int(2)]);
+        assert_eq!(mul_vec(&sing, &x), vec![Rat::int(1), Rat::int(2)]);
     }
 
     #[test]
@@ -420,6 +386,6 @@ mod tests {
         let mut m = Matrix::zero(0, 0);
         m.push_row(vec![Rat::ONE, Rat::ZERO]);
         m.push_row(vec![Rat::ZERO, Rat::ONE]);
-        assert_eq!(m, Matrix::identity(2));
+        assert_eq!(m, Matrix::from_rows(&[vec![1, 0], vec![0, 1]]));
     }
 }

@@ -228,11 +228,6 @@ impl Rat {
         Rat::new(self.denom, self.numer)
     }
 
-    /// Sign of the value: -1, 0 or 1.
-    pub fn signum(&self) -> i128 {
-        self.numer.signum()
-    }
-
     /// `self + rhs` for any operands: cross-multiply, then one
     /// normalization in [`Rat::new`].
     fn add_fractions(self, rhs: Rat) -> Rat {

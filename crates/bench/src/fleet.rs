@@ -156,13 +156,17 @@ pub fn artifact_fields(resp: &Json) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use polyject_workloads::{resnet101, resnet50};
+    use polyject_workloads::all_networks;
 
     #[test]
     fn op_stream_crosses_configs_and_keeps_duplicates() {
         // The resnet pair shares operator classes, so the stream carries
         // genuine duplicates — the population in-batch dedup amortizes.
-        let nets = vec![resnet50(), resnet101()];
+        let nets: Vec<_> = all_networks()
+            .into_iter()
+            .filter(|n| n.name == "ResNet50" || n.name == "ResNet101")
+            .collect();
+        assert_eq!(nets.len(), 2);
         let items = table2_batch_items(&nets);
         assert_eq!(items.len(), (nets[0].ops.len() + nets[1].ops.len()) * 3);
         let mut seen = std::collections::HashSet::new();

@@ -55,13 +55,13 @@ pub struct Bound {
 impl Bound {
     /// Evaluates the bound at concrete outer values, rounding as a lower
     /// bound (`ceil`).
-    pub fn eval_lower(&self, outer: &[i128]) -> i128 {
+    pub(crate) fn eval_lower(&self, outer: &[i128]) -> i128 {
         (self.expr.eval_int(outer) / polyject_arith::Rat::int(self.divisor)).ceil()
     }
 
     /// Evaluates the bound at concrete outer values, rounding as an upper
     /// bound (`floor`).
-    pub fn eval_upper(&self, outer: &[i128]) -> i128 {
+    pub(crate) fn eval_upper(&self, outer: &[i128]) -> i128 {
         (self.expr.eval_int(outer) / polyject_arith::Rat::int(self.divisor)).floor()
     }
 }
@@ -88,7 +88,7 @@ pub struct LoopNode {
 
 impl LoopNode {
     /// Concrete inclusive range at given outer values: `(lo, hi)`.
-    pub fn range(&self, outer: &[i128]) -> (i128, i128) {
+    pub(crate) fn range(&self, outer: &[i128]) -> (i128, i128) {
         let lo = self
             .lowers
             .iter()
@@ -181,7 +181,7 @@ pub enum AstNode {
 
 impl AstNode {
     /// Depth-first iteration over all loops.
-    pub fn for_each_loop<'s>(&'s self, f: &mut impl FnMut(&'s LoopNode)) {
+    pub(crate) fn for_each_loop<'s>(&'s self, f: &mut impl FnMut(&'s LoopNode)) {
         if let AstNode::Loop(l) = self {
             f(l);
             for c in &l.body {
@@ -191,7 +191,7 @@ impl AstNode {
     }
 
     /// Depth-first mutable iteration over all loops.
-    pub fn for_each_loop_mut(&mut self, f: &mut impl FnMut(&mut LoopNode)) {
+    pub(crate) fn for_each_loop_mut(&mut self, f: &mut impl FnMut(&mut LoopNode)) {
         if let AstNode::Loop(l) = self {
             f(l);
             for c in &mut l.body {

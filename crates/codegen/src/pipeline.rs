@@ -269,7 +269,7 @@ fn parse_key(key: &str) -> Option<CompileOptions> {
 /// [`compile`] under a cooperative [`Budget`] — the scheduling phase
 /// checks its deadline, caps and cancel flag, degrading to an
 /// uninfluenced schedule on exhaustion and aborting with a structured
-/// error on cancellation (see [`polyject_core::schedule_kernel_budgeted`])
+/// error on cancellation (see [`polyject_core::ScheduleSession::schedule_with`])
 /// — and explicit [`CompileOptions`] instead of the defaults: influence
 /// tree built from `opts.influence`, mapping from `opts.mapping`, and —
 /// when `opts.tiling` is set — tiling applied after mapping with the

@@ -240,11 +240,30 @@ fn reduced(cs: ConstraintSet, budget: &Budget) -> Result<ConstraintSet, BudgetEr
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use polyject_deps::{compute_dependences, DepOptions};
     use polyject_ir::ops;
-    use polyject_sets::counters;
+    use polyject_sets::{counters, minimize, LinExpr, LpOutcome};
+
+    /// Whether every rational point of `a` satisfies `b`: one LP per
+    /// constraint of `b`, both directions for an equality.
+    fn is_subset(a: &ConstraintSet, b: &ConstraintSet) -> bool {
+        let holds = |e: &LinExpr| match minimize(e, a) {
+            LpOutcome::Infeasible => true,
+            LpOutcome::Unbounded => false,
+            LpOutcome::Optimal { value, .. } => !value.is_negative(),
+        };
+        b.constraints().iter().all(|c| {
+            let e = c.to_expr();
+            holds(&e) && (!c.is_equality() || holds(&-&e))
+        })
+    }
+
+    /// Whether two sets hold exactly the same rational points.
+    pub(crate) fn set_eq(a: &ConstraintSet, b: &ConstraintSet) -> bool {
+        is_subset(a, b) && is_subset(b, a)
+    }
 
     #[test]
     fn second_linearization_is_a_cache_hit() {
@@ -344,7 +363,7 @@ mod tests {
                     };
                     assert_eq!(ours.n_vars(), layout.n_vars());
                     assert!(
-                        polyject_sets::set_eq(&ours, &full),
+                        set_eq(&ours, &full),
                         "{}: S{} -> S{}\ncompact {ours:?}\nfull {full:?}",
                         kernel.name(),
                         rel.source.0,

@@ -266,7 +266,7 @@ mod tests {
         let (kernel, deps, layout) = setup();
         let v: Vec<&DepRelation> = deps.validity().collect();
         let mut sys = validity_constraints(v.iter().copied(), &layout);
-        sys.intersect(&bounding_constraints(deps.proximity(), &layout));
+        sys.intersect(&bounding_constraints(deps.relations(), &layout));
         sys.intersect(&coefficient_bounds(&layout));
         let sched = Schedule::empty(&kernel);
         sys.intersect(&progression_constraints(

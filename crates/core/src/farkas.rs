@@ -41,12 +41,12 @@ impl AffineTemplate {
     }
 
     /// Number of unknowns of the template's coefficient space.
-    pub fn n_unknowns(&self) -> usize {
+    pub(crate) fn n_unknowns(&self) -> usize {
         self.constant.n_vars()
     }
 
     /// Pointwise negation (`-ψ`).
-    pub fn negated(&self) -> AffineTemplate {
+    pub(crate) fn negated(&self) -> AffineTemplate {
         AffineTemplate {
             var_coeffs: self.var_coeffs.iter().map(|e| -e).collect(),
             constant: -&self.constant,

@@ -16,7 +16,7 @@ use polyject_sets::{ConstraintSet, LinExpr};
 
 /// Describes where each unknown of the per-dimension ILP lives.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct CoeffLayout {
+pub(crate) struct CoeffLayout {
     n_params: usize,
     stmt_offsets: Vec<usize>,
     stmt_iters: Vec<usize>,
@@ -92,7 +92,7 @@ impl CoeffLayout {
     }
 
     /// Number of statements.
-    pub fn n_statements(&self) -> usize {
+    pub(crate) fn n_statements(&self) -> usize {
         self.stmt_offsets.len()
     }
 
@@ -102,13 +102,13 @@ impl CoeffLayout {
     }
 
     /// Index of the reuse-bound coefficient `u_p`.
-    pub fn u(&self, p: usize) -> usize {
+    pub(crate) fn u(&self, p: usize) -> usize {
         assert!(p < self.n_params, "parameter index out of range");
         p
     }
 
     /// Index of the reuse-bound constant `w`.
-    pub fn w(&self) -> usize {
+    pub(crate) fn w(&self) -> usize {
         self.n_params
     }
 
@@ -119,24 +119,24 @@ impl CoeffLayout {
     }
 
     /// Index of statement `s`'s coefficient for parameter `p`.
-    pub fn param_coeff(&self, s: StmtId, p: usize) -> usize {
+    pub(crate) fn param_coeff(&self, s: StmtId, p: usize) -> usize {
         assert!(p < self.n_params, "parameter index out of range");
         self.stmt_offsets[s.0] + self.stmt_iters[s.0] + p
     }
 
     /// Index of statement `s`'s constant coefficient.
-    pub fn const_coeff(&self, s: StmtId) -> usize {
+    pub(crate) fn const_coeff(&self, s: StmtId) -> usize {
         self.stmt_offsets[s.0] + self.stmt_iters[s.0] + self.n_params
     }
 
     /// A unit [`LinExpr`] selecting one unknown.
-    pub fn var_expr(&self, index: usize) -> LinExpr {
+    pub(crate) fn var_expr(&self, index: usize) -> LinExpr {
         LinExpr::var(self.total, index)
     }
 
     /// All unknown indices belonging to statement `s` (iterators, then
     /// parameters, then the constant).
-    pub fn stmt_vars(&self, s: StmtId) -> std::ops::Range<usize> {
+    pub(crate) fn stmt_vars(&self, s: StmtId) -> std::ops::Range<usize> {
         let start = self.stmt_offsets[s.0];
         start..start + self.stmt_iters[s.0] + self.n_params + 1
     }

@@ -42,19 +42,16 @@ mod tree;
 mod verify;
 
 pub use algorithm::{
-    schedule_kernel, schedule_kernel_budgeted, ScheduleError, ScheduleErrorKind, ScheduleResult,
-    ScheduleStats, SchedulerOptions, MAX_ATTEMPTS, MAX_DIMS,
+    schedule_kernel, ScheduleError, ScheduleErrorKind, ScheduleResult, ScheduleStats,
+    SchedulerOptions, MAX_ATTEMPTS, MAX_DIMS,
 };
 pub use assembly::clear_caches as clear_assembly_caches;
 pub use builders::{MAX_BOUND, MAX_COEFF, MAX_CONST};
 pub use checks::{dim_is_coincident, schedule_respects};
-pub use layout::CoeffLayout;
-pub use optimizer::{
-    build_influence_tree, build_scenarios, InfluenceOptions, Scenario, ScenarioPlan,
-};
-pub use polyject_sets::{Budget, BudgetError, BudgetResource};
+pub use optimizer::{build_influence_tree, build_scenarios, InfluenceOptions, Scenario};
+pub use polyject_sets::Budget;
 pub use schedtree::{render_schedule_tree, schedule_tree, TreeNode};
 pub use schedule::{DimFlags, Schedule, ScheduleRow, StatementSchedule};
 pub use session::ScheduleSession;
-pub use tree::{InfluenceNode, InfluenceTree, NodeId};
+pub use tree::InfluenceTree;
 pub use verify::{verify_schedule, ScheduleReport};

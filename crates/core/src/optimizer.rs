@@ -191,7 +191,7 @@ impl ShapeAnalysis {
 /// equal plans schedule identically. The empty plan is the `isl`
 /// baseline's empty tree.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct ScenarioPlan {
+pub(crate) struct ScenarioPlan {
     branches: Vec<(Vec<Pick>, bool)>,
 }
 
@@ -702,7 +702,7 @@ mod tests {
                 let pairs = all_pairs_fusion(&kernel, &layout, depth);
                 assert!(star.len() <= pairs.len());
                 assert!(
-                    polyject_sets::set_eq(&star, &pairs),
+                    crate::assembly::tests::set_eq(&star, &pairs),
                     "{} depth {depth}\nstar {star:?}\npairs {pairs:?}",
                     kernel.name()
                 );

@@ -105,14 +105,9 @@ impl StatementSchedule {
         self.rows.truncate(depth);
     }
 
-    /// The logical date of a concrete instance.
-    pub fn date(&self, iters: &[i64], params: &[i64]) -> Vec<i128> {
-        self.rows.iter().map(|r| r.eval(iters, params)).collect()
-    }
-
     /// The iterator-coefficient part `H_S` of the matrix (one inner vec per
     /// row), used for linear-independence constraints.
-    pub fn iter_matrix(&self) -> Vec<Vec<i128>> {
+    pub(crate) fn iter_matrix(&self) -> Vec<Vec<i128>> {
         self.rows.iter().map(|r| r.iter_coeffs.clone()).collect()
     }
 
@@ -219,7 +214,7 @@ impl Schedule {
     }
 
     /// Marks statement `s`'s vector dimension.
-    pub fn set_vector_dim(&mut self, s: StmtId, dim: usize) {
+    pub(crate) fn set_vector_dim(&mut self, s: StmtId, dim: usize) {
         self.vector_dims[s.0] = Some(dim);
     }
 
@@ -303,7 +298,10 @@ mod tests {
     fn identity_matches_program_order() {
         let k = ops::running_example(4);
         let sched = Schedule::identity(&k);
-        let date = |s: usize, iters: &[i64]| sched.stmt(StmtId(s)).date(iters, &[4]);
+        let date = |s: usize, iters: &[i64]| -> Vec<i128> {
+            let rows = &sched.stmt(StmtId(s)).rows;
+            rows.iter().map(|r| r.eval(iters, &[4])).collect()
+        };
         // X(2, 1) runs before Y(0, 0, 0) because of the scalar dimension.
         assert!(date(0, &[2, 1]) < date(1, &[0, 0, 0]));
         // Within X, lexicographic iterator order.

@@ -197,7 +197,7 @@ struct MemoEntry {
 /// built once on first use, and every
 /// [`schedule_with`](ScheduleSession::schedule_with) call runs only the
 /// option-dependent suffix — bitwise identical to a cold
-/// [`schedule_kernel_budgeted`](crate::schedule_kernel_budgeted) run.
+/// [`schedule_kernel`](crate::schedule_kernel) run under the same tree.
 ///
 /// The session is `Sync`: the serving layer holds one per hot kernel and
 /// answers repeat same-kernel/different-options requests from any
@@ -239,7 +239,7 @@ impl ScheduleSession {
     /// The scenario plan of `influence` (`None` = the `isl` baseline's
     /// empty plan), over the session's shape analysis, which the first
     /// influenced call builds.
-    pub fn plan(&self, influence: Option<&InfluenceOptions>) -> ScenarioPlan {
+    pub(crate) fn plan(&self, influence: Option<&InfluenceOptions>) -> ScenarioPlan {
         match influence {
             Some(io) => self.shapes().plan(&self.kernel, io),
             None => ScenarioPlan::default(),
@@ -248,7 +248,7 @@ impl ScheduleSession {
 
     /// The influence tree the session solves for `plan`: for
     /// `self.plan(Some(io))` it equals `build_influence_tree(kernel, io)`.
-    pub fn influence_tree(&self, plan: &ScenarioPlan) -> InfluenceTree {
+    pub(crate) fn influence_tree(&self, plan: &ScenarioPlan) -> InfluenceTree {
         if plan.is_empty() {
             return InfluenceTree::new();
         }
@@ -261,7 +261,7 @@ impl ScheduleSession {
 
     /// Schedules the session's kernel under the given influence options
     /// (`None` = empty tree, the `isl` baseline). The options are planned
-    /// first: a [`ScenarioPlan`] equal to a solved one's replays that
+    /// first: a scenario plan equal to a solved one's replays that
     /// schedule outright, and a new plan is solved over the shared
     /// prefix, which the session's first solve builds. Both warm forms
     /// tick the `session_reuses` counter.
@@ -270,11 +270,15 @@ impl ScheduleSession {
     /// bypasses the memo and the solved prefix and schedules cold: metered
     /// work must stay accountable to the thread that pays for it, and a
     /// degraded schedule must never be served to a later, better-funded call.
+    /// An exhausted budget takes the backtracking ladder of an infeasible
+    /// level and still returns a valid schedule, each degraded solve
+    /// counted in [`ScheduleStats::degraded_solves`](crate::ScheduleStats).
     ///
     /// # Errors
     ///
-    /// Exactly those of
-    /// [`schedule_kernel_budgeted`](crate::schedule_kernel_budgeted).
+    /// Those of [`schedule_kernel`](crate::schedule_kernel), and a
+    /// cancellation error, with no fallback, once the budget's cancel flag
+    /// is set.
     pub fn schedule_with(
         &self,
         influence: Option<&InfluenceOptions>,

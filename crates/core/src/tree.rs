@@ -14,11 +14,11 @@ use std::fmt::Write as _;
 
 /// Index of a node inside an [`InfluenceTree`] arena.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct NodeId(pub usize);
+pub(crate) struct NodeId(pub usize);
 
 /// One node of the influence constraint tree.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct InfluenceNode {
+pub(crate) struct InfluenceNode {
     /// Constraints over the [`CoeffLayout`](crate::CoeffLayout) unknown
     /// space, injected into the ILP of the dimension this node's depth
     /// corresponds to.
@@ -40,16 +40,13 @@ pub struct InfluenceNode {
 /// # Examples
 ///
 /// ```
-/// use polyject_core::{InfluenceTree, CoeffLayout};
+/// use polyject_core::{build_influence_tree, InfluenceOptions, InfluenceTree};
 /// use polyject_ir::ops;
-/// use polyject_sets::ConstraintSet;
 ///
+/// assert!(InfluenceTree::new().is_empty()); // no influence: the isl baseline
 /// let kernel = ops::running_example(8);
-/// let layout = CoeffLayout::new(&kernel);
-/// let mut tree = InfluenceTree::new();
-/// let root = tree.add_root(ConstraintSet::universe(layout.n_vars()), "branch 1");
-/// let _leaf = tree.add_child(root, ConstraintSet::universe(layout.n_vars()), "depth 1");
-/// assert_eq!(tree.first_root(), Some(root));
+/// let tree = build_influence_tree(&kernel, &InfluenceOptions::default());
+/// assert!(!tree.is_empty());
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct InfluenceTree {
@@ -74,7 +71,11 @@ impl InfluenceTree {
     }
 
     /// Adds a depth-0 alternative (priority = insertion order).
-    pub fn add_root(&mut self, constraints: ConstraintSet, label: impl Into<String>) -> NodeId {
+    pub(crate) fn add_root(
+        &mut self,
+        constraints: ConstraintSet,
+        label: impl Into<String>,
+    ) -> NodeId {
         let id = NodeId(self.nodes.len());
         self.nodes.push(InfluenceNode {
             constraints,
@@ -90,7 +91,7 @@ impl InfluenceTree {
 
     /// Adds a child alternative under `parent` (priority = insertion
     /// order among its siblings).
-    pub fn add_child(
+    pub(crate) fn add_child(
         &mut self,
         parent: NodeId,
         constraints: ConstraintSet,
@@ -111,35 +112,35 @@ impl InfluenceTree {
     }
 
     /// Marks a statement's row at this node's depth as its vector dim.
-    pub fn mark_vector(&mut self, node: NodeId, stmt: StmtId) {
+    pub(crate) fn mark_vector(&mut self, node: NodeId, stmt: StmtId) {
         if !self.nodes[node.0].vector_stmts.contains(&stmt) {
             self.nodes[node.0].vector_stmts.push(stmt);
         }
     }
 
     /// A node by id.
-    pub fn node(&self, id: NodeId) -> &InfluenceNode {
+    pub(crate) fn node(&self, id: NodeId) -> &InfluenceNode {
         &self.nodes[id.0]
     }
 
     /// The highest-priority depth-0 node, if any.
-    pub fn first_root(&self) -> Option<NodeId> {
+    pub(crate) fn first_root(&self) -> Option<NodeId> {
         self.roots.first().copied()
     }
 
     /// The node's depth in the tree.
-    pub fn depth(&self, id: NodeId) -> usize {
+    pub(crate) fn depth(&self, id: NodeId) -> usize {
         self.nodes[id.0].depth
     }
 
     /// First (highest-priority) child of a node.
-    pub fn first_child(&self, id: NodeId) -> Option<NodeId> {
+    pub(crate) fn first_child(&self, id: NodeId) -> Option<NodeId> {
         self.nodes[id.0].children.first().copied()
     }
 
     /// The next sibling to the right of `id` (lower priority alternative
     /// at the same depth under the same parent, or among the roots).
-    pub fn right_sibling(&self, id: NodeId) -> Option<NodeId> {
+    pub(crate) fn right_sibling(&self, id: NodeId) -> Option<NodeId> {
         let siblings = match self.nodes[id.0].parent {
             Some(p) => &self.nodes[p.0].children,
             None => &self.roots,
@@ -150,7 +151,7 @@ impl InfluenceTree {
 
     /// The closest right sibling of any ancestor of `id` (walking upward),
     /// for the paper's deep-backtracking step.
-    pub fn ancestor_right_sibling(&self, id: NodeId) -> Option<NodeId> {
+    pub(crate) fn ancestor_right_sibling(&self, id: NodeId) -> Option<NodeId> {
         let mut cur = self.nodes[id.0].parent;
         while let Some(a) = cur {
             if let Some(s) = self.right_sibling(a) {

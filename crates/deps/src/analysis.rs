@@ -47,11 +47,6 @@ impl Dependences {
         self.relations.iter().filter(|r| r.kind.affects_validity())
     }
 
-    /// Relations to optimize for locality (all kinds, including input).
-    pub fn proximity(&self) -> impl Iterator<Item = &DepRelation> {
-        self.relations.iter()
-    }
-
     /// Number of relations.
     pub fn len(&self) -> usize {
         self.relations.len()

@@ -32,31 +32,9 @@ impl DepGraph {
         }
     }
 
-    /// Whether the edge `s → t` exists.
-    pub fn has_edge(&self, s: StmtId, t: StmtId) -> bool {
-        self.edges[s.0].contains(&t.0)
-    }
-
     /// Strongly connected components in *topological order* (every edge
     /// goes from an earlier component to a later one, except intra-SCC
     /// edges). Each component lists its statements.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use polyject_deps::DepGraph;
-    /// use polyject_ir::StmtId;
-    ///
-    /// // 0 → 1 → 2 and 2 → 1 (cycle between 1 and 2).
-    /// let mut g = DepGraph::new(3);
-    /// g.add_edge(StmtId(0), StmtId(1));
-    /// g.add_edge(StmtId(1), StmtId(2));
-    /// g.add_edge(StmtId(2), StmtId(1));
-    /// let sccs = g.sccs();
-    /// assert_eq!(sccs.len(), 2);
-    /// assert_eq!(sccs[0], vec![StmtId(0)]);
-    /// assert_eq!(sccs[1].len(), 2);
-    /// ```
     pub fn sccs(&self) -> Vec<Vec<StmtId>> {
         let mut state = Tarjan {
             graph: self,
@@ -79,21 +57,6 @@ impl DepGraph {
             c.sort();
         }
         comps
-    }
-
-    /// Creates an empty graph (for tests and manual construction).
-    pub fn new(n_statements: usize) -> DepGraph {
-        DepGraph {
-            n: n_statements,
-            edges: vec![Vec::new(); n_statements],
-        }
-    }
-
-    /// Adds an edge.
-    pub fn add_edge(&mut self, s: StmtId, t: StmtId) {
-        if !self.edges[s.0].contains(&t.0) {
-            self.edges[s.0].push(t.0);
-        }
     }
 }
 
@@ -142,12 +105,17 @@ impl Tarjan<'_> {
 mod tests {
     use super::*;
 
+    fn graph(n: usize, edges: &[(usize, usize)]) -> DepGraph {
+        let mut adj = vec![Vec::new(); n];
+        for &(s, t) in edges {
+            adj[s].push(t);
+        }
+        DepGraph { n, edges: adj }
+    }
+
     #[test]
     fn chain_gives_singleton_components_in_order() {
-        let mut g = DepGraph::new(4);
-        g.add_edge(StmtId(0), StmtId(1));
-        g.add_edge(StmtId(1), StmtId(2));
-        g.add_edge(StmtId(2), StmtId(3));
+        let g = graph(4, &[(0, 1), (1, 2), (2, 3)]);
         let sccs = g.sccs();
         assert_eq!(
             sccs,
@@ -162,10 +130,7 @@ mod tests {
 
     #[test]
     fn cycle_merges() {
-        let mut g = DepGraph::new(3);
-        g.add_edge(StmtId(0), StmtId(1));
-        g.add_edge(StmtId(1), StmtId(0));
-        g.add_edge(StmtId(1), StmtId(2));
+        let g = graph(3, &[(0, 1), (1, 0), (1, 2)]);
         let sccs = g.sccs();
         assert_eq!(sccs.len(), 2);
         assert_eq!(sccs[0], vec![StmtId(0), StmtId(1)]);
@@ -174,26 +139,20 @@ mod tests {
 
     #[test]
     fn isolated_nodes() {
-        let g = DepGraph::new(3);
+        let g = graph(3, &[]);
         assert_eq!(g.sccs().len(), 3);
     }
 
     #[test]
     fn self_loop_is_singleton() {
-        let mut g = DepGraph::new(1);
-        g.add_edge(StmtId(0), StmtId(0));
+        let g = graph(1, &[(0, 0)]);
         assert_eq!(g.sccs(), vec![vec![StmtId(0)]]);
-        assert!(g.has_edge(StmtId(0), StmtId(0)));
     }
 
     #[test]
     fn topological_property() {
         // Diamond: 0→1, 0→2, 1→3, 2→3.
-        let mut g = DepGraph::new(4);
-        g.add_edge(StmtId(0), StmtId(1));
-        g.add_edge(StmtId(0), StmtId(2));
-        g.add_edge(StmtId(1), StmtId(3));
-        g.add_edge(StmtId(2), StmtId(3));
+        let g = graph(4, &[(0, 1), (0, 2), (1, 3), (2, 3)]);
         let sccs = g.sccs();
         let pos = |s: StmtId| sccs.iter().position(|c| c.contains(&s)).unwrap();
         assert!(pos(StmtId(0)) < pos(StmtId(1)));

@@ -14,8 +14,9 @@
 //! let kernel = ops::running_example(32);
 //! let deps = compute_dependences(&kernel, DepOptions::default());
 //! let graph = DepGraph::from_relations(kernel.statements().len(), deps.validity());
-//! // X feeds Y through tensor B.
-//! assert!(graph.has_edge(polyject_ir::StmtId(0), polyject_ir::StmtId(1)));
+//! // X feeds Y through tensor B: two components, X's first.
+//! let (x, y) = (polyject_ir::StmtId(0), polyject_ir::StmtId(1));
+//! assert_eq!(graph.sccs(), vec![vec![x], vec![y]]);
 //! ```
 
 #![forbid(unsafe_code)]

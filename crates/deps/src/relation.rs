@@ -20,7 +20,7 @@ pub enum DepKind {
 
 impl DepKind {
     /// Whether this kind constrains scheduling legality.
-    pub fn affects_validity(&self) -> bool {
+    pub(crate) fn affects_validity(&self) -> bool {
         !matches!(self, DepKind::Input)
     }
 }

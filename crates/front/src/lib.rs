@@ -31,4 +31,4 @@ mod lexer;
 mod parser;
 
 pub use emit::{canonical_pj, emit_pj};
-pub use parser::{parse, ParseError, MAX_EXPR_DEPTH};
+pub use parser::{parse, ParseError};

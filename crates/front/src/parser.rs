@@ -90,7 +90,7 @@ pub fn parse(src: &str) -> Result<Kernel, ParseError> {
 /// canonical form nests as far: the bound is on the tree, whichever way
 /// it was written, and is far above any fused operator's expression yet
 /// a small share of a 2 MiB thread stack.
-pub const MAX_EXPR_DEPTH: usize = 256;
+pub(crate) const MAX_EXPR_DEPTH: usize = 256;
 
 struct Parser {
     tokens: Vec<Token>,

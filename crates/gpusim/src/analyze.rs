@@ -63,7 +63,7 @@ pub struct AccessMetric {
 impl AccessMetric {
     /// DRAM efficiency: useful bytes over charged DRAM traffic (1.0 when
     /// the access is served from L2).
-    pub fn dram_efficiency(&self) -> f64 {
+    pub(crate) fn dram_efficiency(&self) -> f64 {
         if self.dram_bytes == 0.0 {
             1.0
         } else {

@@ -29,7 +29,7 @@ impl Idx {
     ///
     /// Panics if an iterator/parameter position is out of range, or if an
     /// `Idx::Expr` has the wrong variable count.
-    pub fn lower(&self, n_iters: usize, n_params: usize) -> LinExpr {
+    pub(crate) fn lower(&self, n_iters: usize, n_params: usize) -> LinExpr {
         let n = n_iters + n_params;
         match self {
             Idx::Iter(i) => {
@@ -61,10 +61,10 @@ impl Idx {
 /// # Examples
 ///
 /// ```
-/// use polyject_ir::{Access, Idx, TensorId};
-/// // B[i][k] for a statement with iterators (i, k) and one parameter.
-/// let acc = Access::new(TensorId(1), &[Idx::Iter(0), Idx::Iter(1)], 2, 1);
-/// assert_eq!(acc.eval_index(&[3, 4], &[100]), vec![3, 4]);
+/// // The read A[i][j] of the transpose B[j][i] = A[i][j], A 4 x 16.
+/// let kernel = polyject_ir::ops::transpose_2d(4, 16);
+/// let acc = &kernel.statements()[0].reads()[0];
+/// assert_eq!(acc.stride_along(0, &[16, 1]), 16); // i walks rows
 /// ```
 #[derive(Clone, Debug, PartialEq)]
 pub struct Access {
@@ -76,7 +76,12 @@ pub struct Access {
 
 impl Access {
     /// Creates an access from index descriptions.
-    pub fn new(tensor: TensorId, indices: &[Idx], n_iters: usize, n_params: usize) -> Access {
+    pub(crate) fn new(
+        tensor: TensorId,
+        indices: &[Idx],
+        n_iters: usize,
+        n_params: usize,
+    ) -> Access {
         Access {
             tensor,
             indices: indices.iter().map(|i| i.lower(n_iters, n_params)).collect(),
@@ -106,7 +111,7 @@ impl Access {
     ///
     /// Panics if an index expression evaluates to a non-integer (never
     /// happens for integer-coefficient accesses).
-    pub fn eval_index(&self, iters: &[i64], param_values: &[i64]) -> Vec<i64> {
+    pub(crate) fn eval_index(&self, iters: &[i64], param_values: &[i64]) -> Vec<i64> {
         assert_eq!(
             iters.len(),
             self.n_iters,

@@ -48,7 +48,7 @@ pub enum BinOp {
 /// use polyject_ir::{BinOp, Expr};
 /// // reads[0] * reads[1] + 1.0
 /// let e = Expr::bin(BinOp::Add, Expr::bin(BinOp::Mul, Expr::Read(0), Expr::Read(1)), Expr::Const(1.0));
-/// assert_eq!(e.eval(&[2.0, 3.0]), 7.0);
+/// assert_eq!(e.op_count(), 2);
 /// ```
 #[derive(Clone, PartialEq, Debug)]
 pub enum Expr {
@@ -78,7 +78,7 @@ impl Expr {
     /// # Panics
     ///
     /// Panics if a `Read` index is out of range of `reads`.
-    pub fn eval(&self, reads: &[f32]) -> f32 {
+    pub(crate) fn eval(&self, reads: &[f32]) -> f32 {
         match self {
             Expr::Read(i) => reads[*i],
             Expr::Const(c) => *c,
@@ -109,7 +109,7 @@ impl Expr {
     }
 
     /// The highest read index mentioned, if any.
-    pub fn max_read_index(&self) -> Option<usize> {
+    pub(crate) fn max_read_index(&self) -> Option<usize> {
         match self {
             Expr::Read(i) => Some(*i),
             Expr::Const(_) => None,

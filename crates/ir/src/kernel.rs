@@ -127,7 +127,7 @@ impl Kernel {
     /// Panics if an access lands outside its tensor buffer; long-lived
     /// callers (e.g. daemon worker threads) should use
     /// [`Kernel::try_execute_instance`] instead.
-    pub fn execute_instance(
+    pub(crate) fn execute_instance(
         &self,
         s: &Statement,
         iters: &[i64],
@@ -249,8 +249,10 @@ impl KernelBuilder {
     /// # Errors
     ///
     /// Returns an error if the statement is malformed (missing write/expr,
-    /// bad indices, unknown tensors, rank mismatches).
+    /// bad indices, unknown tensors, rank mismatches), or if an access
+    /// can leave its tensor's extents at the parameter defaults.
     pub fn add_statement(&mut self, sb: StatementBuilder) -> Result<StmtId, String> {
+        let boxes = sb.iter_box(&self.param_defaults);
         let stmt = sb.build(self.param_names.len())?;
         // Validate tensor references and ranks.
         for (a, _) in stmt.accesses() {
@@ -267,8 +269,47 @@ impl KernelBuilder {
                 ));
             }
         }
+        self.check_extents(&stmt, &boxes)?;
         self.statements.push(stmt);
         Ok(StmtId(self.statements.len() - 1))
+    }
+
+    /// Checks, per dimension, that every access of `stmt` stays inside its
+    /// tensor's extent at the parameter defaults: interval arithmetic over
+    /// the iterator box `boxes`, no solver call. A dimension whose index
+    /// reads an unbounded iterator or has a fractional coefficient is not
+    /// checked; an empty box passes.
+    fn check_extents(&self, stmt: &Statement, boxes: &[Option<(i64, i64)>]) -> Result<(), String> {
+        if boxes.iter().flatten().any(|(lo, hi)| lo > hi) {
+            return Ok(());
+        }
+        let n_iters = stmt.n_iters();
+        let value = |v: usize| match v.checked_sub(n_iters) {
+            None => boxes[v].map(|(lo, hi)| (i128::from(lo), i128::from(hi))),
+            Some(p) => self.param_defaults.get(p).map(|&x| (x.into(), x.into())),
+        };
+        for (a, is_write) in stmt.accesses() {
+            let t = &self.tensors[a.tensor().0];
+            for (d, (e, extent)) in a.indices().iter().zip(t.dims()).enumerate() {
+                let terms = e.coeffs().iter().enumerate().filter(|(_, c)| !c.is_zero());
+                let k = e.constant_term().to_integer();
+                let span = terms.fold(k.map(|k| (k, k)), |span, (v, c)| {
+                    let ((lo, hi), c, (vl, vh)) = (span?, c.to_integer()?, value(v)?);
+                    let (x, y) = (c * vl, c * vh);
+                    Some((lo + x.min(y), hi + x.max(y)))
+                });
+                let extent = extent.resolve(&self.param_defaults);
+                if let Some((lo, hi)) = span.filter(|&(lo, hi)| lo < 0 || hi >= extent.into()) {
+                    let what = if is_write { "write" } else { "read" };
+                    return Err(format!(
+                        "{}: {what} of {} spans [{lo}, {hi}] in dimension {d}, outside its extent {extent}",
+                        stmt.name(),
+                        t.name(),
+                    ));
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Finalizes the kernel.
@@ -355,6 +396,46 @@ mod tests {
                 .expr(Expr::Const(0.0)),
         );
         assert!(r.is_err());
+    }
+
+    /// `S: B[i(, j)] = A[read]` over `i, j in 0..8`, `A` and `B` of extent 8
+    /// in each of `read.len()` dimensions.
+    fn copy_kernel(read: &[Idx]) -> Result<StmtId, String> {
+        let rank = read.len();
+        let mut kb = KernelBuilder::new("copy");
+        let a = kb.tensor("A", vec![Extent::Const(8); rank], ElemType::F32);
+        let b = kb.tensor("B", vec![Extent::Const(8); rank], ElemType::F32);
+        kb.add_statement(
+            StatementBuilder::new("S", &["i", "j"][..rank])
+                .bound_extent(0, 8)
+                .bound_range(rank - 1, 0, 7)
+                .write(b, &[Idx::Iter(0), Idx::Iter(1)][..rank])
+                .read(a, read)
+                .expr(Expr::Read(0)),
+        )
+    }
+
+    #[test]
+    fn an_access_past_the_end_is_rejected() {
+        let err = copy_kernel(&[Idx::IterPlus(0, 4)]).unwrap_err();
+        assert_eq!(
+            err,
+            "S: read of A spans [4, 11] in dimension 0, outside its extent 8"
+        );
+        assert!(copy_kernel(&[Idx::IterPlus(0, -1)]).is_err());
+        assert!(copy_kernel(&[Idx::Const(7)]).is_ok());
+    }
+
+    #[test]
+    fn an_access_into_the_next_row_is_rejected() {
+        // In the flat buffer A[i][j + 4] is in bounds for every i < 7, so
+        // execution alone would not notice.
+        let err = copy_kernel(&[Idx::Iter(0), Idx::IterPlus(1, 4)]).unwrap_err();
+        assert_eq!(
+            err,
+            "S: read of A spans [4, 11] in dimension 1, outside its extent 8"
+        );
+        assert!(copy_kernel(&[Idx::Iter(1), Idx::Iter(0)]).is_ok());
     }
 
     #[test]

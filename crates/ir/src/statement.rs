@@ -70,7 +70,7 @@ impl Statement {
 
     /// The iteration domain with parameters fixed to concrete values,
     /// projected onto the iterators only.
-    pub fn concrete_domain(&self, param_values: &[i64]) -> ConstraintSet {
+    pub(crate) fn concrete_domain(&self, param_values: &[i64]) -> ConstraintSet {
         assert_eq!(
             param_values.len(),
             self.n_params,
@@ -220,6 +220,25 @@ impl StatementBuilder {
         self
     }
 
+    /// Each iterator's `[lo, hi]` under its declared bounds at parameter
+    /// values `params`; `None` where no bound is declared. Raw
+    /// constraints are not read, so the box may hold more than the domain.
+    pub(crate) fn iter_box(&self, params: &[i64]) -> Vec<Option<(i64, i64)>> {
+        let mut boxes = vec![None; self.iters.len()];
+        for (iter, spec) in &self.bounds {
+            let (lo, hi) = match spec {
+                BoundSpec::Range(lo, hi) => (*lo, *hi),
+                BoundSpec::Extent(Extent::Const(c)) => (0, c - 1),
+                // An unknown parameter fails `build` before the box is read.
+                BoundSpec::Extent(Extent::Param(p)) => (0, params.get(p.0).map_or(0, |v| v - 1)),
+            };
+            if let Some(b) = boxes.get_mut(*iter) {
+                *b = Some(b.map_or((lo, hi), |(l, h): (i64, i64)| (l.max(lo), h.min(hi))));
+            }
+        }
+        boxes
+    }
+
     /// Finalizes against a kernel context (called by the kernel builder).
     pub(crate) fn build(self, n_params: usize) -> Result<Statement, String> {
         let n_iters = self.iters.len();
@@ -325,7 +344,7 @@ mod tests {
     fn concrete_domain_without_params_is_same_points() {
         let s = simple_statement();
         let d = s.concrete_domain(&[]);
-        assert_eq!(polyject_sets::count_integer_points(&d, 1000).unwrap(), 32);
+        assert_eq!(polyject_sets::integer_points(&d, 1000).unwrap().len(), 32);
     }
 
     #[test]
@@ -338,7 +357,7 @@ mod tests {
             .build(1)
             .unwrap();
         let d = s.concrete_domain(&[5]);
-        assert_eq!(polyject_sets::count_integer_points(&d, 100).unwrap(), 5);
+        assert_eq!(polyject_sets::integer_points(&d, 100).unwrap().len(), 5);
         assert_eq!(s.extent_of_iter(0, &[5]), 5);
     }
 

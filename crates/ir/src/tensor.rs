@@ -7,10 +7,10 @@ use crate::types::{ElemType, Extent};
 /// # Examples
 ///
 /// ```
-/// use polyject_ir::{ElemType, Extent, Tensor};
-/// let t = Tensor::new("A", vec![Extent::Const(2), Extent::Const(3)], ElemType::F32);
+/// let kernel = polyject_ir::ops::transpose_2d(2, 3); // B[3][2] = A[2][3]
+/// let t = &kernel.tensors()[0];
 /// assert_eq!(t.strides(&[]), vec![3, 1]);
-/// assert_eq!(t.num_elements(&[]), 6);
+/// assert_eq!(t.size_bytes(&[]), 24);
 /// ```
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Tensor {
@@ -21,7 +21,7 @@ pub struct Tensor {
 
 impl Tensor {
     /// Creates a tensor.
-    pub fn new(name: impl Into<String>, dims: Vec<Extent>, elem: ElemType) -> Tensor {
+    pub(crate) fn new(name: impl Into<String>, dims: Vec<Extent>, elem: ElemType) -> Tensor {
         Tensor {
             name: name.into(),
             dims,
@@ -50,7 +50,7 @@ impl Tensor {
     }
 
     /// Concrete shape under the given parameter values.
-    pub fn shape(&self, param_values: &[i64]) -> Vec<i64> {
+    pub(crate) fn shape(&self, param_values: &[i64]) -> Vec<i64> {
         self.dims.iter().map(|e| e.resolve(param_values)).collect()
     }
 
@@ -66,7 +66,7 @@ impl Tensor {
     }
 
     /// Total number of elements under the given parameter values.
-    pub fn num_elements(&self, param_values: &[i64]) -> usize {
+    pub(crate) fn num_elements(&self, param_values: &[i64]) -> usize {
         self.shape(param_values).iter().product::<i64>().max(0) as usize
     }
 
@@ -81,7 +81,7 @@ impl Tensor {
     ///
     /// Panics if the index rank differs from the tensor rank or an index is
     /// out of bounds (debug assertions).
-    pub fn linearize(&self, index: &[i64], param_values: &[i64]) -> usize {
+    pub(crate) fn linearize(&self, index: &[i64], param_values: &[i64]) -> usize {
         assert_eq!(index.len(), self.rank(), "index rank mismatch");
         let shape = self.shape(param_values);
         let strides = self.strides(param_values);

@@ -36,7 +36,7 @@ impl Extent {
     /// # Panics
     ///
     /// Panics if a referenced parameter is out of range.
-    pub fn resolve(&self, param_values: &[i64]) -> i64 {
+    pub(crate) fn resolve(&self, param_values: &[i64]) -> i64 {
         match *self {
             Extent::Const(v) => v,
             Extent::Param(p) => param_values[p.0],

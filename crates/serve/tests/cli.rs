@@ -180,6 +180,25 @@ fn every_documented_emit_value_is_accepted() {
 }
 
 #[test]
+fn an_access_outside_its_tensor_is_an_error_not_a_kernel() {
+    // `A[i][j + 4]` reads into the next row of A: in the flat buffer, so
+    // execution cannot see it; the builder's extent check must.
+    let path = std::env::temp_dir().join(format!("pj-cli-oob-{}.pj", std::process::id()));
+    let src = "kernel oob\ntensor A[8][8]: f32\ntensor B[8][8]: f32\n\
+               stmt S for (i in 0..8, j in 0..8)\n  B[i][j] = A[i][j + 4]\n";
+    std::fs::write(&path, src).unwrap();
+    let out = run(POLYJECTC, &[path.to_str().unwrap(), "--emit", "cuda"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "no kernel printed");
+    assert!(
+        stderr.contains("read of A spans [4, 11] in dimension 1"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn help_prints_usage_and_exits_zero() {
     for bin in [POLYJECTC, POLYJECT_CACHE, POLYJECTD, POLYJECT_ROUTER] {
         let out = run(bin, &["--help"]);

@@ -33,7 +33,7 @@ use std::cell::Cell;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How many [`Budget::check`] calls share one `Instant::now()` deadline
 /// probe.
@@ -137,11 +137,6 @@ impl Budget {
     pub fn with_deadline(mut self, deadline: Instant) -> Budget {
         self.deadline = Some(deadline);
         self
-    }
-
-    /// Sets a deadline `d` from now.
-    pub fn with_deadline_in(self, d: Duration) -> Budget {
-        self.with_deadline(Instant::now() + d)
     }
 
     /// Caps branch-and-bound nodes consumed after the budget is armed.

@@ -29,7 +29,7 @@ pub enum ConstraintKind {
 /// use polyject_sets::{Constraint, LinExpr};
 /// // 2*x0 - 6 >= 0, i.e. x0 >= 3
 /// let c = Constraint::ge0(LinExpr::from_coeffs(&[2], -6));
-/// assert_eq!(c.row(), &[1, -3]);
+/// assert_eq!((c.coeffs(), c.constant()), (&[1][..], -3));
 /// assert!(c.is_satisfied_int(&[5]));
 /// assert!(!c.is_satisfied_int(&[2]));
 /// ```
@@ -112,7 +112,7 @@ impl Constraint {
     }
 
     /// The normalized row: the variable coefficients, then the constant.
-    pub fn row(&self) -> &[i128] {
+    pub(crate) fn row(&self) -> &[i128] {
         &self.row
     }
 
@@ -196,7 +196,7 @@ impl Constraint {
     }
 
     /// Checks satisfaction at a rational point.
-    pub fn is_satisfied(&self, point: &[Rat]) -> bool {
+    pub(crate) fn is_satisfied(&self, point: &[Rat]) -> bool {
         assert_eq!(point.len(), self.n_vars(), "dimension mismatch");
         let v = self
             .coeffs()
@@ -255,13 +255,13 @@ impl Constraint {
     }
 
     /// A trivially true constraint is `c >= 0` with `c >= 0`, or `0 == 0`.
-    pub fn is_trivially_true(&self) -> bool {
+    pub(crate) fn is_trivially_true(&self) -> bool {
         self.is_constant() && self.holds(self.constant())
     }
 
     /// A trivially false constraint is `c >= 0` with `c < 0`, or `c == 0`
     /// with `c != 0`.
-    pub fn is_trivially_false(&self) -> bool {
+    pub(crate) fn is_trivially_false(&self) -> bool {
         self.is_constant() && !self.holds(self.constant())
     }
 }

@@ -650,4 +650,38 @@ mod tests {
             "each node either solves an LP cold or is served warm"
         );
     }
+
+    /// The lexicographically smallest integer point: `lexmin_integer`
+    /// over the unit objectives `x0, x1, …`.
+    fn lexmin_point(set: &ConstraintSet) -> Option<Vec<i128>> {
+        let n = set.n_vars();
+        let units: Vec<LinExpr> = (0..n).map(|v| LinExpr::var(n, v)).collect();
+        match lexmin_integer(&units, set) {
+            IlpOutcome::Optimal { point, .. } => Some(point),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn lex_extrema() {
+        // Triangle 0 <= y <= x <= 3.
+        let set = ConstraintSet::from_constraints(
+            2,
+            vec![ge(2, &[0, 1], 0), ge(2, &[1, -1], 0), ge(2, &[-1, 0], 3)],
+        );
+        assert_eq!(lexmin_point(&set), Some(vec![0, 0]));
+    }
+
+    #[test]
+    fn lex_extrema_of_empty() {
+        let empty = ConstraintSet::from_constraints(1, vec![ge(1, &[1], -5), ge(1, &[-1], 2)]);
+        assert_eq!(lexmin_point(&empty), None);
+    }
+
+    #[test]
+    fn unbounded_has_no_lexmin() {
+        let half = ConstraintSet::from_constraints(1, vec![ge(1, &[-1], 0)]);
+        // x <= 0, unbounded below.
+        assert_eq!(lexmin_point(&half), None);
+    }
 }

@@ -66,7 +66,6 @@ mod ilp;
 mod linexpr;
 mod points;
 mod preprocess;
-mod relations;
 mod simplex;
 mod tableau;
 
@@ -83,10 +82,9 @@ pub use ilp::{
     minimize_integer_reference, IlpOutcome,
 };
 pub use linexpr::LinExpr;
-pub use points::{count_integer_points, integer_points};
+pub use points::integer_points;
 #[doc(hidden)]
 pub use preprocess::integer_feasibility_route;
-pub use relations::{is_subset, set_eq};
 pub use simplex::{maximize, minimize, minimize_reference, LpOutcome};
 #[doc(hidden)]
 pub use tableau::set_force_wide_tableau;

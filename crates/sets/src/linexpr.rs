@@ -100,7 +100,7 @@ impl LinExpr {
     }
 
     /// Whether the expression is a constant (no variable occurs).
-    pub fn is_constant(&self) -> bool {
+    pub(crate) fn is_constant(&self) -> bool {
         self.coeffs.iter().all(Rat::is_zero)
     }
 

@@ -114,15 +114,6 @@ fn concrete_bounds(
     }
 }
 
-/// Counts integer points without materializing them (same bounds logic).
-///
-/// # Errors
-///
-/// Same conditions as [`integer_points`].
-pub fn count_integer_points(set: &ConstraintSet, limit: usize) -> Result<usize, String> {
-    integer_points(set, limit).map(|v| v.len())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -144,7 +135,7 @@ mod tests {
                 ge(&[0, -1], 2),
             ],
         );
-        assert_eq!(count_integer_points(&set, 1000).unwrap(), 12);
+        assert_eq!(integer_points(&set, 1000).unwrap().len(), 12);
     }
 
     #[test]

@@ -268,8 +268,12 @@ fn fm_integer_combinations_match_rational_reference() {
     );
     let fast = eliminate_var(&set, 0);
     assert_eq!(fast, eliminate_var_reference(&set, 0));
-    let rows: Vec<&[i128]> = fast.constraints().iter().map(|c| c.row()).collect();
-    assert_eq!(rows, [&[0, big, 0, -1][..], &[0, 1, 1, 3][..]]);
+    let rows: Vec<_> = fast
+        .constraints()
+        .iter()
+        .map(|c| (c.coeffs(), c.constant()))
+        .collect();
+    assert_eq!(rows, [(&[0, big, 0][..], -1), (&[0, 1, 1][..], 3)]);
 }
 
 /// Preprocessed integer-feasibility must answer exactly like the raw

@@ -51,7 +51,6 @@
 mod search;
 pub mod space;
 
-pub use polyject_arith::fnv1a64;
 pub use search::{
     beam_search, log_digest, EvalCtx, EvalRecord, Evaluated, JobRunner, SerialRunner, TuneOptions,
     TuneOutcome, TuneRequest, TunedConfig,

@@ -657,7 +657,7 @@ mod tests {
     #[test]
     fn expired_deadline_stops_early_and_marks_incomplete() {
         let mut req = request(ops::transpose_2d(64, 64));
-        req.budget = Budget::unlimited().with_deadline_in(std::time::Duration::ZERO);
+        req.budget = Budget::unlimited().with_deadline(std::time::Instant::now());
         let out = beam_search(&req, &TuneOptions::default(), &SerialRunner).unwrap();
         assert!(!out.complete);
     }

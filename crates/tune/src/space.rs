@@ -55,7 +55,7 @@ pub fn sample(rng: &mut SplitMix64) -> CompileOptions {
 /// Re-draws one knob group of `point` (a local move for the beam
 /// search). The result may coincide with `point`; callers dedupe by
 /// [`CompileOptions::canonical_key`].
-pub fn mutate(point: &CompileOptions, rng: &mut SplitMix64) -> CompileOptions {
+pub(crate) fn mutate(point: &CompileOptions, rng: &mut SplitMix64) -> CompileOptions {
     let mut p = point.clone();
     match rng.below(8) {
         0 => {

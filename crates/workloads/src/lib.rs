@@ -32,7 +32,5 @@ pub use measure::{
     aggregate_network, geomean_speedup, measure_op, measure_op_with_perf, op_key, unique_ops,
     NetworkMeasurement, OpMeasurement, OpPerf, Tool,
 };
-pub use networks::{
-    all_networks, bert, lstm, mobilenet_v2, resnet101, resnet50, resnext50, vgg16, NetKind, Network,
-};
+pub use networks::{all_networks, lstm, NetKind, Network};
 pub use tvm::compile_tvm;

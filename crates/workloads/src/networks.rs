@@ -68,7 +68,7 @@ const ODD_LENS: [i64; 5] = [98_301, 196_607, 49_153, 393_215, 131_071];
 /// fusions, 15 vectorizable elementwise chains, 3 running-example-class
 /// multi-statement operators, and 56 odd-length chains that influence
 /// cannot improve. Matches Table II's counts: total 109, vec 53, infl 53.
-pub fn bert() -> Network {
+fn bert() -> Network {
     let mut ops = Vec::new();
     for i in 0..35 {
         ops.push(OpClass::LayerNorm {
@@ -130,7 +130,7 @@ pub fn lstm() -> Network {
 /// MobileNetv2: 18 operators — flattened elementwise epilogues (what
 /// graph-kernel fusion emits for its inverted residual blocks) plus a
 /// couple of 2-D broadcast epilogues. Table II: total 18, vec 16, infl 16.
-pub fn mobilenet_v2() -> Network {
+fn mobilenet_v2() -> Network {
     let mut ops = Vec::new();
     for i in 0..14 {
         ops.push(OpClass::Elementwise {
@@ -225,7 +225,7 @@ fn resnet_family(
 }
 
 /// ResNet-50: transpose-dominated. Table II: total 17, vec 10, infl 12.
-pub fn resnet50() -> Network {
+fn resnet50() -> Network {
     resnet_family(
         "ResNet50",
         "CIFAR-10",
@@ -241,7 +241,7 @@ pub fn resnet50() -> Network {
 
 /// ResNet-101: more and larger transposes. Table II: total 22, vec 14,
 /// infl 16.
-pub fn resnet101() -> Network {
+fn resnet101() -> Network {
     resnet_family(
         "ResNet101",
         "ImageNet",
@@ -256,7 +256,7 @@ pub fn resnet101() -> Network {
 }
 
 /// ResNeXt-50. Table II: total 33, vec 21, infl 22.
-pub fn resnext50() -> Network {
+fn resnext50() -> Network {
     // Small transposes, large elementwise bodies: layout changes are a
     // minor share of the total, matching the paper's modest 1.36×.
     resnet_family(
@@ -273,7 +273,7 @@ pub fn resnext50() -> Network {
 }
 
 /// VGG-16 (CIFAR-10, f32 activations). Table II: total 14, vec 9, infl 10.
-pub fn vgg16() -> Network {
+fn vgg16() -> Network {
     resnet_family(
         "VGG16",
         "CIFAR-10",

@@ -39,7 +39,7 @@ pub fn compile_tvm(kernel: &Kernel) -> Vec<(Kernel, Ast)> {
 /// and identical write index patterns (a pure injective chain). A
 /// reduction (write rank below the domain rank) or any domain/pattern
 /// change starts a new kernel.
-pub fn fuse_groups(kernel: &Kernel) -> Vec<Vec<StmtId>> {
+pub(crate) fn fuse_groups(kernel: &Kernel) -> Vec<Vec<StmtId>> {
     let stmts = kernel.statements();
     let mut groups: Vec<Vec<StmtId>> = Vec::new();
     for (i, s) in stmts.iter().enumerate() {

@@ -5,7 +5,7 @@
 //! bitwise-identical measurements.
 
 use polyject_gpusim::GpuModel;
-use polyject_workloads::{bert, measure_op_with_perf, OpMeasurement};
+use polyject_workloads::{all_networks, measure_op_with_perf, OpMeasurement};
 
 fn identical(a: &OpMeasurement, b: &OpMeasurement) -> bool {
     a.name == b.name
@@ -22,7 +22,9 @@ fn identical(a: &OpMeasurement, b: &OpMeasurement) -> bool {
 fn recompiling_an_op_hits_the_assembly_caches() {
     let model = GpuModel::v100();
     // A reduction-crossing BERT fusion: the most assembly-heavy class.
-    let op = bert().ops[0].clone();
+    let bert = all_networks().swap_remove(0);
+    assert_eq!(bert.name, "BERT");
+    let op = bert.ops[0].clone();
 
     let (first, cold) = measure_op_with_perf(&op, &model);
     assert!(

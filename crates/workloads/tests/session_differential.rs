@@ -13,7 +13,7 @@ use polyject_codegen::{
 use polyject_core::Budget;
 use polyject_gpusim::{estimate, GpuModel};
 use polyject_ir::{ops, Kernel};
-use polyject_workloads::bert;
+use polyject_workloads::all_networks;
 
 /// SplitMix64: the workspace's standard deterministic PRNG.
 struct SplitMix64(u64);
@@ -80,7 +80,8 @@ fn fingerprint(kernel: &Kernel, compiled: &Compiled, gpu: &GpuModel) -> Vec<Stri
 }
 
 fn workload_kernels() -> Vec<(&'static str, Kernel)> {
-    let bert = bert();
+    let bert = all_networks().swap_remove(0);
+    assert_eq!(bert.name, "BERT");
     vec![
         // A reduction-free BERT fusion (elementwise chain).
         ("bert-elementwise", bert.ops[35].build()),

@@ -21,6 +21,8 @@
 # replica with zero solver work, the owner's cache directory then serving
 # that kernel cached to a restarted daemon and indexing exactly its files),
 # and a size gate (crates/serve/src's non-test lines under a ceiling).
+# Right after clippy, a public-surface gate (scripts/surface.py) checks
+# that every export below serving has a caller outside its crate.
 # Only what needs processes, sockets or the benchmark package lives
 # here; what a test can check, tier-1 checks. Tuning's session
 # amortisation is gated by tests/tune_sessions.rs and a hit's freedom
@@ -47,6 +49,12 @@ if cargo clippy --version >/dev/null 2>&1; then
 else
   echo "clippy unavailable; skipping"
 fi
+
+step "public-surface gate (ROADMAP item 28): every export below serving has an outside caller"
+# Every pub item of the ten crates below serving needs a use outside its
+# crate in non-test code, or a line with its reason in
+# scripts/surface.allow (at most 20 names).
+python3 scripts/surface.py
 
 step "cargo doc -D warnings (no dangling intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
@@ -87,7 +95,7 @@ echo "ok: >=200 injected faults, no hangs, no corruption served, replay byte-ide
 
 step "budget smoke (deadline, ILP-node and pivot caps, cancel flag)"
 cargo test --release -q -p polyject-sets --test budget
-cargo test --release -q -p polyject-core --test budget_degradation
+cargo test --release -q -p polyject-core --lib budget_degradation
 echo "ok: an exhausted deadline, ILP-node or pivot cap degrades down the ladder; cancel leaves no partial state"
 
 step "polyjectd daemon smoke (remote == local, cache hit on repeat)"

@@ -8,13 +8,20 @@ use polyject::gpusim::{estimate, GpuModel};
 use polyject::ir::{ops, ElemType};
 use polyject::prelude::*;
 use polyject::workloads::{
-    all_networks, lstm, measure_op, mobilenet_v2, resnet50, Network, NetworkMeasurement, OpClass,
-    Tool,
+    all_networks, lstm, measure_op, Network, NetworkMeasurement, OpClass, Tool,
 };
 use polyject_bench::run_table2_networks;
 
 fn model() -> GpuModel {
     GpuModel::v100()
+}
+
+/// The Table I network called `name`.
+fn network(name: &str) -> Network {
+    all_networks()
+        .into_iter()
+        .find(|n| n.name == name)
+        .expect(name)
 }
 
 /// One network's Table II row, measured serially.
@@ -80,8 +87,8 @@ fn table2_counts_match_paper() {
     // whole pipeline per network; only fast networks are measured here.
     for (net, expect) in [
         (lstm(), (4usize, 3usize, 3usize)),
-        (mobilenet_v2(), (18, 16, 16)),
-        (resnet50(), (17, 10, 12)),
+        (network("MobileNetv2"), (18, 16, 16)),
+        (network("ResNet50"), (17, 10, 12)),
     ] {
         let m = measure(&net);
         assert_eq!(
@@ -95,7 +102,7 @@ fn table2_counts_match_paper() {
 
 #[test]
 fn resnet50_speedups_have_paper_shape() {
-    let m = measure(&resnet50());
+    let m = measure(&network("ResNet50"));
     // Paper row: tvm 3.07, novec 3.05, infl 3.43 — all well above 1, infl
     // the best of the three pipeline configurations, influenced-only
     // larger than overall.

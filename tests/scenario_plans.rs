@@ -1,19 +1,24 @@
 //! A compile session plans Algorithm 2 against one shape analysis per
-//! kernel and memoizes schedules by [`ScenarioPlan`]. Over every unique
+//! kernel and memoizes schedules by scenario plan. Over every unique
 //! Table II operator, under the default influence options and 16
 //! sampled tuner points:
 //!
-//! * the tree the session builds from a plan equals the one-shot
-//!   [`build_influence_tree`] of the same options, so the analysis it
-//!   holds is the one a cold compile computes;
-//! * an option set whose plan equals an earlier one's is answered from
-//!   the memo with no solver work and the earlier schedule, so two
-//!   option sets with one plan cost one solve.
+//! * every schedule the session answers equals the one-shot
+//!   [`schedule_kernel`] under [`build_influence_tree`] of the same
+//!   options, so the tree it plans is the one a cold compile builds;
+//! * an option set whose one-shot tree equals an earlier one's (its plan
+//!   does too) is answered from the memo with no solver work and the
+//!   earlier schedule, so two option sets with one plan cost one solve.
+//!
+//! The plan itself is private to the session; this test reaches it
+//! through `ScheduleSession::schedule_with` only.
 
 use polyject::arith::SplitMix64;
 use polyject::core::{
-    build_influence_tree, Budget, InfluenceOptions, ScheduleSession, SchedulerOptions,
+    build_influence_tree, schedule_kernel, Budget, InfluenceOptions, ScheduleSession,
+    SchedulerOptions,
 };
+use polyject::deps::{compute_dependences, DepOptions};
 use polyject::sets::counters;
 use polyject::tune::space::sample;
 use polyject::workloads::{all_networks, op_key, unique_ops};
@@ -31,18 +36,20 @@ fn session_plans_build_the_one_shot_tree_and_equal_plans_solve_once() {
         let name = op_key(op);
         let kernel = op.build();
         let session = ScheduleSession::new(&kernel, SchedulerOptions::default());
+        let deps = compute_dependences(&kernel, DepOptions::default());
         let mut options = vec![InfluenceOptions::default()];
         options.extend((0..DRAWS).map(|_| sample(&mut rng).influence));
         let mut solved = Vec::new();
         for io in &options {
-            let plan = session.plan(Some(io));
-            let tree = session.influence_tree(&plan);
-            assert_eq!(tree, build_influence_tree(&kernel, io), "{name} {io:?}");
             let before = counters::snapshot();
             let result = session.schedule_with(Some(io), &Budget::unlimited());
             let d = counters::snapshot().delta_since(&before);
             let schedule = result.expect("schedulable").schedule.render(&kernel);
-            match solved.iter().find(|(p, _)| *p == plan) {
+            let tree = build_influence_tree(&kernel, io);
+            let one_shot = schedule_kernel(&kernel, &deps, &tree, SchedulerOptions::default());
+            let one_shot = one_shot.expect("schedulable").schedule.render(&kernel);
+            assert_eq!(schedule, one_shot, "{name} {io:?}");
+            match solved.iter().find(|(t, _)| *t == tree) {
                 Some((_, earlier)) => {
                     replays += 1;
                     let work = (d.ilp_solves, d.lp_solves, d.fm_eliminations);
@@ -50,7 +57,7 @@ fn session_plans_build_the_one_shot_tree_and_equal_plans_solve_once() {
                     assert_eq!(d.session_reuses, 1, "{name}");
                     assert_eq!(&schedule, earlier, "{name}");
                 }
-                None => solved.push((plan, schedule)),
+                None => solved.push((tree, schedule)),
             }
         }
     }
