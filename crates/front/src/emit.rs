@@ -4,6 +4,7 @@
 
 use polyject_ir::{Access, BinOp, ElemType, Expr, Extent, Kernel, Statement, UnOp};
 use std::fmt::Write as _;
+use std::ops::Range;
 
 /// The canonical `.pj` rendering of a source text: parse then
 /// [`emit_pj`].
@@ -58,90 +59,109 @@ pub fn canonical_pj(src: &str) -> Result<String, String> {
 /// assert_eq!(emit_pj(&reparsed).unwrap(), src);
 /// ```
 pub fn emit_pj(kernel: &Kernel) -> Result<String, String> {
-    let mut out = String::new();
+    let mut out = String::with_capacity(512);
+    let params = kernel.param_names();
     writeln!(out, "kernel {}", kernel.name()).expect("write");
-    for (name, default) in kernel.param_names().iter().zip(kernel.param_defaults()) {
+    for (name, default) in params.iter().zip(kernel.param_defaults()) {
         writeln!(out, "param {name} = {default}").expect("write");
     }
     for t in kernel.tensors() {
-        let dims: String = t
-            .dims()
-            .iter()
-            .map(|d| match d {
-                Extent::Const(v) => format!("[{v}]"),
-                Extent::Param(p) => format!("[{}]", kernel.param_names()[p.0]),
-            })
-            .collect();
+        write!(out, "tensor {}", t.name()).expect("write");
+        for d in t.dims() {
+            match d {
+                Extent::Const(v) => write!(out, "[{v}]"),
+                Extent::Param(p) => write!(out, "[{}]", params[p.0]),
+            }
+            .expect("write");
+        }
         let elem = match t.elem() {
             ElemType::F32 => "f32",
             ElemType::F16 => "f16",
         };
-        writeln!(out, "tensor {}{dims}: {elem}", t.name()).expect("write");
+        writeln!(out, ": {elem}").expect("write");
     }
+    // The statements' read accesses, rendered once each into `reads` at
+    // `spans`, since an expression may name one read many times.
+    let (mut reads, mut spans) = (String::new(), Vec::new());
     for s in kernel.statements() {
-        writeln!(out).expect("write");
-        emit_statement(kernel, s, &mut out)?;
+        out.push('\n');
+        emit_statement(kernel, s, &mut out, &mut reads, &mut spans)?;
     }
     Ok(out)
 }
 
-fn emit_statement(kernel: &Kernel, s: &Statement, out: &mut String) -> Result<(), String> {
+fn emit_statement(
+    kernel: &Kernel,
+    s: &Statement,
+    out: &mut String,
+    reads: &mut String,
+    spans: &mut Vec<Range<usize>>,
+) -> Result<(), String> {
     // Iterator ranges: recover `lo..hi` from the concrete/parametric
     // domain (rectangular domains only).
-    let mut iters = Vec::new();
+    write!(out, "stmt {} for (", s.name()).expect("write");
     for (i, name) in s.iters().iter().enumerate() {
-        let (lo, hi) = iter_range(kernel, s, i)?;
-        iters.push(format!("{name} in {lo}..{hi}"));
+        let (lo, hi) = iter_range(s, i)?;
+        let sep = if i == 0 { "" } else { ", " };
+        match hi {
+            Upper::Param(p) => write!(out, "{sep}{name} in {lo}..{}", kernel.param_names()[p]),
+            Upper::Const(hi) => write!(out, "{sep}{name} in {lo}..{hi}"),
+        }
+        .expect("write");
     }
-    write!(out, "stmt {} for ({})", s.name(), iters.join(", ")).expect("write");
-    writeln!(out).expect("write");
-    let w = access_text(kernel, s, s.write())?;
-    let reads: Result<Vec<String>, String> = s
-        .reads()
-        .iter()
-        .map(|a| access_text(kernel, s, a))
-        .collect();
-    let reads = reads?;
-    let body = expr_text(s.expr(), &reads);
-    writeln!(out, "  {w} = {body}").expect("write");
+    out.push_str(")\n  ");
+    write_access(kernel, s, s.write(), out)?;
+    out.push_str(" = ");
+    reads.clear();
+    spans.clear();
+    for a in s.reads() {
+        let start = reads.len();
+        write_access(kernel, s, a, reads)?;
+        spans.push(start..reads.len());
+    }
+    write_expr(s.expr(), reads, spans, out);
+    out.push('\n');
     Ok(())
 }
 
-/// `(lower, upper_exclusive)` of one iterator, as source text.
-fn iter_range(kernel: &Kernel, s: &Statement, iter: usize) -> Result<(String, String), String> {
-    // Probe the parametric domain: evaluate the extent at defaults for the
-    // concrete case; detect a parametric upper by matching the bound
-    // structure `iter <= param - 1` in the domain constraints.
-    let n = s.n_iters() + s.n_params();
+/// An iterator's exclusive upper bound: a parameter or a constant.
+enum Upper {
+    Param(usize),
+    Const(i128),
+}
+
+/// `(lower, upper_exclusive)` of one iterator.
+fn iter_range(s: &Statement, iter: usize) -> Result<(i128, Upper), String> {
+    // Probe the parametric domain: detect a parametric upper by matching
+    // the bound structure `iter <= param - 1` in the domain constraints,
+    // else a constant `iter <= c`.
+    let n_iters = s.n_iters();
     for c in s.domain().constraints() {
         if c.is_equality() {
             continue;
         }
-        if c.coeff(iter) == -1 && (0..s.n_iters()).all(|v| v == iter || c.coeff(v) == 0) {
+        if c.coeff(iter) == -1 && (0..n_iters).all(|v| v == iter || c.coeff(v) == 0) {
             // -iter + (param?) + const >= 0 → iter <= param + const.
             for p in 0..s.n_params() {
-                if c.coeff(s.n_iters() + p) == 1
+                if c.coeff(n_iters + p) == 1
                     && c.constant() == -1
-                    && (0..s.n_params()).all(|q| q == p || c.coeff(s.n_iters() + q) == 0)
+                    && (0..s.n_params()).all(|q| q == p || c.coeff(n_iters + q) == 0)
                 {
-                    let lo = lower_of(s, iter)?;
-                    return Ok((lo, kernel.param_names()[p].clone()));
+                    return Ok((lower_of(s, iter)?, Upper::Param(p)));
                 }
             }
-            if (0..s.n_params()).all(|q| c.coeff(s.n_iters() + q) == 0) {
-                let lo = lower_of(s, iter)?;
-                return Ok((lo, (c.constant() + 1).to_string()));
+            if (0..s.n_params()).all(|q| c.coeff(n_iters + q) == 0) {
+                return Ok((lower_of(s, iter)?, Upper::Const(c.constant() + 1)));
             }
         }
     }
-    let _ = n;
     Err(format!(
         "iterator {iter} of {} has no recognizable upper bound",
         s.name()
     ))
 }
 
-fn lower_of(s: &Statement, iter: usize) -> Result<String, String> {
+fn lower_of(s: &Statement, iter: usize) -> Result<i128, String> {
     for c in s.domain().constraints() {
         if c.is_equality() {
             continue;
@@ -150,7 +170,7 @@ fn lower_of(s: &Statement, iter: usize) -> Result<String, String> {
             && (0..s.n_iters()).all(|v| v == iter || c.coeff(v) == 0)
             && (0..s.n_params()).all(|q| c.coeff(s.n_iters() + q) == 0)
         {
-            return Ok((-c.constant()).to_string());
+            return Ok(-c.constant());
         }
     }
     Err(format!(
@@ -159,8 +179,15 @@ fn lower_of(s: &Statement, iter: usize) -> Result<String, String> {
     ))
 }
 
-fn access_text(kernel: &Kernel, s: &Statement, a: &Access) -> Result<String, String> {
-    let mut out = kernel.tensor(a.tensor()).name().to_string();
+/// Appends access `a` as `name[idx]...`, each index `iter`, `iter ± k`
+/// or `k`.
+fn write_access(
+    kernel: &Kernel,
+    s: &Statement,
+    a: &Access,
+    out: &mut String,
+) -> Result<(), String> {
+    out.push_str(kernel.tensor(a.tensor()).name());
     for e in a.indices() {
         let k = e
             .constant_term()
@@ -175,57 +202,59 @@ fn access_text(kernel: &Kernel, s: &Statement, a: &Access) -> Result<String, Str
             if c != polyject_arith::Rat::ONE || term.is_some() {
                 return Err(format!("index too complex in {}", s.name()));
             }
-            term = Some(s.iters()[it].clone());
+            term = Some(&s.iters()[it]);
         }
         for p in 0..s.n_params() {
             if !e.coeff(s.n_iters() + p).is_zero() {
                 return Err(format!("parametric index in {}", s.name()));
             }
         }
-        let idx = match (term, k) {
-            (Some(it), 0) => it,
-            (Some(it), k) if k > 0 => format!("{it} + {k}"),
-            (Some(it), k) => format!("{it} - {}", -k),
-            (None, k) => k.to_string(),
-        };
-        write!(out, "[{idx}]").expect("write");
+        match (term, k) {
+            (Some(it), 0) => write!(out, "[{it}]"),
+            (Some(it), k) if k > 0 => write!(out, "[{it} + {k}]"),
+            (Some(it), k) => write!(out, "[{it} - {}]", -k),
+            (None, k) => write!(out, "[{k}]"),
+        }
+        .expect("write");
     }
-    Ok(out)
+    Ok(())
 }
 
-fn expr_text(e: &Expr, reads: &[String]) -> String {
+/// Appends expression `e`, every binary operation parenthesised; read
+/// `i` is `reads[spans[i]]`.
+fn write_expr(e: &Expr, reads: &str, spans: &[Range<usize>], out: &mut String) {
+    let sub = |e: &Expr, out: &mut String| write_expr(e, reads, spans, out);
     match e {
-        Expr::Read(i) => reads[*i].clone(),
-        Expr::Const(c) => {
-            // Ensure the literal lexes as a float.
-            if c.fract() == 0.0 {
-                format!("{c:.1}")
-            } else {
-                format!("{c}")
-            }
-        }
+        Expr::Read(i) => out.push_str(&reads[spans[*i].clone()]),
+        // An integral value keeps its `.0`, so it lexes as a float.
+        Expr::Const(c) if c.fract() == 0.0 => write!(out, "{c:.1}").expect("write"),
+        Expr::Const(c) => write!(out, "{c}").expect("write"),
         Expr::Unary(op, a) => {
-            let inner = expr_text(a, reads);
-            match op {
-                UnOp::Neg => format!("(-{inner})"),
-                UnOp::Exp => format!("exp({inner})"),
-                UnOp::Relu => format!("relu({inner})"),
-                UnOp::Sqrt => format!("sqrt({inner})"),
-                UnOp::Recip => format!("recip({inner})"),
-                UnOp::Tanh => format!("tanh({inner})"),
-            }
+            out.push_str(match op {
+                UnOp::Neg => "(-",
+                UnOp::Exp => "exp(",
+                UnOp::Relu => "relu(",
+                UnOp::Sqrt => "sqrt(",
+                UnOp::Recip => "recip(",
+                UnOp::Tanh => "tanh(",
+            });
+            sub(a, out);
+            out.push(')');
         }
         Expr::Binary(op, a, b) => {
-            let l = expr_text(a, reads);
-            let r = expr_text(b, reads);
-            match op {
-                BinOp::Add => format!("({l} + {r})"),
-                BinOp::Sub => format!("({l} - {r})"),
-                BinOp::Mul => format!("({l} * {r})"),
-                BinOp::Div => format!("({l} / {r})"),
-                BinOp::Max => format!("max({l}, {r})"),
-                BinOp::Min => format!("min({l}, {r})"),
-            }
+            let (open, mid) = match op {
+                BinOp::Add => ("(", " + "),
+                BinOp::Sub => ("(", " - "),
+                BinOp::Mul => ("(", " * "),
+                BinOp::Div => ("(", " / "),
+                BinOp::Max => ("max(", ", "),
+                BinOp::Min => ("min(", ", "),
+            };
+            out.push_str(open);
+            sub(a, out);
+            out.push_str(mid);
+            sub(b, out);
+            out.push(')');
         }
     }
 }

@@ -1,23 +1,34 @@
 //! Tokenizer for the `.pj` kernel language.
+//!
+//! Tokens borrow from the source: an identifier is a `&'src str` slice
+//! of it, and a number is parsed straight from its slice (only a literal
+//! written with `_` separators is copied, to drop them), so lexing
+//! allocates the token vector and nothing per token. The scan walks
+//! bytes: every token, space and line break of the language is ASCII,
+//! and a multi-byte UTF-8 character is either inside a comment or the
+//! error that ends the scan. Columns stay 1-based *char* columns,
+//! advanced as the scan goes: by a token's length, and by the number of
+//! characters (non-continuation bytes) a comment spans.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// A token with its source position.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) struct Token {
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Token<'src> {
     /// The token kind/payload.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'src>,
     /// 1-based source line.
     pub line: usize,
-    /// 1-based source column.
+    /// 1-based source column, in chars.
     pub col: usize,
 }
 
 /// Token kinds of the kernel language.
-#[derive(Clone, Debug, PartialEq)]
-pub(crate) enum TokenKind {
-    /// Identifier or keyword.
-    Ident(String),
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum TokenKind<'src> {
+    /// Identifier or keyword, borrowed from the source.
+    Ident(&'src str),
     /// Integer literal.
     Int(i64),
     /// Floating-point literal.
@@ -50,7 +61,7 @@ pub(crate) enum TokenKind {
     Eof,
 }
 
-impl fmt::Display for TokenKind {
+impl fmt::Display for TokenKind<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TokenKind::Ident(s) => write!(f, "`{s}`"),
@@ -80,7 +91,7 @@ pub(crate) struct LexError {
     pub message: String,
     /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based column, in chars.
     pub col: usize,
 }
 
@@ -89,145 +100,47 @@ pub(crate) struct LexError {
 /// # Errors
 ///
 /// Returns the first lexical error (unknown character, malformed number).
-pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
-    let mut out = Vec::new();
-    let mut line = 1usize;
-    let mut col = 1usize;
-    let mut chars = src.chars().peekable();
-    macro_rules! push {
-        ($kind:expr, $c:expr) => {
-            out.push(Token {
-                kind: $kind,
-                line,
-                col: $c,
-            })
+pub(crate) fn lex(src: &str) -> Result<Vec<Token<'_>>, LexError> {
+    let bytes = src.as_bytes();
+    // Table II sources average a token per 2.6 bytes; the cap keeps a
+    // long comment from reserving more than it will hold.
+    let mut out = Vec::with_capacity((src.len() / 2 + 1).min(1 << 16));
+    let (mut i, mut line, mut col) = (0, 1, 1);
+    while let Some(&b) = bytes.get(i) {
+        let err = |message: String| LexError { message, line, col };
+        let (kind, end) = match b {
+            b'\n' => {
+                (i, line, col) = (i + 1, line + 1, 1);
+                continue;
+            }
+            b' ' | b'\t' | b'\r' => {
+                (i, col) = (i + 1, col + 1);
+                continue;
+            }
+            b'#' => {
+                let end = scan(bytes, i, |b| b != b'\n');
+                col += bytes[i..end].iter().filter(|&&b| b & 0xC0 != 0x80).count();
+                i = end;
+                continue;
+            }
+            b'.' if bytes.get(i + 1) == Some(&b'.') => (TokenKind::DotDot, i + 2),
+            b'.' => return Err(err("expected `..`".into())),
+            b'0'..=b'9' => number(src, i).map_err(err)?,
+            b if b.is_ascii_alphabetic() || b == b'_' => {
+                let end = scan(bytes, i, |b| b.is_ascii_alphanumeric() || b == b'_');
+                (TokenKind::Ident(&src[i..end]), end)
+            }
+            b => match punctuation(b) {
+                Some(kind) => (kind, i + 1),
+                None => {
+                    let other = src[i..].chars().next().expect("a char starts here");
+                    return Err(err(format!("unexpected character `{other}`")));
+                }
+            },
         };
-    }
-    while let Some(&c) = chars.peek() {
-        let start_col = col;
-        match c {
-            '\n' => {
-                chars.next();
-                line += 1;
-                col = 1;
-            }
-            ' ' | '\t' | '\r' => {
-                chars.next();
-                col += 1;
-            }
-            '#' => {
-                while let Some(&c) = chars.peek() {
-                    if c == '\n' {
-                        break;
-                    }
-                    chars.next();
-                    col += 1;
-                }
-            }
-            '[' | ']' | '(' | ')' | '=' | '+' | '-' | '*' | '/' | ',' | ':' => {
-                chars.next();
-                col += 1;
-                let kind = match c {
-                    '[' => TokenKind::LBracket,
-                    ']' => TokenKind::RBracket,
-                    '(' => TokenKind::LParen,
-                    ')' => TokenKind::RParen,
-                    '=' => TokenKind::Eq,
-                    '+' => TokenKind::Plus,
-                    '-' => TokenKind::Minus,
-                    '*' => TokenKind::Star,
-                    '/' => TokenKind::Slash,
-                    ',' => TokenKind::Comma,
-                    _ => TokenKind::Colon,
-                };
-                push!(kind, start_col);
-            }
-            '.' => {
-                chars.next();
-                col += 1;
-                if chars.peek() == Some(&'.') {
-                    chars.next();
-                    col += 1;
-                    push!(TokenKind::DotDot, start_col);
-                } else {
-                    return Err(LexError {
-                        message: "expected `..`".into(),
-                        line,
-                        col: start_col,
-                    });
-                }
-            }
-            c if c.is_ascii_digit() => {
-                let mut text = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_digit() || d == '_' {
-                        text.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                // A `.` only starts a fraction if NOT followed by another
-                // `.` (range operator).
-                let mut is_float = false;
-                if chars.peek() == Some(&'.') {
-                    let mut look = chars.clone();
-                    look.next();
-                    if look.peek() != Some(&'.') {
-                        is_float = true;
-                        text.push('.');
-                        chars.next();
-                        col += 1;
-                        while let Some(&d) = chars.peek() {
-                            if d.is_ascii_digit() {
-                                text.push(d);
-                                chars.next();
-                                col += 1;
-                            } else {
-                                break;
-                            }
-                        }
-                    }
-                }
-                let text = text.replace('_', "");
-                if is_float {
-                    let v = text.parse::<f32>().map_err(|_| LexError {
-                        message: format!("malformed float `{text}`"),
-                        line,
-                        col: start_col,
-                    })?;
-                    push!(TokenKind::Float(v), start_col);
-                } else {
-                    let v = text.parse::<i64>().map_err(|_| LexError {
-                        message: format!("malformed integer `{text}`"),
-                        line,
-                        col: start_col,
-                    })?;
-                    push!(TokenKind::Int(v), start_col);
-                }
-            }
-            c if c.is_ascii_alphabetic() || c == '_' => {
-                let mut text = String::new();
-                while let Some(&d) = chars.peek() {
-                    if d.is_ascii_alphanumeric() || d == '_' {
-                        text.push(d);
-                        chars.next();
-                        col += 1;
-                    } else {
-                        break;
-                    }
-                }
-                push!(TokenKind::Ident(text), start_col);
-            }
-            other => {
-                return Err(LexError {
-                    message: format!("unexpected character `{other}`"),
-                    line,
-                    col: start_col,
-                });
-            }
-        }
+        out.push(Token { kind, line, col });
+        // Every token is ASCII: its bytes are its chars.
+        (i, col) = (end, col + end - i);
     }
     out.push(Token {
         kind: TokenKind::Eof,
@@ -237,11 +150,62 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Token>, LexError> {
     Ok(out)
 }
 
+/// The end of the run of bytes from `from` on that satisfy `keep`.
+fn scan(bytes: &[u8], from: usize, keep: impl Fn(u8) -> bool) -> usize {
+    from + bytes[from..].iter().take_while(|&&b| keep(b)).count()
+}
+
+/// The number literal starting at `start` (a digit), and where it ends.
+fn number(src: &str, start: usize) -> Result<(TokenKind<'_>, usize), String> {
+    let bytes = src.as_bytes();
+    let mut end = scan(bytes, start, |b| b.is_ascii_digit() || b == b'_');
+    // A `.` only starts a fraction if NOT followed by another `.` (range
+    // operator).
+    let is_float = bytes.get(end) == Some(&b'.') && bytes.get(end + 1) != Some(&b'.');
+    if is_float {
+        end = scan(bytes, end + 1, |b| b.is_ascii_digit());
+    }
+    let text = match &src[start..end] {
+        t if t.contains('_') => Cow::Owned(t.replace('_', "")),
+        t => Cow::Borrowed(t),
+    };
+    let kind = if is_float {
+        let v = text
+            .parse()
+            .map_err(|_| format!("malformed float `{text}`"))?;
+        TokenKind::Float(v)
+    } else {
+        let v = text
+            .parse()
+            .map_err(|_| format!("malformed integer `{text}`"))?;
+        TokenKind::Int(v)
+    };
+    Ok((kind, end))
+}
+
+/// The one-byte token `b` spells, if any.
+fn punctuation(b: u8) -> Option<TokenKind<'static>> {
+    Some(match b {
+        b'[' => TokenKind::LBracket,
+        b']' => TokenKind::RBracket,
+        b'(' => TokenKind::LParen,
+        b')' => TokenKind::RParen,
+        b'=' => TokenKind::Eq,
+        b'+' => TokenKind::Plus,
+        b'-' => TokenKind::Minus,
+        b'*' => TokenKind::Star,
+        b'/' => TokenKind::Slash,
+        b',' => TokenKind::Comma,
+        b':' => TokenKind::Colon,
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn kinds(src: &str) -> Vec<TokenKind> {
+    fn kinds(src: &str) -> Vec<TokenKind<'_>> {
         lex(src).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -250,14 +214,14 @@ mod tests {
         assert_eq!(
             kinds("a[0] = 2.5 * b"),
             vec![
-                TokenKind::Ident("a".into()),
+                TokenKind::Ident("a"),
                 TokenKind::LBracket,
                 TokenKind::Int(0),
                 TokenKind::RBracket,
                 TokenKind::Eq,
                 TokenKind::Float(2.5),
                 TokenKind::Star,
-                TokenKind::Ident("b".into()),
+                TokenKind::Ident("b"),
                 TokenKind::Eof,
             ]
         );
@@ -270,7 +234,7 @@ mod tests {
             vec![
                 TokenKind::Int(0),
                 TokenKind::DotDot,
-                TokenKind::Ident("N".into()),
+                TokenKind::Ident("N"),
                 TokenKind::Eof
             ]
         );
@@ -280,7 +244,7 @@ mod tests {
     #[test]
     fn comments_and_positions() {
         let toks = lex("# a comment\nx").unwrap();
-        assert_eq!(toks[0].kind, TokenKind::Ident("x".into()));
+        assert_eq!(toks[0].kind, TokenKind::Ident("x"));
         assert_eq!(toks[0].line, 2);
         assert_eq!(toks[0].col, 1);
         // param, N, =, 8, EOF: a trailing comment yields no token.

@@ -77,8 +77,7 @@ impl From<LexError> for ParseError {
 /// assert_eq!(kernel.statements().len(), 1);
 /// ```
 pub fn parse(src: &str) -> Result<Kernel, ParseError> {
-    let tokens = lex(src)?;
-    Parser::new(tokens).kernel()
+    Parser::new(lex(src)?).kernel()
 }
 
 /// The deepest expression tree [`parse`] builds. Everything downstream
@@ -92,68 +91,77 @@ pub fn parse(src: &str) -> Result<Kernel, ParseError> {
 /// a small share of a 2 MiB thread stack.
 pub(crate) const MAX_EXPR_DEPTH: usize = 256;
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'src> {
+    tokens: Vec<Token<'src>>,
     pos: usize,
     /// `factor` calls on the stack.
     nesting: usize,
-    params: HashMap<String, ParamId>,
-    tensors: HashMap<String, (TensorId, usize)>, // id, rank
-    builder: Option<KernelBuilder>,
+    params: HashMap<&'src str, ParamId>,
+    tensors: HashMap<&'src str, (TensorId, usize)>, // id, rank
+    builder: KernelBuilder,
 }
 
 /// A parsed statement's iterator context.
-struct Iters {
-    names: Vec<String>,
+struct Iters<'src> {
+    names: Vec<&'src str>,
     uppers: Vec<Extent>,
     lowers: Vec<i64>,
 }
 
-impl Parser {
-    fn new(tokens: Vec<Token>) -> Parser {
+/// A statement's distinct reads in order of first appearance, as
+/// [`Expr::Read`] numbers them.
+type Reads = Vec<(TensorId, Vec<Idx>)>;
+
+/// An error at token `t`'s position.
+fn error_at(t: &Token<'_>, message: String) -> ParseError {
+    ParseError {
+        message,
+        line: t.line,
+        col: t.col,
+    }
+}
+
+impl<'src> Parser<'src> {
+    fn new(tokens: Vec<Token<'src>>) -> Parser<'src> {
         Parser {
             tokens,
             pos: 0,
             nesting: 0,
             params: HashMap::new(),
             tensors: HashMap::new(),
-            builder: None,
+            builder: KernelBuilder::default(),
         }
     }
 
-    fn peek(&self) -> &Token {
-        &self.tokens[self.pos]
+    /// The current token's kind (a copy: tokens borrow, never own).
+    fn peek(&self) -> TokenKind<'src> {
+        self.tokens[self.pos].kind
     }
 
-    fn next(&mut self) -> Token {
-        let t = self.tokens[self.pos].clone();
+    /// Moves past the current token; the final `Eof` is never passed.
+    fn bump(&mut self) {
         if self.pos + 1 < self.tokens.len() {
             self.pos += 1;
         }
-        t
     }
 
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
-        let t = self.peek();
-        Err(ParseError {
-            message: message.into(),
-            line: t.line,
-            col: t.col,
-        })
+        Err(error_at(&self.tokens[self.pos], message.into()))
     }
 
-    fn expect(&mut self, kind: &TokenKind) -> Result<Token, ParseError> {
-        if &self.peek().kind == kind {
-            Ok(self.next())
+    fn expect(&mut self, kind: TokenKind<'_>) -> Result<(), ParseError> {
+        if self.peek() == kind {
+            self.bump();
+            Ok(())
         } else {
-            self.err(format!("expected {kind}, found {}", self.peek().kind))
+            self.err(format!("expected {kind}, found {}", self.peek()))
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
-        match self.peek().kind.clone() {
+    fn ident(&mut self) -> Result<&'src str, ParseError> {
+        match self.peek() {
             TokenKind::Ident(s) => {
-                self.next();
+                self.bump();
                 Ok(s)
             }
             other => self.err(format!("expected identifier, found {other}")),
@@ -171,14 +179,13 @@ impl Parser {
 
     fn kernel(mut self) -> Result<Kernel, ParseError> {
         self.keyword("kernel")?;
-        let name = self.ident()?;
-        self.builder = Some(KernelBuilder::new(name));
+        self.builder = KernelBuilder::new(self.ident()?);
         loop {
-            match self.peek().kind.clone() {
+            match self.peek() {
                 TokenKind::Eof => break,
-                TokenKind::Ident(kw) if kw == "param" => self.param()?,
-                TokenKind::Ident(kw) if kw == "tensor" => self.tensor()?,
-                TokenKind::Ident(kw) if kw == "stmt" => self.statement()?,
+                TokenKind::Ident("param") => self.param()?,
+                TokenKind::Ident("tensor") => self.tensor()?,
+                TokenKind::Ident("stmt") => self.statement()?,
                 other => {
                     return self.err(format!(
                         "expected `param`, `tensor` or `stmt`, found {other}"
@@ -186,38 +193,30 @@ impl Parser {
                 }
             }
         }
-        let t = self.peek().clone();
-        self.builder
-            .take()
-            .expect("builder present")
-            .finish()
-            .map_err(|m| ParseError {
-                message: m,
-                line: t.line,
-                col: t.col,
-            })
+        let eof = self.tokens[self.pos];
+        self.builder.finish().map_err(|m| error_at(&eof, m))
     }
 
     fn param(&mut self) -> Result<(), ParseError> {
         self.keyword("param")?;
         let name = self.ident()?;
-        self.expect(&TokenKind::Eq)?;
+        self.expect(TokenKind::Eq)?;
         let value = self.int()?;
-        if self.params.contains_key(&name) {
+        if self.params.contains_key(name) {
             return self.err(format!("parameter `{name}` already declared"));
         }
-        let id = self.builder.as_mut().expect("builder").param(&name, value);
+        let id = self.builder.param(name, value);
         self.params.insert(name, id);
         Ok(())
     }
 
     fn int(&mut self) -> Result<i64, ParseError> {
-        match self.peek().kind {
+        match self.peek() {
             TokenKind::Int(v) => {
-                self.next();
+                self.bump();
                 Ok(v)
             }
-            _ => self.err(format!("expected integer, found {}", self.peek().kind)),
+            other => self.err(format!("expected integer, found {other}")),
         }
     }
 
@@ -225,14 +224,14 @@ impl Parser {
         self.keyword("tensor")?;
         let name = self.ident()?;
         let mut dims = Vec::new();
-        while self.peek().kind == TokenKind::LBracket {
-            self.next();
+        while self.peek() == TokenKind::LBracket {
+            self.bump();
             dims.push(self.extent()?);
-            self.expect(&TokenKind::RBracket)?;
+            self.expect(TokenKind::RBracket)?;
         }
-        let elem = if self.peek().kind == TokenKind::Colon {
-            self.next();
-            match self.ident()?.as_str() {
+        let elem = if self.peek() == TokenKind::Colon {
+            self.bump();
+            match self.ident()? {
                 "f32" => ElemType::F32,
                 "f16" => ElemType::F16,
                 other => return self.err(format!("unknown element type `{other}`")),
@@ -240,30 +239,26 @@ impl Parser {
         } else {
             ElemType::F32
         };
-        if self.tensors.contains_key(&name) {
+        if self.tensors.contains_key(name) {
             return self.err(format!("tensor `{name}` already declared"));
         }
         let rank = dims.len();
-        let id = self
-            .builder
-            .as_mut()
-            .expect("builder")
-            .tensor(&name, dims, elem);
+        let id = self.builder.tensor(name, dims, elem);
         self.tensors.insert(name, (id, rank));
         Ok(())
     }
 
     fn extent(&mut self) -> Result<Extent, ParseError> {
-        match self.peek().kind.clone() {
+        match self.peek() {
             TokenKind::Int(v) => {
-                self.next();
+                self.bump();
                 Ok(Extent::Const(v))
             }
             TokenKind::Ident(name) => {
-                let Some(&p) = self.params.get(&name) else {
+                let Some(&p) = self.params.get(name) else {
                     return self.err(format!("unknown parameter `{name}`"));
                 };
-                self.next();
+                self.bump();
                 Ok(Extent::Param(p))
             }
             other => self.err(format!("expected extent, found {other}")),
@@ -271,10 +266,12 @@ impl Parser {
     }
 
     fn statement(&mut self) -> Result<(), ParseError> {
+        // A statement the kernel builder rejects is reported at its `stmt`.
+        let stmt = self.tokens[self.pos];
         self.keyword("stmt")?;
         let name = self.ident()?;
         self.keyword("for")?;
-        self.expect(&TokenKind::LParen)?;
+        self.expect(TokenKind::LParen)?;
         let mut iters = Iters {
             names: Vec::new(),
             uppers: Vec::new(),
@@ -284,7 +281,7 @@ impl Parser {
             let it = self.ident()?;
             self.keyword("in")?;
             let lo = self.int()?;
-            self.expect(&TokenKind::DotDot)?;
+            self.expect(TokenKind::DotDot)?;
             let hi = self.extent()?;
             if iters.names.contains(&it) {
                 return self.err(format!("duplicate iterator `{it}`"));
@@ -292,24 +289,23 @@ impl Parser {
             iters.names.push(it);
             iters.lowers.push(lo);
             iters.uppers.push(hi);
-            if self.peek().kind == TokenKind::Comma {
-                self.next();
+            if self.peek() == TokenKind::Comma {
+                self.bump();
             } else {
                 break;
             }
         }
-        self.expect(&TokenKind::RParen)?;
+        self.expect(TokenKind::RParen)?;
 
         // Write access.
         let (write_tensor, write_idx) = self.access(&iters)?;
-        self.expect(&TokenKind::Eq)?;
+        self.expect(TokenKind::Eq)?;
 
         // Expression; reads are collected as encountered.
-        let mut reads: Vec<(TensorId, Vec<Idx>)> = Vec::new();
+        let mut reads = Reads::new();
         let (expr, _) = self.expr(&iters, &mut reads)?;
 
-        let names: Vec<&str> = iters.names.iter().map(String::as_str).collect();
-        let mut sb = StatementBuilder::new(&name, &names);
+        let mut sb = StatementBuilder::new(name, &iters.names);
         for (i, (&lo, up)) in iters.lowers.iter().zip(&iters.uppers).enumerate() {
             match (lo, up) {
                 (0, up) => sb = sb.bound_extent(i, *up),
@@ -325,29 +321,22 @@ impl Parser {
             sb = sb.read(*t, idx);
         }
         sb = sb.expr(expr);
-        let t = self.peek().clone();
         self.builder
-            .as_mut()
-            .expect("builder")
             .add_statement(sb)
-            .map_err(|m| ParseError {
-                message: m,
-                line: t.line,
-                col: t.col,
-            })?;
+            .map_err(|m| error_at(&stmt, m))?;
         Ok(())
     }
 
-    fn access(&mut self, iters: &Iters) -> Result<(TensorId, Vec<Idx>), ParseError> {
+    fn access(&mut self, iters: &Iters<'_>) -> Result<(TensorId, Vec<Idx>), ParseError> {
         let name = self.ident()?;
-        let Some(&(tid, rank)) = self.tensors.get(&name) else {
+        let Some(&(tid, rank)) = self.tensors.get(name) else {
             return self.err(format!("unknown tensor `{name}`"));
         };
-        let mut idx = Vec::new();
-        while self.peek().kind == TokenKind::LBracket {
-            self.next();
+        let mut idx = Vec::with_capacity(rank);
+        while self.peek() == TokenKind::LBracket {
+            self.bump();
             idx.push(self.index(iters)?);
-            self.expect(&TokenKind::RBracket)?;
+            self.expect(TokenKind::RBracket)?;
         }
         if idx.len() != rank {
             return self.err(format!(
@@ -358,30 +347,24 @@ impl Parser {
         Ok((tid, idx))
     }
 
-    fn index(&mut self, iters: &Iters) -> Result<Idx, ParseError> {
-        match self.peek().kind.clone() {
+    fn index(&mut self, iters: &Iters<'_>) -> Result<Idx, ParseError> {
+        match self.peek() {
             TokenKind::Int(v) => {
-                self.next();
+                self.bump();
                 Ok(Idx::Const(v))
             }
             TokenKind::Ident(name) => {
-                let Some(pos) = iters.names.iter().position(|n| *n == name) else {
+                let Some(pos) = iters.names.iter().position(|&n| n == name) else {
                     return self.err(format!("unknown iterator `{name}` in index"));
                 };
-                self.next();
-                match self.peek().kind.clone() {
-                    TokenKind::Plus => {
-                        self.next();
-                        let v = self.int()?;
-                        Ok(Idx::IterPlus(pos, v))
-                    }
-                    TokenKind::Minus => {
-                        self.next();
-                        let v = self.int()?;
-                        Ok(Idx::IterPlus(pos, -v))
-                    }
-                    _ => Ok(Idx::Iter(pos)),
-                }
+                self.bump();
+                let sign = match self.peek() {
+                    TokenKind::Plus => 1,
+                    TokenKind::Minus => -1,
+                    _ => return Ok(Idx::Iter(pos)),
+                };
+                self.bump();
+                Ok(Idx::IterPlus(pos, sign * self.int()?))
             }
             other => self.err(format!("expected index, found {other}")),
         }
@@ -403,19 +386,15 @@ impl Parser {
     }
 
     /// expr := term (('+'|'-') term)*
-    fn expr(
-        &mut self,
-        iters: &Iters,
-        reads: &mut Vec<(TensorId, Vec<Idx>)>,
-    ) -> Result<(Expr, usize), ParseError> {
+    fn expr(&mut self, iters: &Iters<'_>, reads: &mut Reads) -> Result<(Expr, usize), ParseError> {
         let (mut lhs, mut depth) = self.term(iters, reads)?;
         loop {
-            let op = match self.peek().kind {
+            let op = match self.peek() {
                 TokenKind::Plus => BinOp::Add,
                 TokenKind::Minus => BinOp::Sub,
                 _ => break,
             };
-            self.next();
+            self.bump();
             let (rhs, rhs_depth) = self.term(iters, reads)?;
             depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::bin(op, lhs, rhs);
@@ -424,19 +403,15 @@ impl Parser {
     }
 
     /// term := factor (('*'|'/') factor)*
-    fn term(
-        &mut self,
-        iters: &Iters,
-        reads: &mut Vec<(TensorId, Vec<Idx>)>,
-    ) -> Result<(Expr, usize), ParseError> {
+    fn term(&mut self, iters: &Iters<'_>, reads: &mut Reads) -> Result<(Expr, usize), ParseError> {
         let (mut lhs, mut depth) = self.factor(iters, reads)?;
         loop {
-            let op = match self.peek().kind {
+            let op = match self.peek() {
                 TokenKind::Star => BinOp::Mul,
                 TokenKind::Slash => BinOp::Div,
                 _ => break,
             };
-            self.next();
+            self.bump();
             let (rhs, rhs_depth) = self.factor(iters, reads)?;
             depth = self.deeper(depth.max(rhs_depth))?;
             lhs = Expr::bin(op, lhs, rhs);
@@ -450,8 +425,8 @@ impl Parser {
     /// counts how far it has (see [`MAX_EXPR_DEPTH`]).
     fn factor(
         &mut self,
-        iters: &Iters,
-        reads: &mut Vec<(TensorId, Vec<Idx>)>,
+        iters: &Iters<'_>,
+        reads: &mut Reads,
     ) -> Result<(Expr, usize), ParseError> {
         if self.nesting == 2 * MAX_EXPR_DEPTH {
             return self.too_deep();
@@ -464,50 +439,48 @@ impl Parser {
 
     fn nested_factor(
         &mut self,
-        iters: &Iters,
-        reads: &mut Vec<(TensorId, Vec<Idx>)>,
+        iters: &Iters<'_>,
+        reads: &mut Reads,
     ) -> Result<(Expr, usize), ParseError> {
-        match self.peek().kind.clone() {
+        match self.peek() {
             TokenKind::Float(v) => {
-                self.next();
+                self.bump();
                 Ok((Expr::Const(v), 1))
             }
             TokenKind::Int(v) => {
-                self.next();
+                self.bump();
                 Ok((Expr::Const(v as f32), 1))
             }
             TokenKind::Minus => {
-                self.next();
+                self.bump();
                 let (inner, depth) = self.factor(iters, reads)?;
                 Ok((Expr::un(UnOp::Neg, inner), self.deeper(depth)?))
             }
             TokenKind::LParen => {
-                self.next();
+                self.bump();
                 let e = self.expr(iters, reads)?;
-                self.expect(&TokenKind::RParen)?;
+                self.expect(TokenKind::RParen)?;
                 Ok(e)
             }
             TokenKind::Ident(name) => {
-                // Function call, or tensor access.
-                if let Some(un) = unary_fn(&name) {
-                    if self.tokens[self.pos + 1].kind == TokenKind::LParen {
-                        self.next();
-                        self.next();
-                        let (arg, depth) = self.expr(iters, reads)?;
-                        self.expect(&TokenKind::RParen)?;
-                        return Ok((Expr::un(un, arg), self.deeper(depth)?));
-                    }
+                // Function call, or tensor access. An identifier is never
+                // the last token, so the lookahead is in bounds.
+                let call = self.tokens[self.pos + 1].kind == TokenKind::LParen;
+                if let Some(un) = unary_fn(name).filter(|_| call) {
+                    self.bump();
+                    self.bump();
+                    let (arg, depth) = self.expr(iters, reads)?;
+                    self.expect(TokenKind::RParen)?;
+                    return Ok((Expr::un(un, arg), self.deeper(depth)?));
                 }
-                if let Some(bin) = binary_fn(&name) {
-                    if self.tokens[self.pos + 1].kind == TokenKind::LParen {
-                        self.next();
-                        self.next();
-                        let (a, a_depth) = self.expr(iters, reads)?;
-                        self.expect(&TokenKind::Comma)?;
-                        let (b, b_depth) = self.expr(iters, reads)?;
-                        self.expect(&TokenKind::RParen)?;
-                        return Ok((Expr::bin(bin, a, b), self.deeper(a_depth.max(b_depth))?));
-                    }
+                if let Some(bin) = binary_fn(name).filter(|_| call) {
+                    self.bump();
+                    self.bump();
+                    let (a, a_depth) = self.expr(iters, reads)?;
+                    self.expect(TokenKind::Comma)?;
+                    let (b, b_depth) = self.expr(iters, reads)?;
+                    self.expect(TokenKind::RParen)?;
+                    return Ok((Expr::bin(bin, a, b), self.deeper(a_depth.max(b_depth))?));
                 }
                 let (tid, idx) = self.access(iters)?;
                 // Dedupe identical reads.
@@ -647,6 +620,18 @@ stmt S for (i in 1..8) a[i] = a[i - 1] + a[i]
         for (src, needle) in cases {
             let e = parse(src).unwrap_err();
             assert!(e.message.contains(needle), "{src} → {e}");
+        }
+    }
+
+    #[test]
+    fn a_rejected_statement_is_reported_at_its_stmt_keyword() {
+        let s = "kernel oob\ntensor A[8]: f32\ntensor B[8]: f32\n\
+                 stmt S for (i in 0..8)\n  B[i] = A[i + 4]\n";
+        let t = "stmt T for (i in 0..8)\n  A[i] = B[i]\n";
+        let want = "4:1: S: read of A spans [4, 11] in dimension 0, outside its extent 8";
+        // Alone, the statement ends the file; followed by `T`, it does not.
+        for src in [s.to_string(), format!("{s}\n{t}")] {
+            assert_eq!(parse(&src).unwrap_err().to_string(), want, "{src}");
         }
     }
 

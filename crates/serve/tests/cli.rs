@@ -192,7 +192,7 @@ fn an_access_outside_its_tensor_is_an_error_not_a_kernel() {
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(out.stdout.is_empty(), "no kernel printed");
     assert!(
-        stderr.contains("read of A spans [4, 11] in dimension 1"),
+        stderr.contains(":4:1: S: read of A spans [4, 11] in dimension 1"),
         "{stderr}"
     );
     let _ = std::fs::remove_file(&path);

@@ -317,7 +317,7 @@ step "size gate (ROADMAP item 1): crates/serve/src non-test line count"
 # against the ceiling. A `#[cfg(test)]` on a single item, such as
 # tableau.rs's test-only pivot cap override, does not split the file. The
 # other crates' counts are printed only, then the sums.
-serve_ceiling=6815
+serve_ceiling=6813
 split_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { t = 0; cfg = 0 }
