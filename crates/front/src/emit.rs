@@ -297,6 +297,17 @@ mod tests {
     }
 
     #[test]
+    fn a_float_above_f32_max_has_no_canonical_form_and_f32_max_is_a_fixed_point() {
+        let with = |lit: &str| {
+            format!("kernel k\ntensor A[4]: f32\nstmt S for (i in 0..4) A[i] = A[i] * {lit}\n")
+        };
+        let err = canonical_pj(&with(&format!("1{}.0", "0".repeat(39)))).unwrap_err();
+        assert!(err.starts_with("3:38: float `1000"), "{err}");
+        let max = canonical_pj(&with(&format!("{}.0", f32::MAX))).unwrap();
+        assert_eq!(canonical_pj(&max).unwrap(), max);
+    }
+
+    #[test]
     fn f16_elem_type_survives() {
         let kernel = ops::transpose_2d_of(4, 4, polyject_ir::ElemType::F16);
         let src = emit_pj(&kernel).unwrap();

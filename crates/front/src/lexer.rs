@@ -170,9 +170,13 @@ fn number(src: &str, start: usize) -> Result<(TokenKind<'_>, usize), String> {
         t => Cow::Borrowed(t),
     };
     let kind = if is_float {
-        let v = text
+        let v: f32 = text
             .parse()
             .map_err(|_| format!("malformed float `{text}`"))?;
+        // Above `f32::MAX` the parse yields `inf`, which no literal spells.
+        if !v.is_finite() {
+            return Err(format!("float `{text}` is out of range for f32"));
+        }
         TokenKind::Float(v)
     } else {
         let v = text
@@ -254,6 +258,18 @@ mod tests {
     #[test]
     fn underscored_integers() {
         assert_eq!(kinds("1_024"), vec![TokenKind::Int(1024), TokenKind::Eof]);
+    }
+
+    #[test]
+    fn a_float_literal_above_f32_max_is_an_error_at_its_position() {
+        let e = lex(&format!("x = 1{}.0", "0".repeat(39))).unwrap_err();
+        assert_eq!((e.line, e.col), (1, 5));
+        assert!(e.message.contains("out of range for f32"), "{}", e.message);
+        let max = format!("{}.0", f32::MAX);
+        assert_eq!(
+            kinds(&max),
+            vec![TokenKind::Float(f32::MAX), TokenKind::Eof]
+        );
     }
 
     #[test]

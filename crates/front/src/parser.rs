@@ -311,8 +311,8 @@ impl<'src> Parser<'src> {
                 (0, up) => sb = sb.bound_extent(i, *up),
                 (lo, Extent::Const(hi)) => sb = sb.bound_range(i, lo, hi - 1),
                 _ => {
-                    return self
-                        .err("non-zero lower bounds require a constant upper bound".to_string())
+                    let msg = "non-zero lower bounds require a constant upper bound";
+                    return Err(error_at(&stmt, msg.to_string()));
                 }
             }
         }
@@ -633,6 +633,14 @@ stmt S for (i in 1..8) a[i] = a[i - 1] + a[i]
         for src in [s.to_string(), format!("{s}\n{t}")] {
             assert_eq!(parse(&src).unwrap_err().to_string(), want, "{src}");
         }
+    }
+
+    #[test]
+    fn a_parametric_range_with_a_lower_bound_is_reported_at_its_stmt_keyword() {
+        let src = "kernel lo\nparam N = 8\ntensor A[N]: f32\n\
+                   stmt S for (i in 1..N)\n  A[i] = A[i] * 2.0\n";
+        let want = "4:1: non-zero lower bounds require a constant upper bound";
+        assert_eq!(parse(src).unwrap_err().to_string(), want);
     }
 
     #[test]

@@ -199,6 +199,23 @@ fn an_access_outside_its_tensor_is_an_error_not_a_kernel() {
 }
 
 #[test]
+fn a_float_literal_above_f32_max_is_an_error_at_its_position() {
+    let path = std::env::temp_dir().join(format!("pj-cli-inf-{}.pj", std::process::id()));
+    let src = format!(
+        "kernel big\ntensor A[8]: f32\nstmt S for (i in 0..8)\n  A[i] = A[i] * 1{}.0\n",
+        "0".repeat(39)
+    );
+    std::fs::write(&path, src).unwrap();
+    let out = run(POLYJECTC, &[path.to_str().unwrap(), "--emit", "pj"]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "no kernel printed");
+    assert!(stderr.contains(":4:17: float `1000"), "{stderr}");
+    assert!(stderr.contains("out of range for f32"), "{stderr}");
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn help_prints_usage_and_exits_zero() {
     for bin in [POLYJECTC, POLYJECT_CACHE, POLYJECTD, POLYJECT_ROUTER] {
         let out = run(bin, &["--help"]);

@@ -18,12 +18,15 @@ root = pathlib.Path(__file__).resolve().parent.parent
 rs_files = lambda *dirs: [p for d in dirs for p in sorted((root / d).rglob("*.rs"))]
 
 def non_test(path):
-    out, cfg = [], False
+    """The file's lines, comments cut, each test module blanked: from its
+    `#[cfg(test)]` line to its closing `}` in column 0 (rustfmt's)."""
+    out, cfg, test = [], False, False
     for line in path.read_text().splitlines():
         if cfg and re.match(r"(pub(\(crate\))? )?mod ", line):
-            break
-        cfg = bool(re.match(r"#\[cfg\((test|all\(test, .*\))\)\]$", line))
-        out.append(re.sub(r"//.*", "", line))
+            test, out[-1] = True, ""
+        cfg = not test and bool(re.match(r"#\[cfg\((test|all\(test, .*\))\)\]$", line))
+        out.append("" if test else re.sub(r"//.*", "", line))
+        test = test and not line.startswith("}")
     return out
 
 def declared(lines):
