@@ -11,30 +11,27 @@
 //!
 //! An entry file is `{"format": FORMAT_VERSION, "key", "kind", "checksum",
 //! "payload"}`, `checksum` the FNV-1a 64 hex digest of the rendered
-//! payload. Reads re-verify it: any parse, version, key or checksum
+//! payload. Every read re-checks format, key and checksum, and parses the
+//! payload unless its row vouches for it (`DiskCache::vouch`); a
 //! failure is a miss, counted as an error, that moves the file to
-//! `quarantine/` for post-mortem instead of serving bad artifacts.
+//! `quarantine/` for post-mortem.
 //!
-//! **Durability.** A put is three steps: `encode` renders the entry;
-//! `land` writes it to a tmp file, fsyncs it and renames it into place;
-//! `commit` indexes it and appends its row to `index.log` (no fsync).
-//! [`DiskCache::put`] runs them in line, a `WriteBehind` after the reply.
-//! The rename is not directory-synced, so `entries/` is the record of what
-//! exists and the index a recency and budget hint: opening reads
-//! `index.json`, replays the log (skipping torn lines) and reconciles both
-//! with one listing of `entries/` (rows without a file dropped, files
-//! without a row adopted unread at their size); [`DiskCache::flush`]
-//! compacts the log. A crash can lose the recency of uncompacted rows,
-//! never an entry or the budget.
+//! **Durability.** A put is `encode` (render), `land` (tmp file, fsync,
+//! rename) and `commit` (index, one `index.log` row, no fsync), in line
+//! in [`DiskCache::put`], after the reply in a `WriteBehind`. `entries/`
+//! is the record, the index a recency and budget hint: opening replays
+//! `index.json` and the log (torn lines skipped) and reconciles them with
+//! one listing of `entries/` (rows without a file dropped, files without a
+//! row adopted unread); [`DiskCache::flush`] compacts the log. A crash can
+//! lose recency, never an entry or the budget.
 //!
-//! Every filesystem call goes through the [`crate::faults::Io`] seam, so
-//! the chaos suite can run the cache over a fault-injecting filesystem
-//! ([`DiskCache::open_with_io`]). Opening sweeps the `.tmp.*` files of
-//! writes that died before their rename. Eviction is LRU over a logical
-//! tick (persisted in the index) within a payload byte budget.
+//! Every filesystem call goes through the [`crate::faults::Io`] seam
+//! ([`DiskCache::open_with_io`] for the chaos suite). Opening sweeps the
+//! `.tmp.*` debris of dead writes. Eviction is LRU over a logical tick
+//! within a payload byte budget.
 
 use crate::faults::{Io, RealIo};
-use crate::hash::hex_digest;
+use crate::hash::{fnv1a64, hex_digest};
 use crate::json::Json;
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -49,16 +46,14 @@ pub const FORMAT_VERSION: u64 = 1;
 /// Default size bound: 256 MiB of payload bytes.
 pub const DEFAULT_MAX_BYTES: u64 = 256 << 20;
 
-/// Prefix of the temporary files atomic writes stage their bytes in: never
-/// a live entry, so the startup sweep may remove any it finds.
+/// Prefix of the tmp files atomic writes stage in, which opening sweeps.
 const TMP_PREFIX: &str = ".tmp.";
 
 const INDEX: &str = "index.json";
 const LOG: &str = "index.log";
 
-/// `index.log` is compacted once it holds more rows than this for an
-/// index of `rows`: a compaction rewrites O(rows) bytes and follows at
-/// least that many puts, so a put costs O(1) amortised.
+/// `index.log` is compacted past this many rows for an index of `rows`,
+/// so a put costs O(1) amortised.
 const fn compaction_bound(rows: usize) -> usize {
     4 * rows + 64
 }
@@ -86,9 +81,20 @@ struct IndexEntry {
     kind: String,
     bytes: u64,
     last_used: u64,
+    /// In memory only: the checksum of a payload vouched for.
+    vouched: Option<u64>,
 }
 
 impl IndexEntry {
+    fn new(kind: String, bytes: u64, last_used: u64) -> IndexEntry {
+        IndexEntry {
+            kind,
+            bytes,
+            last_used,
+            vouched: None,
+        }
+    }
+
     /// The row as `index.json` lists it and `index.log` appends it.
     fn to_json(&self, key: &str) -> Json {
         Json::obj(vec![
@@ -101,11 +107,8 @@ impl IndexEntry {
 
     fn parse(v: &Json) -> Option<(String, IndexEntry)> {
         let n = |field: &str| v.get(field).and_then(Json::as_u64).unwrap_or(0);
-        let row = IndexEntry {
-            kind: v.str_field("kind").ok()?.to_string(),
-            bytes: n("bytes"),
-            last_used: n("last_used"),
-        };
+        let kind = v.str_field("kind").ok()?.to_string();
+        let row = IndexEntry::new(kind, n("bytes"), n("last_used"));
         Some((v.str_field("key").ok()?.to_string(), row))
     }
 }
@@ -137,11 +140,20 @@ pub(crate) struct Encoded {
     text: String,
 }
 
+/// An entry [`DiskCache::read`] checked: its payload as stored, parsed
+/// unless its row vouched for it, the payload's checksum, the file's size.
+#[derive(Debug)]
+pub(crate) struct Entry {
+    pub(crate) kind: String,
+    pub(crate) payload: String,
+    pub(crate) json: Option<Json>,
+    pub(crate) checksum: u64,
+    bytes: u64,
+}
+
 impl DiskCache {
-    /// Opens (creating if needed) a cache directory with the given
-    /// payload byte budget. The index is reconciled against `entries/`
-    /// (see the module docs) and compacted if that changed it, so a
-    /// missing, torn or stale `index.json` or `index.log` is no error.
+    /// Opens (creating if needed) a cache directory with a payload byte
+    /// budget; a missing, torn or stale index is reconciled, no error.
     ///
     /// # Errors
     ///
@@ -150,8 +162,7 @@ impl DiskCache {
         DiskCache::open_on(dir, max_bytes, Box::new(RealIo), true)
     }
 
-    /// [`DiskCache::open`] over an explicit [`Io`] implementation — the
-    /// chaos suite's entry point for fault injection.
+    /// [`DiskCache::open`] over an explicit [`Io`] (fault injection).
     ///
     /// # Errors
     ///
@@ -240,9 +251,8 @@ impl DiskCache {
         old.is_some()
     }
 
-    /// Removes every `.tmp.*` file among `names`, the listing of `sub`
-    /// (debris of writes that died before their rename), and returns the
-    /// other names.
+    /// Removes the `.tmp.*` files among `names`, the listing of `sub`, and
+    /// returns the other names.
     fn sweep_stale_tmps(&mut self, sub: &Path, names: Vec<String>) -> Vec<String> {
         let mut kept = Vec::with_capacity(names.len());
         for name in names {
@@ -255,10 +265,8 @@ impl DiskCache {
         kept
     }
 
-    /// Builds the index from `index.json`, the rows `index.log` appended
-    /// since, and `files` (the listing of `entries/`), as the module docs
-    /// say. Returns whether the index wants compacting: a log existed, or
-    /// the result differs from `index.json`.
+    /// Builds the index from `index.json`, `index.log` and `files` (the
+    /// listing of `entries/`). Returns whether it wants compacting.
     fn reconcile(&mut self, files: Vec<String>) -> bool {
         let mut read = |name: &str| self.io.read_to_string(&self.dir.join(name)).ok();
         let (index, log) = (read(INDEX), read(LOG));
@@ -290,12 +298,7 @@ impl DiskCache {
                 }
                 None => {
                     let bytes = self.io.metadata_len(&self.entry_path(key)).unwrap_or(0);
-                    let row = IndexEntry {
-                        kind: String::new(),
-                        bytes,
-                        last_used: 0,
-                    };
-                    self.index(key.to_string(), row);
+                    self.index(key.to_string(), IndexEntry::new(String::new(), bytes, 0));
                     dirty = true;
                 }
             }
@@ -310,69 +313,84 @@ impl DiskCache {
         self.entries.contains_key(key) || self.io.exists(&path)
     }
 
-    /// Looks up a key, verifying the entry checksum. Returns the
-    /// `(kind, payload)` on a hit. Corrupt entries are quarantined and
-    /// reported as misses.
+    /// Looks up a key (`DiskCache::read`): `(kind, payload)`. Corrupt
+    /// entries are quarantined and reported as misses.
     pub fn get(&mut self, key: &str) -> Option<(String, Json)> {
-        let found = self.get_if_present(key);
-        if found.is_none() {
-            self.stats.misses += 1;
-        }
-        found
+        let entry = self.read(key, false)?;
+        let json = entry.json.or_else(|| Json::parse(&entry.payload).ok())?;
+        Some((entry.kind, json))
     }
 
-    /// [`DiskCache::get`] for an optional entry: an absent (or corrupt,
-    /// then quarantined) one moves no miss counter.
-    pub fn get_if_present(&mut self, key: &str) -> Option<(String, Json)> {
-        if !self.contains(key) {
-            return None;
-        }
-        match self.read_verified(key) {
-            Ok((kind, payload, bytes)) => {
-                self.stats.hits += 1;
-                self.tick += 1;
-                // The verified file is the record, the row a hint: rewrite
-                // the row from it (adopting an entry another process wrote).
-                let row = IndexEntry {
-                    kind: kind.clone(),
-                    bytes,
-                    last_used: self.tick,
-                };
-                self.index(key.to_string(), row);
-                Some((kind, payload))
-            }
-            Err(reason) => {
+    /// The one counted read: `key`'s entry, checked, its row rewritten from
+    /// the file (adopting one another process wrote). A corrupt entry is
+    /// quarantined; it and an absent one are a miss unless `optional`.
+    pub(crate) fn read(&mut self, key: &str, optional: bool) -> Option<Entry> {
+        let vouched = self.entries.get(key).and_then(|row| row.vouched);
+        let found = match self.contains(key).then(|| self.check(key, vouched)) {
+            Some(Ok(entry)) => Some(entry),
+            Some(Err(reason)) => {
                 self.quarantine(key, &reason);
                 None
             }
-        }
+            None => None,
+        };
+        let Some(entry) = found else {
+            self.stats.misses += u64::from(!optional);
+            return None;
+        };
+        self.stats.hits += 1;
+        self.tick += 1;
+        let row = IndexEntry::new(entry.kind.clone(), entry.bytes, self.tick);
+        self.index(key.to_string(), IndexEntry { vouched, ..row });
+        Some(entry)
     }
 
-    /// Reads and verifies `key`'s entry: `(kind, payload, file bytes)`.
-    fn read_verified(&mut self, key: &str) -> Result<(String, Json, u64), String> {
+    /// Reads `key`'s entry and checks format, key and checksum, and that
+    /// the payload (which `encode` writes last) parses unless `vouched` is
+    /// its checksum.
+    fn check(&mut self, key: &str, vouched: Option<u64>) -> Result<Entry, String> {
         let path = self.entry_path(key);
-        let text = self
-            .io
-            .read_to_string(&path)
-            .map_err(|e| format!("unreadable: {e}"))?;
-        let mut v = Json::parse(&text).map_err(|e| format!("bad json: {e}"))?;
-        match v.get("format").and_then(Json::as_u64) {
+        let read = self.io.read_to_string(&path);
+        let mut text = read.map_err(|e| format!("unreadable: {e}"))?;
+        let at = text.find(",\"payload\":").ok_or("missing payload")?;
+        let head =
+            Json::parse(&format!("{}}}", &text[..at])).map_err(|e| format!("bad json: {e}"))?;
+        match head.get("format").and_then(Json::as_u64) {
             Some(FORMAT_VERSION) => {}
             format => return Err(format!("format {format:?} != {FORMAT_VERSION}")),
         }
-        if v.str_field("key")? != key {
+        if head.str_field("key")? != key {
             return Err("key mismatch".to_string());
         }
-        let kind = v.str_field("kind")?.to_string();
-        let checksum = v.str_field("checksum")?.to_string();
-        let payload = v.take("payload").ok_or("missing payload")?;
-        // `put` splices the payload in last: its bytes are hashed as stored.
-        let rest = text.split_once(",\"payload\":").map_or("", |p| p.1);
-        let actual = hex_digest(rest.trim_end().strip_suffix('}').unwrap_or(rest));
-        if checksum != actual {
-            return Err(format!("checksum {actual} != recorded {checksum}"));
+        let start = at + ",\"payload\":".len();
+        let payload = (text[start..].trim_end().strip_suffix('}')).ok_or("unterminated entry")?;
+        let (recorded, checksum) = (head.str_field("checksum")?, fnv1a64(payload.as_bytes()));
+        if recorded != format!("{checksum:016x}") {
+            return Err(format!("checksum {checksum:016x} != recorded {recorded}"));
         }
-        Ok((kind, payload, text.len() as u64))
+        let json = match vouched == Some(checksum) {
+            true => None,
+            false => Some(Json::parse(payload).map_err(|e| format!("bad json: {e}"))?),
+        };
+        let (bytes, end) = (text.len() as u64, start + payload.len());
+        text.truncate(end);
+        text.drain(..start);
+        let kind = head.str_field("kind")?.to_string();
+        Ok(Entry {
+            kind,
+            payload: text,
+            json,
+            checksum,
+            bytes,
+        })
+    }
+
+    /// Records that `key`'s payload of checksum `checksum` was shown
+    /// well-formed: its reads skip the parse.
+    pub(crate) fn vouch(&mut self, key: &str, checksum: u64) {
+        if let Some(row) = self.entries.get_mut(key) {
+            row.vouched = Some(checksum);
+        }
     }
 
     /// Writes an entry atomically and commits its row, in line.
@@ -411,11 +429,7 @@ impl DiskCache {
     /// appends the row to `index.log`, compacting the log past its bound.
     fn commit(&mut self, entry: &Encoded) -> io::Result<()> {
         self.tick += 1;
-        let row = IndexEntry {
-            kind: entry.kind.clone(),
-            bytes: entry.text.len() as u64,
-            last_used: self.tick,
-        };
+        let row = IndexEntry::new(entry.kind.clone(), entry.text.len() as u64, self.tick);
         let mut line = row.to_json(&entry.key).render();
         line.push('\n');
         self.index(entry.key.clone(), row);
@@ -469,9 +483,8 @@ impl DiskCache {
         rows
     }
 
-    /// Re-reads and checksum-verifies every entry, indexed or only in
-    /// `entries/`, quarantining the corrupt ones and re-indexing the
-    /// sound ones from their files. Returns `(ok, quarantined)` counts.
+    /// Re-checks every entry, indexed or only in `entries/`: the corrupt
+    /// quarantined, the sound re-indexed. Returns `(ok, quarantined)`.
     pub fn verify(&mut self) -> (usize, usize) {
         let mut keys: Vec<String> = self.entries.keys().cloned().collect();
         let names = (self.io.read_dir_names(&self.dir.join("entries"))).unwrap_or_default();
@@ -481,15 +494,10 @@ impl DiskCache {
         keys.dedup();
         let (mut ok, mut bad) = (0, 0);
         for key in keys {
-            match self.read_verified(&key) {
-                Ok((kind, _, bytes)) => {
+            match self.check(&key, None) {
+                Ok(Entry { kind, bytes, .. }) => {
                     let last_used = self.entries.get(&key).map_or(0, |e| e.last_used);
-                    let row = IndexEntry {
-                        kind,
-                        bytes,
-                        last_used,
-                    };
-                    self.index(key, row);
+                    self.index(key, IndexEntry::new(kind, bytes, last_used));
                     ok += 1;
                 }
                 Err(reason) => {
@@ -501,8 +509,7 @@ impl DiskCache {
         (ok, bad)
     }
 
-    /// Number of quarantined corpses on disk, kept for post-mortem:
-    /// nonzero means uninspected corruption.
+    /// Number of quarantined corpses on disk (uninspected corruption).
     pub fn quarantined_count(&mut self) -> usize {
         self.io
             .read_dir_names(&self.dir.join("quarantine"))
@@ -510,8 +517,7 @@ impl DiskCache {
             .unwrap_or(0)
     }
 
-    /// Deletes every quarantined corpse (an operator's acknowledgment
-    /// after a post-mortem). Returns the number removed.
+    /// Deletes every quarantined corpse. Returns the number removed.
     ///
     /// # Errors
     ///
@@ -549,10 +555,8 @@ impl DiskCache {
         eprintln!("[cache] quarantined {key}: {reason}");
     }
 
-    /// Compacts: writes the whole LRU index to `index.json` atomically,
-    /// then removes `index.log`. `put` calls it once the log outgrows
-    /// the index; call it at shutdown or after read-heavy phases to
-    /// persist recency bumps.
+    /// Compacts: writes the index to `index.json` atomically, then removes
+    /// `index.log` (at shutdown, or once the log outgrows the index).
     ///
     /// # Errors
     ///
@@ -587,9 +591,8 @@ fn land(io: &mut dyn Io, dir: &Path, entry: &Encoded) -> io::Result<()> {
     write_atomic(io, &entry_path(dir, &entry.key), entry.text.as_bytes())
 }
 
-/// Writes `bytes` to `path` atomically: a tmp file in the same
-/// directory (same filesystem, so the rename is atomic), flushed,
-/// then renamed over the target.
+/// Writes `bytes` to `path` atomically: a tmp file beside it, flushed,
+/// renamed over it.
 fn write_atomic(io: &mut dyn Io, path: &Path, bytes: &[u8]) -> io::Result<()> {
     let base = path.file_name().and_then(|n| n.to_str()).unwrap_or("entry");
     let tmp = path.with_file_name(format!("{TMP_PREFIX}{}.{base}", std::process::id()));
@@ -609,7 +612,7 @@ type Queue = (VecDeque<Arc<Encoded>>, bool);
 /// queued puts in FIFO order: over [`RealIo`] without the cache's lock,
 /// over another [`Io`] under it (a [`crate::FaultyIo`]'s verdicts stay one
 /// stream). Reads wait for the queue to empty, except of an absent key
-/// ([`WriteBehind::get`]). Dropping it lands the queue.
+/// ([`WriteBehind::read`]). Dropping it lands the queue.
 #[derive(Debug)]
 pub(crate) struct WriteBehind {
     shared: Arc<Shared>,
@@ -669,32 +672,39 @@ impl WriteBehind {
         self.shared.bell.notify_all();
     }
 
-    /// Runs `f` once every queued entry has landed, with the persister
-    /// held idle until it returns: `f` sees every answered entry, and its
-    /// filesystem calls come in the order a cache without a queue makes.
+    /// Runs `f` once every queued entry landed, the persister idle until
+    /// it returns: `f`'s filesystem calls come in a queueless order.
     pub(crate) fn settled<R>(&self, f: impl FnOnce(&mut DiskCache) -> R) -> R {
         let _idle = self.shared.queue_when(|q| q.0.is_empty());
         f(&mut lock(&self.shared.cache))
     }
 
-    /// [`DiskCache::get`] of `key`, or [`DiskCache::get_if_present`] if
-    /// `optional`: at once for a key with no queued entry, no row and no
-    /// file (a probe no [`crate::FaultyIo`] rolls for), else once settled.
-    pub(crate) fn get(&self, key: &str, optional: bool) -> Option<(String, Json)> {
-        if !lock(&self.shared.queue).0.iter().any(|e| e.key == key) {
+    fn queued(&self, key: &str) -> bool {
+        lock(&self.shared.queue).0.iter().any(|e| e.key == key)
+    }
+
+    /// Whether `key` is queued or indexed; touches no file.
+    pub(crate) fn holds(&self, key: &str) -> bool {
+        self.queued(key) || lock(&self.shared.cache).entries.contains_key(key)
+    }
+
+    /// [`DiskCache::read`] of `key`: at once for a key with no queued
+    /// entry, no row and no file (a probe no [`crate::FaultyIo`] rolls
+    /// for), else once settled.
+    pub(crate) fn read(&self, key: &str, optional: bool) -> Option<Entry> {
+        if !self.queued(key) {
             let mut cache = lock(&self.shared.cache);
             if !cache.contains(key) {
                 cache.stats.misses += u64::from(!optional);
                 return None;
             }
         }
-        self.settled(|c| {
-            if optional {
-                c.get_if_present(key)
-            } else {
-                c.get(key)
-            }
-        })
+        self.settled(|c| c.read(key, optional))
+    }
+
+    /// [`DiskCache::vouch`], without waiting for the queue.
+    pub(crate) fn vouch(&self, key: &str, checksum: u64) {
+        lock(&self.shared.cache).vouch(key, checksum);
     }
 }
 

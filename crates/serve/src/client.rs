@@ -5,7 +5,7 @@ use crate::faults::LegChaos;
 use crate::json::Json;
 use crate::membership::Membership;
 use crate::protocol::{error_response, read_frame, write_frame, BatchItem, Request};
-use crate::service::routing_key;
+use crate::service::cache_key;
 use crate::transport::Stream;
 use polyject_gpusim::GpuModel;
 use std::io::{self, Write};
@@ -24,17 +24,12 @@ pub enum Endpoint {
 }
 
 impl Endpoint {
-    /// Parses an endpoint string: anything shaped like `host:port` (no
-    /// path separator, numeric port suffix) is TCP, everything else is a
-    /// Unix socket path.
+    /// Parses an endpoint string: `host:port` (no `/`, a numeric port) is
+    /// TCP, anything else a Unix socket path.
     ///
     /// # Errors
     ///
-    /// A string that *looks* like `host:port` (no `/`, an all-digit
-    /// suffix after the last `:`) whose port does not fit in 0-65535 is
-    /// rejected here — silently treating `localhost:99999` as a Unix
-    /// path would surface much later as a baffling "No such file or
-    /// directory" connect error.
+    /// A `host:port` whose port does not fit in 0-65535.
     pub fn parse(s: &str) -> Result<Endpoint, String> {
         if !s.contains('/') {
             if let Some((host, port)) = s.rsplit_once(':') {
@@ -63,8 +58,7 @@ impl std::fmt::Display for Endpoint {
     }
 }
 
-/// A blocking protocol client over one connection. Requests are
-/// strictly sequential (one frame out, one frame in).
+/// A blocking protocol client over one connection, one request at a time.
 #[derive(Debug)]
 pub struct Client {
     conn: Stream,
@@ -85,8 +79,7 @@ impl Client {
         })
     }
 
-    /// Sets a read/write timeout on the underlying socket (`None`
-    /// blocks forever).
+    /// Sets the socket's read/write timeout (`None` blocks forever).
     ///
     /// # Errors
     ///
@@ -95,9 +88,7 @@ impl Client {
         self.conn.set_timeouts(timeout, timeout)
     }
 
-    /// Sends one request and reads one response frame — the door every
-    /// op goes through; only the ops with many callers get a named method
-    /// below.
+    /// Sends one request and reads one response frame.
     ///
     /// # Errors
     ///
@@ -107,8 +98,7 @@ impl Client {
         self.read_response()
     }
 
-    /// Compiles `.pj` source under a configuration name, returning the
-    /// raw response object (check its `"status"`).
+    /// Compiles `.pj` source under a configuration: the raw response.
     ///
     /// # Errors
     ///
@@ -117,12 +107,9 @@ impl Client {
         self.request(&Request::compile(src, config, None))
     }
 
-    /// Compiles a whole batch in one round trip: sends a single
-    /// `compile_batch` frame and reads streamed per-item reply frames
-    /// until the closing `batch_done` summary. Returns one inner reply
-    /// per item, in request order, regardless of the (pipelined,
-    /// completion-ordered) arrival order on the wire; an item the server
-    /// never answered degrades to a structured error object.
+    /// Compiles a batch in one round trip: one `compile_batch` frame out,
+    /// item frames in until `batch_done`. One reply per item, in request
+    /// order; an item never answered gets a structured error.
     ///
     /// # Errors
     ///
@@ -149,8 +136,7 @@ impl Client {
                     }
                 }
                 Ok("batch_done") => break,
-                // A top-level error (malformed batch request) aborts the
-                // whole call — there are no per-item results to salvage.
+                // A top-level error (malformed batch) aborts the call.
                 _ => {
                     return Err(invalid_data(format!(
                         "unexpected batch frame: {}",
@@ -165,9 +151,7 @@ impl Client {
             .collect())
     }
 
-    /// Writes raw bytes straight onto the connection, bypassing framing.
-    /// Only the chaos harness uses this — to feed the daemon garbage
-    /// frames and prove it answers structurally instead of wedging.
+    /// Writes raw bytes onto the connection, unframed (chaos harness).
     ///
     /// # Errors
     ///
@@ -177,8 +161,7 @@ impl Client {
         self.conn.flush()
     }
 
-    /// Reads one raw response frame without sending anything first (used
-    /// after [`Client::inject_raw`]).
+    /// Reads one response frame, sending nothing.
     ///
     /// # Errors
     ///
@@ -222,15 +205,12 @@ fn invalid_data(msg: impl Into<String>) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg.into())
 }
 
-/// Idle connections a [`ConnPool`] keeps per endpoint; one checked in
-/// beyond that is closed.
+/// Idle connections a [`ConnPool`] keeps per endpoint.
 const POOL_PER_ENDPOINT: usize = 4;
 
-/// Kept-open connections to shards, so a leg dials only when it has to.
-/// A connection is checked in only after a complete request/reply
-/// exchange and handed out to one leg at a time, so whoever checks it
-/// out reads its own reply; a connection whose exchange failed in any
-/// way is dropped instead.
+/// Kept-open connections to shards. One is checked in only after a
+/// complete exchange, and out to one leg at a time, so every leg reads
+/// its own reply; a failed exchange drops its connection.
 #[derive(Default)]
 pub(crate) struct ConnPool {
     idle: Mutex<Vec<(Endpoint, Client)>>,
@@ -252,18 +232,13 @@ impl ConnPool {
     }
 }
 
-/// The body of one leg — one exchange with one shard: apply the
-/// pre-drawn chaos verdict, take a kept connection from `pool` or dial
-/// one (under the socket timeout), `send`, and check the connection back
-/// in once the exchange completed. The router's hedged item legs, the
-/// scatter's sub-batch legs and the sharded client's replica walk all
-/// run through here.
+/// One leg, one exchange with one shard (every routed exchange runs
+/// here): apply the pre-drawn chaos, take a kept connection or dial one,
+/// `send`, check the connection back in.
 ///
-/// A kept connection may have been closed by its shard since (the shard
-/// restarted): when `send` fails on one before any reply frame arrived,
-/// and not by timing out, that says nothing about the shard, so the leg
-/// dials afresh and sends once more. Only the failure of a fresh dial is
-/// the leg's failure.
+/// A kept connection its shard closed since (a restart) fails before any
+/// reply frame, not by timeout: the leg then dials afresh and sends once
+/// more. Only a fresh dial's failure is the leg's.
 pub(crate) fn run_leg<T>(
     pool: &ConnPool,
     endpoint: &Endpoint,
@@ -296,10 +271,8 @@ pub(crate) fn run_leg<T>(
         None => dial()?,
     };
     if let Some(bytes) = chaos.garbage {
-        // Injected line noise: feed the daemon a garbage frame and read
-        // whatever it answers (a structured error — the robustness claim
-        // under test), then treat the connection as poisoned so the
-        // request retries on a clean one.
+        // Injected line noise: a garbage frame, its (error) answer read,
+        // the connection then poisoned.
         let _ = client.inject_raw(&bytes);
         let _ = client.read_response();
         return Err(io::Error::other(
@@ -323,12 +296,10 @@ pub(crate) fn run_leg<T>(
     Ok(reply)
 }
 
-/// Client-side shard selection: `polyjectc --remote a,b,c` keys each
+/// Client-side shard selection (`polyjectc --remote a,b,c`): keys each
 /// item, scatters a batch by owner and tries a key's replicas in health
-/// order — no router process needed for "N daemons, one client". A
-/// `polyject-router` routes through one of these and adds hedging,
-/// retries, hot-key replication and warm transfer; this client itself
-/// never hedges or retries: any frame a shard answers is final.
+/// order. A `polyject-router` routes through one and adds hedging,
+/// retries, replication and warm transfer; alone it never retries a frame.
 pub struct ShardedClient {
     membership: Mutex<Membership>,
     gpu: GpuModel,
@@ -349,12 +320,21 @@ impl ShardedClient {
         }
     }
 
-    /// The routing key of an item: the cache key of its canonical form.
-    /// A source that does not parse has none; its answer is the parse
-    /// error, given here with no shard contacted.
-    pub(crate) fn key(&self, item: &BatchItem) -> Result<String, Json> {
-        routing_key(&item.src, &item.config, &self.gpu)
-            .map_err(|e| error_response(&format!("parse error: {e}")))
+    /// An item as it is sent, its source canonical (the form a daemon's
+    /// checked hit compares), and the key it routes by: the cache key the
+    /// owning daemon files it under. A source that does not parse has no
+    /// key; its answer is the parse error, given with no shard contacted.
+    pub(crate) fn key(&self, item: &BatchItem) -> (BatchItem, Result<String, Json>) {
+        match polyject_front::canonical_pj(&item.src) {
+            Ok(src) => {
+                let key = cache_key(&src, &item.config, &self.gpu);
+                (BatchItem::new(src, &item.config), Ok(key))
+            }
+            Err(e) => (
+                item.clone(),
+                Err(error_response(&format!("parse error: {e}"))),
+            ),
+        }
     }
 
     /// The ring and shard health.
@@ -367,16 +347,14 @@ impl ShardedClient {
         self.members().replicas_for(key, REPLICATION)
     }
 
-    /// The replica endpoints (health-ordered) a source would route to;
-    /// none for a source that does not parse.
+    /// The replicas (health-ordered) a source routes to; none if unparsable.
     pub fn route(&self, src: &str, config: &str) -> Vec<Endpoint> {
-        (self.key(&BatchItem::new(src, config)).ok())
+        (self.key(&BatchItem::new(src, config)).1.ok())
             .map_or_else(Vec::new, |key| self.replicas(&key))
     }
 
-    /// Compiles through the owning shard, failing over across replicas
-    /// on socket errors. A structured response (any status) is returned
-    /// as-is; `Err` means every replica was unreachable.
+    /// Compiles through the owning shard, failing over on socket errors;
+    /// any response frame is returned as-is.
     ///
     /// # Errors
     ///
@@ -386,16 +364,9 @@ impl ShardedClient {
         replies.pop().expect("one reply per item")
     }
 
-    /// Compiles a whole batch through the fleet with scatter-gather:
-    /// items are partitioned by owning shard, each shard gets its
-    /// sub-batch in ONE `compile_batch` round trip, and the replies are
-    /// reassembled in request order. An item whose sub-batch connection
-    /// failed walks its replicas one by one, so a dead shard degrades
-    /// that sub-batch instead of failing the batch.
-    ///
-    /// Returns the per-item replies plus the number of client round
-    /// trips taken (sub-batches + any per-item fallbacks) — the number a
-    /// sequential client would spend one-per-item.
+    /// Compiles a batch by scatter-gather: one `compile_batch` per owning
+    /// shard, replies in request order; an item whose sub-batch failed
+    /// walks its replicas. Returns the replies and the round trips taken.
     pub fn compile_batch(&mut self, items: &[BatchItem]) -> (Vec<Json>, u64) {
         let (replies, round_trips) = self.route_batch(items);
         let replies = replies
@@ -405,11 +376,10 @@ impl ShardedClient {
         (replies, round_trips)
     }
 
-    /// The one request path: key, then (for more than one item) scatter
-    /// by owner, then the replica walk for whatever is still unanswered
-    /// — which for a single compile is the whole request.
+    /// The one request path: key, scatter (several items), then the
+    /// replica walk for what is unanswered.
     fn route_batch(&self, items: &[BatchItem]) -> (Vec<io::Result<Json>>, u64) {
-        let keys: Vec<Result<String, Json>> = items.iter().map(|it| self.key(it)).collect();
+        let (items, keys): (Vec<_>, Vec<_>) = items.iter().map(|it| self.key(it)).unzip();
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         let mut round_trips = 0;
         if items.len() > 1 {
@@ -417,7 +387,7 @@ impl ShardedClient {
                 round_trips += 1;
                 LegChaos::default()
             };
-            self.scatter(items, &keys, &mut slots, None, plan, |_, _, r| Some(r));
+            self.scatter(&items, &keys, &mut slots, None, plan, |_, _, r| Some(r));
         }
         let replies = (items.iter().zip(keys).zip(slots))
             .map(|((item, key), slot)| match (slot, key) {
@@ -431,16 +401,12 @@ impl ShardedClient {
         (replies, round_trips)
     }
 
-    /// The scatter stage (this client's and the router's): the keyed items
-    /// are grouped by owner — the first of their replicas — in order of
-    /// first occurrence, so a scatter is deterministic for a fixed
-    /// membership. Each owner gets its group as ONE `compile_batch` frame,
-    /// all legs in flight at once, gathered at a full barrier. Then, in
-    /// group order, a broken leg strikes its shard and each reply `settle`
-    /// makes final fills its slot and heals its shard; other slots stay
-    /// empty for the item stage. `plan` gives each group's leg its chaos,
-    /// once per group in order, before any leg starts. Returns the broken
-    /// shards.
+    /// The scatter stage (this client's and the router's): keyed items
+    /// grouped by owner in order of first occurrence, each group ONE
+    /// `compile_batch` leg, all in flight, gathered at a barrier. Then in
+    /// group order a broken leg strikes its shard, and each reply `settle`
+    /// makes final fills its slot and heals its shard. `plan` draws each
+    /// leg's chaos, in group order, first. Returns the broken shards.
     pub(crate) fn scatter(
         &self,
         items: &[BatchItem],
@@ -493,8 +459,7 @@ impl ShardedClient {
         broken
     }
 
-    /// The item stage: tries the key's replicas in health order until
-    /// one answers a frame.
+    /// The item stage: the key's replicas in health order, until one answers.
     fn walk_replicas(&self, item: &BatchItem, key: &str) -> io::Result<Json> {
         let mut last = io::Error::new(io::ErrorKind::NotFound, "no shard endpoints configured");
         for endpoint in self.replicas(key) {
@@ -685,6 +650,14 @@ mod tests {
         format!("kernel {name}\nparam N = 8\ntensor X[N]: f32\nstmt S for (i in 0..N) X[i] = 2.0\n")
     }
 
+    /// What a routed client sends for `pj(name)`: its canonical text.
+    #[cfg(unix)]
+    fn sent(name: &str) -> String {
+        let canonical = polyject_front::canonical_pj(&pj(name)).unwrap();
+        assert_ne!(canonical, pj(name), "the fixture is hand-formatted");
+        canonical
+    }
+
     #[test]
     #[cfg(unix)]
     fn sharded_client_dials_once_for_many_requests() {
@@ -692,14 +665,22 @@ mod tests {
         let shard = TestServer::start("pool-once", false, echo_shard);
         let mut sc = ShardedClient::new(vec![shard.endpoint.clone()], GpuModel::v100());
         for i in 0..20 {
-            let src = pj(&format!("k{i}"));
-            assert_eq!(echoed(&sc.compile(&src, "infl").unwrap()), src);
+            let name = format!("k{i}");
+            assert_eq!(
+                echoed(&sc.compile(&pj(&name), "infl").unwrap()),
+                sent(&name)
+            );
         }
         // The scatter path goes through the same pool.
-        let (a, b) = (pj("a"), pj("b"));
-        let batch = [BatchItem::new(&a, "isl"), BatchItem::new(&b, "isl")];
+        let batch = [
+            BatchItem::new(pj("a"), "isl"),
+            BatchItem::new(pj("b"), "isl"),
+        ];
         let (replies, round_trips) = sc.compile_batch(&batch);
-        assert_eq!([echoed(&replies[0]), echoed(&replies[1])], [&a, &b]);
+        assert_eq!(
+            [echoed(&replies[0]), echoed(&replies[1])],
+            [sent("a"), sent("b")]
+        );
         assert_eq!(round_trips, 1);
         assert_eq!(shard.accepts.load(Ordering::SeqCst), 1);
         shard.stop();
@@ -712,7 +693,10 @@ mod tests {
         let first = TestServer::start("pool-restart", false, echo_shard);
         let mut sc = ShardedClient::new(vec![first.endpoint.clone()], GpuModel::v100());
         let strikes = |sc: &ShardedClient| sc.members().shards()[0].consecutive_failures;
-        assert_eq!(echoed(&sc.compile(&pj("one"), "infl").unwrap()), pj("one"));
+        assert_eq!(
+            echoed(&sc.compile(&pj("one"), "infl").unwrap()),
+            sent("one")
+        );
         // The shard stops while the client still holds its kept
         // connection (as `Fleet::shutdown` finds it): that must not wait
         // on the client.
@@ -721,8 +705,14 @@ mod tests {
         // A new shard on the same socket: the kept connection is dead, the
         // request re-dials once and the caller never hears of it.
         let second = TestServer::start("pool-restart", false, echo_shard);
-        assert_eq!(echoed(&sc.compile(&pj("two"), "infl").unwrap()), pj("two"));
-        assert_eq!(echoed(&sc.compile(&pj("six"), "infl").unwrap()), pj("six"));
+        assert_eq!(
+            echoed(&sc.compile(&pj("two"), "infl").unwrap()),
+            sent("two")
+        );
+        assert_eq!(
+            echoed(&sc.compile(&pj("six"), "infl").unwrap()),
+            sent("six")
+        );
         assert_eq!(second.accepts.load(Ordering::SeqCst), 1);
         assert_eq!(strikes(&sc), 0);
         // Nobody listening at all: the fresh dial fails, and that is the

@@ -1,14 +1,12 @@
 //! The `polyjectd` daemon: request dispatch, backpressure, per-request
 //! timeouts, and graceful shutdown over the shared [`transport`].
 //!
-//! One thread per connection reads length-prefixed frames. Every compile
-//! (a `compile` is a `compile_batch` of one, answered bare) takes one path,
-//! `serve_items`: admission, dedup, lookup, pool, settle. The connection
-//! thread answers cache hits; misses go to a shared [`WorkerPool`] behind
-//! a bounded pending count that answers `overloaded` past its bound.
-//! SIGTERM/SIGINT or a `shutdown` request stops the accept loop, drains
-//! in-flight work and the cache's write-behind queue, flushes the cache
-//! index, and dumps final stats as JSON.
+//! One thread per connection reads frames. Every compile (a `compile` is
+//! a `compile_batch` of one, answered bare) takes one path, `serve_items`:
+//! the connection thread answers cache hits, and misses go to a shared
+//! [`WorkerPool`] behind a bounded pending count (`overloaded` past it).
+//! SIGTERM/SIGINT or `shutdown` stops accepting, drains in-flight work and
+//! the write-behind queue, flushes the cache index and dumps final stats.
 
 use crate::cache::DiskCache;
 use crate::client::Endpoint;
@@ -18,10 +16,10 @@ use crate::hot::DEFAULT_HOT_ENTRIES;
 use crate::json::Json;
 use crate::pool::{default_workers, WorkerPool};
 use crate::protocol::{
-    error_response, ok_response, ok_with, overloaded_response, retryable_error_response,
-    write_frame, BatchItem, CompileReply, ReplyWriter, Request, Verdict, MAX_FRAME,
+    error_response, ok_with, overloaded_response, retryable_error_response, write_frame, Answer,
+    BatchItem, Frame, ReplyWriter, Request, Verdict, MAX_FRAME,
 };
-use crate::service::{CompileService, Served};
+use crate::service::{CompileService, Lookup, Served};
 use crate::stats::ServeStats;
 use crate::transport::{self, Listener};
 use polyject_core::Budget;
@@ -99,8 +97,8 @@ pub struct DaemonConfig {
     /// In-memory hot-tier capacity in entries (`0`, or no cache
     /// directory, disables the tier).
     pub hot_entries: usize,
-    /// `Some((seed, one_in))` opens the disk cache over a [`FaultyIo`]
-    /// faulting roughly one in `one_in` data operations (chaos suites).
+    /// `Some((seed, one_in))`: the cache over a [`FaultyIo`] faulting
+    /// about one in `one_in` data operations (chaos suites).
     pub cache_faults: Option<(u64, usize)>,
 }
 
@@ -147,9 +145,8 @@ impl Shared {
         self.stats.lock().expect("stats lock poisoned")
     }
 
-    /// The stats report (`stats` and `metrics` alike): the shard
-    /// identity, so a fleet prober can attribute counters to endpoints,
-    /// then daemon counters plus the cache's own view.
+    /// The stats report (`stats` and `metrics` alike): shard identity,
+    /// daemon counters and the cache's own view.
     fn stats_json(&self) -> Json {
         let n = |v: u64| Json::Num(v as f64);
         let io_faults = self
@@ -193,11 +190,9 @@ impl Shared {
     }
 }
 
-/// Answers one request frame on `out`. Every op writes through here; a
-/// compile is one [`serve_items`] call whichever framing it arrived in,
-/// and its replies leave through a [`ReplyWriter`] of the same framing.
-/// Returns `false` when the connection should close (peer gone, or
-/// shutdown).
+/// Answers one request frame on `out` (a compile through [`serve_items`]
+/// and a [`ReplyWriter`] of its framing). Returns `false` when the
+/// connection should close.
 fn dispatch<W: Write>(shared: &Arc<Shared>, frame: &Json, out: &mut W) -> bool {
     shared.stats().requests += 1;
     let req = match Request::from_json(frame) {
@@ -270,9 +265,8 @@ fn dispatch<W: Write>(shared: &Arc<Shared>, frame: &Json, out: &mut W) -> bool {
     write_frame(out, &reply).is_ok()
 }
 
-/// Accepts one pushed cache entry once the sender's checksum matches the
-/// payload received: a transfer torn in flight is rejected before it
-/// lands, so transfers are safe to retry until they stick.
+/// Stores a pushed cache entry whose payload matches the sender's
+/// checksum: a torn transfer never lands, so retrying is safe.
 fn serve_transfer(
     shared: &Arc<Shared>,
     key: &str,
@@ -303,11 +297,8 @@ fn serve_transfer(
     }
 }
 
-/// Reserves up to `want` bounded-queue slots in one atomic update — the
-/// only place `pending` grows, so admission is atomic against every other
-/// request in flight: a request of N items consumes N slots or reports
-/// the shortfall per item, and no interleaving of concurrent requests
-/// can slip past `queue_bound`.
+/// Reserves up to `want` queue slots in one atomic update, the only place
+/// `pending` grows: no interleaving of requests slips past `queue_bound`.
 fn reserve_slots(shared: &Shared, want: usize) -> usize {
     let free = |cur: usize| want.min(shared.queue_bound.saturating_sub(cur));
     let (seq, pending) = (Ordering::SeqCst, &shared.pending);
@@ -315,22 +306,16 @@ fn reserve_slots(shared: &Shared, want: usize) -> usize {
     free(cur.expect("the update always applies"))
 }
 
-/// The one compile path, for a request of N items (a `compile` is N = 1).
-/// Admits the items as N queue slots ([`reserve_slots`]; the unadmitted
-/// tail is answered `overloaded` at once) and dedups identical
-/// `(src, config)` items. Each unique one is prepared and looked up on
-/// this, the connection's, thread, so a cached answer never waits behind
-/// the workers; only misses go to the pool, under one cancel flag
-/// (registered by request id), answered as they land until all are
-/// settled or the deadline cancels the rest.
+/// The one compile path, for N items (a `compile` is N = 1): admission
+/// ([`reserve_slots`]; the tail is answered `overloaded` at once), dedup of
+/// identical `(src, config)` items, then each unique item prepared on this
+/// connection thread, so a hit never waits for a worker. Misses go to the
+/// pool under one cancel flag (registered by request id), answered as
+/// they land until settled or the deadline cancels the rest.
 ///
-/// Every lookup of the request happens, in item order, before its first
-/// miss is submitted: a compile's cache write must not interleave with
-/// these reads, or a one-worker daemon over a [`FaultyIo`] (verdicts in
-/// arrival order) would stop replaying identically.
-///
-/// Returns `false` when the connection died (remaining work is
-/// cancelled, counters and slots still settle).
+/// Every lookup happens, in item order, before the first miss is
+/// submitted, so a one-worker daemon over a [`FaultyIo`] replays
+/// identically. Returns `false` when the connection died.
 fn serve_items<W: Write>(
     shared: &Arc<Shared>,
     mut out: ReplyWriter<'_, W>,
@@ -346,10 +331,8 @@ fn serve_items<W: Write>(
     let granted = reserve_slots(shared, items.len());
     let deadline = Instant::now() + shared.request_timeout;
 
-    // Dedup over the admitted items: the first occurrence of each
-    // (src, config) is the primary, later ones ride its result. A rider
-    // holds no worker, so its slot is released as soon as it is known
-    // (it was still counted at admission, where backpressure decides).
+    // The first occurrence of each (src, config) is the primary; later
+    // ones ride its result, their slots released at once.
     let mut primary_of: HashMap<(&str, &str), usize> = HashMap::new();
     let mut riders: HashMap<usize, Vec<usize>> = HashMap::new();
     let mut primaries: Vec<usize> = Vec::new();
@@ -368,20 +351,18 @@ fn serve_items<W: Write>(
         shared.pending.fetch_sub(riding, Ordering::SeqCst);
     }
 
-    // A tagged request is cancellable by id from any connection (a
-    // router cancelling the losing hedge leg).
+    // A tagged request is cancellable by id (a router's losing hedge).
     let cancel = Arc::new(AtomicBool::new(false));
     if let Some(id) = &req_id {
         let mut reg = shared.cancel_reg.lock().expect("cancel registry poisoned");
         reg.insert(id.clone(), Arc::clone(&cancel));
     }
 
-    // Answers item `i` and its riders with one frame. A dead client
-    // stops the writes and aborts remaining work, but the loop below
-    // keeps draining so counters and slots stay consistent.
-    let mut answer = |i: usize, frame: Json| {
+    // Answers item `i` and its riders. A dead client cancels the work
+    // left, but the loops below still drain counters and slots.
+    let mut answer = |i: usize, frame: Frame| {
         for &j in riders.get(&i).into_iter().flatten() {
-            match Verdict::of(&frame) {
+            match frame.verdict() {
                 Verdict::Ok => shared.stats().coalesced += 1,
                 _ => shared.stats().errors += 1,
             }
@@ -391,11 +372,10 @@ fn serve_items<W: Write>(
             cancel.store(true, Ordering::SeqCst);
         }
     };
-    // Books one settled item — served here or by a worker, `ms` from its
-    // `prepare` on — and builds its reply frame.
-    let settled =
-        |result: Result<(CompileReply, Served), String>, reuses: u64, ms: f64| match result {
-            Ok((reply, served)) => {
+    // Books one settled item (`ms` from its `prepare` on): its frame.
+    let settled = |result: Result<(Answer, Served), String>, reuses: u64, ms: f64| -> Frame {
+        match result {
+            Ok((answer, served)) => {
                 let mut stats = shared.stats();
                 stats.latency.record(ms);
                 if enveloped {
@@ -406,26 +386,26 @@ fn serve_items<W: Write>(
                     Served::Fresh => stats.misses += 1,
                     Served::Coalesced => stats.coalesced += 1,
                 }
-                ok_response(&reply, served == Served::Hit)
+                answer.ok_frame(served == Served::Hit)
             }
             Err(e) => {
                 shared.stats().errors += 1;
                 if cancel.load(Ordering::SeqCst) {
                     // Cancelled: another replica can still answer.
-                    retryable_error_response(&e)
+                    retryable_error_response(&e).into()
                 } else {
-                    error_response(&e)
+                    error_response(&e).into()
                 }
             }
-        };
+        }
+    };
 
-    // The unadmitted tail first: the client learns what to retry
-    // before any compile finishes.
+    // The unadmitted tail first: what to retry, before any compile.
     for i in granted..items.len() {
         shared.stats().overloaded += 1;
         answer(
             i,
-            overloaded_response(shared.pending.load(Ordering::SeqCst)),
+            overloaded_response(shared.pending.load(Ordering::SeqCst)).into(),
         );
     }
 
@@ -433,16 +413,15 @@ fn serve_items<W: Write>(
     let mut misses = Vec::new();
     for i in primaries {
         let t0 = Instant::now();
-        let request = shared.service.prepare(&items[i].src, &items[i].config);
-        let found = request.as_ref().ok().and_then(|r| shared.service.lookup(r));
+        let prepared = shared.service.prepare(&items[i].src, &items[i].config);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let here = match (request, found) {
-            (Ok(request), None) => {
+        let here = match prepared {
+            Ok(Lookup::Miss(request)) => {
                 misses.push((i, request, ms));
                 continue;
             }
-            (Ok(_), Some(reply)) => Ok((reply, Served::Hit)),
-            (Err(e), _) => Err(e),
+            Ok(Lookup::Hit(answer)) => Ok((answer, Served::Hit)),
+            Err(e) => Err(e),
         };
         shared.pending.fetch_sub(1, Ordering::SeqCst);
         answer(i, settled(here, 0, ms));
@@ -452,8 +431,7 @@ fn serve_items<W: Write>(
     for (i, request, looked_up_ms) in misses {
         let (tx, cancel, worker) = (tx.clone(), Arc::clone(&cancel), Arc::clone(shared));
         shared.pool.submit(move || {
-            // Solver counters are thread-local: the delta below is this
-            // item's. The cancel-only budget lets the request abort it.
+            // Thread-local solver counters: the delta is this item's.
             let before = polyject_sets::counters::snapshot();
             let t0 = Instant::now();
             let budget = Budget::unlimited().with_cancel(cancel);
@@ -471,8 +449,7 @@ fn serve_items<W: Write>(
     while !open.is_empty() {
         let left = deadline.saturating_duration_since(Instant::now());
         let Ok((i, result, reuses, ms)) = rx.recv_timeout(left) else {
-            // Deadline: trip the cancel flag (solvers abort at their next
-            // budget check) and answer what is still open retryably.
+            // Deadline: cancel, and answer what is open retryably.
             cancel.store(true, Ordering::SeqCst);
             shared.stats().timeouts += open.len() as u64;
             let msg = format!(
@@ -480,7 +457,7 @@ fn serve_items<W: Write>(
                 shared.request_timeout
             );
             for i in open.drain(..) {
-                answer(i, retryable_error_response(&msg));
+                answer(i, retryable_error_response(&msg).into());
             }
             break;
         };
@@ -494,9 +471,8 @@ fn serve_items<W: Write>(
     out.finish()
 }
 
-/// Runs a daemon until SIGTERM/SIGINT or a `shutdown` request, then
-/// drains in-flight work, flushes the cache index, and returns the final
-/// stats report (the listener removes its Unix socket file on drop).
+/// Runs a daemon until SIGTERM/SIGINT or `shutdown`, drains in-flight
+/// work, flushes the cache index and returns the final stats report.
 ///
 /// # Errors
 ///

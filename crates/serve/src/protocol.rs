@@ -1,9 +1,6 @@
-//! The daemon wire protocol: length-prefixed JSON frames.
-//!
-//! Every message (either direction) is a 4-byte big-endian length
-//! followed by that many bytes of UTF-8 JSON. Requests are objects with
-//! an `"op"` discriminator; responses carry a `"status"` of `"ok"`,
-//! `"error"`, or `"overloaded"`.
+//! The daemon wire protocol: every message is a 4-byte big-endian length
+//! and that many bytes of UTF-8 JSON. Requests carry an `"op"`, responses
+//! a `"status"` of `"ok"`, `"error"` or `"overloaded"`.
 //!
 //! ```text
 //! -> {"op":"compile","src":"kernel k\n...","config":"infl"}
@@ -18,21 +15,27 @@ use crate::json::Json;
 use polyject_sets::SolverCounters;
 use std::io::{self, Read, Write};
 
-/// Maximum accepted frame size (64 MiB) — a malformed length prefix must
-/// not allocate unbounded memory.
+/// Maximum accepted frame size (64 MiB), checked before any allocation.
 pub const MAX_FRAME: u32 = 64 << 20;
 
-/// Writes one frame, prefix and body in a single `write`: the reader
-/// never wakes for four bytes only to block again on the rest.
+/// Writes one frame, prefix and body in a single `write`.
 ///
 /// # Errors
 ///
 /// Propagates I/O failures; refuses frames above [`MAX_FRAME`].
 pub fn write_frame(w: &mut impl Write, msg: &Json) -> io::Result<()> {
-    // Rendered behind four bytes of room for the prefix: no second copy.
-    let mut frame = String::from("\0\0\0\0");
+    let mut frame = String::from(ROOM);
     msg.render_into(&mut frame);
-    let len = u32::try_from(frame.len() - 4)
+    send_frame(w, frame)
+}
+
+/// Room for the length prefix, ahead of a frame's body.
+const ROOM: &str = "\0\0\0\0";
+
+/// The text framer under [`write_frame`] and [`ReplyWriter`]: `frame` is
+/// [`ROOM`] then the body.
+fn send_frame(w: &mut impl Write, frame: String) -> io::Result<()> {
+    let len = u32::try_from(frame.len() - ROOM.len())
         .ok()
         .filter(|&l| l <= MAX_FRAME)
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "frame too large"))?;
@@ -51,13 +54,11 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<Json> {
     read_frame_within(r, MAX_FRAME)
 }
 
-/// Reads one frame of at most `max_frame` bytes (servers may accept
-/// less than the protocol-wide [`MAX_FRAME`]).
+/// Reads one frame of at most `max_frame` bytes.
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` when the peer closed — between frames or inside one;
-/// `InvalidData` for oversized (rejected before any allocation),
+/// `UnexpectedEof` when the peer closed; `InvalidData` for oversized,
 /// non-UTF-8 or non-JSON frames; other I/O failures as-is.
 pub fn read_frame_within(r: &mut impl Read, max_frame: u32) -> io::Result<Json> {
     let mut len_buf = [0u8; 4];
@@ -95,43 +96,35 @@ impl BatchItem {
     }
 }
 
-/// Which of the two wire framings a compile request arrived in, and so
-/// the one its replies leave in (see [`ReplyWriter`]).
+/// The wire framing a compile request arrived in, and its replies leave in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Framing {
     /// The one-frame `compile` op: one item, answered by one bare reply.
     Bare,
-    /// The `compile_batch` op: any number of items, each reply wrapped
-    /// in a [`batch_item_response`], closed by a [`batch_done_response`].
+    /// The `compile_batch` op: each reply in a [`batch_item_response`],
+    /// then a [`batch_done_response`].
     Envelope,
 }
 
 /// A parsed protocol request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Compile `.pj` sources under a configuration each. The server
-    /// admits the request as N queue slots, dedups identical `(src,
-    /// config)` items, and answers every item with the frame a request
-    /// of that item alone would get. Enveloped replies *stream* as they
-    /// complete (not in index order — frames carry the item index); one
-    /// failed item degrades to a per-item error, never the request.
+    /// Compile `.pj` sources, each item answered with the frame a request
+    /// of it alone would get; enveloped replies stream as they complete,
+    /// tagged with their index.
     Compile {
         /// The items, answered per item by index.
         items: Vec<BatchItem>,
-        /// Optional caller-chosen request id; a `cancel` of this id
-        /// aborts every item still in flight (a router tags each hedged
-        /// attempt so the losing replica can be cancelled).
+        /// Optional request id; a `cancel` of it aborts what is in flight.
         req: Option<String>,
         /// The wire framing (a [`Framing::Bare`] request has one item).
         framing: Framing,
     },
     /// Counter/latency report.
     Stats,
-    /// Per-shard metrics report (stats + shard identity + governance;
-    /// on a router: per-shard hedge/retry/failover counters).
+    /// Per-shard metrics (on a router: hedge/retry/failover counters).
     Metrics,
-    /// Cancel an in-flight compile by its request id (trips the solve's
-    /// cooperative cancel flag; the worker is reclaimed).
+    /// Cancel an in-flight compile by its request id.
     Cancel {
         /// Request id given on the `Compile` being cancelled.
         req: String,
@@ -143,9 +136,7 @@ pub enum Request {
         /// Cache key (16 hex chars).
         key: String,
     },
-    /// Store one raw cache entry. The receiver recomputes the payload
-    /// checksum and rejects a mismatch, so a transfer torn in flight can
-    /// never land in the destination cache.
+    /// Store one raw cache entry, refused unless its checksum matches.
     Transfer {
         /// Cache key (16 hex chars).
         key: String,
@@ -191,8 +182,7 @@ impl Request {
         }
     }
 
-    /// The request as a wire JSON object: `op` first, then the op's
-    /// fields, then the optional request id.
+    /// The request as a wire object: `op`, its fields, the request id.
     pub fn to_json(&self) -> Json {
         let s = |v: &str| Json::Str(v.to_string());
         let item = |it: &BatchItem| vec![("src", s(&it.src)), ("config", s(&it.config))];
@@ -293,9 +283,8 @@ impl Request {
     }
 }
 
-/// The artifacts of one compile request — also exactly the payload
-/// stored in a `"compile"` cache entry, so a daemon hit replays the
-/// bytes a fresh compile would produce.
+/// The artifacts of one compile: also the payload of a `"compile"` cache
+/// entry, so a hit replays a fresh compile's bytes.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompileReply {
     /// Content-addressed cache key of the request.
@@ -328,13 +317,12 @@ pub struct CompileReply {
     pub compile_ms: f64,
 }
 
-/// How many leading [`SolverCounters::fields`] a reply carries: the
-/// counters that are a property of the artifact, not of one run.
+/// How many leading [`SolverCounters::fields`] (the artifact's, not one
+/// run's) a reply carries.
 const WIRE_COUNTERS: usize = 8;
 
 impl CompileReply {
-    /// The reply as a JSON object (the cache payload schema, version
-    /// [`crate::cache::FORMAT_VERSION`]).
+    /// The reply as the cache payload ([`crate::cache::FORMAT_VERSION`]).
     pub fn to_json(&self) -> Json {
         let timing = Json::Obj(
             self.timing
@@ -342,11 +330,8 @@ impl CompileReply {
                 .map(|(k, v)| (k.clone(), Json::Num(*v)))
                 .collect(),
         );
-        // Wall-clock phase times, the governance counters
-        // (degraded/cancelled/panics — properties of one run, not of the
-        // artifact) and the counters that depend on warm in-process state
-        // are deliberately left out so cache payloads stay byte-identical
-        // across replays.
+        // Phase times and run-shaped counters stay out: payloads replay
+        // byte for byte.
         let solver = self.solver.fields().take(WIRE_COUNTERS);
         Json::obj(vec![
             ("key", Json::Str(self.key.clone())),
@@ -385,9 +370,8 @@ impl CompileReply {
                     .ok_or_else(|| format!("non-numeric timing field {k:?}"))
             })
             .collect::<Result<Vec<_>, String>>()?;
-        // Only the first four wire counters are mandatory: the phase
-        // breakdown was added later and cache entries written by earlier
-        // versions lack it, so those default to zero.
+        // Only the first four wire counters are mandatory (older entries
+        // lack the rest).
         let mut solver = SolverCounters::default();
         let wire = v.get("solver").ok_or("missing solver")?;
         for (i, (field, slot)) in solver.fields_mut().take(WIRE_COUNTERS).enumerate() {
@@ -433,6 +417,79 @@ pub fn ok_response(reply: &CompileReply, cached: bool) -> Json {
     Json::Obj(pairs)
 }
 
+/// A compile's answer: a reply, or a cache entry's payload checked to be
+/// exactly a [`CompileReply::to_json`] rendering.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Answer {
+    /// A decoded reply.
+    Reply(Box<CompileReply>),
+    /// The payload, as its entry stores it.
+    Stored(String),
+}
+
+impl Answer {
+    /// The decoded reply.
+    ///
+    /// # Errors
+    ///
+    /// An undecodable payload.
+    pub fn decode(self) -> Result<CompileReply, String> {
+        match self {
+            Answer::Reply(reply) => Ok(*reply),
+            Answer::Stored(text) => CompileReply::from_json(&Json::parse(&text)?),
+        }
+    }
+
+    /// Whether the reply's `canonical_pj` is `src`: in a payload, the first
+    /// field of that name (none of the three strings before it holds one).
+    pub(crate) fn canonical_is(&self, src: &str) -> bool {
+        match self {
+            Answer::Reply(reply) => reply.canonical_pj == src,
+            Answer::Stored(text) => {
+                let want = Json::Str(src.to_string()).render();
+                let field = text.split_once(",\"canonical_pj\":");
+                field.is_some_and(|(_, rest)| rest.starts_with(&want))
+            }
+        }
+    }
+
+    /// The `ok` frame, [`ok_response`]'s bytes: a payload is spliced in.
+    pub fn ok_frame(&self, cached: bool) -> Frame {
+        match self {
+            Answer::Reply(reply) => Frame::Json(ok_response(reply, cached)),
+            Answer::Stored(text) => {
+                let fields = text.strip_prefix('{').unwrap_or(text);
+                Frame::Ok(format!("{{\"status\":\"ok\",\"cached\":{cached},{fields}"))
+            }
+        }
+    }
+}
+
+/// A reply frame on its way out.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Frame {
+    /// A frame to render.
+    Json(Json),
+    /// The rendered text of an `ok` frame ([`Answer::ok_frame`]).
+    Ok(String),
+}
+
+impl From<Json> for Frame {
+    fn from(frame: Json) -> Frame {
+        Frame::Json(frame)
+    }
+}
+
+impl Frame {
+    /// How the frame settles ([`Verdict::of`]).
+    pub fn verdict(&self) -> Verdict {
+        match self {
+            Frame::Json(frame) => Verdict::of(frame),
+            Frame::Ok(_) => Verdict::Ok,
+        }
+    }
+}
+
 /// Builds an `error` response frame.
 pub fn error_response(message: &str) -> Json {
     Json::obj(vec![
@@ -441,10 +498,8 @@ pub fn error_response(message: &str) -> Json {
     ])
 }
 
-/// Builds an `error` response frame tagged retryable. Transient failures
-/// (timeout, cancellation, shed load) carry `"retryable":true` so a
-/// router retries them on a replica; deterministic failures (parse or
-/// config errors) use plain [`error_response`] and are returned as-is.
+/// Builds an `error` response frame tagged retryable, for a transient
+/// failure (timeout, cancellation) a replica may not repeat.
 pub fn retryable_error_response(message: &str) -> Json {
     Json::obj(vec![
         ("status", Json::Str("error".to_string())),
@@ -461,11 +516,8 @@ pub fn overloaded_response(queue_len: usize) -> Json {
     ])
 }
 
-/// Builds one streamed per-item frame of a batch reply. `inner` is
-/// exactly the response frame the same request would get as a standalone
-/// `compile` (`ok`/`error`/`overloaded`), so batch clients reuse every
-/// single-compile triage path; `index` places it in the request order
-/// the frames themselves do not follow (items stream as they complete).
+/// Builds one streamed item frame of a batch reply: `inner` is the frame
+/// the item alone would get, `index` its place in the request.
 pub fn batch_item_response(index: usize, total: usize, inner: Json) -> Json {
     Json::obj(vec![
         ("status", Json::Str("item".to_string())),
@@ -475,8 +527,7 @@ pub fn batch_item_response(index: usize, total: usize, inner: Json) -> Json {
     ])
 }
 
-/// Builds the terminal summary frame of a batch reply, sent after every
-/// item's frame: item count and per-status tallies.
+/// Builds the closing frame of a batch reply: per-status tallies.
 pub fn batch_done_response(items: usize, ok: usize, errors: usize, overloaded: usize) -> Json {
     Json::obj(vec![
         ("status", Json::Str("batch_done".to_string())),
@@ -487,29 +538,24 @@ pub fn batch_done_response(items: usize, ok: usize, errors: usize, overloaded: u
     ])
 }
 
-/// How a reply frame settles. [`Verdict::of`] is the one place a
-/// reply's `status` and `retryable` are read: the router's retry logic,
-/// the [`ReplyWriter`] tally, the daemon's counters, the CLIs and the
-/// bench harness all classify through it.
+/// How a reply frame settles: [`Verdict::of`] is the one reader of a
+/// reply's `status` and `retryable`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Verdict {
     /// `ok`: the artifact (or the report asked for).
     Ok,
-    /// A deterministic `error` (parse/config): the server answered
-    /// definitively; retrying elsewhere would only repeat it.
+    /// A deterministic `error` (parse, config), which a retry repeats.
     Final,
     /// `overloaded`: shed by a full queue before any work was done.
     Overloaded,
-    /// An `error` tagged `"retryable":true` (timeout, cancellation, torn
-    /// transfer) — or a frame with no recognisable status at all.
+    /// An `error` tagged `"retryable":true`, or no known status at all.
     Retryable,
 }
 
 impl Verdict {
     /// Classifies a reply frame.
     pub fn of(resp: &Json) -> Verdict {
-        // `retryable` qualifies an error only: an `ok` reply (every
-        // warm hit) is not searched for it.
+        // Only an error is searched for `retryable`.
         let retryable = || resp.get("retryable").and_then(Json::as_bool) == Some(true);
         match resp.get("status").and_then(Json::as_str) {
             Some("ok") => Verdict::Ok,
@@ -519,19 +565,15 @@ impl Verdict {
         }
     }
 
-    /// Whether another replica (or a later attempt) may still produce
-    /// the real result.
+    /// Whether another replica or attempt may still succeed.
     pub fn transient(self) -> bool {
         matches!(self, Verdict::Overloaded | Verdict::Retryable)
     }
 }
 
-/// The write edge of a compile request — the only place the two
-/// [`Framing`]s differ. Every compile is served as a list of items; a
-/// bare `compile` is a list of one whose reply goes out as-is, while a
-/// `compile_batch` wraps each reply in a [`batch_item_response`] and
-/// closes with the [`batch_done_response`] tally. Both the daemon and
-/// the router front write through this.
+/// The write edge of a compile request, the one place the [`Framing`]s
+/// differ: a bare reply goes out as-is, a batch's in the envelope. The
+/// daemon and the router front write through it.
 pub struct ReplyWriter<'a, W: Write> {
     out: &'a mut W,
     /// `Some(total)` wraps replies in the item/`batch_done` envelope.
@@ -542,8 +584,7 @@ pub struct ReplyWriter<'a, W: Write> {
 }
 
 impl<'a, W: Write> ReplyWriter<'a, W> {
-    /// The writer for a request of `total` items that arrived in
-    /// `framing`.
+    /// The writer for `total` items that arrived in `framing`.
     pub fn new(out: &'a mut W, framing: Framing, total: usize) -> ReplyWriter<'a, W> {
         ReplyWriter {
             out,
@@ -560,23 +601,33 @@ impl<'a, W: Write> ReplyWriter<'a, W> {
 
     /// Writes item `index`'s reply. Returns `false` once the peer is
     /// gone; later writes are then skipped, but still tallied.
-    pub fn item(&mut self, index: usize, reply: Json) -> bool {
-        let slot = match Verdict::of(&reply) {
+    pub fn item(&mut self, index: usize, reply: impl Into<Frame>) -> bool {
+        let reply = reply.into();
+        let slot = match reply.verdict() {
             Verdict::Ok => 0,
             Verdict::Overloaded => 2,
             Verdict::Final | Verdict::Retryable => 1,
         };
         self.tally[slot] += 1;
-        let frame = match self.envelope {
-            Some(total) => batch_item_response(index, total, reply),
-            None => reply,
-        };
-        self.alive = self.alive && write_frame(self.out, &frame).is_ok();
+        // The envelope around a `null` reply, which the reply replaces.
+        let mut frame = String::from(ROOM);
+        if let Some(total) = self.envelope {
+            batch_item_response(index, total, Json::Null).render_into(&mut frame);
+            frame.truncate(frame.len() - "null}".len());
+        }
+        match &reply {
+            Frame::Json(json) => json.render_into(&mut frame),
+            Frame::Ok(text) => frame.push_str(text),
+        }
+        if self.envelope.is_some() {
+            frame.push('}');
+        }
+        self.alive = self.alive && send_frame(self.out, frame).is_ok();
         self.alive
     }
 
-    /// Closes the reply (the `batch_done` tally, when enveloped).
-    /// Returns whether the connection is still usable.
+    /// Closes the reply (enveloped: the tally). Whether the connection
+    /// is still usable.
     pub fn finish(self) -> bool {
         let [ok, errors, overloaded] = self.tally;
         match self.envelope {
@@ -590,8 +641,7 @@ impl<'a, W: Write> ReplyWriter<'a, W> {
     }
 }
 
-/// Builds an `ok` response frame carrying `fields` (for a compile reply
-/// use [`ok_response`]).
+/// Builds an `ok` response frame carrying `fields`.
 pub fn ok_with(fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![("status", Json::Str("ok".to_string()))];
     pairs.extend(fields);

@@ -225,20 +225,16 @@ impl Router {
     }
 
     /// Compiles a batch, one reply per item in request order. The client
-    /// keys the items (parse errors answered at once, no shard contact)
-    /// and scatters a batch of several; its barrier keeps the item
-    /// stage's RNG draws in item order. Whatever is still unanswered —
-    /// all of a one-item request, and what a sub-batch could not settle
-    /// (dead shard, poisoned connection, retryable reply) — walks the
-    /// hedged/retried/failed-over item stage sequentially in item order.
-    ///
-    /// Chaos verdicts are pre-drawn on the request thread and the item
-    /// stage is sequential, so a same-seed replay of the same request
-    /// sequence makes byte-identical decisions.
+    /// keys the items and sends their canonical text (parse errors are
+    /// answered at once) and scatters a batch of several. Whatever is
+    /// unanswered (a one-item request, or what a sub-batch could not
+    /// settle) walks the hedged, retried, failed-over item stage in item
+    /// order. Chaos verdicts are pre-drawn on the request thread, so a
+    /// same-seed replay makes byte-identical decisions.
     pub fn compile_batch(&self, items: &[BatchItem]) -> Vec<Json> {
         self.requests
             .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let keys: Vec<Result<String, Json>> = items.iter().map(|it| self.client.key(it)).collect();
+        let (items, keys): (Vec<_>, Vec<_>) = items.iter().map(|it| self.client.key(it)).unzip();
         let scattered = items.len() > 1;
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         if scattered {
@@ -250,7 +246,7 @@ impl Router {
             let timeout = Some(self.config.io_timeout);
             let broken = self
                 .client
-                .scatter(items, &keys, &mut slots, timeout, plan, settle);
+                .scatter(&items, &keys, &mut slots, timeout, plan, settle);
             for endpoint in broken {
                 self.with_metrics(&endpoint, |m| m.connect_failures += 1);
             }

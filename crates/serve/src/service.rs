@@ -13,7 +13,7 @@ use crate::cache::{DiskCache, WriteBehind};
 use crate::hash::{f64_bits_hex, Fnv64};
 use crate::hot::HotTier;
 use crate::json::Json;
-use crate::protocol::CompileReply;
+use crate::protocol::{Answer, CompileReply};
 use crate::tuned::{load_tuned, tuned_key_of};
 use polyject_codegen::{render_artifacts, CompileOptions, CompileSession, Config};
 use polyject_core::{Budget, MAX_ATTEMPTS, MAX_BOUND, MAX_COEFF, MAX_CONST, MAX_DIMS};
@@ -24,14 +24,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Version tag folded into every cache key; bump whenever key material
-/// or the artifact schema changes meaning. Version 2: keys fold the
-/// *actual* [`CompileOptions`] the request compiles under (tuned
-/// requests get their own entries) instead of the option defaults.
-/// Version 3: [`CompileOptions`] lost its scheduler group and the
-/// Feautrier switch is gone, so the scheduler material is the five
-/// scheduler constants ([`MAX_COEFF`] to [`MAX_ATTEMPTS`]); a v2 entry is never looked up.
-/// Version 4: the options are folded as their
-/// [`CompileOptions::canonical_key`], one field.
+/// or the artifact schema changes meaning. 2: the actual options, not
+/// the defaults. 3: the scheduler material is the five constants
+/// ([`MAX_COEFF`] to [`MAX_ATTEMPTS`]). 4: the options as their
+/// [`CompileOptions::canonical_key`].
 pub const KEY_VERSION: u64 = 4;
 
 /// Resolves a configuration name (`isl|novec|infl`) to a [`Config`].
@@ -50,30 +46,15 @@ fn write_f64_fields(h: &mut Fnv64, values: &[f64]) {
     }
 }
 
-/// The content-addressed cache key for compiling `canonical_pj` under
-/// `config` on `gpu`, as a 16-hex-char digest.
-///
-/// `canonical_pj` must already be canonical (a fixpoint of
-/// [`polyject_front::canonical_pj`]); callers canonicalize first so
-/// formatting variants of one kernel map to one entry.
+/// The content-addressed cache key for compiling `canonical_pj` (a
+/// fixpoint of [`polyject_front::canonical_pj`], so formatting variants
+/// share it) under `config` on `gpu`, as 16 hex chars.
 pub fn cache_key(canonical_pj: &str, config: &str, gpu: &GpuModel) -> String {
     cache_key_with_options(canonical_pj, config, gpu, &CompileOptions::default())
 }
 
-/// The key a request for `src` routes by: the [`cache_key`] of its
-/// canonical form — the key the owning daemon files the artifact under,
-/// so ring placement lines up with the daemons' caches.
-///
-/// # Errors
-///
-/// The parse error, when `src` has no canonical form.
-pub(crate) fn routing_key(src: &str, config: &str, gpu: &GpuModel) -> Result<String, String> {
-    Ok(cache_key(&polyject_front::canonical_pj(src)?, config, gpu))
-}
-
-/// [`cache_key`] generalized over the [`CompileOptions`] the request
-/// actually compiles under, so a tuned compile and the default compile
-/// of one kernel occupy distinct entries.
+/// [`cache_key`] under the [`CompileOptions`] the request compiles
+/// under, so a tuned and a default compile have distinct entries.
 pub fn cache_key_with_options(
     canonical_pj: &str,
     config: &str,
@@ -86,13 +67,9 @@ pub fn cache_key_with_options(
     h.write_field(canonical_pj);
     h.write_field(config);
 
-    // The options the pipeline compiles under, in their one encoding;
-    // folding the actual values (not the defaults) both invalidates old
-    // entries when a default changes and gives tuned compiles their own
-    // entries.
+    // The actual option values and scheduler constants: a changed
+    // default or constant invalidates old entries.
     h.write_field(&opts.canonical_key());
-    // Every compile schedules under the scheduler constants; folding
-    // them invalidates old entries when one of them changes.
     h.write_field(&MAX_COEFF.to_string());
     h.write_field(&MAX_CONST.to_string());
     h.write_field(&MAX_BOUND.to_string());
@@ -120,11 +97,8 @@ pub fn cache_key_with_options(
     h.hex()
 }
 
-/// Compiles `.pj` source end to end and packages every artifact into a
-/// [`CompileReply`] (the cache payload).
-///
-/// Runs entirely on the calling thread so the thread-local solver
-/// counters attribute the work correctly.
+/// Compiles `.pj` source end to end into a [`CompileReply`] (the cache
+/// payload), on the calling thread, whose solver counters it reports.
 ///
 /// # Errors
 ///
@@ -139,9 +113,9 @@ pub fn compile_reply(src: &str, config_name: &str, gpu: &GpuModel) -> Result<Com
     session_reply(open, canonical, key, config, gpu, &budget, &opts)
 }
 
-/// Compiles through the [`CompileSession`] that `open` yields and renders
-/// every artifact into the [`CompileReply`] cache payload: the body of a
-/// one-shot [`compile_reply`] and of a [`CompileService`] compile.
+/// Compiles through the [`CompileSession`] `open` yields into a
+/// [`CompileReply`]: the body of [`compile_reply`] and of a service
+/// compile.
 fn session_reply(
     open: impl FnOnce() -> Result<Arc<CompileSession>, String>,
     canonical: String,
@@ -151,9 +125,8 @@ fn session_reply(
     budget: &Budget,
     opts: &CompileOptions,
 ) -> Result<CompileReply, String> {
-    // Bracket session opening too: the first request for a kernel pays
-    // (and reports) the dependence analysis; only genuinely warm requests
-    // report the smaller delta.
+    // Session opening is bracketed too: a kernel's first request reports
+    // its dependence analysis.
     let before = polyject_sets::counters::snapshot();
     let t0 = Instant::now();
     let session = open()?;
@@ -197,19 +170,35 @@ pub enum Served {
     Coalesced,
 }
 
-/// A compile request after [`CompileService::prepare`]: what its text
-/// alone decides, carried to the thread that compiles it.
+/// What [`CompileService::prepare`] found for a request.
 #[derive(Debug)]
-pub struct Prepared {
+pub enum Lookup {
+    /// Its cached answer.
+    Hit(Answer),
+    /// A miss, to [`CompileService::compile`].
+    Miss(Pending),
+}
+
+/// A missed request: what its compile needs.
+#[derive(Debug)]
+pub struct Pending {
     config: Config,
     canonical: String,
     opts: CompileOptions,
     key: String,
 }
 
+/// What [`CompileService::stored`] found: a hit, an entry that is no
+/// usable reply (a miss, which a compile overwrites), or no entry.
+enum Found {
+    Hit(Answer),
+    Unusable,
+    Nothing,
+}
+
 #[derive(Default)]
 struct Flight {
-    result: Mutex<Option<Result<CompileReply, String>>>,
+    result: Mutex<Option<Result<Answer, String>>>,
     done: Condvar,
 }
 
@@ -226,26 +215,19 @@ pub struct Governance {
     pub tuned_applied: u64,
 }
 
-/// How many per-kernel [`CompileSession`]s a [`CompileService`] keeps
-/// warm (LRU-evicted): one holds the kernel's dependence analysis, Farkas
-/// systems and scheduling context, so the cap bounds resident memory.
+/// How many per-kernel [`CompileSession`]s (dependence analysis, Farkas
+/// systems, scheduling context) a [`CompileService`] keeps warm, LRU.
 const SESSION_CAP: usize = 8;
 
 /// Compile-through-cache with single-flight deduplication, shared by the
-/// daemon's threads (all methods take `&self`).
-///
-/// It also keeps an LRU pool of warm [`CompileSession`]s by canonical
-/// kernel: requests for one kernel under other configurations or options
-/// (the tuned redirect included) reuse one dependence analysis and base
-/// scheduling context. Metered budgets never read or write the shared
-/// memos, so resource accounting never observes warm state.
+/// daemon's threads. Its pool of warm [`CompileSession`]s by canonical
+/// kernel serves every configuration and option set of that kernel;
+/// metered budgets never touch the shared memos.
 pub struct CompileService {
-    /// The disk cache; a fresh reply is answered before its entry is
-    /// durable ([`WriteBehind`]).
+    /// The disk cache, written behind the reply ([`WriteBehind`]).
     cache: Option<WriteBehind>,
-    /// Bounded in-memory tier above the disk ([`Self::with_hot_tier`]),
-    /// filled from verified disk hits and fresh undegraded compiles, so
-    /// hot keys stay served while the disk faults.
+    /// The in-memory tier above the disk ([`Self::with_hot_tier`]): fresh
+    /// undegraded compiles and decoded disk hits.
     hot: Option<Mutex<HotTier>>,
     gpu: GpuModel,
     inflight: Mutex<HashMap<String, Arc<Flight>>>,
@@ -254,8 +236,7 @@ pub struct CompileService {
 }
 
 impl CompileService {
-    /// A service compiling for `gpu`, optionally backed by a persistent
-    /// cache.
+    /// A service compiling for `gpu`, optionally over a cache.
     pub fn new(cache: Option<DiskCache>, gpu: GpuModel) -> CompileService {
         CompileService {
             cache: cache.map(WriteBehind::new),
@@ -267,8 +248,7 @@ impl CompileService {
         }
     }
 
-    /// Enables the in-memory hot tier, holding at most `cap` decoded
-    /// replies (`0` leaves it disabled).
+    /// Enables the hot tier of at most `cap` decoded replies (`0`: none).
     pub fn with_hot_tier(mut self, cap: usize) -> CompileService {
         self.hot = (cap > 0).then(|| Mutex::new(HotTier::new(cap)));
         self
@@ -303,20 +283,20 @@ impl CompileService {
         self.governance.lock().expect("governance lock poisoned")
     }
 
-    /// Runs `f` on the attached cache, if any, once every reply already
-    /// answered has its entry landed.
+    /// Runs `f` on the cache, if any, once every answered entry landed.
     pub fn with_cache<R>(&self, f: impl FnOnce(&mut DiskCache) -> R) -> Option<R> {
         self.cache.as_ref().map(|c| c.settled(f))
     }
 
-    /// `key`'s entry in the attached cache, if any ([`WriteBehind::get`]).
+    /// `key`'s entry in the attached cache, if any ([`WriteBehind::read`]).
     pub(crate) fn read_cache(&self, key: &str, optional: bool) -> Option<(String, Json)> {
-        self.cache.as_ref()?.get(key, optional)
+        let entry = self.cache.as_ref()?.read(key, optional)?;
+        let json = entry.json.or_else(|| Json::parse(&entry.payload).ok())?;
+        Some((entry.kind, json))
     }
 
-    /// Returns the warm [`CompileSession`] for `canonical`, opening (and
-    /// LRU-inserting) one on first use: outside the pool lock, which a
-    /// compiler panic must never poison, and re-checked on insert.
+    /// The warm [`CompileSession`] for `canonical`, opened on first use
+    /// outside the pool lock (a compiler panic must not poison it).
     fn session_for(&self, canonical: &str) -> Result<Arc<CompileSession>, String> {
         let lookup = |pool: &mut Vec<(String, Arc<CompileSession>)>| {
             pool.iter().position(|(k, _)| k == canonical).map(|pos| {
@@ -342,25 +322,22 @@ impl CompileService {
         Ok(session)
     }
 
-    /// Serves one compile request unbudgeted: the composition of
-    /// [`CompileService::prepare`], [`CompileService::lookup`] and, on a
-    /// miss, [`CompileService::compile`], which the daemon calls one by
-    /// one (the first two where the request arrives, the third on a
-    /// compile worker).
+    /// Serves one request unbudgeted: [`CompileService::prepare`], then
+    /// [`CompileService::compile`] on a miss (the daemon runs the second on
+    /// a worker), the answer decoded.
     ///
     /// # Errors
     ///
-    /// Those of the three steps.
+    /// Those of the two steps.
     pub fn serve(&self, src: &str, config_name: &str) -> Result<(CompileReply, Served), String> {
-        let request = self.prepare(src, config_name)?;
-        match self.lookup(&request) {
-            Some(reply) => Ok((reply, Served::Hit)),
-            None => self.compile(request, &Budget::unlimited()),
-        }
+        let (answer, served) = match self.prepare(src, config_name)? {
+            Lookup::Hit(answer) => (answer, Served::Hit),
+            Lookup::Miss(request) => self.compile(request, &Budget::unlimited())?,
+        };
+        Ok((answer.decode()?, served))
     }
 
-    /// Runs compiler code that request input reaches, converting a panic
-    /// into a counted error so the calling thread survives it.
+    /// Runs compiler code on request input, a panic a counted error.
     fn guarded<T>(&self, f: impl FnOnce() -> Result<T, String>) -> Result<T, String> {
         catch_unwind(AssertUnwindSafe(f)).unwrap_or_else(|p| {
             let msg = p
@@ -374,24 +351,41 @@ impl CompileService {
         })
     }
 
-    /// Step one of a request: everything derived from its text alone —
-    /// the configuration, the canonical form, the options it compiles
-    /// under and the key they hash to. Reads no artifact.
+    /// Step one of a request: its cached answer, or what its compile needs
+    /// (configuration, canonical form, options — a persisted tuning
+    /// redirects them — and their key).
+    ///
+    /// The checked hit: `src` is hashed as it arrived. If that key is
+    /// queued or indexed, untuned, and its entry's canonical text is `src`,
+    /// that text being a fixpoint proves `src` canonical and the entry its
+    /// answer. Otherwise `src` is canonicalised; if it was canonical, what
+    /// the probe read is this lookup.
     ///
     /// # Errors
     ///
     /// Unknown configuration names and parse errors.
-    pub fn prepare(&self, src: &str, config_name: &str) -> Result<Prepared, String> {
+    pub fn prepare(&self, src: &str, config_name: &str) -> Result<Lookup, String> {
         let config = config_by_name(config_name)?;
+        let guess = cache_key(src, config.name(), &self.gpu);
+        let mut probe = None;
+        if self.cache.as_ref().is_some_and(|c| c.holds(&guess)) {
+            // The tuned probe of an untuned kernel: an index lookup, a `stat`.
+            let tuned = load_tuned(self, &tuned_key_of(&guess));
+            match tuned.is_none().then(|| self.stored(&guess, true)) {
+                Some(Found::Hit(answer)) if answer.canonical_is(src) => {
+                    return Ok(Lookup::Hit(answer));
+                }
+                found => probe = Some((tuned, found)),
+            }
+        }
         let canonical = self.guarded(|| polyject_front::canonical_pj(src))?;
-
-        // A persisted tuned configuration redirects the request to the
-        // tuned options and their key; the default entry stays untouched.
-        // The probe of an untuned kernel costs an index lookup and a
-        // `stat`, no cache read. The default key is hashed once: it is
-        // the untuned request's key and the material of its tuned key.
-        let base = cache_key(&canonical, config.name(), &self.gpu);
-        let (opts, key) = match load_tuned(self, &tuned_key_of(&base)) {
+        let (base, probe) = match canonical == src {
+            true => (guess, probe),
+            false => (cache_key(&canonical, config.name(), &self.gpu), None),
+        };
+        let (tuned, found) =
+            probe.unwrap_or_else(|| (load_tuned(self, &tuned_key_of(&base)), None));
+        let (opts, key) = match tuned {
             Some(tuned) => {
                 self.count().tuned_applied += 1;
                 let key =
@@ -400,52 +394,65 @@ impl CompileService {
             }
             None => (CompileOptions::default(), base),
         };
-        Ok(Prepared {
-            config,
-            canonical,
-            opts,
-            key,
+        // A probe that found no entry counted no miss; this lookup does.
+        let found = match found {
+            Some(Found::Nothing) | None => self.stored(&key, false),
+            Some(found) => found,
+        };
+        Ok(match found {
+            Found::Hit(answer) => Lookup::Hit(answer),
+            _ => Lookup::Miss(Pending {
+                config,
+                canonical,
+                opts,
+                key,
+            }),
         })
     }
 
-    /// Step two: the cached reply for a prepared request, if there is
-    /// one: the hot tier's, else the disk entry's, checksum-verified,
-    /// decoded and promoted. A wrong-kind or undecodable entry is a miss.
-    pub fn lookup(&self, request: &Prepared) -> Option<CompileReply> {
-        self.cached(&request.key, false)
-    }
-
-    fn cached(&self, key: &str, optional: bool) -> Option<CompileReply> {
+    /// `key`'s cached answer: the hot tier's, else the disk entry's — its
+    /// stored text once vouched for. The entry's first read decodes it
+    /// instead (into the hot tier) and vouches if it renders back to the
+    /// same bytes. Another kind, an undecodable payload or a canonical
+    /// text that is no fixpoint is [`Found::Unusable`].
+    fn stored(&self, key: &str, optional: bool) -> Found {
         if let Some(reply) = self.hot().and_then(|mut hot| hot.get(key)) {
-            return Some(reply);
+            return Found::Hit(Answer::Reply(Box::new(reply)));
         }
-        let (kind, payload) = self.read_cache(key, optional)?;
-        if kind != "compile" {
-            return None;
+        let Some(cache) = &self.cache else {
+            return Found::Nothing;
+        };
+        let Some(entry) = cache.read(key, optional) else {
+            return Found::Nothing;
+        };
+        let reply = match (entry.kind == "compile", &entry.json) {
+            (false, _) => return Found::Unusable,
+            (true, None) => return Found::Hit(Answer::Stored(entry.payload)),
+            (true, Some(json)) => CompileReply::from_json(json),
+        };
+        let Ok(reply) = reply else {
+            return Found::Unusable;
+        };
+        let canonical = self.guarded(|| polyject_front::canonical_pj(&reply.canonical_pj));
+        if canonical.as_ref() != Ok(&reply.canonical_pj) {
+            return Found::Unusable;
         }
-        let reply = CompileReply::from_json(&payload).ok()?;
+        if reply.to_json().render() == entry.payload {
+            cache.vouch(key, entry.checksum);
+        }
         self.hot_put(key, &reply);
-        Some(reply)
+        Found::Hit(Answer::Reply(Box::new(reply)))
     }
 
-    /// Step three, for a request whose [`CompileService::lookup`] missed:
-    /// compiles it once per key however many identical requests are in
-    /// flight (the rest wait and share its outcome, budget included).
-    ///
-    /// An exhausted budget degrades the compile (influence dropped); a
-    /// degraded result is answered but **not cached**, so an unpressured
-    /// request recompiles at full quality. Cancellation (the daemon trips
-    /// the flag on request timeout) aborts with an error.
+    /// Step two, for a missed request: compiles it once per key however
+    /// many identical requests are in flight (they share its outcome). An
+    /// exhausted budget degrades the compile: answered, **not cached**, so
+    /// an unpressured request recompiles in full. A cancel flag aborts it.
     ///
     /// # Errors
     ///
-    /// Scheduling/cancellation errors, and panics inside the compiler
-    /// converted to errors (the worker thread survives).
-    pub fn compile(
-        &self,
-        request: Prepared,
-        budget: &Budget,
-    ) -> Result<(CompileReply, Served), String> {
+    /// Scheduling and cancellation errors, and compiler panics.
+    pub fn compile(&self, request: Pending, budget: &Budget) -> Result<(Answer, Served), String> {
         let key = &request.key;
         // Single-flight: first caller for a key compiles, the rest wait.
         let (flight, leader) = {
@@ -463,12 +470,11 @@ impl CompileService {
                 .map(|r| (r, Served::Coalesced));
         }
 
-        // The lookup that missed may be old by now, and a flight that
-        // ended in between cached its reply before it left the table:
-        // look again, as for an optional entry, before compiling.
-        let (result, served) = match self.cached(key, true) {
-            Some(reply) => (Ok(reply), Served::Hit),
-            None => (self.fresh(&request, budget), Served::Fresh),
+        // A flight that ended since the lookup cached its reply before
+        // leaving the table: look again, as for an optional entry.
+        let (result, served) = match self.stored(key, true) {
+            Found::Hit(answer) => (Ok(answer), Served::Hit),
+            _ => (self.fresh(&request, budget), Served::Fresh),
         };
 
         // Publish the result, wake waiters, and clear the flight.
@@ -482,10 +488,9 @@ impl CompileService {
         result.map(|r| (r, served))
     }
 
-    /// Compiles a prepared request, whatever the cache holds, and books
-    /// the outcome: governance counters, and both cache tiers for a reply
-    /// worth keeping.
-    fn fresh(&self, request: &Prepared, budget: &Budget) -> Result<CompileReply, String> {
+    /// Compiles a request and books the outcome: governance counters, and
+    /// both cache tiers for an undegraded reply.
+    fn fresh(&self, request: &Pending, budget: &Budget) -> Result<Answer, String> {
         let (canonical, key, gpu) = (&request.canonical, &request.key, &self.gpu);
         let open = || self.session_for(canonical);
         let compiled = self.guarded(|| {
@@ -502,9 +507,6 @@ impl CompileService {
         match &compiled {
             Ok(reply) => {
                 self.count().degraded_solves += reply.solver.degraded_solves;
-                // A degraded reply is a budget-shaped compromise, not the
-                // kernel's best schedule: serve it but keep it out of both
-                // cache tiers so an unpressured request recompiles fully.
                 if reply.solver.degraded_solves == 0 {
                     self.hot_put(key, reply);
                     if let Some(cache) = &self.cache {
@@ -517,7 +519,7 @@ impl CompileService {
             }
             Err(_) => {}
         }
-        compiled
+        compiled.map(|reply| Answer::Reply(Box::new(reply)))
     }
 }
 
@@ -743,11 +745,12 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
         let metered = Budget::unlimited().with_max_pivots(u64::MAX);
         let serve = |budget: &Budget| {
             let before = polyject_sets::counters::snapshot();
-            let request = svc.prepare(SRC, "infl").unwrap();
-            assert!(svc.lookup(&request).is_none(), "no cache attached");
-            let (reply, _) = svc.compile(request, budget).unwrap();
+            let Lookup::Miss(request) = svc.prepare(SRC, "infl").unwrap() else {
+                panic!("no cache attached");
+            };
+            let (answer, _) = svc.compile(request, budget).unwrap();
             (
-                reply,
+                answer.decode().unwrap(),
                 polyject_sets::counters::snapshot().delta_since(&before),
             )
         };

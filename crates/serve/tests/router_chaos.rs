@@ -418,16 +418,16 @@ fn same_seed_replays_are_identical() {
 }
 
 /// Hedging: when the primary's worker is busy, the hedge leg wins and
-/// the loser's in-flight solve is cancelled by request id — proven by
-/// the daemon's governance counters, not just the router's.
+/// the loser's solve is cancelled by request id — proven by the daemon's
+/// governance counters, not just the router's.
 #[test]
 fn hedge_cancels_losing_leg_and_reclaims_worker() {
     let root = tmp_root("hedge");
-    // Shard `a` has one worker which we occupy with a seconds-long
-    // compile; its leg of the hedged request queues behind it and must
-    // lose the race: it starts ~2 s late (depth 128) on a ~5 s compile
-    // (depth 192; dev profile, 2-core box), so it is mid-solve when `b`
-    // answers.
+    // Shard `a` has one worker, which an occupier holds until this test
+    // cancels it, after the hedged request was answered: `a`'s leg of that
+    // request waits behind it and loses by construction. The occupier
+    // (depth 256, ~14 s) could only finish on its own long after `b`'s
+    // answer (depth 128, ~1-2 s).
     let a = spawn_daemon(
         &root.join("a.sock"),
         &root.join("a-cache"),
@@ -438,14 +438,27 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
         &root.join("b-cache"),
         &["--workers", "2"],
     );
+    let counter = |group: &str, field: &str| {
+        let s = a.stats();
+        (s.get(group)
+            .and_then(|v| v.get(field))
+            .and_then(Json::as_u64))
+        .unwrap_or(0)
+    };
 
     let a_ep = a.endpoint.clone();
     let occupier = std::thread::spawn(move || {
         let mut c = Client::connect(&a_ep).unwrap();
         c.set_timeout(Some(Duration::from_secs(180))).unwrap();
-        c.compile(&slow_src("occupy", 128), "infl")
+        let occupy = Request::compile(&slow_src("occupy", 256), "infl", Some("occupy".into()));
+        c.request(&occupy)
     });
     // Let the occupier reach a's worker before the hedged request.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while counter("stats", "requests") < 1 {
+        assert!(Instant::now() < deadline, "the occupier never arrived");
+        std::thread::sleep(Duration::from_millis(10));
+    }
     std::thread::sleep(Duration::from_millis(300));
 
     let router = Router::new(RouterConfig {
@@ -456,7 +469,7 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
         hot_threshold: 1000,
         ..RouterConfig::default()
     });
-    let resp = router.compile(&slow_src("hedged", 192), "infl");
+    let resp = router.compile(&slow_src("hedged", 128), "infl");
     assert_eq!(resp.str_field("status").unwrap(), "ok", "{}", resp.render());
 
     assert!(router.total(|m| m.hedges_fired) >= 1, "hedge never fired");
@@ -464,35 +477,34 @@ fn hedge_cancels_losing_leg_and_reclaims_worker() {
         router.total(|m| m.hedge_cancels) >= 1,
         "losing leg was not cancelled"
     );
+    // Release a's worker: the occupier is cancelled (one cancel, one
+    // cancelled solve), and the loser, cancelled while it waited, aborts
+    // at its first budget check (the second of each).
+    let mut c = Client::connect(&a.endpoint).unwrap();
+    let released = c
+        .request(&Request::Cancel {
+            req: "occupy".into(),
+        })
+        .unwrap();
+    assert_eq!(released.get("cancelled"), Some(&Json::Bool(true)));
+    let occupied = occupier.join().unwrap().unwrap();
+    assert_eq!(occupied.str_field("status").unwrap(), "error");
 
     // The loser's worker is reclaimed: the daemon found the tagged
     // request, tripped its cancel flag, and the solver aborted.
     let deadline = Instant::now() + Duration::from_secs(60);
     loop {
-        let s = a.stats();
-        let cancels = s
-            .get("stats")
-            .and_then(|v| v.get("cancels"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        let cancelled_solves = s
-            .get("governance")
-            .and_then(|v| v.get("cancelled_solves"))
-            .and_then(Json::as_u64)
-            .unwrap_or(0);
-        if cancels >= 1 && cancelled_solves >= 1 {
+        let cancels = counter("stats", "cancels");
+        if cancels >= 2 && counter("governance", "cancelled_solves") >= 2 {
             break;
         }
         assert!(
             Instant::now() < deadline,
             "loser never cancelled: {}",
-            s.render()
+            a.stats().render()
         );
         std::thread::sleep(Duration::from_millis(100));
     }
-
-    let occupied = occupier.join().unwrap().unwrap();
-    assert_eq!(occupied.str_field("status").unwrap(), "ok");
 
     a.shutdown_and_wait();
     b.shutdown_and_wait();

@@ -111,7 +111,12 @@ pjc() { cargo run --release -q -p polyject-serve --bin polyjectc -- "$@"; }
 src=examples/running_example.pj
 pjc "$src" --config infl --emit cuda > "$scratch/local.out"
 pjc "$src" --config infl --emit cuda --remote "$sock" > "$scratch/remote1.out"
-pjc "$src" --config infl --emit cuda --remote "$sock" > "$scratch/remote2.out"
+# The repeat is a reformatted copy (blank lines, doubled spaces, no
+# comments): the client sends the canonical text it keyed, so it is the
+# same cache hit.
+sed -e '/^[[:space:]]*#/d' -e 's/ /  /g' -e 'G' "$src" > "$scratch/reformatted.pj"
+if cmp -s "$src" "$scratch/reformatted.pj"; then echo "reformatting changed nothing"; exit 1; fi
+pjc "$scratch/reformatted.pj" --config infl --emit cuda --remote "$sock" > "$scratch/remote2.out"
 cmp "$scratch/local.out" "$scratch/remote1.out"
 cmp "$scratch/remote1.out" "$scratch/remote2.out"
 cargo run --release -q -p polyject-serve --bin polyject-cache -- "$scratch/dcache" stats \
@@ -318,7 +323,7 @@ step "size gate (ROADMAP item 1): crates/serve/src non-test line count"
 # and an item placed after a test module does. A `#[cfg(test)]` on a single item, such as
 # tableau.rs's test-only pivot cap override, does not split the file. The
 # other crates' counts are printed only, then the sums.
-serve_ceiling=6813
+serve_ceiling=6809
 split_lines() {
   find "$1" -name '*.rs' -print0 | xargs -0 awk '
     FNR == 1 { t = 0; cfg = 0 }
