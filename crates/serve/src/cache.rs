@@ -400,26 +400,26 @@ impl DiskCache {
     /// Propagates filesystem failures; the cache directory is left
     /// consistent (the rename either happened or it didn't).
     pub fn put(&mut self, key: &str, kind: &str, payload: &Json) -> io::Result<()> {
-        let entry = DiskCache::encode(key, kind, payload);
+        let entry = DiskCache::encode(key, kind, &payload.render());
         land(self.io.as_mut(), &self.dir, &entry)?;
         self.commit(&entry)
     }
 
-    /// Renders the entry file of a put, touching no cache state.
-    pub(crate) fn encode(key: &str, kind: &str, payload: &Json) -> Encoded {
-        let payload_text = payload.render();
+    /// Renders the entry file of a put of the rendered `payload_text`,
+    /// touching no cache state.
+    pub(crate) fn encode(key: &str, kind: &str, payload_text: &str) -> Encoded {
         let head = Json::obj(vec![
             ("format", Json::Num(FORMAT_VERSION as f64)),
             ("key", Json::Str(key.to_string())),
             ("kind", Json::Str(kind.to_string())),
-            ("checksum", Json::Str(hex_digest(&payload_text))),
+            ("checksum", Json::Str(hex_digest(payload_text))),
         ]);
-        // The payload is rendered once and spliced in as the last field.
+        // The payload is spliced in as the last field.
         let mut text = String::with_capacity(payload_text.len() + 128);
         head.render_into(&mut text);
         text.pop();
         text.push_str(",\"payload\":");
-        text.push_str(&payload_text);
+        text.push_str(payload_text);
         text.push('}');
         let (key, kind) = (key.to_string(), kind.to_string());
         Encoded { key, kind, text }

@@ -297,9 +297,10 @@ pub(crate) fn run_leg<T>(
 }
 
 /// Client-side shard selection (`polyjectc --remote a,b,c`): keys each
-/// item, scatters a batch by owner and tries a key's replicas in health
-/// order. A `polyject-router` routes through one and adds hedging,
-/// retries, replication and warm transfer; alone it never retries a frame.
+/// item when there is more than one shard, scatters a batch by owner and
+/// tries a key's replicas in health order. A `polyject-router` routes
+/// through one and adds hedging, retries, replication and warm transfer;
+/// alone it never retries a frame.
 pub struct ShardedClient {
     membership: Mutex<Membership>,
     gpu: GpuModel,
@@ -377,9 +378,15 @@ impl ShardedClient {
     }
 
     /// The one request path: key, scatter (several items), then the
-    /// replica walk for what is unanswered.
+    /// replica walk for what is unanswered. One shard owns every key, so
+    /// its items go unkeyed, as given: the daemon canonicalises them.
     fn route_batch(&self, items: &[BatchItem]) -> (Vec<io::Result<Json>>, u64) {
-        let (items, keys): (Vec<_>, Vec<_>) = items.iter().map(|it| self.key(it)).unzip();
+        let keyed = self.members().shards().len() > 1;
+        let key = |it: &BatchItem| match keyed {
+            true => self.key(it),
+            false => (it.clone(), Ok(String::new())),
+        };
+        let (items, keys): (Vec<_>, Vec<_>) = items.iter().map(key).unzip();
         let mut slots: Vec<Option<Json>> = vec![None; items.len()];
         let mut round_trips = 0;
         if items.len() > 1 {
@@ -650,12 +657,13 @@ mod tests {
         format!("kernel {name}\nparam N = 8\ntensor X[N]: f32\nstmt S for (i in 0..N) X[i] = 2.0\n")
     }
 
-    /// What a routed client sends for `pj(name)`: its canonical text.
+    /// What a one-shard client sends for `pj(name)`: the source as given,
+    /// hand-formatted (a keyed client would send its canonical text).
     #[cfg(unix)]
     fn sent(name: &str) -> String {
         let canonical = polyject_front::canonical_pj(&pj(name)).unwrap();
         assert_ne!(canonical, pj(name), "the fixture is hand-formatted");
-        canonical
+        pj(name)
     }
 
     #[test]

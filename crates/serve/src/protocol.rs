@@ -417,15 +417,10 @@ pub fn ok_response(reply: &CompileReply, cached: bool) -> Json {
     Json::Obj(pairs)
 }
 
-/// A compile's answer: a reply, or a cache entry's payload checked to be
-/// exactly a [`CompileReply::to_json`] rendering.
+/// A compile's answer: its payload, the text of a
+/// [`CompileReply::to_json`] rendering as its cache entry stores it.
 #[derive(Clone, Debug, PartialEq)]
-pub enum Answer {
-    /// A decoded reply.
-    Reply(Box<CompileReply>),
-    /// The payload, as its entry stores it.
-    Stored(String),
-}
+pub struct Answer(pub(crate) String);
 
 impl Answer {
     /// The decoded reply.
@@ -434,34 +429,21 @@ impl Answer {
     ///
     /// An undecodable payload.
     pub fn decode(self) -> Result<CompileReply, String> {
-        match self {
-            Answer::Reply(reply) => Ok(*reply),
-            Answer::Stored(text) => CompileReply::from_json(&Json::parse(&text)?),
-        }
+        CompileReply::from_json(&Json::parse(&self.0)?)
     }
 
-    /// Whether the reply's `canonical_pj` is `src`: in a payload, the first
+    /// Whether the reply's `canonical_pj` is `src`: the payload's first
     /// field of that name (none of the three strings before it holds one).
     pub(crate) fn canonical_is(&self, src: &str) -> bool {
-        match self {
-            Answer::Reply(reply) => reply.canonical_pj == src,
-            Answer::Stored(text) => {
-                let want = Json::Str(src.to_string()).render();
-                let field = text.split_once(",\"canonical_pj\":");
-                field.is_some_and(|(_, rest)| rest.starts_with(&want))
-            }
-        }
+        let want = Json::Str(src.to_string()).render();
+        let field = self.0.split_once(",\"canonical_pj\":");
+        field.is_some_and(|(_, rest)| rest.starts_with(&want))
     }
 
-    /// The `ok` frame, [`ok_response`]'s bytes: a payload is spliced in.
+    /// The `ok` frame, [`ok_response`]'s bytes, the payload spliced in.
     pub fn ok_frame(&self, cached: bool) -> Frame {
-        match self {
-            Answer::Reply(reply) => Frame::Json(ok_response(reply, cached)),
-            Answer::Stored(text) => {
-                let fields = text.strip_prefix('{').unwrap_or(text);
-                Frame::Ok(format!("{{\"status\":\"ok\",\"cached\":{cached},{fields}"))
-            }
-        }
+        let fields = self.0.strip_prefix('{').unwrap_or(&self.0);
+        Frame::Ok(format!("{{\"status\":\"ok\",\"cached\":{cached},{fields}"))
     }
 }
 

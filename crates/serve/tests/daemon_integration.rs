@@ -10,7 +10,7 @@ mod common;
 use common::Daemon;
 use polyject_front::emit_pj;
 use polyject_gpusim::GpuModel;
-use polyject_serve::{compile_reply, BatchItem, Client, Endpoint, Json, Request};
+use polyject_serve::{compile_reply, BatchItem, Client, Endpoint, Json, Request, ShardedClient};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -373,6 +373,41 @@ fn counters(client: &mut Client) -> [u64; 8] {
     ]
 }
 
+/// A source that does not parse reads alike on every path: a one-shard
+/// client sends it unkeyed, and the daemon's answer is the text a keyed
+/// client gives with no shard contacted, `parse error: <line>:<col>: …`.
+#[test]
+fn a_one_shard_client_reads_the_keyed_parse_error() {
+    let daemon = spawn("parse-error", &["--workers", "1"]);
+    let gpu = GpuModel::v100();
+    let mut one = ShardedClient::new(vec![daemon.endpoint.clone()], gpu.clone());
+    let unreachable = Endpoint::parse("/nonexistent/pj-parse-error.sock").unwrap();
+    let mut keyed = ShardedClient::new(vec![daemon.endpoint.clone(), unreachable], gpu);
+    for bad in ["kernel broken (", "kernel k\nparam N = \n"] {
+        let local = keyed.compile(bad, "infl").unwrap();
+        let remote = one.compile(bad, "infl").unwrap();
+        assert_eq!(remote.render(), local.render(), "{bad:?}");
+        let message = remote.str_field("message").unwrap();
+        let (line, rest) = message
+            .strip_prefix("parse error: ")
+            .unwrap()
+            .split_once(':')
+            .unwrap();
+        let col = rest.split_once(':').unwrap().0;
+        assert!(
+            line.parse::<u32>().is_ok() && col.parse::<u32>().is_ok(),
+            "{message}"
+        );
+    }
+    let report = Client::connect(&daemon.endpoint).unwrap().stats().unwrap();
+    let errors = report.get("stats").unwrap().get("errors");
+    assert_eq!(
+        errors.and_then(Json::as_u64),
+        Some(2),
+        "only the one-shard client asked"
+    );
+}
+
 /// The equivalence the one request path rests on: a `compile` is a
 /// `compile_batch` of one. The same five-case script — cold miss, warm
 /// hit, parse error, unknown config, overloaded queue — runs against two
@@ -477,7 +512,11 @@ fn single_compile_is_a_batch_of_one() {
     let expected = [
         ("cold miss", "\"cached\":false", [0, 1, 0, 0, 0, 1]),
         ("warm hit", "\"cached\":true", [1, 0, 0, 0, 0, 1]),
-        ("parse error", "\"status\":\"error\"", [0, 0, 0, 1, 0, 0]),
+        (
+            "parse error",
+            "\"message\":\"parse error: ",
+            [0, 0, 0, 1, 0, 0],
+        ),
         ("unknown config", "unknown config", [0, 0, 0, 1, 0, 0]),
         (
             "overloaded",
