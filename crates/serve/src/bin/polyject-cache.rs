@@ -24,11 +24,12 @@
 //! started on the directory answers those kernels as hits.
 
 use polyject_codegen::Config;
+use polyject_core::Budget;
 use polyject_gpusim::GpuModel;
 use polyject_serve::args::{self, Args};
 use polyject_serve::{
     config_by_name, decode_tuned, default_workers, parallel_map, Client, CompileService, DiskCache,
-    Endpoint, Json, Request, Served, Verdict, TUNED_KIND,
+    Endpoint, Json, Lookup, Request, Served, Verdict, TUNED_KIND,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -309,7 +310,10 @@ fn warm(cache: DiskCache, src_dir: &Path, configs: &[Config], workers: usize) ->
     let service = CompileService::new(Some(cache), GpuModel::v100());
     let outcomes = parallel_map(&jobs, workers, |(path, config)| {
         let src = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-        service.serve(&src, config).map(|(_, served)| served)
+        Ok::<_, String>(match service.prepare(&src, config)? {
+            Lookup::Hit(_) => Served::Hit,
+            Lookup::Miss(request) => service.compile(request, &Budget::unlimited())?.1,
+        })
     });
     let (mut fresh, mut hit, mut failed) = (0, 0, 0);
     for ((path, config), outcome) in jobs.iter().zip(&outcomes) {

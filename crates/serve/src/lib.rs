@@ -76,7 +76,7 @@ pub use protocol::{read_frame, write_frame, BatchItem, CompileReply, Request, Ve
 pub use router::{Router, RouterConfig};
 pub use service::{
     cache_key, cache_key_with_options, compile_reply, config_by_name, CompileService, Governance,
-    Served,
+    Lookup, Served,
 };
 pub use stats::{LatencyAgg, ServeStats, ShardMetrics};
 pub use tuned::{
