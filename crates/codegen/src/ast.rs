@@ -126,6 +126,23 @@ pub struct StmtNode {
     pub guards: Vec<Constraint>,
     /// Depth of the schedule-variable prefix the expressions refer to.
     pub depth: usize,
+    /// Under a vector loop, how each read touches memory across the
+    /// lanes, as [`crate::vectorize`] recorded it (the store is always
+    /// [`Lanes::Wide`]); empty elsewhere.
+    pub lanes: Vec<Lanes>,
+}
+
+/// How one access of a vector leaf touches memory across the `w` lanes of
+/// its loop.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Lanes {
+    /// Stride 1 and aligned to `w` elements: one wide access of `w`
+    /// consecutive cells from lane 0's address.
+    Wide,
+    /// Stride 0: lane 0's cell serves every lane.
+    Broadcast,
+    /// Anything else: each lane its own cell, one scalar access each.
+    PerLane,
 }
 
 impl StmtNode {
@@ -133,23 +150,17 @@ impl StmtNode {
     /// `[t_0.., params...]` space by substituting the iterator-recovery
     /// expressions.
     pub(crate) fn compose_index(&self, idx: &LinExpr, kernel: &Kernel) -> LinExpr {
-        let n_params = kernel.n_params();
-        let gspace = self.iter_exprs.first().map_or(n_params, LinExpr::n_vars);
         let n_iters = self.iter_exprs.len();
-        let mut e = LinExpr::constant(gspace, idx.constant_term());
+        let mut e = LinExpr::constant(self.depth + kernel.n_params(), idx.constant_term());
         for (it, recover) in self.iter_exprs.iter().enumerate() {
             let c = idx.coeff(it);
             if !c.is_zero() {
                 e = &e + &recover.scaled(c);
             }
         }
-        for p in 0..n_params {
-            let c = idx.coeff(n_iters + p);
-            if !c.is_zero() {
-                let mut pe = LinExpr::zero(gspace);
-                pe.set_coeff(gspace - n_params + p, c);
-                e = &e + &pe;
-            }
+        for p in 0..kernel.n_params() {
+            let v = self.depth + p;
+            e.set_coeff(v, e.coeff(v) + idx.coeff(n_iters + p));
         }
         e
     }
@@ -229,6 +240,12 @@ pub struct Ast {
 }
 
 impl Ast {
+    /// Width of the global variable space `[t…, params…]` the AST's
+    /// expressions live over.
+    pub fn width(&self) -> usize {
+        self.statements().first().map_or(0, |s| s.depth) + self.n_params
+    }
+
     /// All loops of the program, depth-first.
     pub fn loops(&self) -> Vec<&LoopNode> {
         let mut out = Vec::new();
@@ -296,6 +313,7 @@ mod tests {
             iter_exprs: vec![LinExpr::from_coeffs(&[1, 0], 0)],
             guards: vec![Constraint::ge0(LinExpr::from_coeffs(&[1, 0], -2))],
             depth: 1,
+            lanes: Vec::new(),
         };
         assert_eq!(s.instance(&[5, 9]), Some(vec![5]));
         assert_eq!(s.instance(&[1, 9]), None); // guard t >= 2 fails

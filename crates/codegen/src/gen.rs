@@ -593,6 +593,7 @@ impl Generator<'_> {
             iter_exprs: s.iter_exprs.clone(),
             guards: s.guards.clone(),
             depth: self.depth,
+            lanes: Vec::new(),
         })
     }
 }

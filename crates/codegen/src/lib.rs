@@ -32,11 +32,12 @@ mod pipeline;
 mod printer;
 mod tiling;
 
-pub use ast::{Ast, AstNode, Bound, LoopKind, LoopNode, StmtNode};
+pub use ast::{Ast, AstNode, Bound, Lanes, LoopKind, LoopNode, StmtNode};
 pub use cuda::render_cuda;
 pub use gen::generate_ast;
 pub use passes::{
-    access_stride_along, loop_extent, map_to_gpu, refine_parallel_loops, vectorize, MappingOptions,
+    access_offset_expr, access_stride_along, loop_extent, map_to_gpu, refine_parallel_loops,
+    vectorize, MappingOptions,
 };
 pub use pipeline::{
     compile, compile_with_options, render_artifacts, Artifacts, CompileOptions, CompileSession,

@@ -2,7 +2,8 @@
 //! load/store vectorization pass (the two AKG modifications described at
 //! the end of paper Section V).
 
-use crate::ast::{Ast, AstNode, LoopKind, LoopNode, StmtNode};
+use crate::ast::{Ast, AstNode, Bound, Lanes, LoopKind, LoopNode, StmtNode};
+use polyject_arith::Rat;
 use polyject_core::Schedule;
 use polyject_ir::Kernel;
 use polyject_sets::LinExpr;
@@ -116,26 +117,12 @@ fn map_nest(node: &mut AstNode, params: &[i128], opts: MappingOptions) {
 /// Trip count of a loop assuming rectangular bounds (evaluated with outer
 /// schedule variables at zero — exact for the fused-operator domain).
 pub fn loop_extent(l: &LoopNode, params: &[i128]) -> Option<i64> {
-    let mut outer = vec![0i128; l.dim];
+    // Bound expressions live over the global space [t…, params…].
+    let mut outer = vec![0i128; l.lowers.first()?.expr.n_vars() - params.len()];
     outer.extend_from_slice(params);
-    // Bound expressions live over [t_0..t_{d-1}, params…] extended to the
-    // global space; pad to the widest expression.
-    let width = l
-        .lowers
-        .iter()
-        .chain(&l.uppers)
-        .map(|b| b.expr.n_vars())
-        .max()?;
-    while outer.len() < width {
-        outer.insert(l.dim, 0);
-    }
-    let lo = l.lowers.iter().map(|b| b.eval_lower(&outer)).max()?;
-    let hi = l.uppers.iter().map(|b| b.eval_upper(&outer)).min()?;
-    if hi < lo {
-        return Some(0);
-    }
+    let (lo, hi) = l.range(&outer);
     let step = l.step.max(1) as i128;
-    Some((((hi - lo) / step) + 1) as i64)
+    Some((hi - lo + step).div_euclid(step).max(0) as i64)
 }
 
 /// Refines loop parallelism per *generated loop*: a schedule dimension
@@ -183,9 +170,15 @@ fn refine_node(
 
 /// The backend vectorization pass (the paper's second AKG modification):
 /// rewrites innermost loops that the influence marked as vector candidates
-/// into explicit vector-width loops (`float4`/`float2`), when every
-/// directly contained statement accesses memory with stride 0 or 1 along
-/// the loop and the trip count divides the width.
+/// into explicit vector-width loops, and records on each leaf how its
+/// reads touch memory across the lanes ([`Lanes`]) — the one vector
+/// decision the CUDA printer, the interpreter and the timing model read.
+///
+/// A loop is vectorized when its width `w` (4 or 2) divides the trip
+/// count and every directly contained statement stores wide: stride +1
+/// along the loop and aligned to `w` at the compiled parameters, under a
+/// guard (if any) that does not mention the loop. A stride −1 or
+/// unaligned store, or a guard on the loop variable, leaves it scalar.
 ///
 /// Returns the number of loops vectorized.
 pub fn vectorize(ast: &mut Ast, kernel: &Kernel, schedule: &Schedule) -> usize {
@@ -209,82 +202,98 @@ fn vectorize_node(
     for c in &mut l.body {
         count += vectorize_node(c, kernel, schedule, params);
     }
-    // Innermost check: body contains only statement leaves.
-    let leaves: Vec<&StmtNode> = l
-        .body
-        .iter()
+    // Innermost (only statement leaves), every leaf influence-marked for
+    // this dimension, and the loop dependence-free (parallel after
+    // refinement) — wide loads/stores reorder its iterations.
+    let leaves: Vec<&StmtNode> = (l.body.iter())
         .filter_map(|c| match c {
             AstNode::Stmt(s) => Some(s),
             AstNode::Loop(_) => None,
         })
         .collect();
-    if leaves.len() != l.body.len() || leaves.is_empty() {
+    let marked = |s: &&StmtNode| schedule.vector_dim(s.stmt) == Some(l.dim);
+    if leaves.len() != l.body.len() || leaves.is_empty() || !leaves.iter().all(marked) {
         return count;
     }
-    // All leaves must be influence-marked for this dimension, and the
-    // loop itself must be dependence-free (parallel after refinement) —
-    // wide loads/stores reorder its iterations.
-    if !leaves
-        .iter()
-        .all(|s| schedule.vector_dim(s.stmt) == Some(l.dim))
-    {
+    // Width: largest supported width dividing the trip count.
+    let width = |e: i64| [4i64, 2].into_iter().find(|w| e >= *w && e % w == 0);
+    let Some(w) = loop_extent(l, params).and_then(width) else {
         return count;
-    }
+    };
     if l.kind != LoopKind::Parallel {
         return count;
     }
-    // Stride discipline: the *write* of every leaf must be contiguous
-    // along the loop variable (distinct iterations store distinct cells,
-    // emitted as vector stores); reads may mix vector and scalar types
+    // Every store is wide; reads may mix vector and scalar types
     // (Section V: "we may mix vector types with scalar types").
+    let pvals: Vec<i64> = params.iter().map(|&v| v as i64).collect();
+    let mut written = Vec::with_capacity(leaves.len());
+    let mut reads = Vec::with_capacity(leaves.len());
     for s in &leaves {
-        let w = kernel.statement(s.stmt).write();
-        match access_stride_along(kernel, s, w, l.dim, params) {
-            Some(1) | Some(-1) => {}
-            _ => return count,
+        let stmt = kernel.statement(s.stmt);
+        let offset = |a| access_offset_expr(kernel, s, a, &pvals);
+        let woff = offset(stmt.write());
+        let lane_guard = s.guards.iter().any(|g| g.coeff(l.dim) != 0);
+        if lane_guard || lanes(&woff, l, w, params) != Lanes::Wide {
+            return count;
         }
+        written.push((stmt.write().tensor(), woff));
+        let offsets = stmt.reads().iter().map(|a| (a.tensor(), offset(a)));
+        reads.push(offsets.collect::<Vec<_>>());
     }
     // Legality: iterations of a vector loop execute as wide operations, so
     // no dependence may be carried at this dimension among the contained
-    // statements. With contiguous writes, the only way a dependence can
-    // arise inside the loop is a read of a tensor some leaf writes at a
-    // *different* cell: require every such read to target exactly the
+    // statements. With distinct stored cells, the only way a dependence
+    // can arise inside the loop is a read of a tensor some leaf writes at
+    // a *different* cell: require every such read to target exactly the
     // writer's cell (the read-modify-write pattern of fused operators).
-    {
-        let pvals: Vec<i64> = params.iter().map(|&v| v as i64).collect();
-        let written: Vec<(polyject_ir::TensorId, polyject_sets::LinExpr)> = leaves
-            .iter()
-            .map(|s| {
-                let w = kernel.statement(s.stmt).write();
-                (w.tensor(), access_offset_expr(kernel, s, w, &pvals))
-            })
-            .collect();
-        for s in &leaves {
-            for a in kernel.statement(s.stmt).reads() {
-                for (wt, woff) in &written {
-                    if a.tensor() == *wt && access_offset_expr(kernel, s, a, &pvals) != *woff {
-                        return count;
-                    }
-                }
-            }
+    let foreign = |(t, off): &(_, _)| written.iter().any(|(wt, w)| t == wt && off != w);
+    if reads.iter().flatten().any(foreign) {
+        return count;
+    }
+    let form = |rs: &Vec<(_, _)>| rs.iter().map(|(_, off)| lanes(off, l, w, params)).collect();
+    let forms: Vec<Vec<Lanes>> = reads.iter().map(form).collect();
+    l.kind = LoopKind::Vector(w as u8);
+    for (c, form) in l.body.iter_mut().zip(forms) {
+        if let AstNode::Stmt(s) = c {
+            s.lanes = form;
         }
     }
-    // Width: largest supported width dividing the trip count.
-    let Some(extent) = loop_extent(l, params) else {
-        return count;
-    };
-    let width = [4i64, 2]
-        .into_iter()
-        .find(|w| extent >= *w && extent % w == 0);
-    let Some(w) = width else { return count };
-    l.kind = LoopKind::Vector(w as u8);
     count + 1
 }
 
+/// How an access at flat offset `off` touches memory across the lanes of
+/// the vector loop `l` of width `w`.
+fn lanes(off: &LinExpr, l: &LoopNode, w: i64, params: &[i128]) -> Lanes {
+    let stride = off.coeff(l.dim);
+    if stride.is_zero() {
+        Lanes::Broadcast
+    } else if stride == Rat::ONE && l.lowers.iter().all(|b| aligned(off, b, l.dim, w, params)) {
+        Lanes::Wide
+    } else {
+        Lanes::PerLane
+    }
+}
+
+/// Whether a unit-stride offset is a multiple of `w` at every lane 0 of
+/// the loop over `dim` that starts at lower bound `b` — for every outer
+/// value, at the compiled parameters.
+fn aligned(off: &LinExpr, b: &Bound, dim: usize, w: i64, params: &[i128]) -> bool {
+    let mut first = off + &b.expr;
+    first.set_coeff(dim, first.coeff(dim) - Rat::ONE);
+    let n_t = first.n_vars() - params.len();
+    let folded = params
+        .iter()
+        .enumerate()
+        .fold(first.constant_term(), |acc, (p, &v)| {
+            acc + first.coeff(n_t + p) * Rat::int(v)
+        });
+    let multiple = |c: &Rat| c.to_integer().is_some_and(|v| v % i128::from(w) == 0);
+    b.divisor == 1 && first.coeffs()[..n_t].iter().all(multiple) && multiple(&folded)
+}
+
 /// The memory stride (in elements) of an access along schedule dimension
-/// `t_dim`, obtained by composing the access's affine indices with the
-/// statement's iterator-recovery expressions and the tensor's concrete
-/// strides. `None` if non-integer.
+/// `t_dim`: the coefficient of [`access_offset_expr`] there. `None` if
+/// non-integer.
 pub fn access_stride_along(
     kernel: &Kernel,
     stmt_node: &StmtNode,
@@ -292,46 +301,28 @@ pub fn access_stride_along(
     t_dim: usize,
     params: &[i128],
 ) -> Option<i64> {
-    let stmt = kernel.statement(stmt_node.stmt);
-    let tensor = kernel.tensor(access.tensor());
     let pvals: Vec<i64> = params.iter().map(|&v| v as i64).collect();
-    let strides = tensor.strides(&pvals);
-    let n_iters = stmt.n_iters();
-    let mut total = polyject_arith::Rat::ZERO;
-    for (dim, stride) in strides.iter().enumerate() {
-        // d(index_dim)/d(t_dim) = Σ_it coeff(index, it)·d(it)/d(t_dim)
-        let mut deriv = polyject_arith::Rat::ZERO;
-        for it in 0..n_iters {
-            let c = access.indices()[dim].coeff(it);
-            if !c.is_zero() {
-                deriv += c * stmt_node.iter_exprs[it].coeff(t_dim);
-            }
-        }
-        total += deriv * polyject_arith::Rat::int(*stride as i128);
-    }
-    total.to_integer().map(|v| v as i64)
+    let off = access_offset_expr(kernel, stmt_node, access, &pvals);
+    off.coeff(t_dim).to_integer().map(|v| v as i64)
 }
 
-/// Substitutes `iter_exprs` into an access to express its full element
-/// offset as an affine function of the global space — how vectorization
-/// tells a read of a leaf's own written cell from a read of another.
-pub(crate) fn access_offset_expr(
+/// The flat element offset of an access, as an affine function of the
+/// global space `[t_0.., params...]`: its indices composed with the
+/// leaf's iterator-recovery expressions and weighted by the tensor's
+/// strides at `params`. The one address function: vectorization, the
+/// CUDA printer, the interpreter's vector lanes and the timing model all
+/// read addresses from it.
+pub fn access_offset_expr(
     kernel: &Kernel,
     stmt_node: &StmtNode,
     access: &polyject_ir::Access,
     params: &[i64],
 ) -> LinExpr {
-    let tensor = kernel.tensor(access.tensor());
-    let strides = tensor.strides(params);
-    let gspace = stmt_node
-        .iter_exprs
-        .first()
-        .map(LinExpr::n_vars)
-        .unwrap_or(access.indices().first().map(LinExpr::n_vars).unwrap_or(0));
-    let mut total = LinExpr::zero(gspace);
+    // Composing is linear: flatten over [iters, params], then compose once.
+    let strides = kernel.tensor(access.tensor()).strides(params);
+    let mut flat = LinExpr::zero(stmt_node.iter_exprs.len() + kernel.n_params());
     for (idx, stride) in access.indices().iter().zip(&strides) {
-        let composed = stmt_node.compose_index(idx, kernel);
-        total = &total + &composed.scaled(polyject_arith::Rat::int(*stride as i128));
+        flat = &flat + &idx.scaled(Rat::int(*stride as i128));
     }
-    total
+    stmt_node.compose_index(&flat, kernel)
 }

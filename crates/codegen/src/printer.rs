@@ -32,15 +32,7 @@ pub fn render(ast: &Ast, kernel: &Kernel) -> String {
 
 /// Names of the global-space variables: loop vars then parameters.
 pub(crate) fn var_names(ast: &Ast, kernel: &Kernel) -> Vec<String> {
-    // Global space size = max expression width among statement leaves.
-    let width = ast
-        .statements()
-        .iter()
-        .flat_map(|s| s.iter_exprs.iter())
-        .map(LinExpr::n_vars)
-        .max()
-        .unwrap_or(kernel.n_params());
-    let n_t = width - kernel.n_params();
+    let n_t = ast.width() - kernel.n_params();
     let mut names: Vec<String> = (0..n_t).map(|d| format!("c{d}")).collect();
     names.extend(kernel.param_names().iter().cloned());
     names

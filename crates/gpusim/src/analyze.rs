@@ -6,7 +6,7 @@
 //! loop), and charging the traffic to DRAM or L2 (fused intermediates).
 
 use crate::model::{GpuModel, KernelTiming};
-use polyject_codegen::{access_stride_along, loop_extent, Ast, AstNode, LoopKind, StmtNode};
+use polyject_codegen::{access_offset_expr, loop_extent, Ast, AstNode, Lanes, LoopKind, StmtNode};
 use polyject_ir::{Kernel, TensorId};
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -157,11 +157,11 @@ pub fn estimate(ast: &Ast, kernel: &Kernel, model: &GpuModel) -> KernelTiming {
 /// assert_eq!(report.accesses.len(), 2); // one read, one write
 /// ```
 pub fn profile(ast: &Ast, kernel: &Kernel, model: &GpuModel) -> ProfileReport {
-    let params: Vec<i128> = kernel.param_defaults().iter().map(|&v| v as i128).collect();
     let mut acc = Accumulator {
         kernel,
         model,
-        params,
+        params: kernel.param_defaults().iter().map(|&v| v as i128).collect(),
+        pvals: kernel.param_defaults().to_vec(),
         written: BTreeSet::new(),
         timing: KernelTiming::default(),
         max_threads: 1.0,
@@ -211,6 +211,7 @@ struct Accumulator<'a> {
     kernel: &'a Kernel,
     model: &'a GpuModel,
     params: Vec<i128>,
+    pvals: Vec<i64>,
     written: BTreeSet<TensorId>,
     timing: KernelTiming,
     max_threads: f64,
@@ -288,50 +289,42 @@ impl Accumulator<'_> {
         let vec_w = ctx.coal.and_then(|(_, w)| w);
 
         let model = self.model;
-        for (access, is_write) in stmt.accesses() {
+        for (i, (access, is_write)) in stmt.accesses().enumerate() {
             let elem = self.kernel.tensor(access.tensor()).elem().size_bytes() as f64;
             let useful = instances * elem;
-            let stride = coal_dim
-                .and_then(|d| access_stride_along(self.kernel, s, access, d, &self.params))
-                .map(|v| v.abs())
-                .unwrap_or(0);
+            let off = access_offset_expr(self.kernel, s, access, &self.pvals);
+            let stride_along = |d: usize| off.coeff(d).to_integer().map(|v| v.abs() as i64);
+            let stride = coal_dim.and_then(stride_along).unwrap_or(0);
             let in_l2 = !is_write && self.written.contains(&access.tensor());
-            let (dram, l2, instr, pattern) = match stride {
-                0 => {
-                    // Broadcast / loop-invariant: one transaction per warp.
+            // Under a vector loop the recorded form decides: the store and
+            // the wide reads move w lanes per instruction; the other reads
+            // are priced by their stride like any scalar access. (The
+            // write comes first in `accesses()`, so read `i` is lane `i - 1`.)
+            let wide = is_write || s.lanes.get(i - 1) == Some(&Lanes::Wide);
+            let pattern = match (vec_w, stride) {
+                (Some(_), _) if wide => AccessPattern::Vectorized,
+                (_, 0) => AccessPattern::Broadcast,
+                (_, 1) => AccessPattern::Coalesced,
+                _ => AccessPattern::Scattered,
+            };
+            let (dram, l2, instr) = match pattern {
+                AccessPattern::Broadcast => {
+                    // Loop-invariant: one transaction per warp.
                     let t = useful / f64::from(model.warp_size);
-                    (
-                        if in_l2 { 0.0 } else { t },
-                        t,
-                        instances,
-                        AccessPattern::Broadcast,
-                    )
+                    (t, t, instances)
                 }
-                1 => {
-                    if let Some(vw) = vec_w {
-                        let w = f64::from(vw);
-                        let t = useful;
-                        (
-                            if in_l2 { 0.0 } else { t },
-                            t,
-                            instances / w,
-                            AccessPattern::Vectorized,
-                        )
-                    } else {
-                        let t = useful / model.scalar_bw_fraction;
-                        (
-                            if in_l2 { 0.0 } else { t },
-                            t,
-                            instances,
-                            AccessPattern::Coalesced,
-                        )
-                    }
+                AccessPattern::Vectorized => {
+                    (useful, useful, instances / f64::from(vec_w.unwrap_or(1)))
                 }
-                s_abs => {
+                AccessPattern::Coalesced => {
+                    let t = useful / model.scalar_bw_fraction;
+                    (t, t, instances)
+                }
+                AccessPattern::Scattered => {
                     // Partially or fully scattered: each element drags in
                     // up to a whole 32-byte sector, so the amplification is
                     // `min(stride, sector/elem)` — 8× for f32, 16× for f16.
-                    let sector_amp = (s_abs as f64).min(model.sector_bytes / elem);
+                    let sector_amp = (stride as f64).min(model.sector_bytes / elem);
                     let l2_amp = sector_amp.max(1.0);
                     // Tile-local reuse: when the per-block footprint fits
                     // the block's cache share and a companion dimension
@@ -343,14 +336,12 @@ impl Accumulator<'_> {
                     let reused = ctx.block_instances * elem <= model.tile_cache_bytes
                         && ctx.block_extents.iter().any(|&(d, ext)| {
                             Some(d) != coal_dim
-                                && access_stride_along(self.kernel, s, access, d, &self.params)
-                                    .map(|sd| {
-                                        let sd = sd.abs() as f64;
-                                        sd >= 1.0
-                                            && sd * elem < model.sector_bytes
-                                            && ext * sd * elem >= model.sector_bytes
-                                    })
-                                    .unwrap_or(false)
+                                && stride_along(d).is_some_and(|sd| {
+                                    let sd = sd as f64;
+                                    sd >= 1.0
+                                        && sd * elem < model.sector_bytes
+                                        && ext * sd * elem >= model.sector_bytes
+                                })
                         });
                     let dram_amp = if reused {
                         1.0
@@ -360,15 +351,11 @@ impl Accumulator<'_> {
                         sector_amp.min(model.scattered_read_amp).max(1.0)
                     };
                     let l2t = useful * l2_amp / model.scalar_bw_fraction;
-                    let dramt = useful * dram_amp / model.scalar_bw_fraction;
-                    (
-                        if in_l2 { 0.0 } else { dramt },
-                        l2t,
-                        instances,
-                        AccessPattern::Scattered,
-                    )
+                    (useful * dram_amp / model.scalar_bw_fraction, l2t, instances)
                 }
             };
+            // A fused intermediate read back is served by the L2.
+            let dram = if in_l2 { 0.0 } else { dram };
             self.timing.dram_bytes += dram;
             self.timing.l2_bytes += l2;
             self.timing.instructions += instr;

@@ -11,7 +11,7 @@
 //! panics, so a long-lived service (the `polyjectd` daemon) survives a
 //! single bad kernel without tearing down a worker thread.
 
-use polyject_codegen::{Ast, AstNode};
+use polyject_codegen::{access_offset_expr, Ast, AstNode, Lanes, LoopKind, StmtNode};
 use polyject_ir::Kernel;
 
 /// Why an AST execution could not run to completion.
@@ -56,9 +56,13 @@ impl std::error::Error for ExecError {}
 
 /// Executes a compiled AST on the given buffers.
 ///
-/// All loop kinds iterate sequentially here — block/thread/vector mapping
-/// only affects *timing*, not semantics (mapped loops are dependence-free
-/// by construction).
+/// Block and thread loops iterate sequentially here — their mapping only
+/// affects *timing*, not semantics (mapped loops are dependence-free by
+/// construction). A vector loop of width `w` runs `w` iterations at a
+/// time, the way its printed wide accesses behave: each leaf gathers
+/// every lane's reads as [`polyject_codegen::vectorize`] recorded them,
+/// computes, then stores the lanes to consecutive cells from lane 0's
+/// address, with the guard tested per lane.
 ///
 /// # Errors
 ///
@@ -102,61 +106,114 @@ pub fn execute_ast(
             got: buffers.len(),
         });
     }
-    let width = global_width(ast, kernel);
-    let mut tv = vec![0i128; width];
-    let n_t = width - kernel.n_params();
-    for (p, &v) in param_values.iter().enumerate() {
-        tv[n_t + p] = v as i128;
+    let mut tv = vec![0i128; ast.width()];
+    let n_t = tv.len() - kernel.n_params();
+    for (t, &v) in tv[n_t..].iter_mut().zip(param_values) {
+        *t = i128::from(v);
     }
-    for r in &ast.roots {
-        exec_node(r, kernel, buffers, param_values, &mut tv)?;
-    }
-    Ok(())
+    let mut run = Run {
+        kernel,
+        buffers,
+        params: param_values,
+        tv,
+    };
+    ast.roots.iter().try_for_each(|r| run.node(r))
 }
 
-/// Width of the global variable space `[t…, params…]` used by the AST's
-/// expressions.
-pub(crate) fn global_width(ast: &Ast, kernel: &Kernel) -> usize {
-    ast.statements()
-        .iter()
-        .flat_map(|s| s.iter_exprs.iter().map(polyject_sets::LinExpr::n_vars))
-        .chain(
-            ast.loops()
-                .iter()
-                .flat_map(|l| l.lowers.iter().chain(&l.uppers).map(|b| b.expr.n_vars())),
-        )
-        .max()
-        .unwrap_or(kernel.n_params())
+/// One execution: the kernel's buffers and the current point
+/// `[t…, params…]` of the global space.
+struct Run<'a> {
+    kernel: &'a Kernel,
+    buffers: &'a mut [Vec<f32>],
+    params: &'a [i64],
+    tv: Vec<i128>,
 }
 
-fn exec_node(
-    node: &AstNode,
-    kernel: &Kernel,
-    buffers: &mut [Vec<f32>],
-    param_values: &[i64],
-    tv: &mut Vec<i128>,
-) -> Result<(), ExecError> {
-    match node {
-        AstNode::Loop(l) => {
-            let values: Vec<i128> = l.values(tv).collect();
-            for v in values {
-                tv[l.dim] = v;
-                for c in &l.body {
-                    exec_node(c, kernel, buffers, param_values, tv)?;
+impl Run<'_> {
+    fn node(&mut self, node: &AstNode) -> Result<(), ExecError> {
+        match node {
+            AstNode::Loop(l) => {
+                let values: Vec<i128> = l.values(&self.tv).collect();
+                // A vector loop runs its leaves w consecutive iterations at a time.
+                let group = match l.kind {
+                    LoopKind::Vector(w) => usize::from(w),
+                    _ => 1,
+                };
+                for lanes in values.chunks(group) {
+                    for c in &l.body {
+                        match c {
+                            AstNode::Stmt(s) if group > 1 => self.lanes(s, l.dim, lanes)?,
+                            _ => {
+                                self.tv[l.dim] = lanes[0];
+                                self.node(c)?;
+                            }
+                        }
+                    }
+                }
+                self.tv[l.dim] = 0;
+            }
+            AstNode::Stmt(s) => {
+                if let Some(iters) = s.instance(&self.tv) {
+                    let stmt = self.kernel.statement(s.stmt);
+                    (self.kernel)
+                        .try_execute_instance(stmt, &iters, self.buffers, self.params)
+                        .map_err(ExecError::Instance)?;
                 }
             }
-            tv[l.dim] = 0;
         }
-        AstNode::Stmt(s) => {
-            if let Some(iters) = s.instance(tv) {
-                let stmt = kernel.statement(s.stmt);
-                kernel
-                    .try_execute_instance(stmt, &iters, buffers, param_values)
-                    .map_err(ExecError::Instance)?;
-            }
-        }
+        Ok(())
     }
-    Ok(())
+
+    /// One vector leaf over the iterations `lanes` of dimension `t_dim`,
+    /// the way its printed wide accesses behave: every active lane's
+    /// reads are gathered where the recorded form says (a read without
+    /// one is per lane), computed, then stored to consecutive cells from
+    /// lane 0's address (the store is always wide).
+    fn lanes(&mut self, s: &StmtNode, t_dim: usize, lanes: &[i128]) -> Result<(), ExecError> {
+        let stmt = self.kernel.statement(s.stmt);
+        let offsets: Vec<_> = (stmt.accesses())
+            .map(|(a, _)| access_offset_expr(self.kernel, s, a, self.params))
+            .collect();
+        let (mut first, mut stores) = (Vec::new(), Vec::new());
+        for (k, &t) in (0..).zip(lanes) {
+            self.tv[t_dim] = t;
+            let own: Vec<i128> = offsets
+                .iter()
+                .map(|o| o.eval_int(&self.tv).floor())
+                .collect();
+            if k == 0 {
+                first.clone_from(&own);
+            }
+            if s.instance(&self.tv).is_none() {
+                continue;
+            }
+            let mut reads = Vec::with_capacity(s.lanes.len());
+            for (r, a) in (1..).zip(stmt.reads()) {
+                let at = match s.lanes.get(r - 1) {
+                    Some(Lanes::Wide) => first[r] + k,
+                    Some(Lanes::Broadcast) => first[r],
+                    _ => own[r],
+                };
+                reads.push(*self.cell(a.tensor().0, at)?);
+            }
+            stores.push((first[0] + k, stmt.expr().eval(&reads)));
+        }
+        for (at, v) in stores {
+            *self.cell(stmt.write().tensor().0, at)? = v;
+        }
+        Ok(())
+    }
+
+    /// The cell at flat offset `at` of buffer `t`.
+    fn cell(&mut self, t: usize, at: i128) -> Result<&mut f32, ExecError> {
+        let len = self.buffers[t].len();
+        let cell = usize::try_from(at)
+            .ok()
+            .and_then(|i| self.buffers[t].get_mut(i));
+        cell.ok_or_else(|| {
+            ExecError::Instance(format!("vector access out of bounds at {at} of {len}"))
+        })
+    }
 }
 
 /// Convenience oracle: compiles nothing, just runs both executions and

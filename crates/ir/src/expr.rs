@@ -78,7 +78,7 @@ impl Expr {
     /// # Panics
     ///
     /// Panics if a `Read` index is out of range of `reads`.
-    pub(crate) fn eval(&self, reads: &[f32]) -> f32 {
+    pub fn eval(&self, reads: &[f32]) -> f32 {
         match self {
             Expr::Read(i) => reads[*i],
             Expr::Const(c) => *c,

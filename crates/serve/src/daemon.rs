@@ -358,9 +358,11 @@ fn serve_items<W: Write>(
         reg.insert(id.clone(), Arc::clone(&cancel));
     }
 
-    // Answers item `i` and its riders. A dead client cancels the work
-    // left, but the loops below still drain counters and slots.
-    let mut answer = |i: usize, frame: Frame| {
+    // Answers item `i` and its riders; a success books its latency from
+    // `since` (its `prepare`'s start) once written. A dead client cancels
+    // the work left; the loops below still drain counters and slots.
+    let mut answer = |i: usize, frame: Frame, since: Option<Instant>| {
+        let ok = frame.verdict() == Verdict::Ok;
         for &j in riders.get(&i).into_iter().flatten() {
             match frame.verdict() {
                 Verdict::Ok => shared.stats().coalesced += 1,
@@ -371,13 +373,16 @@ fn serve_items<W: Write>(
         if !out.item(i, frame) {
             cancel.store(true, Ordering::SeqCst);
         }
+        if let Some(t0) = since.filter(|_| ok) {
+            let ms = t0.elapsed().as_secs_f64() * 1e3;
+            shared.stats().latency.record(ms);
+        }
     };
-    // Books one settled item (`ms` from its `prepare` on): its frame.
-    let settled = |result: Result<(Answer, Served), String>, reuses: u64, ms: f64| -> Frame {
+    // Books one settled item: its frame.
+    let settled = |result: Result<(Answer, Served), String>, reuses: u64| -> Frame {
         match result {
             Ok((answer, served)) => {
                 let mut stats = shared.stats();
-                stats.latency.record(ms);
                 if enveloped {
                     stats.batch_session_reuses += reuses;
                 }
@@ -403,52 +408,46 @@ fn serve_items<W: Write>(
     // The unadmitted tail first: what to retry, before any compile.
     for i in granted..items.len() {
         shared.stats().overloaded += 1;
-        answer(
-            i,
-            overloaded_response(shared.pending.load(Ordering::SeqCst)).into(),
-        );
+        let pending = shared.pending.load(Ordering::SeqCst);
+        answer(i, overloaded_response(pending).into(), None);
     }
 
     // Every lookup, then every submission (see above).
     let mut misses = Vec::new();
     for i in primaries {
         let t0 = Instant::now();
-        let prepared = shared.service.prepare(&items[i].src, &items[i].config);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        let here = match prepared {
+        let here = match shared.service.prepare(&items[i].src, &items[i].config) {
             Ok(Lookup::Miss(request)) => {
-                misses.push((i, request, ms));
+                misses.push((i, request, t0));
                 continue;
             }
             Ok(Lookup::Hit(answer)) => Ok((answer, Served::Hit)),
             Err(e) => Err(e),
         };
         shared.pending.fetch_sub(1, Ordering::SeqCst);
-        answer(i, settled(here, 0, ms));
+        answer(i, settled(here, 0), Some(t0));
     }
     let mut open: Vec<usize> = misses.iter().map(|&(i, ..)| i).collect();
     let (tx, rx) = mpsc::channel();
-    for (i, request, looked_up_ms) in misses {
+    for (i, request, t0) in misses {
         let (tx, cancel, worker) = (tx.clone(), Arc::clone(&cancel), Arc::clone(shared));
         shared.pool.submit(move || {
             // Thread-local solver counters: the delta is this item's.
             let before = polyject_sets::counters::snapshot();
-            let t0 = Instant::now();
             let budget = Budget::unlimited().with_cancel(cancel);
             let result = worker.service.compile(request, &budget);
             let reuses = polyject_sets::counters::snapshot()
                 .delta_since(&before)
                 .session_reuses;
-            let ms = looked_up_ms + t0.elapsed().as_secs_f64() * 1e3;
             worker.pending.fetch_sub(1, Ordering::SeqCst);
-            let _ = tx.send((i, result, reuses, ms));
+            let _ = tx.send((i, result, reuses, t0));
         });
     }
     drop(tx);
 
     while !open.is_empty() {
         let left = deadline.saturating_duration_since(Instant::now());
-        let Ok((i, result, reuses, ms)) = rx.recv_timeout(left) else {
+        let Ok((i, result, reuses, t0)) = rx.recv_timeout(left) else {
             // Deadline: cancel, and answer what is open retryably.
             cancel.store(true, Ordering::SeqCst);
             shared.stats().timeouts += open.len() as u64;
@@ -457,12 +456,12 @@ fn serve_items<W: Write>(
                 shared.request_timeout
             );
             for i in open.drain(..) {
-                answer(i, retryable_error_response(&msg).into());
+                answer(i, retryable_error_response(&msg).into(), None);
             }
             break;
         };
         open.retain(|&p| p != i);
-        answer(i, settled(result, reuses, ms));
+        answer(i, settled(result, reuses), Some(t0));
     }
     if let Some(id) = &req_id {
         let mut reg = shared.cancel_reg.lock().expect("cancel registry poisoned");
@@ -688,6 +687,32 @@ stmt S for (i in 0..N) Y[i] = 2.0 * X[i] + Y[i]
             "{tally:?}"
         );
         assert_eq!(shared.pending.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_hits_latency_covers_its_write() {
+        // A writer that takes 30 ms per frame: the latency a hit books
+        // ends after its frame is written, not when `prepare` returns.
+        struct Slow(Vec<u8>);
+        impl Write for Slow {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                std::thread::sleep(Duration::from_millis(30));
+                Ok(())
+            }
+        }
+        let service = CompileService::new(None, GpuModel::v100()).with_hot_tier(4);
+        let shared = shared_with(service, 2, 4);
+        let req = Request::compile(SRC, "infl", None).to_json();
+        dispatch(&shared, &req, &mut Slow(Vec::new()));
+        dispatch(&shared, &req, &mut Slow(Vec::new()));
+        let stats = shared.stats.lock().unwrap();
+        assert_eq!((stats.misses, stats.hits, stats.latency.count()), (1, 1, 2));
+        let min = stats.latency.min_ms();
+        assert!(min >= 30.0, "a latency of {min} ms leaves out its write");
     }
 
     #[test]

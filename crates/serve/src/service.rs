@@ -27,8 +27,9 @@ use std::time::Instant;
 /// or the artifact schema changes meaning. 2: the actual options, not
 /// the defaults. 3: the scheduler material is the five constants
 /// ([`MAX_COEFF`] to [`MAX_ATTEMPTS`]). 4: the options as their
-/// [`CompileOptions::canonical_key`].
-pub const KEY_VERSION: u64 = 4;
+/// [`CompileOptions::canonical_key`]. 5: the CUDA prints the recorded
+/// vector form.
+pub const KEY_VERSION: u64 = 5;
 
 /// Resolves a configuration name (`isl|novec|infl`) to a [`Config`].
 ///

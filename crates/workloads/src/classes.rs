@@ -87,6 +87,50 @@ impl OpClass {
         }
     }
 
+    /// The scaled-down twin of the class: same constructor, every tensor
+    /// at most 4 096 elements, and each extent shrunk with its residue
+    /// mod 4, so the twin keeps exactly the divisibility the vectorizer
+    /// looks at. The interpreter (and a C++ compiler) run the whole Table
+    /// II population of twins in well under a second.
+    pub fn twin(&self) -> OpClass {
+        let shrink = |x: i64, cap: i64| match cap / 4 * 4 + x % 4 {
+            _ if x <= cap => x,
+            c if c > cap => c - 4,
+            c => c,
+        };
+        match *self {
+            OpClass::Elementwise { len, depth } => OpClass::Elementwise {
+                len: shrink(len, 4096),
+                depth,
+            },
+            OpClass::MulSubMulAdd { n } => OpClass::MulSubMulAdd { n: shrink(n, 16) },
+            OpClass::Transpose2D { rows, cols, elem } => OpClass::Transpose2D {
+                rows: shrink(rows, 64),
+                cols: shrink(cols, 64),
+                elem,
+            },
+            OpClass::Transpose4D { n, c, h, w, elem } => OpClass::Transpose4D {
+                n: shrink(n, 8),
+                c: shrink(c, 8),
+                h: shrink(h, 8),
+                w: shrink(w, 8),
+                elem,
+            },
+            OpClass::BiasAddRelu { n, c } => OpClass::BiasAddRelu {
+                n: shrink(n, 64),
+                c: shrink(c, 64),
+            },
+            OpClass::ReduceRows { n, m } => OpClass::ReduceRows {
+                n: shrink(n, 64),
+                m: shrink(m, 64),
+            },
+            OpClass::LayerNorm { rows, cols } => OpClass::LayerNorm {
+                rows: shrink(rows, 64),
+                cols: shrink(cols, 64),
+            },
+        }
+    }
+
     /// A short class label for reports.
     pub fn label(&self) -> &'static str {
         match self {

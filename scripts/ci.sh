@@ -8,7 +8,9 @@
 # an offline build of the standalone benchmark package and a --quick run
 # of its four workloads (outputs correct, no operation failed), a
 # seeded fault-injection chaos gate, a
-# budget smoke (deadline, ILP nodes, pivots, cancel), a polyjectd daemon smoke test (remote
+# budget smoke (deadline, ILP nodes, pivots, cancel), the CUDA artifacts
+# of the Table II twins compiled by g++ under a shim and run against the
+# reference (scripts/cuda_run.sh), a polyjectd daemon smoke test (remote
 # replies byte-identical to local; four requests built to crash the daemon
 # each answered with an error, the daemon alive after; a tuning that
 # polyjectc persists into the daemon's cache directory replayed with zero
@@ -65,6 +67,16 @@ cargo test -q
 
 step "workspace tests (every crate, incl. serve daemon/cache suites)"
 cargo test --workspace -q
+
+step "the CUDA text runs: Table II twins + fixtures under g++ with ASan/UBSan, both thread orders"
+# The artifact the cache stores and the daemon serves is the CUDA text;
+# execute_ast checks the AST it was printed from, this checks the text.
+# Not tier-1: it needs a C++ compiler. ~5 s once cuda_dump is built.
+if command -v g++ >/dev/null 2>&1; then
+  bash scripts/cuda_run.sh
+else
+  echo "g++ unavailable; skipping"
+fi
 
 step "benchmark package builds against the crates (standalone workspace, offline)"
 # benchmark/ is its own workspace, so nothing above compiles it: a
