@@ -12,8 +12,8 @@ fn running_example_keys_are_pinned() {
     let canon = polyject_front::canonical_pj(src).unwrap();
     let v100 = GpuModel::v100();
     let key = cache_key(&canon, "infl", &v100);
-    assert_eq!(key, "fdec6a991c905b8b");
-    assert_eq!(tuned_key(&canon, "infl", &v100), "e72fe7b31c0c6271");
+    assert_eq!(key, "6e7b00b3f326063c");
+    assert_eq!(tuned_key(&canon, "infl", &v100), "d5d29080e2b76ffe");
     let shards: Vec<String> = (0..3).map(|i| format!("shard-{i}")).collect();
-    assert_eq!(HashRing::new(&shards).owner(&key), Some(2));
+    assert_eq!(HashRing::new(&shards).owner(&key), Some(1));
 }
